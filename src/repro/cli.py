@@ -1218,8 +1218,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--query-blocks", type=_positive_int, default=1,
-        help="multiproc: split each shard task into this many query "
-        "sub-blocks (finer tasks, better balance)",
+        help="multiproc: cut the mass-sorted queries into at least this "
+        "many contiguous blocks per shard (a floor: raised until every "
+        "worker has a task; finer tasks, better balance)",
     )
     p_search.add_argument(
         "--start-method", choices=["fork", "spawn", "forkserver"], default=None,

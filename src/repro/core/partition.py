@@ -60,3 +60,35 @@ def partition_queries(queries: Sequence[Spectrum], p: int) -> List[List[Spectrum
     m = len(queries)
     bounds = [(m * i) // p for i in range(p + 1)]
     return [list(queries[bounds[i] : bounds[i + 1]]) for i in range(p)]
+
+
+def partition_queries_by_mass(
+    queries: Sequence[Spectrum], p: int
+) -> List[List[Spectrum]]:
+    """Cut the parent-mass-sorted query list into ``p`` contiguous blocks.
+
+    Algorithm B's decomposition: sort by parent m/z first, *then* deal
+    contiguous blocks of ~m/p, so each block is one mass range and only
+    touches the slice of the database its own windows cover.  The sort is
+    stable; a cut between two queries with overlapping windows costs the
+    candidate-major sweep at most one extra cohort, so ``p`` blocks form
+    at most ``p - 1`` more cohorts than the unblocked sweep.
+    """
+    return partition_queries(sorted(queries, key=lambda q: q.parent_mass), p)
+
+
+def effective_query_blocks(
+    query_blocks: int, num_shards: int, num_workers: int, num_queries: int
+) -> int:
+    """Query blocks per shard in a ``(shard, block)`` task grid.
+
+    ``query_blocks`` is a floor: it is raised until the grid has at least
+    one task per worker (a grid with fewer tasks than workers leaves
+    processes idle), then capped at one query per block.  The multiproc
+    engine sizes its grid with this and the tuner's predictor charges
+    dispatch for the same number.
+    """
+    if query_blocks < 1:
+        raise ValueError(f"query_blocks must be >= 1, got {query_blocks}")
+    per_shard = -(-num_workers // max(num_shards, 1))
+    return max(1, min(max(query_blocks, per_shard), num_queries))

@@ -2,9 +2,33 @@
 
 The simulated cluster answers "how would this scale to 128 ranks"; this
 engine answers "does the decomposition actually speed up real execution
-on this machine".  It runs Algorithm A's data decomposition — database
-shards x query blocks — across worker *processes* (true parallelism, no
-GIL).
+on this machine".  It runs a ``(shard, query block)`` task grid across
+worker *processes* (true parallelism, no GIL).
+
+The decomposition is query-major, after the paper.  Algorithm A's point
+is that queries stay put and each rank ends holding the final top-tau
+for *its own* queries, so nothing has to be merged by a master;
+Algorithm B's is that sorting by parent m/z first bounds what a block of
+queries can touch.  Here the query list is mass-sorted once and cut
+into contiguous blocks (:func:`~repro.core.partition.partition_queries_by_mass`),
+so every block is one mass range: the candidate-major sweep coalesces a
+block as well as it would the whole list, and a block's windows cover
+one slice of the mass index.  Which axis carries the parallelism depends
+on what is expensive to hold per process:
+
+* direct path (no fragment index will be consulted): the database is
+  *not* split — one shard, the whole database, shared copy-on-write
+  under fork and shipped once per worker under spawn — and all
+  parallelism comes from the query blocks.  Each query pays its window
+  join, spectrum batch and top-tau exactly once, and a task's result is
+  final for its queries: the parent has nothing to merge.
+* rebuilt-index path: one shard per worker (the per-shard fragment index
+  is the expensive per-process state), query blocks on top.
+* store paths: the store's own layout (its shards, or one contiguous
+  partition range per worker), query blocks on top.
+
+``query_blocks`` is a floor: the grid is widened until it has at least
+one task per worker (:func:`~repro.core.partition.effective_query_blocks`).
 
 Transport is zero-copy by reference: the shard buffers and the packed
 query blocks are installed in a module-level *task context* exactly once
@@ -17,7 +41,12 @@ resubmit four integers instead of re-pickling buffers, and the report's
 per-task baseline.  Workers keep a per-process cache of rebuilt
 ``ShardSearcher`` objects keyed by shard id (and of unpacked query
 blocks keyed by block id), so a shard's mass and fragment-ion indexes
-are built once per process, not once per task.
+are built once per process, not once per task.  Results come back as
+flat NumPy columns (:class:`~repro.scoring.hits.HitColumns`) — eight
+buffers per task instead of one pickled ``Hit`` per retained hit — and
+become ``Hit`` objects once, in the parent; hits are folded through a
+``TopHitList`` only for a query id that arrives from more than one
+shard.
 
 Supervision: tasks are dispatched with ``apply_async`` under a
 supervisor loop rather than ``pool.map``.  A task that raises (or, with
@@ -45,7 +74,11 @@ import numpy as np
 
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
-from repro.core.partition import partition_database, partition_queries
+from repro.core.partition import (
+    effective_query_blocks,
+    partition_database,
+    partition_queries_by_mass,
+)
 from repro.core.results import SearchReport, merge_rank_hits
 from repro.core.search import ShardSearcher, ShardStats, index_compat_problems
 from repro.faults.checkpoint import CheckpointManager
@@ -53,7 +86,13 @@ from repro.faults.injector import FaultInjector
 from repro.faults.supervisor import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
 from repro.obs.naming import canonicalize_extras
-from repro.scoring.hits import Hit, TopHitList
+from repro.scoring.hits import (
+    Hit,
+    HitColumns,
+    TopHitList,
+    pack_hit_columns,
+    unpack_hit_columns,
+)
 from repro.spectra.spectrum import Spectrum
 
 _SpectrumWire = Tuple[np.ndarray, np.ndarray, float, int, int]
@@ -188,7 +227,7 @@ def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float, float]:
 
 def _worker(
     task: _TaskWire,
-) -> Tuple[int, Dict[int, List[Hit]], ShardStats, Optional[Dict[str, Any]]]:
+) -> Tuple[int, HitColumns, ShardStats, Optional[Dict[str, Any]]]:
     """Search one (shard, query block) pair; runs in a worker process.
 
     With telemetry on (``context["metrics"]``) the task runs under a
@@ -199,7 +238,7 @@ def _worker(
     """
     task_id, attempt, shard_id, block_id = task
 
-    def execute() -> Tuple[Dict[int, List[Hit]], ShardStats]:
+    def execute() -> Tuple[HitColumns, ShardStats]:
         injector = _TASK_CONTEXT.get("injector")
         if injector is not None:
             injector.fire(task_id, attempt)
@@ -209,14 +248,12 @@ def _worker(
         stats = searcher.run(queries, hitlists)
         stats.index_build_time += built
         stats.index_load_time += loaded
-        # Blocks travel mass-sorted (sweep locality); emit hits in the
-        # caller's original query order so output is independent of the sort.
-        order = _TASK_CONTEXT["block_qids"][block_id]
-        return {qid: hitlists[qid].sorted_hits() for qid in order}, stats
+        qids = dict.fromkeys(q.query_id for q in queries)
+        return pack_hit_columns(hitlists, qids), stats
 
     if not _TASK_CONTEXT.get("metrics"):
-        hits, stats = execute()
-        return task_id, hits, stats, None
+        columns, stats = execute()
+        return task_id, columns, stats, None
     with use_registry(MetricsRegistry(enabled=True)) as registry:
         with registry.span(
             "multiproc.task",
@@ -226,8 +263,8 @@ def _worker(
             block=block_id,
             attempt=attempt,
         ):
-            hits, stats = execute()
-    return task_id, hits, stats, registry.snapshot()
+            columns, stats = execute()
+    return task_id, columns, stats, registry.snapshot()
 
 
 class _Supervisor:
@@ -253,9 +290,9 @@ class _Supervisor:
         self.retries = 0
         self.timeouts = 0
         self.failed_tasks: List[Dict[str, Any]] = []
-        # task_id -> (hits, stats, metrics snapshot or None)
+        # task_id -> (hit columns, stats, metrics snapshot or None)
         self.results: Dict[
-            int, Tuple[Dict[int, List[Hit]], ShardStats, Optional[Dict[str, Any]]]
+            int, Tuple[HitColumns, ShardStats, Optional[Dict[str, Any]]]
         ] = {}
 
     def _payload(self, task_id: int) -> _TaskWire:
@@ -285,11 +322,11 @@ class _Supervisor:
             if delay > 0:
                 time.sleep(delay)
             try:
-                tid, hits, stats, snap = _worker(self._payload(task_id))
+                tid, columns, stats, snap = _worker(self._payload(task_id))
             except Exception as exc:
                 self._record_failure(task_id, repr(exc), backlog)
             else:
-                self.results[tid] = (hits, stats, snap)
+                self.results[tid] = (columns, stats, snap)
 
     def run_pooled(self) -> None:
         backlog: List[Tuple[float, int]] = [(0.0, t) for t in sorted(self._tasks)]
@@ -307,11 +344,11 @@ class _Supervisor:
                 if handle.ready():
                     del in_flight[task_id]
                     try:
-                        tid, hits, stats, snap = handle.get()
+                        tid, columns, stats, snap = handle.get()
                     except Exception as exc:
                         self._record_failure(task_id, repr(exc), backlog)
                     else:
-                        self.results[tid] = (hits, stats, snap)
+                        self.results[tid] = (columns, stats, snap)
                 elif now > deadline:
                     # the worker is hung; abandon the handle (the pool
                     # process is reclaimed at pool teardown) and treat it
@@ -330,7 +367,6 @@ def run_multiprocess_search(
     queries: Sequence[Spectrum],
     num_workers: Optional[int] = None,
     config: Optional[SearchConfig] = None,
-    shards_per_worker: int = 1,
     *,
     query_blocks: int = 1,
     start_method: Optional[str] = None,
@@ -346,14 +382,18 @@ def run_multiprocess_search(
 ) -> SearchReport:
     """Search with real OS processes; returns wall-clock in virtual_time.
 
-    The database is split into ``num_workers * shards_per_worker``
-    shards and the query set into ``query_blocks`` contiguous blocks;
-    every (shard, query block) pair is an independent task (candidate
-    sets over shards partition the database's candidate set, so merging
-    per-task top-tau lists reproduces the serial output exactly — the
-    same argument Algorithms A/B rest on).  Shard buffers and packed
-    queries travel to workers once, through the task context (see module
-    docstring); task payloads are id tuples.
+    The mass-sorted query list is cut into contiguous blocks —
+    ``query_blocks`` of them at least, more if the grid would otherwise
+    have fewer tasks than workers — and every (shard, query block) pair
+    is an independent task.  On the direct path (``use_index=False``, or
+    a search no fragment index can serve) there is one shard, the whole
+    database, so a task's top-tau is final for its queries; with a
+    rebuilt index the database is split into one shard per worker, and
+    candidate sets over shards partition the database's candidate set,
+    so merging per-task top-tau lists reproduces the serial output
+    exactly — the same argument Algorithms A/B rest on.  Shard buffers
+    and packed queries travel to workers once, through the task context
+    (see module docstring); task payloads are id tuples.
 
     ``start_method`` pins the multiprocessing context ("fork" or
     "spawn"); the default picks fork where available.  Supervision knobs
@@ -373,10 +413,10 @@ def run_multiprocess_search(
 
     When ``index_path`` names a *partitioned* store
     (``repro.index_store_partitioned/1``) the decomposition changes
-    from database shards to disjoint contiguous partition ranges: each
-    worker streams its ``[lo, hi)`` slice of m/z partitions through a
+    from database shards to disjoint contiguous partition ranges, one per
+    worker: a task streams its ``[lo, hi)`` slice of m/z partitions through a
     :class:`~repro.core.streaming.StreamingSearcher` (double-buffered
-    prefetch, optional per-worker ``memory_budget_mb``), worker 0 also
+    prefetch, optional per-worker ``memory_budget_mb``), range 0 also
     scores the out-of-envelope overflow blob, and merged hits stay
     bitwise identical to both the resident and serial streamed paths.
     """
@@ -385,9 +425,8 @@ def run_multiprocess_search(
         num_workers = max(1, (os.cpu_count() or 2) - 1)
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if query_blocks < 1:
-        raise ValueError(f"query_blocks must be >= 1, got {query_blocks}")
     policy = retry_policy or RetryPolicy(max_retries=max_retries)
+    index_problems = index_compat_problems(config)
     store = None
     partition_ranges: Optional[List[Tuple[int, int]]] = None
     if index_path is not None:
@@ -409,9 +448,7 @@ def run_multiprocess_search(
                     "index: " + "; ".join(problems)
                 )
             store.validate_against(database)
-            partition_ranges = split_partition_ranges(
-                store.num_partitions, num_workers * max(1, shards_per_worker)
-            )
+            partition_ranges = split_partition_ranges(store.num_partitions, num_workers)
             num_shards = len(partition_ranges)
             shards = None
             # per-range compressed bytes: what each worker's stream reads
@@ -420,33 +457,30 @@ def run_multiprocess_search(
                 for lo, hi in partition_ranges
             ]
         else:
-            problems = index_compat_problems(config)
-            if problems:
+            if index_problems:
                 raise IndexCompatError(
                     "this search cannot be served from the persisted index: "
-                    + "; ".join(problems)
+                    + "; ".join(index_problems)
                 )
             store.validate_against(database)
             num_shards = store.num_shards
             shards = None
             shard_bytes = [layout.shard_nbytes for layout in store.layouts]
     else:
-        nshards = num_workers * max(1, shards_per_worker)
-        shards = [s for s in partition_database(database, nshards) if len(s) > 0]
+        # Only a per-shard fragment index is worth a shard per worker;
+        # without one the database stays whole and the query axis alone
+        # carries the parallelism.
+        pieces = (
+            [database] if index_problems else partition_database(database, num_workers)
+        )
+        shards = [s for s in pieces if len(s) > 0]
         num_shards = len(shards)
-    nblocks = min(query_blocks, len(queries)) or 1
-    blocks = partition_queries(list(queries), nblocks)
-    # Pack each block sorted by precursor mass (stable): the sweep path
-    # coalesces more cohorts from mass-adjacent queries, and the per-query
-    # path is order-insensitive.  The original per-block query order is
-    # kept alongside so workers emit hits in caller order.
-    block_qids = [[q.query_id for q in block] for block in blocks]
-    blocks = [sorted(block, key=lambda q: q.parent_mass) for block in blocks]
+    nblocks = effective_query_blocks(query_blocks, num_shards, num_workers, len(queries))
+    blocks = partition_queries_by_mass(queries, nblocks)
     block_wires = [[_pack_spectrum(q) for q in block] for block in blocks]
     obs = get_metrics()
     context: Dict[str, Any] = {
         "query_blocks": block_wires,
-        "block_qids": block_qids,
         "config": config,
         "injector": fault_injector,
         "metrics": obs.enabled,
@@ -460,8 +494,7 @@ def run_multiprocess_search(
         shard_wires = [shard.to_buffers() for shard in shards]
         context["shard_wires"] = shard_wires
         shard_bytes = [_shard_wire_nbytes(w) for w in shard_wires]
-    # task_id = shard_id * nblocks + block_id keeps task_id == shard_id
-    # in the default single-block layout (checkpoint compatibility).
+    # shard-major task ids; the checkpoint fingerprint pins the grid shape
     tasks = {
         shard_id * nblocks + block_id: (shard_id, block_id)
         for shard_id in range(num_shards)
@@ -531,15 +564,17 @@ def run_multiprocess_search(
                     supervisor.run_pooled()
     finally:
         _install_context(None)
-    wall = time.perf_counter() - start
     obs.count("multiproc.dispatched", len(supervisor.results) + supervisor.retries)
     obs.count("multiproc.retries", supervisor.retries)
     obs.count("multiproc.timeouts", supervisor.timeouts)
     obs.count("multiproc.quarantined", len(supervisor.failed_tasks))
 
     stats = ShardStats()
+    per_task_hits: List[Dict[int, List[Hit]]] = []
     for task_id in sorted(supervisor.results):
-        task_hits, worker_stats, worker_snap = supervisor.results[task_id]
+        columns, worker_stats, worker_snap = supervisor.results[task_id]
+        task_hits = unpack_hit_columns(columns)
+        per_task_hits.append(task_hits)
         obs.merge_snapshot(worker_snap)
         stats.merge(worker_stats)
         if manager is not None:
@@ -561,16 +596,15 @@ def run_multiprocess_search(
         rows_scored = manager.counters.get("rows_scored", 0)
         index_rows = manager.counters.get("index_rows", 0)
     else:
-        hits = merge_rank_hits(
-            [supervisor.results[t][0] for t in sorted(supervisor.results)], config.tau
-        )
+        hits = merge_rank_hits(per_task_hits, config.tau)
         candidates = stats.candidates_evaluated
         batches = stats.batches
         rows_scored = stats.rows_scored
         index_rows = stats.index_rows
-    # make empty hit lists visible for queries with no candidates anywhere
-    for q in queries:
-        hits.setdefault(q.query_id, [])
+    # caller's query order, whatever order the blocks ran in; a query
+    # with no candidates anywhere (or only quarantined tasks) reports []
+    hits = {q.query_id: hits.get(q.query_id, []) for q in queries}
+    wall = time.perf_counter() - start
     extras = {
         "num_shards": num_shards,
         "query_blocks": nblocks,
@@ -607,7 +641,7 @@ def run_multiprocess_search(
         extras["index_path"] = str(index_path)
         extras["index_mmap_bytes"] = int(store.nbytes)
         extras["index_provenance"] = store.provenance("loaded")
-    elif not index_compat_problems(config):
+    elif not index_problems:
         from repro.store import build_config_from_search, rebuilt_provenance
 
         extras["index_provenance"] = rebuilt_provenance(

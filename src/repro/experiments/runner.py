@@ -327,6 +327,8 @@ def _run_multiproc_cell(db, queries, config, params, ranks, plan, out_dir):
         queries,
         num_workers=ranks,
         config=config,
+        # a floor, like --query-blocks: the engine widens the grid to a task
+        # per worker, so an injected crash at task id < ranks always lands
         query_blocks=int(params.get("engine.query_blocks", 1)),
         start_method=params.get("engine.start_method"),
         fault_injector=injector,

@@ -12,8 +12,8 @@ evaluation order — the property the paper's validation experiment
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
-
+from itertools import chain, islice
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -292,6 +292,22 @@ class TopHitList:
             return hits if best_first else sorted(hits, key=Hit.sort_key)
         return sorted((h for _k, h in self._heap), key=Hit.sort_key)
 
+    def columns(self) -> Tuple[list, list, list, list, list, list]:
+        """:meth:`sorted_hits` as parallel lists, without the Hit objects.
+
+        Returns ``(scores, protein_ids, starts, stops, masses,
+        mod_deltas)``, best first.  A parked best-first batch — what the
+        sweep leaves behind for every query that saw one shard — is
+        handed out as-is; anything else goes through the sorted hits.
+        """
+        if self._pending is not None and self._pending[7]:
+            return self._pending[1:7]
+        hits = self.sorted_hits()
+        if not hits:
+            return ([], [], [], [], [], [])
+        _qid, sc, pr, st, sp, ms, md = zip(*hits)
+        return (list(sc), list(pr), list(st), list(sp), list(ms), list(md))
+
     def merge(self, other: "TopHitList") -> None:
         """Fold another list's hits into this one (keeps max of tau)."""
         if other.tau != self.tau:
@@ -301,6 +317,64 @@ class TopHitList:
         for _k, hit in other._heap:
             self.add(hit)
         self.evaluated = evaluated  # merging is not re-evaluating
+
+
+class HitColumns(NamedTuple):
+    """The top-tau lists of many queries as flat NumPy columns.
+
+    What a worker process returns for its query block: eight arrays
+    pickle as eight buffers, where the same hits as ``Hit`` tuples cost
+    one object each to dump, load and fold.  Query ``query_ids[i]`` owns
+    the next ``counts[i]`` rows of the six hit columns, best first.
+    """
+
+    query_ids: np.ndarray
+    counts: np.ndarray
+    scores: np.ndarray
+    protein_ids: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    masses: np.ndarray
+    mod_deltas: np.ndarray
+
+
+def pack_hit_columns(
+    hitlists: Dict[int, TopHitList], query_ids: Iterable[int]
+) -> HitColumns:
+    """Flatten ``hitlists[qid].columns()`` for ``query_ids``, in that order."""
+    query_ids = list(query_ids)
+    per_query = [hitlists[qid].columns() for qid in query_ids]
+    counts = [len(cols[0]) for cols in per_query]
+    total = sum(counts)
+
+    def column(k: int, dtype) -> np.ndarray:
+        flat = chain.from_iterable(cols[k] for cols in per_query)
+        return np.fromiter(flat, dtype=dtype, count=total)
+
+    return HitColumns(
+        np.array(query_ids, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+        column(0, np.float64),
+        column(1, np.int64),
+        column(2, np.int64),
+        column(3, np.int64),
+        column(4, np.float64),
+        column(5, np.float64),
+    )
+
+
+def unpack_hit_columns(columns: HitColumns) -> Dict[int, List[Hit]]:
+    """Inverse of :func:`pack_hit_columns`: per-query hits, best first."""
+    qids = columns.query_ids.tolist()
+    new = tuple.__new__
+    rows = zip(*(col.tolist() for col in columns[2:]))
+    hits: Dict[int, List[Hit]] = {}
+    for qid, count in zip(qids, columns.counts.tolist()):
+        hits[qid] = [
+            new(Hit, (qid, sc, pr, st, sp, ms, md))
+            for sc, pr, st, sp, ms, md in islice(rows, count)
+        ]
+    return hits
 
 
 def hit_to_payload(hit: Hit) -> dict:

@@ -32,7 +32,10 @@ Failure semantics (all typed, never a hang):
 * worker death → supervisor restarts the thread while
   ``max_worker_restarts`` lasts, then degrades to reduced concurrency
   (``degraded`` in :meth:`SearchService.health`); the last worker dying
-  with no budget fails all outstanding requests typed.
+  with no budget fails all outstanding requests typed.  A replacement is
+  registered as ``starting`` in the same critical section that marks its
+  predecessor dead, and a starting worker counts as capacity — so
+  admission never sees "no workers" while a restart is under way.
 """
 
 from __future__ import annotations
@@ -98,7 +101,12 @@ class _Worker:
     wid: int
     thread: Optional[threading.Thread] = None
     searchers: List[ShardSearcher] = field(default_factory=list)
-    alive: bool = False
+    #: starting (building its searchers) -> alive (taking batches) -> dead
+    state: str = "starting"
+
+    @property
+    def alive(self) -> bool:
+        return self.state == "alive"
 
 
 class SearchService:
@@ -208,12 +216,14 @@ class SearchService:
             while True:
                 if self._start_error is not None:
                     err = self._start_error
+                    self._fail_all_locked(f"service failed to start: {err}")
                     self._state = "stopped"
                     self._work.notify_all()
                     raise err
                 if sum(1 for w in self._workers if w.alive) >= self.service_config.workers:
                     break
                 if time.monotonic() >= deadline:
+                    self._fail_all_locked("service failed to start in time")
                     self._state = "stopped"
                     self._work.notify_all()
                     raise ServiceUnavailableError(
@@ -244,7 +254,7 @@ class SearchService:
                 deadline = time.monotonic() + cfg.drain_timeout
                 while self._pending or self._retries or self._in_flight:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not any(w.alive for w in self._workers):
+                    if remaining <= 0 or not self._capacity_locked():
                         break
                     self._idle.wait(min(_TICK, remaining))
             self._fail_all_locked("service stopped before the request completed")
@@ -334,23 +344,29 @@ class SearchService:
             raise ServiceUnavailableError(
                 f"service is not accepting requests (state {self._state!r})"
             )
-        if self._workers and not any(w.alive for w in self._workers):
+        if self._workers and not self._capacity_locked():
             self._count_locked("rejected_unavailable")
             raise ServiceUnavailableError(
                 "service has no live workers (restart budget exhausted)"
             )
+
+    def _capacity_locked(self) -> int:
+        """Workers that take batches now or will once initialized."""
+        return sum(1 for w in self._workers if w.state != "dead")
 
     # -- introspection ----------------------------------------------------
 
     def health(self) -> Dict[str, object]:
         """Liveness/readiness probe payload.
 
-        ``ready`` means requests submitted now would be admitted;
+        ``ready`` means requests submitted now would be admitted (a
+        worker is alive, or one is starting and will take them);
         ``degraded`` means the service is running below its configured
         concurrency or has quarantined batches.
         """
         with self._lock:
             alive = sum(1 for w in self._workers if w.alive)
+            capacity = self._capacity_locked()
             degraded = (
                 self._state in ("running", "draining")
                 and (
@@ -360,9 +376,10 @@ class SearchService:
             )
             return {
                 "state": self._state,
-                "ready": self._state == "running" and alive > 0,
+                "ready": self._state == "running" and capacity > 0,
                 "degraded": degraded,
                 "workers_alive": alive,
+                "workers_starting": capacity - alive,
                 "workers_configured": self.service_config.workers,
                 "worker_restarts": int(self._counters["worker_restarts"]),
                 "queue_depth": len(self._pending),
@@ -401,6 +418,12 @@ class SearchService:
     # -- supervision ------------------------------------------------------
 
     def _spawn_worker(self) -> None:
+        with self._lock:
+            worker = self._register_worker_locked()
+        worker.thread.start()
+
+    def _register_worker_locked(self) -> _Worker:
+        """Add a ``starting`` worker to the pool; the caller starts its thread."""
         worker = _Worker(wid=next(self._next_worker_id))
         worker.thread = threading.Thread(
             target=self._worker_main,
@@ -408,9 +431,8 @@ class SearchService:
             name=f"repro-service-worker-{worker.wid}",
             daemon=True,
         )
-        with self._lock:
-            self._workers.append(worker)
-        worker.thread.start()
+        self._workers.append(worker)
+        return worker
 
     def _make_searchers(self) -> List[ShardSearcher]:
         if isinstance(self._store, PartitionedIndex):
@@ -450,7 +472,7 @@ class SearchService:
             return
         obs = get_metrics()
         with self._lock:
-            worker.alive = True
+            worker.state = "alive"
             obs.gauge(
                 "service.workers_alive",
                 sum(1 for w in self._workers if w.alive),
@@ -472,7 +494,7 @@ class SearchService:
                 with self._lock:
                     self._quarantine_batch_locked(batch, exc)
         with self._lock:
-            worker.alive = False
+            worker.state = "dead"
 
     def _next_work(self) -> Optional[_Batch]:
         """Next batch for a worker: due retries first, then fresh requests.
@@ -684,8 +706,9 @@ class SearchService:
         self, worker: _Worker, exc: BaseException, initialized: bool
     ) -> None:
         obs = get_metrics()
+        replacement: Optional[_Worker] = None
         with self._lock:
-            worker.alive = False
+            worker.state = "dead"
             if not initialized and self._start_error is None and self._restarts_used == 0:
                 # initial pool failed to come up: surface to start()
                 self._start_error = exc
@@ -698,17 +721,21 @@ class SearchService:
             if restart:
                 self._restarts_used += 1
                 self._count_locked("worker_restarts")
-            alive = sum(1 for w in self._workers if w.alive)
-            obs.gauge("service.workers_alive", alive)
-            if not restart and alive == 0:
+                # registered before the lock drops: admission must never
+                # see an empty pool while restart budget remains
+                replacement = self._register_worker_locked()
+            obs.gauge(
+                "service.workers_alive", sum(1 for w in self._workers if w.alive)
+            )
+            if not self._capacity_locked():
                 # nobody left to run anything: fail all outstanding work
                 # typed instead of letting clients (or drain) wait
                 self._fail_all_locked(
                     f"all workers dead and restart budget exhausted: {exc}"
                 )
             self._idle.notify_all()
-        if restart:
-            self._spawn_worker()
+        if replacement is not None:
+            replacement.thread.start()
 
     def _fail_all_locked(self, message: str) -> None:
         for req in self._pending:

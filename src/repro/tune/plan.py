@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.advisor import fits_in_budget, streamed_residency_bytes
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
+from repro.core.partition import effective_query_blocks
 from repro.core.search import ShardSearcher
 from repro.candidates.generator import mass_window
 from repro.candidates.mass_index import coalesce_windows
@@ -248,6 +249,12 @@ def predict_makespan(
     eff = min(workers, os_cpu_count())
 
     serves_index = plan.use_index and profile.scorer_indexable
+    # the multiproc engine's task grid: a shard (or partition range) per
+    # worker where a fragment index is consulted, the whole database as
+    # one shard where none is — then query blocks, floored so that every
+    # worker has a task
+    num_shards = workers if serves_index else 1
+    blocks = effective_query_blocks(max(plan.query_blocks, 1), num_shards, workers, m)
     index_rows = (
         profile.total_candidates * profile.index_served_fraction
         if serves_index
@@ -266,10 +273,10 @@ def predict_makespan(
     else:
         overhead = cost.query_overhead * m
 
-    # every worker runs *all* queries against its own database shard, so
-    # per-query bookkeeping is paid once per worker — it parallelizes
-    # only when spare cores absorb the duplication
-    overhead_wall = overhead * workers / eff
+    # every query meets every shard, so per-query bookkeeping is paid
+    # once per shard: once in all on the direct path, once per worker
+    # where each worker holds its own indexed shard
+    overhead_wall = overhead * num_shards / eff
 
     phases: Dict[str, float] = {}
     if plan.stream and profile.store is not None:
@@ -300,9 +307,7 @@ def predict_makespan(
             # the spawn initializer re-ships the whole worker context to
             # every fresh interpreter; fork inherits it copy-on-write
             phases["transport"] = cost.transport_time(profile.context_bytes) * workers
-        phases["task_dispatch"] = cost.task_dispatch_time(
-            workers * max(plan.query_blocks, 1)
-        )
+        phases["task_dispatch"] = cost.task_dispatch_time(num_shards * blocks)
     return PredictedMakespan(total=sum(phases.values()), phases=phases)
 
 

@@ -8,6 +8,9 @@ terminal response, and overload rejects with a typed error instead of
 hanging.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.core.config import SearchConfig
@@ -192,6 +195,58 @@ class TestCrashRecovery:
             assert health["degraded"]
             with pytest.raises(ServiceUnavailableError, match="no live workers"):
                 service.submit(tiny_queries[2:4])
+
+
+    def test_admission_counts_a_starting_replacement_as_capacity(
+        self, tiny_db, tiny_queries, sweep_config, reference_hits
+    ):
+        """The only worker has crashed and its replacement is still
+        building searchers: budget remains, so the service stays ready,
+        admits, and serves the request once the replacement is up — it
+        must never answer "restart budget exhausted" here."""
+        plan = FaultPlan(
+            service=ServiceFaults(
+                worker_crashes=(ServiceWorkerCrash(batch=0, attempts=1),)
+            )
+        )
+        service_config = ServiceConfig(
+            workers=1, retry=fast_retry(), max_worker_restarts=3
+        )
+        service = SearchService(
+            sweep_config, service_config, database=tiny_db, fault_plan=plan
+        )
+        gate = threading.Event()
+        make_searchers = service._make_searchers
+        calls = []
+
+        def slow_restart():
+            calls.append(None)
+            if len(calls) > 1:  # the initial pool comes up at once
+                assert gate.wait(30.0)
+            return make_searchers()
+
+        service._make_searchers = slow_restart
+        try:
+            with service:
+                first = service.submit(tiny_queries[:3])
+                deadline = time.monotonic() + 30.0
+                while service.health()["workers_starting"] != 1:
+                    assert time.monotonic() < deadline, "replacement never registered"
+                    time.sleep(0.005)
+                health = service.health()
+                assert health["workers_alive"] == 0
+                assert health["ready"]
+                assert health["worker_restarts"] == 1 < service_config.max_worker_restarts
+                second = service.submit(tiny_queries[3:5])  # admitted, not refused
+                gate.set()
+                for handle in (first, second):
+                    response = handle.result(timeout=60.0).raise_for_status()
+                    for qid, hits in response.hits.items():
+                        assert [h.sort_key() for h in hits] == reference_hits[qid]
+                assert service.stats()["rejected_unavailable"] == 0
+                assert service.health()["workers_starting"] == 0
+        finally:
+            gate.set()
 
 
 class TestStoreOutage:

@@ -1,7 +1,7 @@
 """Seeded storm-with-faults soak: the service-soak CI criterion.
 
 One storm, every service fault class at once, a small queue, deadlines
-on half the traffic — and four invariants that must survive it all:
+on half the traffic — and five invariants that must survive it all:
 
 1. **No hangs** — every submission reaches a typed outcome (admission
    rejection or terminal response) within the bounded timeout.
@@ -11,6 +11,8 @@ on half the traffic — and four invariants that must survive it all:
    every admitted request is terminal before stop() returns.
 4. **Bitwise identity** — every completed query's hits equal the
    fault-free serial reference, whatever batches the storm produced.
+5. **Restarts are capacity** — while restart budget remains, nothing
+   is refused with ``ServiceUnavailableError``.
 """
 
 import pytest
@@ -79,6 +81,7 @@ class TestServiceSoak:
             },
             "spec": plan.service.storm,
             "limit": service_config.queue_limit,
+            "max_worker_restarts": service_config.max_worker_restarts,
         }
 
     def test_no_hangs_every_submission_terminal(self, soak):
@@ -108,6 +111,12 @@ class TestServiceSoak:
         stats = soak["stats"]
         assert stats["batch_retries"] >= 2  # crash at batch 1, outage at batch 2
         assert stats["worker_restarts"] >= 1
+
+    def test_never_unavailable_while_restart_budget_remains(self, soak):
+        """A worker mid-restart is capacity: with budget left, no
+        submission may be refused for want of live workers."""
+        assert soak["stats"]["worker_restarts"] < soak["max_worker_restarts"]
+        assert soak["stats"]["rejected_unavailable"] == 0
 
     def test_bitwise_identity_for_all_completed_queries(self, soak):
         reference = soak["reference"]

@@ -1,6 +1,10 @@
 """Integration: the real multiprocessing engine."""
 
+import multiprocessing
 import os
+import random
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +12,8 @@ from repro.core.config import SearchConfig
 from repro.core.search import search_serial
 from repro.core.results import reports_equal
 from repro.engines.multiproc import run_multiprocess_search
+from repro.store import save_index, save_partitioned_index
+from repro.workloads.queries import QueryWorkload
 
 
 class TestMultiprocess:
@@ -23,12 +29,14 @@ class TestMultiprocess:
         ref = search_serial(small_db, tiny_queries, cfg)
         assert reports_equal(ref, rep)
 
-    def test_shards_per_worker(self, small_db, tiny_queries):
+    def test_more_tasks_than_workers(self, small_db, tiny_queries):
         cfg = SearchConfig(tau=10)
         rep = run_multiprocess_search(
-            small_db, tiny_queries, num_workers=2, config=cfg, shards_per_worker=3
+            small_db, tiny_queries, num_workers=2, config=cfg, query_blocks=3
         )
-        assert rep.extras["num_shards"] == 6
+        # rebuilt-index path: a shard per worker, three blocks on each
+        assert rep.extras["num_shards"] == 2
+        assert rep.extras["tasks_total"] == 6
         assert reports_equal(search_serial(small_db, tiny_queries, cfg), rep)
 
     def test_wall_time_recorded(self, small_db, tiny_queries):
@@ -37,6 +45,26 @@ class TestMultiprocess:
         )
         assert rep.virtual_time > 0
         assert rep.extras["wall_time"] == rep.virtual_time
+
+    def test_wall_time_covers_the_parent_side_merge(
+        self, tiny_db, tiny_queries, monkeypatch
+    ):
+        """The clock stops once the merged hits exist, not before: time the
+        parent spends unpacking and merging is time the caller paid."""
+        from repro.engines import multiproc
+
+        merge, pause = multiproc.merge_rank_hits, 0.5
+
+        def slow_merge(per_rank_hits, tau):
+            time.sleep(pause)
+            return merge(per_rank_hits, tau)
+
+        monkeypatch.setattr(multiproc, "merge_rank_hits", slow_merge)
+        rep = run_multiprocess_search(
+            tiny_db, tiny_queries, num_workers=1, config=SearchConfig(tau=5)
+        )
+        assert rep.extras["wall_time"] >= pause
+        assert rep.extras["candidates_per_second"] <= rep.candidates_evaluated / pause
 
     def test_invalid_workers(self, small_db, tiny_queries):
         with pytest.raises(ValueError):
@@ -47,3 +75,106 @@ class TestMultiprocess:
         cfg = SearchConfig(tau=5, delta=0.0001)
         rep = run_multiprocess_search(small_db, foreign_queries, num_workers=2, config=cfg)
         assert set(rep.hits) == {q.query_id for q in foreign_queries}
+
+
+_START_METHODS = [
+    m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
+]
+# (num_workers, start_method, query_blocks): one worker runs inline, so the
+# start method only matters for two; spawn differs from fork only in how the
+# context reaches a worker, so it gets two block counts instead of four (each
+# spawn run costs ~1.5 s of interpreter start-up)
+_GRID = (
+    [(1, None, b) for b in (1, 2, 3, 5)]
+    + [(2, "fork", b) for b in (1, 2, 3, 5) if "fork" in _START_METHODS]
+    + [(2, "spawn", b) for b in (2, 5) if "spawn" in _START_METHODS]
+)
+
+
+class TestQueryMajorDecomposition:
+    """Mass-contiguous query blocks over the (shard, block) grid: the same
+    hits as serial on every path, whatever order the queries came in."""
+
+    @pytest.fixture(scope="class")
+    def queries(self, tiny_queries, foreign_queries):
+        # ids 0..11 findable, 100..109 mostly missing, 200 matching nothing
+        foreign = [replace(q, query_id=100 + i) for i, q in enumerate(foreign_queries)]
+        nothing = replace(tiny_queries[0], query_id=200, precursor_mz=1.0e5)
+        return list(tiny_queries) + foreign + [nothing]
+
+    @pytest.fixture(scope="class")
+    def serial(self, tiny_db, queries):
+        report = search_serial(tiny_db, queries, SearchConfig(tau=10))
+        assert report.hits[200] == []
+        return report
+
+    @pytest.fixture(scope="class")
+    def paths(self, tiny_db, tmp_path_factory):
+        """path name -> (config, extra keyword arguments)."""
+        root = tmp_path_factory.mktemp("grid")
+        resident = save_index(tiny_db, root / "resident", num_shards=2)
+        partitioned = save_partitioned_index(
+            tiny_db, root / "partitioned", partition_mb=1.0 / 16.0
+        )
+        sweep = SearchConfig(tau=10, use_sweep=True)
+        return {
+            "direct": (replace(sweep, use_index=False), {}),
+            "rebuilt_index": (SearchConfig(tau=10), {}),
+            "resident_store": (sweep, {"index_path": str(resident.path)}),
+            "partitioned_store": (
+                SearchConfig(tau=10), {"index_path": str(partitioned.path)}
+            ),
+        }
+
+    @pytest.mark.parametrize("num_workers,start_method,query_blocks", _GRID)
+    @pytest.mark.parametrize(
+        "path", ["direct", "rebuilt_index", "resident_store", "partitioned_store"]
+    )
+    def test_identical_to_serial_on_every_path(
+        self, tiny_db, queries, serial, paths, path,
+        num_workers, start_method, query_blocks,
+    ):
+        config, kwargs = paths[path]
+        shuffled = list(queries)
+        random.Random(f"{path}/{num_workers}/{query_blocks}").shuffle(shuffled)
+        rep = run_multiprocess_search(
+            tiny_db, shuffled, num_workers=num_workers, config=config,
+            query_blocks=query_blocks, start_method=start_method, **kwargs,
+        )
+        assert reports_equal(serial, rep, score_rtol=0)
+        assert set(rep.hits) == {q.query_id for q in queries}
+        assert list(rep.hits) == [q.query_id for q in shuffled]  # caller's order
+        assert rep.candidates_evaluated == serial.candidates_evaluated
+        assert rep.extras["tasks_total"] >= num_workers
+        assert rep.extras["query_blocks"] >= query_blocks
+
+    def test_direct_path_scores_each_query_once_in_few_cohorts(self, small_db):
+        """The database is not split when no index will be consulted, and
+        blocks are mass ranges: every query is swept exactly once, and
+        blocking costs the sweep at most one extra cohort per cut."""
+        queries = QueryWorkload(num_queries=90, seed=8, source=small_db).build()[0]
+        random.Random(8).shuffle(queries)
+        config = SearchConfig(tau=10, use_index=False, use_sweep=True, sweep_cohort=8)
+        serial = search_serial(small_db, queries, config)
+        blocks = 3
+        rep = run_multiprocess_search(
+            small_db, queries, num_workers=2, config=config, query_blocks=blocks
+        )
+        assert reports_equal(serial, rep, score_rtol=0)
+        assert rep.extras["num_shards"] == 1
+        assert rep.extras["tasks_total"] == blocks
+        assert rep.extras["sweep_queries"] == len(queries)
+        assert rep.extras["sweep_cohorts"] <= serial.extras["sweep_cohorts"] + blocks
+        assert rep.extras["rows_scored"] == serial.extras["rows_scored"]
+
+    def test_query_blocks_is_a_floor(self, tiny_db, tiny_queries):
+        """A grid narrower than the pool is widened to one task per worker."""
+        direct = SearchConfig(tau=10, use_index=False)
+        rep = run_multiprocess_search(tiny_db, tiny_queries, num_workers=2, config=direct)
+        assert (rep.extras["num_shards"], rep.extras["query_blocks"]) == (1, 2)
+        rep = run_multiprocess_search(
+            tiny_db, tiny_queries, num_workers=2, config=SearchConfig(tau=10)
+        )
+        assert (rep.extras["num_shards"], rep.extras["query_blocks"]) == (2, 1)
+        with pytest.raises(ValueError):
+            run_multiprocess_search(tiny_db, tiny_queries, num_workers=1, query_blocks=0)

@@ -66,7 +66,7 @@ class TestZeroCopyTransport:
         """Per-task traffic is a handful of ints; the old design shipped
         the shard and the query block inside every task."""
         rep = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=_cfg(), shards_per_worker=2
+            tiny_db, tiny_queries, num_workers=2, config=_cfg(), query_blocks=2
         )
         ex = rep.extras
         num_tasks = ex["num_shards"] * ex["query_blocks"]
@@ -76,6 +76,6 @@ class TestZeroCopyTransport:
 
     def test_inline_path_reports_bytes_too(self, tiny_db, tiny_queries):
         rep = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=1, config=_cfg(), shards_per_worker=4
+            tiny_db, tiny_queries, num_workers=1, config=_cfg(), query_blocks=4
         )
         assert rep.extras["bytes_shipped"] < rep.extras["bytes_shipped_replicated"]

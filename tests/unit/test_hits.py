@@ -1,8 +1,17 @@
 """Unit tests for Hit and TopHitList (the running top-tau list)."""
 
+import pickle
+
+import numpy as np
 import pytest
 
-from repro.scoring.hits import Hit, TopHitList, merge_hit_lists
+from repro.scoring.hits import (
+    Hit,
+    TopHitList,
+    merge_hit_lists,
+    pack_hit_columns,
+    unpack_hit_columns,
+)
 
 
 def make_hit(score, pid=0, start=0, stop=10, qid=0):
@@ -103,3 +112,73 @@ class TestMergeHitLists:
         shard1 = [make_hit(float(i), pid=i) for i in range(5)]
         shard2 = [make_hit(float(i) + 0.5, pid=10 + i) for i in range(5)]
         assert merge_hit_lists([shard1, shard2], 4) == merge_hit_lists([shard2, shard1], 4)
+
+
+def _offer(hl, qid, scores, pids):
+    """One add_batch of candidates (scores[i], protein pids[i]) for ``qid``."""
+    n = len(scores)
+    return hl.add_batch(
+        qid,
+        np.asarray(scores, dtype=np.float64),
+        np.asarray(pids, dtype=np.int64),
+        np.arange(n, dtype=np.int64),
+        np.arange(n, dtype=np.int64) + 7,
+        np.full(n, 900.5),
+        np.zeros(n),
+    )
+
+
+class TestHitColumns:
+    """``columns()`` and the packed form are ``sorted_hits()`` minus the objects."""
+
+    def _lists(self):
+        tied = [2.0, 1.0, 1.0, 1.0, 1.0, 0.5]  # four-way tie across the cutoff
+        parked_sorted = TopHitList(3)  # truncated: parked best-first
+        _offer(parked_sorted, 1, tied, [9, 4, 2, 8, 6, 1])
+        parked_unsorted = TopHitList(10)  # fits whole: parked in offer order
+        _offer(parked_unsorted, 2, tied, [9, 4, 2, 8, 6, 1])
+        heap = TopHitList(3)
+        for s, pid in zip(tied, [9, 4, 2, 8, 6, 1]):
+            heap.add(make_hit(s, pid=pid, qid=3))
+        multi = TopHitList(3)  # second batch forces the parked one onto the heap
+        _offer(multi, 4, tied, [9, 4, 2, 8, 6, 1])
+        _offer(multi, 4, [1.0, 3.0], [0, 5])
+        return {1: parked_sorted, 2: parked_unsorted, 3: heap, 4: multi, 5: TopHitList(3)}
+
+    def test_columns_match_sorted_hits(self):
+        for qid, hl in self._lists().items():
+            hits = hl.sorted_hits()
+            sc, pr, st, sp, ms, md = hl.columns()
+            rebuilt = [Hit(qid, *row[:4], row[4], row[5]) for row in zip(sc, pr, st, sp, ms, md)]
+            assert rebuilt == hits
+            assert [h.mass for h in rebuilt] == [h.mass for h in hits]
+            assert hl.sorted_hits() == hits  # the accessor consumed nothing
+
+    def test_tie_at_cutoff_survives_the_columns(self):
+        lists = self._lists()
+        for qid in (1, 3):
+            assert [h.protein_id for h in unpack_hit_columns(
+                pack_hit_columns(lists, [qid])
+            )[qid]] == [9, 2, 4]
+        assert [h.protein_id for h in lists[4].sorted_hits()] == [5, 9, 0]
+
+    def test_pack_unpack_round_trip_through_pickle(self):
+        lists = self._lists()
+        order = [4, 5, 1, 3, 2]
+        columns = pickle.loads(pickle.dumps(pack_hit_columns(lists, order)))
+        assert columns.query_ids.tolist() == order
+        assert columns.counts.tolist() == [3, 0, 3, 3, 6]
+        hits = unpack_hit_columns(columns)
+        assert list(hits) == order
+        for qid, hl in lists.items():
+            assert hits[qid] == hl.sorted_hits()
+            assert all(type(h) is Hit and h.query_id == qid for h in hits[qid])
+            for got, want in zip(hits[qid], hl.sorted_hits()):
+                assert (got.mass, type(got.protein_id), type(got.score)) == (
+                    want.mass, int, float,
+                )
+
+    def test_pack_nothing(self):
+        columns = pack_hit_columns({}, [])
+        assert len(columns.scores) == 0
+        assert unpack_hit_columns(columns) == {}

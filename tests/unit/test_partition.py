@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.chem.protein import ProteinDatabase
-from repro.core.partition import partition_bounds, partition_database, partition_queries
+from repro.core.partition import (
+    effective_query_blocks,
+    partition_bounds,
+    partition_database,
+    partition_queries,
+    partition_queries_by_mass,
+)
 from repro.workloads.synthetic import generate_database
 
 
@@ -78,3 +84,47 @@ class TestPartitionQueries:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             partition_queries([1], 0)
+
+
+class TestPartitionQueriesByMass:
+    def test_blocks_are_contiguous_mass_ranges(self, tiny_queries, foreign_queries):
+        queries = list(tiny_queries) + list(foreign_queries)
+        blocks = partition_queries_by_mass(queries, 4)
+        flat = [q for block in blocks for q in block]
+        assert sorted(map(id, flat)) == sorted(map(id, queries))
+        masses = [q.parent_mass for q in flat]
+        assert masses == sorted(masses)
+        sizes = [len(b) for b in blocks]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_input_order_does_not_matter(self, tiny_queries):
+        forward = partition_queries_by_mass(tiny_queries, 3)
+        backward = partition_queries_by_mass(tiny_queries[::-1], 3)
+        assert [[q.parent_mass for q in b] for b in forward] == [
+            [q.parent_mass for q in b] for b in backward
+        ]
+
+
+class TestEffectiveQueryBlocks:
+    @pytest.mark.parametrize(
+        "query_blocks,num_shards,num_workers,num_queries,expected",
+        [
+            (1, 1, 1, 100, 1),  # inline
+            (1, 1, 2, 100, 2),  # direct path: the query axis feeds both workers
+            (4, 1, 2, 100, 4),  # the caller's count is a floor, not a ceiling
+            (1, 2, 2, 100, 1),  # a shard per worker already fills the pool
+            (1, 2, 5, 100, 3),  # ceil(5 / 2)
+            (8, 1, 2, 3, 3),  # never more blocks than queries
+            (1, 0, 2, 100, 2),  # empty database: no shards, still well defined
+            (3, 1, 1, 0, 1),  # no queries: one empty block
+        ],
+    )
+    def test_floor_and_caps(
+        self, query_blocks, num_shards, num_workers, num_queries, expected
+    ):
+        got = effective_query_blocks(query_blocks, num_shards, num_workers, num_queries)
+        assert got == expected
+
+    def test_invalid_query_blocks(self):
+        with pytest.raises(ValueError):
+            effective_query_blocks(0, 1, 1, 10)

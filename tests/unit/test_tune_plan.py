@@ -168,6 +168,39 @@ class TestPredictMakespan:
         )
         assert over.total >= at_cap.total
 
+    def test_multiproc_phases_follow_the_engines_task_grid(self):
+        """Direct plans keep the database whole (bookkeeping paid once,
+        tasks = floored query blocks); indexed plans pay it per shard."""
+        profile, cost = make_profile(), CostModel()
+        serial = predict_makespan(CandidatePlan(use_index=False), profile, cost)
+        for workers, asked, tasks in [(2, 1, 2), (2, 4, 4), (3, 1, 3)]:
+            direct = predict_makespan(
+                CandidatePlan(
+                    engine="multiproc", use_index=False, num_workers=workers,
+                    query_blocks=asked, start_method="fork",
+                ),
+                profile,
+                cost,
+            )
+            eff = min(workers, os_cpu_count())
+            assert direct.phases["task_dispatch"] == pytest.approx(
+                cost.task_dispatch_time(tasks)
+            )
+            assert direct.phases["query_overhead"] == pytest.approx(
+                serial.phases["query_overhead"] / eff
+            )
+        indexed = predict_makespan(
+            CandidatePlan(engine="multiproc", num_workers=2, query_blocks=4, start_method="fork"),
+            profile,
+            cost,
+        )
+        assert indexed.phases["task_dispatch"] == pytest.approx(
+            cost.task_dispatch_time(2 * 4)
+        )
+        assert indexed.phases["query_overhead"] == pytest.approx(
+            serial.phases["query_overhead"] * 2 / min(2, os_cpu_count())
+        )
+
     def test_index_discount_lowers_prediction(self):
         profile = make_profile(index_served_fraction=0.9)
         cost = dataclasses.replace(
