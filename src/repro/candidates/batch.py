@@ -259,12 +259,16 @@ class CandidateBatch:
         starts = self.row_offsets[candidates]
         return _ragged_arange(starts, self.row_offsets[candidates + 1] - starts)
 
+    def selected_row_counts(self, candidates: np.ndarray) -> np.ndarray:
+        """Evaluation rows each selected candidate owns (all 1 without PTMs)."""
+        candidates = np.asarray(candidates, dtype=np.int64)
+        return self.row_offsets[candidates + 1] - self.row_offsets[candidates]
+
     def selected_row_count(self, candidates: np.ndarray) -> int:
         """Number of evaluation rows the selected candidates own."""
-        candidates = np.asarray(candidates, dtype=np.int64)
         if not self._expanded:
             return len(candidates)
-        return int((self.row_offsets[candidates + 1] - self.row_offsets[candidates]).sum())
+        return int(self.selected_row_counts(candidates).sum())
 
     def reduce_selected(self, row_scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """:meth:`reduce_rows` over the ``rows_of(candidates)`` stream.

@@ -51,7 +51,7 @@ class CandidateGenerator:
         self.shard = shard
         self.delta = delta
         self.modifications = tuple(m for m in modifications if not m.fixed)
-        self.index = MassIndex(shard)
+        self.index = MassIndex.for_shard(shard)
         # Per-sequence presence cumsums for each variable-mod target, so
         # "span contains >= 1 target residue" is O(1) per candidate, plus
         # a window counter per mod so PTM tiers are counted in O(log N)

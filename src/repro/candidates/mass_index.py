@@ -100,8 +100,21 @@ class CandidateSpans:
 class MassIndex:
     """Sorted prefix/suffix mass arrays over one database shard."""
 
+    @classmethod
+    def for_shard(cls, shard: ProteinDatabase) -> "MassIndex":
+        """The shard's mass index, built on first use and kept on the shard.
+
+        The index depends on the shard alone, so every searcher over one
+        database object shares one.  Databases derived from it (``subset``,
+        ``slice_range``, unpickled copies) start without one.  The index
+        holds no reference back to the shard, so the cache forms no cycle.
+        """
+        index = shard._mass_index
+        if index is None:
+            index = shard._mass_index = cls(shard)
+        return index
+
     def __init__(self, shard: ProteinDatabase):
-        self.shard = shard
         n = len(shard)
         lengths = shard.lengths
         offsets = shard.offsets

@@ -55,7 +55,7 @@ class ProteinDatabase:
             the data was redistributed.
     """
 
-    __slots__ = ("residues", "offsets", "ids", "_parent_masses", "_names")
+    __slots__ = ("residues", "offsets", "ids", "_parent_masses", "_names", "_mass_index")
 
     def __init__(
         self,
@@ -89,6 +89,16 @@ class ProteinDatabase:
         self.ids = ids
         self._names = list(names) if names is not None else None
         self._parent_masses = _parent_masses
+        #: cache slot owned by :meth:`repro.candidates.mass_index.MassIndex.for_shard`
+        self._mass_index = None
+
+    def __getstate__(self):
+        # the mass index is rebuilt on demand, never shipped to a worker
+        return (self.residues, self.offsets, self.ids, self._names, self._parent_masses)
+
+    def __setstate__(self, state) -> None:
+        self.residues, self.offsets, self.ids, self._names, self._parent_masses = state
+        self._mass_index = None
 
     # -- construction --------------------------------------------------
 

@@ -134,39 +134,34 @@ def write_tsv(report: SearchReport, path, database=None) -> None:
     the matched peptide sequence.  This is the flat interchange format
     peptide-identification pipelines consume downstream.
     """
-    own = not hasattr(path, "write")
-    fh = open(path, "w", encoding="ascii") if own else path
-    index_of = None
+    header = "query_id\trank\tscore\tprotein\tstart\tstop\tmass\tmod_delta"
+    protein = None
     if database is not None:
-        index_of = {int(pid): i for i, pid in enumerate(database.ids)}
-    try:
-        header = ["query_id", "rank", "score", "protein", "start", "stop", "mass", "mod_delta"]
-        if database is not None:
-            header.append("peptide")
-        fh.write("\t".join(header) + "\n")
-        for qid in sorted(report.hits):
-            for rank, hit in enumerate(report.hits[qid], start=1):
-                row = [
-                    str(qid),
-                    str(rank),
-                    f"{hit.score:.6f}",
-                    str(hit.protein_id),
-                    str(hit.start),
-                    str(hit.stop),
-                    f"{hit.mass:.4f}",
-                    f"{hit.mod_delta:.4f}",
-                ]
-                if index_of is not None:
-                    seq_idx = index_of.get(hit.protein_id)
-                    if seq_idx is None:
-                        row.append("?")
-                    else:
-                        span = database.sequence(seq_idx)[hit.start : hit.stop]
-                        row.append(span.tobytes().decode("ascii"))
-                fh.write("\t".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()
+        header += "\tpeptide"
+        # decode the residue buffer once; a hit's peptide is then a slice
+        # of its protein's text
+        text = database.residues.tobytes().decode("ascii")
+        bounds = database.offsets.tolist()
+        protein = {
+            pid: text[a:b] for pid, a, b in zip(database.ids.tolist(), bounds, bounds[1:])
+        }
+    lines = [header]
+    for qid in sorted(report.hits):
+        for rank, (_q, score, pid, start, stop, mass, mod) in enumerate(report.hits[qid], 1):
+            row = f"{qid}\t{rank}\t{score:.6f}\t{pid}\t{start}\t{stop}\t{mass:.4f}\t{mod:.4f}"
+            if protein is not None:
+                try:
+                    row = f"{row}\t{protein[pid][start:stop]}"
+                except KeyError:
+                    row += "\t?"
+            lines.append(row)
+    lines.append("")
+    payload = "\n".join(lines)
+    if hasattr(path, "write"):
+        path.write(payload)
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(payload)
 
 
 def merge_rank_hits(

@@ -29,7 +29,7 @@ from repro.scoring.base import Scorer, batch_scores, block_scores
 from repro.scoring.hits import TopHitList
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import SpectrumBatch
+from repro.spectra.spectrum_batch import SpectrumBatch, flatten_members
 
 
 @dataclass
@@ -297,16 +297,13 @@ class ShardSearcher:
             members = order[a:b]
             stats.sweep_cohorts += 1
             spans, selections = self._cohort_candidates(lows[a:b], highs[a:b])
-            sizes = [len(sel) for sel in selections]
-            n_cohort = sum(sizes)
-            stats.candidates_evaluated += n_cohort
-            if n_cohort == 0:
+            sel_flat, mem_flat = flatten_members(selections)
+            stats.candidates_evaluated += len(sel_flat)
+            if len(sel_flat) == 0:
                 continue
             # min-length filter for the whole cohort in one pass; the
             # per-member short counts land in `evaluated` exactly as the
             # per-query path records skipped-but-offered candidates
-            sel_flat = np.concatenate(selections)
-            mem_flat = np.repeat(np.arange(len(members)), sizes)
             ok = spans.lengths[sel_flat] >= min_len
             if not ok.all():
                 shorts = np.bincount(mem_flat[~ok], minlength=len(members))
@@ -322,8 +319,12 @@ class ShardSearcher:
                 sel_flat, np.cumsum(kept_counts)[:-1]
             )
             spectra = SpectrumBatch([queries[m] for m in members])
-            results = self.score_spans_block(spectra, spans, kept)
+            all_scores, direct_rows, index_rows = self.score_spans_block(
+                spectra, spans, kept
+            )
             stats.batches += 1
+            stats.rows_scored += direct_rows + index_rows
+            stats.index_rows += index_rows
             # Emit the whole cohort in one pass: a member-major lexsort
             # whose within-member key order is exactly Hit.sort_key, so
             # each member's segment head is the same top-tau that
@@ -332,15 +333,8 @@ class ShardSearcher:
             # query belongs to exactly one cohort and TopHitList is
             # order-independent, so emission order cannot affect results.
             qids = [queries[m].query_id for m in members]
-            stats.rows_scored += sum(d + i for _s, d, i in results)
-            stats.index_rows += sum(i for _s, _d, i in results)
             mem = mem_flat
             all_sel = sel_flat
-            all_scores = (
-                np.concatenate([r[0] for r in results])
-                if len(results) > 1
-                else results[0][0]
-            )
             counts = kept_counts
             if cfg.score_cutoff is not None and len(all_scores):
                 passing = all_scores >= cfg.score_cutoff
@@ -474,60 +468,55 @@ class ShardSearcher:
         spectra: SpectrumBatch,
         spans: CandidateSpans,
         selections: Sequence[np.ndarray],
-    ) -> List[Tuple[np.ndarray, int, int]]:
-        """Score a cohort's shared spans; per member
-        ``(scores, direct_rows, index_rows)`` exactly as
-        :meth:`score_spans` reports them.
+    ) -> Tuple[np.ndarray, int, int]:
+        """Score a cohort's shared spans: ``(scores, direct_rows, index_rows)``.
 
-        The index/direct split is computed per member (a member whose
-        selection holds no indexable candidate goes fully direct, like
-        the per-query path's ``n_index == 0`` case); the index stream is
-        one flat cohort probe, the direct stream one shared overflow
-        batch over the union of non-indexed candidates.
+        ``scores`` is one member-major vector (``selections[0]``'s
+        candidates, then ``selections[1]``'s, ...), each entry bitwise the
+        score :meth:`score_spans` gives that (member, candidate) pair; the
+        row counts are the cohort's totals of what :meth:`score_spans`
+        reports per member.
+
+        Candidates the index holds are served by one cohort call into it,
+        the rest — PTM tiers, over-length spans — by one shared overflow
+        batch over their union; a member whose selection holds no
+        indexable candidate thus goes fully direct, like the per-query
+        path's ``n_index == 0`` case.
         """
         if self.index is None:
             batch = CandidateBatch.from_spans(self.shard, spans, self._mod_targets)
             scores = block_scores(self.scorer, spectra, batch, selections)
-            return [
-                (scores[k], batch.selected_row_count(sel), 0)
-                for k, sel in enumerate(selections)
-            ]
+            return scores, sum(batch.selected_row_count(sel) for sel in selections), 0
         rows_block = self.index.rows_for(spans)
         if len(rows_block) == 0 or int(rows_block.min()) >= 0:
             # Whole block index-served (the common case: no PTM tier and
-            # no over-length span anywhere in the cohort): every member's
-            # use mask would be all-True, the overflow batch empty, and
-            # the scatter an identity copy — skip that bookkeeping.
+            # no over-length span anywhere in the cohort): the overflow
+            # batch would be empty and the scatter an identity copy.
             row_sets = [rows_block[sel] for sel in selections]
-            index_scores = self.index.score_block(self.scorer, spectra, row_sets)
-            return [(sc, 0, len(sc)) for sc in index_scores]
-        use_masks = [rows_block[sel] >= 0 for sel in selections]
-        row_sets = [
-            rows_block[sel[use]] for sel, use in zip(selections, use_masks)
-        ]
-        index_scores = self.index.score_block(self.scorer, spectra, row_sets)
+            scores = self.index.score_block(self.scorer, spectra, row_sets)
+            return scores, 0, len(scores)
+        sel_flat, member = flatten_members(selections)
+        rows_flat = rows_block[sel_flat]
+        use = rows_flat >= 0
 
-        over_sels = [sel[~use] for sel, use in zip(selections, use_masks)]
-        over_union = (
-            np.unique(np.concatenate(over_sels))
-            if any(len(o) for o in over_sels)
-            else np.empty(0, dtype=np.int64)
+        def per_member(values: np.ndarray, mask: np.ndarray) -> List[np.ndarray]:
+            counts = np.bincount(member[mask], minlength=len(selections))
+            return np.split(values, np.cumsum(counts)[:-1])
+
+        scores = np.empty(len(sel_flat), dtype=np.float64)
+        scores[use] = self.index.score_block(
+            self.scorer, spectra, per_member(rows_flat[use], use)
         )
+        over = sel_flat[~use]
+        over_union = np.unique(over)
         overflow = CandidateBatch.from_spans(
             self.shard, spans.take(over_union), self._mod_targets
         )
-        local_sels = [np.searchsorted(over_union, o) for o in over_sels]
-        direct_scores = block_scores(self.scorer, spectra, overflow, local_sels)
-
-        out: List[Tuple[np.ndarray, int, int]] = []
-        for k, (sel, use) in enumerate(zip(selections, use_masks)):
-            scores = np.empty(len(sel), dtype=np.float64)
-            scores[use] = index_scores[k]
-            scores[~use] = direct_scores[k]
-            out.append(
-                (scores, overflow.selected_row_count(local_sels[k]), int(use.sum()))
-            )
-        return out
+        over_local = np.searchsorted(over_union, over)
+        scores[~use] = block_scores(
+            self.scorer, spectra, overflow, per_member(over_local, ~use)
+        )
+        return scores, overflow.selected_row_count(over_local), int(use.sum())
 
     def score_spans(self, spectrum: Spectrum, spans) -> tuple:
         """Score candidate ``spans``; returns ``(scores, direct_rows, index_rows)``.

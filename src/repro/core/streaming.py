@@ -374,14 +374,17 @@ class StreamingSearcher:
             if not kept_specs:
                 continue
             spectra = SpectrumBatch(kept_specs)
-            results = index.score_block(self.scorer, spectra, kept_rows)
+            scores = index.score_block(self.scorer, spectra, kept_rows)
             stats.batches += 1
-            for spectrum, rows, scores in zip(kept_specs, kept_rows, results):
-                stats.rows_scored += len(rows)
-                stats.index_rows += len(rows)
+            stats.rows_scored += len(scores)
+            stats.index_rows += len(scores)
+            lo = 0
+            for spectrum, rows in zip(kept_specs, kept_rows):
+                hi = lo + len(rows)
                 self._offer_rows(
-                    index, spectrum, rows, hitlists, stats, scores=scores
+                    index, spectrum, rows, hitlists, stats, scores=scores[lo:hi]
                 )
+                lo = hi
 
     def _score_overflow(
         self,

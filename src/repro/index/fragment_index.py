@@ -72,7 +72,7 @@ from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.errors import IndexStoreError
 from repro.index.layout import PARTITION_SCHEMA, ArraySpec, IndexLayout
-from repro.spectra.binning import row_segment_sums
+from repro.spectra.binning import group_by_key, row_segment_sums
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
 #: series codes stored in the b/y posting list
@@ -592,12 +592,10 @@ class FragmentIndex:
         into ``rows`` and ``group.ladder[local]`` (etc.) gathers the
         cached matrices for exactly those rows, in ``rows`` order.
         """
-        lengths = self.row_length[rows]
-        for length in np.unique(lengths):
-            length = int(length)
-            positions = np.nonzero(lengths == length)[0]
-            group = self._groups[length]
-            yield positions, group, self._group_pos[rows[positions]]
+        order, runs = group_by_key(self.row_length[rows], self.max_length + 1)
+        local = self._group_pos[rows[order]]
+        for length, a, b in runs:
+            yield order[a:b], self._groups[length], local[a:b]
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
 
@@ -907,27 +905,29 @@ class FragmentIndex:
             npk,
         )
 
-    def shared_peak_counts_block(self, batch, tolerance: float, row_sets):
-        """Per-member :meth:`shared_peak_counts` from one flat probe."""
-        sizes = [len(r) for r in row_sets]
+    def shared_peak_counts_block(self, batch, tolerance: float, row_sets) -> np.ndarray:
+        """Cohort :meth:`shared_peak_counts` from one flat probe.
+
+        Returns one member-major count vector (``row_sets[0]``'s rows,
+        then ``row_sets[1]``'s, ...).
+        """
+        sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
+        row_base = np.concatenate(([0], np.cumsum(sizes)))
+        total_rows = int(row_base[-1])
         member, out_pos, peak_flat, _series = self._probe_flat(
             self._ladder_postings, batch, tolerance, row_sets
         )
         if len(member) == 0:
-            return [np.zeros(n, dtype=np.int64) for n in sizes]
+            return np.zeros(total_rows, dtype=np.int64)
         pair_member, pair_row, _pk, _base, _npk = self._split_pairs(
-            member, out_pos, peak_flat, batch, np.asarray(sizes, dtype=np.int64)
+            member, out_pos, peak_flat, batch, sizes
         )
-        bounds = np.searchsorted(pair_member, np.arange(len(row_sets) + 1))
-        return [
-            np.bincount(pair_row[bounds[k] : bounds[k + 1]], minlength=n).astype(np.int64)
-            for k, n in enumerate(sizes)
-        ]
+        return np.bincount(row_base[pair_member] + pair_row, minlength=total_rows)
 
     def matched_intensity_block(self, batch, tolerance: float, row_sets):
-        """Per-member b/y :meth:`matched_intensity` from one flat probe.
+        """Cohort b/y :meth:`matched_intensity` from one flat probe.
 
-        Returns one ``(nb, b_int, ny, y_int)`` tuple per member.  Both
+        Returns member-major ``(nb, b_int, ny, y_int)`` vectors.  Both
         series come out of a single posting probe; each series' intensity
         sums run through one cohort-wide :func:`row_segment_sums` whose
         per-row gathered values equal the member's own peaks bit for bit.
@@ -938,8 +938,8 @@ class FragmentIndex:
         member, out_pos, peak_flat, tags = self._probe_flat(
             self._series_postings, batch, tolerance, row_sets
         )
-        per_series = {}
-        for name, code in _SERIES_CODE.items():
+        out = []
+        for code in (_SERIES_CODE["b"], _SERIES_CODE["y"]):
             wanted = tags == code if len(member) else np.empty(0, dtype=bool)
             if not np.any(wanted):
                 counts = np.zeros(total_rows, dtype=np.int64)
@@ -953,27 +953,17 @@ class FragmentIndex:
                 row_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
                 flat_peak = (batch.offsets[pair_member] + pair_peak).astype(np.int64)
                 sums = row_segment_sums(batch.intensity, flat_peak, row_offsets)
-            per_series[name] = (counts, sums)
-        out = []
-        for k in range(len(row_sets)):
-            lo, hi = int(row_base[k]), int(row_base[k + 1])
-            nb, b_int = per_series["b"]
-            ny, y_int = per_series["y"]
-            out.append((nb[lo:hi], b_int[lo:hi], ny[lo:hi], y_int[lo:hi]))
-        return out
+            out += [counts, sums]
+        return tuple(out)
 
-    def score_block(self, scorer, spectra, row_sets):
-        """Index-served cohort scoring: dispatch to the scorer's block kernel.
+    def score_block(self, scorer, spectra, row_sets) -> np.ndarray:
+        """Index-served cohort scoring: dispatch to the scorer's cohort kernel.
 
-        Scorers with a ``score_index_block`` (posting-served models) get
-        the one-probe path; others run their per-query ``score_index``
-        member by member — still amortizing the cohort's candidate
-        enumeration, and bitwise identical either way.
+        Posting-served models (``score_index_block``) answer from one
+        flat probe; the others (``score_matrix_block``) run their pair
+        kernel over the cached per-length matrices.  Either way the
+        result is one member-major score vector, bitwise identical to the
+        per-query ``score_index`` of each member.
         """
-        impl = getattr(scorer, "score_index_block", None)
-        if impl is not None:
-            return impl(spectra, self, row_sets)
-        return [
-            scorer.score_index(spectra.spectra[k], self, np.asarray(rows, dtype=np.int64))
-            for k, rows in enumerate(row_sets)
-        ]
+        impl = getattr(scorer, "score_index_block", None) or scorer.score_matrix_block
+        return impl(spectra, self, row_sets)

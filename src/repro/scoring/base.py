@@ -11,13 +11,14 @@ attribute a per-candidate compute cost ``rho`` that differs by scorer.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch, LengthGroup
+from repro.spectra.binning import group_by_key
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import SpectrumBatch
+from repro.spectra.spectrum_batch import SpectrumBatch, flatten_members
 
 
 @runtime_checkable
@@ -112,55 +113,66 @@ def batch_scores(
 # -- multi-spectrum (cohort) scoring ------------------------------------
 #
 # The candidate-major sweep scores one shared CandidateBatch against a
-# whole SpectrumBatch of queries whose precursor windows overlap.  The
-# bitwise contract carries over because every per-length preparation
-# (ladder matrices, fragment m/z rows, model spectra) is a *row-wise*
-# product of the group's residue matrix: preparing the cohort's rows once
-# and gathering each query's subset with ``prep[local]`` yields the exact
-# rows a per-query batch would have built, and every kernel below reduces
-# along the last axis only.
+# whole SpectrumBatch of queries whose precursor windows overlap.  Every
+# cohort kernel returns ONE float64 vector, member-major: the scores of
+# ``selections[0]``'s candidates, then ``selections[1]``'s, and so on.
+#
+# Pair-kernel contract.  A scorer's ``pair_kernel(spectra)`` binds a
+# cohort and returns ``kernel(member, *matrices) -> row scores``, called
+# once per (cohort, length group): ``matrices`` are that group's dense
+# per-length matrices (ladders, fragment m/z rows, model spectra — each a
+# *row-wise* product of the group's residue matrix, so the rows prepared
+# once for the cohort are the rows a per-query batch would have built),
+# gathered to one row per (member, evaluation row) pair, and ``member`` —
+# non-decreasing — names the spectrum each row is scored against.  Per
+# member the kernel only runs the binary searches against that member's
+# own peaks (or, for xcorr, applies its bin limit and its offset into the
+# concatenated preprocessed vectors; for the likelihood model, its
+# ``p0``); every other step is row-wise — it reads one row's operands and
+# reduces along the last axis only — and runs once over all rows.  A
+# row's operands and reduction order are therefore the ones
+# ``score_batch`` uses on that member's own batch, so every score is
+# bitwise identical to it.
 
 
-def score_block_groups(
-    scorer: Scorer,
-    spectra: SpectrumBatch,
+def score_block_pairs(
     batch: CandidateBatch,
     selections: Sequence[np.ndarray],
     default: float,
-    prepare: Callable[[LengthGroup], Optional[object]],
-    kernel: Callable[[Spectrum, object, np.ndarray], np.ndarray],
-) -> List[np.ndarray]:
+    prepare: Callable[[LengthGroup], Optional[Tuple[np.ndarray, ...]]],
+    kernel: Callable[..., np.ndarray],
+) -> np.ndarray:
     """Shared driver for per-scorer ``score_block`` implementations.
 
     ``selections[k]`` lists the candidate indices (into ``batch``) that
     query ``k`` owns.  ``prepare`` runs ONCE per length group for the
-    whole cohort (returning ``None`` marks the group unscoreable, leaving
-    its rows at ``default`` — e.g. length < 2); ``kernel(spectrum, prep,
-    local_rows)`` scores the selected rows of a prepared group against
-    one member spectrum.  Returns per-query candidate scores, each
-    bitwise identical to ``score_batch`` on that query's own batch.
+    whole cohort and returns the group's dense matrices (``None`` marks
+    the group unscoreable, leaving its rows at ``default`` — e.g. length
+    < 2); ``kernel`` is the scorer's bound pair kernel (see above) and
+    runs once per group on the rows every member selected from it.
     """
-    groups = batch.length_groups()
-    preps = [prepare(group) for group in groups]
+    cands, cand_member = flatten_members(selections)
+    rows = batch.rows_of(cands)
+    member = cand_member
+    if batch.num_rows != len(batch):  # PTM tiers: a candidate owns a row per site
+        member = np.repeat(cand_member, batch.selected_row_counts(cands))
+    # Bring each length group's rows together with one stable sort: inside
+    # a group rows keep their (member-major) order, so every slice of
+    # ``member`` below is still non-decreasing.
     row_group, row_local = batch.group_positions()
-    out: List[np.ndarray] = []
-    for k, sel in enumerate(selections):
-        sel = np.asarray(sel, dtype=np.int64)
-        if len(sel) == 0:
-            out.append(np.empty(0, dtype=np.float64))
-            continue
-        rows = batch.rows_of(sel)
-        row_scores = np.full(len(rows), default, dtype=np.float64)
-        gid = row_group[rows]
-        spectrum = spectra.spectra[k]
-        for g, prep in enumerate(preps):
-            if prep is None:
-                continue
-            pos = np.nonzero(gid == g)[0]
-            if len(pos):
-                row_scores[pos] = kernel(spectrum, prep, row_local[rows[pos]])
-        out.append(batch.reduce_selected(row_scores, sel))
-    return out
+    groups = batch.length_groups()
+    order, runs = group_by_key(row_group[rows], len(groups))
+    member = member[order]
+    local = row_local[rows[order]]
+    scores = np.full(len(rows), default, dtype=np.float64)
+    for g, a, b in runs:
+        matrices = prepare(groups[g])
+        if matrices is not None:
+            picked = local[a:b]
+            scores[a:b] = kernel(member[a:b], *[m[picked] for m in matrices])
+    row_scores = np.empty_like(scores)
+    row_scores[order] = scores
+    return batch.reduce_selected(row_scores, cands)
 
 
 def score_block_fallback(
@@ -168,16 +180,17 @@ def score_block_fallback(
     spectra: SpectrumBatch,
     batch: CandidateBatch,
     selections: Sequence[np.ndarray],
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Block oracle: score each query's sub-batch through ``batch_scores``.
 
     Used by scorers without a ``score_block`` kernel; also the reference
-    the vectorized block kernels must match bitwise.
+    the pair kernels must match bitwise.
     """
-    return [
+    parts = [
         batch_scores(scorer, spectra.spectra[k], batch.take(np.asarray(sel, dtype=np.int64)))
         for k, sel in enumerate(selections)
     ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
 
 def block_scores(
@@ -185,10 +198,10 @@ def block_scores(
     spectra: SpectrumBatch,
     batch: CandidateBatch,
     selections: Sequence[np.ndarray],
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Dispatch to a scorer's ``score_block``, or the per-query fallback."""
     if len(batch) == 0:
-        return [np.empty(0, dtype=np.float64) for _ in selections]
+        return np.empty(0, dtype=np.float64)
     impl = getattr(scorer, "score_block", None)
     if impl is not None:
         return impl(spectra, batch, selections)

@@ -17,7 +17,11 @@ import math
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import matched_intensity, matched_intensity_rows
+from repro.spectra.binning import (
+    matched_intensity,
+    matched_intensity_pairs,
+    matched_intensity_rows,
+)
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import IonSeries, fragment_mz, fragment_mz_rows
 
@@ -148,9 +152,27 @@ class HyperScorer:
         out[valid] = ln / _LOG10
         return out
 
+    def pair_kernel(self, spectra):
+        """Bind a cohort: ``kernel(member, b_rows, y_rows)`` -> per-row scores.
+
+        A member without peaks matches nothing, so its rows come out of
+        ``_finalize`` at ``-inf`` like the per-query early return.
+        """
+
+        def kernel(member, b_rows, y_rows):
+            nb, b_int = matched_intensity_pairs(
+                spectra, member, b_rows, self.fragment_tolerance
+            )
+            ny, y_int = matched_intensity_pairs(
+                spectra, member, y_rows, self.fragment_tolerance
+            )
+            return self._finalize(nb, b_int, ny, y_int)
+
+        return kernel
+
     def score_block(self, spectra, batch: CandidateBatch, selections):
         """Cohort scoring: fragment matrices built once per length group."""
-        from repro.scoring.base import score_block_groups
+        from repro.scoring.base import score_block_pairs
 
         def prepare(group):
             masses = group.mass_rows()
@@ -159,27 +181,12 @@ class HyperScorer:
                 fragment_mz_rows(masses, IonSeries.Y),
             )
 
-        def kernel(spectrum, prep, local):
-            if spectrum.num_peaks == 0:
-                return np.full(len(local), -math.inf)
-            b_rows, y_rows = prep
-            mz = np.ascontiguousarray(spectrum.mz)
-            intensity = np.ascontiguousarray(spectrum.intensity)
-            nb, b_int = matched_intensity_rows(
-                mz, intensity, b_rows[local], self.fragment_tolerance
-            )
-            ny, y_int = matched_intensity_rows(
-                mz, intensity, y_rows[local], self.fragment_tolerance
-            )
-            return self._finalize(nb, b_int, ny, y_int)
-
-        return score_block_groups(self, spectra, batch, selections, -math.inf, prepare, kernel)
+        return score_block_pairs(
+            batch, selections, -math.inf, prepare, self.pair_kernel(spectra)
+        )
 
     def score_index_block(self, spectra, index, row_sets):
         """Index-served cohort scoring: one flat b/y probe for all queries."""
-        return [
-            self._finalize(nb, b_int, ny, y_int)
-            for nb, b_int, ny, y_int in index.matched_intensity_block(
-                spectra, self.fragment_tolerance, row_sets
-            )
-        ]
+        return self._finalize(
+            *index.matched_intensity_block(spectra, self.fragment_tolerance, row_sets)
+        )

@@ -39,9 +39,10 @@ import numpy as np
 
 from repro.candidates.batch import CandidateBatch
 from repro.scoring.base import score_batch_fallback
-from repro.spectra.binning import match_peaks, match_peaks_many
+from repro.spectra.binning import match_peaks, match_peaks_many, match_peaks_pairs
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import flatten_members
 from repro.spectra.theoretical import (
     IonSeries,
     combine_fragment_rows,
@@ -138,9 +139,17 @@ class LikelihoodRatioScorer:
         feed it identical model rows (regenerated vs. assembled from
         cached fragment matrices), keeping both bitwise identical.
         """
+        matched = match_peaks_many(model_mz, observed, self.fragment_tolerance)
+        return self._llr_rows(matched, p0, model_int)
+
+    def _llr_rows(self, matched: np.ndarray, p0, model_int: np.ndarray) -> np.ndarray:
+        """Row sums of the per-fragment Bernoulli log-likelihood ratios.
+
+        ``p0`` is one spectrum's chance-match probability, or — from the
+        cohort kernel — a column holding each row's own member's.
+        """
         rel = model_int / model_int.max(axis=1, keepdims=True)
         p1 = np.clip(self.p_detect * rel, 1e-6, 0.999)
-        matched = match_peaks_many(model_mz, observed, self.fragment_tolerance)
         llr_matched = np.log(p1 / p0)
         llr_unmatched = np.log((1.0 - p1) / (1.0 - p0))
         return np.where(matched, llr_matched, llr_unmatched).sum(axis=1)
@@ -168,13 +177,36 @@ class LikelihoodRatioScorer:
                 )
         return batch.reduce_rows(out)
 
+    def pair_kernel(self, spectra):
+        """Bind a cohort: ``kernel(member, model_mz, model_int)`` -> row scores.
+
+        Each row is scored under its own member's ``p0``; rows of a
+        member without peaks are set to ``-inf`` like the per-query early
+        return.
+        """
+        p0 = np.array([self._chance_match_probability(s) for s in spectra.spectra])
+        single = len(p0) == 1  # a cohort of one: the plain scalar p0
+        no_peaks = np.diff(spectra.offsets) == 0
+        any_without = bool(no_peaks.any())
+
+        def kernel(member, model_mz, model_int):
+            matched = match_peaks_pairs(spectra, member, model_mz, self.fragment_tolerance)
+            scores = self._llr_rows(
+                matched, p0[0] if single else p0[member][:, None], model_int
+            )
+            if any_without:
+                scores[no_peaks[member]] = -math.inf
+            return scores
+
+        return kernel
+
     def score_block(self, spectra, batch: CandidateBatch, selections):
         """Cohort scoring: model spectra generated once per length group.
 
         Library-backed scoring needs per-candidate lookups, so it routes
         through the per-query block fallback (itself the scalar oracle).
         """
-        from repro.scoring.base import score_block_fallback, score_block_groups
+        from repro.scoring.base import score_block_fallback, score_block_pairs
 
         if self.library is not None:
             return score_block_fallback(self, spectra, batch, selections)
@@ -184,17 +216,31 @@ class LikelihoodRatioScorer:
                 return None  # empty model spectrum, score stays -inf
             return theoretical_spectrum_rows(group.mass_rows())
 
-        def kernel(spectrum, prep, local):
-            if spectrum.num_peaks == 0:
-                return np.full(len(local), -math.inf)
-            model_mz, model_int = prep
-            p0 = self._chance_match_probability(spectrum)
-            observed = np.ascontiguousarray(spectrum.mz)
-            return self._model_rows_scores(
-                observed, p0, model_mz[local], model_int[local]
-            )
+        return score_block_pairs(
+            batch, selections, -math.inf, prepare, self.pair_kernel(spectra)
+        )
 
-        return score_block_groups(self, spectra, batch, selections, -math.inf, prepare, kernel)
+    def score_matrix_block(self, spectra, index, row_sets):
+        """Index-served cohort scoring off the cached b/y fragment matrices.
+
+        The pair kernel of :meth:`score_block`, fed model rows assembled
+        with :func:`combine_fragment_rows` instead of regenerated ones.
+        (Not named ``score_index_block``: that name marks the
+        posting-served scorers.)
+        """
+        kernel = self.pair_kernel(spectra)
+        rows, member = flatten_members(row_sets)
+        out = np.full(len(rows), -math.inf)
+        for positions, group, local in index.iter_row_groups(rows):
+            model_mz, model_int = combine_fragment_rows(
+                [
+                    (group.b[local], series_weight(IonSeries.B)),
+                    (group.y[local], series_weight(IonSeries.Y)),
+                ],
+                len(positions),
+            )
+            out[positions] = kernel(member[positions], model_mz, model_int)
+        return out
 
     def score_index(self, spectrum: Spectrum, index, rows: np.ndarray) -> np.ndarray:
         """Index-served scoring; bitwise identical to :meth:`score_batch`.

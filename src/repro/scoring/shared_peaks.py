@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import count_matches, count_matches_rows
+from repro.spectra.binning import count_matches, count_matches_pairs, count_matches_rows
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
 
@@ -61,25 +61,29 @@ class SharedPeakScorer:
             spectrum.mz, self.fragment_tolerance, rows
         ).astype(np.float64)
 
+    def pair_kernel(self, spectra):
+        """Bind a cohort: ``kernel(member, ladders)`` -> per-row counts."""
+
+        def kernel(member, ladders):
+            return count_matches_pairs(spectra, member, ladders, self.fragment_tolerance)
+
+        return kernel
+
     def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: ladders built once, queries share the matrices."""
-        from repro.scoring.base import score_block_groups
+        """Cohort scoring: ladders built once, one pair-kernel call per length."""
+        from repro.scoring.base import score_block_pairs
 
         def prepare(group):
             if group.length < 2:
                 return None  # empty ladder matches nothing, score stays 0.0
-            return by_ion_ladder_rows(group.mass_rows())
+            return (by_ion_ladder_rows(group.mass_rows()),)
 
-        def kernel(spectrum, ladders, local):
-            return count_matches_rows(spectrum.mz, ladders[local], self.fragment_tolerance)
-
-        return score_block_groups(self, spectra, batch, selections, 0.0, prepare, kernel)
+        return score_block_pairs(
+            batch, selections, 0.0, prepare, self.pair_kernel(spectra)
+        )
 
     def score_index_block(self, spectra, index, row_sets):
         """Index-served cohort scoring: one flat probe for all queries."""
-        return [
-            counts.astype(np.float64)
-            for counts in index.shared_peak_counts_block(
-                spectra, self.fragment_tolerance, row_sets
-            )
-        ]
+        return index.shared_peak_counts_block(
+            spectra, self.fragment_tolerance, row_sets
+        ).astype(np.float64)

@@ -8,20 +8,22 @@ rewarding alignment at zero shift specifically.
 We use the standard fast reformulation: preprocess the observed binned
 vector once per query as ``y' = y - mean(y shifted by -75..+75 bins)``,
 after which each candidate's Xcorr is a single sparse dot product against
-the candidate's fragment bins.  The preprocessing is cached on the
-spectrum object (keyed by id) because one query is scored against many
-thousands of candidates.
+the candidate's fragment bins.  The preprocessing is cached per spectrum
+because one query is scored against many thousands of candidates; a
+cache entry holds its spectrum, so the ``id`` it is keyed by cannot be
+reused by another spectrum while the entry lives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import bin_spectrum, row_segment_sums
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import flatten_members
 from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
 
 
@@ -38,12 +40,12 @@ class XCorrScorer:
             raise ValueError(f"offset_range must be >= 1, got {offset_range}")
         self.bin_width = bin_width
         self.offset_range = offset_range
-        self._cache: Dict[int, Tuple[int, np.ndarray]] = {}
+        self._cache: Dict[int, Tuple[Spectrum, np.ndarray]] = {}
 
     def _preprocessed(self, spectrum: Spectrum) -> np.ndarray:
         key = id(spectrum)
         cached = self._cache.get(key)
-        if cached is not None and cached[0] == spectrum.num_peaks:
+        if cached is not None and cached[0] is spectrum:
             return cached[1]
         mz_max = float(max(spectrum.precursor_mz * spectrum.charge, spectrum.mz[-1] if spectrum.num_peaks else 1.0)) + 2.0
         binned = bin_spectrum(spectrum.mz, np.sqrt(spectrum.intensity), self.bin_width, mz_max)
@@ -60,7 +62,7 @@ class XCorrScorer:
         processed = binned - mean
         if len(self._cache) > 64:  # one query is live at a time per engine
             self._cache.clear()
-        self._cache[key] = (spectrum.num_peaks, processed)
+        self._cache[key] = (spectrum, processed)
         return processed
 
     def score(self, spectrum: Spectrum, candidate: np.ndarray) -> float:
@@ -87,18 +89,28 @@ class XCorrScorer:
         return float(processed[bins].sum()) * 1e-2
 
     def _ladder_matrix_scores(
-        self, processed: np.ndarray, ladders: np.ndarray
+        self,
+        processed: np.ndarray,
+        ladders: np.ndarray,
+        limit: Optional[np.ndarray] = None,
+        base: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row Xcorr sums and unique-bin counts for a ladder matrix.
 
         Shared by the direct batch path and the index-served path, which
         feed it the same ladder rows (regenerated vs. cached), so both
-        produce bitwise-identical scores.
+        produce bitwise-identical scores.  The cohort kernel passes the
+        members' preprocessed vectors concatenated as ``processed`` with,
+        per row, its member's bin ``limit`` (a column) and ``base`` offset
+        into the concatenation; a row then keeps the same bins and sums
+        the same values in the same order as against its member's vector
+        alone.
         """
-        nbins = len(processed)
         sentinel = np.iinfo(np.int64).max
         bins = (ladders / self.bin_width).astype(np.int64)
-        bins[(bins < 0) | (bins >= nbins)] = sentinel
+        if limit is None:
+            limit = len(processed)
+        bins[(bins < 0) | (bins >= limit)] = sentinel
         bins.sort(axis=1)
         # First occurrence of each value per row == np.unique per row.
         keep = np.ones(bins.shape, dtype=bool)
@@ -107,6 +119,8 @@ class XCorrScorer:
         counts = keep.sum(axis=1)
         row_offsets = np.concatenate(([0], np.cumsum(counts)))
         flat_bins = bins[keep]  # row-major => sorted unique bins per row
+        if base is not None:
+            flat_bins += np.repeat(base, counts)
         sums = row_segment_sums(processed, flat_bins, row_offsets)
         return sums, counts
 
@@ -125,26 +139,66 @@ class XCorrScorer:
             out[group.rows[scored]] = sums[scored] * 1e-2
         return batch.reduce_rows(out)
 
-    def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: ladders built once, queries share the matrices."""
-        from repro.scoring.base import score_block_groups
+    def pair_kernel(self, spectra):
+        """Bind a cohort: ``kernel(member, ladders)`` -> per-row scores.
 
-        def prepare(group):
-            if group.length < 2:
-                return None  # empty ladder, score stays -inf
-            return by_ion_ladder_rows(group.mass_rows())
+        The members' preprocessed vectors are concatenated once per
+        cohort.  A member without peaks gets bin limit 0: every bin of
+        its rows is out of range, which leaves them at ``-inf`` like the
+        per-query early return.
+        """
+        vectors = [
+            self._preprocessed(s) if s.num_peaks else np.empty(0)
+            for s in spectra.spectra
+        ]
+        single = len(vectors) == 1  # a cohort of one: the plain per-spectrum call
+        if single:
+            processed = vectors[0]
+        else:
+            limits = np.fromiter((len(v) for v in vectors), dtype=np.int64, count=len(vectors))
+            bases = np.concatenate(([0], np.cumsum(limits)[:-1]))
+            processed = np.concatenate(vectors)
 
-        def kernel(spectrum, ladders, local):
-            out = np.full(len(local), -np.inf)
-            if spectrum.num_peaks == 0:
-                return out
-            processed = self._preprocessed(spectrum)
-            sums, counts = self._ladder_matrix_scores(processed, ladders[local])
+        def kernel(member, ladders):
+            out = np.full(len(member), -np.inf)
+            if single:
+                sums, counts = self._ladder_matrix_scores(processed, ladders)
+            else:
+                sums, counts = self._ladder_matrix_scores(
+                    processed, ladders, limits[member][:, None], bases[member]
+                )
             scored = np.nonzero(counts > 0)[0]
             out[scored] = sums[scored] * 1e-2
             return out
 
-        return score_block_groups(self, spectra, batch, selections, -np.inf, prepare, kernel)
+        return kernel
+
+    def score_block(self, spectra, batch: CandidateBatch, selections):
+        """Cohort scoring: ladders built once, one pair-kernel call per length."""
+        from repro.scoring.base import score_block_pairs
+
+        def prepare(group):
+            if group.length < 2:
+                return None  # empty ladder, score stays -inf
+            return (by_ion_ladder_rows(group.mass_rows()),)
+
+        return score_block_pairs(
+            batch, selections, -np.inf, prepare, self.pair_kernel(spectra)
+        )
+
+    def score_matrix_block(self, spectra, index, row_sets):
+        """Index-served cohort scoring off the cached ladder matrices.
+
+        The pair kernel of :meth:`score_block`, fed gathered cached rows
+        instead of regenerated ones.  (Not named ``score_index_block``:
+        that name marks the posting-served scorers.)
+        """
+        kernel = self.pair_kernel(spectra)
+        rows, member = flatten_members(row_sets)
+        out = np.full(len(rows), -np.inf)
+        for positions, group, local in index.iter_row_groups(rows):
+            out[positions] = kernel(member[positions], group.ladder[local])
+        return out
 
     def score_index(self, spectrum: Spectrum, index, rows: np.ndarray) -> np.ndarray:
         """Index-served scoring; bitwise identical to :meth:`score_batch`.

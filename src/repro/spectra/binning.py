@@ -9,7 +9,7 @@ per peak.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -115,6 +115,18 @@ def matched_peak_intervals(
     return lo, hi
 
 
+def _fresh_intervals(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per fragment, the part ``(starts, lens)`` of its matched-peak interval
+    ``[lo, hi)`` that no earlier fragment of its row already covered.
+
+    Rows sorted ascending => ``hi`` is non-decreasing along each row, so
+    the peaks newly covered by fragment j are ``[max(lo_j, hi_{j-1}), hi_j)``.
+    """
+    prev = np.concatenate([np.zeros((len(hi), 1), dtype=hi.dtype), hi[:, :-1]], axis=1)
+    starts = np.maximum(lo, prev)
+    return starts, np.maximum(hi - starts, 0)
+
+
 def count_matches_rows(
     observed_mz: np.ndarray, frag_rows: np.ndarray, tolerance: float
 ) -> np.ndarray:
@@ -130,12 +142,8 @@ def count_matches_rows(
     n, f = frag_rows.shape
     if f == 0 or len(observed_mz) == 0:
         return np.zeros(n, dtype=np.int64)
-    lo, hi = matched_peak_intervals(observed_mz, frag_rows, tolerance)
-    # Rows sorted ascending => hi is non-decreasing along each row, so the
-    # peaks newly covered by fragment j are [max(lo_j, hi_{j-1}), hi_j).
-    prev = np.concatenate([np.zeros((n, 1), dtype=hi.dtype), hi[:, :-1]], axis=1)
-    new = hi - np.maximum(lo, prev)
-    return np.maximum(new, 0).sum(axis=1).astype(np.int64)
+    _starts, lens = _fresh_intervals(*matched_peak_intervals(observed_mz, frag_rows, tolerance))
+    return lens.sum(axis=1).astype(np.int64)
 
 
 def matched_peak_segments(
@@ -153,10 +161,7 @@ def matched_peak_segments(
     n, f = frag_rows.shape
     if f == 0 or len(observed_mz) == 0:
         return np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
-    lo, hi = matched_peak_intervals(observed_mz, frag_rows, tolerance)
-    prev = np.concatenate([np.zeros((n, 1), dtype=hi.dtype), hi[:, :-1]], axis=1)
-    starts = np.maximum(lo, prev)
-    lens = np.maximum(hi - starts, 0)
+    starts, lens = _fresh_intervals(*matched_peak_intervals(observed_mz, frag_rows, tolerance))
     flat_idx = _ragged_arange(
         starts.ravel().astype(np.int64), lens.ravel().astype(np.int64)
     )
@@ -215,3 +220,114 @@ def matched_intensity(
     """Shared peak count and the summed intensity of the matched peaks."""
     mask = match_peaks(observed_mz, ladder_mz, tolerance)
     return int(mask.sum()), float(observed_intensity[mask].sum())
+
+
+# -- cohort (pair) matchers ------------------------------------------------
+#
+# The block kernels answer the same questions for rows that belong to
+# *different* member spectra of one
+# :class:`~repro.spectra.spectrum_batch.SpectrumBatch`: ``member[r]`` names
+# the spectrum row ``r`` is matched against and is non-decreasing, so each
+# member's rows are one contiguous run.  Only the binary searches run per
+# member (each against that member's own slice of the batch's flat peak
+# arrays — the same floats its per-query call would search); everything
+# after them is row-wise and runs once for all rows.
+
+
+def sorted_runs(values: np.ndarray) -> List[Tuple[int, int, int]]:
+    """``(v, a, b)`` for every run ``values[a:b] == v`` of a non-decreasing
+    integer vector (a member-of-row vector, or sorted group keys)."""
+    n = len(values)
+    if n == 0:
+        return []
+    if values[0] == values[-1]:  # a cohort of one pays no array work here
+        return [(int(values[0]), 0, n)]
+    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+    starts = [0] + cuts
+    return list(zip(values[starts].tolist(), starts, cuts + [n]))
+
+
+def group_by_key(keys: np.ndarray, num_keys: int) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+    """Stable grouping of small non-negative integer keys: ``(order, runs)``.
+
+    ``order`` sorts ``keys`` keeping equal keys in their original order;
+    ``runs`` lists ``(key, a, b)`` with ``keys[order[a:b]] == key``.  Keys
+    below ``2**15`` are sorted as 16-bit integers, which numpy radix-sorts
+    — one pass instead of a mask per key.
+    """
+    order = np.argsort(keys.astype(np.int16) if num_keys < 2**15 else keys, kind="stable")
+    return order, sorted_runs(keys[order])
+
+
+def _searchsorted_runs(
+    keys: np.ndarray,
+    offsets: np.ndarray,
+    runs: List[Tuple[int, int, int]],
+    rows: np.ndarray,
+    side: str,
+) -> np.ndarray:
+    """``np.searchsorted`` of each run's rows in its member's slice of ``keys``.
+
+    Positions are member-local.  With a single run the one search's
+    result is returned as is.
+    """
+    if len(runs) == 1:
+        k = runs[0][0]
+        return keys[offsets[k] : offsets[k + 1]].searchsorted(rows, side)
+    out = np.empty(rows.shape, dtype=np.int64)
+    for k, a, b in runs:
+        out[a:b] = keys[offsets[k] : offsets[k + 1]].searchsorted(rows[a:b], side)
+    return out
+
+
+def match_peaks_pairs(
+    batch, member: np.ndarray, query_rows: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """Cohort :func:`match_peaks_many`: row ``r`` against member ``member[r]``."""
+    runs = sorted_runs(member)
+    lo = _searchsorted_runs(batch.mz, batch.offsets, runs, query_rows - tolerance, "left")
+    hi = _searchsorted_runs(batch.mz, batch.offsets, runs, query_rows + tolerance, "right")
+    return hi > lo
+
+
+def _fresh_intervals_pairs(
+    batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cohort :func:`matched_peak_intervals` + :func:`_fresh_intervals`,
+    in member-local peak positions."""
+    runs = sorted_runs(member)
+    lo = _searchsorted_runs(batch.mz + tolerance, batch.offsets, runs, frag_rows, "left")
+    hi = _searchsorted_runs(batch.mz - tolerance, batch.offsets, runs, frag_rows, "right")
+    return _fresh_intervals(lo, hi)
+
+
+def count_matches_pairs(
+    batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """Cohort :func:`count_matches_rows`: row ``r`` against member ``member[r]``."""
+    n, f = frag_rows.shape
+    if n == 0 or f == 0:
+        return np.zeros(n, dtype=np.int64)
+    _starts, lens = _fresh_intervals_pairs(batch, member, frag_rows, tolerance)
+    return lens.sum(axis=1)
+
+
+def matched_intensity_pairs(
+    batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cohort :func:`matched_intensity_rows`: ``(counts, intensity_sums)``.
+
+    One :func:`row_segment_sums` over the batch's flat intensities serves
+    every member: each row's member-local matched peaks are shifted by
+    its member's offset into the batch, so it gathers exactly the values
+    (in the order) its per-query call would.
+    """
+    n, f = frag_rows.shape
+    if n == 0 or f == 0:
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.float64)
+    starts, lens = _fresh_intervals_pairs(batch, member, frag_rows, tolerance)
+    starts += batch.offsets[member][:, None]
+    flat_idx = _ragged_arange(starts.ravel(), lens.ravel())
+    counts = lens.sum(axis=1)
+    row_offsets = np.concatenate(([0], np.cumsum(counts)))
+    return counts, row_segment_sums(batch.intensity, flat_idx, row_offsets)

@@ -14,7 +14,7 @@ produces results bitwise identical to the per-query path.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,3 +56,20 @@ class SpectrumBatch:
     def num_peaks(self) -> int:
         """Total peak count across all members."""
         return len(self.mz)
+
+
+def flatten_members(per_member: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate per-member index arrays into cohort-flat form.
+
+    Returns ``(flat, member)``: the member-major concatenation and, for
+    each entry, the position of the member that owns it — non-decreasing,
+    which is what the pair kernels require of their member-of-row vector.
+    """
+    if len(per_member) == 1:  # a cohort of one: nothing to concatenate
+        only = np.asarray(per_member[0], dtype=np.int64)
+        return only, np.zeros(len(only), dtype=np.int64)
+    sizes = np.fromiter((len(a) for a in per_member), dtype=np.int64, count=len(per_member))
+    member = np.repeat(np.arange(len(per_member), dtype=np.int64), sizes)
+    if len(member) == 0:
+        return np.empty(0, dtype=np.int64), member
+    return np.concatenate(per_member).astype(np.int64, copy=False), member

@@ -1,0 +1,167 @@
+"""Property tests: every cohort (pair) kernel equals the per-query oracle bitwise.
+
+``block_scores`` on the direct path and ``FragmentIndex.score_block`` on a
+resident index and on a partition view each return one member-major score
+vector for a whole cohort.  ``score_block_fallback`` — one ``batch_scores``
+call per member on that member's own sub-batch — is the oracle.  Every
+cohort drawn here holds, besides its random members, a member without
+peaks and a member whose selection is empty; members draw their selections
+independently from one candidate block, so candidates are shared; the span
+set always includes length-1 spans and (on the direct path) PTM rows expanded per
+site.  Cohorts of one are drawn too.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.candidates.batch import CandidateBatch
+from repro.candidates.mass_index import MassIndex
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS
+from repro.chem.protein import ProteinDatabase
+from repro.constants import AMINO_ACIDS
+from repro.index import FragmentIndex
+from repro.index.fragment_index import IndexBuilder
+from repro.scoring.base import block_scores, score_block_fallback
+from repro.scoring.registry import make_scorer
+from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
+from repro.spectra.theoretical import by_ion_ladder
+
+_PAPER_SCORERS = ["shared_peaks", "hyperscore", "xcorr", "likelihood"]
+_MODS = [
+    STANDARD_MODIFICATIONS["oxidation"],
+    STANDARD_MODIFICATIONS["phosphorylation_s"],
+]
+_MOD_TARGETS = {m.delta_mass: ord(m.target) for m in _MODS}
+
+sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=24)
+# the fixed protein holds both PTM targets twice, so some rows expand per site
+databases = st.lists(sequences, min_size=0, max_size=5).map(
+    lambda seqs: ProteinDatabase.from_sequences(seqs + ["GMSMSK"])
+)
+
+
+def _spectrum(rng, db, noise_peaks):
+    """Jittered b/y ladder of a random prefix (so candidates really match)
+    plus uniform noise; ``noise_peaks == 0`` gives a spectrum without peaks."""
+    mz = rng.uniform(60.0, 2600.0, noise_peaks)
+    if noise_peaks:
+        seq = db.sequence(int(rng.integers(len(db))))
+        ladder = by_ion_ladder(seq[: int(rng.integers(1, len(seq) + 1))])
+        mz = np.concatenate((mz, ladder + rng.uniform(-0.6, 0.6, len(ladder))))
+    return Spectrum.from_peaks(
+        mz,
+        rng.uniform(0.0, 1.0, len(mz)),
+        precursor_mz=float(rng.uniform(300.0, 1500.0)),
+        charge=int(rng.integers(1, 4)),
+    )
+
+
+@st.composite
+def cohorts(draw, num_candidates_of):
+    """``(db, spectra, selections)`` with the special members included.
+
+    ``num_candidates_of(db)`` says how many candidates selections may
+    index.  A cohort of one is a single random member; larger cohorts
+    add the peakless member and the member with nothing selected.
+    """
+    db = draw(databases)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    n = num_candidates_of(db)
+    randoms = draw(st.integers(min_value=1, max_value=4))
+    spectra = [_spectrum(rng, db, int(rng.integers(1, 30))) for _ in range(randoms)]
+    # a member never holds a candidate twice; members overlap freely
+    selections = [rng.permutation(n)[: int(rng.integers(1, n + 1))] for _ in spectra]
+    if draw(st.booleans()):  # else: possibly a cohort of one
+        spectra.append(_spectrum(rng, db, 0))
+        selections.append(np.arange(n, dtype=np.int64))
+        spectra.append(_spectrum(rng, db, 12))
+        selections.append(np.empty(0, dtype=np.int64))
+        order = rng.permutation(len(spectra))
+        spectra = [spectra[i] for i in order]
+        selections = [selections[i] for i in order]
+    return db, spectra, selections
+
+
+def _all_spans(db):
+    """Every prefix and suffix of the database, length-1 spans included."""
+    return MassIndex(db).candidates_in_window(0.0, np.inf)
+
+
+def _ptm_spans(db):
+    """All spans, then every span again under each variable modification."""
+    spans = _all_spans(db)
+    tiers = [spans] + [
+        replace(spans, mod_delta=np.full(len(spans), mod.delta_mass)) for mod in _MODS
+    ]
+    return type(spans).concat(tiers)
+
+
+@given(cohorts(lambda db: len(_ptm_spans(db))), st.sampled_from(_PAPER_SCORERS))
+@settings(max_examples=60, deadline=None)
+def test_direct_pair_kernels_equal_the_fallback(case, scorer_name):
+    db, spectra, selections = case
+    spans = _ptm_spans(db)
+    assert int(spans.lengths.min()) == 1  # the length-1 group is present
+    batch = CandidateBatch.from_spans(db, spans, _MOD_TARGETS)
+    assert batch.num_rows > len(batch)  # PTM rows expanded
+    scorer = make_scorer(scorer_name)
+    cohort = SpectrumBatch(spectra)
+    got = block_scores(scorer, cohort, batch, selections)
+    want = score_block_fallback(make_scorer(scorer_name), cohort, batch, selections)
+    assert got.shape == (sum(len(s) for s in selections),)
+    assert got.tobytes() == want.tobytes()
+
+
+def _indexable(db, max_length=48):
+    spans = _all_spans(db)
+    lengths = spans.lengths
+    return spans.take((lengths >= 2) & (lengths <= max_length))
+
+
+def _check_index(index, rows_of_span, db, spans, spectra, selections, scorer_name):
+    cohort = SpectrumBatch(spectra)
+    row_sets = [rows_of_span[sel] for sel in selections]
+    got = index.score_block(make_scorer(scorer_name), cohort, row_sets)
+    batch = CandidateBatch.from_spans(db, spans, {})
+    want = score_block_fallback(make_scorer(scorer_name), cohort, batch, selections)
+    assert got.shape == (sum(len(s) for s in selections),)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(cohorts(lambda db: len(_indexable(db))), st.sampled_from(_PAPER_SCORERS))
+@settings(max_examples=60, deadline=None)
+def test_resident_index_cohort_kernels_equal_the_fallback(case, scorer_name):
+    db, spectra, selections = case
+    spans = _indexable(db)
+    index = FragmentIndex(db, fragment_tolerance=0.5)
+    rows = index.rows_for(spans)
+    assert len(rows) == 0 or int(rows.min()) >= 0
+    _check_index(index, rows, db, spans, spectra, selections, scorer_name)
+
+
+@given(
+    cohorts(lambda db: len(_indexable(db))),
+    st.sampled_from(_PAPER_SCORERS),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_view_cohort_kernels_equal_the_fallback(case, scorer_name, f0, f1):
+    """A partition holds a contiguous slice of the mass-sorted span set,
+    with partition-local rows; selections are folded into the slice."""
+    db, spectra, selections = case
+    spans = _indexable(db)
+    spans = spans.take(np.argsort(spans.mass, kind="stable"))
+    a, b = sorted((int(f0 * len(spans)), int(f1 * len(spans))))
+    part = spans.take(np.arange(a, b))
+    layout, arrays = IndexBuilder(fragment_tolerance=0.5).build_partition(db, part)
+    view = FragmentIndex.from_arrays(layout, arrays)
+    size = b - a
+    selections = [np.unique(sel % size) if size else sel[:0] for sel in selections]
+    _check_index(
+        view, np.arange(size, dtype=np.int64), db, part, spectra, selections, scorer_name
+    )

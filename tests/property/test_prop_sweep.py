@@ -79,9 +79,10 @@ def _assert_identical(searcher, queries):
     st.integers(min_value=1, max_value=8),
     st.booleans(),
     st.sampled_from([1, 2, 8, 64]),
-    st.sampled_from(["shared_peaks", "hyperscore"]),
+    # the four pair kernels, and hypergeometric for the block-fallback route
+    st.sampled_from(["shared_peaks", "hyperscore", "xcorr", "likelihood", "hypergeometric"]),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_sweep_bitwise_equal_to_per_query(
     db, queries, delta, mods, cutoff, min_len, use_index, cohort, scorer
 ):

@@ -171,3 +171,34 @@ class TestCandidateSpans:
 
     def test_concat_empty_list(self):
         assert len(CandidateSpans.concat([])) == 0
+
+
+class TestSharedPerDatabase:
+    def test_searchers_over_one_database_share_the_index(self, db):
+        from repro.core.config import SearchConfig
+        from repro.core.search import ShardSearcher
+
+        a = ShardSearcher(db, SearchConfig(scorer="shared_peaks"))
+        b = ShardSearcher(db, SearchConfig(scorer="xcorr", delta=1.0))
+        assert a.generator.index is b.generator.index is MassIndex.for_shard(db)
+        # each searcher is still charged the index it uses
+        assert a.nbytes == b.nbytes == db.nbytes + a.generator.index.nbytes
+
+    def test_derived_databases_build_their_own(self, db):
+        whole = MassIndex.for_shard(db)
+        for derived in (db.subset(np.array([0, 2])), db.slice_range(1, 3)):
+            assert derived._mass_index is None
+            own = MassIndex.for_shard(derived)
+            assert own is not whole
+            assert own.count_in_window(0.0, 1e9) < whole.count_in_window(0.0, 1e9)
+
+    def test_index_is_not_pickled_with_the_database(self, db):
+        import pickle
+
+        db.parent_masses()  # cached and shipped as before; the index build fills it
+        plain = len(pickle.dumps(db))
+        MassIndex.for_shard(db)
+        assert len(pickle.dumps(db)) == plain
+        clone = pickle.loads(pickle.dumps(db))
+        assert clone == db and clone._mass_index is None
+        assert np.array_equal(clone.parent_masses(), db.parent_masses())

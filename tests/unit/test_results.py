@@ -167,3 +167,55 @@ class TestTsvOutput:
         lines = path.read_text().splitlines()[1:]
         assert lines[0].split("\t")[1] == "1"
         assert lines[1].split("\t")[1] == "2"
+
+
+def golden_fixture():
+    """Database with non-contiguous ids and a report that exercises every
+    column: PTM hits, an id the database lacks, a ``-inf`` score, query
+    ids out of order, and a stop past its sequence's end (clipped)."""
+    from repro.chem.protein import ProteinDatabase
+
+    db = ProteinDatabase.from_sequences(
+        ["MKTAYIAKQRQISFVK", "PEPTIDESMK", "GGAVLMSTC", "ACDEFGHIK"]
+    ).subset([3, 0, 2])
+    hits = {
+        7: [
+            Hit(7, 12.3456789, 0, 0, 10, 1165.6489, 0.0),
+            Hit(7, 3.25, 2, 2, 9, 650.3001, 15.994915),
+            Hit(7, float("-inf"), 3, 1, 40, 879.38, 79.966331),
+        ],
+        2: [
+            Hit(2, 0.0000004, 1, 0, 4, 425.2, 0.0),  # protein 1 is not in db
+            Hit(2, -7.5, 3, 0, 9, 1019.45, 0.0),
+        ],
+        11: [],
+    }
+    return db, make_report(hits)
+
+
+class TestTsvGolden:
+    """``data/write_tsv_golden*.tsv`` were written by the per-hit
+    ``database.sequence()`` writer this one replaced; bytes must not move."""
+
+    @pytest.mark.parametrize("with_db", [True, False])
+    def test_bytes_match_the_golden_file(self, tmp_path, with_db):
+        from pathlib import Path
+
+        from repro.core.results import write_tsv
+
+        db, rep = golden_fixture()
+        name = "write_tsv_golden.tsv" if with_db else "write_tsv_golden_nodb.tsv"
+        out = tmp_path / name
+        write_tsv(rep, out, database=db if with_db else None)
+        golden = Path(__file__).parent / "data" / name
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_file_object_target(self):
+        import io
+
+        from repro.core.results import write_tsv
+
+        db, rep = golden_fixture()
+        buf = io.StringIO()
+        write_tsv(rep, buf, database=db)
+        assert not buf.closed and buf.getvalue().count("\n") == 6

@@ -122,6 +122,24 @@ class TestXCorr:
         scorer.score(clean_spectrum, WRONG_PEPTIDE)
         assert scorer._cache[id(clean_spectrum)] is cached
 
+    def test_cache_survives_id_reuse(self):
+        """A freed spectrum's ``id`` goes to the next allocation; with equal
+        peak counts the cache used to hand back the dead spectrum's vector."""
+        rng = np.random.default_rng(5)
+        scorer = XCorrScorer()
+
+        def fresh():
+            mz = np.sort(rng.uniform(100.0, 900.0, 20))
+            return Spectrum(mz, rng.uniform(0.1, 1.0, 20), precursor_mz=950.0)
+
+        for _ in range(200):
+            first = fresh()
+            scorer._preprocessed(first)
+            del first  # its id is free for the next Spectrum
+            second = fresh()
+            expected = XCorrScorer()._preprocessed(second)
+            assert np.array_equal(scorer._preprocessed(second), expected)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             XCorrScorer(bin_width=0.0)
