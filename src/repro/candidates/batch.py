@@ -35,16 +35,7 @@ import numpy as np
 from repro.candidates.mass_index import CandidateSpans
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
-
-
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + l)`` for each (start, length) pair."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    prev = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(prev, lengths)
-    return np.repeat(starts, lengths) + ramp
+from repro.spectra.binning import _ragged_arange
 
 
 @dataclass(frozen=True)

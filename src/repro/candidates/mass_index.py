@@ -28,13 +28,14 @@ are then recovered from the shard's offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.constants import WATER_MASS
+from repro.spectra.binning import _ragged_arange
 
 
 @dataclass(frozen=True)
@@ -279,71 +280,71 @@ class MassIndex:
         s1 = np.searchsorted(self._suffix_dedup_sorted, highs, side="right")
         return p0, p1, s0, s1
 
-    def sweep_spans(
-        self, p0: int, p1: int, s0: int, s1: int
-    ) -> Tuple[CandidateSpans, int]:
+    def sweep_spans(self, p0, p1, s0, s1) -> Tuple[CandidateSpans, int]:
         """Materialize one candidate block from sorted-array slice bounds.
 
         Returns ``(spans, num_prefixes)`` where ``spans`` lists the
         prefixes ``[p0, p1)`` followed by the deduplicated suffixes
-        ``[s0, s1)``, each in ascending-mass (slice) order.  A cohort of
+        ``[s0, s1)``, each in ascending-mass (slice) order.  A run of
         queries with overlapping windows enumerates its union block once
         through this method; each member's candidate set is then the pair
         of contiguous sub-slices its own ``windows_many`` bounds select,
         in exactly ``candidates_in_window`` order.
+
+        The bounds may also be equal-length arrays, one entry per run of
+        a packed scoring block: the block then lists every run's prefix
+        slice (run-major), then every run's suffix slice, so the rows
+        between two runs are never materialized.
         """
-        p0, p1 = int(p0), int(max(p0, p1))
-        s0, s1 = int(s0), int(max(s0, s1))
-        pos = self._prefix_order[p0:p1]
-        seq = self.seq_of_pos[pos]
+        if not isinstance(p0, np.ndarray):  # one window (ints or NumPy scalars)
+            p0, p1 = int(p0), int(max(p0, p1))
+            s0, s1 = int(s0), int(max(s0, s1))
+            pre_pos = self._prefix_order[p0:p1]
+            pre_mass = self._prefix_sorted[p0:p1].copy()
+            suf_pos = self._suffix_dedup_order[s0:s1]
+            suf_mass = self._suffix_dedup_sorted[s0:s1].copy()
+        else:
+            pre = _ragged_arange(p0, np.maximum(p1 - p0, 0))
+            suf = _ragged_arange(s0, np.maximum(s1 - s0, 0))
+            pre_pos = self._prefix_order[pre]
+            pre_mass = self._prefix_sorted[pre]
+            suf_pos = self._suffix_dedup_order[suf]
+            suf_mass = self._suffix_dedup_sorted[suf]
+        seq = self.seq_of_pos[pre_pos]
         prefixes = CandidateSpans(
             seq,
-            np.zeros(len(pos), dtype=np.int64),
-            pos - self._offsets[seq] + 1,
-            self._prefix_sorted[p0:p1].copy(),
-            np.zeros(len(pos)),
+            np.zeros(len(seq), dtype=np.int64),
+            pre_pos - self._offsets[seq] + 1,
+            pre_mass,
+            np.zeros(len(seq)),
         )
-        pos = self._suffix_dedup_order[s0:s1]
-        seq = self.seq_of_pos[pos]
+        seq = self.seq_of_pos[suf_pos]
         suffixes = CandidateSpans(
             seq,
-            pos - self._offsets[seq],
+            suf_pos - self._offsets[seq],
             self._offsets[seq + 1] - self._offsets[seq],
-            self._suffix_dedup_sorted[s0:s1].copy(),
-            np.zeros(len(pos)),
+            suf_mass,
+            np.zeros(len(seq)),
         )
         return CandidateSpans.concat([prefixes, suffixes]), len(prefixes)
-
-    def sweep_windows(
-        self, lows: np.ndarray, highs: np.ndarray, max_cohort: int
-    ) -> Tuple[
-        Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        List[Tuple[int, int]],
-    ]:
-        """One-sweep replacement for per-query window binary searches.
-
-        For queries sorted by window low edge, returns the vectorized
-        per-query slice bounds (:meth:`windows_many`) together with the
-        cohort partition (:func:`coalesce_windows`): queries whose mass
-        windows overlap share one union candidate block, enumerated once
-        per cohort via :meth:`sweep_spans`.
-        """
-        bounds = self.windows_many(lows, highs)
-        return bounds, coalesce_windows(lows, highs, max_cohort)
 
 
 def coalesce_windows(
     lows: np.ndarray, highs: np.ndarray, max_cohort: int
 ) -> List[Tuple[int, int]]:
-    """Partition sorted query windows into overlapping cohorts.
+    """Partition sorted query windows into runs of overlapping windows.
 
     ``lows`` must be non-decreasing (queries sorted by window low edge).
     Returns half-open index ranges ``[a, b)``; consecutive windows join a
-    cohort while the next low edge falls inside the running union of the
-    cohort's windows, capped at ``max_cohort`` members so one outlier-wide
+    run while the next low edge falls inside the running union of the
+    run's windows, capped at ``max_cohort`` members so one outlier-wide
     window cannot chain an entire rank's queries into a single block.
     """
-    cohorts: List[Tuple[int, int]] = []
+    runs: List[Tuple[int, int]] = []
+    # plain floats: comparing NumPy scalars costs ~100 ns each, and this
+    # loop runs once per query per shard pass
+    lows = np.asarray(lows).tolist()
+    highs = np.asarray(highs).tolist()
     n = len(lows)
     i = 0
     while i < n:
@@ -353,9 +354,67 @@ def coalesce_windows(
             if highs[j] > hi:
                 hi = highs[j]
             j += 1
-        cohorts.append((i, j))
+        runs.append((i, j))
         i = j
-    return cohorts
+    return runs
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """How one shard pass groups its mass-ordered queries.
+
+    Two units, because two things are being shared.  A *run* is a set of
+    consecutive queries whose windows overlap (:func:`coalesce_windows`):
+    the unit of candidate enumeration, its union window materialized once
+    with no gap rows.  A *block* is consecutive runs packed up to
+    ``max_cohort`` members: the unit of everything that does not care
+    whether windows overlap — the candidate batch, the multi-spectrum
+    kernels and the top-tau emit — and so the unit that sets how many
+    rows one kernel call sees.
+
+    Attributes:
+        run_bounds: ``(R + 1,)`` int64; run ``r`` owns the mass-ordered
+            members ``[run_bounds[r], run_bounds[r + 1])``.
+        block_runs: ``(B + 1,)`` int64; block ``k`` owns the runs
+            ``[block_runs[k], block_runs[k + 1])``.
+    """
+
+    run_bounds: np.ndarray
+    block_runs: np.ndarray
+
+    @classmethod
+    def pack(cls, run_bounds: Sequence[int], max_cohort: int) -> "SweepPlan":
+        """Greedily pack whole runs, in order, into blocks of at most
+        ``max_cohort`` members; a run is never split (one that exceeds
+        the cap on its own, which :func:`coalesce_windows` never returns,
+        would get a block to itself)."""
+        bounds = np.asarray(run_bounds, dtype=np.int64)
+        edges = bounds.tolist()
+        block_runs = [0]
+        first = 0  # first member of the block being filled
+        for r in range(1, len(edges) - 1):
+            if edges[r + 1] - first > max_cohort:
+                block_runs.append(r)
+                first = edges[r]
+        if len(edges) > 1:
+            block_runs.append(len(edges) - 1)
+        return cls(bounds, np.asarray(block_runs, dtype=np.int64))
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.block_runs) - 1
+
+    def blocks(self) -> Iterator[Tuple[int, int, int, int]]:
+        """``(a, b, r0, r1)`` per block: members ``[a, b)``, runs ``[r0, r1)``."""
+        runs = self.block_runs.tolist()
+        members = self.run_bounds[self.block_runs].tolist()
+        return zip(members[:-1], members[1:], runs[:-1], runs[1:])
+
+
+def plan_sweep(lows: np.ndarray, highs: np.ndarray, max_cohort: int) -> SweepPlan:
+    """The :class:`SweepPlan` of sorted query windows ``[lows, highs]``."""
+    runs = coalesce_windows(lows, highs, max_cohort)
+    return SweepPlan.pack([0] + [b for _a, b in runs], max_cohort)
 
 
 class PresenceCounter:

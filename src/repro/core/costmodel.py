@@ -92,10 +92,12 @@ class CostModel:
             when the sweep kernel runs — the window binary searches and
             buffer setup that term charges are exactly what the sweep
             batches away.
-        sweep_probe_per_cohort: per-cohort cost of the sweep path
-            (union-window enumeration, shared block materialization, the
-            one batched probe).  Amortized over every member of the
-            cohort, which is the sweep's whole point.
+        sweep_probe_per_cohort: cost of one packed scoring block of the
+            sweep path (run enumeration, block materialization, the one
+            batched probe, the block emit), charged per
+            ``ShardStats.sweep_cohorts``.  Amortized over every member of
+            the block — up to ``sweep_cohort`` of them whether or not
+            their windows overlap — which is the sweep's whole point.
         sweep_eval_discount: fraction of ``rho`` a sweep-evaluated
             candidate costs.  The candidate-major kernel scores shared
             blocks (BENCH_sweep.json: ~2-3x per-candidate speedup at
@@ -294,9 +296,9 @@ class CostModel:
         binary searches, per-query buffers).  When the batch ran through
         the candidate-major sweep (``stats.sweep_queries > 0``), queries
         are charged the residual ``sweep_setup_per_query`` and the probe
-        work is charged per *cohort* — amortized across every member —
-        so the virtual-time model rewards window locality exactly where
-        the real kernel does.
+        work is charged per scoring *block* — amortized across every
+        member — so the virtual-time model amortizes exactly where the
+        real kernel does.
         """
         if num_queries < 0:
             raise ValueError(f"num_queries must be >= 0, got {num_queries}")

@@ -12,21 +12,21 @@ list makes the final output order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
 from repro.candidates.generator import CandidateGenerator
-from repro.candidates.mass_index import CandidateSpans, coalesce_windows
+from repro.candidates.mass_index import CandidateSpans, plan_sweep
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.index import FragmentIndex
-from repro.index.fragment_index import _ragged_arange
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.obs.naming import canonicalize_extras
 from repro.scoring.base import Scorer, batch_scores, block_scores
 from repro.scoring.hits import TopHitList
+from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch, flatten_members
@@ -39,7 +39,7 @@ class ShardStats:
     ``rows_scored`` counts scorer evaluation rows, which exceeds
     ``candidates_evaluated`` when variable PTMs expand candidates into
     one row per admissible site; ``batches`` counts vectorized scoring
-    calls (one per non-empty query/shard span set, or one per cohort on
+    calls (one per non-empty query/shard span set, or one per block on
     the sweep path).  ``index_rows`` counts the subset of rows served
     from the fragment-ion index, and ``index_build_time`` accumulates
     real (wall-clock) seconds spent building indexes — engines add it
@@ -48,7 +48,8 @@ class ShardStats:
     index shards (``repro.store``); a run pays build *or* load for a
     given shard, never both.  ``sweep_queries``/``sweep_cohorts``
     count queries routed through the candidate-major sweep and the
-    cohorts they coalesced into; both stay 0 on the per-query path.
+    scoring blocks they were packed into (up to ``sweep_cohort`` members
+    each, overlapping windows or not); both stay 0 on the per-query path.
     """
 
     candidates_evaluated: int = 0
@@ -71,6 +72,97 @@ class ShardStats:
         self.index_load_time += other.index_load_time
         self.sweep_queries += other.sweep_queries
         self.sweep_cohorts += other.sweep_cohorts
+
+
+def score_and_offer_block(
+    cfg: SearchConfig,
+    stats: ShardStats,
+    hitlists: Dict[int, TopHitList],
+    members: Sequence[Spectrum],
+    sel: np.ndarray,
+    mem: np.ndarray,
+    lengths: np.ndarray,
+    score: Callable[[SpectrumBatch, List[np.ndarray]], Tuple[np.ndarray, int, int]],
+    columns: Callable[[np.ndarray], Tuple[np.ndarray, ...]],
+) -> None:
+    """Filter, score and emit one sweep block (resident or streamed).
+
+    ``sel`` lists the block's candidates member-major — whatever ids the
+    caller's ``score`` and ``columns`` understand: positions in a span
+    block, or rows of a partition — ``mem`` (non-decreasing) the member
+    owning each and ``lengths`` its residue count.  ``score(spectra,
+    kept)`` returns ``(member-major scores, direct_rows, index_rows)`` for
+    the per-member lists of candidates that passed the length floor;
+    ``columns(sel)`` returns their ``(protein id, start, stop, mass,
+    mod_delta)`` columns.  Filters and ``evaluated`` accounting are the
+    per-query path's, applied to the whole block in one pass.
+    """
+    stats.candidates_evaluated += len(sel)
+    if len(sel) == 0:
+        return
+    num_members = len(members)
+    qids = [q.query_id for q in members]
+
+    def count_skipped(owners: np.ndarray) -> None:
+        # skipped candidates were still offered: they count as evaluated
+        for k, n in enumerate(np.bincount(owners, minlength=num_members).tolist()):
+            if n:
+                hitlists[qids[k]].evaluated += n
+
+    ok = lengths >= cfg.min_candidate_length
+    if not ok.all():
+        count_skipped(mem[~ok])
+        sel = sel[ok]
+        mem = mem[ok]
+        if len(sel) == 0:
+            return
+    counts = np.bincount(mem, minlength=num_members)
+    scores, direct_rows, index_rows = score(
+        SpectrumBatch(members), np.split(sel, np.cumsum(counts)[:-1])
+    )
+    stats.batches += 1
+    stats.rows_scored += direct_rows + index_rows
+    stats.index_rows += index_rows
+    if cfg.score_cutoff is not None:
+        passing = scores >= cfg.score_cutoff
+        count_skipped(mem[~passing])
+        sel = sel[passing]
+        scores = scores[passing]
+        mem = mem[passing]
+        counts = np.bincount(mem, minlength=num_members)
+    # Emit the whole block in one pass: a member-major lexsort whose
+    # within-member key order is exactly Hit.sort_key, so each member's
+    # segment head is the same top-tau that add_batch would select (see
+    # TopHitList.add_top_sorted).  Members are emitted in block
+    # (mass-sorted) order — each query belongs to exactly one block per
+    # pass and TopHitList is order-independent, so emission order cannot
+    # affect results.
+    prot, c_start, c_stop, c_mass, c_mod = columns(sel)
+    by_member = np.lexsort((c_mod, c_stop, c_start, prot, -scores, mem))
+    seg = np.concatenate(([0], np.cumsum(counts)))
+    take = np.minimum(counts, cfg.tau)
+    top = by_member[_ragged_arange(seg[:-1], take)]
+    t_sc = scores[top].tolist()
+    t_pr = prot[top].tolist()
+    t_st = c_start[top].tolist()
+    t_sp = c_stop[top].tolist()
+    t_ms = c_mass[top].tolist()
+    t_md = c_mod[top].tolist()
+    bounds = np.concatenate(([0], np.cumsum(take))).tolist()
+    for k, offered in enumerate(counts.tolist()):
+        if not offered:
+            continue
+        c0, c1 = bounds[k], bounds[k + 1]
+        hitlists[qids[k]].add_top_sorted(
+            qids[k],
+            t_sc[c0:c1],
+            t_pr[c0:c1],
+            t_st[c0:c1],
+            t_sp[c0:c1],
+            t_ms[c0:c1],
+            t_md[c0:c1],
+            offered,
+        )
 
 
 class ShardSearcher:
@@ -262,18 +354,22 @@ class ShardSearcher:
     def search_sweep(
         self, queries: Iterable[Spectrum], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
-        """Candidate-major search: one window sweep per shard, per cohort.
+        """Candidate-major search: one window sweep per shard, one kernel
+        call per packed block.
 
-        Queries are sorted by precursor mass, their windows swept against
-        the shard's sorted mass arrays in one vectorized pass
-        (:meth:`MassIndex.sweep_windows`), and queries with overlapping
-        windows coalesced into cohorts that share one materialized
-        candidate block and one multi-spectrum scoring call.  Every
-        per-query candidate set, score, filter, and hit-list offer is
-        bitwise identical to :meth:`search` — each member's candidates
-        are contiguous sub-slices of the cohort block in exactly the
-        per-query enumeration order, and the block kernels reproduce the
-        per-query kernels bit for bit.
+        Queries are sorted by precursor mass and their windows swept
+        against the shard's sorted mass arrays in one vectorized pass
+        (:meth:`MassIndex.windows_many`, once per modification tier).
+        :func:`~repro.candidates.mass_index.plan_sweep` then splits them
+        into *runs* of overlapping windows, each enumerated once as a
+        union candidate block, and packs consecutive runs into scoring
+        *blocks* of up to ``sweep_cohort`` members that share one
+        candidate batch, one multi-spectrum scoring call and one top-tau
+        emit.  Every per-query candidate set, score, filter, and hit-list
+        offer is bitwise identical to :meth:`search` — each member's
+        candidates are contiguous sub-slices of its run's rows in exactly
+        the per-query enumeration order, and the block kernels reproduce
+        the per-query kernels bit for bit.
         """
         stats = ShardStats()
         cfg = self.config
@@ -288,180 +384,138 @@ class ShardSearcher:
         stats.sweep_queries += len(queries)
         if not queries:
             return stats
-        min_len = cfg.min_candidate_length
-        masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
-        order = np.argsort(masses, kind="stable")
-        lows = masses[order] - self.generator.delta
-        highs = masses[order] + self.generator.delta
-        for a, b in coalesce_windows(lows, highs, cfg.sweep_cohort):
-            members = order[a:b]
-            stats.sweep_cohorts += 1
-            spans, selections = self._cohort_candidates(lows[a:b], highs[a:b])
-            sel_flat, mem_flat = flatten_members(selections)
-            stats.candidates_evaluated += len(sel_flat)
-            if len(sel_flat) == 0:
+        obs = get_metrics()
+        traced = obs.enabled  # the only telemetry test an untraced pass pays
+        plan_span = (
+            obs.span("sweep.plan", category="search", queries=len(queries))
+            if traced
+            else NULL_SPAN
+        )
+        with plan_span:
+            masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
+            order = np.argsort(masses, kind="stable")
+            lows = masses[order] - self.generator.delta
+            highs = masses[order] + self.generator.delta
+            plan = plan_sweep(lows, highs, cfg.sweep_cohort)
+            index = self.generator.index
+            tiers = [(None, index.windows_many(lows, highs))] + [
+                (mod, index.windows_many(lows - mod.delta_mass, highs - mod.delta_mass))
+                for mod in self.generator.modifications
+            ]
+        stats.sweep_cohorts += plan.num_blocks
+        for a, b, r0, r1 in plan.blocks():
+            members = [queries[m] for m in order[a:b]]
+            run_bounds = plan.run_bounds[r0 : r1 + 1] - a
+            if not traced:
+                self._sweep_block(members, run_bounds, tiers, a, hitlists, stats)
                 continue
-            # min-length filter for the whole cohort in one pass; the
-            # per-member short counts land in `evaluated` exactly as the
-            # per-query path records skipped-but-offered candidates
-            ok = spans.lengths[sel_flat] >= min_len
-            if not ok.all():
-                shorts = np.bincount(mem_flat[~ok], minlength=len(members))
-                for j, n_short in enumerate(shorts.tolist()):
-                    if n_short:
-                        hitlists[queries[members[j]].query_id].evaluated += n_short
-                sel_flat = sel_flat[ok]
-                mem_flat = mem_flat[ok]
-            if len(sel_flat) == 0:
-                continue
-            kept_counts = np.bincount(mem_flat, minlength=len(members))
-            kept: List[np.ndarray] = np.split(
-                sel_flat, np.cumsum(kept_counts)[:-1]
-            )
-            spectra = SpectrumBatch([queries[m] for m in members])
-            all_scores, direct_rows, index_rows = self.score_spans_block(
-                spectra, spans, kept
-            )
-            stats.batches += 1
-            stats.rows_scored += direct_rows + index_rows
-            stats.index_rows += index_rows
-            # Emit the whole cohort in one pass: a member-major lexsort
-            # whose within-member key order is exactly Hit.sort_key, so
-            # each member's segment head is the same top-tau that
-            # add_batch would select (see TopHitList.add_top_sorted).
-            # Members are emitted in cohort (mass-sorted) order — each
-            # query belongs to exactly one cohort and TopHitList is
-            # order-independent, so emission order cannot affect results.
-            qids = [queries[m].query_id for m in members]
-            mem = mem_flat
-            all_sel = sel_flat
-            counts = kept_counts
-            if cfg.score_cutoff is not None and len(all_scores):
-                passing = all_scores >= cfg.score_cutoff
-                fails = np.bincount(mem[~passing], minlength=len(members))
-                for k, n_fail in enumerate(fails.tolist()):
-                    if n_fail:
-                        hitlists[qids[k]].evaluated += n_fail
-                all_sel = all_sel[passing]
-                all_scores = all_scores[passing]
-                mem = mem[passing]
-                counts = np.bincount(mem, minlength=len(members))
-            prot = self.shard.ids[spans.seq_index[all_sel]]
-            c_start = spans.start[all_sel]
-            c_stop = spans.stop[all_sel]
-            c_mass = spans.mass[all_sel]
-            c_mod = spans.mod_delta[all_sel]
-            by_member = np.lexsort(
-                (c_mod, c_stop, c_start, prot, -all_scores, mem)
-            )
-            seg = np.concatenate(([0], np.cumsum(counts)))
-            take = np.minimum(counts, cfg.tau)
-            top = by_member[_ragged_arange(seg[:-1], take)]
-            t_sc = all_scores[top].tolist()
-            t_pr = prot[top].tolist()
-            t_st = c_start[top].tolist()
-            t_sp = c_stop[top].tolist()
-            t_ms = c_mass[top].tolist()
-            t_md = c_mod[top].tolist()
-            bounds = np.concatenate(([0], np.cumsum(take))).tolist()
-            for k, offered in enumerate(counts.tolist()):
-                if not offered:
-                    continue
-                c0, c1 = bounds[k], bounds[k + 1]
-                hitlists[qids[k]].add_top_sorted(
-                    qids[k],
-                    t_sc[c0:c1],
-                    t_pr[c0:c1],
-                    t_st[c0:c1],
-                    t_sp[c0:c1],
-                    t_ms[c0:c1],
-                    t_md[c0:c1],
-                    offered,
+            with obs.span(
+                "sweep.block", category="search", members=b - a, runs=r1 - r0
+            ) as span:
+                span.args["rows"] = self._sweep_block(
+                    members, run_bounds, tiers, a, hitlists, stats
                 )
         return stats
 
-    def _cohort_candidates(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> Tuple[CandidateSpans, List[np.ndarray]]:
-        """Union candidate block + per-member selections for one cohort.
+    def _sweep_block(
+        self,
+        members: List[Spectrum],
+        run_bounds: np.ndarray,
+        tiers: Sequence[tuple],
+        first: int,
+        hitlists: Dict[int, TopHitList],
+        stats: ShardStats,
+    ) -> int:
+        """Enumerate, score and emit one block; returns its candidate count."""
+        spans, sel, mem = self._block_candidates(run_bounds, tiers, first, len(members))
+        shard_ids = self.shard.ids
+        score_and_offer_block(
+            self.config,
+            stats,
+            hitlists,
+            members,
+            sel,
+            mem,
+            spans.lengths[sel],
+            lambda spectra, kept: self.score_spans_block(spectra, spans, kept),
+            lambda s: (
+                shard_ids[spans.seq_index[s]],
+                spans.start[s],
+                spans.stop[s],
+                spans.mass[s],
+                spans.mod_delta[s],
+            ),
+        )
+        return len(sel)
 
-        Enumerates each modification tier's union window once
-        (:meth:`MassIndex.sweep_spans` over the cohort's merged bounds)
-        and recovers every member's candidate set as index arrays into
-        the block.  Per member, the selected candidates appear in exactly
-        the order ``generator.candidates(query)`` produces: tier-major,
-        prefixes ascending, then deduplicated suffixes ascending — PTM
-        tiers keep that property because the presence filter is a stable
-        subset of the union slice, making each member's filtered range a
-        contiguous run of the kept block.
+    def _block_candidates(
+        self, run_bounds: np.ndarray, tiers: Sequence[tuple], first: int, num_members: int
+    ) -> Tuple[CandidateSpans, np.ndarray, np.ndarray]:
+        """Candidate block + member-major flat selections for one block.
+
+        ``run_bounds`` are the block's run edges in block-local member
+        positions and ``tiers`` the pass-wide ``(mod, windows_many
+        bounds)`` per modification tier, the block's members sitting at
+        ``[first, first + num_members)`` of them.  Each tier enumerates
+        every run's union window once (:meth:`MassIndex.sweep_spans` over
+        arrays of run bounds: no row between two runs is materialized)
+        and each member's candidates are recovered as sub-slices of its
+        own run's rows.  Returns ``(spans, sel, mem)``: ``sel`` indexes
+        ``spans`` and lists, member by member (``mem``, non-decreasing),
+        the candidates in exactly the order ``generator.candidates(query)``
+        produces: tier-major, prefixes ascending, then deduplicated
+        suffixes ascending — PTM tiers keep that property because the
+        presence filter is a stable subset of the enumerated rows, making
+        each member's filtered range a contiguous run of the kept block.
         """
         gen = self.generator
-        idx = gen.index
-        num_members = len(lows)
-        if not gen.modifications:
-            # single-tier fast path: the block is the unmodified union
-            # window and every member selection is exactly two arange
-            # runs (prefixes, then deduplicated suffixes) — build them
-            # all with one ragged arange instead of per-member pairs.
-            p0, p1, s0, s1 = idx.windows_many(lows, highs)
-            first_p, first_s = int(p0[0]), int(s0[0])
-            block, num_pre = idx.sweep_spans(
-                first_p, int(p1[-1]), first_s, int(s1[-1])
-            )
-            if len(block) == 0:
-                return block, [np.empty(0, dtype=np.int64)] * num_members
-            pa = p0 - first_p
-            pb = np.maximum(p1 - first_p, pa)
-            sa = num_pre + (s0 - first_s)
-            sb = np.maximum(num_pre + (s1 - first_s), sa)
-            starts = np.stack((pa, sa), axis=1).ravel()
-            runs = np.stack((pb - pa, sb - sa), axis=1).ravel()
-            sel_flat = _ragged_arange(starts, runs)
-            per_member = (pb - pa) + (sb - sa)
-            return block, np.split(sel_flat, np.cumsum(per_member)[:-1])
+        window = slice(first, first + num_members)
+        run_first = run_bounds[:-1]
+        run_last = run_bounds[1:] - 1
+        run_of = np.repeat(np.arange(len(run_first)), np.diff(run_bounds))
         tier_parts: List[CandidateSpans] = []
-        member_parts: List[List[np.ndarray]] = [[] for _ in range(num_members)]
+        starts: List[np.ndarray] = []
+        stops: List[np.ndarray] = []
         base = 0
-        for mod in (None,) + gen.modifications:
-            shift = mod.delta_mass if mod is not None else 0.0
-            p0, p1, s0, s1 = idx.windows_many(lows - shift, highs - shift)
-            first_p, first_s = int(p0[0]), int(s0[0])
-            block, num_pre = idx.sweep_spans(
-                first_p, int(p1[-1]), first_s, int(s1[-1])
+        for mod, bounds in tiers:
+            p0, p1, s0, s1 = (edge[window] for edge in bounds)
+            run_p0, run_s0 = p0[run_first], s0[run_first]
+            run_pn = np.maximum(p1[run_last] - run_p0, 0)
+            run_sn = np.maximum(s1[run_last] - run_s0, 0)
+            block, num_pre = gen.index.sweep_spans(
+                run_p0, run_p0 + run_pn, run_s0, run_s0 + run_sn
             )
             if len(block) == 0:
                 continue
-            pa = p0 - first_p
-            pb = np.maximum(p1 - first_p, pa)
-            sa = num_pre + (s0 - first_s)
-            sb = np.maximum(num_pre + (s1 - first_s), sa)
-            if mod is None:
-                tier = block
-            else:
+            # where each run's prefixes and suffixes start inside `block`
+            run_pre = np.cumsum(run_pn) - run_pn
+            run_suf = num_pre + np.cumsum(run_sn) - run_sn
+            pa = run_pre[run_of] + (p0 - run_p0[run_of])
+            pb = np.maximum(pa + (p1 - p0), pa)
+            sa = run_suf[run_of] + (s0 - run_s0[run_of])
+            sb = np.maximum(sa + (s1 - s0), sa)
+            if mod is not None:
                 keep = gen.presence_mask(block, mod)
                 kcum = np.concatenate(([0], np.cumsum(keep)))
-                tier = block.take(np.nonzero(keep)[0])
-                tier = replace(tier, mod_delta=np.full(len(tier), mod.delta_mass))
-                pa, pb, sa, sb = kcum[pa], kcum[pb], kcum[sa], kcum[sb]
-                if len(tier) == 0:
+                block = block.take(np.nonzero(keep)[0])
+                if len(block) == 0:
                     continue
-            for k in range(num_members):
-                if pb[k] > pa[k]:
-                    member_parts[k].append(
-                        np.arange(base + pa[k], base + pb[k], dtype=np.int64)
-                    )
-                if sb[k] > sa[k]:
-                    member_parts[k].append(
-                        np.arange(base + sa[k], base + sb[k], dtype=np.int64)
-                    )
-            tier_parts.append(tier)
-            base += len(tier)
-        spans = CandidateSpans.concat(tier_parts)
-        selections = [
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            for parts in member_parts
-        ]
-        return spans, selections
+                block = replace(block, mod_delta=np.full(len(block), mod.delta_mass))
+                pa, pb, sa, sb = kcum[pa], kcum[pb], kcum[sa], kcum[sb]
+            starts += [base + pa, base + sa]
+            stops += [base + pb, base + sb]
+            tier_parts.append(block)
+            base += len(block)
+        if not tier_parts:
+            empty = np.empty(0, dtype=np.int64)
+            return CandidateSpans.empty(), empty, empty
+        # (member, tier, prefix-then-suffix) ranges, raveled member-major
+        starts_flat = np.stack(starts, axis=1).ravel()
+        sizes = np.stack(stops, axis=1).ravel() - starts_flat
+        sel = _ragged_arange(starts_flat, sizes)
+        per_member = sizes.reshape(num_members, -1).sum(axis=1)
+        mem = np.repeat(np.arange(num_members, dtype=np.int64), per_member)
+        return CandidateSpans.concat(tier_parts), sel, mem
 
     def score_spans_block(
         self,
@@ -469,15 +523,15 @@ class ShardSearcher:
         spans: CandidateSpans,
         selections: Sequence[np.ndarray],
     ) -> Tuple[np.ndarray, int, int]:
-        """Score a cohort's shared spans: ``(scores, direct_rows, index_rows)``.
+        """Score a block's shared spans: ``(scores, direct_rows, index_rows)``.
 
         ``scores`` is one member-major vector (``selections[0]``'s
         candidates, then ``selections[1]``'s, ...), each entry bitwise the
         score :meth:`score_spans` gives that (member, candidate) pair; the
-        row counts are the cohort's totals of what :meth:`score_spans`
+        row counts are the block's totals of what :meth:`score_spans`
         reports per member.
 
-        Candidates the index holds are served by one cohort call into it,
+        Candidates the index holds are served by one block call into it,
         the rest — PTM tiers, over-length spans — by one shared overflow
         batch over their union; a member whose selection holds no
         indexable candidate thus goes fully direct, like the per-query
@@ -490,7 +544,7 @@ class ShardSearcher:
         rows_block = self.index.rows_for(spans)
         if len(rows_block) == 0 or int(rows_block.min()) >= 0:
             # Whole block index-served (the common case: no PTM tier and
-            # no over-length span anywhere in the cohort): the overflow
+            # no over-length span anywhere in the block): the overflow
             # batch would be empty and the scatter an identity copy.
             row_sets = [rows_block[sel] for sel in selections]
             scores = self.index.score_block(self.scorer, spectra, row_sets)

@@ -46,17 +46,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.candidates.mass_index import CandidateSpans, coalesce_windows
+from repro.candidates.mass_index import CandidateSpans, SweepPlan
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
-from repro.core.search import ShardStats, index_compat_problems
+from repro.core.search import ShardStats, index_compat_problems, score_and_offer_block
 from repro.errors import IndexCompatError
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.scoring.base import Scorer, batch_scores
 from repro.scoring.hits import TopHitList
+from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.store.partitioned import (
     PartitionedIndex,
     StreamingIndexReader,
@@ -199,12 +199,22 @@ class StreamingSearcher:
             return stats
         if cfg.use_sweep:
             stats.sweep_queries += len(queries)
+        # a traced sweep pass hands its registry down to the block loop;
+        # an untraced one pays this one attribute test
+        obs = get_metrics()
+        if not (cfg.use_sweep and obs.enabled):
+            obs = None
         # mass-sorted query order: each partition is visited once, by a
         # contiguous slice of queries whose windows intersect its range
-        masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
-        order = np.argsort(masses, kind="stable")
-        lows = masses[order] - cfg.delta
-        highs = masses[order] + cfg.delta
+        with (
+            obs.span("sweep.plan", category="search", queries=len(queries))
+            if obs is not None
+            else NULL_SPAN
+        ):
+            masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
+            order = np.argsort(masses, kind="stable")
+            lows = masses[order] - cfg.delta
+            highs = masses[order] + cfg.delta
 
         lo, hi = self.partition_range
         entries = self.store.partitions
@@ -238,6 +248,7 @@ class StreamingSearcher:
                     highs[a:b],
                     hitlists,
                     stats,
+                    obs,
                 )
                 self.score_seconds += time.perf_counter() - t0
         finally:
@@ -258,6 +269,7 @@ class StreamingSearcher:
         highs: np.ndarray,
         hitlists: Dict[int, TopHitList],
         stats: ShardStats,
+        obs,
     ) -> None:
         """Score one decoded partition for its member queries."""
         cfg = self.config
@@ -267,7 +279,7 @@ class StreamingSearcher:
         r_hi = np.searchsorted(row_mass, highs, side="right")
         if cfg.use_sweep:
             self._score_members_sweep(
-                index, queries, members, lows, highs, r_lo, r_hi, hitlists, stats
+                index, queries, members, r_lo, r_hi, hitlists, stats, obs
             )
             return
         for j, qi in enumerate(members):
@@ -281,32 +293,26 @@ class StreamingSearcher:
         rows: np.ndarray,
         hitlists: Dict[int, TopHitList],
         stats: ShardStats,
-        scores: Optional[np.ndarray] = None,
     ) -> None:
-        """Per-query accounting + hit offer for one partition's rows.
-
-        With ``scores`` given (sweep path) the rows are pre-filtered
-        long-enough rows; otherwise rows are raw window rows and shorts
-        are counted here, exactly like :meth:`ShardSearcher.search`.
-        """
+        """Per-query accounting + hit offer for one partition's window rows,
+        exactly like :meth:`ShardSearcher.search`."""
         cfg = self.config
         hitlist = hitlists[spectrum.query_id]
-        if scores is None:
-            n_total = len(rows)
-            stats.candidates_evaluated += n_total
-            if n_total == 0:
+        n_total = len(rows)
+        stats.candidates_evaluated += n_total
+        if n_total == 0:
+            return
+        long_enough = index.row_length[rows] >= cfg.min_candidate_length
+        n_short = n_total - int(long_enough.sum())
+        if n_short:
+            hitlist.evaluated += n_short
+            rows = rows[long_enough]
+            if len(rows) == 0:
                 return
-            long_enough = index.row_length[rows] >= cfg.min_candidate_length
-            n_short = n_total - int(long_enough.sum())
-            if n_short:
-                hitlist.evaluated += n_short
-                rows = rows[long_enough]
-                if len(rows) == 0:
-                    return
-            scores = self.scorer.score_index(spectrum, index, rows)
-            stats.batches += 1
-            stats.rows_scored += len(rows)
-            stats.index_rows += len(rows)
+        scores = self.scorer.score_index(spectrum, index, rows)
+        stats.batches += 1
+        stats.rows_scored += len(rows)
+        stats.index_rows += len(rows)
         if cfg.score_cutoff is not None:
             passing = scores >= cfg.score_cutoff
             n_fail = len(scores) - int(passing.sum())
@@ -330,61 +336,64 @@ class StreamingSearcher:
         index,
         queries: List[Spectrum],
         members: np.ndarray,
-        lows: np.ndarray,
-        highs: np.ndarray,
         r_lo: np.ndarray,
         r_hi: np.ndarray,
         hitlists: Dict[int, TopHitList],
         stats: ShardStats,
+        obs,
     ) -> None:
-        """Cohort-coalesced scoring of one partition's member queries.
+        """Block-packed scoring of one partition's member queries.
 
-        Same cohort grammar as :meth:`ShardSearcher.search_sweep`
-        (mass-sorted members, ``coalesce_windows``), with each cohort
-        scored through ``index.score_block`` — one flat posting probe
-        per cohort.  Per-member filters and accounting are identical to
-        the per-query path, and hit emission goes through the same
-        order-independent ``add_batch``.
+        The resident sweep's blocks (:class:`SweepPlan`, filters, scoring
+        call and top-tau emit shared through
+        :func:`~repro.core.search.score_and_offer_block`) without its
+        runs: a member's candidates are already an integer row range of
+        the partition, no union block is enumerated, so every member is
+        a run of its own and a block is simply the next ``sweep_cohort``
+        members — one flat posting probe (or pair-kernel call) each.
+        ``obs`` is the metrics registry of a traced pass, else ``None``.
         """
-        cfg = self.config
-        min_len = cfg.min_candidate_length
-        for a, b in coalesce_windows(lows, highs, cfg.sweep_cohort):
-            stats.sweep_cohorts += 1
-            cohort = members[a:b]
-            row_sets: List[np.ndarray] = []
-            kept_specs: List[Spectrum] = []
-            kept_rows: List[np.ndarray] = []
-            for j in range(a, b):
-                qi = int(members[j])
-                spectrum = queries[qi]
-                rows = np.arange(int(r_lo[j]), int(r_hi[j]), dtype=np.int64)
-                n_total = len(rows)
-                stats.candidates_evaluated += n_total
-                if n_total == 0:
-                    continue
-                long_enough = index.row_length[rows] >= min_len
-                n_short = n_total - int(long_enough.sum())
-                if n_short:
-                    hitlists[spectrum.query_id].evaluated += n_short
-                    rows = rows[long_enough]
-                if len(rows) == 0:
-                    continue
-                kept_specs.append(spectrum)
-                kept_rows.append(rows)
-            if not kept_specs:
-                continue
-            spectra = SpectrumBatch(kept_specs)
-            scores = index.score_block(self.scorer, spectra, kept_rows)
-            stats.batches += 1
-            stats.rows_scored += len(scores)
-            stats.index_rows += len(scores)
-            lo = 0
-            for spectrum, rows in zip(kept_specs, kept_rows):
-                hi = lo + len(rows)
-                self._offer_rows(
-                    index, spectrum, rows, hitlists, stats, scores=scores[lo:hi]
+        arrays = index.arrays
+        scorer = self.scorer
+
+        def score(spectra, kept):
+            scores = index.score_block(scorer, spectra, kept)
+            return scores, 0, len(scores)
+
+        def columns(rows):
+            return (
+                arrays["row_protein"][rows],
+                arrays["row_start"][rows],
+                arrays["row_stop"][rows],
+                arrays["row_mass"][rows],
+                np.zeros(len(rows), dtype=np.float64),
+            )
+
+        plan = SweepPlan.pack(np.arange(len(members) + 1), self.config.sweep_cohort)
+        stats.sweep_cohorts += plan.num_blocks
+        for a, b, _r0, _r1 in plan.blocks():
+            sizes = r_hi[a:b] - r_lo[a:b]
+            rows = _ragged_arange(r_lo[a:b], sizes)
+            span = (
+                obs.span(
+                    "sweep.block", category="search",
+                    members=b - a, runs=b - a, rows=len(rows),
                 )
-                lo = hi
+                if obs is not None
+                else NULL_SPAN
+            )
+            with span:
+                score_and_offer_block(
+                    self.config,
+                    stats,
+                    hitlists,
+                    [queries[int(q)] for q in members[a:b]],
+                    rows,
+                    np.repeat(np.arange(b - a, dtype=np.int64), sizes),
+                    index.row_length[rows],
+                    score,
+                    columns,
+                )
 
     def _score_overflow(
         self,

@@ -72,21 +72,11 @@ from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.errors import IndexStoreError
 from repro.index.layout import PARTITION_SCHEMA, ArraySpec, IndexLayout
-from repro.spectra.binning import group_by_key, row_segment_sums
+from repro.spectra.binning import _ragged_arange, group_by_key, row_segment_sums
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
 #: series codes stored in the b/y posting list
 _SERIES_CODE = {"b": 0, "y": 1}
-
-
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + l)`` for each (start, length) pair."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    prev = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(prev, lengths)
-    return np.repeat(starts, lengths) + ramp
 
 
 def _bisect_segments(
@@ -843,16 +833,25 @@ class FragmentIndex:
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         if sizes.sum() == 0 or batch.num_peaks == 0 or len(postings.key) == 0:
             return empty
-        r0 = int(min(int(r.min()) for r in row_sets if len(r)))
-        r1 = int(max(int(r.max()) for r in row_sets if len(r))) + 1
-        sel = np.full((len(row_sets), r1 - r0), -1, dtype=np.int64)
+        # One selection table per member over its own row range, laid end
+        # to end: a block packs members whose windows need not overlap, so
+        # a dense (member x union range) table would grow with the gaps
+        # between them.
         member_lo = np.zeros(len(row_sets), dtype=np.int64)
         member_hi = np.zeros(len(row_sets), dtype=np.int64)
         for k, rows in enumerate(row_sets):
             if len(rows):
-                sel[k, rows - r0] = np.arange(len(rows), dtype=np.int64)
                 member_lo[k] = int(rows.min())
                 member_hi[k] = int(rows.max()) + 1
+        sel_base = np.concatenate(([0], np.cumsum(member_hi - member_lo)))
+        sel = np.full(int(sel_base[-1]), -1, dtype=np.int64)
+        for k, rows in enumerate(row_sets):
+            if len(rows):
+                sel[sel_base[k] + (rows - member_lo[k])] = np.arange(
+                    len(rows), dtype=np.int64
+                )
+        r0 = int(member_lo[sizes > 0].min())
+        r1 = int(member_hi.max())
 
         # each peak probes only its own member's row range: the cohort
         # union would multiply raw matches by the cohort size, all of
@@ -870,7 +869,8 @@ class FragmentIndex:
         if len(row_g) == 0:
             return empty
         member = np.searchsorted(batch.offsets, peak_flat, side="right") - 1
-        out_pos = sel[member, row_g - r0]
+        # the probe kept each peak inside its member's row range
+        out_pos = sel[sel_base[member] + (row_g - member_lo[member])]
         hit = out_pos >= 0
         return (
             member[hit],

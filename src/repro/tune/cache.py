@@ -24,7 +24,9 @@ import os
 import platform
 from typing import Any, Dict, Optional
 
-CACHE_SCHEMA = "repro.tune_calibration/1"
+#: /2: ``sweep_probe_per_cohort`` is fitted per packed scoring block; a /1
+#: cache fitted it per overlap cohort, several times as many for one pass
+CACHE_SCHEMA = "repro.tune_calibration/2"
 
 #: default cache location; overridable per call and via ``repro tune --cache``
 DEFAULT_CACHE_PATH = os.path.join("~", ".cache", "repro", "calibration.json")

@@ -232,20 +232,17 @@ def _fit_index_terms(
 def _fit_sweep_terms(
     db, queries, spec: CalibrationSpec, terms: Dict[str, float], details: Dict
 ) -> Dict[str, float]:
-    """Sweep terms: t = cand*(rho*rc*d + tau) + setup*m + probe*cohorts.
+    """Sweep terms: t = cand*(rho*rc*d + tau) + setup*m + probe*blocks.
 
     Candidate counts scale linearly with the query count, so varying m
     cannot separate per-candidate from per-query cost (the columns are
-    collinear).  Varying the cohort *cap* barely moves the cohort count
-    either: cohorts come from coalescing overlapping mass windows, and
-    at realistic densities the merged-group count is set by the window
-    layout, not the cap (measured: cap 4 vs 128 shifts cohorts by <10%,
-    so a cap-contrast fit collapses ``probe`` into noise).  The mass
-    window ``delta`` is the knob that conditions the system: widening it
-    multiplies candidates-per-query severalfold while *merging* windows
-    into fewer cohorts — the two columns move in opposite directions, so
-    a joint least squares over a delta ladder (plus one narrow-cap run
-    for extra cohort spread) separates all three terms.
+    collinear).  The mass window ``delta`` conditions the per-candidate
+    term: widening it multiplies candidates-per-query severalfold at a
+    fixed query and block count.  The per-block term (``stats.
+    sweep_cohorts`` counts packed scoring blocks, about ``m / cap`` of
+    them whatever the window layout) is identified by the cap alone, so
+    the delta ladder at the widest cap is joined by one run per narrower
+    cap, and a joint least squares separates all three terms.
     """
     rc = _relative_cost(SearchConfig(scorer="likelihood"))
     m = spec.num_queries
@@ -271,7 +268,7 @@ def _fit_sweep_terms(
 
     wide_cap = spec.sweep_cohorts[-1]
     rows = [run(wide_cap, delta) for delta in (1.0, 1.5, 3.0, 6.0)]
-    rows.append(run(spec.sweep_cohorts[0], 3.0))
+    rows += [run(cap, 3.0) for cap in spec.sweep_cohorts[:-1]]
     per_cand, probe, setup = _nonneg_lstsq(
         [[r["candidates"], r["cohorts"], r["queries"]] for r in rows],
         [r["seconds"] for r in rows],

@@ -3,8 +3,8 @@
 A :class:`CandidatePlan` is one point of the feasible grid — engine x
 index x sweep x cohort x blocks x start method x stream.  The planner
 profiles the workload once (exact candidate counts via the vectorized
-counting kernels, cohort counts via the real coalescer, index shape via
-a small sample build), prunes infeasible plans with the advisor's
+counting kernels, scoring-block counts via the sweep's own planner, index
+shape via a small sample build), prunes infeasible plans with the advisor's
 memory-fit logic, and scores the survivors with a wall-clock makespan
 predictor built from calibrated CostModel terms — the same per-phase
 decomposition the engines themselves charge, in measured seconds.
@@ -23,8 +23,7 @@ from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
 from repro.core.partition import effective_query_blocks
 from repro.core.search import ShardSearcher
-from repro.candidates.generator import mass_window
-from repro.candidates.mass_index import coalesce_windows
+from repro.candidates.mass_index import plan_sweep
 
 #: fallback decoded-index bytes per fragment when no partitioned store
 #: is at hand to read the real number from (BENCH_scale.json n=500:
@@ -104,7 +103,7 @@ class WorkloadProfile:
         return self.db_nbytes + self.query_bytes
 
     def cohorts_for(self, cap: int) -> int:
-        """Cohort count at ``cap``, interpolating uncomputed caps."""
+        """Scoring blocks a serial sweep forms at ``cap`` (nearest computed cap)."""
         if cap in self.cohorts:
             return self.cohorts[cap]
         if not self.cohorts:
@@ -142,8 +141,8 @@ def profile_workload(
     """Measure the workload quantities the predictor consumes.
 
     Exact where exact is cheap (candidate totals via the vectorized
-    counting kernels, cohort counts via the real coalescer on the real
-    query masses); sampled where exact would cost a full run (the
+    counting kernels, scoring-block counts via the sweep's planner on the
+    real query masses); sampled where exact would cost a full run (the
     index-served row fraction and index shape come from a small
     prefix-database build, scaled analytically to full size).
     """
@@ -152,12 +151,12 @@ def profile_workload(
     query_counts = counter.count_each(list(queries))
     total_candidates = int(query_counts.sum())
 
-    lows = np.array([mass_window(q, config.delta)[0] for q in queries])
-    highs = lows + 2.0 * config.delta
-    order = np.argsort(lows, kind="stable")
-    lows, highs = lows[order], highs[order]
+    # the engine's own planner on the engine's own windows, so the count
+    # is the ``ShardStats.sweep_cohorts`` a serial sweep reports
+    masses = np.sort(np.array([q.parent_mass for q in queries], dtype=np.float64))
+    lows, highs = masses - config.delta, masses + config.delta
     cohorts = {
-        cap: len(coalesce_windows(lows, highs, cap))
+        cap: plan_sweep(lows, highs, cap).num_blocks
         for cap in (4, 16, 64, 256, 1024)
     }
 

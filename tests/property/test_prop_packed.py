@@ -1,0 +1,252 @@
+"""Property tests: packed scoring blocks equal per-query search bitwise.
+
+The sweep packs runs of overlapping windows into scoring blocks of up to
+``sweep_cohort`` members whose windows need not overlap.  Packing decides
+only how many rows one kernel call sees, so every observable must stay
+that of :meth:`ShardSearcher.search` on the direct path — whatever the
+window layout (all disjoint, all overlapping, mixed, a run longer than
+the cap, a member whose window is empty in the middle of a block), the
+cap, the modification tiers and filters, the number of shards feeding a
+hit list, and the path the block is scored on (direct kernels, a resident
+``FragmentIndex``, a streamed partitioned store).
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.candidates.mass_index import MassIndex, coalesce_windows
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS
+from repro.chem.protein import ProteinDatabase
+from repro.constants import AMINO_ACIDS, PROTON_MASS
+from repro.core.config import SearchConfig
+from repro.core.search import ShardSearcher
+from repro.core.streaming import StreamingSearcher, split_partition_ranges
+from repro.spectra.spectrum import Spectrum
+from repro.store import save_partitioned_index
+
+sequences = st.text(alphabet=AMINO_ACIDS, min_size=2, max_size=30)
+databases = st.lists(sequences, min_size=2, max_size=8).map(
+    ProteinDatabase.from_sequences
+)
+
+_MODS = (
+    STANDARD_MODIFICATIONS["oxidation"],
+    STANDARD_MODIFICATIONS["phosphorylation_s"],
+)
+_SCORERS = ["shared_peaks", "hyperscore", "xcorr", "likelihood"]
+_CAPS = [1, 2, 64]
+
+#: sites are >= 1 Da apart and clusters stay within 0.05 Da of theirs, so
+#: at this delta windows overlap inside a cluster and nowhere else
+_NARROW = 0.1
+#: wide enough that every window around one site overlaps every other
+_WIDE = 3.0
+
+
+def _query(mass: float, seed: int, query_id: int) -> Spectrum:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 25))
+    return Spectrum.from_peaks(
+        np.sort(rng.uniform(60.0, 2500.0, n)),
+        rng.uniform(0.0, 1.0, n),
+        precursor_mz=mass + PROTON_MASS,
+        charge=1,
+        query_id=query_id,
+    )
+
+
+def _sites(db: ProteinDatabase):
+    """Candidate masses >= 1 Da apart, and midpoints of >= 1 Da mass gaps."""
+    index = MassIndex.for_shard(db)
+    masses = np.unique(
+        np.concatenate((index._prefix_sorted, index._suffix_dedup_sorted))
+    )
+    occupied = [float(masses[0])]
+    for m in masses[1:].tolist():
+        if m - occupied[-1] >= 1.0:
+            occupied.append(m)
+    gaps = np.nonzero(np.diff(masses) >= 1.0)[0]
+    vacant = ((masses[gaps] + masses[gaps + 1]) / 2.0).tolist()
+    return occupied, vacant
+
+
+@st.composite
+def layouts(draw):
+    """``(db, queries, delta, kind)`` with a known window layout.
+
+    ``disjoint``: one query per site, vacant sites included, so no two
+    windows overlap and some are empty with neighbours on both sides.
+    ``overlapping``: every query within 1 Da of one site at the wide
+    delta, so all windows form one run, longer than a small cap.
+    ``mixed``: clusters of 1-4 overlapping queries at the narrow delta,
+    clusters disjoint from each other, vacant sites in between.
+    """
+    db = draw(databases)
+    kind = draw(st.sampled_from(["disjoint", "overlapping", "mixed"]))
+    occupied, vacant = _sites(db)
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "overlapping":
+        site = occupied[int(rng.integers(len(occupied)))]
+        masses = site + rng.uniform(-1.0, 1.0, draw(st.integers(2, 7)))
+        delta = _WIDE
+    else:
+        sites = np.array(sorted(occupied + vacant))
+        first = int(rng.integers(len(sites)))
+        sites = sites[first : first + draw(st.integers(1, 8))]
+        if kind == "disjoint":
+            masses = sites
+        else:
+            masses = np.concatenate(
+                [s + rng.uniform(-0.05, 0.05, int(rng.integers(1, 5))) for s in sites]
+            )
+        delta = _NARROW
+    masses = rng.permutation(masses)  # the sweep sorts; callers need not
+    queries = [_query(float(m), seed + i, i) for i, m in enumerate(masses)]
+    return db, queries, delta, kind
+
+
+def _check_layout(queries, delta, kind):
+    """The layout is the one its name promises (coverage, not luck)."""
+    masses = np.sort([q.parent_mass for q in queries])
+    runs = coalesce_windows(masses - delta, masses + delta, len(queries) + 1)
+    if kind == "disjoint":
+        assert len(runs) == len(queries)
+    elif kind == "overlapping":
+        assert len(runs) == 1
+
+
+def _reference(shards, queries, cfg):
+    """Per-query direct search over every shard into one set of hit lists."""
+    direct = SearchConfig(
+        delta=cfg.delta,
+        tau=cfg.tau,
+        scorer=cfg.scorer,
+        modifications=cfg.modifications,
+        score_cutoff=cfg.score_cutoff,
+        min_candidate_length=cfg.min_candidate_length,
+        use_index=False,
+    )
+    hitlists, candidates = {}, 0
+    for shard in shards:
+        candidates += ShardSearcher(shard, direct).search(queries, hitlists).candidates_evaluated
+    return hitlists, candidates
+
+
+def _assert_same(reference, hitlists):
+    assert set(reference) == set(hitlists)
+    for qid in reference:
+        assert reference[qid].sorted_hits() == hitlists[qid].sorted_hits()
+        assert reference[qid].evaluated == hitlists[qid].evaluated
+
+
+@given(
+    layouts(),
+    st.sampled_from(_CAPS),
+    st.sampled_from(_SCORERS),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([(), _MODS[:1], _MODS]),
+    st.one_of(st.none(), st.floats(min_value=-5.0, max_value=5.0)),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=120, deadline=None)
+def test_packed_sweep_equals_per_query_search(
+    layout, cap, scorer, use_index, two_shards, mods, cutoff, min_len
+):
+    db, queries, delta, kind = layout
+    _check_layout(queries, delta, kind)
+    cfg = SearchConfig(
+        delta=delta,
+        tau=5,
+        scorer=scorer,
+        modifications=tuple(mods),
+        score_cutoff=cutoff,
+        min_candidate_length=min_len,
+        use_index=use_index,
+        use_sweep=True,
+        sweep_cohort=cap,
+    )
+    half = len(db) // 2
+    shards = (
+        [db.slice_range(0, half), db.slice_range(half, len(db))] if two_shards else [db]
+    )
+    reference, ref_candidates = _reference(shards, queries, cfg)
+    hitlists, candidates = {}, 0
+    for shard in shards:
+        searcher = ShardSearcher(shard, cfg)
+        assert (searcher.index is not None) == use_index
+        stats = searcher.search_sweep(queries, hitlists)
+        candidates += stats.candidates_evaluated
+        assert stats.sweep_queries == len(queries)
+        assert -(-len(queries) // cap) <= stats.sweep_cohorts <= len(queries)
+        if kind == "disjoint":  # nothing overlaps, yet blocks fill to the cap
+            assert stats.sweep_cohorts == -(-len(queries) // cap)
+    _assert_same(reference, hitlists)
+    assert candidates == ref_candidates
+
+
+@given(
+    layouts(),
+    st.sampled_from(_CAPS),
+    st.sampled_from(_SCORERS),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(min_value=-5.0, max_value=5.0)),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=30, deadline=None)
+def test_packed_streamed_sweep_equals_per_query_search(
+    layout, cap, scorer, two_ranges, cutoff, min_len
+):
+    """Blocks of a partition's members, one or two partition ranges
+    feeding the same hit lists."""
+    db, queries, delta, kind = layout
+    _check_layout(queries, delta, kind)
+    cfg = SearchConfig(
+        delta=delta,
+        tau=5,
+        scorer=scorer,
+        score_cutoff=cutoff,
+        min_candidate_length=min_len,
+        use_sweep=True,
+        sweep_cohort=cap,
+    )
+    reference, ref_candidates = _reference([db], queries, cfg)
+    hitlists, candidates = {}, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        # ~64 KiB partitions: a query's window crosses partition edges
+        store = save_partitioned_index(db, Path(tmp) / "pidx", partition_mb=1.0 / 16.0)
+        for bounds in split_partition_ranges(store.num_partitions, 2 if two_ranges else 1):
+            searcher = StreamingSearcher(store, cfg, database=db, partition_range=bounds)
+            candidates += searcher.run(queries, hitlists).candidates_evaluated
+    _assert_same(reference, hitlists)
+    assert candidates == ref_candidates
+
+
+def test_empty_window_in_the_middle_of_a_block():
+    """Three disjoint windows in one block; the middle one selects nothing."""
+    db = ProteinDatabase.from_sequences(["GGA", "WWWWF", "PEPTIDEK"])
+    occupied, vacant = _sites(db)
+    middle = next(v for v in vacant if occupied[0] < v < occupied[-1])
+    queries = [
+        _query(m, seed, qid)
+        for qid, (m, seed) in enumerate([(occupied[-1], 1), (middle, 2), (occupied[0], 3)])
+    ]
+    for use_index in (False, True):
+        cfg = SearchConfig(
+            delta=_NARROW, tau=5, scorer="hyperscore", use_index=use_index,
+            use_sweep=True, sweep_cohort=64,
+        )
+        searcher = ShardSearcher(db, cfg)
+        assert searcher.count_each(queries).tolist()[1] == 0
+        assert min(searcher.count_each(queries).tolist()[::2]) > 0
+        hitlists = {}
+        stats = searcher.search_sweep(queries, hitlists)
+        assert stats.sweep_cohorts == 1
+        reference, _ = _reference([db], queries, cfg)
+        _assert_same(reference, hitlists)
+        assert hitlists[1].evaluated == 0 and hitlists[1].sorted_hits() == []

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.candidates.mass_index import CandidateSpans, MassIndex, coalesce_windows
+from repro.candidates.mass_index import (
+    CandidateSpans,
+    MassIndex,
+    SweepPlan,
+    coalesce_windows,
+    plan_sweep,
+)
 from repro.chem.peptide import peptide_mass
 from repro.chem.protein import ProteinDatabase
 
@@ -154,6 +160,75 @@ class TestCoalesceWindows:
         for (a, b), (c, _d) in zip(cohorts, cohorts[1:]):
             assert a < b == c
         assert all(b - a <= 8 for a, b in cohorts)
+
+
+class TestSweepPlan:
+    @pytest.mark.parametrize("cap", [1, 2, 5, 64])
+    def test_blocks_partition_members_in_order_under_the_cap(self, cap):
+        rng = np.random.default_rng(11)
+        lows = np.sort(rng.uniform(0.0, 400.0, 120))
+        highs = lows + rng.uniform(0.0, 6.0, 120)
+        plan = plan_sweep(lows, highs, cap)
+        blocks = list(plan.blocks())
+        assert plan.num_blocks == len(blocks)
+        assert blocks[0][0] == 0 and blocks[-1][1] == 120
+        assert blocks[0][2] == 0 and blocks[-1][3] == len(plan.run_bounds) - 1
+        for (a, b, r0, r1), (c, _d, r2, _r3) in zip(blocks, blocks[1:]):
+            assert a < b == c and r0 < r1 == r2
+        assert all(b - a <= cap for a, b, _r0, _r1 in blocks)
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 64])
+    def test_no_block_splits_a_run(self, cap):
+        rng = np.random.default_rng(12)
+        lows = np.sort(rng.uniform(0.0, 300.0, 90))
+        highs = lows + rng.uniform(0.0, 5.0, 90)
+        runs = coalesce_windows(lows, highs, cap)
+        plan = plan_sweep(lows, highs, cap)
+        assert plan.run_bounds.tolist() == [0] + [b for _a, b in runs]
+        edges = {a for a, _b, _r0, _r1 in plan.blocks()} | {90}
+        for a, b in runs:  # a block edge never falls strictly inside a run
+            assert not any(a < e < b for e in edges)
+
+    def test_disjoint_windows_pack_up_to_the_cap(self):
+        lows = np.arange(5) * 10.0
+        plan = plan_sweep(lows, lows + 1.0, 2)
+        assert [(a, b) for a, b, _r0, _r1 in plan.blocks()] == [(0, 2), (2, 4), (4, 5)]
+        assert plan_sweep(lows, lows + 1.0, 64).num_blocks == 1
+
+    def test_run_cut_at_the_cap_fills_blocks_alone(self):
+        # five stacked windows at cap 2 are runs (0,2) (2,4) (4,5); the
+        # remainder then shares a block with the disjoint run after it
+        lows = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 50.0])
+        plan = plan_sweep(lows, lows + 1.0, 2)
+        assert list(plan.blocks()) == [(0, 2, 0, 1), (2, 4, 1, 2), (4, 6, 2, 4)]
+
+    def test_whole_runs_stay_together_below_the_cap(self):
+        # runs of 2, 1, 2 at cap 4: the third run does not fit the first block
+        lows = np.array([0.0, 0.5, 10.0, 20.0, 20.5])
+        plan = plan_sweep(lows, lows + 1.0, 4)
+        assert list(plan.blocks()) == [(0, 3, 0, 2), (3, 5, 2, 3)]
+
+    def test_pack_without_overlap_is_fixed_size_chunks(self):
+        plan = SweepPlan.pack(np.arange(11), 4)
+        assert [(a, b) for a, b, _r0, _r1 in plan.blocks()] == [(0, 4), (4, 8), (8, 10)]
+
+    def test_empty_input(self):
+        plan = plan_sweep(np.array([]), np.array([]), 32)
+        assert plan.num_blocks == 0 and list(plan.blocks()) == []
+
+    def test_sweep_spans_over_run_arrays_skips_the_gaps(self, index):
+        lows = np.array([250.0, 500.0, 900.0])
+        p0, p1, s0, s1 = index.windows_many(lows, lows + 40.0)
+        block, num_prefixes = index.sweep_spans(p0, p1, s0, s1)
+        runs = [index.sweep_spans(*bounds) for bounds in zip(p0, p1, s0, s1)]
+        assert len(block) == sum(len(spans) for spans, _n in runs) > 0
+        assert num_prefixes == sum(n for _spans, n in runs)
+        expected = CandidateSpans.concat(
+            [spans.take(np.arange(n)) for spans, n in runs]
+            + [spans.take(np.arange(n, len(spans))) for spans, n in runs]
+        )
+        for field in ("seq_index", "start", "stop", "mass", "mod_delta"):
+            assert np.array_equal(getattr(block, field), getattr(expected, field))
 
 
 class TestCandidateSpans:

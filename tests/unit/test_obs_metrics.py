@@ -124,6 +124,36 @@ class TestDisabledMode:
         assert registry.counter_value("search.candidates") > 0
 
 
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_traced_sweep_emits_plan_and_block_spans(self, streamed, tmp_path):
+        """One ``sweep.plan`` a pass, one ``sweep.block`` per scoring
+        block with its size attrs, and the same hits traced or not."""
+        from repro.store import save_partitioned_index
+
+        db = generate_database(60, seed=3)
+        queries = generate_queries(40, seed=5)
+        config = SearchConfig(tau=10, use_sweep=True, sweep_cohort=16, use_index=streamed)
+        store = save_partitioned_index(db, tmp_path / "pidx", partition_mb=0.25) if streamed else None
+        baseline = search_serial(db, queries, config, index_store=store)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            traced = search_serial(db, queries, config, index_store=store)
+        assert reports_equal(baseline, traced, score_rtol=0.0)
+        spans = registry.spans
+        plans = [s for s in spans if s["name"] == "sweep.plan"]
+        blocks = [s for s in spans if s["name"] == "sweep.block"]
+        assert len(plans) == 1 and plans[0]["args"]["queries"] == len(queries)
+        assert len(blocks) == traced.extras["sweep_cohorts"] > 1
+        assert len(blocks) == registry.counter_value("sweep.cohorts")
+        assert sum(b["args"]["rows"] for b in blocks) == traced.candidates_evaluated
+        assert all(1 <= b["args"]["runs"] <= b["args"]["members"] <= 16 for b in blocks)
+        members = sum(b["args"]["members"] for b in blocks)
+        assert members >= len(queries) if streamed else members == len(queries)
+        outer = next(s for s in spans if s["name"] in ("search.shard", "search.stream"))
+        for s in plans + blocks:  # nested inside the pass span
+            assert outer["ts"] <= s["ts"] and s["dur"] <= outer["dur"]
+
+
 class TestMergeSnapshot:
     def test_counters_add_gauges_overwrite_spans_concat(self):
         a = MetricsRegistry()

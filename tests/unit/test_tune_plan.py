@@ -68,6 +68,18 @@ class TestProfileWorkload:
         counts = [profile.cohorts[c] for c in caps]
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("cap", [4, 16, 64])
+    def test_profile_predicts_the_blocks_a_serial_sweep_forms(self, cap):
+        from repro.core.search import search_serial
+
+        db = generate_database(60, seed=5)
+        queries = generate_queries(90, seed=6)
+        config = SearchConfig(use_index=False, use_sweep=True, sweep_cohort=cap)
+        profile = profile_workload(db, queries, config)
+        report = search_serial(db, queries, config)
+        assert profile.cohorts_for(cap) == report.extras["sweep_cohorts"]
+        assert -(-len(queries) // cap) <= profile.cohorts_for(cap) < len(queries)
+
     def test_cohorts_for_interpolates(self):
         profile = make_profile()
         assert profile.cohorts_for(64) == 40
