@@ -1,7 +1,7 @@
 """Autotuner benchmark: does the predicted-best config actually win?
 
 Calibrates the cost model on this host, lets the tuner rank a bounded
-configuration grid (serial/multiproc x index/sweep/stream knobs), then
+configuration grid (serial/multiproc x index/cohort/stream knobs), then
 *measures* every feasible plan and reports the tuner's regret — the
 chosen plan's measured makespan over the measured best.  The acceptance
 target is regret <= 1.15: the autotuned configuration lands within 15%

@@ -101,7 +101,7 @@ def measure_service(
 
     database = generate_database(num_proteins, seed=202)
     pool = generate_queries(num_queries, seed=17, source=database)
-    config = SearchConfig(tau=10, use_sweep=True)
+    config = SearchConfig(tau=10)
     serial = search_serial(database, pool, config)
     reference = {qid: [h.sort_key() for h in hs] for qid, hs in serial.hits.items()}
 

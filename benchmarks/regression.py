@@ -21,7 +21,7 @@ Which direction is "bad" is inferred from the metric's name:
 Usage::
 
     python benchmarks/regression.py BASELINE.json CANDIDATE.json
-    python benchmarks/regression.py BENCH_sweep.json BENCH_sweep.json  # == exit 0
+    python benchmarks/regression.py BENCH_persist.json BENCH_persist.json  # == exit 0
     python benchmarks/regression.py --threshold 0.05 old.json new.json
 
 See docs/observability.md for where these files come from.

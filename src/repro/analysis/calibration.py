@@ -48,7 +48,7 @@ def calibrate_rho(
     searcher = ShardSearcher(database, config)
     hitlists = {}
     start = time.perf_counter()
-    stats = searcher.search(queries, hitlists)
+    stats = searcher.run(queries, hitlists)
     elapsed = time.perf_counter() - start
     candidates = max(stats.candidates_evaluated, 1)
     if stats.candidates_evaluated < min_candidates:
@@ -62,7 +62,7 @@ def calibrate_rho(
         searcher = ShardSearcher(database, wide)
         hitlists = {}
         start = time.perf_counter()
-        stats = searcher.search(queries, hitlists)
+        stats = searcher.run(queries, hitlists)
         elapsed = time.perf_counter() - start
         candidates = max(stats.candidates_evaluated, 1)
     rho = elapsed / candidates

@@ -107,23 +107,10 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
         help="disable the fragment-ion index (direct batch scoring only)",
     )
     p.add_argument(
-        "--use-sweep",
-        dest="use_sweep",
-        action="store_true",
-        default=False,
-        help="run the candidate-major sweep kernel (bitwise-identical hits)",
-    )
-    p.add_argument(
-        "--no-sweep",
-        dest="use_sweep",
-        action="store_false",
-        help="per-query candidate enumeration (default)",
-    )
-    p.add_argument(
         "--sweep-cohort",
         type=_positive_int,
         default=64,
-        help="max queries coalesced into one sweep cohort",
+        help="max queries packed into one scoring block",
     )
 
 
@@ -170,7 +157,6 @@ def _apply_autotune(args: argparse.Namespace, db, queries):
         ("ranks", {"--ranks", "-p"},
          plan.num_workers if plan.engine == "multiproc" else 1),
         ("use_index", {"--use-index", "--no-index"}, plan.use_index),
-        ("use_sweep", {"--use-sweep", "--no-sweep"}, plan.use_sweep),
         ("sweep_cohort", {"--sweep-cohort"}, plan.sweep_cohort),
         ("query_blocks", {"--query-blocks"}, plan.query_blocks),
         ("start_method", {"--start-method"}, plan.start_method),
@@ -202,7 +188,6 @@ def _make_config(args: argparse.Namespace, execution: ExecutionMode = ExecutionM
         scorer=args.scorer,
         execution=execution,
         use_index=getattr(args, "use_index", True),
-        use_sweep=getattr(args, "use_sweep", False),
         sweep_cohort=getattr(args, "sweep_cohort", 64),
     )
 
@@ -1460,7 +1445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the long-lived search service under a request storm",
     )
     _add_search_args(p_serve)
-    p_serve.set_defaults(use_sweep=True)  # cross-request coalescing wants the sweep
     p_serve.add_argument(
         "--database", type=_existing_file, default=None,
         help="serve a FASTA file instead of a synthetic database",

@@ -15,10 +15,9 @@ spelled out.  The integration tests check the advice against actual
 simulated runs: the recommended configuration must fit in memory and be
 within a tolerance of the best feasible one.
 
-Since PR 8 the knob set outgrew the paper's three-way ladder: the sweep
-kernel (PR 4) changes the per-query overhead calculus, and the
-partitioned out-of-core store (PR 8) caps peak index residency at two
-partitions regardless of N.  :func:`advise` folds both in — a workload
+Since PR 8 the knob set outgrew the paper's three-way ladder: the
+partitioned out-of-core store caps peak index residency at two
+partitions regardless of N.  :func:`advise` folds that in — a workload
 that fits nowhere resident can still run streamed — and doubles as the
 feasibility pruner for the ``repro.tune`` configuration search.
 """
@@ -30,12 +29,6 @@ from typing import List, Optional
 
 from repro.core.costmodel import CostModel
 
-#: Query count at which the candidate-major sweep overtakes the
-#: per-query path on the measured host (BENCH_sweep.json: speedup < 1 at
-#: 100 queries, 1.7-2.1x at 500, 2.1-3.1x at 1000 — windows only start
-#: coalescing once enough queries land in them).
-SWEEP_CROSSOVER_QUERIES = 500
-
 
 @dataclass(frozen=True)
 class Advice:
@@ -44,7 +37,6 @@ class Advice:
     algorithm: str  #: engine name from repro.core.driver.ALGORITHMS
     num_groups: int  #: sub-group count (1 unless algorithm == subgroups)
     reasons: List[str]
-    use_sweep: bool = False  #: recommend the candidate-major sweep kernel
     stream: bool = False  #: recommend the out-of-core streamed store
 
     @property
@@ -52,9 +44,7 @@ class Advice:
         base = f"{self.algorithm}" + (
             f" (g={self.num_groups})" if self.algorithm == "subgroups" else ""
         )
-        extras = [s for s in ("sweep" if self.use_sweep else "",
-                              "streamed" if self.stream else "") if s]
-        return base + (f" [{', '.join(extras)}]" if extras else "")
+        return base + (" [streamed]" if self.stream else "")
 
 
 def fits_in_budget(resident_bytes: int, budget_bytes: Optional[int]) -> bool:
@@ -81,7 +71,6 @@ def advise(
     ram_per_rank: int = 1 << 30,
     cost: CostModel = CostModel(),
     query_bytes: int = 0,
-    num_queries: int = 0,
     streaming_available: bool = False,
     max_partition_bytes: int = 0,
 ) -> Advice:
@@ -102,24 +91,11 @@ def advise(
        store is available: stream it; peak residency is two partitions
        regardless of N, so the fit test no longer involves the database
        size at all.
-
-    Independently of the ladder, ``num_queries`` drives the sweep-kernel
-    recommendation: past the measured crossover the candidate-major
-    sweep amortizes window probes across cohorts.
     """
     if num_ranks < 1:
         raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")
     footprint = cost.database_bytes(num_sequences, total_residues)
     reasons: List[str] = []
-
-    use_sweep = num_queries >= SWEEP_CROSSOVER_QUERIES
-    if use_sweep:
-        reasons.append(
-            f"{num_queries} queries is past the measured sweep crossover "
-            f"(~{SWEEP_CROSSOVER_QUERIES}, BENCH_sweep.json): mass-sorted "
-            "cohorts share candidate blocks, so the sweep kernel amortizes "
-            "window probes that the per-query path repeats"
-        )
 
     replicated_need = footprint + query_bytes
     if replicated_need <= ram_per_rank:
@@ -129,7 +105,7 @@ def advise(
             "overhead (paper Section III.A: 'the older version of "
             "MSPolygraph is more appropriate')"
         )
-        return Advice("master_worker", 1, reasons, use_sweep=use_sweep)
+        return Advice("master_worker", 1, reasons)
 
     # feasible sub-group counts: within a group of size p/g each rank
     # triple-buffers shards of footprint/(p/g)
@@ -149,14 +125,14 @@ def advise(
             "fewer rotation iterations than full distribution "
             "(paper Section III.A's medium-input extension)"
         )
-        return Advice("subgroups", best_g, reasons, use_sweep=use_sweep)
+        return Advice("subgroups", best_g, reasons)
     if best_g == 1:
         reasons.append(
             "only the fully distributed O(N/p) layout fits per-rank RAM: "
             "Algorithm A (the paper's main contribution exists for exactly "
             "this regime)"
         )
-        return Advice("algorithm_a", 1, reasons, use_sweep=use_sweep)
+        return Advice("algorithm_a", 1, reasons)
     if streaming_available:
         streamed_need = streamed_residency_bytes(max_partition_bytes, query_bytes)
         if streamed_need <= ram_per_rank:
@@ -167,9 +143,7 @@ def advise(
                 f"({streamed_need} B peak): out-of-core residency is "
                 "independent of database size"
             )
-            return Advice(
-                "algorithm_a", 1, reasons, use_sweep=use_sweep, stream=True
-            )
+            return Advice("algorithm_a", 1, reasons, stream=True)
     raise ValueError(
         f"database footprint {footprint} B cannot fit even fully distributed "
         f"across {num_ranks} ranks of {ram_per_rank} B (need "

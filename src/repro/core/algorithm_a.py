@@ -222,7 +222,6 @@ def run_algorithm_a(
     extras = simmpi_extras(
         summary,
         totals=totals,
-        config=config,
         fault_tolerant=cluster_config.fault_plan is not None,
     )
     return SearchReport(

@@ -272,7 +272,6 @@ def run_algorithm_b(
     extras = simmpi_extras(
         summary,
         totals=totals,
-        config=config,
         fault_tolerant=cluster_config.fault_plan is not None,
         sorting_time=sorting_time,
     )

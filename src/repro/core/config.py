@@ -57,18 +57,15 @@ class SearchConfig:
         index_max_length: longest candidate the fragment index holds;
             longer spans (and all PTM tiers) flow through the direct
             batch path.
-        use_sweep: run the candidate-major sweep kernel
-            (:meth:`~repro.core.search.ShardSearcher.search_sweep`):
-            queries sorted by precursor mass, overlapping windows
-            coalesced into cohorts scored against shared candidate
-            blocks.  Hits are bitwise identical to the per-query path;
-            like ``use_index`` this is purely a throughput switch.
-        sweep_cohort: maximum queries coalesced into one sweep cohort
-            (bounds peak memory of the shared candidate block).  The
-            default of 64 is the measured sweet spot on the benchmark
-            workloads (``BENCH_sweep.json`` carries the cap curve):
-            larger cohorts amortize per-cohort probe/setup cost, while
-            past ~64 the shared block outgrows cache and gains flatten.
+        sweep_cohort: maximum queries packed into one scoring block of
+            the shard pass (queries sorted by precursor mass, overlapping
+            windows coalesced, members scored against shared candidate
+            blocks); bounds peak memory of the shared block.  Hits do
+            not depend on it — a cohort of one is the per-query search.
+            The default of 64 is the measured sweet spot on the
+            benchmark workloads: larger cohorts amortize per-block
+            probe/setup cost, while past ~64 the shared block outgrows
+            cache and gains flatten.
     """
 
     delta: float = 3.0
@@ -82,7 +79,6 @@ class SearchConfig:
     score_cutoff: Optional[float] = None
     use_index: bool = True
     index_max_length: int = 48
-    use_sweep: bool = False
     sweep_cohort: int = 64
 
     def __post_init__(self) -> None:

@@ -46,7 +46,9 @@ class CostModel:
             paper's cluster).
         query_load_cost: per-query parsing/preprocessing cost at load.
         query_overhead: per-query bookkeeping per shard iteration
-            (window binary searches, buffers).
+            (window binary searches, buffers) on the paper's machine:
+            what MODELED runs charge.  Not calibrated — a REAL pass is
+            charged the two sweep terms below instead.
         report_per_hit: per-reported-hit output cost (the m/p * tau
             reporting term).
         sort_per_key: per-key local work in the counting sort (building
@@ -86,26 +88,18 @@ class CostModel:
         index_open_overhead: per-shard constant of an index load (header
             parse, fingerprint check, file opens) charged once per
             opened shard regardless of size.
-        sweep_setup_per_query: residual per-query bookkeeping on the
-            candidate-major sweep path (sort slot, vectorized window
-            bounds, selection assembly).  Replaces ``query_overhead``
-            when the sweep kernel runs — the window binary searches and
-            buffer setup that term charges are exactly what the sweep
-            batches away.
-        sweep_probe_per_cohort: cost of one packed scoring block of the
-            sweep path (run enumeration, block materialization, the one
-            batched probe, the block emit), charged per
+        sweep_setup_per_query: residual per-query bookkeeping of a REAL
+            shard pass (sort slot, vectorized window bounds, selection
+            assembly).  Replaces ``query_overhead`` whenever queries are
+            actually scored — the window binary searches and buffer
+            setup that term charges are exactly what the candidate-major
+            pass batches away.
+        sweep_probe_per_cohort: cost of one packed scoring block of a
+            REAL shard pass (run enumeration, block materialization, the
+            one batched probe, the block emit), charged per
             ``ShardStats.sweep_cohorts``.  Amortized over every member of
             the block — up to ``sweep_cohort`` of them whether or not
-            their windows overlap — which is the sweep's whole point.
-        sweep_eval_discount: fraction of ``rho`` a sweep-evaluated
-            candidate costs.  The candidate-major kernel scores shared
-            blocks (BENCH_sweep.json: ~2-3x per-candidate speedup at
-            1000 queries), so a calibrated model discounts sweep
-            evaluations.  The default of 1.0 is deliberately neutral —
-            engine virtual time stays paper-shaped; only the
-            ``repro.tune`` wall-clock predictor consumes the calibrated
-            value.
+            their windows overlap — which is the pass's whole point.
         partition_read_per_byte: seconds per *compressed* byte of
             reading a streamed partition blob from disk
             (``repro.store.partitioned``).  Disk transport obeys the
@@ -155,7 +149,6 @@ class CostModel:
     index_open_overhead: float = 1e-3
     sweep_setup_per_query: float = 4e-5
     sweep_probe_per_cohort: float = 2.5e-4
-    sweep_eval_discount: float = 1.0
     # Audited against measured BENCH files (PR 9): the old default of
     # 1e-8 s/B (100 MB/s, the paper's NFS-era disk) is >10x off any
     # storage this code actually runs on — BENCH_persist.json measures
@@ -292,13 +285,13 @@ class CostModel:
     def query_processing_overhead(self, stats, num_queries: int) -> float:
         """Per-query bookkeeping for one shard iteration.
 
-        The per-query path charges ``query_overhead`` per query (window
-        binary searches, per-query buffers).  When the batch ran through
-        the candidate-major sweep (``stats.sweep_queries > 0``), queries
-        are charged the residual ``sweep_setup_per_query`` and the probe
-        work is charged per scoring *block* — amortized across every
-        member — so the virtual-time model amortizes exactly where the
-        real kernel does.
+        MODELED execution charges the paper machine's ``query_overhead``
+        per query (window binary searches, per-query buffers).  When the
+        batch was actually scored (REAL execution: ``stats.sweep_queries
+        > 0``), queries are charged the residual ``sweep_setup_per_query``
+        and the probe work is charged per scoring *block* — amortized
+        across every member — so the virtual-time model amortizes
+        exactly where the real kernel does.
         """
         if num_queries < 0:
             raise ValueError(f"num_queries must be >= 0, got {num_queries}")
@@ -313,8 +306,8 @@ class CostModel:
         """Modeled scoring throughput: 1 / (rho + tau_cost).
 
         The virtual-time counterpart of the real ``candidates_per_second``
-        reported by engines and ``benchmarks/bench_kernels.py``, so
-        modeled and measured throughput can be compared in one unit.
+        reported by engines and the end-to-end benchmark, so modeled and
+        measured throughput can be compared in one unit.
         """
         return 1.0 / (self.rho(scorer) + self.tau_cost)
 

@@ -24,7 +24,7 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.index import FragmentIndex
 from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.obs.naming import canonicalize_extras
-from repro.scoring.base import Scorer, batch_scores, block_scores
+from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hits import TopHitList
 from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
@@ -39,17 +39,17 @@ class ShardStats:
     ``rows_scored`` counts scorer evaluation rows, which exceeds
     ``candidates_evaluated`` when variable PTMs expand candidates into
     one row per admissible site; ``batches`` counts vectorized scoring
-    calls (one per non-empty query/shard span set, or one per block on
-    the sweep path).  ``index_rows`` counts the subset of rows served
-    from the fragment-ion index, and ``index_build_time`` accumulates
-    real (wall-clock) seconds spent building indexes — engines add it
-    when they construct a searcher.  ``index_load_time`` is its
-    load-many counterpart: wall-clock seconds spent opening persisted
+    calls (one per non-empty block).  ``index_rows`` counts the subset
+    of rows served from the fragment-ion index, and ``index_build_time``
+    accumulates real (wall-clock) seconds spent building indexes —
+    engines add it when they construct a searcher.  ``index_load_time``
+    is its load-many counterpart: wall-clock seconds spent opening persisted
     index shards (``repro.store``); a run pays build *or* load for a
     given shard, never both.  ``sweep_queries``/``sweep_cohorts``
-    count queries routed through the candidate-major sweep and the
-    scoring blocks they were packed into (up to ``sweep_cohort`` members
-    each, overlapping windows or not); both stay 0 on the per-query path.
+    count the queries a REAL pass scored and the scoring blocks they were
+    packed into (up to ``sweep_cohort`` members each, overlapping windows
+    or not); both stay 0 in MODELED execution, which counts candidates
+    without scoring them.
     """
 
     candidates_evaluated: int = 0
@@ -74,6 +74,24 @@ class ShardStats:
         self.sweep_cohorts += other.sweep_cohorts
 
 
+def record_shard_pass(obs, stats: ShardStats) -> None:
+    """Work counters of one finished shard pass, resident or streamed."""
+    obs.count("search.queries", stats.queries_processed)
+    obs.count("search.candidates", stats.candidates_evaluated)
+    obs.count("search.batches", stats.batches)
+    obs.count("search.rows_scored", stats.rows_scored)
+    obs.count("search.index_rows", stats.index_rows)
+    if stats.sweep_queries:
+        obs.count("sweep.queries", stats.sweep_queries)
+        obs.count("sweep.cohorts", stats.sweep_cohorts)
+    if stats.queries_processed:
+        obs.observe(
+            "search.candidates_per_query",
+            stats.candidates_evaluated / stats.queries_processed,
+            buckets=(10.0, 100.0, 1_000.0, 10_000.0, 100_000.0),
+        )
+
+
 def score_and_offer_block(
     cfg: SearchConfig,
     stats: ShardStats,
@@ -94,8 +112,9 @@ def score_and_offer_block(
     kept)`` returns ``(member-major scores, direct_rows, index_rows)`` for
     the per-member lists of candidates that passed the length floor;
     ``columns(sel)`` returns their ``(protein id, start, stop, mass,
-    mod_delta)`` columns.  Filters and ``evaluated`` accounting are the
-    per-query path's, applied to the whole block in one pass.
+    mod_delta)`` columns.  This is the one place the length floor, the
+    ``evaluated`` accounting (a skipped candidate was still offered), the
+    score cutoff and the top-tau emit are written.
     """
     stats.candidates_evaluated += len(sel)
     if len(sel) == 0:
@@ -169,7 +188,7 @@ class ShardSearcher:
     """Searches queries against one database shard.
 
     Construction builds the shard's mass index (the real-execution
-    analogue of the paper's on-the-fly candidate generation); ``search``
+    analogue of the paper's on-the-fly candidate generation); ``run``
     then evaluates candidates for any number of queries.  A searcher is
     immutable with respect to its shard and may be reused across
     iterations and algorithms.
@@ -206,8 +225,7 @@ class ShardSearcher:
         if (
             config.use_index
             and config.execution is ExecutionMode.REAL
-            and getattr(self.scorer, "score_index", None) is not None
-            and getattr(self.scorer, "indexable", True)
+            and FragmentIndex.serves(self.scorer)
         ):
             if index is not None:
                 self.index = index
@@ -234,77 +252,14 @@ class ShardSearcher:
         """
         return self.shard.nbytes + self.generator.nbytes
 
-    def search(
-        self, queries: Iterable[Spectrum], hitlists: Dict[int, TopHitList]
-    ) -> ShardStats:
-        """Score every candidate of every query; fold hits into ``hitlists``.
-
-        Missing hit lists are created with the config's tau.  In MODELED
-        execution, candidates are counted (exactly) but not scored and no
-        hits are recorded.
-
-        Each query's whole candidate set is scored as one
-        :class:`~repro.candidates.batch.CandidateBatch` (vectorized
-        kernels, no per-candidate Python loop); length and score-cutoff
-        filters are applied as array masks, and the survivors enter the
-        hit list through one bulk top-tau offer.  Scores — and therefore
-        the retained hits — are bitwise identical to the per-candidate
-        path, which remains available as the oracle
-        (:func:`repro.scoring.base.score_batch_fallback`).
-        """
-        stats = ShardStats()
-        cfg = self.config
-        if cfg.execution is ExecutionMode.MODELED:
-            self._count_modeled(list(queries), hitlists, stats)
-            return stats
-        min_len = cfg.min_candidate_length
-        for spectrum in queries:
-            stats.queries_processed += 1
-            hitlist = hitlists.get(spectrum.query_id)
-            if hitlist is None:
-                hitlist = hitlists[spectrum.query_id] = TopHitList(cfg.tau)
-            spans = self.generator.candidates(spectrum)
-            n_total = len(spans)
-            stats.candidates_evaluated += n_total
-            if n_total == 0:
-                continue
-            long_enough = spans.lengths >= min_len
-            n_short = n_total - int(long_enough.sum())
-            if n_short:
-                hitlist.evaluated += n_short  # skipped, but still offered
-                spans = spans.take(long_enough)
-                if len(spans) == 0:
-                    continue
-            scores, direct_rows, index_rows = self.score_spans(spectrum, spans)
-            stats.batches += 1
-            stats.rows_scored += direct_rows + index_rows
-            stats.index_rows += index_rows
-            if cfg.score_cutoff is not None:
-                passing = scores >= cfg.score_cutoff
-                n_fail = len(scores) - int(passing.sum())
-                if n_fail:
-                    hitlist.evaluated += n_fail
-                    spans = spans.take(passing)
-                    scores = scores[passing]
-            hitlist.add_batch(
-                spectrum.query_id,
-                scores,
-                self.shard.ids[spans.seq_index],
-                spans.start,
-                spans.stop,
-                spans.mass,
-                spans.mod_delta,
-            )
-        return stats
-
     def run(
         self, queries: Iterable[Spectrum], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
-        """Dispatch to the configured kernel: per-query or candidate-major.
+        """Search ``queries`` against the shard; fold hits into ``hitlists``.
 
-        The single entry point engines call, so ``config.use_sweep``
-        switches every algorithm between the two (bitwise-identical)
-        execution shapes at once.
+        The single entry point engines call.  Missing hit lists are
+        created with the config's tau.  In MODELED execution, candidates
+        are counted (exactly) but not scored and no hits are recorded.
 
         Telemetry rides here and only here: one span per shard pass plus
         work counters, recorded into the process-default
@@ -312,26 +267,13 @@ class ShardSearcher:
         check when disabled (the default), and never an input to
         scoring, so hits are bitwise identical either way.
         """
-        kernel = self.search_sweep if self.config.use_sweep else self.search
+        queries = list(queries)
         obs = get_metrics()
         if not obs.enabled:
-            return kernel(queries, hitlists)
-        with obs.span("search.shard", category="search", sweep=self.config.use_sweep):
-            stats = kernel(queries, hitlists)
-        obs.count("search.queries", stats.queries_processed)
-        obs.count("search.candidates", stats.candidates_evaluated)
-        obs.count("search.batches", stats.batches)
-        obs.count("search.rows_scored", stats.rows_scored)
-        obs.count("search.index_rows", stats.index_rows)
-        if stats.sweep_queries:
-            obs.count("sweep.queries", stats.sweep_queries)
-            obs.count("sweep.cohorts", stats.sweep_cohorts)
-        if stats.queries_processed:
-            obs.observe(
-                "search.candidates_per_query",
-                stats.candidates_evaluated / stats.queries_processed,
-                buckets=(10.0, 100.0, 1_000.0, 10_000.0, 100_000.0),
-            )
+            return self._search(queries, hitlists)
+        with obs.span("search.shard", category="search"):
+            stats = self._search(queries, hitlists)
+        record_shard_pass(obs, stats)
         return stats
 
     def _count_modeled(
@@ -351,8 +293,8 @@ class ShardSearcher:
             stats.candidates_evaluated += int(count)
             hitlist.evaluated += int(count)
 
-    def search_sweep(
-        self, queries: Iterable[Spectrum], hitlists: Dict[int, TopHitList]
+    def _search(
+        self, queries: List[Spectrum], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
         """Candidate-major search: one window sweep per shard, one kernel
         call per packed block.
@@ -366,14 +308,15 @@ class ShardSearcher:
         *blocks* of up to ``sweep_cohort`` members that share one
         candidate batch, one multi-spectrum scoring call and one top-tau
         emit.  Every per-query candidate set, score, filter, and hit-list
-        offer is bitwise identical to :meth:`search` — each member's
-        candidates are contiguous sub-slices of its run's rows in exactly
-        the per-query enumeration order, and the block kernels reproduce
-        the per-query kernels bit for bit.
+        offer is bitwise identical to the scalar reference search
+        (``tests/reference.py``) — each member's candidates are contiguous
+        sub-slices of its run's rows in exactly the
+        ``generator.candidates(query)`` enumeration order, and the block
+        kernels reproduce the scalar scorers bit for bit.  A cohort of
+        one is the per-query search.
         """
         stats = ShardStats()
         cfg = self.config
-        queries = list(queries)
         for spectrum in queries:
             if spectrum.query_id not in hitlists:
                 hitlists[spectrum.query_id] = TopHitList(cfg.tau)
@@ -527,15 +470,13 @@ class ShardSearcher:
 
         ``scores`` is one member-major vector (``selections[0]``'s
         candidates, then ``selections[1]``'s, ...), each entry bitwise the
-        score :meth:`score_spans` gives that (member, candidate) pair; the
-        row counts are the block's totals of what :meth:`score_spans`
-        reports per member.
+        scalar scorer's for that (member, candidate) pair; the row counts
+        are the evaluation rows scored directly and served by the index.
 
         Candidates the index holds are served by one block call into it,
         the rest — PTM tiers, over-length spans — by one shared overflow
         batch over their union; a member whose selection holds no
-        indexable candidate thus goes fully direct, like the per-query
-        path's ``n_index == 0`` case.
+        indexable candidate thus goes fully direct.
         """
         if self.index is None:
             batch = CandidateBatch.from_spans(self.shard, spans, self._mod_targets)
@@ -571,59 +512,6 @@ class ShardSearcher:
             self.scorer, spectra, overflow, per_member(over_local, ~use)
         )
         return scores, overflow.selected_row_count(over_local), int(use.sum())
-
-    def score_spans(self, spectrum: Spectrum, spans) -> tuple:
-        """Score candidate ``spans``; returns ``(scores, direct_rows, index_rows)``.
-
-        ``scores`` is aligned to ``spans``.  With an index, spans it holds
-        (unmodified, length within bounds) are served through the
-        scorer's ``score_index``; the remainder — PTM tiers, overlength
-        spans — fall back to the direct
-        :class:`~repro.candidates.batch.CandidateBatch` path.  Both
-        streams are assembled back in span order, and every index-served
-        score is bitwise identical to its batch counterpart, so callers
-        see identical results with the index on or off.
-        """
-        if self.index is None:
-            batch = CandidateBatch.from_spans(self.shard, spans, self._mod_targets)
-            return batch_scores(self.scorer, spectrum, batch), batch.num_rows, 0
-        rows = self.index.rows_for(spans)
-        use = rows >= 0
-        n_index = int(use.sum())
-        if n_index == 0:
-            batch = CandidateBatch.from_spans(self.shard, spans, self._mod_targets)
-            return batch_scores(self.scorer, spectrum, batch), batch.num_rows, 0
-        scores = np.empty(len(spans), dtype=np.float64)
-        scores[use] = self.scorer.score_index(spectrum, self.index, rows[use])
-        direct_rows = 0
-        if n_index < len(spans):
-            overflow = spans.take(~use)
-            batch = CandidateBatch.from_spans(self.shard, overflow, self._mod_targets)
-            scores[~use] = batch_scores(self.scorer, spectrum, batch)
-            direct_rows = batch.num_rows
-        return scores, direct_rows, n_index
-
-    def _score_modified(
-        self, spectrum: Spectrum, candidate: np.ndarray, mod_delta: float
-    ) -> float:
-        """Best score over every admissible modification site.
-
-        The true site is unknown (the paper: variants must be generated
-        "to account for the various modifications"), so every occurrence
-        of the target residue is evaluated and the best interpretation
-        wins — deterministic because the maximum over a fixed site order
-        is order-free.
-        """
-        target = self._mod_targets.get(mod_delta)
-        if target is None:  # unknown delta: fall back to unmodified model
-            return self.scorer.score(spectrum, candidate)
-        sites = np.nonzero(candidate == target)[0]
-        if len(sites) == 0:
-            return self.scorer.score(spectrum, candidate)
-        return max(
-            self.scorer.score_modified(spectrum, candidate, int(site), mod_delta)
-            for site in sites
-        )
 
     def count_each(self, queries: Sequence[Spectrum]) -> np.ndarray:
         """Exact per-query candidate counts (PTM tiers included).
@@ -672,9 +560,7 @@ def index_compat_problems(
             "persisted index cannot serve it"
         )
     scorer = scorer if scorer is not None else config.make_scorer()
-    if getattr(scorer, "score_index", None) is None or not getattr(
-        scorer, "indexable", True
-    ):
+    if not FragmentIndex.serves(scorer):
         problems.append(
             f"scorer {config.scorer!r} cannot be served from the fragment index"
         )

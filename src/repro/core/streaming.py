@@ -20,9 +20,9 @@ Bitwise identity with the resident path is structural:
   direct :class:`~repro.candidates.batch.CandidateBatch` path exactly
   like the resident index's ``row == -1`` spans), every query sees
   exactly the resident candidate set.
-* Scores come from the very same kernels (``scorer.score_index`` /
-  ``index.score_block`` on the per-query and sweep paths), reading
-  per-row arrays that are byte-for-byte the resident build's rows.
+* Scores come from the very same kernels (``index.score_block`` for
+  partition rows, ``block_scores`` for overflow spans), reading per-row
+  arrays that are byte-for-byte the resident build's rows.
 * :class:`~repro.scoring.hits.TopHitList` is order-independent, so
   folding partitions in mass order instead of one whole-shard batch
   cannot change the retained hits; per-query ``evaluated`` totals match
@@ -49,10 +49,15 @@ from repro.candidates.batch import CandidateBatch
 from repro.candidates.mass_index import CandidateSpans, SweepPlan
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
-from repro.core.search import ShardStats, index_compat_problems, score_and_offer_block
+from repro.core.search import (
+    ShardStats,
+    index_compat_problems,
+    record_shard_pass,
+    score_and_offer_block,
+)
 from repro.errors import IndexCompatError
 from repro.obs.metrics import NULL_SPAN, get_metrics
-from repro.scoring.base import Scorer, batch_scores
+from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hits import TopHitList
 from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
@@ -173,17 +178,9 @@ class StreamingSearcher:
             "search.stream",
             category="search",
             partitions=self.partition_range[1] - self.partition_range[0],
-            sweep=self.config.use_sweep,
         ):
             stats = self._search(list(queries), hitlists)
-        obs.count("search.queries", stats.queries_processed)
-        obs.count("search.candidates", stats.candidates_evaluated)
-        obs.count("search.batches", stats.batches)
-        obs.count("search.rows_scored", stats.rows_scored)
-        obs.count("search.index_rows", stats.index_rows)
-        if stats.sweep_queries:
-            obs.count("sweep.queries", stats.sweep_queries)
-            obs.count("sweep.cohorts", stats.sweep_cohorts)
+        record_shard_pass(obs, stats)
         return stats
 
     def _search(
@@ -197,12 +194,11 @@ class StreamingSearcher:
         stats.queries_processed += len(queries)
         if not queries:
             return stats
-        if cfg.use_sweep:
-            stats.sweep_queries += len(queries)
-        # a traced sweep pass hands its registry down to the block loop;
-        # an untraced one pays this one attribute test
+        stats.sweep_queries += len(queries)
+        # a traced pass hands its registry down to the block loops; an
+        # untraced one pays this one attribute test
         obs = get_metrics()
-        if not (cfg.use_sweep and obs.enabled):
+        if not obs.enabled:
             obs = None
         # mass-sorted query order: each partition is visited once, by a
         # contiguous slice of queries whose windows intersect its range
@@ -256,7 +252,7 @@ class StreamingSearcher:
             self.stream_stats.merge(reader.stats)
         if self.own_overflow:
             t0 = time.perf_counter()
-            self._score_overflow(queries, order, lows, highs, hitlists, stats)
+            self._score_overflow(queries, order, lows, highs, hitlists, stats, obs)
             self.score_seconds += time.perf_counter() - t0
         return stats
 
@@ -271,89 +267,15 @@ class StreamingSearcher:
         stats: ShardStats,
         obs,
     ) -> None:
-        """Score one decoded partition for its member queries."""
-        cfg = self.config
-        row_mass = index.arrays["row_mass"]
-        # inclusive [m - delta, m + delta], matching MassIndex windows
-        r_lo = np.searchsorted(row_mass, lows, side="left")
-        r_hi = np.searchsorted(row_mass, highs, side="right")
-        if cfg.use_sweep:
-            self._score_members_sweep(
-                index, queries, members, r_lo, r_hi, hitlists, stats, obs
-            )
-            return
-        for j, qi in enumerate(members):
-            rows = np.arange(int(r_lo[j]), int(r_hi[j]), dtype=np.int64)
-            self._offer_rows(index, queries[int(qi)], rows, hitlists, stats)
+        """Score one decoded partition for its member queries.
 
-    def _offer_rows(
-        self,
-        index,
-        spectrum: Spectrum,
-        rows: np.ndarray,
-        hitlists: Dict[int, TopHitList],
-        stats: ShardStats,
-    ) -> None:
-        """Per-query accounting + hit offer for one partition's window rows,
-        exactly like :meth:`ShardSearcher.search`."""
-        cfg = self.config
-        hitlist = hitlists[spectrum.query_id]
-        n_total = len(rows)
-        stats.candidates_evaluated += n_total
-        if n_total == 0:
-            return
-        long_enough = index.row_length[rows] >= cfg.min_candidate_length
-        n_short = n_total - int(long_enough.sum())
-        if n_short:
-            hitlist.evaluated += n_short
-            rows = rows[long_enough]
-            if len(rows) == 0:
-                return
-        scores = self.scorer.score_index(spectrum, index, rows)
-        stats.batches += 1
-        stats.rows_scored += len(rows)
-        stats.index_rows += len(rows)
-        if cfg.score_cutoff is not None:
-            passing = scores >= cfg.score_cutoff
-            n_fail = len(scores) - int(passing.sum())
-            if n_fail:
-                hitlist.evaluated += n_fail
-                rows = rows[passing]
-                scores = scores[passing]
-        arrays = index.arrays
-        hitlist.add_batch(
-            spectrum.query_id,
-            scores,
-            arrays["row_protein"][rows],
-            arrays["row_start"][rows],
-            arrays["row_stop"][rows],
-            arrays["row_mass"][rows],
-            np.zeros(len(rows), dtype=np.float64),
-        )
-
-    def _score_members_sweep(
-        self,
-        index,
-        queries: List[Spectrum],
-        members: np.ndarray,
-        r_lo: np.ndarray,
-        r_hi: np.ndarray,
-        hitlists: Dict[int, TopHitList],
-        stats: ShardStats,
-        obs,
-    ) -> None:
-        """Block-packed scoring of one partition's member queries.
-
-        The resident sweep's blocks (:class:`SweepPlan`, filters, scoring
-        call and top-tau emit shared through
-        :func:`~repro.core.search.score_and_offer_block`) without its
-        runs: a member's candidates are already an integer row range of
-        the partition, no union block is enumerated, so every member is
-        a run of its own and a block is simply the next ``sweep_cohort``
-        members — one flat posting probe (or pair-kernel call) each.
-        ``obs`` is the metrics registry of a traced pass, else ``None``.
+        A member's candidates are an integer row range of the partition
+        (inclusive ``[m - delta, m + delta]``, matching MassIndex
+        windows), served by one flat posting probe or matrix pair-kernel
+        call per block.
         """
         arrays = index.arrays
+        row_mass = arrays["row_mass"]
         scorer = self.scorer
 
         def score(spectra, kept):
@@ -369,6 +291,101 @@ class StreamingSearcher:
                 np.zeros(len(rows), dtype=np.float64),
             )
 
+        self._offer_ranges(
+            queries,
+            members,
+            np.searchsorted(row_mass, lows, side="left"),
+            np.searchsorted(row_mass, highs, side="right"),
+            index.row_length,
+            score,
+            columns,
+            hitlists,
+            stats,
+            obs,
+        )
+
+    def _score_overflow(
+        self,
+        queries: List[Spectrum],
+        order: np.ndarray,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        hitlists: Dict[int, TopHitList],
+        stats: ShardStats,
+        obs,
+    ) -> None:
+        """Direct-path scoring of the out-of-envelope spans.
+
+        Exactly the resident searcher's overflow stream: spans the index
+        cannot hold (mass-sorted in the overflow blob, so a member's are
+        again one range) are materialized as a
+        :class:`~repro.candidates.batch.CandidateBatch` against the
+        mmapped database and scored with ``block_scores`` — bitwise the
+        scores the resident index's ``row == -1`` spans get.
+        """
+        spans = self._get_overflow()
+        if len(spans) == 0:
+            return
+        db = self.database
+        scorer = self.scorer
+
+        def score(spectra, kept):
+            # one shared batch over the block's union of spans
+            union = np.unique(np.concatenate(kept))
+            batch = CandidateBatch.from_spans(db, spans.take(union), {})
+            local = [np.searchsorted(union, sel) for sel in kept]
+            scores = block_scores(scorer, spectra, batch, local)
+            return scores, len(scores), 0
+
+        def columns(sel):
+            return (
+                db.ids[spans.seq_index[sel]],
+                spans.start[sel],
+                spans.stop[sel],
+                spans.mass[sel],
+                spans.mod_delta[sel],
+            )
+
+        o_lo = np.searchsorted(spans.mass, lows, side="left")
+        o_hi = np.searchsorted(spans.mass, highs, side="right")
+        hit = np.flatnonzero(o_hi > o_lo)  # few windows reach an overflow span
+        self._offer_ranges(
+            queries,
+            order[hit],
+            o_lo[hit],
+            o_hi[hit],
+            spans.lengths,
+            score,
+            columns,
+            hitlists,
+            stats,
+            obs,
+        )
+
+    def _offer_ranges(
+        self,
+        queries: List[Spectrum],
+        members: np.ndarray,
+        r_lo: np.ndarray,
+        r_hi: np.ndarray,
+        lengths: np.ndarray,
+        score,
+        columns,
+        hitlists: Dict[int, TopHitList],
+        stats: ShardStats,
+        obs,
+    ) -> None:
+        """Block-packed scoring of members that each own a row range.
+
+        The resident sweep's blocks (:class:`SweepPlan`, filters, scoring
+        call and top-tau emit shared through
+        :func:`~repro.core.search.score_and_offer_block`) without its
+        runs: member ``j`` owns rows ``[r_lo[j], r_hi[j])`` of a
+        partition (or of the overflow spans), no union block is
+        enumerated, so every member is a run of its own and a block is
+        simply the next ``sweep_cohort`` members.  ``obs`` is the
+        metrics registry of a traced pass, else ``None``.
+        """
         plan = SweepPlan.pack(np.arange(len(members) + 1), self.config.sweep_cohort)
         stats.sweep_cohorts += plan.num_blocks
         for a, b, _r0, _r1 in plan.blocks():
@@ -390,71 +407,10 @@ class StreamingSearcher:
                     [queries[int(q)] for q in members[a:b]],
                     rows,
                     np.repeat(np.arange(b - a, dtype=np.int64), sizes),
-                    index.row_length[rows],
+                    lengths[rows],
                     score,
                     columns,
                 )
-
-    def _score_overflow(
-        self,
-        queries: List[Spectrum],
-        order: np.ndarray,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        hitlists: Dict[int, TopHitList],
-        stats: ShardStats,
-    ) -> None:
-        """Direct-path scoring of the out-of-envelope spans.
-
-        Exactly the resident searcher's overflow stream: spans the index
-        cannot hold are materialized as a
-        :class:`~repro.candidates.batch.CandidateBatch` against the
-        mmapped database and scored with ``batch_scores`` — bitwise the
-        scores ``score_spans`` produces for its ``row == -1`` spans.
-        """
-        spans = self._get_overflow()
-        if len(spans) == 0:
-            return
-        cfg = self.config
-        o_lo = np.searchsorted(spans.mass, lows, side="left")
-        o_hi = np.searchsorted(spans.mass, highs, side="right")
-        db = self.database
-        for j in range(len(order)):
-            a, b = int(o_lo[j]), int(o_hi[j])
-            if b <= a:
-                continue
-            spectrum = queries[int(order[j])]
-            hitlist = hitlists[spectrum.query_id]
-            sel = spans.take(np.arange(a, b))
-            n_total = len(sel)
-            stats.candidates_evaluated += n_total
-            long_enough = sel.lengths >= cfg.min_candidate_length
-            n_short = n_total - int(long_enough.sum())
-            if n_short:
-                hitlist.evaluated += n_short
-                sel = sel.take(long_enough)
-                if len(sel) == 0:
-                    continue
-            batch = CandidateBatch.from_spans(db, sel, {})
-            scores = batch_scores(self.scorer, spectrum, batch)
-            stats.batches += 1
-            stats.rows_scored += batch.num_rows
-            if cfg.score_cutoff is not None:
-                passing = scores >= cfg.score_cutoff
-                n_fail = len(scores) - int(passing.sum())
-                if n_fail:
-                    hitlist.evaluated += n_fail
-                    sel = sel.take(passing)
-                    scores = scores[passing]
-            hitlist.add_batch(
-                spectrum.query_id,
-                scores,
-                db.ids[sel.seq_index],
-                sel.start,
-                sel.stop,
-                sel.mass,
-                sel.mod_delta,
-            )
 
 
 def split_partition_ranges(

@@ -166,7 +166,6 @@ def run_subgroups(
         extras=simmpi_extras(
             summary,
             totals=totals,
-            config=config,
             num_groups=num_groups,
             group_size=group_size,
         ),

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ExperimentSpecError, ReproError
 from repro.experiments.aggregate import build_aggregate, format_ascii
-from repro.experiments.spec import CellSpec, ExperimentSpec
+from repro.experiments.spec import GROUP_FIELDS, CellSpec, ExperimentSpec
 from repro.faults.checkpoint import CheckpointManager
 from repro.obs.report import RunReport
 
@@ -126,18 +126,7 @@ def build_config(params: Dict[str, Any]):
     from repro.core.config import SearchConfig
 
     kwargs: Dict[str, Any] = {}
-    for knob in (
-        "scorer",
-        "delta",
-        "tau",
-        "execution",
-        "use_index",
-        "use_sweep",
-        "sweep_cohort",
-        "fragment_tolerance",
-        "index_max_length",
-        "min_candidate_length",
-    ):
+    for knob in GROUP_FIELDS["config"]:
         key = f"config.{knob}"
         if key in params:
             kwargs[knob] = params[key]

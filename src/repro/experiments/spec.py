@@ -86,7 +86,6 @@ GROUP_FIELDS: Dict[str, Tuple[str, ...]] = {
         "tau",
         "execution",
         "use_index",
-        "use_sweep",
         "sweep_cohort",
         "fragment_tolerance",
         "index_max_length",

@@ -15,8 +15,8 @@ structures:
   instead of recomputing; and
 * **CSR-style posting lists** — all fragments sorted by
   ``(m/z bin, candidate row)`` with a combined integer key, so "which
-  candidates explain this observed peak" is a pair of vectorized binary
-  searches restricted to the query's candidate-row range.
+  candidates explain this observed peak" is a vectorized bisection
+  restricted to the query's candidate-row range.
 
 Rows are *precursor-major*: spans are sorted by unmodified span mass, so
 a query's candidate set occupies one contiguous row range and posting
@@ -43,9 +43,9 @@ Exactness contract
 ------------------
 Every value served from the index is produced by the same batched
 kernels the direct :class:`~repro.candidates.batch.CandidateBatch` path
-runs per query, and every probe evaluates the same match predicate
+runs per block, and every probe evaluates the same match predicate
 (``p - tol <= f <= p + tol`` on identically-computed floats), so
-index-served scores are bitwise identical to ``batch_scores`` — the
+index-served scores are bitwise identical to ``block_scores`` — the
 property tests in ``tests/property/test_prop_index.py`` and
 ``tests/property/test_prop_persist.py`` enforce it for heap- and
 memmap-backed views alike.
@@ -589,67 +589,28 @@ class FragmentIndex:
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
 
-    def _probe(
-        self,
-        postings: _PostingList,
-        peaks_mz: np.ndarray,
-        tolerance: float,
-        rows: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """All exact (candidate, peak) fragment matches restricted to ``rows``.
-
-        Returns ``(out_pos, peak_idx, series)`` triples — one entry per
-        matching *posting* (a candidate appears once per matching
-        fragment), with ``out_pos`` indexing into the ``rows`` argument.
-        The match predicate is the scalar one:
-        ``peak - tol <= fragment <= peak + tol``.
-        """
-        none_series = postings.series is not None
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.uint8) if none_series else None,
-        )
-        if len(rows) == 0 or len(peaks_mz) == 0 or len(postings.key) == 0:
-            return empty
-        r0 = int(rows.min())
-        r1 = int(rows.max()) + 1
-        sel = np.full(r1 - r0, -1, dtype=np.int64)
-        sel[rows - r0] = np.arange(len(rows), dtype=np.int64)
-
-        row_g, owner, series = self._probe_range(postings, peaks_mz, tolerance, r0, r1)
-        out_pos = sel[row_g - r0]
-        hit = out_pos >= 0
-        return (
-            out_pos[hit],
-            owner[hit],
-            series[hit] if none_series else None,
-        )
-
     def _probe_range(
         self,
         postings: _PostingList,
         peaks_mz: np.ndarray,
         tolerance: float,
-        r0: int,
-        r1: int,
-        row_lo: Optional[np.ndarray] = None,
-        row_hi: Optional[np.ndarray] = None,
+        row_lo: np.ndarray,
+        row_hi: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Exact fragment matches with rows restricted to ``[r0, r1)``.
+        """Exact fragment matches, each peak against its own row range.
 
-        The binning/searchsorted core shared by the per-query probe
-        (which remaps rows through its selection table) and the flat
-        cohort probe.  Returns ``(row, peak_idx, series)`` with *global*
-        index rows; the match predicate is the scalar one.
+        The binning/bisection core of the flat cohort probe.  Returns
+        ``(row, peak_idx, series)`` with *global* index rows, one entry
+        per matching *posting* (a candidate appears once per matching
+        fragment); the match predicate is the scalar one:
+        ``peak - tol <= fragment <= peak + tol``.
 
-        ``row_lo``/``row_hi`` optionally narrow the row range *per peak*
-        (half-open, same binned-key trick as the scalar bounds): the
+        ``row_lo``/``row_hi`` bound the rows *per peak* (half-open): the
         cohort probe passes each peak's own member row range so a wide
         cohort union does not multiply the raw match volume by the
         cohort size.  Matches outside a member's row *set* but inside
-        its range are still produced, exactly as in the scalar case, and
-        are removed by the callers' selection tables.
+        its range are still produced and are removed by the caller's
+        selection tables.
         """
         none_series = postings.series is not None
         empty = (
@@ -657,78 +618,40 @@ class FragmentIndex:
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.uint8) if none_series else None,
         )
-        num_rows = self.num_rows
         pmin = peaks_mz - tolerance
         pmax = peaks_mz + tolerance
         b0 = np.maximum(np.floor(pmin / self.bin_width).astype(np.int64), 0)
         b1 = np.floor(pmax / self.bin_width).astype(np.int64)
-        span = b1 - b0
-        peak_ids = np.arange(len(peaks_mz), dtype=np.int64)
-        if row_lo is not None and postings.bin_start is not None and len(span):
-            # Cohort-scale probe: go through the direct bin → offset table
-            # instead of the per-delta key searches.  Positions are
-            # identical: within bin b the keys are
-            # ``b * (num_rows + 1) + row`` with row ascending, so the key
-            # search for ``b * (num_rows + 1) + t`` is ``bin_start[b]``
-            # plus the left-bisection of ``t`` in that bin's row run;
-            # bins past the table's end hold no postings and contribute
-            # nothing, exactly like both key searches landing at
-            # ``len(key)``.
-            bin_start = postings.bin_start
-            num_bins = len(bin_start) - 1
-            counts = span + 1  # b1 >= b0 always: pmax > 0 and b0 clipped at 0
-            all_bins = _ragged_arange(b0, counts)
-            owners = np.repeat(peak_ids, counts)
-            valid = all_bins < num_bins
-            if not valid.all():
-                all_bins = all_bins[valid]
-                owners = owners[valid]
-            if len(all_bins) == 0:
-                return empty
-            seg_lo = bin_start[all_bins]
-            seg_hi = bin_start[all_bins + 1]
-            m = len(all_bins)
-            pos = _bisect_segments(
-                postings.row,
-                np.concatenate((seg_lo, seg_lo)),
-                np.concatenate((seg_hi, seg_hi)),
-                np.concatenate((row_lo[owners], row_hi[owners])),
-            )
-            lens = pos[m:] - pos[:m]
-            flat = _ragged_arange(pos[:m], lens)
-            if len(flat) == 0:
-                return empty
-            owner = np.repeat(owners, lens)
-            mz = postings.mz[flat]
-            keep = (mz >= pmin[owner]) & (mz <= pmax[owner])
-            flat = flat[keep]
-            owner = owner[keep]
-            return (
-                postings.row[flat],
-                owner,
-                postings.series[flat] if none_series else None,
-            )
-        flat_parts = []
-        owner_parts = []
-        max_span = int(span.max()) if len(span) else -1
-        for delta in range(max_span + 1):
-            covered = span >= delta
-            if not covered.any():
-                break
-            bins = b0[covered] + delta
-            lo_key = bins * (num_rows + 1) + (r0 if row_lo is None else row_lo[covered])
-            hi_key = bins * (num_rows + 1) + (r1 if row_hi is None else row_hi[covered])
-            lo = np.searchsorted(postings.key, lo_key, side="left")
-            hi = np.searchsorted(postings.key, hi_key, side="left")
-            lens = hi - lo
-            flat_parts.append(_ragged_arange(lo, lens))
-            owner_parts.append(np.repeat(peak_ids[covered], lens))
-        if not flat_parts:
+        # Through the direct bin -> offset table: within bin b the
+        # postings are ``key[bin_start[b]:bin_start[b + 1]]`` with row
+        # ascending, so a peak's rows in that bin are a bisection of its
+        # row range in that run; bins past the table's end hold no
+        # postings and contribute nothing.
+        bin_start = postings.bin_start
+        num_bins = len(bin_start) - 1
+        counts = b1 - b0 + 1  # b1 >= b0 always: pmax > 0 and b0 clipped at 0
+        all_bins = _ragged_arange(b0, counts)
+        owners = np.repeat(np.arange(len(peaks_mz), dtype=np.int64), counts)
+        valid = all_bins < num_bins
+        if not valid.all():
+            all_bins = all_bins[valid]
+            owners = owners[valid]
+        if len(all_bins) == 0:
             return empty
-        flat = np.concatenate(flat_parts)
+        seg_lo = bin_start[all_bins]
+        seg_hi = bin_start[all_bins + 1]
+        m = len(all_bins)
+        pos = _bisect_segments(
+            postings.row,
+            np.concatenate((seg_lo, seg_lo)),
+            np.concatenate((seg_hi, seg_hi)),
+            np.concatenate((row_lo[owners], row_hi[owners])),
+        )
+        lens = pos[m:] - pos[:m]
+        flat = _ragged_arange(pos[:m], lens)
         if len(flat) == 0:
             return empty
-        owner = np.concatenate(owner_parts)
+        owner = np.repeat(owners, lens)
         mz = postings.mz[flat]
         keep = (mz >= pmin[owner]) & (mz <= pmax[owner])
         flat = flat[keep]
@@ -739,74 +662,15 @@ class FragmentIndex:
             postings.series[flat] if none_series else None,
         )
 
-    def shared_peak_counts(
-        self, observed_mz: np.ndarray, tolerance: float, rows: np.ndarray
-    ) -> np.ndarray:
-        """Distinct observed peaks matched by each row's b+y ladder.
-
-        Equals ``count_matches_rows(observed_mz, ladder_rows, tolerance)``
-        for the same candidates: both count the union of per-fragment
-        matched-peak sets under the same predicate.
-        """
-        pos, peak, _series = self._probe(
-            self._ladder_postings, observed_mz, tolerance, rows
-        )
-        if len(pos) == 0:
-            return np.zeros(len(rows), dtype=np.int64)
-        num_peaks = len(observed_mz)
-        pairs = np.unique(pos * num_peaks + peak)
-        return np.bincount(pairs // num_peaks, minlength=len(rows)).astype(np.int64)
-
-    def matched_segments(
-        self, observed_mz: np.ndarray, tolerance: float, rows: np.ndarray, series: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Ascending distinct matched-peak indices per row for one series.
-
-        Same ragged ``(flat_idx, row_offsets)`` contract as
-        :func:`repro.spectra.binning.matched_peak_segments`, so downstream
-        per-row intensity sums reuse ``row_segment_sums`` and stay bitwise
-        identical to the direct path.
-        """
-        n = len(rows)
-        pos, peak, tags = self._probe(
-            self._series_postings, observed_mz, tolerance, rows
-        )
-        if len(pos) == 0:
-            return np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
-        wanted = tags == _SERIES_CODE[series]
-        num_peaks = len(observed_mz)
-        # np.unique both dedups (row, peak) pairs hit by several fragments
-        # and sorts them (row-major, then peak ascending) — exactly the
-        # per-row ascending order the direct segment kernel produces.
-        pairs = np.unique(pos[wanted] * num_peaks + peak[wanted])
-        counts = np.bincount(pairs // num_peaks, minlength=n)
-        row_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return (pairs % num_peaks).astype(np.int64), row_offsets
-
-    def matched_intensity(
-        self,
-        observed_mz: np.ndarray,
-        observed_intensity: np.ndarray,
-        tolerance: float,
-        rows: np.ndarray,
-        series: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row matched-peak counts and intensity sums for one series."""
-        flat_idx, row_offsets = self.matched_segments(
-            observed_mz, tolerance, rows, series
-        )
-        counts = np.diff(row_offsets).astype(np.int64)
-        return counts, row_segment_sums(observed_intensity, flat_idx, row_offsets)
-
     # -- cohort (block) probes -------------------------------------------
     #
     # The candidate-major sweep probes the posting lists once per query
-    # cohort: all member peaks in one flat pass over the union row range,
-    # results then split per member.  Each member's (row, peak) match set
-    # is identical to its own per-query probe — the probe predicate is
-    # per-(peak, fragment) and the per-member selection tables are the
-    # same — so the counts and (via row-wise segment sums over bitwise-
-    # equal gathered values) intensity sums are bitwise identical.
+    # cohort: all member peaks in one flat pass, results then split per
+    # member.  Each member's (row, peak) match set is the one a probe of
+    # that member alone produces — the probe predicate is per-(peak,
+    # fragment) and each member has its own selection table — so the
+    # counts and (via row-wise segment sums over bitwise-equal gathered
+    # values) intensity sums do not depend on who shares the cohort.
 
     def _probe_flat(
         self,
@@ -850,8 +714,6 @@ class FragmentIndex:
                 sel[sel_base[k] + (rows - member_lo[k])] = np.arange(
                     len(rows), dtype=np.int64
                 )
-        r0 = int(member_lo[sizes > 0].min())
-        r1 = int(member_hi.max())
 
         # each peak probes only its own member's row range: the cohort
         # union would multiply raw matches by the cohort size, all of
@@ -861,10 +723,8 @@ class FragmentIndex:
             postings,
             batch.mz,
             tolerance,
-            r0,
-            r1,
-            row_lo=np.repeat(member_lo, npk),
-            row_hi=np.repeat(member_hi, npk),
+            np.repeat(member_lo, npk),
+            np.repeat(member_hi, npk),
         )
         if len(row_g) == 0:
             return empty
@@ -886,8 +746,8 @@ class FragmentIndex:
 
         Encodes each match as ``pair_base[member] + out_pos * npk[member]
         + local_peak`` — spectrum-major, then row, then peak — so one
-        ``np.unique`` reproduces, member by member, exactly the sorted
-        distinct pairs the per-query probes produce.  Returns
+        ``np.unique`` yields, member by member, that member's sorted
+        distinct pairs.  Returns
         ``(pair_member, pair_row, pair_peak, pair_base, npk)`` with
         ``pair_peak`` member-local.
         """
@@ -906,10 +766,13 @@ class FragmentIndex:
         )
 
     def shared_peak_counts_block(self, batch, tolerance: float, row_sets) -> np.ndarray:
-        """Cohort :meth:`shared_peak_counts` from one flat probe.
+        """Distinct observed peaks matched by each row's b+y ladder.
 
-        Returns one member-major count vector (``row_sets[0]``'s rows,
-        then ``row_sets[1]``'s, ...).
+        One flat probe for the cohort; returns one member-major count
+        vector (``row_sets[0]``'s rows, then ``row_sets[1]``'s, ...).
+        Equals :func:`~repro.spectra.binning.count_matches_pairs` over
+        the same candidates' ladder rows: both count the union of
+        per-fragment matched-peak sets under the same predicate.
         """
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         row_base = np.concatenate(([0], np.cumsum(sizes)))
@@ -925,7 +788,7 @@ class FragmentIndex:
         return np.bincount(row_base[pair_member] + pair_row, minlength=total_rows)
 
     def matched_intensity_block(self, batch, tolerance: float, row_sets):
-        """Cohort b/y :meth:`matched_intensity` from one flat probe.
+        """Per-row matched-peak counts and intensity sums, b and y series.
 
         Returns member-major ``(nb, b_int, ny, y_int)`` vectors.  Both
         series come out of a single posting probe; each series' intensity
@@ -956,14 +819,24 @@ class FragmentIndex:
             out += [counts, sums]
         return tuple(out)
 
+    @staticmethod
+    def serves(scorer) -> bool:
+        """Whether ``scorer`` can be index-served: it has one of the
+        block-level index kernels :meth:`score_block` dispatches to, and
+        does not opt out (``indexable`` false: a library-backed model
+        needs per-candidate lookups)."""
+        return (
+            hasattr(scorer, "score_index_block") or hasattr(scorer, "score_matrix_block")
+        ) and bool(getattr(scorer, "indexable", True))
+
     def score_block(self, scorer, spectra, row_sets) -> np.ndarray:
         """Index-served cohort scoring: dispatch to the scorer's cohort kernel.
 
         Posting-served models (``score_index_block``) answer from one
         flat probe; the others (``score_matrix_block``) run their pair
         kernel over the cached per-length matrices.  Either way the
-        result is one member-major score vector, bitwise identical to the
-        per-query ``score_index`` of each member.
+        result is one member-major score vector, bitwise identical to
+        scoring the same candidates directly (``block_scores``).
         """
         impl = getattr(scorer, "score_index_block", None) or scorer.score_matrix_block
         return impl(spectra, self, row_sets)

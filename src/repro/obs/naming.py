@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.core.config import SearchConfig
     from repro.core.search import ShardStats
     from repro.simmpi.trace import TraceSummary
 
@@ -72,15 +71,14 @@ def canonicalize_extras(extras: Dict[str, Any]) -> Dict[str, Any]:
 def simmpi_extras(
     summary: "TraceSummary",
     totals: Optional["ShardStats"] = None,
-    config: Optional["SearchConfig"] = None,
     fault_tolerant: bool = False,
     **engine_specific: Any,
 ) -> Dict[str, Any]:
     """The standard extras block for simulated-cluster engines.
 
     Always present: the paper's two overlap metrics.  With ``totals``
-    (real per-shard work counters): index accounting, and — when the
-    config enables the sweep — sweep accounting.  With
+    (real per-shard work counters): index accounting, and — when
+    queries were actually scored (REAL execution) — sweep accounting.  With
     ``fault_tolerant`` (a fault plan was supplied): the fault/recovery
     block, including canonical names.  ``engine_specific`` keys
     (e.g. Algorithm B's ``sorting_time``) are folded in last and win.
@@ -94,7 +92,7 @@ def simmpi_extras(
         extras["index_probe_fraction"] = (
             totals.index_rows / totals.rows_scored if totals.rows_scored else 0.0
         )
-        if config is not None and config.use_sweep:
+        if totals.sweep_queries:
             extras.update(
                 sweep_queries=totals.sweep_queries,
                 sweep_cohorts=totals.sweep_cohorts,

@@ -62,16 +62,16 @@ class Scorer(Protocol):
     def score_batch(self, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
         """Score every candidate of a batch against one spectrum.
 
-        Returns a float64 array of per-candidate scores (PTM candidates
-        already reduced to their best site).  Entry ``i`` MUST be bitwise
+        Optional, and only for a scorer without a cohort kernel
+        (``pair_kernel`` + ``score_block``): the block fallback then calls
+        it once per member instead of looping over candidates.  Returns a
+        float64 array of per-candidate scores (PTM candidates already
+        reduced to their best site).  Entry ``i`` MUST be bitwise
         identical to what the per-candidate :meth:`score` /
         :meth:`score_modified` path produces for candidate ``i`` — the
         scalar path is the correctness oracle, and the paper's validation
         property (parallel == serial, exactly) extends to batched
         execution only under that contract.
-
-        Scorers without a vectorized implementation may omit this method;
-        :func:`batch_scores` falls back to the scalar loop.
         """
         ...
 
@@ -81,9 +81,9 @@ def score_batch_fallback(
 ) -> np.ndarray:
     """Per-candidate oracle: score a batch through the scalar interface.
 
-    This is the reference implementation every ``score_batch`` must match
-    bitwise.  It is also the fallback for scorers that never got a
-    vectorized kernel (e.g. the scipy-based hypergeometric model).
+    This is the reference implementation every block kernel and every
+    ``score_batch`` must match bitwise, and the production route of a
+    scorer that has neither (the library-backed likelihood model).
     """
     row_scores = np.empty(batch.num_rows, dtype=np.float64)
     for r in range(batch.num_rows):
@@ -122,7 +122,7 @@ def batch_scores(
 # once per (cohort, length group): ``matrices`` are that group's dense
 # per-length matrices (ladders, fragment m/z rows, model spectra — each a
 # *row-wise* product of the group's residue matrix, so the rows prepared
-# once for the cohort are the rows a per-query batch would have built),
+# once for the cohort are the rows the scalar model builds one by one),
 # gathered to one row per (member, evaluation row) pair, and ``member`` —
 # non-decreasing — names the spectrum each row is scored against.  Per
 # member the kernel only runs the binary searches against that member's
@@ -130,9 +130,9 @@ def batch_scores(
 # concatenated preprocessed vectors; for the likelihood model, its
 # ``p0``); every other step is row-wise — it reads one row's operands and
 # reduces along the last axis only — and runs once over all rows.  A
-# row's operands and reduction order are therefore the ones
-# ``score_batch`` uses on that member's own batch, so every score is
-# bitwise identical to it.
+# row's operands and reduction order are therefore the scalar scorer's
+# for that (member, candidate) pair, so every score is bitwise identical
+# to it.
 
 
 def score_block_pairs(
@@ -183,8 +183,9 @@ def score_block_fallback(
 ) -> np.ndarray:
     """Block oracle: score each query's sub-batch through ``batch_scores``.
 
-    Used by scorers without a ``score_block`` kernel; also the reference
-    the pair kernels must match bitwise.
+    Used by scorers without a ``score_block`` kernel; for the four that
+    have one this is the scalar loop, the reference their pair kernels
+    must match bitwise.
     """
     parts = [
         batch_scores(scorer, spectra.spectra[k], batch.take(np.asarray(sel, dtype=np.int64)))

@@ -17,11 +17,7 @@ import math
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import (
-    matched_intensity,
-    matched_intensity_pairs,
-    matched_intensity_rows,
-)
+from repro.spectra.binning import matched_intensity, matched_intensity_pairs
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import IonSeries, fragment_mz, fragment_mz_rows
 
@@ -87,61 +83,9 @@ class HyperScorer:
         ln = float(np.log(dot)) + math.lgamma(nb + 1) + math.lgamma(ny + 1)
         return ln / _LOG10
 
-    def score_batch(self, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized scoring; bitwise identical to the scalar path."""
-        out = np.full(batch.num_rows, -math.inf)
-        if spectrum.num_peaks == 0:
-            return batch.reduce_rows(out)
-        mz = np.ascontiguousarray(spectrum.mz)
-        intensity = np.ascontiguousarray(spectrum.intensity)
-        for group in batch.length_groups():
-            masses = group.mass_rows()
-            nb, b_int = matched_intensity_rows(
-                mz, intensity, fragment_mz_rows(masses, IonSeries.B), self.fragment_tolerance
-            )
-            ny, y_int = matched_intensity_rows(
-                mz, intensity, fragment_mz_rows(masses, IonSeries.Y), self.fragment_tolerance
-            )
-            dot = b_int + y_int
-            valid = np.nonzero((dot > 0.0) & ((nb > 0) | (ny > 0)))[0]
-            if len(valid) == 0:
-                continue
-            table = _lgamma_factorial(int(max(nb.max(), ny.max())))
-            ln = np.log(dot[valid]) + table[nb[valid]] + table[ny[valid]]
-            out[group.rows[valid]] = ln / _LOG10
-        return batch.reduce_rows(out)
-
-    def score_index(self, spectrum: Spectrum, index, rows: np.ndarray) -> np.ndarray:
-        """Index-served scoring; bitwise identical to :meth:`score_batch`.
-
-        The per-series matched-peak segments come from the b/y posting
-        list instead of regenerated fragment matrices; counts and
-        intensity sums then feed the exact final arithmetic of the
-        batched path.
-        """
-        out = np.full(len(rows), -math.inf)
-        if spectrum.num_peaks == 0 or len(rows) == 0:
-            return out
-        mz = np.ascontiguousarray(spectrum.mz)
-        intensity = np.ascontiguousarray(spectrum.intensity)
-        nb, b_int = index.matched_intensity(
-            mz, intensity, self.fragment_tolerance, rows, "b"
-        )
-        ny, y_int = index.matched_intensity(
-            mz, intensity, self.fragment_tolerance, rows, "y"
-        )
-        dot = b_int + y_int
-        valid = np.nonzero((dot > 0.0) & ((nb > 0) | (ny > 0)))[0]
-        if len(valid) == 0:
-            return out
-        table = _lgamma_factorial(int(max(nb.max(), ny.max())))
-        ln = np.log(dot[valid]) + table[nb[valid]] + table[ny[valid]]
-        out[valid] = ln / _LOG10
-        return out
-
     @staticmethod
     def _finalize(nb, b_int, ny, y_int):
-        """Counts and sums -> log10 hyperscore (the batched arithmetic)."""
+        """Counts and sums -> log10 hyperscore, row by row the scalar arithmetic."""
         out = np.full(len(nb), -math.inf)
         dot = b_int + y_int
         valid = np.nonzero((dot > 0.0) & ((nb > 0) | (ny > 0)))[0]
@@ -156,7 +100,7 @@ class HyperScorer:
         """Bind a cohort: ``kernel(member, b_rows, y_rows)`` -> per-row scores.
 
         A member without peaks matches nothing, so its rows come out of
-        ``_finalize`` at ``-inf`` like the per-query early return.
+        ``_finalize`` at ``-inf`` like the scalar early return.
         """
 
         def kernel(member, b_rows, y_rows):

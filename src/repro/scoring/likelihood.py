@@ -38,8 +38,7 @@ from typing import Optional
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.scoring.base import score_batch_fallback
-from repro.spectra.binning import match_peaks, match_peaks_many, match_peaks_pairs
+from repro.spectra.binning import match_peaks, match_peaks_pairs
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import flatten_members
@@ -126,22 +125,6 @@ class LikelihoodRatioScorer:
         """Library-backed models need per-candidate lookups; no index then."""
         return self.library is None
 
-    def _model_rows_scores(
-        self,
-        observed: np.ndarray,
-        p0: float,
-        model_mz: np.ndarray,
-        model_int: np.ndarray,
-    ) -> np.ndarray:
-        """Per-row log-likelihood ratios for dense model-spectrum rows.
-
-        Shared by the direct batch path and the index-served path, which
-        feed it identical model rows (regenerated vs. assembled from
-        cached fragment matrices), keeping both bitwise identical.
-        """
-        matched = match_peaks_many(model_mz, observed, self.fragment_tolerance)
-        return self._llr_rows(matched, p0, model_int)
-
     def _llr_rows(self, matched: np.ndarray, p0, model_int: np.ndarray) -> np.ndarray:
         """Row sums of the per-fragment Bernoulli log-likelihood ratios.
 
@@ -154,34 +137,11 @@ class LikelihoodRatioScorer:
         llr_unmatched = np.log((1.0 - p1) / (1.0 - p0))
         return np.where(matched, llr_matched, llr_unmatched).sum(axis=1)
 
-    def score_batch(self, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized scoring; bitwise identical to the scalar path.
-
-        With a spectral library configured, unmodified candidates need a
-        per-candidate library lookup, so the batch falls back to the
-        scalar oracle; the on-the-fly theoretical model (the common case,
-        and the only model PTM rows ever use) is fully vectorized.
-        """
-        if self.library is not None:
-            return score_batch_fallback(self, spectrum, batch)
-        out = np.full(batch.num_rows, -math.inf)
-        if spectrum.num_peaks > 0:
-            p0 = self._chance_match_probability(spectrum)
-            observed = np.ascontiguousarray(spectrum.mz)
-            for group in batch.length_groups():
-                if group.length < 2:
-                    continue  # empty model spectrum, score stays -inf
-                model_mz, model_int = theoretical_spectrum_rows(group.mass_rows())
-                out[group.rows] = self._model_rows_scores(
-                    observed, p0, model_mz, model_int
-                )
-        return batch.reduce_rows(out)
-
     def pair_kernel(self, spectra):
         """Bind a cohort: ``kernel(member, model_mz, model_int)`` -> row scores.
 
         Each row is scored under its own member's ``p0``; rows of a
-        member without peaks are set to ``-inf`` like the per-query early
+        member without peaks are set to ``-inf`` like the scalar early
         return.
         """
         p0 = np.array([self._chance_match_probability(s) for s in spectra.spectra])
@@ -204,7 +164,7 @@ class LikelihoodRatioScorer:
         """Cohort scoring: model spectra generated once per length group.
 
         Library-backed scoring needs per-candidate lookups, so it routes
-        through the per-query block fallback (itself the scalar oracle).
+        through the block fallback (the scalar oracle).
         """
         from repro.scoring.base import score_block_fallback, score_block_pairs
 
@@ -240,27 +200,4 @@ class LikelihoodRatioScorer:
                 len(positions),
             )
             out[positions] = kernel(member[positions], model_mz, model_int)
-        return out
-
-    def score_index(self, spectrum: Spectrum, index, rows: np.ndarray) -> np.ndarray:
-        """Index-served scoring; bitwise identical to :meth:`score_batch`.
-
-        Model-spectrum rows are assembled from the cached b/y fragment
-        matrices with :func:`combine_fragment_rows` — the same merge the
-        batched kernel runs on freshly generated fragments.
-        """
-        out = np.full(len(rows), -math.inf)
-        if spectrum.num_peaks == 0 or len(rows) == 0:
-            return out
-        p0 = self._chance_match_probability(spectrum)
-        observed = np.ascontiguousarray(spectrum.mz)
-        for positions, group, local in index.iter_row_groups(rows):
-            model_mz, model_int = combine_fragment_rows(
-                [
-                    (group.b[local], series_weight(IonSeries.B)),
-                    (group.y[local], series_weight(IonSeries.Y)),
-                ],
-                len(positions),
-            )
-            out[positions] = self._model_rows_scores(observed, p0, model_mz, model_int)
         return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import count_matches, count_matches_pairs, count_matches_rows
+from repro.spectra.binning import count_matches, count_matches_pairs
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
 
@@ -36,30 +36,6 @@ class SharedPeakScorer:
     ) -> float:
         ladder = modified_by_ion_ladder(candidate, site, delta_mass)
         return float(count_matches(spectrum.mz, ladder, self.fragment_tolerance))
-
-    def score_batch(self, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized scoring; bitwise identical to the scalar path."""
-        out = np.zeros(batch.num_rows, dtype=np.float64)
-        for group in batch.length_groups():
-            if group.length < 2:
-                continue  # empty ladder matches nothing, score stays 0.0
-            ladders = by_ion_ladder_rows(group.mass_rows())
-            out[group.rows] = count_matches_rows(
-                spectrum.mz, ladders, self.fragment_tolerance
-            )
-        return batch.reduce_rows(out)
-
-    def score_index(self, spectrum: Spectrum, index, rows: np.ndarray) -> np.ndarray:
-        """Index-served scoring; bitwise identical to :meth:`score_batch`.
-
-        ``rows`` are :class:`~repro.index.FragmentIndex` rows of the
-        candidates to score; the shared-peak count comes straight off the
-        ladder posting list (same union-of-matches semantics as
-        ``count_matches_rows``).
-        """
-        return index.shared_peak_counts(
-            spectrum.mz, self.fragment_tolerance, rows
-        ).astype(np.float64)
 
     def pair_kernel(self, spectra):
         """Bind a cohort: ``kernel(member, ladders)`` -> per-row counts."""

@@ -97,14 +97,14 @@ class XCorrScorer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row Xcorr sums and unique-bin counts for a ladder matrix.
 
-        Shared by the direct batch path and the index-served path, which
-        feed it the same ladder rows (regenerated vs. cached), so both
-        produce bitwise-identical scores.  The cohort kernel passes the
-        members' preprocessed vectors concatenated as ``processed`` with,
-        per row, its member's bin ``limit`` (a column) and ``base`` offset
-        into the concatenation; a row then keeps the same bins and sums
-        the same values in the same order as against its member's vector
-        alone.
+        The direct and the index-served block paths feed it the same
+        ladder rows (regenerated vs. cached), so both produce
+        bitwise-identical scores.  A cohort of one passes its member's
+        preprocessed vector; a larger cohort passes the members' vectors
+        concatenated as ``processed`` with, per row, its member's bin
+        ``limit`` (a column) and ``base`` offset into the concatenation;
+        a row then keeps the same bins and sums the same values in the
+        same order as against its member's vector alone.
         """
         sentinel = np.iinfo(np.int64).max
         bins = (ladders / self.bin_width).astype(np.int64)
@@ -124,28 +124,13 @@ class XCorrScorer:
         sums = row_segment_sums(processed, flat_bins, row_offsets)
         return sums, counts
 
-    def score_batch(self, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized scoring; bitwise identical to the scalar path."""
-        out = np.full(batch.num_rows, -np.inf)
-        if spectrum.num_peaks == 0:
-            return batch.reduce_rows(out)
-        processed = self._preprocessed(spectrum)
-        for group in batch.length_groups():
-            if group.length < 2:
-                continue  # empty ladder, score stays -inf
-            ladders = by_ion_ladder_rows(group.mass_rows())
-            sums, counts = self._ladder_matrix_scores(processed, ladders)
-            scored = np.nonzero(counts > 0)[0]
-            out[group.rows[scored]] = sums[scored] * 1e-2
-        return batch.reduce_rows(out)
-
     def pair_kernel(self, spectra):
         """Bind a cohort: ``kernel(member, ladders)`` -> per-row scores.
 
         The members' preprocessed vectors are concatenated once per
         cohort.  A member without peaks gets bin limit 0: every bin of
         its rows is out of range, which leaves them at ``-inf`` like the
-        per-query early return.
+        scalar early return.
         """
         vectors = [
             self._preprocessed(s) if s.num_peaks else np.empty(0)
@@ -198,21 +183,4 @@ class XCorrScorer:
         out = np.full(len(rows), -np.inf)
         for positions, group, local in index.iter_row_groups(rows):
             out[positions] = kernel(member[positions], group.ladder[local])
-        return out
-
-    def score_index(self, spectrum: Spectrum, index, rows: np.ndarray) -> np.ndarray:
-        """Index-served scoring; bitwise identical to :meth:`score_batch`.
-
-        Gathers the cached per-length ladder matrices instead of
-        regenerating them; binning, dedup, and segment sums run through
-        the same `_ladder_matrix_scores` kernel.
-        """
-        out = np.full(len(rows), -np.inf)
-        if spectrum.num_peaks == 0 or len(rows) == 0:
-            return out
-        processed = self._preprocessed(spectrum)
-        for positions, group, local in index.iter_row_groups(rows):
-            sums, counts = self._ladder_matrix_scores(processed, group.ladder[local])
-            scored = np.nonzero(counts > 0)[0]
-            out[positions[scored]] = sums[scored] * 1e-2
         return out

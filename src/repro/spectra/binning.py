@@ -62,10 +62,10 @@ def count_matches(
 
 # -- batched matchers ------------------------------------------------------
 #
-# The batch scoring path asks the same questions for *matrices* of
-# fragment ladders — one row per candidate — against a single observed
-# spectrum.  All batched kernels below evaluate exactly the scalar
-# ``match_peaks`` predicate (peak ``p`` matches fragment ``f`` iff
+# The block kernels ask the same questions for *matrices* of fragment
+# ladders — one row per candidate.  All batched kernels below and the
+# cohort matchers after them evaluate exactly the scalar ``match_peaks``
+# predicate (peak ``p`` matches fragment ``f`` iff
 # ``p - tol <= f <= p + tol`` with the same rounded endpoint values), so
 # their outputs agree with per-candidate loops bit for bit.
 
@@ -98,23 +98,6 @@ def match_peaks_many(
     return hi > lo
 
 
-def matched_peak_intervals(
-    observed_mz: np.ndarray, frag_rows: np.ndarray, tolerance: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-fragment half-open intervals of matched observed-peak indices.
-
-    For fragment ``frag_rows[r, j]`` the matched peaks are exactly
-    ``observed_mz[lo[r, j]:hi[r, j]]`` — the peaks ``p`` satisfying the
-    scalar predicate ``p - tol <= f <= p + tol``.  ``observed_mz`` must be
-    sorted ascending.
-    """
-    pm = observed_mz - tolerance
-    pp = observed_mz + tolerance
-    lo = np.searchsorted(pp, frag_rows, side="left")
-    hi = np.searchsorted(pm, frag_rows, side="right")
-    return lo, hi
-
-
 def _fresh_intervals(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per fragment, the part ``(starts, lens)`` of its matched-peak interval
     ``[lo, hi)`` that no earlier fragment of its row already covered.
@@ -125,48 +108,6 @@ def _fresh_intervals(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.nda
     prev = np.concatenate([np.zeros((len(hi), 1), dtype=hi.dtype), hi[:, :-1]], axis=1)
     starts = np.maximum(lo, prev)
     return starts, np.maximum(hi - starts, 0)
-
-
-def count_matches_rows(
-    observed_mz: np.ndarray, frag_rows: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Batched :func:`count_matches`: shared peak count per fragment row.
-
-    Each row of ``frag_rows`` must be sorted ascending (fragment ladders
-    are).  The count is the size of the *union* of the per-fragment
-    matched-peak intervals, so peaks matched by several fragments count
-    once — exactly the scalar boolean-mask semantics.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    n, f = frag_rows.shape
-    if f == 0 or len(observed_mz) == 0:
-        return np.zeros(n, dtype=np.int64)
-    _starts, lens = _fresh_intervals(*matched_peak_intervals(observed_mz, frag_rows, tolerance))
-    return lens.sum(axis=1).astype(np.int64)
-
-
-def matched_peak_segments(
-    observed_mz: np.ndarray, frag_rows: np.ndarray, tolerance: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Matched observed-peak indices per fragment row, in ragged form.
-
-    Returns ``(flat_idx, row_offsets)``: row ``r``'s matched peaks are
-    ``flat_idx[row_offsets[r]:row_offsets[r + 1]]``, ascending — the same
-    order a scalar boolean mask enumerates them.  Rows of ``frag_rows``
-    must be sorted ascending.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    n, f = frag_rows.shape
-    if f == 0 or len(observed_mz) == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
-    starts, lens = _fresh_intervals(*matched_peak_intervals(observed_mz, frag_rows, tolerance))
-    flat_idx = _ragged_arange(
-        starts.ravel().astype(np.int64), lens.ravel().astype(np.int64)
-    )
-    row_offsets = np.concatenate(([0], np.cumsum(lens.sum(axis=1)))).astype(np.int64)
-    return flat_idx, row_offsets
 
 
 def row_segment_sums(
@@ -193,24 +134,6 @@ def row_segment_sums(
     return out
 
 
-def matched_intensity_rows(
-    observed_mz: np.ndarray,
-    observed_intensity: np.ndarray,
-    frag_rows: np.ndarray,
-    tolerance: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`matched_intensity`: ``(counts, intensity_sums)``.
-
-    Row ``r`` reproduces the scalar
-    ``matched_intensity(observed_mz, observed_intensity, frag_rows[r], tol)``
-    bit for bit (see :func:`row_segment_sums` for why the float sums are
-    exact).  Rows of ``frag_rows`` must be sorted ascending.
-    """
-    flat_idx, row_offsets = matched_peak_segments(observed_mz, frag_rows, tolerance)
-    counts = np.diff(row_offsets).astype(np.int64)
-    return counts, row_segment_sums(observed_intensity, flat_idx, row_offsets)
-
-
 def matched_intensity(
     observed_mz: np.ndarray,
     observed_intensity: np.ndarray,
@@ -230,7 +153,7 @@ def matched_intensity(
 # the spectrum row ``r`` is matched against and is non-decreasing, so each
 # member's rows are one contiguous run.  Only the binary searches run per
 # member (each against that member's own slice of the batch's flat peak
-# arrays — the same floats its per-query call would search); everything
+# arrays — the same floats the scalar matcher searches); everything
 # after them is row-wise and runs once for all rows.
 
 
@@ -293,8 +216,15 @@ def match_peaks_pairs(
 def _fresh_intervals_pairs(
     batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Cohort :func:`matched_peak_intervals` + :func:`_fresh_intervals`,
-    in member-local peak positions."""
+    """:func:`_fresh_intervals` of each fragment's matched-peak interval,
+    in member-local peak positions.
+
+    For fragment ``frag_rows[r, j]`` the matched peaks of member
+    ``member[r]`` are exactly its peaks ``p`` satisfying the scalar
+    predicate ``p - tol <= f <= p + tol``: a half-open index interval,
+    since a member's peaks are sorted ascending.  Rows of ``frag_rows``
+    must be sorted ascending too.
+    """
     runs = sorted_runs(member)
     lo = _searchsorted_runs(batch.mz + tolerance, batch.offsets, runs, frag_rows, "left")
     hi = _searchsorted_runs(batch.mz - tolerance, batch.offsets, runs, frag_rows, "right")
@@ -304,7 +234,12 @@ def _fresh_intervals_pairs(
 def count_matches_pairs(
     batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
 ) -> np.ndarray:
-    """Cohort :func:`count_matches_rows`: row ``r`` against member ``member[r]``."""
+    """Batched :func:`count_matches`: row ``r`` against member ``member[r]``.
+
+    The count is the size of the *union* of the per-fragment
+    matched-peak intervals, so peaks matched by several fragments count
+    once — exactly the scalar boolean-mask semantics.
+    """
     n, f = frag_rows.shape
     if n == 0 or f == 0:
         return np.zeros(n, dtype=np.int64)
@@ -315,12 +250,13 @@ def count_matches_pairs(
 def matched_intensity_pairs(
     batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Cohort :func:`matched_intensity_rows`: ``(counts, intensity_sums)``.
+    """Batched :func:`matched_intensity`: ``(counts, intensity_sums)``.
 
     One :func:`row_segment_sums` over the batch's flat intensities serves
     every member: each row's member-local matched peaks are shifted by
     its member's offset into the batch, so it gathers exactly the values
-    (in the order) its per-query call would.
+    (ascending, the order a scalar boolean mask enumerates them) that
+    ``matched_intensity`` sums for that row and member.
     """
     n, f = frag_rows.shape
     if n == 0 or f == 0:

@@ -24,9 +24,10 @@ import os
 import platform
 from typing import Any, Dict, Optional
 
-#: /2: ``sweep_probe_per_cohort`` is fitted per packed scoring block; a /1
-#: cache fitted it per overlap cohort, several times as many for one pass
-CACHE_SCHEMA = "repro.tune_calibration/2"
+#: /3: ``rho_base``/``tau_cost`` are fitted on the shard pass itself; a /2
+#: cache fitted them on a per-query pass the engines no longer run, and
+#: its terms would mispredict every plan
+CACHE_SCHEMA = "repro.tune_calibration/3"
 
 #: default cache location; overridable per call and via ``repro tune --cache``
 DEFAULT_CACHE_PATH = os.path.join("~", ".cache", "repro", "calibration.json")

@@ -1,8 +1,8 @@
 """Calibration: fit CostModel terms to this host from measured spans.
 
 A short, seeded battery of microbenchmarks exercises each hot path the
-engines run — batch scoring kernels, the fragment-index probe, the
-candidate-major sweep, partition read + decode, persisted-index load,
+engines run — the shard pass on the direct block kernels and on the
+fragment-index probe, partition read + decode, persisted-index load,
 process transport and pool spin-up — under an enabled
 :class:`~repro.obs.metrics.MetricsRegistry`.  The measured span
 durations become the right-hand side of small least-squares systems
@@ -36,19 +36,18 @@ from repro.workloads.queries import generate_queries
 from repro.workloads.synthetic import generate_database
 
 #: CostModel fields a calibration is allowed to refit.  Anything else
-#: (paper-scaled simulation constants like ``iteration_overhead``) is
-#: out of scope on purpose: those model the paper's machine, not ours.
+#: (paper-scaled simulation constants like ``iteration_overhead`` and
+#: the per-query ``query_overhead`` MODELED runs charge) is out of scope
+#: on purpose: those model the paper's machine, not ours.
 CALIBRATABLE_TERMS = (
     "rho_base",
     "tau_cost",
-    "query_overhead",
     "index_probe_discount",
     "index_build_per_fragment",
     "index_load_per_byte",
     "index_open_overhead",
     "sweep_setup_per_query",
     "sweep_probe_per_cohort",
-    "sweep_eval_discount",
     "partition_read_per_byte",
     "partition_decode_per_byte",
     "partition_open_overhead",
@@ -67,7 +66,7 @@ class CalibrationSpec:
     """
 
     seed: int = 202
-    db_size: int = 240  #: kernel/sweep benchmark database
+    db_size: int = 240  #: shard-pass benchmark database
     num_queries: int = 160
     store_db_size: int = 120  #: partition + persisted-store benchmarks
     repeats: int = 2  #: timed repetitions per point (min is kept)
@@ -152,57 +151,78 @@ def _relative_cost(config: SearchConfig) -> float:
     return config.make_scorer(None).relative_cost
 
 
-def _fit_kernel_terms(db, queries, spec: CalibrationSpec, details: Dict) -> Dict[str, float]:
-    """rho_base / tau_cost / query_overhead from per-query direct runs.
+def _fit_sweep_terms(db, queries, spec: CalibrationSpec, details: Dict) -> Dict[str, float]:
+    """rho_base / tau_cost / sweep setup / sweep probe from direct shard passes.
 
-    Each run obeys ``t = cand * (rho_base * rc + tau_cost) + qov * m``.
-    Candidate counts scale linearly with the query count, so varying m
-    would leave the candidate and query columns collinear (least-squares
-    then splits per-candidate time arbitrarily into ``qov``, which
-    poisons every downstream fit that subtracts it).  Instead the runs
-    vary the scorer (different ``rc``) and the mass window ``delta``
-    (different candidates-per-query) at a *fixed* query count.
+    Each run obeys ``t = cand * (rho_base * rc + tau_cost) + setup * m +
+    probe * blocks``.  Candidate counts scale linearly with the query
+    count, so varying m would leave the candidate and query columns
+    collinear (least squares then splits per-candidate time arbitrarily
+    into ``setup``, which poisons every downstream fit that subtracts
+    it).  Instead the runs vary the scorer (different ``rc``) and the
+    mass window ``delta`` (candidates-per-query change severalfold) at a
+    *fixed* query and block count.  The per-block term
+    (``stats.sweep_cohorts`` counts packed scoring blocks, about
+    ``m / cap`` of them whatever the window layout) is identified by the
+    cap alone, so the scorer x delta ladder at the widest cap is joined
+    by one run per narrower cap, and a joint least squares separates all
+    four terms.
     """
-    rows: List[Dict[str, float]] = []
     m = spec.num_queries
-    for scorer in spec.scorers:
-        for delta in (3.0, 1.0):
-            config = SearchConfig(
-                delta=delta, tau=25, scorer=scorer, use_index=False, use_sweep=False
-            )
-            rc = _relative_cost(config)
-            dur, stats, _, _ = _timed_search(db, queries[:m], config, spec.repeats)
-            rows.append(
-                {
-                    "scorer": scorer,
-                    "relative_cost": rc,
-                    "delta": delta,
-                    "queries": m,
-                    "candidates": stats.candidates_evaluated,
-                    "seconds": dur,
-                }
-            )
-    design = [[r["candidates"] * r["relative_cost"], r["candidates"], r["queries"]] for r in rows]
-    rhs = [r["seconds"] for r in rows]
-    rho_base, tau_cost, query_overhead = _nonneg_lstsq(design, rhs)
+
+    def run(scorer: str, cap: int, delta: float) -> Dict[str, float]:
+        config = SearchConfig(
+            delta=delta, tau=25, scorer=scorer, use_index=False, sweep_cohort=cap
+        )
+        dur, stats, _, _ = _timed_search(db, queries[:m], config, spec.repeats)
+        return {
+            "scorer": scorer,
+            "relative_cost": _relative_cost(config),
+            "cohort_cap": cap,
+            "delta": delta,
+            "queries": m,
+            "cohorts": stats.sweep_cohorts,
+            "candidates": stats.candidates_evaluated,
+            "seconds": dur,
+        }
+
+    wide_cap = spec.sweep_cohorts[-1]
+    rows = [
+        run(scorer, wide_cap, delta)
+        for scorer in spec.scorers
+        for delta in (1.0, 1.5, 3.0, 6.0)
+    ]
+    rows += [run(spec.scorers[0], cap, 3.0) for cap in spec.sweep_cohorts[:-1]]
+    rho_base, tau_cost, probe, setup = _nonneg_lstsq(
+        [
+            [r["candidates"] * r["relative_cost"], r["candidates"], r["cohorts"], r["queries"]]
+            for r in rows
+        ],
+        [r["seconds"] for r in rows],
+    )
     if rho_base <= 0.0:
         # degenerate fit (all scorers equal-cost): fall back to raw rate
-        r = rows[-1]
+        r = rows[0]
         rho_base = r["seconds"] / max(r["candidates"] * r["relative_cost"], 1)
-    details["kernel_runs"] = rows
+    details["sweep_runs"] = rows
     return {
         "rho_base": float(rho_base),
         "tau_cost": float(tau_cost),
-        "query_overhead": float(query_overhead),
+        "sweep_setup_per_query": float(setup),
+        "sweep_probe_per_cohort": float(probe),
     }
 
 
 def _fit_index_terms(
     db, queries, spec: CalibrationSpec, terms: Dict[str, float], details: Dict
 ) -> Dict[str, float]:
-    """index_build_per_fragment + index_probe_discount from an indexed run."""
+    """index_build_per_fragment + index_probe_discount from an indexed pass."""
     config = SearchConfig(
-        delta=3.0, tau=25, scorer="likelihood", use_index=True, use_sweep=False
+        delta=3.0,
+        tau=25,
+        scorer="likelihood",
+        use_index=True,
+        sweep_cohort=spec.sweep_cohorts[-1],
     )
     rc = _relative_cost(config)
     dur, stats, build_dur, searcher = _timed_search(db, queries, config, spec.repeats)
@@ -211,12 +231,16 @@ def _fit_index_terms(
     if fragments:
         out["index_build_per_fragment"] = build_dur / fragments
     rho = terms["rho_base"] * rc
-    tau = terms["tau_cost"]
-    qov = terms["query_overhead"]
     index_rows = stats.index_rows
     direct = stats.candidates_evaluated - index_rows
     if index_rows:
-        residual = dur - qov * len(queries) - tau * stats.candidates_evaluated - rho * direct
+        residual = (
+            dur
+            - terms["sweep_setup_per_query"] * len(queries)
+            - terms["sweep_probe_per_cohort"] * stats.sweep_cohorts
+            - terms["tau_cost"] * stats.candidates_evaluated
+            - rho * direct
+        )
         discount = residual / (rho * index_rows)
         out["index_probe_discount"] = float(np.clip(discount, 0.05, 1.5))
     details["index_run"] = {
@@ -227,60 +251,6 @@ def _fit_index_terms(
         "candidates": stats.candidates_evaluated,
     }
     return out
-
-
-def _fit_sweep_terms(
-    db, queries, spec: CalibrationSpec, terms: Dict[str, float], details: Dict
-) -> Dict[str, float]:
-    """Sweep terms: t = cand*(rho*rc*d + tau) + setup*m + probe*blocks.
-
-    Candidate counts scale linearly with the query count, so varying m
-    cannot separate per-candidate from per-query cost (the columns are
-    collinear).  The mass window ``delta`` conditions the per-candidate
-    term: widening it multiplies candidates-per-query severalfold at a
-    fixed query and block count.  The per-block term (``stats.
-    sweep_cohorts`` counts packed scoring blocks, about ``m / cap`` of
-    them whatever the window layout) is identified by the cap alone, so
-    the delta ladder at the widest cap is joined by one run per narrower
-    cap, and a joint least squares separates all three terms.
-    """
-    rc = _relative_cost(SearchConfig(scorer="likelihood"))
-    m = spec.num_queries
-
-    def run(cap: int, delta: float) -> Dict[str, float]:
-        config = SearchConfig(
-            delta=delta,
-            tau=25,
-            scorer="likelihood",
-            use_index=False,
-            use_sweep=True,
-            sweep_cohort=cap,
-        )
-        dur, stats, _, _ = _timed_search(db, queries[:m], config, spec.repeats)
-        return {
-            "cohort_cap": cap,
-            "delta": delta,
-            "queries": m,
-            "cohorts": stats.sweep_cohorts,
-            "candidates": stats.candidates_evaluated,
-            "seconds": dur,
-        }
-
-    wide_cap = spec.sweep_cohorts[-1]
-    rows = [run(wide_cap, delta) for delta in (1.0, 1.5, 3.0, 6.0)]
-    rows += [run(cap, 3.0) for cap in spec.sweep_cohorts[:-1]]
-    per_cand, probe, setup = _nonneg_lstsq(
-        [[r["candidates"], r["cohorts"], r["queries"]] for r in rows],
-        [r["seconds"] for r in rows],
-    )
-    rho = terms["rho_base"] * rc
-    discount = (per_cand - terms["tau_cost"]) / rho if rho > 0 else 1.0
-    details["sweep_runs"] = rows
-    return {
-        "sweep_eval_discount": float(np.clip(discount, 0.05, 1.5)),
-        "sweep_setup_per_query": float(setup),
-        "sweep_probe_per_cohort": float(probe),
-    }
 
 
 def _fit_partition_terms(db_small, spec: CalibrationSpec, details: Dict) -> Dict[str, float]:
@@ -411,9 +381,8 @@ def run_calibration(spec: Optional[CalibrationSpec] = None) -> Calibration:
         db = generate_database(spec.db_size, seed=spec.seed)
         db_small = generate_database(spec.store_db_size, seed=spec.seed)
         queries = generate_queries(spec.num_queries, seed=spec.seed + 1)
-        terms = _fit_kernel_terms(db, queries, spec, details)
+        terms = _fit_sweep_terms(db, queries, spec, details)
         terms.update(_fit_index_terms(db, queries, spec, terms, details))
-        terms.update(_fit_sweep_terms(db, queries, spec, terms, details))
         terms.update(_fit_partition_terms(db_small, spec, details))
         terms.update(_fit_store_load_terms(db_small, spec, details))
         terms.update(_fit_transport_terms(spec, details))

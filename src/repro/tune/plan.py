@@ -1,7 +1,7 @@
 """Configuration search: enumerate the knob grid, predict, pick.
 
 A :class:`CandidatePlan` is one point of the feasible grid — engine x
-index x sweep x cohort x blocks x start method x stream.  The planner
+index x cohort x blocks x start method x stream.  The planner
 profiles the workload once (exact candidate counts via the vectorized
 counting kernels, scoring-block counts via the sweep's own planner, index
 shape via a small sample build), prunes infeasible plans with the advisor's
@@ -37,7 +37,6 @@ class CandidatePlan:
 
     engine: str = "serial"  #: "serial" or "multiproc"
     use_index: bool = True
-    use_sweep: bool = False
     sweep_cohort: int = 64
     stream: bool = False
     num_workers: int = 1
@@ -54,8 +53,7 @@ class CandidatePlan:
             if self.start_method:
                 parts.append(self.start_method)
         parts.append("index" if self.use_index else "direct")
-        if self.use_sweep:
-            parts.append(f"sweep/{self.sweep_cohort}")
+        parts.append(f"sweep/{self.sweep_cohort}")
         if self.stream:
             parts.append("streamed")
         return ":".join(parts)
@@ -65,7 +63,6 @@ class CandidatePlan:
         return dataclasses.replace(
             base,
             use_index=self.use_index,
-            use_sweep=self.use_sweep,
             sweep_cohort=self.sweep_cohort,
         )
 
@@ -234,8 +231,8 @@ def predict_makespan(
 
     The phase decomposition mirrors what the engines charge: index build
     (amortized across workers), candidate evaluation split into
-    index-served and direct rows, per-query vs. per-cohort overhead,
-    streamed decode + exposed I/O, and — for multiproc — pool spin-up,
+    index-served and direct rows, per-query and per-block sweep
+    overhead, streamed decode + exposed I/O, and — for multiproc — pool spin-up,
     context transport, and task dispatch.
     """
     rho = cost.rho_base * profile.relative_cost
@@ -260,17 +257,13 @@ def predict_makespan(
         else 0.0
     )
     direct_rows = profile.total_candidates - index_rows
-    direct_rho = rho * (cost.sweep_eval_discount if plan.use_sweep else 1.0)
-    evaluation = direct_rows * (direct_rho + tau) + index_rows * (
+    evaluation = direct_rows * (rho + tau) + index_rows * (
         rho * cost.index_probe_discount + tau
     )
-    if plan.use_sweep:
-        overhead = (
-            cost.sweep_setup_per_query * m
-            + cost.sweep_probe_per_cohort * profile.cohorts_for(plan.sweep_cohort)
-        )
-    else:
-        overhead = cost.query_overhead * m
+    overhead = (
+        cost.sweep_setup_per_query * m
+        + cost.sweep_probe_per_cohort * profile.cohorts_for(plan.sweep_cohort)
+    )
 
     # every query meets every shard, so per-query bookkeeping is paid
     # once per shard: once in all on the direct path, once per worker
@@ -398,14 +391,11 @@ def enumerate_plans(
                 if allow_stream and use_index:
                     stream_opts.append(True)
                 for stream in stream_opts:
-                    sweep_opts: List[Tuple[bool, int]] = [(False, 64)]
-                    sweep_opts.extend((True, cap) for cap in sweep_cohorts)
-                    for use_sweep, cap in sweep_opts:
+                    for cap in sweep_cohorts:
                         consider(
                             CandidatePlan(
                                 engine=engine,
                                 use_index=use_index,
-                                use_sweep=use_sweep,
                                 sweep_cohort=cap,
                                 stream=stream,
                                 num_workers=workers,

@@ -36,7 +36,7 @@ from repro.service import SearchService, ServiceConfig, run_storm
 
 @pytest.fixture()
 def sweep_config():
-    return SearchConfig(tau=10, use_sweep=True)
+    return SearchConfig(tau=10)
 
 
 @pytest.fixture()

@@ -52,7 +52,7 @@ def soak_plan():
 class TestServiceSoak:
     @pytest.fixture(scope="class")
     def soak(self, tiny_db, tiny_queries):
-        config = SearchConfig(tau=10, use_sweep=True)
+        config = SearchConfig(tau=10)
         plan = soak_plan()
         service_config = ServiceConfig(
             workers=3,

@@ -123,7 +123,7 @@ class TestServiceStoreOutageWhileStreaming:
 
     @pytest.fixture()
     def sweep_config(self):
-        return SearchConfig(tau=10, use_sweep=True)
+        return SearchConfig(tau=10)
 
     @pytest.fixture()
     def reference_hits(self, tiny_db, tiny_queries, sweep_config):

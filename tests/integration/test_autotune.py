@@ -24,14 +24,12 @@ from repro.workloads.synthetic import generate_database
 SEED_TERMS = {
     "rho_base": 1.3e-6,
     "tau_cost": 8.0e-7,
-    "query_overhead": 2.1e-4,
     "index_probe_discount": 0.5,
     "index_build_per_fragment": 1.7e-7,
     "index_load_per_byte": 8.0e-11,
     "index_open_overhead": 2.4e-4,
     "sweep_setup_per_query": 1.6e-4,
     "sweep_probe_per_cohort": 4.8e-4,
-    "sweep_eval_discount": 0.4,
     "partition_read_per_byte": 9.0e-10,
     "partition_decode_per_byte": 4.5e-9,
     "partition_open_overhead": 5.0e-5,

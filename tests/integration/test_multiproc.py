@@ -116,14 +116,12 @@ class TestQueryMajorDecomposition:
         partitioned = save_partitioned_index(
             tiny_db, root / "partitioned", partition_mb=1.0 / 16.0
         )
-        sweep = SearchConfig(tau=10, use_sweep=True)
+        config = SearchConfig(tau=10)
         return {
-            "direct": (replace(sweep, use_index=False), {}),
-            "rebuilt_index": (SearchConfig(tau=10), {}),
-            "resident_store": (sweep, {"index_path": str(resident.path)}),
-            "partitioned_store": (
-                SearchConfig(tau=10), {"index_path": str(partitioned.path)}
-            ),
+            "direct": (replace(config, use_index=False), {}),
+            "rebuilt_index": (config, {}),
+            "resident_store": (config, {"index_path": str(resident.path)}),
+            "partitioned_store": (config, {"index_path": str(partitioned.path)}),
         }
 
     @pytest.mark.parametrize("num_workers,start_method,query_blocks", _GRID)
@@ -154,7 +152,7 @@ class TestQueryMajorDecomposition:
         blocking costs the sweep at most one extra cohort per cut."""
         queries = QueryWorkload(num_queries=90, seed=8, source=small_db).build()[0]
         random.Random(8).shuffle(queries)
-        config = SearchConfig(tau=10, use_index=False, use_sweep=True, sweep_cohort=8)
+        config = SearchConfig(tau=10, use_index=False, sweep_cohort=8)
         serial = search_serial(small_db, queries, config)
         blocks = 3
         rep = run_multiprocess_search(

@@ -70,7 +70,7 @@ class TestMmapTransport:
     def test_sweep_kernel_over_mmap_index(
         self, tiny_db, tiny_queries, tiny_store, start_method
     ):
-        cfg = _cfg(use_sweep=True)
+        cfg = _cfg(sweep_cohort=4)  # several blocks per pass
         from_store = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=cfg,
             start_method=start_method, index_path=str(tiny_store.path),

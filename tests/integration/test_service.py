@@ -26,7 +26,7 @@ from repro.store import save_index
 
 @pytest.fixture()
 def sweep_config():
-    return SearchConfig(tau=10, use_sweep=True)
+    return SearchConfig(tau=10)
 
 
 @pytest.fixture()

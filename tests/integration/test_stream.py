@@ -66,7 +66,7 @@ class TestSerialStreaming:
     def test_streamed_sweep_matches_resident_sweep(
         self, tiny_db, tiny_queries, pstore
     ):
-        cfg = _cfg(use_sweep=True)
+        cfg = _cfg(sweep_cohort=4)  # several blocks per pass
         streamed = search_serial(tiny_db, tiny_queries, cfg, index_store=pstore)
         resident = search_serial(tiny_db, tiny_queries, cfg)
         assert streamed.extras["sweep_queries"] > 0

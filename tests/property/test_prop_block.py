@@ -1,9 +1,10 @@
-"""Property tests: every cohort (pair) kernel equals the per-query oracle bitwise.
+"""Property tests: every cohort (pair) kernel equals the scalar oracle bitwise.
 
 ``block_scores`` on the direct path and ``FragmentIndex.score_block`` on a
 resident index and on a partition view each return one member-major score
-vector for a whole cohort.  ``score_block_fallback`` — one ``batch_scores``
-call per member on that member's own sub-batch — is the oracle.  Every
+vector for a whole cohort.  ``score_block_fallback`` — for these four
+scorers the scalar ``score``/``score_modified`` loop over each member's own
+sub-batch — is the oracle.  Every
 cohort drawn here holds, besides its random members, a member without
 peaks and a member whose selection is empty; members draw their selections
 independently from one candidate block, so candidates are shared; the span

@@ -1,9 +1,9 @@
-"""Property tests: index-served scoring is bitwise-equal to batch_scores.
+"""Property tests: index-served scoring is bitwise-equal to the scalar scores.
 
 The fragment-ion index's exactness contract (see
 ``repro.index.fragment_index``): every score served from precomputed
-posting lists / cached fragment matrices equals the direct
-``batch_scores`` result bit for bit — across scorers, PTM-mixed span
+posting lists / cached fragment matrices equals the scalar oracle
+(``score_batch_fallback``) bit for bit — across scorers, PTM-mixed span
 sets, empty candidate windows, and empty or degenerate spectra.  The
 searcher-level test additionally covers the merge of index-served and
 direct-overflow score streams back into span order.
@@ -28,16 +28,17 @@ from repro.scoring import (
     LikelihoodRatioScorer,
     SharedPeakScorer,
     XCorrScorer,
-    batch_scores,
+    score_batch_fallback,
 )
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
     ProteinDatabase.from_sequences
 )
 
-#: every scorer that implements score_index
+#: every scorer ``FragmentIndex.score_block`` serves
 _SCORERS = [SharedPeakScorer, HyperScorer, XCorrScorer, LikelihoodRatioScorer]
 
 _MODS = [
@@ -90,9 +91,9 @@ def test_score_index_bitwise_equals_batch_scores(case, spectrum, scorer_cls):
     if not use.any():
         return
     indexed = spans.take(use)
-    got = scorer.score_index(spectrum, index, rows[use])
+    got = index.score_block(scorer, SpectrumBatch([spectrum]), [rows[use]])
     batch = CandidateBatch.from_spans(db, indexed, {})
-    ref = batch_scores(scorer, spectrum, batch)
+    ref = score_batch_fallback(scorer, spectrum, batch)
     assert got.shape == ref.shape == (len(indexed),)
     assert got.tobytes() == ref.tobytes()
 
@@ -116,8 +117,9 @@ def test_rows_for_covers_exactly_the_indexable_spans(case):
 @given(index_cases(), spectra(), st.sampled_from(["shared_peaks", "hyperscore", "xcorr", "likelihood"]))
 @settings(max_examples=40, deadline=None)
 def test_searcher_score_spans_identical_with_index_on_and_off(case, spectrum, scorer_name):
-    """The searcher's merged index+overflow stream equals the pure batch
-    path bitwise, spans in original (PTM-tier-mixed) order."""
+    """The searcher's merged index+overflow stream equals the direct
+    path and the scalar oracle bitwise, spans in original
+    (PTM-tier-mixed) order."""
     db, _index, spans = case
     if len(spans) == 0:
         return
@@ -126,11 +128,17 @@ def test_searcher_score_spans_identical_with_index_on_and_off(case, spectrum, sc
     s_on = ShardSearcher(db, cfg_on)
     s_off = ShardSearcher(db, cfg_off)
     assert s_on.index is not None and s_off.index is None
-    got, direct_rows, index_rows = s_on.score_spans(spectrum, spans)
-    ref, ref_rows, ref_index_rows = s_off.score_spans(spectrum, spans)
+    cohort, everything = SpectrumBatch([spectrum]), [np.arange(len(spans))]
+    got, direct_rows, index_rows = s_on.score_spans_block(cohort, spans, everything)
+    ref, ref_rows, ref_index_rows = s_off.score_spans_block(cohort, spans, everything)
     assert ref_index_rows == 0
-    assert direct_rows + index_rows >= len(spans)
+    assert direct_rows + index_rows == ref_rows >= len(spans)
     assert got.tobytes() == ref.tobytes()
+    targets = {mod.delta_mass: ord(mod.target) for mod in _MODS}
+    scalar = score_batch_fallback(
+        s_off.scorer, spectrum, CandidateBatch.from_spans(db, spans, targets)
+    )
+    assert got.tobytes() == scalar.tobytes()
 
 
 def replace_config(cfg: SearchConfig, **kw) -> SearchConfig:

@@ -1,9 +1,9 @@
-"""Property tests: packed scoring blocks equal per-query search bitwise.
+"""Property tests: packed scoring blocks equal the scalar search bitwise.
 
 The sweep packs runs of overlapping windows into scoring blocks of up to
 ``sweep_cohort`` members whose windows need not overlap.  Packing decides
 only how many rows one kernel call sees, so every observable must stay
-that of :meth:`ShardSearcher.search` on the direct path — whatever the
+that of the scalar reference search (``tests/reference.py``) — whatever the
 window layout (all disjoint, all overlapping, mixed, a run longer than
 the cap, a member whose window is empty in the middle of a block), the
 cap, the modification tiers and filters, the number of shards feeding a
@@ -27,6 +27,7 @@ from repro.core.search import ShardSearcher
 from repro.core.streaming import StreamingSearcher, split_partition_ranges
 from repro.spectra.spectrum import Spectrum
 from repro.store import save_partitioned_index
+from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=2, max_size=30)
 databases = st.lists(sequences, min_size=2, max_size=8).map(
@@ -121,27 +122,11 @@ def _check_layout(queries, delta, kind):
 
 
 def _reference(shards, queries, cfg):
-    """Per-query direct search over every shard into one set of hit lists."""
-    direct = SearchConfig(
-        delta=cfg.delta,
-        tau=cfg.tau,
-        scorer=cfg.scorer,
-        modifications=cfg.modifications,
-        score_cutoff=cfg.score_cutoff,
-        min_candidate_length=cfg.min_candidate_length,
-        use_index=False,
-    )
-    hitlists, candidates = {}, 0
+    """Scalar search over every shard into one set of hit lists."""
+    hitlists = {}
     for shard in shards:
-        candidates += ShardSearcher(shard, direct).search(queries, hitlists).candidates_evaluated
-    return hitlists, candidates
-
-
-def _assert_same(reference, hitlists):
-    assert set(reference) == set(hitlists)
-    for qid in reference:
-        assert reference[qid].sorted_hits() == hitlists[qid].sorted_hits()
-        assert reference[qid].evaluated == hitlists[qid].evaluated
+        reference_search(shard, cfg, queries, hitlists)
+    return hitlists, candidates_evaluated(hitlists)
 
 
 @given(
@@ -168,7 +153,6 @@ def test_packed_sweep_equals_per_query_search(
         score_cutoff=cutoff,
         min_candidate_length=min_len,
         use_index=use_index,
-        use_sweep=True,
         sweep_cohort=cap,
     )
     half = len(db) // 2
@@ -180,13 +164,13 @@ def test_packed_sweep_equals_per_query_search(
     for shard in shards:
         searcher = ShardSearcher(shard, cfg)
         assert (searcher.index is not None) == use_index
-        stats = searcher.search_sweep(queries, hitlists)
+        stats = searcher.run(queries, hitlists)
         candidates += stats.candidates_evaluated
         assert stats.sweep_queries == len(queries)
         assert -(-len(queries) // cap) <= stats.sweep_cohorts <= len(queries)
         if kind == "disjoint":  # nothing overlaps, yet blocks fill to the cap
             assert stats.sweep_cohorts == -(-len(queries) // cap)
-    _assert_same(reference, hitlists)
+    assert_same_hitlists(reference, hitlists)
     assert candidates == ref_candidates
 
 
@@ -212,7 +196,6 @@ def test_packed_streamed_sweep_equals_per_query_search(
         scorer=scorer,
         score_cutoff=cutoff,
         min_candidate_length=min_len,
-        use_sweep=True,
         sweep_cohort=cap,
     )
     reference, ref_candidates = _reference([db], queries, cfg)
@@ -223,7 +206,7 @@ def test_packed_streamed_sweep_equals_per_query_search(
         for bounds in split_partition_ranges(store.num_partitions, 2 if two_ranges else 1):
             searcher = StreamingSearcher(store, cfg, database=db, partition_range=bounds)
             candidates += searcher.run(queries, hitlists).candidates_evaluated
-    _assert_same(reference, hitlists)
+    assert_same_hitlists(reference, hitlists)
     assert candidates == ref_candidates
 
 
@@ -239,14 +222,14 @@ def test_empty_window_in_the_middle_of_a_block():
     for use_index in (False, True):
         cfg = SearchConfig(
             delta=_NARROW, tau=5, scorer="hyperscore", use_index=use_index,
-            use_sweep=True, sweep_cohort=64,
+            sweep_cohort=64,
         )
         searcher = ShardSearcher(db, cfg)
         assert searcher.count_each(queries).tolist()[1] == 0
         assert min(searcher.count_each(queries).tolist()[::2]) > 0
         hitlists = {}
-        stats = searcher.search_sweep(queries, hitlists)
+        stats = searcher.run(queries, hitlists)
         assert stats.sweep_cohorts == 1
         reference, _ = _reference([db], queries, cfg)
-        _assert_same(reference, hitlists)
+        assert_same_hitlists(reference, hitlists)
         assert hitlists[1].evaluated == 0 and hitlists[1].sorted_hits() == []

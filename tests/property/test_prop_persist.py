@@ -5,9 +5,9 @@ The store's exactness contract (see ``repro.store``): a
 memory-mapped (or heap-loaded) buffers scores exactly like the
 in-process build it was saved from — same posting lists, same fragment
 matrices, same merged hit streams.  Covered here across all four
-index-capable scorers, the per-query searcher path, and the
-candidate-major sweep kernel (``search_sweep``) running over a loaded
-index.
+index-capable scorers, at the block kernels and through whole serial
+searches over a loaded index, which must also equal the scalar reference
+search (``tests/reference.py``).
 """
 
 import tempfile
@@ -31,14 +31,16 @@ from repro.scoring import (
     XCorrScorer,
 )
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.store import open_index, save_index
+from tests.reference import assert_report_matches, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
     ProteinDatabase.from_sequences
 )
 
-#: every scorer that implements score_index
+#: every scorer ``FragmentIndex.score_block`` serves
 _SCORERS = [SharedPeakScorer, HyperScorer, XCorrScorer, LikelihoodRatioScorer]
 _SCORER_NAMES = ["shared_peaks", "hyperscore", "xcorr", "likelihood"]
 
@@ -68,7 +70,7 @@ def workloads(draw):
 @given(databases, spectra(), st.sampled_from(_SCORERS), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_loaded_index_scores_bitwise_equal_in_memory(db, spectrum, scorer_cls, mmap):
-    """score_index over a store-loaded view == over the in-process build,
+    """score_block over a store-loaded view == over the in-process build,
     bit for bit, with both memmap and heap backing."""
     with tempfile.TemporaryDirectory() as tmp:
         store = save_index(db, Path(tmp) / "idx")
@@ -82,24 +84,26 @@ def test_loaded_index_scores_bitwise_equal_in_memory(db, spectrum, scorer_cls, m
         if not use.any():
             return
         scorer = scorer_cls()
-        got = scorer.score_index(spectrum, loaded.index, rows_loaded[use])
-        ref = scorer.score_index(spectrum, mem, rows_mem[use])
+        cohort = SpectrumBatch([spectrum])
+        got = loaded.index.score_block(scorer, cohort, [rows_loaded[use]])
+        ref = mem.score_block(scorer, cohort, [rows_mem[use]])
         assert got.tobytes() == ref.tobytes()
 
 
-@given(workloads(), st.sampled_from(_SCORER_NAMES), st.booleans())
+@given(workloads(), st.sampled_from(_SCORER_NAMES), st.sampled_from([1, 2, 64]))
 @settings(max_examples=25, deadline=None)
-def test_serial_search_from_store_reports_equal_rebuild(workload, scorer_name, sweep):
-    """Full serial searches — per-query kernel and search_sweep — produce
-    identical hit lists whether the index is rebuilt or mmap-loaded."""
+def test_serial_search_from_store_reports_equal_rebuild(workload, scorer_name, cap):
+    """Full serial searches produce identical hit lists — the scalar
+    reference's — whether the index is rebuilt or mmap-loaded."""
     db, queries = workload
-    config = SearchConfig(tau=5, scorer=scorer_name, use_sweep=sweep)
+    config = SearchConfig(tau=5, scorer=scorer_name, sweep_cohort=cap)
     with tempfile.TemporaryDirectory() as tmp:
         store = save_index(db, Path(tmp) / "idx")
         from_store = search_serial(db, queries, config, index_store=store)
         rebuilt = search_serial(db, queries, config)
     assert reports_equal(from_store, rebuilt)
-    # same work happened on both sides — sweep ran (or not) identically
+    assert_report_matches(reference_search(db, config, queries), from_store)
+    # same work happened on both sides
     assert from_store.extras["sweep_queries"] == rebuilt.extras["sweep_queries"]
     assert from_store.extras["index_rows"] == rebuilt.extras["index_rows"]
     # provenance: one fingerprint, two sources

@@ -4,11 +4,11 @@ The partitioned store's exactness contract (see ``repro.core.streaming``):
 a :class:`~repro.core.streaming.StreamingSearcher` pass over compressed
 m/z partitions — double-buffered prefetch, per-partition window slices,
 overflow through the direct batch path — retains exactly the hits the
-resident :class:`~repro.core.search.ShardSearcher` retains, score bits
-and all.  Hypothesis drives arbitrary small databases and query sets
-through all four index-capable scorers, both kernels (per-query and
-candidate-major sweep), prefetch on/off, and tiny partition sizes so
-every pass crosses many partition boundaries.
+resident :class:`~repro.core.search.ShardSearcher` and the scalar
+reference search (``tests/reference.py``) retain, score bits and all.
+Hypothesis drives arbitrary small databases and query sets through all
+four index-capable scorers, block caps 1/2/64, prefetch on/off, and tiny
+partition sizes so every pass crosses many partition boundaries.
 """
 
 import tempfile
@@ -23,6 +23,7 @@ from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
 from repro.store import save_partitioned_index
+from tests.reference import assert_report_matches, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=40)
 databases = st.lists(sequences, min_size=1, max_size=10).map(
@@ -57,22 +58,31 @@ def workloads(draw):
     return db, queries
 
 
-@given(workloads(), st.sampled_from(_SCORER_NAMES), st.booleans())
+@given(
+    workloads(),
+    st.sampled_from(_SCORER_NAMES),
+    st.sampled_from([1, 2, 64]),
+    st.sampled_from([6, 48]),
+)
 @settings(max_examples=25, deadline=None)
-def test_streamed_search_reports_equal_resident(workload, scorer_name, sweep):
-    """All four scorers x sweep on/off: identical hits, identical
-    per-query evaluated accounting, identical candidate totals."""
+def test_streamed_search_reports_equal_resident(workload, scorer_name, cap, max_length):
+    """All four scorers x block caps: identical hits, identical
+    per-query evaluated accounting, identical candidate totals.  At
+    ``max_length`` 6 most spans are out of the index envelope, so the
+    overflow blocks carry the search."""
     db, queries = workload
-    config = SearchConfig(tau=5, scorer=scorer_name, use_sweep=sweep)
+    config = SearchConfig(
+        tau=5, scorer=scorer_name, sweep_cohort=cap, index_max_length=max_length
+    )
     with tempfile.TemporaryDirectory() as tmp:
         # ~64 KiB partitions force many partition crossings per window
         store = save_partitioned_index(
-            db, Path(tmp) / "pidx", partition_mb=1.0 / 16.0
+            db, Path(tmp) / "pidx", partition_mb=1.0 / 16.0, max_length=max_length
         )
         streamed = search_serial(db, queries, config, index_store=store)
         resident = search_serial(db, queries, config)
     assert reports_equal(streamed, resident)
-    assert streamed.candidates_evaluated == resident.candidates_evaluated
+    assert_report_matches(reference_search(db, config, queries), streamed)
     assert streamed.extras["sweep_queries"] == resident.extras["sweep_queries"]
     assert (
         streamed.extras["index_provenance"]["fingerprint"]
@@ -81,13 +91,13 @@ def test_streamed_search_reports_equal_resident(workload, scorer_name, sweep):
     assert streamed.extras["index_provenance"]["source"] == "streamed"
 
 
-@given(workloads(), st.booleans())
+@given(workloads(), st.sampled_from([1, 64]))
 @settings(max_examples=15, deadline=None)
-def test_prefetch_off_and_memory_budget_do_not_change_hits(workload, sweep):
+def test_prefetch_off_and_memory_budget_do_not_change_hits(workload, cap):
     """Serial decode (no prefetch thread) and a tight memory budget are
     pure transport knobs: same hits either way."""
     db, queries = workload
-    config = SearchConfig(tau=5, use_sweep=sweep)
+    config = SearchConfig(tau=5, sweep_cohort=cap)
     with tempfile.TemporaryDirectory() as tmp:
         store = save_partitioned_index(
             db, Path(tmp) / "pidx", partition_mb=1.0 / 16.0

@@ -1,14 +1,14 @@
-"""Property tests: the candidate-major sweep equals per-query search bitwise.
+"""Property tests: the candidate-major sweep equals the scalar search bitwise.
 
-``ShardSearcher.search_sweep`` is a pure throughput transform — sorted
-query windows merge-joined against the shard's sorted mass arrays,
+``ShardSearcher.run`` is a pure throughput transform — sorted query
+windows merge-joined against the shard's sorted mass arrays,
 overlapping windows coalesced into cohorts, cohort members scored
 against shared candidate blocks.  Every observable — hits, per-query
-evaluated counts, work counters — must be *identical* to the per-query
-path across PTM mixes, score cutoffs, candidate-length floors, index
-on/off, cohort caps and query permutations.  The scalar path is the
-oracle; any drift here is a bug in the sweep, never an acceptable
-approximation.
+evaluated counts, the candidate total — must be *identical* to the
+scalar reference search (``tests/reference.py``) across PTM mixes, score
+cutoffs, candidate-length floors, index on/off, cohort caps and query
+permutations.  The scalar path is the oracle; any drift here is a bug in
+the sweep, never an acceptable approximation.
 """
 
 from dataclasses import replace
@@ -23,6 +23,7 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
 from repro.spectra.spectrum import Spectrum
+from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
@@ -55,19 +56,16 @@ query_lists = st.lists(spectra(), min_size=0, max_size=10).map(
 
 
 def _assert_identical(searcher, queries):
-    per_query, sweep = {}, {}
-    st_pq = searcher.search(queries, per_query)
-    st_sw = searcher.search_sweep(queries, sweep)
-    assert set(per_query) == set(sweep)
-    for qid in per_query:
-        assert per_query[qid].sorted_hits() == sweep[qid].sorted_hits()
-        assert per_query[qid].evaluated == sweep[qid].evaluated
-    assert st_pq.candidates_evaluated == st_sw.candidates_evaluated
-    assert st_pq.queries_processed == st_sw.queries_processed
-    assert st_pq.rows_scored == st_sw.rows_scored
-    assert st_pq.index_rows == st_sw.index_rows
-    assert st_sw.sweep_queries == len(queries)
-    return st_sw
+    reference = reference_search(searcher.shard, searcher.config, queries)
+    sweep = {}
+    stats = searcher.run(queries, sweep)
+    assert_same_hitlists(reference, sweep)
+    assert stats.candidates_evaluated == candidates_evaluated(reference)
+    assert stats.queries_processed == len(queries)
+    assert stats.sweep_queries == len(queries)
+    if searcher.index is None:
+        assert stats.index_rows == 0
+    return stats
 
 
 @given(
@@ -94,41 +92,26 @@ def test_sweep_bitwise_equal_to_per_query(
         score_cutoff=cutoff,
         min_candidate_length=min_len,
         use_index=use_index,
-        use_sweep=True,
         sweep_cohort=cohort,
     )
-    _assert_identical(ShardSearcher(db, cfg), queries)
+    searcher = ShardSearcher(db, cfg)
+    stats = _assert_identical(searcher, queries)
+    # the work counters do not depend on the index or the cap
+    plain = ShardSearcher(db, replace(cfg, use_index=False, sweep_cohort=1))
+    st_plain = plain.run(queries, {})
+    assert st_plain.rows_scored == stats.rows_scored
+    assert st_plain.index_rows == 0
 
 
 @given(databases, query_lists, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_sweep_invariant_under_query_permutation(db, queries, rnd):
     """Sweep output per qid is independent of the caller's query order."""
-    cfg = SearchConfig(delta=3.0, tau=10, scorer="shared_peaks", use_sweep=True)
+    cfg = SearchConfig(delta=3.0, tau=10, scorer="shared_peaks")
     searcher = ShardSearcher(db, cfg)
-    reference = {}
-    searcher.search(queries, reference)
+    reference = reference_search(db, cfg, queries)
     shuffled = list(queries)
     rnd.shuffle(shuffled)
     permuted = {}
-    searcher.search_sweep(shuffled, permuted)
-    assert set(reference) == set(permuted)
-    for qid in reference:
-        assert reference[qid].sorted_hits() == permuted[qid].sorted_hits()
-        assert reference[qid].evaluated == permuted[qid].evaluated
-
-
-@given(databases, query_lists, st.sampled_from([1, 3, 64]))
-@settings(max_examples=30, deadline=None)
-def test_run_dispatches_on_config(db, queries, cohort):
-    """``run`` picks the sweep exactly when configured, same results."""
-    base = SearchConfig(delta=3.0, tau=10, scorer="shared_peaks")
-    swept = replace(base, use_sweep=True, sweep_cohort=cohort)
-    h_base, h_swept = {}, {}
-    st_base = ShardSearcher(db, base).run(queries, h_base)
-    st_swept = ShardSearcher(db, swept).run(queries, h_swept)
-    assert st_base.sweep_queries == 0 and st_base.sweep_cohorts == 0
-    assert st_swept.sweep_queries == len(queries)
-    assert set(h_base) == set(h_swept)
-    for qid in h_base:
-        assert h_base[qid].sorted_hits() == h_swept[qid].sorted_hits()
+    searcher.run(shuffled, permuted)
+    assert_same_hitlists(reference, permuted)

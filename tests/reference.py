@@ -1,0 +1,95 @@
+"""The scalar reference search every engine path is compared against.
+
+One query at a time, one candidate at a time: the paper's serial loop
+written out with the scorers' scalar ``score`` / ``score_modified``.  It
+enumerates candidates with :meth:`CandidateGenerator.candidates` (not the
+sweep's window join), scores through
+:func:`~repro.scoring.base.score_batch_fallback` (not a pair kernel, a
+posting probe or a cached matrix) and offers through
+:meth:`TopHitList.add_batch` (not the block emit), so it shares no
+vectorised scoring, filtering or emit code with
+``ShardSearcher.run`` / ``StreamingSearcher.run``.  Keep inputs small:
+the scalar likelihood model is about ten times slower than its kernel.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Optional
+
+from repro.candidates.batch import CandidateBatch
+from repro.candidates.generator import CandidateGenerator
+from repro.chem.protein import ProteinDatabase
+from repro.core.config import SearchConfig
+from repro.scoring.base import score_batch_fallback
+from repro.scoring.hits import TopHitList
+from repro.spectra.spectrum import Spectrum
+
+
+def reference_search(
+    shard: ProteinDatabase,
+    config: SearchConfig,
+    queries: Iterable[Spectrum],
+    hitlists: Optional[Dict[int, TopHitList]] = None,
+) -> Dict[int, TopHitList]:
+    """Search ``queries`` against ``shard`` the slow, obvious way.
+
+    Returns the hit lists (``hitlists`` itself when given, so several
+    shards can fold into one set).  A query's ``evaluated`` count is
+    every candidate in its window — too short, below the cutoff or
+    offered alike — so ``sum(h.evaluated)`` is the
+    ``candidates_evaluated`` an engine must report.  ``use_index`` and
+    ``sweep_cohort`` are ignored: they may not change a result.
+    """
+    hitlists = {} if hitlists is None else hitlists
+    scorer = config.make_scorer()
+    generator = CandidateGenerator(shard, config.delta, config.modifications)
+    mod_targets = {mod.delta_mass: ord(mod.target) for mod in generator.modifications}
+    for spectrum in queries:
+        hitlist = hitlists.setdefault(spectrum.query_id, TopHitList(config.tau))
+        spans = generator.candidates(spectrum)
+        long_enough = spans.lengths >= config.min_candidate_length
+        hitlist.evaluated += len(spans) - int(long_enough.sum())
+        spans = spans.take(long_enough)
+        if len(spans) == 0:
+            continue
+        # best site per PTM candidate: reduce_rows inside the fallback
+        batch = CandidateBatch.from_spans(shard, spans, mod_targets)
+        scores = score_batch_fallback(scorer, spectrum, batch)
+        if config.score_cutoff is not None:
+            passing = scores >= config.score_cutoff
+            hitlist.evaluated += len(scores) - int(passing.sum())
+            spans = spans.take(passing)
+            scores = scores[passing]
+        hitlist.add_batch(
+            spectrum.query_id,
+            scores,
+            shard.ids[spans.seq_index],
+            spans.start,
+            spans.stop,
+            spans.mass,
+            spans.mod_delta,
+        )
+    return hitlists
+
+
+def assert_same_hitlists(
+    reference: Dict[int, TopHitList], hitlists: Dict[int, TopHitList]
+) -> None:
+    """Same queries, bitwise-equal ranked hits, equal ``evaluated`` counts."""
+    assert set(reference) == set(hitlists)
+    for qid in reference:
+        assert reference[qid].sorted_hits() == hitlists[qid].sorted_hits()
+        assert reference[qid].evaluated == hitlists[qid].evaluated
+
+
+def candidates_evaluated(hitlists: Dict[int, TopHitList]) -> int:
+    """The ``candidates_evaluated`` total a set of hit lists implies."""
+    return sum(h.evaluated for h in hitlists.values())
+
+
+def assert_report_matches(reference: Dict[int, TopHitList], report) -> None:
+    """A ``SearchReport`` carries exactly the reference's hits and total."""
+    assert set(reference) == set(report.hits)
+    for qid, hitlist in reference.items():
+        assert hitlist.sorted_hits() == report.hits[qid]
+    assert report.candidates_evaluated == candidates_evaluated(reference)

@@ -9,13 +9,15 @@ from repro.chem.amino_acids import STANDARD_MODIFICATIONS, encode_sequence
 from repro.chem.protein import ProteinDatabase
 from repro.spectra.binning import (
     count_matches,
-    count_matches_rows,
+    count_matches_pairs,
     match_peaks,
     match_peaks_many,
     matched_intensity,
-    matched_intensity_rows,
+    matched_intensity_pairs,
     row_segment_sums,
 )
+from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.spectra.theoretical import (
     IonSeries,
     by_ion_ladder,
@@ -129,6 +131,15 @@ class TestBatchedKernels:
         self.masses = mass_table(True)[self.rows]
         self.obs_mz = np.sort(rng.uniform(100.0, 1800.0, 50))
         self.obs_int = rng.uniform(0.0, 1.0, 50)
+        # the pair kernels take (cohort, member-of-row): a cohort of one
+        self.cohort = self._cohort(self.obs_mz, self.obs_int)
+        self.member = np.zeros(len(self.rows), dtype=np.int64)
+
+    @staticmethod
+    def _cohort(mz, intensity):
+        return SpectrumBatch(
+            [Spectrum.from_peaks(mz, intensity, precursor_mz=500.0, charge=1, query_id=0)]
+        )
 
     def test_ladder_rows_match_scalar(self):
         ladders = by_ion_ladder_rows(self.masses)
@@ -155,13 +166,13 @@ class TestBatchedKernels:
 
     def test_count_matches_rows_match_scalar(self):
         ladders = by_ion_ladder_rows(self.masses)
-        counts = count_matches_rows(self.obs_mz, ladders, 0.5)
+        counts = count_matches_pairs(self.cohort, self.member, ladders, 0.5)
         for i in range(len(ladders)):
             assert counts[i] == count_matches(self.obs_mz, ladders[i], 0.5)
 
     def test_matched_intensity_rows_match_scalar(self):
         ladders = by_ion_ladder_rows(self.masses)
-        counts, sums = matched_intensity_rows(self.obs_mz, self.obs_int, ladders, 0.5)
+        counts, sums = matched_intensity_pairs(self.cohort, self.member, ladders, 0.5)
         for i in range(len(ladders)):
             ref_n, ref_sum = matched_intensity(self.obs_mz, self.obs_int, ladders[i], 0.5)
             assert counts[i] == ref_n
@@ -175,9 +186,9 @@ class TestBatchedKernels:
 
     def test_empty_observed_spectrum(self):
         ladders = by_ion_ladder_rows(self.masses)
-        empty = np.empty(0)
-        assert np.all(count_matches_rows(empty, ladders, 0.5) == 0)
-        counts, sums = matched_intensity_rows(empty, empty, ladders, 0.5)
+        empty = self._cohort(np.empty(0), np.empty(0))
+        assert np.all(count_matches_pairs(empty, self.member, ladders, 0.5) == 0)
+        counts, sums = matched_intensity_pairs(empty, self.member, ladders, 0.5)
         assert np.all(counts == 0) and np.all(sums == 0.0)
 
     def test_row_segment_sums_groups_by_length(self):

@@ -45,6 +45,14 @@ class TestValidation:
         assert exc.value.code == 2
         assert "expected a" in capsys.readouterr().err
 
+    def test_removed_sweep_flags_rejected(self, capsys):
+        """The sweep is the only engine path: there is no flag to pick it."""
+        for argv in (["search", "--use-sweep"], ["search", "--no-sweep"], ["serve", "--no-sweep"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_nonexistent_database_rejected(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--database", "/no/such/db.fasta"])

@@ -46,6 +46,10 @@ class TestSearchConfig:
         mods = (STANDARD_MODIFICATIONS["oxidation"],)
         assert SearchConfig(modifications=mods).modifications == mods
 
+    def test_no_use_sweep_field(self):
+        with pytest.raises(TypeError, match="use_sweep"):
+            SearchConfig(use_sweep=True)
+
     def test_frozen(self):
         cfg = SearchConfig()
         with pytest.raises(AttributeError):

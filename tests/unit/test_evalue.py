@@ -69,7 +69,7 @@ class TestEndToEnd:
         cfg = SearchConfig(tau=500, delta=50.0)  # wide window: many null scores
         searcher = ShardSearcher(tiny_db, cfg)
         hitlists = {}
-        searcher.search(spectra, hitlists)
+        searcher.run(spectra, hitlists)
         separated = 0
         for spectrum in spectra:
             hits = hitlists[spectrum.query_id].sorted_hits()

@@ -56,6 +56,12 @@ class TestKnobValidation:
         with pytest.raises(ExperimentSpecError, match="unknown field 'rankz'"):
             ExperimentSpec.from_dict(minimal(axes={"engine.rankz": [1]}))
 
+    def test_removed_use_sweep_knob_named(self):
+        """``config.use_sweep`` went with the per-query path; a scenario
+        that still sets it fails at parse time, naming the knob."""
+        with pytest.raises(ExperimentSpecError, match="unknown field 'use_sweep'"):
+            ExperimentSpec.from_dict(minimal(defaults={"config": {"use_sweep": True}}))
+
     def test_bare_group_key_in_defaults(self):
         with pytest.raises(ExperimentSpecError, match="names a whole group"):
             ExperimentSpec.from_dict(minimal(defaults={"engine": 4}))

@@ -52,8 +52,14 @@ class TestConstruction:
         target = (spans.seq_index == 0) & (spans.start == 0) & (spans.stop == 8)
         (pos,) = np.nonzero(target)
         assert len(pos) == 1 and rows[pos[0]] >= 0
-        counts = index.shared_peak_counts(
-            ladder, 0.5, rows[pos[0] : pos[0] + 1]
+        from repro.spectra.spectrum import Spectrum
+        from repro.spectra.spectrum_batch import SpectrumBatch
+
+        cohort = SpectrumBatch(
+            [Spectrum.from_peaks(ladder, np.ones(len(ladder)), precursor_mz=500.0, charge=1)]
+        )
+        counts = index.shared_peak_counts_block(
+            cohort, 0.5, [rows[pos[0] : pos[0] + 1]]
         )
         assert counts[0] == len(ladder)
 
@@ -82,6 +88,42 @@ class TestSearcherGating:
         cfg = SearchConfig(scorer="likelihood")
         assert ShardSearcher(db, cfg, library=lib).index is None
         assert ShardSearcher(db, cfg).index is not None
+
+    def test_index_served_means_a_block_level_index_kernel(self, db, tiny_queries):
+        """One predicate (``FragmentIndex.serves``) gates the build, the
+        persisted-index check and the dispatch: a scorer without
+        ``score_index_block``/``score_matrix_block`` searches direct
+        instead of building an index and failing inside the pass."""
+        from repro.core.search import index_compat_problems
+        from repro.scoring import SharedPeakScorer
+
+        class ScalarOnly:
+            name = "shared_peaks"
+            relative_cost = 1.0
+            _inner = SharedPeakScorer()
+
+            def score(self, spectrum, candidate):
+                return self._inner.score(spectrum, candidate)
+
+            def score_modified(self, spectrum, candidate, site, delta_mass):
+                return self._inner.score_modified(spectrum, candidate, site, delta_mass)
+
+            def score_index(self, spectrum, index, rows):  # not a block kernel
+                raise AssertionError("no engine path calls a per-query index kernel")
+
+        cfg = SearchConfig(scorer="shared_peaks", tau=5)
+        assert FragmentIndex.serves(SharedPeakScorer())
+        assert not FragmentIndex.serves(ScalarOnly())
+        searcher = ShardSearcher(db, cfg, scorer=ScalarOnly())
+        assert searcher.index is None
+        assert index_compat_problems(cfg, ScalarOnly())
+        assert not index_compat_problems(cfg)
+        got, ref = {}, {}
+        searcher.run(tiny_queries, got)
+        ShardSearcher(db, cfg).run(tiny_queries, ref)
+        assert {q: h.sorted_hits() for q, h in got.items()} == {
+            q: h.sorted_hits() for q, h in ref.items()
+        }
 
     def test_nbytes_excludes_index(self, db):
         """The simulated machine's memory model covers shard + scorer

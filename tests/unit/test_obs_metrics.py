@@ -132,7 +132,7 @@ class TestDisabledMode:
 
         db = generate_database(60, seed=3)
         queries = generate_queries(40, seed=5)
-        config = SearchConfig(tau=10, use_sweep=True, sweep_cohort=16, use_index=streamed)
+        config = SearchConfig(tau=10, sweep_cohort=16, use_index=streamed)
         store = save_partitioned_index(db, tmp_path / "pidx", partition_mb=0.25) if streamed else None
         baseline = search_serial(db, queries, config, index_store=store)
         registry = MetricsRegistry()
@@ -145,6 +145,10 @@ class TestDisabledMode:
         assert len(plans) == 1 and plans[0]["args"]["queries"] == len(queries)
         assert len(blocks) == traced.extras["sweep_cohorts"] > 1
         assert len(blocks) == registry.counter_value("sweep.cohorts")
+        # one shard-pass telemetry block for the resident and the streamed pass
+        assert registry.counter_value("search.candidates") == traced.candidates_evaluated
+        hist = registry.snapshot()["histograms"]["search.candidates_per_query"]
+        assert hist["count"] == 1
         assert sum(b["args"]["rows"] for b in blocks) == traced.candidates_evaluated
         assert all(1 <= b["args"]["runs"] <= b["args"]["members"] <= 16 for b in blocks)
         members = sum(b["args"]["members"] for b in blocks)

@@ -8,13 +8,14 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_database
 from repro.core.search import ShardSearcher, search_serial
 from repro.scoring.hits import TopHitList, merge_hit_lists
+from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 
 class TestShardSearcher:
     def test_search_counts_match_generator(self, tiny_db, tiny_queries, config):
         searcher = ShardSearcher(tiny_db, config)
         hitlists = {}
-        stats = searcher.search(tiny_queries, hitlists)
+        stats = searcher.run(tiny_queries, hitlists)
         expected = sum(searcher.count_for(q) for q in tiny_queries)
         assert stats.candidates_evaluated == expected
         assert stats.queries_processed == len(tiny_queries)
@@ -22,20 +23,20 @@ class TestShardSearcher:
     def test_every_query_gets_a_hitlist(self, tiny_db, tiny_queries, config):
         searcher = ShardSearcher(tiny_db, config)
         hitlists = {}
-        searcher.search(tiny_queries, hitlists)
+        searcher.run(tiny_queries, hitlists)
         assert set(hitlists) == {q.query_id for q in tiny_queries}
 
     def test_hits_respect_tau(self, tiny_db, tiny_queries):
         cfg = SearchConfig(tau=2, delta=20.0)
         searcher = ShardSearcher(tiny_db, cfg)
         hitlists = {}
-        searcher.search(tiny_queries, hitlists)
+        searcher.run(tiny_queries, hitlists)
         assert all(len(hl) <= 2 for hl in hitlists.values())
 
     def test_hit_spans_are_real_database_spans(self, tiny_db, tiny_queries, config):
         searcher = ShardSearcher(tiny_db, config)
         hitlists = {}
-        searcher.search(tiny_queries, hitlists)
+        searcher.run(tiny_queries, hitlists)
         id_to_index = {int(pid): i for i, pid in enumerate(tiny_db.ids)}
         for hl in hitlists.values():
             for hit in hl.sorted_hits():
@@ -46,7 +47,7 @@ class TestShardSearcher:
         long_cfg = SearchConfig(tau=100, delta=10.0, min_candidate_length=12)
         searcher = ShardSearcher(tiny_db, long_cfg)
         hitlists = {}
-        searcher.search(tiny_queries, hitlists)
+        searcher.run(tiny_queries, hitlists)
         for hl in hitlists.values():
             for hit in hl.sorted_hits():
                 assert hit.length >= 12
@@ -55,7 +56,7 @@ class TestShardSearcher:
         cfg = SearchConfig(tau=100, score_cutoff=1e9)
         searcher = ShardSearcher(tiny_db, cfg)
         hitlists = {}
-        searcher.search(tiny_queries, hitlists)
+        searcher.run(tiny_queries, hitlists)
         assert all(len(hl) == 0 for hl in hitlists.values())
 
     def test_modeled_counts_without_hits(self, tiny_db, tiny_queries, config):
@@ -64,10 +65,31 @@ class TestShardSearcher:
         m = ShardSearcher(tiny_db, modeled)
         r = ShardSearcher(tiny_db, real)
         mh, rh = {}, {}
-        mstats = m.search(tiny_queries, mh)
-        rstats = r.search(tiny_queries, rh)
+        mstats = m.run(tiny_queries, mh)
+        rstats = r.run(tiny_queries, rh)
         assert mstats.candidates_evaluated == rstats.candidates_evaluated
         assert all(len(hl) == 0 for hl in mh.values())
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SearchConfig(tau=10),
+            SearchConfig(tau=3, scorer="hyperscore", use_index=False, sweep_cohort=2),
+            SearchConfig(tau=100, delta=10.0, min_candidate_length=12, scorer="xcorr"),
+            SearchConfig(tau=10, score_cutoff=4.0, scorer="shared_peaks", sweep_cohort=1),
+        ],
+        ids=["default", "direct-cap2", "length-floor", "cutoff-cap1"],
+    )
+    def test_run_equals_scalar_reference(self, tiny_db, tiny_queries, cfg):
+        """Hits, per-query ``evaluated`` and the candidate total are the
+        scalar reference's, two shards folding into one set of hit lists."""
+        shards = partition_database(tiny_db, 2)
+        reference, hitlists, candidates = {}, {}, 0
+        for shard in shards:
+            reference_search(shard, cfg, tiny_queries, reference)
+            candidates += ShardSearcher(shard, cfg).run(tiny_queries, hitlists).candidates_evaluated
+        assert_same_hitlists(reference, hitlists)
+        assert candidates == candidates_evaluated(reference)
 
     def test_count_batch_matches_per_query(self, tiny_db, tiny_queries, config):
         searcher = ShardSearcher(tiny_db, config)
@@ -85,11 +107,11 @@ class TestShardSearcher:
 
     def test_per_shard_merge_equals_whole(self, tiny_db, tiny_queries, config):
         whole_hits = {}
-        ShardSearcher(tiny_db, config).search(tiny_queries, whole_hits)
+        ShardSearcher(tiny_db, config).run(tiny_queries, whole_hits)
         shard_hitlists = []
         for shard in partition_database(tiny_db, 4):
             h = {}
-            ShardSearcher(shard, config).search(tiny_queries, h)
+            ShardSearcher(shard, config).run(tiny_queries, h)
             shard_hitlists.append(h)
         for q in tiny_queries:
             merged = merge_hit_lists(

@@ -27,7 +27,7 @@ import importlib
 
 calibrate_mod = importlib.import_module("repro.tune.calibrate")
 
-TERMS = {"rho_base": 1.5e-6, "tau_cost": 8.0e-7, "query_overhead": 2.0e-4}
+TERMS = {"rho_base": 1.5e-6, "tau_cost": 8.0e-7, "sweep_setup_per_query": 2.0e-4}
 
 
 class TestRoundTrip:
@@ -85,9 +85,12 @@ class TestInvalidation:
         path = tmp_path / "cal.json"
         save_calibration(str(path), TERMS)
         payload = json.loads(path.read_text())
-        payload["schema"] = "repro.tune_calibration/999"
-        path.write_text(json.dumps(payload))
-        assert load_calibration(str(path)) is None
+        # a future schema, and the previous one (terms fitted on a per-query
+        # pass the engines no longer run)
+        for schema in ("repro.tune_calibration/999", "repro.tune_calibration/2"):
+            payload["schema"] = schema
+            path.write_text(json.dumps(payload))
+            assert load_calibration(str(path)) is None
 
     def test_foreign_fingerprint(self, tmp_path):
         path = tmp_path / "cal.json"
@@ -135,16 +138,20 @@ class TestCalibrateCachePath:
 
     def test_corrupt_cache_triggers_recalibration(self, tmp_path, monkeypatch):
         path = tmp_path / "cal.json"
-        path.write_text("{torn")
-
         monkeypatch.setattr(
             calibrate_mod, "run_calibration",
             lambda spec=None: Calibration(terms=dict(TERMS), source="measured"),
         )
-        result = calibrate(cache_path=str(path))
-        assert result.source == "measured"
-        # and the rewritten cache is valid again
-        assert load_calibration(str(path))["terms"] == TERMS
+        save_calibration(str(path), {"rho_base": 123.0})
+        previous_schema = json.loads(path.read_text())
+        previous_schema["schema"] = "repro.tune_calibration/2"
+        for stale in ("{torn", json.dumps(previous_schema)):
+            path.write_text(stale)
+            result = calibrate(cache_path=str(path))
+            assert result.source == "measured"
+            # and the rewritten cache is valid again
+            assert load_calibration(str(path))["terms"] == TERMS
+            assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
 
     def test_force_bypasses_valid_cache(self, tmp_path, monkeypatch):
         path = str(tmp_path / "cal.json")
@@ -156,3 +163,30 @@ class TestCalibrateCachePath:
         result = calibrate(cache_path=path, force=True)
         assert result.source == "measured"
         assert result.terms == TERMS
+
+
+class TestRunCalibration:
+    def test_fits_exactly_the_calibratable_terms(self):
+        """The battery times the shard pass the engines run and fits the
+        15 calibratable terms, no more: the paper machine's
+        ``query_overhead`` is not one of them."""
+        from repro.tune.calibrate import (
+            CALIBRATABLE_TERMS,
+            CalibrationSpec,
+            run_calibration,
+        )
+
+        spec = CalibrationSpec(
+            db_size=60, num_queries=40, store_db_size=30, repeats=1,
+            sweep_cohorts=(4, 32), include_spawn=False,
+        )
+        calibration = run_calibration(spec)
+        assert len(CALIBRATABLE_TERMS) == 15 and "query_overhead" not in CALIBRATABLE_TERMS
+        assert set(calibration.terms) == set(CALIBRATABLE_TERMS) - {"worker_spinup_spawn"}
+        assert all(value >= 0.0 for value in calibration.terms.values())
+        assert calibration.terms["rho_base"] > 0.0
+        runs = calibration.details["sweep_runs"]
+        assert {r["scorer"] for r in runs} == set(spec.scorers)
+        assert {r["cohort_cap"] for r in runs} == set(spec.sweep_cohorts)
+        assert all(r["cohorts"] > 0 for r in runs)  # every run went through the pass
+        assert calibration.cost_model().rho_base == calibration.terms["rho_base"]

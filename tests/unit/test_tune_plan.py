@@ -74,7 +74,7 @@ class TestProfileWorkload:
 
         db = generate_database(60, seed=5)
         queries = generate_queries(90, seed=6)
-        config = SearchConfig(use_index=False, use_sweep=True, sweep_cohort=cap)
+        config = SearchConfig(use_index=False, sweep_cohort=cap)
         profile = profile_workload(db, queries, config)
         report = search_serial(db, queries, config)
         assert profile.cohorts_for(cap) == report.extras["sweep_cohorts"]
