@@ -11,7 +11,8 @@ Which direction is "bad" is inferred from the metric's name:
 
 * **lower is better** — names mentioning time/latency/makespan/wall
   (``virtual_time``, ``index_build_time``, ``mean_cohort_build_s``) and
-  fault counters (``timeouts``, ``retries``, ``failed_units``);
+  fault counters (``recovery_timeouts``, ``recovery_retries``,
+  ``failed_units``);
 * **higher is better** — rates and ratios (``per_query_qps``,
   ``candidates_per_second``, ``speedup``, ``throughput``,
   ``masking_effectiveness``);
@@ -55,8 +56,9 @@ _HIGHER_IS_BETTER = (
 def classify(key: str) -> Optional[str]:
     """Direction for one metric name: "lower", "higher", or None (skip).
 
-    Matches on the leaf key only, case-insensitively.  "timeouts"
-    deliberately lands in lower-is-better via the "time" substring.
+    Matches on the leaf key only, case-insensitively.
+    "recovery_timeouts" deliberately lands in lower-is-better via the
+    "time" substring.
     """
     leaf = key.rsplit(".", 1)[-1].lower()
     if any(tok in leaf for tok in _HIGHER_IS_BETTER):

@@ -33,11 +33,8 @@ from repro.core import (
     reports_equal,
     run_algorithm_a,
     run_algorithm_b,
-    run_candidate_transport,
     run_master_worker,
-    run_query_transport,
     run_search,
-    run_subgroups,
     run_xbang,
     search_serial,
 )
@@ -72,11 +69,8 @@ __all__ = [
     "reports_equal",
     "run_algorithm_a",
     "run_algorithm_b",
-    "run_candidate_transport",
     "run_master_worker",
-    "run_query_transport",
     "run_search",
-    "run_subgroups",
     "run_xbang",
     "search_serial",
     "run_multiprocess_search",

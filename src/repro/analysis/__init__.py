@@ -1,4 +1,4 @@
-"""Analysis: scaling metrics, cost-model calibration, table rendering."""
+"""Analysis: scaling metrics, quality metrics, table rendering."""
 
 from repro.analysis.metrics import (
     speedup,
@@ -7,7 +7,6 @@ from repro.analysis.metrics import (
     ScalingPoint,
     scaling_table,
 )
-from repro.analysis.calibration import calibrate_rho, CalibrationResult
 from repro.analysis.tables import format_runtime_table, format_scaling_rows
 from repro.analysis.quality import RecoveryResult, recovery, compare_engines
 from repro.analysis.sensitivity import ConclusionCheck, check_conclusions, sweep
@@ -18,8 +17,6 @@ __all__ = [
     "chained_speedup",
     "ScalingPoint",
     "scaling_table",
-    "calibrate_rho",
-    "CalibrationResult",
     "format_runtime_table",
     "format_scaling_rows",
     "RecoveryResult",

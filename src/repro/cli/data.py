@@ -1,0 +1,181 @@
+"""``repro generate`` and ``repro index``: write databases and persisted indexes."""
+
+from __future__ import annotations
+
+import argparse
+
+from repro.chem.fasta import write_fasta
+from repro.cli.options import add_db_options, load_database, positive_float, positive_int
+from repro.utils.format import format_si
+from repro.workloads.datasets import load_dataset
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    db = (
+        load_dataset(args.dataset, n=args.database_size)
+        if args.dataset
+        else load_database(args)
+    )
+    write_fasta(args.output, db)
+    print(f"wrote {len(db)} sequences ({format_si(db.total_residues)} residues) to {args.output}")
+    return 0
+
+
+def cmd_index_build(args: argparse.Namespace) -> int:
+    """Build a persistent fragment-index store (build once, load many).
+
+    With ``--partition-mb`` the store is the *partitioned* out-of-core
+    format instead: mass-contiguous compressed partitions streamed at
+    search time (``search --stream`` / ``--index-path``).
+    """
+    db = load_database(args)
+    if args.partition_mb is not None:
+        from repro.store import save_partitioned_index
+
+        store = save_partitioned_index(
+            db,
+            args.output,
+            partition_mb=args.partition_mb,
+            fragment_tolerance=args.fragment_tolerance,
+            max_length=args.index_max_length,
+            overwrite=args.overwrite,
+        )
+        info = store.describe()
+        print(
+            f"built partitioned index for {len(db)} sequences "
+            f"({format_si(db.total_residues)} residues): "
+            f"{info['num_partitions']} partition(s), "
+            f"{format_si(info['blob_bytes'])}B compressed "
+            f"({format_si(info['decoded_bytes'])}B decoded, "
+            f"{format_si(info['max_partition_bytes'])}B double-buffer unit) "
+            f"at {args.output}"
+        )
+        print(f"fingerprint {store.fingerprint}")
+        return 0
+    from repro.store import save_index
+
+    store = save_index(
+        db,
+        args.output,
+        num_shards=args.shards,
+        fragment_tolerance=args.fragment_tolerance,
+        max_length=args.index_max_length,
+        overwrite=args.overwrite,
+    )
+    info = store.describe()
+    print(
+        f"built index for {len(db)} sequences "
+        f"({format_si(db.total_residues)} residues): {info['num_shards']} "
+        f"shard(s), {format_si(info['total_bytes'])}B at {args.output}"
+    )
+    print(f"fingerprint {store.fingerprint}")
+    return 0
+
+
+def cmd_index_inspect(args: argparse.Namespace) -> int:
+    """Print a persisted index's header: schema, fingerprint, manifests.
+
+    Dispatches on the on-disk schema: resident stores list shards,
+    partitioned stores list per-partition m/z ranges, postings counts
+    and compressed/decoded sizes.
+    """
+    from repro.store import open_any_index
+    from repro.store.partitioned import PartitionedIndex
+
+    store = open_any_index(args.path)
+    info = store.describe()
+    if isinstance(store, PartitionedIndex):
+        build = info["build"]
+        print(f"partitioned index store {info['path']}")
+        print(f"  schema       {info['schema']}")
+        print(f"  fingerprint  {info['fingerprint']}")
+        print(
+            f"  build        fragment_tolerance={build['fragment_tolerance']} "
+            f"max_length={build['max_length']} "
+            f"monoisotopic={build['monoisotopic']} "
+            f"partition_mb={build['partition_mb']}"
+        )
+        print(
+            f"  bytes        compressed={format_si(info['blob_bytes'])}B "
+            f"decoded={format_si(info['decoded_bytes'])}B "
+            f"double_buffer_unit={format_si(info['max_partition_bytes'])}B"
+        )
+        print(
+            f"  rows         {info['num_rows']} in {info['num_partitions']} "
+            f"partition(s) + {info['overflow_spans']} overflow span(s)"
+        )
+        for p in info["partitions"]:
+            print(
+                f"  {p['name']}  m/z [{p['mass_lo']:.3f}, {p['mass_hi']:.3f}] "
+                f"rows={p['num_rows']} postings={p['postings']} "
+                f"compressed={format_si(p['blob_bytes'])}B "
+                f"decoded={format_si(p['decoded_bytes'])}B"
+            )
+        return 0
+    build = info["build"]
+    print(f"index store {info['path']}")
+    print(f"  schema       {info['schema']}")
+    print(f"  fingerprint  {info['fingerprint']}")
+    print(
+        f"  build        fragment_tolerance={build['fragment_tolerance']} "
+        f"max_length={build['max_length']} "
+        f"monoisotopic={build['monoisotopic']} "
+        f"shards={build['num_shards']}"
+    )
+    print(
+        f"  bytes        total={format_si(info['total_bytes'])}B "
+        f"index={format_si(info['index_bytes'])}B"
+    )
+    for shard in info["shards"]:
+        print(
+            f"  {shard['dir']}  rows={shard['num_rows']} "
+            f"fragments={shard['num_fragments']} "
+            f"bytes={format_si(shard['bytes'])}B"
+        )
+    return 0
+
+
+def register(sub) -> None:
+    p_gen = sub.add_parser("generate", help="write a synthetic protein database as FASTA")
+    p_gen.add_argument("output", help="output FASTA path")
+    add_db_options(p_gen)
+    p_gen.add_argument("--dataset", choices=["human", "microbial"], default=None)
+    p_gen.set_defaults(func=cmd_generate)
+
+    p_index = sub.add_parser(
+        "index", help="build or inspect a persistent fragment-index store"
+    )
+    index_sub = p_index.add_subparsers(dest="index_command", required=True)
+    p_ib = index_sub.add_parser(
+        "build", help="build an index store directory (build once, load many)"
+    )
+    p_ib.add_argument("output", help="index store directory to create")
+    add_db_options(p_ib, "index")
+    p_ib.add_argument(
+        "--shards", type=positive_int, default=1,
+        help="shard count (1 for the serial engine; any count for multiproc)",
+    )
+    p_ib.add_argument(
+        "--fragment-tolerance", type=positive_float, default=0.5,
+        help="fragment m/z tolerance the index bins are sized for (Da)",
+    )
+    p_ib.add_argument(
+        "--index-max-length", type=positive_int, default=48,
+        help="longest candidate span the index covers",
+    )
+    p_ib.add_argument(
+        "--partition-mb", type=positive_float, default=None,
+        help="build the *partitioned* out-of-core format instead: "
+        "mass-contiguous compressed partitions of ~this decoded size "
+        "(MiB), streamed with prefetch at search time",
+    )
+    p_ib.add_argument(
+        "--overwrite", action="store_true",
+        help="replace an existing store at the output path",
+    )
+    p_ib.set_defaults(func=cmd_index_build)
+    p_ii = index_sub.add_parser(
+        "inspect", help="print a persisted index's header and manifests"
+    )
+    p_ii.add_argument("path", help="index store directory")
+    p_ii.set_defaults(func=cmd_index_inspect)

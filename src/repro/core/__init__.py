@@ -9,10 +9,6 @@ from repro.core.master_worker import run_master_worker
 from repro.core.algorithm_a import run_algorithm_a
 from repro.core.algorithm_b import run_algorithm_b
 from repro.core.xbang import run_xbang
-from repro.core.query_transport import run_query_transport
-from repro.core.candidate_transport import run_candidate_transport
-from repro.core.subgroups import run_subgroups
-from repro.core.advisor import Advice, advise
 from repro.core.identifier import Identification, PeptideIdentifier
 from repro.core.inference import ProteinGroup, infer_proteins, protein_recovery
 from repro.core.driver import run_search, ALGORITHMS
@@ -34,13 +30,8 @@ __all__ = [
     "run_algorithm_a",
     "run_algorithm_b",
     "run_xbang",
-    "run_query_transport",
-    "run_candidate_transport",
-    "run_subgroups",
     "run_search",
     "ALGORITHMS",
-    "Advice",
-    "advise",
     "Identification",
     "PeptideIdentifier",
     "ProteinGroup",

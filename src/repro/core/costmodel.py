@@ -15,10 +15,10 @@ candidate evaluation rate near Table III's ~41K candidates/s on 8
 ranks), with the likelihood scorer's ``relative_cost`` folding in the
 paper's expensive-statistics argument.
 
-Calibration against *this* host is available through
-:mod:`repro.analysis.calibration`, which times the real scoring kernel
-and fits ``rho_base``; the defaults stay paper-scaled so that tables
-regenerate in the paper's units out of the box.
+Calibration against *this* host is :mod:`repro.tune.calibrate`
+(``repro tune``), which times the engine paths that run and fits every
+term; the defaults stay paper-scaled so that tables regenerate in the
+paper's units out of the box.
 """
 
 from __future__ import annotations

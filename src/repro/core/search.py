@@ -23,7 +23,6 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.index import FragmentIndex
 from repro.obs.metrics import NULL_SPAN, get_metrics
-from repro.obs.naming import canonicalize_extras
 from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hits import TopHitList
 from repro.spectra.binning import _ragged_arange
@@ -681,7 +680,7 @@ def search_serial(
         candidates_evaluated=stats.candidates_evaluated,
         virtual_time=virtual,
         peak_memory={0: cost.shard_bytes(database) + sum(q.nbytes for q in queries)},
-        extras=canonicalize_extras(extras),
+        extras=extras,
     )
 
 
@@ -764,5 +763,5 @@ def _search_serial_streamed(
         virtual_time=virtual,
         # resident footprint is the double buffer + query batch, not N
         peak_memory={0: searcher.nbytes + sum(q.nbytes for q in queries)},
-        extras=canonicalize_extras(extras),
+        extras=extras,
     )

@@ -85,7 +85,6 @@ from repro.faults.checkpoint import CheckpointManager
 from repro.faults.injector import FaultInjector
 from repro.faults.supervisor import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
-from repro.obs.naming import canonicalize_extras
 from repro.scoring.hits import (
     Hit,
     HitColumns,
@@ -625,8 +624,8 @@ def run_multiprocess_search(
         "tasks_total": num_tasks,
         "tasks_completed": len(supervisor.results),
         "tasks_resumed": tasks_resumed,
-        "retries": supervisor.retries,
-        "timeouts": supervisor.timeouts,
+        "recovery_retries": supervisor.retries,
+        "recovery_timeouts": supervisor.timeouts,
         "failed_tasks": supervisor.failed_tasks,
         "degraded": bool(supervisor.failed_tasks),
     }
@@ -658,5 +657,5 @@ def run_multiprocess_search(
         hits=hits,
         candidates_evaluated=candidates,
         virtual_time=wall,
-        extras=canonicalize_extras(extras),
+        extras=extras,
     )

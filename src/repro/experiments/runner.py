@@ -221,37 +221,40 @@ def execute_cell(
     trace_events: Optional[List[Dict[str, Any]]] = None
     tuning = None
     try:
-        if algorithm == "multiproc":
-            report = _run_multiproc_cell(db, queries, config, params, ranks, plan, out_dir)
-        elif algorithm == "autotune":
+        if algorithm == "autotune":
             from repro.tune import autotune
 
             result = autotune(db, queries, config, run=True, lower_bounds=False)
             report = result.report
             tuning = result.tuning
-        elif algorithm == "serial" and params.get("index.mode", "none") != "none":
-            report = _run_serial_store_cell(db, queries, config, params, out_dir)
-        elif algorithm == "serial":
-            from repro.core.search import search_serial
-
-            if ranks != 1:
-                raise ExperimentSpecError(
-                    f"cell {cell.cell_id!r}: serial engine requires engine.ranks == 1, got {ranks}"
-                )
-            report = search_serial(db, queries, config)
         else:
             from repro.core.driver import run_search
             from repro.simmpi.scheduler import ClusterConfig
 
+            index_path = None
+            if params.get("index.mode", "none") != "none":
+                index_path = prebuild_store(params, os.path.join(out_dir, "stores"))
             speeds = params.get("engine.rank_speeds")
-            cluster_config = ClusterConfig(
-                num_ranks=ranks,
-                record_events=trace,
-                rank_speeds=tuple(float(s) for s in speeds) if speeds else None,
-                fault_plan=plan,
-            )
+            budget = params.get("index.memory_budget_mb")
             report = run_search(
-                db, queries, algorithm, ranks, config, cluster_config=cluster_config
+                db,
+                queries,
+                algorithm,
+                ranks,
+                config,
+                cluster_config=ClusterConfig(
+                    num_ranks=ranks,
+                    record_events=trace,
+                    rank_speeds=tuple(float(s) for s in speeds) if speeds else None,
+                ),
+                index_path=index_path,
+                memory_budget_mb=float(budget) if budget is not None else None,
+                fault_plan=plan,
+                # a floor, like --query-blocks: multiproc widens the grid to a
+                # task per worker, so an injected crash at task id < ranks
+                # always lands
+                query_blocks=int(params.get("engine.query_blocks", 1)),
+                start_method=params.get("engine.start_method"),
             )
             if trace and report.trace is not None:
                 from repro.obs.chrome_trace import events_from_summary
@@ -292,49 +295,6 @@ def execute_cell(
         "virtual_time": report.virtual_time,
         "candidates_evaluated": report.candidates_evaluated,
     }
-
-
-def _run_multiproc_cell(db, queries, config, params, ranks, plan, out_dir):
-    from repro.engines.multiproc import run_multiprocess_search
-    from repro.faults.injector import FaultInjector, TaskFault
-
-    injector = None
-    if plan is not None and plan.crashes:
-        # same mapping the CLI uses: simulated rank crashes become
-        # injected task crashes (one attempt each)
-        injector = FaultInjector(
-            tuple(TaskFault(c.rank, "crash", attempts=1) for c in plan.crashes)
-        )
-    kwargs: Dict[str, Any] = {}
-    mode = params.get("index.mode", "none")
-    if mode != "none":
-        kwargs["index_path"] = prebuild_store(params, os.path.join(out_dir, "stores"))
-        if "index.memory_budget_mb" in params:
-            kwargs["memory_budget_mb"] = float(params["index.memory_budget_mb"])
-    return run_multiprocess_search(
-        db,
-        queries,
-        num_workers=ranks,
-        config=config,
-        # a floor, like --query-blocks: the engine widens the grid to a task
-        # per worker, so an injected crash at task id < ranks always lands
-        query_blocks=int(params.get("engine.query_blocks", 1)),
-        start_method=params.get("engine.start_method"),
-        fault_injector=injector,
-        **kwargs,
-    )
-
-
-def _run_serial_store_cell(db, queries, config, params, out_dir):
-    from repro.core.search import search_serial
-    from repro.store import open_any_index
-
-    path = prebuild_store(params, os.path.join(out_dir, "stores"))
-    store = open_any_index(path)
-    kwargs: Dict[str, Any] = {}
-    if "index.memory_budget_mb" in params:
-        kwargs["memory_budget_mb"] = float(params["index.memory_budget_mb"])
-    return search_serial(db, queries, config, index_store=store, **kwargs)
 
 
 def _cell_task(spec_payload: Dict[str, Any], cell_index: int, out_dir: str, trace: bool):

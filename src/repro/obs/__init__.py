@@ -6,8 +6,7 @@ measures about itself:
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
   gauges, fixed-bucket histograms, timing spans) with a disabled-mode
   fast path, wired into the scoring hot paths;
-* :mod:`repro.obs.naming` — the canonical extras/metric vocabulary and
-  the back-compat alias shim;
+* :mod:`repro.obs.naming` — the canonical extras/metric vocabulary;
 * :mod:`repro.obs.report` — :class:`RunReport`, the schema-versioned
   JSON record merging trace, extras, fault stats and metrics;
 * :mod:`repro.obs.chrome_trace` — Chrome trace-event export of per-rank
@@ -30,7 +29,7 @@ from repro.obs.metrics import (
     get_metrics,
     use_registry,
 )
-from repro.obs.naming import canonicalize_extras, simmpi_extras
+from repro.obs.naming import simmpi_extras
 from repro.obs.report import SCHEMA, RunReport
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "enable_metrics",
     "get_metrics",
     "use_registry",
-    "canonicalize_extras",
     "simmpi_extras",
     "SCHEMA",
     "RunReport",

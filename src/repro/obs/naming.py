@@ -1,25 +1,15 @@
 """The canonical telemetry vocabulary shared by every engine.
 
-Before this module existed each engine stuffed ad-hoc keys into
-``SearchReport.extras``: the simulated engines reported transient
-transfer retries as ``transfer_retries`` while the multiprocessing
-supervisor called its task resubmissions ``retries``; rank failures were
-``failed_ranks`` (a list of ints) but task failures were
-``failed_tasks`` (a list of manifests); Algorithms A and B each
-hand-built an identical extras block.  The same quantity must have the
-same key in every engine before run reports can be compared or gated —
-that is this module's whole job.
+The same quantity has the same ``SearchReport.extras`` key in every
+engine, so run reports can be compared and gated: work units retried
+after a fault are ``recovery_retries`` whether they were transient
+transfer retries on the simulated cluster or task resubmissions under
+the multiproc supervisor; hung-task deadline expiries are
+``recovery_timeouts``.  Engines emit these names directly.
 
-Two mechanisms:
-
-* :func:`canonicalize_extras` — the back-compat shim.  Engines keep
-  emitting their historical keys (tests and downstream consumers read
-  them), and the shim *adds* the canonical name next to each legacy one.
-  New code and ``RunReport`` read canonical names only; the legacy keys
-  are frozen aliases scheduled to stay until a major version.
-* :func:`simmpi_extras` — the shared builder for every simulated-cluster
-  engine, so the standard block (overlap ratios, index and sweep
-  accounting, fault stats) is constructed in exactly one place.
+:func:`simmpi_extras` is the shared builder for every simulated-cluster
+engine, so the standard block (overlap ratios, index and sweep
+accounting, fault stats) is constructed in exactly one place.
 
 The full name contract — extras keys, metric names, trace categories —
 is documented in ``docs/observability.md``.
@@ -33,41 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.search import ShardStats
     from repro.simmpi.trace import TraceSummary
 
-#: legacy extras key -> canonical key.  The shim mirrors values from the
-#: legacy name to the canonical one; engines may also emit the canonical
-#: name directly.
-CANONICAL_FOR_LEGACY: Dict[str, str] = {
-    # recovery/retry accounting: simmpi counts transient transfer
-    # retries, multiproc counts task resubmissions — same quantity
-    # ("work units retried after a fault") under one name.
-    "transfer_retries": "recovery_retries",
-    "retries": "recovery_retries",
-    "timeouts": "recovery_timeouts",
-}
-
-#: canonical keys whose value is a *count of failed work units*: rank
-#: crashes in the simulated engines, quarantined tasks in multiproc.
-FAILED_UNIT_SOURCES = ("failed_ranks", "failed_tasks")
-
-
-def canonicalize_extras(extras: Dict[str, Any]) -> Dict[str, Any]:
-    """Return ``extras`` with canonical keys added beside legacy ones.
-
-    Never overwrites: if an engine already emitted a canonical key the
-    legacy value does not clobber it.  The input dict is not mutated.
-    """
-    merged = dict(extras)
-    for legacy, canonical in CANONICAL_FOR_LEGACY.items():
-        if legacy in merged and canonical not in merged:
-            merged[canonical] = merged[legacy]
-    if "failed_units" not in merged:
-        for source in FAILED_UNIT_SOURCES:
-            if source in merged:
-                merged["failed_units"] = len(merged[source])
-                break
-    return merged
-
-
 def simmpi_extras(
     summary: "TraceSummary",
     totals: Optional["ShardStats"] = None,
@@ -80,8 +35,8 @@ def simmpi_extras(
     (real per-shard work counters): index accounting, and — when
     queries were actually scored (REAL execution) — sweep accounting.  With
     ``fault_tolerant`` (a fault plan was supplied): the fault/recovery
-    block, including canonical names.  ``engine_specific`` keys
-    (e.g. Algorithm B's ``sorting_time``) are folded in last and win.
+    block.  ``engine_specific`` keys (e.g. Algorithm B's
+    ``sorting_time``) are folded in last and win.
     """
     extras: Dict[str, Any] = {
         "residual_to_compute": summary.mean_residual_to_compute,
@@ -102,8 +57,8 @@ def simmpi_extras(
         extras.update(
             failed_ranks=list(summary.failed_ranks),
             recovery_time=summary.total_recovery,
-            transfer_retries=summary.transfer_retries,
+            recovery_retries=summary.transfer_retries,
             recovery_fetches=summary.recovery_fetches,
         )
     extras.update(engine_specific)
-    return canonicalize_extras(extras)
+    return extras

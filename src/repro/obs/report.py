@@ -11,7 +11,7 @@ merges all of it into one schema-versioned JSON document:
   per-rank category breakdowns — when the engine produced one;
 * a normalized fault/recovery block with the same keys regardless of
   which engine the faults happened in;
-* canonicalized engine extras (see ``repro.obs.naming``);
+* the engine extras (canonical names, see ``repro.obs.naming``);
 * a metrics-registry snapshot (see ``repro.obs.metrics``).
 
 This is the file ``repro search --report-out report.json`` writes, the
@@ -25,8 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
-
-from repro.obs.naming import canonicalize_extras
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; runtime import would
     # close the cycle core.results -> simmpi -> faults -> obs -> here
@@ -67,8 +65,6 @@ def engine_of(report: "SearchReport") -> str:
     """Classify which substrate produced a SearchReport."""
     if report.algorithm == "multiprocess":
         return "multiproc"
-    if report.algorithm.endswith("_mpi"):
-        return "mpi4py"
     if report.algorithm == "serial":
         return "serial"
     if report.algorithm == "service":
@@ -106,7 +102,7 @@ def _trace_payload(trace: "Optional[TraceSummary]") -> Optional[Dict[str, Any]]:
 
 
 def _fault_payload(extras: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalize fault/recovery stats from canonicalized extras."""
+    """Normalize fault/recovery stats from engine extras."""
     faults = dict(_FAULT_DEFAULTS)
     for key in faults:
         if key in extras:
@@ -162,7 +158,7 @@ class RunReport:
         payload for runs served by the long-lived service; ``tuning``
         attaches the autotuner's :data:`repro.tune.tuner.TUNING_SCHEMA`
         section for autotuned runs."""
-        extras = canonicalize_extras(report.extras)
+        extras = dict(report.extras)
         peak = report.max_peak_memory
         return cls(
             algorithm=report.algorithm,

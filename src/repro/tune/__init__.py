@@ -9,8 +9,8 @@ spans) and the model half (:class:`~repro.core.costmodel.CostModel`):
    (:mod:`repro.tune.cache`).
 2. **Planning** (:mod:`repro.tune.plan`) — enumerate the feasible knob
    grid (engine x index x sweep x cohort x blocks x start method x
-   stream), prune with the advisor's memory-fit logic, and pick the
-   configuration minimizing predicted makespan.
+   stream), prune plans that do not fit the memory budget, and pick
+   the configuration minimizing predicted makespan.
 3. **Verification** (:mod:`repro.tune.tuner`) — run the chosen
    configuration, compare predicted vs. measured phase times
    span-by-span, and project the communication lower bounds

@@ -4,8 +4,8 @@ A :class:`CandidatePlan` is one point of the feasible grid — engine x
 index x cohort x blocks x start method x stream.  The planner
 profiles the workload once (exact candidate counts via the vectorized
 counting kernels, scoring-block counts via the sweep's own planner, index
-shape via a small sample build), prunes infeasible plans with the advisor's
-memory-fit logic, and scores the survivors with a wall-clock makespan
+shape via a small sample build), prunes plans whose footprint exceeds the
+memory budget, and scores the survivors with a wall-clock makespan
 predictor built from calibrated CostModel terms — the same per-phase
 decomposition the engines themselves charge, in measured seconds.
 """
@@ -18,12 +18,25 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.advisor import fits_in_budget, streamed_residency_bytes
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
 from repro.core.partition import effective_query_blocks
 from repro.core.search import ShardSearcher
 from repro.candidates.mass_index import plan_sweep
+
+def fits_in_budget(resident_bytes: int, budget_bytes: Optional[int]) -> bool:
+    """Memory-fit check; ``budget_bytes=None`` means no cap (everything fits)."""
+    if budget_bytes is None:
+        return True
+    return resident_bytes <= budget_bytes
+
+
+def streamed_residency_bytes(max_partition_bytes: int, query_bytes: int = 0) -> int:
+    """Peak memory of a streamed search: two partitions (the prefetch
+    double buffer) plus the queries — the out-of-core invariant,
+    independent of database size."""
+    return 2 * max_partition_bytes + query_bytes
+
 
 #: fallback decoded-index bytes per fragment when no partitioned store
 #: is at hand to read the real number from (BENCH_scale.json n=500:
@@ -316,10 +329,10 @@ def enumerate_plans(
 ) -> Tuple[List[CandidatePlan], List[Tuple[CandidatePlan, str]]]:
     """The feasible grid plus the pruned plans with their reasons.
 
-    Feasibility is the advisor's memory-fit logic applied to real
-    footprints: a resident plan must hold database + decoded index +
-    queries inside the budget; a streamed plan only its two-partition
-    double buffer (:func:`repro.core.advisor.streamed_residency_bytes`).
+    Feasibility is a memory fit on real footprints: a resident plan must
+    hold database + decoded index + queries inside the budget; a
+    streamed plan only its two-partition double buffer
+    (:func:`streamed_residency_bytes`).
     """
     import multiprocessing as mp
 

@@ -70,33 +70,24 @@ def run_plan(
     attributable to this run alone; multiproc worker snapshots merge in
     through the engine's normal fork/spawn-safe path.
     """
-    from repro.core.search import search_serial
+    from repro.core.driver import run_search
 
-    run_config = plan.to_config(config)
+    if plan.stream and store_path is None:
+        store_path = str(store.path)
     registry = MetricsRegistry(enabled=True)
     with use_registry(registry):
         t0 = time.perf_counter()
-        if plan.engine == "multiproc":
-            from repro.engines.multiproc import run_multiprocess_search
-
-            report = run_multiprocess_search(
-                database,
-                queries,
-                num_workers=plan.num_workers,
-                config=run_config,
-                query_blocks=plan.query_blocks,
-                start_method=plan.start_method,
-                index_path=store_path if plan.stream else None,
-                memory_budget_mb=plan.memory_budget_mb,
-            )
-        else:
-            report = search_serial(
-                database,
-                queries,
-                run_config,
-                index_store=store if plan.stream else None,
-                memory_budget_mb=plan.memory_budget_mb,
-            )
+        report = run_search(
+            database,
+            queries,
+            plan.engine,
+            plan.num_workers if plan.engine == "multiproc" else 1,
+            plan.to_config(config),
+            query_blocks=plan.query_blocks,
+            start_method=plan.start_method,
+            index_path=store_path if plan.stream else None,
+            memory_budget_mb=plan.memory_budget_mb if plan.stream else None,
+        )
         wall = time.perf_counter() - t0
     return report, wall, registry
 

@@ -129,7 +129,7 @@ class TestDegradedMachines:
         plan = FaultPlan(transient=TransientFaults(probability=0.3, penalty=1e-3, seed=5))
         report = run_a_with(plan, tiny_db, tiny_queries)
         assert hit_keys(report) == hit_keys(baseline_a)
-        assert report.extras["transfer_retries"] > 0
+        assert report.extras["recovery_retries"] > 0
         assert report.virtual_time > baseline_a.virtual_time
 
     def test_transient_runs_are_reproducible(self, tiny_db, tiny_queries):
@@ -137,7 +137,7 @@ class TestDegradedMachines:
         first = run_a_with(plan, tiny_db, tiny_queries)
         second = run_a_with(plan, tiny_db, tiny_queries)
         assert first.virtual_time == second.virtual_time
-        assert first.extras["transfer_retries"] == second.extras["transfer_retries"]
+        assert first.extras["recovery_retries"] == second.extras["recovery_retries"]
 
 
 class TestSeededPlansProperty:

@@ -92,7 +92,7 @@ class TestSupervisedRuns:
         )
         assert hit_keys(report) == hit_keys(serial)
         assert report.candidates_evaluated == serial.candidates_evaluated
-        assert report.extras["retries"] == 1
+        assert report.extras["recovery_retries"] == 1
         assert report.extras["failed_tasks"] == []
         assert not report.extras["degraded"]
         assert report.extras["tasks_completed"] == report.extras["tasks_total"]
@@ -131,8 +131,8 @@ class TestSupervisedRuns:
             task_timeout=1.0,
             fault_injector=injector,
         )
-        assert report.extras["timeouts"] == 1
-        assert report.extras["retries"] == 1
+        assert report.extras["recovery_timeouts"] == 1
+        assert report.extras["recovery_retries"] == 1
         assert hit_keys(report) == hit_keys(serial)
         assert report.candidates_evaluated == serial.candidates_evaluated
 
@@ -147,7 +147,7 @@ class TestSupervisedRuns:
             fault_injector=FaultInjector.crash_once(0),
         )
         assert hit_keys(report) == hit_keys(serial)
-        assert report.extras["retries"] == 1
+        assert report.extras["recovery_retries"] == 1
         assert not report.extras["degraded"]
 
     def test_fault_free_supervised_run_equals_serial(self, tiny_db, tiny_queries, serial):
@@ -156,5 +156,5 @@ class TestSupervisedRuns:
         )
         assert hit_keys(report) == hit_keys(serial)
         assert report.candidates_evaluated == serial.candidates_evaluated
-        assert report.extras["retries"] == 0
-        assert report.extras["timeouts"] == 0
+        assert report.extras["recovery_retries"] == 0
+        assert report.extras["recovery_timeouts"] == 0

@@ -334,3 +334,29 @@ class TestCheckedInScenarios:
         assert ranks == {1, 2, 4, 8, 16, 32, 64, 128}
         assert spec.cells()[0].params["workload.queries"] == 1210
         assert any(t.scaling for t in spec.tables)
+
+    def test_validation_scenario_passes_then_catches_a_perturbed_cell(self, tmp_path):
+        """What `repro validate` was: rc 0 when every engine reproduces the
+        serial hits, rc 1 as soon as one cell's hits differ."""
+        import yaml
+
+        with open(os.path.join(SCENARIOS_DIR, "validation.yaml")) as fh:
+            payload = yaml.safe_load(fh)
+        cells = ExperimentSpec.from_dict(payload).cells()
+        assert {(c.params["engine.algorithm"], c.params["engine.ranks"]) for c in cells} == {
+            ("serial", 1), ("algorithm_a", 4), ("algorithm_b", 4), ("master_worker", 4)
+        }
+        assert {c.params["config.scorer"] for c in cells} == {
+            "shared_peaks", "hyperscore", "xcorr", "likelihood"
+        }
+        payload["defaults"]["workload"] = {"database_size": 80, "queries": 8}
+        spec_path = write_spec(tmp_path, payload)
+        out = str(tmp_path / "run")
+        assert main(["experiments", "run", spec_path, "--out", out, "--quiet"]) == 0
+        cell_path = os.path.join(out, "cells", f"{cells[-1].cell_id}.json")
+        with open(cell_path) as fh:
+            report = json.load(fh)
+        report["extras"]["hits_digest"] = "0" * 64
+        with open(cell_path, "w") as fh:
+            json.dump(report, fh)
+        assert main(["experiments", "report", spec_path, "--out", out]) == 1

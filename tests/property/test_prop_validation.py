@@ -56,16 +56,6 @@ def test_algorithm_b_equals_serial(db, masses, p):
     assert reports_equal(reference, report)
 
 
-@given(databases, query_masses, st.integers(min_value=2, max_value=5))
-@settings(max_examples=15, deadline=None)
-def test_transport_variants_equal_serial(db, masses, p):
-    queries = [make_query(m, i) for i, m in enumerate(masses)]
-    reference = search_serial(db, queries, FAST)
-    for algorithm in ("query_transport", "candidate_transport"):
-        report = run_search(db, queries, algorithm, p, FAST)
-        assert reports_equal(reference, report), algorithm
-
-
 @given(databases, query_masses)
 @settings(max_examples=15, deadline=None)
 def test_candidate_conservation(db, masses):

@@ -20,6 +20,19 @@ class TestParser:
             build_parser().parse_args(["search", "-a", "nope"])
 
 
+class TestSerialRanks:
+    """`-a serial` follows its engine's one rank unless `-p` was typed."""
+
+    def test_serial_runs_out_of_the_box(self, capsys):
+        assert main(["search", "-n", "40", "-m", "3", "-a", "serial"]) == 0
+        assert "serial p=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ranks", [["-p", "4"], ["-p4"], ["--ranks=4"]])
+    def test_explicit_ranks_still_error(self, ranks, capsys):
+        assert main(["search", "-n", "40", "-m", "3", "-a", "serial", *ranks]) == 2
+        assert "serial engine requires num_ranks == 1, got 4" in capsys.readouterr().err
+
+
 class TestValidation:
     """Bad arguments die at the argparse boundary, before any work runs."""
 
@@ -36,7 +49,7 @@ class TestValidation:
             ["search", "--delta", "-1.5"],
             ["search", "--task-timeout", "0"],
             ["generate", "out.fasta", "-n", "0"],
-            ["validate", "-p", "0"],
+            ["trace", "-p", "0"],
         ],
     )
     def test_out_of_range_values_rejected(self, argv, capsys):
@@ -84,6 +97,21 @@ class TestTypedErrors:
         )
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+    def test_stream_temp_store_removed_on_typed_error(
+        self, tmp_path, monkeypatch, capsys, recwarn
+    ):
+        """A ReproError after `--stream` built its throwaway store still removes it."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        rc = main(["search", "-n", "40", "-m", "3", "-a", "serial", "-p", "2", "--stream"])
+        assert rc == 2
+        assert "serial engine requires num_ranks == 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # removed by the `with` block, not by TemporaryDirectory's finalizer
+        assert not [w for w in recwarn if issubclass(w.category, ResourceWarning)]
 
 
 class TestFaultToleranceFlags:
@@ -140,44 +168,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "algorithm_a p=2" in out
         assert "query" in out
-
-    def test_validate_passes(self, capsys):
-        rc = main(["validate", "-n", "60", "-m", "6", "-p", "3"])
-        assert rc == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_scaling_table_rendered(self, capsys):
-        rc = main(
-            ["scaling", "--sizes", "200,400", "--ranks-list", "1,2", "-m", "10"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "run-times" in out
-        assert "Efficiency" in out
-
-    def test_compare_command(self, capsys):
-        rc = main(
-            [
-                "compare", "-n", "100", "-m", "6", "-p", "2",
-                "--algorithms", "algorithm_a,xbang",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "recall@1" in out
-        assert "xbang" in out
-
-    def test_timeline_command(self, capsys):
-        rc = main(["timeline", "-n", "150", "-m", "8", "-p", "3", "--width", "50"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "utilization" in out
-        assert "P0" in out and "#" in out
-
-    def test_advise_command(self, capsys):
-        rc = main(["advise", "--sequences", "500000", "-p", "8"])
-        assert rc == 0
-        assert "master_worker" in capsys.readouterr().out
 
     def test_report_command(self, capsys, tmp_path):
         out_dir = tmp_path / "bench_out"
@@ -246,6 +236,7 @@ class TestObservabilityCommands:
         )
         assert rc == 0
         out = capsys.readouterr().out
+        assert "utilization" in out
         assert "P0" in out and "#" in out
 
     def test_trace_chrome_multiproc(self, capsys, tmp_path):

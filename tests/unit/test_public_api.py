@@ -58,17 +58,66 @@ def test_top_level_covers_the_quickstart_surface():
 def test_algorithm_registry_matches_docs():
     from repro.core.driver import ALGORITHMS
 
-    assert {
-        "serial",
+    assert sorted(ALGORITHMS) == [
         "algorithm_a",
         "algorithm_a_nomask",
         "algorithm_b",
         "master_worker",
+        "serial",
         "xbang",
-        "query_transport",
-        "candidate_transport",
-        "subgroups_g2",
-    } == set(ALGORITHMS)
+    ]
+
+
+def _commands(parser):
+    (subparsers,) = (a for a in parser._actions if a.dest == "command")
+    return sorted(subparsers.choices)
+
+
+def test_cli_command_set():
+    from repro.cli import build_parser
+
+    assert _commands(build_parser()) == [
+        "experiments",
+        "generate",
+        "index",
+        "report",
+        "search",
+        "serve",
+        "trace",
+        "tune",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command", ["scaling", "validate", "compare", "timeline", "advise", "calibrate"]
+)
+def test_retired_commands_exit_2(command, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("retired", ["query_transport", "candidate_transport", "subgroups_g2"])
+def test_retired_algorithms_are_typed_errors(retired, tiny_db, tiny_queries):
+    from repro.core.driver import ALGORITHMS, run_search
+    from repro.errors import ConfigError, ExperimentSpecError
+    from repro.experiments import ExperimentSpec
+
+    with pytest.raises(ConfigError) as exc:
+        run_search(tiny_db, tiny_queries, algorithm=retired)
+    for survivor in ALGORITHMS:
+        assert survivor in str(exc.value)
+    with pytest.raises(ExperimentSpecError, match="unknown engine.algorithm"):
+        ExperimentSpec.from_dict(
+            {
+                "schema": "repro.experiment_spec/1",
+                "name": "retired",
+                "cells": [{"id": "c", "engine.algorithm": retired}],
+            }
+        )
 
 
 def test_every_module_has_a_docstring():

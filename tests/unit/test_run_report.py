@@ -8,7 +8,6 @@ from repro.core.config import SearchConfig
 from repro.core.driver import run_search
 from repro.core.search import search_serial
 from repro.engines.multiproc import run_multiprocess_search
-from repro.obs.naming import canonicalize_extras
 from repro.obs.report import SCHEMA, RunReport, engine_of
 from repro.simmpi.scheduler import ClusterConfig
 from repro.workloads.queries import generate_queries
@@ -18,27 +17,6 @@ from repro.workloads.synthetic import generate_database
 @pytest.fixture(scope="module")
 def workload():
     return generate_database(120, seed=3), generate_queries(6, seed=5)
-
-
-class TestCanonicalizeExtras:
-    def test_adds_canonical_beside_legacy(self):
-        out = canonicalize_extras({"transfer_retries": 3, "timeouts": 1})
-        assert out["transfer_retries"] == 3  # legacy survives
-        assert out["recovery_retries"] == 3
-        assert out["recovery_timeouts"] == 1
-
-    def test_never_overwrites_explicit_canonical(self):
-        out = canonicalize_extras({"retries": 9, "recovery_retries": 2})
-        assert out["recovery_retries"] == 2
-
-    def test_failed_units_from_either_source(self):
-        assert canonicalize_extras({"failed_ranks": [1, 3]})["failed_units"] == 2
-        assert canonicalize_extras({"failed_tasks": [{}]})["failed_units"] == 1
-
-    def test_input_not_mutated(self):
-        extras = {"retries": 1}
-        canonicalize_extras(extras)
-        assert extras == {"retries": 1}
 
 
 class TestFromSearchReport:
@@ -67,9 +45,10 @@ class TestFromSearchReport:
         report = run_multiprocess_search(db, queries, num_workers=1, config=SearchConfig(tau=5))
         rr = RunReport.from_search_report(report)
         assert rr.engine == "multiproc"
-        # canonical fault aliases present even on a clean run
-        assert rr.extras["recovery_retries"] == rr.extras["retries"] == 0
+        # canonical fault counters present even on a clean run, under one name
+        assert rr.extras["recovery_retries"] == rr.extras["recovery_timeouts"] == 0
         assert rr.faults["recovery_timeouts"] == 0
+        assert not {"retries", "timeouts", "failed_units"} & set(rr.extras)
 
     def test_candidates_per_second(self):
         rr = RunReport(
@@ -86,7 +65,7 @@ class TestEngineOf:
         "algorithm,engine",
         [
             ("multiprocess", "multiproc"),
-            ("algorithm_a_mpi", "mpi4py"),
+            ("service", "service"),
             ("serial", "serial"),
             ("algorithm_b", "simmpi"),
             ("xbang", "simmpi"),
@@ -170,5 +149,5 @@ class TestFaultNormalization:
         assert rr.faults["failed_ranks"] == [1]
         assert rr.faults["failed_units"] == 1
         assert rr.faults["degraded"] is True
-        # canonical alias mirrors the simmpi legacy name
-        assert rr.faults["recovery_retries"] == report.extras["transfer_retries"]
+        assert rr.faults["recovery_retries"] == report.extras["recovery_retries"]
+        assert "transfer_retries" not in report.extras
