@@ -1,7 +1,7 @@
 """Autotuner benchmark: does the predicted-best config actually win?
 
 Calibrates the cost model on this host, lets the tuner rank a bounded
-configuration grid (serial/multiproc x index/cohort/stream knobs), then
+configuration grid (serial/multiproc x cohort/blocks/stream knobs), then
 *measures* every feasible plan and reports the tuner's regret — the
 chosen plan's measured makespan over the measured best.  The acceptance
 target is regret <= 1.15: the autotuned configuration lands within 15%
@@ -80,7 +80,6 @@ def measure_autotune(num_proteins, num_queries, repeats, spec):
             store_path,
             partition_mb=2.0,
             fragment_tolerance=config.fragment_tolerance,
-            max_length=config.index_max_length,
         )
         profile = profile_workload(database, queries, config, store=store)
         plans, pruned = enumerate_plans(

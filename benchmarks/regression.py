@@ -10,7 +10,7 @@ regression fails the build instead of landing silently.
 Which direction is "bad" is inferred from the metric's name:
 
 * **lower is better** — names mentioning time/latency/makespan/wall
-  (``virtual_time``, ``index_build_time``, ``mean_cohort_build_s``) and
+  (``virtual_time``, ``index_load_time``, ``mean_cohort_build_s``) and
   fault counters (``recovery_timeouts``, ``recovery_retries``,
   ``failed_units``);
 * **higher is better** — rates and ratios (``per_query_qps``,
@@ -22,7 +22,7 @@ Which direction is "bad" is inferred from the metric's name:
 Usage::
 
     python benchmarks/regression.py BASELINE.json CANDIDATE.json
-    python benchmarks/regression.py BENCH_persist.json BENCH_persist.json  # == exit 0
+    python benchmarks/regression.py BENCH_scale.json BENCH_scale.json  # == exit 0
     python benchmarks/regression.py --threshold 0.05 old.json new.json
 
 See docs/observability.md for where these files come from.

@@ -7,7 +7,7 @@ two views people actually read when debugging parallel schedules:
 * :func:`utilization_table` — per-rank busy/wait/collective fractions;
 * :func:`ascii_gantt` — a character timeline per rank
   (``#`` compute, ``.`` wait/residual comm, ``=`` collective,
-  ``I`` index build, ``S`` sweep setup, ``R`` recovery, space idle),
+  ``S`` sweep setup, ``R`` recovery, space idle),
   which makes masking (or its absence) visible at a glance.
 
 The same event stream exports to Chrome trace-event JSON via
@@ -27,7 +27,6 @@ _GLYPH: Dict[str, str] = {
     "compute": "#",
     "wait": ".",
     "collective": "=",
-    "index": "I",
     "sweep": "S",
     "recovery": "R",
 }
@@ -35,7 +34,6 @@ _GLYPH: Dict[str, str] = {
 _PRIORITY = {
     "compute": 6,
     "recovery": 5,
-    "index": 4,
     "sweep": 3,
     "wait": 2,
     "collective": 1,
@@ -96,6 +94,6 @@ def ascii_gantt(summary: TraceSummary, width: int = 80) -> str:
         lines.append(f"P{rank:<3d} |{''.join(cells)}|")
     lines.append(
         "      # compute   . wait (residual comm)   = collective   "
-        "I index   S sweep   R recovery"
+        "S sweep   R recovery"
     )
     return "\n".join(lines)

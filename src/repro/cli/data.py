@@ -37,7 +37,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
             args.output,
             partition_mb=args.partition_mb,
             fragment_tolerance=args.fragment_tolerance,
-            max_length=args.index_max_length,
+            max_length=args.max_length,
             overwrite=args.overwrite,
         )
         info = store.describe()
@@ -59,7 +59,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         args.output,
         num_shards=args.shards,
         fragment_tolerance=args.fragment_tolerance,
-        max_length=args.index_max_length,
+        max_length=args.max_length,
         overwrite=args.overwrite,
     )
     info = store.describe()
@@ -160,7 +160,7 @@ def register(sub) -> None:
         help="fragment m/z tolerance the index bins are sized for (Da)",
     )
     p_ib.add_argument(
-        "--index-max-length", type=positive_int, default=48,
+        "--index-max-length", dest="max_length", type=positive_int, default=48,
         help="longest candidate span the index covers",
     )
     p_ib.add_argument(

@@ -68,19 +68,6 @@ def add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=positive_int, default=50, help="top hits kept per query")
     p.add_argument("--scorer", default="likelihood", help="scoring model")
     p.add_argument(
-        "--use-index",
-        dest="use_index",
-        action="store_true",
-        default=True,
-        help="serve unmodified candidates from the fragment-ion index (default)",
-    )
-    p.add_argument(
-        "--no-index",
-        dest="use_index",
-        action="store_false",
-        help="disable the fragment-ion index (direct batch scoring only)",
-    )
-    p.add_argument(
         "--sweep-cohort",
         type=positive_int,
         default=64,
@@ -94,7 +81,6 @@ def make_config(args: argparse.Namespace, execution: ExecutionMode = ExecutionMo
         tau=args.tau,
         scorer=args.scorer,
         execution=execution,
-        use_index=args.use_index,
         sweep_cohort=args.sweep_cohort,
     )
 

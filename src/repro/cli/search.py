@@ -49,7 +49,6 @@ def _apply_autotune(args: argparse.Namespace, explicit: set, db, queries):
          "multiproc" if plan.engine == "multiproc" else "serial"),
         ("ranks", {"--ranks", "-p"},
          plan.num_workers if plan.engine == "multiproc" else 1),
-        ("use_index", {"--use-index", "--no-index"}, plan.use_index),
         ("sweep_cohort", {"--sweep-cohort"}, plan.sweep_cohort),
         ("query_blocks", {"--query-blocks"}, plan.query_blocks),
         ("start_method", {"--start-method"}, plan.start_method),
@@ -119,7 +118,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                 index_path,
                 partition_mb=args.partition_mb,
                 fragment_tolerance=config.fragment_tolerance,
-                max_length=config.index_max_length,
             )
         if args.report_out:
             # collect runtime telemetry for the RunReport; search results

@@ -75,14 +75,6 @@ def _rank_program(
     comm.compute(
         cost.load_time(shard_mem, len(my_queries)), detail="A1 load"
     )
-    # The owner builds its shard's fragment-ion index once; the rotation
-    # then amortizes it — peers Get the searcher, index included, so no
-    # step ever rebuilds.  Traced as "index", not "compute".
-    if my_searcher.index is not None:
-        comm.index_build(
-            cost.index_build_time(my_searcher.index.num_fragments),
-            detail=f"A1 index D{i}",
-        )
     comm.expose(_WINDOW, my_searcher, my_searcher.shard.nbytes)
     yield comm.barrier_op()  # MPI_Win_fence: all windows exposed
 
@@ -119,7 +111,7 @@ def _rank_program(
             detail=f"A2 score D{(i + s) % p}",
         )
         if stats.sweep_queries:
-            # sweep bookkeeping is traced separately, like index builds
+            # sweep bookkeeping is traced separately from compute
             comm.sweep_setup(overhead, detail=f"A2 sweep D{(i + s) % p}")
         if request is not None:
             current = comm.wait(request)

@@ -76,14 +76,6 @@ def _rank_program(
     comm.alloc("Dsi", cost.shard_bytes(sorted_shard))
 
     searcher = ShardSearcher(sorted_shard, config, library=library)
-    # One-time fragment-ion index build on the freshly sorted shard;
-    # peers Get the searcher with the index inside, so the rotation
-    # amortizes this single charge (traced as "index", not "compute").
-    if searcher.index is not None:
-        comm.index_build(
-            cost.index_build_time(searcher.index.num_fragments),
-            detail=f"B2 index D{i}",
-        )
     comm.expose(_WINDOW, searcher, sorted_shard.nbytes)
     # Exchange sorted-shard footprints so Drecv buffers can be sized
     # before each transfer (the paper's tuple bookkeeping step).
@@ -172,7 +164,7 @@ def _rank_program(
                 detail=f"B3 score rank {target}",
             )
             if stats.sweep_queries:
-                # sweep bookkeeping is traced separately, like index builds
+                # sweep bookkeeping is traced separately from compute
                 comm.sweep_setup(overhead, detail=f"B3 sweep rank {target}")
             if request is not None:
                 current = comm.wait(request)

@@ -50,13 +50,6 @@ class SearchConfig:
         score_cutoff: optional minimum score for reporting a hit ("if the
             score is above a user-specified cutoff then the ... peptide
             is reported as a hit").
-        use_index: serve unmodified candidates from the shard-resident
-            fragment-ion index (REAL execution only).  Scores and hits
-            are bitwise identical either way; this is purely a
-            throughput switch.
-        index_max_length: longest candidate the fragment index holds;
-            longer spans (and all PTM tiers) flow through the direct
-            batch path.
         sweep_cohort: maximum queries packed into one scoring block of
             the shard pass (queries sorted by precursor mass, overlapping
             windows coalesced, members scored against shared candidate
@@ -77,8 +70,6 @@ class SearchConfig:
     execution: ExecutionMode = ExecutionMode.REAL
     cost: CostModel = field(default_factory=CostModel)
     score_cutoff: Optional[float] = None
-    use_index: bool = True
-    index_max_length: int = 48
     sweep_cohort: int = 64
 
     def __post_init__(self) -> None:
@@ -92,10 +83,6 @@ class SearchConfig:
             raise ConfigError("fragment_tolerance must be > 0")
         if self.min_candidate_length < 1:
             raise ConfigError("min_candidate_length must be >= 1")
-        if self.index_max_length < 2:
-            raise ConfigError(
-                f"index_max_length must be >= 2, got {self.index_max_length}"
-            )
         if self.sweep_cohort < 1:
             raise ConfigError(f"sweep_cohort must be >= 1, got {self.sweep_cohort}")
         if not isinstance(self.execution, ExecutionMode):

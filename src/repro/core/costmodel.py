@@ -71,10 +71,6 @@ class CostModel:
             holds at most ~1.29 M sequences of avg length 314 (the paper
             crashed past 1.27 M), and Algorithm A's three O(N/p) buffers
             admit ~430 K sequences per added rank (the paper: ~420 K).
-        index_build_per_fragment: seconds per fragment to build the
-            shard-resident fragment-ion index (enumerate spans, generate
-            fragment m/z, sort posting lists).  Charged once per shard
-            per run — the amortized term of the indexed hot path.
         index_probe_discount: fraction of ``rho`` an index-served
             candidate evaluation costs.  Probing precomputed posting
             lists skips fragment generation, which is the bulk of rho;
@@ -83,8 +79,7 @@ class CostModel:
             fragment index (``repro.store``): map the buffers and touch
             the pages the first probes fault in.  An order of magnitude
             under ``load_per_byte`` because a memory map is not a full
-            read — this is what makes build-once/load-many profitable
-            in virtual time, mirroring the real BENCH_persist numbers.
+            read.
         index_open_overhead: per-shard constant of an index load (header
             parse, fingerprint check, file opens) charged once per
             opened shard regardless of size.
@@ -143,16 +138,15 @@ class CostModel:
     reduce_per_key: float = 6e-8
     iteration_overhead: float = 4e-3
     metadata_bytes_per_sequence: int = 520
-    index_build_per_fragment: float = 5e-8
     index_probe_discount: float = 0.5
     index_load_per_byte: float = 2e-9
     index_open_overhead: float = 1e-3
     sweep_setup_per_query: float = 4e-5
     sweep_probe_per_cohort: float = 2.5e-4
-    # Audited against measured BENCH files (PR 9): the old default of
+    # Audited against measurements (PR 9): the old default of
     # 1e-8 s/B (100 MB/s, the paper's NFS-era disk) is >10x off any
-    # storage this code actually runs on — BENCH_persist.json measures
-    # warm page-cache reads at ~85 GB/s and BENCH_scale.json shows
+    # storage this code actually runs on — warm page-cache reads of a
+    # resident store measured ~85 GB/s and BENCH_scale.json shows
     # prefetch stalls under 0.2% of compute even at the 2000-protein
     # tier.  1e-9 s/B (~1 GB/s) models a cold NVMe read, still
     # conservative against the measured host but no longer wrong by two
@@ -177,18 +171,11 @@ class CostModel:
             raise ValueError(f"candidates must be >= 0, got {candidates}")
         return candidates * (self.rho(scorer) + self.tau_cost)
 
-    def index_build_time(self, num_fragments: int) -> float:
-        """One-time virtual cost of building a shard's fragment-ion index."""
-        if num_fragments < 0:
-            raise ValueError(f"num_fragments must be >= 0, got {num_fragments}")
-        return self.index_build_per_fragment * num_fragments
-
     def index_load_time(self, nbytes: int, num_shards: int = 1) -> float:
         """Virtual cost of opening persisted index shards totalling ``nbytes``.
 
-        Charged *instead of* :meth:`index_build_time` when a search is
-        served from a ``repro.store`` directory: a loaded run pays the
-        mapping cost, never the build.
+        Charged when a search is served from a ``repro.store``
+        directory: a loaded run pays the mapping cost, never a build.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")

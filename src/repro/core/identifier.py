@@ -2,8 +2,8 @@
 
 `run_search` is a one-shot function; real pipelines identify *streams*
 of spectra against one database — instrument runs arrive in batches, and
-rebuilding the candidate index per batch would dominate.  The identifier
-owns the database, its index, the scorer, and an optional spectral
+rebuilding the mass index per batch would dominate.  The identifier
+owns the database, its mass index, the scorer, and an optional spectral
 library, amortizing construction across any number of `identify` calls:
 
     engine = PeptideIdentifier(database, SearchConfig(tau=10))
@@ -13,7 +13,7 @@ library, amortizing construction across any number of `identify` calls:
 
 Execution modes:
 
-* ``"serial"`` — in-process, index built once (default);
+* ``"serial"`` — in-process, mass index built once (default);
 * ``"multiprocess"`` — real OS processes via
   :mod:`repro.engines.multiproc` (per-call overhead, true parallelism).
 

@@ -79,11 +79,6 @@ def _worker_program(comm: SimComm, searcher: ShardSearcher, config: SearchConfig
     db_mem = cost.shard_bytes(searcher.shard)
     comm.alloc("D", db_mem)
     comm.compute(cost.load_time(db_mem, 0), detail="S1 load database")
-    # Replicated database => every worker builds its own full index.
-    if searcher.index is not None:
-        comm.index_build(
-            cost.index_build_time(searcher.index.num_fragments), detail="S1 index"
-        )
     candidates = 0
     while True:
         _src, batch = yield comm.recv_op(source=0)

@@ -39,12 +39,10 @@ class ShardStats:
     ``candidates_evaluated`` when variable PTMs expand candidates into
     one row per admissible site; ``batches`` counts vectorized scoring
     calls (one per non-empty block).  ``index_rows`` counts the subset
-    of rows served from the fragment-ion index, and ``index_build_time``
-    accumulates real (wall-clock) seconds spent building indexes —
-    engines add it when they construct a searcher.  ``index_load_time``
-    is its load-many counterpart: wall-clock seconds spent opening persisted
-    index shards (``repro.store``); a run pays build *or* load for a
-    given shard, never both.  ``sweep_queries``/``sweep_cohorts``
+    of rows served from a fragment-ion index the searcher was handed,
+    and ``index_load_time`` accumulates real (wall-clock) seconds spent
+    opening persisted index shards (``repro.store``) — engines add it
+    when they load one.  ``sweep_queries``/``sweep_cohorts``
     count the queries a REAL pass scored and the scoring blocks they were
     packed into (up to ``sweep_cohort`` members each, overlapping windows
     or not); both stay 0 in MODELED execution, which counts candidates
@@ -56,7 +54,6 @@ class ShardStats:
     batches: int = 0
     rows_scored: int = 0
     index_rows: int = 0
-    index_build_time: float = 0.0
     index_load_time: float = 0.0
     sweep_queries: int = 0
     sweep_cohorts: int = 0
@@ -67,7 +64,6 @@ class ShardStats:
         self.batches += other.batches
         self.rows_scored += other.rows_scored
         self.index_rows += other.index_rows
-        self.index_build_time += other.index_build_time
         self.index_load_time += other.index_load_time
         self.sweep_queries += other.sweep_queries
         self.sweep_cohorts += other.sweep_cohorts
@@ -191,6 +187,13 @@ class ShardSearcher:
     then evaluates candidates for any number of queries.  A searcher is
     immutable with respect to its shard and may be reused across
     iterations and algorithms.
+
+    A searcher never builds a fragment-ion index.  Handed one
+    (``index=``: typically the memmap-backed view a ``repro.store``
+    directory opens, or ``IndexBuilder(...).build(shard).view()``) it
+    serves the candidates that index holds from it; without one every
+    candidate is scored directly.  Scores are bitwise identical either
+    way.
     """
 
     def __init__(
@@ -210,36 +213,11 @@ class ShardSearcher:
         self._mod_targets = {
             mod.delta_mass: ord(mod.target) for mod in self.generator.modifications
         }
-        # Shard-resident fragment-ion index: built once, amortized over
-        # every query this searcher ever sees.  Only REAL execution with
-        # an index-capable scorer pays the build; MODELED runs never
-        # score, and a library-backed likelihood model needs per-candidate
-        # lookups the index cannot serve.  A caller may hand in a
-        # pre-built ``index`` (typically a memmap-backed view opened from
-        # a ``repro.store`` directory) — then no build happens here and
-        # ``index_build_time`` stays 0; the preloaded view serves scores
-        # bitwise identical to an in-process build.
-        self.index = None
-        self.index_build_time = 0.0
-        if (
-            config.use_index
-            and config.execution is ExecutionMode.REAL
-            and FragmentIndex.serves(self.scorer)
-        ):
-            if index is not None:
-                self.index = index
-                return
-            obs = get_metrics()
-            with obs.span("index.build", category="index", shard_bytes=shard.nbytes):
-                self.index = FragmentIndex(
-                    shard,
-                    self.generator.index,
-                    fragment_tolerance=config.fragment_tolerance,
-                    max_length=config.index_max_length,
-                )
-            self.index_build_time = self.index.build_time
-            obs.count("index.builds")
-            obs.count("index.fragments", self.index.num_fragments)
+        # The handed-in index is consulted only where it can serve:
+        # MODELED runs never score, and a library-backed likelihood
+        # model needs per-candidate lookups no index holds.
+        real = config.execution is ExecutionMode.REAL
+        self.index = index if real and FragmentIndex.serves(self.scorer) else None
 
     @property
     def nbytes(self) -> int:
@@ -542,17 +520,11 @@ def index_compat_problems(
 
     Returns human-readable problems (empty == servable).  These are the
     *contradictions* — options under which no fragment index would ever
-    be consulted.  Parameter mismatches (a different fragment tolerance
-    or index_max_length) are deliberately NOT problems: probes are exact
-    at any tolerance and ``index_max_length`` only moves the
-    index/direct split, so results stay bitwise identical either way.
+    be consulted.  A store built at a different fragment tolerance is
+    deliberately NOT a problem: probes are exact at any tolerance, so
+    results stay bitwise identical.
     """
     problems: List[str] = []
-    if not config.use_index:
-        problems.append(
-            "use_index is off (--no-index): the search would never consult "
-            "the persisted index"
-        )
     if config.execution is not ExecutionMode.REAL:
         problems.append(
             "modeled execution counts candidates without scoring, so a "
@@ -581,12 +553,13 @@ def search_serial(
     our Algorithm A at p = 1 is equivalent to the uni-worker processor
     run of MSPolygraph").
 
+    Without ``index_store`` every candidate is scored directly.
     ``index_store`` (a :class:`repro.store.StoredIndex`) serves the
-    search from a persisted single-shard index instead of building one
-    in-process: the store is fingerprint-validated against ``database``,
-    the shard's arrays are memory-mapped read-only, and hits are bitwise
-    identical to the rebuild path.  Virtual time then charges
-    ``CostModel.index_load_time`` instead of ``index_build_time``.
+    search from a persisted single-shard index: the store is
+    fingerprint-validated against ``database``, the shard's arrays are
+    memory-mapped read-only, hits are bitwise identical to the direct
+    search, and virtual time additionally charges
+    ``CostModel.index_load_time``.
 
     A :class:`repro.store.PartitionedIndex` instead *streams* the
     search: partitions are decoded one (plus one prefetched) at a time
@@ -627,16 +600,10 @@ def search_serial(
         searcher = ShardSearcher(database, config, library=library)
     hitlists: Dict[int, TopHitList] = {}
     stats = searcher.run(queries, hitlists)
-    stats.index_build_time += searcher.index_build_time
     if loaded is not None:
         stats.index_load_time += loaded.seconds
     cost = config.cost
-    index_fragments = searcher.index.num_fragments if searcher.index is not None else 0
-    index_time = (
-        cost.index_load_time(loaded.nbytes, 1)
-        if loaded is not None
-        else cost.index_build_time(index_fragments)
-    )
+    index_time = cost.index_load_time(loaded.nbytes, 1) if loaded is not None else 0.0
     virtual = (
         cost.load_time(database.nbytes, len(queries))
         + cost.scan_time(database.nbytes)
@@ -650,7 +617,6 @@ def search_serial(
         "batches": stats.batches,
         "rows_scored": stats.rows_scored,
         "index_rows": stats.index_rows,
-        "index_build_time": stats.index_build_time,
         "index_load_time": stats.index_load_time,
         "index_probe_fraction": stats.index_rows / stats.rows_scored
         if stats.rows_scored
@@ -662,17 +628,6 @@ def search_serial(
     if index_store is not None:
         extras["index_provenance"] = index_store.provenance("loaded")
         extras["index_mmap_bytes"] = loaded.nbytes
-    elif searcher.index is not None:
-        from repro.store import build_config_from_search, rebuilt_provenance
-
-        extras["index_provenance"] = rebuilt_provenance(
-            database,
-            build_config_from_search(
-                num_shards=1,
-                fragment_tolerance=config.fragment_tolerance,
-                index_max_length=config.index_max_length,
-            ),
-        )
     return SearchReport(
         algorithm="serial",
         num_ranks=1,
@@ -696,7 +651,7 @@ def _search_serial_streamed(
 
     The out-of-core leg of :func:`search_serial`: fingerprint-validated,
     double-buffered partition pass, bitwise-identical hits.  Virtual
-    time replaces the whole-database scan + index load/build terms with
+    time replaces the whole-database scan + index load terms with
     partition decode plus the *exposed* (unmasked) fraction of blob
     I/O, mirroring how the paper charges one-sided communication only
     where computation fails to hide it.

@@ -144,7 +144,6 @@ class StreamingSearcher:
         self.stream_stats = StreamStats()
         self.score_seconds = 0.0
         self._overflow: Optional[CandidateSpans] = None
-        self.index_build_time = 0.0  # interface parity with ShardSearcher
 
     @property
     def nbytes(self) -> int:

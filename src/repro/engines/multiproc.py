@@ -13,17 +13,15 @@ queries can touch.  Here the query list is mass-sorted once and cut
 into contiguous blocks (:func:`~repro.core.partition.partition_queries_by_mass`),
 so every block is one mass range: the candidate-major sweep coalesces a
 block as well as it would the whole list, and a block's windows cover
-one slice of the mass index.  Which axis carries the parallelism depends
-on what is expensive to hold per process:
+one slice of the mass index.  The other axis is whatever the search is
+served from:
 
-* direct path (no fragment index will be consulted): the database is
-  *not* split — one shard, the whole database, shared copy-on-write
-  under fork and shipped once per worker under spawn — and all
-  parallelism comes from the query blocks.  Each query pays its window
-  join, spectrum batch and top-tau exactly once, and a task's result is
-  final for its queries: the parent has nothing to merge.
-* rebuilt-index path: one shard per worker (the per-shard fragment index
-  is the expensive per-process state), query blocks on top.
+* no store (direct scoring): the database is *not* split — one shard,
+  the whole database, shared copy-on-write under fork and shipped once
+  per worker under spawn — and all parallelism comes from the query
+  blocks.  Each query pays its window join, spectrum batch and top-tau
+  exactly once, and a task's result is final for its queries: the
+  parent has nothing to merge.
 * store paths: the store's own layout (its shards, or one contiguous
   partition range per worker), query blocks on top.
 
@@ -38,11 +36,12 @@ the pool initializer under spawn — and each task is just a
 serialization therefore drops from O(shard + queries) to O(1), retries
 resubmit four integers instead of re-pickling buffers, and the report's
 ``bytes_shipped`` extras quantify the saving against the replicated
-per-task baseline.  Workers keep a per-process cache of rebuilt
+per-task baseline.  Workers keep a per-process cache of
 ``ShardSearcher`` objects keyed by shard id (and of unpacked query
-blocks keyed by block id), so a shard's mass and fragment-ion indexes
-are built once per process, not once per task.  Results come back as
-flat NumPy columns (:class:`~repro.scoring.hits.HitColumns`) — eight
+blocks keyed by block id), so a shard's mass index is built, and a
+store's shard mapped, once per process, not once per task.  Results
+come back as flat NumPy columns
+(:class:`~repro.scoring.hits.HitColumns`) — eight
 buffers per task instead of one pickled ``Hit`` per retained hit — and
 become ``Hit`` objects once, in the parent; hits are folded through a
 ``TopHitList`` only for a query id that arrives from more than one
@@ -74,11 +73,7 @@ import numpy as np
 
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
-from repro.core.partition import (
-    effective_query_blocks,
-    partition_database,
-    partition_queries_by_mass,
-)
+from repro.core.partition import effective_query_blocks, partition_queries_by_mass
 from repro.core.results import SearchReport, merge_rank_hits
 from repro.core.search import ShardSearcher, ShardStats, index_compat_problems
 from repro.faults.checkpoint import CheckpointManager
@@ -132,7 +127,7 @@ def _shard_wire_nbytes(wire: _ShardWire) -> int:
 # either way, per-task payloads never carry buffers again.
 
 _TASK_CONTEXT: Optional[Dict[str, Any]] = None
-#: per-process rebuilt state: {"searchers": {shard_id: searcher},
+#: per-process state: {"searchers": {shard_id: searcher},
 #: "queries": {block_id: [Spectrum]}, "store": StoredIndex or
 #: PartitionedIndex (opened once), "database": mmapped ProteinDatabase
 #: (partitioned stores only)}
@@ -164,14 +159,13 @@ def _cached_queries(block_id: int) -> List[Spectrum]:
     return queries
 
 
-def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float, float]:
-    """Per-process searcher for ``shard_id``; returns
-    ``(searcher, build_s, load_s)``.
+def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float]:
+    """Per-process searcher for ``shard_id``; returns ``(searcher, load_s)``.
 
-    ``build_s`` / ``load_s`` are the wall-clock seconds spent building or
-    loading on *this* call — zero on a cache hit — so callers charge
-    index construction (or store mapping) once per process, not once per
-    task.  With an ``index_path`` in the context (mmap-once transport),
+    ``load_s`` is the wall-clock seconds spent opening a store on *this*
+    call — zero on a cache hit and without a store — so callers charge
+    the mapping once per process, not once per task.  With an
+    ``index_path`` in the context (mmap-once transport),
     the shard and its fragment index come out of the persisted store as
     read-only memory maps: nothing but the path string ever crossed the
     process boundary, and clean index pages are shared between workers
@@ -180,7 +174,7 @@ def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float, float]:
     cache = _PROCESS_CACHE.setdefault("searchers", {})
     searcher = cache.get(shard_id)
     if searcher is not None:
-        return searcher, 0.0, 0.0
+        return searcher, 0.0
     index_path = _TASK_CONTEXT.get("index_path")
     ranges = _TASK_CONTEXT.get("partition_ranges")
     if ranges is not None:
@@ -207,7 +201,7 @@ def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float, float]:
             own_overflow=(shard_id == 0),
             memory_budget_mb=_TASK_CONTEXT.get("memory_budget_mb"),
         )
-        return searcher, 0.0, time.perf_counter() - t0
+        return searcher, time.perf_counter() - t0
     if index_path is not None:
         from repro.store import open_index
 
@@ -218,10 +212,10 @@ def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float, float]:
         searcher = cache[shard_id] = ShardSearcher(
             loaded.shard, _TASK_CONTEXT["config"], index=loaded.index
         )
-        return searcher, 0.0, loaded.seconds
+        return searcher, loaded.seconds
     shard = ProteinDatabase.from_buffers(*_TASK_CONTEXT["shard_wires"][shard_id])
     searcher = cache[shard_id] = ShardSearcher(shard, _TASK_CONTEXT["config"])
-    return searcher, searcher.index_build_time, 0.0
+    return searcher, 0.0
 
 
 def _worker(
@@ -230,7 +224,7 @@ def _worker(
     """Search one (shard, query block) pair; runs in a worker process.
 
     With telemetry on (``context["metrics"]``) the task runs under a
-    fresh per-task registry, so nested spans (index builds, the shard
+    fresh per-task registry, so nested spans (store loads, the shard
     search itself) ship back in the returned snapshot and the supervisor
     folds them into the run-wide registry — one timeline lane per worker
     process in the Chrome-trace export.
@@ -241,11 +235,10 @@ def _worker(
         injector = _TASK_CONTEXT.get("injector")
         if injector is not None:
             injector.fire(task_id, attempt)
-        searcher, built, loaded = _cached_searcher(shard_id)
+        searcher, loaded = _cached_searcher(shard_id)
         queries = _cached_queries(block_id)
         hitlists: Dict[int, TopHitList] = {}
         stats = searcher.run(queries, hitlists)
-        stats.index_build_time += built
         stats.index_load_time += loaded
         qids = dict.fromkeys(q.query_id for q in queries)
         return pack_hit_columns(hitlists, qids), stats
@@ -384,15 +377,14 @@ def run_multiprocess_search(
     The mass-sorted query list is cut into contiguous blocks —
     ``query_blocks`` of them at least, more if the grid would otherwise
     have fewer tasks than workers — and every (shard, query block) pair
-    is an independent task.  On the direct path (``use_index=False``, or
-    a search no fragment index can serve) there is one shard, the whole
-    database, so a task's top-tau is final for its queries; with a
-    rebuilt index the database is split into one shard per worker, and
-    candidate sets over shards partition the database's candidate set,
-    so merging per-task top-tau lists reproduces the serial output
-    exactly — the same argument Algorithms A/B rest on.  Shard buffers
-    and packed queries travel to workers once, through the task context
-    (see module docstring); task payloads are id tuples.
+    is an independent task.  Without a store there is one shard, the
+    whole database scored directly, so a task's top-tau is final for its
+    queries; a store brings its own shards, and candidate sets over
+    shards partition the database's candidate set, so merging per-task
+    top-tau lists reproduces the serial output exactly — the same
+    argument Algorithms A/B rest on.  Shard buffers and packed queries
+    travel to workers once, through the task context (see module
+    docstring); task payloads are id tuples.
 
     ``start_method`` pins the multiprocessing context ("fork" or
     "spawn"); the default picks fork where available.  Supervision knobs
@@ -408,7 +400,7 @@ def run_multiprocess_search(
     workers memory-map their shards and fragment indexes from disk —
     only the path string crosses the process boundary, so
     ``bytes_shipped`` drops to the packed queries plus task ids, and
-    hits remain bitwise identical to the rebuild path.
+    hits remain bitwise identical to the direct path.
 
     When ``index_path`` names a *partitioned* store
     (``repro.index_store_partitioned/1``) the decomposition changes
@@ -425,7 +417,6 @@ def run_multiprocess_search(
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     policy = retry_policy or RetryPolicy(max_retries=max_retries)
-    index_problems = index_compat_problems(config)
     store = None
     partition_ranges: Optional[List[Tuple[int, int]]] = None
     if index_path is not None:
@@ -456,23 +447,19 @@ def run_multiprocess_search(
                 for lo, hi in partition_ranges
             ]
         else:
-            if index_problems:
+            problems = index_compat_problems(config)
+            if problems:
                 raise IndexCompatError(
                     "this search cannot be served from the persisted index: "
-                    + "; ".join(index_problems)
+                    + "; ".join(problems)
                 )
             store.validate_against(database)
             num_shards = store.num_shards
             shards = None
             shard_bytes = [layout.shard_nbytes for layout in store.layouts]
     else:
-        # Only a per-shard fragment index is worth a shard per worker;
-        # without one the database stays whole and the query axis alone
-        # carries the parallelism.
-        pieces = (
-            [database] if index_problems else partition_database(database, num_workers)
-        )
-        shards = [s for s in pieces if len(s) > 0]
+        # the database stays whole: the query axis carries the parallelism
+        shards = [database] if len(database) > 0 else []
         num_shards = len(shards)
     nblocks = effective_query_blocks(query_blocks, num_shards, num_workers, len(queries))
     blocks = partition_queries_by_mass(queries, nblocks)
@@ -611,7 +598,6 @@ def run_multiprocess_search(
         "batches": batches,
         "rows_scored": rows_scored,
         "index_rows": index_rows,
-        "index_build_time": stats.index_build_time,
         "index_load_time": stats.index_load_time,
         "index_probe_fraction": index_rows / rows_scored if rows_scored else 0.0,
         "sweep_queries": stats.sweep_queries,
@@ -640,17 +626,6 @@ def run_multiprocess_search(
         extras["index_path"] = str(index_path)
         extras["index_mmap_bytes"] = int(store.nbytes)
         extras["index_provenance"] = store.provenance("loaded")
-    elif not index_problems:
-        from repro.store import build_config_from_search, rebuilt_provenance
-
-        extras["index_provenance"] = rebuilt_provenance(
-            database,
-            build_config_from_search(
-                num_shards=num_shards,
-                fragment_tolerance=config.fragment_tolerance,
-                index_max_length=config.index_max_length,
-            ),
-        )
     return SearchReport(
         algorithm="multiprocess",
         num_ranks=num_workers,

@@ -149,7 +149,6 @@ def store_key(params: Dict[str, Any]) -> str:
             "index.partition_mb",
             "index.shards",
             "config.fragment_tolerance",
-            "config.index_max_length",
         )
         if k in params
     }
@@ -172,8 +171,6 @@ def prebuild_store(params: Dict[str, Any], stores_dir: str) -> str:
     build_kwargs: Dict[str, Any] = {}
     if "config.fragment_tolerance" in params:
         build_kwargs["fragment_tolerance"] = float(params["config.fragment_tolerance"])
-    if "config.index_max_length" in params:
-        build_kwargs["max_length"] = int(params["config.index_max_length"])
     if params.get("index.mode") == "partitioned":
         from repro.store import save_partitioned_index
 

@@ -85,10 +85,8 @@ GROUP_FIELDS: Dict[str, Tuple[str, ...]] = {
         "delta",
         "tau",
         "execution",
-        "use_index",
         "sweep_cohort",
         "fragment_tolerance",
-        "index_max_length",
         "min_candidate_length",
     ),
     "faults": ("plan",),

@@ -34,10 +34,9 @@ Construction and consumption are separate types:
   what makes zero-copy persistence possible (see :mod:`repro.store`).
 * :class:`FragmentIndex` is a *read-only view* wired over such arrays.
   It is agnostic to their backing: the heap arrays a fresh build
-  produces and the ``np.memmap`` arrays ``repro.store.open_index``
-  returns serve bit-for-bit identical scores.  The legacy constructor
-  signature (``FragmentIndex(shard, ...)``) still builds in-process by
-  delegating to :class:`IndexBuilder`.
+  produces (``IndexBuilder(...).build(shard).view()``) and the
+  ``np.memmap`` arrays ``repro.store.open_index`` returns serve
+  bit-for-bit identical scores.
 
 Exactness contract
 ------------------
@@ -56,12 +55,11 @@ suffixes is O(sum of squared sequence lengths) memory).  Spans outside
 that envelope — PTM tiers, very long spans — report row ``-1`` from
 :meth:`FragmentIndex.rows_for` and flow through the direct batch path;
 the searcher merges the two score streams in span order, so hits are
-identical with the index on or off by construction.
+identical with or without an index by construction.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -209,12 +207,9 @@ class BuiltIndex:
     layout: IndexLayout
     arrays: Dict[str, np.ndarray]
     shard: ProteinDatabase
-    build_time: float
 
     def view(self) -> "FragmentIndex":
-        index = FragmentIndex.from_arrays(self.layout, self.arrays, shard=self.shard)
-        index.build_time = self.build_time
-        return index
+        return FragmentIndex.from_arrays(self.layout, self.arrays, shard=self.shard)
 
 
 class IndexBuilder:
@@ -250,7 +245,6 @@ class IndexBuilder:
         self, shard: ProteinDatabase, mass_index: Optional[MassIndex] = None
     ) -> BuiltIndex:
         """Enumerate, fragment, and sort one shard into flat arrays."""
-        build_start = time.perf_counter()
         index = mass_index if mass_index is not None else MassIndex(shard)
 
         spans = index.candidates_in_window(0.0, np.inf)
@@ -301,12 +295,7 @@ class IndexBuilder:
                 for name, a in arrays.items()
             },
         )
-        return BuiltIndex(
-            layout=layout,
-            arrays=arrays,
-            shard=shard,
-            build_time=time.perf_counter() - build_start,
-        )
+        return BuiltIndex(layout=layout, arrays=arrays, shard=shard)
 
     def build_partition(
         self, shard: ProteinDatabase, spans: CandidateSpans
@@ -431,60 +420,17 @@ class IndexBuilder:
 class FragmentIndex:
     """Read-only view over one shard's flat index arrays.
 
-    ``FragmentIndex(shard, ...)`` builds in-process (delegating to
-    :class:`IndexBuilder`); :meth:`from_arrays` wires a view over
-    existing arrays — heap or memmap — without building anything.
+    Never builds: :meth:`from_arrays` wires a view over existing arrays,
+    heap (``IndexBuilder(...).build(shard).view()``) or memmap (a
+    ``repro.store`` directory).
     """
 
     def __init__(
         self,
-        shard: ProteinDatabase,
-        mass_index: Optional[MassIndex] = None,
-        *,
-        fragment_tolerance: float = 0.5,
-        max_length: int = 48,
-        monoisotopic: bool = True,
+        shard: Optional[ProteinDatabase],
+        layout: IndexLayout,
+        arrays: Dict[str, np.ndarray],
     ):
-        built = IndexBuilder(
-            fragment_tolerance=fragment_tolerance,
-            max_length=max_length,
-            monoisotopic=monoisotopic,
-        ).build(shard, mass_index)
-        self._wire(shard, built.layout, built.arrays)
-        self.build_time = built.build_time
-
-    @classmethod
-    def from_arrays(
-        cls,
-        layout: IndexLayout,
-        arrays: Dict[str, np.ndarray],
-        shard: Optional[ProteinDatabase] = None,
-    ) -> "FragmentIndex":
-        """Wire a view over existing arrays; no construction happens.
-
-        ``shard`` defaults to a ProteinDatabase rebuilt zero-copy from
-        the layout's own ``shard_*`` buffers, so a persisted directory
-        is self-contained.  Partition views (``PARTITION_SCHEMA``) carry
-        no shard buffers; callers may pass the database explicitly, but
-        scoring never touches it — every kernel reads only the decoded
-        arrays.  ``build_time`` is 0: a loaded view never paid a build.
-        """
-        if shard is None and "shard_residues" in arrays:
-            shard = ProteinDatabase.from_buffers(
-                arrays["shard_residues"], arrays["shard_offsets"], arrays["shard_ids"]
-            )
-        self = cls.__new__(cls)
-        self._wire(shard, layout, arrays)
-        self.build_time = 0.0
-        return self
-
-    def _wire(
-        self,
-        shard: ProteinDatabase,
-        layout: IndexLayout,
-        arrays: Dict[str, np.ndarray],
-    ) -> None:
-        """Attach views over ``arrays``; shared by build and load paths."""
         self.shard = shard
         self.layout = layout
         self.arrays = arrays
@@ -537,7 +483,28 @@ class FragmentIndex:
             arrays["series_tag"],
             arrays["series_bin_start"],
         )
-        self.build_time = 0.0
+
+    @classmethod
+    def from_arrays(
+        cls,
+        layout: IndexLayout,
+        arrays: Dict[str, np.ndarray],
+        shard: Optional[ProteinDatabase] = None,
+    ) -> "FragmentIndex":
+        """Wire a view over existing arrays; no construction happens.
+
+        ``shard`` defaults to a ProteinDatabase rebuilt zero-copy from
+        the layout's own ``shard_*`` buffers, so a persisted directory
+        is self-contained.  Partition views (``PARTITION_SCHEMA``) carry
+        no shard buffers; callers may pass the database explicitly, but
+        scoring never touches it — every kernel reads only the decoded
+        arrays.
+        """
+        if shard is None and "shard_residues" in arrays:
+            shard = ProteinDatabase.from_buffers(
+                arrays["shard_residues"], arrays["shard_offsets"], arrays["shard_ids"]
+            )
+        return cls(shard, layout, arrays)
 
     @property
     def nbytes(self) -> int:

@@ -46,7 +46,7 @@ ARRAY_NAMES = SHARD_ARRAYS + (
     "prefix_row",
     "suffix_row",
     "group_pos",
-    # per-length fragment matrices, flattened (see fragment_index._wire)
+    # per-length fragment matrices, flattened (see FragmentIndex.__init__)
     "group_lengths",
     "group_row_splits",
     "group_rows",

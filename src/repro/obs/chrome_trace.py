@@ -9,7 +9,7 @@ Two timeline sources feed the same output format:
   ``wait`` slices *are* residual communication.
 * **multiprocessing runs** — wall-clock spans from the metrics registry
   (``repro.obs.metrics``): one lane per OS process, so task dispatch,
-  retries, index builds and checkpoint flushes appear where they really
+  retries, store loads and checkpoint flushes appear where they really
   ran.
 
 Output follows the Trace Event Format's JSON-object flavour (a

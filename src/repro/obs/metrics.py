@@ -265,7 +265,7 @@ def use_registry(registry: MetricsRegistry):
     """Temporarily make ``registry`` the process default.
 
     The multiprocessing engine runs each worker task under a fresh
-    registry so nested instrumentation (index builds, shard searches,
+    registry so nested instrumentation (store loads, shard searches,
     checkpoint writes) lands in a per-task snapshot that ships back to
     the supervisor with the task result.  Process-wide swap, so only for
     single-threaded scopes (worker processes are).

@@ -43,7 +43,6 @@ def simmpi_extras(
         "masking_effectiveness": summary.masking_effectiveness,
     }
     if totals is not None:
-        extras["index_build_time"] = summary.total_index_build
         extras["index_probe_fraction"] = (
             totals.index_rows / totals.rows_scored if totals.rows_scored else 0.0
         )

@@ -82,7 +82,6 @@ def _trace_payload(trace: "Optional[TraceSummary]") -> Optional[Dict[str, Any]]:
         "total_collective": trace.total_collective,
         "total_comm_issued": trace.total_comm_issued,
         "total_recovery": trace.total_recovery,
-        "total_index_build": trace.total_index_build,
         "total_sweep": trace.total_sweep,
         "mean_residual_to_compute": trace.mean_residual_to_compute,
         "masking_effectiveness": trace.masking_effectiveness,
@@ -93,7 +92,6 @@ def _trace_payload(trace: "Optional[TraceSummary]") -> Optional[Dict[str, Any]]:
                 "collective": t.collective,
                 "comm_issued": t.comm_issued,
                 "recovery": t.recovery,
-                "index_build": t.index_build,
                 "sweep": t.sweep,
             }
             for rank, t in trace.per_rank.items()

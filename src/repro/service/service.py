@@ -4,8 +4,8 @@
 server.  Worker threads own their own :class:`ShardSearcher` instances
 (scorers carry mutable caches, so they are never shared) over either a
 persisted index store (each worker memory-maps the shards — the OS
-shares clean pages) or an in-process database (one fragment index is
-built at startup and shared read-only).  Clients submit requests of
+shares clean pages) or an in-process database (scored directly, no
+fragment index).  Clients submit requests of
 spectra; queued requests are coalesced into mass-sorted batches so the
 candidate-major sweep kernel forms cohorts *across* requests — the
 cross-request analogue of PR 4's within-batch coalescing.
@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.candidates.mass_index import MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
@@ -177,7 +178,6 @@ class SearchService:
         self._next_uid = itertools.count(0)
         self._next_batch_seq = itertools.count(0)
         self._next_worker_id = itertools.count(0)
-        self._template_index = None
         self._start_error: Optional[BaseException] = None
         self._counters: Dict[str, float] = {
             "admitted": 0,
@@ -205,10 +205,10 @@ class SearchService:
                     f"service cannot start from state {self._state!r}"
                 )
             self._state = "running"
-        if self._database is not None and self._template_index is None:
-            # One shared read-only fragment index for every worker; the
-            # per-worker searchers own their (mutable-cache) scorers.
-            self._template_index = ShardSearcher(self._database, self.config).index
+        if self._database is not None:
+            # every worker's searcher shares the database-held mass index;
+            # build it here, once, before the worker threads race to
+            MassIndex.for_shard(self._database)
         for _ in range(self.service_config.workers):
             self._spawn_worker()
         deadline = time.monotonic() + timeout
@@ -460,9 +460,7 @@ class SearchService:
                 for ls in loaded
             ]
         assert self._database is not None
-        return [
-            ShardSearcher(self._database, self.config, index=self._template_index)
-        ]
+        return [ShardSearcher(self._database, self.config)]
 
     def _worker_main(self, worker: _Worker) -> None:
         try:

@@ -107,16 +107,6 @@ class SimComm:
         self.trace.add("compute", self.clock, seconds, detail)
         self.clock += seconds
 
-    def index_build(self, seconds: float, detail: str = "") -> None:
-        """Like :meth:`compute`, but traced as ``index`` — the one-time
-        fragment-ion index construction, kept out of query-processing
-        compute so residual-communication metrics are unaffected."""
-        if seconds < 0:
-            raise ValueError(f"index build time must be >= 0, got {seconds}")
-        seconds = seconds / self._cluster.effective_speed(self.rank, self.clock)
-        self.trace.add("index", self.clock, seconds, detail)
-        self.clock += seconds
-
     def sweep_setup(self, seconds: float, detail: str = "") -> None:
         """Like :meth:`compute`, but traced as ``sweep`` — the
         candidate-major path's per-query/per-cohort bookkeeping, kept

@@ -18,10 +18,6 @@ needed to reproduce that analysis:
   from ``compute``/``wait`` so fault-free metrics (residual-to-compute,
   masking effectiveness) are untouched by recovery work, and so the cost
   of surviving a fault plan is directly visible in the summary.
-* ``index`` — one-time fragment-ion index construction per shard.
-  Separate from ``compute`` for the same reason as ``recovery``: the
-  build is an amortized setup cost, and folding it into query-processing
-  compute would distort residual-communication ratios.
 * ``sweep`` — candidate-major sweep setup (query sorting, vectorized
   window bounds, cohort probes).  Kept out of ``compute`` so the sweep's
   amortized bookkeeping is directly visible in summaries and does not
@@ -52,7 +48,6 @@ class RankTrace:
     comm_issued: float = 0.0
     collective: float = 0.0
     recovery: float = 0.0
-    index_build: float = 0.0
     sweep: float = 0.0
     events: List[tuple] = field(default_factory=list, repr=False)
     record_events: bool = False
@@ -70,8 +65,6 @@ class RankTrace:
             self.comm_issued += duration
         elif category == "recovery":
             self.recovery += duration
-        elif category == "index":
-            self.index_build += duration
         elif category == "sweep":
             self.sweep += duration
         else:
@@ -111,7 +104,6 @@ class TraceSummary:
     failures: Tuple[RankFailure, ...] = ()
     transfer_retries: int = 0
     recovery_fetches: int = 0
-    total_index_build: float = 0.0
     total_sweep: float = 0.0
 
     @classmethod
@@ -134,7 +126,6 @@ class TraceSummary:
             failures=tuple(failures),
             transfer_retries=transfer_retries,
             recovery_fetches=recovery_fetches,
-            total_index_build=sum(t.index_build for t in traces.values()),
             total_sweep=sum(t.sweep for t in traces.values()),
         )
 

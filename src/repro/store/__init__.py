@@ -3,7 +3,7 @@
 Build once with :func:`save_index` (or ``repro index build``), then any
 number of searches — in any number of processes — :func:`open_index`
 the directory and serve scores from read-only ``np.memmap`` views that
-are bitwise identical to an in-process rebuild.  See
+are bitwise identical to scoring the candidates directly.  See
 ``docs/index_persistence.md`` for the on-disk format and the
 fingerprint contract.
 """
@@ -13,10 +13,8 @@ from repro.store.index_store import (
     STORE_SCHEMA,
     LoadedShard,
     StoredIndex,
-    build_config_from_search,
     compute_fingerprint,
     open_index,
-    rebuilt_provenance,
     save_index,
 )
 from repro.store.partitioned import (
@@ -38,12 +36,10 @@ __all__ = [
     "StoredIndex",
     "StreamStats",
     "StreamingIndexReader",
-    "build_config_from_search",
     "compute_fingerprint",
     "open_any_index",
     "open_index",
     "open_partitioned_index",
-    "rebuilt_provenance",
     "save_index",
     "save_partitioned_index",
 ]

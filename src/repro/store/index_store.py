@@ -107,22 +107,6 @@ def compute_fingerprint(db: ProteinDatabase, build: Dict[str, Any]) -> str:
     return h.hexdigest()
 
 
-def rebuilt_provenance(db: ProteinDatabase, build: Dict[str, Any]) -> Dict[str, Any]:
-    """Index-provenance record for a run that built its index in-process.
-
-    Mirrors :meth:`StoredIndex.provenance` with ``source="rebuilt"`` and
-    a freshly computed fingerprint, so a rebuilt run and a loaded run of
-    the same (database, build config) carry the *same* fingerprint —
-    reports differ only in ``source``.
-    """
-    return {
-        "source": "rebuilt",
-        "fingerprint": compute_fingerprint(db, build),
-        "schema": STORE_SCHEMA,
-        "build": dict(build),
-    }
-
-
 @dataclass
 class LoadedShard:
     """One shard opened from a store: the shard, its wired index view,
@@ -243,8 +227,7 @@ class StoredIndex:
     def provenance(self, source: str) -> Dict[str, Any]:
         """Index-provenance record for RunReport extras.
 
-        ``source`` is ``"loaded"`` (served from this store) or
-        ``"rebuilt"`` (an equivalent in-process build).
+        ``source`` is ``"loaded"``: served from this store.
         """
         return {
             "source": source,
@@ -408,19 +391,3 @@ def open_index(path: Union[str, Path]) -> StoredIndex:
         created=created,
         layouts=layouts,
     )
-
-
-def build_config_from_search(
-    *,
-    num_shards: int,
-    fragment_tolerance: float,
-    index_max_length: int,
-    monoisotopic: bool = True,
-) -> Dict[str, Any]:
-    """Canonical build-config dict for fingerprinting a search setup."""
-    return {
-        "fragment_tolerance": float(fragment_tolerance),
-        "max_length": int(index_max_length),
-        "monoisotopic": bool(monoisotopic),
-        "num_shards": int(num_shards),
-    }

@@ -1027,7 +1027,8 @@ class StreamingIndexReader:
         entry = self.store.partitions[pid]
         t0 = time.perf_counter()
         blob = self.store.read_partition_blob(pid)
-        self.stats.io_seconds += time.perf_counter() - t0
+        read_seconds = time.perf_counter() - t0
+        self.stats.io_seconds += read_seconds
         self.stats.bytes_read += len(blob)
         t0 = time.perf_counter()
         with metrics.span(
@@ -1041,7 +1042,7 @@ class StreamingIndexReader:
         self.stats.bytes_decoded += entry.decoded_bytes
         self.stats.partitions += 1
         self.stats.prefetch_stalls += 1  # serial reads always wait on I/O
-        self.stats.stall_seconds += self.stats.io_seconds
+        self.stats.stall_seconds += read_seconds
         self._record(metrics, entry)
         return StreamedPartition(pid=pid, entry=entry, index=index)
 

@@ -24,10 +24,9 @@ import os
 import platform
 from typing import Any, Dict, Optional
 
-#: /3: ``rho_base``/``tau_cost`` are fitted on the shard pass itself; a /2
-#: cache fitted them on a per-query pass the engines no longer run, and
-#: its terms would mispredict every plan
-CACHE_SCHEMA = "repro.tune_calibration/3"
+#: /4: the per-fragment index-build term is gone (no search builds an
+#: index); a /3 cache would report it as a fitted term that nothing reads
+CACHE_SCHEMA = "repro.tune_calibration/4"
 
 #: default cache location; overridable per call and via ``repro tune --cache``
 DEFAULT_CACHE_PATH = os.path.join("~", ".cache", "repro", "calibration.json")

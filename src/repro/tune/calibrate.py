@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
 from repro.core.search import ShardSearcher
+from repro.index import IndexBuilder
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
 from repro.tune.cache import load_calibration, save_calibration
 from repro.workloads.queries import generate_queries
@@ -43,7 +44,6 @@ CALIBRATABLE_TERMS = (
     "rho_base",
     "tau_cost",
     "index_probe_discount",
-    "index_build_per_fragment",
     "index_load_per_byte",
     "index_open_overhead",
     "sweep_setup_per_query",
@@ -126,24 +126,22 @@ def _nonneg_lstsq(design: Sequence[Sequence[float]], rhs: Sequence[float]) -> np
 
 
 def _timed_search(
-    db, queries, config: SearchConfig, repeats: int
-) -> Tuple[float, Any, float, Any]:
+    db, queries, config: SearchConfig, repeats: int, index=None
+) -> Tuple[float, Any]:
     """Run one searcher workload ``repeats`` times; keep the fastest.
 
-    Returns ``(search_dur, stats, index_build_dur, searcher)`` with
-    durations read off the ``search.shard`` / ``index.build`` obs spans
-    — the same spans the verification layer later compares against.
+    Returns ``(search_dur, stats)`` with the duration read off the
+    ``search.shard`` obs span — the same span the verification layer
+    later compares against.
     """
     best = None
     for _ in range(max(repeats, 1)):
         registry = MetricsRegistry(enabled=True)
         with use_registry(registry):
-            searcher = ShardSearcher(db, config)
-            stats = searcher.run(queries, {})
+            stats = ShardSearcher(db, config, index=index).run(queries, {})
         dur = _span_dur(registry, "search.shard")
-        build = _span_dur(registry, "index.build")
         if best is None or dur < best[0]:
-            best = (dur, stats, build, searcher)
+            best = (dur, stats)
     return best
 
 
@@ -171,10 +169,8 @@ def _fit_sweep_terms(db, queries, spec: CalibrationSpec, details: Dict) -> Dict[
     m = spec.num_queries
 
     def run(scorer: str, cap: int, delta: float) -> Dict[str, float]:
-        config = SearchConfig(
-            delta=delta, tau=25, scorer=scorer, use_index=False, sweep_cohort=cap
-        )
-        dur, stats, _, _ = _timed_search(db, queries[:m], config, spec.repeats)
+        config = SearchConfig(delta=delta, tau=25, scorer=scorer, sweep_cohort=cap)
+        dur, stats = _timed_search(db, queries[:m], config, spec.repeats)
         return {
             "scorer": scorer,
             "relative_cost": _relative_cost(config),
@@ -216,20 +212,14 @@ def _fit_sweep_terms(db, queries, spec: CalibrationSpec, details: Dict) -> Dict[
 def _fit_index_terms(
     db, queries, spec: CalibrationSpec, terms: Dict[str, float], details: Dict
 ) -> Dict[str, float]:
-    """index_build_per_fragment + index_probe_discount from an indexed pass."""
+    """index_probe_discount from a pass over an index view built here."""
     config = SearchConfig(
-        delta=3.0,
-        tau=25,
-        scorer="likelihood",
-        use_index=True,
-        sweep_cohort=spec.sweep_cohorts[-1],
+        delta=3.0, tau=25, scorer="likelihood", sweep_cohort=spec.sweep_cohorts[-1]
     )
     rc = _relative_cost(config)
-    dur, stats, build_dur, searcher = _timed_search(db, queries, config, spec.repeats)
-    fragments = searcher.index.num_fragments if searcher.index is not None else 0
+    index = IndexBuilder(fragment_tolerance=config.fragment_tolerance).build(db).view()
+    dur, stats = _timed_search(db, queries, config, spec.repeats, index=index)
     out: Dict[str, float] = {}
-    if fragments:
-        out["index_build_per_fragment"] = build_dur / fragments
     rho = terms["rho_base"] * rc
     index_rows = stats.index_rows
     direct = stats.candidates_evaluated - index_rows
@@ -245,8 +235,7 @@ def _fit_index_terms(
         out["index_probe_discount"] = float(np.clip(discount, 0.05, 1.5))
     details["index_run"] = {
         "seconds": dur,
-        "build_seconds": build_dur,
-        "num_fragments": fragments,
+        "num_fragments": index.num_fragments,
         "index_rows": index_rows,
         "candidates": stats.candidates_evaluated,
     }

@@ -217,7 +217,7 @@ def simulate_anchor(
     from repro.core.config import ExecutionMode
     from repro.core.driver import run_search
 
-    modeled = dataclasses.replace(config, execution=ExecutionMode.MODELED, use_index=False)
+    modeled = dataclasses.replace(config, execution=ExecutionMode.MODELED)
     report = run_search(database, queries, "algorithm_a", num_ranks, modeled)
     trace = report.trace
     return {

@@ -1,11 +1,13 @@
 """Configuration search: enumerate the knob grid, predict, pick.
 
 A :class:`CandidatePlan` is one point of the feasible grid — engine x
-index x cohort x blocks x start method x stream.  The planner
-profiles the workload once (exact candidate counts via the vectorized
-counting kernels, scoring-block counts via the sweep's own planner, index
-shape via a small sample build), prunes plans whose footprint exceeds the
-memory budget, and scores the survivors with a wall-clock makespan
+cohort x blocks x start method x stream.  A plan scores directly unless
+it streams from the partitioned store the tuner was handed; no plan
+builds an index.  The planner profiles the workload once (exact
+candidate counts via the vectorized counting kernels, scoring-block
+counts via the sweep's own planner, the store's geometry from its
+directory), prunes plans whose footprint exceeds the memory budget, and
+scores the survivors with a wall-clock makespan
 predictor built from calibrated CostModel terms — the same per-phase
 decomposition the engines themselves charge, in measured seconds.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
 from repro.core.partition import effective_query_blocks
-from repro.core.search import ShardSearcher
+from repro.core.search import ShardSearcher, index_compat_problems
 from repro.candidates.mass_index import plan_sweep
 
 def fits_in_budget(resident_bytes: int, budget_bytes: Optional[int]) -> bool:
@@ -38,20 +40,13 @@ def streamed_residency_bytes(max_partition_bytes: int, query_bytes: int = 0) -> 
     return 2 * max_partition_bytes + query_bytes
 
 
-#: fallback decoded-index bytes per fragment when no partitioned store
-#: is at hand to read the real number from (BENCH_scale.json n=500:
-#: 157.5 MB decoded / ~2.3 M fragments ~= 70 B/fragment)
-DECODED_BYTES_PER_FRAGMENT = 70.0
-
-
 @dataclass(frozen=True)
 class CandidatePlan:
     """One point of the knob grid."""
 
     engine: str = "serial"  #: "serial" or "multiproc"
-    use_index: bool = True
     sweep_cohort: int = 64
-    stream: bool = False
+    stream: bool = False  #: index-served from the partitioned store
     num_workers: int = 1
     query_blocks: int = 1
     start_method: Optional[str] = None  #: multiproc only ("fork"/"spawn")
@@ -65,7 +60,7 @@ class CandidatePlan:
             parts.append(f"blocks={self.query_blocks}")
             if self.start_method:
                 parts.append(self.start_method)
-        parts.append("index" if self.use_index else "direct")
+        parts.append("index" if self.stream else "direct")
         parts.append(f"sweep/{self.sweep_cohort}")
         if self.stream:
             parts.append("streamed")
@@ -73,11 +68,7 @@ class CandidatePlan:
 
     def to_config(self, base: SearchConfig) -> SearchConfig:
         """The plan's knobs applied onto a base SearchConfig."""
-        return dataclasses.replace(
-            base,
-            use_index=self.use_index,
-            sweep_cohort=self.sweep_cohort,
-        )
+        return dataclasses.replace(base, sweep_cohort=self.sweep_cohort)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -95,9 +86,7 @@ class WorkloadProfile:
     total_candidates: int
     relative_cost: float
     scorer_indexable: bool
-    index_served_fraction: float  #: fraction of rows the index serves
-    index_fragments: int  #: estimated whole-database fragment count
-    index_nbytes: int  #: estimated decoded (resident) index bytes
+    index_served_fraction: float  #: fraction of rows the store's partitions serve
     cohorts: Dict[int, int] = field(default_factory=dict)  #: cap -> count
     store: Optional[Dict[str, Any]] = None  #: partitioned-store geometry
     #: exact per-query candidate counts (count_each order) — lets the
@@ -122,43 +111,23 @@ class WorkloadProfile:
         return self.cohorts[nearest]
 
 
-def _estimate_span_shape(lengths: np.ndarray, max_length: int) -> Tuple[int, int]:
-    """Analytic (rows, fragment-weight) of the length-filtered span set.
-
-    Prefix spans of a length-L sequence contribute lengths 2..min(L,
-    max); suffixes 2..min(L-1, max); a span of length l weighs 2(l-1)
-    fragments (b + y ladders).  Only *proportionality* matters: the
-    profiler scales a measured sample build by the ratio of these
-    weights, so constant factors in the weight cancel.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    k_pre = np.clip(lengths, 0, max_length)
-    k_suf = np.clip(lengths - 1, 0, max_length)
-    rows = np.clip(k_pre - 1, 0, None) + np.clip(k_suf - 1, 0, None)
-    frags = k_pre * (k_pre - 1) + k_suf * (k_suf - 1)
-    return int(rows.sum()), int(frags.sum())
-
-
 def profile_workload(
     database,
     queries: Sequence,
     config: SearchConfig,
     *,
-    sample_sequences: int = 160,
-    sample_queries: int = 16,
     store=None,
 ) -> WorkloadProfile:
     """Measure the workload quantities the predictor consumes.
 
-    Exact where exact is cheap (candidate totals via the vectorized
-    counting kernels, scoring-block counts via the sweep's planner on the
-    real query masses); sampled where exact would cost a full run (the
-    index-served row fraction and index shape come from a small
-    prefix-database build, scaled analytically to full size).
+    All exact and cheap: candidate totals via the vectorized counting
+    kernels, scoring-block counts via the sweep's planner on the real
+    query masses, and — with a partitioned ``store`` — its geometry from
+    the directory plus the share of candidates its partitions serve (the
+    rest are the out-of-envelope spans of its overflow blob, counted per
+    query window).
     """
-    count_config = dataclasses.replace(config, use_index=False)
-    counter = ShardSearcher(database, count_config)
-    query_counts = counter.count_each(list(queries))
+    query_counts = ShardSearcher(database, config).count_each(list(queries))
     total_candidates = int(query_counts.sum())
 
     # the engine's own planner on the engine's own windows, so the count
@@ -170,31 +139,8 @@ def profile_workload(
         for cap in (4, 16, 64, 256, 1024)
     }
 
-    # index shape: build a small prefix-database index and scale by the
-    # analytic span weights (generation-rule-exact, constant-free)
-    sample_n = min(len(database), sample_sequences)
-    sample_db = (
-        database.slice_range(0, sample_n) if sample_n < len(database) else database
-    )
-    probe_config = dataclasses.replace(config, use_index=True)
-    prober = ShardSearcher(sample_db, probe_config)
-    scorer_indexable = prober.index is not None
+    scorer_indexable = not index_compat_problems(config)
     fraction = 0.0
-    fragments = 0
-    index_nbytes = 0
-    if scorer_indexable:
-        sample_rows, sample_frags = _estimate_span_shape(
-            sample_db.lengths, config.index_max_length
-        )
-        full_rows, full_frags = _estimate_span_shape(
-            database.lengths, config.index_max_length
-        )
-        scale = full_frags / sample_frags if sample_frags else 1.0
-        fragments = int(prober.index.num_fragments * scale)
-        index_nbytes = int(prober.index.nbytes * scale)
-        probe_stats = prober.run(list(queries[: max(sample_queries, 1)]), {})
-        if probe_stats.rows_scored:
-            fraction = probe_stats.index_rows / probe_stats.rows_scored
     store_info = None
     if store is not None:
         store_info = {
@@ -203,9 +149,11 @@ def profile_workload(
             "num_partitions": int(store.num_partitions),
             "max_partition_bytes": int(store.max_partition_bytes),
         }
-        index_nbytes = int(store.decoded_bytes)
-    elif scorer_indexable and not index_nbytes:
-        index_nbytes = int(fragments * DECODED_BYTES_PER_FRAGMENT)
+        if scorer_indexable and total_candidates:
+            overflow = store.load_overflow().mass  # mass-sorted
+            first = np.searchsorted(overflow, lows, side="left")
+            last = np.searchsorted(overflow, highs, side="right")
+            fraction = 1.0 - int((last - first).sum()) / total_candidates
 
     return WorkloadProfile(
         num_queries=len(queries),
@@ -217,10 +165,8 @@ def profile_workload(
         relative_cost=config.make_scorer(None).relative_cost,
         scorer_indexable=scorer_indexable,
         index_served_fraction=float(fraction),
-        index_fragments=fragments,
         query_candidates=tuple(int(c) for c in query_counts),
         seq_lengths=tuple(int(l) for l in database.lengths),
-        index_nbytes=index_nbytes,
         cohorts=cohorts,
         store=store_info,
     )
@@ -242,11 +188,10 @@ def predict_makespan(
 ) -> PredictedMakespan:
     """Wall-clock makespan prediction from calibrated terms.
 
-    The phase decomposition mirrors what the engines charge: index build
-    (amortized across workers), candidate evaluation split into
-    index-served and direct rows, per-query and per-block sweep
-    overhead, streamed decode + exposed I/O, and — for multiproc — pool spin-up,
-    context transport, and task dispatch.
+    The phase decomposition mirrors what the engines charge: candidate
+    evaluation split into index-served and direct rows, per-query and
+    per-block sweep overhead, streamed decode + exposed I/O, and — for
+    multiproc — pool spin-up, context transport, and task dispatch.
     """
     rho = cost.rho_base * profile.relative_cost
     tau = cost.tau_cost
@@ -257,11 +202,11 @@ def predict_makespan(
     # work divides by the *effective* width, not the worker count
     eff = min(workers, os_cpu_count())
 
-    serves_index = plan.use_index and profile.scorer_indexable
-    # the multiproc engine's task grid: a shard (or partition range) per
-    # worker where a fragment index is consulted, the whole database as
-    # one shard where none is — then query blocks, floored so that every
-    # worker has a task
+    serves_index = plan.stream and profile.scorer_indexable
+    # the multiproc engine's task grid: a partition range per worker
+    # when streaming, the whole database as one shard when scoring
+    # directly — then query blocks, floored so that every worker has a
+    # task
     num_shards = workers if serves_index else 1
     blocks = effective_query_blocks(max(plan.query_blocks, 1), num_shards, workers, m)
     index_rows = (
@@ -280,7 +225,7 @@ def predict_makespan(
 
     # every query meets every shard, so per-query bookkeeping is paid
     # once per shard: once in all on the direct path, once per worker
-    # where each worker holds its own indexed shard
+    # where each worker streams its own partition range
     overhead_wall = overhead * num_shards / eff
 
     phases: Dict[str, float] = {}
@@ -296,12 +241,6 @@ def predict_makespan(
             io / eff, (decode + evaluation) / eff
         )
     else:
-        if serves_index:
-            # every worker builds its own shard's slice; the total build
-            # work parallelizes like the shards do
-            phases["index_build"] = (
-                cost.index_build_time(profile.index_fragments) / eff
-            )
         phases["evaluation"] = evaluation / eff
         phases["query_overhead"] = overhead_wall
 
@@ -329,9 +268,9 @@ def enumerate_plans(
 ) -> Tuple[List[CandidatePlan], List[Tuple[CandidatePlan, str]]]:
     """The feasible grid plus the pruned plans with their reasons.
 
-    Feasibility is a memory fit on real footprints: a resident plan must
-    hold database + decoded index + queries inside the budget; a
-    streamed plan only its two-partition double buffer
+    Feasibility is a memory fit on real footprints: a direct plan must
+    hold database + queries inside the budget; a streamed plan only its
+    two-partition double buffer
     (:func:`streamed_residency_bytes`).
     """
     import multiprocessing as mp
@@ -350,8 +289,8 @@ def enumerate_plans(
     pruned: List[Tuple[CandidatePlan, str]] = []
 
     def consider(plan: CandidatePlan) -> None:
-        if plan.use_index and not profile.scorer_indexable:
-            pruned.append((plan, "scorer has no index kernel; identical to direct"))
+        if plan.stream and not profile.scorer_indexable:
+            pruned.append((plan, "scorer has no index kernel; no store can serve it"))
             return
         if plan.engine == "multiproc" and plan.num_workers > cpus:
             pruned.append(
@@ -377,8 +316,6 @@ def enumerate_plans(
                 return
         else:
             need = profile.db_nbytes + profile.query_bytes
-            if plan.use_index and profile.scorer_indexable:
-                need += profile.index_nbytes
             if not fits_in_budget(need, budget_bytes):
                 pruned.append(
                     (plan, f"resident footprint ({need} B) exceeds budget")
@@ -399,24 +336,19 @@ def enumerate_plans(
             if not worker_opts:
                 continue
         for workers, blocks, method in worker_opts:
-            for use_index in (True, False):
-                stream_opts = [False]
-                if allow_stream and use_index:
-                    stream_opts.append(True)
-                for stream in stream_opts:
-                    for cap in sweep_cohorts:
-                        consider(
-                            CandidatePlan(
-                                engine=engine,
-                                use_index=use_index,
-                                sweep_cohort=cap,
-                                stream=stream,
-                                num_workers=workers,
-                                query_blocks=blocks,
-                                start_method=method,
-                                memory_budget_mb=memory_budget_mb,
-                            )
+            for stream in (False, True) if allow_stream else (False,):
+                for cap in sweep_cohorts:
+                    consider(
+                        CandidatePlan(
+                            engine=engine,
+                            sweep_cohort=cap,
+                            stream=stream,
+                            num_workers=workers,
+                            query_blocks=blocks,
+                            start_method=method,
+                            memory_budget_mb=memory_budget_mb,
                         )
+                    )
     return plans, pruned
 
 

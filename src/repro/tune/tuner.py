@@ -132,7 +132,6 @@ def build_verification(
     search_span = _span_total(registry, "search.shard", "search.stream") / workers
     decode_span = _span_total(registry, "stream.decode") / workers
     stall_span = _span_total(registry, "stream.stall") / workers
-    build_span = _span_total(registry, "index.build") / workers
     if plan.stream:
         # the stream span wraps decode + stall + scoring; peel the
         # separately-spanned parts off to leave the evaluation side
@@ -152,8 +151,6 @@ def build_verification(
         pred.get("evaluation", 0.0) + pred.get("query_overhead", 0.0),
         search_span,
     )
-    if "index_build" in pred or build_span:
-        phase("index_build", pred.get("index_build", 0.0), build_span)
     if plan.stream:
         phase("partition_decode", pred.get("partition_decode", 0.0), decode_span)
         phase(
@@ -164,9 +161,7 @@ def build_verification(
         + pred.get("transport", 0.0)
         + pred.get("task_dispatch", 0.0)
     )
-    accounted = search_span + build_span + (
-        decode_span + stall_span if plan.stream else 0.0
-    )
+    accounted = search_span + (decode_span + stall_span if plan.stream else 0.0)
     phase(
         "engine_overhead",
         engine_overhead_pred,
@@ -183,17 +178,6 @@ def build_verification(
             "predicted": pred_per_cand,
             "measured": meas_per_cand,
             "rel_error": _rel_error(pred_per_cand, meas_per_cand),
-        }
-    fragments = registry.counter_value("index.fragments")
-    if fragments and build_span:
-        implied = build_span * workers / fragments
-        calibrated = calibration.terms.get("index_build_per_fragment")
-        terms["index_build_per_fragment"] = {
-            "predicted": calibrated,
-            "measured": implied,
-            "rel_error": _rel_error(calibrated, implied)
-            if calibrated is not None
-            else None,
         }
     decoded = registry.counter_value("stream.bytes_decoded")
     if decoded and decode_span:

@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
+from repro.index import IndexBuilder
 from repro.workloads.queries import QueryWorkload
 from repro.workloads.synthetic import generate_database
+
+
+def built_index(shard, config):
+    """A fragment-index view over ``shard`` to hand a ``ShardSearcher``.
+
+    Searches never build one; the index-flavour identity suites build it
+    here, the way a store would, and pass it in as ``index=``.
+    """
+    return IndexBuilder(fragment_tolerance=config.fragment_tolerance).build(shard).view()
 
 
 @pytest.fixture(scope="session")

@@ -117,14 +117,14 @@ class TestKillResume:
         serial = run_search(tiny_db, tiny_queries, algorithm="serial", config=config)
         path = tmp_path / "search.ckpt"
 
-        # First run (2 shards x 2 query blocks = 4 tasks): task 3 is
+        # First run (1 shard x 4 query blocks = 4 tasks): task 3 is
         # poisoned, so it is quarantined while every other task completes
         # and is checkpointed — a stand-in for a run killed partway through.
         crashed = run_multiprocess_search(
             tiny_db,
             tiny_queries,
             num_workers=2,
-            query_blocks=2,
+            query_blocks=4,
             config=config,
             retry_policy=RetryPolicy(max_retries=0, backoff_base=0.001),
             checkpoint_path=str(path),
@@ -140,7 +140,7 @@ class TestKillResume:
             tiny_db,
             tiny_queries,
             num_workers=2,
-            query_blocks=2,
+            query_blocks=4,
             config=config,
             checkpoint_path=str(path),
             resume=True,

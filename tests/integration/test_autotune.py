@@ -25,7 +25,6 @@ SEED_TERMS = {
     "rho_base": 1.3e-6,
     "tau_cost": 8.0e-7,
     "index_probe_discount": 0.5,
-    "index_build_per_fragment": 1.7e-7,
     "index_load_per_byte": 8.0e-11,
     "index_open_overhead": 2.4e-4,
     "sweep_setup_per_query": 1.6e-4,
@@ -62,7 +61,6 @@ class TestAutotuneEndToEnd:
             store_path,
             partition_mb=1.0,
             fragment_tolerance=config.fragment_tolerance,
-            max_length=config.index_max_length,
         )
         result = autotune(
             db,
@@ -103,44 +101,6 @@ class TestAutotuneEndToEnd:
         assert section["chosen_label"] == result.chosen.label
         assert section["grid"]["feasible"] == len(result.ranking)
         json.dumps(section)  # the section must be JSON-serializable
-
-    def test_memory_budget_forces_streaming(self, tmp_path, cache_path, workload):
-        db, queries = workload
-        config = SearchConfig()
-        store_path = str(tmp_path / "pstore")
-        store = save_partitioned_index(
-            db,
-            store_path,
-            partition_mb=1.0,
-            fragment_tolerance=config.fragment_tolerance,
-            max_length=config.index_max_length,
-        )
-        # budget far below the decoded index but above the double buffer
-        budget_mb = 2 * store.max_partition_bytes / 1e6 + 1.0
-        result = autotune(
-            db,
-            queries,
-            config,
-            cache_path=cache_path,
-            store=store,
-            store_path=store_path,
-            memory_budget_mb=budget_mb,
-            worker_choices=(1,),
-            query_blocks=(1,),
-            sweep_cohorts=(64,),
-            start_methods=("fork",),
-            run=False,
-            lower_bounds=False,
-        )
-        # the decoded index cannot be resident under this budget: every
-        # surviving index plan streams, and the pruned list says why
-        assert all(
-            plan.stream or not plan.use_index for plan, _ in result.ranking
-        )
-        assert any(plan.stream for plan, _ in result.ranking)
-        assert any(
-            "exceeds budget" in reason for _, reason in result.pruned
-        )
 
     def test_plan_only_skips_run(self, cache_path, workload):
         db, queries = workload

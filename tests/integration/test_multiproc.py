@@ -34,9 +34,9 @@ class TestMultiprocess:
         rep = run_multiprocess_search(
             small_db, tiny_queries, num_workers=2, config=cfg, query_blocks=3
         )
-        # rebuilt-index path: a shard per worker, three blocks on each
-        assert rep.extras["num_shards"] == 2
-        assert rep.extras["tasks_total"] == 6
+        # no store: the database is one shard, cut into three query blocks
+        assert rep.extras["num_shards"] == 1
+        assert rep.extras["tasks_total"] == 3
         assert reports_equal(search_serial(small_db, tiny_queries, cfg), rep)
 
     def test_wall_time_recorded(self, small_db, tiny_queries):
@@ -118,16 +118,13 @@ class TestQueryMajorDecomposition:
         )
         config = SearchConfig(tau=10)
         return {
-            "direct": (replace(config, use_index=False), {}),
-            "rebuilt_index": (config, {}),
+            "direct": (config, {}),
             "resident_store": (config, {"index_path": str(resident.path)}),
             "partitioned_store": (config, {"index_path": str(partitioned.path)}),
         }
 
     @pytest.mark.parametrize("num_workers,start_method,query_blocks", _GRID)
-    @pytest.mark.parametrize(
-        "path", ["direct", "rebuilt_index", "resident_store", "partitioned_store"]
-    )
+    @pytest.mark.parametrize("path", ["direct", "resident_store", "partitioned_store"])
     def test_identical_to_serial_on_every_path(
         self, tiny_db, queries, serial, paths, path,
         num_workers, start_method, query_blocks,
@@ -147,12 +144,12 @@ class TestQueryMajorDecomposition:
         assert rep.extras["query_blocks"] >= query_blocks
 
     def test_direct_path_scores_each_query_once_in_few_cohorts(self, small_db):
-        """The database is not split when no index will be consulted, and
+        """The database is not split when no store is given, and
         blocks are mass ranges: every query is swept exactly once, and
         blocking costs the sweep at most one extra cohort per cut."""
         queries = QueryWorkload(num_queries=90, seed=8, source=small_db).build()[0]
         random.Random(8).shuffle(queries)
-        config = SearchConfig(tau=10, use_index=False, sweep_cohort=8)
+        config = SearchConfig(tau=10, sweep_cohort=8)
         serial = search_serial(small_db, queries, config)
         blocks = 3
         rep = run_multiprocess_search(
@@ -165,13 +162,15 @@ class TestQueryMajorDecomposition:
         assert rep.extras["sweep_cohorts"] <= serial.extras["sweep_cohorts"] + blocks
         assert rep.extras["rows_scored"] == serial.extras["rows_scored"]
 
-    def test_query_blocks_is_a_floor(self, tiny_db, tiny_queries):
+    def test_query_blocks_is_a_floor(self, tiny_db, tiny_queries, tmp_path):
         """A grid narrower than the pool is widened to one task per worker."""
-        direct = SearchConfig(tau=10, use_index=False)
-        rep = run_multiprocess_search(tiny_db, tiny_queries, num_workers=2, config=direct)
+        config = SearchConfig(tau=10)
+        rep = run_multiprocess_search(tiny_db, tiny_queries, num_workers=2, config=config)
         assert (rep.extras["num_shards"], rep.extras["query_blocks"]) == (1, 2)
+        two_shards = save_index(tiny_db, tmp_path / "resident", num_shards=2)
         rep = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=SearchConfig(tau=10)
+            tiny_db, tiny_queries, num_workers=2, config=config,
+            index_path=str(two_shards.path),
         )
         assert (rep.extras["num_shards"], rep.extras["query_blocks"]) == (2, 1)
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 multiprocessing engine.
 
 The engine must return bitwise-identical hits whether scores come from
-the shard-resident index or the direct batch path, under both fork and
+a store's memory-mapped index or the direct batch path, under both fork and
 spawn start methods, and its per-task payload must carry only id
 references (the shard/query payloads ship once, via the worker
 context).
@@ -18,6 +18,7 @@ from repro.core.results import reports_equal
 from repro.core.search import search_serial
 from repro.engines.multiproc import _TASK_WIRE_BYTES, _Supervisor, run_multiprocess_search
 from repro.faults.supervisor import RetryPolicy
+from repro.store import save_index
 
 _START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -30,19 +31,21 @@ def _cfg(**kw):
 
 class TestIndexOnOff:
     @pytest.mark.parametrize("start_method", _START_METHODS)
-    def test_identical_hits_index_on_and_off(self, tiny_db, tiny_queries, start_method):
+    def test_identical_hits_index_on_and_off(
+        self, tiny_db, tiny_queries, start_method, tmp_path
+    ):
+        store = save_index(tiny_db, tmp_path / "resident", num_shards=2)
         on = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=_cfg(),
-            start_method=start_method,
+            start_method=start_method, index_path=str(store.path),
         )
         off = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=_cfg(use_index=False),
+            tiny_db, tiny_queries, num_workers=2, config=_cfg(),
             start_method=start_method,
         )
         assert reports_equal(on, off)
         assert reports_equal(search_serial(tiny_db, tiny_queries, _cfg()), on)
         assert on.extras["index_rows"] > 0
-        assert on.extras["index_build_time"] > 0.0
         assert 0.0 < on.extras["index_probe_fraction"] <= 1.0
         assert off.extras["index_rows"] == 0
         assert off.extras["index_probe_fraction"] == 0.0

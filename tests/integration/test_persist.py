@@ -2,12 +2,11 @@
 
 The mmap-once transport contract: an engine pointed at a
 ``repro index build`` directory returns hits bitwise identical to the
-rebuild path — under both fork and spawn start methods — while shipping
+direct path — under both fork and spawn start methods — while shipping
 only a path string to workers instead of the shard buffers.  The CLI
 half covers the build → inspect → search workflow end to end, and that
 every misuse (missing store, stale fingerprint, simulated engine,
-``--no-index`` contradiction, corrupt header) exits with a one-line
-typed error, never a traceback.
+corrupt header) exits with a one-line typed error, never a traceback.
 """
 
 import json
@@ -52,19 +51,20 @@ class TestMmapTransport:
             tiny_db, tiny_queries, num_workers=2, config=_cfg(),
             start_method=start_method, index_path=str(tiny_store.path),
         )
-        rebuilt = run_multiprocess_search(
+        direct = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=_cfg(),
             start_method=start_method,
         )
-        assert reports_equal(from_store, rebuilt)
+        assert reports_equal(from_store, direct)
         assert reports_equal(search_serial(tiny_db, tiny_queries, _cfg()), from_store)
         ex = from_store.extras
         assert ex["index_path"] == str(tiny_store.path)
         assert ex["index_load_time"] > 0.0
-        assert ex["index_build_time"] == 0.0  # workers mapped, never built
         assert ex["index_mmap_bytes"] == tiny_store.nbytes
-        assert rebuilt.extras["index_build_time"] > 0.0
-        assert "index_mmap_bytes" not in rebuilt.extras
+        assert ex["index_provenance"]["source"] == "loaded"
+        assert ex["index_provenance"]["fingerprint"] == tiny_store.fingerprint
+        assert "index_mmap_bytes" not in direct.extras
+        assert "index_provenance" not in direct.extras
 
     @pytest.mark.parametrize("start_method", _START_METHODS)
     def test_sweep_kernel_over_mmap_index(
@@ -81,22 +81,22 @@ class TestMmapTransport:
     def test_only_the_path_crosses_the_boundary(
         self, tiny_db, tiny_queries, tiny_store
     ):
-        """Setup traffic drops by exactly the shard buffers (replaced by
-        the path string); queries and task ids still ship."""
+        """Setup traffic drops by exactly the database buffers (replaced
+        by the path string); queries and task ids still ship."""
         from_store = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=_cfg(),
             index_path=str(tiny_store.path),
         )
-        rebuilt = run_multiprocess_search(
+        direct = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=_cfg(),
         )
-        shard_buffer_bytes = sum(l.shard_nbytes for l in tiny_store.layouts)
+        database_buffer_bytes = sum(buf.nbytes for buf in tiny_db.to_buffers())
         path_bytes = len(str(tiny_store.path).encode())
         saved = (
-            rebuilt.extras["bytes_shipped_setup"]
+            direct.extras["bytes_shipped_setup"]
             - from_store.extras["bytes_shipped_setup"]
         )
-        assert saved == shard_buffer_bytes - path_bytes
+        assert saved == database_buffer_bytes - path_bytes
         # and the shard contribution really is near-zero: what remains of
         # the setup payload is the packed queries plus the path string
         query_wire_bytes = sum(
@@ -107,31 +107,14 @@ class TestMmapTransport:
             == path_bytes + query_wire_bytes
         )
 
-    def test_provenance_same_fingerprint_different_source(
-        self, tiny_db, tiny_queries, tiny_store
-    ):
-        from_store = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=_cfg(),
-            index_path=str(tiny_store.path),
-        )
-        rebuilt = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=_cfg(),
-        )
-        loaded_prov = from_store.extras["index_provenance"]
-        rebuilt_prov = rebuilt.extras["index_provenance"]
-        assert loaded_prov["source"] == "loaded"
-        assert rebuilt_prov["source"] == "rebuilt"
-        assert loaded_prov["fingerprint"] == tiny_store.fingerprint
-        assert rebuilt_prov["fingerprint"] == loaded_prov["fingerprint"]
-
     def test_serial_engine_from_one_shard_store(
         self, tiny_db, tiny_queries, tiny_store_1shard
     ):
         from_store = search_serial(
             tiny_db, tiny_queries, _cfg(), index_store=tiny_store_1shard
         )
-        rebuilt = search_serial(tiny_db, tiny_queries, _cfg())
-        assert reports_equal(from_store, rebuilt)
+        direct = search_serial(tiny_db, tiny_queries, _cfg())
+        assert reports_equal(from_store, direct)
         assert from_store.extras["index_load_time"] > 0.0
 
     def test_serial_engine_rejects_multi_shard_store(
@@ -145,15 +128,6 @@ class TestMmapTransport:
             run_multiprocess_search(
                 small_db, tiny_queries, num_workers=2, config=_cfg(),
                 index_path=str(tiny_store.path),
-            )
-
-    def test_index_disabled_contradiction_refused(
-        self, tiny_db, tiny_queries, tiny_store
-    ):
-        with pytest.raises(IndexCompatError):
-            run_multiprocess_search(
-                tiny_db, tiny_queries, num_workers=2,
-                config=_cfg(use_index=False), index_path=str(tiny_store.path),
             )
 
 
@@ -186,10 +160,10 @@ class TestCLI:
         from_store = capsys.readouterr().out
         rc = main(["search", "-a", "multiproc", "-p", "2", *_DB_ARGS, *_SEARCH_ARGS])
         assert rc == 0
-        rebuilt = capsys.readouterr().out
+        direct = capsys.readouterr().out
         # identical top-hit lines (wall-clock header line differs)
         assert [l for l in from_store.splitlines() if l.startswith("  query")] == [
-            l for l in rebuilt.splitlines() if l.startswith("  query")
+            l for l in direct.splitlines() if l.startswith("  query")
         ]
 
     def test_serial_search_from_store(self, tmp_path, capsys):
@@ -218,14 +192,6 @@ class TestCLI:
             capsys,
         )
         assert "no index store" in err
-
-    def test_no_index_contradiction_is_clean_error(self, built, capsys):
-        err = self._expect_error(
-            ["search", "-a", "multiproc", "--no-index", "--index-path", str(built),
-             *_DB_ARGS, *_SEARCH_ARGS],
-            capsys,
-        )
-        assert "use_index" in err or "index" in err
 
     def test_simulated_engine_is_clean_error(self, built, capsys):
         err = self._expect_error(

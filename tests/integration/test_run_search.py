@@ -65,8 +65,8 @@ def test_search_the_store_cannot_serve_is_typed(
 ):
     from repro.core.config import SearchConfig
 
-    with pytest.raises(IndexCompatError, match="use_index is off"):
+    with pytest.raises(IndexCompatError, match="modeled execution"):
         run_search(
             tiny_db, tiny_queries, algorithm, ranks,
-            SearchConfig(tau=10, use_index=False), index_path=stores[store],
+            SearchConfig(tau=10, execution="modeled"), index_path=stores[store],
         )

@@ -59,6 +59,27 @@ class TestLifecycle:
         assert service.health()["state"] == "stopped"
         assert not service.health()["ready"]
 
+    def test_database_workers_share_one_mass_index(self, sweep_config, monkeypatch):
+        """``start()`` builds the database-held mass index before the
+        worker threads race to: one build for the pool, not one each."""
+        import time
+
+        from repro.candidates.mass_index import MassIndex
+        from repro.workloads.synthetic import generate_database
+
+        builds, build = [], MassIndex.__init__
+
+        def slow_build(self, shard):
+            builds.append(shard)
+            time.sleep(0.05)  # wide enough for unsynchronised workers to overlap
+            build(self, shard)
+
+        monkeypatch.setattr(MassIndex, "__init__", slow_build)
+        database = generate_database(30, seed=4)  # fresh: nothing cached on it
+        with SearchService(sweep_config, ServiceConfig(workers=3), database=database) as service:
+            indexes = {id(w.searchers[0].generator.index) for w in service._workers}
+        assert len(builds) == 1 and len(indexes) == 1
+
     def test_submit_before_start_and_after_stop_is_typed(
         self, tiny_db, tiny_queries, sweep_config
     ):

@@ -15,6 +15,7 @@ import multiprocessing
 
 import pytest
 
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.cli import main
 from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
@@ -41,8 +42,13 @@ def pstore(tiny_db, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def resident_report(tiny_db, tiny_queries):
-    return search_serial(tiny_db, tiny_queries, _cfg())
+def rstore(tiny_db, tmp_path_factory):
+    return save_index(tiny_db, tmp_path_factory.mktemp("resident") / "ridx")
+
+
+@pytest.fixture(scope="module")
+def resident_report(tiny_db, tiny_queries, rstore):
+    return search_serial(tiny_db, tiny_queries, _cfg(), index_store=rstore)
 
 
 class TestSerialStreaming:
@@ -64,11 +70,11 @@ class TestSerialStreaming:
         )
 
     def test_streamed_sweep_matches_resident_sweep(
-        self, tiny_db, tiny_queries, pstore
+        self, tiny_db, tiny_queries, pstore, rstore
     ):
         cfg = _cfg(sweep_cohort=4)  # several blocks per pass
         streamed = search_serial(tiny_db, tiny_queries, cfg, index_store=pstore)
-        resident = search_serial(tiny_db, tiny_queries, cfg)
+        resident = search_serial(tiny_db, tiny_queries, cfg, index_store=rstore)
         assert streamed.extras["sweep_queries"] > 0
         assert reports_equal(streamed, resident)
 
@@ -112,7 +118,6 @@ class TestMultiprocStreaming:
             p for lo, hi in ex["partition_ranges"] for p in range(lo, hi)
         )
         assert covered == list(range(pstore.num_partitions))
-        assert ex["index_build_time"] == 0.0  # workers streamed, never built
 
     def test_more_workers_than_partitions_still_bitwise(
         self, tiny_db, tiny_queries, tmp_path, resident_report
@@ -135,7 +140,8 @@ class TestMultiprocStreaming:
         with pytest.raises(IndexCompatError):
             run_multiprocess_search(
                 tiny_db, tiny_queries, num_workers=2,
-                config=_cfg(use_index=False), index_path=str(pstore.path),
+                config=_cfg(modifications=(STANDARD_MODIFICATIONS["oxidation"],)),
+                index_path=str(pstore.path),
             )
 
 
@@ -158,7 +164,8 @@ class TestServiceStreaming:
     def test_service_refuses_unstreamable_config(self, pstore):
         with pytest.raises(IndexCompatError, match="stream"):
             SearchService(
-                _cfg(use_index=False), ServiceConfig(workers=1),
+                _cfg(modifications=(STANDARD_MODIFICATIONS["oxidation"],)),
+                ServiceConfig(workers=1),
                 store=str(pstore.path),
             )
 

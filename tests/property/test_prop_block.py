@@ -138,7 +138,7 @@ def _check_index(index, rows_of_span, db, spans, spectra, selections, scorer_nam
 def test_resident_index_cohort_kernels_equal_the_fallback(case, scorer_name):
     db, spectra, selections = case
     spans = _indexable(db)
-    index = FragmentIndex(db, fragment_tolerance=0.5)
+    index = IndexBuilder(fragment_tolerance=0.5).build(db).view()
     rows = index.rows_for(spans)
     assert len(rows) == 0 or int(rows.min()) >= 0
     _check_index(index, rows, db, spans, spectra, selections, scorer_name)

@@ -22,7 +22,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
-from repro.index import FragmentIndex
+from repro.index import IndexBuilder
 from repro.scoring import (
     HyperScorer,
     LikelihoodRatioScorer,
@@ -67,7 +67,7 @@ def index_cases(draw):
     """
     db = draw(databases)
     max_length = draw(st.sampled_from([2, 6, 48]))
-    index = FragmentIndex(db, fragment_tolerance=0.5, max_length=max_length)
+    index = IndexBuilder(fragment_tolerance=0.5, max_length=max_length).build(db).view()
     lo = draw(st.floats(min_value=0.0, max_value=4000.0, allow_nan=False))
     width = draw(st.floats(min_value=0.0, max_value=4000.0, allow_nan=False))
     spans = MassIndex(db).candidates_in_window(lo, lo + width)
@@ -123,10 +123,11 @@ def test_searcher_score_spans_identical_with_index_on_and_off(case, spectrum, sc
     db, _index, spans = case
     if len(spans) == 0:
         return
-    cfg_on = SearchConfig(scorer=scorer_name, delta=0.0, modifications=tuple(_MODS), index_max_length=6)
-    cfg_off = replace_config(cfg_on, use_index=False)
-    s_on = ShardSearcher(db, cfg_on)
-    s_off = ShardSearcher(db, cfg_off)
+    cfg = SearchConfig(scorer=scorer_name, delta=0.0, modifications=tuple(_MODS))
+    # an index too short for most spans: the overflow merge is exercised
+    short = IndexBuilder(fragment_tolerance=cfg.fragment_tolerance, max_length=6)
+    s_on = ShardSearcher(db, cfg, index=short.build(db).view())
+    s_off = ShardSearcher(db, cfg)
     assert s_on.index is not None and s_off.index is None
     cohort, everything = SpectrumBatch([spectrum]), [np.arange(len(spans))]
     got, direct_rows, index_rows = s_on.score_spans_block(cohort, spans, everything)
@@ -139,9 +140,3 @@ def test_searcher_score_spans_identical_with_index_on_and_off(case, spectrum, sc
         s_off.scorer, spectrum, CandidateBatch.from_spans(db, spans, targets)
     )
     assert got.tobytes() == scalar.tobytes()
-
-
-def replace_config(cfg: SearchConfig, **kw) -> SearchConfig:
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(cfg, **kw)

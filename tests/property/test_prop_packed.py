@@ -27,6 +27,7 @@ from repro.core.search import ShardSearcher
 from repro.core.streaming import StreamingSearcher, split_partition_ranges
 from repro.spectra.spectrum import Spectrum
 from repro.store import save_partitioned_index
+from tests.conftest import built_index
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=2, max_size=30)
@@ -141,7 +142,7 @@ def _reference(shards, queries, cfg):
 )
 @settings(max_examples=120, deadline=None)
 def test_packed_sweep_equals_per_query_search(
-    layout, cap, scorer, use_index, two_shards, mods, cutoff, min_len
+    layout, cap, scorer, indexed, two_shards, mods, cutoff, min_len
 ):
     db, queries, delta, kind = layout
     _check_layout(queries, delta, kind)
@@ -152,7 +153,6 @@ def test_packed_sweep_equals_per_query_search(
         modifications=tuple(mods),
         score_cutoff=cutoff,
         min_candidate_length=min_len,
-        use_index=use_index,
         sweep_cohort=cap,
     )
     half = len(db) // 2
@@ -162,8 +162,10 @@ def test_packed_sweep_equals_per_query_search(
     reference, ref_candidates = _reference(shards, queries, cfg)
     hitlists, candidates = {}, 0
     for shard in shards:
-        searcher = ShardSearcher(shard, cfg)
-        assert (searcher.index is not None) == use_index
+        searcher = ShardSearcher(
+            shard, cfg, index=built_index(shard, cfg) if indexed else None
+        )
+        assert (searcher.index is not None) == indexed
         stats = searcher.run(queries, hitlists)
         candidates += stats.candidates_evaluated
         assert stats.sweep_queries == len(queries)
@@ -219,12 +221,11 @@ def test_empty_window_in_the_middle_of_a_block():
         _query(m, seed, qid)
         for qid, (m, seed) in enumerate([(occupied[-1], 1), (middle, 2), (occupied[0], 3)])
     ]
-    for use_index in (False, True):
-        cfg = SearchConfig(
-            delta=_NARROW, tau=5, scorer="hyperscore", use_index=use_index,
-            sweep_cohort=64,
+    for indexed in (False, True):
+        cfg = SearchConfig(delta=_NARROW, tau=5, scorer="hyperscore", sweep_cohort=64)
+        searcher = ShardSearcher(
+            db, cfg, index=built_index(db, cfg) if indexed else None
         )
-        searcher = ShardSearcher(db, cfg)
         assert searcher.count_each(queries).tolist()[1] == 0
         assert min(searcher.count_each(queries).tolist()[::2]) > 0
         hitlists = {}

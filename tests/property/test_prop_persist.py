@@ -23,7 +23,7 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
-from repro.index import FragmentIndex
+from repro.index import IndexBuilder
 from repro.scoring import (
     HyperScorer,
     LikelihoodRatioScorer,
@@ -75,7 +75,7 @@ def test_loaded_index_scores_bitwise_equal_in_memory(db, spectrum, scorer_cls, m
     with tempfile.TemporaryDirectory() as tmp:
         store = save_index(db, Path(tmp) / "idx")
         loaded = open_index(store.path).load_shard(0, mmap=mmap)
-        mem = FragmentIndex(db, fragment_tolerance=0.5, max_length=48)
+        mem = IndexBuilder(fragment_tolerance=0.5, max_length=48).build(db).view()
         spans = MassIndex(db).candidates_in_window(0.0, 8000.0)
         rows_mem = mem.rows_for(spans)
         rows_loaded = loaded.index.rows_for(spans)
@@ -94,24 +94,22 @@ def test_loaded_index_scores_bitwise_equal_in_memory(db, spectrum, scorer_cls, m
 @settings(max_examples=25, deadline=None)
 def test_serial_search_from_store_reports_equal_rebuild(workload, scorer_name, cap):
     """Full serial searches produce identical hit lists — the scalar
-    reference's — whether the index is rebuilt or mmap-loaded."""
+    reference's — whether scored directly or from an mmap-loaded index."""
     db, queries = workload
     config = SearchConfig(tau=5, scorer=scorer_name, sweep_cohort=cap)
     with tempfile.TemporaryDirectory() as tmp:
         store = save_index(db, Path(tmp) / "idx")
         from_store = search_serial(db, queries, config, index_store=store)
-        rebuilt = search_serial(db, queries, config)
-    assert reports_equal(from_store, rebuilt)
+        direct = search_serial(db, queries, config)
+    assert reports_equal(from_store, direct)
     assert_report_matches(reference_search(db, config, queries), from_store)
-    # same work happened on both sides
-    assert from_store.extras["sweep_queries"] == rebuilt.extras["sweep_queries"]
-    assert from_store.extras["index_rows"] == rebuilt.extras["index_rows"]
-    # provenance: one fingerprint, two sources
-    assert (
-        from_store.extras["index_provenance"]["fingerprint"]
-        == rebuilt.extras["index_provenance"]["fingerprint"]
-    )
+    # same work happened on both sides, served differently
+    assert from_store.extras["sweep_queries"] == direct.extras["sweep_queries"]
+    assert from_store.extras["rows_scored"] == direct.extras["rows_scored"]
+    assert direct.extras["index_rows"] == 0
+    # provenance names the store; a direct search has none to name
+    assert from_store.extras["index_provenance"]["fingerprint"] == store.fingerprint
     assert from_store.extras["index_provenance"]["source"] == "loaded"
-    assert rebuilt.extras["index_provenance"]["source"] == "rebuilt"
+    assert "index_provenance" not in direct.extras
     assert from_store.extras["index_load_time"] > 0.0
     assert from_store.extras["index_mmap_bytes"] == store.nbytes

@@ -22,7 +22,7 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
-from repro.store import save_partitioned_index
+from repro.store import save_index, save_partitioned_index
 from tests.reference import assert_report_matches, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=40)
@@ -71,16 +71,17 @@ def test_streamed_search_reports_equal_resident(workload, scorer_name, cap, max_
     ``max_length`` 6 most spans are out of the index envelope, so the
     overflow blocks carry the search."""
     db, queries = workload
-    config = SearchConfig(
-        tau=5, scorer=scorer_name, sweep_cohort=cap, index_max_length=max_length
-    )
+    config = SearchConfig(tau=5, scorer=scorer_name, sweep_cohort=cap)
     with tempfile.TemporaryDirectory() as tmp:
         # ~64 KiB partitions force many partition crossings per window
         store = save_partitioned_index(
             db, Path(tmp) / "pidx", partition_mb=1.0 / 16.0, max_length=max_length
         )
         streamed = search_serial(db, queries, config, index_store=store)
-        resident = search_serial(db, queries, config)
+        resident = search_serial(
+            db, queries, config,
+            index_store=save_index(db, Path(tmp) / "ridx", max_length=max_length),
+        )
     assert reports_equal(streamed, resident)
     assert_report_matches(reference_search(db, config, queries), streamed)
     assert streamed.extras["sweep_queries"] == resident.extras["sweep_queries"]

@@ -23,6 +23,7 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
 from repro.spectra.spectrum import Spectrum
+from tests.conftest import built_index
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
@@ -82,7 +83,7 @@ def _assert_identical(searcher, queries):
 )
 @settings(max_examples=100, deadline=None)
 def test_sweep_bitwise_equal_to_per_query(
-    db, queries, delta, mods, cutoff, min_len, use_index, cohort, scorer
+    db, queries, delta, mods, cutoff, min_len, indexed, cohort, scorer
 ):
     cfg = SearchConfig(
         delta=delta,
@@ -91,13 +92,12 @@ def test_sweep_bitwise_equal_to_per_query(
         modifications=tuple(mods),
         score_cutoff=cutoff,
         min_candidate_length=min_len,
-        use_index=use_index,
         sweep_cohort=cohort,
     )
-    searcher = ShardSearcher(db, cfg)
+    searcher = ShardSearcher(db, cfg, index=built_index(db, cfg) if indexed else None)
     stats = _assert_identical(searcher, queries)
     # the work counters do not depend on the index or the cap
-    plain = ShardSearcher(db, replace(cfg, use_index=False, sweep_cohort=1))
+    plain = ShardSearcher(db, replace(cfg, sweep_cohort=1))
     st_plain = plain.run(queries, {})
     assert st_plain.rows_scored == stats.rows_scored
     assert st_plain.index_rows == 0
@@ -108,7 +108,7 @@ def test_sweep_bitwise_equal_to_per_query(
 def test_sweep_invariant_under_query_permutation(db, queries, rnd):
     """Sweep output per qid is independent of the caller's query order."""
     cfg = SearchConfig(delta=3.0, tau=10, scorer="shared_peaks")
-    searcher = ShardSearcher(db, cfg)
+    searcher = ShardSearcher(db, cfg, index=built_index(db, cfg))
     reference = reference_search(db, cfg, queries)
     shuffled = list(queries)
     rnd.shuffle(shuffled)

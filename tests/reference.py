@@ -37,8 +37,9 @@ def reference_search(
     shards can fold into one set).  A query's ``evaluated`` count is
     every candidate in its window — too short, below the cutoff or
     offered alike — so ``sum(h.evaluated)`` is the
-    ``candidates_evaluated`` an engine must report.  ``use_index`` and
-    ``sweep_cohort`` are ignored: they may not change a result.
+    ``candidates_evaluated`` an engine must report.  ``sweep_cohort``
+    is ignored and no fragment index is consulted: neither may change a
+    result.
     """
     hitlists = {} if hitlists is None else hitlists
     scorer = config.make_scorer()

@@ -58,7 +58,7 @@ class TestEventsFromSummary:
             assert e["ts"] >= 0 and e["dur"] >= 0  # microseconds, virtual
             assert e["cat"] in {
                 "compute", "wait", "comm_issued", "collective",
-                "recovery", "index", "sweep",
+                "recovery", "sweep",
             }
             assert e["args"]["category"] == e["cat"]
 
@@ -67,7 +67,7 @@ class TestEventsFromSummary:
         total_us = sum(e["dur"] for e in events if e["ph"] == PHASE_COMPLETE)
         total_s = sum(
             t.compute + t.wait + t.collective + t.comm_issued + t.recovery
-            + t.index_build + t.sweep
+            + t.sweep
             for t in recorded_summary.per_rank.values()
         )
         assert total_us == pytest.approx(total_s * 1e6, rel=1e-6)

@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.search import ShardSearcher
-from repro.errors import ConfigError
-from repro.index import FragmentIndex
+from repro.index import FragmentIndex, IndexBuilder
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.theoretical import by_ion_ladder
 from repro.workloads.synthetic import generate_database
+from tests.conftest import built_index
 
 
 @pytest.fixture(scope="module")
@@ -20,31 +20,30 @@ def db():
 class TestConstruction:
     def test_rejects_bad_parameters(self, db):
         with pytest.raises(ValueError):
-            FragmentIndex(db, fragment_tolerance=0.0)
+            IndexBuilder(fragment_tolerance=0.0)
         with pytest.raises(ValueError):
-            FragmentIndex(db, max_length=1)
+            IndexBuilder(max_length=1)
 
     def test_counts_and_sizes_are_consistent(self, db):
-        index = FragmentIndex(db, max_length=12)
+        index = IndexBuilder(max_length=12).build(db).view()
         assert index.num_rows > 0
         assert index.row_length.shape == (index.num_rows,)
         assert np.all(index.row_length >= 2)
         assert np.all(index.row_length <= 12)
         assert index.num_fragments > 0
         assert index.nbytes > 0
-        assert index.build_time >= 0.0
 
     def test_bin_width_floor(self, db):
         # narrow tolerances are clamped so bins stay coarse enough to
         # keep posting lists short
-        assert FragmentIndex(db, fragment_tolerance=0.01).bin_width == 0.25
-        assert FragmentIndex(db, fragment_tolerance=0.5).bin_width == 1.0
+        assert IndexBuilder(fragment_tolerance=0.01).build(db).view().bin_width == 0.25
+        assert IndexBuilder(fragment_tolerance=0.5).build(db).view().bin_width == 1.0
 
     def test_shared_peak_counts_match_ladder(self, db):
         """A spectrum made of one row's exact ladder matches every peak."""
         from repro.candidates.mass_index import MassIndex
 
-        index = FragmentIndex(db, fragment_tolerance=0.5)
+        index = IndexBuilder(fragment_tolerance=0.5).build(db).view()
         seq = db.sequence(0)[:8]
         ladder = by_ion_ladder(seq)
         spans = MassIndex(db).candidates_in_window(0.0, 1e9)
@@ -65,19 +64,9 @@ class TestConstruction:
 
 
 class TestSearcherGating:
-    def test_real_execution_builds_index(self, db):
-        searcher = ShardSearcher(db, SearchConfig())
-        assert searcher.index is not None
-        assert searcher.index_build_time > 0.0
-
-    def test_no_index_flag_skips_build(self, db):
-        searcher = ShardSearcher(db, SearchConfig(use_index=False))
-        assert searcher.index is None
-        assert searcher.index_build_time == 0.0
-
     def test_modeled_execution_never_builds(self, db):
-        searcher = ShardSearcher(db, SearchConfig(execution=ExecutionMode.MODELED))
-        assert searcher.index is None
+        cfg = SearchConfig(execution=ExecutionMode.MODELED)
+        assert ShardSearcher(db, cfg, index=built_index(db, cfg)).index is None
 
     def test_library_backed_likelihood_is_not_indexable(self, db):
         """A spectral library needs per-candidate sequence lookups the
@@ -86,14 +75,15 @@ class TestSearcherGating:
         lib = SpectralLibrary()
         lib.add("PEPTIDEK", np.array([100.0, 200.0]), np.array([1.0, 2.0]))
         cfg = SearchConfig(scorer="likelihood")
-        assert ShardSearcher(db, cfg, library=lib).index is None
-        assert ShardSearcher(db, cfg).index is not None
+        index = built_index(db, cfg)
+        assert ShardSearcher(db, cfg, library=lib, index=index).index is None
+        assert ShardSearcher(db, cfg, index=index).index is index
 
     def test_index_served_means_a_block_level_index_kernel(self, db, tiny_queries):
-        """One predicate (``FragmentIndex.serves``) gates the build, the
-        persisted-index check and the dispatch: a scorer without
-        ``score_index_block``/``score_matrix_block`` searches direct
-        instead of building an index and failing inside the pass."""
+        """One predicate (``FragmentIndex.serves``) gates the handed-in
+        index, the persisted-index check and the dispatch: a scorer
+        without ``score_index_block``/``score_matrix_block`` searches
+        direct instead of failing inside the pass."""
         from repro.core.search import index_compat_problems
         from repro.scoring import SharedPeakScorer
 
@@ -114,13 +104,14 @@ class TestSearcherGating:
         cfg = SearchConfig(scorer="shared_peaks", tau=5)
         assert FragmentIndex.serves(SharedPeakScorer())
         assert not FragmentIndex.serves(ScalarOnly())
-        searcher = ShardSearcher(db, cfg, scorer=ScalarOnly())
+        index = built_index(db, cfg)
+        searcher = ShardSearcher(db, cfg, scorer=ScalarOnly(), index=index)
         assert searcher.index is None
         assert index_compat_problems(cfg, ScalarOnly())
         assert not index_compat_problems(cfg)
         got, ref = {}, {}
         searcher.run(tiny_queries, got)
-        ShardSearcher(db, cfg).run(tiny_queries, ref)
+        ShardSearcher(db, cfg, index=index).run(tiny_queries, ref)
         assert {q: h.sorted_hits() for q, h in got.items()} == {
             q: h.sorted_hits() for q, h in ref.items()
         }
@@ -128,10 +119,8 @@ class TestSearcherGating:
     def test_nbytes_excludes_index(self, db):
         """The simulated machine's memory model covers shard + scorer
         state only; the index is a host-side acceleration structure."""
-        with_index = ShardSearcher(db, SearchConfig())
-        without = ShardSearcher(db, SearchConfig(use_index=False))
+        cfg = SearchConfig()
+        with_index = ShardSearcher(db, cfg, index=built_index(db, cfg))
+        without = ShardSearcher(db, cfg)
+        assert with_index.index is not None and without.index is None
         assert with_index.nbytes == without.nbytes
-
-    def test_index_max_length_validated_in_config(self):
-        with pytest.raises(ConfigError):
-            SearchConfig(index_max_length=1)

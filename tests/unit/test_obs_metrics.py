@@ -132,7 +132,7 @@ class TestDisabledMode:
 
         db = generate_database(60, seed=3)
         queries = generate_queries(40, seed=5)
-        config = SearchConfig(tau=10, sweep_cohort=16, use_index=streamed)
+        config = SearchConfig(tau=10, sweep_cohort=16)
         store = save_partitioned_index(db, tmp_path / "pidx", partition_mb=0.25) if streamed else None
         baseline = search_serial(db, queries, config, index_store=store)
         registry = MetricsRegistry()

@@ -120,6 +120,73 @@ def test_retired_algorithms_are_typed_errors(retired, tiny_db, tiny_queries):
         )
 
 
+def test_search_config_field_set():
+    import dataclasses
+
+    from repro.core.config import SearchConfig
+
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "delta",
+        "tau",
+        "scorer",
+        "fragment_tolerance",
+        "min_candidate_length",
+        "modifications",
+        "execution",
+        "cost",
+        "score_cutoff",
+        "sweep_cohort",
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--no-index", "--use-index"])
+def test_index_switch_flags_exit_2(flag, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "-n", "20", "-m", "2", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("knob", ["use_index", "index_max_length"])
+def test_index_switch_spec_keys_are_typed_errors(knob):
+    from repro.errors import ExperimentSpecError
+    from repro.experiments import ExperimentSpec
+
+    with pytest.raises(ExperimentSpecError, match="unknown field"):
+        ExperimentSpec.from_dict(
+            {
+                "schema": "repro.experiment_spec/1",
+                "name": "retired",
+                "cells": [{"id": "c", f"config.{knob}": 1}],
+            }
+        )
+
+
+def test_no_search_builds_an_index(tiny_db, tiny_queries):
+    """An index is handed in (``index=``, a store) or absent: the default
+    searcher has none and no default run records an ``index.build`` span."""
+    from repro.core.config import SearchConfig
+    from repro.core.search import ShardSearcher, search_serial
+    from repro.engines.multiproc import run_multiprocess_search
+    from repro.obs.metrics import MetricsRegistry, use_registry
+    from repro.service import SearchService, ServiceConfig
+
+    config = SearchConfig(tau=5)
+    assert ShardSearcher(tiny_db, SearchConfig()).index is None
+    registry = MetricsRegistry(enabled=True)
+    with use_registry(registry):
+        serial = search_serial(tiny_db, tiny_queries, config)
+        multiproc = run_multiprocess_search(tiny_db, tiny_queries, num_workers=2, config=config)
+        with SearchService(config, ServiceConfig(workers=1), database=tiny_db) as service:
+            response = service.search(tiny_queries).raise_for_status()
+    assert serial.hits == multiproc.hits == response.hits
+    names = {span["name"] for span in registry.spans}
+    assert "search.shard" in names and "index.build" not in names
+    assert serial.extras["index_rows"] == multiproc.extras["index_rows"] == 0
+
+
 def test_every_module_has_a_docstring():
     import pathlib
 

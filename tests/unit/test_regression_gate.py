@@ -147,6 +147,6 @@ class TestMain:
             regression.main(["--threshold", "0", base, base])
 
     def test_checked_in_baseline_gates_itself(self, capsys):
-        bench = str(_REPO_ROOT / "BENCH_persist.json")
+        bench = str(_REPO_ROOT / "BENCH_scale.json")
         assert regression.main([bench, bench]) == 0
         assert "directional metrics compared" in capsys.readouterr().out

@@ -130,6 +130,24 @@ class TestValidate:
         payload["num_ranks"] = 0
         assert any("num_ranks" in p for p in RunReport.validate(payload))
 
+    def test_index_build_keys_were_never_required(self, workload):
+        """A /1 report written before the in-search index build went away
+        carried ``total_index_build`` / ``index_build`` in its trace block
+        and ``index_build_time`` in extras; one written now does not.
+        Readers accept both."""
+        db, queries = workload
+        report = run_search(db, queries, "algorithm_a", 2, SearchConfig(tau=5))
+        payload = RunReport.from_search_report(report).to_dict()
+        assert "total_index_build" not in payload["trace"]
+        assert "index_build" not in payload["trace"]["per_rank"]["0"]
+        assert "index_build_time" not in payload["extras"]
+        assert RunReport.validate(payload) == []
+        payload["trace"]["total_index_build"] = 0.5
+        payload["trace"]["per_rank"]["0"]["index_build"] = 0.5
+        payload["extras"]["index_build_time"] = 0.5
+        assert RunReport.validate(payload) == []
+        assert RunReport.from_dict(payload).trace["total_index_build"] == 0.5
+
     def test_from_dict_raises_on_invalid(self):
         with pytest.raises(ValueError, match="not a valid RunReport"):
             RunReport.from_dict({"schema": SCHEMA})

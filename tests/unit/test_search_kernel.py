@@ -8,6 +8,7 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_database
 from repro.core.search import ShardSearcher, search_serial
 from repro.scoring.hits import TopHitList, merge_hit_lists
+from tests.conftest import built_index
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 
@@ -71,23 +72,27 @@ class TestShardSearcher:
         assert all(len(hl) == 0 for hl in mh.values())
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, indexed",
         [
-            SearchConfig(tau=10),
-            SearchConfig(tau=3, scorer="hyperscore", use_index=False, sweep_cohort=2),
-            SearchConfig(tau=100, delta=10.0, min_candidate_length=12, scorer="xcorr"),
-            SearchConfig(tau=10, score_cutoff=4.0, scorer="shared_peaks", sweep_cohort=1),
+            (SearchConfig(tau=10), True),
+            (SearchConfig(tau=3, scorer="hyperscore", sweep_cohort=2), False),
+            (SearchConfig(tau=100, delta=10.0, min_candidate_length=12, scorer="xcorr"), True),
+            (SearchConfig(tau=10, score_cutoff=4.0, scorer="shared_peaks", sweep_cohort=1), True),
         ],
         ids=["default", "direct-cap2", "length-floor", "cutoff-cap1"],
     )
-    def test_run_equals_scalar_reference(self, tiny_db, tiny_queries, cfg):
+    def test_run_equals_scalar_reference(self, tiny_db, tiny_queries, cfg, indexed):
         """Hits, per-query ``evaluated`` and the candidate total are the
-        scalar reference's, two shards folding into one set of hit lists."""
+        scalar reference's, two shards folding into one set of hit lists,
+        index-served (handed a view per shard) or direct."""
         shards = partition_database(tiny_db, 2)
         reference, hitlists, candidates = {}, {}, 0
         for shard in shards:
             reference_search(shard, cfg, tiny_queries, reference)
-            candidates += ShardSearcher(shard, cfg).run(tiny_queries, hitlists).candidates_evaluated
+            searcher = ShardSearcher(
+                shard, cfg, index=built_index(shard, cfg) if indexed else None
+            )
+            candidates += searcher.run(tiny_queries, hitlists).candidates_evaluated
         assert_same_hitlists(reference, hitlists)
         assert candidates == candidates_evaluated(reference)
 

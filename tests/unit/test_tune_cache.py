@@ -85,9 +85,9 @@ class TestInvalidation:
         path = tmp_path / "cal.json"
         save_calibration(str(path), TERMS)
         payload = json.loads(path.read_text())
-        # a future schema, and the previous one (terms fitted on a per-query
-        # pass the engines no longer run)
-        for schema in ("repro.tune_calibration/999", "repro.tune_calibration/2"):
+        # a future schema, and the previous one (it carries the index-build
+        # term of a path no search runs)
+        for schema in ("repro.tune_calibration/999", "repro.tune_calibration/3"):
             payload["schema"] = schema
             path.write_text(json.dumps(payload))
             assert load_calibration(str(path)) is None
@@ -144,7 +144,7 @@ class TestCalibrateCachePath:
         )
         save_calibration(str(path), {"rho_base": 123.0})
         previous_schema = json.loads(path.read_text())
-        previous_schema["schema"] = "repro.tune_calibration/2"
+        previous_schema["schema"] = "repro.tune_calibration/3"
         for stale in ("{torn", json.dumps(previous_schema)):
             path.write_text(stale)
             result = calibrate(cache_path=str(path))
@@ -168,7 +168,7 @@ class TestCalibrateCachePath:
 class TestRunCalibration:
     def test_fits_exactly_the_calibratable_terms(self):
         """The battery times the shard pass the engines run and fits the
-        15 calibratable terms, no more: the paper machine's
+        14 calibratable terms, no more: the paper machine's
         ``query_overhead`` is not one of them."""
         from repro.tune.calibrate import (
             CALIBRATABLE_TERMS,
@@ -181,7 +181,7 @@ class TestRunCalibration:
             sweep_cohorts=(4, 32), include_spawn=False,
         )
         calibration = run_calibration(spec)
-        assert len(CALIBRATABLE_TERMS) == 15 and "query_overhead" not in CALIBRATABLE_TERMS
+        assert len(CALIBRATABLE_TERMS) == 14 and "query_overhead" not in CALIBRATABLE_TERMS
         assert set(calibration.terms) == set(CALIBRATABLE_TERMS) - {"worker_spinup_spawn"}
         assert all(value >= 0.0 for value in calibration.terms.values())
         assert calibration.terms["rho_base"] > 0.0

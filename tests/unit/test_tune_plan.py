@@ -36,8 +36,6 @@ def make_profile(**overrides):
         relative_cost=10.0,
         scorer_indexable=True,
         index_served_fraction=0.8,
-        index_fragments=500_000,
-        index_nbytes=35_000_000,
         cohorts={4: 60, 16: 50, 64: 40, 256: 30, 1024: 25},
         store={
             "blob_bytes": 9_000_000,
@@ -74,7 +72,7 @@ class TestProfileWorkload:
 
         db = generate_database(60, seed=5)
         queries = generate_queries(90, seed=6)
-        config = SearchConfig(use_index=False, sweep_cohort=cap)
+        config = SearchConfig(sweep_cohort=cap)
         profile = profile_workload(db, queries, config)
         report = search_serial(db, queries, config)
         assert profile.cohorts_for(cap) == report.extras["sweep_cohorts"]
@@ -92,25 +90,33 @@ class TestEnumeratePruning:
         plans, pruned = enumerate_plans(
             make_profile(scorer_indexable=False), engines=("serial",)
         )
-        assert all(not p.use_index for p in plans)
+        assert plans and all(p.label.startswith("serial:direct") for p in plans)
         assert any("no index kernel" in reason for _, reason in pruned)
 
     def test_no_store_prunes_streamed_plans(self):
         plans, pruned = enumerate_plans(
             make_profile(store=None), engines=("serial",), allow_stream=True
         )
-        assert all(not p.stream for p in plans)
+        assert plans and all(not p.stream for p in plans)
         assert any("no partitioned store" in reason for _, reason in pruned)
 
+    def test_no_store_yields_only_direct_plans(self):
+        plans, pruned = enumerate_plans(
+            make_profile(store=None), start_methods=("fork",), allow_stream=False
+        )
+        assert plans and not pruned
+        assert all(":direct:" in p.label and "index" not in p.label for p in plans)
+
     def test_budget_prunes_resident_but_not_streamed(self):
-        # budget holds the streamed double buffer but not the decoded index
+        # budget holds the streamed double buffer but not the database a
+        # direct plan keeps resident
         budget_mb = 12.0
         plans, pruned = enumerate_plans(
-            make_profile(), engines=("serial",), memory_budget_mb=budget_mb
+            make_profile(db_nbytes=50_000_000), engines=("serial",),
+            memory_budget_mb=budget_mb,
         )
-        assert all(p.stream or not p.use_index for p in plans)
-        assert any(p.stream for p in plans)
-        assert any("exceeds budget" in reason for _, reason in pruned)
+        assert plans and all(p.stream for p in plans)
+        assert any("resident footprint" in reason for _, reason in pruned)
 
     def test_oversubscription_pruned(self):
         plans, pruned = enumerate_plans(
@@ -139,12 +145,7 @@ class TestPredictMakespan:
         )
         assert "partition_decode" in pred.phases
         assert "partition_exposed_io" in pred.phases
-        assert "index_build" not in pred.phases
         assert pred.total == pytest.approx(sum(pred.phases.values()))
-
-    def test_resident_index_plan_charges_build(self):
-        pred = predict_makespan(CandidatePlan(), make_profile(), CostModel())
-        assert pred.phases["index_build"] > 0
 
     def test_spawn_charges_transport_fork_does_not(self):
         profile, cost = make_profile(), CostModel()
@@ -182,13 +183,14 @@ class TestPredictMakespan:
 
     def test_multiproc_phases_follow_the_engines_task_grid(self):
         """Direct plans keep the database whole (bookkeeping paid once,
-        tasks = floored query blocks); indexed plans pay it per shard."""
+        tasks = floored query blocks); streamed plans pay it per
+        partition range."""
         profile, cost = make_profile(), CostModel()
-        serial = predict_makespan(CandidatePlan(use_index=False), profile, cost)
+        serial = predict_makespan(CandidatePlan(), profile, cost)
         for workers, asked, tasks in [(2, 1, 2), (2, 4, 4), (3, 1, 3)]:
             direct = predict_makespan(
                 CandidatePlan(
-                    engine="multiproc", use_index=False, num_workers=workers,
+                    engine="multiproc", num_workers=workers,
                     query_blocks=asked, start_method="fork",
                 ),
                 profile,
@@ -202,7 +204,10 @@ class TestPredictMakespan:
                 serial.phases["query_overhead"] / eff
             )
         indexed = predict_makespan(
-            CandidatePlan(engine="multiproc", num_workers=2, query_blocks=4, start_method="fork"),
+            CandidatePlan(
+                engine="multiproc", stream=True, num_workers=2, query_blocks=4,
+                start_method="fork",
+            ),
             profile,
             cost,
         )
@@ -215,12 +220,10 @@ class TestPredictMakespan:
 
     def test_index_discount_lowers_prediction(self):
         profile = make_profile(index_served_fraction=0.9)
-        cost = dataclasses.replace(
-            CostModel(), index_probe_discount=0.1, index_build_per_fragment=0.0
-        )
-        indexed = predict_makespan(CandidatePlan(use_index=True), profile, cost)
-        direct = predict_makespan(CandidatePlan(use_index=False), profile, cost)
-        assert indexed.total < direct.total
+        cost = dataclasses.replace(CostModel(), index_probe_discount=0.1)
+        indexed = predict_makespan(CandidatePlan(stream=True), profile, cost)
+        direct = predict_makespan(CandidatePlan(), profile, cost)
+        assert indexed.phases["evaluation"] < direct.phases["evaluation"]
 
 
 class TestChoosePlan:
