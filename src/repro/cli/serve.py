@@ -159,7 +159,11 @@ def register(sub) -> None:
         help="partitioned stores: bound each worker's resident partition "
         "bytes (compressed + decoded)",
     )
-    p_serve.add_argument("--workers", type=positive_int, default=2, help="worker threads")
+    p_serve.add_argument(
+        "--workers", type=positive_int, default=2,
+        help="supervised searcher threads; one scores at a time, the rest are "
+        "warm standbys (failover capacity, not parallel width)",
+    )
     p_serve.add_argument(
         "--queue-limit", type=positive_int, default=64,
         help="bounded admission queue depth",

@@ -11,10 +11,10 @@ responsibilities:
   rejects immediately); both reject with a typed
   :class:`~repro.errors.ServiceOverloadedError` rather than queueing
   without bound or hanging the client.
-* **Coalescing** — ``coalesce`` merges queued requests into one
-  mass-sorted sweep batch (up to ``max_batch_requests`` requests /
-  ``max_batch_queries`` queries), reusing the candidate-major kernel's
-  cohort sharing across requests; off, each request executes alone.
+* **Coalescing** — ``coalesce`` merges every queued request (up to
+  ``max_batch_queries`` queries) into one mass-sorted sweep batch,
+  reusing the candidate-major kernel's cohort sharing across requests;
+  off, each request executes alone.
 * **Deadlines** — ``default_deadline`` (seconds from admission) applies
   to requests that do not carry their own; ``chunk_queries`` sets the
   granularity at which batch execution checks deadlines, so a deadline
@@ -22,8 +22,14 @@ responsibilities:
 * **Supervision** — ``retry`` (the PR 2 :class:`RetryPolicy`) governs
   batch-level retry with backoff before a batch is abandoned;
   ``max_worker_restarts`` bounds worker-thread resurrections before the
-  service degrades to reduced concurrency; ``drain_timeout`` bounds how
-  long shutdown waits for in-flight work.
+  service degrades to fewer workers; ``drain_timeout`` bounds how long
+  shutdown waits for in-flight work.
+
+``workers`` is failover capacity, not parallel width: each worker is a
+supervised thread with its own searchers (scorer caches, mmap views),
+and one of them scores at a time — see the service module's "one
+scoring turn".  A second worker takes over a crashed one's batch
+without a cold start; it does not make the service faster.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ class ServiceConfig:
     admission_timeout: float = 5.0
     default_deadline: float = 0.0  # 0 = no deadline
     coalesce: bool = True
-    max_batch_requests: int = 8
     max_batch_queries: int = 256
     chunk_queries: int = 32
     max_worker_restarts: int = 2
@@ -71,10 +76,6 @@ class ServiceConfig:
         if self.default_deadline < 0:
             raise ConfigError(
                 f"default_deadline must be >= 0, got {self.default_deadline}"
-            )
-        if self.max_batch_requests < 1:
-            raise ConfigError(
-                f"max_batch_requests must be >= 1, got {self.max_batch_requests}"
             )
         if self.max_batch_queries < 1:
             raise ConfigError(

@@ -78,7 +78,7 @@ class RequestHandle:
     queries: Tuple[Spectrum, ...]
     client: str = ""
     deadline_ts: Optional[float] = None  # monotonic-clock absolute deadline
-    submitted_ts: float = 0.0  # monotonic, set at admission
+    submitted_ts: float = 0.0  # monotonic, on entry to submit(): counts a blocked wait
     started_ts: Optional[float] = None  # monotonic, set at batch formation
 
     # -- service-owned state ----------------------------------------------

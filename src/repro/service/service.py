@@ -10,6 +10,13 @@ spectra; queued requests are coalesced into mass-sorted batches so the
 candidate-major sweep kernel forms cohorts *across* requests — the
 cross-request analogue of PR 4's within-batch coalescing.
 
+One scoring turn: at most one worker forms and scores a batch at a time,
+and it forms the batch when it is granted the turn, so everything
+admitted while the block ahead was being scored joins the next one.
+Threads scoring side by side convoy on the GIL (2-3x slower than one:
+docs/service.md, "Concurrency model"), so the other workers are warm
+standbys — failover capacity, not parallel width.
+
 Correctness contract: batch composition is timing-dependent, execution
 is not.  The sweep kernel is bitwise identical to the per-query path
 for any grouping of queries, every completed query scored against every
@@ -30,12 +37,13 @@ Failure semantics (all typed, never a hang):
   queries keep their hits;
 * batch abandoned after the retry budget → response status ``failed``;
 * worker death → supervisor restarts the thread while
-  ``max_worker_restarts`` lasts, then degrades to reduced concurrency
+  ``max_worker_restarts`` lasts, then degrades to fewer standbys
   (``degraded`` in :meth:`SearchService.health`); the last worker dying
   with no budget fails all outstanding requests typed.  A replacement is
   registered as ``starting`` in the same critical section that marks its
-  predecessor dead, and a starting worker counts as capacity — so
-  admission never sees "no workers" while a restart is under way.
+  predecessor dead (the one that also gives back its scoring turn), and
+  a starting worker counts as capacity — so admission never sees "no
+  workers" while a restart is under way.
 """
 
 from __future__ import annotations
@@ -44,8 +52,9 @@ import heapq
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.candidates.mass_index import MassIndex
 from repro.chem.protein import ProteinDatabase
@@ -79,12 +88,12 @@ _TICK = 0.05
 
 @dataclass
 class _Entry:
-    """One query inside a batch: service-wide uid plus its origin."""
+    """One query of a batch attempt: its origin, and its spectrum
+    re-labelled with a service-wide unique id."""
 
-    uid: int
+    request: RequestHandle
     orig_qid: int
     spectrum: Spectrum
-    request: RequestHandle
 
 
 @dataclass
@@ -93,7 +102,6 @@ class _Batch:
 
     seq: int
     requests: List[RequestHandle]
-    entries: List[_Entry]
     failures: int = 0
 
 
@@ -169,8 +177,16 @@ class SearchService:
         self._space = threading.Condition(self._lock)  # blocked submitters
         self._idle = threading.Condition(self._lock)  # drain waits for quiet
         self._state = "new"  # new -> running -> draining -> stopped
-        self._pending: List[RequestHandle] = []
+        self._pending: Deque[RequestHandle] = deque()
         self._retries: List[Tuple[float, int, _Batch]] = []
+        #: wid of the worker holding the scoring turn; waited for on
+        #: ``_work`` like any other work, so the wait is tick-bounded
+        self._scoring: Optional[int] = None
+        #: workers not waiting on ``_work`` (scoring, or on their way back
+        #: to the queue).  Admission wakes a sleeper only at zero: a standby
+        #: woken earlier would find the turn taken, or drain the queue ahead
+        #: of the worker whose clients are about to resubmit
+        self._awake = 0
         self._in_flight = 0
         self._workers: List[_Worker] = []
         self._restarts_used = 0
@@ -220,7 +236,7 @@ class SearchService:
                     self._state = "stopped"
                     self._work.notify_all()
                     raise err
-                if sum(1 for w in self._workers if w.alive) >= self.service_config.workers:
+                if self._alive_locked() >= self.service_config.workers:
                     break
                 if time.monotonic() >= deadline:
                     self._fail_all_locked("service failed to start in time")
@@ -290,6 +306,9 @@ class SearchService:
             )
         cfg = self.service_config
         obs = get_metrics()
+        # latency counts from here, so time spent blocked on a full queue
+        # is reported; the deadline runs from admission
+        submitted = time.monotonic()
         with self._lock:
             self._check_admissible_locked()
             if len(self._pending) >= cfg.queue_limit:
@@ -317,7 +336,7 @@ class SearchService:
                 queries=queries,
                 client=client,
                 deadline_ts=(now + limit) if limit else None,
-                submitted_ts=now,
+                submitted_ts=submitted,
             )
             self._pending.append(handle)
             self._count_locked("admitted")
@@ -325,7 +344,8 @@ class SearchService:
             if depth > self._counters["max_queue_depth"]:
                 self._counters["max_queue_depth"] = depth
             obs.gauge("service.queue_depth", depth)
-            self._work.notify()
+            if not self._awake:
+                self._work.notify()
         return handle
 
     def search(
@@ -354,6 +374,9 @@ class SearchService:
         """Workers that take batches now or will once initialized."""
         return sum(1 for w in self._workers if w.state != "dead")
 
+    def _alive_locked(self) -> int:
+        return sum(1 for w in self._workers if w.alive)
+
     # -- introspection ----------------------------------------------------
 
     def health(self) -> Dict[str, object]:
@@ -362,10 +385,12 @@ class SearchService:
         ``ready`` means requests submitted now would be admitted (a
         worker is alive, or one is starting and will take them);
         ``degraded`` means the service is running below its configured
-        concurrency or has quarantined batches.
+        worker count or has quarantined batches; ``scoring_worker`` is
+        the worker holding the scoring turn, ``None`` when nothing is
+        being scored.
         """
         with self._lock:
-            alive = sum(1 for w in self._workers if w.alive)
+            alive = self._alive_locked()
             capacity = self._capacity_locked()
             degraded = (
                 self._state in ("running", "draining")
@@ -384,6 +409,7 @@ class SearchService:
                 "worker_restarts": int(self._counters["worker_restarts"]),
                 "queue_depth": len(self._pending),
                 "in_flight": self._in_flight,
+                "scoring_worker": self._scoring,
                 "retry_backlog": len(self._retries),
                 "batches_failed": int(self._counters["batches_failed"]),
             }
@@ -466,104 +492,95 @@ class SearchService:
         try:
             worker.searchers = self._make_searchers()
         except BaseException as exc:
-            self._on_worker_death(worker, exc, initialized=False)
+            self._on_worker_death(worker, exc, None)
             return
-        obs = get_metrics()
         with self._lock:
             worker.state = "alive"
-            obs.gauge(
-                "service.workers_alive",
-                sum(1 for w in self._workers if w.alive),
-            )
+            self._awake += 1
+            get_metrics().gauge("service.workers_alive", self._alive_locked())
             self._idle.notify_all()
         while True:
-            batch = self._next_work()
+            batch = self._next_work(worker)
             if batch is None:
                 break
             try:
                 self._execute_batch(batch, worker)
             except WorkerCrashError as exc:
-                self._on_batch_failure(batch, exc)
-                self._on_worker_death(worker, exc, initialized=True)
+                self._on_worker_death(worker, exc, batch)
                 return
-            except ReproError as exc:
-                self._on_batch_failure(batch, exc)
-            except BaseException as exc:  # unexpected: quarantine, stay up
+            except BaseException as exc:  # typed or not, the worker stays up
                 with self._lock:
-                    self._quarantine_batch_locked(batch, exc)
+                    self._fail_attempt_locked(batch, exc)
+            # the clients just answered run before the queue is drained
+            # again: a closed loop's next requests then share one block
+            # instead of alternating halves with the ones that waited
+            time.sleep(0)
         with self._lock:
             worker.state = "dead"
+            self._awake -= 1
 
-    def _next_work(self) -> Optional[_Batch]:
-        """Next batch for a worker: due retries first, then fresh requests.
+    def _next_work(self, worker: _Worker) -> Optional[_Batch]:
+        """Wait for the scoring turn and for work, then take both.
 
-        Returns ``None`` when the service stopped.  All waits are bounded
-        by ``_TICK`` (or the next retry's ready time), so a worker always
+        Due retries come first, then fresh requests; the batch is formed
+        when the turn is granted, not before waiting for it.  Returns
+        ``None`` when the service stopped.  All waits are bounded by
+        ``_TICK`` (or the next retry's ready time), so a worker always
         observes state changes promptly and can never sleep forever.
         """
         with self._lock:
             while True:
                 if self._state == "stopped":
                     return None
-                now = time.monotonic()
-                if self._retries and self._retries[0][0] <= now:
-                    _ready, _seq, batch = heapq.heappop(self._retries)
-                    return batch
-                if self._pending:
-                    batch = self._form_batch_locked()
-                    if batch is not None:
-                        return batch
                 timeout = _TICK
-                if self._retries:
-                    timeout = min(timeout, max(self._retries[0][0] - now, 0.0))
+                if self._scoring is None:
+                    now = time.monotonic()
+                    if self._retries and self._retries[0][0] <= now:
+                        self._scoring = worker.wid
+                        return heapq.heappop(self._retries)[2]
+                    taken = self._take_requests_locked(now) if self._pending else []
+                    if taken:
+                        self._scoring = worker.wid
+                        return _Batch(next(self._next_batch_seq), taken)
+                    if self._retries:
+                        timeout = min(timeout, self._retries[0][0] - now)
+                self._awake -= 1
                 self._work.wait(timeout)
+                self._awake += 1
 
-    def _form_batch_locked(self) -> Optional[_Batch]:
+    def _take_requests_locked(self, now: float) -> List[RequestHandle]:
+        """Pop the next batch's requests: all that are queued, up to
+        ``max_batch_queries`` queries (one request without ``coalesce``)."""
         cfg = self.service_config
-        obs = get_metrics()
-        now = time.monotonic()
         taken: List[RequestHandle] = []
         num_queries = 0
-        max_requests = cfg.max_batch_requests if cfg.coalesce else 1
-        while self._pending and len(taken) < max_requests:
+        while self._pending and (cfg.coalesce or not taken):
             req = self._pending[0]
             if req.deadline_ts is not None and now >= req.deadline_ts:
                 # expired while queued: answer without scoring anything
-                self._pending.pop(0)
+                self._pending.popleft()
                 req.started_ts = now
                 req.expired = True
                 self._set_response_locked(req)
                 continue
             if taken and num_queries + len(req.queries) > cfg.max_batch_queries:
                 break
-            self._pending.pop(0)
-            taken.append(req)
-            num_queries += len(req.queries)
-        obs.gauge("service.queue_depth", len(self._pending))
-        self._space.notify_all()
-        if not taken:
-            return None
-        entries: List[_Entry] = []
-        for req in taken:
+            self._pending.popleft()
             req.started_ts = now
             req._inflight = True
-            self._in_flight += 1
-            for spectrum in req.queries:
-                uid = next(self._next_uid)
-                entries.append(
-                    _Entry(
-                        uid=uid,
-                        orig_qid=spectrum.query_id,
-                        spectrum=replace(spectrum, query_id=uid),
-                        request=req,
-                    )
-                )
+            taken.append(req)
+            num_queries += len(req.queries)
+        obs = get_metrics()
+        if taken:
+            self._in_flight += len(taken)
+            self._count_locked("batches")
+            if len(taken) > 1:
+                self._count_locked("coalesced_requests", len(taken))
+            obs.observe("service.batch_queries", num_queries, buckets=_BATCH_BUCKETS)
+        obs.gauge("service.queue_depth", len(self._pending))
         obs.gauge("service.in_flight", self._in_flight)
-        self._count_locked("batches")
-        if len(taken) > 1:
-            self._count_locked("coalesced_requests", len(taken))
-        obs.observe("service.batch_queries", len(entries), buckets=_BATCH_BUCKETS)
-        return _Batch(seq=next(self._next_batch_seq), requests=taken, entries=entries)
+        self._space.notify_all()
+        return taken
 
     # -- execution --------------------------------------------------------
 
@@ -582,16 +599,26 @@ class SearchService:
             if stall:
                 time.sleep(stall)
         cfg = self.service_config
-        now = time.monotonic()
-        for req in batch.requests:
-            if req.deadline_ts is not None and now >= req.deadline_ts:
-                req.expired = True
-        # mass-sort across requests so the sweep kernel coalesces
-        # cross-request cohorts; chunk boundaries then cut contiguous
-        # mass ranges, preserving cohort quality inside each chunk
+
+        def mark_expired() -> None:
+            now = time.monotonic()
+            for req in batch.requests:
+                if req.deadline_ts is not None and now >= req.deadline_ts:
+                    req.expired = True
+
+        mark_expired()
+        # query ids made unique across requests (re-validating a spectrum
+        # is not queue state: no lock held), then mass-sorted so the sweep
+        # kernel coalesces cross-request cohorts; chunk boundaries then cut
+        # contiguous mass ranges, preserving cohort quality inside each chunk
         entries = sorted(
-            (e for e in batch.entries if not e.request.expired),
-            key=lambda e: (e.spectrum.parent_mass, e.uid),
+            (
+                _Entry(req, spectrum.query_id, replace(spectrum, query_id=uid))
+                for req in batch.requests
+                if not req.expired
+                for spectrum, uid in zip(req.queries, self._next_uid)
+            ),
+            key=lambda e: (e.spectrum.parent_mass, e.spectrum.query_id),
         )
         hitlists: Dict[int, TopHitList] = {}
         scored: List[_Entry] = []
@@ -607,26 +634,20 @@ class SearchService:
                 for searcher in worker.searchers:
                     searcher.run(spectra, hitlists)
                 scored.extend(chunk)
-            now = time.monotonic()
-            for req in batch.requests:
-                if (
-                    not req.expired
-                    and req.deadline_ts is not None
-                    and now >= req.deadline_ts
-                ):
-                    req.expired = True
+            mark_expired()
+        answers = []
+        for e in scored:
+            hitlist = hitlists.get(e.spectrum.query_id)
+            hits = hitlist.sorted_hits() if hitlist is not None else []
+            answers.append([h._replace(query_id=e.orig_qid) for h in hits])
         with self._lock:
-            for e in scored:
-                hl = hitlists.get(e.uid)
-                hits = (
-                    [h._replace(query_id=e.orig_qid) for h in hl.sorted_hits()]
-                    if hl is not None
-                    else []
-                )
+            for e, hits in zip(scored, answers):
                 e.request.hits[e.orig_qid] = hits
                 e.request.completed.append(e.orig_qid)
             for req in batch.requests:
                 self._set_response_locked(req)
+            # the turn ends with the answers: whoever sees them sees it free
+            self._scoring = None
 
     def _set_response_locked(self, req: RequestHandle) -> None:
         """Assign the terminal response exactly once; idempotent."""
@@ -676,38 +697,46 @@ class SearchService:
 
     # -- failure handling -------------------------------------------------
 
-    def _on_batch_failure(self, batch: _Batch, exc: BaseException) -> None:
-        """Retry with backoff or quarantine, per the PR 2 retry policy."""
-        with self._lock:
-            batch.failures += 1
-            policy = self.service_config.retry
-            if policy.allows_retry(batch.failures) and self._state != "stopped":
-                ready = time.monotonic() + policy.delay(batch.failures)
-                heapq.heappush(self._retries, (ready, batch.seq, batch))
-                self._count_locked("batch_retries")
-                self._work.notify()
-            else:
-                self._quarantine_batch_locked(batch, exc)
-
-    def _quarantine_batch_locked(self, batch: _Batch, exc: BaseException) -> None:
+    def _fail_attempt_locked(self, batch: _Batch, exc: BaseException) -> None:
+        """Give the turn back.  A typed fault retries with backoff per the
+        PR 2 retry policy; past its budget, or on anything unexpected, the
+        batch is quarantined and its requests fail typed."""
+        self._scoring = None
+        self._work.notify()
+        batch.failures += 1
+        policy = self.service_config.retry
+        if (
+            isinstance(exc, ReproError)
+            and policy.allows_retry(batch.failures)
+            and self._state != "stopped"
+        ):
+            ready = time.monotonic() + policy.delay(batch.failures)
+            heapq.heappush(self._retries, (ready, batch.seq, batch))
+            self._count_locked("batch_retries")
+            return
         self._count_locked("batches_failed")
         message = (
             f"batch {batch.seq} abandoned after {batch.failures} failed "
             f"attempts: {exc}"
         )
         for req in batch.requests:
-            if req.response is None:
-                req.failure = message
-                self._set_response_locked(req)
+            req.failure = message
+            self._set_response_locked(req)
 
     def _on_worker_death(
-        self, worker: _Worker, exc: BaseException, initialized: bool
+        self, worker: _Worker, exc: BaseException, batch: Optional[_Batch]
     ) -> None:
-        obs = get_metrics()
+        """``batch`` is what the worker was scoring, ``None`` if it died
+        building its searchers.  One critical section re-queues the batch,
+        frees the turn, marks the worker dead and registers its
+        replacement: there is always somebody who can score the retry."""
         replacement: Optional[_Worker] = None
         with self._lock:
             worker.state = "dead"
-            if not initialized and self._start_error is None and self._restarts_used == 0:
+            if batch is not None:
+                self._awake -= 1
+                self._fail_attempt_locked(batch, exc)
+            elif self._start_error is None and self._restarts_used == 0:
                 # initial pool failed to come up: surface to start()
                 self._start_error = exc
                 self._idle.notify_all()
@@ -722,9 +751,7 @@ class SearchService:
                 # registered before the lock drops: admission must never
                 # see an empty pool while restart budget remains
                 replacement = self._register_worker_locked()
-            obs.gauge(
-                "service.workers_alive", sum(1 for w in self._workers if w.alive)
-            )
+            get_metrics().gauge("service.workers_alive", self._alive_locked())
             if not self._capacity_locked():
                 # nobody left to run anything: fail all outstanding work
                 # typed instead of letting clients (or drain) wait

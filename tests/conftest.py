@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,25 @@ def built_index(shard, config):
     here, the way a store would, and pass it in as ``index=``.
     """
     return IndexBuilder(fragment_tolerance=config.fragment_tolerance).build(shard).view()
+
+
+@pytest.fixture(scope="module")
+def short_switch_interval():
+    """Run a module's threads under a 0.1 ms switch interval.
+
+    At CPython's default 5 ms a thread usually finishes its critical
+    section before it is preempted, which hides lost updates,
+    check-then-act bugs and hand-off races; at 0.1 ms the interleavings a
+    loaded host would produce show up on an idle one.  Module scope: in
+    force before class-scoped fixtures start their storms.  Autouse under
+    ``tests/faults/``; the service integration suite asks for it by name.
+    """
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(saved)
 
 
 @pytest.fixture(scope="session")

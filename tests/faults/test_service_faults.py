@@ -49,6 +49,51 @@ def fast_retry():
     return RetryPolicy(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
 
 
+@pytest.fixture()
+def scalar_reference(tiny_db, tiny_queries, sweep_config):
+    """The independent oracle (``tests/reference.py``), ranked hits per query."""
+    from tests.reference import reference_search
+
+    hitlists = reference_search(tiny_db, sweep_config, tiny_queries)
+    return {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+
+
+class ExecutionProbe:
+    """Watch, and optionally hold, a service's batch executions.
+
+    Wraps ``service._execute_batch``: records ``(worker id, requests)``
+    per execution in start order and the most executions ever in progress
+    at once; an execution whose ordinal is in ``hold`` stops at ``gate``
+    first (``held`` says it got there), scoring turn in hand.
+    """
+
+    def __init__(self, service, hold=()):
+        self.gate = threading.Event()
+        self.held = threading.Event()
+        self.executions = []
+        self.max_concurrent = 0
+        self._active = 0
+        self._lock = threading.Lock()
+        execute = service._execute_batch
+
+        def probed(batch, worker):
+            with self._lock:
+                ordinal = len(self.executions)
+                self.executions.append((worker.wid, len(batch.requests)))
+                self._active += 1
+                self.max_concurrent = max(self.max_concurrent, self._active)
+            try:
+                if ordinal in hold:
+                    self.held.set()
+                    assert self.gate.wait(30.0), "the test never opened the gate"
+                return execute(batch, worker)
+            finally:
+                with self._lock:
+                    self._active -= 1
+
+        service._execute_batch = probed
+
+
 def assert_bitwise(result, reference_hits):
     checked = 0
     for outcome in result.admitted:
@@ -249,6 +294,100 @@ class TestCrashRecovery:
             gate.set()
 
 
+class TestScoringTurn:
+    """One worker forms and scores a batch at a time (docs/service.md,
+    "Concurrency model"); the others are standbys.  Gates, not sleeps."""
+
+    def test_requests_admitted_during_a_block_form_the_next_one(
+        self, tiny_db, tiny_queries, sweep_config, scalar_reference
+    ):
+        service = SearchService(sweep_config, ServiceConfig(workers=2), database=tiny_db)
+        probe = ExecutionProbe(service, hold={0})
+        try:
+            with service:
+                first = service.submit(tiny_queries[:2])
+                assert probe.held.wait(30.0)
+                holder = service.health()["scoring_worker"]
+                assert holder == probe.executions[0][0]
+                before = service.stats()
+                later = [service.submit([q]) for q in tiny_queries[2:7]]
+                # the standby is idle, yet nothing leaves the queue
+                assert service.health()["queue_depth"] == len(later)
+                probe.gate.set()
+                responses = [h.result(timeout=30.0) for h in [first, *later]]
+                after = service.stats()
+                assert service.health()["scoring_worker"] is None
+        finally:
+            probe.gate.set()
+        assert probe.max_concurrent == 1
+        assert [n for _wid, n in probe.executions] == [1, len(later)]
+        assert after["batches"] - before["batches"] == 1
+        assert after["coalesced_requests"] - before["coalesced_requests"] == len(later)
+        for response in responses:
+            assert response.ok
+            for qid, hits in response.hits.items():
+                assert hits == scalar_reference[qid], qid
+
+    def test_standby_scores_the_batch_of_a_crashed_turn_holder(
+        self, tiny_db, tiny_queries, sweep_config, scalar_reference
+    ):
+        plan = FaultPlan(
+            service=ServiceFaults(
+                worker_crashes=(ServiceWorkerCrash(batch=0, attempts=1, chunk=0),)
+            )
+        )
+        service_config = ServiceConfig(
+            workers=2, retry=fast_retry(), max_worker_restarts=0
+        )
+        service = SearchService(
+            sweep_config, service_config, database=tiny_db, fault_plan=plan
+        )
+        probe = ExecutionProbe(service)
+        with service:
+            response = service.search(tiny_queries[:6], timeout=30.0)
+            health = service.health()
+            again = service.search(tiny_queries[6:8], timeout=30.0)
+        assert response.ok and again.ok
+        for qid, hits in {**response.hits, **again.hits}.items():
+            assert hits == scalar_reference[qid], qid
+        (crashed, _), (standby, _) = probe.executions[:2]
+        assert crashed != standby
+        assert probe.max_concurrent == 1
+        assert health["degraded"]
+        assert health["workers_alive"] == 1 and health["worker_restarts"] == 0
+        assert health["scoring_worker"] is None
+
+    def test_stop_while_one_holds_the_turn_and_one_waits(
+        self, tiny_db, tiny_queries, sweep_config, scalar_reference
+    ):
+        service_config = ServiceConfig(workers=2, drain_timeout=30.0)
+        service = SearchService(sweep_config, service_config, database=tiny_db)
+        probe = ExecutionProbe(service, hold={0})
+        stopper = threading.Thread(target=service.stop)
+        try:
+            service.start()
+            handles = [service.submit(tiny_queries[:2])]
+            assert probe.held.wait(30.0)
+            handles += [service.submit([q]) for q in tiny_queries[2:6]]
+            stopper.start()
+            deadline = time.monotonic() + 30.0
+            while service.health()["state"] == "running":
+                assert time.monotonic() < deadline, "stop() never began to drain"
+                stopper.join(0.005)
+            probe.gate.set()
+            stopper.join(service_config.drain_timeout)
+            assert not stopper.is_alive(), "stop() outlived drain_timeout"
+        finally:
+            probe.gate.set()
+        assert service.health()["state"] == "stopped"
+        assert not any(w.thread.is_alive() for w in service._workers)
+        assert probe.max_concurrent == 1
+        for handle in handles:
+            assert handle.done()
+            for qid, hits in handle.result(timeout=0.1).raise_for_status().hits.items():
+                assert hits == scalar_reference[qid], qid
+
+
 class TestStoreOutage:
     def test_transient_outage_retries_to_success(
         self, tiny_db, tiny_queries, sweep_config, reference_hits
@@ -331,6 +470,52 @@ class TestOverload:
                 assert handle.result(timeout=60.0).ok
 
 
+    def test_blocked_submit_reports_the_time_it_waited(
+        self, tiny_db, tiny_queries, sweep_config
+    ):
+        """``latency_s`` / ``queue_wait_s`` run from entry to ``submit()``:
+        a request that waited for queue space says so."""
+        service_config = ServiceConfig(
+            workers=1, queue_limit=1, backpressure="block", admission_timeout=30.0
+        )
+        service = SearchService(sweep_config, service_config, database=tiny_db)
+        probe = ExecutionProbe(service, hold={0})
+        space_waits = []
+        blocked, blocked_a_while = threading.Event(), threading.Event()
+        space_wait = service._space.wait
+
+        def counted_wait(timeout=None):
+            space_waits.append(timeout)
+            blocked.set()
+            if len(space_waits) == 3:  # two full ticks behind it
+                blocked_a_while.set()
+            return space_wait(timeout)
+
+        service._space.wait = counted_wait
+        late = []
+        submitter = threading.Thread(
+            target=lambda: late.append(service.submit([tiny_queries[2]]))
+        )
+        try:
+            with service:
+                service.submit([tiny_queries[0]])
+                assert probe.held.wait(30.0)
+                service.submit([tiny_queries[1]])  # the queue is now full
+                submitter.start()
+                assert blocked.wait(30.0)
+                since = time.monotonic()  # submit() was entered before this
+                assert blocked_a_while.wait(30.0)
+                waited = time.monotonic() - since
+                probe.gate.set()
+                submitter.join(30.0)
+                response = late[0].result(timeout=30.0)
+        finally:
+            probe.gate.set()
+        assert response.ok
+        assert response.latency_s >= waited
+        assert response.queue_wait_s >= waited
+
+
 class TestStragglerDegradation:
     def test_straggler_slows_but_never_corrupts(
         self, tiny_db, tiny_queries, sweep_config, reference_hits
@@ -342,9 +527,14 @@ class TestStragglerDegradation:
         )
         storm = RequestStorm(clients=4, requests_per_client=2, queries_per_request=3, seed=5)
         service_config = ServiceConfig(workers=2, retry=fast_retry())
-        with SearchService(
+        service = SearchService(
             sweep_config, service_config, database=tiny_db, fault_plan=plan
-        ) as service:
+        )
+        probe = ExecutionProbe(service)
+        with service:
             result = run_storm(service, storm, tiny_queries)
         assert result.counts == {"ok": 8}
         assert_bitwise(result, reference_hits)
+        # a straggler stalls with the turn in hand: it delays the others,
+        # nobody scores beside it
+        assert probe.max_concurrent == 1

@@ -23,6 +23,9 @@ from repro.faults.plan import RequestStorm
 from repro.service import SearchService, ServiceConfig, run_storm, storm_queries
 from repro.store import save_index
 
+# a turn hand-off race is exactly what the short interval exists to surface
+pytestmark = pytest.mark.usefixtures("short_switch_interval")
+
 
 @pytest.fixture()
 def sweep_config():

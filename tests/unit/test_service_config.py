@@ -38,7 +38,6 @@ class TestServiceConfig:
             {"backpressure": "drop"},
             {"admission_timeout": -1.0},
             {"default_deadline": -0.5},
-            {"max_batch_requests": 0},
             {"max_batch_queries": 0},
             {"chunk_queries": 0},
             {"max_worker_restarts": -1},
@@ -48,6 +47,11 @@ class TestServiceConfig:
     def test_bad_knobs_rejected_at_construction(self, kwargs):
         with pytest.raises(ConfigError):
             ServiceConfig(**kwargs)
+
+    def test_max_batch_requests_is_gone(self):
+        """``max_batch_queries`` is the one cap on a coalesced batch."""
+        with pytest.raises(TypeError):
+            ServiceConfig(max_batch_requests=1)
 
     def test_frozen(self):
         cfg = ServiceConfig()
