@@ -8,11 +8,16 @@ slice of the Table I size grid (``repro.workloads.synthetic``
 ways in *separate fresh processes* so ``ru_maxrss`` is an honest
 per-variant high-water mark:
 
-* **resident** — ``search_serial`` building the whole fragment index
-  in RAM (the memory-bound baseline);
+* **resident** — ``search_serial`` with no store: the whole database
+  in RAM, every candidate scored directly (the baseline);
 * **streamed** — ``search_serial`` over the partitioned store
-  (``repro.index_store_partitioned/1``): double-buffered prefetch,
+  (``repro.index_store_partitioned/2``): double-buffered prefetch,
   peak index residency ~two partitions regardless of N.
+
+Both run ``hyperscore``: a scorer the partitions' posting lists serve,
+so the streamed variant measures decode + posting probes (the default
+likelihood scorer would be scored directly on both sides and never read
+a posting).
 
 Per size it verifies the two variants' hits are bitwise identical
 (sha256 over exact float hex — any drift fails the run before any
@@ -57,7 +62,7 @@ from repro.workloads.synthetic import tier_database
 params = json.loads(sys.argv[1])
 db = tier_database(params["num_proteins"])
 queries = generate_queries(params["num_queries"], seed=17, source=db)
-config = SearchConfig(tau=params["tau"])
+config = SearchConfig(tau=params["tau"], scorer="hyperscore")
 store = None
 if params["store_path"]:
     from repro.store import open_any_index
@@ -189,6 +194,7 @@ def measure_scale(sizes, num_queries=48, tau=25, partition_mb=1.0):
             "sizes": list(sizes),
             "num_queries": num_queries,
             "tau": tau,
+            "scorer": "hyperscore",
             "partition_mb": partition_mb,
             "all_identical": all(p["identical"] for p in points),
             "max_out_of_core_factor": largest["out_of_core_factor"],

@@ -39,7 +39,8 @@ class ShardStats:
     ``candidates_evaluated`` when variable PTMs expand candidates into
     one row per admissible site; ``batches`` counts vectorized scoring
     calls (one per non-empty block).  ``index_rows`` counts the subset
-    of rows served from a fragment-ion index the searcher was handed,
+    of rows served by posting probes of a fragment-ion index (0 for a
+    scorer the postings cannot serve, store or no store),
     and ``index_load_time`` accumulates real (wall-clock) seconds spent
     opening persisted index shards (``repro.store``) — engines add it
     when they load one.  ``sweep_queries``/``sweep_cohorts``
@@ -191,9 +192,10 @@ class ShardSearcher:
     A searcher never builds a fragment-ion index.  Handed one
     (``index=``: typically the memmap-backed view a ``repro.store``
     directory opens, or ``IndexBuilder(...).build(shard).view()``) it
-    serves the candidates that index holds from it; without one every
-    candidate is scored directly.  Scores are bitwise identical either
-    way.
+    serves the candidates that index holds from it — if the scorer is
+    posting-served (``FragmentIndex.serves``); otherwise, and without an
+    index, every candidate is scored directly from the shard.  Scores
+    are bitwise identical either way.
     """
 
     def __init__(
@@ -214,8 +216,9 @@ class ShardSearcher:
             mod.delta_mass: ord(mod.target) for mod in self.generator.modifications
         }
         # The handed-in index is consulted only where it can serve:
-        # MODELED runs never score, and a library-backed likelihood
-        # model needs per-candidate lookups no index holds.
+        # MODELED runs never score, and only a scorer with a posting
+        # kernel reads one — any other is scored from the shard, which a
+        # store carries too.
         real = config.execution is ExecutionMode.REAL
         self.index = index if real and FragmentIndex.serves(self.scorer) else None
 
@@ -513,29 +516,22 @@ class ShardSearcher:
         return int(self.count_each(list(queries)).sum())
 
 
-def index_compat_problems(
-    config: SearchConfig, scorer: Optional[Scorer] = None
-) -> List[str]:
+def index_compat_problems(config: SearchConfig) -> List[str]:
     """Configuration contradictions that make a persisted index unusable.
 
-    Returns human-readable problems (empty == servable).  These are the
-    *contradictions* — options under which no fragment index would ever
-    be consulted.  A store built at a different fragment tolerance is
-    deliberately NOT a problem: probes are exact at any tolerance, so
-    results stay bitwise identical.
+    Returns human-readable problems (empty == servable).  There is one:
+    a search that never scores has nothing to open a store for.  The
+    scorer is deliberately NOT a problem — one the postings cannot serve
+    is scored directly from the database the store carries — and neither
+    is a store built at a different fragment tolerance: probes are exact
+    at any tolerance, so results stay bitwise identical.
     """
-    problems: List[str] = []
     if config.execution is not ExecutionMode.REAL:
-        problems.append(
+        return [
             "modeled execution counts candidates without scoring, so a "
             "persisted index cannot serve it"
-        )
-    scorer = scorer if scorer is not None else config.make_scorer()
-    if not FragmentIndex.serves(scorer):
-        problems.append(
-            f"scorer {config.scorer!r} cannot be served from the fragment index"
-        )
-    return problems
+        ]
+    return []
 
 
 def search_serial(
@@ -557,9 +553,10 @@ def search_serial(
     ``index_store`` (a :class:`repro.store.StoredIndex`) serves the
     search from a persisted single-shard index: the store is
     fingerprint-validated against ``database``, the shard's arrays are
-    memory-mapped read-only, hits are bitwise identical to the direct
-    search, and virtual time additionally charges
-    ``CostModel.index_load_time``.
+    memory-mapped read-only (a posting-served scorer probes them, any
+    other is scored from the mapped shard buffers), hits are bitwise
+    identical to the direct search, and virtual time additionally
+    charges ``CostModel.index_load_time``.
 
     A :class:`repro.store.PartitionedIndex` instead *streams* the
     search: partitions are decoded one (plus one prefetched) at a time
@@ -626,7 +623,7 @@ def search_serial(
         "modeled_candidates_per_second": cost.candidates_per_second(searcher.scorer),
     }
     if index_store is not None:
-        extras["index_provenance"] = index_store.provenance("loaded")
+        extras["index_provenance"] = index_store.provenance()
         extras["index_mmap_bytes"] = loaded.nbytes
     return SearchReport(
         algorithm="serial",
@@ -701,7 +698,7 @@ def _search_serial_streamed(
         "sweep_queries": stats.sweep_queries,
         "sweep_cohorts": stats.sweep_cohorts,
         "modeled_candidates_per_second": cost.candidates_per_second(searcher.scorer),
-        "index_provenance": store.provenance("streamed"),
+        "index_provenance": store.provenance(),
         "stream": dict(
             ss.to_dict(),
             score_seconds=searcher.score_seconds,

@@ -16,24 +16,27 @@ Bitwise identity with the resident path is structural:
   mass window the :class:`~repro.candidates.mass_index.MassIndex`
   enumeration selects, recovered by two ``searchsorted`` calls on the
   partition's ``row_mass`` column.  Unioned over partitions plus the
-  overflow blob (spans outside the index envelope, scored through the
-  direct :class:`~repro.candidates.batch.CandidateBatch` path exactly
-  like the resident index's ``row == -1`` spans), every query sees
+  overflow blob (spans outside the index envelope), every query sees
   exactly the resident candidate set.
-* Scores come from the very same kernels (``index.score_block`` for
-  partition rows, ``block_scores`` for overflow spans), reading per-row
-  arrays that are byte-for-byte the resident build's rows.
+* A partition's rows and the overflow blob are both mass-sorted
+  :class:`~repro.candidates.mass_index.CandidateSpans` of the store's
+  database, and scores come from the very same kernels: one posting
+  probe per block (``index.score_block``) over a partition whose
+  postings serve the scorer, the direct
+  :class:`~repro.candidates.batch.CandidateBatch` path
+  (``block_scores``) for everything else — overflow spans always, and
+  every partition's rows under a scorer the postings cannot serve.
 * :class:`~repro.scoring.hits.TopHitList` is order-independent, so
   folding partitions in mass order instead of one whole-shard batch
   cannot change the retained hits; per-query ``evaluated`` totals match
   because shorts, cutoff failures, and offers are counted per partition
   and sum to the resident per-query counts.
 
-Streaming serves a strict subset of configurations — REAL execution, an
-index-capable scorer, and no variable modifications (PTM tiers are
-generated from the database, not the index; the resident path routes
-them through the direct batch, but out-of-core their enumeration would
-re-read the whole database per query).  Violations raise a typed
+Streaming serves a strict subset of configurations — REAL execution
+and no variable modifications (PTM tiers are generated from the
+database, not the index; the resident path routes them through the
+direct batch, but out-of-core their enumeration would re-read the whole
+database per query).  Violations raise a typed
 :class:`~repro.errors.IndexCompatError` up front, never silently
 degraded results.
 """
@@ -56,6 +59,7 @@ from repro.core.search import (
     score_and_offer_block,
 )
 from repro.errors import IndexCompatError
+from repro.index import FragmentIndex
 from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hits import TopHitList
@@ -69,16 +73,14 @@ from repro.store.partitioned import (
 )
 
 
-def streaming_compat_problems(
-    config: SearchConfig, scorer: Optional[Scorer] = None
-) -> List[str]:
+def streaming_compat_problems(config: SearchConfig) -> List[str]:
     """Configuration contradictions that make streamed search unusable.
 
     Everything :func:`~repro.core.search.index_compat_problems` rejects,
     plus variable modifications: PTM candidate tiers are enumerated from
     the database residues, which an out-of-core pass does not hold.
     """
-    problems = index_compat_problems(config, scorer)
+    problems = index_compat_problems(config)
     if config.modifications:
         problems.append(
             "variable modifications require database-resident candidate "
@@ -97,7 +99,9 @@ class StreamingSearcher:
     ids — how multiproc workers split one store into disjoint streams —
     and ``own_overflow`` says whether this searcher also scores the
     out-of-envelope span blob (exactly one owner per store, or hits
-    would duplicate).
+    would duplicate).  Under a scorer the partitions' postings cannot
+    serve (``FragmentIndex.serves``) the pass is the same budgeted walk
+    over the same ranges, each partition's rows scored directly.
     """
 
     def __init__(
@@ -116,7 +120,7 @@ class StreamingSearcher:
         self.store = store
         self.config = config
         self.scorer = scorer if scorer is not None else config.make_scorer(library)
-        problems = streaming_compat_problems(config, self.scorer)
+        problems = streaming_compat_problems(config)
         if problems:
             raise IndexCompatError(
                 "this search cannot be streamed from the partitioned index: "
@@ -143,7 +147,7 @@ class StreamingSearcher:
         self.prefetch = prefetch
         self.stream_stats = StreamStats()
         self.score_seconds = 0.0
-        self._overflow: Optional[CandidateSpans] = None
+        self._posting_served = FragmentIndex.serves(self.scorer)
 
     @property
     def nbytes(self) -> int:
@@ -153,11 +157,6 @@ class StreamingSearcher:
         size, it is two partitions plus the mmapped database buffers.
         """
         return int(2 * self.store.max_partition_bytes + self.database.nbytes)
-
-    def _get_overflow(self) -> CandidateSpans:
-        if self._overflow is None:
-            self._overflow = self.store.load_overflow()
-        return self._overflow
 
     # -- the pass ----------------------------------------------------------
 
@@ -270,32 +269,27 @@ class StreamingSearcher:
 
         A member's candidates are an integer row range of the partition
         (inclusive ``[m - delta, m + delta]``, matching MassIndex
-        windows), served by one flat posting probe or matrix pair-kernel
-        call per block.
+        windows), served by one flat posting probe per block — or, for a
+        scorer the postings cannot serve, scored directly like overflow
+        spans.
         """
         arrays = index.arrays
-        row_mass = arrays["row_mass"]
-        scorer = self.scorer
-
-        def score(spectra, kept):
-            scores = index.score_block(scorer, spectra, kept)
-            return scores, 0, len(scores)
-
-        def columns(rows):
-            return (
-                arrays["row_protein"][rows],
-                arrays["row_start"][rows],
-                arrays["row_stop"][rows],
-                arrays["row_mass"][rows],
-                np.zeros(len(rows), dtype=np.float64),
-            )
-
+        spans = CandidateSpans(
+            arrays["row_seq"],
+            arrays["row_start"],
+            arrays["row_stop"],
+            arrays["row_mass"],
+            np.zeros(index.num_rows, dtype=np.float64),
+        )
+        score, columns = self._span_scoring(
+            spans, index if self._posting_served else None
+        )
         self._offer_ranges(
             queries,
             members,
-            np.searchsorted(row_mass, lows, side="left"),
-            np.searchsorted(row_mass, highs, side="right"),
-            index.row_length,
+            np.searchsorted(spans.mass, lows, side="left"),
+            np.searchsorted(spans.mass, highs, side="right"),
+            spans.lengths,
             score,
             columns,
             hitlists,
@@ -317,34 +311,13 @@ class StreamingSearcher:
 
         Exactly the resident searcher's overflow stream: spans the index
         cannot hold (mass-sorted in the overflow blob, so a member's are
-        again one range) are materialized as a
-        :class:`~repro.candidates.batch.CandidateBatch` against the
-        mmapped database and scored with ``block_scores`` — bitwise the
-        scores the resident index's ``row == -1`` spans get.
+        again one range) get bitwise the scores the resident index's
+        ``row == -1`` spans get.
         """
-        spans = self._get_overflow()
+        spans = self.store.load_overflow()
         if len(spans) == 0:
             return
-        db = self.database
-        scorer = self.scorer
-
-        def score(spectra, kept):
-            # one shared batch over the block's union of spans
-            union = np.unique(np.concatenate(kept))
-            batch = CandidateBatch.from_spans(db, spans.take(union), {})
-            local = [np.searchsorted(union, sel) for sel in kept]
-            scores = block_scores(scorer, spectra, batch, local)
-            return scores, len(scores), 0
-
-        def columns(sel):
-            return (
-                db.ids[spans.seq_index[sel]],
-                spans.start[sel],
-                spans.stop[sel],
-                spans.mass[sel],
-                spans.mod_delta[sel],
-            )
-
+        score, columns = self._span_scoring(spans, None)
         o_lo = np.searchsorted(spans.mass, lows, side="left")
         o_hi = np.searchsorted(spans.mass, highs, side="right")
         hit = np.flatnonzero(o_hi > o_lo)  # few windows reach an overflow span
@@ -360,6 +333,47 @@ class StreamingSearcher:
             stats,
             obs,
         )
+
+    def _span_scoring(self, spans: CandidateSpans, index):
+        """The ``(score, columns)`` pair for spans out of the store's database.
+
+        What :func:`~repro.core.search.score_and_offer_block` needs to
+        score and emit positions of ``spans`` (a partition's rows, or the
+        overflow blob).  With ``index`` — the partition's posting view,
+        whose row ``r`` is ``spans[r]`` — a block is one posting probe;
+        without, its union of spans is materialized as one shared
+        :class:`~repro.candidates.batch.CandidateBatch` against the
+        database and scored with ``block_scores``.  Protein ids always
+        come from the database buffers.
+        """
+        db = self.database
+        scorer = self.scorer
+
+        if index is not None:
+
+            def score(spectra, kept):
+                scores = index.score_block(scorer, spectra, kept)
+                return scores, 0, len(scores)
+
+        else:
+
+            def score(spectra, kept):
+                union = np.unique(np.concatenate(kept))
+                batch = CandidateBatch.from_spans(db, spans.take(union), {})
+                local = [np.searchsorted(union, sel) for sel in kept]
+                scores = block_scores(scorer, spectra, batch, local)
+                return scores, len(scores), 0
+
+        def columns(sel):
+            return (
+                db.ids[spans.seq_index[sel]],
+                spans.start[sel],
+                spans.stop[sel],
+                spans.mass[sel],
+                spans.mod_delta[sel],
+            )
+
+        return score, columns
 
     def _offer_ranges(
         self,

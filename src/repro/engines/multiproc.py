@@ -403,7 +403,7 @@ def run_multiprocess_search(
     hits remain bitwise identical to the direct path.
 
     When ``index_path`` names a *partitioned* store
-    (``repro.index_store_partitioned/1``) the decomposition changes
+    (``repro.index_store_partitioned/2``) the decomposition changes
     from database shards to disjoint contiguous partition ranges, one per
     worker: a task streams its ``[lo, hi)`` slice of m/z partitions through a
     :class:`~repro.core.streaming.StreamingSearcher` (double-buffered
@@ -621,11 +621,11 @@ def run_multiprocess_search(
         extras["partition_ranges"] = [list(r) for r in partition_ranges]
         extras["index_stream_bytes"] = int(store.blob_bytes)
         extras["index_decoded_bytes"] = int(store.decoded_bytes)
-        extras["index_provenance"] = store.provenance("streamed")
+        extras["index_provenance"] = store.provenance()
     elif store is not None:
         extras["index_path"] = str(index_path)
         extras["index_mmap_bytes"] = int(store.nbytes)
-        extras["index_provenance"] = store.provenance("loaded")
+        extras["index_provenance"] = store.provenance()
     return SearchReport(
         algorithm="multiprocess",
         num_ranks=num_workers,

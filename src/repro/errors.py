@@ -178,8 +178,9 @@ class IndexCompatError(ConfigError):
     """A search was configured with options a persisted index cannot serve.
 
     Raised when ``--index-path`` is combined with options that
-    contradict it (``--no-index``, a simulated engine, a non-indexable
-    scorer, a shard layout the store does not hold).  Subclasses
+    contradict it (a simulated engine, modeled execution, a shard
+    layout the store does not hold, variable modifications over a
+    streamed store).  Subclasses
     :class:`ConfigError` because it is a configuration contradiction,
     not a corrupt store.
     """

@@ -6,17 +6,21 @@ therefore their fragment m/z values — never change.  Following the
 HiCOPS observation that a precomputed fragment-ion index amortized over
 all queries is the decisive optimization for large-scale MS search, this
 module enumerates a shard's candidate spans *once*, generates every
-fragment m/z with the existing batched kernels, and stores two
-structures:
+fragment m/z with the existing batched kernels, and stores one
+structure: **CSR-style posting lists** — all fragments sorted by
+``(m/z bin, candidate row)``, with a direct bin -> offset table, so
+"which candidates explain this observed peak" is a vectorized bisection
+restricted to the query's candidate-row range.  There are two lists: the
+b+y ladder (shared-peak counting) and the series-tagged b / y fragments
+(per-series matched intensity).
 
-* **per-length fragment matrices** — the sorted b+y ladder and the
-  separate b / y fragment matrices for every indexed span, cached so
-  scorers that need whole rows (xcorr binning, likelihood models) gather
-  instead of recomputing; and
-* **CSR-style posting lists** — all fragments sorted by
-  ``(m/z bin, candidate row)`` with a combined integer key, so "which
-  candidates explain this observed peak" is a vectorized bisection
-  restricted to the query's candidate-row range.
+That is all the index is.  A scorer is index-served iff it defines
+``score_index_block`` (shared_peaks, hyperscore: their scores are
+functions of which peaks match which candidates, exactly what a posting
+probe returns).  Scorers that need a candidate's whole model spectrum
+(xcorr, the likelihood models, hypergeometric) are scored directly from
+the database: regenerating a row costs no more than fetching a cached
+one, and caching them doubled the index.
 
 Rows are *precursor-major*: spans are sorted by unmodified span mass, so
 a query's candidate set occupies one contiguous row range and posting
@@ -29,9 +33,9 @@ Construction and consumption are separate types:
 * :class:`IndexBuilder` is pure construction: it turns a shard into a
   :class:`BuiltIndex` — a schema-versioned
   :class:`~repro.index.layout.IndexLayout` descriptor plus a dict of
-  named, contiguous flat arrays (every matrix flattened to a 1-D
-  buffer).  Nothing in the built state is an object graph, which is
-  what makes zero-copy persistence possible (see :mod:`repro.store`).
+  named, contiguous flat arrays.  Nothing in the built state is an
+  object graph, which is what makes zero-copy persistence possible (see
+  :mod:`repro.store`).
 * :class:`FragmentIndex` is a *read-only view* wired over such arrays.
   It is agnostic to their backing: the heap arrays a fresh build
   produces (``IndexBuilder(...).build(shard).view()``) and the
@@ -40,9 +44,9 @@ Construction and consumption are separate types:
 
 Exactness contract
 ------------------
-Every value served from the index is produced by the same batched
-kernels the direct :class:`~repro.candidates.batch.CandidateBatch` path
-runs per block, and every probe evaluates the same match predicate
+Every posting m/z is produced by the same batched kernels the direct
+:class:`~repro.candidates.batch.CandidateBatch` path runs per block,
+and every probe evaluates the same match predicate
 (``p - tol <= f <= p + tol`` on identically-computed floats), so
 index-served scores are bitwise identical to ``block_scores`` — the
 property tests in ``tests/property/test_prop_index.py`` and
@@ -61,7 +65,7 @@ identical with or without an index by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +74,7 @@ from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.errors import IndexStoreError
 from repro.index.layout import PARTITION_SCHEMA, ArraySpec, IndexLayout
-from repro.spectra.binning import _ragged_arange, group_by_key, row_segment_sums
+from repro.spectra.binning import _ragged_arange, row_segment_sums
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
 #: series codes stored in the b/y posting list
@@ -107,68 +111,38 @@ def _bisect_segments(
 
 @dataclass(frozen=True)
 class _PostingList:
-    """Fragments sorted by the combined ``bin * (num_rows + 1) + row`` key.
+    """Fragments sorted by ``(m/z bin, candidate row)``.
 
-    Sorting by the combined key keeps each bin's postings ordered by
-    candidate row, so restricting a probe to the query's row range
-    ``[r0, r1)`` is one extra pair of binary searches instead of a
-    post-hoc filter over every posting near the peak.
+    Keeping each bin's postings ordered by candidate row makes
+    restricting a probe to the query's row range ``[r0, r1)`` one pair
+    of bisections inside the bin's run instead of a post-hoc filter over
+    every posting near the peak.
     """
 
-    key: np.ndarray  # int64, sorted ascending
-    mz: np.ndarray  # float64 fragment m/z, aligned to key
-    row: np.ndarray  # int64 candidate row, aligned to key
+    mz: np.ndarray  # float64 fragment m/z
+    row: np.ndarray  # int64 candidate row, aligned to mz
     series: Optional[np.ndarray]  # uint8 series code, or None (ladder list)
     #: direct bin → posting-offset table: postings of bin ``b`` occupy
-    #: ``key[bin_start[b]:bin_start[b + 1]]``.  Lets cohort-scale probes
-    #: skip the key binary search entirely and bisect only each bin's own
-    #: row run (:func:`_bisect_segments`).
-    bin_start: np.ndarray = None  # type: ignore[assignment]
-
-    @property
-    def nbytes(self) -> int:
-        total = self.key.nbytes + self.mz.nbytes + self.row.nbytes
-        if self.series is not None:
-            total += self.series.nbytes
-        if self.bin_start is not None:
-            total += self.bin_start.nbytes
-        return int(total)
-
-
-@dataclass(frozen=True)
-class _LengthGroup:
-    """Cached fragment matrices for all indexed spans of one length.
-
-    The matrices are 2-D *views* into the flat ``group_ladder`` /
-    ``group_b`` / ``group_y`` buffers — zero copy whether those buffers
-    live on the heap or in a memory map.
-    """
-
-    length: int
-    rows: np.ndarray  # global row ids, ascending
-    ladder: np.ndarray  # (n, 2 * (L - 1)) sorted b+y ladder
-    b: np.ndarray  # (n, L - 1) b-series fragment m/z
-    y: np.ndarray  # (n, L - 1) y-series fragment m/z
-
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.rows.nbytes + self.ladder.nbytes + self.b.nbytes + self.y.nbytes
-        )
+    #: ``[bin_start[b], bin_start[b + 1])``, ``row`` ascending within.
+    #: Cohort-scale probes bisect only each bin's own row run
+    #: (:func:`_bisect_segments`).
+    bin_start: np.ndarray
 
 
 def _build_postings(
     parts, bin_width: float, num_rows: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Flatten (matrix, rows, series) parts into sorted posting arrays.
 
-    Returns ``(key, mz, row, series, bin_start)``; ``series`` is None
-    for the untagged ladder list.
+    Returns ``(mz, row, series, bin_start)``; ``series`` is None for the
+    untagged ladder list.  The sort runs on the combined
+    ``bin * (num_rows + 1) + row`` key, which the partition blob also
+    stores in place of ``row`` and ``bin_start``.
     """
     parts = [(m, r, s) for m, r, s in parts if m.size]
     if not parts:
         empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0), empty, None, np.zeros(1, dtype=np.int64)
+        return np.empty(0), empty, None, np.zeros(1, dtype=np.int64)
     mz = np.concatenate([m.ravel() for m, _r, _s in parts])
     row = np.concatenate([np.repeat(r, m.shape[1]) for m, r, _s in parts])
     tagged = parts[0][2] is not None
@@ -180,12 +154,10 @@ def _build_postings(
     bins = (mz / bin_width).astype(np.int64)
     key = bins * (num_rows + 1) + row
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    bins_sorted = sorted_key // (num_rows + 1)
+    bins_sorted = bins[order]
     num_bins = int(bins_sorted[-1]) + 1
     bin_start = np.searchsorted(bins_sorted, np.arange(num_bins + 1))
     return (
-        sorted_key,
         mz[order],
         row[order],
         series[order] if series is not None else None,
@@ -256,7 +228,6 @@ class IndexBuilder:
         # row range, which the posting-probe row restriction relies on.
         spans = spans.take(np.argsort(spans.mass, kind="stable"))
         num_rows = len(spans)
-        row_length = np.ascontiguousarray(spans.lengths, dtype=np.int64)
 
         # Span -> row maps keyed on flat residue position: a prefix span
         # is identified by the position it ends at, a suffix span by the
@@ -273,7 +244,7 @@ class IndexBuilder:
         prefix_row[off[pre] + spans.stop[pre] - 1] = rows[pre]
         suffix_row[off[suf] + spans.start[suf]] = rows[suf]
 
-        arrays, num_fragments = self._fragment_arrays(shard, spans)
+        arrays, num_fragments = self._posting_arrays(shard, spans)
         arrays.update(
             {
                 "shard_residues": shard.residues,
@@ -312,15 +283,15 @@ class IndexBuilder:
 
         Instead of the flat-position span->row maps (which need O(shard)
         memory and are only used by :meth:`FragmentIndex.rows_for`), a
-        partition stores hit-emission columns: ``row_protein`` /
-        ``row_start`` / ``row_stop`` / ``row_mass``.
+        partition stores its spans: ``row_seq`` / ``row_start`` /
+        ``row_stop`` / ``row_mass``, mass-sorted — hit emission reads
+        them, and a scorer the postings cannot serve scores them
+        directly against the database.
         """
-        arrays, num_fragments = self._fragment_arrays(shard, spans)
+        arrays, num_fragments = self._posting_arrays(shard, spans)
         arrays.update(
             {
-                "row_protein": np.ascontiguousarray(
-                    shard.ids[spans.seq_index], dtype=np.int64
-                ),
+                "row_seq": np.ascontiguousarray(spans.seq_index, dtype=np.int64),
                 "row_start": np.ascontiguousarray(spans.start, dtype=np.int64),
                 "row_stop": np.ascontiguousarray(spans.stop, dtype=np.int64),
                 "row_mass": np.ascontiguousarray(spans.mass, dtype=np.float64),
@@ -341,74 +312,43 @@ class IndexBuilder:
         )
         return layout, arrays
 
-    def _fragment_arrays(
+    def _posting_arrays(
         self, shard: ProteinDatabase, spans: CandidateSpans
     ) -> Tuple[Dict[str, np.ndarray], int]:
-        """Fragment matrices + posting lists for a row-ordered span set.
+        """Both posting lists for a row-ordered span set.
 
         The shared core of :meth:`build` (whole shard) and
-        :meth:`build_partition` (one mass slice): per-length dense
+        :meth:`build_partition` (one mass slice): per-length fragment
         matrices generated with the same batched kernels the direct
-        scoring path runs per query, flattened into contiguous buffers,
-        plus both posting lists keyed on local row ids.
+        scoring path runs per block, sorted into posting lists keyed on
+        local row ids.  The matrices themselves are not kept.
         """
         num_rows = len(spans)
-        row_length = np.ascontiguousarray(spans.lengths, dtype=np.int64)
-        group_pos = np.empty(num_rows, dtype=np.int64)
+        lengths = spans.lengths
         table = mass_table(self.monoisotopic)
         abs_start = shard.offsets[spans.seq_index] + spans.start
-        unique_lengths = np.unique(row_length) if num_rows else np.empty(0, np.int64)
-        group_rows: List[np.ndarray] = []
-        ladders: List[np.ndarray] = []
-        b_mats: List[np.ndarray] = []
-        y_mats: List[np.ndarray] = []
-        for length in unique_lengths:
-            length = int(length)
-            grp_rows = np.nonzero(row_length == length)[0]
-            mat = shard.residues[abs_start[grp_rows][:, None] + np.arange(length)]
-            mass_rows = table[mat]
-            group_rows.append(grp_rows)
-            ladders.append(by_ion_ladder_rows(mass_rows))
-            b_mats.append(fragment_mz_rows(mass_rows, IonSeries.B))
-            y_mats.append(fragment_mz_rows(mass_rows, IonSeries.Y))
-            group_pos[grp_rows] = np.arange(len(grp_rows), dtype=np.int64)
-
-        lad_key, lad_mz, lad_row, _lad_series, lad_bin_start = _build_postings(
-            [(m, r, None) for m, r in zip(ladders, group_rows)],
-            self.bin_width,
-            num_rows,
+        ladder_parts = []
+        series_parts = []
+        for length in np.unique(lengths).tolist():
+            rows = np.nonzero(lengths == length)[0]
+            mass_rows = table[shard.residues[abs_start[rows][:, None] + np.arange(length)]]
+            ladder_parts.append((by_ion_ladder_rows(mass_rows), rows, None))
+            for series in (IonSeries.B, IonSeries.Y):
+                series_parts.append(
+                    (fragment_mz_rows(mass_rows, series), rows, _SERIES_CODE[series.value])
+                )
+        lad_mz, lad_row, _untagged, lad_bin_start = _build_postings(
+            ladder_parts, self.bin_width, num_rows
         )
-        ser_key, ser_mz, ser_row, ser_tag, ser_bin_start = _build_postings(
-            [(m, r, _SERIES_CODE["b"]) for m, r in zip(b_mats, group_rows)]
-            + [(m, r, _SERIES_CODE["y"]) for m, r in zip(y_mats, group_rows)],
-            self.bin_width,
-            num_rows,
+        ser_mz, ser_row, ser_tag, ser_bin_start = _build_postings(
+            series_parts, self.bin_width, num_rows
         )
         if ser_tag is None:  # empty shard: keep the tag column materialized
             ser_tag = np.empty(0, dtype=np.uint8)
-
-        def _cat(mats: List[np.ndarray], dtype) -> np.ndarray:
-            if not mats:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([np.ascontiguousarray(m).ravel() for m in mats])
-
-        counts = np.array([len(r) for r in group_rows], dtype=np.int64)
         arrays: Dict[str, np.ndarray] = {
-            "row_length": row_length,
-            "group_pos": group_pos,
-            "group_lengths": np.ascontiguousarray(unique_lengths, dtype=np.int64),
-            "group_row_splits": np.concatenate(
-                ([0], np.cumsum(counts))
-            ).astype(np.int64),
-            "group_rows": _cat(group_rows, np.int64),
-            "group_ladder": _cat(ladders, np.float64),
-            "group_b": _cat(b_mats, np.float64),
-            "group_y": _cat(y_mats, np.float64),
-            "ladder_key": lad_key,
             "ladder_mz": lad_mz,
             "ladder_row": lad_row,
             "ladder_bin_start": lad_bin_start,
-            "series_key": ser_key,
             "series_mz": ser_mz,
             "series_row": ser_row,
             "series_tag": ser_tag,
@@ -438,46 +378,19 @@ class FragmentIndex:
         self.max_length = layout.max_length
         self.bin_width = layout.bin_width
         self.num_fragments = layout.num_fragments
-        self.row_length = arrays["row_length"]
-        # Partition views carry hit-emission columns instead of the
-        # flat-position span->row maps; ``rows_for`` guards on their
-        # absence (streamed scoring selects rows by searchsorted on
-        # ``row_mass``, never via rows_for).
+        # Partition views carry their spans (``row_*`` columns) instead
+        # of the flat-position span->row maps; ``rows_for`` guards on
+        # their absence (streamed scoring selects rows by searchsorted
+        # on ``row_mass``, never via rows_for).
         self._prefix_row = arrays.get("prefix_row")
         self._suffix_row = arrays.get("suffix_row")
-        self._group_pos = arrays["group_pos"]
-        self._groups: Dict[int, _LengthGroup] = {}
-        g_len = arrays["group_lengths"]
-        splits = arrays["group_row_splits"]
-        flat_rows = arrays["group_rows"]
-        lad, b_flat, y_flat = (
-            arrays["group_ladder"],
-            arrays["group_b"],
-            arrays["group_y"],
-        )
-        lad_off = ser_off = 0
-        for g in range(len(g_len)):
-            length = int(g_len[g])
-            lo, hi = int(splits[g]), int(splits[g + 1])
-            n, w = hi - lo, length - 1
-            self._groups[length] = _LengthGroup(
-                length=length,
-                rows=flat_rows[lo:hi],
-                ladder=lad[lad_off : lad_off + n * 2 * w].reshape(n, 2 * w),
-                b=b_flat[ser_off : ser_off + n * w].reshape(n, w),
-                y=y_flat[ser_off : ser_off + n * w].reshape(n, w),
-            )
-            lad_off += n * 2 * w
-            ser_off += n * w
         self._ladder_postings = _PostingList(
-            arrays["ladder_key"],
             arrays["ladder_mz"],
             arrays["ladder_row"],
             None,
             arrays["ladder_bin_start"],
         )
         self._series_postings = _PostingList(
-            arrays["series_key"],
             arrays["series_mz"],
             arrays["series_row"],
             arrays["series_tag"],
@@ -497,7 +410,7 @@ class FragmentIndex:
         the layout's own ``shard_*`` buffers, so a persisted directory
         is self-contained.  Partition views (``PARTITION_SCHEMA``) carry
         no shard buffers; callers may pass the database explicitly, but
-        scoring never touches it — every kernel reads only the decoded
+        posting probes never touch it — they read only the decoded
         arrays.
         """
         if shard is None and "shard_residues" in arrays:
@@ -508,7 +421,7 @@ class FragmentIndex:
 
     @property
     def nbytes(self) -> int:
-        """Index memory footprint (maps + matrices + posting lists).
+        """Index memory footprint (row maps or columns + posting lists).
 
         Excludes the shard's own buffers, matching the historical
         accounting (the shard is charged separately by whoever holds it).
@@ -537,22 +450,6 @@ class FragmentIndex:
         pos = np.where(is_prefix, off + spans.stop - 1, off + spans.start)
         found = np.where(is_prefix, self._prefix_row[pos], self._suffix_row[pos])
         return np.where(spans.mod_delta == 0.0, found, -1)
-
-    # -- cached-matrix access (xcorr / likelihood) -----------------------
-
-    def iter_row_groups(
-        self, rows: np.ndarray
-    ) -> Iterator[Tuple[np.ndarray, _LengthGroup, np.ndarray]]:
-        """Group ``rows`` by candidate length for dense-matrix gathers.
-
-        Yields ``(positions, group, local)`` where ``positions`` indexes
-        into ``rows`` and ``group.ladder[local]`` (etc.) gathers the
-        cached matrices for exactly those rows, in ``rows`` order.
-        """
-        order, runs = group_by_key(self.row_length[rows], self.max_length + 1)
-        local = self._group_pos[rows[order]]
-        for length, a, b in runs:
-            yield order[a:b], self._groups[length], local[a:b]
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
 
@@ -589,9 +486,9 @@ class FragmentIndex:
         pmax = peaks_mz + tolerance
         b0 = np.maximum(np.floor(pmin / self.bin_width).astype(np.int64), 0)
         b1 = np.floor(pmax / self.bin_width).astype(np.int64)
-        # Through the direct bin -> offset table: within bin b the
-        # postings are ``key[bin_start[b]:bin_start[b + 1]]`` with row
-        # ascending, so a peak's rows in that bin are a bisection of its
+        # Through the direct bin -> offset table: bin b's postings are
+        # ``[bin_start[b], bin_start[b + 1])`` with row ascending, so a
+        # peak's rows in that bin are a bisection of its
         # row range in that run; bins past the table's end hold no
         # postings and contribute nothing.
         bin_start = postings.bin_start
@@ -662,7 +559,7 @@ class FragmentIndex:
             np.empty(0, dtype=np.uint8) if none_series else None,
         )
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
-        if sizes.sum() == 0 or batch.num_peaks == 0 or len(postings.key) == 0:
+        if sizes.sum() == 0 or batch.num_peaks == 0 or len(postings.mz) == 0:
             return empty
         # One selection table per member over its own row range, laid end
         # to end: a block packs members whose windows need not overlap, so
@@ -788,22 +685,15 @@ class FragmentIndex:
 
     @staticmethod
     def serves(scorer) -> bool:
-        """Whether ``scorer`` can be index-served: it has one of the
-        block-level index kernels :meth:`score_block` dispatches to, and
-        does not opt out (``indexable`` false: a library-backed model
-        needs per-candidate lookups)."""
-        return (
-            hasattr(scorer, "score_index_block") or hasattr(scorer, "score_matrix_block")
-        ) and bool(getattr(scorer, "indexable", True))
+        """Whether ``scorer`` is index-served: it defines the posting
+        kernel :meth:`score_block` calls.  Any other scorer is scored
+        directly from the database, with or without an index at hand."""
+        return hasattr(scorer, "score_index_block")
 
     def score_block(self, scorer, spectra, row_sets) -> np.ndarray:
-        """Index-served cohort scoring: dispatch to the scorer's cohort kernel.
+        """Index-served cohort scoring: one flat posting probe per block.
 
-        Posting-served models (``score_index_block``) answer from one
-        flat probe; the others (``score_matrix_block``) run their pair
-        kernel over the cached per-length matrices.  Either way the
-        result is one member-major score vector, bitwise identical to
+        Returns one member-major score vector, bitwise identical to
         scoring the same candidates directly (``block_scores``).
         """
-        impl = getattr(scorer, "score_index_block", None) or scorer.score_matrix_block
-        return impl(spectra, self, row_sets)
+        return scorer.score_index_block(spectra, self, row_sets)

@@ -1,12 +1,12 @@
 """Schema-versioned descriptor of the fragment index's flat-array state.
 
 A built :class:`~repro.index.fragment_index.FragmentIndex` is nothing
-but a set of named, contiguous numpy arrays (posting lists, bin-start
-tables, per-length fragment matrices flattened to 1-D buffers, row
-metadata, and the shard's own flat buffers).  :class:`IndexLayout` is
-the single source of truth for that set: which arrays exist, their
-dtypes and shapes, plus the scalar build parameters needed to interpret
-them (``bin_width``, ``max_length``, ...).
+but a set of named, contiguous numpy arrays (the two posting lists with
+their bin-start tables, the row metadata that addresses them, and the
+shard's own flat buffers).  :class:`IndexLayout` is the single source of
+truth for that set: which arrays exist, their dtypes and shapes, plus
+the scalar build parameters needed to interpret them (``bin_width``,
+``max_length``, ...).
 
 The layout is what makes persistence possible: ``repro.store`` writes
 one buffer per manifest entry next to a JSON copy of the layout, and
@@ -14,7 +14,7 @@ reloading is a dtype/shape-checked ``np.load`` per entry — the
 :class:`~repro.index.fragment_index.FragmentIndex` view is agnostic to
 whether the arrays it wires up are heap-allocated or ``np.memmap``
 backed.  ``SCHEMA`` is bumped on breaking shape changes; readers reject
-unknown versions rather than guessing.
+other versions rather than guessing.
 """
 
 from __future__ import annotations
@@ -26,84 +26,66 @@ from repro.errors import IndexStoreError
 
 #: schema identifier for one shard's flat-array layout; bump the
 #: trailing integer on breaking changes to the array set or semantics
-SCHEMA = "repro.fragment_index/1"
+#: (/2: the per-length fragment matrices and the posting key columns
+#: are gone — the index is its posting lists)
+SCHEMA = "repro.fragment_index/2"
 
 #: schema identifier for one m/z *partition* of the out-of-core store
 #: (``repro.store.partitioned``): a mass-contiguous slice of the
-#: precursor-major span set, with hit-emission columns instead of the
-#: flat-position span->row maps (``rows_for`` is never called on a
-#: partition — candidate selection is a searchsorted on ``row_mass``).
-PARTITION_SCHEMA = "repro.fragment_index_partition/1"
+#: precursor-major span set.  Its rows are addressed by mass, not by
+#: flat position (``rows_for`` is never called on a partition —
+#: candidate selection is a searchsorted on ``row_mass``), so it carries
+#: the spans themselves instead of the span->row maps.
+PARTITION_SCHEMA = "repro.fragment_index_partition/2"
 
 #: arrays holding the shard's own ProteinDatabase buffers — saved with
 #: the index so a loaded shard needs nothing beyond the store directory
 SHARD_ARRAYS = ("shard_residues", "shard_offsets", "shard_ids")
 
-#: every array a full-shard layout must describe, in canonical order
-ARRAY_NAMES = SHARD_ARRAYS + (
-    # precursor-major row metadata
-    "row_length",
-    "prefix_row",
-    "suffix_row",
-    "group_pos",
-    # per-length fragment matrices, flattened (see FragmentIndex.__init__)
-    "group_lengths",
-    "group_row_splits",
-    "group_rows",
-    "group_ladder",
-    "group_b",
-    "group_y",
-    # b+y ladder posting list (shared-peaks counting)
-    "ladder_key",
+#: the two posting lists, each sorted by (m/z bin, candidate row): the
+#: b+y ladder list (shared-peak counting) and the series-tagged b / y
+#: list (per-series matched intensity).  ``*_bin_start[b]`` is where bin
+#: ``b``'s run starts; inside a run ``*_row`` ascends.
+POSTING_ARRAYS = (
     "ladder_mz",
     "ladder_row",
     "ladder_bin_start",
-    # series-tagged posting list (per-series matched intensity)
-    "series_key",
     "series_mz",
     "series_row",
     "series_tag",
     "series_bin_start",
 )
 
-#: every array a partition layout describes once decoded.  ``row_*``
-#: columns carry what hit emission needs (protein id, span bounds, the
-#: exact float64 span mass candidate windows select on); the shard
-#: buffers and prefix/suffix maps are absent by design.
+#: every array a full-shard layout must describe, in canonical order:
+#: the shard, the flat-position span -> row maps, the postings
+ARRAY_NAMES = SHARD_ARRAYS + ("prefix_row", "suffix_row") + POSTING_ARRAYS
+
+#: every array a partition layout describes once decoded.  The ``row_*``
+#: columns are the partition's spans (sequence index, bounds, and the
+#: exact float64 span mass candidate windows select on) — what a posting
+#: probe's hit emission and a posting-less scorer's direct pass both
+#: read; the shard buffers and prefix/suffix maps are absent by design.
 PARTITION_ARRAY_NAMES = (
-    "row_length",
-    "row_protein",
+    "row_seq",
     "row_start",
     "row_stop",
     "row_mass",
-    "group_pos",
-    "group_lengths",
-    "group_row_splits",
-    "group_rows",
-    "group_ladder",
-    "group_b",
-    "group_y",
+) + POSTING_ARRAYS
+
+#: the sections a partition blob stores, in blob order.  A posting
+#: list's ``row`` and ``bin_start`` are stored as one delta-coded
+#: ``*_key`` section (``key = bin * (num_rows + 1) + row``, sorted, so
+#: its deltas are tiny): the key is an encoding, never a decoded array.
+PARTITION_STORED_ARRAYS = (
+    "row_seq",
+    "row_start",
+    "row_stop",
+    "row_mass",
     "ladder_key",
     "ladder_mz",
-    "ladder_row",
-    "ladder_bin_start",
     "series_key",
     "series_mz",
-    "series_row",
     "series_tag",
-    "series_bin_start",
-)
-
-#: the subset of partition arrays that is actually persisted in the
-#: compressed blob.  Posting rows and bin-start tables are derived at
-#: decode time from the keys alone (``row = key % (num_rows + 1)``,
-#: ``bin_start`` by one searchsorted over the key's bin component), so
-#: storing them would only inflate the blob.
-PARTITION_STORED_ARRAYS = tuple(
-    name
-    for name in PARTITION_ARRAY_NAMES
-    if name
-    not in ("ladder_row", "ladder_bin_start", "series_row", "series_bin_start")
 )
 
 #: layout schema -> required decoded-array set
@@ -211,8 +193,9 @@ class IndexLayout:
             raise IndexStoreError(f"unrecognized index layout schema {schema!r}")
         if schema not in SCHEMA_ARRAYS:
             raise IndexStoreError(
-                f"unsupported index layout schema {schema!r} "
-                f"(this build reads {sorted(SCHEMA_ARRAYS)})"
+                f"unsupported index layout schema {schema!r} (this build "
+                f"reads {sorted(SCHEMA_ARRAYS)}); rebuild the store with "
+                f"`repro index build`"
             )
         try:
             arrays = {

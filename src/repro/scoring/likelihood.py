@@ -41,14 +41,7 @@ from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import match_peaks, match_peaks_pairs
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import flatten_members
-from repro.spectra.theoretical import (
-    IonSeries,
-    combine_fragment_rows,
-    series_weight,
-    theoretical_spectrum,
-    theoretical_spectrum_rows,
-)
+from repro.spectra.theoretical import theoretical_spectrum, theoretical_spectrum_rows
 
 
 class LikelihoodRatioScorer:
@@ -120,11 +113,6 @@ class LikelihoodRatioScorer:
         llr_unmatched = np.log((1.0 - p1) / (1.0 - p0))
         return float(np.where(matched, llr_matched, llr_unmatched).sum())
 
-    @property
-    def indexable(self) -> bool:
-        """Library-backed models need per-candidate lookups; no index then."""
-        return self.library is None
-
     def _llr_rows(self, matched: np.ndarray, p0, model_int: np.ndarray) -> np.ndarray:
         """Row sums of the per-fragment Bernoulli log-likelihood ratios.
 
@@ -179,25 +167,3 @@ class LikelihoodRatioScorer:
         return score_block_pairs(
             batch, selections, -math.inf, prepare, self.pair_kernel(spectra)
         )
-
-    def score_matrix_block(self, spectra, index, row_sets):
-        """Index-served cohort scoring off the cached b/y fragment matrices.
-
-        The pair kernel of :meth:`score_block`, fed model rows assembled
-        with :func:`combine_fragment_rows` instead of regenerated ones.
-        (Not named ``score_index_block``: that name marks the
-        posting-served scorers.)
-        """
-        kernel = self.pair_kernel(spectra)
-        rows, member = flatten_members(row_sets)
-        out = np.full(len(rows), -math.inf)
-        for positions, group, local in index.iter_row_groups(rows):
-            model_mz, model_int = combine_fragment_rows(
-                [
-                    (group.b[local], series_weight(IonSeries.B)),
-                    (group.y[local], series_weight(IonSeries.Y)),
-                ],
-                len(positions),
-            )
-            out[positions] = kernel(member[positions], model_mz, model_int)
-        return out

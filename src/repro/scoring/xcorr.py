@@ -23,7 +23,6 @@ import numpy as np
 from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import bin_spectrum, row_segment_sums
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import flatten_members
 from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
 
 
@@ -97,10 +96,7 @@ class XCorrScorer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row Xcorr sums and unique-bin counts for a ladder matrix.
 
-        The direct and the index-served block paths feed it the same
-        ladder rows (regenerated vs. cached), so both produce
-        bitwise-identical scores.  A cohort of one passes its member's
-        preprocessed vector; a larger cohort passes the members' vectors
+        A cohort of one passes its member's preprocessed vector; a larger cohort passes the members' vectors
         concatenated as ``processed`` with, per row, its member's bin
         ``limit`` (a column) and ``base`` offset into the concatenation;
         a row then keeps the same bins and sums the same values in the
@@ -170,17 +166,3 @@ class XCorrScorer:
         return score_block_pairs(
             batch, selections, -np.inf, prepare, self.pair_kernel(spectra)
         )
-
-    def score_matrix_block(self, spectra, index, row_sets):
-        """Index-served cohort scoring off the cached ladder matrices.
-
-        The pair kernel of :meth:`score_block`, fed gathered cached rows
-        instead of regenerated ones.  (Not named ``score_index_block``:
-        that name marks the posting-served scorers.)
-        """
-        kernel = self.pair_kernel(spectra)
-        rows, member = flatten_members(row_sets)
-        out = np.full(len(rows), -np.inf)
-        for positions, group, local in index.iter_row_groups(rows):
-            out[positions] = kernel(member[positions], group.ladder[local])
-        return out

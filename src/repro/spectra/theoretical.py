@@ -85,16 +85,6 @@ def fragment_mz(
 _SERIES_WEIGHT = {IonSeries.B: 0.8, IonSeries.Y: 1.0, IonSeries.A: 0.25}
 
 
-def series_weight(series: IonSeries, charge: int = 1) -> float:
-    """Model-spectrum intensity of one ion series at one charge state.
-
-    Exposed so index-served scoring can rebuild model intensities with the
-    exact weights (and the exact ``w / z`` division) the batched kernel
-    uses — any drift here would break the bitwise-equality contract.
-    """
-    return _SERIES_WEIGHT[series] / charge
-
-
 def theoretical_spectrum(
     encoded: np.ndarray,
     series: Sequence[IonSeries] = (IonSeries.B, IonSeries.Y),
@@ -156,29 +146,6 @@ def fragment_mz_rows(
     return (neutral + charge * PROTON_MASS) / charge
 
 
-def combine_fragment_rows(
-    parts: Sequence[Tuple[np.ndarray, float]], n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge weighted fragment matrices into sorted model-spectrum rows.
-
-    ``parts`` is a sequence of ``(frag_rows, weight)`` pairs — one per ion
-    series/charge — in the same order :func:`theoretical_spectrum_rows`
-    generates them.  This is the shared tail of the batched model-spectrum
-    kernel; the fragment index reuses it on cached fragment matrices so
-    index-served likelihood models are bitwise identical to regenerated
-    ones.
-    """
-    if not parts:
-        return np.empty((n, 0)), np.empty((n, 0))
-    mz = np.concatenate([frag for frag, _w in parts], axis=1)
-    intensity = np.concatenate([np.full(frag.shape, w) for frag, w in parts], axis=1)
-    order = np.argsort(mz, axis=1, kind="stable")
-    return (
-        np.take_along_axis(mz, order, axis=1),
-        np.take_along_axis(intensity, order, axis=1),
-    )
-
-
 def theoretical_spectrum_rows(
     mass_rows: np.ndarray,
     series: Sequence[IonSeries] = (IonSeries.B, IonSeries.Y),
@@ -190,13 +157,24 @@ def theoretical_spectrum_rows(
     stable key the scalar kernel uses, so row ``r`` reproduces the scalar
     model spectrum of candidate ``r`` bit for bit.
     """
-    n = mass_rows.shape[0]
-    parts = []
+    mz_parts = []
+    int_parts = []
     for s in series:
         w = _SERIES_WEIGHT[s]
         for z in charges:
-            parts.append((fragment_mz_rows(mass_rows, s, z), w / z))
-    return combine_fragment_rows(parts, n)
+            frag = fragment_mz_rows(mass_rows, s, z)
+            mz_parts.append(frag)
+            int_parts.append(np.full(frag.shape, w / z))
+    if not mz_parts:
+        n = mass_rows.shape[0]
+        return np.empty((n, 0)), np.empty((n, 0))
+    mz = np.concatenate(mz_parts, axis=1)
+    intensity = np.concatenate(int_parts, axis=1)
+    order = np.argsort(mz, axis=1, kind="stable")
+    return (
+        np.take_along_axis(mz, order, axis=1),
+        np.take_along_axis(intensity, order, axis=1),
+    )
 
 
 def modified_by_ion_ladder(

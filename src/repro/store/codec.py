@@ -5,13 +5,13 @@ partition as one compressed blob of named sections.  Three codecs cover
 every array the partition schema stores:
 
 * ``dvint`` — delta + varint for *sorted non-decreasing* int64 arrays
-  (posting-list keys, group row splits).  The first value is stored
+  (the posting-list keys).  The first value is stored
   absolutely, every later value as its non-negative difference from the
   previous one; each number is LEB128-style varint bytes (7 payload bits
   per byte, high bit = continuation).  Sorted posting keys delta down to
   tiny integers, so this is where the compression ratio comes from.
 * ``vint`` — plain varint for non-negative int64 arrays that are not
-  sorted (group row ids, span metadata columns).
+  sorted (the span columns).
 * ``zraw`` — ``zlib`` over the raw little-endian bytes, for float64
   m/z / mass buffers and uint8 tags.  zlib is lossless, so decoded
   floats are bit-for-bit the encoded ones — the property tests in
@@ -171,6 +171,6 @@ def codec_for(name: str, arr: np.ndarray) -> str:
     """Pick the codec for one partition array by name/dtype."""
     if arr.dtype == np.float64 or arr.dtype == np.uint8:
         return "zraw"
-    if name in ("ladder_key", "series_key", "group_row_splits"):
+    if name in ("ladder_key", "series_key"):
         return "dvint"
     return "vint"

@@ -1,6 +1,6 @@
 """Directory-based persistent store for built fragment indexes.
 
-On-disk format (schema ``repro.index_store/1``)::
+On-disk format (schema ``repro.index_store/2``)::
 
     <index_dir>/
         header.json             # store schema, fingerprint, build config,
@@ -62,7 +62,7 @@ from repro.obs.metrics import get_metrics
 
 #: schema identifier for the store directory format; readers reject
 #: other versions rather than guessing at semantics
-STORE_SCHEMA = "repro.index_store/1"
+STORE_SCHEMA = "repro.index_store/2"
 
 HEADER_NAME = "header.json"
 
@@ -224,13 +224,11 @@ class StoredIndex:
     def load_all(self, mmap: bool = True) -> List[LoadedShard]:
         return [self.load_shard(i, mmap=mmap) for i in range(self.num_shards)]
 
-    def provenance(self, source: str) -> Dict[str, Any]:
-        """Index-provenance record for RunReport extras.
-
-        ``source`` is ``"loaded"``: served from this store.
-        """
+    def provenance(self) -> Dict[str, Any]:
+        """Index-provenance record for RunReport extras (``source``
+        ``"loaded"``: this store's shards are memory-mapped whole)."""
         return {
-            "source": source,
+            "source": "loaded",
             "fingerprint": self.fingerprint,
             "schema": self.schema,
             "build": dict(self.build),
@@ -341,15 +339,12 @@ def save_index(
     return open_index(path)
 
 
-def open_index(path: Union[str, Path]) -> StoredIndex:
-    """Open and header-validate an index store directory.
+def _read_header(path: Path) -> Dict[str, Any]:
+    """``header.json`` of a store directory of either format, as a dict.
 
-    Cheap: reads only ``header.json`` (schema + manifests); no buffer
-    is touched until :meth:`StoredIndex.load_shard`.  Raises
-    :class:`IndexStoreError` for a missing directory, unreadable or
-    malformed header, or an unsupported schema version.
+    Raises :class:`IndexStoreError` for a missing directory or an
+    unreadable or malformed header.
     """
-    path = Path(path)
     header_path = path / HEADER_NAME
     if not path.is_dir() or not header_path.is_file():
         raise IndexStoreError(
@@ -363,13 +358,28 @@ def open_index(path: Union[str, Path]) -> StoredIndex:
         raise IndexStoreError(f"index store header {header_path} is unreadable: {exc}") from None
     if not isinstance(header, dict):
         raise IndexStoreError(f"index store header {header_path} is not a JSON object")
+    return header
+
+
+def open_index(path: Union[str, Path]) -> StoredIndex:
+    """Open and header-validate an index store directory.
+
+    Cheap: reads only ``header.json`` (schema + manifests); no buffer
+    is touched until :meth:`StoredIndex.load_shard`.  Raises
+    :class:`IndexStoreError` for a missing directory, unreadable or
+    malformed header, or an unsupported schema version.
+    """
+    path = Path(path)
+    header_path = path / HEADER_NAME
+    header = _read_header(path)
     schema = header.get("schema")
     if not isinstance(schema, str) or not schema.startswith("repro.index_store/"):
         raise IndexStoreError(f"unrecognized index store schema {schema!r} in {header_path}")
     if schema != STORE_SCHEMA:
         raise IndexStoreError(
             f"unsupported index store schema {schema!r} in {header_path} "
-            f"(this build reads {STORE_SCHEMA})"
+            f"(this build reads {STORE_SCHEMA}); rebuild the store with "
+            f"`repro index build`"
         )
     try:
         fingerprint = header["fingerprint"]

@@ -7,15 +7,15 @@ the product of Algorithm B's counting sort — is promoted to the on-disk
 layout itself, cut into *mass-contiguous partitions* small enough to
 decode one (plus one prefetched) at a time.
 
-On-disk format (schema ``repro.index_store_partitioned/1``)::
+On-disk format (schema ``repro.index_store_partitioned/2``)::
 
     <store_dir>/
         header.json           # schema, fingerprint, build config,
                               # database manifest, partition directory
         database/
             residues.npy      # the source database's flat buffers,
-            offsets.npy       # mmap-able (overflow scoring + hit
-            ids.npy           # emission need them; partitions do not)
+            offsets.npy       # mmap-able: hit emission and every
+            ids.npy           # directly scored span read them
         partitions/
             p_00000.bin       # one compressed blob per partition
             p_00001.bin
@@ -30,18 +30,18 @@ codec, offset, nbytes per stored array), and the full
 arrays.  The directory is a few KB per partition — the only part of the
 index a streaming search keeps resident for the whole pass.
 
-Each blob is the concatenation of independently compressed *sections*,
-one per stored array of the partition schema
+Each blob is the concatenation of independently compressed *sections*
 (:data:`~repro.index.layout.PARTITION_STORED_ARRAYS`), encoded with the
 codecs in :mod:`repro.store.codec` (sorted posting keys delta+varint,
-floats zlib-raw).  Posting ``row`` columns and bin-start tables are
-*derived* at decode time (``row = key % (num_rows + 1)``, bin starts by
-one searchsorted), exactly reproducing the builder's arrays, so they
-are never stored.
+floats zlib-raw).  A posting list's ``row`` column and bin-start table
+are stored as one combined sorted key (``bin * (num_rows + 1) + row``)
+and taken apart again at decode time, exactly reproducing the builder's
+arrays; the key itself is never a decoded array.
 
 Spans outside the index envelope (length < 2 or > ``max_length``) go to
 ``overflow.bin`` — their (seq_index, start, stop, mass) columns, mass
-sorted — and are scored through the direct
+sorted, the same four columns a partition carries for its rows — and
+are scored through the direct
 :class:`~repro.candidates.batch.CandidateBatch` path against the
 mmapped database, exactly as the resident index routes its ``row == -1``
 spans.  Union over partitions + overflow is the complete candidate set,
@@ -62,6 +62,7 @@ prefetch-hit/stall spans in the obs layer.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -88,10 +89,11 @@ from repro.store.index_store import (
     _fsync_dir,
     compute_fingerprint,
     open_index,
+    _read_header,
 )
 
 #: schema identifier for the partitioned store directory format
-PARTITIONED_SCHEMA = "repro.index_store_partitioned/1"
+PARTITIONED_SCHEMA = "repro.index_store_partitioned/2"
 
 DATABASE_DIR = "database"
 PARTITIONS_DIR = "partitions"
@@ -100,13 +102,7 @@ OVERFLOW_NAME = "overflow.bin"
 #: database buffer name -> attribute, in canonical write order
 _DB_BUFFERS = ("residues", "offsets", "ids")
 
-#: overflow section name -> codec, in blob order
-_OVERFLOW_SECTIONS = (
-    ("seq_index", "vint"),
-    ("start", "vint"),
-    ("stop", "vint"),
-    ("mass", "zraw"),
-)
+#: overflow section (a ``CandidateSpans`` column) -> dtype, in blob order
 _OVERFLOW_DTYPES = {
     "seq_index": "int64",
     "start": "int64",
@@ -258,39 +254,58 @@ def _encode_blob(
     return b"".join(parts), tuple(sections)
 
 
-def _derive_posting_arrays(
-    arrays: Dict[str, np.ndarray], num_rows: int
-) -> None:
-    """Recompute the derived posting columns a blob does not store.
+#: stored key section -> the posting list whose ``row`` column and
+#: bin-start table it encodes
+_KEY_SECTIONS = {"ladder_key": "ladder", "series_key": "series"}
 
-    ``row = key % (num_rows + 1)`` inverts the combined posting key, and
-    the bin-start table is the same searchsorted the builder runs —
-    both bitwise identical to the built arrays, which
-    ``layout.check_arrays`` then re-verifies shape/dtype for.
+
+def _with_posting_keys(
+    arrays: Dict[str, np.ndarray], num_rows: int
+) -> Dict[str, np.ndarray]:
+    """``arrays`` plus the stored ``*_key`` encoding of each posting list.
+
+    ``key = bin * (num_rows + 1) + row`` — the sorted key the builder
+    ordered the list by — folds ``row`` and ``bin_start`` into one
+    non-decreasing column whose deltas are tiny.
     """
+    out = dict(arrays)
+    for name, prefix in _KEY_SECTIONS.items():
+        bin_start = arrays[f"{prefix}_bin_start"]
+        bins = np.repeat(np.arange(len(bin_start) - 1), np.diff(bin_start))
+        out[name] = bins * (num_rows + 1) + arrays[f"{prefix}_row"]
+    return out
+
+
+def _split_posting_keys(arrays: Dict[str, np.ndarray], num_rows: int) -> None:
+    """Inverse of :func:`_with_posting_keys`, in place: each decoded
+    ``*_key`` section becomes the ``row`` column and bin-start table it
+    encodes — bitwise the built arrays, which ``layout.check_arrays``
+    then re-verifies shape/dtype for (and reports as missing where a
+    blob had no key section)."""
     base = num_rows + 1
-    for prefix in ("ladder", "series"):
-        key = arrays[f"{prefix}_key"]
-        arrays[f"{prefix}_row"] = (key % base).astype(np.int64)
+    for name, prefix in _KEY_SECTIONS.items():
+        key = arrays.pop(name, None)
+        if key is None:
+            continue
+        arrays[f"{prefix}_row"] = key % base
         if len(key) == 0:
             arrays[f"{prefix}_bin_start"] = np.zeros(1, dtype=np.int64)
             continue
         bins = key // base
-        num_bins = int(bins[-1]) + 1
         arrays[f"{prefix}_bin_start"] = np.searchsorted(
-            bins, np.arange(num_bins + 1)
+            bins, np.arange(int(bins[-1]) + 2)
         ).astype(np.int64)
 
 
 def _decoded_row_bytes(lengths: np.ndarray) -> np.ndarray:
     """Estimated decoded bytes each span contributes to its partition.
 
-    Per row: seven int64/float64 metadata columns, the three fragment
-    matrices (4·(L-1) float64), and both posting lists (ladder
-    2·(L-1)·24 B, series 2·(L-1)·25 B).  Used only to cut partition
-    boundaries; the directory records exact sizes after the build.
+    Per row: four int64/float64 span columns, and 2·(L-1) postings in
+    each list (ladder 16 B, series 17 B apiece).  Used only to cut
+    partition boundaries; the directory records exact sizes after the
+    build.
     """
-    return 56 + 130 * (lengths - 1)
+    return 32 + 66 * (lengths - 1)
 
 
 def enumerate_spans(
@@ -425,7 +440,16 @@ class PartitionedIndex:
         return ProteinDatabase.from_buffers(*bufs)
 
     def load_overflow(self) -> CandidateSpans:
-        """Decode the out-of-envelope spans (mass-sorted)."""
+        """The out-of-envelope spans (mass-sorted, read-only).
+
+        Read, checksummed and decoded on first use, then kept on the
+        handle: the planner and every searcher over this handle share
+        one copy.
+        """
+        return self._overflow_spans
+
+    @functools.cached_property
+    def _overflow_spans(self) -> CandidateSpans:
         entry = self.overflow
         if entry is None or entry.count == 0:
             return CandidateSpans.empty()
@@ -438,18 +462,17 @@ class PartitionedIndex:
         cols: Dict[str, np.ndarray] = {}
         for section in entry.sections:
             buf = blob[section.offset : section.offset + section.nbytes]
-            cols[section.name] = decode_array(
+            col = cols[section.name] = decode_array(
                 buf,
                 section.codec,
                 _OVERFLOW_DTYPES[section.name],
                 (entry.count,),
             )
+            col.flags.writeable = False
+        mod_delta = np.zeros(entry.count, dtype=np.float64)
+        mod_delta.flags.writeable = False
         return CandidateSpans(
-            cols["seq_index"],
-            cols["start"],
-            cols["stop"],
-            cols["mass"],
-            np.zeros(entry.count, dtype=np.float64),
+            cols["seq_index"], cols["start"], cols["stop"], cols["mass"], mod_delta
         )
 
     # -- partition reads --------------------------------------------------
@@ -504,7 +527,10 @@ class PartitionedIndex:
         layout = entry.layout
         arrays: Dict[str, np.ndarray] = {}
         for section in entry.sections:
-            spec = layout.arrays.get(section.name)
+            # a key section decodes to the shape of the ``row`` column
+            # it encodes
+            prefix = _KEY_SECTIONS.get(section.name)
+            spec = layout.arrays.get(f"{prefix}_row" if prefix else section.name)
             if spec is None:
                 raise IndexStoreError(
                     f"partition {i} section {section.name!r} has no manifest "
@@ -514,7 +540,7 @@ class PartitionedIndex:
             arrays[section.name] = decode_array(
                 buf, section.codec, spec.dtype, spec.shape
             )
-        _derive_posting_arrays(arrays, layout.num_rows)
+        _split_posting_keys(arrays, layout.num_rows)
         problems = layout.check_arrays(arrays)
         if problems:
             raise IndexStoreError(
@@ -537,10 +563,11 @@ class PartitionedIndex:
 
     # -- reporting ---------------------------------------------------------
 
-    def provenance(self, source: str) -> Dict[str, Any]:
-        """Index-provenance record for RunReport extras."""
+    def provenance(self) -> Dict[str, Any]:
+        """Index-provenance record for RunReport extras (``source``
+        ``"streamed"``: partitions are decoded as the pass reaches them)."""
         return {
-            "source": source,
+            "source": "streamed",
             "fingerprint": self.fingerprint,
             "schema": self.schema,
             "build": dict(self.build),
@@ -652,7 +679,9 @@ def save_partitioned_index(
                 "partition.build", category="store", partition=i, rows=hi - lo
             ):
                 layout, arrays = builder.build_partition(db, part_spans)
-            blob, sections = _encode_blob(arrays, PARTITION_STORED_ARRAYS)
+            blob, sections = _encode_blob(
+                _with_posting_keys(arrays, layout.num_rows), PARTITION_STORED_ARRAYS
+            )
             name = _partition_filename(i)
             blob_path = part_dir / name
             with open(blob_path, "wb") as fh:
@@ -674,14 +703,9 @@ def save_partitioned_index(
                 )
             )
 
-        overflow_cols = {
-            "seq_index": overflow_spans.seq_index,
-            "start": overflow_spans.start,
-            "stop": overflow_spans.stop,
-            "mass": overflow_spans.mass,
-        }
         over_blob, over_sections = _encode_blob(
-            overflow_cols, [name for name, _codec in _OVERFLOW_SECTIONS]
+            {name: getattr(overflow_spans, name) for name in _OVERFLOW_DTYPES},
+            list(_OVERFLOW_DTYPES),
         )
         with open(part_dir / OVERFLOW_NAME, "wb") as fh:
             fh.write(over_blob)
@@ -727,22 +751,7 @@ def open_partitioned_index(path: Union[str, Path]) -> PartitionedIndex:
     """
     path = Path(path)
     header_path = path / HEADER_NAME
-    if not path.is_dir() or not header_path.is_file():
-        raise IndexStoreError(
-            f"no index store at {path} (expected a directory containing "
-            f"{HEADER_NAME}; build one with `repro index build`)"
-        )
-    try:
-        with open(header_path) as fh:
-            header = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexStoreError(
-            f"index store header {header_path} is unreadable: {exc}"
-        ) from None
-    if not isinstance(header, dict):
-        raise IndexStoreError(
-            f"index store header {header_path} is not a JSON object"
-        )
+    header = _read_header(path)
     schema = header.get("schema")
     if not isinstance(schema, str) or not schema.startswith(
         "repro.index_store_partitioned/"
@@ -753,7 +762,8 @@ def open_partitioned_index(path: Union[str, Path]) -> PartitionedIndex:
     if schema != PARTITIONED_SCHEMA:
         raise IndexStoreError(
             f"unsupported partitioned store schema {schema!r} in "
-            f"{header_path} (this build reads {PARTITIONED_SCHEMA})"
+            f"{header_path} (this build reads {PARTITIONED_SCHEMA}); rebuild "
+            f"the store with `repro index build --partition-mb ...`"
         )
     try:
         fingerprint = header["fingerprint"]
@@ -800,23 +810,11 @@ def open_any_index(
 
     The single entry point CLI / engines / service use when the store
     flavor is the user's choice: resident stores
-    (``repro.index_store/1``) come back as :class:`StoredIndex`,
+    (``repro.index_store/2``) come back as :class:`StoredIndex`,
     partitioned stores as :class:`PartitionedIndex`.
     """
     path = Path(path)
-    header_path = path / HEADER_NAME
-    if not path.is_dir() or not header_path.is_file():
-        raise IndexStoreError(
-            f"no index store at {path} (expected a directory containing "
-            f"{HEADER_NAME}; build one with `repro index build`)"
-        )
-    try:
-        with open(header_path) as fh:
-            schema = json.load(fh).get("schema")
-    except (OSError, json.JSONDecodeError, AttributeError) as exc:
-        raise IndexStoreError(
-            f"index store header {header_path} is unreadable: {exc}"
-        ) from None
+    schema = _read_header(path).get("schema")
     if isinstance(schema, str) and schema.startswith(
         "repro.index_store_partitioned/"
     ):
@@ -977,7 +975,12 @@ class StreamingIndexReader:
                 if prev is not None:
                     self._release(prev)
                 self._reserve(pid)
-                yield self._decode_serial(pid, metrics)
+                t0 = time.perf_counter()
+                blob = self.store.read_partition_blob(pid)
+                read_seconds = time.perf_counter() - t0
+                self.stats.prefetch_stalls += 1  # serial reads always wait on I/O
+                self.stats.stall_seconds += read_seconds
+                yield self._decode(pid, blob, read_seconds, metrics)
                 prev = pid
             if prev is not None:
                 self._release(prev)
@@ -1005,30 +1008,15 @@ class StreamingIndexReader:
                 return
             if error is not None:
                 raise error
-            self.stats.io_seconds += io_seconds
-            self.stats.bytes_read += len(blob)
-            entry = self.store.partitions[pid]
-            t0 = time.perf_counter()
-            with metrics.span(
-                "stream.decode",
-                category="stream",
-                partition=pid,
-                blob_bytes=entry.blob_bytes,
-            ):
-                index = self.store.decode_partition_blob(pid, blob)
-            self.stats.decode_seconds += time.perf_counter() - t0
-            self.stats.bytes_decoded += entry.decoded_bytes
-            self.stats.partitions += 1
-            self._record(metrics, entry)
             prev = pid
-            yield StreamedPartition(pid=pid, entry=entry, index=index)
+            yield self._decode(pid, blob, io_seconds, metrics)
 
-    def _decode_serial(self, pid: int, metrics) -> StreamedPartition:
+    def _decode(
+        self, pid: int, blob: bytes, io_seconds: float, metrics
+    ) -> StreamedPartition:
+        """Decode one read blob and account for the visit."""
         entry = self.store.partitions[pid]
-        t0 = time.perf_counter()
-        blob = self.store.read_partition_blob(pid)
-        read_seconds = time.perf_counter() - t0
-        self.stats.io_seconds += read_seconds
+        self.stats.io_seconds += io_seconds
         self.stats.bytes_read += len(blob)
         t0 = time.perf_counter()
         with metrics.span(
@@ -1041,8 +1029,6 @@ class StreamingIndexReader:
         self.stats.decode_seconds += time.perf_counter() - t0
         self.stats.bytes_decoded += entry.decoded_bytes
         self.stats.partitions += 1
-        self.stats.prefetch_stalls += 1  # serial reads always wait on I/O
-        self.stats.stall_seconds += read_seconds
         self._record(metrics, entry)
         return StreamedPartition(pid=pid, entry=entry, index=index)
 

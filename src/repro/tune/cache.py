@@ -24,9 +24,10 @@ import os
 import platform
 from typing import Any, Dict, Optional
 
-#: /4: the per-fragment index-build term is gone (no search builds an
-#: index); a /3 cache would report it as a fitted term that nothing reads
-CACHE_SCHEMA = "repro.tune_calibration/4"
+#: /5: ``index_probe_discount`` is fitted on a posting-served
+#: (hyperscore) pass; a /4 cache holds the matrix-served likelihood
+#: figure under the same name
+CACHE_SCHEMA = "repro.tune_calibration/5"
 
 #: default cache location; overridable per call and via ``repro tune --cache``
 DEFAULT_CACHE_PATH = os.path.join("~", ".cache", "repro", "calibration.json")

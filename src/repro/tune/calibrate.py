@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
 from repro.core.search import ShardSearcher
+from repro.errors import ConfigError
 from repro.index import IndexBuilder
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
 from repro.tune.cache import load_calibration, save_calibration
@@ -212,34 +213,43 @@ def _fit_sweep_terms(db, queries, spec: CalibrationSpec, details: Dict) -> Dict[
 def _fit_index_terms(
     db, queries, spec: CalibrationSpec, terms: Dict[str, float], details: Dict
 ) -> Dict[str, float]:
-    """index_probe_discount from a pass over an index view built here."""
+    """index_probe_discount from a posting-served pass over a view built here.
+
+    The term prices posting probes, so it is fitted on a scorer that
+    probes (hyperscore); a pass that served no index row would leave it
+    unmeasured, which is an error, not a reason to keep the default.
+    """
     config = SearchConfig(
-        delta=3.0, tau=25, scorer="likelihood", sweep_cohort=spec.sweep_cohorts[-1]
+        delta=3.0, tau=25, scorer="hyperscore", sweep_cohort=spec.sweep_cohorts[-1]
     )
-    rc = _relative_cost(config)
+    rho = terms["rho_base"] * _relative_cost(config)
     index = IndexBuilder(fragment_tolerance=config.fragment_tolerance).build(db).view()
     dur, stats = _timed_search(db, queries, config, spec.repeats, index=index)
-    out: Dict[str, float] = {}
-    rho = terms["rho_base"] * rc
     index_rows = stats.index_rows
-    direct = stats.candidates_evaluated - index_rows
-    if index_rows:
-        residual = (
-            dur
-            - terms["sweep_setup_per_query"] * len(queries)
-            - terms["sweep_probe_per_cohort"] * stats.sweep_cohorts
-            - terms["tau_cost"] * stats.candidates_evaluated
-            - rho * direct
+    if not index_rows:
+        raise ConfigError(
+            f"calibration cannot fit index_probe_discount: the "
+            f"{config.scorer!r} pass over the fragment index served no row "
+            f"from it ({stats.candidates_evaluated} candidates; db_size="
+            f"{spec.db_size}, num_queries={spec.num_queries})"
         )
-        discount = residual / (rho * index_rows)
-        out["index_probe_discount"] = float(np.clip(discount, 0.05, 1.5))
+    residual = (
+        dur
+        - terms["sweep_setup_per_query"] * len(queries)
+        - terms["sweep_probe_per_cohort"] * stats.sweep_cohorts
+        - terms["tau_cost"] * stats.candidates_evaluated
+        - rho * (stats.candidates_evaluated - index_rows)
+    )
     details["index_run"] = {
+        "scorer": config.scorer,
         "seconds": dur,
         "num_fragments": index.num_fragments,
         "index_rows": index_rows,
         "candidates": stats.candidates_evaluated,
     }
-    return out
+    return {
+        "index_probe_discount": float(np.clip(residual / (rho * index_rows), 0.05, 1.5))
+    }
 
 
 def _fit_partition_terms(db_small, spec: CalibrationSpec, details: Dict) -> Dict[str, float]:

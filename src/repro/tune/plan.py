@@ -1,9 +1,11 @@
 """Configuration search: enumerate the knob grid, predict, pick.
 
 A :class:`CandidatePlan` is one point of the feasible grid — engine x
-cohort x blocks x start method x stream.  A plan scores directly unless
-it streams from the partitioned store the tuner was handed; no plan
-builds an index.  The planner profiles the workload once (exact
+cohort x blocks x start method x stream.  A plan scores directly out of
+the resident database unless it streams from the partitioned store the
+tuner was handed (posting probes if the scorer has a posting kernel, a
+budgeted direct pass over the partitions' rows if not); no plan builds
+an index.  The planner profiles the workload once (exact
 candidate counts via the vectorized counting kernels, scoring-block
 counts via the sweep's own planner, the store's geometry from its
 directory), prunes plans whose footprint exceeds the memory budget, and
@@ -23,8 +25,9 @@ import numpy as np
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
 from repro.core.partition import effective_query_blocks
-from repro.core.search import ShardSearcher, index_compat_problems
+from repro.core.search import ShardSearcher
 from repro.candidates.mass_index import plan_sweep
+from repro.index import FragmentIndex
 
 def fits_in_budget(resident_bytes: int, budget_bytes: Optional[int]) -> bool:
     """Memory-fit check; ``budget_bytes=None`` means no cap (everything fits)."""
@@ -46,7 +49,7 @@ class CandidatePlan:
 
     engine: str = "serial"  #: "serial" or "multiproc"
     sweep_cohort: int = 64
-    stream: bool = False  #: index-served from the partitioned store
+    stream: bool = False  #: streamed from the partitioned store
     num_workers: int = 1
     query_blocks: int = 1
     start_method: Optional[str] = None  #: multiproc only ("fork"/"spawn")
@@ -85,8 +88,8 @@ class WorkloadProfile:
     db_nbytes: int
     total_candidates: int
     relative_cost: float
-    scorer_indexable: bool
-    index_served_fraction: float  #: fraction of rows the store's partitions serve
+    scorer_indexable: bool  #: the scorer has a posting kernel
+    index_served_fraction: float  #: fraction of rows posting probes serve
     cohorts: Dict[int, int] = field(default_factory=dict)  #: cap -> count
     store: Optional[Dict[str, Any]] = None  #: partitioned-store geometry
     #: exact per-query candidate counts (count_each order) — lets the
@@ -123,9 +126,9 @@ def profile_workload(
     All exact and cheap: candidate totals via the vectorized counting
     kernels, scoring-block counts via the sweep's planner on the real
     query masses, and — with a partitioned ``store`` — its geometry from
-    the directory plus the share of candidates its partitions serve (the
-    rest are the out-of-envelope spans of its overflow blob, counted per
-    query window).
+    the directory plus the share of candidates its postings serve: none
+    under a scorer without a posting kernel, else all but the
+    out-of-envelope spans of its overflow blob, counted per query window.
     """
     query_counts = ShardSearcher(database, config).count_each(list(queries))
     total_candidates = int(query_counts.sum())
@@ -139,7 +142,8 @@ def profile_workload(
         for cap in (4, 16, 64, 256, 1024)
     }
 
-    scorer_indexable = not index_compat_problems(config)
+    scorer = config.make_scorer()
+    scorer_indexable = FragmentIndex.serves(scorer)
     fraction = 0.0
     store_info = None
     if store is not None:
@@ -162,7 +166,7 @@ def profile_workload(
         db_residues=int(database.total_residues),
         db_nbytes=int(database.nbytes),
         total_candidates=total_candidates,
-        relative_cost=config.make_scorer(None).relative_cost,
+        relative_cost=scorer.relative_cost,
         scorer_indexable=scorer_indexable,
         index_served_fraction=float(fraction),
         query_candidates=tuple(int(c) for c in query_counts),
@@ -202,16 +206,17 @@ def predict_makespan(
     # work divides by the *effective* width, not the worker count
     eff = min(workers, os_cpu_count())
 
-    serves_index = plan.stream and profile.scorer_indexable
     # the multiproc engine's task grid: a partition range per worker
     # when streaming, the whole database as one shard when scoring
     # directly — then query blocks, floored so that every worker has a
     # task
-    num_shards = workers if serves_index else 1
+    num_shards = workers if plan.stream else 1
     blocks = effective_query_blocks(max(plan.query_blocks, 1), num_shards, workers, m)
+    # a streamed pass probes postings for the share they serve (none
+    # under a posting-less scorer) and scores the rest directly
     index_rows = (
         profile.total_candidates * profile.index_served_fraction
-        if serves_index
+        if plan.stream
         else 0.0
     )
     direct_rows = profile.total_candidates - index_rows
@@ -289,9 +294,6 @@ def enumerate_plans(
     pruned: List[Tuple[CandidatePlan, str]] = []
 
     def consider(plan: CandidatePlan) -> None:
-        if plan.stream and not profile.scorer_indexable:
-            pruned.append((plan, "scorer has no index kernel; no store can serve it"))
-            return
         if plan.engine == "multiproc" and plan.num_workers > cpus:
             pruned.append(
                 (

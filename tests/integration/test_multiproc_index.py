@@ -35,16 +35,17 @@ class TestIndexOnOff:
         self, tiny_db, tiny_queries, start_method, tmp_path
     ):
         store = save_index(tiny_db, tmp_path / "resident", num_shards=2)
+        cfg = _cfg(scorer="hyperscore")  # a scorer the postings serve
         on = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=_cfg(),
+            tiny_db, tiny_queries, num_workers=2, config=cfg,
             start_method=start_method, index_path=str(store.path),
         )
         off = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=_cfg(),
+            tiny_db, tiny_queries, num_workers=2, config=cfg,
             start_method=start_method,
         )
         assert reports_equal(on, off)
-        assert reports_equal(search_serial(tiny_db, tiny_queries, _cfg()), on)
+        assert reports_equal(search_serial(tiny_db, tiny_queries, cfg), on)
         assert on.extras["index_rows"] > 0
         assert 0.0 < on.extras["index_probe_fraction"] <= 1.0
         assert off.extras["index_rows"] == 0

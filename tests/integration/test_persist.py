@@ -12,15 +12,21 @@ corrupt header) exits with a one-line typed error, never a traceback.
 import json
 import multiprocessing
 
+import numpy as np
 import pytest
 
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS, decode_sequence
 from repro.cli import main
 from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
 from repro.engines.multiproc import run_multiprocess_search
 from repro.errors import IndexCompatError, IndexStoreError
-from repro.store import HEADER_NAME, open_index, save_index
+from repro.scoring import SCORER_NAMES
+from repro.spectra.library import SpectralLibrary
+from repro.spectra.theoretical import theoretical_spectrum
+from repro.store import HEADER_NAME, open_index, save_index, save_partitioned_index
+from tests.reference import assert_report_matches, reference_search
 
 _START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -129,6 +135,114 @@ class TestMmapTransport:
                 small_db, tiny_queries, num_workers=2, config=_cfg(),
                 index_path=str(tiny_store.path),
             )
+
+
+#: the five registered scorers, plus the likelihood model behind a
+#: spectral library that knows the queries' true peptides
+_SCORER_CASES = [*SCORER_NAMES, "likelihood+library"]
+_POSTING_SERVED = {"shared_peaks", "hyperscore"}
+
+
+class TestEveryScorerOverEveryStore:
+    """A store serves every scorer: posting probes where the scorer has a
+    posting kernel, direct scoring of the spans the store carries where
+    it has not.  Serial and multiproc, resident and partitioned (under a
+    two-partition budget, with out-of-envelope spans in the overflow
+    blob), hits are bitwise the scalar reference's."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tiny_db, tmp_path_factory):
+        root = tmp_path_factory.mktemp("every_scorer")
+        resident = save_index(tiny_db, root / "resident", max_length=12)
+        partitioned = save_partitioned_index(
+            tiny_db, root / "partitioned", partition_mb=0.0625, max_length=12
+        )
+        assert partitioned.num_partitions > 3 and partitioned.overflow.count > 0
+        two_partitions_mb = 2.0 * partitioned.max_partition_bytes / (1 << 20) + 0.01
+        return resident, partitioned, two_partitions_mb
+
+    @pytest.fixture(scope="class")
+    def library(self, tiny_targets):
+        # reference spectra that differ from the on-the-fly model, so a
+        # lookup that is skipped or served from elsewhere changes scores
+        lib = SpectralLibrary()
+        for peptide in tiny_targets:
+            mz, intensity = theoretical_spectrum(peptide)
+            lib.add(decode_sequence(peptide), mz, intensity[::-1] + np.arange(len(mz)) % 3)
+        return lib
+
+    @pytest.fixture(scope="class")
+    def case(self, request, tiny_db, tiny_queries, library):
+        name, _, backed = request.param.partition("+")
+        config = _cfg(scorer=name)
+        lib = library if backed else None
+        reference = reference_search(tiny_db, config, tiny_queries, library=lib)
+        if backed:  # the library must matter, or this case is the plain one
+            plain = reference_search(tiny_db, config, tiny_queries)
+            assert any(
+                plain[q].sorted_hits() != reference[q].sorted_hits() for q in plain
+            )
+        return config, lib, reference
+
+    @pytest.mark.parametrize("case", _SCORER_CASES, indirect=True)
+    def test_serial_over_both_stores(self, tiny_db, tiny_queries, stores, case):
+        config, lib, reference = case
+        resident, partitioned, budget_mb = stores
+        reports = [
+            search_serial(tiny_db, tiny_queries, config, lib, index_store=resident),
+            search_serial(
+                tiny_db, tiny_queries, config, lib,
+                index_store=partitioned, memory_budget_mb=budget_mb,
+            ),
+        ]
+        for report in reports:
+            assert_report_matches(reference, report)
+            served = report.extras["index_probe_fraction"] > 0
+            assert served == (config.scorer in _POSTING_SERVED)
+        assert reports[1].extras["stream"]["partitions"] > 3  # a real stream
+
+    @pytest.mark.parametrize("case", list(SCORER_NAMES), indirect=True)
+    @pytest.mark.parametrize("flavour", ["resident", "partitioned"])
+    def test_two_forked_workers_over_each_store(
+        self, tiny_db, tiny_queries, stores, case, flavour
+    ):
+        if "fork" not in _START_METHODS:
+            pytest.skip("fork start method unavailable")
+        config, _lib, reference = case
+        resident, partitioned, budget_mb = stores
+        kwargs = {"index_path": str(resident.path)}
+        if flavour == "partitioned":
+            kwargs = {"index_path": str(partitioned.path), "memory_budget_mb": budget_mb}
+        report = run_multiprocess_search(
+            tiny_db, tiny_queries, num_workers=2, config=config,
+            start_method="fork", **kwargs,
+        )
+        assert_report_matches(reference, report)
+        served = report.extras["index_probe_fraction"] > 0
+        assert served == (config.scorer in _POSTING_SERVED)
+
+    def test_ptm_cutoff_and_length_floor_with_a_direct_scorer(
+        self, tiny_db, tiny_queries, stores
+    ):
+        """xcorr over a resident store: the unmodified rows share the one
+        direct batch with the PTM tiers, and the length floor and score
+        cutoff account for every candidate as the reference does."""
+        config = _cfg(
+            scorer="xcorr",
+            modifications=(
+                STANDARD_MODIFICATIONS["oxidation"],
+                STANDARD_MODIFICATIONS["phosphorylation_s"],
+            ),
+            score_cutoff=0.05,
+            min_candidate_length=4,
+        )
+        report = search_serial(tiny_db, tiny_queries, config, index_store=stores[0])
+        reference = reference_search(tiny_db, config, tiny_queries)
+        assert_report_matches(reference, report)
+        assert report.extras["index_rows"] == 0
+        assert report.extras["rows_scored"] > report.candidates_evaluated // 2
+        kept = sum(len(h) for h in report.hits.values())
+        assert 0 < kept < report.candidates_evaluated  # the cutoff bit
 
 
 _DB_ARGS = ["-n", "150", "--seed", "9"]

@@ -9,6 +9,8 @@ assert exactly that, plus the lifecycle, admission, deadline, and
 reporting contracts documented in docs/service.md.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SearchConfig
@@ -168,6 +170,13 @@ class TestBitwiseIdentity:
         with SearchService(sweep_config, database=None, store=store) as service:
             response = service.search(tiny_queries).raise_for_status()
         assert _hit_keys(response.hits) == reference_hits
+        # and under a scorer the store's postings serve
+        probed = dataclasses.replace(sweep_config, scorer="hyperscore")
+        with SearchService(probed, store=store) as service:
+            response = service.search(tiny_queries).raise_for_status()
+        assert _hit_keys(response.hits) == _hit_keys(
+            search_serial(tiny_db, tiny_queries, probed).hits
+        )
 
     def test_store_accepts_path(self, tiny_db, tiny_queries, sweep_config, tmp_path):
         path = save_index(tiny_db, tmp_path / "idx", num_shards=2).path

@@ -1,7 +1,7 @@
 """Integration: streamed search through the serial path, engines, and CLI.
 
 The out-of-core contract: a search served from a partitioned store
-(``repro.index_store_partitioned/1``) — serial, multiprocess with
+(``repro.index_store_partitioned/2``) — serial, multiprocess with
 workers streaming disjoint partition ranges, or the long-lived service
 — returns hits bitwise identical to the resident index path, while
 holding at most ~two partitions of index data per consumer.  The CLI
@@ -31,6 +31,10 @@ _START_METHODS = [
 
 
 def _cfg(**kw):
+    # hyperscore: a scorer the partitions' postings serve, so these suites
+    # stream decode + posting probes (direct scoring of a partition's rows
+    # is held to the reference in test_persist.py and test_prop_stream.py)
+    kw.setdefault("scorer", "hyperscore")
     return SearchConfig(tau=10, **kw)
 
 
@@ -147,19 +151,25 @@ class TestMultiprocStreaming:
 
 class TestServiceStreaming:
     def test_service_over_partitioned_store_bitwise(
-        self, tiny_queries, pstore, resident_report
+        self, tiny_db, tiny_queries, pstore, resident_report
     ):
-        reference = {
-            qid: [h.sort_key() for h in hs]
-            for qid, hs in resident_report.hits.items()
-        }
-        with SearchService(
-            _cfg(), ServiceConfig(workers=2), store=str(pstore.path)
-        ) as service:
-            response = service.search(tiny_queries).raise_for_status()
-        assert response.hits  # non-trivial workload
-        for qid, hits in response.hits.items():
-            assert [h.sort_key() for h in hits] == reference[qid], qid
+        # posting-served, then a scorer the workers score directly from
+        # the partitions' rows
+        for cfg, report in (
+            (_cfg(), resident_report),
+            (_cfg(scorer="likelihood"), None),
+        ):
+            report = report or search_serial(tiny_db, tiny_queries, cfg)
+            reference = {
+                qid: [h.sort_key() for h in hs] for qid, hs in report.hits.items()
+            }
+            with SearchService(
+                cfg, ServiceConfig(workers=2), store=str(pstore.path)
+            ) as service:
+                response = service.search(tiny_queries).raise_for_status()
+            assert response.hits  # non-trivial workload
+            for qid, hits in response.hits.items():
+                assert [h.sort_key() for h in hits] == reference[qid], qid
 
     def test_service_refuses_unstreamable_config(self, pstore):
         with pytest.raises(IndexCompatError, match="stream"):
@@ -188,7 +198,7 @@ class TestCLI:
         rc = main(["index", "inspect", str(built)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro.index_store_partitioned/1" in out
+        assert "repro.index_store_partitioned/2" in out
         assert "p_00000" in out
         assert "m/z" in out
         assert "overflow" in out

@@ -2,11 +2,12 @@
 
 The fragment-ion index's exactness contract (see
 ``repro.index.fragment_index``): every score served from precomputed
-posting lists / cached fragment matrices equals the scalar oracle
-(``score_batch_fallback``) bit for bit — across scorers, PTM-mixed span
-sets, empty candidate windows, and empty or degenerate spectra.  The
-searcher-level test additionally covers the merge of index-served and
-direct-overflow score streams back into span order.
+posting lists equals the scalar oracle (``score_batch_fallback``) bit
+for bit — across the posting-served scorers, PTM-mixed span sets, empty
+candidate windows, and empty or degenerate spectra.  The searcher-level
+test additionally covers the merge of index-served and direct-overflow
+score streams back into span order, and that a scorer the postings
+cannot serve ignores a handed-in index.
 """
 
 from dataclasses import replace
@@ -23,13 +24,7 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
 from repro.index import IndexBuilder
-from repro.scoring import (
-    HyperScorer,
-    LikelihoodRatioScorer,
-    SharedPeakScorer,
-    XCorrScorer,
-    score_batch_fallback,
-)
+from repro.scoring import HyperScorer, SharedPeakScorer, score_batch_fallback
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 
@@ -39,7 +34,7 @@ databases = st.lists(sequences, min_size=1, max_size=8).map(
 )
 
 #: every scorer ``FragmentIndex.score_block`` serves
-_SCORERS = [SharedPeakScorer, HyperScorer, XCorrScorer, LikelihoodRatioScorer]
+_SCORERS = [SharedPeakScorer, HyperScorer]
 
 _MODS = [
     STANDARD_MODIFICATIONS["oxidation"],
@@ -109,9 +104,11 @@ def test_rows_for_covers_exactly_the_indexable_spans(case):
     expect = (spans.mod_delta == 0.0) & (lengths >= 2) & (lengths <= index.max_length)
     assert np.array_equal(rows >= 0, expect)
     hit = np.nonzero(rows >= 0)[0]
-    assert np.array_equal(index.row_length[rows[hit]], lengths[hit])
     # distinct spans never collide on an index row
     assert len(np.unique(rows[hit])) == len(hit)
+    # a row posts exactly its span's 2(L-1) ladder fragments
+    posted = np.bincount(index.arrays["ladder_row"], minlength=index.num_rows)
+    assert np.array_equal(posted[rows[hit]], 2 * (lengths[hit] - 1))
 
 
 @given(index_cases(), spectra(), st.sampled_from(["shared_peaks", "hyperscore", "xcorr", "likelihood"]))
@@ -128,11 +125,13 @@ def test_searcher_score_spans_identical_with_index_on_and_off(case, spectrum, sc
     short = IndexBuilder(fragment_tolerance=cfg.fragment_tolerance, max_length=6)
     s_on = ShardSearcher(db, cfg, index=short.build(db).view())
     s_off = ShardSearcher(db, cfg)
-    assert s_on.index is not None and s_off.index is None
+    posting_served = scorer_name in ("shared_peaks", "hyperscore")
+    assert (s_on.index is not None) == posting_served and s_off.index is None
     cohort, everything = SpectrumBatch([spectrum]), [np.arange(len(spans))]
     got, direct_rows, index_rows = s_on.score_spans_block(cohort, spans, everything)
     ref, ref_rows, ref_index_rows = s_off.score_spans_block(cohort, spans, everything)
     assert ref_index_rows == 0
+    assert posting_served or index_rows == 0
     assert direct_rows + index_rows == ref_rows >= len(spans)
     assert got.tobytes() == ref.tobytes()
     targets = {mod.delta_mass: ord(mod.target) for mod in _MODS}

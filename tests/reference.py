@@ -30,6 +30,7 @@ def reference_search(
     config: SearchConfig,
     queries: Iterable[Spectrum],
     hitlists: Optional[Dict[int, TopHitList]] = None,
+    library=None,
 ) -> Dict[int, TopHitList]:
     """Search ``queries`` against ``shard`` the slow, obvious way.
 
@@ -39,10 +40,10 @@ def reference_search(
     offered alike — so ``sum(h.evaluated)`` is the
     ``candidates_evaluated`` an engine must report.  ``sweep_cohort``
     is ignored and no fragment index is consulted: neither may change a
-    result.
+    result.  ``library`` backs the likelihood model's lookups.
     """
     hitlists = {} if hitlists is None else hitlists
-    scorer = config.make_scorer()
+    scorer = config.make_scorer(library)
     generator = CandidateGenerator(shard, config.delta, config.modifications)
     mod_targets = {mod.delta_mass: ord(mod.target) for mod in generator.modifications}
     for spectrum in queries:

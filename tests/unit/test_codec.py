@@ -125,8 +125,24 @@ class TestCodecFor:
         assert codec_for("shard_residues", np.zeros(3, dtype=np.uint8)) == "zraw"
 
     def test_sorted_posting_arrays_take_dvint(self):
-        for name in ("ladder_key", "series_key", "group_row_splits"):
+        for name in ("ladder_key", "series_key"):
             assert codec_for(name, np.zeros(3, dtype=np.int64)) == "dvint"
 
     def test_other_int_arrays_take_vint(self):
-        assert codec_for("row_length", np.zeros(3, dtype=np.int64)) == "vint"
+        assert codec_for("row_start", np.zeros(3, dtype=np.int64)) == "vint"
+
+    def test_every_stored_section_has_its_codec(self):
+        """The name table follows the blob's stored-section list."""
+        from repro.index.layout import PARTITION_STORED_ARRAYS
+
+        dtypes = {"row_mass": np.float64, "ladder_mz": np.float64,
+                  "series_mz": np.float64, "series_tag": np.uint8}
+        got = {
+            name: codec_for(name, np.zeros(3, dtype=dtypes.get(name, np.int64)))
+            for name in PARTITION_STORED_ARRAYS
+        }
+        assert got == {
+            "row_seq": "vint", "row_start": "vint", "row_stop": "vint",
+            "row_mass": "zraw", "ladder_key": "dvint", "ladder_mz": "zraw",
+            "series_key": "dvint", "series_mz": "zraw", "series_tag": "zraw",
+        }

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.search import ShardSearcher
 from repro.index import FragmentIndex, IndexBuilder
+from repro.index.layout import ARRAY_NAMES, PARTITION_ARRAY_NAMES
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.theoretical import by_ion_ladder
 from repro.workloads.synthetic import generate_database
@@ -25,12 +26,15 @@ class TestConstruction:
             IndexBuilder(max_length=1)
 
     def test_counts_and_sizes_are_consistent(self, db):
+        from repro.candidates.mass_index import MassIndex
+
         index = IndexBuilder(max_length=12).build(db).view()
-        assert index.num_rows > 0
-        assert index.row_length.shape == (index.num_rows,)
-        assert np.all(index.row_length >= 2)
-        assert np.all(index.row_length <= 12)
-        assert index.num_fragments > 0
+        spans = MassIndex(db).candidates_in_window(0.0, np.inf)
+        held = index.rows_for(spans) >= 0
+        assert index.num_rows == int(held.sum()) > 0
+        assert np.array_equal(held, (spans.lengths >= 2) & (spans.lengths <= 12))
+        # every held span posts its 2(L-1) fragments in both lists
+        assert index.num_fragments == int(4 * (spans.lengths[held] - 1).sum())
         assert index.nbytes > 0
 
     def test_bin_width_floor(self, db):
@@ -63,29 +67,60 @@ class TestConstruction:
         assert counts[0] == len(ladder)
 
 
+class TestLayoutIsPostingsOnly:
+    """The index is its two posting lists plus the row metadata that
+    addresses them: a per-fragment or per-row column beyond those cannot
+    come back unnoticed."""
+
+    POSTINGS = {
+        "ladder_mz", "ladder_row", "ladder_bin_start",
+        "series_mz", "series_row", "series_tag", "series_bin_start",
+    }
+
+    def test_resident_array_names(self, tiny_db):
+        built = IndexBuilder().build(tiny_db)
+        expect = self.POSTINGS | {
+            "shard_residues", "shard_offsets", "shard_ids", "prefix_row", "suffix_row",
+        }
+        assert set(built.arrays) == set(built.layout.arrays) == set(ARRAY_NAMES) == expect
+
+    def test_partition_array_names(self, tiny_db, tmp_path):
+        from repro.store import save_partitioned_index
+
+        store = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5)
+        expect = self.POSTINGS | {"row_seq", "row_start", "row_stop", "row_mass"}
+        assert set(PARTITION_ARRAY_NAMES) == expect
+        for pid in range(store.num_partitions):
+            decoded = store.decode_partition(pid).arrays
+            assert set(decoded) == set(store.partitions[pid].layout.arrays) == expect
+            assert not [n for n in decoded if n.endswith("_key") or n.startswith("group_")]
+
+    def test_bytes_per_fragment_bound(self, tiny_db):
+        """16 B per ladder posting, 17 B per series posting, two int64
+        maps over the residues, and the bin-start tables — nothing else."""
+        built = IndexBuilder().build(tiny_db)
+        layout = built.layout
+        tables = (
+            layout.arrays["ladder_bin_start"].nbytes
+            + layout.arrays["series_bin_start"].nbytes
+        )
+        assert layout.index_nbytes <= (
+            18 * layout.num_fragments + 16 * len(tiny_db.residues) + tables
+        )
+
+
 class TestSearcherGating:
     def test_modeled_execution_never_builds(self, db):
         cfg = SearchConfig(execution=ExecutionMode.MODELED)
         assert ShardSearcher(db, cfg, index=built_index(db, cfg)).index is None
 
-    def test_library_backed_likelihood_is_not_indexable(self, db):
-        """A spectral library needs per-candidate sequence lookups the
-        index cannot serve, so the searcher must fall back to the
-        direct batch path."""
-        lib = SpectralLibrary()
-        lib.add("PEPTIDEK", np.array([100.0, 200.0]), np.array([1.0, 2.0]))
-        cfg = SearchConfig(scorer="likelihood")
-        index = built_index(db, cfg)
-        assert ShardSearcher(db, cfg, library=lib, index=index).index is None
-        assert ShardSearcher(db, cfg, index=index).index is index
-
     def test_index_served_means_a_block_level_index_kernel(self, db, tiny_queries):
         """One predicate (``FragmentIndex.serves``) gates the handed-in
-        index, the persisted-index check and the dispatch: a scorer
-        without ``score_index_block``/``score_matrix_block`` searches
-        direct instead of failing inside the pass."""
-        from repro.core.search import index_compat_problems
-        from repro.scoring import SharedPeakScorer
+        index and the dispatch: a scorer without ``score_index_block`` —
+        xcorr, the likelihood models with or without a library,
+        hypergeometric, a user's scalar-only scorer — searches direct
+        instead of failing inside the pass."""
+        from repro.scoring import SCORER_NAMES, SharedPeakScorer, make_scorer
 
         class ScalarOnly:
             name = "shared_peaks"
@@ -102,13 +137,16 @@ class TestSearcherGating:
                 raise AssertionError("no engine path calls a per-query index kernel")
 
         cfg = SearchConfig(scorer="shared_peaks", tau=5)
-        assert FragmentIndex.serves(SharedPeakScorer())
+        assert {n for n in SCORER_NAMES if FragmentIndex.serves(make_scorer(n))} == {
+            "shared_peaks", "hyperscore",
+        }
+        lib = SpectralLibrary()
+        lib.add("PEPTIDEK", np.array([100.0, 200.0]), np.array([1.0, 2.0]))
+        assert not FragmentIndex.serves(make_scorer("likelihood", library=lib))
         assert not FragmentIndex.serves(ScalarOnly())
         index = built_index(db, cfg)
         searcher = ShardSearcher(db, cfg, scorer=ScalarOnly(), index=index)
         assert searcher.index is None
-        assert index_compat_problems(cfg, ScalarOnly())
-        assert not index_compat_problems(cfg)
         got, ref = {}, {}
         searcher.run(tiny_queries, got)
         ShardSearcher(db, cfg, index=index).run(tiny_queries, ref)
@@ -119,7 +157,7 @@ class TestSearcherGating:
     def test_nbytes_excludes_index(self, db):
         """The simulated machine's memory model covers shard + scorer
         state only; the index is a host-side acceleration structure."""
-        cfg = SearchConfig()
+        cfg = SearchConfig(scorer="hyperscore")
         with_index = ShardSearcher(db, cfg, index=built_index(db, cfg))
         without = ShardSearcher(db, cfg)
         assert with_index.index is not None and without.index is None

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from repro.errors import IndexStoreError
+from repro.index import IndexBuilder
+from repro.index.layout import PARTITION_ARRAY_NAMES, PARTITION_STORED_ARRAYS
 from repro.store import open_any_index, save_index, save_partitioned_index
 from repro.store.index_store import StoredIndex
 from repro.store.partitioned import (
+    OVERFLOW_NAME,
     PARTITIONED_SCHEMA,
     PartitionedIndex,
     StreamingIndexReader,
@@ -70,10 +73,57 @@ class TestRoundTrip:
             prev_hi = entry.mass_hi
         assert total_rows == pstore.num_rows
 
+    def test_partitions_decode_to_the_builders_arrays(self, tiny_db, pstore):
+        """The blob stores ``row`` + ``bin_start`` as one delta-coded key
+        per posting list; decoding takes it apart into bitwise the arrays
+        the builder made, and the key is not among them."""
+        indexable, _overflow = enumerate_spans(tiny_db, int(pstore.build["max_length"]))
+        builder = IndexBuilder(max_length=int(pstore.build["max_length"]))
+        lo = 0
+        for i, entry in enumerate(pstore.partitions):
+            rows = np.arange(lo, lo + entry.num_rows)
+            _layout, built = builder.build_partition(tiny_db, indexable.take(rows))
+            decoded = pstore.decode_partition(i).arrays
+            assert set(decoded) == set(built) == set(PARTITION_ARRAY_NAMES)
+            for name in PARTITION_ARRAY_NAMES:
+                assert decoded[name].dtype == built[name].dtype, name
+                assert decoded[name].tobytes() == built[name].tobytes(), name
+            lo += entry.num_rows
+        assert [s.name for s in pstore.partitions[0].sections] == list(
+            PARTITION_STORED_ARRAYS
+        )
+
     def test_overflow_loads_mass_sorted(self, pstore):
         spans = pstore.load_overflow()
         assert len(spans) == pstore.overflow.count
         assert np.all(np.diff(spans.mass) >= 0)
+
+    def test_overflow_is_read_once_per_handle(self, tiny_db, tiny_queries, pstore, monkeypatch):
+        """The planner and every searcher over one handle share one
+        decoded, read-only copy of the overflow spans."""
+        from repro.core.config import SearchConfig
+        from repro.core.streaming import StreamingSearcher
+
+        store = open_partitioned_index(pstore.path)  # a handle nothing has used
+        assert store.overflow.count > 0
+        reads = []
+        read_blob = PartitionedIndex._read_blob
+
+        def counting(self, blob_path, *args):
+            reads.append(blob_path.name)
+            return read_blob(self, blob_path, *args)
+
+        monkeypatch.setattr(PartitionedIndex, "_read_blob", counting)
+        config = SearchConfig(tau=5, scorer="hyperscore")
+        for _ in range(2):
+            StreamingSearcher(store, config, database=tiny_db).run(tiny_queries, {})
+        assert reads.count(OVERFLOW_NAME) == 1
+        spans = store.load_overflow()
+        assert spans is store.load_overflow()
+        assert not any(
+            col.flags.writeable
+            for col in (spans.seq_index, spans.start, spans.stop, spans.mass, spans.mod_delta)
+        )
 
     def test_database_buffers_round_trip(self, tiny_db, pstore):
         db = pstore.load_database()

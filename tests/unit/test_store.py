@@ -20,8 +20,11 @@ from repro.store import (
     HEADER_NAME,
     STORE_SCHEMA,
     compute_fingerprint,
+    open_any_index,
     open_index,
+    open_partitioned_index,
     save_index,
+    save_partitioned_index,
 )
 
 
@@ -148,18 +151,56 @@ class TestRejection:
             open_index(store_path).load_shard(0)
 
     def test_missing_buffer(self, store_path):
-        (store_path / "shard_00001" / "series_key.npy").unlink()
+        (store_path / "shard_00001" / "series_row.npy").unlink()
         with pytest.raises(IndexStoreError, match="missing buffer"):
             open_index(store_path).load_shard(1)
 
     def test_manifest_shape_mismatch(self, store_path):
         def grow(header):
-            spec = header["shards"][0]["layout"]["arrays"]["row_length"]
+            spec = header["shards"][0]["layout"]["arrays"]["suffix_row"]
             spec["shape"] = [spec["shape"][0] + 1]
 
         self._edit_header(store_path, grow)
         with pytest.raises(IndexStoreError, match="does not match its manifest"):
             open_index(store_path).load_shard(0)
+
+    @pytest.mark.parametrize(
+        "old",
+        [
+            "repro.index_store/1",
+            "repro.fragment_index/1",
+            "repro.index_store_partitioned/1",
+            "repro.fragment_index_partition/1",
+        ],
+    )
+    def test_previous_schema_is_refused_with_the_rebuild_command(
+        self, tiny_db, tmp_path, old
+    ):
+        """A /1 store (matrix cache, key columns) is never read: every
+        way of opening it names the command that rebuilds it."""
+        if "partition" in old:
+            path = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5).path
+            openers = (open_partitioned_index, open_any_index)
+        else:
+            path = save_index(tiny_db, tmp_path / "r").path
+            openers = (open_index, open_any_index)
+
+        def downgrade(header):
+            # the header carries the store schema, each shard / partition
+            # entry its layout's
+            entries = header.get("shards") or header["partitions"]
+            current = [
+                c for c in [header] + [e["layout"] for e in entries]
+                if c["schema"] == old[:-1] + "2"
+            ]
+            assert current
+            for carrier in current:
+                carrier["schema"] = old
+
+        self._edit_header(path, downgrade)
+        for opener in openers:
+            with pytest.raises(IndexStoreError, match="repro index build"):
+                opener(path)
 
     def test_shard_out_of_range(self, store_path):
         with pytest.raises(IndexStoreError, match="does not exist"):
@@ -194,9 +235,9 @@ class TestLayout:
     def test_check_arrays_reports_mismatches(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
         arrays = dict(built.arrays)
-        arrays["row_length"] = arrays["row_length"].astype(np.int32)
+        arrays["ladder_row"] = arrays["ladder_row"].astype(np.int32)
         problems = built.layout.check_arrays(arrays)
-        assert any("row_length" in p and "dtype" in p for p in problems)
+        assert any("ladder_row" in p and "dtype" in p for p in problems)
 
     def test_malformed_array_spec_rejected(self):
         with pytest.raises(IndexStoreError, match="malformed array spec"):
@@ -207,7 +248,7 @@ class TestLayout:
         direct = built.view()
         rewired = FragmentIndex.from_arrays(built.layout, built.arrays)
         assert rewired.num_rows == direct.num_rows
-        assert np.array_equal(rewired.row_length, direct.row_length)
+        assert rewired.arrays is direct.arrays
         assert rewired.shard == direct.shard
 
 
@@ -231,7 +272,7 @@ class TestTornWrites:
 
     @pytest.mark.parametrize("mmap", [True, False])
     def test_garbage_buffer_is_typed_error(self, store_path, mmap):
-        buf = store_path / "shard_00001" / "series_key.npy"
+        buf = store_path / "shard_00001" / "series_tag.npy"
         buf.write_bytes(b"\x00" * 256)  # right size class, wrong magic
         with pytest.raises(IndexStoreError, match="unreadable or truncated"):
             open_index(store_path).load_shard(1, mmap=mmap)

@@ -190,3 +190,26 @@ class TestRunCalibration:
         assert {r["cohort_cap"] for r in runs} == set(spec.sweep_cohorts)
         assert all(r["cohorts"] > 0 for r in runs)  # every run went through the pass
         assert calibration.cost_model().rho_base == calibration.terms["rho_base"]
+        # the posting discount is measured on a pass that probes postings
+        index_run = calibration.details["index_run"]
+        assert index_run["scorer"] == "hyperscore" and index_run["index_rows"] > 0
+
+    def test_unmeasured_posting_discount_is_an_error_not_a_default(self, monkeypatch):
+        """A calibration pass that serves no row from the index leaves
+        ``index_probe_discount`` unmeasured: typed error, never the 0.5
+        default under a "measured" label."""
+        from repro.errors import ConfigError
+        from repro.index import FragmentIndex
+
+        terms = {
+            "rho_base": 1e-6, "tau_cost": 1e-7,
+            "sweep_setup_per_query": 1e-5, "sweep_probe_per_cohort": 1e-4,
+        }
+        db = calibrate_mod.generate_database(30, seed=3)
+        queries = calibrate_mod.generate_queries(10, seed=4)
+        spec = calibrate_mod.CalibrationSpec(repeats=1)
+        fitted = calibrate_mod._fit_index_terms(db, queries, spec, terms, {})
+        assert 0.05 <= fitted["index_probe_discount"] <= 1.5
+        monkeypatch.setattr(FragmentIndex, "serves", staticmethod(lambda scorer: False))
+        with pytest.raises(ConfigError, match="index_probe_discount"):
+            calibrate_mod._fit_index_terms(db, queries, spec, terms, {})

@@ -86,12 +86,41 @@ class TestProfileWorkload:
 
 
 class TestEnumeratePruning:
-    def test_unindexable_scorer_prunes_index_plans(self):
-        plans, pruned = enumerate_plans(
-            make_profile(scorer_indexable=False), engines=("serial",)
+    def test_posting_less_scorer_keeps_its_stream_plans(self):
+        """A scorer without a posting kernel streams as a budgeted direct
+        pass: the plans are feasible, priced as decode plus full-rate
+        evaluation of every row, on the per-worker partition-range grid."""
+        profile = make_profile(scorer_indexable=False, index_served_fraction=0.0)
+        plans, pruned = enumerate_plans(profile, engines=("serial",))
+        assert not pruned and {p.stream for p in plans} == {False, True}
+        cost = dataclasses.replace(CostModel(), index_probe_discount=0.1)
+        streamed = predict_makespan(CandidatePlan(stream=True), profile, cost)
+        direct = predict_makespan(CandidatePlan(), profile, cost)
+        assert streamed.phases["evaluation"] == pytest.approx(direct.phases["evaluation"])
+        assert streamed.phases["partition_decode"] > 0
+        two = predict_makespan(
+            CandidatePlan(engine="multiproc", stream=True, num_workers=2, start_method="fork"),
+            profile,
+            cost,
         )
-        assert plans and all(p.label.startswith("serial:direct") for p in plans)
-        assert any("no index kernel" in reason for _, reason in pruned)
+        assert two.phases["task_dispatch"] == pytest.approx(cost.task_dispatch_time(2))
+
+    def test_profile_reads_the_posting_predicate(self, tmp_path):
+        """``scorer_indexable`` is ``FragmentIndex.serves``: the served
+        fraction of a store is 0 for a posting-less scorer, and all but
+        the overflow spans for a posting-served one."""
+        from repro.store import save_partitioned_index
+
+        db = generate_database(40, seed=5)
+        queries = generate_queries(12, seed=6)
+        store = save_partitioned_index(db, tmp_path / "p", partition_mb=0.5, max_length=12)
+        served = {}
+        for scorer in ("hyperscore", "likelihood", "xcorr", "hypergeometric"):
+            profile = profile_workload(db, queries, SearchConfig(scorer=scorer), store=store)
+            served[scorer] = (profile.scorer_indexable, profile.index_served_fraction)
+        assert served["hyperscore"][0] and 0.0 < served["hyperscore"][1] < 1.0
+        for scorer in ("likelihood", "xcorr", "hypergeometric"):
+            assert served[scorer] == (False, 0.0)
 
     def test_no_store_prunes_streamed_plans(self):
         plans, pruned = enumerate_plans(
