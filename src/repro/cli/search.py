@@ -189,8 +189,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
     shown = 0
     for qid in sorted(report.hits):
+        if shown >= args.show:
+            break  # a query not printed is not indexed: its Hits are never built
         top = report.top_hit(qid)
-        if top is None or shown >= args.show:
+        if top is None:
             continue
         print(
             f"  query {qid}: protein {top.protein_id} span "

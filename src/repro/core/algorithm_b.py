@@ -41,7 +41,7 @@ from repro.core.search import ShardSearcher, ShardStats
 from repro.core.sort import parallel_counting_sort
 from repro.errors import RankFailedError
 from repro.obs.naming import simmpi_extras
-from repro.scoring.hits import TopHitList
+from repro.scoring.hits import TopHitList, pack_hit_columns
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig, SimCluster
 from repro.spectra.library import SpectralLibrary
@@ -230,7 +230,7 @@ def _rank_program(
 
         yield from run_recovery_rounds(comm, adopt)
 
-    hits = {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+    hits = pack_hit_columns(hitlists, hitlists)
     return hits, totals, sorting_time
 
 

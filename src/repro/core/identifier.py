@@ -32,7 +32,7 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.search import ShardSearcher
 from repro.errors import ConfigError
 from repro.scoring.evalue import fit_survival
-from repro.scoring.hits import Hit, TopHitList
+from repro.scoring.hits import Hit, HitTable, pack_hit_columns
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 
@@ -118,7 +118,7 @@ class PeptideIdentifier:
         hitlists = {}
         stats = self._searcher.run(spectra, hitlists)
         self.total_candidates += stats.candidates_evaluated
-        hitmap = {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+        hitmap = HitTable(pack_hit_columns(hitlists, hitlists))
         counts = {qid: hl.evaluated for qid, hl in hitlists.items()}
         return hitmap, counts
 

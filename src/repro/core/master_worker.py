@@ -26,7 +26,7 @@ from repro.core.config import SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
 from repro.core.search import ShardSearcher
 from repro.obs.naming import simmpi_extras
-from repro.scoring.hits import Hit, TopHitList
+from repro.scoring.hits import HitColumns, TopHitList, pack_hit_columns
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig, SimCluster
 from repro.spectra.library import SpectralLibrary
@@ -46,7 +46,7 @@ def _master_program(comm: SimComm, queries: Sequence[Spectrum], config: SearchCo
     ]
     next_batch = 0
     outstanding = 0
-    all_hits: List[Dict[int, List[Hit]]] = []
+    all_hits: List[HitColumns] = []
     # S2: seed every worker with one batch.
     for worker in range(1, comm.size):
         if next_batch < len(batches):
@@ -56,8 +56,7 @@ def _master_program(comm: SimComm, queries: Sequence[Spectrum], config: SearchCo
             outstanding += 1
     # S4: refill on demand until drained.
     while outstanding:
-        src, payload = yield comm.recv_op()
-        hits: Dict[int, List[Hit]] = payload
+        src, hits = yield comm.recv_op()
         all_hits.append(hits)
         outstanding -= 1
         if next_batch < len(batches):
@@ -68,8 +67,7 @@ def _master_program(comm: SimComm, queries: Sequence[Spectrum], config: SearchCo
     for worker in range(1, comm.size):
         comm.send(worker, None, 8, tag=_QUERY_TAG)  # poison pill
     merged = merge_rank_hits(all_hits, config.tau)
-    reported = sum(len(h) for h in merged.values())
-    comm.compute(cost.report_time(reported), detail="S4 output")
+    comm.compute(cost.report_time(len(merged.columns.scores)), detail="S4 output")
     return merged, 0
 
 
@@ -96,9 +94,8 @@ def _worker_program(comm: SimComm, searcher: ShardSearcher, config: SearchConfig
         )
         if stats.sweep_queries:
             comm.sweep_setup(overhead, detail="S3 sweep")
-        hits = {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
-        nhits = sum(len(h) for h in hits.values())
-        comm.send(0, hits, _HIT_BYTES * max(nhits, 1))
+        hits = pack_hit_columns(hitlists, hitlists)
+        comm.send(0, hits, _HIT_BYTES * max(len(hits.scores), 1))
 
 
 def run_master_worker(

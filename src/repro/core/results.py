@@ -3,11 +3,37 @@
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from itertools import islice
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
-from repro.scoring.hits import Hit, TopHitList
+import numpy as np
+
+from repro.scoring.hits import (
+    Hit,
+    HitColumns,
+    HitTable,
+    as_hit_columns,
+    hits_from_payload,
+    pack_hit_columns,
+)
 from repro.simmpi.trace import TraceSummary
+from repro.spectra.binning import _ragged_arange
+
+
+#: JSON keys of one hit, in the order ``HitColumns`` keeps its six columns
+_HIT_FIELDS = ("score", "protein_id", "start", "stop", "mass", "mod_delta")
 
 
 @dataclass
@@ -18,7 +44,11 @@ class SearchReport:
         algorithm: which engine ran ("serial", "master_worker",
             "algorithm_a", "algorithm_a_nomask", "algorithm_b", "xbang").
         num_ranks: processor count p.
-        hits: per-query top-tau hits (empty in MODELED execution).
+        hits: per-query top-tau hits, best first (no hits in MODELED
+            execution).  Engines hand in a :class:`~repro.scoring.hits.HitTable`
+            — a read-only mapping over flat columns that builds a query's
+            ``Hit`` tuples when it is first indexed; a plain dict of lists
+            works everywhere a table does.
         candidates_evaluated: total candidate evaluations across ranks.
         virtual_time: simulated parallel run-time (the makespan) — the
             number Table II reports.
@@ -30,7 +60,7 @@ class SearchReport:
 
     algorithm: str
     num_ranks: int
-    hits: Dict[int, List[Hit]]
+    hits: Mapping[int, List[Hit]]
     candidates_evaluated: int
     virtual_time: float
     trace: Optional[TraceSummary] = None
@@ -58,6 +88,8 @@ class SearchReport:
         Traces are summarized (totals only) rather than serialized in
         full; ``extras`` must be JSON-representable (ours are).
         """
+        columns = as_hit_columns(self.hits)
+        rows = zip(*(column.tolist() for column in columns[2:]))
         payload = {
             "algorithm": self.algorithm,
             "num_ranks": self.num_ranks,
@@ -77,18 +109,8 @@ class SearchReport:
                 else None
             ),
             "hits": {
-                str(qid): [
-                    {
-                        "score": h.score,
-                        "protein_id": h.protein_id,
-                        "start": h.start,
-                        "stop": h.stop,
-                        "mass": h.mass,
-                        "mod_delta": h.mod_delta,
-                    }
-                    for h in hit_list
-                ]
-                for qid, hit_list in self.hits.items()
+                str(qid): [dict(zip(_HIT_FIELDS, row)) for row in islice(rows, count)]
+                for qid, count in zip(columns.query_ids.tolist(), columns.counts.tolist())
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -97,33 +119,56 @@ class SearchReport:
     def from_json(cls, text: str) -> "SearchReport":
         """Inverse of :meth:`to_json` (trace totals land in extras)."""
         payload = json.loads(text)
-        hits = {
-            int(qid): [
-                Hit(
-                    query_id=int(qid),
-                    score=h["score"],
-                    protein_id=h["protein_id"],
-                    start=h["start"],
-                    stop=h["stop"],
-                    mass=h["mass"],
-                    mod_delta=h.get("mod_delta", 0.0),
-                )
-                for h in hit_list
-            ]
-            for qid, hit_list in payload["hits"].items()
-        }
         extras = dict(payload.get("extras", {}))
         if payload.get("trace_totals"):
             extras["trace_totals"] = payload["trace_totals"]
         return cls(
             algorithm=payload["algorithm"],
             num_ranks=payload["num_ranks"],
-            hits=hits,
+            hits=hits_from_payload(payload["hits"]),
             candidates_evaluated=payload["candidates_evaluated"],
             virtual_time=payload["virtual_time"],
             peak_memory={int(r): b for r, b in payload.get("peak_memory", {}).items()},
             extras=extras,
         )
+
+
+#: rows formatted per write: bounds the transient Python lists of a report
+#: of any size (8192 rows x 9 columns is well under a megabyte of objects)
+_TSV_CHUNK_ROWS = 8192
+
+
+def _peptide_lookup(database) -> Callable[[np.ndarray, np.ndarray, np.ndarray], List[str]]:
+    """``(protein ids, starts, stops) -> peptide texts`` out of ``database``.
+
+    The residue buffer is decoded once; a hit's peptide is a slice of it
+    found by offset arithmetic, bounds clamped to the protein as ``str``
+    slicing clamps them.  ``?`` for an id the database lacks; the last of
+    a repeated id wins, as a dict of proteins would have it.
+    """
+    text = database.residues.tobytes().decode("ascii")
+    by_id = np.argsort(database.ids, kind="stable")
+    known_ids = database.ids[by_id]
+    offsets = np.asarray(database.offsets, dtype=np.int64)
+
+    def clamp(position: np.ndarray, length: np.ndarray) -> np.ndarray:
+        return np.clip(np.where(position < 0, position + length, position), 0, length)
+
+    def peptides(pid: np.ndarray, start: np.ndarray, stop: np.ndarray) -> List[str]:
+        if len(known_ids) == 0:
+            return ["?"] * len(pid)
+        at = np.maximum(np.searchsorted(known_ids, pid, side="right") - 1, 0)
+        known = (known_ids[at] == pid).tolist()
+        base = offsets[by_id[at]]
+        length = offsets[by_id[at] + 1] - base
+        lo = clamp(start, length)
+        hi = np.maximum(clamp(stop, length), lo)
+        return [
+            text[a:b] if ok else "?"
+            for a, b, ok in zip((base + lo).tolist(), (base + hi).tolist(), known)
+        ]
+
+    return peptides
 
 
 def write_tsv(report: SearchReport, path, database=None) -> None:
@@ -133,64 +178,116 @@ def write_tsv(report: SearchReport, path, database=None) -> None:
     mod_delta, and — when the searched ``database`` is supplied —
     the matched peptide sequence.  This is the flat interchange format
     peptide-identification pipelines consume downstream.
+
+    Rows are formatted straight from the report's hit columns, queries
+    in ascending id order, a bounded chunk of rows at a time: no ``Hit``
+    is built, and nothing transient grows with the hit count but three
+    index arrays.
     """
+    columns = as_hit_columns(report.hits)
+    by_query = np.argsort(columns.query_ids, kind="stable")
+    counts = columns.counts[by_query]
+    first_row = (np.cumsum(columns.counts) - columns.counts)[by_query]
+    rows = _ragged_arange(first_row, counts)  # hit rows in output order
+    query_id = np.repeat(columns.query_ids[by_query], counts)
+    rank = _ragged_arange(np.ones(len(counts), dtype=np.int64), counts)
     header = "query_id\trank\tscore\tprotein\tstart\tstop\tmass\tmod_delta"
-    protein = None
+    row_format = "%d\t%d\t%.6f\t%d\t%d\t%d\t%.4f\t%.4f"
     if database is not None:
         header += "\tpeptide"
-        # decode the residue buffer once; a hit's peptide is then a slice
-        # of its protein's text
-        text = database.residues.tobytes().decode("ascii")
-        bounds = database.offsets.tolist()
-        protein = {
-            pid: text[a:b] for pid, a, b in zip(database.ids.tolist(), bounds, bounds[1:])
-        }
-    lines = [header]
-    for qid in sorted(report.hits):
-        for rank, (_q, score, pid, start, stop, mass, mod) in enumerate(report.hits[qid], 1):
-            row = f"{qid}\t{rank}\t{score:.6f}\t{pid}\t{start}\t{stop}\t{mass:.4f}\t{mod:.4f}"
-            if protein is not None:
-                try:
-                    row = f"{row}\t{protein[pid][start:stop]}"
-                except KeyError:
-                    row += "\t?"
-            lines.append(row)
-    lines.append("")
-    payload = "\n".join(lines)
-    if hasattr(path, "write"):
-        path.write(payload)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(payload)
+        row_format += "\t%s"
+        peptides = _peptide_lookup(database)
+    format_row = (row_format + "\n").__mod__
+    target = nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="ascii")
+    with target as fh:
+        fh.write(header + "\n")
+        for c in range(0, len(rows), _TSV_CHUNK_ROWS):
+            chunk = slice(c, c + _TSV_CHUNK_ROWS)
+            r = rows[chunk]
+            pid, start, stop = columns.protein_ids[r], columns.starts[r], columns.stops[r]
+            fields = [
+                query_id[chunk].tolist(),
+                rank[chunk].tolist(),
+                columns.scores[r].tolist(),
+                pid.tolist(),
+                start.tolist(),
+                stop.tolist(),
+                columns.masses[r].tolist(),
+                columns.mod_deltas[r].tolist(),
+            ]
+            if database is not None:
+                fields.append(peptides(pid, start, stop))
+            fh.write("".join(map(format_row, zip(*fields))))
 
 
 def merge_rank_hits(
-    per_rank_hits: List[Dict[int, List[Hit]]], tau: int
-) -> Dict[int, List[Hit]]:
-    """Merge per-rank hit dictionaries into one global mapping.
+    per_rank_hits: Sequence[Union[HitColumns, Mapping[int, Sequence[Hit]]]], tau: int
+) -> HitTable:
+    """Merge per-rank hits — columns, tables or dicts — into one table.
 
     Query sets are disjoint across ranks in Algorithms A/B (queries stay
-    put), but the master-worker baseline can reassign a query after a
-    worker failure and the sub-group extension splits queries across
-    groups, so merging tolerates overlap: duplicate query ids have their
-    hit lists folded through a fresh top-tau filter.
+    put) and across the tasks of a direct multiproc run, so the merge is
+    one concatenation per column, queries in arrival order.  The
+    master-worker baseline can reassign a query after a worker failure
+    and a multi-shard store sends every query once per shard, so merging
+    tolerates overlap: when some query id arrives more than once, lists
+    are folded through a fresh top-tau filter, a (protein, span,
+    mod_delta) that arrives twice counting once.
     """
-    merged: Dict[int, List[Hit]] = {}
-    for rank_hits in per_rank_hits:
-        for qid, hits in rank_hits.items():
-            if qid not in merged:
-                merged[qid] = list(hits)
-            else:
-                folded = TopHitList(tau)
-                seen = set()
-                for h in merged[qid] + list(hits):
-                    key = (h.protein_id, h.start, h.stop, h.mod_delta)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    folded.add(h)
-                merged[qid] = folded.sorted_hits()
-    return merged
+    parts = [as_hit_columns(hits) for hits in per_rank_hits]
+    parts.append(pack_hit_columns({}, ()))  # concatenate needs one part; pins the dtypes
+    merged = HitColumns(*(np.concatenate(column) for column in zip(*parts)))
+    if len(np.unique(merged.query_ids)) < len(merged.query_ids):
+        merged = _fold_repeated_queries(merged, tau)
+    return HitTable(merged)
+
+
+def _fold_repeated_queries(merged: HitColumns, tau: int) -> HitColumns:
+    """One top-tau list per query id of ``merged``, first-seen query order."""
+    query_ids, first, segment_group = np.unique(
+        merged.query_ids, return_index=True, return_inverse=True
+    )
+    arrival = np.argsort(first)  # groups in the order their query first arrived
+    group_rank = np.empty(len(arrival), dtype=np.int64)
+    group_rank[arrival] = np.arange(len(arrival))
+    group = np.repeat(group_rank[segment_group], merged.counts)
+    scores, protein_ids, starts, stops, _masses, mod_deltas = merged[2:]
+    # the first arrival of every (query, protein, span, mod_delta): lexsort
+    # is stable and rows are in arrival order
+    structure = (mod_deltas, stops, starts, protein_ids, group)
+    by_structure = np.lexsort(structure)
+    repeat = np.zeros(len(by_structure), dtype=bool)
+    repeat[1:] = True
+    for key in structure:
+        key = key[by_structure]
+        repeat[1:] &= key[1:] == key[:-1]
+    keep = by_structure[~repeat]
+    # best first within a query (Hit.sort_key order), cut at tau
+    best_first = (mod_deltas, stops, starts, protein_ids, -scores, group)
+    keep = keep[np.lexsort(tuple(key[keep] for key in best_first))]
+    counts = np.bincount(group[keep], minlength=len(arrival))
+    take = np.minimum(counts, tau)
+    rows = keep[_ragged_arange(np.cumsum(counts) - counts, take)]
+    return HitColumns(query_ids[arrival], take, *(column[rows] for column in merged[2:]))
+
+
+def select_queries(hits: HitTable, query_ids: Iterable[int]) -> HitTable:
+    """``hits`` re-laid in ``query_ids`` order; an id it lacks reports ``[]``."""
+    columns = hits.columns
+    wanted = list(dict.fromkeys(query_ids))
+    segment_of = {qid: i for i, qid in enumerate(columns.query_ids.tolist())}
+    # -1, a query the table lacks, indexes the empty segment appended below
+    segment = np.array([segment_of.get(qid, -1) for qid in wanted], dtype=np.int64)
+    counts = np.append(columns.counts, 0)
+    first_row = np.cumsum(counts) - counts
+    rows = _ragged_arange(first_row[segment], counts[segment])
+    return HitTable(
+        HitColumns(
+            np.array(wanted, dtype=np.int64),
+            counts[segment],
+            *(column[rows] for column in columns[2:]),
+        )
+    )
 
 
 def reports_equal(a: SearchReport, b: SearchReport, score_rtol: float = 0.0) -> bool:

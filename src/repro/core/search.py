@@ -24,7 +24,7 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.index import FragmentIndex
 from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.scoring.base import Scorer, block_scores
-from repro.scoring.hits import TopHitList
+from repro.scoring.hits import HitTable, TopHitList, pack_hit_columns
 from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
@@ -116,13 +116,13 @@ def score_and_offer_block(
     if len(sel) == 0:
         return
     num_members = len(members)
-    qids = [q.query_id for q in members]
+    lists = [hitlists[q.query_id] for q in members]
 
     def count_skipped(owners: np.ndarray) -> None:
         # skipped candidates were still offered: they count as evaluated
         for k, n in enumerate(np.bincount(owners, minlength=num_members).tolist()):
             if n:
-                hitlists[qids[k]].evaluated += n
+                lists[k].evaluated += n
 
     ok = lengths >= cfg.min_candidate_length
     if not ok.all():
@@ -148,36 +148,35 @@ def score_and_offer_block(
     # Emit the whole block in one pass: a member-major lexsort whose
     # within-member key order is exactly Hit.sort_key, so each member's
     # segment head is the same top-tau that add_batch would select (see
-    # TopHitList.add_top_sorted).  Members are emitted in block
+    # TopHitList.add_top_sorted).  A member that already retained rows —
+    # from an earlier shard or partition — has them taken out of its list
+    # and sorted in with the block's own: they are its top tau of
+    # everything seen so far, so the head of the joint segment is its top
+    # tau of everything seen now.  Members are emitted in block
     # (mass-sorted) order — each query belongs to exactly one block per
     # pass and TopHitList is order-independent, so emission order cannot
     # affect results.
-    prot, c_start, c_stop, c_mass, c_mod = columns(sel)
-    by_member = np.lexsort((c_mod, c_stop, c_start, prot, -scores, mem))
+    table = (scores, *columns(sel))
+    offered = counts.tolist()
+    carried = [k for k, n in enumerate(offered) if n and len(lists[k])]
+    if carried:
+        prior = [lists[k].take_columns() for k in carried]
+        prior_counts = [len(cols[0]) for cols in prior]
+        table = tuple(
+            np.concatenate((col, *earlier)) for col, *earlier in zip(table, *prior)
+        )
+        mem = np.concatenate((mem, np.repeat(carried, prior_counts)))
+        counts[carried] += prior_counts
+    t_sc, t_pr, t_st, t_sp, _t_ms, t_md = table
+    by_member = np.lexsort((t_md, t_sp, t_st, t_pr, -t_sc, mem))
     seg = np.concatenate(([0], np.cumsum(counts)))
     take = np.minimum(counts, cfg.tau)
     top = by_member[_ragged_arange(seg[:-1], take)]
-    t_sc = scores[top].tolist()
-    t_pr = prot[top].tolist()
-    t_st = c_start[top].tolist()
-    t_sp = c_stop[top].tolist()
-    t_ms = c_mass[top].tolist()
-    t_md = c_mod[top].tolist()
+    table = tuple(col[top] for col in table)
     bounds = np.concatenate(([0], np.cumsum(take))).tolist()
-    for k, offered in enumerate(counts.tolist()):
-        if not offered:
-            continue
-        c0, c1 = bounds[k], bounds[k + 1]
-        hitlists[qids[k]].add_top_sorted(
-            qids[k],
-            t_sc[c0:c1],
-            t_pr[c0:c1],
-            t_st[c0:c1],
-            t_sp[c0:c1],
-            t_ms[c0:c1],
-            t_md[c0:c1],
-            offered,
-        )
+    for k, n in enumerate(offered):
+        if n:
+            lists[k].add_top_sorted(members[k].query_id, table, bounds[k], bounds[k + 1], n)
 
 
 class ShardSearcher:
@@ -609,7 +608,7 @@ def search_serial(
         + cost.query_processing_overhead(stats, len(queries))
         + cost.report_time(sum(min(len(h), config.tau) for h in hitlists.values()))
     )
-    hits = {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+    hits = HitTable(pack_hit_columns(hitlists, hitlists))
     extras = {
         "batches": stats.batches,
         "rows_scored": stats.rows_scored,
@@ -687,7 +686,7 @@ def _search_serial_streamed(
         + cost.query_processing_overhead(stats, len(queries))
         + cost.report_time(sum(min(len(h), config.tau) for h in hitlists.values()))
     )
-    hits = {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+    hits = HitTable(pack_hit_columns(hitlists, hitlists))
     extras = {
         "batches": stats.batches,
         "rows_scored": stats.rows_scored,

@@ -26,7 +26,7 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_queries
 from repro.core.results import SearchReport, merge_rank_hits
 from repro.obs.naming import simmpi_extras
-from repro.scoring.hits import Hit, TopHitList
+from repro.scoring.hits import Hit, TopHitList, pack_hit_columns
 from repro.scoring.hyperscore import HyperScorer
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig, SimCluster
@@ -97,7 +97,7 @@ def _rank_program(
     )
     reported = sum(min(len(h), config.tau) for h in hitlists.values())
     comm.compute(cost.report_time(reported), detail="report")
-    hits = {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+    hits = pack_hit_columns(hitlists, hitlists)
     return hits, evaluated
 
 

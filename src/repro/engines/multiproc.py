@@ -43,9 +43,11 @@ store's shard mapped, once per process, not once per task.  Results
 come back as flat NumPy columns
 (:class:`~repro.scoring.hits.HitColumns`) — eight
 buffers per task instead of one pickled ``Hit`` per retained hit — and
-become ``Hit`` objects once, in the parent; hits are folded through a
-``TopHitList`` only for a query id that arrives from more than one
-shard.
+stay columns in the parent: the report's hits are the tasks' columns
+concatenated in the caller's query order (a
+:class:`~repro.scoring.hits.HitTable`), top-tau folded only where a
+query id arrives from more than one shard, and unpacked into ``Hit``
+lists only for a checkpoint.
 
 Supervision: tasks are dispatched with ``apply_async`` under a
 supervisor loop rather than ``pool.map``.  A task that raises (or, with
@@ -74,14 +76,13 @@ import numpy as np
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import effective_query_blocks, partition_queries_by_mass
-from repro.core.results import SearchReport, merge_rank_hits
+from repro.core.results import SearchReport, merge_rank_hits, select_queries
 from repro.core.search import ShardSearcher, ShardStats, index_compat_problems
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.injector import FaultInjector
 from repro.faults.supervisor import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
 from repro.scoring.hits import (
-    Hit,
     HitColumns,
     TopHitList,
     pack_hit_columns,
@@ -556,17 +557,16 @@ def run_multiprocess_search(
     obs.count("multiproc.quarantined", len(supervisor.failed_tasks))
 
     stats = ShardStats()
-    per_task_hits: List[Dict[int, List[Hit]]] = []
+    task_columns: List[HitColumns] = []
     for task_id in sorted(supervisor.results):
         columns, worker_stats, worker_snap = supervisor.results[task_id]
-        task_hits = unpack_hit_columns(columns)
-        per_task_hits.append(task_hits)
+        task_columns.append(columns)
         obs.merge_snapshot(worker_snap)
         stats.merge(worker_stats)
         if manager is not None:
             manager.record(
                 task_id,
-                task_hits,
+                unpack_hit_columns(columns),
                 {
                     "candidates_evaluated": worker_stats.candidates_evaluated,
                     "batches": worker_stats.batches,
@@ -574,22 +574,26 @@ def run_multiprocess_search(
                     "index_rows": worker_stats.index_rows,
                 },
             )
+    # caller's query order, whatever order the blocks ran in; a query
+    # with no candidates anywhere (or only quarantined tasks) reports []
+    query_ids = dict.fromkeys(q.query_id for q in queries)
     if manager is not None:
+        # a checkpoint keeps Hit lists: the state a resumed run restores
         manager.flush()
-        hits = manager.merged_hits()
+        merged = manager.merged_hits()
+        hits = {qid: merged.get(qid, []) for qid in query_ids}
         candidates = manager.counters.get("candidates_evaluated", 0)
         batches = manager.counters.get("batches", 0)
         rows_scored = manager.counters.get("rows_scored", 0)
         index_rows = manager.counters.get("index_rows", 0)
     else:
-        hits = merge_rank_hits(per_task_hits, config.tau)
+        # the workers' columns stay columns: concatenated, and folded only
+        # where a query id arrived from more than one task (store shards)
+        hits = select_queries(merge_rank_hits(task_columns, config.tau), query_ids)
         candidates = stats.candidates_evaluated
         batches = stats.batches
         rows_scored = stats.rows_scored
         index_rows = stats.index_rows
-    # caller's query order, whatever order the blocks ran in; a query
-    # with no candidates anywhere (or only quarantined tasks) reports []
-    hits = {q.query_id: hits.get(q.query_id, []) for q in queries}
     wall = time.perf_counter() - start
     extras = {
         "num_shards": num_shards,

@@ -26,6 +26,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
+import numpy as np
+
+from repro.scoring.hits import as_hit_columns
+
 if TYPE_CHECKING:  # pragma: no cover - typing only; runtime import would
     # close the cycle core.results -> simmpi -> faults -> obs -> here
     from repro.core.results import SearchReport
@@ -158,6 +162,7 @@ class RunReport:
         section for autotuned runs."""
         extras = dict(report.extras)
         peak = report.max_peak_memory
+        hit_counts = as_hit_columns(report.hits).counts  # counted, never built
         return cls(
             algorithm=report.algorithm,
             engine=engine_of(report),
@@ -166,8 +171,8 @@ class RunReport:
             candidates_evaluated=report.candidates_evaluated,
             results={
                 "queries": len(report.hits),
-                "queries_with_hits": sum(1 for h in report.hits.values() if h),
-                "hits_reported": sum(len(h) for h in report.hits.values()),
+                "queries_with_hits": int(np.count_nonzero(hit_counts)),
+                "hits_reported": int(hit_counts.sum()),
                 "max_peak_memory": peak,
             },
             trace=_trace_payload(report.trace),

@@ -3,17 +3,35 @@
 "Each worker ... report[s] at most tau hits per query" and every
 algorithm "keeps a separate running list of the tau topmost hits for
 every query" (paper Sections II.A and II.B).  :class:`TopHitList` is that
-running list: a bounded min-heap with a *deterministic total order*, so
+running list: a bounded selection under a *deterministic total order*, so
 that the same candidate set always yields the same tau hits regardless of
 evaluation order — the property the paper's validation experiment
 (parallel output == serial output) rests on.
+
+Retained hits have one stored form, NumPy columns: a running list parks
+a sorted row range of the table its block emitted, a report holds one
+:class:`HitColumns` for all its queries behind a :class:`HitTable`, and
+the writers format from those arrays.  :class:`Hit` objects are built
+where someone asks for them by name — ``sorted_hits()``, indexing
+``report.hits`` — and by the scalar ``add()`` route (merging, checkpoint
+resume, recovery), which keeps a heap of them.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import chain, islice
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -83,30 +101,77 @@ class Hit(NamedTuple):
         )
 
 
+#: a hit's six stored columns, in the order every columnar form keeps them
+_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_EMPTY_COLUMNS: _Columns = (
+    np.empty(0, dtype=np.float64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.float64),
+    np.empty(0, dtype=np.float64),
+)
+
+
+def _columns_of(hits: Sequence[Hit]) -> _Columns:
+    """The six columns of ``hits``, in their order."""
+    if not hits:
+        return _EMPTY_COLUMNS
+    _query_ids, *fields = zip(*hits)
+    return tuple(
+        np.array(field, dtype=empty.dtype) for field, empty in zip(fields, _EMPTY_COLUMNS)
+    )
+
+
+def _best_first(columns: _Columns) -> np.ndarray:
+    """Row order of ``columns`` under :meth:`Hit.sort_key` (stable)."""
+    scores, protein_ids, starts, stops, _masses, mod_deltas = columns
+    return np.lexsort((mod_deltas, stops, starts, protein_ids, -scores))
+
+
+def _build_hits(query_id: int, columns: Sequence[np.ndarray], lo: int, hi: int) -> List[Hit]:
+    """``Hit`` tuples for rows ``[lo, hi)`` of six hit columns, in row order."""
+    new = tuple.__new__
+    sc, pr, st, sp, ms, md = columns
+    return [
+        new(Hit, (query_id, a, b, c, d, f, e))
+        for a, b, c, d, f, e in zip(
+            sc[lo:hi].tolist(),
+            pr[lo:hi].tolist(),
+            st[lo:hi].tolist(),
+            sp[lo:hi].tolist(),
+            ms[lo:hi].tolist(),
+            md[lo:hi].tolist(),
+        )
+    ]
+
+
 class TopHitList:
     """Bounded container keeping the tau best hits for one query.
 
-    ``add`` is O(log tau); ``sorted_hits`` is O(tau log tau).  Ties at the
-    cutoff are resolved by :meth:`Hit.sort_key`, never by insertion
-    order.
+    The list has one of two stored forms.  What the sweep and
+    :meth:`add_batch` leave behind is a *parked slice*: rows ``[lo, hi)``
+    of six NumPy columns, best first, held by reference — no ``Hit``
+    exists until :meth:`sorted_hits` is asked for one.  A scalar
+    :meth:`add` (and so :meth:`merge`) turns the slice into a bounded
+    min-heap, O(log tau) per offer; the next columnar offer folds the
+    heap back into a slice.  Ties at the cutoff are resolved by
+    :meth:`Hit.sort_key` in either form, never by insertion order.
     """
 
-    __slots__ = ("tau", "_heap", "_pending", "_counter", "evaluated")
+    __slots__ = ("tau", "_heap", "_pending", "evaluated")
 
     def __init__(self, tau: int):
         if tau < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
         self.tau = tau
-        # heap entries are (neg_sort_key_inverted,) — we need a *min*-heap
-        # whose root is the currently-worst retained hit, so we store
-        # inverted keys: tuples that compare smaller for worse hits.
+        # scalar form: (inverted sort key, Hit) entries of a *min*-heap
+        # whose root is the currently-worst retained hit
         self._heap: List[Tuple[Tuple, Hit]] = []
-        # columnar fast path: the first batch's retained top-tau parks
-        # here as plain lists (query_id, scores, proteins, starts, stops,
-        # masses, mod_deltas, best_first) and only becomes Hit objects
-        # when something actually needs them — a later batch, a scalar
-        # add, or sorted_hits.  Invariant: _pending implies empty _heap.
-        self._pending = None
+        # columnar form: (query_id, columns, lo, hi), rows best first.
+        # Invariant: _pending implies empty _heap.
+        self._pending: Optional[Tuple[int, _Columns, int, int]] = None
         self.evaluated = 0  #: total candidates offered (for candidates/sec metrics)
 
     @staticmethod
@@ -119,26 +184,18 @@ class TopHitList:
         return (-k[0], -k[1], -k[2], -k[3], -k[4])
 
     def _materialize(self) -> None:
-        """Turn a parked columnar batch into real heap entries."""
-        parked = self._pending
-        if parked is None:
+        """Turn the parked slice into heap entries (scalar offers only)."""
+        if self._pending is None:
             return
+        hits = _build_hits(*self._pending)
         self._pending = None
-        qid, sc, pr, st, sp, ms, md, _best_first = parked
-        new = tuple.__new__
-        self._heap = [
-            ((a, -b, -c, -d, -e), new(Hit, (qid, a, b, c, d, f, e)))
-            for a, b, c, d, f, e in zip(sc, pr, st, sp, ms, md)
-        ]
+        self._heap = [(self._heap_key(hit), hit) for hit in hits]
         heapq.heapify(self._heap)
 
     def add(self, hit: Hit) -> bool:
         """Offer a hit; returns True if retained in the top tau."""
         self.evaluated += 1
         self._materialize()
-        return self._push(hit)
-
-    def _push(self, hit: Hit) -> bool:
         key = self._heap_key(hit)
         if len(self._heap) < self.tau:
             heapq.heappush(self._heap, (key, hit))
@@ -161,105 +218,85 @@ class TopHitList:
         """Offer a whole array of scored candidates; returns the number retained.
 
         The retained set is *provably identical* to offering the
-        candidates one at a time through :meth:`add`, but Hit objects are
-        only materialised for the at-most-tau that can still matter:
+        candidates one at a time through :meth:`add`, but only the
+        at-most-tau that can still matter are kept at all:
 
         * candidates scoring strictly below the currently-worst retained
           hit (with a full list) can never enter — ties are kept, because
           the structural tie-break may still admit them;
         * of the survivors, only the batch's top tau under the *full*
           total order (:meth:`Hit.sort_key`, computed by one vectorized
-          lexsort) are pushed: any other survivor is outranked by tau
+          lexsort) are offered: any other survivor is outranked by tau
           batch-mates, each of which either stays retained or is evicted
           by something better still — so it can never end in the top tau
-          no matter the offer order or prior heap contents.
+          no matter the offer order or prior contents.
 
-        Survivors go through the same deterministic heap as the scalar
-        path; the heap's outcome is order-independent (total order, no
-        duplicate keys within a batch), so tie resolution is unchanged.
+        The per-query route of the scalar reference (``tests/reference.py``).
         """
         n = len(scores)
         if n == 0:
-            self.evaluated += n
             return 0
         idx = np.arange(n)
-        if len(self._heap) >= self.tau:
-            idx = idx[scores >= self._heap[0][1].score]
-        if len(idx) > self.tau:
-            order = np.lexsort(
-                (
-                    mod_deltas[idx],
-                    stops[idx],
-                    starts[idx],
-                    protein_ids[idx],
-                    -scores[idx],
-                )
-            )
-            idx = idx[order[: self.tau]]
+        if len(self) >= self.tau:
+            idx = idx[scores >= self._worst_score()]
+        columns = tuple(
+            col[idx] for col in (scores, protein_ids, starts, stops, masses, mod_deltas)
+        )
+        truncated = len(idx) > self.tau
+        if truncated:
+            order = _best_first(columns)[: self.tau]
+            columns = tuple(col[order] for col in columns)
         return self.add_top_sorted(
-            query_id,
-            scores[idx].tolist(),
-            protein_ids[idx].tolist(),
-            starts[idx].tolist(),
-            stops[idx].tolist(),
-            masses[idx].tolist(),
-            mod_deltas[idx].tolist(),
-            n,
-            best_first=len(idx) > self.tau,
+            query_id, columns, 0, len(columns[0]), n, best_first=truncated
         )
 
     def add_top_sorted(
         self,
         query_id: int,
-        scores: list,
-        protein_ids: list,
-        starts: list,
-        stops: list,
-        masses: list,
-        mod_deltas: list,
+        columns: _Columns,
+        lo: int,
+        hi: int,
         offered: int,
         best_first: bool = True,
     ) -> int:
         """Offer a batch represented by its pre-selected top tau.
 
-        The column lists hold the batch's top ``min(tau, n)`` candidates
-        under the full total order (:meth:`Hit.sort_key`) — exactly the
-        selection :meth:`add_batch` computes internally, so the outcome
-        is identical to offering the whole batch (see the eviction
-        argument there).  ``offered`` is the full batch size, counted
-        into ``evaluated``; ``best_first`` records whether the columns
-        are sorted best-first (they are whenever a top-tau truncation
-        actually happened), which lets :meth:`sorted_hits` skip its
-        final sort.  Used by the candidate-major sweep, which performs
-        the top-tau selection for a whole cohort in one vectorized pass.
+        Rows ``[lo, hi)`` of ``columns`` — ``(scores, protein_ids,
+        starts, stops, masses, mod_deltas)`` arrays — hold the batch's
+        top ``min(tau, n)`` candidates under the full total order
+        (:meth:`Hit.sort_key`) — exactly the selection :meth:`add_batch`
+        computes internally, so the outcome is identical to offering the
+        whole batch (see the eviction argument there).  ``offered`` is
+        the full batch size, counted into ``evaluated``; ``best_first``
+        says the rows are already sorted best-first (they are whenever a
+        top-tau truncation actually happened).  Returns how many of the
+        rows were retained.
 
-        On the first batch for a query the columns are parked as-is and
-        Hit objects are not built at all until something needs them —
-        the common serial case materializes exactly once, in
-        :meth:`sorted_hits`, already in output order.
+        On an empty list the range is parked by reference: no copy, no
+        ``Hit``.  The candidate-major sweep always offers to an empty
+        list — it selects a whole block's top tau in one vectorized pass
+        and folds a member's earlier rows (:meth:`take_columns`) into
+        that same sort.  Any other caller's rows are folded here, one
+        small sort per call, and the result parked again.
         """
         self.evaluated += offered
-        if not self._heap:
-            if self._pending is None:
-                self._pending = (
-                    query_id,
-                    scores,
-                    protein_ids,
-                    starts,
-                    stops,
-                    masses,
-                    mod_deltas,
-                    best_first,
-                )
-                return len(scores)
-            self._materialize()
-        retained = 0
-        new = tuple.__new__
-        for row in zip(scores, protein_ids, starts, stops, masses, mod_deltas):
-            sc, pr, st, sp, ms, md = row
-            if self._push(new(Hit, (query_id, sc, pr, st, sp, ms, md))):
-                retained += 1
+        retained = hi - lo
+        if len(self) or not best_first:
+            prior = self.take_columns()
+            columns = tuple(np.concatenate((p, col[lo:hi])) for p, col in zip(prior, columns))
+            order = _best_first(columns)[: self.tau]
+            columns = tuple(col[order] for col in columns)
+            lo, hi = 0, len(order)
+            retained = int(np.count_nonzero(order >= len(prior[0])))
+        self._pending = (query_id, columns, lo, hi)
         return retained
+
+    def _worst_score(self) -> float:
+        """Score of the worst retained hit (the list must not be empty)."""
+        if self._pending is not None:
+            _qid, columns, _lo, hi = self._pending
+            return columns[0][hi - 1]
+        return self._heap[0][1].score
 
     def would_retain(self, score: float) -> bool:
         """Cheap pre-check: could any hit with this score enter the list?
@@ -268,53 +305,51 @@ class TopHitList:
         must still go through :meth:`add` for deterministic resolution,
         so this returns True on equality.
         """
-        self._materialize()
-        if len(self._heap) < self.tau:
-            return True
-        return score >= self._heap[0][1].score
+        return len(self) < self.tau or bool(score >= self._worst_score())
 
     def __len__(self) -> int:
         if self._pending is not None:
-            return len(self._pending[1])
+            return self._pending[3] - self._pending[2]
         return len(self._heap)
 
     def sorted_hits(self) -> List[Hit]:
         """Retained hits, best first, deterministic order."""
         if self._pending is not None:
-            qid, sc, pr, st, sp, ms, md, best_first = self._pending
-            new = tuple.__new__
-            hits = [
-                new(Hit, (qid, a, b, c, d, f, e))
-                for a, b, c, d, f, e in zip(sc, pr, st, sp, ms, md)
-            ]
-            # a parked batch sorted best-first is already in output
-            # order (same total order as sort_key, no duplicate keys)
-            return hits if best_first else sorted(hits, key=Hit.sort_key)
+            # a parked slice is already in output order (same total order
+            # as sort_key)
+            return _build_hits(*self._pending)
         return sorted((h for _k, h in self._heap), key=Hit.sort_key)
 
-    def columns(self) -> Tuple[list, list, list, list, list, list]:
-        """:meth:`sorted_hits` as parallel lists, without the Hit objects.
+    def columns(self) -> _Columns:
+        """:meth:`sorted_hits` as parallel arrays, without the Hit objects.
 
         Returns ``(scores, protein_ids, starts, stops, masses,
-        mod_deltas)``, best first.  A parked best-first batch — what the
-        sweep leaves behind for every query that saw one shard — is
-        handed out as-is; anything else goes through the sorted hits.
+        mod_deltas)``, best first.  A parked slice — what the sweep
+        leaves behind for every query — is handed out as six views;
+        only a heap goes through its sorted hits.
         """
-        if self._pending is not None and self._pending[7]:
-            return self._pending[1:7]
-        hits = self.sorted_hits()
-        if not hits:
-            return ([], [], [], [], [], [])
-        _qid, sc, pr, st, sp, ms, md = zip(*hits)
-        return (list(sc), list(pr), list(st), list(sp), list(ms), list(md))
+        if self._pending is not None:
+            _qid, columns, lo, hi = self._pending
+            return tuple(col[lo:hi] for col in columns)
+        return _columns_of(self.sorted_hits())
+
+    def take_columns(self) -> _Columns:
+        """:meth:`columns`, and forget the rows (``evaluated`` stays).
+
+        For a caller that folds the retained rows into a sort of its own
+        and offers the outcome back through :meth:`add_top_sorted`.
+        """
+        columns = self.columns()
+        self._pending = None
+        self._heap = []
+        return columns
 
     def merge(self, other: "TopHitList") -> None:
         """Fold another list's hits into this one (keeps max of tau)."""
         if other.tau != self.tau:
             raise ValueError(f"tau mismatch: {self.tau} vs {other.tau}")
         evaluated = self.evaluated + other.evaluated
-        other._materialize()
-        for _k, hit in other._heap:
+        for hit in other.sorted_hits():
             self.add(hit)
         self.evaluated = evaluated  # merging is not re-evaluating
 
@@ -322,10 +357,12 @@ class TopHitList:
 class HitColumns(NamedTuple):
     """The top-tau lists of many queries as flat NumPy columns.
 
-    What a worker process returns for its query block: eight arrays
-    pickle as eight buffers, where the same hits as ``Hit`` tuples cost
-    one object each to dump, load and fold.  Query ``query_ids[i]`` owns
-    the next ``counts[i]`` rows of the six hit columns, best first.
+    The one stored form of reported hits: what a worker process returns
+    for its query block (eight arrays pickle as eight buffers, where the
+    same hits as ``Hit`` tuples cost one object each to dump, load and
+    fold), what every engine's report holds (:class:`HitTable`) and what
+    the writers format from.  Query ``query_ids[i]`` owns the next
+    ``counts[i]`` rows of the six hit columns, best first.
     """
 
     query_ids: np.ndarray
@@ -339,42 +376,112 @@ class HitColumns(NamedTuple):
 
 
 def pack_hit_columns(
-    hitlists: Dict[int, TopHitList], query_ids: Iterable[int]
+    hitlists: Mapping[int, TopHitList], query_ids: Iterable[int]
 ) -> HitColumns:
     """Flatten ``hitlists[qid].columns()`` for ``query_ids``, in that order."""
     query_ids = list(query_ids)
     per_query = [hitlists[qid].columns() for qid in query_ids]
     counts = [len(cols[0]) for cols in per_query]
-    total = sum(counts)
-
-    def column(k: int, dtype) -> np.ndarray:
-        flat = chain.from_iterable(cols[k] for cols in per_query)
-        return np.fromiter(flat, dtype=dtype, count=total)
-
+    # one more, empty, part: concatenate needs one, and it pins the dtypes
+    per_query.append(_EMPTY_COLUMNS)
     return HitColumns(
         np.array(query_ids, dtype=np.int64),
         np.array(counts, dtype=np.int64),
-        column(0, np.float64),
-        column(1, np.int64),
-        column(2, np.int64),
-        column(3, np.int64),
-        column(4, np.float64),
-        column(5, np.float64),
+        *(np.concatenate(column) for column in zip(*per_query)),
+    )
+
+
+class HitTable(Mapping):
+    """Read-only ``Mapping[int, List[Hit]]`` view over one :class:`HitColumns`.
+
+    What ``SearchReport.hits`` is for every engine's report.  Length,
+    iteration order (the columns' query order), ``in``, ``.get``,
+    ``.items()`` and ``==`` with a dict behave as the dict of lists it
+    replaces.  A query's ``Hit`` tuples are built the first time it is
+    *indexed* and kept, so a caller pays for the queries it reads, once,
+    and gets the same list each time.  ``.items()`` and ``.values()``
+    stream instead: a query not indexed before is built as it is
+    yielded and not kept, so walking a large report holds one query's
+    tuples at a time.  One that only writes or counts (``write_tsv``,
+    ``RunReport``) builds none: the columns are the record, and what the
+    writers read.  Query ids are unique.  Pickles as its columns.
+    """
+
+    __slots__ = ("columns", "_rows", "_indexed")
+
+    def __init__(self, columns: HitColumns):
+        self.columns = columns
+        self._rows: Optional[Dict[int, Tuple[int, int]]] = None  # qid -> [lo, hi)
+        self._indexed: Dict[int, List[Hit]] = {}
+
+    def _row_bounds(self) -> Dict[int, Tuple[int, int]]:
+        if self._rows is None:
+            bounds = np.concatenate(([0], np.cumsum(self.columns.counts))).tolist()
+            self._rows = dict(zip(self.columns.query_ids.tolist(), zip(bounds, bounds[1:])))
+        return self._rows
+
+    def _hits(self, query_id: int, keep: bool) -> List[Hit]:
+        hits = self._indexed.get(query_id)
+        if hits is None:
+            lo, hi = self._row_bounds()[query_id]
+            hits = _build_hits(query_id, self.columns[2:], lo, hi)
+            if keep:
+                self._indexed[query_id] = hits
+        return hits
+
+    def __getitem__(self, query_id: int) -> List[Hit]:
+        return self._hits(query_id, keep=True)
+
+    def __contains__(self, query_id) -> bool:
+        return query_id in self._row_bounds()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.columns.query_ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.columns.query_ids)
+
+    def items(self) -> ItemsView:
+        return _StreamedItems(self)
+
+    def values(self) -> ValuesView:
+        return _StreamedValues(self)
+
+    def __reduce__(self):
+        return HitTable, (self.columns,)
+
+    def __repr__(self) -> str:
+        return f"HitTable({len(self)} queries, {len(self.columns.scores)} hits)"
+
+
+class _StreamedItems(ItemsView):
+    def __iter__(self):
+        table = self._mapping
+        return ((query_id, table._hits(query_id, keep=False)) for query_id in table)
+
+
+class _StreamedValues(ValuesView):
+    def __iter__(self):
+        table = self._mapping
+        return (table._hits(query_id, keep=False) for query_id in table)
+
+
+def as_hit_columns(hits: Union[HitColumns, Mapping[int, Sequence[Hit]]]) -> HitColumns:
+    """The columns behind a report's ``hits``: a table's own, a dict's packed."""
+    if isinstance(hits, HitColumns):
+        return hits
+    if isinstance(hits, HitTable):
+        return hits.columns
+    return HitColumns(
+        np.array(list(hits), dtype=np.int64),
+        np.array([len(hs) for hs in hits.values()], dtype=np.int64),
+        *_columns_of([hit for hs in hits.values() for hit in hs]),
     )
 
 
 def unpack_hit_columns(columns: HitColumns) -> Dict[int, List[Hit]]:
     """Inverse of :func:`pack_hit_columns`: per-query hits, best first."""
-    qids = columns.query_ids.tolist()
-    new = tuple.__new__
-    rows = zip(*(col.tolist() for col in columns[2:]))
-    hits: Dict[int, List[Hit]] = {}
-    for qid, count in zip(qids, columns.counts.tolist()):
-        hits[qid] = [
-            new(Hit, (qid, sc, pr, st, sp, ms, md))
-            for sc, pr, st, sp, ms, md in islice(rows, count)
-        ]
-    return hits
+    return dict(HitTable(columns))
 
 
 def hit_to_payload(hit: Hit) -> dict:

@@ -316,7 +316,38 @@ class SimCluster:
         and the trace summary.  Any exception raised inside a rank
         program propagates to the caller (with rank context), mirroring
         an MPI abort.
+
+        A cluster runs once.  When the run ends — returning or raising —
+        it lets go of the rank programs, their communicators and every
+        exposed window, so what the ranks held (shards, mass indexes,
+        searchers) dies with the last outside reference instead of
+        waiting for the cycle collector; ``memory``, ``traces`` and the
+        failure log stay readable.
         """
+        if not self._comms:
+            raise CommunicationError("this SimCluster has already run; build a new one")
+        try:
+            return self._run(program, args)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Drop what only a run in progress needs, and the reference
+        cycles (cluster <-> communicators, cluster -> suspended
+        generators -> communicators) that would keep it all alive."""
+        self._gens, self._state, self._inject = [], [], []
+        self._windows.clear()
+        self._mailboxes.clear()
+        self._collectives.clear()
+        for comm in self._comms:
+            comm._cluster = None
+        self._comms = []
+
+    def _run(
+        self,
+        program: RankProgram,
+        args: Optional[Dict[int, tuple]] = None,
+    ) -> Tuple[List[RankOutcome], TraceSummary]:
         p = self.config.num_ranks
         gens: List[Generator] = []
         for r in range(p):

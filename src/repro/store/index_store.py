@@ -46,6 +46,7 @@ import hashlib
 import json
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,6 +106,38 @@ def compute_fingerprint(db: ProteinDatabase, build: Dict[str, Any]) -> str:
         h.update(np.ascontiguousarray(arr).tobytes())
         h.update(b"\x00")
     return h.hexdigest()
+
+
+#: ``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, and
+#: CPython 3.11's AST recursion counter is not thread-safe: two threads
+#: (service workers) opening store buffers at once can die with
+#: ``SystemError: AST constructor recursion depth mismatch``.  Every
+#: ``np.load`` of either store format runs under this lock — a header
+#: parse plus an ``mmap``, microseconds; decode and scoring stay outside.
+NPY_LOAD_LOCK = threading.Lock()
+
+
+def load_buffer(buf_path: Path, mmap: bool, missing: str) -> np.ndarray:
+    """``np.load`` one stored ``.npy`` buffer, read-only, one thread at a time.
+
+    ``missing`` is the message of the :class:`IndexStoreError` raised when
+    the file is not there; an unreadable or truncated one gets its own.
+    """
+    try:
+        with NPY_LOAD_LOCK:
+            arr = np.load(buf_path, mmap_mode="r" if mmap else None)
+    except FileNotFoundError:
+        raise IndexStoreError(missing) from None
+    except (ValueError, OSError, EOFError) as exc:
+        # numpy reports truncation inconsistently: a torn .npy header
+        # raises ValueError, a payload cut short raises EOFError (heap
+        # load) or ValueError (mmap); all of them mean the same thing here
+        raise IndexStoreError(
+            f"index store buffer {buf_path} is unreadable or truncated: {exc}"
+        ) from None
+    if not mmap:
+        arr.flags.writeable = False
+    return arr
 
 
 @dataclass
@@ -187,25 +220,12 @@ class StoredIndex:
         with metrics.span("index.load", category="store", shard=i, mmap=mmap):
             for name in ARRAY_NAMES:
                 buf_path = shard_dir / f"{name}.npy"
-                try:
-                    arr = np.load(buf_path, mmap_mode="r" if mmap else None)
-                except FileNotFoundError:
-                    raise IndexStoreError(
-                        f"index store at {self.path} is missing buffer "
-                        f"{buf_path.name} for shard {i}"
-                    ) from None
-                except (ValueError, OSError, EOFError) as exc:
-                    # numpy reports truncation inconsistently: a torn
-                    # .npy header raises ValueError, a payload cut short
-                    # raises EOFError (heap load) or ValueError (mmap);
-                    # all of them mean the same thing here
-                    raise IndexStoreError(
-                        f"index store buffer {buf_path} is unreadable or "
-                        f"truncated: {exc}"
-                    ) from None
-                if not mmap:
-                    arr.flags.writeable = False
-                arrays[name] = arr
+                arrays[name] = load_buffer(
+                    buf_path,
+                    mmap,
+                    f"index store at {self.path} is missing buffer "
+                    f"{buf_path.name} for shard {i}",
+                )
             problems = layout.check_arrays(arrays)
             if problems:
                 raise IndexStoreError(

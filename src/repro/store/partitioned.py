@@ -88,6 +88,7 @@ from repro.store.index_store import (
     StoredIndex,
     _fsync_dir,
     compute_fingerprint,
+    load_buffer,
     open_index,
     _read_header,
 )
@@ -415,18 +416,12 @@ class PartitionedIndex:
         bufs = []
         for name in _DB_BUFFERS:
             buf_path = self.path / DATABASE_DIR / f"{name}.npy"
-            try:
-                arr = np.load(buf_path, mmap_mode="r" if mmap else None)
-            except FileNotFoundError:
-                raise IndexStoreError(
-                    f"partitioned store at {self.path} is missing database "
-                    f"buffer {buf_path.name}"
-                ) from None
-            except (ValueError, OSError, EOFError) as exc:
-                raise IndexStoreError(
-                    f"partitioned store buffer {buf_path} is unreadable or "
-                    f"truncated: {exc}"
-                ) from None
+            arr = load_buffer(
+                buf_path,
+                mmap,
+                f"partitioned store at {self.path} is missing database "
+                f"buffer {buf_path.name}",
+            )
             dtype, shape = self.database_arrays[name]
             if str(arr.dtype) != dtype or tuple(arr.shape) != shape:
                 raise IndexStoreError(
@@ -434,8 +429,6 @@ class PartitionedIndex:
                     f"{arr.dtype}/{tuple(arr.shape)}, manifest says "
                     f"{dtype}/{shape}"
                 )
-            if not mmap:
-                arr.flags.writeable = False
             bufs.append(arr)
         return ProteinDatabase.from_buffers(*bufs)
 

@@ -8,12 +8,16 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import results
 from repro.core.config import SearchConfig
 from repro.core.search import search_serial
 from repro.core.results import reports_equal
+from repro.engines import multiproc
 from repro.engines.multiproc import run_multiprocess_search
+from repro.scoring.hits import HitTable
 from repro.store import save_index, save_partitioned_index
 from repro.workloads.queries import QueryWorkload
+from tests.reference import assert_report_matches, reference_search
 
 
 class TestMultiprocess:
@@ -142,6 +146,50 @@ class TestQueryMajorDecomposition:
         assert rep.candidates_evaluated == serial.candidates_evaluated
         assert rep.extras["tasks_total"] >= num_workers
         assert rep.extras["query_blocks"] >= query_blocks
+
+    @pytest.mark.parametrize("start_method", _START_METHODS)
+    def test_the_parent_keeps_columns_as_columns(
+        self, tiny_db, queries, paths, start_method, monkeypatch
+    ):
+        """A query id that arrives from one task is never unpacked: the
+        direct path concatenates and folds nothing.  One that arrives from
+        both shards of a resident store is folded, still in columns.  The
+        hits are the scalar oracle's either way."""
+        folds = []
+        fold = results._fold_repeated_queries
+        monkeypatch.setattr(
+            results, "_fold_repeated_queries", lambda *a: folds.append(1) or fold(*a)
+        )
+        monkeypatch.setattr(
+            multiproc, "unpack_hit_columns", lambda c: pytest.fail("unpacked without a checkpoint")
+        )
+        oracle = reference_search(tiny_db, SearchConfig(tau=10), queries)
+        for path, folded in (("direct", 0), ("resident_store", 1), ("partitioned_store", 1)):
+            config, kwargs = paths[path]
+            del folds[:]
+            rep = run_multiprocess_search(
+                tiny_db, queries, num_workers=2, config=config,
+                query_blocks=3, start_method=start_method, **kwargs,
+            )
+            assert len(folds) == folded, path
+            assert isinstance(rep.hits, HitTable)
+            assert_report_matches(oracle, rep)
+
+    def test_a_checkpointed_run_unpacks_and_reports_the_same_hits(
+        self, tiny_db, queries, serial, tmp_path, monkeypatch
+    ):
+        unpacked = []
+        unpack = multiproc.unpack_hit_columns
+        monkeypatch.setattr(
+            multiproc, "unpack_hit_columns", lambda c: unpacked.append(1) or unpack(c)
+        )
+        rep = run_multiprocess_search(
+            tiny_db, queries, num_workers=1, config=SearchConfig(tau=10),
+            query_blocks=3, checkpoint_path=str(tmp_path / "run.ckpt"),
+        )
+        assert len(unpacked) == rep.extras["tasks_total"] == 3
+        assert reports_equal(serial, rep, score_rtol=0)
+        assert list(rep.hits) == [q.query_id for q in queries]
 
     def test_direct_path_scores_each_query_once_in_few_cohorts(self, small_db):
         """The database is not split when no store is given, and

@@ -1,0 +1,166 @@
+"""The columnar hit path against the scalar one.
+
+``score_and_offer_block`` selects a whole block's top tau in one sort and
+parks each member a slice of the result; a member that already retained
+rows has them folded into that same sort.  Sequential
+:meth:`TopHitList.add` — one ``Hit`` at a time through the heap — is the
+oracle: identical ``sorted_hits()`` and identical ``evaluated`` per
+query, whatever the order of blocks, with ties, repeated candidates,
+filtered rows and scalar offers in between.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.search import ShardStats, score_and_offer_block
+from repro.scoring.hits import (
+    Hit,
+    HitTable,
+    TopHitList,
+    pack_hit_columns,
+    unpack_hit_columns,
+)
+from repro.spectra.spectrum import Spectrum
+
+# few distinct values per field: ties at the cutoff and candidates that
+# arrive twice (same protein, span and mod_delta) are the common case
+_ROW = st.tuples(
+    st.sampled_from([0.0, 1.0, 1.5, 2.0]),  # score
+    st.integers(0, 3),  # protein id
+    st.integers(0, 2),  # start
+    st.integers(1, 6),  # length
+    st.sampled_from([0.0, 15.994915]),  # mod_delta
+)
+_BATCH = st.lists(_ROW, min_size=0, max_size=12)
+
+
+def _spectrum(qid):
+    return Spectrum(np.array([100.0]), np.array([1.0]), 500.0, 1, qid)
+
+
+def _hit(qid, row):
+    score, pid, start, length, mod = row
+    return Hit(qid, score, pid, start, start + length, 1000.0 + pid, mod)
+
+
+def _offer_block(cfg, hitlists, batches):
+    """One ``score_and_offer_block`` call: ``batches`` maps qid -> rows."""
+    qids = list(batches)
+    rows = [row for qid in qids for row in batches[qid]]
+    score, pid, start, length, mod = (np.array(col) for col in zip(*rows)) if rows else ([],) * 5
+    table_scores = np.asarray(score, dtype=np.float64)
+    pid, start, length = (np.asarray(a, dtype=np.int64) for a in (pid, start, length))
+    mod = np.asarray(mod, dtype=np.float64)
+    stats = ShardStats()
+    score_and_offer_block(
+        cfg,
+        stats,
+        hitlists,
+        [_spectrum(qid) for qid in qids],
+        np.arange(len(rows), dtype=np.int64),
+        np.repeat(np.arange(len(qids), dtype=np.int64), [len(batches[q]) for q in qids]),
+        length,
+        lambda spectra, kept: (table_scores[np.concatenate(kept)], sum(map(len, kept)), 0),
+        lambda sel: (pid[sel], start[sel], start[sel] + length[sel], 1000.0 + pid[sel], mod[sel]),
+    )
+    assert stats.candidates_evaluated == len(rows)
+
+
+def _offer_scalar(cfg, hitlist, qid, rows):
+    """The oracle: what the block emit must equal, one ``add`` at a time."""
+    for row in rows:
+        score, length = row[0], row[3]
+        if length < cfg.min_candidate_length or (
+            cfg.score_cutoff is not None and score < cfg.score_cutoff
+        ):
+            hitlist.evaluated += 1  # skipped, but offered
+        else:
+            hitlist.add(_hit(qid, row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tau=st.integers(1, 8),
+    per_query=st.lists(st.lists(_BATCH, min_size=1, max_size=4), min_size=1, max_size=4),
+    scalar_between=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _ROW), max_size=3),
+    cutoff=st.sampled_from([None, 1.0]),
+    min_length=st.sampled_from([1, 3]),
+    data=st.data(),
+)
+def test_block_emit_with_fold_equals_sequential_add(
+    tau, per_query, scalar_between, cutoff, min_length, data
+):
+    cfg = SimpleNamespace(tau=tau, score_cutoff=cutoff, min_candidate_length=min_length)
+    emitted = {qid: TopHitList(tau) for qid in range(len(per_query))}
+    oracle = {qid: TopHitList(tau) for qid in range(len(per_query))}
+    # round r offers every query's r-th batch as one block, members in a
+    # drawn order; a query's batches themselves come in a drawn order
+    per_query = [data.draw(st.permutations(batches)) for batches in per_query]
+    for r in range(max(map(len, per_query))):
+        members = [qid for qid, batches in enumerate(per_query) if r < len(batches)]
+        members = data.draw(st.permutations(members))
+        _offer_block(cfg, emitted, {qid: per_query[qid][r] for qid in members})
+        for qid in members:
+            _offer_scalar(cfg, oracle[qid], qid, per_query[qid][r])
+        # a scalar add() between two block offers: slice -> heap -> slice
+        for after, qid, row in scalar_between:
+            if after == r and qid in emitted:
+                emitted[qid].add(_hit(qid, row))
+                oracle[qid].add(_hit(qid, row))
+    for qid in oracle:
+        assert emitted[qid].sorted_hits() == oracle[qid].sorted_hits()
+        assert emitted[qid].evaluated == oracle[qid].evaluated
+        assert len(emitted[qid]) == len(oracle[qid]) <= tau
+    # ... and the packed table says the same, field for field
+    table = HitTable(pack_hit_columns(emitted, emitted))
+    assert table == {qid: hl.sorted_hits() for qid, hl in oracle.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tau=st.integers(1, 8),
+    batches=st.lists(_BATCH, min_size=1, max_size=4),
+)
+def test_add_batch_equals_sequential_add(tau, batches):
+    """The reference route (``tests/reference.py``): per query, any number of batches."""
+    batched, oracle = TopHitList(tau), TopHitList(tau)
+    for rows in batches:
+        hits = [_hit(7, row) for row in rows]
+        for hit in hits:
+            oracle.add(hit)
+        cols = list(zip(*(h[1:] for h in hits))) if hits else [()] * 6
+        batched.add_batch(
+            7,
+            np.array(cols[0], dtype=np.float64),
+            np.array(cols[1], dtype=np.int64),
+            np.array(cols[2], dtype=np.int64),
+            np.array(cols[3], dtype=np.int64),
+            np.array(cols[4], dtype=np.float64),
+            np.array(cols[5], dtype=np.float64),
+        )
+    assert batched.sorted_hits() == oracle.sorted_hits()
+    assert batched.evaluated == oracle.evaluated
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tau=st.integers(1, 6),
+    lists=st.dictionaries(st.integers(0, 50), _BATCH, max_size=6),
+)
+def test_table_is_the_dict_it_replaces(tau, lists):
+    hitlists = {}
+    for qid, rows in lists.items():
+        hitlists[qid] = TopHitList(tau)
+        for row in rows:
+            hitlists[qid].add(_hit(qid, row))
+    columns = pack_hit_columns(hitlists, hitlists)
+    table, plain = HitTable(columns), unpack_hit_columns(columns)
+    assert dict(table) == plain == {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+    assert table == plain and plain == table
+    assert list(table) == list(plain) and len(table) == len(plain)
+    assert [(q, h) for q, h in table.items()] == list(plain.items())
+    assert all(qid in table for qid in plain) and -1 not in table
+    assert table.get(-1) is None and table.get(-1, []) == []

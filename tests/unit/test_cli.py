@@ -205,6 +205,35 @@ class TestObservabilityCommands:
         # each of the 6 queries is scored against both shards
         assert payload["metrics"]["counters"]["search.queries"] == 12
 
+    @pytest.mark.parametrize(
+        "engine", [["-a", "serial"], ["-a", "algorithm_a", "-p", "3"], ["-a", "multiproc", "-p", "1"]]
+    )
+    def test_files_to_tsv_and_run_report_build_no_hit(self, engine, capsys, tmp_path, monkeypatch):
+        """The hits of a whole run stay columns from the block emit to the
+        TSV and the RunReport's counts; only a printed query is indexed."""
+        import json
+
+        from repro.scoring import hits
+
+        built = []
+        build_hits = hits._build_hits
+        monkeypatch.setattr(
+            hits, "_build_hits", lambda qid, *a: built.append(qid) or build_hits(qid, *a)
+        )
+        tsv, report = tmp_path / "x.tsv", tmp_path / "r.json"
+        argv = ["search", "-n", "80", "-m", "8", *engine, "-o", str(tsv), "--report-out", str(report)]
+        assert main(argv + ["--show", "0"]) == 0
+        assert built == []
+        rows = tsv.read_text().splitlines()[1:]
+        results = json.loads(report.read_text())["results"]
+        assert results["queries"] == 8 and results["hits_reported"] == len(rows) > 0
+        assert results["queries_with_hits"] == len({row.split("\t")[0] for row in rows})
+        capsys.readouterr()
+        assert main(argv + ["--show", "2"]) == 0
+        shown = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  query ")]
+        assert len(shown) == 2 and len(built) >= 2  # the printed ones, and empties passed over
+        assert len(built) < 8
+
     def test_search_report_out_disables_registry_after(self, tmp_path):
         from repro.obs.metrics import get_metrics
 

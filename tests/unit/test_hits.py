@@ -5,9 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.scoring import hits as hits_module
 from repro.scoring.hits import (
     Hit,
+    HitTable,
     TopHitList,
+    as_hit_columns,
     merge_hit_lists,
     pack_hit_columns,
     unpack_hit_columns,
@@ -135,12 +138,12 @@ class TestHitColumns:
         tied = [2.0, 1.0, 1.0, 1.0, 1.0, 0.5]  # four-way tie across the cutoff
         parked_sorted = TopHitList(3)  # truncated: parked best-first
         _offer(parked_sorted, 1, tied, [9, 4, 2, 8, 6, 1])
-        parked_unsorted = TopHitList(10)  # fits whole: parked in offer order
+        parked_unsorted = TopHitList(10)  # fits whole: offered unsorted, sorted as it parks
         _offer(parked_unsorted, 2, tied, [9, 4, 2, 8, 6, 1])
         heap = TopHitList(3)
         for s, pid in zip(tied, [9, 4, 2, 8, 6, 1]):
             heap.add(make_hit(s, pid=pid, qid=3))
-        multi = TopHitList(3)  # second batch forces the parked one onto the heap
+        multi = TopHitList(3)  # second batch is folded into the parked slice
         _offer(multi, 4, tied, [9, 4, 2, 8, 6, 1])
         _offer(multi, 4, [1.0, 3.0], [0, 5])
         return {1: parked_sorted, 2: parked_unsorted, 3: heap, 4: multi, 5: TopHitList(3)}
@@ -148,11 +151,75 @@ class TestHitColumns:
     def test_columns_match_sorted_hits(self):
         for qid, hl in self._lists().items():
             hits = hl.sorted_hits()
-            sc, pr, st, sp, ms, md = hl.columns()
+            columns = hl.columns()
+            assert [c.dtype.kind for c in columns] == list("fiiiff")
+            sc, pr, st, sp, ms, md = (c.tolist() for c in columns)
             rebuilt = [Hit(qid, *row[:4], row[4], row[5]) for row in zip(sc, pr, st, sp, ms, md)]
             assert rebuilt == hits
             assert [h.mass for h in rebuilt] == [h.mass for h in hits]
             assert hl.sorted_hits() == hits  # the accessor consumed nothing
+
+    def test_lists_park_array_ranges_never_lists(self):
+        for qid, hl in self._lists().items():
+            if qid in (3, 5):  # scalar adds only / nothing offered: no slice
+                assert hl._pending is None
+                continue
+            parked_qid, columns, lo, hi = hl._pending
+            assert parked_qid == qid and hi - lo == len(hl) and not hl._heap
+            assert all(isinstance(c, np.ndarray) for c in columns) and len(columns) == 6
+
+    def test_truncated_batch_is_parked_as_sorted(self, monkeypatch):
+        """``add_batch`` takes the sorted-or-not flag *before* it cuts the
+        batch to tau: a truncated batch was lexsorted to be cut, and is
+        parked as it is — not sorted a second time, no ``Hit`` on the way."""
+        sorts = []
+        best_first = hits_module._best_first
+        monkeypatch.setattr(
+            hits_module, "_best_first", lambda cols: sorts.append(len(cols[0])) or best_first(cols)
+        )
+        monkeypatch.setattr(hits_module, "_build_hits", lambda *a: pytest.fail("built a Hit"))
+        tau = 4
+        hl = TopHitList(tau)
+        pids = [5, 3, 8, 1, 7, 2, 6, 4, 0]  # tau + 5 rows, one score: all tie-break
+        assert _offer(hl, 1, [1.0] * len(pids), pids) == tau
+        assert sorts == [len(pids)]  # the one sort that selected the top tau
+        assert hl.columns()[1].tolist() == [0, 1, 2, 3] and hl.evaluated == len(pids)
+        monkeypatch.undo()
+        assert [h[1:] for h in hl.sorted_hits()] == list(zip(*(c.tolist() for c in hl.columns())))
+
+    def test_parked_slice_is_a_view_of_the_offered_table(self):
+        """``add_top_sorted`` on an empty list parks ``[lo, hi)`` by reference."""
+        table = (
+            np.array([9.0, 3.0, 2.0, 1.0]),
+            np.array([1, 2, 3, 4]),
+            np.zeros(4, dtype=np.int64),
+            np.full(4, 7),
+            np.full(4, 800.0),
+            np.zeros(4),
+        )
+        hl = TopHitList(5)
+        assert hl.add_top_sorted(6, table, 1, 3, offered=10) == 2
+        assert hl.evaluated == 10 and len(hl) == 2
+        assert all(np.shares_memory(got, col) for got, col in zip(hl.columns(), table))
+        assert [h.protein_id for h in hl.sorted_hits()] == [2, 3]
+        assert hl.would_retain(0.0) and TopHitList(2).would_retain(-1.0)
+
+    def test_slice_to_heap_to_slice(self):
+        """A scalar ``add`` turns the slice into a heap; the next columnar
+        offer folds the heap back into a slice; ``take_columns`` empties it."""
+        hl = TopHitList(3)
+        _offer(hl, 1, [5.0, 4.0, 3.0, 2.0], [1, 2, 3, 4])
+        assert hl._pending is not None and not hl._heap
+        assert hl.add(make_hit(4.5, pid=9, qid=1)) and not hl.add(make_hit(1.0, pid=8, qid=1))
+        assert hl._pending is None and len(hl._heap) == 3
+        assert not hl.would_retain(3.9) and hl.would_retain(4.0)
+        assert _offer(hl, 1, [4.0, 6.0], [0, 7]) == 1  # 6.0 enters, the 4.0s fall off
+        assert hl._pending is not None and not hl._heap
+        assert [(h.score, h.protein_id) for h in hl.sorted_hits()] == [(6.0, 7), (5.0, 1), (4.5, 9)]
+        assert hl.evaluated == 8
+        taken = hl.take_columns()
+        assert taken[0].tolist() == [6.0, 5.0, 4.5] and len(hl) == 0 and hl.evaluated == 8
+        assert hl.sorted_hits() == [] and hl.take_columns()[0].tolist() == []
 
     def test_tie_at_cutoff_survives_the_columns(self):
         lists = self._lists()
@@ -181,4 +248,16 @@ class TestHitColumns:
     def test_pack_nothing(self):
         columns = pack_hit_columns({}, [])
         assert len(columns.scores) == 0
+        assert [c.dtype.kind for c in columns] == list("iifiiiff")
         assert unpack_hit_columns(columns) == {}
+
+    def test_table_over_the_columns_is_the_unpacked_dict(self):
+        lists = self._lists()
+        columns = pack_hit_columns(lists, [4, 5, 1, 3, 2])
+        table = HitTable(columns)
+        assert dict(table) == unpack_hit_columns(columns) == table
+        assert table[5] == [] and 5 in table and len(table) == 5
+        assert as_hit_columns(table) is columns and as_hit_columns(columns) is columns
+        repacked = as_hit_columns(dict(table))  # a plain dict is packed on demand
+        for got, want in zip(repacked, columns):
+            assert got.dtype == want.dtype and np.array_equal(got, want)

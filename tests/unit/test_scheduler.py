@@ -1,9 +1,18 @@
 """Unit tests for the simulated cluster scheduler and SimComm semantics."""
 
+import contextlib
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.errors import CommunicationError, DeadlockError, OutOfMemoryError
+from repro.errors import (
+    CommunicationError,
+    DeadlockError,
+    OutOfMemoryError,
+    RankFailedError,
+)
 from repro.simmpi.comm import ANY_SOURCE
 from repro.simmpi.network import NetworkModel, ZERO_NETWORK
 from repro.simmpi.scheduler import ClusterConfig, SimCluster
@@ -313,6 +322,129 @@ class TestMemoryIntegration:
         cluster, _o, _s = run(2, program)
         assert cluster.memory[0].peak == 300
         assert cluster.memory[0].in_use == 200
+
+
+@contextlib.contextmanager
+def no_cycle_collector():
+    """Whatever dies in the block died by reference count alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestRankLifetime:
+    """A finished run is not cyclic garbage: what its ranks held is freed
+    when ``run()`` has returned — or raised — and the caller has let go,
+    without waiting for the cycle collector.  Five back-to-back p=8 passes
+    of the benchmark used to climb 182 -> 215 MB on pinned shards."""
+
+    class Held:
+        """Stands in for a rank's shard: weakly referenceable, nothing else."""
+
+    def test_windows_programs_and_communicators_are_released(self):
+        alive = []
+
+        def program(comm):
+            held = self.Held()
+            alive.append(weakref.ref(held))
+            comm.alloc("shard", 8)
+            comm.expose("shard", held, 8)
+            yield comm.barrier_op()
+            peer = comm.wait(comm.iget((comm.rank + 1) % comm.size, "shard"))
+            yield comm.barrier_op()
+            return comm.rank if peer is not None else None
+
+        with no_cycle_collector():
+            cluster, outcomes, _summary = run(3, program)
+            assert [o.value for o in outcomes] == [0, 1, 2]
+            assert [ref() for ref in alive] == [None] * 3
+            assert cluster.memory[0].peak == 8  # still readable after the run
+            cluster = weakref.ref(cluster)
+            assert cluster() is None  # no cluster <-> communicator cycle left
+
+    def test_released_on_the_exception_path_too(self):
+        alive = []
+
+        def program(comm):
+            held = self.Held()
+            alive.append(weakref.ref(held))
+            comm.expose("shard", held, 8)
+            yield comm.barrier_op()
+            if comm.rank == 1:
+                raise RankFailedError(0, "peer is gone")
+            yield comm.barrier_op()  # ranks 0 and 2 are suspended here for good
+
+        with no_cycle_collector():
+            with pytest.raises(RankFailedError):
+                run(3, program)
+            assert len(alive) == 3 and [ref() for ref in alive] == [None] * 3
+
+    def test_a_cluster_runs_once(self):
+        def program(comm):
+            return None
+            yield
+
+        cluster, _o, _s = run(2, program)
+        with pytest.raises(CommunicationError, match="already run"):
+            cluster.run(program)
+
+    @pytest.fixture()
+    def watched(self, monkeypatch):
+        """Weak references to every searcher a rank program runs, and to
+        its shard buffer and mass index, taken inside the rank program."""
+        from repro.core.search import ShardSearcher
+
+        refs = []
+        run_shard = ShardSearcher.run
+
+        def watching(searcher, queries, hitlists):
+            refs.extend(
+                weakref.ref(obj)
+                for obj in (searcher, searcher.shard.residues, searcher.generator.index)
+            )
+            if watching.fail_after is not None and len(refs) > watching.fail_after:
+                raise RankFailedError(1, "injected mid-run")
+            return run_shard(searcher, queries, hitlists)
+
+        watching.fail_after = None
+        monkeypatch.setattr(ShardSearcher, "run", watching)
+        return refs, watching
+
+    @pytest.mark.parametrize("algorithm", ["algorithm_a", "algorithm_b", "master_worker"])
+    def test_paper_algorithms_free_their_ranks(self, algorithm, watched):
+        from repro.core.config import SearchConfig
+        from repro.core.driver import run_search
+        from repro.workloads import generate_database, generate_queries
+
+        refs, _watching = watched
+        database = generate_database(40, seed=3)
+        queries = generate_queries(24, seed=3)
+        with no_cycle_collector():
+            report = run_search(database, queries, algorithm, 4, SearchConfig(tau=5))
+            assert refs and report.candidates_evaluated > 0
+            # the master-worker baseline searches the caller's own database:
+            # its buffer and cached mass index live as long as `database`
+            own = {id(database.residues), id(database._mass_index)}
+            pinned = [obj for ref in refs if (obj := ref()) is not None and id(obj) not in own]
+            assert pinned == []
+
+    @pytest.mark.parametrize("algorithm", ["algorithm_a", "algorithm_b"])
+    def test_a_run_that_ends_in_rank_failed_error_frees_them_too(self, algorithm, watched):
+        from repro.core.config import SearchConfig
+        from repro.core.driver import run_search
+        from repro.workloads import generate_database, generate_queries
+
+        refs, watching = watched
+        watching.fail_after = 15  # five shard passes in, other ranks mid-flight
+        database = generate_database(40, seed=3)
+        queries = generate_queries(24, seed=3)
+        with no_cycle_collector():
+            with pytest.raises(RankFailedError, match="injected"):
+                run_search(database, queries, algorithm, 4, SearchConfig(tau=5))
+            assert len(refs) > 15 and [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestDeterminism:

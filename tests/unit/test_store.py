@@ -9,6 +9,7 @@ serve wrong postings.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -85,6 +86,57 @@ class TestRoundTrip:
         assert [s["num_rows"] for s in info["shards"]] == [
             layout.num_rows for layout in store.layouts
         ]
+
+
+class TestConcurrentOpen:
+    """``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, and
+    CPython 3.11's AST recursion counter is not thread-safe: two service
+    workers opening a store at once died with ``SystemError: AST
+    constructor recursion depth mismatch``.  Every ``np.load`` of either
+    store format runs under ``NPY_LOAD_LOCK``."""
+
+    def test_every_load_holds_the_lock(
+        self, tiny_db, store_path, tmp_path, monkeypatch, short_switch_interval
+    ):
+        from repro.store.index_store import NPY_LOAD_LOCK
+
+        partitioned = save_partitioned_index(tiny_db, tmp_path / "parts", partition_mb=0.25)
+        want_shards = [open_index(store_path).load_shard(i) for i in range(2)]
+        want_db = partitioned.load_database()
+        loads, np_load = [], np.load
+
+        def guarded_load(*args, **kwargs):
+            assert NPY_LOAD_LOCK.locked(), "np.load outside the store's lock"
+            loads.append(args[0])
+            return np_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", guarded_load)
+        errors = []
+
+        def open_many(t):
+            try:
+                store = open_index(store_path)
+                for k in range(50):
+                    loaded = store.load_shard((t + k) % 2)
+                    want = want_shards[(t + k) % 2]
+                    for name in ARRAY_NAMES:
+                        assert np.array_equal(loaded.index.arrays[name], want.index.arrays[name])
+                    if k % 10 == 0:
+                        db = open_partitioned_index(partitioned.path).load_database()
+                        assert np.array_equal(db.residues, want_db.residues)
+                        assert np.array_equal(db.offsets, want_db.offsets)
+            except BaseException as exc:  # surfaced below, in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=open_many, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(loads) == 4 * (50 * len(ARRAY_NAMES) + 5 * 3)
+        assert not NPY_LOAD_LOCK.locked()
 
 
 class TestFingerprint:
