@@ -25,7 +25,6 @@ module map, and EXPERIMENTS.md for the reproduced tables and figures.
 from repro.chem import Peptide, ProteinDatabase, ProteinRecord, read_fasta, write_fasta
 from repro.core import (
     ALGORITHMS,
-    PeptideIdentifier,
     CostModel,
     ExecutionMode,
     SearchConfig,
@@ -61,7 +60,6 @@ __all__ = [
     "read_fasta",
     "write_fasta",
     "ALGORITHMS",
-    "PeptideIdentifier",
     "CostModel",
     "ExecutionMode",
     "SearchConfig",

@@ -27,6 +27,7 @@ are then recovered from the shard's offsets.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -98,6 +99,11 @@ class CandidateSpans:
         )
 
 
+#: serialises the first build over a shard (one module lock: nothing to
+#: pickle with a database or to carry into the databases derived from it)
+_BUILD_LOCK = threading.Lock()
+
+
 class MassIndex:
     """Sorted prefix/suffix mass arrays over one database shard."""
 
@@ -109,10 +115,14 @@ class MassIndex:
         database object shares one.  Databases derived from it (``subset``,
         ``slice_range``, unpickled copies) start without one.  The index
         holds no reference back to the shard, so the cache forms no cycle.
+        Threads racing on a fresh shard get one object from one build.
         """
         index = shard._mass_index
         if index is None:
-            index = shard._mass_index = cls(shard)
+            with _BUILD_LOCK:
+                index = shard._mass_index
+                if index is None:
+                    index = shard._mass_index = cls(shard)
         return index
 
     def __init__(self, shard: ProteinDatabase):

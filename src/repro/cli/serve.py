@@ -47,7 +47,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             seed=args.storm_seed,
         )
     service_config = ServiceConfig(
-        workers=args.workers,
         queue_limit=args.queue_limit,
         backpressure=args.policy,
         admission_timeout=args.admission_timeout,
@@ -91,7 +90,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     counts = result.counts
     print(
-        f"service: {args.workers} worker(s) over {shards} shard(s), "
+        f"service: one scorer over {shards} shard(s), "
         f"policy={args.policy} queue_limit={args.queue_limit} "
         f"coalesce={service_config.coalesce}"
     )
@@ -107,7 +106,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"supervision: {int(stats['batches'])} batches, "
         f"{int(stats['batch_retries'])} retries, "
         f"{int(stats['batches_failed'])} quarantined, "
-        f"{int(stats['worker_restarts'])} worker restart(s), "
+        f"{int(stats['worker_restarts'])} scorer restart(s), "
         f"max queue depth {int(stats['max_queue_depth'])}"
     )
     print(
@@ -127,7 +126,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 merged_hits.update(o.response.hits)
         report = SearchReport(
             algorithm="service",
-            num_ranks=args.workers,
+            num_ranks=1,
             hits=merged_hits,
             candidates_evaluated=int(snapshot["counters"].get("search.candidates", 0)),
             virtual_time=wall,
@@ -151,18 +150,13 @@ def register(sub) -> None:
     add_search_args(p_serve)
     p_serve.add_argument(
         "--index-path", default=None,
-        help="serve from a persisted index directory (each worker memory-maps "
-        "it; a partitioned store is streamed out-of-core per worker)",
+        help="serve from a persisted index directory (memory-mapped; a "
+        "partitioned store is streamed out-of-core)",
     )
     p_serve.add_argument(
         "--memory-budget-mb", type=positive_float, default=None,
-        help="partitioned stores: bound each worker's resident partition "
+        help="partitioned stores: bound the scorer's resident partition "
         "bytes (compressed + decoded)",
-    )
-    p_serve.add_argument(
-        "--workers", type=positive_int, default=2,
-        help="supervised searcher threads; one scores at a time, the rest are "
-        "warm standbys (failover capacity, not parallel width)",
     )
     p_serve.add_argument(
         "--queue-limit", type=positive_int, default=64,
@@ -192,7 +186,7 @@ def register(sub) -> None:
     )
     p_serve.add_argument(
         "--max-worker-restarts", type=int, default=2,
-        help="worker resurrections before degrading to reduced concurrency",
+        help="scorer rebuilds after a crash before the service reports degraded",
     )
     p_serve.add_argument(
         "--clients", type=positive_int, default=8, help="storm client threads"

@@ -137,8 +137,8 @@ class ServiceUnavailableError(ServiceError):
 
     Raised when submitting before :meth:`~repro.service.SearchService.start`,
     during drain (shutdown completes in-flight work but admits nothing
-    new), after :meth:`~repro.service.SearchService.stop`, or once every
-    worker has died with no restart budget left.
+    new), after :meth:`~repro.service.SearchService.stop`, or once the
+    scorer has died with no restart budget left.
     """
 
 

@@ -11,7 +11,6 @@ fails its first ``attempts`` tries deterministically succeeds afterwards
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Tuple
@@ -86,37 +85,33 @@ class FaultInjector:
 
 @dataclass
 class ServiceFaultInjector:
-    """Deterministic service-phase fault decisions for worker threads.
+    """Deterministic service-phase fault decisions for the scorer thread.
 
     Consumes the :class:`~repro.faults.plan.ServiceFaults` section of a
     fault plan.  Decisions depend only on ``(batch_seq, attempt,
     worker_id, chunk)`` — batch sequence numbers are assigned in
-    admission order by the service, so the same plan against the same
-    workload fires the same faults.  Unlike :class:`FaultInjector` this
-    is shared across *threads*, not pickled into processes; the only
-    mutable state (per-worker slow-batch budgets) is lock-guarded.
+    admission order by the service and ``worker_id`` is the scorer's
+    incarnation (0, +1 per restart), so the same plan against the same
+    workload fires the same faults.  Only the service's one scorer
+    thread calls it; the slow-batch budgets are its only mutable state.
     """
 
     spec: "ServiceFaults"
-    _lock: threading.Lock = field(
-        init=False, repr=False, default_factory=threading.Lock
-    )
     _slow_budget_used: Dict[int, int] = field(
         init=False, repr=False, default_factory=dict
     )
 
     def stall_for(self, worker_id: int) -> float:
-        """Seconds worker ``worker_id`` must stall at this batch start."""
+        """Seconds incarnation ``worker_id`` must stall at this batch start."""
         delay = 0.0
-        with self._lock:
-            for slow in self.spec.slow_workers:
-                if slow.worker != worker_id:
-                    continue
-                used = self._slow_budget_used.get(worker_id, 0)
-                if slow.batches != ALWAYS and used >= slow.batches:
-                    continue
-                self._slow_budget_used[worker_id] = used + 1
-                delay += slow.delay
+        for slow in self.spec.slow_workers:
+            if slow.worker != worker_id:
+                continue
+            used = self._slow_budget_used.get(worker_id, 0)
+            if slow.batches != ALWAYS and used >= slow.batches:
+                continue
+            self._slow_budget_used[worker_id] = used + 1
+            delay += slow.delay
         return delay
 
     def fire(self, batch_seq: int, attempt: int, worker_id: int, chunk: int) -> None:

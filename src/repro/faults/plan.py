@@ -24,11 +24,11 @@ Service phase (consumed by :class:`repro.service.SearchService` via
 simulated machine) — the failure classes a *long-lived* search service
 sees, grouped under :class:`ServiceFaults` on ``FaultPlan.service``:
 
-* :class:`ServiceWorkerCrash` — a worker thread dies mid-batch while
+* :class:`ServiceWorkerCrash` — the scorer thread dies mid-batch while
   executing global batch number ``batch`` (OOM kill, segfault in a
   native kernel).
-* :class:`ServiceSlowWorker` — worker ``worker`` stalls ``delay``
-  seconds per batch (thermal throttling, page-cache misses on a cold
+* :class:`ServiceSlowWorker` — scorer incarnation ``worker`` stalls
+  ``delay`` seconds per batch (thermal throttling, page-cache misses on a cold
   index).
 * :class:`ServiceStoreOutage` — the persisted index store goes missing
   mid-serve for the first ``attempts`` tries of batch ``batch`` (NFS
@@ -100,7 +100,7 @@ EVERY = -1
 
 @dataclass(frozen=True)
 class ServiceWorkerCrash:
-    """Kill the worker executing global batch ``batch`` mid-execution.
+    """Kill the scorer executing global batch ``batch`` mid-execution.
 
     Fires on the batch's first ``attempts`` tries (``EVERY`` = every
     try, modelling a poison batch that exhausts the retry budget), when
@@ -115,10 +115,12 @@ class ServiceWorkerCrash:
 
 @dataclass(frozen=True)
 class ServiceSlowWorker:
-    """Worker ``worker`` stalls ``delay`` wall seconds at each batch start.
+    """The scorer stalls ``delay`` wall seconds at each batch start.
 
-    ``batches`` bounds how many batches are afflicted (``EVERY`` = all);
-    the straggler analogue for thread workers.
+    ``worker`` names an incarnation of the service's one scorer: 0 for
+    the first, +1 per restart (a ``worker: 0`` plan written for a pool
+    still afflicts the scorer the service starts with).  ``batches``
+    bounds how many batches are afflicted (``EVERY`` = all).
     """
 
     worker: int

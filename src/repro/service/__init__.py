@@ -4,7 +4,7 @@ The batch CLI answers one job and exits; this package keeps the index
 resident and answers *traffic*: many concurrent clients, coalesced
 across requests into the candidate-major sweep kernel's mass-sorted
 cohorts, under admission control, per-request deadlines, and a
-supervisor that restarts dead workers and degrades gracefully instead
+supervisor that rebuilds a dead scorer and degrades gracefully instead
 of melting.
 
 * :mod:`repro.service.service` — :class:`SearchService`: submit /

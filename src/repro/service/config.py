@@ -21,15 +21,15 @@ responsibilities:
   costs at most one chunk of overrun.
 * **Supervision** — ``retry`` (the PR 2 :class:`RetryPolicy`) governs
   batch-level retry with backoff before a batch is abandoned;
-  ``max_worker_restarts`` bounds worker-thread resurrections before the
-  service degrades to fewer workers; ``drain_timeout`` bounds how long
-  shutdown waits for in-flight work.
+  ``max_worker_restarts`` and ``workers`` bound how often a dead scorer
+  is rebuilt; ``drain_timeout`` bounds how long shutdown waits for
+  in-flight work.
 
-``workers`` is failover capacity, not parallel width: each worker is a
-supervised thread with its own searchers (scorer caches, mmap views),
-and one of them scores at a time — see the service module's "one
-scoring turn".  A second worker takes over a crashed one's batch
-without a cold start; it does not make the service faster.
+``workers`` is crash tolerance, not a thread count: the service has one
+scorer thread (see the service module), rebuilt in place when it dies.
+It survives ``workers - 1 + max_worker_restarts`` scorer deaths — what
+a pool of ``workers`` threads with that restart budget survived — and
+reports ``degraded`` once more than ``max_worker_restarts`` happened.
 """
 
 from __future__ import annotations

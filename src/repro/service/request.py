@@ -12,7 +12,7 @@ status:
   ``missing_query_ids`` names the rest.
 * ``"expired"`` — the deadline expired before any query completed.
 * ``"failed"`` — execution was abandoned (batch retry budget exhausted,
-  or the service lost every worker); ``error`` says why.
+  or the scorer died with no restart budget left); ``error`` says why.
 
 Completed hits are *final* regardless of status: a query listed in
 ``completed_query_ids`` scored against every shard, so its hit list is

@@ -1,21 +1,20 @@
 """The long-lived search service: admission, coalescing, supervision.
 
 :class:`SearchService` turns the batch search kernel into a resident
-server.  Worker threads own their own :class:`ShardSearcher` instances
-(scorers carry mutable caches, so they are never shared) over either a
-persisted index store (each worker memory-maps the shards — the OS
-shares clean pages) or an in-process database (scored directly, no
-fragment index).  Clients submit requests of
-spectra; queued requests are coalesced into mass-sorted batches so the
-candidate-major sweep kernel forms cohorts *across* requests — the
-cross-request analogue of PR 4's within-batch coalescing.
+server.  One scorer thread owns the :class:`ShardSearcher` instances
+over either a persisted index store (the shards are memory-mapped) or an
+in-process database (scored directly, no fragment index).  Clients
+submit requests of spectra; queued requests are coalesced into
+mass-sorted batches so the candidate-major sweep kernel forms cohorts
+*across* requests — the cross-request analogue of PR 4's within-batch
+coalescing.
 
-One scoring turn: at most one worker forms and scores a batch at a time,
-and it forms the batch when it is granted the turn, so everything
+One scorer: it forms a batch when it is free to score it, so everything
 admitted while the block ahead was being scored joins the next one.
 Threads scoring side by side convoy on the GIL (2-3x slower than one:
-docs/service.md, "Concurrency model"), so the other workers are warm
-standbys — failover capacity, not parallel width.
+docs/service.md, "Concurrency model"), and rebuilding the searchers
+after a crash costs less than one request's latency, so there is no
+pool and no standby: a dead scorer is rebuilt in place.
 
 Correctness contract: batch composition is timing-dependent, execution
 is not.  The sweep kernel is bitwise identical to the per-query path
@@ -31,19 +30,19 @@ Failure semantics (all typed, never a hang):
 
 * queue full → :class:`~repro.errors.ServiceOverloadedError` (``shed``
   immediately, ``block`` after ``admission_timeout``);
-* not running / draining / all workers dead →
+* not running / draining / scorer dead for good →
   :class:`~repro.errors.ServiceUnavailableError`;
 * deadline passed → response status ``partial``/``expired``, completed
   queries keep their hits;
 * batch abandoned after the retry budget → response status ``failed``;
-* worker death → supervisor restarts the thread while
-  ``max_worker_restarts`` lasts, then degrades to fewer standbys
-  (``degraded`` in :meth:`SearchService.health`); the last worker dying
-  with no budget fails all outstanding requests typed.  A replacement is
-  registered as ``starting`` in the same critical section that marks its
-  predecessor dead (the one that also gives back its scoring turn), and
-  a starting worker counts as capacity — so admission never sees "no
-  workers" while a restart is under way.
+* scorer death (a :class:`~repro.errors.WorkerCrashError`, or its
+  searchers failing to build) → its batch is re-queued and the scorer
+  rebuilt, ``workers - 1 + max_worker_restarts`` times in all
+  (``degraded`` in :meth:`SearchService.health` once more than
+  ``max_worker_restarts`` are spent); the last scorer dying with no
+  budget fails all outstanding requests typed.  The budget is spent in
+  the critical section that records the death, so admission never sees
+  "no workers" while a rebuild is under way.
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.candidates.mass_index import MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
@@ -80,7 +78,14 @@ from repro.store.partitioned import PartitionedIndex, open_any_index
 #: buckets for the batch-size histogram (queries per executed batch)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
-#: worker poll granularity; every wait in the service is bounded by this
+#: the monotonic counters of :meth:`SearchService.stats`
+_COUNTERS = (
+    "admitted", "rejected_overload", "rejected_unavailable", "completed",
+    "partial", "expired", "failed", "batches", "batch_retries",
+    "batches_failed", "worker_restarts", "max_queue_depth", "coalesced_requests",
+)
+
+#: scorer poll granularity; every wait in the service is bounded by this
 #: (or the next retry's ready time), so no state change can be missed
 #: for longer than one tick and nothing ever blocks indefinitely
 _TICK = 0.05
@@ -98,24 +103,11 @@ class _Entry:
 
 @dataclass
 class _Batch:
-    """One unit of worker execution: coalesced requests, retry state."""
+    """One unit of scorer execution: coalesced requests, retry state."""
 
     seq: int
     requests: List[RequestHandle]
     failures: int = 0
-
-
-@dataclass
-class _Worker:
-    wid: int
-    thread: Optional[threading.Thread] = None
-    searchers: List[ShardSearcher] = field(default_factory=list)
-    #: starting (building its searchers) -> alive (taking batches) -> dead
-    state: str = "starting"
-
-    @property
-    def alive(self) -> bool:
-        return self.state == "alive"
 
 
 class SearchService:
@@ -126,10 +118,10 @@ class SearchService:
     :class:`~repro.store.partitioned.PartitionedIndex`, or a path to
     either) or ``database`` — then :meth:`start`,
     :meth:`submit`/:meth:`search` from any number of threads, and
-    :meth:`stop` to drain.  With a partitioned store each worker owns a
+    :meth:`stop` to drain.  With a partitioned store the scorer owns a
     :class:`~repro.core.streaming.StreamingSearcher`: resident memory
-    stays at directory + double buffer per worker regardless of store
-    size, and ``memory_budget_mb`` bounds each worker's stream.
+    stays at directory + double buffer regardless of store size, and
+    ``memory_budget_mb`` bounds the stream.
     """
 
     def __init__(
@@ -173,78 +165,55 @@ class SearchService:
             self._injector = ServiceFaultInjector(fault_plan.service)
 
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)  # workers wait for work
+        self._work = threading.Condition(self._lock)  # the scorer waits for work
         self._space = threading.Condition(self._lock)  # blocked submitters
         self._idle = threading.Condition(self._lock)  # drain waits for quiet
         self._state = "new"  # new -> running -> draining -> stopped
         self._pending: Deque[RequestHandle] = deque()
         self._retries: List[Tuple[float, int, _Batch]] = []
-        #: wid of the worker holding the scoring turn; waited for on
-        #: ``_work`` like any other work, so the wait is tick-bounded
-        self._scoring: Optional[int] = None
-        #: workers not waiting on ``_work`` (scoring, or on their way back
-        #: to the queue).  Admission wakes a sleeper only at zero: a standby
-        #: woken earlier would find the turn taken, or drain the queue ahead
-        #: of the worker whose clients are about to resubmit
-        self._awake = 0
         self._in_flight = 0
-        self._workers: List[_Worker] = []
-        self._restarts_used = 0
+        self._thread: Optional[threading.Thread] = None
+        #: the scorer has its searchers and is taking batches
+        self._alive = False
+        #: scorer deaths left until the service is dead: the restarts,
+        #: the ``workers - 1`` a pool of standbys absorbed, and the last
+        self._lives = (
+            self.service_config.max_worker_restarts + self.service_config.workers
+        )
         self._next_request_id = itertools.count(1)
         self._next_uid = itertools.count(0)
         self._next_batch_seq = itertools.count(0)
-        self._next_worker_id = itertools.count(0)
         self._start_error: Optional[BaseException] = None
-        self._counters: Dict[str, float] = {
-            "admitted": 0,
-            "rejected_overload": 0,
-            "rejected_unavailable": 0,
-            "completed": 0,
-            "partial": 0,
-            "expired": 0,
-            "failed": 0,
-            "batches": 0,
-            "batch_retries": 0,
-            "batches_failed": 0,
-            "worker_restarts": 0,
-            "max_queue_depth": 0,
-            "coalesced_requests": 0,
-        }
+        self._counters: Dict[str, float] = dict.fromkeys(_COUNTERS, 0)
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self, timeout: float = 30.0) -> "SearchService":
-        """Spawn and initialize the worker pool; raises on init failure."""
+        """Start the scorer and wait for its searchers; raises if they
+        fail to build."""
         with self._lock:
             if self._state != "new":
                 raise ServiceUnavailableError(
                     f"service cannot start from state {self._state!r}"
                 )
             self._state = "running"
-        if self._database is not None:
-            # every worker's searcher shares the database-held mass index;
-            # build it here, once, before the worker threads race to
-            MassIndex.for_shard(self._database)
-        for _ in range(self.service_config.workers):
-            self._spawn_worker()
+            self._thread = threading.Thread(
+                target=self._scorer_main, name="repro-service-scorer", daemon=True
+            )
+        self._thread.start()
         deadline = time.monotonic() + timeout
         with self._lock:
-            while True:
-                if self._start_error is not None:
-                    err = self._start_error
+            while not self._alive:
+                err = self._start_error
+                if err is None and time.monotonic() >= deadline:
+                    err = ServiceUnavailableError(
+                        f"scorer failed to initialize within {timeout} s"
+                    )
+                if err is not None:
                     self._fail_all_locked(f"service failed to start: {err}")
                     self._state = "stopped"
                     self._work.notify_all()
                     raise err
-                if self._alive_locked() >= self.service_config.workers:
-                    break
-                if time.monotonic() >= deadline:
-                    self._fail_all_locked("service failed to start in time")
-                    self._state = "stopped"
-                    self._work.notify_all()
-                    raise ServiceUnavailableError(
-                        f"workers failed to initialize within {timeout} s"
-                    )
                 self._idle.wait(_TICK)
         return self
 
@@ -270,16 +239,15 @@ class SearchService:
                 deadline = time.monotonic() + cfg.drain_timeout
                 while self._pending or self._retries or self._in_flight:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._capacity_locked():
+                    if remaining <= 0 or not self._lives:
                         break
                     self._idle.wait(min(_TICK, remaining))
             self._fail_all_locked("service stopped before the request completed")
             self._state = "stopped"
             self._work.notify_all()
             self._space.notify_all()
-            threads = [w.thread for w in self._workers if w.thread is not None]
-        for t in threads:
-            t.join(timeout=cfg.drain_timeout + 5.0)
+        if self._thread is not None:
+            self._thread.join(timeout=cfg.drain_timeout + 5.0)
 
     # -- admission --------------------------------------------------------
 
@@ -344,8 +312,7 @@ class SearchService:
             if depth > self._counters["max_queue_depth"]:
                 self._counters["max_queue_depth"] = depth
             obs.gauge("service.queue_depth", depth)
-            if not self._awake:
-                self._work.notify()
+            self._work.notify()
         return handle
 
     def search(
@@ -364,52 +331,37 @@ class SearchService:
             raise ServiceUnavailableError(
                 f"service is not accepting requests (state {self._state!r})"
             )
-        if self._workers and not self._capacity_locked():
+        if not self._lives:
             self._count_locked("rejected_unavailable")
             raise ServiceUnavailableError(
-                "service has no live workers (restart budget exhausted)"
+                "service has no live scorer (restart budget exhausted)"
             )
-
-    def _capacity_locked(self) -> int:
-        """Workers that take batches now or will once initialized."""
-        return sum(1 for w in self._workers if w.state != "dead")
-
-    def _alive_locked(self) -> int:
-        return sum(1 for w in self._workers if w.alive)
 
     # -- introspection ----------------------------------------------------
 
     def health(self) -> Dict[str, object]:
         """Liveness/readiness probe payload.
 
-        ``ready`` means requests submitted now would be admitted (a
-        worker is alive, or one is starting and will take them);
-        ``degraded`` means the service is running below its configured
-        worker count or has quarantined batches; ``scoring_worker`` is
-        the worker holding the scoring turn, ``None`` when nothing is
-        being scored.
+        ``ready`` means requests submitted now would be admitted (the
+        scorer is alive, or is being rebuilt and will take them);
+        ``degraded`` means scorer deaths have used up
+        ``max_worker_restarts`` and eaten into the ``workers - 1``
+        allowance behind it, or a batch was quarantined;
+        ``workers_alive`` is 1 while the scorer takes batches, else 0.
         """
         with self._lock:
-            alive = self._alive_locked()
-            capacity = self._capacity_locked()
-            degraded = (
-                self._state in ("running", "draining")
-                and (
-                    alive < self.service_config.workers
-                    or self._counters["batches_failed"] > 0
-                )
+            degraded = self._state in ("running", "draining") and (
+                self._lives < self.service_config.workers
+                or self._counters["batches_failed"] > 0
             )
             return {
                 "state": self._state,
-                "ready": self._state == "running" and capacity > 0,
+                "ready": self._state == "running" and self._lives > 0,
                 "degraded": degraded,
-                "workers_alive": alive,
-                "workers_starting": capacity - alive,
-                "workers_configured": self.service_config.workers,
+                "workers_alive": int(self._alive),
                 "worker_restarts": int(self._counters["worker_restarts"]),
                 "queue_depth": len(self._pending),
                 "in_flight": self._in_flight,
-                "scoring_worker": self._scoring,
                 "retry_backlog": len(self._retries),
                 "batches_failed": int(self._counters["batches_failed"]),
             }
@@ -421,7 +373,6 @@ class SearchService:
 
     def service_report(self) -> Dict[str, object]:
         """The ``service`` section for a RunReport."""
-        health = self.health()
         return {
             "config": {
                 "workers": self.service_config.workers,
@@ -431,7 +382,7 @@ class SearchService:
                 "default_deadline": self.service_config.default_deadline,
                 "max_worker_restarts": self.service_config.max_worker_restarts,
             },
-            "health": health,
+            "health": self.health(),
             "counters": self.stats(),
         }
 
@@ -443,28 +394,10 @@ class SearchService:
 
     # -- supervision ------------------------------------------------------
 
-    def _spawn_worker(self) -> None:
-        with self._lock:
-            worker = self._register_worker_locked()
-        worker.thread.start()
-
-    def _register_worker_locked(self) -> _Worker:
-        """Add a ``starting`` worker to the pool; the caller starts its thread."""
-        worker = _Worker(wid=next(self._next_worker_id))
-        worker.thread = threading.Thread(
-            target=self._worker_main,
-            args=(worker,),
-            name=f"repro-service-worker-{worker.wid}",
-            daemon=True,
-        )
-        self._workers.append(worker)
-        return worker
-
     def _make_searchers(self) -> List[ShardSearcher]:
         if isinstance(self._store, PartitionedIndex):
-            # One streaming searcher per worker over the full partition
-            # range; the mmapped database buffers are shared (read-only),
-            # the scorer and stream state are per-worker.
+            # One streaming searcher over the full partition range; a
+            # rebuilt scorer re-uses the mmapped database buffers.
             from repro.core.streaming import StreamingSearcher
 
             if self._stream_database is None:
@@ -478,75 +411,79 @@ class SearchService:
                 )
             ]
         if self._store is not None:
-            loaded = [
-                self._store.load_shard(i) for i in range(self._store.num_shards)
-            ]
             return [
                 ShardSearcher(ls.shard, self.config, index=ls.index)
-                for ls in loaded
+                for ls in map(self._store.load_shard, range(self._store.num_shards))
             ]
         assert self._database is not None
         return [ShardSearcher(self._database, self.config)]
 
-    def _worker_main(self, worker: _Worker) -> None:
+    def _scorer_main(self) -> None:
+        """The scorer thread: one incarnation after another while the
+        restart budget lasts."""
+        incarnation = 0
+        while self._run_incarnation(incarnation):
+            incarnation += 1
+
+    def _run_incarnation(self, incarnation: int) -> bool:
+        """Build searchers and score batches until the service stops
+        (``False``) or the scorer dies (``True`` iff it is to be rebuilt)."""
         try:
-            worker.searchers = self._make_searchers()
+            searchers = self._make_searchers()
         except BaseException as exc:
-            self._on_worker_death(worker, exc, None)
-            return
+            if incarnation:
+                return self._on_scorer_death(exc, None)
+            with self._lock:  # the first scorer never came up: surface to start()
+                self._start_error = exc
+                self._idle.notify_all()
+            return False
         with self._lock:
-            worker.state = "alive"
-            self._awake += 1
-            get_metrics().gauge("service.workers_alive", self._alive_locked())
-            self._idle.notify_all()
+            self._set_alive_locked(True)
         while True:
-            batch = self._next_work(worker)
+            batch = self._next_work()
             if batch is None:
-                break
+                return False
             try:
-                self._execute_batch(batch, worker)
+                self._execute_batch(batch, searchers, incarnation)
             except WorkerCrashError as exc:
-                self._on_worker_death(worker, exc, batch)
-                return
-            except BaseException as exc:  # typed or not, the worker stays up
+                return self._on_scorer_death(exc, batch)
+            except BaseException as exc:  # typed or not, the scorer stays up
                 with self._lock:
                     self._fail_attempt_locked(batch, exc)
             # the clients just answered run before the queue is drained
             # again: a closed loop's next requests then share one block
             # instead of alternating halves with the ones that waited
             time.sleep(0)
-        with self._lock:
-            worker.state = "dead"
-            self._awake -= 1
 
-    def _next_work(self, worker: _Worker) -> Optional[_Batch]:
-        """Wait for the scoring turn and for work, then take both.
+    def _set_alive_locked(self, alive: bool) -> None:
+        self._alive = alive
+        get_metrics().gauge("service.workers_alive", int(alive))
+        self._idle.notify_all()
 
-        Due retries come first, then fresh requests; the batch is formed
-        when the turn is granted, not before waiting for it.  Returns
-        ``None`` when the service stopped.  All waits are bounded by
-        ``_TICK`` (or the next retry's ready time), so a worker always
-        observes state changes promptly and can never sleep forever.
+    def _next_work(self) -> Optional[_Batch]:
+        """Wait for work and take it: due retries first, then everything
+        queued, formed into a batch only now that it can be scored.
+
+        Returns ``None`` when the service stopped.  All waits are bounded
+        by ``_TICK`` (or the next retry's ready time), so the scorer
+        always observes state changes promptly and can never sleep
+        forever.
         """
         with self._lock:
             while True:
                 if self._state == "stopped":
+                    self._set_alive_locked(False)
                     return None
+                now = time.monotonic()
+                if self._retries and self._retries[0][0] <= now:
+                    return heapq.heappop(self._retries)[2]
+                taken = self._take_requests_locked(now) if self._pending else []
+                if taken:
+                    return _Batch(next(self._next_batch_seq), taken)
                 timeout = _TICK
-                if self._scoring is None:
-                    now = time.monotonic()
-                    if self._retries and self._retries[0][0] <= now:
-                        self._scoring = worker.wid
-                        return heapq.heappop(self._retries)[2]
-                    taken = self._take_requests_locked(now) if self._pending else []
-                    if taken:
-                        self._scoring = worker.wid
-                        return _Batch(next(self._next_batch_seq), taken)
-                    if self._retries:
-                        timeout = min(timeout, self._retries[0][0] - now)
-                self._awake -= 1
+                if self._retries:
+                    timeout = min(timeout, self._retries[0][0] - now)
                 self._work.wait(timeout)
-                self._awake += 1
 
     def _take_requests_locked(self, now: float) -> List[RequestHandle]:
         """Pop the next batch's requests: all that are queued, up to
@@ -584,7 +521,9 @@ class SearchService:
 
     # -- execution --------------------------------------------------------
 
-    def _execute_batch(self, batch: _Batch, worker: _Worker) -> None:
+    def _execute_batch(
+        self, batch: _Batch, searchers: List[ShardSearcher], incarnation: int
+    ) -> None:
         """Run one batch to completion (or raise a typed fault).
 
         Execution is chunked so deadlines are honoured at chunk
@@ -595,7 +534,7 @@ class SearchService:
         to a fault-free run.
         """
         if self._injector is not None:
-            stall = self._injector.stall_for(worker.wid)
+            stall = self._injector.stall_for(incarnation)
             if stall:
                 time.sleep(stall)
         cfg = self.service_config
@@ -624,14 +563,14 @@ class SearchService:
         scored: List[_Entry] = []
         for ci, pos in enumerate(range(0, len(entries), cfg.chunk_queries)):
             if self._injector is not None:
-                self._injector.fire(batch.seq, batch.failures, worker.wid, ci)
+                self._injector.fire(batch.seq, batch.failures, incarnation, ci)
             chunk = [
                 e for e in entries[pos : pos + cfg.chunk_queries]
                 if not e.request.expired
             ]
             if chunk:
                 spectra = [e.spectrum for e in chunk]
-                for searcher in worker.searchers:
+                for searcher in searchers:
                     searcher.run(spectra, hitlists)
                 scored.extend(chunk)
             mark_expired()
@@ -646,27 +585,22 @@ class SearchService:
                 e.request.completed.append(e.orig_qid)
             for req in batch.requests:
                 self._set_response_locked(req)
-            # the turn ends with the answers: whoever sees them sees it free
-            self._scoring = None
 
     def _set_response_locked(self, req: RequestHandle) -> None:
         """Assign the terminal response exactly once; idempotent."""
         if req.response is not None:
             return
         now = time.monotonic()
-        all_qids = tuple(q.query_id for q in req.queries)
         completed = tuple(req.completed)
         done = set(completed)
-        missing = tuple(q for q in all_qids if q not in done)
+        missing = tuple(q.query_id for q in req.queries if q.query_id not in done)
         if not missing:
             status, error = "ok", ""
         elif req.failure:
             status, error = "failed", req.failure
         elif req.expired:
             status = "partial" if completed else "expired"
-            error = (
-                f"deadline exceeded; queries {list(missing)} were not scored"
-            )
+            error = f"deadline exceeded; queries {list(missing)} were not scored"
         else:  # defensive: no declared cause, refuse to fabricate hits
             status, error = "failed", "request terminated without completing"
         latency = now - req.submitted_ts
@@ -698,11 +632,9 @@ class SearchService:
     # -- failure handling -------------------------------------------------
 
     def _fail_attempt_locked(self, batch: _Batch, exc: BaseException) -> None:
-        """Give the turn back.  A typed fault retries with backoff per the
-        PR 2 retry policy; past its budget, or on anything unexpected, the
-        batch is quarantined and its requests fail typed."""
-        self._scoring = None
-        self._work.notify()
+        """A typed fault retries with backoff per the PR 2 retry policy;
+        past its budget, or on anything unexpected, the batch is
+        quarantined and its requests fail typed."""
         batch.failures += 1
         policy = self.service_config.retry
         if (
@@ -723,56 +655,34 @@ class SearchService:
             req.failure = message
             self._set_response_locked(req)
 
-    def _on_worker_death(
-        self, worker: _Worker, exc: BaseException, batch: Optional[_Batch]
-    ) -> None:
-        """``batch`` is what the worker was scoring, ``None`` if it died
-        building its searchers.  One critical section re-queues the batch,
-        frees the turn, marks the worker dead and registers its
-        replacement: there is always somebody who can score the retry."""
-        replacement: Optional[_Worker] = None
+    def _on_scorer_death(self, exc: BaseException, batch: Optional[_Batch]) -> bool:
+        """Record a scorer death; ``True`` when budget remains to rebuild it.
+
+        ``batch`` is what it was scoring, ``None`` if it died rebuilding
+        its searchers.  One critical section re-queues the batch and spends
+        the budget, so admission never sees "no scorer" while any is left.
+        """
         with self._lock:
-            worker.state = "dead"
+            self._set_alive_locked(False)
             if batch is not None:
-                self._awake -= 1
                 self._fail_attempt_locked(batch, exc)
-            elif self._start_error is None and self._restarts_used == 0:
-                # initial pool failed to come up: surface to start()
-                self._start_error = exc
-                self._idle.notify_all()
-                return
-            restart = (
-                self._state in ("running", "draining")
-                and self._restarts_used < self.service_config.max_worker_restarts
-            )
-            if restart:
-                self._restarts_used += 1
+            self._lives -= 1
+            if self._lives and self._state != "stopped":
                 self._count_locked("worker_restarts")
-                # registered before the lock drops: admission must never
-                # see an empty pool while restart budget remains
-                replacement = self._register_worker_locked()
-            get_metrics().gauge("service.workers_alive", self._alive_locked())
-            if not self._capacity_locked():
-                # nobody left to run anything: fail all outstanding work
-                # typed instead of letting clients (or drain) wait
-                self._fail_all_locked(
-                    f"all workers dead and restart budget exhausted: {exc}"
-                )
-            self._idle.notify_all()
-        if replacement is not None:
-            replacement.thread.start()
+                return True
+            # nobody left to run anything: fail all outstanding work
+            # typed instead of letting clients (or drain) wait
+            self._fail_all_locked(f"scorer dead and restart budget exhausted: {exc}")
+            return False
 
     def _fail_all_locked(self, message: str) -> None:
-        for req in self._pending:
-            req.failure = message
-            self._set_response_locked(req)
+        retried = (req for _r, _s, batch in self._retries for req in batch.requests)
+        for req in itertools.chain(self._pending, retried):
+            if req.response is None:
+                req.failure = message
+                self._set_response_locked(req)
         self._pending.clear()
-        while self._retries:
-            _r, _s, batch = heapq.heappop(self._retries)
-            for req in batch.requests:
-                if req.response is None:
-                    req.failure = message
-                    self._set_response_locked(req)
+        self._retries.clear()
         get_metrics().gauge("service.queue_depth", 0)
         self._space.notify_all()
         self._idle.notify_all()

@@ -1,7 +1,7 @@
 """Fault-injected service tests: crashes, stragglers, outages, overload.
 
 The contract under test (docs/service.md): injected faults may cost
-retries, worker restarts, and degraded health — but never wrong
+retries, scorer restarts, and degraded health — but never wrong
 answers.  Every completed query's hits stay bitwise identical to the
 fault-free serial reference, every admitted request reaches a typed
 terminal response, and overload rejects with a typed error instead of
@@ -61,10 +61,10 @@ def scalar_reference(tiny_db, tiny_queries, sweep_config):
 class ExecutionProbe:
     """Watch, and optionally hold, a service's batch executions.
 
-    Wraps ``service._execute_batch``: records ``(worker id, requests)``
-    per execution in start order and the most executions ever in progress
-    at once; an execution whose ordinal is in ``hold`` stops at ``gate``
-    first (``held`` says it got there), scoring turn in hand.
+    Wraps ``service._execute_batch``: records ``(scorer incarnation,
+    requests)`` per execution in start order and the most executions ever
+    in progress at once; an execution whose ordinal is in ``hold`` stops
+    at ``gate`` first (``held`` says it got there), its batch in hand.
     """
 
     def __init__(self, service, hold=()):
@@ -76,17 +76,17 @@ class ExecutionProbe:
         self._lock = threading.Lock()
         execute = service._execute_batch
 
-        def probed(batch, worker):
+        def probed(batch, searchers, incarnation):
             with self._lock:
                 ordinal = len(self.executions)
-                self.executions.append((worker.wid, len(batch.requests)))
+                self.executions.append((incarnation, len(batch.requests)))
                 self._active += 1
                 self.max_concurrent = max(self.max_concurrent, self._active)
             try:
                 if ordinal in hold:
                     self.held.set()
                     assert self.gate.wait(30.0), "the test never opened the gate"
-                return execute(batch, worker)
+                return execute(batch, searchers, incarnation)
             finally:
                 with self._lock:
                     self._active -= 1
@@ -219,9 +219,9 @@ class TestCrashRecovery:
     def test_restart_budget_exhaustion_fails_typed_not_hung(
         self, tiny_db, tiny_queries, sweep_config
     ):
-        """The last worker dies with no restart budget: the admitted
-        request lands typed 'failed' (never hangs) and later submissions
-        get a typed ServiceUnavailableError."""
+        """``workers=1, max_worker_restarts=0``: the first scorer death
+        is the last.  The admitted request lands typed 'failed' (never
+        hangs) and later submissions get a typed ServiceUnavailableError."""
         plan = FaultPlan(
             service=ServiceFaults(
                 worker_crashes=(ServiceWorkerCrash(batch=0, attempts=EVERY),)
@@ -238,17 +238,17 @@ class TestCrashRecovery:
             health = service.health()
             assert health["workers_alive"] == 0
             assert health["degraded"]
-            with pytest.raises(ServiceUnavailableError, match="no live workers"):
+            assert not health["ready"]
+            with pytest.raises(ServiceUnavailableError, match="budget exhausted"):
                 service.submit(tiny_queries[2:4])
 
-
-    def test_admission_counts_a_starting_replacement_as_capacity(
+    def test_admission_is_never_refused_while_restart_budget_remains(
         self, tiny_db, tiny_queries, sweep_config, reference_hits
     ):
-        """The only worker has crashed and its replacement is still
-        building searchers: budget remains, so the service stays ready,
-        admits, and serves the request once the replacement is up — it
-        must never answer "restart budget exhausted" here."""
+        """The scorer has crashed and is still rebuilding its searchers:
+        budget remains, so the service stays ready, admits, and serves
+        the request once the scorer is back — it must never answer
+        "restart budget exhausted" here."""
         plan = FaultPlan(
             service=ServiceFaults(
                 worker_crashes=(ServiceWorkerCrash(batch=0, attempts=1),)
@@ -260,27 +260,25 @@ class TestCrashRecovery:
         service = SearchService(
             sweep_config, service_config, database=tiny_db, fault_plan=plan
         )
-        gate = threading.Event()
+        rebuilding, gate = threading.Event(), threading.Event()
         make_searchers = service._make_searchers
         calls = []
 
-        def slow_restart():
+        def gated_rebuild():
             calls.append(None)
-            if len(calls) > 1:  # the initial pool comes up at once
-                assert gate.wait(30.0)
+            if len(calls) > 1:  # the first scorer comes up at once
+                rebuilding.set()
+                assert gate.wait(30.0), "the test never opened the gate"
             return make_searchers()
 
-        service._make_searchers = slow_restart
+        service._make_searchers = gated_rebuild
         try:
             with service:
                 first = service.submit(tiny_queries[:3])
-                deadline = time.monotonic() + 30.0
-                while service.health()["workers_starting"] != 1:
-                    assert time.monotonic() < deadline, "replacement never registered"
-                    time.sleep(0.005)
+                assert rebuilding.wait(30.0), "the scorer was never rebuilt"
                 health = service.health()
                 assert health["workers_alive"] == 0
-                assert health["ready"]
+                assert health["ready"] and not health["degraded"]
                 assert health["worker_restarts"] == 1 < service_config.max_worker_restarts
                 second = service.submit(tiny_queries[3:5])  # admitted, not refused
                 gate.set()
@@ -289,38 +287,82 @@ class TestCrashRecovery:
                     for qid, hits in response.hits.items():
                         assert [h.sort_key() for h in hits] == reference_hits[qid]
                 assert service.stats()["rejected_unavailable"] == 0
-                assert service.health()["workers_starting"] == 0
+                assert service.health()["workers_alive"] == 1
         finally:
             gate.set()
 
+    def test_failed_rebuild_spends_budget_and_is_retried(
+        self, tiny_db, tiny_queries, sweep_config, reference_hits
+    ):
+        """Searchers that fail to build after a crash cost one more life,
+        not the service: the next rebuild scores the re-queued batch."""
+        plan = FaultPlan(
+            service=ServiceFaults(
+                worker_crashes=(ServiceWorkerCrash(batch=0, attempts=1),)
+            )
+        )
+        service_config = ServiceConfig(
+            workers=1, retry=fast_retry(), max_worker_restarts=2
+        )
+        service = SearchService(
+            sweep_config, service_config, database=tiny_db, fault_plan=plan
+        )
+        make_searchers = service._make_searchers
+        calls = []
+
+        def second_build_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("injected: the store would not map")
+            return make_searchers()
+
+        service._make_searchers = second_build_fails
+        with service:
+            response = service.search(tiny_queries[:3], timeout=60.0).raise_for_status()
+            health = service.health()
+        assert len(calls) == 3
+        assert health["worker_restarts"] == 2 and health["workers_alive"] == 1
+        for qid, hits in response.hits.items():
+            assert [h.sort_key() for h in hits] == reference_hits[qid]
+
+    def test_first_build_failure_surfaces_from_start(self, tiny_db, sweep_config):
+        service = SearchService(sweep_config, database=tiny_db)
+
+        def no_build():
+            raise OSError("injected: the store would not map")
+
+        service._make_searchers = no_build
+        with pytest.raises(OSError, match="would not map"):
+            service.start()
+        assert service.health()["state"] == "stopped"
+
 
 class TestScoringTurn:
-    """One worker forms and scores a batch at a time (docs/service.md,
-    "Concurrency model"); the others are standbys.  Gates, not sleeps."""
+    """The one scorer takes turns draining the queue and scoring what it
+    drained, a block at a time, and is rebuilt in place when it dies
+    (docs/service.md, "Concurrency model").  Gates, not sleeps."""
 
     def test_requests_admitted_during_a_block_form_the_next_one(
         self, tiny_db, tiny_queries, sweep_config, scalar_reference
     ):
-        service = SearchService(sweep_config, ServiceConfig(workers=2), database=tiny_db)
+        service = SearchService(sweep_config, database=tiny_db)
         probe = ExecutionProbe(service, hold={0})
         try:
             with service:
                 first = service.submit(tiny_queries[:2])
                 assert probe.held.wait(30.0)
-                holder = service.health()["scoring_worker"]
-                assert holder == probe.executions[0][0]
                 before = service.stats()
                 later = [service.submit([q]) for q in tiny_queries[2:7]]
-                # the standby is idle, yet nothing leaves the queue
+                # nothing leaves the queue while the block ahead is scored
                 assert service.health()["queue_depth"] == len(later)
+                assert service.health()["in_flight"] == 1
                 probe.gate.set()
                 responses = [h.result(timeout=30.0) for h in [first, *later]]
                 after = service.stats()
-                assert service.health()["scoring_worker"] is None
         finally:
             probe.gate.set()
         assert probe.max_concurrent == 1
-        assert [n for _wid, n in probe.executions] == [1, len(later)]
+        assert [n for _incarnation, n in probe.executions] == [1, len(later)]
         assert after["batches"] - before["batches"] == 1
         assert after["coalesced_requests"] - before["coalesced_requests"] == len(later)
         for response in responses:
@@ -328,12 +370,18 @@ class TestScoringTurn:
             for qid, hits in response.hits.items():
                 assert hits == scalar_reference[qid], qid
 
-    def test_standby_scores_the_batch_of_a_crashed_turn_holder(
+    def test_rebuilt_scorer_scores_the_batch_of_a_crashed_one(
         self, tiny_db, tiny_queries, sweep_config, scalar_reference
     ):
+        """``workers=2, max_worker_restarts=0`` survives exactly one scorer
+        death: the rebuilt scorer scores the crashed one's batch, bitwise
+        identical; the second death fails everything outstanding typed."""
         plan = FaultPlan(
             service=ServiceFaults(
-                worker_crashes=(ServiceWorkerCrash(batch=0, attempts=1, chunk=0),)
+                worker_crashes=(
+                    ServiceWorkerCrash(batch=0, attempts=1, chunk=0),
+                    ServiceWorkerCrash(batch=2, attempts=1, chunk=0),
+                )
             )
         )
         service_config = ServiceConfig(
@@ -342,25 +390,40 @@ class TestScoringTurn:
         service = SearchService(
             sweep_config, service_config, database=tiny_db, fault_plan=plan
         )
-        probe = ExecutionProbe(service)
-        with service:
-            response = service.search(tiny_queries[:6], timeout=30.0)
-            health = service.health()
-            again = service.search(tiny_queries[6:8], timeout=30.0)
+        probe = ExecutionProbe(service, hold={3})
+        try:
+            with service:
+                response = service.search(tiny_queries[:6], timeout=30.0)
+                health = service.health()
+                again = service.search(tiny_queries[6:8], timeout=30.0)
+                # the second death, with one request scoring and one queued
+                doomed = [service.submit(tiny_queries[:2])]
+                assert probe.held.wait(30.0)
+                doomed.append(service.submit(tiny_queries[2:4]))
+                probe.gate.set()
+                failed = [h.result(timeout=30.0) for h in doomed]
+                dead = service.health()
+                with pytest.raises(ServiceUnavailableError, match="budget exhausted"):
+                    service.submit(tiny_queries[4:6])
+        finally:
+            probe.gate.set()
         assert response.ok and again.ok
         for qid, hits in {**response.hits, **again.hits}.items():
             assert hits == scalar_reference[qid], qid
-        (crashed, _), (standby, _) = probe.executions[:2]
-        assert crashed != standby
-        assert probe.max_concurrent == 1
-        assert health["degraded"]
-        assert health["workers_alive"] == 1 and health["worker_restarts"] == 0
-        assert health["scoring_worker"] is None
+        assert [i for i, _n in probe.executions] == [0, 1, 1, 1]
+        assert health["degraded"] and health["ready"]
+        assert health["workers_alive"] == 1 and health["worker_restarts"] == 1
+        for outcome in failed:
+            assert outcome.status == "failed" and "budget exhausted" in outcome.error
+            with pytest.raises(ServiceBatchError):
+                outcome.raise_for_status()
+        assert dead["workers_alive"] == 0 and not dead["ready"]
+        assert dead["worker_restarts"] == 1  # the last death rebuilt nothing
 
-    def test_stop_while_one_holds_the_turn_and_one_waits(
+    def test_stop_while_scoring_drains(
         self, tiny_db, tiny_queries, sweep_config, scalar_reference
     ):
-        service_config = ServiceConfig(workers=2, drain_timeout=30.0)
+        service_config = ServiceConfig(drain_timeout=30.0)
         service = SearchService(sweep_config, service_config, database=tiny_db)
         probe = ExecutionProbe(service, hold={0})
         stopper = threading.Thread(target=service.stop)
@@ -379,9 +442,9 @@ class TestScoringTurn:
             assert not stopper.is_alive(), "stop() outlived drain_timeout"
         finally:
             probe.gate.set()
-        assert service.health()["state"] == "stopped"
-        assert not any(w.thread.is_alive() for w in service._workers)
-        assert probe.max_concurrent == 1
+        health = service.health()
+        assert health["state"] == "stopped" and health["workers_alive"] == 0
+        assert not service._thread.is_alive()
         for handle in handles:
             assert handle.done()
             for qid, hits in handle.result(timeout=0.1).raise_for_status().hits.items():
@@ -535,6 +598,5 @@ class TestStragglerDegradation:
             result = run_storm(service, storm, tiny_queries)
         assert result.counts == {"ok": 8}
         assert_bitwise(result, reference_hits)
-        # a straggler stalls with the turn in hand: it delays the others,
-        # nobody scores beside it
+        # a straggler stalls with its batch in hand: the queue waits behind it
         assert probe.max_concurrent == 1

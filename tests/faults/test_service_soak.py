@@ -113,8 +113,8 @@ class TestServiceSoak:
         assert stats["worker_restarts"] >= 1
 
     def test_never_unavailable_while_restart_budget_remains(self, soak):
-        """A worker mid-restart is capacity: with budget left, no
-        submission may be refused for want of live workers."""
+        """A scorer mid-rebuild is capacity: with budget left, no
+        submission may be refused for want of a live scorer."""
         assert soak["stats"]["worker_restarts"] < soak["max_worker_restarts"]
         assert soak["stats"]["rejected_unavailable"] == 0
 

@@ -25,7 +25,7 @@ from repro.faults.plan import RequestStorm
 from repro.service import SearchService, ServiceConfig, run_storm, storm_queries
 from repro.store import save_index
 
-# a turn hand-off race is exactly what the short interval exists to surface
+# submitters racing the scorer are exactly what the short interval exists to surface
 pytestmark = pytest.mark.usefixtures("short_switch_interval")
 
 
@@ -60,30 +60,9 @@ class TestLifecycle:
             health = service.health()
             assert health["state"] == "running"
             assert health["ready"]
-            assert health["workers_alive"] == 2
+            assert health["workers_alive"] == 1
         assert service.health()["state"] == "stopped"
         assert not service.health()["ready"]
-
-    def test_database_workers_share_one_mass_index(self, sweep_config, monkeypatch):
-        """``start()`` builds the database-held mass index before the
-        worker threads race to: one build for the pool, not one each."""
-        import time
-
-        from repro.candidates.mass_index import MassIndex
-        from repro.workloads.synthetic import generate_database
-
-        builds, build = [], MassIndex.__init__
-
-        def slow_build(self, shard):
-            builds.append(shard)
-            time.sleep(0.05)  # wide enough for unsynchronised workers to overlap
-            build(self, shard)
-
-        monkeypatch.setattr(MassIndex, "__init__", slow_build)
-        database = generate_database(30, seed=4)  # fresh: nothing cached on it
-        with SearchService(sweep_config, ServiceConfig(workers=3), database=database) as service:
-            indexes = {id(w.searchers[0].generator.index) for w in service._workers}
-        assert len(builds) == 1 and len(indexes) == 1
 
     def test_submit_before_start_and_after_stop_is_typed(
         self, tiny_db, tiny_queries, sweep_config
@@ -250,7 +229,7 @@ class TestReporting:
             response = service.search(tiny_queries[:3])
             section = service.service_report()
         report = SearchReport(
-            algorithm="service", num_ranks=2, hits=response.hits,
+            algorithm="service", num_ranks=1, hits=response.hits,
             candidates_evaluated=1, virtual_time=0.1,
         )
         run = RunReport.from_search_report(report, service=section)
@@ -271,13 +250,21 @@ class TestServeCLI:
         from repro.cli import main
 
         rc = main(
-            ["serve", "-n", "80", "-m", "16", "--workers", "2",
+            ["serve", "-n", "80", "-m", "16",
              "--clients", "3", "--requests", "2", "--queries-per-request", "3"]
         )
         out = capsys.readouterr().out
         assert rc == 0
         assert "drained: state=stopped" in out
         assert "ok: 6" in out
+
+    def test_serve_has_no_workers_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as usage:
+            main(["serve", "-n", "80", "-m", "8", "--workers", "2"])
+        assert usage.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_serve_writes_run_report(self, tmp_path, capsys):
         from repro.cli import main
@@ -291,6 +278,7 @@ class TestServeCLI:
         assert rc == 0
         run = RunReport.load(out_path)
         assert run.engine == "service"
+        assert run.num_ranks == 1  # one scorer thread, whatever the budget
         assert run.service["counters"]["admitted"] == 4
         assert run.service["health"]["state"] == "running"
 

@@ -277,3 +277,37 @@ class TestSharedPerDatabase:
         clone = pickle.loads(pickle.dumps(db))
         assert clone == db and clone._mass_index is None
         assert np.array_equal(clone.parent_masses(), db.parent_masses())
+
+    @pytest.mark.usefixtures("short_switch_interval")
+    def test_threads_racing_for_a_fresh_shard_share_one_build(self, monkeypatch):
+        """``for_shard`` is check-then-set on the shard's cache slot: the
+        build is locked, so racing callers get one object from one build."""
+        import threading
+
+        from repro.workloads.synthetic import generate_database
+
+        builds, build = [], MassIndex.__init__
+
+        def counted_build(self, shard):
+            builds.append(shard)  # list.append is atomic
+            build(self, shard)
+
+        monkeypatch.setattr(MassIndex, "__init__", counted_build)
+        racers = 8
+        for seed in range(5):
+            database = generate_database(120, seed=seed)  # fresh: nothing cached
+            del builds[:]
+            lined_up, got = threading.Barrier(racers), []
+
+            def race():
+                lined_up.wait(30.0)
+                got.append(MassIndex.for_shard(database))
+
+            threads = [threading.Thread(target=race) for _ in range(racers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+            assert len(got) == racers and len({id(index) for index in got}) == 1
+            assert len(builds) == 1
+            assert got[0] is database._mass_index

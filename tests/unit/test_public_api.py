@@ -45,7 +45,6 @@ def test_top_level_covers_the_quickstart_surface():
         "run_search",
         "SearchConfig",
         "SearchReport",
-        "PeptideIdentifier",
         "reports_equal",
         "ClusterConfig",
         "NetworkModel",
