@@ -182,7 +182,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(
             f"  streamed {stream['partitions']} partition(s): "
             f"{format_si(stream['bytes_read'])}B read -> "
-            f"{format_si(stream['bytes_decoded'])}B decoded, "
+            f"{format_si(stream['bytes_decoded'])}B decoded "
+            f"({' '.join(report.extras['index_provenance']['sections'])}), "
             f"{stream['prefetch_hits']} prefetch hit(s) / "
             f"{stream['prefetch_stalls']} stall(s), "
             f"exposed I/O {stream['partition_exposed_io']:.3f}s"

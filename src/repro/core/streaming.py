@@ -102,6 +102,10 @@ class StreamingSearcher:
     would duplicate).  Under a scorer the partitions' postings cannot
     serve (``FragmentIndex.serves``) the pass is the same budgeted walk
     over the same ranges, each partition's rows scored directly.
+
+    A pass decodes only what its scorer reads: the ``row_*`` columns
+    plus the one posting list the scorer's ``index_list`` names (none
+    for a directly scored one) — ``lists`` says which.
     """
 
     def __init__(
@@ -147,16 +151,19 @@ class StreamingSearcher:
         self.prefetch = prefetch
         self.stream_stats = StreamStats()
         self.score_seconds = 0.0
-        self._posting_served = FragmentIndex.serves(self.scorer)
+        self.lists = FragmentIndex.lists_for(self.scorer)
 
     @property
     def nbytes(self) -> int:
         """Resident bytes this searcher needs: directory + double buffer.
 
         The out-of-core claim in one number — independent of total store
-        size, it is two partitions plus the mmapped database buffers.
+        size, it is two partitions (blob + the sections this scorer
+        reads) plus the mmapped database buffers.
         """
-        return int(2 * self.store.max_partition_bytes + self.database.nbytes)
+        return int(
+            2 * self.store.max_visit_bytes(self.lists) + self.database.nbytes
+        )
 
     # -- the pass ----------------------------------------------------------
 
@@ -222,6 +229,7 @@ class StreamingSearcher:
         reader = StreamingIndexReader(
             self.store,
             visit,
+            lists=self.lists,
             memory_budget_mb=self.memory_budget_mb,
             prefetch=self.prefetch,
         )
@@ -281,9 +289,7 @@ class StreamingSearcher:
             arrays["row_mass"],
             np.zeros(index.num_rows, dtype=np.float64),
         )
-        score, columns = self._span_scoring(
-            spans, index if self._posting_served else None
-        )
+        score, columns = self._span_scoring(spans, index if self.lists else None)
         self._offer_ranges(
             queries,
             members,

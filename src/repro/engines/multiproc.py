@@ -81,6 +81,7 @@ from repro.core.search import ShardSearcher, ShardStats, index_compat_problems
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.injector import FaultInjector
 from repro.faults.supervisor import RetryPolicy
+from repro.index import FragmentIndex
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
 from repro.scoring.hits import (
     HitColumns,
@@ -625,7 +626,9 @@ def run_multiprocess_search(
         extras["partition_ranges"] = [list(r) for r in partition_ranges]
         extras["index_stream_bytes"] = int(store.blob_bytes)
         extras["index_decoded_bytes"] = int(store.decoded_bytes)
-        extras["index_provenance"] = store.provenance()
+        extras["index_provenance"] = store.provenance(
+            FragmentIndex.lists_for(config.make_scorer())
+        )
     elif store is not None:
         extras["index_path"] = str(index_path)
         extras["index_mmap_bytes"] = int(store.nbytes)

@@ -72,8 +72,14 @@ import numpy as np
 from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
-from repro.errors import IndexStoreError
-from repro.index.layout import PARTITION_SCHEMA, ArraySpec, IndexLayout
+from repro.errors import IndexCompatError, IndexStoreError
+from repro.index.layout import (
+    PARTITION_SCHEMA,
+    POSTING_LISTS,
+    SHARD_ARRAYS,
+    ArraySpec,
+    IndexLayout,
+)
 from repro.spectra.binning import _ragged_arange, row_segment_sums
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
@@ -384,18 +390,19 @@ class FragmentIndex:
         # on ``row_mass``, never via rows_for).
         self._prefix_row = arrays.get("prefix_row")
         self._suffix_row = arrays.get("suffix_row")
-        self._ladder_postings = _PostingList(
-            arrays["ladder_mz"],
-            arrays["ladder_row"],
-            None,
-            arrays["ladder_bin_start"],
-        )
-        self._series_postings = _PostingList(
-            arrays["series_mz"],
-            arrays["series_row"],
-            arrays["series_tag"],
-            arrays["series_bin_start"],
-        )
+        # A view holds the posting lists its arrays carry: both for a
+        # resident store or a full partition decode, one (or none) for a
+        # partition decoded for the scorer of a streamed pass.
+        self._postings = {
+            name: _PostingList(
+                arrays[f"{name}_mz"],
+                arrays[f"{name}_row"],
+                arrays.get(f"{name}_tag"),
+                arrays[f"{name}_bin_start"],
+            )
+            for name in POSTING_LISTS
+            if f"{name}_mz" in arrays
+        }
 
     @classmethod
     def from_arrays(
@@ -421,12 +428,17 @@ class FragmentIndex:
 
     @property
     def nbytes(self) -> int:
-        """Index memory footprint (row maps or columns + posting lists).
+        """Index memory footprint (row maps or columns + the posting
+        lists this view holds).
 
         Excludes the shard's own buffers, matching the historical
         accounting (the shard is charged separately by whoever holds it).
         """
-        return int(self.layout.index_nbytes)
+        return int(
+            self.layout.nbytes_of(
+                name for name in self.arrays if name not in SHARD_ARRAYS
+            )
+        )
 
     # -- span -> row mapping ---------------------------------------------
 
@@ -452,6 +464,18 @@ class FragmentIndex:
         return np.where(spans.mod_delta == 0.0, found, -1)
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
+
+    def _list(self, name: str, scorer: str) -> _PostingList:
+        """The posting list ``name``, which ``scorer``'s probe reads."""
+        postings = self._postings.get(name)
+        if postings is None:
+            raise IndexCompatError(
+                f"this index view holds no {name!r} posting list (it was "
+                f"decoded with lists {sorted(self._postings)}), which the "
+                f"{scorer} probe reads; decode the partition with "
+                f"lists=({name!r},) or in full"
+            )
+        return postings
 
     def _probe_range(
         self,
@@ -641,8 +665,9 @@ class FragmentIndex:
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         row_base = np.concatenate(([0], np.cumsum(sizes)))
         total_rows = int(row_base[-1])
+        postings = self._list("ladder", "shared_peaks")
         member, out_pos, peak_flat, _series = self._probe_flat(
-            self._ladder_postings, batch, tolerance, row_sets
+            postings, batch, tolerance, row_sets
         )
         if len(member) == 0:
             return np.zeros(total_rows, dtype=np.int64)
@@ -662,8 +687,9 @@ class FragmentIndex:
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         row_base = np.concatenate(([0], np.cumsum(sizes)))
         total_rows = int(row_base[-1])
+        postings = self._list("series", "hyperscore")
         member, out_pos, peak_flat, tags = self._probe_flat(
-            self._series_postings, batch, tolerance, row_sets
+            postings, batch, tolerance, row_sets
         )
         out = []
         for code in (_SERIES_CODE["b"], _SERIES_CODE["y"]):
@@ -689,6 +715,22 @@ class FragmentIndex:
         kernel :meth:`score_block` calls.  Any other scorer is scored
         directly from the database, with or without an index at hand."""
         return hasattr(scorer, "score_index_block")
+
+    @staticmethod
+    def lists_for(scorer) -> Tuple[str, ...]:
+        """The posting lists a pass under ``scorer`` probes: the one its
+        ``index_list`` names if it is index-served, else none — all a
+        streamed pass has to decode beside the ``row_*`` columns."""
+        if not FragmentIndex.serves(scorer):
+            return ()
+        name = getattr(scorer, "index_list", None)
+        if name not in POSTING_LISTS:
+            raise IndexCompatError(
+                f"scorer {scorer.name!r} defines score_index_block but its "
+                f"index_list is {name!r}; it must name the posting list the "
+                f"kernel probes, one of {sorted(POSTING_LISTS)}"
+            )
+        return (name,)
 
     def score_block(self, scorer, spectra, row_sets) -> np.ndarray:
         """Index-served cohort scoring: one flat posting probe per block.

@@ -20,9 +20,9 @@ other versions rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import IndexStoreError
+from repro.errors import IndexCompatError, IndexStoreError
 
 #: schema identifier for one shard's flat-array layout; bump the
 #: trailing integer on breaking changes to the array set or semantics
@@ -45,16 +45,13 @@ SHARD_ARRAYS = ("shard_residues", "shard_offsets", "shard_ids")
 #: the two posting lists, each sorted by (m/z bin, candidate row): the
 #: b+y ladder list (shared-peak counting) and the series-tagged b / y
 #: list (per-series matched intensity).  ``*_bin_start[b]`` is where bin
-#: ``b``'s run starts; inside a run ``*_row`` ascends.
-POSTING_ARRAYS = (
-    "ladder_mz",
-    "ladder_row",
-    "ladder_bin_start",
-    "series_mz",
-    "series_row",
-    "series_tag",
-    "series_bin_start",
-)
+#: ``b``'s run starts; inside a run ``*_row`` ascends.  A scorer's
+#: ``index_list`` names the one list its ``score_index_block`` probes.
+POSTING_LISTS = {
+    "ladder": ("ladder_mz", "ladder_row", "ladder_bin_start"),
+    "series": ("series_mz", "series_row", "series_tag", "series_bin_start"),
+}
+POSTING_ARRAYS = POSTING_LISTS["ladder"] + POSTING_LISTS["series"]
 
 #: every array a full-shard layout must describe, in canonical order:
 #: the shard, the flat-position span -> row maps, the postings
@@ -65,12 +62,8 @@ ARRAY_NAMES = SHARD_ARRAYS + ("prefix_row", "suffix_row") + POSTING_ARRAYS
 #: exact float64 span mass candidate windows select on) — what a posting
 #: probe's hit emission and a posting-less scorer's direct pass both
 #: read; the shard buffers and prefix/suffix maps are absent by design.
-PARTITION_ARRAY_NAMES = (
-    "row_seq",
-    "row_start",
-    "row_stop",
-    "row_mass",
-) + POSTING_ARRAYS
+PARTITION_ROW_ARRAYS = ("row_seq", "row_start", "row_stop", "row_mass")
+PARTITION_ARRAY_NAMES = PARTITION_ROW_ARRAYS + POSTING_ARRAYS
 
 #: the sections a partition blob stores, in blob order.  A posting
 #: list's ``row`` and ``bin_start`` are stored as one delta-coded
@@ -93,6 +86,26 @@ SCHEMA_ARRAYS = {
     SCHEMA: ARRAY_NAMES,
     PARTITION_SCHEMA: PARTITION_ARRAY_NAMES,
 }
+
+
+def partition_arrays(lists: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
+    """Decoded arrays of a partition view that holds posting ``lists``.
+
+    The four ``row_*`` columns always; ``None`` means every list (a full
+    decode), ``()`` none — what a scorer scored directly from the
+    database reads.
+    """
+    if lists is None:
+        return PARTITION_ARRAY_NAMES
+    unknown = [name for name in lists if name not in POSTING_LISTS]
+    if unknown:
+        raise IndexCompatError(
+            f"unknown posting list(s) {unknown}; a fragment index holds "
+            f"{sorted(POSTING_LISTS)}"
+        )
+    return PARTITION_ROW_ARRAYS + tuple(
+        name for lst in lists for name in POSTING_LISTS[lst]
+    )
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,10 @@ class IndexLayout:
             spec.nbytes for name, spec in self.arrays.items() if name in SHARD_ARRAYS
         )
 
+    def nbytes_of(self, names: Iterable[str]) -> int:
+        """Manifest bytes of the named arrays (what decoding them costs)."""
+        return sum(self.arrays[name].nbytes for name in names)
+
     # -- (de)serialization ----------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -223,15 +240,21 @@ class IndexLayout:
 
     # -- validation ------------------------------------------------------
 
-    def check_arrays(self, arrays: Mapping[str, Any]) -> List[str]:
+    def check_arrays(
+        self, arrays: Mapping[str, Any], names: Optional[Sequence[str]] = None
+    ) -> List[str]:
         """Dtype/shape-check loaded ``arrays`` against the manifest.
 
-        Returns a list of problems (empty == valid); used by the store
-        to reject truncated or swapped buffers instead of serving
-        silently wrong postings.
+        Checks exactly ``names`` — by default every array of the schema;
+        a partial partition decode passes the set it asked for
+        (:func:`partition_arrays`).  Returns a list of problems (empty ==
+        valid); used by the store to reject truncated or swapped buffers
+        instead of serving silently wrong postings.
         """
+        if names is None:
+            names = SCHEMA_ARRAYS.get(self.schema, ARRAY_NAMES)
         problems = []
-        for name in SCHEMA_ARRAYS.get(self.schema, ARRAY_NAMES):
+        for name in names:
             if name not in arrays:
                 problems.append(f"missing array {name!r}")
                 continue

@@ -36,7 +36,11 @@ codecs in :mod:`repro.store.codec` (sorted posting keys delta+varint,
 floats zlib-raw).  A posting list's ``row`` column and bin-start table
 are stored as one combined sorted key (``bin * (num_rows + 1) + row``)
 and taken apart again at decode time, exactly reproducing the builder's
-arrays; the key itself is never a decoded array.
+arrays; the key itself is never a decoded array.  Because sections are
+independent, a decode inflates only those it is asked for
+(``decode_partition_blob(i, blob, lists)``: the ``row_*`` columns plus
+the posting lists the pass's scorer probes); the blob is read and
+checksummed whole either way.
 
 Spans outside the index envelope (length < 2 or > ``max_length``) go to
 ``overflow.bin`` — their (seq_index, start, stop, mass) columns, mass
@@ -80,7 +84,11 @@ from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.errors import IndexStoreError
 from repro.index.fragment_index import FragmentIndex, IndexBuilder
-from repro.index.layout import PARTITION_STORED_ARRAYS, IndexLayout
+from repro.index.layout import (
+    PARTITION_STORED_ARRAYS,
+    IndexLayout,
+    partition_arrays,
+)
 from repro.obs.metrics import get_metrics
 from repro.store.codec import codec_for, decode_array, encode_array
 from repro.store.index_store import (
@@ -162,6 +170,11 @@ class PartitionEntry:
     sha256: str
     layout: IndexLayout
     sections: Tuple[Section, ...]
+
+    def decoded_nbytes(self, lists: Optional[Sequence[str]] = None) -> int:
+        """Bytes of the arrays a decode of posting ``lists`` produces
+        (``None``: every list, i.e. ``decoded_bytes``)."""
+        return int(self.layout.nbytes_of(partition_arrays(lists)))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -258,6 +271,20 @@ def _encode_blob(
 #: stored key section -> the posting list whose ``row`` column and
 #: bin-start table it encodes
 _KEY_SECTIONS = {"ladder_key": "ladder", "series_key": "series"}
+
+
+def stored_sections(lists: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
+    """The blob sections a decode of posting ``lists`` inflates: the
+    ``row_*`` columns plus each list's ``<list>_*`` sections (``None``:
+    every section)."""
+    if lists is None:
+        return PARTITION_STORED_ARRAYS
+    names = partition_arrays(lists)  # typed refusal of an unknown list
+    return tuple(
+        name
+        for name in PARTITION_STORED_ARRAYS
+        if name in names or _KEY_SECTIONS.get(name) in lists
+    )
 
 
 def _with_posting_keys(
@@ -382,16 +409,22 @@ class PartitionedIndex:
         """Total bytes of every partition's decoded arrays."""
         return int(sum(p.decoded_bytes for p in self.partitions))
 
-    @property
-    def max_partition_bytes(self) -> int:
-        """Largest single partition's blob + decoded footprint.
+    def max_visit_bytes(self, lists: Optional[Sequence[str]] = None) -> int:
+        """Largest single partition's blob + decoded footprint when a
+        pass decodes posting ``lists`` (``None``: everything).
 
         The unit the streaming memory budget reasons in: a double-
         buffered pass holds at most two of these at once.
         """
-        if not self.partitions:
-            return 0
-        return max(p.blob_bytes + p.decoded_bytes for p in self.partitions)
+        return max(
+            (p.blob_bytes + p.decoded_nbytes(lists) for p in self.partitions),
+            default=0,
+        )
+
+    @property
+    def max_partition_bytes(self) -> int:
+        """:meth:`max_visit_bytes` of a full decode."""
+        return self.max_visit_bytes()
 
     @property
     def num_rows(self) -> int:
@@ -514,12 +547,25 @@ class PartitionedIndex:
             f"partition blob {i}",
         )
 
-    def decode_partition_blob(self, i: int, blob: bytes) -> FragmentIndex:
-        """Decode a checksummed blob into a partition FragmentIndex view."""
+    def decode_partition_blob(
+        self, i: int, blob: bytes, lists: Optional[Sequence[str]] = None
+    ) -> FragmentIndex:
+        """Decode a checksummed blob into a partition FragmentIndex view.
+
+        ``lists`` names the posting lists to inflate beside the four
+        ``row_*`` columns (``FragmentIndex.lists_for(scorer)``: one for
+        shared_peaks / hyperscore, none for a scorer scored directly);
+        ``None`` decodes every section.  Sections are compressed
+        independently, so an unrequested one costs nothing here — its
+        bytes were still read and hashed with the rest of the blob.
+        """
         entry = self._entry(i)
         layout = entry.layout
+        wanted = None if lists is None else stored_sections(lists)
         arrays: Dict[str, np.ndarray] = {}
         for section in entry.sections:
+            if wanted is not None and section.name not in wanted:
+                continue
             # a key section decodes to the shape of the ``row`` column
             # it encodes
             prefix = _KEY_SECTIONS.get(section.name)
@@ -534,7 +580,7 @@ class PartitionedIndex:
                 buf, section.codec, spec.dtype, spec.shape
             )
         _split_posting_keys(arrays, layout.num_rows)
-        problems = layout.check_arrays(arrays)
+        problems = layout.check_arrays(arrays, partition_arrays(lists))
         if problems:
             raise IndexStoreError(
                 f"partition {i} of store {self.path} does not match its "
@@ -542,9 +588,11 @@ class PartitionedIndex:
             )
         return FragmentIndex.from_arrays(layout, arrays)
 
-    def decode_partition(self, i: int) -> FragmentIndex:
+    def decode_partition(
+        self, i: int, lists: Optional[Sequence[str]] = None
+    ) -> FragmentIndex:
         """Read + decode partition ``i`` in one step (no prefetch)."""
-        return self.decode_partition_blob(i, self.read_partition_blob(i))
+        return self.decode_partition_blob(i, self.read_partition_blob(i), lists)
 
     def _entry(self, i: int) -> PartitionEntry:
         if not 0 <= i < self.num_partitions:
@@ -556,14 +604,17 @@ class PartitionedIndex:
 
     # -- reporting ---------------------------------------------------------
 
-    def provenance(self) -> Dict[str, Any]:
+    def provenance(self, lists: Optional[Sequence[str]] = None) -> Dict[str, Any]:
         """Index-provenance record for RunReport extras (``source``
-        ``"streamed"``: partitions are decoded as the pass reaches them)."""
+        ``"streamed"``: partitions are decoded as the pass reaches them;
+        ``sections``: the blob sections a pass decoding posting ``lists``
+        inflates — which bytes of each visited partition it touched)."""
         return {
             "source": "streamed",
             "fingerprint": self.fingerprint,
             "schema": self.schema,
             "build": dict(self.build),
+            "sections": list(stored_sections(lists)),
         }
 
     def describe(self) -> Dict[str, Any]:
@@ -879,6 +930,11 @@ class StreamingIndexReader:
     mismatch) are re-raised on the consuming thread at the partition
     they struck, typed, so a mid-stream store outage surfaces exactly
     like a mid-stream resident read error would.
+
+    ``lists`` is passed to :meth:`PartitionedIndex.decode_partition_blob`
+    (the posting lists the pass's scorer probes; ``None`` decodes
+    everything), and the budget and ``bytes_decoded`` charge what that
+    decode produces.
     """
 
     def __init__(
@@ -886,10 +942,12 @@ class StreamingIndexReader:
         store: PartitionedIndex,
         partition_ids: Optional[Sequence[int]] = None,
         *,
+        lists: Optional[Sequence[str]] = None,
         memory_budget_mb: Optional[float] = None,
         prefetch: bool = True,
     ):
         self.store = store
+        self.lists = None if lists is None else tuple(lists)
         self.ids = (
             list(range(store.num_partitions))
             if partition_ids is None
@@ -904,11 +962,7 @@ class StreamingIndexReader:
             else None
         )
         if self._budget is not None and self.ids:
-            worst = max(
-                self.store.partitions[pid].blob_bytes
-                + self.store.partitions[pid].decoded_bytes
-                for pid in self.ids
-            )
+            worst = max(self._cost(pid) for pid in self.ids)
             if worst > self._budget:
                 raise IndexStoreError(
                     f"streaming memory budget {self._budget} B cannot hold "
@@ -929,7 +983,7 @@ class StreamingIndexReader:
 
     def _cost(self, pid: int) -> int:
         entry = self.store.partitions[pid]
-        return entry.blob_bytes + entry.decoded_bytes
+        return entry.blob_bytes + entry.decoded_nbytes(self.lists)
 
     def _reserve(self, pid: int) -> None:
         if self._budget is None:
@@ -1018,17 +1072,15 @@ class StreamingIndexReader:
             partition=pid,
             blob_bytes=entry.blob_bytes,
         ):
-            index = self.store.decode_partition_blob(pid, blob)
+            index = self.store.decode_partition_blob(pid, blob, self.lists)
         self.stats.decode_seconds += time.perf_counter() - t0
-        self.stats.bytes_decoded += entry.decoded_bytes
+        decoded = entry.decoded_nbytes(self.lists)
+        self.stats.bytes_decoded += decoded
         self.stats.partitions += 1
-        self._record(metrics, entry)
-        return StreamedPartition(pid=pid, entry=entry, index=index)
-
-    def _record(self, metrics, entry: PartitionEntry) -> None:
         metrics.count("stream.partitions")
         metrics.count("stream.bytes_read", entry.blob_bytes)
-        metrics.count("stream.bytes_decoded", entry.decoded_bytes)
+        metrics.count("stream.bytes_decoded", decoded)
+        return StreamedPartition(pid=pid, entry=entry, index=index)
 
     def close(self) -> None:
         """Drain the prefetch thread (idempotent)."""

@@ -147,11 +147,14 @@ def profile_workload(
     fraction = 0.0
     store_info = None
     if store is not None:
+        # a streamed pass decodes the sections this scorer reads, not the
+        # whole partition: its decode charge and double buffer follow
+        lists = FragmentIndex.lists_for(scorer)
         store_info = {
             "blob_bytes": int(store.blob_bytes),
-            "decoded_bytes": int(store.decoded_bytes),
+            "decoded_bytes": sum(p.decoded_nbytes(lists) for p in store.partitions),
             "num_partitions": int(store.num_partitions),
-            "max_partition_bytes": int(store.max_partition_bytes),
+            "max_partition_bytes": int(store.max_visit_bytes(lists)),
         }
         if scorer_indexable and total_candidates:
             overflow = store.load_overflow().mass  # mass-sorted

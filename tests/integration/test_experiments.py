@@ -143,7 +143,7 @@ class TestKillAndResume:
             ],
         }
 
-    def test_kill_mid_grid_then_resume_bitwise_identical(self, tmp_path):
+    def test_kill_mid_grid_then_resume_bitwise_identical(self, tmp_path, host_slowdown):
         spec_path = write_spec(tmp_path, self.kill_payload())
         out = str(tmp_path / "run")
 
@@ -156,15 +156,19 @@ class TestKillAndResume:
             stderr=subprocess.DEVNULL,
         )
         try:
-            # wait until at least one cell is checkpointed, then pull the plug
+            # wait until at least one cell is checkpointed, then pull the
+            # plug; the wait is on the runner itself, so a runner that died
+            # (or finished) ends it at once instead of running out the clock
             checkpoint = os.path.join(out, "checkpoint.json")
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                if os.path.exists(checkpoint) and checkpointed_cells(out):
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("runner never checkpointed a cell")
+            deadline = time.monotonic() + 60 * host_slowdown
+            while not (os.path.exists(checkpoint) and checkpointed_cells(out)):
+                if time.monotonic() > deadline:
+                    pytest.fail("runner never checkpointed a cell")
+                try:
+                    proc.wait(timeout=0.02)
+                except subprocess.TimeoutExpired:
+                    continue
+                break  # exited on its own: the asserts below say how far it got
             proc.send_signal(signal.SIGKILL)
         finally:
             proc.wait()

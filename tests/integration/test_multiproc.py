@@ -54,21 +54,34 @@ class TestMultiprocess:
         self, tiny_db, tiny_queries, monkeypatch
     ):
         """The clock stops once the merged hits exist, not before: time the
-        parent spends unpacking and merging is time the caller paid."""
+        parent spends unpacking and merging is time the caller paid.  The
+        merge steps an injected clock by an hour no real run could take."""
         from repro.engines import multiproc
 
-        merge, pause = multiproc.merge_rank_hits, 0.5
+        class SteppedClock:
+            """The ``time`` module with a ``perf_counter`` that can jump."""
 
-        def slow_merge(per_rank_hits, tau):
-            time.sleep(pause)
+            offset = 0.0
+
+            def perf_counter(self):
+                return time.perf_counter() + self.offset
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+        clock, merge, step = SteppedClock(), multiproc.merge_rank_hits, 3600.0
+
+        def stepping_merge(per_rank_hits, tau):
+            clock.offset += step
             return merge(per_rank_hits, tau)
 
-        monkeypatch.setattr(multiproc, "merge_rank_hits", slow_merge)
+        monkeypatch.setattr(multiproc, "time", clock)
+        monkeypatch.setattr(multiproc, "merge_rank_hits", stepping_merge)
         rep = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=1, config=SearchConfig(tau=5)
         )
-        assert rep.extras["wall_time"] >= pause
-        assert rep.extras["candidates_per_second"] <= rep.candidates_evaluated / pause
+        assert rep.extras["wall_time"] >= step
+        assert rep.extras["candidates_per_second"] <= rep.candidates_evaluated / step
 
     def test_invalid_workers(self, small_db, tiny_queries):
         with pytest.raises(ValueError):

@@ -85,7 +85,9 @@ class TestSerialStreaming:
     def test_memory_budget_too_small_is_typed(
         self, tiny_db, tiny_queries, pstore
     ):
-        too_small = pstore.max_partition_bytes / (1 << 20) * 0.5
+        # half of what a hyperscore pass holds of a partition: its blob,
+        # the row columns and the series list (not the whole decode)
+        too_small = pstore.max_visit_bytes(("series",)) / (1 << 20) * 0.5
         with pytest.raises(IndexStoreError, match="memory budget"):
             search_serial(
                 tiny_db, tiny_queries, _cfg(),

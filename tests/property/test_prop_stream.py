@@ -119,3 +119,26 @@ def test_prefetch_off_and_memory_budget_do_not_change_hits(workload, cap):
                 got = [h.sort_key() for h in hitlists[q.query_id].sorted_hits()]
                 ref = [h.sort_key() for h in resident.hits[q.query_id]]
                 assert got == ref
+
+
+@given(databases, st.sampled_from([6, 48]))
+@settings(max_examples=15, deadline=None)
+def test_a_partial_decode_is_a_subset_of_the_full_decode(db, max_length):
+    """Decoding only the posting lists a scorer reads changes which
+    arrays come out, never their bits: for every subset of lists the
+    view holds the ``row_*`` columns plus exactly those lists' arrays,
+    each bitwise the same-named array of a full decode."""
+    from repro.index.layout import POSTING_LISTS, partition_arrays
+
+    with tempfile.TemporaryDirectory() as tmp:
+        store = save_partitioned_index(
+            db, Path(tmp) / "pidx", partition_mb=1.0 / 16.0, max_length=max_length
+        )
+        for pid in range(store.num_partitions):
+            full = store.decode_partition(pid).arrays
+            for lists in [(), ("ladder",), ("series",), tuple(POSTING_LISTS)]:
+                part = store.decode_partition(pid, lists).arrays
+                assert set(part) == set(partition_arrays(lists))
+                for name, arr in part.items():
+                    assert arr.dtype == full[name].dtype, name
+                    assert arr.tobytes() == full[name].tobytes(), name
