@@ -1,51 +1,50 @@
-"""Autotuner benchmark: does the predicted-best config actually win?
+"""Autotuner benchmark: does the timed pick actually win?
 
-Calibrates the cost model on this host, lets the tuner rank a bounded
-configuration grid (serial/multiproc x cohort/blocks/stream knobs), then
-*measures* every feasible plan and reports the tuner's regret — the
-chosen plan's measured makespan over the measured best.  The acceptance
-target is regret <= 1.15: the autotuned configuration lands within 15%
-of the best exhaustive-grid configuration.
+For each workload the tuner times its plan grid (serial / multiproc x
+direct / streamed) on two query samples and picks; the bench then
+*measures* every feasible plan at full size and reports the tuner's
+regret — the chosen plan's measured makespan over the measured best.
+The acceptance target is regret <= 1.15: the autotuned configuration
+lands within 15% of the best exhaustive-grid configuration.
 
-Also recorded, so future PRs have a trajectory:
+Also recorded per workload, so future PRs have a trajectory:
 
-* predicted-vs-measured makespan error for the chosen plan (the
-  verification layer's headline number);
-* rank correlation between predicted and measured orderings;
+* ``trial_wall_s`` — what the pick cost;
+* per plan ``predicted_s`` (the trial's line read at the workload's
+  candidate count) next to ``measured_s``, the chosen plan's
+  ``makespan_rel_error`` and the rank correlation between predicted and
+  measured orderings;
 * the lower-bound overlap projection at p = 128/512/1024.
 
 Run ``python benchmarks/bench_autotune.py`` to (re)generate
-``BENCH_autotune.json``; ``--smoke`` runs a reduced workload and exits
-non-zero when regret exceeds 1.15 or the tuning report is missing its
-required sections.
+``BENCH_autotune.json``; ``--smoke`` runs one reduced workload and exits
+non-zero when regret exceeds 1.15, a trial number is negative, or a
+lower-bound point is missing.
 """
 
 import os
 import platform
 import tempfile
-import time
 
 import numpy as np
 
 from repro.core.config import SearchConfig
 from repro.store import save_partitioned_index
-from repro.tune.calibrate import CalibrationSpec, run_calibration
 from repro.tune.lower_bounds import overlap_projection
-from repro.tune.plan import choose_plan, enumerate_plans, profile_workload
-from repro.tune.tuner import build_verification, run_plan
+from repro.tune.tuner import autotune, run_plan
 from repro.workloads.queries import generate_queries
 from repro.workloads.synthetic import generate_database
 
 #: acceptance: chosen plan within 15% of the measured-best plan
 REGRET_TARGET = 1.15
 
-#: bounded grid the bench measures exhaustively
-_WORKER_CHOICES = (2,)
-_QUERY_BLOCKS = (1, 2)
-_SWEEP_COHORTS = (64,)
+#: (proteins, queries): the rung where serial wins on a 2-vCPU host and
+#: the rung where multiproc does
+_SIZES = ((800, 400), (2000, 2000))
+_SCORERS = ("likelihood", "hyperscore")
 
 
-def _measure_plans(plans, database, queries, config, store, store_path, repeats):
+def _measure_plans(plans, database, queries, config, store, repeats):
     """Best-of-``repeats`` wall seconds for every plan, interleaved.
 
     Repeats run round-robin across plans, not back-to-back per plan: a
@@ -55,116 +54,93 @@ def _measure_plans(plans, database, queries, config, store, store_path, repeats)
     best = {plan: None for plan in plans}
     for _ in range(max(repeats, 1)):
         for plan in plans:
-            _, wall, _ = run_plan(
-                plan, database, queries, config, store=store, store_path=store_path
-            )
+            _, wall = run_plan(plan, database, queries, config, store=store)
             prev = best[plan]
             best[plan] = wall if prev is None else min(prev, wall)
     return best
 
 
-def measure_autotune(num_proteins, num_queries, repeats, spec):
+def _spearman(rows):
+    """Rank correlation of the predicted and the measured plan orderings."""
+    predicted = [r["plan"] for r in sorted(rows, key=lambda r: r["predicted_s"])]
+    measured = [r["plan"] for r in sorted(rows, key=lambda r: r["measured_s"])]
+    ranks = {name: i for i, name in enumerate(measured)}
+    n = len(rows)
+    if n < 2:
+        return 1.0
+    d2 = sum((ranks[name] - i) ** 2 for i, name in enumerate(predicted))
+    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
+
+
+def measure_autotune(num_proteins, num_queries, scorer, repeats):
     database = generate_database(num_proteins, seed=202)
     queries = generate_queries(num_queries, seed=17)
-    config = SearchConfig()
-
-    t0 = time.perf_counter()
-    calibration = run_calibration(spec)
-    calibrate_s = time.perf_counter() - t0
-    cost = calibration.cost_model(config.cost)
+    config = SearchConfig(scorer=scorer)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-tune-") as tmp:
-        store_path = os.path.join(tmp, "pstore")
         store = save_partitioned_index(
             database,
-            store_path,
+            os.path.join(tmp, "pstore"),
             partition_mb=2.0,
             fragment_tolerance=config.fragment_tolerance,
         )
-        profile = profile_workload(database, queries, config, store=store)
-        plans, pruned = enumerate_plans(
-            profile,
-            worker_choices=_WORKER_CHOICES,
-            query_blocks=_QUERY_BLOCKS,
-            sweep_cohorts=_SWEEP_COHORTS,
-            start_methods=("fork",) if "fork" in _start_methods() else ("spawn",),
-            allow_stream=True,
+        # the trial is its own warm-up: its first round pays the cold
+        # page cache and imports, and best-of-three discards that round
+        result = autotune(
+            database, queries, config, store=store, run=False, lower_bounds=False
         )
-        chosen, prediction, ranking = choose_plan(plans, profile, cost)
-
-        # one untimed warm-up so the first measured plan does not absorb
-        # cold page-cache and import costs the others skip
-        run_plan(
-            ranking[0][0], database, queries, config, store=store, store_path=store_path
-        )
-
         measured = _measure_plans(
-            [plan for plan, _ in ranking],
-            database,
-            queries,
-            config,
-            store,
-            store_path,
-            repeats,
+            [t.plan for t in result.trials], database, queries, config, store, repeats
         )
-        rows = [
-            {
-                "plan": plan.label,
-                "predicted_s": pred.total,
-                "measured_s": measured[plan],
-                "chosen": plan == chosen,
-            }
-            for plan, pred in ranking
-        ]
 
-        # verification detail for the chosen plan (span-level comparison)
-        _, wall, registry = run_plan(
-            chosen, database, queries, config, store=store, store_path=store_path
-        )
-        verification = build_verification(chosen, prediction, wall, registry, calibration)
-
+    rows = [
+        {
+            **trial.to_dict(),
+            "measured_s": measured[trial.plan],
+            "chosen": trial.plan == result.chosen,
+        }
+        for trial in result.trials
+    ]
     best = min(rows, key=lambda r: r["measured_s"])
-    chosen_row = next(r for r in rows if r["chosen"])
-    regret = chosen_row["measured_s"] / best["measured_s"] if best["measured_s"] else 1.0
-
-    predicted_order = [r["plan"] for r in sorted(rows, key=lambda r: r["predicted_s"])]
-    measured_order = [r["plan"] for r in sorted(rows, key=lambda r: r["measured_s"])]
-    ranks = {name: i for i, name in enumerate(measured_order)}
-    n = len(rows)
-    if n > 1:
-        d2 = sum((ranks[name] - i) ** 2 for i, name in enumerate(predicted_order))
-        spearman = 1.0 - 6.0 * d2 / (n * (n * n - 1))
-    else:
-        spearman = 1.0
-
+    chosen = next(r for r in rows if r["chosen"])
     return {
-        "benchmark": "autotune_regret",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
         "num_proteins": num_proteins,
         "num_queries": num_queries,
-        "repeats": repeats,
-        "calibration_wall_s": calibrate_s,
-        "calibrated_terms": dict(calibration.terms),
+        "scorer": scorer,
+        "candidates": result.profile.total_candidates,
+        "trial_wall_s": result.trial_info["trial_wall_s"],
+        "trial_samples": result.trial_info["samples"],
         "grid_feasible": len(rows),
-        "grid_pruned": len(pruned),
-        "chosen_plan": chosen.label,
+        "grid_pruned": len(result.pruned),
+        "chosen_plan": chosen["plan"],
         "best_plan": best["plan"],
-        "chosen_measured_s": chosen_row["measured_s"],
+        "chosen_measured_s": chosen["measured_s"],
         "best_measured_s": best["measured_s"],
-        "autotune_regret": regret,
-        "prediction_rank_correlation": spearman,
-        "makespan_rel_error": verification["makespan_rel_error"],
+        "autotune_regret": chosen["measured_s"] / best["measured_s"],
+        "prediction_rank_correlation": _spearman(rows),
+        "makespan_rel_error": (chosen["predicted_s"] - chosen["measured_s"])
+        / chosen["measured_s"],
         "plans": rows,
-        "verification": verification,
-        "lower_bounds": overlap_projection(profile),
+        "grid": result.tuning["grid"],
+        "lower_bounds": overlap_projection(result.profile),
     }
 
 
-def _start_methods():
-    import multiprocessing
-
-    return multiprocessing.get_all_start_methods()
+def _problems(name, payload):
+    """What a gate run refuses: a slow pick, a negative number, a missing bound."""
+    problems = []
+    if payload["autotune_regret"] > REGRET_TARGET:
+        problems.append(
+            f"{name}: regret {payload['autotune_regret']:.2f} > {REGRET_TARGET} "
+            f"(chose {payload['chosen_plan']}, best {payload['best_plan']})"
+        )
+    for row in payload["plans"]:
+        if row["fixed_s"] < 0 or row["predicted_s"] < 0:
+            problems.append(f"{name}: negative trial number for {row['plan']}")
+    for p in ("128", "512", "1024"):
+        if p not in payload["lower_bounds"]["points"]:
+            problems.append(f"{name}: lower bounds missing p={p}")
+    return problems
 
 
 def main(argv=None):
@@ -181,47 +157,37 @@ def main(argv=None):
             pathlib.Path(__file__).resolve().parent.parent / "BENCH_autotune.json"
         ),
     )
-    parser.add_argument("--proteins", type=int, default=800)
-    parser.add_argument("--queries", type=int, default=400)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced workload for CI; fails when the autotuned pick is "
+        help="one reduced workload for CI; fails when the autotuned pick is "
         ">15%% slower than the measured-best grid plan, and does not "
         "overwrite results",
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        # full-repeat calibration even in smoke: a one-repeat battery
-        # leaves the sweep fit inside measurement noise, and a bad fit
-        # makes the regret assertion flaky rather than meaningful
-        payload = measure_autotune(
-            num_proteins=300,
-            num_queries=200,
-            repeats=3,
-            spec=CalibrationSpec(include_spawn=False),
-        )
+        payload = measure_autotune(300, 200, "likelihood", repeats=3)
         print(json.dumps(payload, indent=2))
-        problems = []
-        if payload["autotune_regret"] > REGRET_TARGET:
-            problems.append(
-                f"regret {payload['autotune_regret']:.2f} > {REGRET_TARGET} "
-                f"(chose {payload['chosen_plan']}, best {payload['best_plan']})"
-            )
-        points = payload["lower_bounds"]["points"]
-        for p in ("128", "512", "1024"):
-            if p not in points:
-                problems.append(f"lower bounds missing p={p}")
-        if not payload["verification"]["phases"]:
-            problems.append("verification reported no phases")
+        problems = _problems("smoke", payload)
         if problems:
             print("FAIL: " + "; ".join(problems), file=sys.stderr)
             sys.exit(1)
         return
-    payload = measure_autotune(
-        args.proteins, args.queries, args.repeats, CalibrationSpec()
-    )
+    workloads = {
+        f"{scorer}_{n}x{m}": measure_autotune(n, m, scorer, args.repeats)
+        for n, m in _SIZES
+        for scorer in _SCORERS
+    }
+    payload = {
+        "benchmark": "autotune_regret",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "repeats": args.repeats,
+        "regret_target": REGRET_TARGET,
+        "workloads": workloads,
+    }
     pathlib.Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
 

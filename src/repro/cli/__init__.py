@@ -17,11 +17,11 @@ shared option helpers live in :mod:`repro.cli.options`.  Commands:
 * ``trace``    — export one run's timeline as Chrome trace-event JSON
   (open in chrome://tracing or Perfetto), or as an ascii utilization
   table and gantt.
-* ``tune``     — calibrate the cost model against this host, search the
-  configuration grid for the lowest predicted makespan, run the pick,
-  and report predicted-vs-measured phase times plus overlap lower
-  bounds (docs/autotuning.md).  ``search --autotune`` applies the same
-  planner to a search; explicitly typed flags always win.
+* ``tune``     — time every feasible configuration on two query samples
+  of this workload, run the fastest, and report its predicted-vs-measured
+  makespan plus overlap lower bounds (docs/autotuning.md).
+  ``search --autotune`` applies the same pick to a search; explicitly
+  typed flags always win.
 * ``experiments`` — run/resume/report a declarative scenario grid
   (``scenarios/*.yaml``): every cell a checkpointed RunReport, one
   aggregate with speedup/efficiency tables and identity checks

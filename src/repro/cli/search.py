@@ -59,16 +59,16 @@ def _apply_autotune(args: argparse.Namespace, explicit: set, db, queries):
             if getattr(args, attr) != value:
                 print(
                     f"warning: explicit {sorted(typed)[0]} overrides the "
-                    f"autotuned choice ({value!r}); the predicted makespan "
+                    f"autotuned choice ({value!r}); the timed makespan "
                     f"no longer applies",
                     file=sys.stderr,
                 )
         else:
             setattr(args, attr, value)
     print(
-        f"autotune: chose {plan.label} (predicted "
-        f"{result.prediction.total:.3f}s over {len(result.ranking)} "
-        f"feasible configuration(s), calibration {result.calibration.source})"
+        f"autotune: chose {plan.label} (timed: {result.predicted_s:.3f}s, "
+        f"fastest of {len(result.trials)} feasible configuration(s), "
+        f"trial {result.trial_info['source']})"
     )
     return result.tuning
 
@@ -350,13 +350,13 @@ def register(sub) -> None:
     )
     p_search.add_argument(
         "--autotune", action="store_true",
-        help="pick engine/knobs with the cost-model autotuner "
-        "(docs/autotuning.md); flags you type explicitly always win",
+        help="pick engine/knobs by timing the feasible plans on query "
+        "samples (docs/autotuning.md); flags you type explicitly always win",
     )
     p_search.add_argument(
         "--tune-cache", default=None,
-        help="autotune calibration cache path (default: "
-        "~/.cache/repro/calibration.json)",
+        help="autotune trial cache path (default: no cache, the plans "
+        "are timed on every run)",
     )
     p_search.set_defaults(func=cmd_search)
 

@@ -1,9 +1,8 @@
-"""``repro tune``: calibrate the cost model, pick a configuration, verify it."""
+"""``repro tune``: time the feasible plans, pick one, run it, check the pick."""
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from repro.cli.options import (
@@ -18,16 +17,16 @@ from repro.workloads.queries import generate_queries
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    """Calibrate, search the configuration grid, run the pick, verify.
+    """Enumerate the plan grid, time each plan, run the pick, verify.
 
-    Prints the calibrated terms that moved furthest off their defaults,
-    the predicted-makespan ranking, the chosen run's predicted-vs-
-    measured phase table, and the overlap lower bounds at simulated
-    rank counts.  ``--report-out`` writes the full RunReport with the
-    ``tuning`` section attached.
+    Prints where the trial's numbers came from (measured or cache), every
+    feasible plan with its two measured terms and the makespan they give
+    at this workload's candidate count, why each other plan was pruned,
+    the chosen run's predicted-vs-measured makespan, and the overlap
+    lower bounds at simulated rank counts.  ``--report-out`` writes the
+    full RunReport with the ``tuning`` section attached.
     """
     from repro.tune import autotune
-    from repro.tune.calibrate import CalibrationSpec
 
     db = load_database(args)
     queries = generate_queries(args.queries, seed=args.query_seed)
@@ -45,69 +44,51 @@ def cmd_tune(args: argparse.Namespace) -> int:
                 f"(`repro index build --partition-mb ...`); "
                 f"{args.index_path} holds a resident-format store"
             )
-    spec = (
-        CalibrationSpec(
-            db_size=120, num_queries=80, store_db_size=60,
-            repeats=1, include_spawn=False,
-        )
-        if args.quick
-        else CalibrationSpec()
-    )
     result = autotune(
         db,
         queries,
         config,
         cache_path=args.tune_cache,
-        force_calibrate=args.force_calibrate,
-        spec=spec,
+        retune=args.retune,
         store=store,
-        store_path=args.index_path,
         memory_budget_mb=args.memory_budget_mb,
         run=not args.plan_only,
         anchor_ranks=args.anchor_ranks if args.anchor_ranks > 0 else None,
     )
 
-    cal = result.calibration
-    print(f"calibration: {cal.source}" + (f" ({cal.cache_path})" if cal.cache_path else ""))
-    vs = cal.details.get("vs_defaults") or {}
-    moved = sorted(
-        (k for k in vs if vs[k].get("ratio") is not None),
-        key=lambda k: abs(math.log10(max(vs[k]["ratio"], 1e-12))),
-        reverse=True,
+    trial = result.trial_info
+    workload = (
+        f"{result.profile.num_queries} queries "
+        f"({result.profile.total_candidates} candidates)"
     )
-    for key in moved[: args.show_terms]:
-        entry = vs[key]
+    if trial["source"] == "cache":
+        print(f"trial: source: cache ({trial['cache_path']}), nothing timed; {workload}")
+    else:
+        sizes = " and ".join(str(size) for size in trial["samples"])
         print(
-            f"  {key:<26} {entry['calibrated']:.3e}  "
-            f"(default {entry['default']:.3e}, x{entry['ratio']:.2f})"
+            f"trial: source: measured, {trial['trial_wall_s']:.2f}s timing every "
+            f"plan on samples of {sizes} of {workload}"
         )
     print(
-        f"grid: {len(result.ranking)} feasible, {len(result.pruned)} pruned; "
-        f"chose {result.chosen.label} (predicted {result.prediction.total:.3f}s)"
+        f"grid: {len(result.trials)} feasible, {len(result.pruned)} pruned; "
+        f"chose {result.chosen.label} (timed: {result.predicted_s:.3f}s)"
     )
-    for plan, pred in result.ranking[: args.show_plans]:
-        marker = "->" if plan == result.chosen else "  "
-        print(f"  {marker} {pred.total:9.3f}s  {plan.label}")
+    for entry in result.trials[: args.show_plans]:
+        marker = "->" if entry.plan == result.chosen else "  "
+        print(
+            f"  {marker} {entry.predicted_s:9.3f}s  {entry.plan.label}  "
+            f"({entry.fixed_s:.3f}s + {entry.seconds_per_candidate:.2e} s/candidate)"
+        )
+    for plan, reason in result.pruned:
+        print(f"  pruned {plan.label}: {reason}")
     if result.verification is not None:
         ver = result.verification
-        err = ver["makespan_rel_error"]
+        err = ver["rel_error"]
         print(
             f"verification: measured {ver['measured_makespan_s']:.3f}s vs "
             f"predicted {ver['predicted_makespan_s']:.3f}s"
             + (f" ({err:+.0%})" if err is not None else "")
         )
-        for name, phase in ver["phases"].items():
-            measured = (
-                f"{phase['measured_s']:.4f}s" if phase["measured_s"] is not None else "n/a"
-            )
-            rel = f" ({phase['rel_error']:+.0%})" if phase["rel_error"] is not None else ""
-            print(f"  {name:<28} predicted {phase['predicted_s']:.4f}s measured {measured}{rel}")
-        for name, term in ver["terms"].items():
-            rel = f" ({term['rel_error']:+.0%})" if term["rel_error"] is not None else ""
-            predicted = (
-                f"{term['predicted']:.3e}" if term["predicted"] is not None else "n/a"
-            )
-            print(f"  {name:<34} predicted {predicted} measured {term['measured']:.3e}{rel}")
     if result.lower_bounds is not None:
         print(f"lower bounds: {result.lower_bounds['model']}")
         for p, point in result.lower_bounds["points"].items():
@@ -144,13 +125,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def register(sub) -> None:
     p_tune = sub.add_parser(
         "tune",
-        help="calibrate the cost model, pick the best configuration, verify it",
+        help="time the feasible configurations, pick the fastest, verify it",
     )
     add_db_options(p_tune, "tune against")
     add_search_args(p_tune)
     p_tune.add_argument(
         "--index-path", default=None,
-        help="partitioned store to consider streamed plans against "
+        help="partitioned store to time streamed plans against "
         "(resident-format stores are rejected)",
     )
     p_tune.add_argument(
@@ -159,19 +140,16 @@ def register(sub) -> None:
     )
     p_tune.add_argument(
         "--tune-cache", default=None,
-        help="calibration cache path (default: ~/.cache/repro/calibration.json)",
+        help="keep the trial's measured rates in this file and reuse them "
+        "on the next run (default: no cache, every run times its plans)",
     )
     p_tune.add_argument(
-        "--force-calibrate", action="store_true",
-        help="re-measure even when a valid cache exists",
-    )
-    p_tune.add_argument(
-        "--quick", action="store_true",
-        help="smaller calibration battery (seconds, less precise)",
+        "--retune", action="store_true",
+        help="time the plans again even when a valid cache exists",
     )
     p_tune.add_argument(
         "--plan-only", action="store_true",
-        help="stop after planning; skip the verification run",
+        help="stop after the pick; skip the verification run",
     )
     p_tune.add_argument(
         "--anchor-ranks", type=int, default=0,
@@ -179,12 +157,8 @@ def register(sub) -> None:
         "lower-bound validation anchor (0 = off; 128 costs ~2s)",
     )
     p_tune.add_argument(
-        "--show-terms", type=positive_int, default=8,
-        help="calibrated terms to print (furthest from defaults first)",
-    )
-    p_tune.add_argument(
         "--show-plans", type=positive_int, default=5,
-        help="ranked configurations to print",
+        help="timed configurations to print (fastest first)",
     )
     p_tune.add_argument(
         "--report-out", default=None,

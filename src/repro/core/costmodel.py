@@ -15,10 +15,10 @@ candidate evaluation rate near Table III's ~41K candidates/s on 8
 ranks), with the likelihood scorer's ``relative_cost`` folding in the
 paper's expensive-statistics argument.
 
-Calibration against *this* host is :mod:`repro.tune.calibrate`
-(``repro tune``), which times the engine paths that run and fits every
-term; the defaults stay paper-scaled so that tables regenerate in the
-paper's units out of the box.
+The defaults stay paper-scaled so that tables regenerate in the paper's
+units out of the box; nothing refits them per host.  Choosing a
+configuration for the real engines is :mod:`repro.tune`'s job, and it
+times the candidates rather than predicting them from these terms.
 """
 
 from __future__ import annotations
@@ -108,23 +108,6 @@ class CostModel:
         partition_open_overhead: per-partition constant of one streamed
             visit (directory lookup, file open, checksum), charged per
             partition actually read.
-        worker_spinup_fork: per-worker constant of starting a multiproc
-            pool with the ``fork`` start method (clone + COW page-table
-            setup; the child inherits the parent's imports for free).
-        worker_spinup_spawn: per-worker constant of the ``spawn`` start
-            method — a fresh interpreter boots and re-imports repro +
-            numpy, so this is orders of magnitude above fork and is the
-            term that makes spawn lose on short runs.
-        transport_ship_per_byte: seconds per byte of shipping context
-            between processes (pickle serialize + pipe + deserialize).
-            Charged on the spawn initializer path, where the worker
-            context crosses the process boundary per worker; fork ships
-            nothing (COW) and the mmap transport ships only a path.
-        task_dispatch_overhead: per-task round-trip constant of the
-            supervised pool (pickle the 4-int payload, queue hop, result
-            pickle, supervisor bookkeeping).  This is what ``query_blocks``
-            trades against load balance: more blocks buy balance at
-            ``task_dispatch_overhead`` per extra task.
     """
 
     rho_base: float = 24e-6
@@ -150,16 +133,12 @@ class CostModel:
     # prefetch stalls under 0.2% of compute even at the 2000-protein
     # tier.  1e-9 s/B (~1 GB/s) models a cold NVMe read, still
     # conservative against the measured host but no longer wrong by two
-    # orders of magnitude.  repro.tune calibration refines it per host.
+    # orders of magnitude.
     partition_read_per_byte: float = 1e-9
     # BENCH_scale.json n=500..2000: decode_seconds / decoded bytes lands
     # at ~1.2e-9 s/B — within 2x of this default, so it stays.
     partition_decode_per_byte: float = 2e-9
     partition_open_overhead: float = 5e-4
-    worker_spinup_fork: float = 5e-3
-    worker_spinup_spawn: float = 0.4
-    transport_ship_per_byte: float = 2e-9
-    task_dispatch_overhead: float = 1e-3
 
     def rho(self, scorer: Scorer) -> float:
         """Effective per-candidate evaluation cost for a scorer."""
@@ -220,34 +199,6 @@ class CostModel:
         remainder, never the sum.
         """
         return max(io_time - compute_time, 0.0)
-
-    def worker_spinup_time(self, num_workers: int, start_method: str = "fork") -> float:
-        """Pool start cost for ``num_workers`` processes.
-
-        ``spawn`` pays a fresh interpreter boot (re-import repro + numpy)
-        per worker; ``fork`` pays only the clone.  This is the fixed cost
-        the autotuner weighs against per-worker speedup on short runs.
-        """
-        if num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        per_worker = (
-            self.worker_spinup_spawn
-            if start_method == "spawn"
-            else self.worker_spinup_fork
-        )
-        return per_worker * num_workers
-
-    def transport_time(self, nbytes: int) -> float:
-        """Cost of shipping ``nbytes`` of context across a process boundary."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self.transport_ship_per_byte * nbytes
-
-    def task_dispatch_time(self, num_tasks: int) -> float:
-        """Supervisor round-trip cost for ``num_tasks`` pool tasks."""
-        if num_tasks < 0:
-            raise ValueError(f"num_tasks must be >= 0, got {num_tasks}")
-        return self.task_dispatch_overhead * num_tasks
 
     def index_probe_time(self, candidates: int, scorer: Scorer) -> float:
         """Query-processing time for index-served candidate evaluations."""

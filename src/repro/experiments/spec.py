@@ -105,7 +105,7 @@ BASE_DEFAULTS: Dict[str, Any] = {
 }
 
 #: engines a cell may name: every simulated algorithm, the real
-#: process-parallel engine, and the cost-model autotuner ("run whatever
+#: process-parallel engine, and the empirical autotuner ("run whatever
 #: the tuner picks" — the cold-vs-warm scenarios' third arm)
 _EXTRA_ENGINES = ("multiproc", "autotune")
 

@@ -132,8 +132,8 @@ class RunReport:
     #: batch runs, so the schema version needs no bump — readers treat a
     #: missing key as "not a service run"
     service: Optional[Dict[str, Any]] = None
-    #: autotuner section (calibration terms, chosen plan, predicted vs.
-    #: measured phase times, lower-bound projection); None unless the
+    #: autotuner section (timed trial per plan, chosen plan, predicted vs.
+    #: measured makespan, lower-bound projection); None unless the
     #: run was tuned — optional like ``service``, so no schema bump
     tuning: Optional[Dict[str, Any]] = None
     schema: str = SCHEMA

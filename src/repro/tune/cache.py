@@ -1,19 +1,21 @@
-"""On-disk calibration cache: fingerprinted, atomic, self-invalidating.
+"""On-disk trial cache: fingerprinted, keyed, atomic, self-invalidating.
 
-Calibration costs a few seconds of microbenchmarks, so repeat runs keep
-the fitted terms on disk.  The cache borrows the two discipline points
-of the ``repro.store`` header (store/index_store.py):
+Timing every plan costs a second or more, so repeat runs keep each
+plan's two measured numbers on disk.  The cache borrows the two
+discipline points of the ``repro.store`` header (store/index_store.py):
 
 * **Atomic writes** — serialize to a hidden tmp sibling in the target
   directory, fsync, then ``os.replace``.  A reader never observes a
   torn file; a crash mid-write leaves the previous cache (or nothing)
   in place.
-* **Fingerprint validation** — the payload embeds a machine fingerprint
-  (platform, CPU count, python/numpy versions) and a schema tag.  Any
-  mismatch — different host, different interpreter, corrupt or
-  truncated JSON, terms that fail validation — makes :func:`load_calibration`
-  return ``None`` and the caller re-calibrates.  A stale or damaged
-  cache can cost one calibration pass, never a wrong answer or a crash.
+* **Validation** — the payload embeds a schema tag, a machine
+  fingerprint (platform, CPU count, python/numpy versions) and the key
+  of what the rates depend on (scorer, tolerances, database size, store
+  fingerprint).  Any mismatch — different host, different interpreter,
+  another workload's key, corrupt or truncated JSON, numbers that fail
+  validation — makes :func:`load_trials` return ``None`` and the caller
+  times the plans again.  A stale or damaged cache can cost one trial,
+  never a wrong answer or a crash.
 """
 
 from __future__ import annotations
@@ -24,22 +26,15 @@ import os
 import platform
 from typing import Any, Dict, Optional
 
-#: /5: ``index_probe_discount`` is fitted on a posting-served
-#: (hyperscore) pass; a /4 cache holds the matrix-served likelihood
-#: figure under the same name
-CACHE_SCHEMA = "repro.tune_calibration/5"
-
-#: default cache location; overridable per call and via ``repro tune --cache``
-DEFAULT_CACHE_PATH = os.path.join("~", ".cache", "repro", "calibration.json")
+#: /6: timed-trial results per plan label under a workload key; /5 and
+#: earlier held least-squares-fitted CostModel terms nothing reads now
+CACHE_SCHEMA = "repro.tune_trials/6"
 
 
 def machine_fingerprint() -> Dict[str, Any]:
-    """Identity of the machine + toolchain the calibration measured.
-
-    Anything that changes kernel timings materially belongs here: a
-    cache fitted under numpy X on machine A must not predict makespans
-    under numpy Y on machine B.
-    """
+    """Identity of the machine + toolchain the trial was timed on: rates
+    timed under numpy X on machine A must not pick a plan under numpy Y
+    on machine B."""
     import numpy
 
     return {
@@ -53,28 +48,42 @@ def machine_fingerprint() -> Dict[str, Any]:
 
 
 def _valid_terms(terms: Any) -> bool:
-    """Terms must be a non-empty str->finite-nonnegative-float mapping."""
-    if not isinstance(terms, dict) or not terms:
-        return False
-    for name, value in terms.items():
-        if not isinstance(name, str):
-            return False
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return False
-        if not math.isfinite(value) or value < 0:
-            return False
-    return True
+    """One plan's entry: exactly the two trial terms, finite and >= 0."""
+    return (
+        isinstance(terms, dict)
+        and set(terms) == {"fixed_s", "seconds_per_candidate"}
+        and all(
+            isinstance(v, (int, float))
+            and not isinstance(v, bool)
+            and math.isfinite(v)
+            and v >= 0
+            for v in terms.values()
+        )
+    )
 
 
-def save_calibration(
-    path: str, terms: Dict[str, float], details: Optional[Dict[str, Any]] = None
+def _valid_trials(trials: Any) -> bool:
+    """Trials must be a non-empty plan-label -> terms mapping."""
+    return (
+        isinstance(trials, dict)
+        and bool(trials)
+        and all(isinstance(k, str) and _valid_terms(v) for k, v in trials.items())
+    )
+
+
+def save_trials(
+    path: str,
+    key: Dict[str, Any],
+    trials: Dict[str, Dict[str, float]],
+    details: Optional[Dict[str, Any]] = None,
 ) -> str:
-    """Atomically persist fitted terms; returns the expanded path."""
+    """Atomically persist one workload key's trials; returns the expanded path."""
     path = os.path.expanduser(path)
     payload = {
         "schema": CACHE_SCHEMA,
         "fingerprint": machine_fingerprint(),
-        "terms": dict(terms),
+        "key": dict(key),
+        "trials": {label: dict(terms) for label, terms in trials.items()},
         "details": details or {},
     }
     parent = os.path.dirname(path) or "."
@@ -88,12 +97,12 @@ def save_calibration(
     return path
 
 
-def load_calibration(path: str) -> Optional[Dict[str, Any]]:
-    """Load a cached calibration, or ``None`` if it cannot be trusted.
+def load_trials(path: str, key: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """Load the cached trials for ``key``, or ``None`` if they cannot be trusted.
 
     Every failure mode — missing file, torn/corrupt JSON, schema drift,
-    fingerprint mismatch, invalid term values — degrades to ``None``
-    (re-calibrate), never an exception.
+    fingerprint mismatch, another workload's key, invalid values —
+    degrades to ``None`` (time the plans again), never an exception.
     """
     path = os.path.expanduser(path)
     try:
@@ -101,12 +110,11 @@ def load_calibration(path: str) -> Optional[Dict[str, Any]]:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("schema") != CACHE_SCHEMA:
-        return None
-    if payload.get("fingerprint") != machine_fingerprint():
-        return None
-    if not _valid_terms(payload.get("terms")):
-        return None
-    return payload
+    trusted = (
+        isinstance(payload, dict)
+        and payload.get("schema") == CACHE_SCHEMA
+        and payload.get("fingerprint") == machine_fingerprint()
+        and payload.get("key") == key
+        and _valid_trials(payload.get("trials"))
+    )
+    return payload if trusted else None

@@ -1,55 +1,93 @@
-"""The autotuner: calibrate -> plan -> run -> verify -> report.
+"""The autotuner: enumerate -> time -> pick -> run -> compare one number.
 
-:func:`autotune` closes the loop the ROADMAP asked for: fitted CostModel
-terms pick the configuration with the smallest predicted makespan, the
-chosen configuration actually runs, and the RunReport ``tuning`` section
-records how well the model predicted reality — per phase, per term —
-next to the communication-lower-bound projection that every future perf
-PR is judged against.
+With a grid of at most a handful of plans, ranking by a fitted model is
+the expensive way to choose (FFTW/ATLAS-style empirical planning is the
+cheap one): :func:`time_plans` runs every feasible plan's own
+``run_search`` on two mass-stratified query samples and keeps two
+measured numbers per plan — a fixed cost and seconds per candidate —
+whose line, read at the workload's exact candidate count, is the plan's
+predicted makespan.  :func:`autotune` picks the smallest, runs it, and
+the RunReport ``tuning`` section records the one comparison that
+matters (predicted vs. measured makespan of the pick) next to the
+communication-lower-bound projection.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import SearchConfig
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
-from repro.tune.calibrate import Calibration, CalibrationSpec, calibrate
+from repro.tune.cache import load_trials, save_trials
 from repro.tune.lower_bounds import (
     DEFAULT_PROJECTION_RANKS,
     overlap_projection,
     simulate_anchor,
 )
 from repro.tune.plan import (
+    PINNED_KNOBS,
     CandidatePlan,
-    PredictedMakespan,
     WorkloadProfile,
-    choose_plan,
     enumerate_plans,
-    predict_makespan,
     profile_workload,
 )
 
 #: schema tag of the RunReport ``tuning`` section (optional section, so
 #: the report schema itself does not bump — same pattern as ``service``)
-TUNING_SCHEMA = "repro.tuning/1"
+TUNING_SCHEMA = "repro.tuning/2"
+
+#: query counts of the two timed samples.  Wide apart on purpose: a
+#: 32/128 pair of *random* samples picked a plan with regret 1.73 at
+#: 800 x 400 — the line's slope was inside the noise of its own points
+SAMPLE_SIZES = (8, 256)
+
+#: mass strata a sample covers (the small sample is one query from each)
+STRATA = 8
+
+#: timed runs per (plan, sample); the fastest is kept
+TRIAL_REPEATS = 3
+
+
+@dataclass(frozen=True)
+class PlanTrial:
+    """One plan's timed trial: two measured terms, read at a candidate count."""
+
+    plan: CandidatePlan
+    fixed_s: float
+    seconds_per_candidate: float
+    candidates: int  #: the workload's exact candidate total
+
+    @property
+    def predicted_s(self) -> float:
+        return self.fixed_s + self.seconds_per_candidate * self.candidates
+
+    def terms(self) -> Dict[str, float]:
+        return {
+            "fixed_s": self.fixed_s,
+            "seconds_per_candidate": self.seconds_per_candidate,
+        }
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"plan": self.plan.label, **self.terms(), "predicted_s": self.predicted_s}
 
 
 @dataclass
 class TuneResult:
     """Everything one autotune pass produced."""
 
-    calibration: Calibration
     profile: WorkloadProfile
+    trials: List[PlanTrial]  #: every feasible plan, fastest predicted first
+    trial_info: Dict[str, Any]  #: source (measured|cache), trial_wall_s, samples
     chosen: CandidatePlan
-    prediction: PredictedMakespan
-    ranking: List[Tuple[CandidatePlan, PredictedMakespan]]
+    predicted_s: float
     pruned: List[Tuple[CandidatePlan, str]]
     report: Any = None  #: SearchReport of the verification run (if run)
-    measured_wall_s: Optional[float] = None
     verification: Optional[Dict[str, Any]] = None
     lower_bounds: Optional[Dict[str, Any]] = None
     tuning: Dict[str, Any] = field(default_factory=dict)
@@ -62,169 +100,213 @@ def run_plan(
     config: SearchConfig,
     *,
     store=None,
-    store_path: Optional[str] = None,
-) -> Tuple[Any, float, MetricsRegistry]:
-    """Execute one plan; returns (report, wall seconds, span registry).
+    clock: Callable[[], float] = time.perf_counter,
+) -> Tuple[Any, float]:
+    """Execute one plan; returns (report, wall seconds).
 
-    Runs under a private enabled registry so the measured spans are
-    attributable to this run alone; multiproc worker snapshots merge in
-    through the engine's normal fork/spawn-safe path.
+    Runs under a private registry so a tuned run's own metrics record the
+    search it asked for, not the trials that chose its plan.
     """
     from repro.core.driver import run_search
 
-    if plan.stream and store_path is None:
-        store_path = str(store.path)
-    registry = MetricsRegistry(enabled=True)
-    with use_registry(registry):
-        t0 = time.perf_counter()
+    with use_registry(MetricsRegistry(enabled=False)):
+        t0 = clock()
         report = run_search(
             database,
             queries,
             plan.engine,
-            plan.num_workers if plan.engine == "multiproc" else 1,
+            plan.num_workers,
             plan.to_config(config),
             query_blocks=plan.query_blocks,
             start_method=plan.start_method,
-            index_path=store_path if plan.stream else None,
+            index_path=str(store.path) if plan.stream else None,
             memory_budget_mb=plan.memory_budget_mb if plan.stream else None,
         )
-        wall = time.perf_counter() - t0
-    return report, wall, registry
+        wall = clock() - t0
+    return report, wall
 
 
-def _span_total(registry: MetricsRegistry, *names: str) -> float:
-    wanted = set(names)
-    return sum(s["dur"] for s in registry.spans if s["name"] in wanted)
+def stratified_sample(masses: Sequence[float], size: int) -> np.ndarray:
+    """Query positions of a mass-stratified sample, in query order.
 
-
-def _rel_error(predicted: float, measured: Optional[float]) -> Optional[float]:
-    if measured is None or measured <= 0:
-        return None
-    return (predicted - measured) / measured
-
-
-def build_verification(
-    plan: CandidatePlan,
-    prediction: PredictedMakespan,
-    wall_s: float,
-    registry: MetricsRegistry,
-    calibration: Calibration,
-) -> Dict[str, Any]:
-    """Span-by-span comparison of predicted vs. measured phase times.
-
-    Spans measure what they measure: ``search.shard``/``search.stream``
-    cover evaluation *plus* per-query overhead, so those two predicted
-    phases are compared against the span jointly; decode and stall have
-    their own spans; pool spin-up / transport / dispatch have no span of
-    their own and are compared as the wall-time remainder.
-
-    Worker span sums convert to wall-clock by dividing by the
-    *effective* parallel width (workers clamped to host cores) — the
-    same clamp the predictor applies: oversubscribed workers time-slice,
-    so their span durations overlap CPU time, not wall time.
+    The queries sorted by parent mass are cut into :data:`STRATA` equal
+    strata and a run of ``size / STRATA`` mass-consecutive queries is
+    taken from the middle of each.  Strata, because candidates per query
+    vary severalfold along the mass axis and a random handful can land
+    anywhere on it; runs, because the pass shares candidate rows between
+    overlapping windows, so a sample spread thinner than the workload
+    costs more per candidate than the workload does (+35 % on a 256 of
+    2000 sample, measured).
     """
-    from repro.tune.plan import os_cpu_count
+    order = np.argsort(np.asarray(masses, dtype=np.float64), kind="stable")
+    if size >= len(order):
+        return np.arange(len(order))
+    run = max(size // STRATA, 1)
+    centres = (np.arange(STRATA) + 0.5) * len(order) / STRATA
+    starts = (centres - run / 2).astype(np.int64)
+    return np.sort(np.concatenate([order[s : s + run] for s in starts]))
 
-    workers = max(plan.num_workers, 1) if plan.engine == "multiproc" else 1
-    workers = min(workers, os_cpu_count())
-    pred = prediction.phases
 
-    search_span = _span_total(registry, "search.shard", "search.stream") / workers
-    decode_span = _span_total(registry, "stream.decode") / workers
-    stall_span = _span_total(registry, "stream.stall") / workers
-    if plan.stream:
-        # the stream span wraps decode + stall + scoring; peel the
-        # separately-spanned parts off to leave the evaluation side
-        search_span = max(search_span - decode_span - stall_span, 0.0)
+def _fit_line(
+    points: Sequence[Tuple[int, float]], min_rate: float = 0.0
+) -> Tuple[float, float]:
+    """(fixed_s, seconds_per_candidate) through one or two timed points.
 
-    phases: Dict[str, Dict[str, Any]] = {}
+    The line passes through the larger sample; a slope under ``min_rate``
+    is raised to it.  Neither term may be negative: where noise tips the
+    line below zero at the origin (or leaves it no rise at all), the
+    fixed cost is 0 and the rate is the larger sample's own.  One point
+    (a workload timed whole) is a fixed cost and nothing to extrapolate.
+    """
+    if len(points) == 1:
+        return points[0][1], 0.0
+    (c1, t1), (c2, t2) = points
+    rate = max((t2 - t1) / (c2 - c1) if c2 > c1 else 0.0, min_rate)
+    fixed = t2 - rate * c2
+    if rate <= 0 or fixed < 0:
+        return (0.0, t2 / c2) if c2 else (t2, 0.0)
+    return fixed, rate
 
-    def phase(name: str, predicted: float, measured: Optional[float]) -> None:
-        phases[name] = {
-            "predicted_s": predicted,
-            "measured_s": measured,
-            "rel_error": _rel_error(predicted, measured),
-        }
 
-    phase(
-        "evaluation+query_overhead",
-        pred.get("evaluation", 0.0) + pred.get("query_overhead", 0.0),
-        search_span,
-    )
-    if plan.stream:
-        phase("partition_decode", pred.get("partition_decode", 0.0), decode_span)
-        phase(
-            "partition_exposed_io", pred.get("partition_exposed_io", 0.0), stall_span
+def time_plans(
+    plans: Sequence[CandidatePlan],
+    database,
+    queries,
+    config: SearchConfig,
+    profile: WorkloadProfile,
+    *,
+    store=None,
+    clock: Callable[[], float] = time.perf_counter,
+) -> Tuple[List[PlanTrial], Tuple[int, ...]]:
+    """Time every plan on two query samples; returns (trials, sample sizes).
+
+    Each plan runs its own ``run_search`` on a small and a large
+    mass-stratified sample (best of :data:`TRIAL_REPEATS`, rounds
+    interleaved across plans so a load spike inflates one round, not one
+    plan); the regressor is the samples' exact candidate counts from the
+    profile.  A workload no larger than the small sample is timed whole,
+    one no larger than the large sample has its large sample be itself:
+    in both the prediction is a measurement, not an extrapolation.
+    """
+    queries = list(queries)
+    m = len(queries)
+    small, large = SAMPLE_SIZES
+    sizes = (m,) if m <= small else (small, min(large, m))
+    masses = [q.parent_mass for q in queries]
+    counts = np.asarray(profile.query_candidates, dtype=np.int64)
+    samples = []
+    for size in sizes:
+        picks = stratified_sample(masses, size)
+        samples.append(([queries[i] for i in picks], int(counts[picks].sum())))
+
+    best: Dict[Tuple[CandidatePlan, int], float] = {}
+    for _ in range(TRIAL_REPEATS):
+        for plan in plans:
+            for s, (sample, _) in enumerate(samples):
+                _, wall = run_plan(
+                    plan, database, sample, config, store=store, clock=clock
+                )
+                best[plan, s] = min(wall, best.get((plan, s), wall))
+
+    # a pool of w workers cannot score faster than w serial passes: a
+    # multiproc rate under its serial twin's / w is the noise of two
+    # fixed-cost-dominated points, which an 8x extrapolation would turn
+    # into a pick (it did: regret 1.55 in 2 of 8 trials at 2000 x 2000)
+    lines: Dict[CandidatePlan, Tuple[float, float]] = {}
+    for plan in sorted(plans, key=lambda plan: plan.num_workers):  # twins first
+        twin = dataclasses.replace(
+            plan, engine="serial", num_workers=1, query_blocks=1, start_method=None
         )
-    engine_overhead_pred = (
-        pred.get("worker_spinup", 0.0)
-        + pred.get("transport", 0.0)
-        + pred.get("task_dispatch", 0.0)
-    )
-    accounted = search_span + (decode_span + stall_span if plan.stream else 0.0)
-    phase(
-        "engine_overhead",
-        engine_overhead_pred,
-        max(wall_s - accounted, 0.0),
-    )
+        floor = lines[twin][1] / plan.num_workers if twin in lines else 0.0
+        points = [(cands, best[plan, s]) for s, (_, cands) in enumerate(samples)]
+        lines[plan] = _fit_line(points, floor)
+    trials = [PlanTrial(plan, *lines[plan], profile.total_candidates) for plan in plans]
+    return trials, sizes
 
-    # per-term implied measurements, where a counter pins the work count
-    terms: Dict[str, Dict[str, Any]] = {}
-    candidates = registry.counter_value("search.candidates")
-    if candidates:
-        pred_per_cand = phases["evaluation+query_overhead"]["predicted_s"] / candidates
-        meas_per_cand = search_span / candidates
-        terms["evaluation_seconds_per_candidate"] = {
-            "predicted": pred_per_cand,
-            "measured": meas_per_cand,
-            "rel_error": _rel_error(pred_per_cand, meas_per_cand),
-        }
-    decoded = registry.counter_value("stream.bytes_decoded")
-    if decoded and decode_span:
-        implied = decode_span * workers / decoded
-        calibrated = calibration.terms.get("partition_decode_per_byte")
-        terms["partition_decode_per_byte"] = {
-            "predicted": calibrated,
-            "measured": implied,
-            "rel_error": _rel_error(calibrated, implied)
-            if calibrated is not None
-            else None,
-        }
 
+def choose_plan(trials: Sequence[PlanTrial]) -> List[PlanTrial]:
+    """The trials fastest predicted first; the pick is the head.
+
+    Ties keep grid order, so the simpler plan (serial before multiproc,
+    direct before streamed) wins one.
+    """
+    if not trials:
+        raise ValueError("no feasible plans to choose from")
+    return sorted(trials, key=lambda trial: trial.predicted_s)
+
+
+def trial_key(config: SearchConfig, profile: WorkloadProfile, store=None) -> Dict[str, Any]:
+    """What a plan's two rates depend on, besides the machine."""
     return {
-        "measured_makespan_s": wall_s,
-        "predicted_makespan_s": prediction.total,
-        "makespan_rel_error": _rel_error(prediction.total, wall_s),
-        "phases": phases,
-        "terms": terms,
+        "scorer": config.scorer,
+        "delta": float(config.delta),
+        "fragment_tolerance": float(config.fragment_tolerance),
+        "db_residues": profile.db_residues,
+        "store": store.fingerprint if store is not None else None,
     }
 
 
+def _trials(
+    plans: Sequence[CandidatePlan],
+    database,
+    queries,
+    config: SearchConfig,
+    profile: WorkloadProfile,
+    store,
+    cache_path: Optional[str],
+    retune: bool,
+) -> Tuple[List[PlanTrial], Dict[str, Any]]:
+    """Cached rates if they cover every feasible plan, else a timed trial."""
+    obs = get_metrics()
+    key = trial_key(config, profile, store)
+    if cache_path and not retune:
+        cached = (load_trials(cache_path, key) or {}).get("trials", {})
+        if all(plan.label in cached for plan in plans):
+            obs.count("tune.trial_cache_hits")
+            trials = [
+                PlanTrial(plan, **cached[plan.label], candidates=profile.total_candidates)
+                for plan in plans
+            ]
+            path = os.path.expanduser(cache_path)
+            return trials, {"source": "cache", "cache_path": path, "trial_wall_s": 0.0}
+    with obs.span("tune.trial", category="tune"):
+        t0 = time.perf_counter()
+        trials, sizes = time_plans(plans, database, queries, config, profile, store=store)
+        wall = time.perf_counter() - t0
+    obs.gauge("tune.trial_wall_s", wall)
+    timing = {"trial_wall_s": wall, "samples": list(sizes)}
+    info = {"source": "measured", "cache_path": None, **timing}
+    # one timed point has no rate to carry to another workload
+    if cache_path and len(sizes) == 2:
+        obs.count("tune.trial_cache_misses")
+        info["cache_path"] = save_trials(
+            cache_path, key, {t.plan.label: t.terms() for t in trials}, details=timing
+        )
+    return trials, info
+
+
 def build_tuning_section(result: TuneResult, top_k: int = 8) -> Dict[str, Any]:
-    """The RunReport ``tuning`` section (schema ``repro.tuning/1``)."""
+    """The RunReport ``tuning`` section (schema ``repro.tuning/2``)."""
     section: Dict[str, Any] = {
         "schema": TUNING_SCHEMA,
-        "calibration": {
-            "source": result.calibration.source,
-            "cache_path": result.calibration.cache_path,
-            "terms": dict(result.calibration.terms),
-            "vs_defaults": result.calibration.details.get("vs_defaults"),
+        "workload": {
+            "queries": result.profile.num_queries,
+            "candidates": result.profile.total_candidates,
+            "index_served_fraction": result.profile.index_served_fraction,
         },
+        "trial": {**result.trial_info, "plans": [t.to_dict() for t in result.trials]},
         "grid": {
-            "feasible": len(result.ranking),
+            "feasible": len(result.trials),
             "pruned": len(result.pruned),
             "pruned_reasons": [
                 {"plan": plan.label, "reason": reason}
                 for plan, reason in result.pruned[:top_k]
             ],
+            "pinned": [dict(knob) for knob in PINNED_KNOBS],
         },
-        "chosen": result.chosen.to_dict(),
+        "chosen": dataclasses.asdict(result.chosen),
         "chosen_label": result.chosen.label,
-        "predicted": result.prediction.to_dict(),
-        "ranking": [
-            {"plan": plan.label, "predicted_s": pred.total}
-            for plan, pred in result.ranking[:top_k]
-        ],
+        "predicted_s": result.predicted_s,
     }
     if result.verification is not None:
         section["verification"] = result.verification
@@ -239,16 +321,9 @@ def autotune(
     config: Optional[SearchConfig] = None,
     *,
     cache_path: Optional[str] = None,
-    force_calibrate: bool = False,
-    spec: Optional[CalibrationSpec] = None,
+    retune: bool = False,
     store=None,
-    store_path: Optional[str] = None,
     memory_budget_mb: Optional[float] = None,
-    engines: Sequence[str] = ("serial", "multiproc"),
-    worker_choices: Optional[Sequence[int]] = None,
-    query_blocks: Sequence[int] = (1, 4),
-    sweep_cohorts: Sequence[int] = (16, 64, 256),
-    start_methods: Optional[Sequence[str]] = None,
     run: bool = True,
     lower_bounds: bool = True,
     projection_ranks: Sequence[int] = DEFAULT_PROJECTION_RANKS,
@@ -256,56 +331,47 @@ def autotune(
 ) -> TuneResult:
     """Full autotune pass; see the module docstring for the shape.
 
-    ``run=False`` stops after planning (used by ``search --autotune``,
-    where the search itself is the verification run).  ``anchor_ranks``
-    additionally runs the event simulator once at that rank count and
-    reports it next to the analytic projection.
+    ``store`` is an opened partitioned store: handing one in adds the
+    streamed plans.  ``cache_path`` keeps the trial's rates on disk
+    (``retune=True`` times again over a valid cache).  ``run=False``
+    stops after the pick (used by ``search --autotune``, where the search
+    itself is the run).  ``anchor_ranks`` additionally runs the event
+    simulator once at that rank count and reports it next to the analytic
+    projection.
     """
     config = config if config is not None else SearchConfig()
     obs = get_metrics()
     with obs.span("tune.autotune", category="tune"):
-        calibration = calibrate(spec=spec, cache_path=cache_path, force=force_calibrate)
-        cost = calibration.cost_model(config.cost)
         with obs.span("tune.plan", category="tune"):
             profile = profile_workload(database, queries, config, store=store)
-            plans, pruned = enumerate_plans(
-                profile,
-                engines=engines,
-                worker_choices=worker_choices,
-                query_blocks=query_blocks,
-                sweep_cohorts=sweep_cohorts,
-                start_methods=start_methods,
-                memory_budget_mb=memory_budget_mb,
-                allow_stream=store is not None,
-            )
-            chosen, prediction, ranking = choose_plan(plans, profile, cost)
+            plans, pruned = enumerate_plans(profile, memory_budget_mb=memory_budget_mb)
         obs.count("tune.plans_feasible", len(plans))
         obs.count("tune.plans_pruned", len(pruned))
-        obs.gauge("tune.predicted_makespan_s", prediction.total)
+        trials, trial_info = _trials(
+            plans, database, queries, config, profile, store, cache_path, retune
+        )
+        trials = choose_plan(trials)  # raises when nothing was feasible
+        pick = trials[0]
+        obs.gauge("tune.predicted_makespan_s", pick.predicted_s)
 
         result = TuneResult(
-            calibration=calibration,
             profile=profile,
-            chosen=chosen,
-            prediction=prediction,
-            ranking=ranking,
+            trials=trials,
+            trial_info=trial_info,
+            chosen=pick.plan,
+            predicted_s=pick.predicted_s,
             pruned=pruned,
         )
         if run:
             with obs.span("tune.verify", category="tune"):
-                report, wall, registry = run_plan(
-                    chosen,
-                    database,
-                    queries,
-                    config,
-                    store=store,
-                    store_path=store_path,
+                result.report, wall = run_plan(
+                    pick.plan, database, queries, config, store=store
                 )
-            result.report = report
-            result.measured_wall_s = wall
-            result.verification = build_verification(
-                chosen, prediction, wall, registry, calibration
-            )
+            result.verification = {
+                "measured_makespan_s": wall,
+                "predicted_makespan_s": pick.predicted_s,
+                "rel_error": (pick.predicted_s - wall) / wall if wall > 0 else None,
+            }
             obs.gauge("tune.measured_makespan_s", wall)
         if lower_bounds:
             bounds = overlap_projection(profile, ranks=projection_ranks)

@@ -1,10 +1,12 @@
-"""End-to-end autotuner tests: plan, run, verify, report, CLI wiring.
+"""End-to-end autotuner tests: grid, trial, pick, run, report, CLI wiring.
 
-Calibration is seeded through the on-disk cache (fabricated but
-physically plausible terms under the real machine fingerprint) so these
-tests exercise the full autotune path — profiling, grid search, the
-verification run, the RunReport ``tuning`` section, and the CLI flag
-precedence rules — without paying the microbenchmark battery per test.
+The trial is real here (every feasible plan is timed on this host), so
+the workloads are small; a module-scoped cache file lets the tests that
+are not about the trial reuse the first one's rates.  What is pinned:
+the full autotune path — profiling, the grid, the timed pick, the
+verification run, the RunReport ``tuning`` section — returns the serial
+reference's hits whichever plan wins, and the CLI flag precedence rules
+hold.
 """
 
 import json
@@ -13,37 +15,13 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import SearchConfig
+from repro.core.search import search_serial
+from repro.experiments.runner import _hits_digest
 from repro.obs.report import RunReport
 from repro.store import save_index, save_partitioned_index
-from repro.tune.cache import save_calibration
-from repro.tune.tuner import TUNING_SCHEMA, autotune
+from repro.tune.tuner import TUNING_SCHEMA, autotune, run_plan
 from repro.workloads.queries import generate_queries
 from repro.workloads.synthetic import generate_database
-
-#: plausible single-core terms (same shape a real calibration produces)
-SEED_TERMS = {
-    "rho_base": 1.3e-6,
-    "tau_cost": 8.0e-7,
-    "index_probe_discount": 0.5,
-    "index_load_per_byte": 8.0e-11,
-    "index_open_overhead": 2.4e-4,
-    "sweep_setup_per_query": 1.6e-4,
-    "sweep_probe_per_cohort": 4.8e-4,
-    "partition_read_per_byte": 9.0e-10,
-    "partition_decode_per_byte": 4.5e-9,
-    "partition_open_overhead": 5.0e-5,
-    "transport_ship_per_byte": 1.0e-9,
-    "worker_spinup_fork": 1.7e-2,
-    "worker_spinup_spawn": 0.4,
-    "task_dispatch_overhead": 2.4e-4,
-}
-
-
-@pytest.fixture
-def cache_path(tmp_path):
-    path = str(tmp_path / "calibration.json")
-    save_calibration(path, SEED_TERMS)
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -51,40 +29,51 @@ def workload():
     return generate_database(120, seed=202), generate_queries(40, seed=17)
 
 
+@pytest.fixture(scope="module")
+def cache_path(tmp_path_factory):
+    """Filled by the first test that tunes the module's no-store workload."""
+    return str(tmp_path_factory.mktemp("tune") / "trials.json")
+
+
+@pytest.fixture(scope="module")
+def cli_cache(tmp_path_factory):
+    """A trial cache for the CLI's ``-n 80 -m 12`` workload, timed once."""
+    path = str(tmp_path_factory.mktemp("tune-cli") / "trials.json")
+    assert main(["tune", "--plan-only", "--tune-cache", path, "-n", "80", "-m", "12"]) == 0
+    return path
+
+
+CLI_WORKLOAD = ["-n", "80", "-m", "12"]
+
+
 class TestAutotuneEndToEnd:
-    def test_full_pass_with_store(self, tmp_path, cache_path, workload):
+    def test_full_pass_with_store(self, tmp_path, workload):
         db, queries = workload
         config = SearchConfig()
-        store_path = str(tmp_path / "pstore")
         store = save_partitioned_index(
             db,
-            store_path,
+            str(tmp_path / "pstore"),
             partition_mb=1.0,
             fragment_tolerance=config.fragment_tolerance,
         )
-        result = autotune(
-            db,
-            queries,
-            config,
-            cache_path=cache_path,
-            store=store,
-            store_path=store_path,
-            worker_choices=(1,),
-            query_blocks=(1,),
-            sweep_cohorts=(64,),
-            start_methods=("fork",),
-        )
-        assert result.calibration.source == "cache"
-        assert result.chosen in [plan for plan, _ in result.ranking]
-        assert result.prediction.total == result.ranking[0][1].total
-        assert any(plan.stream for plan, _ in result.ranking)
+        cache = str(tmp_path / "trials.json")
+        result = autotune(db, queries, config, cache_path=cache, store=store)
+        assert result.trial_info["source"] == "measured"
+        assert result.trial_info["samples"] == [8, 40]
+        assert result.trial_info["trial_wall_s"] > 0
+        assert result.chosen == result.trials[0].plan
+        assert result.predicted_s == min(t.predicted_s for t in result.trials)
+        assert {t.plan.stream for t in result.trials} == {False, True}
+        for trial in result.trials:
+            assert trial.fixed_s >= 0 and trial.seconds_per_candidate >= 0
 
         ver = result.verification
-        assert ver is not None
+        assert set(ver) == {"measured_makespan_s", "predicted_makespan_s", "rel_error"}
         assert ver["measured_makespan_s"] > 0
-        assert "evaluation+query_overhead" in ver["phases"]
-        for phase in ver["phases"].values():
-            assert set(phase) == {"predicted_s", "measured_s", "rel_error"}
+        assert ver["predicted_makespan_s"] == result.predicted_s
+        assert ver["rel_error"] == pytest.approx(
+            (result.predicted_s - ver["measured_makespan_s"]) / ver["measured_makespan_s"]
+        )
 
         points = result.lower_bounds["points"]
         assert set(points) == {"128", "512", "1024"}
@@ -96,24 +85,31 @@ class TestAutotuneEndToEnd:
             )
 
         section = result.tuning
-        assert section["schema"] == TUNING_SCHEMA
-        assert section["calibration"]["source"] == "cache"
+        assert section["schema"] == TUNING_SCHEMA == "repro.tuning/2"
+        assert section["trial"]["source"] == "measured"
+        assert [p["plan"] for p in section["trial"]["plans"]] == [
+            t.plan.label for t in result.trials
+        ]
         assert section["chosen_label"] == result.chosen.label
-        assert section["grid"]["feasible"] == len(result.ranking)
+        assert section["grid"]["feasible"] == len(result.trials)
+        assert section["grid"]["pruned"] == len(result.pruned)
+        assert {k["knob"] for k in section["grid"]["pinned"]} == {
+            "sweep_cohort", "query_blocks", "start_method"
+        }
+        assert all(k["measured"] for k in section["grid"]["pinned"])
+        assert section["workload"]["candidates"] == result.profile.total_candidates
         json.dumps(section)  # the section must be JSON-serializable
+
+        # the same call again: nothing is timed, the pick is the same
+        again = autotune(db, queries, config, cache_path=cache, store=store, run=False)
+        assert again.trial_info["source"] == "cache"
+        assert again.chosen == result.chosen
+        assert again.predicted_s == pytest.approx(result.predicted_s)
 
     def test_plan_only_skips_run(self, cache_path, workload):
         db, queries = workload
         result = autotune(
-            db,
-            queries,
-            cache_path=cache_path,
-            worker_choices=(1,),
-            query_blocks=(1,),
-            sweep_cohorts=(64,),
-            start_methods=("fork",),
-            run=False,
-            lower_bounds=False,
+            db, queries, cache_path=cache_path, run=False, lower_bounds=False
         )
         assert result.report is None
         assert result.verification is None
@@ -121,19 +117,30 @@ class TestAutotuneEndToEnd:
         assert "verification" not in result.tuning
         assert "lower_bounds" not in result.tuning
 
+    @pytest.mark.parametrize("scorer", ["likelihood", "hyperscore"])
+    def test_autotuned_hits_equal_the_serial_reference(self, tmp_path, workload, scorer):
+        """Whatever the trial picks — and every plan it could have picked —
+        returns the serial reference's hits, bit for bit."""
+        db, queries = workload
+        config = SearchConfig(scorer=scorer)
+        reference = _hits_digest(search_serial(db, queries, config).hits)
+        store = save_partitioned_index(
+            db,
+            str(tmp_path / "pstore"),
+            partition_mb=1.0,
+            fragment_tolerance=config.fragment_tolerance,
+        )
+        result = autotune(db, queries, config, store=store, lower_bounds=False)
+        assert _hits_digest(result.report.hits) == reference
+        for trial in result.trials[1:]:
+            report, _ = run_plan(trial.plan, db, queries, config, store=store)
+            assert _hits_digest(report.hits) == reference, trial.plan.label
+
 
 class TestTuningReportSection:
     def test_round_trip(self, cache_path, workload):
         db, queries = workload
-        result = autotune(
-            db,
-            queries,
-            cache_path=cache_path,
-            worker_choices=(1,),
-            query_blocks=(1,),
-            sweep_cohorts=(64,),
-            start_methods=("fork",),
-        )
+        result = autotune(db, queries, cache_path=cache_path)
         report = RunReport.from_search_report(result.report, tuning=result.tuning)
         assert not RunReport.validate(report.to_dict())
         loaded = RunReport.from_dict(json.loads(report.to_json()))
@@ -142,8 +149,6 @@ class TestTuningReportSection:
 
     def test_missing_tuning_stays_optional(self, workload):
         db, queries = workload
-        from repro.core.search import search_serial
-
         report = RunReport.from_search_report(
             search_serial(db, list(queries)[:4], SearchConfig())
         )
@@ -154,8 +159,6 @@ class TestTuningReportSection:
 
     def test_non_object_tuning_rejected(self, workload):
         db, queries = workload
-        from repro.core.search import search_serial
-
         report = RunReport.from_search_report(
             search_serial(db, list(queries)[:4], SearchConfig())
         )
@@ -167,21 +170,27 @@ class TestTuningReportSection:
 class TestCliFlagCombinations:
     """Satellite: the flag-precedence and misuse rules, end to end."""
 
-    def test_autotune_adopts_choice(self, cache_path, capsys):
+    def test_autotune_adopts_choice(self, cli_cache, tmp_path, capsys):
+        serial_tsv, tuned_tsv = str(tmp_path / "serial.tsv"), str(tmp_path / "tuned.tsv")
+        assert main(["search", "-a", "serial", *CLI_WORKLOAD, "-o", serial_tsv]) == 0
+        capsys.readouterr()
         rc = main(
-            ["search", "--autotune", "--tune-cache", cache_path,
-             "-n", "80", "-m", "6"]
+            ["search", "--autotune", "--tune-cache", cli_cache, *CLI_WORKLOAD,
+             "-o", tuned_tsv]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "autotune: chose" in out
+        assert "timed:" in out and "trial cache" in out
+        with open(serial_tsv, "rb") as a, open(tuned_tsv, "rb") as b:
+            assert a.read() == b.read()
 
-    def test_explicit_flag_wins_with_warning(self, cache_path, capsys):
+    def test_explicit_flag_wins_with_warning(self, cli_cache, capsys):
         # the tuner only ever picks a real engine (serial/multiproc), so
         # an explicit simulated engine always contradicts it
         rc = main(
-            ["search", "--autotune", "--tune-cache", cache_path,
-             "-a", "algorithm_a", "-n", "80", "-m", "6"]
+            ["search", "--autotune", "--tune-cache", cli_cache,
+             "-a", "algorithm_a", *CLI_WORKLOAD]
         )
         assert rc == 0
         captured = capsys.readouterr()
@@ -224,33 +233,47 @@ class TestCliFlagCombinations:
         err = capsys.readouterr().err
         assert "resident-format store" in err
 
-    def test_tune_plan_only(self, cache_path, capsys):
-        rc = main(
-            ["tune", "--plan-only", "--tune-cache", cache_path,
-             "-n", "80", "-m", "6"]
-        )
+    def test_tune_rejects_resident_store(self, tmp_path, capsys):
+        db = generate_database(60, seed=202)
+        path = str(tmp_path / "resident")
+        save_index(db, path, num_shards=1)
+        rc = main(["tune", "-n", "60", "-m", "4", "--index-path", path])
+        assert rc == 2
+        assert "streams only from partitioned stores" in capsys.readouterr().err
+
+    def test_tune_plan_only(self, cli_cache, capsys):
+        rc = main(["tune", "--plan-only", "--tune-cache", cli_cache, *CLI_WORKLOAD])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "calibration: cache" in out
+        assert "source: cache" in out and "nothing timed" in out
         assert "grid:" in out
-
-    def test_tune_report_out_requires_run(self, cache_path, tmp_path, capsys):
+        assert "verification:" not in out
+        # --retune times again over the valid cache
         rc = main(
-            ["tune", "--plan-only", "--tune-cache", cache_path,
-             "-n", "80", "-m", "6",
+            ["tune", "--plan-only", "--retune", "--tune-cache", cli_cache, *CLI_WORKLOAD]
+        )
+        assert rc == 0
+        assert "source: measured" in capsys.readouterr().out
+
+    def test_tune_report_out_requires_run(self, cli_cache, tmp_path, capsys):
+        rc = main(
+            ["tune", "--plan-only", "--tune-cache", cli_cache, *CLI_WORKLOAD,
              "--report-out", str(tmp_path / "report.json")]
         )
         assert rc == 2
         assert "drop --plan-only" in capsys.readouterr().err
 
-    def test_tune_writes_report_with_section(self, cache_path, tmp_path, capsys):
+    def test_tune_writes_report_with_section(self, cli_cache, tmp_path, capsys):
         out_path = str(tmp_path / "report.json")
         rc = main(
-            ["tune", "--tune-cache", cache_path, "-n", "80", "-m", "6",
-             "--report-out", out_path]
+            ["tune", "--tune-cache", cli_cache, *CLI_WORKLOAD, "--report-out", out_path]
         )
         assert rc == 0
+        assert "verification: measured" in capsys.readouterr().out
         report = RunReport.load(out_path)
         assert report.tuning is not None
         assert report.tuning["schema"] == TUNING_SCHEMA
-        assert report.tuning["calibration"]["source"] == "cache"
+        assert report.tuning["trial"]["source"] == "cache"
+        assert set(report.tuning["verification"]) == {
+            "measured_makespan_s", "predicted_makespan_s", "rel_error"
+        }

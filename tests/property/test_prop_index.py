@@ -25,8 +25,10 @@ from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
 from repro.index import IndexBuilder
 from repro.scoring import HyperScorer, SharedPeakScorer, score_batch_fallback
+from repro.chem.amino_acids import mass_table
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
+from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
@@ -139,3 +141,47 @@ def test_searcher_score_spans_identical_with_index_on_and_off(case, spectrum, sc
         s_off.scorer, spectrum, CandidateBatch.from_spans(db, spans, targets)
     )
     assert got.tobytes() == scalar.tobytes()
+
+
+def _residue_mass_rows(seed, n, length):
+    table = mass_table(True)
+    codes = np.nonzero(table > 0)[0]
+    return table[np.random.default_rng(seed).choice(codes, size=(n, length))]
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_tagged_series_are_the_ladder_only_in_their_b_half(seed, n, length):
+    """Why one posting list cannot serve both kernels as stored (ROADMAP
+    4(i)): the b ions of ``fragment_mz_rows`` are the ladder's b ions bit
+    for bit, but its y ions fold the residues from the C-terminus
+    (reversed ``cumsum`` + W + P) where ``by_ion_ladder_rows`` subtracts a
+    prefix from the total (``(total - prefix) + W + P``) — the same
+    number to ~1e-11 Da, not the same bits, and not required to be."""
+    rows = _residue_mass_rows(seed, n, length)
+    ladder = by_ion_ladder_rows(rows)
+    b = fragment_mz_rows(rows, IonSeries.B)
+    y = fragment_mz_rows(rows, IonSeries.Y)
+    for r in range(n):
+        assert np.isin(b[r], ladder[r]).all()  # bitwise: every b ion is posted as is
+    both = np.sort(np.concatenate((b, y), axis=1), axis=1)
+    assert both.shape == ladder.shape
+    assert np.abs(both - ladder).max() <= 1e-9
+
+
+def test_y_series_bits_differ_from_the_ladder_on_a_fixed_sample():
+    """The witness: on 2000 seeded 20-residue rows the sorted series
+    concatenation is *not* the ladder (a third or more of the entries
+    differ in the last bits).  If this ever starts passing as equal, the
+    two kernels share their y arithmetic and ROADMAP 4(i) reopens."""
+    rows = _residue_mass_rows(0, 2000, 20)
+    both = np.concatenate(
+        (fragment_mz_rows(rows, IonSeries.B), fragment_mz_rows(rows, IonSeries.Y)), axis=1
+    )
+    both.sort(axis=1)
+    differing = (both != by_ion_ladder_rows(rows)).mean()
+    assert 0.2 < differing < 0.6

@@ -1,10 +1,11 @@
-"""Calibration-cache hygiene: atomic writes, fingerprinting, corruption.
+"""Trial-cache hygiene: atomic writes, fingerprinting, keying, corruption.
 
 The contract under test (repro/tune/cache.py): a valid cache round-trips
 exactly; *every* way a cache can be untrustworthy — torn JSON, schema
-drift, another machine's fingerprint, non-physical term values — makes
-``load_calibration`` return ``None`` so the caller re-calibrates, never
-raises, and never returns half-trusted data.
+drift, another machine's fingerprint, another workload's key,
+non-physical values — makes ``load_trials`` return ``None`` so the
+caller times its plans again, never raises, and never returns
+half-trusted data.
 """
 
 import json
@@ -12,204 +13,251 @@ import os
 
 import pytest
 
+from repro.core.config import SearchConfig
+from repro.tune import tuner
 from repro.tune.cache import (
     CACHE_SCHEMA,
-    load_calibration,
+    load_trials,
     machine_fingerprint,
-    save_calibration,
+    save_trials,
 )
-from repro.tune.calibrate import Calibration, calibrate
+from repro.tune.plan import enumerate_plans, profile_workload
+from repro.tune.tuner import PlanTrial, autotune, trial_key
+from repro.workloads.queries import generate_queries
+from repro.workloads.synthetic import generate_database
 
-# the package re-exports the calibrate() *function* under the same name
-# as this submodule, which shadows plain attribute traversal — go
-# through the import system to get the module itself for monkeypatching
-import importlib
-
-calibrate_mod = importlib.import_module("repro.tune.calibrate")
-
-TERMS = {"rho_base": 1.5e-6, "tau_cost": 8.0e-7, "sweep_setup_per_query": 2.0e-4}
+KEY = {
+    "scorer": "likelihood",
+    "delta": 3.0,
+    "fragment_tolerance": 0.5,
+    "db_residues": 90_000,
+    "store": None,
+}
+TRIALS = {
+    "serial:direct:sweep/64": {"fixed_s": 3.0e-3, "seconds_per_candidate": 2.6e-6},
+    "multiproc:w=2:blocks=4:fork:direct:sweep/64": {
+        "fixed_s": 8.8e-2,
+        "seconds_per_candidate": 1.8e-6,
+    },
+}
 
 
 class TestRoundTrip:
     def test_save_then_load(self, tmp_path):
-        path = str(tmp_path / "cal.json")
-        saved = save_calibration(path, TERMS, details={"note": "t"})
+        path = str(tmp_path / "trials.json")
+        saved = save_trials(path, KEY, TRIALS, details={"note": "t"})
         assert saved == path
-        payload = load_calibration(path)
+        payload = load_trials(path, KEY)
         assert payload is not None
-        assert payload["terms"] == TERMS
+        assert payload["trials"] == TRIALS
+        assert payload["key"] == KEY
         assert payload["schema"] == CACHE_SCHEMA
         assert payload["fingerprint"] == machine_fingerprint()
 
     def test_save_creates_parent_dirs(self, tmp_path):
-        path = str(tmp_path / "deep" / "nest" / "cal.json")
-        save_calibration(path, TERMS)
-        assert load_calibration(path) is not None
+        path = str(tmp_path / "deep" / "nest" / "trials.json")
+        save_trials(path, KEY, TRIALS)
+        assert load_trials(path, KEY) is not None
 
     def test_no_tmp_siblings_left_behind(self, tmp_path):
-        path = str(tmp_path / "cal.json")
-        save_calibration(path, TERMS)
-        assert os.listdir(tmp_path) == ["cal.json"]
+        path = str(tmp_path / "trials.json")
+        save_trials(path, KEY, TRIALS)
+        assert os.listdir(tmp_path) == ["trials.json"]
 
     def test_rewrite_replaces_atomically(self, tmp_path):
-        path = str(tmp_path / "cal.json")
-        save_calibration(path, TERMS)
-        save_calibration(path, {**TERMS, "rho_base": 9e-6})
-        assert load_calibration(path)["terms"]["rho_base"] == 9e-6
+        path = str(tmp_path / "trials.json")
+        save_trials(path, KEY, TRIALS)
+        slower = {"serial:direct:sweep/64": {"fixed_s": 0.0, "seconds_per_candidate": 9e-6}}
+        save_trials(path, KEY, slower)
+        assert load_trials(path, KEY)["trials"] == slower
 
 
 class TestInvalidation:
     """Each distrust reason degrades to None, not an exception."""
 
     def test_missing_file(self, tmp_path):
-        assert load_calibration(str(tmp_path / "absent.json")) is None
+        assert load_trials(str(tmp_path / "absent.json"), KEY) is None
 
     def test_torn_write(self, tmp_path):
-        path = tmp_path / "cal.json"
-        save_calibration(str(path), TERMS)
+        path = tmp_path / "trials.json"
+        save_trials(str(path), KEY, TRIALS)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])  # truncated mid-file
-        assert load_calibration(str(path)) is None
+        assert load_trials(str(path), KEY) is None
 
     def test_not_json(self, tmp_path):
-        path = tmp_path / "cal.json"
+        path = tmp_path / "trials.json"
         path.write_text("\x00\xff garbage")
-        assert load_calibration(str(path)) is None
+        assert load_trials(str(path), KEY) is None
 
     def test_json_but_not_object(self, tmp_path):
-        path = tmp_path / "cal.json"
+        path = tmp_path / "trials.json"
         path.write_text(json.dumps(["not", "a", "dict"]))
-        assert load_calibration(str(path)) is None
+        assert load_trials(str(path), KEY) is None
 
     def test_schema_drift(self, tmp_path):
-        path = tmp_path / "cal.json"
-        save_calibration(str(path), TERMS)
+        path = tmp_path / "trials.json"
+        save_trials(str(path), KEY, TRIALS)
         payload = json.loads(path.read_text())
-        # a future schema, and the previous one (it carries the index-build
-        # term of a path no search runs)
-        for schema in ("repro.tune_calibration/999", "repro.tune_calibration/3"):
+        # a future schema, and the last one that held fitted CostModel
+        # terms instead of trials
+        for schema in ("repro.tune_trials/999", "repro.tune_calibration/5"):
             payload["schema"] = schema
             path.write_text(json.dumps(payload))
-            assert load_calibration(str(path)) is None
+            assert load_trials(str(path), KEY) is None
 
     def test_foreign_fingerprint(self, tmp_path):
-        path = tmp_path / "cal.json"
-        save_calibration(str(path), TERMS)
+        path = tmp_path / "trials.json"
+        save_trials(str(path), KEY, TRIALS)
         payload = json.loads(path.read_text())
         payload["fingerprint"]["machine"] = "pdp-11"
         path.write_text(json.dumps(payload))
-        assert load_calibration(str(path)) is None
+        assert load_trials(str(path), KEY) is None
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"scorer": "hyperscore"},
+            {"delta": 1.5},
+            {"fragment_tolerance": 0.02},
+            {"db_residues": 90_001},
+            {"store": "9f2c"},
+        ],
+    )
+    def test_another_workloads_key(self, tmp_path, changed):
+        """Rates timed under one scorer, tolerance, database or store say
+        nothing about another: the entry is not this caller's."""
+        path = str(tmp_path / "trials.json")
+        save_trials(path, KEY, TRIALS)
+        assert load_trials(path, {**KEY, **changed}) is None
 
     @pytest.mark.parametrize(
         "terms",
         [
             {},  # empty
-            {"rho_base": -1e-6},  # negative cost
-            {"rho_base": float("nan")},
-            {"rho_base": float("inf")},
-            {"rho_base": True},  # bool is not a measurement
-            {"rho_base": "fast"},
+            {"fixed_s": -1e-6, "seconds_per_candidate": 2e-6},  # negative cost
+            {"fixed_s": float("nan"), "seconds_per_candidate": 2e-6},
+            {"fixed_s": 0.0, "seconds_per_candidate": float("inf")},
+            {"fixed_s": True, "seconds_per_candidate": 2e-6},  # bool is not a measurement
+            {"fixed_s": "fast", "seconds_per_candidate": 2e-6},
             "not a mapping",
         ],
     )
     def test_invalid_terms(self, tmp_path, terms):
-        path = tmp_path / "cal.json"
-        save_calibration(str(path), TERMS)
+        path = tmp_path / "trials.json"
+        save_trials(str(path), KEY, TRIALS)
         payload = json.loads(path.read_text())
-        payload["terms"] = terms
-        path.write_text(json.dumps(payload))
-        assert load_calibration(str(path)) is None
+        for trials in ({"serial:direct:sweep/64": terms}, terms):
+            payload["trials"] = trials
+            path.write_text(json.dumps(payload))
+            assert load_trials(str(path), KEY) is None
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return generate_database(60, seed=202), generate_queries(20, seed=17)
 
 
 class TestCalibrateCachePath:
-    """calibrate() trusts a valid cache and recalibrates past a bad one."""
+    """autotune() trusts a valid cache and times again past a bad one."""
 
-    def test_cache_hit_skips_measurement(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "cal.json")
-        save_calibration(path, TERMS)
+    def seed(self, path, workload, **overrides):
+        """A cache holding plausible rates for every plan this host's grid
+        has for the workload, under the workload's real key."""
+        db, queries = workload
+        config = SearchConfig()
+        profile = profile_workload(db, queries, config)
+        plans, _ = enumerate_plans(profile)
+        trials = {
+            plan.label: {"fixed_s": 0.01 * i, "seconds_per_candidate": 2e-6}
+            for i, plan in enumerate(plans)
+        }
+        save_trials(str(path), {**trial_key(config, profile), **overrides}, trials)
+        return trials
 
-        def boom(spec=None):  # pragma: no cover - must not run
-            raise AssertionError("cache hit should not re-measure")
+    @pytest.fixture
+    def scripted(self, monkeypatch):
+        """``time_plans`` replaced by a recorder that returns fixed rates."""
+        calls = []
 
-        monkeypatch.setattr(calibrate_mod, "run_calibration", boom)
-        result = calibrate(cache_path=path)
-        assert result.source == "cache"
-        assert result.terms == TERMS
+        def fake(plans, database, queries, config, profile, *, store=None):
+            calls.append(len(plans))
+            return [PlanTrial(p, 0.5, 1e-6, profile.total_candidates) for p in plans], (8, 20)
 
-    def test_corrupt_cache_triggers_recalibration(self, tmp_path, monkeypatch):
-        path = tmp_path / "cal.json"
-        monkeypatch.setattr(
-            calibrate_mod, "run_calibration",
-            lambda spec=None: Calibration(terms=dict(TERMS), source="measured"),
-        )
-        save_calibration(str(path), {"rho_base": 123.0})
+        monkeypatch.setattr(tuner, "time_plans", fake)
+        return calls
+
+    def test_cache_hit_skips_measurement(self, tmp_path, workload, monkeypatch):
+        path = tmp_path / "trials.json"
+        seeded = self.seed(path, workload)
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("cache hit should not time anything")
+
+        monkeypatch.setattr(tuner, "time_plans", boom)
+        result = autotune(*workload, cache_path=str(path), run=False, lower_bounds=False)
+        assert result.trial_info["source"] == "cache"
+        assert result.trial_info["trial_wall_s"] == 0.0
+        assert {t.plan.label: t.fixed_s for t in result.trials} == {
+            label: terms["fixed_s"] for label, terms in seeded.items()
+        }
+        # the cached rates are read at *this* workload's candidate count
+        for trial in result.trials:
+            assert trial.predicted_s == pytest.approx(
+                trial.fixed_s + 2e-6 * result.profile.total_candidates
+            )
+        assert result.chosen.label == "serial:direct:sweep/64"
+
+    def test_corrupt_cache_triggers_recalibration(self, tmp_path, workload, scripted):
+        path = tmp_path / "trials.json"
+        self.seed(path, workload)
         previous_schema = json.loads(path.read_text())
-        previous_schema["schema"] = "repro.tune_calibration/3"
+        previous_schema["schema"] = "repro.tune_calibration/5"
         for stale in ("{torn", json.dumps(previous_schema)):
             path.write_text(stale)
-            result = calibrate(cache_path=str(path))
-            assert result.source == "measured"
+            result = autotune(*workload, cache_path=str(path), run=False, lower_bounds=False)
+            assert result.trial_info["source"] == "measured"
             # and the rewritten cache is valid again
-            assert load_calibration(str(path))["terms"] == TERMS
-            assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
-
-    def test_force_bypasses_valid_cache(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "cal.json")
-        save_calibration(path, {"rho_base": 123.0})
-        monkeypatch.setattr(
-            calibrate_mod, "run_calibration",
-            lambda spec=None: Calibration(terms=dict(TERMS), source="measured"),
+            payload = json.loads(path.read_text())
+            assert payload["schema"] == CACHE_SCHEMA
+            assert load_trials(str(path), payload["key"])["trials"] == {
+                t.plan.label: {"fixed_s": 0.5, "seconds_per_candidate": 1e-6}
+                for t in result.trials
+            }
+        assert scripted == [len(result.trials)] * 2
+        # a cache for another database, or one missing a feasible plan,
+        # is a miss too
+        self.seed(path, workload, db_residues=1)
+        assert autotune(*workload, cache_path=str(path), run=False, lower_bounds=False).trial_info["source"] == "measured"
+        save_trials(
+            str(path), payload["key"],
+            {"serial:direct:sweep/64": {"fixed_s": 0.0, "seconds_per_candidate": 1e-6}},
         )
-        result = calibrate(cache_path=path, force=True)
-        assert result.source == "measured"
-        assert result.terms == TERMS
+        if len(result.trials) > 1:
+            assert autotune(*workload, cache_path=str(path), run=False, lower_bounds=False).trial_info["source"] == "measured"
 
-
-class TestRunCalibration:
-    def test_fits_exactly_the_calibratable_terms(self):
-        """The battery times the shard pass the engines run and fits the
-        14 calibratable terms, no more: the paper machine's
-        ``query_overhead`` is not one of them."""
-        from repro.tune.calibrate import (
-            CALIBRATABLE_TERMS,
-            CalibrationSpec,
-            run_calibration,
+    def test_force_bypasses_valid_cache(self, tmp_path, workload, scripted):
+        path = tmp_path / "trials.json"
+        self.seed(path, workload)
+        result = autotune(
+            *workload, cache_path=str(path), retune=True, run=False, lower_bounds=False
         )
+        assert result.trial_info["source"] == "measured"
+        assert scripted == [len(result.trials)]
+        assert all(t.fixed_s == 0.5 for t in result.trials)
+        # the fresh rates replaced the seeded ones
+        again = autotune(*workload, cache_path=str(path), run=False, lower_bounds=False)
+        assert again.trial_info["source"] == "cache"
+        assert all(t.fixed_s == 0.5 for t in again.trials)
 
-        spec = CalibrationSpec(
-            db_size=60, num_queries=40, store_db_size=30, repeats=1,
-            sweep_cohorts=(4, 32), include_spawn=False,
+    def test_workload_timed_whole_is_not_cached(self, tmp_path, workload):
+        """One timed point has no rate: reading it at a larger workload's
+        candidate count would predict that workload costs the same."""
+        db, queries = workload
+        path = tmp_path / "trials.json"
+        result = autotune(
+            db, queries[:3], cache_path=str(path), run=False, lower_bounds=False
         )
-        calibration = run_calibration(spec)
-        assert len(CALIBRATABLE_TERMS) == 14 and "query_overhead" not in CALIBRATABLE_TERMS
-        assert set(calibration.terms) == set(CALIBRATABLE_TERMS) - {"worker_spinup_spawn"}
-        assert all(value >= 0.0 for value in calibration.terms.values())
-        assert calibration.terms["rho_base"] > 0.0
-        runs = calibration.details["sweep_runs"]
-        assert {r["scorer"] for r in runs} == set(spec.scorers)
-        assert {r["cohort_cap"] for r in runs} == set(spec.sweep_cohorts)
-        assert all(r["cohorts"] > 0 for r in runs)  # every run went through the pass
-        assert calibration.cost_model().rho_base == calibration.terms["rho_base"]
-        # the posting discount is measured on a pass that probes postings
-        index_run = calibration.details["index_run"]
-        assert index_run["scorer"] == "hyperscore" and index_run["index_rows"] > 0
-
-    def test_unmeasured_posting_discount_is_an_error_not_a_default(self, monkeypatch):
-        """A calibration pass that serves no row from the index leaves
-        ``index_probe_discount`` unmeasured: typed error, never the 0.5
-        default under a "measured" label."""
-        from repro.errors import ConfigError
-        from repro.index import FragmentIndex
-
-        terms = {
-            "rho_base": 1e-6, "tau_cost": 1e-7,
-            "sweep_setup_per_query": 1e-5, "sweep_probe_per_cohort": 1e-4,
-        }
-        db = calibrate_mod.generate_database(30, seed=3)
-        queries = calibrate_mod.generate_queries(10, seed=4)
-        spec = calibrate_mod.CalibrationSpec(repeats=1)
-        fitted = calibrate_mod._fit_index_terms(db, queries, spec, terms, {})
-        assert 0.05 <= fitted["index_probe_discount"] <= 1.5
-        monkeypatch.setattr(FragmentIndex, "serves", staticmethod(lambda scorer: False))
-        with pytest.raises(ConfigError, match="index_probe_discount"):
-            calibrate_mod._fit_index_terms(db, queries, spec, terms, {})
+        assert result.trial_info["samples"] == [3]
+        assert result.trial_info["source"] == "measured"
+        assert not path.exists()

@@ -1,25 +1,32 @@
-"""Planner unit tests: profiling, grid enumeration/pruning, prediction.
+"""Planner unit tests: profiling, grid enumeration/pruning, the timed pick.
 
 These pin the planner's *decision logic* with a synthetic profile —
-plans that cannot work are pruned with a reason, predicted makespans
-respond to the knobs in the physically required direction, and
-``choose_plan`` returns the argmin of its own predictions.
+plans that cannot run here are pruned with a reason, the grid stays a
+handful of plans, a timed trial turns two clock readings per plan into a
+non-negative fixed cost and rate, and the pick is the argmin of the
+line they give.
 """
 
-import dataclasses
+import itertools
+import multiprocessing
+import os
 
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.costmodel import CostModel
+from repro.tune import tuner
 from repro.tune.plan import (
     CandidatePlan,
     WorkloadProfile,
-    choose_plan,
     enumerate_plans,
-    os_cpu_count,
-    predict_makespan,
     profile_workload,
+)
+from repro.tune.tuner import (
+    SAMPLE_SIZES,
+    PlanTrial,
+    choose_plan,
+    stratified_sample,
+    time_plans,
 )
 from repro.workloads.queries import generate_queries
 from repro.workloads.synthetic import generate_database
@@ -36,7 +43,6 @@ def make_profile(**overrides):
         relative_cost=10.0,
         scorer_indexable=True,
         index_served_fraction=0.8,
-        cohorts={4: 60, 16: 50, 64: 40, 256: 30, 1024: 25},
         store={
             "blob_bytes": 9_000_000,
             "decoded_bytes": 35_000_000,
@@ -50,60 +56,67 @@ def make_profile(**overrides):
     return WorkloadProfile(**base)
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 class TestProfileWorkload:
     def test_real_workload_profile(self):
         db = generate_database(40, seed=5)
         queries = generate_queries(12, seed=6)
-        profile = profile_workload(db, queries, SearchConfig())
+        config = SearchConfig()
+        profile = profile_workload(db, queries, config)
         assert profile.num_queries == 12
         assert profile.db_sequences == 40
         assert profile.total_candidates == sum(profile.query_candidates)
         assert len(profile.query_candidates) == 12
         assert len(profile.seq_lengths) == 40
         assert profile.relative_cost > 0
-        # cohort counts decrease (weakly) as the cap loosens
-        caps = sorted(profile.cohorts)
-        counts = [profile.cohorts[c] for c in caps]
-        assert counts == sorted(counts, reverse=True)
-
-    @pytest.mark.parametrize("cap", [4, 16, 64])
-    def test_profile_predicts_the_blocks_a_serial_sweep_forms(self, cap):
+        assert profile.store is None
+        # the counts are the engine's own, in query order: a search of one
+        # query evaluates exactly its entry
         from repro.core.search import search_serial
 
-        db = generate_database(60, seed=5)
-        queries = generate_queries(90, seed=6)
-        config = SearchConfig(sweep_cohort=cap)
-        profile = profile_workload(db, queries, config)
-        report = search_serial(db, queries, config)
-        assert profile.cohorts_for(cap) == report.extras["sweep_cohorts"]
-        assert -(-len(queries) // cap) <= profile.cohorts_for(cap) < len(queries)
-
-    def test_cohorts_for_interpolates(self):
-        profile = make_profile()
-        assert profile.cohorts_for(64) == 40
-        assert profile.cohorts_for(100) in (40, 30)  # nearest computed cap
-        assert make_profile(cohorts={}).cohorts_for(64) == 200
+        for i in (0, 5, 11):
+            report = search_serial(db, [queries[i]], config)
+            assert report.candidates_evaluated == profile.query_candidates[i]
 
 
 class TestEnumeratePruning:
-    def test_posting_less_scorer_keeps_its_stream_plans(self):
-        """A scorer without a posting kernel streams as a budgeted direct
-        pass: the plans are feasible, priced as decode plus full-rate
-        evaluation of every row, on the per-worker partition-range grid."""
-        profile = make_profile(scorer_indexable=False, index_served_fraction=0.0)
-        plans, pruned = enumerate_plans(profile, engines=("serial",))
-        assert not pruned and {p.stream for p in plans} == {False, True}
-        cost = dataclasses.replace(CostModel(), index_probe_discount=0.1)
-        streamed = predict_makespan(CandidatePlan(stream=True), profile, cost)
-        direct = predict_makespan(CandidatePlan(), profile, cost)
-        assert streamed.phases["evaluation"] == pytest.approx(direct.phases["evaluation"])
-        assert streamed.phases["partition_decode"] > 0
-        two = predict_makespan(
-            CandidatePlan(engine="multiproc", stream=True, num_workers=2, start_method="fork"),
-            profile,
-            cost,
+    def test_grid_on_two_cores_is_at_most_four_plans(self, two_cores):
+        """{serial, multiproc at the host's width} x {direct, streamed}: the
+        knobs with no measured effect are pinned, not enumerated."""
+        plans, pruned = enumerate_plans(make_profile())
+        assert len(plans) == 4
+        assert {(p.engine, p.stream) for p in plans} == set(
+            itertools.product(("serial", "multiproc"), (False, True))
         )
-        assert two.phases["task_dispatch"] == pytest.approx(cost.task_dispatch_time(2))
+        for plan in plans:
+            assert plan.sweep_cohort == SearchConfig().sweep_cohort
+            if plan.engine == "multiproc":
+                assert (plan.num_workers, plan.query_blocks) == (2, 4)
+        no_store, _ = enumerate_plans(make_profile(store=None))
+        assert len(no_store) == 2
+
+    def test_spawn_plan_only_when_fork_is_missing(self, two_cores, monkeypatch):
+        plans, _ = enumerate_plans(make_profile())
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert {p.start_method for p in plans} == {None, "fork"}
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        plans, _ = enumerate_plans(make_profile())
+        assert {p.start_method for p in plans} == {None, "spawn"}
+        assert len(plans) == 4  # a fallback, not an extra axis
+
+    def test_posting_less_scorer_keeps_its_stream_plans(self, two_cores):
+        """A scorer without a posting kernel streams as a budgeted direct
+        pass: the plans are feasible, and timed like any other."""
+        profile = make_profile(scorer_indexable=False, index_served_fraction=0.0)
+        plans, pruned = enumerate_plans(profile)
+        assert {p.stream for p in plans} == {False, True}
+        assert all("oversubscribe" in reason for _, reason in pruned)
 
     def test_profile_reads_the_posting_predicate(self, tmp_path):
         """``scorer_indexable`` is ``FragmentIndex.serves``: the served
@@ -122,152 +135,233 @@ class TestEnumeratePruning:
         for scorer in ("likelihood", "xcorr", "hypergeometric"):
             assert served[scorer] == (False, 0.0)
 
-    def test_no_store_prunes_streamed_plans(self):
-        plans, pruned = enumerate_plans(
-            make_profile(store=None), engines=("serial",), allow_stream=True
-        )
+    def test_no_store_prunes_streamed_plans(self, two_cores):
+        plans, pruned = enumerate_plans(make_profile(store=None))
         assert plans and all(not p.stream for p in plans)
         assert any("no partitioned store" in reason for _, reason in pruned)
 
-    def test_no_store_yields_only_direct_plans(self):
-        plans, pruned = enumerate_plans(
-            make_profile(store=None), start_methods=("fork",), allow_stream=False
-        )
-        assert plans and not pruned
+    def test_no_store_yields_only_direct_plans(self, two_cores):
+        plans, pruned = enumerate_plans(make_profile(store=None))
+        assert {p.engine for p in plans} == {"serial", "multiproc"}
         assert all(":direct:" in p.label and "index" not in p.label for p in plans)
+        assert all(plan.stream or plan.num_workers > 2 for plan, _ in pruned)
 
-    def test_budget_prunes_resident_but_not_streamed(self):
+    def test_budget_prunes_resident_but_not_streamed(self, two_cores):
         # budget holds the streamed double buffer but not the database a
         # direct plan keeps resident
         budget_mb = 12.0
         plans, pruned = enumerate_plans(
-            make_profile(db_nbytes=50_000_000), engines=("serial",),
-            memory_budget_mb=budget_mb,
+            make_profile(db_nbytes=50_000_000), memory_budget_mb=budget_mb
         )
         assert plans and all(p.stream for p in plans)
+        assert all(p.memory_budget_mb == budget_mb for p in plans)
         assert any("resident footprint" in reason for _, reason in pruned)
-
-    def test_oversubscription_pruned(self):
-        plans, pruned = enumerate_plans(
-            make_profile(),
-            engines=("multiproc",),
-            worker_choices=(os_cpu_count() + 1,),
-            start_methods=("fork",),
+        tight, pruned = enumerate_plans(
+            make_profile(db_nbytes=50_000_000), memory_budget_mb=1.0
         )
-        assert plans == []
-        assert pruned
-        assert all("oversubscribe" in reason for _, reason in pruned)
+        assert tight == []
+        assert any("double buffer" in reason for _, reason in pruned)
 
-    def test_grid_covers_both_engines(self):
-        plans, _ = enumerate_plans(
-            make_profile(),
-            worker_choices=(1,),
-            start_methods=("fork",),
-        )
-        assert {p.engine for p in plans} == {"serial", "multiproc"}
+    def test_oversubscription_pruned(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        plans, pruned = enumerate_plans(make_profile())
+        assert {p.engine for p in plans} == {"serial"}
+        wide = [(plan, reason) for plan, reason in pruned if plan.engine == "multiproc"]
+        assert {plan.num_workers for plan, _ in wide} == {2, 4}
+        assert all("oversubscribe a 1-core host" in reason for _, reason in wide)
+
+    def test_grid_covers_both_engines(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        plans, pruned = enumerate_plans(make_profile())
+        assert not pruned
+        assert {(p.engine, p.num_workers) for p in plans} == {
+            ("serial", 1), ("multiproc", 2), ("multiproc", 4)
+        }
 
 
-class TestPredictMakespan:
-    def test_streamed_plan_has_stream_phases(self):
-        pred = predict_makespan(
-            CandidatePlan(stream=True), make_profile(), CostModel()
-        )
-        assert "partition_decode" in pred.phases
-        assert "partition_exposed_io" in pred.phases
-        assert pred.total == pytest.approx(sum(pred.phases.values()))
+class ScriptedRuns:
+    """Stands in for ``run_plan``: no search runs, the injected clock is
+    advanced by what the script says this plan costs on this sample."""
 
-    def test_spawn_charges_transport_fork_does_not(self):
-        profile, cost = make_profile(), CostModel()
-        spawn = predict_makespan(
-            CandidatePlan(engine="multiproc", num_workers=1, start_method="spawn"),
-            profile,
-            cost,
-        )
-        fork = predict_makespan(
-            CandidatePlan(engine="multiproc", num_workers=1, start_method="fork"),
-            profile,
-            cost,
-        )
-        assert "transport" in spawn.phases
-        assert "transport" not in fork.phases
-        assert spawn.total > fork.total
+    def __init__(self, cost):
+        self.cost = cost  #: (plan, num sample queries, call index) -> seconds
+        self.now = 0.0
+        self.calls = []
 
-    def test_oversubscribed_workers_predict_no_speedup(self):
-        """More workers than cores must not predict less wall time."""
-        profile, cost = make_profile(), CostModel()
-        cpus = os_cpu_count()
-        at_cap = predict_makespan(
-            CandidatePlan(engine="multiproc", num_workers=cpus, start_method="fork"),
-            profile,
-            cost,
-        )
-        over = predict_makespan(
-            CandidatePlan(
-                engine="multiproc", num_workers=cpus * 4, start_method="fork"
-            ),
-            profile,
-            cost,
-        )
-        assert over.total >= at_cap.total
+    def clock(self):
+        return self.now
 
-    def test_multiproc_phases_follow_the_engines_task_grid(self):
-        """Direct plans keep the database whole (bookkeeping paid once,
-        tasks = floored query blocks); streamed plans pay it per
-        partition range."""
-        profile, cost = make_profile(), CostModel()
-        serial = predict_makespan(CandidatePlan(), profile, cost)
-        for workers, asked, tasks in [(2, 1, 2), (2, 4, 4), (3, 1, 3)]:
-            direct = predict_makespan(
-                CandidatePlan(
-                    engine="multiproc", num_workers=workers,
-                    query_blocks=asked, start_method="fork",
-                ),
-                profile,
-                cost,
+    def run_plan(self, plan, database, queries, config, *, store=None, clock):
+        t0 = clock()
+        self.now += self.cost(plan, len(queries), len(self.calls))
+        self.calls.append((plan, len(queries)))
+        return None, clock() - t0
+
+
+class TestTimePlans:
+    PLANS = [
+        CandidatePlan(),
+        CandidatePlan(engine="multiproc", num_workers=2, query_blocks=4, start_method="fork"),
+    ]
+
+    def profile(self, m, per_query=30):
+        return make_profile(
+            num_queries=m,
+            total_candidates=per_query * m,
+            query_candidates=tuple([per_query] * m),
+        )
+
+    def test_injected_clock_gives_nonnegative_terms_and_an_argmin_pick(self, monkeypatch):
+        """Serial: no fixed cost, 4 us a candidate.  Multiproc: 80 ms of
+        pool start, 2 us a candidate.  The first round is 10x slow (a
+        cold start) and best-of-three must discard it."""
+
+        def cost(plan, num_queries, call):
+            cold = 10.0 if call < 4 else 1.0
+            candidates = 30 * num_queries
+            if plan.engine == "serial":
+                return cold * 4e-6 * candidates
+            return cold * (0.08 + 2e-6 * candidates)
+
+        runs = ScriptedRuns(cost)
+        monkeypatch.setattr(tuner, "run_plan", runs.run_plan)
+        queries = generate_queries(2000, seed=3)
+        profile = self.profile(2000)
+        trials, sizes = time_plans(
+            self.PLANS, None, queries, SearchConfig(), profile, clock=runs.clock
+        )
+        assert sizes == SAMPLE_SIZES
+        assert len(runs.calls) == 3 * len(self.PLANS) * 2
+        serial, pool = trials
+        assert serial.fixed_s == pytest.approx(0.0, abs=1e-9)
+        assert serial.seconds_per_candidate == pytest.approx(4e-6)
+        assert pool.fixed_s == pytest.approx(0.08)
+        assert pool.seconds_per_candidate == pytest.approx(2e-6)
+        for trial in trials:
+            assert trial.fixed_s >= 0 and trial.seconds_per_candidate >= 0
+            assert trial.predicted_s == pytest.approx(
+                trial.fixed_s + trial.seconds_per_candidate * profile.total_candidates
             )
-            eff = min(workers, os_cpu_count())
-            assert direct.phases["task_dispatch"] == pytest.approx(
-                cost.task_dispatch_time(tasks)
-            )
-            assert direct.phases["query_overhead"] == pytest.approx(
-                serial.phases["query_overhead"] / eff
-            )
-        indexed = predict_makespan(
-            CandidatePlan(
-                engine="multiproc", stream=True, num_workers=2, query_blocks=4,
-                start_method="fork",
-            ),
-            profile,
-            cost,
+        # 60 000 candidates: 0.24 s serial against 0.08 + 0.12 s
+        assert choose_plan(trials)[0].plan.engine == "multiproc"
+        # 400 queries, 12 000 candidates: 0.048 s against 0.104 s
+        small = self.profile(400)
+        trials, _ = time_plans(
+            self.PLANS, None, queries[:400], SearchConfig(), small, clock=runs.clock
         )
-        assert indexed.phases["task_dispatch"] == pytest.approx(
-            cost.task_dispatch_time(2 * 4)
+        ranked = choose_plan(trials)
+        assert ranked[0].plan.engine == "serial"
+        assert ranked[0].predicted_s == min(t.predicted_s for t in trials)
+
+    def test_noise_never_yields_a_negative_fixed_cost(self, monkeypatch):
+        """A small sample that happens to time *slower* per candidate than
+        the large one tips the line below zero at the origin (it did: one
+        2000 x 2000 line read -0.003 s): the fixed cost clips to 0 and the
+        rate is the large sample's own."""
+
+        def cost(plan, num_queries, call):
+            return 1e-4 if num_queries == SAMPLE_SIZES[0] else 0.5
+
+        runs = ScriptedRuns(cost)
+        monkeypatch.setattr(tuner, "run_plan", runs.run_plan)
+        profile = self.profile(2000)
+        trials, _ = time_plans(
+            self.PLANS[:1], None, generate_queries(2000, seed=3), SearchConfig(),
+            profile, clock=runs.clock,
         )
-        assert indexed.phases["query_overhead"] == pytest.approx(
-            serial.phases["query_overhead"] * 2 / min(2, os_cpu_count())
+        (trial,) = trials
+        assert trial.fixed_s == 0.0
+        assert trial.seconds_per_candidate == pytest.approx(0.5 / (30 * SAMPLE_SIZES[1]))
+        assert trial.predicted_s > 0
+
+    def test_a_pool_is_never_timed_faster_than_its_workers_allow(self, monkeypatch):
+        """Two fixed-cost-dominated points whose difference is mostly noise
+        read as a near-free rate, and an 8x extrapolation turns that into a
+        pick (regret 1.55 in 2 of 8 trials at 2000 x 2000).  A pool of w
+        workers cannot score faster than w serial passes: the rate is held
+        at its serial twin's / w, the line still through the large sample."""
+
+        def cost(plan, num_queries, call):
+            candidates = 30 * num_queries
+            if plan.engine == "serial":
+                return 4e-6 * candidates
+            return 0.2 + 1e-7 * candidates  # 40x "speedup" on two workers
+
+        runs = ScriptedRuns(cost)
+        monkeypatch.setattr(tuner, "run_plan", runs.run_plan)
+        profile = self.profile(2000)
+        trials, _ = time_plans(
+            list(reversed(self.PLANS)), None, generate_queries(2000, seed=3),
+            SearchConfig(), profile, clock=runs.clock,
+        )
+        pool, serial = trials  # returned in the order given
+        assert pool.plan.engine == "multiproc"
+        assert pool.seconds_per_candidate == pytest.approx(serial.seconds_per_candidate / 2)
+        large = 30 * SAMPLE_SIZES[1]
+        assert pool.fixed_s + pool.seconds_per_candidate * large == pytest.approx(
+            0.2 + 1e-7 * large
         )
 
-    def test_index_discount_lowers_prediction(self):
-        profile = make_profile(index_served_fraction=0.9)
-        cost = dataclasses.replace(CostModel(), index_probe_discount=0.1)
-        indexed = predict_makespan(CandidatePlan(stream=True), profile, cost)
-        direct = predict_makespan(CandidatePlan(), profile, cost)
-        assert indexed.phases["evaluation"] < direct.phases["evaluation"]
+    def test_small_workload_is_timed_whole_not_extrapolated(self, monkeypatch):
+        runs = ScriptedRuns(lambda plan, num_queries, call: 0.01 * num_queries)
+        monkeypatch.setattr(tuner, "run_plan", runs.run_plan)
+        m = SAMPLE_SIZES[0] - 2
+        trials, sizes = time_plans(
+            self.PLANS, None, generate_queries(m, seed=3), SearchConfig(),
+            self.profile(m), clock=runs.clock,
+        )
+        assert sizes == (m,)
+        assert {n for _, n in runs.calls} == {m}
+        for trial in trials:
+            assert trial.seconds_per_candidate == 0.0
+            assert trial.predicted_s == trial.fixed_s == pytest.approx(0.01 * m)
+        # between the two sample sizes the large sample is the workload
+        # itself, so the line read at m is the measurement
+        m = 40
+        trials, sizes = time_plans(
+            self.PLANS[:1], None, generate_queries(m, seed=3), SearchConfig(),
+            self.profile(m), clock=runs.clock,
+        )
+        assert sizes == (SAMPLE_SIZES[0], m)
+        assert trials[0].predicted_s == pytest.approx(0.01 * m)
+
+    def test_samples_are_mass_stratified_runs(self):
+        """Eight strata, a run of mass-consecutive queries from the middle
+        of each: every region of the mass axis, at the workload's own
+        window overlap."""
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        masses = rng.uniform(500.0, 4000.0, size=1000)
+        ranks = np.argsort(np.argsort(masses))
+        small = stratified_sample(masses, 8)
+        assert len(small) == 8 and list(small) == sorted(small)
+        assert sorted(ranks[small] // 125) == list(range(8))  # one per stratum
+        large = stratified_sample(masses, 256)
+        assert len(large) == 256 and len(set(large)) == 256
+        by_rank = np.sort(ranks[large])
+        runs = np.split(by_rank, np.flatnonzero(np.diff(by_rank) > 1) + 1)
+        assert [len(r) for r in runs] == [32] * 8
+        assert list(stratified_sample(masses[:100], 256)) == list(range(100))
 
 
 class TestChoosePlan:
     def test_returns_argmin_and_full_ranking(self):
-        profile, cost = make_profile(), CostModel()
-        plans, _ = enumerate_plans(
-            profile, engines=("serial",), sweep_cohorts=(64,)
-        )
-        chosen, prediction, ranking = choose_plan(plans, profile, cost)
-        assert chosen == ranking[0][0]
-        assert prediction.total == ranking[0][1].total
-        totals = [pred.total for _, pred in ranking]
-        assert totals == sorted(totals)
-        assert len(ranking) == len(plans)
+        trials = [
+            PlanTrial(CandidatePlan(stream=stream, engine=engine), predicted, 0.0, 0)
+            for engine, stream, predicted in [
+                ("serial", False, 0.3),
+                ("serial", True, 0.1),
+                ("multiproc", False, 0.1),
+                ("multiproc", True, 0.2),
+            ]
+        ]
+        ranked = choose_plan(trials)
+        assert [t.predicted_s for t in ranked] == [0.1, 0.1, 0.2, 0.3]
+        assert len(ranked) == len(trials)
+        # a tie keeps grid order: the simpler plan wins it
+        assert ranked[0].plan == CandidatePlan(stream=True)
 
     def test_empty_grid_raises(self):
         with pytest.raises(ValueError, match="no feasible plans"):
-            choose_plan([], make_profile(), CostModel())
+            choose_plan([])
