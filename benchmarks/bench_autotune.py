@@ -82,7 +82,6 @@ def measure_autotune(num_proteins, num_queries, scorer, repeats):
             database,
             os.path.join(tmp, "pstore"),
             partition_mb=2.0,
-            fragment_tolerance=config.fragment_tolerance,
         )
         # the trial is its own warm-up: its first round pays the cold
         # page cache and imports, and best-of-three discards that round

@@ -25,25 +25,36 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     """Build a persistent fragment-index store (build once, load many).
 
     With ``--partition-mb`` the store is the *partitioned* out-of-core
-    format instead: mass-contiguous compressed partitions streamed at
-    search time (``search --stream`` / ``--index-path``).
+    format instead: the database's mass-sorted spans in mass-contiguous
+    compressed partitions, streamed and scored directly at search time
+    (``search --stream`` / ``--index-path``).  It holds no fragment
+    index, so the index-shape options do not apply to it.
     """
-    db = load_database(args)
     if args.partition_mb is not None:
+        from repro.errors import ConfigError
         from repro.store import save_partitioned_index
 
+        for flag, value in (
+            ("--fragment-tolerance", args.fragment_tolerance),
+            ("--index-max-length", args.max_length),
+        ):
+            if value is not None:
+                raise ConfigError(
+                    f"{flag} shapes a fragment index; a partitioned store "
+                    f"(--partition-mb) holds every span and no index"
+                )
+        db = load_database(args)
         store = save_partitioned_index(
             db,
             args.output,
             partition_mb=args.partition_mb,
-            fragment_tolerance=args.fragment_tolerance,
-            max_length=args.max_length,
             overwrite=args.overwrite,
         )
         info = store.describe()
         print(
-            f"built partitioned index for {len(db)} sequences "
+            f"built partitioned store for {len(db)} sequences "
             f"({format_si(db.total_residues)} residues): "
+            f"{info['num_rows']} row(s) in "
             f"{info['num_partitions']} partition(s), "
             f"{format_si(info['blob_bytes'])}B compressed "
             f"({format_si(info['decoded_bytes'])}B decoded, "
@@ -54,12 +65,13 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         return 0
     from repro.store import save_index
 
+    db = load_database(args)
     store = save_index(
         db,
         args.output,
         num_shards=args.shards,
-        fragment_tolerance=args.fragment_tolerance,
-        max_length=args.max_length,
+        fragment_tolerance=args.fragment_tolerance or 0.5,
+        max_length=args.max_length or 48,
         overwrite=args.overwrite,
     )
     info = store.describe()
@@ -76,8 +88,8 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
     """Print a persisted index's header: schema, fingerprint, manifests.
 
     Dispatches on the on-disk schema: resident stores list shards,
-    partitioned stores list per-partition m/z ranges, postings counts
-    and compressed/decoded sizes.
+    partitioned stores list per-partition mass ranges, row counts and
+    compressed/decoded sizes.
     """
     from repro.store import open_any_index
     from repro.store.partitioned import PartitionedIndex
@@ -89,12 +101,7 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
         print(f"partitioned index store {info['path']}")
         print(f"  schema       {info['schema']}")
         print(f"  fingerprint  {info['fingerprint']}")
-        print(
-            f"  build        fragment_tolerance={build['fragment_tolerance']} "
-            f"max_length={build['max_length']} "
-            f"monoisotopic={build['monoisotopic']} "
-            f"partition_mb={build['partition_mb']}"
-        )
+        print(f"  build        partition_mb={build['partition_mb']}")
         print(
             f"  bytes        compressed={format_si(info['blob_bytes'])}B "
             f"decoded={format_si(info['decoded_bytes'])}B "
@@ -102,12 +109,12 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
         )
         print(
             f"  rows         {info['num_rows']} in {info['num_partitions']} "
-            f"partition(s) + {info['overflow_spans']} overflow span(s)"
+            f"partition(s)"
         )
         for p in info["partitions"]:
             print(
                 f"  {p['name']}  m/z [{p['mass_lo']:.3f}, {p['mass_hi']:.3f}] "
-                f"rows={p['num_rows']} postings={p['postings']} "
+                f"rows={p['num_rows']} "
                 f"compressed={format_si(p['blob_bytes'])}B "
                 f"decoded={format_si(p['decoded_bytes'])}B"
             )
@@ -156,18 +163,19 @@ def register(sub) -> None:
         help="shard count (1 for the serial engine; any count for multiproc)",
     )
     p_ib.add_argument(
-        "--fragment-tolerance", type=positive_float, default=0.5,
-        help="fragment m/z tolerance the index bins are sized for (Da)",
+        "--fragment-tolerance", type=positive_float, default=None,
+        help="fragment m/z tolerance the index bins are sized for (Da; "
+        "default 0.5)",
     )
     p_ib.add_argument(
-        "--index-max-length", dest="max_length", type=positive_int, default=48,
-        help="longest candidate span the index covers",
+        "--index-max-length", dest="max_length", type=positive_int, default=None,
+        help="longest candidate span the index covers (default 48)",
     )
     p_ib.add_argument(
         "--partition-mb", type=positive_float, default=None,
-        help="build the *partitioned* out-of-core format instead: "
-        "mass-contiguous compressed partitions of ~this decoded size "
-        "(MiB), streamed with prefetch at search time",
+        help="build the *partitioned* out-of-core format instead: the "
+        "database's mass-sorted spans in compressed partitions of this "
+        "decoded size (MiB), streamed with prefetch at search time",
     )
     p_ib.add_argument(
         "--overwrite", action="store_true",

@@ -113,12 +113,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-pstore-")),
                 "index",
             )
-            save_partitioned_index(
-                db,
-                index_path,
-                partition_mb=args.partition_mb,
-                fragment_tolerance=config.fragment_tolerance,
-            )
+            save_partitioned_index(db, index_path, partition_mb=args.partition_mb)
         if args.report_out:
             # collect runtime telemetry for the RunReport; search results
             # are bitwise identical with or without it
@@ -182,8 +177,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(
             f"  streamed {stream['partitions']} partition(s): "
             f"{format_si(stream['bytes_read'])}B read -> "
-            f"{format_si(stream['bytes_decoded'])}B decoded "
-            f"({' '.join(report.extras['index_provenance']['sections'])}), "
+            f"{format_si(stream['bytes_decoded'])}B decoded, "
             f"{stream['prefetch_hits']} prefetch hit(s) / "
             f"{stream['prefetch_stalls']} stall(s), "
             f"exposed I/O {stream['partition_exposed_io']:.3f}s"

@@ -697,7 +697,7 @@ def _search_serial_streamed(
         "sweep_queries": stats.sweep_queries,
         "sweep_cohorts": stats.sweep_cohorts,
         "modeled_candidates_per_second": cost.candidates_per_second(searcher.scorer),
-        "index_provenance": store.provenance(searcher.lists),
+        "index_provenance": store.provenance(),
         "stream": dict(
             ss.to_dict(),
             score_seconds=searcher.score_seconds,

@@ -1,42 +1,41 @@
-"""Streamed out-of-core search over a partitioned index store.
+"""Streamed out-of-core search over a partitioned store.
 
 :class:`StreamingSearcher` is the out-of-core counterpart of
 :class:`~repro.core.search.ShardSearcher`: same ``run(queries,
 hitlists) -> ShardStats`` contract (so the serial engine, the multiproc
 workers, and the service workers drive it unchanged), but instead of
-holding a whole shard's fragment index resident it iterates the store's
+holding a whole shard's mass index resident it iterates the store's
 mass-contiguous partitions through a
 :class:`~repro.store.partitioned.StreamingIndexReader` — one partition
-decoded and scored while the next is prefetched.
+decoded and scored while the next is prefetched.  This is the paper's
+database transport (shards visit resident queries, ``O(N/p)`` held at a
+time) applied to one node's disk; nothing is indexed, every scorer
+scores a partition's rows directly.
 
-Bitwise identity with the resident path is structural:
+Bitwise identity with the direct search is structural:
 
-* Partitions tile the precursor-major row order; a query's candidate
-  set inside a partition is the same inclusive ``[m - delta, m + delta]``
-  mass window the :class:`~repro.candidates.mass_index.MassIndex`
-  enumeration selects, recovered by two ``searchsorted`` calls on the
-  partition's ``row_mass`` column.  Unioned over partitions plus the
-  overflow blob (spans outside the index envelope), every query sees
-  exactly the resident candidate set.
-* A partition's rows and the overflow blob are both mass-sorted
+* Partitions tile the mass-sorted span set of the whole database; a
+  query's candidate set inside a partition is the same inclusive
+  ``[m - delta, m + delta]`` mass window the
+  :class:`~repro.candidates.mass_index.MassIndex` enumeration selects,
+  recovered by two ``searchsorted`` calls on the partition's mass
+  column.  Unioned over partitions, every query sees exactly the direct
+  candidate set.
+* A partition's rows are mass-sorted
   :class:`~repro.candidates.mass_index.CandidateSpans` of the store's
-  database, and scores come from the very same kernels: one posting
-  probe per block (``index.score_block``) over a partition whose
-  postings serve the scorer, the direct
-  :class:`~repro.candidates.batch.CandidateBatch` path
-  (``block_scores``) for everything else — overflow spans always, and
-  every partition's rows under a scorer the postings cannot serve.
+  database, and scores come from the very same kernels: a block's union
+  of rows is one :class:`~repro.candidates.batch.CandidateBatch` scored
+  with ``block_scores``.
 * :class:`~repro.scoring.hits.TopHitList` is order-independent, so
   folding partitions in mass order instead of one whole-shard batch
   cannot change the retained hits; per-query ``evaluated`` totals match
   because shorts, cutoff failures, and offers are counted per partition
-  and sum to the resident per-query counts.
+  and sum to the direct per-query counts.
 
 Streaming serves a strict subset of configurations — REAL execution
 and no variable modifications (PTM tiers are generated from the
-database, not the index; the resident path routes them through the
-direct batch, but out-of-core their enumeration would re-read the whole
-database per query).  Violations raise a typed
+database, not the store; out-of-core their enumeration would re-read
+the whole database per query).  Violations raise a typed
 :class:`~repro.errors.IndexCompatError` up front, never silently
 degraded results.
 """
@@ -44,7 +43,7 @@ degraded results.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from repro.core.search import (
     score_and_offer_block,
 )
 from repro.errors import IndexCompatError
-from repro.index import FragmentIndex
 from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hits import TopHitList
@@ -90,22 +88,13 @@ def streaming_compat_problems(config: SearchConfig) -> List[str]:
 
 
 class StreamingSearcher:
-    """Searches queries by streaming a partitioned store's m/z shards.
+    """Searches queries by streaming a partitioned store's mass partitions.
 
     Drop-in for :class:`~repro.core.search.ShardSearcher` at the engine
     seam: ``run(queries, hitlists)`` returns merged
-    :class:`~repro.core.search.ShardStats`.  ``partition_range``
-    restricts the pass to a contiguous ``[lo, hi)`` slice of partition
-    ids — how multiproc workers split one store into disjoint streams —
-    and ``own_overflow`` says whether this searcher also scores the
-    out-of-envelope span blob (exactly one owner per store, or hits
-    would duplicate).  Under a scorer the partitions' postings cannot
-    serve (``FragmentIndex.serves``) the pass is the same budgeted walk
-    over the same ranges, each partition's rows scored directly.
-
-    A pass decodes only what its scorer reads: the ``row_*`` columns
-    plus the one posting list the scorer's ``index_list`` names (none
-    for a directly scored one) — ``lists`` says which.
+    :class:`~repro.core.search.ShardStats`.  A pass opens only the
+    partitions its queries' mass windows meet, in mass order, and scores
+    each one's rows directly under any scorer.
     """
 
     def __init__(
@@ -116,8 +105,6 @@ class StreamingSearcher:
         library: Optional[SpectralLibrary] = None,
         *,
         database: Optional[ProteinDatabase] = None,
-        partition_range: Optional[Tuple[int, int]] = None,
-        own_overflow: Optional[bool] = None,
         memory_budget_mb: Optional[float] = None,
         prefetch: bool = True,
     ):
@@ -131,39 +118,20 @@ class StreamingSearcher:
                 + "; ".join(problems)
             )
         self.database = database if database is not None else store.load_database()
-        if partition_range is None:
-            partition_range = (0, store.num_partitions)
-        lo, hi = int(partition_range[0]), int(partition_range[1])
-        if not (0 <= lo <= hi <= store.num_partitions):
-            raise IndexCompatError(
-                f"partition_range {partition_range} is outside the store's "
-                f"{store.num_partitions} partitions"
-            )
-        self.partition_range = (lo, hi)
-        # overflow has exactly one owner: by default the range holding
-        # partition 0 (or, for an empty store, the full-range searcher)
-        self.own_overflow = (
-            own_overflow
-            if own_overflow is not None
-            else lo == 0
-        )
         self.memory_budget_mb = memory_budget_mb
         self.prefetch = prefetch
         self.stream_stats = StreamStats()
         self.score_seconds = 0.0
-        self.lists = FragmentIndex.lists_for(self.scorer)
 
     @property
     def nbytes(self) -> int:
         """Resident bytes this searcher needs: directory + double buffer.
 
         The out-of-core claim in one number — independent of total store
-        size, it is two partitions (blob + the sections this scorer
-        reads) plus the mmapped database buffers.
+        size, it is two partitions (blob + decoded rows) plus the mmapped
+        database buffers.
         """
-        return int(
-            2 * self.store.max_visit_bytes(self.lists) + self.database.nbytes
-        )
+        return int(2 * self.store.max_partition_bytes + self.database.nbytes)
 
     # -- the pass ----------------------------------------------------------
 
@@ -180,9 +148,7 @@ class StreamingSearcher:
         if not obs.enabled:
             return self._search(list(queries), hitlists)
         with obs.span(
-            "search.stream",
-            category="search",
-            partitions=self.partition_range[1] - self.partition_range[0],
+            "search.stream", category="search", partitions=self.store.num_partitions
         ):
             stats = self._search(list(queries), hitlists)
         record_shard_pass(obs, stats)
@@ -217,19 +183,14 @@ class StreamingSearcher:
             lows = masses[order] - cfg.delta
             highs = masses[order] + cfg.delta
 
-        lo, hi = self.partition_range
-        entries = self.store.partitions
         visit = [
             pid
-            for pid in range(lo, hi)
-            if entries[pid].num_rows
-            and highs[-1] >= entries[pid].mass_lo
-            and lows[0] <= entries[pid].mass_hi
+            for pid, entry in enumerate(self.store.partitions)
+            if highs[-1] >= entry.mass_lo and lows[0] <= entry.mass_hi
         ]
         reader = StreamingIndexReader(
             self.store,
             visit,
-            lists=self.lists,
             memory_budget_mb=self.memory_budget_mb,
             prefetch=self.prefetch,
         )
@@ -243,7 +204,7 @@ class StreamingSearcher:
                     continue
                 t0 = time.perf_counter()
                 self._score_partition(
-                    part.index,
+                    part.spans,
                     queries,
                     order[a:b],
                     lows[a:b],
@@ -256,15 +217,11 @@ class StreamingSearcher:
         finally:
             reader.close()
             self.stream_stats.merge(reader.stats)
-        if self.own_overflow:
-            t0 = time.perf_counter()
-            self._score_overflow(queries, order, lows, highs, hitlists, stats, obs)
-            self.score_seconds += time.perf_counter() - t0
         return stats
 
     def _score_partition(
         self,
-        index,
+        spans: CandidateSpans,
         queries: List[Spectrum],
         members: np.ndarray,
         lows: np.ndarray,
@@ -277,19 +234,9 @@ class StreamingSearcher:
 
         A member's candidates are an integer row range of the partition
         (inclusive ``[m - delta, m + delta]``, matching MassIndex
-        windows), served by one flat posting probe per block — or, for a
-        scorer the postings cannot serve, scored directly like overflow
-        spans.
+        windows).
         """
-        arrays = index.arrays
-        spans = CandidateSpans(
-            arrays["row_seq"],
-            arrays["row_start"],
-            arrays["row_stop"],
-            arrays["row_mass"],
-            np.zeros(index.num_rows, dtype=np.float64),
-        )
-        score, columns = self._span_scoring(spans, index if self.lists else None)
+        score, columns = self._span_scoring(spans)
         self._offer_ranges(
             queries,
             members,
@@ -303,72 +250,25 @@ class StreamingSearcher:
             obs,
         )
 
-    def _score_overflow(
-        self,
-        queries: List[Spectrum],
-        order: np.ndarray,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        hitlists: Dict[int, TopHitList],
-        stats: ShardStats,
-        obs,
-    ) -> None:
-        """Direct-path scoring of the out-of-envelope spans.
-
-        Exactly the resident searcher's overflow stream: spans the index
-        cannot hold (mass-sorted in the overflow blob, so a member's are
-        again one range) get bitwise the scores the resident index's
-        ``row == -1`` spans get.
-        """
-        spans = self.store.load_overflow()
-        if len(spans) == 0:
-            return
-        score, columns = self._span_scoring(spans, None)
-        o_lo = np.searchsorted(spans.mass, lows, side="left")
-        o_hi = np.searchsorted(spans.mass, highs, side="right")
-        hit = np.flatnonzero(o_hi > o_lo)  # few windows reach an overflow span
-        self._offer_ranges(
-            queries,
-            order[hit],
-            o_lo[hit],
-            o_hi[hit],
-            spans.lengths,
-            score,
-            columns,
-            hitlists,
-            stats,
-            obs,
-        )
-
-    def _span_scoring(self, spans: CandidateSpans, index):
+    def _span_scoring(self, spans: CandidateSpans):
         """The ``(score, columns)`` pair for spans out of the store's database.
 
         What :func:`~repro.core.search.score_and_offer_block` needs to
-        score and emit positions of ``spans`` (a partition's rows, or the
-        overflow blob).  With ``index`` — the partition's posting view,
-        whose row ``r`` is ``spans[r]`` — a block is one posting probe;
-        without, its union of spans is materialized as one shared
+        score and emit positions of ``spans`` (a partition's rows): a
+        block's union of spans is materialized as one shared
         :class:`~repro.candidates.batch.CandidateBatch` against the
-        database and scored with ``block_scores``.  Protein ids always
-        come from the database buffers.
+        database and scored with ``block_scores``.  Protein ids come
+        from the database buffers.
         """
         db = self.database
         scorer = self.scorer
 
-        if index is not None:
-
-            def score(spectra, kept):
-                scores = index.score_block(scorer, spectra, kept)
-                return scores, 0, len(scores)
-
-        else:
-
-            def score(spectra, kept):
-                union = np.unique(np.concatenate(kept))
-                batch = CandidateBatch.from_spans(db, spans.take(union), {})
-                local = [np.searchsorted(union, sel) for sel in kept]
-                scores = block_scores(scorer, spectra, batch, local)
-                return scores, len(scores), 0
+        def score(spectra, kept):
+            union = np.unique(np.concatenate(kept))
+            batch = CandidateBatch.from_spans(db, spans.take(union), {})
+            local = [np.searchsorted(union, sel) for sel in kept]
+            scores = block_scores(scorer, spectra, batch, local)
+            return scores, len(scores), 0
 
         def columns(sel):
             return (
@@ -400,8 +300,7 @@ class StreamingSearcher:
         call and top-tau emit shared through
         :func:`~repro.core.search.score_and_offer_block`) without its
         runs: member ``j`` owns rows ``[r_lo[j], r_hi[j])`` of a
-        partition (or of the overflow spans), no union block is
-        enumerated, so every member is a run of its own and a block is
+        partition, no union block is enumerated, so every member is a run of its own and a block is
         simply the next ``sweep_cohort`` members.  ``obs`` is the
         metrics registry of a traced pass, else ``None``.
         """
@@ -430,25 +329,3 @@ class StreamingSearcher:
                     score,
                     columns,
                 )
-
-
-def split_partition_ranges(
-    num_partitions: int, num_workers: int
-) -> List[Tuple[int, int]]:
-    """Contiguous, near-equal ``[lo, hi)`` partition ranges for workers.
-
-    Every partition is owned by exactly one range; empty ranges are
-    possible when workers outnumber partitions (their searchers stream
-    nothing but may still own overflow if they hold range start 0).
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    base = num_partitions // num_workers
-    extra = num_partitions % num_workers
-    ranges: List[Tuple[int, int]] = []
-    lo = 0
-    for w in range(num_workers):
-        size = base + (1 if w < extra else 0)
-        ranges.append((lo, lo + size))
-        lo += size
-    return ranges

@@ -22,8 +22,10 @@ served from:
   blocks.  Each query pays its window join, spectrum batch and top-tau
   exactly once, and a task's result is final for its queries: the
   parent has nothing to merge.
-* store paths: the store's own layout (its shards, or one contiguous
-  partition range per worker), query blocks on top.
+* a resident store: the store's own shards, query blocks on top.
+* a partitioned store: like direct, one whole-store "shard" and the
+  query blocks carry the parallelism — each block's streamed pass opens
+  only the partitions its mass range meets.
 
 ``query_blocks`` is a floor: the grid is widened until it has at least
 one task per worker (:func:`~repro.core.partition.effective_query_blocks`).
@@ -81,7 +83,6 @@ from repro.core.search import ShardSearcher, ShardStats, index_compat_problems
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.injector import FaultInjector
 from repro.faults.supervisor import RetryPolicy
-from repro.index import FragmentIndex
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
 from repro.scoring.hits import (
     HitColumns,
@@ -130,9 +131,7 @@ def _shard_wire_nbytes(wire: _ShardWire) -> int:
 
 _TASK_CONTEXT: Optional[Dict[str, Any]] = None
 #: per-process state: {"searchers": {shard_id: searcher},
-#: "queries": {block_id: [Spectrum]}, "store": StoredIndex or
-#: PartitionedIndex (opened once), "database": mmapped ProteinDatabase
-#: (partitioned stores only)}
+#: "queries": {block_id: [Spectrum]}, "store": StoredIndex (opened once)}
 _PROCESS_CACHE: Dict[str, Any] = {}
 
 
@@ -178,29 +177,20 @@ def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float]:
     if searcher is not None:
         return searcher, 0.0
     index_path = _TASK_CONTEXT.get("index_path")
-    ranges = _TASK_CONTEXT.get("partition_ranges")
-    if ranges is not None:
-        # Partitioned store: this worker's "shard" is a contiguous range
-        # of m/z partitions streamed through a StreamingSearcher.  Only
-        # the path string crossed the process boundary; the directory
-        # and the database buffers map once per process, and partition
-        # blobs stream through the double buffer at search time.
+    if _TASK_CONTEXT.get("streamed"):
+        # Partitioned store: the one "shard" is the whole store, streamed
+        # through a StreamingSearcher.  Only the path string crossed the
+        # process boundary; the directory and the database buffers map
+        # once per process, and partition blobs stream through the
+        # double buffer at search time.
         from repro.core.streaming import StreamingSearcher
         from repro.store import open_any_index
 
         t0 = time.perf_counter()
-        store = _PROCESS_CACHE.get("store")
-        if store is None:
-            store = _PROCESS_CACHE["store"] = open_any_index(index_path)
-        database = _PROCESS_CACHE.get("database")
-        if database is None:
-            database = _PROCESS_CACHE["database"] = store.load_database()
+        store = open_any_index(index_path)
         searcher = cache[shard_id] = StreamingSearcher(
             store,
             _TASK_CONTEXT["config"],
-            database=database,
-            partition_range=ranges[shard_id],
-            own_overflow=(shard_id == 0),
             memory_budget_mb=_TASK_CONTEXT.get("memory_budget_mb"),
         )
         return searcher, time.perf_counter() - t0
@@ -405,13 +395,13 @@ def run_multiprocess_search(
     hits remain bitwise identical to the direct path.
 
     When ``index_path`` names a *partitioned* store
-    (``repro.index_store_partitioned/2``) the decomposition changes
-    from database shards to disjoint contiguous partition ranges, one per
-    worker: a task streams its ``[lo, hi)`` slice of m/z partitions through a
-    :class:`~repro.core.streaming.StreamingSearcher` (double-buffered
-    prefetch, optional per-worker ``memory_budget_mb``), range 0 also
-    scores the out-of-envelope overflow blob, and merged hits stay
-    bitwise identical to both the resident and serial streamed paths.
+    (``repro.index_store_partitioned/3``) the grid has the direct path's
+    shape — one whole-store shard, the query blocks carry the
+    parallelism: a task streams the partitions its block's mass range
+    meets through a :class:`~repro.core.streaming.StreamingSearcher`
+    (double-buffered prefetch, optional per-worker ``memory_budget_mb``),
+    its top-tau is final for its queries, and hits stay bitwise identical
+    to the direct and the serial streamed searches.
     """
     config = config or SearchConfig()
     if num_workers is None:
@@ -420,18 +410,16 @@ def run_multiprocess_search(
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     policy = retry_policy or RetryPolicy(max_retries=max_retries)
     store = None
-    partition_ranges: Optional[List[Tuple[int, int]]] = None
+    streamed = False
     if index_path is not None:
         from repro.errors import IndexCompatError
         from repro.store import open_any_index
         from repro.store.partitioned import PartitionedIndex
 
         store = open_any_index(index_path)
-        if isinstance(store, PartitionedIndex):
-            from repro.core.streaming import (
-                split_partition_ranges,
-                streaming_compat_problems,
-            )
+        streamed = isinstance(store, PartitionedIndex)
+        if streamed:
+            from repro.core.streaming import streaming_compat_problems
 
             problems = streaming_compat_problems(config)
             if problems:
@@ -440,14 +428,10 @@ def run_multiprocess_search(
                     "index: " + "; ".join(problems)
                 )
             store.validate_against(database)
-            partition_ranges = split_partition_ranges(store.num_partitions, num_workers)
-            num_shards = len(partition_ranges)
+            # the store stays whole: the query axis carries the parallelism
+            num_shards = 1 if store.num_partitions else 0
             shards = None
-            # per-range compressed bytes: what each worker's stream reads
-            shard_bytes = [
-                sum(store.partitions[p].blob_bytes for p in range(lo, hi))
-                for lo, hi in partition_ranges
-            ]
+            shard_bytes = [store.blob_bytes]
         else:
             problems = index_compat_problems(config)
             if problems:
@@ -475,8 +459,8 @@ def run_multiprocess_search(
     }
     if store is not None:
         context["index_path"] = str(index_path)
-        if partition_ranges is not None:
-            context["partition_ranges"] = partition_ranges
+        if streamed:
+            context["streamed"] = True
             context["memory_budget_mb"] = memory_budget_mb
     else:
         shard_wires = [shard.to_buffers() for shard in shards]
@@ -620,15 +604,12 @@ def run_multiprocess_search(
         "failed_tasks": supervisor.failed_tasks,
         "degraded": bool(supervisor.failed_tasks),
     }
-    if partition_ranges is not None:
+    if streamed:
         extras["index_path"] = str(index_path)
         extras["num_partitions"] = int(store.num_partitions)
-        extras["partition_ranges"] = [list(r) for r in partition_ranges]
         extras["index_stream_bytes"] = int(store.blob_bytes)
         extras["index_decoded_bytes"] = int(store.decoded_bytes)
-        extras["index_provenance"] = store.provenance(
-            FragmentIndex.lists_for(config.make_scorer())
-        )
+        extras["index_provenance"] = store.provenance()
     elif store is not None:
         extras["index_path"] = str(index_path)
         extras["index_mmap_bytes"] = int(store.nbytes)

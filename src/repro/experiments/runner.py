@@ -168,21 +168,18 @@ def prebuild_store(params: Dict[str, Any], stores_dir: str) -> str:
         int(params.get("workload.database_size", 1000)),
         seed=int(params.get("workload.seed", 202)),
     )
-    build_kwargs: Dict[str, Any] = {}
-    if "config.fragment_tolerance" in params:
-        build_kwargs["fragment_tolerance"] = float(params["config.fragment_tolerance"])
     if params.get("index.mode") == "partitioned":
         from repro.store import save_partitioned_index
 
         save_partitioned_index(
-            db,
-            path,
-            partition_mb=float(params.get("index.partition_mb", 4.0)),
-            **build_kwargs,
+            db, path, partition_mb=float(params.get("index.partition_mb", 4.0))
         )
     else:
         from repro.store import save_index
 
+        build_kwargs: Dict[str, Any] = {}
+        if "config.fragment_tolerance" in params:
+            build_kwargs["fragment_tolerance"] = float(params["config.fragment_tolerance"])
         save_index(
             db,
             path,

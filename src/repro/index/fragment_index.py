@@ -72,14 +72,7 @@ import numpy as np
 from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
-from repro.errors import IndexCompatError, IndexStoreError
-from repro.index.layout import (
-    PARTITION_SCHEMA,
-    POSTING_LISTS,
-    SHARD_ARRAYS,
-    ArraySpec,
-    IndexLayout,
-)
+from repro.index.layout import ArraySpec, IndexLayout
 from repro.spectra.binning import _ragged_arange, row_segment_sums
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
@@ -142,8 +135,7 @@ def _build_postings(
 
     Returns ``(mz, row, series, bin_start)``; ``series`` is None for the
     untagged ladder list.  The sort runs on the combined
-    ``bin * (num_rows + 1) + row`` key, which the partition blob also
-    stores in place of ``row`` and ``bin_start``.
+    ``bin * (num_rows + 1) + row`` key.
     """
     parts = [(m, r, s) for m, r, s in parts if m.size]
     if not parts:
@@ -274,60 +266,13 @@ class IndexBuilder:
         )
         return BuiltIndex(layout=layout, arrays=arrays, shard=shard)
 
-    def build_partition(
-        self, shard: ProteinDatabase, spans: CandidateSpans
-    ) -> Tuple[IndexLayout, Dict[str, np.ndarray]]:
-        """Build one m/z partition from a mass-sorted span slice.
-
-        ``spans`` must be a contiguous slice of the full precursor-major
-        (mass-sorted, length-filtered) span set — exactly what
-        :func:`repro.store.partitioned.save_partitioned_index` cuts.
-        Row ids are partition-local; the fragment m/z values, posting
-        predicates, and per-row scores are byte-for-byte what the same
-        rows produce inside a whole-shard build, because both run the
-        identical kernels on the identical residue windows.
-
-        Instead of the flat-position span->row maps (which need O(shard)
-        memory and are only used by :meth:`FragmentIndex.rows_for`), a
-        partition stores its spans: ``row_seq`` / ``row_start`` /
-        ``row_stop`` / ``row_mass``, mass-sorted — hit emission reads
-        them, and a scorer the postings cannot serve scores them
-        directly against the database.
-        """
-        arrays, num_fragments = self._posting_arrays(shard, spans)
-        arrays.update(
-            {
-                "row_seq": np.ascontiguousarray(spans.seq_index, dtype=np.int64),
-                "row_start": np.ascontiguousarray(spans.start, dtype=np.int64),
-                "row_stop": np.ascontiguousarray(spans.stop, dtype=np.int64),
-                "row_mass": np.ascontiguousarray(spans.mass, dtype=np.float64),
-            }
-        )
-        layout = IndexLayout(
-            num_rows=len(spans),
-            max_length=self.max_length,
-            bin_width=self.bin_width,
-            num_fragments=num_fragments,
-            fragment_tolerance=self.fragment_tolerance,
-            monoisotopic=self.monoisotopic,
-            arrays={
-                name: ArraySpec(str(a.dtype), tuple(a.shape))
-                for name, a in arrays.items()
-            },
-            schema=PARTITION_SCHEMA,
-        )
-        return layout, arrays
-
     def _posting_arrays(
         self, shard: ProteinDatabase, spans: CandidateSpans
     ) -> Tuple[Dict[str, np.ndarray], int]:
-        """Both posting lists for a row-ordered span set.
-
-        The shared core of :meth:`build` (whole shard) and
-        :meth:`build_partition` (one mass slice): per-length fragment
-        matrices generated with the same batched kernels the direct
-        scoring path runs per block, sorted into posting lists keyed on
-        local row ids.  The matrices themselves are not kept.
+        """Both posting lists for a row-ordered span set: per-length
+        fragment matrices generated with the same batched kernels the
+        direct scoring path runs per block, sorted into posting lists
+        keyed on row ids.  The matrices themselves are not kept.
         """
         num_rows = len(spans)
         lengths = spans.lengths
@@ -373,7 +318,7 @@ class FragmentIndex:
 
     def __init__(
         self,
-        shard: Optional[ProteinDatabase],
+        shard: ProteinDatabase,
         layout: IndexLayout,
         arrays: Dict[str, np.ndarray],
     ):
@@ -384,25 +329,20 @@ class FragmentIndex:
         self.max_length = layout.max_length
         self.bin_width = layout.bin_width
         self.num_fragments = layout.num_fragments
-        # Partition views carry their spans (``row_*`` columns) instead
-        # of the flat-position span->row maps; ``rows_for`` guards on
-        # their absence (streamed scoring selects rows by searchsorted
-        # on ``row_mass``, never via rows_for).
-        self._prefix_row = arrays.get("prefix_row")
-        self._suffix_row = arrays.get("suffix_row")
-        # A view holds the posting lists its arrays carry: both for a
-        # resident store or a full partition decode, one (or none) for a
-        # partition decoded for the scorer of a streamed pass.
-        self._postings = {
-            name: _PostingList(
-                arrays[f"{name}_mz"],
-                arrays[f"{name}_row"],
-                arrays.get(f"{name}_tag"),
-                arrays[f"{name}_bin_start"],
-            )
-            for name in POSTING_LISTS
-            if f"{name}_mz" in arrays
-        }
+        self._prefix_row = arrays["prefix_row"]
+        self._suffix_row = arrays["suffix_row"]
+        self._ladder_postings = _PostingList(
+            arrays["ladder_mz"],
+            arrays["ladder_row"],
+            None,
+            arrays["ladder_bin_start"],
+        )
+        self._series_postings = _PostingList(
+            arrays["series_mz"],
+            arrays["series_row"],
+            arrays["series_tag"],
+            arrays["series_bin_start"],
+        )
 
     @classmethod
     def from_arrays(
@@ -415,12 +355,9 @@ class FragmentIndex:
 
         ``shard`` defaults to a ProteinDatabase rebuilt zero-copy from
         the layout's own ``shard_*`` buffers, so a persisted directory
-        is self-contained.  Partition views (``PARTITION_SCHEMA``) carry
-        no shard buffers; callers may pass the database explicitly, but
-        posting probes never touch it — they read only the decoded
-        arrays.
+        is self-contained.
         """
-        if shard is None and "shard_residues" in arrays:
+        if shard is None:
             shard = ProteinDatabase.from_buffers(
                 arrays["shard_residues"], arrays["shard_offsets"], arrays["shard_ids"]
             )
@@ -428,17 +365,12 @@ class FragmentIndex:
 
     @property
     def nbytes(self) -> int:
-        """Index memory footprint (row maps or columns + the posting
-        lists this view holds).
+        """Index memory footprint (row maps + posting lists).
 
         Excludes the shard's own buffers, matching the historical
         accounting (the shard is charged separately by whoever holds it).
         """
-        return int(
-            self.layout.nbytes_of(
-                name for name in self.arrays if name not in SHARD_ARRAYS
-            )
-        )
+        return int(self.layout.index_nbytes)
 
     # -- span -> row mapping ---------------------------------------------
 
@@ -450,11 +382,6 @@ class FragmentIndex:
         the direct batch path.
         """
         n = len(spans)
-        if self._prefix_row is None:
-            raise IndexStoreError(
-                "rows_for is not available on a partition view "
-                f"(schema {self.layout.schema!r})"
-            )
         if n == 0 or self.num_rows == 0:
             return np.full(n, -1, dtype=np.int64)
         off = self.shard.offsets[spans.seq_index]
@@ -464,18 +391,6 @@ class FragmentIndex:
         return np.where(spans.mod_delta == 0.0, found, -1)
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
-
-    def _list(self, name: str, scorer: str) -> _PostingList:
-        """The posting list ``name``, which ``scorer``'s probe reads."""
-        postings = self._postings.get(name)
-        if postings is None:
-            raise IndexCompatError(
-                f"this index view holds no {name!r} posting list (it was "
-                f"decoded with lists {sorted(self._postings)}), which the "
-                f"{scorer} probe reads; decode the partition with "
-                f"lists=({name!r},) or in full"
-            )
-        return postings
 
     def _probe_range(
         self,
@@ -665,9 +580,8 @@ class FragmentIndex:
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         row_base = np.concatenate(([0], np.cumsum(sizes)))
         total_rows = int(row_base[-1])
-        postings = self._list("ladder", "shared_peaks")
         member, out_pos, peak_flat, _series = self._probe_flat(
-            postings, batch, tolerance, row_sets
+            self._ladder_postings, batch, tolerance, row_sets
         )
         if len(member) == 0:
             return np.zeros(total_rows, dtype=np.int64)
@@ -687,9 +601,8 @@ class FragmentIndex:
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         row_base = np.concatenate(([0], np.cumsum(sizes)))
         total_rows = int(row_base[-1])
-        postings = self._list("series", "hyperscore")
         member, out_pos, peak_flat, tags = self._probe_flat(
-            postings, batch, tolerance, row_sets
+            self._series_postings, batch, tolerance, row_sets
         )
         out = []
         for code in (_SERIES_CODE["b"], _SERIES_CODE["y"]):
@@ -715,22 +628,6 @@ class FragmentIndex:
         kernel :meth:`score_block` calls.  Any other scorer is scored
         directly from the database, with or without an index at hand."""
         return hasattr(scorer, "score_index_block")
-
-    @staticmethod
-    def lists_for(scorer) -> Tuple[str, ...]:
-        """The posting lists a pass under ``scorer`` probes: the one its
-        ``index_list`` names if it is index-served, else none — all a
-        streamed pass has to decode beside the ``row_*`` columns."""
-        if not FragmentIndex.serves(scorer):
-            return ()
-        name = getattr(scorer, "index_list", None)
-        if name not in POSTING_LISTS:
-            raise IndexCompatError(
-                f"scorer {scorer.name!r} defines score_index_block but its "
-                f"index_list is {name!r}; it must name the posting list the "
-                f"kernel probes, one of {sorted(POSTING_LISTS)}"
-            )
-        return (name,)
 
     def score_block(self, scorer, spectra, row_sets) -> np.ndarray:
         """Index-served cohort scoring: one flat posting probe per block.

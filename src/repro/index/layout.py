@@ -20,23 +20,15 @@ other versions rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.errors import IndexCompatError, IndexStoreError
+from repro.errors import IndexStoreError
 
 #: schema identifier for one shard's flat-array layout; bump the
 #: trailing integer on breaking changes to the array set or semantics
 #: (/2: the per-length fragment matrices and the posting key columns
 #: are gone — the index is its posting lists)
 SCHEMA = "repro.fragment_index/2"
-
-#: schema identifier for one m/z *partition* of the out-of-core store
-#: (``repro.store.partitioned``): a mass-contiguous slice of the
-#: precursor-major span set.  Its rows are addressed by mass, not by
-#: flat position (``rows_for`` is never called on a partition —
-#: candidate selection is a searchsorted on ``row_mass``), so it carries
-#: the spans themselves instead of the span->row maps.
-PARTITION_SCHEMA = "repro.fragment_index_partition/2"
 
 #: arrays holding the shard's own ProteinDatabase buffers — saved with
 #: the index so a loaded shard needs nothing beyond the store directory
@@ -45,67 +37,20 @@ SHARD_ARRAYS = ("shard_residues", "shard_offsets", "shard_ids")
 #: the two posting lists, each sorted by (m/z bin, candidate row): the
 #: b+y ladder list (shared-peak counting) and the series-tagged b / y
 #: list (per-series matched intensity).  ``*_bin_start[b]`` is where bin
-#: ``b``'s run starts; inside a run ``*_row`` ascends.  A scorer's
-#: ``index_list`` names the one list its ``score_index_block`` probes.
-POSTING_LISTS = {
-    "ladder": ("ladder_mz", "ladder_row", "ladder_bin_start"),
-    "series": ("series_mz", "series_row", "series_tag", "series_bin_start"),
-}
-POSTING_ARRAYS = POSTING_LISTS["ladder"] + POSTING_LISTS["series"]
-
-#: every array a full-shard layout must describe, in canonical order:
-#: the shard, the flat-position span -> row maps, the postings
-ARRAY_NAMES = SHARD_ARRAYS + ("prefix_row", "suffix_row") + POSTING_ARRAYS
-
-#: every array a partition layout describes once decoded.  The ``row_*``
-#: columns are the partition's spans (sequence index, bounds, and the
-#: exact float64 span mass candidate windows select on) — what a posting
-#: probe's hit emission and a posting-less scorer's direct pass both
-#: read; the shard buffers and prefix/suffix maps are absent by design.
-PARTITION_ROW_ARRAYS = ("row_seq", "row_start", "row_stop", "row_mass")
-PARTITION_ARRAY_NAMES = PARTITION_ROW_ARRAYS + POSTING_ARRAYS
-
-#: the sections a partition blob stores, in blob order.  A posting
-#: list's ``row`` and ``bin_start`` are stored as one delta-coded
-#: ``*_key`` section (``key = bin * (num_rows + 1) + row``, sorted, so
-#: its deltas are tiny): the key is an encoding, never a decoded array.
-PARTITION_STORED_ARRAYS = (
-    "row_seq",
-    "row_start",
-    "row_stop",
-    "row_mass",
-    "ladder_key",
+#: ``b``'s run starts; inside a run ``*_row`` ascends.
+POSTING_ARRAYS = (
     "ladder_mz",
-    "series_key",
+    "ladder_row",
+    "ladder_bin_start",
     "series_mz",
+    "series_row",
     "series_tag",
+    "series_bin_start",
 )
 
-#: layout schema -> required decoded-array set
-SCHEMA_ARRAYS = {
-    SCHEMA: ARRAY_NAMES,
-    PARTITION_SCHEMA: PARTITION_ARRAY_NAMES,
-}
-
-
-def partition_arrays(lists: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """Decoded arrays of a partition view that holds posting ``lists``.
-
-    The four ``row_*`` columns always; ``None`` means every list (a full
-    decode), ``()`` none — what a scorer scored directly from the
-    database reads.
-    """
-    if lists is None:
-        return PARTITION_ARRAY_NAMES
-    unknown = [name for name in lists if name not in POSTING_LISTS]
-    if unknown:
-        raise IndexCompatError(
-            f"unknown posting list(s) {unknown}; a fragment index holds "
-            f"{sorted(POSTING_LISTS)}"
-        )
-    return PARTITION_ROW_ARRAYS + tuple(
-        name for lst in lists for name in POSTING_LISTS[lst]
-    )
+#: every array a layout must describe, in canonical order: the shard,
+#: the flat-position span -> row maps, the postings
+ARRAY_NAMES = SHARD_ARRAYS + ("prefix_row", "suffix_row") + POSTING_ARRAYS
 
 
 @dataclass(frozen=True)
@@ -180,10 +125,6 @@ class IndexLayout:
             spec.nbytes for name, spec in self.arrays.items() if name in SHARD_ARRAYS
         )
 
-    def nbytes_of(self, names: Iterable[str]) -> int:
-        """Manifest bytes of the named arrays (what decoding them costs)."""
-        return sum(self.arrays[name].nbytes for name in names)
-
     # -- (de)serialization ----------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -205,14 +146,13 @@ class IndexLayout:
             raise IndexStoreError("index layout is not a JSON object")
         schema = payload.get("schema")
         if not isinstance(schema, str) or not schema.startswith(
-            ("repro.fragment_index/", "repro.fragment_index_partition/")
+            "repro.fragment_index/"
         ):
             raise IndexStoreError(f"unrecognized index layout schema {schema!r}")
-        if schema not in SCHEMA_ARRAYS:
+        if schema != SCHEMA:
             raise IndexStoreError(
                 f"unsupported index layout schema {schema!r} (this build "
-                f"reads {sorted(SCHEMA_ARRAYS)}); rebuild the store with "
-                f"`repro index build`"
+                f"reads {SCHEMA}); rebuild the store with `repro index build`"
             )
         try:
             arrays = {
@@ -231,30 +171,22 @@ class IndexLayout:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise IndexStoreError(f"malformed index layout: {exc!r}") from None
-        missing = [
-            name for name in SCHEMA_ARRAYS[schema] if name not in arrays
-        ]
+        missing = [name for name in ARRAY_NAMES if name not in arrays]
         if missing:
             raise IndexStoreError(f"index layout is missing arrays {missing}")
         return layout
 
     # -- validation ------------------------------------------------------
 
-    def check_arrays(
-        self, arrays: Mapping[str, Any], names: Optional[Sequence[str]] = None
-    ) -> List[str]:
+    def check_arrays(self, arrays: Mapping[str, Any]) -> List[str]:
         """Dtype/shape-check loaded ``arrays`` against the manifest.
 
-        Checks exactly ``names`` — by default every array of the schema;
-        a partial partition decode passes the set it asked for
-        (:func:`partition_arrays`).  Returns a list of problems (empty ==
-        valid); used by the store to reject truncated or swapped buffers
-        instead of serving silently wrong postings.
+        Returns a list of problems (empty == valid); used by the store
+        to reject truncated or swapped buffers instead of serving
+        silently wrong postings.
         """
-        if names is None:
-            names = SCHEMA_ARRAYS.get(self.schema, ARRAY_NAMES)
         problems = []
-        for name in names:
+        for name in ARRAY_NAMES:
             if name not in arrays:
                 problems.append(f"missing array {name!r}")
                 continue

@@ -59,31 +59,15 @@ class Scorer(Protocol):
         """
         ...
 
-    def score_batch(self, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
-        """Score every candidate of a batch against one spectrum.
-
-        Optional, and only for a scorer without a cohort kernel
-        (``pair_kernel`` + ``score_block``): the block fallback then calls
-        it once per member instead of looping over candidates.  Returns a
-        float64 array of per-candidate scores (PTM candidates already
-        reduced to their best site).  Entry ``i`` MUST be bitwise
-        identical to what the per-candidate :meth:`score` /
-        :meth:`score_modified` path produces for candidate ``i`` — the
-        scalar path is the correctness oracle, and the paper's validation
-        property (parallel == serial, exactly) extends to batched
-        execution only under that contract.
-        """
-        ...
-
 
 def score_batch_fallback(
     scorer: Scorer, spectrum: Spectrum, batch: CandidateBatch
 ) -> np.ndarray:
     """Per-candidate oracle: score a batch through the scalar interface.
 
-    This is the reference implementation every block kernel and every
-    ``score_batch`` must match bitwise, and the production route of a
-    scorer that has neither (the library-backed likelihood model).
+    This is the reference implementation every block kernel must match
+    bitwise, and the production route of the one scorer without a pair
+    kernel: the library-backed likelihood model.
     """
     row_scores = np.empty(batch.num_rows, dtype=np.float64)
     for r in range(batch.num_rows):
@@ -101,12 +85,9 @@ def score_batch_fallback(
 def batch_scores(
     scorer: Scorer, spectrum: Spectrum, batch: CandidateBatch
 ) -> np.ndarray:
-    """Dispatch to a scorer's ``score_batch``, or the scalar fallback."""
+    """Score a batch against one spectrum through the scalar oracle."""
     if len(batch) == 0:
         return np.empty(0, dtype=np.float64)
-    impl = getattr(scorer, "score_batch", None)
-    if impl is not None:
-        return impl(spectrum, batch)
     return score_batch_fallback(scorer, spectrum, batch)
 
 
@@ -183,9 +164,9 @@ def score_block_fallback(
 ) -> np.ndarray:
     """Block oracle: score each query's sub-batch through ``batch_scores``.
 
-    Used by scorers without a ``score_block`` kernel; for the four that
-    have one this is the scalar loop, the reference their pair kernels
-    must match bitwise.
+    The scalar loop: the reference every ``score_block`` pair kernel
+    must match bitwise, and what a scorer without one (library-backed
+    likelihood) runs in production.
     """
     parts = [
         batch_scores(scorer, spectra.spectra[k], batch.take(np.asarray(sel, dtype=np.int64)))
@@ -200,7 +181,8 @@ def block_scores(
     batch: CandidateBatch,
     selections: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Dispatch to a scorer's ``score_block``, or the per-query fallback."""
+    """Dispatch to a scorer's ``score_block`` pair kernel, else the
+    scalar oracle."""
     if len(batch) == 0:
         return np.empty(0, dtype=np.float64)
     impl = getattr(scorer, "score_block", None)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import stats
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import count_matches, match_peaks_many
+from repro.spectra.binning import count_matches, match_peaks_pairs, sorted_runs
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
 
@@ -47,10 +47,7 @@ class HypergeometricScorer:
     def _score_ladder(self, spectrum: Spectrum, ladder: np.ndarray) -> float:
         if spectrum.num_peaks == 0 or len(ladder) == 0:
             return -math.inf
-        # bins on the observed m/z axis
-        span = max(float(spectrum.mz[-1] - spectrum.mz[0]), self.mz_range)
-        total_bins = max(int(span / (2.0 * self.fragment_tolerance)), 1)
-        occupied = min(spectrum.num_peaks, total_bins)
+        total_bins, occupied = self._bins(spectrum)
         draws = min(len(ladder), total_bins)
         matched = count_matches(ladder, np.ascontiguousarray(spectrum.mz), self.fragment_tolerance)
         matched = min(matched, draws, occupied)
@@ -69,34 +66,52 @@ class HypergeometricScorer:
             spectrum, modified_by_ion_ladder(candidate, site, delta_mass)
         )
 
-    def score_batch(self, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized scoring; bitwise identical to the scalar path.
-
-        Matched-fragment counts are computed for the whole batch at once;
-        the scipy tail probability is then evaluated once per *distinct*
-        (matched, draws) pair — within a length group every candidate
-        shares the same ``draws``, and matched counts repeat heavily, so
-        the expensive ``hypergeom.sf`` call count collapses from
-        O(candidates) to O(distinct counts).
-        """
-        out = np.full(batch.num_rows, -math.inf)
-        if spectrum.num_peaks == 0:
-            return batch.reduce_rows(out)
+    def _bins(self, spectrum: Spectrum):
+        """``(total_bins, occupied)`` of a spectrum's observed m/z axis."""
         span = max(float(spectrum.mz[-1] - spectrum.mz[0]), self.mz_range)
         total_bins = max(int(span / (2.0 * self.fragment_tolerance)), 1)
-        occupied = min(spectrum.num_peaks, total_bins)
-        observed = np.ascontiguousarray(spectrum.mz)
-        for group in batch.length_groups():
-            if group.length < 2:
-                continue  # empty ladder, score stays -inf
-            ladders = by_ion_ladder_rows(group.mass_rows())
-            draws = min(ladders.shape[1], total_bins)
-            matched = match_peaks_many(
-                ladders, observed, self.fragment_tolerance
+        return total_bins, min(spectrum.num_peaks, total_bins)
+
+    def pair_kernel(self, spectra):
+        """Bind a cohort: ``kernel(member, ladders)`` -> row scores.
+
+        Matched-fragment counts come from one cohort-wide match; the scipy
+        tail probability is then evaluated once per member and *distinct*
+        matched count — a length group's rows share ``draws`` and matched
+        counts repeat heavily, so the expensive ``hypergeom.sf`` call
+        count collapses from O(rows) to O(distinct counts).  Rows of a
+        member without peaks stay ``-inf`` like the scalar early return.
+        """
+        bins = [self._bins(s) if s.num_peaks else None for s in spectra.spectra]
+
+        def kernel(member, ladders):
+            scores = np.full(len(member), -math.inf)
+            matched = match_peaks_pairs(
+                spectra, member, ladders, self.fragment_tolerance
             ).sum(axis=1)
-            matched = np.minimum(matched, min(draws, occupied))
-            for m in np.unique(matched):
-                tail = stats.hypergeom.sf(int(m) - 1, total_bins, occupied, draws)
-                tail = max(float(tail), 1e-300)
-                out[group.rows[matched == m]] = -math.log10(tail)
-        return batch.reduce_rows(out)
+            for k, a, b in sorted_runs(member):
+                if bins[k] is None:
+                    continue
+                total_bins, occupied = bins[k]
+                draws = min(ladders.shape[1], total_bins)
+                capped = np.minimum(matched[a:b], min(draws, occupied))
+                for m in np.unique(capped):
+                    tail = stats.hypergeom.sf(int(m) - 1, total_bins, occupied, draws)
+                    tail = max(float(tail), 1e-300)
+                    scores[a:b][capped == m] = -math.log10(tail)
+            return scores
+
+        return kernel
+
+    def score_block(self, spectra, batch: CandidateBatch, selections):
+        """Cohort scoring: ladders built once, one pair-kernel call per length."""
+        from repro.scoring.base import score_block_pairs
+
+        def prepare(group):
+            if group.length < 2:
+                return None  # empty ladder, score stays -inf
+            return (by_ion_ladder_rows(group.mass_rows()),)
+
+        return score_block_pairs(
+            batch, selections, -math.inf, prepare, self.pair_kernel(spectra)
+        )

@@ -129,10 +129,6 @@ class HyperScorer:
             batch, selections, -math.inf, prepare, self.pair_kernel(spectra)
         )
 
-    #: the posting list ``score_index_block`` probes — all of an index a
-    #: pass under this scorer has to hold
-    index_list = "series"
-
     def score_index_block(self, spectra, index, row_sets):
         """Index-served cohort scoring: one flat b/y probe for all queries."""
         return self._finalize(

@@ -152,7 +152,8 @@ class LikelihoodRatioScorer:
         """Cohort scoring: model spectra generated once per length group.
 
         Library-backed scoring needs per-candidate lookups, so it routes
-        through the block fallback (the scalar oracle).
+        through the block fallback — the one production user of the
+        scalar oracle; every other scorer and mode has a pair kernel.
         """
         from repro.scoring.base import score_block_fallback, score_block_pairs
 

@@ -58,10 +58,6 @@ class SharedPeakScorer:
             batch, selections, 0.0, prepare, self.pair_kernel(spectra)
         )
 
-    #: the posting list ``score_index_block`` probes — all of an index a
-    #: pass under this scorer has to hold
-    index_list = "ladder"
-
     def score_index_block(self, spectra, index, row_sets):
         """Index-served cohort scoring: one flat probe for all queries."""
         return index.shared_peak_counts_block(

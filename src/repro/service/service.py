@@ -396,7 +396,7 @@ class SearchService:
 
     def _make_searchers(self) -> List[ShardSearcher]:
         if isinstance(self._store, PartitionedIndex):
-            # One streaming searcher over the full partition range; a
+            # One streaming searcher over the whole store; a
             # rebuilt scorer re-uses the mmapped database buffers.
             from repro.core.streaming import StreamingSearcher
 

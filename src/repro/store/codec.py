@@ -1,22 +1,17 @@
 """Compression codecs for partitioned index blobs.
 
-The partitioned store (``repro.store.partitioned``) keeps each m/z
-partition as one compressed blob of named sections.  Three codecs cover
-every array the partition schema stores:
+The partitioned store (``repro.store.partitioned``) keeps each mass
+partition as one compressed blob of named sections.  Two codecs cover
+the four row columns a partition stores:
 
-* ``dvint`` — delta + varint for *sorted non-decreasing* int64 arrays
-  (the posting-list keys).  The first value is stored
-  absolutely, every later value as its non-negative difference from the
-  previous one; each number is LEB128-style varint bytes (7 payload bits
-  per byte, high bit = continuation).  Sorted posting keys delta down to
-  tiny integers, so this is where the compression ratio comes from.
-* ``vint`` — plain varint for non-negative int64 arrays that are not
-  sorted (the span columns).
-* ``zraw`` — ``zlib`` over the raw little-endian bytes, for float64
-  m/z / mass buffers and uint8 tags.  zlib is lossless, so decoded
+* ``vint`` — varint for non-negative int64 arrays (the span columns:
+  sequence index, start, stop).  Each number is LEB128-style varint
+  bytes (7 payload bits per byte, high bit = continuation), then zlib.
+* ``zraw`` — ``zlib`` over the raw little-endian bytes, for the float64
+  mass column (and any byte buffer).  zlib is lossless, so decoded
   floats are bit-for-bit the encoded ones — the property tests in
-  ``tests/property/test_prop_codec.py`` enforce the round-trip for all
-  three codecs.
+  ``tests/property/test_prop_codec.py`` enforce the round-trip for both
+  codecs.
 
 Decoding is vectorized: varint streams are decoded with one pass of
 numpy array ops (continuation-bit cumsum to find value boundaries, then
@@ -35,7 +30,7 @@ import numpy as np
 from repro.errors import IndexStoreError
 
 #: codec identifiers, recorded per section in the partition manifest
-CODECS = ("dvint", "vint", "zraw")
+CODECS = ("vint", "zraw")
 
 
 def encode_varint(values: np.ndarray) -> bytes:
@@ -104,29 +99,8 @@ def decode_varint(buf: bytes, count: int) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def encode_deltas(values: np.ndarray) -> bytes:
-    """Delta + varint encode a sorted (non-decreasing) int64 array."""
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    if values.size == 0:
-        return b""
-    deltas = np.diff(values)
-    if values[0] < 0 or (deltas.size and deltas.min() < 0):
-        raise IndexStoreError(
-            "delta codec requires a sorted, non-negative int64 array"
-        )
-    return encode_varint(np.concatenate((values[:1], deltas)))
-
-
-def decode_deltas(buf: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`encode_deltas`."""
-    deltas = decode_varint(buf, count)
-    return np.cumsum(deltas, dtype=np.int64) if count else deltas
-
-
 def encode_array(arr: np.ndarray, codec: str) -> bytes:
     """Encode one flat array with the named codec."""
-    if codec == "dvint":
-        return zlib.compress(encode_deltas(arr), level=1)
     if codec == "vint":
         return zlib.compress(encode_varint(arr), level=1)
     if codec == "zraw":
@@ -152,8 +126,6 @@ def decode_array(buf: bytes, codec: str, dtype: str, shape: Tuple[int, ...]) -> 
         raise IndexStoreError(
             f"partition section is corrupt or truncated: {exc}"
         ) from None
-    if codec == "dvint":
-        return decode_deltas(raw, count).astype(np.int64).reshape(shape)
     if codec == "vint":
         return decode_varint(raw, count).astype(np.int64).reshape(shape)
     if codec == "zraw":
@@ -167,10 +139,8 @@ def decode_array(buf: bytes, codec: str, dtype: str, shape: Tuple[int, ...]) -> 
     raise IndexStoreError(f"unknown partition codec {codec!r}")
 
 
-def codec_for(name: str, arr: np.ndarray) -> str:
-    """Pick the codec for one partition array by name/dtype."""
+def codec_for(arr: np.ndarray) -> str:
+    """Pick the codec for one partition array by dtype."""
     if arr.dtype == np.float64 or arr.dtype == np.uint8:
         return "zraw"
-    if name in ("ladder_key", "series_key"):
-        return "dvint"
     return "vint"

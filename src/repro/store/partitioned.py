@@ -1,55 +1,47 @@
-"""Out-of-core partitioned index store with streamed, prefetched reads.
+"""Out-of-core partitioned store with streamed, prefetched reads.
 
 The resident store (:mod:`repro.store.index_store`) maps every shard's
 full manifest, so peak memory grows with database size N.  This module
-makes N memory-bound no longer: the precursor-major span set — already
-the product of Algorithm B's counting sort — is promoted to the on-disk
+makes N memory-bound no longer: the mass-sorted span set — already the
+product of Algorithm B's counting sort — is promoted to the on-disk
 layout itself, cut into *mass-contiguous partitions* small enough to
-decode one (plus one prefetched) at a time.
+decode one (plus one prefetched) at a time.  A pass scores a
+partition's rows directly, the way a search without a store scores its
+candidates: the paper moves database shards past resident queries and
+never indexes fragments, and neither does this store.
 
-On-disk format (schema ``repro.index_store_partitioned/2``)::
+On-disk format (schema ``repro.index_store_partitioned/3``)::
 
     <store_dir>/
         header.json           # schema, fingerprint, build config,
                               # database manifest, partition directory
         database/
             residues.npy      # the source database's flat buffers,
-            offsets.npy       # mmap-able: hit emission and every
-            ids.npy           # directly scored span read them
+            offsets.npy       # mmap-able: every scored span and every
+            ids.npy           # emitted hit reads them
         partitions/
             p_00000.bin       # one compressed blob per partition
             p_00001.bin
             ...
-            overflow.bin      # out-of-envelope spans (see below)
 
 ``header.json`` carries the always-resident *partition directory*: per
-partition its span-mass range ``[mass_lo, mass_hi]``, compressed and
-decoded byte sizes, a SHA-256 of the blob, the section table (name,
-codec, offset, nbytes per stored array), and the full
-:class:`~repro.index.layout.IndexLayout` manifest of the decoded
-arrays.  The directory is a few KB per partition — the only part of the
-index a streaming search keeps resident for the whole pass.
+partition its span-mass range ``[mass_lo, mass_hi]``, row count,
+compressed and decoded byte sizes, a SHA-256 of the blob, the section
+table (name, codec, offset, nbytes per stored column) and the
+dtype/shape manifest of the four decoded columns.  The directory is a
+few hundred bytes per partition — the only part of the store a
+streaming search keeps resident for the whole pass.
 
-Each blob is the concatenation of independently compressed *sections*
-(:data:`~repro.index.layout.PARTITION_STORED_ARRAYS`), encoded with the
-codecs in :mod:`repro.store.codec` (sorted posting keys delta+varint,
-floats zlib-raw).  A posting list's ``row`` column and bin-start table
-are stored as one combined sorted key (``bin * (num_rows + 1) + row``)
-and taken apart again at decode time, exactly reproducing the builder's
-arrays; the key itself is never a decoded array.  Because sections are
-independent, a decode inflates only those it is asked for
-(``decode_partition_blob(i, blob, lists)``: the ``row_*`` columns plus
-the posting lists the pass's scorer probes); the blob is read and
-checksummed whole either way.
-
-Spans outside the index envelope (length < 2 or > ``max_length``) go to
-``overflow.bin`` — their (seq_index, start, stop, mass) columns, mass
-sorted, the same four columns a partition carries for its rows — and
-are scored through the direct
-:class:`~repro.candidates.batch.CandidateBatch` path against the
-mmapped database, exactly as the resident index routes its ``row == -1``
-spans.  Union over partitions + overflow is the complete candidate set,
-so streamed hits are bitwise identical to the resident path.
+A partition is a contiguous slice of *every* prefix/suffix span of the
+database, sorted by unmodified mass (the stable order
+``MassIndex(db).candidates_in_window(0, inf)`` sorts to): four columns
+:data:`ROW_ARRAYS` — sequence index, start, stop, mass — each an
+independently compressed section (:mod:`repro.store.codec`).  There is
+no length envelope and so no overflow file: a protein's long prefixes
+and suffixes are ordinary rows of high-mass partitions that a pass
+whose queries are lighter never opens.  Union over partitions is the
+complete candidate set, so streamed hits are bitwise identical to the
+direct search's.
 
 Durability and validation follow the resident store: atomic tmp-sibling
 assembly with per-file fsync, fingerprint validation against the
@@ -66,7 +58,6 @@ prefetch-hit/stall spans in the obs layer.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -83,12 +74,7 @@ import numpy as np
 from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.errors import IndexStoreError
-from repro.index.fragment_index import FragmentIndex, IndexBuilder
-from repro.index.layout import (
-    PARTITION_STORED_ARRAYS,
-    IndexLayout,
-    partition_arrays,
-)
+from repro.index.layout import ArraySpec
 from repro.obs.metrics import get_metrics
 from repro.store.codec import codec_for, decode_array, encode_array
 from repro.store.index_store import (
@@ -102,22 +88,26 @@ from repro.store.index_store import (
 )
 
 #: schema identifier for the partitioned store directory format
-PARTITIONED_SCHEMA = "repro.index_store_partitioned/2"
+PARTITIONED_SCHEMA = "repro.index_store_partitioned/3"
 
 DATABASE_DIR = "database"
 PARTITIONS_DIR = "partitions"
-OVERFLOW_NAME = "overflow.bin"
 
 #: database buffer name -> attribute, in canonical write order
 _DB_BUFFERS = ("residues", "offsets", "ids")
 
-#: overflow section (a ``CandidateSpans`` column) -> dtype, in blob order
-_OVERFLOW_DTYPES = {
-    "seq_index": "int64",
-    "start": "int64",
-    "stop": "int64",
-    "mass": "float64",
+#: a partition's columns -> dtype, in blob order: the
+#: :class:`~repro.candidates.mass_index.CandidateSpans` fields of its
+#: rows (``seq_index``, ``start``, ``stop``, ``mass``)
+ROW_ARRAYS = {
+    "row_seq": "int64",
+    "row_start": "int64",
+    "row_stop": "int64",
+    "row_mass": "float64",
 }
+
+#: decoded bytes of one row: what ``partition_mb`` is measured in
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in ROW_ARRAYS.values())
 
 
 def _partition_filename(i: int) -> str:
@@ -158,23 +148,17 @@ class Section:
 
 @dataclass(frozen=True)
 class PartitionEntry:
-    """Always-resident directory entry for one m/z partition."""
+    """Always-resident directory entry for one mass partition."""
 
     name: str
     mass_lo: float
     mass_hi: float
     num_rows: int
-    num_fragments: int
     blob_bytes: int
     decoded_bytes: int
     sha256: str
-    layout: IndexLayout
+    arrays: Dict[str, ArraySpec]
     sections: Tuple[Section, ...]
-
-    def decoded_nbytes(self, lists: Optional[Sequence[str]] = None) -> int:
-        """Bytes of the arrays a decode of posting ``lists`` produces
-        (``None``: every list, i.e. ``decoded_bytes``)."""
-        return int(self.layout.nbytes_of(partition_arrays(lists)))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -182,85 +166,58 @@ class PartitionEntry:
             "mass_lo": self.mass_lo,
             "mass_hi": self.mass_hi,
             "num_rows": self.num_rows,
-            "num_fragments": self.num_fragments,
             "blob_bytes": self.blob_bytes,
             "decoded_bytes": self.decoded_bytes,
             "sha256": self.sha256,
-            "layout": self.layout.to_dict(),
+            "arrays": {name: spec.to_dict() for name, spec in self.arrays.items()},
             "sections": [s.to_dict() for s in self.sections],
         }
 
     @classmethod
     def from_dict(cls, payload: Any) -> "PartitionEntry":
         try:
-            return cls(
+            entry = cls(
                 name=str(payload["name"]),
                 mass_lo=float(payload["mass_lo"]),
                 mass_hi=float(payload["mass_hi"]),
                 num_rows=int(payload["num_rows"]),
-                num_fragments=int(payload["num_fragments"]),
                 blob_bytes=int(payload["blob_bytes"]),
                 decoded_bytes=int(payload["decoded_bytes"]),
                 sha256=str(payload["sha256"]),
-                layout=IndexLayout.from_dict(payload["layout"]),
+                arrays={
+                    name: ArraySpec.from_dict(spec, name)
+                    for name, spec in payload["arrays"].items()
+                },
                 sections=tuple(
                     Section.from_dict(s) for s in payload["sections"]
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             if isinstance(exc, IndexStoreError):
                 raise
             raise IndexStoreError(
                 f"malformed partition directory entry: {exc!r}"
             ) from None
-
-
-@dataclass(frozen=True)
-class OverflowEntry:
-    """Directory entry for the out-of-envelope span blob."""
-
-    count: int
-    blob_bytes: int
-    sha256: str
-    sections: Tuple[Section, ...]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "blob_bytes": self.blob_bytes,
-            "sha256": self.sha256,
-            "sections": [s.to_dict() for s in self.sections],
+        expect = {
+            name: ArraySpec(dtype, (entry.num_rows,))
+            for name, dtype in ROW_ARRAYS.items()
         }
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "OverflowEntry":
-        try:
-            return cls(
-                count=int(payload["count"]),
-                blob_bytes=int(payload["blob_bytes"]),
-                sha256=str(payload["sha256"]),
-                sections=tuple(
-                    Section.from_dict(s) for s in payload["sections"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, IndexStoreError):
-                raise
+        if entry.arrays != expect:
             raise IndexStoreError(
-                f"malformed overflow directory entry: {exc!r}"
-            ) from None
+                f"partition directory entry {entry.name!r} does not describe "
+                f"the {len(ROW_ARRAYS)} row columns of its {entry.num_rows} "
+                f"rows: {payload['arrays']!r}"
+            )
+        return entry
 
 
-def _encode_blob(
-    arrays: Dict[str, np.ndarray], names: Sequence[str]
-) -> Tuple[bytes, Tuple[Section, ...]]:
+def _encode_blob(arrays: Dict[str, np.ndarray]) -> Tuple[bytes, Tuple[Section, ...]]:
     """Concatenate per-array compressed sections; returns (blob, table)."""
     parts: List[bytes] = []
     sections: List[Section] = []
     offset = 0
-    for name in names:
-        arr = arrays[name]
-        codec = codec_for(name, arr)
+    for name, arr in arrays.items():
+        codec = codec_for(arr)
         buf = encode_array(arr, codec)
         sections.append(Section(name, codec, offset, len(buf)))
         parts.append(buf)
@@ -268,110 +225,11 @@ def _encode_blob(
     return b"".join(parts), tuple(sections)
 
 
-#: stored key section -> the posting list whose ``row`` column and
-#: bin-start table it encodes
-_KEY_SECTIONS = {"ladder_key": "ladder", "series_key": "series"}
-
-
-def stored_sections(lists: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """The blob sections a decode of posting ``lists`` inflates: the
-    ``row_*`` columns plus each list's ``<list>_*`` sections (``None``:
-    every section)."""
-    if lists is None:
-        return PARTITION_STORED_ARRAYS
-    names = partition_arrays(lists)  # typed refusal of an unknown list
-    return tuple(
-        name
-        for name in PARTITION_STORED_ARRAYS
-        if name in names or _KEY_SECTIONS.get(name) in lists
-    )
-
-
-def _with_posting_keys(
-    arrays: Dict[str, np.ndarray], num_rows: int
-) -> Dict[str, np.ndarray]:
-    """``arrays`` plus the stored ``*_key`` encoding of each posting list.
-
-    ``key = bin * (num_rows + 1) + row`` — the sorted key the builder
-    ordered the list by — folds ``row`` and ``bin_start`` into one
-    non-decreasing column whose deltas are tiny.
-    """
-    out = dict(arrays)
-    for name, prefix in _KEY_SECTIONS.items():
-        bin_start = arrays[f"{prefix}_bin_start"]
-        bins = np.repeat(np.arange(len(bin_start) - 1), np.diff(bin_start))
-        out[name] = bins * (num_rows + 1) + arrays[f"{prefix}_row"]
-    return out
-
-
-def _split_posting_keys(arrays: Dict[str, np.ndarray], num_rows: int) -> None:
-    """Inverse of :func:`_with_posting_keys`, in place: each decoded
-    ``*_key`` section becomes the ``row`` column and bin-start table it
-    encodes — bitwise the built arrays, which ``layout.check_arrays``
-    then re-verifies shape/dtype for (and reports as missing where a
-    blob had no key section)."""
-    base = num_rows + 1
-    for name, prefix in _KEY_SECTIONS.items():
-        key = arrays.pop(name, None)
-        if key is None:
-            continue
-        arrays[f"{prefix}_row"] = key % base
-        if len(key) == 0:
-            arrays[f"{prefix}_bin_start"] = np.zeros(1, dtype=np.int64)
-            continue
-        bins = key // base
-        arrays[f"{prefix}_bin_start"] = np.searchsorted(
-            bins, np.arange(int(bins[-1]) + 2)
-        ).astype(np.int64)
-
-
-def _decoded_row_bytes(lengths: np.ndarray) -> np.ndarray:
-    """Estimated decoded bytes each span contributes to its partition.
-
-    Per row: four int64/float64 span columns, and 2·(L-1) postings in
-    each list (ladder 16 B, series 17 B apiece).  Used only to cut
-    partition boundaries; the directory records exact sizes after the
-    build.
-    """
-    return 32 + 66 * (lengths - 1)
-
-
-def enumerate_spans(
-    db: ProteinDatabase, max_length: int
-) -> Tuple[CandidateSpans, CandidateSpans]:
-    """Mass-sorted (indexable, overflow) span split for ``db``.
-
-    ``indexable`` carries spans with ``2 <= length <= max_length`` —
-    the index envelope, identical to :meth:`IndexBuilder.build`'s filter
-    — and ``overflow`` everything else.  Both are sorted by unmodified
-    mass with the same stable argsort the resident build uses, so a
-    partition is a contiguous slice of exactly the resident row order.
-    """
-    spans = MassIndex(db).candidates_in_window(0.0, np.inf)
-    lengths = spans.lengths
-    keep = (lengths >= 2) & (lengths <= max_length)
-    indexable = spans.take(keep)
-    overflow = spans.take(~keep)
-    indexable = indexable.take(np.argsort(indexable.mass, kind="stable"))
-    overflow = overflow.take(np.argsort(overflow.mass, kind="stable"))
-    return indexable, overflow
-
-
-def partition_boundaries(
-    lengths: np.ndarray, partition_bytes: int
-) -> List[Tuple[int, int]]:
-    """Cut mass-sorted spans into contiguous decoded-size-bounded slices."""
-    n = len(lengths)
-    if n == 0:
-        return []
-    cum = np.cumsum(_decoded_row_bytes(lengths))
-    bounds = [0]
-    while bounds[-1] < n:
-        lo = bounds[-1]
-        base = cum[lo - 1] if lo else 0
-        hi = int(np.searchsorted(cum, base + partition_bytes, side="left")) + 1
-        bounds.append(min(max(hi, lo + 1), n))
-    return list(zip(bounds[:-1], bounds[1:]))
+def partition_boundaries(num_rows: int, partition_bytes: int) -> List[Tuple[int, int]]:
+    """Cut ``num_rows`` mass-sorted rows into contiguous slices of at
+    most ``partition_bytes`` decoded bytes (at least one row each)."""
+    step = max(partition_bytes // _ROW_BYTES, 1)
+    return [(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
 
 
 @dataclass
@@ -390,7 +248,6 @@ class PartitionedIndex:
     created: float
     database_arrays: Dict[str, Tuple[str, Tuple[int, ...]]]
     partitions: List[PartitionEntry] = field(default_factory=list)
-    overflow: Optional[OverflowEntry] = None
 
     @property
     def num_partitions(self) -> int:
@@ -398,33 +255,24 @@ class PartitionedIndex:
 
     @property
     def blob_bytes(self) -> int:
-        """Total compressed partition bytes on disk (overflow included)."""
-        total = sum(p.blob_bytes for p in self.partitions)
-        if self.overflow is not None:
-            total += self.overflow.blob_bytes
-        return int(total)
+        """Total compressed partition bytes on disk."""
+        return int(sum(p.blob_bytes for p in self.partitions))
 
     @property
     def decoded_bytes(self) -> int:
         """Total bytes of every partition's decoded arrays."""
         return int(sum(p.decoded_bytes for p in self.partitions))
 
-    def max_visit_bytes(self, lists: Optional[Sequence[str]] = None) -> int:
-        """Largest single partition's blob + decoded footprint when a
-        pass decodes posting ``lists`` (``None``: everything).
+    @property
+    def max_partition_bytes(self) -> int:
+        """Largest single partition's blob + decoded footprint.
 
         The unit the streaming memory budget reasons in: a double-
         buffered pass holds at most two of these at once.
         """
         return max(
-            (p.blob_bytes + p.decoded_nbytes(lists) for p in self.partitions),
-            default=0,
+            (p.blob_bytes + p.decoded_bytes for p in self.partitions), default=0
         )
-
-    @property
-    def max_partition_bytes(self) -> int:
-        """:meth:`max_visit_bytes` of a full decode."""
-        return self.max_visit_bytes()
 
     @property
     def num_rows(self) -> int:
@@ -442,7 +290,7 @@ class PartitionedIndex:
                 f"--partition-mb ...`"
             )
 
-    # -- database + overflow ---------------------------------------------
+    # -- database ----------------------------------------------------------
 
     def load_database(self, mmap: bool = True) -> ProteinDatabase:
         """Open the stored database buffers (mmap read-only by default)."""
@@ -465,47 +313,18 @@ class PartitionedIndex:
             bufs.append(arr)
         return ProteinDatabase.from_buffers(*bufs)
 
-    def load_overflow(self) -> CandidateSpans:
-        """The out-of-envelope spans (mass-sorted, read-only).
-
-        Read, checksummed and decoded on first use, then kept on the
-        handle: the planner and every searcher over this handle share
-        one copy.
-        """
-        return self._overflow_spans
-
-    @functools.cached_property
-    def _overflow_spans(self) -> CandidateSpans:
-        entry = self.overflow
-        if entry is None or entry.count == 0:
-            return CandidateSpans.empty()
-        blob = self._read_blob(
-            self.path / PARTITIONS_DIR / OVERFLOW_NAME,
-            entry.blob_bytes,
-            entry.sha256,
-            "overflow blob",
-        )
-        cols: Dict[str, np.ndarray] = {}
-        for section in entry.sections:
-            buf = blob[section.offset : section.offset + section.nbytes]
-            col = cols[section.name] = decode_array(
-                buf,
-                section.codec,
-                _OVERFLOW_DTYPES[section.name],
-                (entry.count,),
-            )
-            col.flags.writeable = False
-        mod_delta = np.zeros(entry.count, dtype=np.float64)
-        mod_delta.flags.writeable = False
-        return CandidateSpans(
-            cols["seq_index"], cols["start"], cols["stop"], cols["mass"], mod_delta
-        )
-
     # -- partition reads --------------------------------------------------
 
-    def _read_blob(
-        self, blob_path: Path, expect_bytes: int, expect_sha: str, what: str
-    ) -> bytes:
+    def read_partition_blob(self, i: int) -> bytes:
+        """Read + checksum partition ``i``'s raw blob (no decode).
+
+        The I/O half of a partition visit — what the prefetch thread
+        runs.  Truncation or corruption raises
+        :class:`~repro.errors.IndexStoreError` here, before any decode.
+        """
+        entry = self._entry(i)
+        blob_path = self.path / PARTITIONS_DIR / entry.name
+        what = f"partition blob {i}"
         try:
             with open(blob_path, "rb") as fh:
                 blob = fh.read()
@@ -518,81 +337,54 @@ class PartitionedIndex:
             raise IndexStoreError(
                 f"partitioned store {what} {blob_path} is unreadable: {exc}"
             ) from None
-        if len(blob) != expect_bytes:
+        if len(blob) != entry.blob_bytes:
             raise IndexStoreError(
                 f"partitioned store {what} {blob_path} is truncated: "
-                f"{len(blob)} bytes on disk, directory says {expect_bytes}"
+                f"{len(blob)} bytes on disk, directory says {entry.blob_bytes}"
             )
         digest = hashlib.sha256(blob).hexdigest()
-        if digest != expect_sha:
+        if digest != entry.sha256:
             raise IndexStoreError(
                 f"partitioned store {what} {blob_path} is corrupt: SHA-256 "
                 f"{digest[:12]}... does not match directory entry "
-                f"{expect_sha[:12]}..."
+                f"{entry.sha256[:12]}..."
             )
         return blob
 
-    def read_partition_blob(self, i: int) -> bytes:
-        """Read + checksum partition ``i``'s raw blob (no decode).
-
-        The I/O half of a partition visit — what the prefetch thread
-        runs.  Truncation or corruption raises
-        :class:`~repro.errors.IndexStoreError` here, before any decode.
-        """
+    def decode_partition_blob(self, i: int, blob: bytes) -> CandidateSpans:
+        """Decode a checksummed blob into the partition's rows: read-only
+        :class:`~repro.candidates.mass_index.CandidateSpans` of the
+        store's database, mass-sorted."""
         entry = self._entry(i)
-        return self._read_blob(
-            self.path / PARTITIONS_DIR / entry.name,
-            entry.blob_bytes,
-            entry.sha256,
-            f"partition blob {i}",
-        )
-
-    def decode_partition_blob(
-        self, i: int, blob: bytes, lists: Optional[Sequence[str]] = None
-    ) -> FragmentIndex:
-        """Decode a checksummed blob into a partition FragmentIndex view.
-
-        ``lists`` names the posting lists to inflate beside the four
-        ``row_*`` columns (``FragmentIndex.lists_for(scorer)``: one for
-        shared_peaks / hyperscore, none for a scorer scored directly);
-        ``None`` decodes every section.  Sections are compressed
-        independently, so an unrequested one costs nothing here — its
-        bytes were still read and hashed with the rest of the blob.
-        """
-        entry = self._entry(i)
-        layout = entry.layout
-        wanted = None if lists is None else stored_sections(lists)
-        arrays: Dict[str, np.ndarray] = {}
+        cols: Dict[str, np.ndarray] = {}
         for section in entry.sections:
-            if wanted is not None and section.name not in wanted:
-                continue
-            # a key section decodes to the shape of the ``row`` column
-            # it encodes
-            prefix = _KEY_SECTIONS.get(section.name)
-            spec = layout.arrays.get(f"{prefix}_row" if prefix else section.name)
+            spec = entry.arrays.get(section.name)
             if spec is None:
                 raise IndexStoreError(
                     f"partition {i} section {section.name!r} has no manifest "
                     f"entry"
                 )
             buf = blob[section.offset : section.offset + section.nbytes]
-            arrays[section.name] = decode_array(
+            col = cols[section.name] = decode_array(
                 buf, section.codec, spec.dtype, spec.shape
             )
-        _split_posting_keys(arrays, layout.num_rows)
-        problems = layout.check_arrays(arrays, partition_arrays(lists))
-        if problems:
+            col.flags.writeable = False
+        missing = [name for name in ROW_ARRAYS if name not in cols]
+        if missing:
             raise IndexStoreError(
                 f"partition {i} of store {self.path} does not match its "
-                f"manifest: " + "; ".join(problems)
+                f"manifest: missing columns {missing}"
             )
-        return FragmentIndex.from_arrays(layout, arrays)
+        mod_delta = np.zeros(entry.num_rows, dtype=np.float64)
+        mod_delta.flags.writeable = False
+        return CandidateSpans(
+            cols["row_seq"], cols["row_start"], cols["row_stop"], cols["row_mass"],
+            mod_delta,
+        )
 
-    def decode_partition(
-        self, i: int, lists: Optional[Sequence[str]] = None
-    ) -> FragmentIndex:
+    def decode_partition(self, i: int) -> CandidateSpans:
         """Read + decode partition ``i`` in one step (no prefetch)."""
-        return self.decode_partition_blob(i, self.read_partition_blob(i), lists)
+        return self.decode_partition_blob(i, self.read_partition_blob(i))
 
     def _entry(self, i: int) -> PartitionEntry:
         if not 0 <= i < self.num_partitions:
@@ -604,22 +396,18 @@ class PartitionedIndex:
 
     # -- reporting ---------------------------------------------------------
 
-    def provenance(self, lists: Optional[Sequence[str]] = None) -> Dict[str, Any]:
+    def provenance(self) -> Dict[str, Any]:
         """Index-provenance record for RunReport extras (``source``
-        ``"streamed"``: partitions are decoded as the pass reaches them;
-        ``sections``: the blob sections a pass decoding posting ``lists``
-        inflates — which bytes of each visited partition it touched)."""
+        ``"streamed"``: partitions are decoded as the pass reaches them)."""
         return {
             "source": "streamed",
             "fingerprint": self.fingerprint,
             "schema": self.schema,
             "build": dict(self.build),
-            "sections": list(stored_sections(lists)),
         }
 
     def describe(self) -> Dict[str, Any]:
         """Inspection summary (what ``repro index inspect`` prints)."""
-        overflow = self.overflow
         return {
             "path": str(self.path),
             "schema": self.schema,
@@ -631,14 +419,12 @@ class PartitionedIndex:
             "blob_bytes": self.blob_bytes,
             "decoded_bytes": self.decoded_bytes,
             "max_partition_bytes": self.max_partition_bytes,
-            "overflow_spans": overflow.count if overflow is not None else 0,
             "partitions": [
                 {
                     "name": p.name,
                     "mass_lo": p.mass_lo,
                     "mass_hi": p.mass_hi,
                     "num_rows": p.num_rows,
-                    "postings": p.num_fragments,
                     "blob_bytes": p.blob_bytes,
                     "decoded_bytes": p.decoded_bytes,
                 }
@@ -652,20 +438,15 @@ def save_partitioned_index(
     path: Union[str, Path],
     *,
     partition_mb: float = 32.0,
-    fragment_tolerance: float = 0.5,
-    max_length: int = 48,
-    monoisotopic: bool = True,
     overwrite: bool = False,
 ) -> PartitionedIndex:
-    """Build ``db``'s partitioned out-of-core index under ``path``.
+    """Build ``db``'s partitioned out-of-core store under ``path``.
 
-    Enumerates the precursor-major span set once, cuts it into
-    mass-contiguous partitions of ~``partition_mb`` MiB decoded size,
-    builds each partition with :meth:`IndexBuilder.build_partition`,
-    and writes the directory format described in the module docstring.
-    The write is atomic (tmp-sibling assembly + rename) and durable
-    (per-file and directory fsync).  Peak builder memory is one
-    partition's arrays, not the whole index.
+    Enumerates the mass-sorted span set once, cuts it into
+    mass-contiguous partitions of ``partition_mb`` MiB decoded size, and
+    writes the directory format described in the module docstring.  The
+    write is atomic (tmp-sibling assembly + rename) and durable
+    (per-file and directory fsync).
     """
     path = Path(path)
     if path.exists() and not overwrite:
@@ -677,22 +458,16 @@ def save_partitioned_index(
         raise IndexStoreError(
             f"partition_mb must be > 0, got {partition_mb}"
         )
-    build = {
-        "fragment_tolerance": float(fragment_tolerance),
-        "max_length": int(max_length),
-        "monoisotopic": bool(monoisotopic),
-        "partition_mb": float(partition_mb),
-    }
+    build = {"partition_mb": float(partition_mb)}
     fingerprint = compute_fingerprint(db, build)
-    builder = IndexBuilder(
-        fragment_tolerance=fragment_tolerance,
-        max_length=max_length,
-        monoisotopic=monoisotopic,
+    # the stable argsort of the mass index's own enumeration order:
+    # equal-mass spans keep the order a direct search lists them in
+    spans = MassIndex(db).candidates_in_window(0.0, np.inf)
+    spans = spans.take(np.argsort(spans.mass, kind="stable"))
+    columns = dict(
+        zip(ROW_ARRAYS, (spans.seq_index, spans.start, spans.stop, spans.mass))
     )
-    indexable, overflow_spans = enumerate_spans(db, max_length)
-    slices = partition_boundaries(
-        indexable.lengths, int(partition_mb * (1 << 20))
-    )
+    slices = partition_boundaries(len(spans), int(partition_mb * (1 << 20)))
     metrics = get_metrics()
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
     if tmp.exists():
@@ -718,14 +493,14 @@ def save_partitioned_index(
         part_dir.mkdir()
         entries: List[PartitionEntry] = []
         for i, (lo, hi) in enumerate(slices):
-            part_spans = indexable.take(np.arange(lo, hi))
             with metrics.span(
                 "partition.build", category="store", partition=i, rows=hi - lo
             ):
-                layout, arrays = builder.build_partition(db, part_spans)
-            blob, sections = _encode_blob(
-                _with_posting_keys(arrays, layout.num_rows), PARTITION_STORED_ARRAYS
-            )
+                arrays = {
+                    name: np.ascontiguousarray(col[lo:hi], dtype=ROW_ARRAYS[name])
+                    for name, col in columns.items()
+                }
+                blob, sections = _encode_blob(arrays)
             name = _partition_filename(i)
             blob_path = part_dir / name
             with open(blob_path, "wb") as fh:
@@ -735,32 +510,19 @@ def save_partitioned_index(
             entries.append(
                 PartitionEntry(
                     name=name,
-                    mass_lo=float(part_spans.mass[0]),
-                    mass_hi=float(part_spans.mass[-1]),
-                    num_rows=layout.num_rows,
-                    num_fragments=layout.num_fragments,
+                    mass_lo=float(spans.mass[lo]),
+                    mass_hi=float(spans.mass[hi - 1]),
+                    num_rows=hi - lo,
                     blob_bytes=len(blob),
-                    decoded_bytes=int(layout.nbytes),
+                    decoded_bytes=sum(a.nbytes for a in arrays.values()),
                     sha256=hashlib.sha256(blob).hexdigest(),
-                    layout=layout,
+                    arrays={
+                        name: ArraySpec(str(a.dtype), tuple(a.shape))
+                        for name, a in arrays.items()
+                    },
                     sections=sections,
                 )
             )
-
-        over_blob, over_sections = _encode_blob(
-            {name: getattr(overflow_spans, name) for name in _OVERFLOW_DTYPES},
-            list(_OVERFLOW_DTYPES),
-        )
-        with open(part_dir / OVERFLOW_NAME, "wb") as fh:
-            fh.write(over_blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        overflow_entry = OverflowEntry(
-            count=len(overflow_spans),
-            blob_bytes=len(over_blob),
-            sha256=hashlib.sha256(over_blob).hexdigest(),
-            sections=over_sections,
-        )
         _fsync_dir(part_dir)
 
         header = {
@@ -770,7 +532,6 @@ def save_partitioned_index(
             "build": build,
             "database": database_arrays,
             "partitions": [entry.to_dict() for entry in entries],
-            "overflow": overflow_entry.to_dict(),
         }
         with open(tmp / HEADER_NAME, "w") as fh:
             json.dump(header, fh, indent=1)
@@ -822,7 +583,6 @@ def open_partitioned_index(path: Union[str, Path]) -> PartitionedIndex:
         partitions = [
             PartitionEntry.from_dict(entry) for entry in header["partitions"]
         ]
-        overflow = OverflowEntry.from_dict(header["overflow"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, IndexStoreError):
             raise
@@ -843,7 +603,6 @@ def open_partitioned_index(path: Union[str, Path]) -> PartitionedIndex:
         created=created,
         database_arrays=database_arrays,
         partitions=partitions,
-        overflow=overflow,
     )
 
 
@@ -908,7 +667,7 @@ class StreamedPartition:
 
     pid: int
     entry: PartitionEntry
-    index: FragmentIndex
+    spans: CandidateSpans
 
 
 class StreamingIndexReader:
@@ -930,11 +689,6 @@ class StreamingIndexReader:
     mismatch) are re-raised on the consuming thread at the partition
     they struck, typed, so a mid-stream store outage surfaces exactly
     like a mid-stream resident read error would.
-
-    ``lists`` is passed to :meth:`PartitionedIndex.decode_partition_blob`
-    (the posting lists the pass's scorer probes; ``None`` decodes
-    everything), and the budget and ``bytes_decoded`` charge what that
-    decode produces.
     """
 
     def __init__(
@@ -942,12 +696,10 @@ class StreamingIndexReader:
         store: PartitionedIndex,
         partition_ids: Optional[Sequence[int]] = None,
         *,
-        lists: Optional[Sequence[str]] = None,
         memory_budget_mb: Optional[float] = None,
         prefetch: bool = True,
     ):
         self.store = store
-        self.lists = None if lists is None else tuple(lists)
         self.ids = (
             list(range(store.num_partitions))
             if partition_ids is None
@@ -983,7 +735,7 @@ class StreamingIndexReader:
 
     def _cost(self, pid: int) -> int:
         entry = self.store.partitions[pid]
-        return entry.blob_bytes + entry.decoded_nbytes(self.lists)
+        return entry.blob_bytes + entry.decoded_bytes
 
     def _reserve(self, pid: int) -> None:
         if self._budget is None:
@@ -1072,15 +824,14 @@ class StreamingIndexReader:
             partition=pid,
             blob_bytes=entry.blob_bytes,
         ):
-            index = self.store.decode_partition_blob(pid, blob, self.lists)
+            spans = self.store.decode_partition_blob(pid, blob)
         self.stats.decode_seconds += time.perf_counter() - t0
-        decoded = entry.decoded_nbytes(self.lists)
-        self.stats.bytes_decoded += decoded
+        self.stats.bytes_decoded += entry.decoded_bytes
         self.stats.partitions += 1
         metrics.count("stream.partitions")
         metrics.count("stream.bytes_read", entry.blob_bytes)
-        metrics.count("stream.bytes_decoded", decoded)
-        return StreamedPartition(pid=pid, entry=entry, index=index)
+        metrics.count("stream.bytes_decoded", entry.decoded_bytes)
+        return StreamedPartition(pid=pid, entry=entry, spans=spans)
 
     def close(self) -> None:
         """Drain the prefetch thread (idempotent)."""

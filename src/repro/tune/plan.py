@@ -21,11 +21,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
-from repro.index import FragmentIndex
 
 #: multiproc pool widths the grid considers; one wider than the host is
 #: pruned with a reason rather than hidden
@@ -100,8 +97,6 @@ class WorkloadProfile:
     db_nbytes: int
     total_candidates: int
     relative_cost: float
-    scorer_indexable: bool  #: the scorer has a posting kernel
-    index_served_fraction: float  #: fraction of rows posting probes serve
     store: Optional[Dict[str, Any]] = None  #: partitioned-store geometry
     #: exact per-query candidate counts, in query order: the trial's
     #: regressor, and what lets the lower-bound projection compute
@@ -123,33 +118,19 @@ def profile_workload(
 
     All exact and cheap: candidate counts via the vectorized counting
     kernels and — with a partitioned ``store`` — its geometry from the
-    directory plus the share of candidates its postings serve: none
-    under a scorer without a posting kernel, else all but the
-    out-of-envelope spans of its overflow blob, counted per query window.
+    directory.
     """
     query_counts = ShardSearcher(database, config).count_each(list(queries))
     total_candidates = int(query_counts.sum())
 
-    scorer = config.make_scorer()
-    scorer_indexable = FragmentIndex.serves(scorer)
-    fraction = 0.0
     store_info = None
     if store is not None:
-        # a streamed pass decodes the sections this scorer reads, not the
-        # whole partition: its double buffer follows
-        lists = FragmentIndex.lists_for(scorer)
         store_info = {
             "blob_bytes": int(store.blob_bytes),
-            "decoded_bytes": sum(p.decoded_nbytes(lists) for p in store.partitions),
+            "decoded_bytes": int(store.decoded_bytes),
             "num_partitions": int(store.num_partitions),
-            "max_partition_bytes": int(store.max_visit_bytes(lists)),
+            "max_partition_bytes": int(store.max_partition_bytes),
         }
-        if scorer_indexable and total_candidates:
-            masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
-            overflow = store.load_overflow().mass  # mass-sorted
-            first = np.searchsorted(overflow, masses - config.delta, side="left")
-            last = np.searchsorted(overflow, masses + config.delta, side="right")
-            fraction = 1.0 - int((last - first).sum()) / total_candidates
 
     return WorkloadProfile(
         num_queries=len(queries),
@@ -158,9 +139,7 @@ def profile_workload(
         db_residues=int(database.total_residues),
         db_nbytes=int(database.nbytes),
         total_candidates=total_candidates,
-        relative_cost=scorer.relative_cost,
-        scorer_indexable=scorer_indexable,
-        index_served_fraction=float(fraction),
+        relative_cost=config.make_scorer().relative_cost,
         query_candidates=tuple(int(c) for c in query_counts),
         seq_lengths=tuple(int(l) for l in database.lengths),
         store=store_info,

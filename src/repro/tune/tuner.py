@@ -40,7 +40,7 @@ from repro.tune.plan import (
 
 #: schema tag of the RunReport ``tuning`` section (optional section, so
 #: the report schema itself does not bump — same pattern as ``service``)
-TUNING_SCHEMA = "repro.tuning/2"
+TUNING_SCHEMA = "repro.tuning/3"
 
 #: query counts of the two timed samples.  Wide apart on purpose: a
 #: 32/128 pair of *random* samples picked a plan with regret 1.73 at
@@ -286,13 +286,12 @@ def _trials(
 
 
 def build_tuning_section(result: TuneResult, top_k: int = 8) -> Dict[str, Any]:
-    """The RunReport ``tuning`` section (schema ``repro.tuning/2``)."""
+    """The RunReport ``tuning`` section (schema ``repro.tuning/3``)."""
     section: Dict[str, Any] = {
         "schema": TUNING_SCHEMA,
         "workload": {
             "queries": result.profile.num_queries,
             "candidates": result.profile.total_candidates,
-            "index_served_fraction": result.profile.index_served_fraction,
         },
         "trial": {**result.trial_info, "plans": [t.to_dict() for t in result.trials]},
         "grid": {

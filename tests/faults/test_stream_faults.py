@@ -96,13 +96,6 @@ class TestMidStreamBlobFaults:
                     yielded.append(part.pid)
         assert yielded == list(range(victim))
 
-    def test_corrupt_overflow_blob_is_typed(self, tiny_db, damaged_copy):
-        store = open_any_index(damaged_copy)
-        over = damaged_copy / PARTITIONS_DIR / "overflow.bin"
-        over.write_bytes(over.read_bytes()[:-3])
-        with pytest.raises(IndexStoreError, match="truncated"):
-            store.load_overflow()
-
     def test_streamed_search_surfaces_blob_fault_typed(
         self, tiny_db, tiny_queries, damaged_copy
     ):

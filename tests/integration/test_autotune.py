@@ -54,7 +54,6 @@ class TestAutotuneEndToEnd:
             db,
             str(tmp_path / "pstore"),
             partition_mb=1.0,
-            fragment_tolerance=config.fragment_tolerance,
         )
         cache = str(tmp_path / "trials.json")
         result = autotune(db, queries, config, cache_path=cache, store=store)
@@ -85,7 +84,7 @@ class TestAutotuneEndToEnd:
             )
 
         section = result.tuning
-        assert section["schema"] == TUNING_SCHEMA == "repro.tuning/2"
+        assert section["schema"] == TUNING_SCHEMA == "repro.tuning/3"
         assert section["trial"]["source"] == "measured"
         assert [p["plan"] for p in section["trial"]["plans"]] == [
             t.plan.label for t in result.trials
@@ -97,7 +96,9 @@ class TestAutotuneEndToEnd:
             "sweep_cohort", "query_blocks", "start_method"
         }
         assert all(k["measured"] for k in section["grid"]["pinned"])
-        assert section["workload"]["candidates"] == result.profile.total_candidates
+        assert section["workload"] == {
+            "queries": len(queries), "candidates": result.profile.total_candidates,
+        }
         json.dumps(section)  # the section must be JSON-serializable
 
         # the same call again: nothing is timed, the pick is the same
@@ -128,7 +129,6 @@ class TestAutotuneEndToEnd:
             db,
             str(tmp_path / "pstore"),
             partition_mb=1.0,
-            fragment_tolerance=config.fragment_tolerance,
         )
         result = autotune(db, queries, config, store=store, lower_bounds=False)
         assert _hits_digest(result.report.hits) == reference

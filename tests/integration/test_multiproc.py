@@ -165,9 +165,10 @@ class TestQueryMajorDecomposition:
         self, tiny_db, queries, paths, start_method, monkeypatch
     ):
         """A query id that arrives from one task is never unpacked: the
-        direct path concatenates and folds nothing.  One that arrives from
-        both shards of a resident store is folded, still in columns.  The
-        hits are the scalar oracle's either way."""
+        direct path and the partitioned store (one whole-store shard
+        each) concatenate and fold nothing.  One that arrives from both
+        shards of a resident store is folded, still in columns.  The hits
+        are the scalar oracle's either way."""
         folds = []
         fold = results._fold_repeated_queries
         monkeypatch.setattr(
@@ -177,7 +178,7 @@ class TestQueryMajorDecomposition:
             multiproc, "unpack_hit_columns", lambda c: pytest.fail("unpacked without a checkpoint")
         )
         oracle = reference_search(tiny_db, SearchConfig(tau=10), queries)
-        for path, folded in (("direct", 0), ("resident_store", 1), ("partitioned_store", 1)):
+        for path, folded in (("direct", 0), ("resident_store", 1), ("partitioned_store", 0)):
             config, kwargs = paths[path]
             del folds[:]
             rep = run_multiprocess_search(

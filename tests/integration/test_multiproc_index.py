@@ -14,11 +14,12 @@ import os
 import pytest
 
 from repro.core.config import SearchConfig
+from repro.core.partition import partition_queries_by_mass
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
 from repro.engines.multiproc import _TASK_WIRE_BYTES, _Supervisor, run_multiprocess_search
 from repro.faults.supervisor import RetryPolicy
-from repro.store import save_index
+from repro.store import save_index, save_partitioned_index
 
 _START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -50,6 +51,28 @@ class TestIndexOnOff:
         assert 0.0 < on.extras["index_probe_fraction"] <= 1.0
         assert off.extras["index_rows"] == 0
         assert off.extras["index_probe_fraction"] == 0.0
+
+    @pytest.mark.parametrize("start_method", _START_METHODS)
+    def test_partitioned_store_keeps_both_workers_busy(
+        self, tiny_db, tiny_queries, start_method, tmp_path
+    ):
+        """Over a partitioned store the query blocks carry the
+        parallelism.  Split by partition count instead, every worker but
+        the first would own high-mass partitions no query reaches."""
+        store = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=1.0 / 16.0)
+        cfg = _cfg(scorer="hyperscore")
+        reach = max(q.parent_mass for q in tiny_queries) + cfg.delta
+        assert store.partitions[store.num_partitions // 2].mass_lo > reach
+        report = run_multiprocess_search(
+            tiny_db, tiny_queries, num_workers=2, config=cfg, query_blocks=4,
+            start_method=start_method, index_path=str(store.path),
+        )
+        assert reports_equal(search_serial(tiny_db, tiny_queries, cfg), report)
+        assert (report.extras["num_shards"], report.extras["query_blocks"]) == (1, 4)
+        assert report.extras["tasks_completed"] == 4
+        # no task is idle: every block of the grid brings hits back
+        for block in partition_queries_by_mass(tiny_queries, 4):
+            assert any(report.hits[q.query_id] for q in block)
 
     def test_query_blocks_split_matches_serial(self, tiny_db, tiny_queries):
         rep = run_multiprocess_search(

@@ -144,20 +144,21 @@ _POSTING_SERVED = {"shared_peaks", "hyperscore"}
 
 
 class TestEveryScorerOverEveryStore:
-    """A store serves every scorer: posting probes where the scorer has a
-    posting kernel, direct scoring of the spans the store carries where
-    it has not.  Serial and multiproc, resident and partitioned (under a
-    two-partition budget, with out-of-envelope spans in the overflow
-    blob), hits are bitwise the scalar reference's."""
+    """A store serves every scorer: a resident one by posting probes
+    where the scorer has a posting kernel and by direct scoring of the
+    spans it carries where it has not, a partitioned one by direct
+    scoring of its rows.  Serial and multiproc, resident and partitioned
+    (under a two-partition budget), hits are bitwise the scalar
+    reference's."""
 
     @pytest.fixture(scope="class")
     def stores(self, tiny_db, tmp_path_factory):
         root = tmp_path_factory.mktemp("every_scorer")
         resident = save_index(tiny_db, root / "resident", max_length=12)
+        # 256-row partitions: the queries' windows cross several
         partitioned = save_partitioned_index(
-            tiny_db, root / "partitioned", partition_mb=0.0625, max_length=12
+            tiny_db, root / "partitioned", partition_mb=1.0 / 128.0
         )
-        assert partitioned.num_partitions > 3 and partitioned.overflow.count > 0
         two_partitions_mb = 2.0 * partitioned.max_partition_bytes / (1 << 20) + 0.01
         return resident, partitioned, two_partitions_mb
 
@@ -197,8 +198,9 @@ class TestEveryScorerOverEveryStore:
         ]
         for report in reports:
             assert_report_matches(reference, report)
-            served = report.extras["index_probe_fraction"] > 0
-            assert served == (config.scorer in _POSTING_SERVED)
+        served = reports[0].extras["index_probe_fraction"] > 0
+        assert served == (config.scorer in _POSTING_SERVED)
+        assert reports[1].extras["index_probe_fraction"] == 0  # rows scored directly
         assert reports[1].extras["stream"]["partitions"] > 3  # a real stream
 
     @pytest.mark.parametrize("case", list(SCORER_NAMES), indirect=True)
@@ -219,7 +221,7 @@ class TestEveryScorerOverEveryStore:
         )
         assert_report_matches(reference, report)
         served = report.extras["index_probe_fraction"] > 0
-        assert served == (config.scorer in _POSTING_SERVED)
+        assert served == (flavour == "resident" and config.scorer in _POSTING_SERVED)
 
     def test_ptm_cutoff_and_length_floor_with_a_direct_scorer(
         self, tiny_db, tiny_queries, stores

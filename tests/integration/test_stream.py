@@ -1,14 +1,15 @@
 """Integration: streamed search through the serial path, engines, and CLI.
 
 The out-of-core contract: a search served from a partitioned store
-(``repro.index_store_partitioned/2``) — serial, multiprocess with
-workers streaming disjoint partition ranges, or the long-lived service
-— returns hits bitwise identical to the resident index path, while
-holding at most ~two partitions of index data per consumer.  The CLI
-half covers ``index build --partition-mb`` → ``inspect`` →
-``search --stream`` end to end, plus clean typed errors for the
-misuse cases (``--stream`` on a resident store, simulated engines,
-stale fingerprints).
+(``repro.index_store_partitioned/3``) — serial, multiprocess with
+workers streaming the partitions their query blocks' mass ranges meet,
+or the long-lived service — returns hits bitwise identical to the
+resident index path, while holding at most ~two partitions of rows per
+consumer.  The CLI half covers ``index build --partition-mb`` →
+``inspect`` → ``search --stream`` end to end, plus clean typed errors
+for the misuse cases (``--stream`` on a resident store, simulated
+engines, stale fingerprints, index-shape flags beside
+``--partition-mb``).
 """
 
 import multiprocessing
@@ -31,9 +32,10 @@ _START_METHODS = [
 
 
 def _cfg(**kw):
-    # hyperscore: a scorer the partitions' postings serve, so these suites
-    # stream decode + posting probes (direct scoring of a partition's rows
-    # is held to the reference in test_persist.py and test_prop_stream.py)
+    # hyperscore: posting-served from the resident store these suites
+    # compare with, scored directly from a partition's rows like every
+    # scorer (all five are held to the reference in test_persist.py and
+    # test_prop_stream.py)
     kw.setdefault("scorer", "hyperscore")
     return SearchConfig(tau=10, **kw)
 
@@ -85,14 +87,35 @@ class TestSerialStreaming:
     def test_memory_budget_too_small_is_typed(
         self, tiny_db, tiny_queries, pstore
     ):
-        # half of what a hyperscore pass holds of a partition: its blob,
-        # the row columns and the series list (not the whole decode)
-        too_small = pstore.max_visit_bytes(("series",)) / (1 << 20) * 0.5
+        too_small = pstore.max_partition_bytes / (1 << 20) * 0.5
         with pytest.raises(IndexStoreError, match="memory budget"):
             search_serial(
                 tiny_db, tiny_queries, _cfg(),
                 index_store=pstore, memory_budget_mb=too_small,
             )
+
+    def test_a_pass_opens_no_partition_above_its_heaviest_query(
+        self, tiny_db, tiny_queries, pstore, monkeypatch
+    ):
+        """Long prefixes and suffixes are ordinary rows of high-mass
+        partitions; a pass reads none of them its windows cannot reach."""
+        from repro.store.partitioned import PartitionedIndex
+
+        opened = []
+        read = PartitionedIndex.read_partition_blob
+
+        def spy(self, i):
+            opened.append(i)
+            return read(self, i)
+
+        monkeypatch.setattr(PartitionedIndex, "read_partition_blob", spy)
+        cfg = _cfg()
+        search_serial(tiny_db, tiny_queries, cfg, index_store=pstore)
+        reach = max(q.parent_mass for q in tiny_queries) + cfg.delta
+        assert opened == sorted(set(opened))  # each at most once, in mass order
+        assert all(pstore.partitions[i].mass_lo <= reach for i in opened)
+        unopened = set(range(pstore.num_partitions)) - set(opened)
+        assert any(pstore.partitions[i].mass_lo > reach for i in unopened)
 
     def test_stale_fingerprint_refused(self, tiny_queries, pstore):
         from repro.workloads.synthetic import generate_database
@@ -119,17 +142,14 @@ class TestMultiprocStreaming:
         assert ex["index_path"] == str(pstore.path)
         assert ex["num_partitions"] == pstore.num_partitions
         assert ex["index_provenance"]["source"] == "streamed"
-        # ranges tile [0, num_partitions) exactly once
-        covered = sorted(
-            p for lo, hi in ex["partition_ranges"] for p in range(lo, hi)
-        )
-        assert covered == list(range(pstore.num_partitions))
+        # one whole-store shard: the query blocks carry the parallelism
+        assert ex["num_shards"] == 1
+        assert ex["query_blocks"] >= min(num_workers, len(tiny_queries))
 
     def test_more_workers_than_partitions_still_bitwise(
         self, tiny_db, tiny_queries, tmp_path, resident_report
     ):
-        # one giant partition, several workers: most ranges are empty and
-        # exactly one worker owns the overflow spans
+        # one giant partition, several workers: every block's pass opens it
         store = save_partitioned_index(
             tiny_db, tmp_path / "one", partition_mb=64.0
         )
@@ -155,8 +175,7 @@ class TestServiceStreaming:
     def test_service_over_partitioned_store_bitwise(
         self, tiny_db, tiny_queries, pstore, resident_report
     ):
-        # posting-served, then a scorer the workers score directly from
-        # the partitions' rows
+        # a cheap scorer, then the paper's
         for cfg, report in (
             (_cfg(), resident_report),
             (_cfg(scorer="likelihood"), None),
@@ -200,10 +219,25 @@ class TestCLI:
         rc = main(["index", "inspect", str(built)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro.index_store_partitioned/2" in out
+        assert "repro.index_store_partitioned/3" in out
         assert "p_00000" in out
         assert "m/z" in out
-        assert "overflow" in out
+        assert "rows" in out and "double_buffer_unit" in out
+        assert "postings" not in out and "overflow" not in out
+
+    @pytest.mark.parametrize(
+        "flag", [["--fragment-tolerance", "0.3"], ["--index-max-length", "30"]]
+    )
+    def test_index_shape_flags_beside_partition_mb_are_refused(
+        self, flag, tmp_path, capsys
+    ):
+        err = self._expect_error(
+            ["index", "build", str(tmp_path / "p"), *_DB_ARGS,
+             "--partition-mb", "1", *flag],
+            capsys,
+        )
+        assert flag[0] in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "p").exists()
 
     def test_streamed_search_matches_resident_search(self, built, capsys):
         rc = main([

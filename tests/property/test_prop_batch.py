@@ -1,13 +1,13 @@
 """Property tests: batched scoring is bitwise-equal to the scalar oracle.
 
-``hypergeometric`` is the one scorer whose production kernel is a
-per-spectrum ``score_batch`` (it has no cohort kernel; the four paper
-scorers' pair kernels are checked in ``test_prop_block.py``).  It is
-not *approximately* the per-candidate loop but *exactly* it, bit for bit
-— including PTM-expanded candidates, length-1 spans (empty fragment
-ladders), and empty or degenerate spectra.  The oracle itself
-(``score_batch_fallback``) is checked against raw ``score`` /
-``score_modified`` calls for every scorer.
+A cohort of one: ``hypergeometric``'s pair kernel against a single
+spectrum (whole cohorts of every scorer are checked in
+``test_prop_block.py``).  It is not *approximately* the per-candidate
+loop but *exactly* it, bit for bit — including PTM-expanded candidates,
+length-1 spans (empty fragment ladders), and empty or degenerate
+spectra.  The oracle itself (``batch_scores`` / ``score_batch_fallback``)
+is checked against raw ``score`` / ``score_modified`` calls for every
+scorer.
 """
 
 from dataclasses import replace
@@ -30,8 +30,10 @@ from repro.scoring import (
     batch_scores,
     score_batch_fallback,
 )
+from repro.scoring.base import block_scores
 from repro.scoring.hits import Hit, TopHitList
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
@@ -94,9 +96,10 @@ def span_batches(draw):
 def test_score_batch_bitwise_equals_scalar_loop(case, spectrum):
     db, spans, mod_targets = case
     scorer = HypergeometricScorer()
-    assert hasattr(scorer, "score_batch") and not hasattr(scorer, "score_block")
     batch = CandidateBatch.from_spans(db, spans, mod_targets)
-    got = batch_scores(scorer, spectrum, batch)
+    got = block_scores(
+        scorer, SpectrumBatch([spectrum]), batch, [np.arange(len(batch))]
+    )
     ref = score_batch_fallback(scorer, spectrum, batch)
     assert got.shape == ref.shape == (len(spans),)
     assert got.tobytes() == ref.tobytes()
@@ -105,9 +108,8 @@ def test_score_batch_bitwise_equals_scalar_loop(case, spectrum):
 @given(span_batches(), spectra(), st.sampled_from(_SCORERS))
 @settings(max_examples=30, deadline=None)
 def test_score_batch_matches_direct_scalar_calls(case, spectrum, scorer_cls):
-    """The oracle itself (``batch_scores`` of a scorer without
-    ``score_batch``) agrees with raw score()/score_modified() calls, and
-    so does the hypergeometric kernel."""
+    """The oracle itself (``batch_scores``) agrees with raw
+    score()/score_modified() calls."""
     db, spans, mod_targets = case
     scorer = scorer_cls()
     batch = CandidateBatch.from_spans(db, spans, mod_targets)

@@ -1,11 +1,10 @@
 """Property tests: every cohort (pair) kernel equals the scalar oracle bitwise.
 
-``block_scores`` on the direct path (the four paper scorers) and
-``FragmentIndex.score_block`` on a resident index and on a partition view
-(the two posting-served ones) each return one member-major score vector
-for a whole cohort.  ``score_block_fallback`` — for these scorers the
-scalar ``score``/``score_modified`` loop over each member's own sub-batch —
-is the oracle.  Every
+``block_scores`` on the direct path (every registered scorer) and
+``FragmentIndex.score_block`` on a resident index (the two posting-served
+ones) each return one member-major score vector for a whole cohort.
+``score_block_fallback`` — the scalar ``score``/``score_modified`` loop
+over each member's own sub-batch — is the oracle.  Every
 cohort drawn here holds, besides its random members, a member without
 peaks and a member whose selection is empty; members draw their selections
 independently from one candidate block, so candidates are shared; the span
@@ -24,15 +23,13 @@ from repro.candidates.mass_index import MassIndex
 from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
-from repro.index import FragmentIndex
 from repro.index.fragment_index import IndexBuilder
 from repro.scoring.base import block_scores, score_block_fallback
-from repro.scoring.registry import make_scorer
+from repro.scoring.registry import SCORER_NAMES, make_scorer
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.spectra.theoretical import by_ion_ladder
 
-_PAPER_SCORERS = ["shared_peaks", "hyperscore", "xcorr", "likelihood"]
 #: the scorers ``FragmentIndex.score_block`` serves
 _POSTING_SCORERS = ["shared_peaks", "hyperscore"]
 _MODS = [
@@ -104,7 +101,7 @@ def _ptm_spans(db):
     return type(spans).concat(tiers)
 
 
-@given(cohorts(lambda db: len(_ptm_spans(db))), st.sampled_from(_PAPER_SCORERS))
+@given(cohorts(lambda db: len(_ptm_spans(db))), st.sampled_from(SCORER_NAMES))
 @settings(max_examples=60, deadline=None)
 def test_direct_pair_kernels_equal_the_fallback(case, scorer_name):
     db, spectra, selections = case
@@ -113,6 +110,7 @@ def test_direct_pair_kernels_equal_the_fallback(case, scorer_name):
     batch = CandidateBatch.from_spans(db, spans, _MOD_TARGETS)
     assert batch.num_rows > len(batch)  # PTM rows expanded
     scorer = make_scorer(scorer_name)
+    assert hasattr(scorer, "pair_kernel")  # a kernel, not the oracle itself
     cohort = SpectrumBatch(spectra)
     got = block_scores(scorer, cohort, batch, selections)
     want = score_block_fallback(make_scorer(scorer_name), cohort, batch, selections)
@@ -145,27 +143,3 @@ def test_resident_index_cohort_kernels_equal_the_fallback(case, scorer_name):
     rows = index.rows_for(spans)
     assert len(rows) == 0 or int(rows.min()) >= 0
     _check_index(index, rows, db, spans, spectra, selections, scorer_name)
-
-
-@given(
-    cohorts(lambda db: len(_indexable(db))),
-    st.sampled_from(_POSTING_SCORERS),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_partition_view_cohort_kernels_equal_the_fallback(case, scorer_name, f0, f1):
-    """A partition holds a contiguous slice of the mass-sorted span set,
-    with partition-local rows; selections are folded into the slice."""
-    db, spectra, selections = case
-    spans = _indexable(db)
-    spans = spans.take(np.argsort(spans.mass, kind="stable"))
-    a, b = sorted((int(f0 * len(spans)), int(f1 * len(spans))))
-    part = spans.take(np.arange(a, b))
-    layout, arrays = IndexBuilder(fragment_tolerance=0.5).build_partition(db, part)
-    view = FragmentIndex.from_arrays(layout, arrays)
-    size = b - a
-    selections = [np.unique(sel % size) if size else sel[:0] for sel in selections]
-    _check_index(
-        view, np.arange(size, dtype=np.int64), db, part, spectra, selections, scorer_name
-    )

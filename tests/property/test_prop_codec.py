@@ -1,10 +1,10 @@
 """Property tests: partition codecs are exact inverses on all inputs.
 
-Hypothesis drives the varint/delta codec through arbitrary int64 value
+Hypothesis drives the varint codec through arbitrary int64 value
 streams (including zero, repeats, and 63-bit magnitudes) and the zraw
 codec through arbitrary float64/uint8 buffers.  The invariant is
 bitwise: ``decode(encode(x))`` reproduces ``x``'s exact bytes — these
-codecs carry posting lists, so "close" is corrupt.
+codecs carry a partition's rows, so "close" is corrupt.
 """
 
 import numpy as np
@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 from repro.store.codec import (
     decode_array,
-    decode_deltas,
     decode_varint,
     encode_array,
-    encode_deltas,
     encode_varint,
 )
 
@@ -32,21 +30,11 @@ def test_varint_round_trip(values):
     assert out.tobytes() == arr.tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(values63, max_size=60))
-def test_delta_round_trip_on_sorted_input(values):
-    arr = np.sort(np.array(values, dtype=np.int64))
-    out = decode_deltas(encode_deltas(arr), len(arr))
-    assert out.tobytes() == arr.tobytes()
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.lists(values63, max_size=60), st.sampled_from(["vint", "dvint"]))
-def test_int_array_codecs_round_trip(values, codec):
+@given(st.lists(values63, max_size=60))
+def test_int_array_codecs_round_trip(values):
     arr = np.array(values, dtype=np.int64)
-    if codec == "dvint":
-        arr = np.sort(arr)
-    out = decode_array(encode_array(arr, codec), codec, "int64", arr.shape)
+    out = decode_array(encode_array(arr, "vint"), "vint", "int64", arr.shape)
     assert out.tobytes() == arr.tobytes()
     assert out.dtype == np.int64
 

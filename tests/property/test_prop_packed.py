@@ -24,7 +24,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS, PROTON_MASS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
-from repro.core.streaming import StreamingSearcher, split_partition_ranges
+from repro.core.streaming import StreamingSearcher
 from repro.spectra.spectrum import Spectrum
 from repro.store import save_partitioned_index
 from tests.conftest import built_index
@@ -189,10 +189,10 @@ def test_packed_sweep_equals_per_query_search(
 )
 @settings(max_examples=30, deadline=None)
 def test_packed_streamed_sweep_equals_per_query_search(
-    layout, cap, scorer, two_ranges, cutoff, min_len
+    layout, cap, scorer, two_passes, cutoff, min_len
 ):
-    """Blocks of a partition's members, one or two partition ranges
-    feeding the same hit lists."""
+    """Blocks of a partition's members, the queries in one pass or in
+    two (as two query blocks of the multiproc grid would run them)."""
     db, queries, delta, kind = layout
     _check_layout(queries, delta, kind)
     cfg = SearchConfig(
@@ -206,11 +206,14 @@ def test_packed_streamed_sweep_equals_per_query_search(
     reference, ref_candidates = _reference([db], queries, cfg)
     hitlists, candidates = {}, 0
     with tempfile.TemporaryDirectory() as tmp:
-        # ~64 KiB partitions: a query's window crosses partition edges
-        store = save_partitioned_index(db, Path(tmp) / "pidx", partition_mb=1.0 / 16.0)
-        for bounds in split_partition_ranges(store.num_partitions, 2 if two_ranges else 1):
-            searcher = StreamingSearcher(store, cfg, database=db, partition_range=bounds)
-            candidates += searcher.run(queries, hitlists).candidates_evaluated
+        # four-row partitions: a query's window crosses partition edges
+        store = save_partitioned_index(
+            db, Path(tmp) / "pidx", partition_mb=4 * 32 / (1 << 20)
+        )
+        searcher = StreamingSearcher(store, cfg, database=db)
+        half = len(queries) // 2 if two_passes else 0
+        for part in (queries[:half], queries[half:]):
+            candidates += searcher.run(part, hitlists).candidates_evaluated
     assert_same_hitlists(reference, hitlists)
     assert candidates == ref_candidates
 

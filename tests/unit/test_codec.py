@@ -1,8 +1,8 @@
 """Unit tests for the partition blob codecs (``repro.store.codec``).
 
 The codec contract: ``decode(encode(x)) == x`` exactly for every
-supported dtype, and every malformed input — negative values, unsorted
-delta streams, truncated/corrupt buffers, wrong counts — raises a typed
+supported dtype, and every malformed input — negative values,
+truncated/corrupt buffers, wrong counts — raises a typed
 :class:`~repro.errors.IndexStoreError`, never a raw zlib/numpy error.
 """
 
@@ -13,10 +13,8 @@ from repro.errors import IndexStoreError
 from repro.store.codec import (
     codec_for,
     decode_array,
-    decode_deltas,
     decode_varint,
     encode_array,
-    encode_deltas,
     encode_varint,
 )
 
@@ -61,26 +59,11 @@ class TestVarint:
             decode_varint(b"\x80", 1)
 
 
-class TestDeltas:
-    def test_round_trip_sorted_with_repeats(self):
-        values = np.array([0, 0, 1, 1, 1, 500, 500, 10**12], dtype=np.int64)
-        out = decode_deltas(encode_deltas(values), len(values))
-        np.testing.assert_array_equal(out, values)
-
-    def test_unsorted_raises_typed(self):
-        with pytest.raises(IndexStoreError, match="sorted"):
-            encode_deltas(np.array([5, 3], dtype=np.int64))
-
-    def test_negative_first_value_raises_typed(self):
-        with pytest.raises(IndexStoreError, match="sorted, non-negative"):
-            encode_deltas(np.array([-2, 3], dtype=np.int64))
-
-
 class TestArrayCodecs:
     @pytest.mark.parametrize(
         "codec,arr",
         [
-            ("dvint", np.array([1, 2, 2, 900, 2**40], dtype=np.int64)),
+            ("vint", np.array([1, 2, 2, 900, 2**40], dtype=np.int64)),
             ("vint", np.array([7, 0, 3, 2**33], dtype=np.int64)),
             ("zraw", np.linspace(-5.0, 900.0, 37)),
             ("zraw", np.arange(64, dtype=np.uint8)),
@@ -98,9 +81,9 @@ class TestArrayCodecs:
         np.testing.assert_array_equal(out, arr)
 
     def test_corrupt_blob_raises_typed(self):
-        buf = encode_array(np.arange(100, dtype=np.int64), "dvint")
+        buf = encode_array(np.arange(100, dtype=np.int64), "vint")
         with pytest.raises(IndexStoreError, match="corrupt or truncated"):
-            decode_array(b"\x00" + buf[1:], "dvint", "int64", (100,))
+            decode_array(b"\x00" + buf[1:], "vint", "int64", (100,))
 
     def test_truncated_blob_raises_typed(self):
         buf = encode_array(np.arange(100, dtype=np.int64), "vint")
@@ -121,28 +104,21 @@ class TestArrayCodecs:
 
 class TestCodecFor:
     def test_float_and_byte_arrays_take_zraw(self):
-        assert codec_for("ladder_mz", np.zeros(3)) == "zraw"
-        assert codec_for("shard_residues", np.zeros(3, dtype=np.uint8)) == "zraw"
-
-    def test_sorted_posting_arrays_take_dvint(self):
-        for name in ("ladder_key", "series_key"):
-            assert codec_for(name, np.zeros(3, dtype=np.int64)) == "dvint"
+        assert codec_for(np.zeros(3)) == "zraw"
+        assert codec_for(np.zeros(3, dtype=np.uint8)) == "zraw"
 
     def test_other_int_arrays_take_vint(self):
-        assert codec_for("row_start", np.zeros(3, dtype=np.int64)) == "vint"
+        assert codec_for(np.zeros(3, dtype=np.int64)) == "vint"
 
     def test_every_stored_section_has_its_codec(self):
-        """The name table follows the blob's stored-section list."""
-        from repro.index.layout import PARTITION_STORED_ARRAYS
+        """The codec of each column a partition blob stores."""
+        from repro.store.partitioned import ROW_ARRAYS
 
-        dtypes = {"row_mass": np.float64, "ladder_mz": np.float64,
-                  "series_mz": np.float64, "series_tag": np.uint8}
         got = {
-            name: codec_for(name, np.zeros(3, dtype=dtypes.get(name, np.int64)))
-            for name in PARTITION_STORED_ARRAYS
+            name: codec_for(np.zeros(3, dtype=dtype))
+            for name, dtype in ROW_ARRAYS.items()
         }
         assert got == {
             "row_seq": "vint", "row_start": "vint", "row_stop": "vint",
-            "row_mass": "zraw", "ladder_key": "dvint", "ladder_mz": "zraw",
-            "series_key": "dvint", "series_mz": "zraw", "series_tag": "zraw",
+            "row_mass": "zraw",
         }

@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.search import ShardSearcher
 from repro.index import FragmentIndex, IndexBuilder
-from repro.index.layout import ARRAY_NAMES, PARTITION_ARRAY_NAMES
+from repro.index.layout import ARRAY_NAMES
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.theoretical import by_ion_ladder
 from repro.workloads.synthetic import generate_database
@@ -87,13 +87,11 @@ class TestLayoutIsPostingsOnly:
     def test_partition_array_names(self, tiny_db, tmp_path):
         from repro.store import save_partitioned_index
 
+        # a partitioned store holds rows and no posting array at all
         store = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5)
-        expect = self.POSTINGS | {"row_seq", "row_start", "row_stop", "row_mass"}
-        assert set(PARTITION_ARRAY_NAMES) == expect
-        for pid in range(store.num_partitions):
-            decoded = store.decode_partition(pid).arrays
-            assert set(decoded) == set(store.partitions[pid].layout.arrays) == expect
-            assert not [n for n in decoded if n.endswith("_key") or n.startswith("group_")]
+        expect = {"row_seq", "row_start", "row_stop", "row_mass"}
+        for entry in store.partitions:
+            assert set(entry.arrays) == {s.name for s in entry.sections} == expect
 
     def test_bytes_per_fragment_bound(self, tiny_db):
         """16 B per ladder posting, 17 B per series posting, two int64

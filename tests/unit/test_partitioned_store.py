@@ -1,27 +1,28 @@
 """Unit tests for the partitioned store (``repro.store.partitioned``).
 
 Format contract: save → open round-trips the partition directory
-exactly, every partition decodes back to the builder's arrays, overflow
-carries the full out-of-envelope span set mass-sorted, fingerprint
-validation rejects a different database, and the streaming reader's
-memory budget refuses — typed, up front — a budget that cannot hold
-even one partition.
+exactly, every partition decodes to its four row columns — a slice of
+the database's whole mass-sorted span set, no length envelope —
+fingerprint validation rejects a different database, and the streaming
+reader's memory budget refuses — typed, up front — a budget that cannot
+hold even one partition.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.candidates.mass_index import MassIndex
 from repro.errors import IndexStoreError
-from repro.index import IndexBuilder
-from repro.index.layout import PARTITION_ARRAY_NAMES, PARTITION_STORED_ARRAYS
-from repro.store import open_any_index, save_index, save_partitioned_index
+from repro.index.layout import ArraySpec
+from repro.store import HEADER_NAME, open_any_index, save_index, save_partitioned_index
 from repro.store.index_store import StoredIndex
 from repro.store.partitioned import (
-    OVERFLOW_NAME,
     PARTITIONED_SCHEMA,
+    ROW_ARRAYS,
     PartitionedIndex,
     StreamingIndexReader,
-    enumerate_spans,
     open_partitioned_index,
     partition_boundaries,
 )
@@ -47,83 +48,65 @@ class TestRoundTrip:
         assert [p.to_dict() for p in reopened.partitions] == [
             p.to_dict() for p in pstore.partitions
         ]
-        assert reopened.overflow.to_dict() == pstore.overflow.to_dict()
 
     def test_partitions_cover_all_indexable_spans(self, tiny_db, pstore):
-        indexable, overflow = enumerate_spans(
-            tiny_db, int(pstore.build["max_length"])
-        )
+        """The union of all partitions is every span of the database
+        once: no envelope, lengths 1 and > 48 included."""
         assert pstore.num_partitions > 3  # tiny partitions => real streaming
-        assert pstore.num_rows == len(indexable)
-        assert pstore.overflow.count == len(overflow)
+        parts = [pstore.decode_partition(i) for i in range(pstore.num_partitions)]
+        rows = np.stack(
+            [
+                np.concatenate([getattr(p, col) for p in parts])
+                for col in ("seq_index", "start", "stop")
+            ],
+            axis=1,
+        )
+        want = MassIndex(tiny_db).candidates_in_window(0.0, np.inf)
+        assert len(rows) == pstore.num_rows == len(want)
+        assert len(np.unique(rows, axis=0)) == len(rows)  # each span once
+        assert sorted(map(tuple, rows)) == sorted(
+            zip(want.seq_index.tolist(), want.start.tolist(), want.stop.tolist())
+        )
+        lengths = rows[:, 2] - rows[:, 1]
+        assert lengths.min() == 1 and lengths.max() > 48
 
     def test_every_partition_decodes_to_its_manifest(self, pstore):
         total_rows = 0
         prev_hi = -np.inf
         for i, entry in enumerate(pstore.partitions):
-            index = pstore.decode_partition(i)
-            assert index.layout.num_rows == entry.num_rows
-            assert index.layout.num_fragments == entry.num_fragments
+            spans = pstore.decode_partition(i)
+            assert len(spans) == entry.num_rows
+            assert entry.decoded_bytes == 32 * entry.num_rows
+            assert [s.name for s in entry.sections] == list(ROW_ARRAYS)
             total_rows += entry.num_rows
             # mass-contiguous: ranges are non-decreasing across partitions
-            assert entry.mass_lo >= prev_hi or np.isclose(
-                entry.mass_lo, prev_hi
-            )
+            assert entry.mass_lo >= prev_hi
             assert entry.mass_hi >= entry.mass_lo
+            assert (spans.mass[0], spans.mass[-1]) == (entry.mass_lo, entry.mass_hi)
             prev_hi = entry.mass_hi
         assert total_rows == pstore.num_rows
 
     def test_partitions_decode_to_the_builders_arrays(self, tiny_db, pstore):
-        """The blob stores ``row`` + ``bin_start`` as one delta-coded key
-        per posting list; decoding takes it apart into bitwise the arrays
-        the builder made, and the key is not among them."""
-        indexable, _overflow = enumerate_spans(tiny_db, int(pstore.build["max_length"]))
-        builder = IndexBuilder(max_length=int(pstore.build["max_length"]))
+        """What the store builder wrote is what comes back: a partition
+        decodes to exactly its four row columns, read-only, bitwise the
+        next slice of the stably mass-sorted span set."""
+        spans = MassIndex(tiny_db).candidates_in_window(0.0, np.inf)
+        spans = spans.take(np.argsort(spans.mass, kind="stable"))
         lo = 0
         for i, entry in enumerate(pstore.partitions):
-            rows = np.arange(lo, lo + entry.num_rows)
-            _layout, built = builder.build_partition(tiny_db, indexable.take(rows))
-            decoded = pstore.decode_partition(i).arrays
-            assert set(decoded) == set(built) == set(PARTITION_ARRAY_NAMES)
-            for name in PARTITION_ARRAY_NAMES:
-                assert decoded[name].dtype == built[name].dtype, name
-                assert decoded[name].tobytes() == built[name].tobytes(), name
+            assert entry.arrays == {
+                name: ArraySpec(dtype, (entry.num_rows,))
+                for name, dtype in ROW_ARRAYS.items()
+            }
+            got = pstore.decode_partition(i)
+            want = spans.take(np.arange(lo, lo + entry.num_rows))
+            for col in ("seq_index", "start", "stop", "mass", "mod_delta"):
+                a, b = getattr(got, col), getattr(want, col)
+                assert a.dtype == b.dtype, col
+                assert a.tobytes() == b.tobytes(), col
+                assert not a.flags.writeable, col
             lo += entry.num_rows
-        assert [s.name for s in pstore.partitions[0].sections] == list(
-            PARTITION_STORED_ARRAYS
-        )
-
-    def test_overflow_loads_mass_sorted(self, pstore):
-        spans = pstore.load_overflow()
-        assert len(spans) == pstore.overflow.count
-        assert np.all(np.diff(spans.mass) >= 0)
-
-    def test_overflow_is_read_once_per_handle(self, tiny_db, tiny_queries, pstore, monkeypatch):
-        """The planner and every searcher over one handle share one
-        decoded, read-only copy of the overflow spans."""
-        from repro.core.config import SearchConfig
-        from repro.core.streaming import StreamingSearcher
-
-        store = open_partitioned_index(pstore.path)  # a handle nothing has used
-        assert store.overflow.count > 0
-        reads = []
-        read_blob = PartitionedIndex._read_blob
-
-        def counting(self, blob_path, *args):
-            reads.append(blob_path.name)
-            return read_blob(self, blob_path, *args)
-
-        monkeypatch.setattr(PartitionedIndex, "_read_blob", counting)
-        config = SearchConfig(tau=5, scorer="hyperscore")
-        for _ in range(2):
-            StreamingSearcher(store, config, database=tiny_db).run(tiny_queries, {})
-        assert reads.count(OVERFLOW_NAME) == 1
-        spans = store.load_overflow()
-        assert spans is store.load_overflow()
-        assert not any(
-            col.flags.writeable
-            for col in (spans.seq_index, spans.start, spans.stop, spans.mass, spans.mod_delta)
-        )
+        assert lo == len(spans)
 
     def test_database_buffers_round_trip(self, tiny_db, pstore):
         db = pstore.load_database()
@@ -136,17 +119,17 @@ class TestRoundTrip:
         for key in (
             "path", "schema", "fingerprint", "build", "num_partitions",
             "num_rows", "blob_bytes", "decoded_bytes", "max_partition_bytes",
-            "overflow_spans", "partitions",
+            "partitions",
         ):
             assert key in desc
         assert len(desc["partitions"]) == pstore.num_partitions
         first = desc["partitions"][0]
         for key in (
-            "name", "mass_lo", "mass_hi", "num_rows", "postings",
+            "name", "mass_lo", "mass_hi", "num_rows",
             "blob_bytes", "decoded_bytes",
         ):
             assert key in first
-        assert desc["build"]["partition_mb"] == pstore.build["partition_mb"]
+        assert desc["build"] == {"partition_mb": 1.0 / 16.0}
 
 
 class TestValidation:
@@ -165,6 +148,22 @@ class TestValidation:
     def test_nonpositive_partition_mb_refused(self, tiny_db, tmp_path):
         with pytest.raises(IndexStoreError, match="partition_mb"):
             save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.0)
+
+    def test_schema_2_store_is_refused_with_the_rebuild_command(self, pstore, tmp_path):
+        """A store built before the posting lists left (`/2`) is never
+        half-read: typed refusal naming the command that rebuilds it."""
+        import shutil
+
+        path = tmp_path / "old"
+        shutil.copytree(pstore.path, path)
+        header = json.loads((path / HEADER_NAME).read_text())
+        header["schema"] = "repro.index_store_partitioned/2"
+        (path / HEADER_NAME).write_text(json.dumps(header))
+        for opener in (open_partitioned_index, open_any_index):
+            with pytest.raises(
+                IndexStoreError, match=r"partitioned/2.*repro index build --partition-mb"
+            ):
+                opener(path)
 
     def test_out_of_range_partition_raises_typed(self, pstore):
         with pytest.raises(IndexStoreError, match="does not exist"):
@@ -233,18 +232,12 @@ class TestStreamingReader:
 
 class TestBoundaries:
     def test_empty_input_yields_no_partitions(self):
-        assert partition_boundaries(np.empty(0, dtype=np.int64), 1 << 20) == []
+        assert partition_boundaries(0, 1 << 20) == []
 
     def test_slices_are_contiguous_and_exhaustive(self):
-        lengths = np.full(1000, 20, dtype=np.int64)
-        slices = partition_boundaries(lengths, 64 << 10)
-        assert slices[0][0] == 0
-        assert slices[-1][1] == len(lengths)
-        for (_, hi), (lo, _) in zip(slices[:-1], slices[1:]):
-            assert hi == lo
-        assert len(slices) > 1
+        slices = partition_boundaries(5000, 64 << 10)  # 2048 rows of 32 B
+        assert slices == [(0, 2048), (2048, 4096), (4096, 5000)]
 
     def test_tiny_budget_still_makes_progress(self):
-        lengths = np.full(10, 48, dtype=np.int64)
-        slices = partition_boundaries(lengths, 1)  # 1 byte: 1 row per slice
+        slices = partition_boundaries(10, 1)  # 1 byte: 1 row per slice
         assert slices == [(i, i + 1) for i in range(10)]

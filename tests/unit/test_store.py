@@ -222,14 +222,15 @@ class TestRejection:
             "repro.index_store/1",
             "repro.fragment_index/1",
             "repro.index_store_partitioned/1",
-            "repro.fragment_index_partition/1",
+            "repro.index_store_partitioned/2",
         ],
     )
     def test_previous_schema_is_refused_with_the_rebuild_command(
         self, tiny_db, tmp_path, old
     ):
-        """A /1 store (matrix cache, key columns) is never read: every
-        way of opening it names the command that rebuilds it."""
+        """A store of an earlier schema (matrix cache, key columns; the
+        partitioned store's posting lists and overflow blob) is never
+        read: every way of opening it names the command that rebuilds it."""
         if "partition" in old:
             path = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5).path
             openers = (open_partitioned_index, open_any_index)
@@ -238,12 +239,11 @@ class TestRejection:
             openers = (open_index, open_any_index)
 
         def downgrade(header):
-            # the header carries the store schema, each shard / partition
-            # entry its layout's
-            entries = header.get("shards") or header["partitions"]
+            # the header carries the store schema, each shard entry its
+            # layout's
             current = [
-                c for c in [header] + [e["layout"] for e in entries]
-                if c["schema"] == old[:-1] + "2"
+                c for c in [header] + [e["layout"] for e in header.get("shards", [])]
+                if c["schema"].rsplit("/", 1)[0] == old.rsplit("/", 1)[0]
             ]
             assert current
             for carrier in current:

@@ -41,8 +41,6 @@ def make_profile(**overrides):
         db_nbytes=360_000,
         total_candidates=6_000,
         relative_cost=10.0,
-        scorer_indexable=True,
-        index_served_fraction=0.8,
         store={
             "blob_bytes": 9_000_000,
             "decoded_bytes": 35_000_000,
@@ -62,7 +60,7 @@ def two_cores(monkeypatch):
 
 
 class TestProfileWorkload:
-    def test_real_workload_profile(self):
+    def test_real_workload_profile(self, tmp_path):
         db = generate_database(40, seed=5)
         queries = generate_queries(12, seed=6)
         config = SearchConfig()
@@ -81,6 +79,19 @@ class TestProfileWorkload:
         for i in (0, 5, 11):
             report = search_serial(db, [queries[i]], config)
             assert report.candidates_evaluated == profile.query_candidates[i]
+        # a store adds its geometry, read off the directory: what a
+        # streamed pass holds is the same under every scorer
+        from repro.store import save_partitioned_index
+
+        store = save_partitioned_index(db, tmp_path / "p", partition_mb=0.5)
+        for scorer in ("hyperscore", "likelihood"):
+            streamed = profile_workload(db, queries, SearchConfig(scorer=scorer), store=store)
+            assert streamed.store == {
+                "blob_bytes": store.blob_bytes,
+                "decoded_bytes": 32 * store.num_rows,
+                "num_partitions": store.num_partitions,
+                "max_partition_bytes": store.max_partition_bytes,
+            }
 
 
 class TestEnumeratePruning:
@@ -110,30 +121,20 @@ class TestEnumeratePruning:
         assert {p.start_method for p in plans} == {None, "spawn"}
         assert len(plans) == 4  # a fallback, not an extra axis
 
-    def test_posting_less_scorer_keeps_its_stream_plans(self, two_cores):
-        """A scorer without a posting kernel streams as a budgeted direct
-        pass: the plans are feasible, and timed like any other."""
-        profile = make_profile(scorer_indexable=False, index_served_fraction=0.0)
-        plans, pruned = enumerate_plans(profile)
-        assert {p.stream for p in plans} == {False, True}
-        assert all("oversubscribe" in reason for _, reason in pruned)
-
-    def test_profile_reads_the_posting_predicate(self, tmp_path):
-        """``scorer_indexable`` is ``FragmentIndex.serves``: the served
-        fraction of a store is 0 for a posting-less scorer, and all but
-        the overflow spans for a posting-served one."""
+    def test_posting_less_scorer_keeps_its_stream_plans(self, two_cores, tmp_path):
+        """A streamed plan is a budgeted direct pass over the partitions'
+        rows under any scorer: feasible for the paper's likelihood model
+        exactly as for hyperscore, and timed like any other."""
         from repro.store import save_partitioned_index
 
         db = generate_database(40, seed=5)
         queries = generate_queries(12, seed=6)
-        store = save_partitioned_index(db, tmp_path / "p", partition_mb=0.5, max_length=12)
-        served = {}
-        for scorer in ("hyperscore", "likelihood", "xcorr", "hypergeometric"):
+        store = save_partitioned_index(db, tmp_path / "p", partition_mb=0.5)
+        for scorer in ("likelihood", "hyperscore"):
             profile = profile_workload(db, queries, SearchConfig(scorer=scorer), store=store)
-            served[scorer] = (profile.scorer_indexable, profile.index_served_fraction)
-        assert served["hyperscore"][0] and 0.0 < served["hyperscore"][1] < 1.0
-        for scorer in ("likelihood", "xcorr", "hypergeometric"):
-            assert served[scorer] == (False, 0.0)
+            plans, pruned = enumerate_plans(profile)
+            assert {p.stream for p in plans} == {False, True}
+            assert all("oversubscribe" in reason for _, reason in pruned)
 
     def test_no_store_prunes_streamed_plans(self, two_cores):
         plans, pruned = enumerate_plans(make_profile(store=None))
