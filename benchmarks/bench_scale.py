@@ -9,7 +9,7 @@ the same query workload two ways in *separate fresh processes*:
 * **resident** — ``search_serial`` with no store: the whole database
   in RAM, every candidate scored directly (the baseline);
 * **streamed** — ``search_serial`` over the partitioned store
-  (``repro.index_store_partitioned/3``) under a memory budget of four
+  (``repro.index_store_partitioned/4``) under a memory budget of four
   partitions: double-buffered prefetch, each partition's rows scored
   directly, ~two partitions resident regardless of N.
 

@@ -69,7 +69,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     store = save_index(
         db,
         args.output,
-        num_shards=args.shards,
         fragment_tolerance=args.fragment_tolerance or 0.5,
         max_length=args.max_length or 48,
         overwrite=args.overwrite,
@@ -77,8 +76,9 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     info = store.describe()
     print(
         f"built index for {len(db)} sequences "
-        f"({format_si(db.total_residues)} residues): {info['num_shards']} "
-        f"shard(s), {format_si(info['total_bytes'])}B at {args.output}"
+        f"({format_si(db.total_residues)} residues): "
+        f"{info['num_fragments']} fragment(s), "
+        f"{format_si(info['total_bytes'])}B at {args.output}"
     )
     print(f"fingerprint {store.fingerprint}")
     return 0
@@ -87,9 +87,9 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 def cmd_index_inspect(args: argparse.Namespace) -> int:
     """Print a persisted index's header: schema, fingerprint, manifests.
 
-    Dispatches on the on-disk schema: resident stores list shards,
-    partitioned stores list per-partition mass ranges, row counts and
-    compressed/decoded sizes.
+    Dispatches on the on-disk schema: resident stores report their
+    database and index sections, partitioned stores list per-partition
+    mass ranges, row counts and compressed/decoded sizes.
     """
     from repro.store import open_any_index
     from repro.store.partitioned import PartitionedIndex
@@ -126,19 +126,14 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
     print(
         f"  build        fragment_tolerance={build['fragment_tolerance']} "
         f"max_length={build['max_length']} "
-        f"monoisotopic={build['monoisotopic']} "
-        f"shards={build['num_shards']}"
+        f"monoisotopic={build['monoisotopic']}"
     )
     print(
         f"  bytes        total={format_si(info['total_bytes'])}B "
-        f"index={format_si(info['index_bytes'])}B"
+        f"database/={format_si(info['database_bytes'])}B "
+        f"index/={format_si(info['index_bytes'])}B"
     )
-    for shard in info["shards"]:
-        print(
-            f"  {shard['dir']}  rows={shard['num_rows']} "
-            f"fragments={shard['num_fragments']} "
-            f"bytes={format_si(shard['bytes'])}B"
-        )
+    print(f"  rows         {info['num_rows']} ({info['num_fragments']} fragments)")
     return 0
 
 
@@ -158,10 +153,6 @@ def register(sub) -> None:
     )
     p_ib.add_argument("output", help="index store directory to create")
     add_db_options(p_ib, "index")
-    p_ib.add_argument(
-        "--shards", type=positive_int, default=1,
-        help="shard count (1 for the serial engine; any count for multiproc)",
-    )
     p_ib.add_argument(
         "--fragment-tolerance", type=positive_float, default=None,
         help="fragment m/z tolerance the index bins are sized for (Da; "

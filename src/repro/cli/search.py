@@ -335,8 +335,8 @@ def register(sub) -> None:
     p_search.add_argument(
         "--query-blocks", type=positive_int, default=1,
         help="multiproc: cut the mass-sorted queries into at least this "
-        "many contiguous blocks per shard (a floor: raised until every "
-        "worker has a task; finer tasks, better balance)",
+        "many contiguous blocks, one task each (a floor: raised until "
+        "every worker has a task; finer tasks, better balance)",
     )
     p_search.add_argument(
         "--start-method", choices=["fork", "spawn", "forkserver"], default=None,

@@ -31,7 +31,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.faults.plan import FaultPlan, RequestStorm
     from repro.service import SearchService, ServiceConfig, run_storm
     from repro.store import open_any_index
-    from repro.store.partitioned import PartitionedIndex
 
     config = make_config(args)
     plan = FaultPlan.from_file(args.fault_plan) if args.fault_plan else None
@@ -57,23 +56,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     db = None
     if args.index_path:
-        store = open_any_index(args.index_path)
-        shards = (
-            store.num_partitions
-            if isinstance(store, PartitionedIndex)
-            else store.num_shards
-        )
         service = SearchService(
             config,
             service_config,
-            store=store,
+            store=open_any_index(args.index_path),
             fault_plan=plan,
             memory_budget_mb=args.memory_budget_mb,
         )
     else:
         db = load_database(args)
         service = SearchService(config, service_config, database=db, fault_plan=plan)
-        shards = 1
     pool = generate_queries(args.queries, seed=args.query_seed, source=db)
     registry = None
     if args.report_out:
@@ -90,7 +82,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     counts = result.counts
     print(
-        f"service: one scorer over {shards} shard(s), "
+        f"service: one scorer over {args.index_path or 'the database'}, "
         f"policy={args.policy} queue_limit={args.queue_limit} "
         f"coalesce={service_config.coalesce}"
     )
@@ -156,7 +148,7 @@ def register(sub) -> None:
     p_serve.add_argument(
         "--memory-budget-mb", type=positive_float, default=None,
         help="partitioned stores: bound the scorer's resident partition "
-        "bytes (compressed + decoded)",
+        "bytes (compressed + decoded); a resident store refuses it",
     )
     p_serve.add_argument(
         "--queue-limit", type=positive_int, default=64,

@@ -80,9 +80,9 @@ class CostModel:
             the pages the first probes fault in.  An order of magnitude
             under ``load_per_byte`` because a memory map is not a full
             read.
-        index_open_overhead: per-shard constant of an index load (header
-            parse, fingerprint check, file opens) charged once per
-            opened shard regardless of size.
+        index_open_overhead: constant of an index load (header parse,
+            fingerprint check, file opens) charged once per load
+            regardless of size.
         sweep_setup_per_query: residual per-query bookkeeping of a REAL
             shard pass (sort slot, vectorized window bounds, selection
             assembly).  Replaces ``query_overhead`` whenever queries are
@@ -150,17 +150,15 @@ class CostModel:
             raise ValueError(f"candidates must be >= 0, got {candidates}")
         return candidates * (self.rho(scorer) + self.tau_cost)
 
-    def index_load_time(self, nbytes: int, num_shards: int = 1) -> float:
-        """Virtual cost of opening persisted index shards totalling ``nbytes``.
+    def index_load_time(self, nbytes: int) -> float:
+        """Virtual cost of opening a persisted store that maps ``nbytes``.
 
         Charged when a search is served from a ``repro.store``
         directory: a loaded run pays the mapping cost, never a build.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if num_shards < 0:
-            raise ValueError(f"num_shards must be >= 0, got {num_shards}")
-        return self.index_load_per_byte * nbytes + self.index_open_overhead * num_shards
+        return self.index_load_per_byte * nbytes + self.index_open_overhead
 
     def partition_io_time(self, blob_bytes: int, num_partitions: int = 0) -> float:
         """Virtual cost of reading streamed partition blobs from disk.

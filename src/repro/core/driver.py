@@ -84,18 +84,17 @@ ALGORITHMS: Dict[str, Callable[..., SearchReport]] = {
 }
 
 
-def _open_store(index_path, algorithm: str, memory_budget_mb):
+def _open_store(index_path, algorithm: str):
     """Open the persisted index a real engine will be served from.
 
-    Opened here so a missing or corrupt path, or an engine or memory
-    budget the store cannot go with, fails typed before any work.
-    Whether the *search configuration* can be served from it, and that
-    it was built from this database, is each engine's own entry check
+    Opened here so a missing or corrupt path, or an engine the store
+    cannot go with, fails typed before any work.  Whether the *search
+    configuration* and memory budget can be served from it, and that it
+    was built from this database, is each engine's own entry check
     (``search_serial`` / ``run_multiprocess_search`` raise the same
-    :class:`IndexCompatError` for direct callers).
+    typed errors for direct callers).
     """
     from repro.store import open_any_index
-    from repro.store.partitioned import PartitionedIndex
 
     if algorithm not in ("serial", "multiproc"):
         raise IndexCompatError(
@@ -103,14 +102,7 @@ def _open_store(index_path, algorithm: str, memory_budget_mb):
             f"multiproc); the simulated engine {algorithm!r} models "
             f"execution and cannot memory-map a persisted index"
         )
-    store = open_any_index(index_path)
-    if memory_budget_mb is not None and not isinstance(store, PartitionedIndex):
-        raise ConfigError(
-            f"--memory-budget-mb bounds streamed partition residency; "
-            f"{index_path} holds a resident-format store that is "
-            f"memory-mapped whole"
-        )
-    return store
+    return open_any_index(index_path)
 
 
 def run_search(
@@ -166,7 +158,8 @@ def run_search(
 
     Raises:
         ConfigError: unknown algorithm, bad rank count, or a memory
-            budget with nothing streamed to bound.
+            budget with nothing streamed to bound (no store, or a
+            resident store, which is mapped whole).
         IndexCompatError: an index store the engine or the search
             configuration cannot be served from.
     """
@@ -186,7 +179,7 @@ def run_search(
         )
     store = None
     if index_path is not None:
-        store = _open_store(index_path, algorithm, memory_budget_mb)
+        store = _open_store(index_path, algorithm)
 
     if algorithm == "multiproc":
         from repro.engines.multiproc import run_multiprocess_search

@@ -77,18 +77,13 @@ def partition_queries_by_mass(
     return partition_queries(sorted(queries, key=lambda q: q.parent_mass), p)
 
 
-def effective_query_blocks(
-    query_blocks: int, num_shards: int, num_workers: int, num_queries: int
-) -> int:
-    """Query blocks per shard in a ``(shard, block)`` task grid.
+def effective_query_blocks(query_blocks: int, num_workers: int, num_queries: int) -> int:
+    """Query blocks in the multiproc engine's task grid (one task each).
 
-    ``query_blocks`` is a floor: it is raised until the grid has at least
-    one task per worker (a grid with fewer tasks than workers leaves
-    processes idle), then capped at one query per block.  The multiproc
-    engine sizes its grid with this and the tuner's predictor charges
-    dispatch for the same number.
+    ``query_blocks`` is a floor: it is raised to at least one task per
+    worker (a grid with fewer tasks than workers leaves processes idle),
+    then capped at one query per block.
     """
     if query_blocks < 1:
         raise ValueError(f"query_blocks must be >= 1, got {query_blocks}")
-    per_shard = -(-num_workers // max(num_shards, 1))
-    return max(1, min(max(query_blocks, per_shard), num_queries))
+    return max(1, min(max(query_blocks, num_workers), num_queries))

@@ -550,12 +550,14 @@ def search_serial(
 
     Without ``index_store`` every candidate is scored directly.
     ``index_store`` (a :class:`repro.store.StoredIndex`) serves the
-    search from a persisted single-shard index: the store is
-    fingerprint-validated against ``database``, the shard's arrays are
+    search from a persisted whole-database index: the store is
+    fingerprint-validated against ``database``, its arrays are
     memory-mapped read-only (a posting-served scorer probes them, any
-    other is scored from the mapped shard buffers), hits are bitwise
+    other is scored from the mapped database buffers), hits are bitwise
     identical to the direct search, and virtual time additionally
-    charges ``CostModel.index_load_time``.
+    charges ``CostModel.index_load_time``.  It is mapped whole, so a
+    ``memory_budget_mb`` is refused with
+    :class:`~repro.errors.ConfigError`.
 
     A :class:`repro.store.PartitionedIndex` instead *streams* the
     search: partitions are decoded one (plus one prefetched) at a time
@@ -576,19 +578,13 @@ def search_serial(
         from repro.errors import IndexCompatError
 
         problems = index_compat_problems(config)
-        if index_store.num_shards != 1:
-            problems.append(
-                f"the serial engine searches one shard but the store holds "
-                f"{index_store.num_shards}; rebuild with --shards 1 or use "
-                f"the multiproc engine"
-            )
         if problems:
             raise IndexCompatError(
                 "this search cannot be served from the persisted index: "
                 + "; ".join(problems)
             )
         index_store.validate_against(database)
-        loaded = index_store.load_shard(0)
+        loaded = index_store.load_shard(memory_budget_mb=memory_budget_mb)
         searcher = ShardSearcher(
             loaded.shard, config, library=library, index=loaded.index
         )
@@ -599,7 +595,7 @@ def search_serial(
     if loaded is not None:
         stats.index_load_time += loaded.seconds
     cost = config.cost
-    index_time = cost.index_load_time(loaded.nbytes, 1) if loaded is not None else 0.0
+    index_time = cost.index_load_time(loaded.nbytes) if loaded is not None else 0.0
     virtual = (
         cost.load_time(database.nbytes, len(queries))
         + cost.scan_time(database.nbytes)

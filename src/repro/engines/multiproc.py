@@ -2,8 +2,8 @@
 
 The simulated cluster answers "how would this scale to 128 ranks"; this
 engine answers "does the decomposition actually speed up real execution
-on this machine".  It runs a ``(shard, query block)`` task grid across
-worker *processes* (true parallelism, no GIL).
+on this machine".  It runs a grid of query-block tasks across worker
+*processes* (true parallelism, no GIL).
 
 The decomposition is query-major, after the paper.  Algorithm A's point
 is that queries stay put and each rank ends holding the final top-tau
@@ -13,43 +13,40 @@ queries can touch.  Here the query list is mass-sorted once and cut
 into contiguous blocks (:func:`~repro.core.partition.partition_queries_by_mass`),
 so every block is one mass range: the candidate-major sweep coalesces a
 block as well as it would the whole list, and a block's windows cover
-one slice of the mass index.  The other axis is whatever the search is
-served from:
+one slice of the mass index.  The database is *not* split, whatever the
+search is served from: every worker process holds one whole-database
+searcher, and a task is one query block, so each query pays its window
+join, spectrum batch and top-tau exactly once and a task's result is
+final for its queries — the parent has nothing to merge.
 
-* no store (direct scoring): the database is *not* split — one shard,
-  the whole database, shared copy-on-write under fork and shipped once
-  per worker under spawn — and all parallelism comes from the query
-  blocks.  Each query pays its window join, spectrum batch and top-tau
-  exactly once, and a task's result is final for its queries: the
-  parent has nothing to merge.
-* a resident store: the store's own shards, query blocks on top.
-* a partitioned store: like direct, one whole-store "shard" and the
-  query blocks carry the parallelism — each block's streamed pass opens
+* no store (direct scoring): the database buffers are shared
+  copy-on-write under fork and shipped once per worker under spawn;
+* a resident store: each worker maps the store's database and index
+  sections once;
+* a partitioned store: each worker streams it, a block's pass opening
   only the partitions its mass range meets.
 
 ``query_blocks`` is a floor: the grid is widened until it has at least
 one task per worker (:func:`~repro.core.partition.effective_query_blocks`).
+An empty database dispatches no task.
 
-Transport is zero-copy by reference: the shard buffers and the packed
-query blocks are installed in a module-level *task context* exactly once
-— inherited copy-on-write under fork, shipped once per worker through
-the pool initializer under spawn — and each task is just a
-``(task_id, attempt, shard_id, block_id)`` id tuple.  Per-task
-serialization therefore drops from O(shard + queries) to O(1), retries
-resubmit four integers instead of re-pickling buffers, and the report's
-``bytes_shipped`` extras quantify the saving against the replicated
-per-task baseline.  Workers keep a per-process cache of
-``ShardSearcher`` objects keyed by shard id (and of unpacked query
-blocks keyed by block id), so a shard's mass index is built, and a
-store's shard mapped, once per process, not once per task.  Results
-come back as flat NumPy columns
-(:class:`~repro.scoring.hits.HitColumns`) — eight
-buffers per task instead of one pickled ``Hit`` per retained hit — and
-stay columns in the parent: the report's hits are the tasks' columns
-concatenated in the caller's query order (a
-:class:`~repro.scoring.hits.HitTable`), top-tau folded only where a
-query id arrives from more than one shard, and unpacked into ``Hit``
-lists only for a checkpoint.
+Transport is zero-copy by reference: the database buffers (or the store
+path) and the packed query blocks are installed in a module-level *task
+context* exactly once — inherited copy-on-write under fork, shipped once
+per worker through the pool initializer under spawn — and each task is
+just a ``(task_id, attempt, block_id)`` id tuple.  Per-task
+serialization therefore drops from O(database + queries) to O(1),
+retries resubmit three integers instead of re-pickling buffers, and the
+report's ``bytes_shipped`` extras quantify the saving against the
+replicated per-task baseline.  Workers keep a per-process searcher (and
+a cache of unpacked query blocks keyed by block id), so the mass index
+is built, and a store mapped, once per process, not once per task.
+Results come back as flat NumPy columns
+(:class:`~repro.scoring.hits.HitColumns`) — eight buffers per task
+instead of one pickled ``Hit`` per retained hit — and stay columns in
+the parent: the report's hits are the tasks' columns concatenated in the
+caller's query order (a :class:`~repro.scoring.hits.HitTable`), and
+unpacked into ``Hit`` lists only for a checkpoint.
 
 Supervision: tasks are dispatched with ``apply_async`` under a
 supervisor loop rather than ``pool.map``.  A task that raises (or, with
@@ -58,11 +55,11 @@ exponential backoff up to ``RetryPolicy.max_retries`` times; a task
 that keeps failing is *quarantined* — the run completes with the
 surviving results plus a ``failed_tasks`` manifest in the report
 (graceful degradation) instead of aborting.  Because every task is an
-independent (shard, query-block) cell and merging is deterministic, a
-retried task reproduces exactly what the first attempt would have
-produced.  ``checkpoint_path`` persists merged top-tau state after
-completed tasks so a killed run can be resumed (``resume=True``)
-without rescoring finished work.
+independent query block and scoring is deterministic, a retried task
+reproduces exactly what the first attempt would have produced.
+``checkpoint_path`` persists merged top-tau state after completed tasks
+so a killed run can be resumed (``resume=True``) without rescoring
+finished work.
 """
 
 from __future__ import annotations
@@ -93,14 +90,14 @@ from repro.scoring.hits import (
 from repro.spectra.spectrum import Spectrum
 
 _SpectrumWire = Tuple[np.ndarray, np.ndarray, float, int, int]
-_ShardWire = Tuple[np.ndarray, np.ndarray, np.ndarray]
-#: a task on the wire: (task_id, attempt, shard_id, block_id) — ids only
-_TaskWire = Tuple[int, int, int, int]
+_DatabaseWire = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: a task on the wire: (task_id, attempt, block_id) — ids only
+_TaskWire = Tuple[int, int, int]
 
 #: supervisor poll interval (seconds) — bounds timeout detection lag
 _POLL_S = 0.005
 
-#: conservative pickled size of one _TaskWire (four small ints + framing)
+#: conservative pickled size of one _TaskWire (three small ints + framing)
 _TASK_WIRE_BYTES = 32
 
 
@@ -118,7 +115,7 @@ def _spectrum_wire_nbytes(wire: _SpectrumWire) -> int:
     return int(mz.nbytes + intensity.nbytes + 24)
 
 
-def _shard_wire_nbytes(wire: _ShardWire) -> int:
+def _database_wire_nbytes(wire: _DatabaseWire) -> int:
     return int(sum(np.asarray(part).nbytes for part in wire))
 
 
@@ -130,8 +127,8 @@ def _shard_wire_nbytes(wire: _ShardWire) -> int:
 # either way, per-task payloads never carry buffers again.
 
 _TASK_CONTEXT: Optional[Dict[str, Any]] = None
-#: per-process state: {"searchers": {shard_id: searcher},
-#: "queries": {block_id: [Spectrum]}, "store": StoredIndex (opened once)}
+#: per-process state: {"searcher": the whole-database searcher,
+#: "queries": {block_id: [Spectrum]}}
 _PROCESS_CACHE: Dict[str, Any] = {}
 
 
@@ -160,60 +157,55 @@ def _cached_queries(block_id: int) -> List[Spectrum]:
     return queries
 
 
-def _cached_searcher(shard_id: int) -> Tuple[ShardSearcher, float]:
-    """Per-process searcher for ``shard_id``; returns ``(searcher, load_s)``.
+def _cached_searcher() -> Tuple[Any, float]:
+    """This process's whole-database searcher; returns ``(searcher, load_s)``.
 
     ``load_s`` is the wall-clock seconds spent opening a store on *this*
     call — zero on a cache hit and without a store — so callers charge
     the mapping once per process, not once per task.  With an
-    ``index_path`` in the context (mmap-once transport),
-    the shard and its fragment index come out of the persisted store as
-    read-only memory maps: nothing but the path string ever crossed the
-    process boundary, and clean index pages are shared between workers
-    by the OS page cache.
+    ``index_path`` in the context (mmap-once transport) the database and
+    its fragment index come out of the persisted store as read-only
+    memory maps, or a partitioned store is streamed: nothing but the
+    path string ever crossed the process boundary, and clean pages are
+    shared between workers by the OS page cache.
     """
-    cache = _PROCESS_CACHE.setdefault("searchers", {})
-    searcher = cache.get(shard_id)
+    searcher = _PROCESS_CACHE.get("searcher")
     if searcher is not None:
         return searcher, 0.0
+    config = _TASK_CONTEXT["config"]
     index_path = _TASK_CONTEXT.get("index_path")
-    if _TASK_CONTEXT.get("streamed"):
-        # Partitioned store: the one "shard" is the whole store, streamed
-        # through a StreamingSearcher.  Only the path string crossed the
-        # process boundary; the directory and the database buffers map
-        # once per process, and partition blobs stream through the
-        # double buffer at search time.
-        from repro.core.streaming import StreamingSearcher
+    load_s = 0.0
+    if index_path is None:
+        database = ProteinDatabase.from_buffers(*_TASK_CONTEXT["database"])
+        searcher = ShardSearcher(database, config)
+    else:
         from repro.store import open_any_index
+        from repro.store.partitioned import PartitionedIndex
 
         t0 = time.perf_counter()
         store = open_any_index(index_path)
-        searcher = cache[shard_id] = StreamingSearcher(
-            store,
-            _TASK_CONTEXT["config"],
-            memory_budget_mb=_TASK_CONTEXT.get("memory_budget_mb"),
-        )
-        return searcher, time.perf_counter() - t0
-    if index_path is not None:
-        from repro.store import open_index
+        if isinstance(store, PartitionedIndex):
+            from repro.core.streaming import StreamingSearcher
 
-        store = _PROCESS_CACHE.get("store")
-        if store is None:
-            store = _PROCESS_CACHE["store"] = open_index(index_path)
-        loaded = store.load_shard(shard_id)
-        searcher = cache[shard_id] = ShardSearcher(
-            loaded.shard, _TASK_CONTEXT["config"], index=loaded.index
-        )
-        return searcher, loaded.seconds
-    shard = ProteinDatabase.from_buffers(*_TASK_CONTEXT["shard_wires"][shard_id])
-    searcher = cache[shard_id] = ShardSearcher(shard, _TASK_CONTEXT["config"])
-    return searcher, 0.0
+            # the directory and the database buffers map once per
+            # process; partition blobs stream through the double buffer
+            # at search time
+            searcher = StreamingSearcher(
+                store, config, memory_budget_mb=_TASK_CONTEXT["memory_budget_mb"]
+            )
+            load_s = time.perf_counter() - t0
+        else:
+            loaded = store.load_shard()
+            searcher = ShardSearcher(loaded.shard, config, index=loaded.index)
+            load_s = loaded.seconds
+    _PROCESS_CACHE["searcher"] = searcher
+    return searcher, load_s
 
 
 def _worker(
     task: _TaskWire,
 ) -> Tuple[int, HitColumns, ShardStats, Optional[Dict[str, Any]]]:
-    """Search one (shard, query block) pair; runs in a worker process.
+    """Search one query block; runs in a worker process.
 
     With telemetry on (``context["metrics"]``) the task runs under a
     fresh per-task registry, so nested spans (store loads, the shard
@@ -221,13 +213,13 @@ def _worker(
     folds them into the run-wide registry — one timeline lane per worker
     process in the Chrome-trace export.
     """
-    task_id, attempt, shard_id, block_id = task
+    task_id, attempt, block_id = task
 
     def execute() -> Tuple[HitColumns, ShardStats]:
         injector = _TASK_CONTEXT.get("injector")
         if injector is not None:
             injector.fire(task_id, attempt)
-        searcher, loaded = _cached_searcher(shard_id)
+        searcher, loaded = _cached_searcher()
         queries = _cached_queries(block_id)
         hitlists: Dict[int, TopHitList] = {}
         stats = searcher.run(queries, hitlists)
@@ -243,7 +235,6 @@ def _worker(
             "multiproc.task",
             category="task",
             task=task_id,
-            shard=shard_id,
             block=block_id,
             attempt=attempt,
         ):
@@ -262,12 +253,12 @@ class _Supervisor:
     def __init__(
         self,
         pool: Optional[Any],
-        tasks: Dict[int, Tuple[int, int]],
+        tasks: Dict[int, int],
         policy: RetryPolicy,
         task_timeout: Optional[float],
     ):
         self._pool = pool
-        self._tasks = tasks  # task_id -> (shard_id, block_id)
+        self._tasks = tasks  # task_id -> block_id
         self._policy = policy
         self._timeout = task_timeout
         self._attempts: Dict[int, int] = {t: 0 for t in tasks}  # failed attempts so far
@@ -280,9 +271,8 @@ class _Supervisor:
         ] = {}
 
     def _payload(self, task_id: int) -> _TaskWire:
-        shard_id, block_id = self._tasks[task_id]
         attempt = self._attempts[task_id]  # 0-based: prior failed tries
-        return (task_id, attempt, shard_id, block_id)
+        return (task_id, attempt, self._tasks[task_id])
 
     def _record_failure(self, task_id: int, error: str, backlog: List[Tuple[float, int]]) -> None:
         self._attempts[task_id] += 1
@@ -368,15 +358,11 @@ def run_multiprocess_search(
 
     The mass-sorted query list is cut into contiguous blocks —
     ``query_blocks`` of them at least, more if the grid would otherwise
-    have fewer tasks than workers — and every (shard, query block) pair
-    is an independent task.  Without a store there is one shard, the
-    whole database scored directly, so a task's top-tau is final for its
-    queries; a store brings its own shards, and candidate sets over
-    shards partition the database's candidate set, so merging per-task
-    top-tau lists reproduces the serial output exactly — the same
-    argument Algorithms A/B rest on.  Shard buffers and packed queries
-    travel to workers once, through the task context (see module
-    docstring); task payloads are id tuples.
+    have fewer tasks than workers — and every block is an independent
+    task scored against the whole database, so a task's top-tau is final
+    for its queries.  The database buffers and packed queries travel to
+    workers once, through the task context (see module docstring); task
+    payloads are id tuples.
 
     ``start_method`` pins the multiprocessing context ("fork" or
     "spawn"); the default picks fork where available.  Supervision knobs
@@ -388,20 +374,15 @@ def run_multiprocess_search(
 
     ``index_path`` switches transport from ship-once to *mmap-once*: the
     path must name a ``repro.store`` directory (fingerprint-validated
-    against ``database`` up front), the shard layout is the store's, and
-    workers memory-map their shards and fragment indexes from disk —
-    only the path string crosses the process boundary, so
-    ``bytes_shipped`` drops to the packed queries plus task ids, and
-    hits remain bitwise identical to the direct path.
-
-    When ``index_path`` names a *partitioned* store
-    (``repro.index_store_partitioned/3``) the grid has the direct path's
-    shape — one whole-store shard, the query blocks carry the
-    parallelism: a task streams the partitions its block's mass range
+    against ``database`` up front) and workers open it themselves — only
+    the path string crosses the process boundary, so ``bytes_shipped``
+    drops to the packed queries plus task ids, and hits remain bitwise
+    identical to the direct path.  A resident store is memory-mapped
+    whole (a ``memory_budget_mb`` is refused with
+    :class:`~repro.errors.ConfigError`); a *partitioned* store is
+    streamed, a task opening only the partitions its block's mass range
     meets through a :class:`~repro.core.streaming.StreamingSearcher`
-    (double-buffered prefetch, optional per-worker ``memory_budget_mb``),
-    its top-tau is final for its queries, and hits stay bitwise identical
-    to the direct and the serial streamed searches.
+    (double-buffered prefetch, optional per-worker ``memory_budget_mb``).
     """
     config = config or SearchConfig()
     if num_workers is None:
@@ -412,42 +393,25 @@ def run_multiprocess_search(
     store = None
     streamed = False
     if index_path is not None:
+        from repro.core.streaming import streaming_compat_problems
         from repro.errors import IndexCompatError
         from repro.store import open_any_index
         from repro.store.partitioned import PartitionedIndex
 
         store = open_any_index(index_path)
         streamed = isinstance(store, PartitionedIndex)
-        if streamed:
-            from repro.core.streaming import streaming_compat_problems
-
-            problems = streaming_compat_problems(config)
-            if problems:
-                raise IndexCompatError(
-                    "this search cannot be streamed from the partitioned "
-                    "index: " + "; ".join(problems)
-                )
-            store.validate_against(database)
-            # the store stays whole: the query axis carries the parallelism
-            num_shards = 1 if store.num_partitions else 0
-            shards = None
-            shard_bytes = [store.blob_bytes]
-        else:
-            problems = index_compat_problems(config)
-            if problems:
-                raise IndexCompatError(
-                    "this search cannot be served from the persisted index: "
-                    + "; ".join(problems)
-                )
-            store.validate_against(database)
-            num_shards = store.num_shards
-            shards = None
-            shard_bytes = [layout.shard_nbytes for layout in store.layouts]
-    else:
-        # the database stays whole: the query axis carries the parallelism
-        shards = [database] if len(database) > 0 else []
-        num_shards = len(shards)
-    nblocks = effective_query_blocks(query_blocks, num_shards, num_workers, len(queries))
+        problems = (streaming_compat_problems if streamed else index_compat_problems)(config)
+        if problems:
+            raise IndexCompatError(
+                "this search cannot be served from the persisted index: "
+                + "; ".join(problems)
+            )
+        store.validate_against(database)
+        if not streamed:
+            # mapped once here so a refused budget or a torn buffer fails
+            # typed before any work; in a worker it would be retried
+            store.load_shard(memory_budget_mb=memory_budget_mb)
+    nblocks = effective_query_blocks(query_blocks, num_workers, len(queries))
     blocks = partition_queries_by_mass(queries, nblocks)
     block_wires = [[_pack_spectrum(q) for q in block] for block in blocks]
     obs = get_metrics()
@@ -459,40 +423,31 @@ def run_multiprocess_search(
     }
     if store is not None:
         context["index_path"] = str(index_path)
-        if streamed:
-            context["streamed"] = True
-            context["memory_budget_mb"] = memory_budget_mb
+        context["memory_budget_mb"] = memory_budget_mb
+        database_bytes = store.blob_bytes if streamed else store.database_bytes
+        ship_bytes = len(str(index_path).encode())
     else:
-        shard_wires = [shard.to_buffers() for shard in shards]
-        context["shard_wires"] = shard_wires
-        shard_bytes = [_shard_wire_nbytes(w) for w in shard_wires]
-    # shard-major task ids; the checkpoint fingerprint pins the grid shape
-    tasks = {
-        shard_id * nblocks + block_id: (shard_id, block_id)
-        for shard_id in range(num_shards)
-        for block_id in range(nblocks)
-    }
+        context["database"] = database.to_buffers()
+        database_bytes = ship_bytes = _database_wire_nbytes(context["database"])
+    # one task per query block; an empty database has nothing to search
+    tasks = {block_id: block_id for block_id in range(nblocks)} if len(database) else {}
     num_tasks = len(tasks)
 
     # Transport accounting: what actually crosses a process boundary
     # (context once + id tuples per task) vs. the replicated baseline
-    # that re-ships each task's shard and the full query set.  With a
-    # store, the shard contribution collapses to the path string; the
-    # mapped bytes are reported separately as index_mmap_bytes (they
-    # travel through the page cache, not a process boundary).
+    # that re-ships the database and each task's queries.  With a store,
+    # the database contribution collapses to the path string; the mapped
+    # bytes are reported separately as index_mmap_bytes (they travel
+    # through the page cache, not a process boundary).
     block_bytes = [sum(_spectrum_wire_nbytes(w) for w in wires) for wires in block_wires]
-    shard_ship_bytes = len(str(index_path).encode()) if store is not None else sum(shard_bytes)
-    context_bytes = shard_ship_bytes + sum(block_bytes)
+    context_bytes = ship_bytes + sum(block_bytes)
     bytes_tasks = _TASK_WIRE_BYTES * num_tasks
-    bytes_replicated = sum(
-        shard_bytes[sid] + block_bytes[bid] for sid, bid in tasks.values()
-    )
+    bytes_replicated = sum(database_bytes + block_bytes[bid] for bid in tasks.values())
 
     manager: Optional[CheckpointManager] = None
     tasks_resumed = 0
     if checkpoint_path is not None:
         fingerprint = {
-            "num_shards": num_shards,
             "num_queries": len(queries),
             "tau": config.tau,
             "delta": config.delta,
@@ -572,8 +527,8 @@ def run_multiprocess_search(
         rows_scored = manager.counters.get("rows_scored", 0)
         index_rows = manager.counters.get("index_rows", 0)
     else:
-        # the workers' columns stay columns: concatenated, and folded only
-        # where a query id arrived from more than one task (store shards)
+        # the workers' columns stay columns: concatenated (each query id
+        # arrives from exactly one task, so nothing folds)
         hits = select_queries(merge_rank_hits(task_columns, config.tau), query_ids)
         candidates = stats.candidates_evaluated
         batches = stats.batches
@@ -581,7 +536,6 @@ def run_multiprocess_search(
         index_rows = stats.index_rows
     wall = time.perf_counter() - start
     extras = {
-        "num_shards": num_shards,
         "query_blocks": nblocks,
         "wall_time": wall,
         "batches": batches,

@@ -147,7 +147,6 @@ def store_key(params: Dict[str, Any]) -> str:
             "workload.seed",
             "index.mode",
             "index.partition_mb",
-            "index.shards",
             "config.fragment_tolerance",
         )
         if k in params
@@ -180,12 +179,7 @@ def prebuild_store(params: Dict[str, Any], stores_dir: str) -> str:
         build_kwargs: Dict[str, Any] = {}
         if "config.fragment_tolerance" in params:
             build_kwargs["fragment_tolerance"] = float(params["config.fragment_tolerance"])
-        save_index(
-            db,
-            path,
-            num_shards=int(params.get("index.shards", 1)),
-            **build_kwargs,
-        )
+        save_index(db, path, **build_kwargs)
     return path
 
 

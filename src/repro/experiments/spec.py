@@ -90,7 +90,7 @@ GROUP_FIELDS: Dict[str, Tuple[str, ...]] = {
         "min_candidate_length",
     ),
     "faults": ("plan",),
-    "index": ("mode", "partition_mb", "memory_budget_mb", "shards"),
+    "index": ("mode", "partition_mb", "memory_budget_mb"),
 }
 
 #: cell defaults applied under the spec's own ``defaults``

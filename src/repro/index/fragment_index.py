@@ -31,9 +31,8 @@ Builder/view split
 Construction and consumption are separate types:
 
 * :class:`IndexBuilder` is pure construction: it turns a shard into a
-  :class:`BuiltIndex` — a schema-versioned
-  :class:`~repro.index.layout.IndexLayout` descriptor plus a dict of
-  named, contiguous flat arrays.  Nothing in the built state is an
+  :class:`BuiltIndex` — an :class:`~repro.index.layout.IndexLayout`
+  descriptor plus a dict of named, contiguous flat arrays.  Nothing in the built state is an
   object graph, which is what makes zero-copy persistence possible (see
   :mod:`repro.store`).
 * :class:`FragmentIndex` is a *read-only view* wired over such arrays.
@@ -167,11 +166,9 @@ def _build_postings(
 class BuiltIndex:
     """One shard's freshly built index state: layout + named flat arrays.
 
-    ``arrays`` includes the shard's own buffers (``shard_residues`` /
-    ``shard_offsets`` / ``shard_ids``) so a persisted index directory is
-    self-contained: a loader needs nothing beyond the directory to serve
-    searches.  ``view()`` wires a read-only :class:`FragmentIndex` over
-    the arrays.
+    ``arrays`` are the index alone; the shard they index rides beside
+    them (a store writes it to its ``database/`` section).  ``view()``
+    wires a read-only :class:`FragmentIndex` over both.
     """
 
     layout: IndexLayout
@@ -179,15 +176,14 @@ class BuiltIndex:
     shard: ProteinDatabase
 
     def view(self) -> "FragmentIndex":
-        return FragmentIndex.from_arrays(self.layout, self.arrays, shard=self.shard)
+        return FragmentIndex(self.shard, self.layout, self.arrays)
 
 
 class IndexBuilder:
-    """Pure construction: a shard in, schema-versioned flat arrays out.
+    """Pure construction: a shard in, flat arrays out.
 
     Holds only build parameters; :meth:`build` has no side effects on
-    the builder, so one builder can be reused across shards (the store
-    builds every shard of a partition through a single instance).
+    the builder, so one builder can be reused across shards.
     """
 
     def __init__(
@@ -243,15 +239,7 @@ class IndexBuilder:
         suffix_row[off[suf] + spans.start[suf]] = rows[suf]
 
         arrays, num_fragments = self._posting_arrays(shard, spans)
-        arrays.update(
-            {
-                "shard_residues": shard.residues,
-                "shard_offsets": shard.offsets,
-                "shard_ids": shard.ids,
-                "prefix_row": prefix_row,
-                "suffix_row": suffix_row,
-            }
-        )
+        arrays.update({"prefix_row": prefix_row, "suffix_row": suffix_row})
         layout = IndexLayout(
             num_rows=num_rows,
             max_length=self.max_length,
@@ -311,9 +299,9 @@ class IndexBuilder:
 class FragmentIndex:
     """Read-only view over one shard's flat index arrays.
 
-    Never builds: :meth:`from_arrays` wires a view over existing arrays,
-    heap (``IndexBuilder(...).build(shard).view()``) or memmap (a
-    ``repro.store`` directory).
+    Never builds: the constructor wires a view over existing arrays and
+    the shard they index, heap (``IndexBuilder(...).build(shard).view()``)
+    or memmap (a ``repro.store`` directory).
     """
 
     def __init__(
@@ -344,33 +332,11 @@ class FragmentIndex:
             arrays["series_bin_start"],
         )
 
-    @classmethod
-    def from_arrays(
-        cls,
-        layout: IndexLayout,
-        arrays: Dict[str, np.ndarray],
-        shard: Optional[ProteinDatabase] = None,
-    ) -> "FragmentIndex":
-        """Wire a view over existing arrays; no construction happens.
-
-        ``shard`` defaults to a ProteinDatabase rebuilt zero-copy from
-        the layout's own ``shard_*`` buffers, so a persisted directory
-        is self-contained.
-        """
-        if shard is None:
-            shard = ProteinDatabase.from_buffers(
-                arrays["shard_residues"], arrays["shard_offsets"], arrays["shard_ids"]
-            )
-        return cls(shard, layout, arrays)
-
     @property
     def nbytes(self) -> int:
-        """Index memory footprint (row maps + posting lists).
-
-        Excludes the shard's own buffers, matching the historical
-        accounting (the shard is charged separately by whoever holds it).
-        """
-        return int(self.layout.index_nbytes)
+        """Index memory footprint (row maps + posting lists); the shard
+        is charged separately by whoever holds it."""
+        return int(self.layout.nbytes)
 
     # -- span -> row mapping ---------------------------------------------
 

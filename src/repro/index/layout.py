@@ -1,20 +1,21 @@
-"""Schema-versioned descriptor of the fragment index's flat-array state.
+"""Descriptor of the fragment index's flat-array state.
 
 A built :class:`~repro.index.fragment_index.FragmentIndex` is nothing
-but a set of named, contiguous numpy arrays (the two posting lists with
-their bin-start tables, the row metadata that addresses them, and the
-shard's own flat buffers).  :class:`IndexLayout` is the single source of
-truth for that set: which arrays exist, their dtypes and shapes, plus
-the scalar build parameters needed to interpret them (``bin_width``,
-``max_length``, ...).
+but a set of named, contiguous numpy arrays: the two posting lists with
+their bin-start tables, and the row maps that address them.
+:class:`IndexLayout` is the single source of truth for that set: which
+arrays exist, their dtypes and shapes, plus the scalar build parameters
+needed to interpret them (``bin_width``, ``max_length``, ...).  The
+database the rows point into is not part of it: a store keeps the
+database in its own ``database/`` section, shared by both store formats.
 
 The layout is what makes persistence possible: ``repro.store`` writes
 one buffer per manifest entry next to a JSON copy of the layout, and
 reloading is a dtype/shape-checked ``np.load`` per entry — the
 :class:`~repro.index.fragment_index.FragmentIndex` view is agnostic to
 whether the arrays it wires up are heap-allocated or ``np.memmap``
-backed.  ``SCHEMA`` is bumped on breaking shape changes; readers reject
-other versions rather than guessing.
+backed.  The store's schema versions the layout; there is no second
+version inside it.
 """
 
 from __future__ import annotations
@@ -23,16 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import IndexStoreError
-
-#: schema identifier for one shard's flat-array layout; bump the
-#: trailing integer on breaking changes to the array set or semantics
-#: (/2: the per-length fragment matrices and the posting key columns
-#: are gone — the index is its posting lists)
-SCHEMA = "repro.fragment_index/2"
-
-#: arrays holding the shard's own ProteinDatabase buffers — saved with
-#: the index so a loaded shard needs nothing beyond the store directory
-SHARD_ARRAYS = ("shard_residues", "shard_offsets", "shard_ids")
 
 #: the two posting lists, each sorted by (m/z bin, candidate row): the
 #: b+y ladder list (shared-peak counting) and the series-tagged b / y
@@ -48,9 +39,9 @@ POSTING_ARRAYS = (
     "series_bin_start",
 )
 
-#: every array a layout must describe, in canonical order: the shard,
-#: the flat-position span -> row maps, the postings
-ARRAY_NAMES = SHARD_ARRAYS + ("prefix_row", "suffix_row") + POSTING_ARRAYS
+#: every array a layout must describe, in canonical order: the
+#: flat-position span -> row maps, the postings
+ARRAY_NAMES = ("prefix_row", "suffix_row") + POSTING_ARRAYS
 
 
 @dataclass(frozen=True)
@@ -85,12 +76,13 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class IndexLayout:
-    """One shard's complete flat-array schema + build parameters.
+    """The index's complete flat-array schema + build parameters.
 
-    Everything a reader needs to rebuild a working
-    :class:`~repro.index.fragment_index.FragmentIndex` view from raw
-    buffers, and everything a writer needs to validate that a directory
-    of buffers is complete and untruncated.
+    Everything a reader needs to wire a working
+    :class:`~repro.index.fragment_index.FragmentIndex` view over raw
+    buffers (plus the database they index), and everything a writer
+    needs to validate that a directory of buffers is complete and
+    untruncated.
     """
 
     num_rows: int
@@ -100,36 +92,16 @@ class IndexLayout:
     fragment_tolerance: float
     monoisotopic: bool
     arrays: Dict[str, ArraySpec] = field(default_factory=dict)
-    schema: str = SCHEMA
 
     @property
     def nbytes(self) -> int:
-        """Total bytes of every manifest array (what a full load maps)."""
+        """Total bytes of every manifest array (the index alone)."""
         return sum(spec.nbytes for spec in self.arrays.values())
-
-    @property
-    def index_nbytes(self) -> int:
-        """Bytes of the index proper (manifest minus the shard buffers)."""
-        return sum(
-            spec.nbytes
-            for name, spec in self.arrays.items()
-            if name not in SHARD_ARRAYS
-        )
-
-    @property
-    def shard_nbytes(self) -> int:
-        """Bytes of the shard's own transportable buffers (residues,
-        offsets, ids) — what the replicated-transport baseline would ship
-        per task."""
-        return sum(
-            spec.nbytes for name, spec in self.arrays.items() if name in SHARD_ARRAYS
-        )
 
     # -- (de)serialization ----------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "schema": self.schema,
             "num_rows": self.num_rows,
             "max_length": self.max_length,
             "bin_width": self.bin_width,
@@ -144,16 +116,6 @@ class IndexLayout:
         """Parse + validate a layout; raises IndexStoreError on problems."""
         if not isinstance(payload, dict):
             raise IndexStoreError("index layout is not a JSON object")
-        schema = payload.get("schema")
-        if not isinstance(schema, str) or not schema.startswith(
-            "repro.fragment_index/"
-        ):
-            raise IndexStoreError(f"unrecognized index layout schema {schema!r}")
-        if schema != SCHEMA:
-            raise IndexStoreError(
-                f"unsupported index layout schema {schema!r} (this build "
-                f"reads {SCHEMA}); rebuild the store with `repro index build`"
-            )
         try:
             arrays = {
                 name: ArraySpec.from_dict(spec, name)
@@ -167,9 +129,10 @@ class IndexLayout:
                 fragment_tolerance=float(payload["fragment_tolerance"]),
                 monoisotopic=bool(payload["monoisotopic"]),
                 arrays=arrays,
-                schema=schema,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            if isinstance(exc, IndexStoreError):
+                raise
             raise IndexStoreError(f"malformed index layout: {exc!r}") from None
         missing = [name for name in ARRAY_NAMES if name not in arrays]
         if missing:

@@ -1,9 +1,9 @@
 """The long-lived search service: admission, coalescing, supervision.
 
 :class:`SearchService` turns the batch search kernel into a resident
-server.  One scorer thread owns the :class:`ShardSearcher` instances
-over either a persisted index store (the shards are memory-mapped) or an
-in-process database (scored directly, no fragment index).  Clients
+server.  One scorer thread owns one whole-database searcher over either
+a persisted index store (memory-mapped, or streamed if partitioned) or
+an in-process database (scored directly, no fragment index).  Clients
 submit requests of spectra; queued requests are coalesced into
 mass-sorted batches so the candidate-major sweep kernel forms cohorts
 *across* requests — the cross-request analogue of PR 4's within-batch
@@ -12,16 +12,16 @@ coalescing.
 One scorer: it forms a batch when it is free to score it, so everything
 admitted while the block ahead was being scored joins the next one.
 Threads scoring side by side convoy on the GIL (2-3x slower than one:
-docs/service.md, "Concurrency model"), and rebuilding the searchers
+docs/service.md, "Concurrency model"), and rebuilding the searcher
 after a crash costs less than one request's latency, so there is no
 pool and no standby: a dead scorer is rebuilt in place.
 
 Correctness contract: batch composition is timing-dependent, execution
 is not.  The sweep kernel is bitwise identical to the per-query path
-for any grouping of queries, every completed query scored against every
-shard, and :class:`~repro.scoring.hits.TopHitList` is order-independent
-— so the hits of every *completed* query are bitwise identical to a
-fault-free serial run of the same queries, no matter how requests were
+for any grouping of queries, every completed query scored against the
+whole database, and :class:`~repro.scoring.hits.TopHitList` is
+order-independent — so the hits of every *completed* query are bitwise
+identical to a fault-free serial run of the same queries, no matter how requests were
 batched, retried after crashes, or raced by other clients.  Faults,
 deadlines, and load can only change *which* queries complete, never
 what a completed query returns.
@@ -36,7 +36,7 @@ Failure semantics (all typed, never a hang):
   queries keep their hits;
 * batch abandoned after the retry budget → response status ``failed``;
 * scorer death (a :class:`~repro.errors.WorkerCrashError`, or its
-  searchers failing to build) → its batch is re-queued and the scorer
+  searcher failing to build) → its batch is re-queued and the scorer
   rebuilt, ``workers - 1 + max_worker_restarts`` times in all
   (``degraded`` in :meth:`SearchService.health` once more than
   ``max_worker_restarts`` are spent); the last scorer dying with no
@@ -113,7 +113,7 @@ class _Batch:
 class SearchService:
     """A resident, supervised, coalescing search server.
 
-    Construct with exactly one source of shards — ``store`` (a
+    Construct with exactly one source — ``store`` (a
     :class:`~repro.store.index_store.StoredIndex`, a
     :class:`~repro.store.partitioned.PartitionedIndex`, or a path to
     either) or ``database`` — then :meth:`start`,
@@ -121,7 +121,9 @@ class SearchService:
     :meth:`stop` to drain.  With a partitioned store the scorer owns a
     :class:`~repro.core.streaming.StreamingSearcher`: resident memory
     stays at directory + double buffer regardless of store size, and
-    ``memory_budget_mb`` bounds the stream.
+    ``memory_budget_mb`` bounds the stream; a resident store is mapped
+    whole and refuses a budget (:meth:`start` raises
+    :class:`~repro.errors.ConfigError`).
     """
 
     def __init__(
@@ -143,7 +145,6 @@ class SearchService:
         self._database = database
         self._store: Union[StoredIndex, PartitionedIndex, None] = None
         self._memory_budget_mb = memory_budget_mb
-        self._stream_database: Optional[ProteinDatabase] = None
         if store is not None:
             self._store = (
                 store
@@ -173,7 +174,7 @@ class SearchService:
         self._retries: List[Tuple[float, int, _Batch]] = []
         self._in_flight = 0
         self._thread: Optional[threading.Thread] = None
-        #: the scorer has its searchers and is taking batches
+        #: the scorer has its searcher and is taking batches
         self._alive = False
         #: scorer deaths left until the service is dead: the restarts,
         #: the ``workers - 1`` a pool of standbys absorbed, and the last
@@ -189,8 +190,8 @@ class SearchService:
     # -- lifecycle --------------------------------------------------------
 
     def start(self, timeout: float = 30.0) -> "SearchService":
-        """Start the scorer and wait for its searchers; raises if they
-        fail to build."""
+        """Start the scorer and wait for its searcher; raises if it fails
+        to build."""
         with self._lock:
             if self._state != "new":
                 raise ServiceUnavailableError(
@@ -394,29 +395,19 @@ class SearchService:
 
     # -- supervision ------------------------------------------------------
 
-    def _make_searchers(self) -> List[ShardSearcher]:
+    def _make_searcher(self):
+        """The scorer's one whole-database searcher."""
         if isinstance(self._store, PartitionedIndex):
-            # One streaming searcher over the whole store; a
-            # rebuilt scorer re-uses the mmapped database buffers.
             from repro.core.streaming import StreamingSearcher
 
-            if self._stream_database is None:
-                self._stream_database = self._store.load_database()
-            return [
-                StreamingSearcher(
-                    self._store,
-                    self.config,
-                    database=self._stream_database,
-                    memory_budget_mb=self._memory_budget_mb,
-                )
-            ]
+            return StreamingSearcher(
+                self._store, self.config, memory_budget_mb=self._memory_budget_mb
+            )
         if self._store is not None:
-            return [
-                ShardSearcher(ls.shard, self.config, index=ls.index)
-                for ls in map(self._store.load_shard, range(self._store.num_shards))
-            ]
+            loaded = self._store.load_shard(memory_budget_mb=self._memory_budget_mb)
+            return ShardSearcher(loaded.shard, self.config, index=loaded.index)
         assert self._database is not None
-        return [ShardSearcher(self._database, self.config)]
+        return ShardSearcher(self._database, self.config)
 
     def _scorer_main(self) -> None:
         """The scorer thread: one incarnation after another while the
@@ -426,10 +417,10 @@ class SearchService:
             incarnation += 1
 
     def _run_incarnation(self, incarnation: int) -> bool:
-        """Build searchers and score batches until the service stops
+        """Build the searcher and score batches until the service stops
         (``False``) or the scorer dies (``True`` iff it is to be rebuilt)."""
         try:
-            searchers = self._make_searchers()
+            searcher = self._make_searcher()
         except BaseException as exc:
             if incarnation:
                 return self._on_scorer_death(exc, None)
@@ -444,7 +435,7 @@ class SearchService:
             if batch is None:
                 return False
             try:
-                self._execute_batch(batch, searchers, incarnation)
+                self._execute_batch(batch, searcher, incarnation)
             except WorkerCrashError as exc:
                 return self._on_scorer_death(exc, batch)
             except BaseException as exc:  # typed or not, the scorer stays up
@@ -522,13 +513,13 @@ class SearchService:
     # -- execution --------------------------------------------------------
 
     def _execute_batch(
-        self, batch: _Batch, searchers: List[ShardSearcher], incarnation: int
+        self, batch: _Batch, searcher, incarnation: int
     ) -> None:
         """Run one batch to completion (or raise a typed fault).
 
         Execution is chunked so deadlines are honoured at chunk
         boundaries; every query in a finished chunk was scored against
-        *every* shard, so its hits are final.  A raised fault discards
+        the whole database, so its hits are final.  A raised fault discards
         this attempt's partial hitlists entirely — the retry rescoring
         from scratch is what keeps completed results bitwise identical
         to a fault-free run.
@@ -569,9 +560,7 @@ class SearchService:
                 if not e.request.expired
             ]
             if chunk:
-                spectra = [e.spectrum for e in chunk]
-                for searcher in searchers:
-                    searcher.run(spectra, hitlists)
+                searcher.run([e.spectrum for e in chunk], hitlists)
                 scored.extend(chunk)
             mark_expired()
         answers = []
@@ -659,7 +648,7 @@ class SearchService:
         """Record a scorer death; ``True`` when budget remains to rebuild it.
 
         ``batch`` is what it was scoring, ``None`` if it died rebuilding
-        its searchers.  One critical section re-queues the batch and spends
+        its searcher.  One critical section re-queues the batch and spends
         the budget, so admission never sees "no scorer" while any is left.
         """
         with self._lock:

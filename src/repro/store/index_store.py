@@ -1,42 +1,51 @@
-"""Directory-based persistent store for built fragment indexes.
+"""Store directories: what both formats share, and the resident store.
 
-On-disk format (schema ``repro.index_store/2``)::
+Every store is a directory holding ``header.json`` and a ``database/``
+section beside the format's own section::
 
-    <index_dir>/
-        header.json             # store schema, fingerprint, build config,
-                                # one IndexLayout manifest per shard
-        shard_00000/
-            shard_residues.npy  # one standard .npy file per manifest array
-            shard_offsets.npy
+    <store_dir>/
+        header.json         # schema, fingerprint, build config,
+                            # database manifest, the format's manifests
+        database/
+            residues.npy    # the source database's flat buffers,
+            offsets.npy     # mmap-able: every scored span and every
+            ids.npy         # emitted hit reads them
+        index/              # resident store (schema repro.index_store/3)
+            prefix_row.npy  # the flat-position span -> row maps
+            suffix_row.npy
+            ladder_mz.npy   # the two posting lists
             ...
-        shard_00001/
-            ...
+        partitions/         # or a partitioned store (repro.store.partitioned)
 
-``header.json`` is the store's single source of truth: the schema
-version, the content *fingerprint* (SHA-256 over the source database's
+A *resident* store (this module) is the database section plus one
+whole-database fragment index: the two posting lists and the row maps
+that address them, one standard ``.npy`` file per
+:class:`~repro.index.layout.IndexLayout` array.  Loading maps every
+buffer read-only with ``np.load(..., mmap_mode="r")`` — zero copy, the
+``.npy`` header doubling as an on-disk dtype/shape check against the
+manifest.
+
+``header.json`` is a store's single source of truth: the schema version
+(the one version a reader checks; any other is refused with the rebuild
+command), the content *fingerprint* (SHA-256 over the source database's
 flat buffers plus the canonical build-config JSON), the build
-parameters, and a full dtype/shape manifest
-(:class:`~repro.index.layout.IndexLayout`) per shard.  Each manifest
-array lives in its own ``.npy`` file named ``<array>.npy`` inside the
-shard directory — ``np.load(..., mmap_mode="r")`` maps it read-only with
-zero copy, and the .npy header doubles as an on-disk dtype/shape check.
+parameters, and a full dtype/shape manifest of every mapped array.
 
 The fingerprint contract: a store built from database *D* with build
-config *C* is valid only for searches over exactly (*D*, *C*-compatible
-options).  ``StoredIndex.validate_against`` recomputes the fingerprint
-from the caller's database and rejects mismatches with
-:class:`~repro.errors.IndexStoreError` — a stale index is *refused*,
-never silently served, because the build-once/load-many contract is
-that a loaded index scores bitwise identically to an in-process
-rebuild.
+config *C* is valid only for searches over exactly *D*.
+``validate_against`` recomputes the fingerprint from the caller's
+database and rejects mismatches with
+:class:`~repro.errors.IndexStoreError` — a stale store is *refused*,
+never silently served, because the build-once/load-many contract is that
+a loaded store scores bitwise identically to the direct search.
 
-Writes are atomic-ish *and durable*: the directory is assembled under a
-temporary sibling name — every buffer and the header fsync'd, then the
-directories themselves — before being renamed into place and the parent
-directory fsync'd.  Readers never observe a half-written store, and a
-power cut after ``save_index`` returns cannot leave torn buffers behind
-the final name.  Should torn or truncated buffers appear anyway (a
-copy interrupted mid-flight, bit rot), loading raises a typed
+Writes are atomic-ish *and durable*: :func:`_write_store` assembles the
+directory under a temporary sibling name — every buffer and the header
+fsync'd, then the directories themselves — before renaming it into place
+and fsyncing the parent directory.  Readers never observe a half-written
+store, and a power cut after a save returns cannot leave torn buffers
+behind the final name.  Should torn or truncated buffers appear anyway
+(a copy interrupted mid-flight, bit rot), loading raises a typed
 :class:`~repro.errors.IndexStoreError` — never a raw numpy or OS error.
 """
 
@@ -48,28 +57,28 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.chem.protein import ProteinDatabase
-from repro.core.partition import partition_database
-from repro.errors import IndexStoreError
+from repro.errors import ConfigError, IndexStoreError
 from repro.index.fragment_index import FragmentIndex, IndexBuilder
-from repro.index.layout import ARRAY_NAMES, IndexLayout
+from repro.index.layout import ARRAY_NAMES, ArraySpec, IndexLayout
 from repro.obs.metrics import get_metrics
 
-#: schema identifier for the store directory format; readers reject
-#: other versions rather than guessing at semantics
-STORE_SCHEMA = "repro.index_store/2"
+#: schema identifier for the resident store directory format; readers
+#: reject other versions rather than guessing at semantics
+STORE_SCHEMA = "repro.index_store/3"
 
 HEADER_NAME = "header.json"
+DATABASE_DIR = "database"
+INDEX_DIR = "index"
 
-
-def _shard_dirname(i: int) -> str:
-    return f"shard_{i:05d}"
+#: the database section's buffers, in ``ProteinDatabase.to_buffers`` order
+DATABASE_ARRAYS = ("residues", "offsets", "ids")
 
 
 def _fsync_dir(path: Path) -> None:
@@ -97,10 +106,10 @@ def compute_fingerprint(db: ProteinDatabase, build: Dict[str, Any]) -> str:
     ids — exactly what determines search results) and the canonical JSON
     of the build config, so any change to either produces a different
     store identity.  Names are metadata and excluded, matching
-    ``ProteinDatabase.nbytes`` accounting.
+    ``ProteinDatabase.nbytes`` accounting.  No schema string is hashed:
+    the schema check is what refuses an old layout.
     """
     h = hashlib.sha256()
-    h.update(STORE_SCHEMA.encode() + b"\x00")
     h.update(json.dumps(build, sort_keys=True).encode() + b"\x00")
     for arr in db.to_buffers():
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -140,209 +149,56 @@ def load_buffer(buf_path: Path, mmap: bool, missing: str) -> np.ndarray:
     return arr
 
 
-@dataclass
-class LoadedShard:
-    """One shard opened from a store: the shard, its wired index view,
-    and what the load cost (for ShardStats / CostModel accounting)."""
-
-    shard: ProteinDatabase
-    index: FragmentIndex
-    seconds: float  # wall time spent opening + wiring
-    nbytes: int  # bytes mapped (full manifest, shard buffers included)
+def _save_buffer(directory: Path, name: str, arr: np.ndarray) -> Dict[str, Any]:
+    """Write one durable ``<name>.npy``; returns its manifest entry."""
+    with open(directory / f"{name}.npy", "wb") as fh:
+        np.save(fh, arr)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return ArraySpec(str(arr.dtype), tuple(arr.shape)).to_dict()
 
 
-@dataclass
-class StoredIndex:
-    """Handle to an opened (validated-header) index store directory."""
-
-    path: Path
-    schema: str
-    fingerprint: str
-    build: Dict[str, Any]
-    created: float
-    layouts: List[IndexLayout] = field(default_factory=list)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.layouts)
-
-    @property
-    def nbytes(self) -> int:
-        """Total mapped bytes across every shard's full manifest."""
-        return sum(layout.nbytes for layout in self.layouts)
-
-    @property
-    def index_nbytes(self) -> int:
-        """Index-proper bytes (manifests minus the shard buffers)."""
-        return sum(layout.index_nbytes for layout in self.layouts)
-
-    def shard_dir(self, i: int) -> Path:
-        return self.path / _shard_dirname(i)
-
-    def validate_against(self, db: ProteinDatabase) -> None:
-        """Reject the store if it was not built from exactly ``db``.
-
-        Recomputes the content fingerprint from the caller's database
-        and this store's recorded build config; a mismatch means the
-        database changed (or the store belongs to a different one) and
-        loading would serve silently wrong results.
-        """
-        expect = compute_fingerprint(db, self.build)
-        if expect != self.fingerprint:
-            raise IndexStoreError(
-                f"index store at {self.path} was built from a different "
-                f"database or configuration (store fingerprint "
-                f"{self.fingerprint[:12]}..., database fingerprint "
-                f"{expect[:12]}...); rebuild with `repro index build`"
-            )
-
-    def load_shard(self, i: int, mmap: bool = True) -> LoadedShard:
-        """Open shard ``i``'s arrays and wire a read-only FragmentIndex.
-
-        With ``mmap=True`` (the default) every array is an
-        ``np.memmap`` view — the OS pages postings in on demand and
-        shares clean pages across processes.  With ``mmap=False``
-        buffers are read onto the heap (still marked non-writable).
-        Either way the arrays are dtype/shape-checked against the
-        manifest; truncated or swapped buffers raise
-        :class:`IndexStoreError` instead of serving wrong postings.
-        """
-        if not 0 <= i < self.num_shards:
-            raise IndexStoreError(
-                f"index store at {self.path} has {self.num_shards} shards; "
-                f"shard {i} does not exist"
-            )
-        layout = self.layouts[i]
-        shard_dir = self.shard_dir(i)
-        metrics = get_metrics()
-        start = time.perf_counter()
-        arrays: Dict[str, np.ndarray] = {}
-        with metrics.span("index.load", category="store", shard=i, mmap=mmap):
-            for name in ARRAY_NAMES:
-                buf_path = shard_dir / f"{name}.npy"
-                arrays[name] = load_buffer(
-                    buf_path,
-                    mmap,
-                    f"index store at {self.path} is missing buffer "
-                    f"{buf_path.name} for shard {i}",
-                )
-            problems = layout.check_arrays(arrays)
-            if problems:
-                raise IndexStoreError(
-                    f"index store shard {i} at {shard_dir} does not match "
-                    f"its manifest: " + "; ".join(problems)
-                )
-            index = FragmentIndex.from_arrays(layout, arrays)
-        seconds = time.perf_counter() - start
-        nbytes = int(layout.nbytes)
-        metrics.count("index.mmap_bytes", nbytes)
-        metrics.observe("index.load_time", seconds)
-        return LoadedShard(
-            shard=index.shard, index=index, seconds=seconds, nbytes=nbytes
-        )
-
-    def load_all(self, mmap: bool = True) -> List[LoadedShard]:
-        return [self.load_shard(i, mmap=mmap) for i in range(self.num_shards)]
-
-    def provenance(self) -> Dict[str, Any]:
-        """Index-provenance record for RunReport extras (``source``
-        ``"loaded"``: this store's shards are memory-mapped whole)."""
-        return {
-            "source": "loaded",
-            "fingerprint": self.fingerprint,
-            "schema": self.schema,
-            "build": dict(self.build),
-        }
-
-    def describe(self) -> Dict[str, Any]:
-        """Inspection summary (what ``repro index inspect`` prints)."""
-        return {
-            "path": str(self.path),
-            "schema": self.schema,
-            "fingerprint": self.fingerprint,
-            "created": self.created,
-            "build": dict(self.build),
-            "num_shards": self.num_shards,
-            "total_bytes": int(self.nbytes),
-            "index_bytes": int(self.index_nbytes),
-            "shards": [
-                {
-                    "dir": _shard_dirname(i),
-                    "num_rows": layout.num_rows,
-                    "num_fragments": layout.num_fragments,
-                    "bytes": int(layout.nbytes),
-                }
-                for i, layout in enumerate(self.layouts)
-            ],
-        }
-
-
-def save_index(
-    db: ProteinDatabase,
+def _write_store(
     path: Union[str, Path],
+    db: ProteinDatabase,
+    build: Dict[str, Any],
+    schema: str,
+    write_section: Callable[[Path], Dict[str, Any]],
     *,
-    num_shards: int = 1,
-    fragment_tolerance: float = 0.5,
-    max_length: int = 48,
-    monoisotopic: bool = True,
     overwrite: bool = False,
-) -> StoredIndex:
-    """Build ``db``'s fragment index and persist it under ``path``.
+) -> None:
+    """Assemble a store directory of either format, atomically and durably.
 
-    Partitions the database byte-balanced into ``num_shards`` pieces
-    (empty shards dropped, mirroring the engines), builds each shard
-    with one :class:`IndexBuilder`, and writes the directory format
-    described in the module docstring.  The write is atomic-ish: the
-    store is assembled under a temporary sibling directory and renamed
-    into place.  Returns the opened :class:`StoredIndex`.
+    Writes the ``database/`` section, then ``write_section(tmp)`` — the
+    format's own section, returning the header entries that describe
+    it — then ``header.json``, all under a temporary sibling: every file
+    fsync'd, then every directory, then the rename into place and the
+    parent directory.  A failure anywhere removes the sibling.
     """
     path = Path(path)
     if path.exists() and not overwrite:
         raise IndexStoreError(
             f"index store path {path} already exists (pass overwrite to replace it)"
         )
-    build = {
-        "fragment_tolerance": float(fragment_tolerance),
-        "max_length": int(max_length),
-        "monoisotopic": bool(monoisotopic),
-        "num_shards": int(num_shards),
-    }
-    fingerprint = compute_fingerprint(db, build)
-    shards = [s for s in partition_database(db, num_shards) if len(s) > 0]
-    builder = IndexBuilder(
-        fragment_tolerance=fragment_tolerance,
-        max_length=max_length,
-        monoisotopic=monoisotopic,
-    )
-    metrics = get_metrics()
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
     try:
-        layouts: List[IndexLayout] = []
-        for i, shard in enumerate(shards):
-            with metrics.span("index.build", category="store", shard=i):
-                built = builder.build(shard)
-            shard_dir = tmp / _shard_dirname(i)
-            shard_dir.mkdir()
-            for name in ARRAY_NAMES:
-                buf_path = shard_dir / f"{name}.npy"
-                with open(buf_path, "wb") as fh:
-                    np.save(fh, built.arrays[name])
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            _fsync_dir(shard_dir)
-            layouts.append(built.layout)
+        db_dir = tmp / DATABASE_DIR
+        db_dir.mkdir()
+        database = {
+            name: _save_buffer(db_dir, name, arr)
+            for name, arr in zip(DATABASE_ARRAYS, db.to_buffers())
+        }
+        _fsync_dir(db_dir)
         header = {
-            "schema": STORE_SCHEMA,
-            "fingerprint": fingerprint,
+            "schema": schema,
+            "fingerprint": compute_fingerprint(db, build),
             "created": time.time(),
             "build": build,
-            "shards": [
-                {"dir": _shard_dirname(i), "layout": layout.to_dict()}
-                for i, layout in enumerate(layouts)
-            ],
+            "database": database,
+            **write_section(tmp),
         }
         with open(tmp / HEADER_NAME, "w") as fh:
             json.dump(header, fh, indent=1)
@@ -356,7 +212,6 @@ def save_index(
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    return open_index(path)
 
 
 def _read_header(path: Path) -> Dict[str, Any]:
@@ -381,43 +236,275 @@ def _read_header(path: Path) -> Dict[str, Any]:
     return header
 
 
-def open_index(path: Union[str, Path]) -> StoredIndex:
-    """Open and header-validate an index store directory.
+@dataclass
+class StoreHandle:
+    """An opened, header-validated store directory of either format.
 
-    Cheap: reads only ``header.json`` (schema + manifests); no buffer
-    is touched until :meth:`StoredIndex.load_shard`.  Raises
-    :class:`IndexStoreError` for a missing directory, unreadable or
-    malformed header, or an unsupported schema version.
+    Holds what both headers carry — schema, fingerprint, build config,
+    creation time and the ``database/`` manifest — and what both handles
+    do with it.  Subclasses name their format: ``SCHEMA``, the command
+    that rebuilds it, and the provenance ``SOURCE`` of a run served
+    from it.
+    """
+
+    SCHEMA = ""
+    REBUILD = "repro index build"
+    SOURCE = ""
+
+    path: Path
+    schema: str
+    fingerprint: str
+    build: Dict[str, Any]
+    created: float
+    database_arrays: Dict[str, ArraySpec]
+
+    @property
+    def database_bytes(self) -> int:
+        """Bytes of the ``database/`` section's buffers."""
+        return sum(spec.nbytes for spec in self.database_arrays.values())
+
+    def validate_against(self, db: ProteinDatabase) -> None:
+        """Reject the store if it was not built from exactly ``db``.
+
+        Recomputes the content fingerprint from the caller's database
+        and this store's recorded build config; a mismatch means the
+        database changed (or the store belongs to a different one) and
+        loading would serve silently wrong results.
+        """
+        expect = compute_fingerprint(db, self.build)
+        if expect != self.fingerprint:
+            raise IndexStoreError(
+                f"index store at {self.path} was built from a different "
+                f"database or configuration (store fingerprint "
+                f"{self.fingerprint[:12]}..., database fingerprint "
+                f"{expect[:12]}...); rebuild with `{self.REBUILD}`"
+            )
+
+    def load_database(self, mmap: bool = True) -> ProteinDatabase:
+        """Open the ``database/`` buffers (mmap read-only by default),
+        each dtype/shape-checked against the header's manifest."""
+        bufs = []
+        for name in DATABASE_ARRAYS:
+            buf_path = self.path / DATABASE_DIR / f"{name}.npy"
+            arr = load_buffer(
+                buf_path,
+                mmap,
+                f"index store at {self.path} is missing database buffer "
+                f"{DATABASE_DIR}/{buf_path.name}",
+            )
+            spec = self.database_arrays[name]
+            if str(arr.dtype) != spec.dtype or tuple(arr.shape) != spec.shape:
+                raise IndexStoreError(
+                    f"index store at {self.path} does not match its manifest: "
+                    f"database buffer {name!r} has dtype/shape "
+                    f"{arr.dtype}/{tuple(arr.shape)}, manifest says "
+                    f"{spec.dtype}/{spec.shape}"
+                )
+            bufs.append(arr)
+        return ProteinDatabase.from_buffers(*bufs)
+
+    def provenance(self) -> Dict[str, Any]:
+        """Index-provenance record for RunReport extras."""
+        return {
+            "source": self.SOURCE,
+            "fingerprint": self.fingerprint,
+            "schema": self.schema,
+            "build": dict(self.build),
+        }
+
+    def describe(self) -> Dict[str, Any]:
+        """Inspection summary (what ``repro index inspect`` prints)."""
+        return {
+            "path": str(self.path),
+            "schema": self.schema,
+            "fingerprint": self.fingerprint,
+            "created": self.created,
+            "build": dict(self.build),
+            "database_bytes": self.database_bytes,
+        }
+
+
+def _read_store(
+    path: Union[str, Path],
+    handle: type,
+    own_fields: Callable[[Dict[str, Any]], Dict[str, Any]],
+) -> Any:
+    """Open a store directory as ``handle`` (its ``SCHEMA`` is the one
+    version accepted); ``own_fields(header)`` parses the format's section.
+
+    Cheap: reads only ``header.json``.  Raises :class:`IndexStoreError`
+    for a missing directory, an unreadable or malformed header, or any
+    other schema — an earlier version names the rebuild command.
     """
     path = Path(path)
     header_path = path / HEADER_NAME
     header = _read_header(path)
     schema = header.get("schema")
-    if not isinstance(schema, str) or not schema.startswith("repro.index_store/"):
+    family = handle.SCHEMA.rsplit("/", 1)[0] + "/"
+    if not isinstance(schema, str) or not schema.startswith(family):
         raise IndexStoreError(f"unrecognized index store schema {schema!r} in {header_path}")
-    if schema != STORE_SCHEMA:
+    if schema != handle.SCHEMA:
         raise IndexStoreError(
             f"unsupported index store schema {schema!r} in {header_path} "
-            f"(this build reads {STORE_SCHEMA}); rebuild the store with "
-            f"`repro index build`"
+            f"(this build reads {handle.SCHEMA}); rebuild the store with "
+            f"`{handle.REBUILD}`"
         )
     try:
         fingerprint = header["fingerprint"]
         build = header["build"]
-        created = float(header.get("created", 0.0))
-        shard_entries = header["shards"]
         if not isinstance(fingerprint, str) or not isinstance(build, dict):
             raise TypeError("fingerprint/build have wrong types")
-        layouts = [IndexLayout.from_dict(entry["layout"]) for entry in shard_entries]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        return handle(
+            path=path,
+            schema=schema,
+            fingerprint=fingerprint,
+            build=build,
+            created=float(header.get("created", 0.0)),
+            database_arrays={
+                name: ArraySpec.from_dict(header["database"][name], name)
+                for name in DATABASE_ARRAYS
+            },
+            **own_fields(header),
+        )
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         if isinstance(exc, IndexStoreError):
             raise
         raise IndexStoreError(f"malformed index store header {header_path}: {exc!r}") from None
-    return StoredIndex(
-        path=path,
-        schema=schema,
-        fingerprint=fingerprint,
-        build=build,
-        created=created,
-        layouts=layouts,
+
+
+@dataclass
+class LoadedShard:
+    """A resident store opened for search: the database, its wired index
+    view, and what the load cost (for ShardStats / CostModel accounting)."""
+
+    shard: ProteinDatabase
+    index: FragmentIndex
+    seconds: float  # wall time spent opening + wiring
+    nbytes: int  # bytes mapped (database and index sections)
+
+
+@dataclass
+class StoredIndex(StoreHandle):
+    """Handle to an opened resident store: the database section plus one
+    whole-database fragment index, mapped together by :meth:`load_shard`."""
+
+    SCHEMA = STORE_SCHEMA
+    SOURCE = "loaded"
+
+    layout: IndexLayout
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes a load maps: the database and index sections."""
+        return self.database_bytes + self.layout.nbytes
+
+    def load_shard(
+        self, *, mmap: bool = True, memory_budget_mb: Optional[float] = None
+    ) -> LoadedShard:
+        """Open the database and index sections and wire a read-only
+        :class:`FragmentIndex` over them.
+
+        With ``mmap=True`` (the default) every array is an
+        ``np.memmap`` view — the OS pages postings in on demand and
+        shares clean pages across processes.  With ``mmap=False``
+        buffers are read onto the heap (still marked non-writable).
+        Either way the arrays are dtype/shape-checked against the
+        manifest; truncated or swapped buffers raise
+        :class:`IndexStoreError` instead of serving wrong postings.
+
+        A resident store is mapped whole, so it cannot honour
+        ``memory_budget_mb``: any budget raises
+        :class:`~repro.errors.ConfigError` before a buffer is touched.
+        """
+        if memory_budget_mb is not None:
+            raise ConfigError(
+                f"a memory budget bounds streamed partition residency; the "
+                f"resident-format store at {self.path} is memory-mapped whole "
+                f"(build a partitioned store with `repro index build "
+                f"--partition-mb ...` to search under a budget)"
+            )
+        metrics = get_metrics()
+        start = time.perf_counter()
+        with metrics.span("index.load", category="store", mmap=mmap):
+            shard = self.load_database(mmap)
+            arrays = {
+                name: load_buffer(
+                    self.path / INDEX_DIR / f"{name}.npy",
+                    mmap,
+                    f"index store at {self.path} is missing index buffer "
+                    f"{INDEX_DIR}/{name}.npy",
+                )
+                for name in ARRAY_NAMES
+            }
+            problems = self.layout.check_arrays(arrays)
+            if problems:
+                raise IndexStoreError(
+                    f"index store at {self.path} does not match its manifest: "
+                    + "; ".join(problems)
+                )
+            index = FragmentIndex(shard, self.layout, arrays)
+        seconds = time.perf_counter() - start
+        metrics.count("index.mmap_bytes", self.nbytes)
+        metrics.observe("index.load_time", seconds)
+        return LoadedShard(shard=shard, index=index, seconds=seconds, nbytes=self.nbytes)
+
+    def describe(self) -> Dict[str, Any]:
+        return dict(
+            super().describe(),
+            total_bytes=self.nbytes,
+            index_bytes=self.layout.nbytes,
+            num_rows=self.layout.num_rows,
+            num_fragments=self.layout.num_fragments,
+        )
+
+
+def save_index(
+    db: ProteinDatabase,
+    path: Union[str, Path],
+    *,
+    fragment_tolerance: float = 0.5,
+    max_length: int = 48,
+    monoisotopic: bool = True,
+    overwrite: bool = False,
+) -> StoredIndex:
+    """Build ``db``'s fragment index and persist it under ``path``.
+
+    One :class:`IndexBuilder` pass over the whole database (an empty one
+    included), written in the directory format described in the module
+    docstring by :func:`_write_store`.  Returns the opened
+    :class:`StoredIndex`.
+    """
+    builder = IndexBuilder(
+        fragment_tolerance=fragment_tolerance,
+        max_length=max_length,
+        monoisotopic=monoisotopic,
+    )
+    build = {
+        "fragment_tolerance": builder.fragment_tolerance,
+        "max_length": builder.max_length,
+        "monoisotopic": builder.monoisotopic,
+    }
+
+    def write_index(tmp: Path) -> Dict[str, Any]:
+        with get_metrics().span("index.build", category="store"):
+            built = builder.build(db)
+        index_dir = tmp / INDEX_DIR
+        index_dir.mkdir()
+        for name in ARRAY_NAMES:
+            _save_buffer(index_dir, name, built.arrays[name])
+        _fsync_dir(index_dir)
+        return {"index": built.layout.to_dict()}
+
+    _write_store(path, db, build, STORE_SCHEMA, write_index, overwrite=overwrite)
+    return open_index(path)
+
+
+def open_index(path: Union[str, Path]) -> StoredIndex:
+    """Open and header-validate a resident store directory.
+
+    Cheap: reads only ``header.json`` (schema + manifests); no buffer
+    is touched until :meth:`StoredIndex.load_shard`.
+    """
+    return _read_store(
+        path, StoredIndex, lambda header: {"layout": IndexLayout.from_dict(header["index"])}
     )

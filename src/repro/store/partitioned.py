@@ -1,7 +1,7 @@
 """Out-of-core partitioned store with streamed, prefetched reads.
 
-The resident store (:mod:`repro.store.index_store`) maps every shard's
-full manifest, so peak memory grows with database size N.  This module
+The resident store (:mod:`repro.store.index_store`) maps its whole
+index, so peak memory grows with database size N.  This module
 makes N memory-bound no longer: the mass-sorted span set — already the
 product of Algorithm B's counting sort — is promoted to the on-disk
 layout itself, cut into *mass-contiguous partitions* small enough to
@@ -10,15 +10,15 @@ partition's rows directly, the way a search without a store scores its
 candidates: the paper moves database shards past resident queries and
 never indexes fragments, and neither does this store.
 
-On-disk format (schema ``repro.index_store_partitioned/3``)::
+On-disk format (schema ``repro.index_store_partitioned/4``)::
 
     <store_dir>/
         header.json           # schema, fingerprint, build config,
                               # database manifest, partition directory
-        database/
-            residues.npy      # the source database's flat buffers,
-            offsets.npy       # mmap-able: every scored span and every
-            ids.npy           # emitted hit reads them
+        database/             # the resident store's section, written and
+            residues.npy      # read by the same code
+            offsets.npy
+            ids.npy
         partitions/
             p_00000.bin       # one compressed blob per partition
             p_00001.bin
@@ -43,11 +43,12 @@ whose queries are lighter never opens.  Union over partitions is the
 complete candidate set, so streamed hits are bitwise identical to the
 direct search's.
 
-Durability and validation follow the resident store: atomic tmp-sibling
-assembly with per-file fsync, fingerprint validation against the
+Durability and validation are the resident store's own code
+(:mod:`repro.store.index_store`): atomic tmp-sibling assembly with
+per-file fsync, the header read, fingerprint validation against the
 caller's database, and typed :class:`~repro.errors.IndexStoreError` on
-any truncated, corrupt, or mismatched artifact — including a blob whose
-SHA-256 no longer matches its directory entry *mid-stream*.
+any truncated, corrupt, or mismatched artifact — here including a blob
+whose SHA-256 no longer matches its directory entry *mid-stream*.
 
 :class:`StreamingIndexReader` drives the pass: a background prefetch
 thread reads (and checksums) blob k+1 while the main thread decodes and
@@ -59,10 +60,8 @@ prefetch-hit/stall spans in the obs layer.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import queue
-import shutil
 import threading
 import time
 from dataclasses import dataclass, field
@@ -78,23 +77,20 @@ from repro.index.layout import ArraySpec
 from repro.obs.metrics import get_metrics
 from repro.store.codec import codec_for, decode_array, encode_array
 from repro.store.index_store import (
-    HEADER_NAME,
     StoredIndex,
+    StoreHandle,
     _fsync_dir,
-    compute_fingerprint,
-    load_buffer,
-    open_index,
     _read_header,
+    _read_store,
+    _write_store,
+    open_index,
 )
 
-#: schema identifier for the partitioned store directory format
-PARTITIONED_SCHEMA = "repro.index_store_partitioned/3"
+#: schema identifier for the partitioned store directory format (/4: the
+#: fingerprint no longer hashes a schema string; the layout is /3's)
+PARTITIONED_SCHEMA = "repro.index_store_partitioned/4"
 
-DATABASE_DIR = "database"
 PARTITIONS_DIR = "partitions"
-
-#: database buffer name -> attribute, in canonical write order
-_DB_BUFFERS = ("residues", "offsets", "ids")
 
 #: a partition's columns -> dtype, in blob order: the
 #: :class:`~repro.candidates.mass_index.CandidateSpans` fields of its
@@ -233,7 +229,7 @@ def partition_boundaries(num_rows: int, partition_bytes: int) -> List[Tuple[int,
 
 
 @dataclass
-class PartitionedIndex:
+class PartitionedIndex(StoreHandle):
     """Handle to an opened partitioned store: resident directory only.
 
     Opening reads ``header.json`` alone; no blob is touched until
@@ -241,12 +237,10 @@ class PartitionedIndex:
     is what stays resident for a whole streaming pass.
     """
 
-    path: Path
-    schema: str
-    fingerprint: str
-    build: Dict[str, Any]
-    created: float
-    database_arrays: Dict[str, Tuple[str, Tuple[int, ...]]]
+    SCHEMA = PARTITIONED_SCHEMA
+    REBUILD = "repro index build --partition-mb ..."
+    SOURCE = "streamed"
+
     partitions: List[PartitionEntry] = field(default_factory=list)
 
     @property
@@ -277,41 +271,6 @@ class PartitionedIndex:
     @property
     def num_rows(self) -> int:
         return int(sum(p.num_rows for p in self.partitions))
-
-    def validate_against(self, db: ProteinDatabase) -> None:
-        """Reject the store if it was not built from exactly ``db``."""
-        expect = compute_fingerprint(db, self.build)
-        if expect != self.fingerprint:
-            raise IndexStoreError(
-                f"partitioned index store at {self.path} was built from a "
-                f"different database or configuration (store fingerprint "
-                f"{self.fingerprint[:12]}..., database fingerprint "
-                f"{expect[:12]}...); rebuild with `repro index build "
-                f"--partition-mb ...`"
-            )
-
-    # -- database ----------------------------------------------------------
-
-    def load_database(self, mmap: bool = True) -> ProteinDatabase:
-        """Open the stored database buffers (mmap read-only by default)."""
-        bufs = []
-        for name in _DB_BUFFERS:
-            buf_path = self.path / DATABASE_DIR / f"{name}.npy"
-            arr = load_buffer(
-                buf_path,
-                mmap,
-                f"partitioned store at {self.path} is missing database "
-                f"buffer {buf_path.name}",
-            )
-            dtype, shape = self.database_arrays[name]
-            if str(arr.dtype) != dtype or tuple(arr.shape) != shape:
-                raise IndexStoreError(
-                    f"database buffer {buf_path.name} has dtype/shape "
-                    f"{arr.dtype}/{tuple(arr.shape)}, manifest says "
-                    f"{dtype}/{shape}"
-                )
-            bufs.append(arr)
-        return ProteinDatabase.from_buffers(*bufs)
 
     # -- partition reads --------------------------------------------------
 
@@ -396,30 +355,15 @@ class PartitionedIndex:
 
     # -- reporting ---------------------------------------------------------
 
-    def provenance(self) -> Dict[str, Any]:
-        """Index-provenance record for RunReport extras (``source``
-        ``"streamed"``: partitions are decoded as the pass reaches them)."""
-        return {
-            "source": "streamed",
-            "fingerprint": self.fingerprint,
-            "schema": self.schema,
-            "build": dict(self.build),
-        }
-
     def describe(self) -> Dict[str, Any]:
-        """Inspection summary (what ``repro index inspect`` prints)."""
-        return {
-            "path": str(self.path),
-            "schema": self.schema,
-            "fingerprint": self.fingerprint,
-            "created": self.created,
-            "build": dict(self.build),
-            "num_partitions": self.num_partitions,
-            "num_rows": self.num_rows,
-            "blob_bytes": self.blob_bytes,
-            "decoded_bytes": self.decoded_bytes,
-            "max_partition_bytes": self.max_partition_bytes,
-            "partitions": [
+        return dict(
+            super().describe(),
+            num_partitions=self.num_partitions,
+            num_rows=self.num_rows,
+            blob_bytes=self.blob_bytes,
+            decoded_bytes=self.decoded_bytes,
+            max_partition_bytes=self.max_partition_bytes,
+            partitions=[
                 {
                     "name": p.name,
                     "mass_lo": p.mass_lo,
@@ -430,7 +374,7 @@ class PartitionedIndex:
                 }
                 for p in self.partitions
             ],
-        }
+        )
 
 
 def save_partitioned_index(
@@ -448,18 +392,10 @@ def save_partitioned_index(
     write is atomic (tmp-sibling assembly + rename) and durable
     (per-file and directory fsync).
     """
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise IndexStoreError(
-            f"index store path {path} already exists (pass overwrite to "
-            f"replace it)"
-        )
     if partition_mb <= 0:
         raise IndexStoreError(
             f"partition_mb must be > 0, got {partition_mb}"
         )
-    build = {"partition_mb": float(partition_mb)}
-    fingerprint = compute_fingerprint(db, build)
     # the stable argsort of the mass index's own enumeration order:
     # equal-mass spans keep the order a direct search lists them in
     spans = MassIndex(db).candidates_in_window(0.0, np.inf)
@@ -469,26 +405,8 @@ def save_partitioned_index(
     )
     slices = partition_boundaries(len(spans), int(partition_mb * (1 << 20)))
     metrics = get_metrics()
-    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
-    try:
-        db_dir = tmp / DATABASE_DIR
-        db_dir.mkdir()
-        database_arrays: Dict[str, Any] = {}
-        for name, arr in zip(_DB_BUFFERS, db.to_buffers()):
-            buf_path = db_dir / f"{name}.npy"
-            with open(buf_path, "wb") as fh:
-                np.save(fh, arr)
-                fh.flush()
-                os.fsync(fh.fileno())
-            database_arrays[name] = {
-                "dtype": str(arr.dtype),
-                "shape": list(arr.shape),
-            }
-        _fsync_dir(db_dir)
 
+    def write_partitions(tmp: Path) -> Dict[str, Any]:
         part_dir = tmp / PARTITIONS_DIR
         part_dir.mkdir()
         entries: List[PartitionEntry] = []
@@ -502,8 +420,7 @@ def save_partitioned_index(
                 }
                 blob, sections = _encode_blob(arrays)
             name = _partition_filename(i)
-            blob_path = part_dir / name
-            with open(blob_path, "wb") as fh:
+            with open(part_dir / name, "wb") as fh:
                 fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -524,27 +441,12 @@ def save_partitioned_index(
                 )
             )
         _fsync_dir(part_dir)
+        return {"partitions": [entry.to_dict() for entry in entries]}
 
-        header = {
-            "schema": PARTITIONED_SCHEMA,
-            "fingerprint": fingerprint,
-            "created": time.time(),
-            "build": build,
-            "database": database_arrays,
-            "partitions": [entry.to_dict() for entry in entries],
-        }
-        with open(tmp / HEADER_NAME, "w") as fh:
-            json.dump(header, fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fsync_dir(tmp)
-        if path.exists():  # overwrite: drop the stale store just before rename
-            shutil.rmtree(path)
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    build = {"partition_mb": float(partition_mb)}
+    _write_store(
+        path, db, build, PARTITIONED_SCHEMA, write_partitions, overwrite=overwrite
+    )
     return open_partitioned_index(path)
 
 
@@ -554,55 +456,12 @@ def open_partitioned_index(path: Union[str, Path]) -> PartitionedIndex:
     Cheap: reads only ``header.json`` (the partition directory); no
     blob or database buffer is touched until a partition is streamed.
     """
-    path = Path(path)
-    header_path = path / HEADER_NAME
-    header = _read_header(path)
-    schema = header.get("schema")
-    if not isinstance(schema, str) or not schema.startswith(
-        "repro.index_store_partitioned/"
-    ):
-        raise IndexStoreError(
-            f"unrecognized partitioned store schema {schema!r} in {header_path}"
-        )
-    if schema != PARTITIONED_SCHEMA:
-        raise IndexStoreError(
-            f"unsupported partitioned store schema {schema!r} in "
-            f"{header_path} (this build reads {PARTITIONED_SCHEMA}); rebuild "
-            f"the store with `repro index build --partition-mb ...`"
-        )
-    try:
-        fingerprint = header["fingerprint"]
-        build = header["build"]
-        created = float(header.get("created", 0.0))
-        if not isinstance(fingerprint, str) or not isinstance(build, dict):
-            raise TypeError("fingerprint/build have wrong types")
-        database_arrays = {
-            name: (str(spec["dtype"]), tuple(int(d) for d in spec["shape"]))
-            for name, spec in header["database"].items()
-        }
-        partitions = [
-            PartitionEntry.from_dict(entry) for entry in header["partitions"]
-        ]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, IndexStoreError):
-            raise
-        raise IndexStoreError(
-            f"malformed partitioned store header {header_path}: {exc!r}"
-        ) from None
-    missing = [name for name in _DB_BUFFERS if name not in database_arrays]
-    if missing:
-        raise IndexStoreError(
-            f"partitioned store header {header_path} is missing database "
-            f"buffers {missing}"
-        )
-    return PartitionedIndex(
-        path=path,
-        schema=schema,
-        fingerprint=fingerprint,
-        build=build,
-        created=created,
-        database_arrays=database_arrays,
-        partitions=partitions,
+    return _read_store(
+        path,
+        PartitionedIndex,
+        lambda header: {
+            "partitions": [PartitionEntry.from_dict(e) for e in header["partitions"]]
+        },
     )
 
 
@@ -613,7 +472,7 @@ def open_any_index(
 
     The single entry point CLI / engines / service use when the store
     flavor is the user's choice: resident stores
-    (``repro.index_store/2``) come back as :class:`StoredIndex`,
+    (``repro.index_store/*``) come back as :class:`StoredIndex`,
     partitioned stores as :class:`PartitionedIndex`.
     """
     path = Path(path)

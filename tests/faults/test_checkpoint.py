@@ -25,7 +25,7 @@ def hit_keys(report):
     return {qid: [h.sort_key() for h in hs] for qid, hs in report.hits.items()}
 
 
-FINGERPRINT = {"num_shards": 4, "num_queries": 2, "tau": 3, "delta": 3.0, "scorer": "hyperscore"}
+FINGERPRINT = {"query_blocks": 4, "num_queries": 2, "tau": 3, "delta": 3.0, "scorer": "hyperscore"}
 
 
 class TestSearchCheckpoint:
@@ -88,7 +88,7 @@ class TestCheckpointManager:
     def test_fingerprint_mismatch_refuses_resume(self, tmp_path):
         path = tmp_path / "ckpt.json"
         CheckpointManager(path, dict(FINGERPRINT), tau=3).flush()
-        other = dict(FINGERPRINT, num_shards=8)
+        other = dict(FINGERPRINT, query_blocks=8)
         with pytest.raises(CheckpointError, match="different run"):
             CheckpointManager.resume(path, other, tau=3)
 

@@ -261,7 +261,7 @@ class TestCrashRecovery:
             sweep_config, service_config, database=tiny_db, fault_plan=plan
         )
         rebuilding, gate = threading.Event(), threading.Event()
-        make_searchers = service._make_searchers
+        make_searcher = service._make_searcher
         calls = []
 
         def gated_rebuild():
@@ -269,9 +269,9 @@ class TestCrashRecovery:
             if len(calls) > 1:  # the first scorer comes up at once
                 rebuilding.set()
                 assert gate.wait(30.0), "the test never opened the gate"
-            return make_searchers()
+            return make_searcher()
 
-        service._make_searchers = gated_rebuild
+        service._make_searcher = gated_rebuild
         try:
             with service:
                 first = service.submit(tiny_queries[:3])
@@ -307,16 +307,16 @@ class TestCrashRecovery:
         service = SearchService(
             sweep_config, service_config, database=tiny_db, fault_plan=plan
         )
-        make_searchers = service._make_searchers
+        make_searcher = service._make_searcher
         calls = []
 
         def second_build_fails():
             calls.append(None)
             if len(calls) == 2:
                 raise OSError("injected: the store would not map")
-            return make_searchers()
+            return make_searcher()
 
-        service._make_searchers = second_build_fails
+        service._make_searcher = second_build_fails
         with service:
             response = service.search(tiny_queries[:3], timeout=60.0).raise_for_status()
             health = service.health()
@@ -331,7 +331,7 @@ class TestCrashRecovery:
         def no_build():
             raise OSError("injected: the store would not map")
 
-        service._make_searchers = no_build
+        service._make_searcher = no_build
         with pytest.raises(OSError, match="would not map"):
             service.start()
         assert service.health()["state"] == "stopped"

@@ -212,7 +212,7 @@ class TestCliFlagCombinations:
     def test_stream_rejects_resident_store(self, tmp_path, capsys):
         db = generate_database(60, seed=202)
         path = str(tmp_path / "resident")
-        save_index(db, path, num_shards=1)
+        save_index(db, path)
         rc = main(
             ["search", "-a", "serial", "-n", "60", "-m", "4",
              "--stream", "--index-path", path]
@@ -224,7 +224,7 @@ class TestCliFlagCombinations:
     def test_memory_budget_rejects_resident_store(self, tmp_path, capsys):
         db = generate_database(60, seed=202)
         path = str(tmp_path / "resident")
-        save_index(db, path, num_shards=1)
+        save_index(db, path)
         rc = main(
             ["search", "-a", "serial", "-n", "60", "-m", "4",
              "--memory-budget-mb", "64", "--index-path", path]
@@ -236,7 +236,7 @@ class TestCliFlagCombinations:
     def test_tune_rejects_resident_store(self, tmp_path, capsys):
         db = generate_database(60, seed=202)
         path = str(tmp_path / "resident")
-        save_index(db, path, num_shards=1)
+        save_index(db, path)
         rc = main(["tune", "-n", "60", "-m", "4", "--index-path", path])
         assert rc == 2
         assert "streams only from partitioned stores" in capsys.readouterr().err

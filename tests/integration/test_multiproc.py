@@ -38,8 +38,8 @@ class TestMultiprocess:
         rep = run_multiprocess_search(
             small_db, tiny_queries, num_workers=2, config=cfg, query_blocks=3
         )
-        # no store: the database is one shard, cut into three query blocks
-        assert rep.extras["num_shards"] == 1
+        # the database stays whole: one task per query block
+        assert "num_shards" not in rep.extras
         assert rep.extras["tasks_total"] == 3
         assert reports_equal(search_serial(small_db, tiny_queries, cfg), rep)
 
@@ -109,7 +109,7 @@ _GRID = (
 
 
 class TestQueryMajorDecomposition:
-    """Mass-contiguous query blocks over the (shard, block) grid: the same
+    """Mass-contiguous query blocks, one task each: the same
     hits as serial on every path, whatever order the queries came in."""
 
     @pytest.fixture(scope="class")
@@ -129,7 +129,7 @@ class TestQueryMajorDecomposition:
     def paths(self, tiny_db, tmp_path_factory):
         """path name -> (config, extra keyword arguments)."""
         root = tmp_path_factory.mktemp("grid")
-        resident = save_index(tiny_db, root / "resident", num_shards=2)
+        resident = save_index(tiny_db, root / "resident")
         partitioned = save_partitioned_index(
             tiny_db, root / "partitioned", partition_mb=1.0 / 16.0
         )
@@ -164,11 +164,10 @@ class TestQueryMajorDecomposition:
     def test_the_parent_keeps_columns_as_columns(
         self, tiny_db, queries, paths, start_method, monkeypatch
     ):
-        """A query id that arrives from one task is never unpacked: the
-        direct path and the partitioned store (one whole-store shard
-        each) concatenate and fold nothing.  One that arrives from both
-        shards of a resident store is folded, still in columns.  The hits
-        are the scalar oracle's either way."""
+        """Every query id arrives from exactly one task and is never
+        unpacked: on every path (one whole-database searcher each) the
+        parent concatenates the tasks' columns and folds nothing.  The
+        hits are the scalar oracle's."""
         folds = []
         fold = results._fold_repeated_queries
         monkeypatch.setattr(
@@ -178,14 +177,14 @@ class TestQueryMajorDecomposition:
             multiproc, "unpack_hit_columns", lambda c: pytest.fail("unpacked without a checkpoint")
         )
         oracle = reference_search(tiny_db, SearchConfig(tau=10), queries)
-        for path, folded in (("direct", 0), ("resident_store", 1), ("partitioned_store", 0)):
+        for path in ("direct", "resident_store", "partitioned_store"):
             config, kwargs = paths[path]
             del folds[:]
             rep = run_multiprocess_search(
                 tiny_db, queries, num_workers=2, config=config,
                 query_blocks=3, start_method=start_method, **kwargs,
             )
-            assert len(folds) == folded, path
+            assert len(folds) == 0, path
             assert isinstance(rep.hits, HitTable)
             assert_report_matches(oracle, rep)
 
@@ -218,22 +217,15 @@ class TestQueryMajorDecomposition:
             small_db, queries, num_workers=2, config=config, query_blocks=blocks
         )
         assert reports_equal(serial, rep, score_rtol=0)
-        assert rep.extras["num_shards"] == 1
         assert rep.extras["tasks_total"] == blocks
         assert rep.extras["sweep_queries"] == len(queries)
         assert rep.extras["sweep_cohorts"] <= serial.extras["sweep_cohorts"] + blocks
         assert rep.extras["rows_scored"] == serial.extras["rows_scored"]
 
-    def test_query_blocks_is_a_floor(self, tiny_db, tiny_queries, tmp_path):
+    def test_query_blocks_is_a_floor(self, tiny_db, tiny_queries):
         """A grid narrower than the pool is widened to one task per worker."""
         config = SearchConfig(tau=10)
         rep = run_multiprocess_search(tiny_db, tiny_queries, num_workers=2, config=config)
-        assert (rep.extras["num_shards"], rep.extras["query_blocks"]) == (1, 2)
-        two_shards = save_index(tiny_db, tmp_path / "resident", num_shards=2)
-        rep = run_multiprocess_search(
-            tiny_db, tiny_queries, num_workers=2, config=config,
-            index_path=str(two_shards.path),
-        )
-        assert (rep.extras["num_shards"], rep.extras["query_blocks"]) == (2, 1)
+        assert (rep.extras["query_blocks"], rep.extras["tasks_total"]) == (2, 2)
         with pytest.raises(ValueError):
             run_multiprocess_search(tiny_db, tiny_queries, num_workers=1, query_blocks=0)

@@ -4,7 +4,7 @@ multiprocessing engine.
 The engine must return bitwise-identical hits whether scores come from
 a store's memory-mapped index or the direct batch path, under both fork and
 spawn start methods, and its per-task payload must carry only id
-references (the shard/query payloads ship once, via the worker
+references (the database and query payloads ship once, via the worker
 context).
 """
 
@@ -35,7 +35,7 @@ class TestIndexOnOff:
     def test_identical_hits_index_on_and_off(
         self, tiny_db, tiny_queries, start_method, tmp_path
     ):
-        store = save_index(tiny_db, tmp_path / "resident", num_shards=2)
+        store = save_index(tiny_db, tmp_path / "resident")
         cfg = _cfg(scorer="hyperscore")  # a scorer the postings serve
         on = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=cfg,
@@ -68,7 +68,7 @@ class TestIndexOnOff:
             start_method=start_method, index_path=str(store.path),
         )
         assert reports_equal(search_serial(tiny_db, tiny_queries, cfg), report)
-        assert (report.extras["num_shards"], report.extras["query_blocks"]) == (1, 4)
+        assert report.extras["query_blocks"] == 4
         assert report.extras["tasks_completed"] == 4
         # no task is idle: every block of the grid brings hits back
         for block in partition_queries_by_mass(tiny_queries, 4):
@@ -84,20 +84,20 @@ class TestIndexOnOff:
 
 class TestZeroCopyTransport:
     def test_task_payload_is_id_references_only(self):
-        sup = _Supervisor(None, {7: (3, 2)}, RetryPolicy(max_retries=0), None)
+        sup = _Supervisor(None, {7: 2}, RetryPolicy(max_retries=0), None)
         payload = sup._payload(7)
-        assert payload == (7, 0, 3, 2)
+        assert payload == (7, 0, 2)
         assert all(isinstance(v, int) for v in payload)
 
     def test_bytes_shipped_drop_vs_replicated(self, tiny_db, tiny_queries):
         """Per-task traffic is a handful of ints; the old design shipped
-        the shard and the query block inside every task."""
+        the database and the query block inside every task."""
         rep = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=_cfg(), query_blocks=2
         )
         ex = rep.extras
-        num_tasks = ex["num_shards"] * ex["query_blocks"]
-        assert ex["bytes_shipped_tasks"] == _TASK_WIRE_BYTES * num_tasks
+        assert ex["tasks_total"] == ex["query_blocks"] == 2
+        assert ex["bytes_shipped_tasks"] == _TASK_WIRE_BYTES * ex["tasks_total"]
         assert ex["bytes_shipped"] == ex["bytes_shipped_setup"] + ex["bytes_shipped_tasks"]
         assert ex["bytes_shipped"] < ex["bytes_shipped_replicated"]
 

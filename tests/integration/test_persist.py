@@ -3,7 +3,9 @@
 The mmap-once transport contract: an engine pointed at a
 ``repro index build`` directory returns hits bitwise identical to the
 direct path — under both fork and spawn start methods — while shipping
-only a path string to workers instead of the shard buffers.  The CLI
+only a path string to workers instead of the database buffers.  A store
+holds one whole database, an empty one included, and a resident store
+refuses a memory budget wherever one meets it.  The CLI
 half covers the build → inspect → search workflow end to end, and that
 every misuse (missing store, stale fingerprint, simulated engine,
 corrupt header) exits with a one-line typed error, never a traceback.
@@ -19,14 +21,22 @@ from repro.chem.amino_acids import STANDARD_MODIFICATIONS, decode_sequence
 from repro.cli import main
 from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
-from repro.core.search import search_serial
+from repro.core.driver import run_search
+from repro.core.search import ShardSearcher, search_serial
 from repro.engines.multiproc import run_multiprocess_search
-from repro.errors import IndexCompatError, IndexStoreError
+from repro.errors import ConfigError, IndexStoreError
 from repro.scoring import SCORER_NAMES
+from repro.service import SearchService, ServiceConfig
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.theoretical import theoretical_spectrum
-from repro.store import HEADER_NAME, open_index, save_index, save_partitioned_index
-from tests.reference import assert_report_matches, reference_search
+from repro.store import (
+    HEADER_NAME,
+    STORE_SCHEMA,
+    open_index,
+    save_index,
+    save_partitioned_index,
+)
+from tests.reference import assert_same_hitlists, assert_report_matches, reference_search
 
 _START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -39,13 +49,8 @@ def _cfg(**kw):
 
 @pytest.fixture(scope="module")
 def tiny_store(tiny_db, tmp_path_factory):
-    """tiny_db persisted as a 2-shard store (matches 2 workers x 1 shard)."""
-    return save_index(tiny_db, tmp_path_factory.mktemp("store") / "idx", num_shards=2)
-
-
-@pytest.fixture(scope="module")
-def tiny_store_1shard(tiny_db, tmp_path_factory):
-    return save_index(tiny_db, tmp_path_factory.mktemp("store1") / "idx", num_shards=1)
+    """tiny_db persisted as a resident store: one whole-database shard."""
+    return save_index(tiny_db, tmp_path_factory.mktemp("store") / "idx")
 
 
 class TestMmapTransport:
@@ -103,7 +108,7 @@ class TestMmapTransport:
             - from_store.extras["bytes_shipped_setup"]
         )
         assert saved == database_buffer_bytes - path_bytes
-        # and the shard contribution really is near-zero: what remains of
+        # and the database contribution really is near-zero: what remains of
         # the setup payload is the packed queries plus the path string
         query_wire_bytes = sum(
             q.mz.nbytes + q.intensity.nbytes + 24 for q in tiny_queries
@@ -113,21 +118,11 @@ class TestMmapTransport:
             == path_bytes + query_wire_bytes
         )
 
-    def test_serial_engine_from_one_shard_store(
-        self, tiny_db, tiny_queries, tiny_store_1shard
-    ):
-        from_store = search_serial(
-            tiny_db, tiny_queries, _cfg(), index_store=tiny_store_1shard
-        )
+    def test_serial_engine_from_one_shard_store(self, tiny_db, tiny_queries, tiny_store):
+        from_store = search_serial(tiny_db, tiny_queries, _cfg(), index_store=tiny_store)
         direct = search_serial(tiny_db, tiny_queries, _cfg())
         assert reports_equal(from_store, direct)
         assert from_store.extras["index_load_time"] > 0.0
-
-    def test_serial_engine_rejects_multi_shard_store(
-        self, tiny_db, tiny_queries, tiny_store
-    ):
-        with pytest.raises(IndexCompatError, match="one shard"):
-            search_serial(tiny_db, tiny_queries, _cfg(), index_store=tiny_store)
 
     def test_stale_fingerprint_refused(self, small_db, tiny_queries, tiny_store):
         with pytest.raises(IndexStoreError, match="different database"):
@@ -223,6 +218,28 @@ class TestEveryScorerOverEveryStore:
         served = report.extras["index_probe_fraction"] > 0
         assert served == (flavour == "resident" and config.scorer in _POSTING_SERVED)
 
+    @pytest.mark.parametrize("start_method", _START_METHODS)
+    @pytest.mark.parametrize("case", list(SCORER_NAMES), indirect=True)
+    def test_resident_store_over_each_start_method_is_the_serial_direct_search(
+        self, tiny_db, tiny_queries, stores, case, start_method
+    ):
+        """The one-shard resident store, in process and over worker
+        processes, against the serial direct search: bitwise hits, and
+        per-query ``evaluated`` counts where a run keeps them."""
+        config, _lib, _reference = case
+        resident = stores[0]
+        direct = {}
+        ShardSearcher(tiny_db, config).run(tiny_queries, direct)
+        loaded = resident.load_shard()
+        from_store = {}
+        ShardSearcher(loaded.shard, config, index=loaded.index).run(tiny_queries, from_store)
+        assert_same_hitlists(direct, from_store)
+        report = run_multiprocess_search(
+            tiny_db, tiny_queries, num_workers=2, config=config,
+            query_blocks=3, start_method=start_method, index_path=str(resident.path),
+        )
+        assert_report_matches(direct, report)
+
     def test_ptm_cutoff_and_length_floor_with_a_direct_scorer(
         self, tiny_db, tiny_queries, stores
     ):
@@ -247,6 +264,89 @@ class TestEveryScorerOverEveryStore:
         assert 0 < kept < report.candidates_evaluated  # the cutoff bit
 
 
+def _search_each_way(database, queries, config, store, **kwargs):
+    """One store searched through every entry point: serial, multiproc
+    over one and two workers, and the service."""
+    yield "serial", search_serial(database, queries, config, index_store=store, **kwargs)
+    for workers in (1, 2):
+        yield f"multiproc/{workers}", run_multiprocess_search(
+            database, queries, num_workers=workers, config=config,
+            index_path=str(store.path), **kwargs,
+        )
+    with SearchService(config, ServiceConfig(workers=1), store=store, **kwargs) as service:
+        yield "service", service.search(queries).raise_for_status()
+
+
+class TestEmptyDatabase:
+    """A store of a database with no proteins is searched like the
+    database itself: every query reported, with nothing evaluated."""
+
+    @pytest.mark.parametrize("flavour", ["resident", "partitioned"])
+    def test_a_store_of_an_empty_database_is_searchable(
+        self, tiny_db, tiny_queries, tmp_path, flavour
+    ):
+        empty = tiny_db.slice_range(0, 0)
+        if flavour == "resident":
+            store = save_index(empty, tmp_path / "store")
+        else:
+            store = save_partitioned_index(empty, tmp_path / "store", partition_mb=0.5)
+        config = _cfg()
+        direct = search_serial(empty, tiny_queries, config)
+        assert direct.candidates_evaluated == 0
+        expect = {q.query_id: [] for q in tiny_queries}
+        assert dict(direct.hits) == expect
+        for way, result in _search_each_way(empty, tiny_queries, config, store):
+            assert dict(result.hits) == expect, way
+            if way != "service":  # a response reports hits only
+                assert result.candidates_evaluated == 0, way
+
+
+class TestMemoryBudget:
+    """A resident store is mapped whole: a memory budget is refused with
+    ``ConfigError`` at every entry point, where a partitioned store
+    honours the same budget."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tiny_db, tmp_path_factory):
+        root = tmp_path_factory.mktemp("budget")
+        return {
+            "resident": save_index(tiny_db, root / "resident"),
+            "partitioned": save_partitioned_index(
+                tiny_db, root / "partitioned", partition_mb=1.0 / 16.0
+            ),
+        }
+
+    @staticmethod
+    def _enter(entry, tiny_db, queries, store):
+        config, budget = _cfg(), 1.0
+        if entry == "search_serial":
+            return search_serial(tiny_db, queries, config, index_store=store, memory_budget_mb=budget)
+        if entry == "run_multiprocess_search":
+            return run_multiprocess_search(
+                tiny_db, queries, num_workers=2, config=config,
+                index_path=str(store.path), memory_budget_mb=budget,
+            )
+        if entry == "run_search":
+            return run_search(
+                tiny_db, queries, "serial", 1, config,
+                index_path=str(store.path), memory_budget_mb=budget,
+            )
+        with SearchService(config, store=store, memory_budget_mb=budget) as service:
+            return service.search(queries).raise_for_status()
+
+    @pytest.mark.parametrize(
+        "entry", ["search_serial", "run_multiprocess_search", "run_search", "SearchService"]
+    )
+    def test_refused_over_a_resident_store_accepted_over_a_partitioned_one(
+        self, tiny_db, tiny_queries, stores, entry
+    ):
+        with pytest.raises(ConfigError, match="memory-mapped whole"):
+            self._enter(entry, tiny_db, tiny_queries, stores["resident"])
+        reference = search_serial(tiny_db, tiny_queries, _cfg())
+        result = self._enter(entry, tiny_db, tiny_queries, stores["partitioned"])
+        assert dict(result.hits) == dict(reference.hits)
+
+
 _DB_ARGS = ["-n", "150", "--seed", "9"]
 _SEARCH_ARGS = ["-m", "8", "--tau", "5", "--query-seed", "3"]
 
@@ -255,17 +355,23 @@ class TestCLI:
     @pytest.fixture(scope="class")
     def built(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("cli") / "idx"
-        rc = main(["index", "build", str(path), *_DB_ARGS, "--shards", "2"])
+        rc = main(["index", "build", str(path), *_DB_ARGS])
         assert rc == 0
         return path
 
-    def test_build_then_inspect(self, built, capsys):
+    def test_build_then_inspect(self, built, tmp_path, capsys):
         rc = main(["index", "inspect", str(built)])
         assert rc == 0
         out = capsys.readouterr().out
         store = open_index(built)
         assert store.fingerprint in out
-        assert "shard_00001" in out
+        assert STORE_SCHEMA in out
+        assert "database/=" in out and "index/=" in out
+        # a store holds one whole database: there is no shard count to ask for
+        with pytest.raises(SystemExit) as usage:
+            main(["index", "build", str(tmp_path / "idx"), *_DB_ARGS, "--shards", "2"])
+        assert usage.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
     def test_search_from_store_matches_rebuild(self, built, capsys):
         rc = main([
@@ -344,5 +450,7 @@ class TestCLI:
             ["index", "build", str(built), *_DB_ARGS], capsys
         )
         assert "already exists" in err
-        assert main(["index", "build", str(built), *_DB_ARGS, "--shards", "2",
-                     "--overwrite"]) == 0
+        assert main(["index", "build", str(built), *_DB_ARGS, "--overwrite"]) == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["index", "build", str(built), *_DB_ARGS, "--shards", "2", "--overwrite"])
+        assert usage.value.code == 2

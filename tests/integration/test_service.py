@@ -49,7 +49,7 @@ class TestLifecycle:
     def test_requires_exactly_one_source(self, tiny_db, sweep_config, tmp_path):
         with pytest.raises(ConfigError, match="exactly one"):
             SearchService(sweep_config)
-        store = save_index(tiny_db, tmp_path / "idx", num_shards=1)
+        store = save_index(tiny_db, tmp_path / "idx")
         with pytest.raises(ConfigError, match="exactly one"):
             SearchService(sweep_config, database=tiny_db, store=store)
 
@@ -145,7 +145,7 @@ class TestBitwiseIdentity:
     def test_store_backed_service_matches_database_mode(
         self, tiny_db, tiny_queries, sweep_config, reference_hits, tmp_path
     ):
-        store = save_index(tiny_db, tmp_path / "idx", num_shards=3)
+        store = save_index(tiny_db, tmp_path / "idx")
         with SearchService(sweep_config, database=None, store=store) as service:
             response = service.search(tiny_queries).raise_for_status()
         assert _hit_keys(response.hits) == reference_hits
@@ -158,7 +158,7 @@ class TestBitwiseIdentity:
         )
 
     def test_store_accepts_path(self, tiny_db, tiny_queries, sweep_config, tmp_path):
-        path = save_index(tiny_db, tmp_path / "idx", num_shards=2).path
+        path = save_index(tiny_db, tmp_path / "idx").path
         with SearchService(sweep_config, store=path) as service:
             assert service.search(tiny_queries[:4]).ok
 
@@ -286,7 +286,7 @@ class TestServeCLI:
         from repro.cli import main
 
         idx = tmp_path / "idx"
-        assert main(["index", "build", str(idx), "-n", "80", "--shards", "2"]) == 0
+        assert main(["index", "build", str(idx), "-n", "80"]) == 0
         capsys.readouterr()
         rc = main(
             ["serve", "--index-path", str(idx), "-m", "8",
@@ -294,4 +294,4 @@ class TestServeCLI:
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "2 shard(s)" in out
+        assert f"one scorer over {idx}" in out

@@ -1,7 +1,7 @@
 """Integration: streamed search through the serial path, engines, and CLI.
 
 The out-of-core contract: a search served from a partitioned store
-(``repro.index_store_partitioned/3``) — serial, multiprocess with
+(``repro.index_store_partitioned/4``) — serial, multiprocess with
 workers streaming the partitions their query blocks' mass ranges meet,
 or the long-lived service — returns hits bitwise identical to the
 resident index path, while holding at most ~two partitions of rows per
@@ -142,9 +142,8 @@ class TestMultiprocStreaming:
         assert ex["index_path"] == str(pstore.path)
         assert ex["num_partitions"] == pstore.num_partitions
         assert ex["index_provenance"]["source"] == "streamed"
-        # one whole-store shard: the query blocks carry the parallelism
-        assert ex["num_shards"] == 1
-        assert ex["query_blocks"] >= min(num_workers, len(tiny_queries))
+        # the store stays whole: the query blocks carry the parallelism
+        assert ex["tasks_total"] == ex["query_blocks"] >= min(num_workers, len(tiny_queries))
 
     def test_more_workers_than_partitions_still_bitwise(
         self, tiny_db, tiny_queries, tmp_path, resident_report
@@ -219,7 +218,7 @@ class TestCLI:
         rc = main(["index", "inspect", str(built)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro.index_store_partitioned/3" in out
+        assert "repro.index_store_partitioned/4" in out
         assert "p_00000" in out
         assert "m/z" in out
         assert "rows" in out and "double_buffer_unit" in out

@@ -70,7 +70,7 @@ def test_loaded_index_scores_bitwise_equal_in_memory(db, spectrum, scorer_cls, m
     bit for bit, with both memmap and heap backing."""
     with tempfile.TemporaryDirectory() as tmp:
         store = save_index(db, Path(tmp) / "idx")
-        loaded = open_index(store.path).load_shard(0, mmap=mmap)
+        loaded = open_index(store.path).load_shard(mmap=mmap)
         mem = IndexBuilder(fragment_tolerance=0.5, max_length=48).build(db).view()
         spans = MassIndex(db).candidates_in_window(0.0, 8000.0)
         rows_mem = mem.rows_for(spans)

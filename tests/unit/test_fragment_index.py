@@ -79,9 +79,8 @@ class TestLayoutIsPostingsOnly:
 
     def test_resident_array_names(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
-        expect = self.POSTINGS | {
-            "shard_residues", "shard_offsets", "shard_ids", "prefix_row", "suffix_row",
-        }
+        # the index alone: the database it indexes rides beside it
+        expect = self.POSTINGS | {"prefix_row", "suffix_row"}
         assert set(built.arrays) == set(built.layout.arrays) == set(ARRAY_NAMES) == expect
 
     def test_partition_array_names(self, tiny_db, tmp_path):
@@ -102,7 +101,7 @@ class TestLayoutIsPostingsOnly:
             layout.arrays["ladder_bin_start"].nbytes
             + layout.arrays["series_bin_start"].nbytes
         )
-        assert layout.index_nbytes <= (
+        assert layout.nbytes <= (
             18 * layout.num_fragments + 16 * len(tiny_db.residues) + tables
         )
 

@@ -107,24 +107,19 @@ class TestPartitionQueriesByMass:
 
 class TestEffectiveQueryBlocks:
     @pytest.mark.parametrize(
-        "query_blocks,num_shards,num_workers,num_queries,expected",
+        "query_blocks,num_workers,num_queries,expected",
         [
-            (1, 1, 1, 100, 1),  # inline
-            (1, 1, 2, 100, 2),  # direct path: the query axis feeds both workers
-            (4, 1, 2, 100, 4),  # the caller's count is a floor, not a ceiling
-            (1, 2, 2, 100, 1),  # a shard per worker already fills the pool
-            (1, 2, 5, 100, 3),  # ceil(5 / 2)
-            (8, 1, 2, 3, 3),  # never more blocks than queries
-            (1, 0, 2, 100, 2),  # empty database: no shards, still well defined
-            (3, 1, 1, 0, 1),  # no queries: one empty block
+            (1, 1, 100, 1),  # inline
+            (1, 2, 100, 2),  # the query axis feeds both workers
+            (4, 2, 100, 4),  # the caller's count is a floor, not a ceiling
+            (1, 5, 100, 5),  # one task per worker at least
+            (8, 2, 3, 3),  # never more blocks than queries
+            (3, 1, 0, 1),  # no queries: one empty block
         ],
     )
-    def test_floor_and_caps(
-        self, query_blocks, num_shards, num_workers, num_queries, expected
-    ):
-        got = effective_query_blocks(query_blocks, num_shards, num_workers, num_queries)
-        assert got == expected
+    def test_floor_and_caps(self, query_blocks, num_workers, num_queries, expected):
+        assert effective_query_blocks(query_blocks, num_workers, num_queries) == expected
 
     def test_invalid_query_blocks(self):
         with pytest.raises(ValueError):
-            effective_query_blocks(0, 1, 1, 10)
+            effective_query_blocks(0, 1, 10)

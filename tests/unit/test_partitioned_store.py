@@ -114,6 +114,15 @@ class TestRoundTrip:
         for got, want in zip(db.to_buffers(), tiny_db.to_buffers()):
             np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
 
+    def test_database_section_is_the_resident_stores(self, tiny_db, pstore, tmp_path):
+        """Both formats write the same ``database/`` section, byte for
+        byte, and describe it with the same manifest."""
+        resident = save_index(tiny_db, tmp_path / "ridx")
+        assert resident.database_arrays == pstore.database_arrays
+        for name in ("residues", "offsets", "ids"):
+            a = (pstore.path / "database" / f"{name}.npy").read_bytes()
+            assert a == (resident.path / "database" / f"{name}.npy").read_bytes(), name
+
     def test_describe_reports_per_partition_stats(self, pstore):
         desc = pstore.describe()
         for key in (
@@ -177,7 +186,7 @@ class TestOpenAnyIndex:
         assert store.fingerprint == pstore.fingerprint
 
     def test_dispatches_resident_schema(self, tiny_db, tmp_path):
-        resident = save_index(tiny_db, tmp_path / "ridx", num_shards=2)
+        resident = save_index(tiny_db, tmp_path / "ridx")
         store = open_any_index(resident.path)
         assert isinstance(store, StoredIndex)
         assert store.fingerprint == resident.fingerprint

@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import IndexStoreError, ReproError
 from repro.index import FragmentIndex, IndexBuilder, IndexLayout
-from repro.index.layout import ARRAY_NAMES, SHARD_ARRAYS, ArraySpec
+from repro.index.layout import ARRAY_NAMES, ArraySpec
 from repro.store import (
     HEADER_NAME,
     STORE_SCHEMA,
@@ -27,65 +27,96 @@ from repro.store import (
     save_index,
     save_partitioned_index,
 )
+from repro.store.index_store import DATABASE_ARRAYS
+
+#: one file of each section, the targets of every damage case below
+DAMAGE_TARGETS = (("index", "ladder_mz"), ("database", "offsets"))
 
 
 @pytest.fixture()
 def store_path(tiny_db, tmp_path):
-    return save_index(tiny_db, tmp_path / "idx", num_shards=2).path
+    return save_index(tiny_db, tmp_path / "idx").path
+
+
+def _each_damaged(store_path, damage):
+    """Apply ``damage(path)`` to one index/ and one database/ file in
+    turn, restoring each afterwards; yields after each damage."""
+    for section, name in DAMAGE_TARGETS:
+        buf = store_path / section / f"{name}.npy"
+        original = buf.read_bytes()
+        damage(buf)
+        yield section, name
+        buf.write_bytes(original)
 
 
 class TestRoundTrip:
     def test_save_open_preserves_header(self, tiny_db, store_path):
         store = open_index(store_path)
         assert store.schema == STORE_SCHEMA
-        assert store.num_shards == 2
-        assert store.build["max_length"] == 48
-        assert store.nbytes > store.index_nbytes > 0
+        assert store.build == {
+            "fragment_tolerance": 0.5, "max_length": 48, "monoisotopic": True
+        }
+        assert store.nbytes == store.database_bytes + store.layout.nbytes
+        assert store.layout.nbytes > store.database_bytes > 0
         store.validate_against(tiny_db)  # no raise
 
+    def test_directory_is_a_database_and_an_index_section(self, store_path):
+        """``header.json`` + ``database/`` (the partitioned store's section)
+        + ``index/``: one ``.npy`` per database buffer and per layout array."""
+        assert sorted(p.name for p in store_path.iterdir()) == [
+            "database", HEADER_NAME, "index"
+        ]
+        assert sorted(p.name for p in (store_path / "database").iterdir()) == sorted(
+            f"{name}.npy" for name in DATABASE_ARRAYS
+        )
+        assert sorted(p.name for p in (store_path / "index").iterdir()) == sorted(
+            f"{name}.npy" for name in ARRAY_NAMES
+        )
+
     @pytest.mark.parametrize("mmap", [True, False])
-    def test_loaded_arrays_bitwise_equal_fresh_build(self, store_path, mmap):
-        store = open_index(store_path)
-        for i in range(store.num_shards):
-            loaded = store.load_shard(i, mmap=mmap)
-            rebuilt = IndexBuilder().build(loaded.shard)
-            for name in ARRAY_NAMES:
-                got = np.asarray(loaded.index.arrays[name])
-                want = np.asarray(rebuilt.arrays[name])
-                assert got.dtype == want.dtype, name
-                assert got.tobytes() == want.tobytes(), name
+    def test_loaded_arrays_bitwise_equal_fresh_build(self, tiny_db, store_path, mmap):
+        loaded = open_index(store_path).load_shard(mmap=mmap)
+        rebuilt = IndexBuilder().build(tiny_db)
+        assert set(loaded.index.arrays) == set(rebuilt.arrays) == set(ARRAY_NAMES)
+        for name in ARRAY_NAMES:
+            got = np.asarray(loaded.index.arrays[name])
+            want = np.asarray(rebuilt.arrays[name])
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("mmap", [True, False])
     def test_loaded_arrays_are_read_only(self, store_path, mmap):
-        loaded = open_index(store_path).load_shard(0, mmap=mmap)
+        loaded = open_index(store_path).load_shard(mmap=mmap)
         for name in ARRAY_NAMES:
             arr = np.asarray(loaded.index.arrays[name])
             assert not arr.flags.writeable, name
+        for arr in loaded.shard.to_buffers():
+            assert not np.asarray(arr).flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             loaded.index.arrays["ladder_mz"][...] = 0.0
 
     def test_loaded_shard_reconstructs_database(self, tiny_db, store_path):
-        store = open_index(store_path)
-        pieces = [store.load_shard(i).shard for i in range(store.num_shards)]
-        assert sum(len(p) for p in pieces) == len(tiny_db)
-        ids = np.concatenate([p.ids for p in pieces])
-        assert np.array_equal(np.sort(ids), np.sort(tiny_db.ids))
+        loaded = open_index(store_path).load_shard()
+        assert loaded.index.shard is loaded.shard
+        for got, want in zip(loaded.shard.to_buffers(), tiny_db.to_buffers()):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_load_accounting(self, store_path):
         store = open_index(store_path)
-        loaded = store.load_shard(0)
+        loaded = store.load_shard()
         assert loaded.seconds > 0.0
-        assert loaded.nbytes == store.layouts[0].nbytes
+        assert loaded.nbytes == store.nbytes
 
     def test_describe_matches_manifest(self, store_path):
         store = open_index(store_path)
         info = store.describe()
         assert info["schema"] == STORE_SCHEMA
-        assert info["num_shards"] == 2
         assert info["total_bytes"] == store.nbytes
-        assert [s["num_rows"] for s in info["shards"]] == [
-            layout.num_rows for layout in store.layouts
-        ]
+        assert info["database_bytes"] == store.database_bytes
+        assert info["index_bytes"] == store.layout.nbytes
+        assert info["num_rows"] == store.layout.num_rows > 0
+        assert info["num_fragments"] == store.layout.num_fragments > 0
 
 
 class TestConcurrentOpen:
@@ -101,7 +132,7 @@ class TestConcurrentOpen:
         from repro.store.index_store import NPY_LOAD_LOCK
 
         partitioned = save_partitioned_index(tiny_db, tmp_path / "parts", partition_mb=0.25)
-        want_shards = [open_index(store_path).load_shard(i) for i in range(2)]
+        want = open_index(store_path).load_shard()
         want_db = partitioned.load_database()
         loads, np_load = [], np.load
 
@@ -117,8 +148,8 @@ class TestConcurrentOpen:
             try:
                 store = open_index(store_path)
                 for k in range(50):
-                    loaded = store.load_shard((t + k) % 2)
-                    want = want_shards[(t + k) % 2]
+                    loaded = store.load_shard()
+                    assert np.array_equal(loaded.shard.residues, want.shard.residues)
                     for name in ARRAY_NAMES:
                         assert np.array_equal(loaded.index.arrays[name], want.index.arrays[name])
                     if k % 10 == 0:
@@ -135,7 +166,8 @@ class TestConcurrentOpen:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(loads) == 4 * (50 * len(ARRAY_NAMES) + 5 * 3)
+        per_load = len(DATABASE_ARRAYS) + len(ARRAY_NAMES)
+        assert len(loads) == 4 * (50 * per_load + 5 * len(DATABASE_ARRAYS))
         assert not NPY_LOAD_LOCK.locked()
 
 
@@ -177,86 +209,64 @@ class TestRejection:
         with pytest.raises(IndexStoreError, match="unrecognized index store schema"):
             open_index(store_path)
 
-    def test_unknown_layout_schema_version(self, store_path):
-        self._edit_header(
-            store_path,
-            lambda h: h["shards"][0]["layout"].update(
-                schema="repro.fragment_index/999"
-            ),
-        )
-        with pytest.raises(IndexStoreError, match="unsupported index layout schema"):
-            open_index(store_path)
-
     def test_missing_layout_array(self, store_path):
-        self._edit_header(
-            store_path,
-            lambda h: h["shards"][0]["layout"]["arrays"].pop("ladder_mz"),
-        )
+        self._edit_header(store_path, lambda h: h["index"]["arrays"].pop("ladder_mz"))
         with pytest.raises(IndexStoreError, match="missing arrays"):
             open_index(store_path)
 
     def test_truncated_buffer(self, store_path):
-        buf = store_path / "shard_00000" / "ladder_mz.npy"
-        data = buf.read_bytes()
-        buf.write_bytes(data[: max(len(data) // 2, 64)])
-        with pytest.raises(IndexStoreError, match="unreadable or truncated"):
-            open_index(store_path).load_shard(0)
+        def truncate(buf):
+            data = buf.read_bytes()
+            buf.write_bytes(data[: max(len(data) // 2, 64)])
+
+        for _ in _each_damaged(store_path, truncate):
+            with pytest.raises(IndexStoreError, match="unreadable or truncated"):
+                open_index(store_path).load_shard()
 
     def test_missing_buffer(self, store_path):
-        (store_path / "shard_00001" / "series_row.npy").unlink()
-        with pytest.raises(IndexStoreError, match="missing buffer"):
-            open_index(store_path).load_shard(1)
+        for section, name in _each_damaged(store_path, lambda buf: buf.unlink()):
+            with pytest.raises(IndexStoreError, match=f"missing {section} buffer"):
+                open_index(store_path).load_shard()
+        open_index(store_path).load_shard()  # restored: loads again
 
     def test_manifest_shape_mismatch(self, store_path):
-        def grow(header):
-            spec = header["shards"][0]["layout"]["arrays"]["suffix_row"]
-            spec["shape"] = [spec["shape"][0] + 1]
+        for section, name in DAMAGE_TARGETS:
 
-        self._edit_header(store_path, grow)
-        with pytest.raises(IndexStoreError, match="does not match its manifest"):
-            open_index(store_path).load_shard(0)
+            def grow(header):
+                arrays = header["index"]["arrays"] if section == "index" else header["database"]
+                arrays[name]["shape"] = [arrays[name]["shape"][0] + 1]
+
+            self._edit_header(store_path, grow)
+            with pytest.raises(IndexStoreError, match="does not match its manifest"):
+                open_index(store_path).load_shard()
 
     @pytest.mark.parametrize(
         "old",
         [
             "repro.index_store/1",
-            "repro.fragment_index/1",
+            "repro.index_store/2",
             "repro.index_store_partitioned/1",
             "repro.index_store_partitioned/2",
+            "repro.index_store_partitioned/3",
         ],
     )
     def test_previous_schema_is_refused_with_the_rebuild_command(
         self, tiny_db, tmp_path, old
     ):
-        """A store of an earlier schema (matrix cache, key columns; the
-        partitioned store's posting lists and overflow blob) is never
-        read: every way of opening it names the command that rebuilds it."""
+        """A store of an earlier schema (matrix cache, key columns, one
+        directory per shard; the partitioned store's posting lists and
+        overflow blob, a schema-salted fingerprint) is never read: every
+        way of opening it names the command that rebuilds it."""
         if "partition" in old:
             path = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5).path
             openers = (open_partitioned_index, open_any_index)
         else:
             path = save_index(tiny_db, tmp_path / "r").path
             openers = (open_index, open_any_index)
-
-        def downgrade(header):
-            # the header carries the store schema, each shard entry its
-            # layout's
-            current = [
-                c for c in [header] + [e["layout"] for e in header.get("shards", [])]
-                if c["schema"].rsplit("/", 1)[0] == old.rsplit("/", 1)[0]
-            ]
-            assert current
-            for carrier in current:
-                carrier["schema"] = old
-
-        self._edit_header(path, downgrade)
+        self._edit_header(path, lambda h: h.update(schema=old))
         for opener in openers:
             with pytest.raises(IndexStoreError, match="repro index build"):
                 opener(path)
-
-    def test_shard_out_of_range(self, store_path):
-        with pytest.raises(IndexStoreError, match="does not exist"):
-            open_index(store_path).load_shard(5)
 
     def test_errors_are_repro_errors(self):
         assert issubclass(IndexStoreError, ReproError)
@@ -269,9 +279,9 @@ class TestOverwrite:
             save_index(tiny_db, store_path)
 
     def test_overwrite_replaces(self, tiny_db, store_path):
-        store = save_index(tiny_db, store_path, num_shards=1, overwrite=True)
-        assert store.num_shards == 1
-        assert open_index(store_path).num_shards == 1
+        store = save_index(tiny_db, store_path, max_length=32, overwrite=True)
+        assert store.build["max_length"] == 32
+        assert open_index(store_path).layout.max_length == 32
 
 
 class TestLayout:
@@ -280,9 +290,9 @@ class TestLayout:
         back = IndexLayout.from_dict(json.loads(json.dumps(built.layout.to_dict())))
         assert back == built.layout
         assert back.check_arrays(built.arrays) == []
-        assert back.shard_nbytes == sum(
-            built.arrays[n].nbytes for n in SHARD_ARRAYS
-        )
+        # the index alone: the database it indexes is not in the layout
+        assert set(built.arrays) == set(ARRAY_NAMES)
+        assert back.nbytes == sum(a.nbytes for a in built.arrays.values())
 
     def test_check_arrays_reports_mismatches(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
@@ -298,7 +308,7 @@ class TestLayout:
     def test_view_from_arrays_scores_like_builder_view(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
         direct = built.view()
-        rewired = FragmentIndex.from_arrays(built.layout, built.arrays)
+        rewired = FragmentIndex(built.shard, built.layout, built.arrays)
         assert rewired.num_rows == direct.num_rows
         assert rewired.arrays is direct.arrays
         assert rewired.shard == direct.shard
@@ -316,18 +326,21 @@ class TestTornWrites:
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("keep", [0, 4, 40, -64])
     def test_truncated_buffer_is_typed_error(self, store_path, mmap, keep):
-        buf = store_path / "shard_00000" / "ladder_mz.npy"
-        data = buf.read_bytes()
-        buf.write_bytes(data[:keep])  # negative keep: cut the tail off
-        with pytest.raises(IndexStoreError, match="unreadable or truncated"):
-            open_index(store_path).load_shard(0, mmap=mmap)
+        def cut(buf):  # negative keep: cut the tail off
+            buf.write_bytes(buf.read_bytes()[:keep])
+
+        for _ in _each_damaged(store_path, cut):
+            with pytest.raises(IndexStoreError, match="unreadable or truncated"):
+                open_index(store_path).load_shard(mmap=mmap)
 
     @pytest.mark.parametrize("mmap", [True, False])
     def test_garbage_buffer_is_typed_error(self, store_path, mmap):
-        buf = store_path / "shard_00001" / "series_tag.npy"
-        buf.write_bytes(b"\x00" * 256)  # right size class, wrong magic
-        with pytest.raises(IndexStoreError, match="unreadable or truncated"):
-            open_index(store_path).load_shard(1, mmap=mmap)
+        def garbage(buf):  # right size class, wrong magic
+            buf.write_bytes(b"\x00" * 256)
+
+        for _ in _each_damaged(store_path, garbage):
+            with pytest.raises(IndexStoreError, match="unreadable or truncated"):
+                open_index(store_path).load_shard(mmap=mmap)
 
     def test_interrupted_save_leaves_no_store(self, tiny_db, tmp_path, monkeypatch):
         """A crash before the final rename must not materialize the path."""
@@ -343,7 +356,7 @@ class TestTornWrites:
 
         monkeypatch.setattr(_os, "replace", boom)
         with pytest.raises(OSError, match="simulated crash"):
-            save_index(tiny_db, target, num_shards=1)
+            save_index(tiny_db, target)
         monkeypatch.undo()
         assert not target.exists()
         # the tmp sibling was cleaned up too: directory holds no debris
@@ -355,7 +368,7 @@ class TestTornWrites:
         stale = tmp_path / f".{target.name}.tmp-{__import__('os').getpid()}"
         stale.mkdir()
         (stale / "junk.npy").write_bytes(b"half-written")
-        store = save_index(tiny_db, target, num_shards=1)
-        assert store.num_shards == 1
+        store = save_index(tiny_db, target)
         assert not stale.exists()
-        open_index(target).load_shard(0)
+        store.validate_against(tiny_db)
+        open_index(target).load_shard()
