@@ -23,6 +23,9 @@ both:
 
 ``seq_of_pos[k]`` maps a flat position back to its sequence index; spans
 are then recovered from the shard's offsets.
+
+:func:`mass_sorted_spans` lays the same spans out as one mass-sorted row
+table, the form a store keeps them in: a window is then one row range.
 """
 
 from __future__ import annotations
@@ -99,6 +102,44 @@ class CandidateSpans:
         )
 
 
+def _flat_span_masses(shard: ProteinDatabase) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(seq_of_pos, prefix_mass, suffix_mass)`` per flat residue position:
+    the sequence owning position ``k``, the mass of the prefix ending at
+    ``k`` and of the suffix starting there (see the module docstring)."""
+    offsets = shard.offsets
+    csum = np.concatenate(([0.0], np.cumsum(mass_table()[shard.residues])))
+    seq_of_pos = np.repeat(np.arange(len(shard), dtype=np.int64), shard.lengths)
+    # prefix ending at k (inclusive): residues [off, k] -> csum[k+1] - csum[off]
+    prefix_mass = csum[1:] - csum[offsets[seq_of_pos]] + WATER_MASS
+    # suffix starting at k: residues [k, off_next) -> csum[off_next] - csum[k]
+    suffix_mass = csum[offsets[seq_of_pos + 1]] - csum[:-1] + WATER_MASS
+    return seq_of_pos, prefix_mass, suffix_mass
+
+
+def mass_sorted_spans(shard: ProteinDatabase) -> CandidateSpans:
+    """Every distinct prefix and suffix span of ``shard``, sorted by mass.
+
+    The row table both store formats hold: a full-length span is listed
+    once, as a prefix, and the sort is stable over prefixes (in flat
+    position order) followed by suffixes (likewise), so equal-mass spans
+    keep the order ``candidates_in_window`` lists them in.  Masses are
+    the :class:`MassIndex` ones bit for bit, so a row range cut by two
+    ``searchsorted`` calls on ``mass`` is exactly a mass-index window.
+    """
+    seq_of_pos, prefix_mass, suffix_mass = _flat_span_masses(shard)
+    pos = np.arange(len(seq_of_pos), dtype=np.int64)
+    local = pos - shard.offsets[seq_of_pos]
+    proper = local > 0  # a suffix from a sequence's first residue is its prefix
+    seq = np.concatenate((seq_of_pos, seq_of_pos[proper]))
+    start = np.concatenate((np.zeros(len(pos), dtype=np.int64), local[proper]))
+    stop = np.concatenate((local + 1, shard.lengths[seq_of_pos[proper]]))
+    mass = np.concatenate((prefix_mass, suffix_mass[proper]))
+    order = np.argsort(mass, kind="stable")
+    return CandidateSpans(
+        seq[order], start[order], stop[order], mass[order], np.zeros(len(order))
+    )
+
+
 #: serialises the first build over a shard (one module lock: nothing to
 #: pickle with a database or to carry into the databases derived from it)
 _BUILD_LOCK = threading.Lock()
@@ -126,22 +167,9 @@ class MassIndex:
         return index
 
     def __init__(self, shard: ProteinDatabase):
-        n = len(shard)
-        lengths = shard.lengths
         offsets = shard.offsets
-        residue_mass = mass_table()[shard.residues]
-        csum = np.concatenate(([0.0], np.cumsum(residue_mass)))
-
         #: sequence index owning each flat residue position.
-        self.seq_of_pos = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        pos_offsets = offsets[self.seq_of_pos]  # start offset of owning sequence
-
-        # prefix ending at k (inclusive): residues [off, k] -> csum[k+1] - csum[off]
-        prefix_mass = csum[1:] - csum[pos_offsets] + WATER_MASS
-        # suffix starting at k: residues [k, off_next) -> csum[off_next] - csum[k]
-        next_offsets = offsets[self.seq_of_pos + 1]
-        suffix_mass = csum[next_offsets] - csum[:-1] + WATER_MASS
-
+        self.seq_of_pos, prefix_mass, suffix_mass = _flat_span_masses(shard)
         self._prefix_order = np.argsort(prefix_mass, kind="stable")
         self._prefix_sorted = prefix_mass[self._prefix_order]
         self._suffix_order = np.argsort(suffix_mass, kind="stable")

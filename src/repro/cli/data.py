@@ -88,8 +88,10 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
     """Print a persisted index's header: schema, fingerprint, manifests.
 
     Dispatches on the on-disk schema: resident stores report their
-    database and index sections, partitioned stores list per-partition
-    mass ranges, row counts and compressed/decoded sizes.
+    database and index sections and their row table (every span of the
+    database, the postings on those inside the envelope), partitioned
+    stores list per-partition mass ranges, row counts and
+    compressed/decoded sizes.
     """
     from repro.store import open_any_index
     from repro.store.partitioned import PartitionedIndex
@@ -133,7 +135,10 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
         f"database/={format_si(info['database_bytes'])}B "
         f"index/={format_si(info['index_bytes'])}B"
     )
-    print(f"  rows         {info['num_rows']} ({info['num_fragments']} fragments)")
+    print(
+        f"  rows         {info['num_rows']} ({info['num_fragments']} fragments "
+        f"posted for the rows of length 2-{build['max_length']})"
+    )
     return 0
 
 

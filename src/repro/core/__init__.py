@@ -5,6 +5,7 @@ from repro.core.costmodel import CostModel
 from repro.core.partition import partition_database, partition_queries, partition_bounds
 from repro.core.results import SearchReport, merge_rank_hits, reports_equal, write_tsv
 from repro.core.search import ShardSearcher, search_serial
+from repro.core.streaming import StreamingSearcher
 from repro.core.master_worker import run_master_worker
 from repro.core.algorithm_a import run_algorithm_a
 from repro.core.algorithm_b import run_algorithm_b
@@ -24,6 +25,7 @@ __all__ = [
     "reports_equal",
     "write_tsv",
     "ShardSearcher",
+    "StreamingSearcher",
     "search_serial",
     "run_master_worker",
     "run_algorithm_a",

@@ -2,11 +2,15 @@
 
 Every algorithm in this library — serial reference, master-worker
 baseline, Algorithms A and B, the X!!Tandem-like prefilter engine — runs
-queries against database shards through :class:`ShardSearcher`.  Keeping
-one kernel guarantees the paper's validation property by construction:
-whatever order shards and queries are processed in, the same (query,
-candidate) pairs receive the same scores, and the deterministic top-tau
-list makes the final output order-independent.
+queries against database shards through :class:`ShardSearcher`, the
+direct path.  A search served from an index store runs
+:class:`~repro.core.streaming.StreamingSearcher` over the store's rows
+instead, through the same block filter, scoring call and top-tau emit
+(:func:`score_and_offer_block`).  Keeping one kernel guarantees the
+paper's validation property by construction: whatever order shards and
+queries are processed in, the same (query, candidate) pairs receive the
+same scores, and the deterministic top-tau list makes the final output
+order-independent.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from repro.candidates.generator import CandidateGenerator
 from repro.candidates.mass_index import CandidateSpans, plan_sweep
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
-from repro.index import FragmentIndex
 from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hits import HitTable, TopHitList, pack_hit_columns
 from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import SpectrumBatch, flatten_members
+from repro.spectra.spectrum_batch import SpectrumBatch
 
 
 @dataclass
@@ -42,7 +45,7 @@ class ShardStats:
     of rows served by posting probes of a fragment-ion index (0 for a
     scorer the postings cannot serve, store or no store),
     and ``index_load_time`` accumulates real (wall-clock) seconds spent
-    opening persisted index shards (``repro.store``) — engines add it
+    opening persisted index stores (``repro.store``) — engines add it
     when they load one.  ``sweep_queries``/``sweep_cohorts``
     count the queries a REAL pass scored and the scoring blocks they were
     packed into (up to ``sweep_cohort`` members each, overlapping windows
@@ -103,7 +106,7 @@ def score_and_offer_block(
 
     ``sel`` lists the block's candidates member-major — whatever ids the
     caller's ``score`` and ``columns`` understand: positions in a span
-    block, or rows of a partition — ``mem`` (non-decreasing) the member
+    block, or rows of a store's row block — ``mem`` (non-decreasing) the member
     owning each and ``lengths`` its residue count.  ``score(spectra,
     kept)`` returns ``(member-major scores, direct_rows, index_rows)`` for
     the per-member lists of candidates that passed the length floor;
@@ -180,21 +183,15 @@ def score_and_offer_block(
 
 
 class ShardSearcher:
-    """Searches queries against one database shard.
+    """Searches queries against one database shard: the direct path.
 
     Construction builds the shard's mass index (the real-execution
     analogue of the paper's on-the-fly candidate generation); ``run``
-    then evaluates candidates for any number of queries.  A searcher is
-    immutable with respect to its shard and may be reused across
-    iterations and algorithms.
-
-    A searcher never builds a fragment-ion index.  Handed one
-    (``index=``: typically the memmap-backed view a ``repro.store``
-    directory opens, or ``IndexBuilder(...).build(shard).view()``) it
-    serves the candidates that index holds from it — if the scorer is
-    posting-served (``FragmentIndex.serves``); otherwise, and without an
-    index, every candidate is scored directly from the shard.  Scores
-    are bitwise identical either way.
+    then evaluates candidates for any number of queries, every one
+    scored directly from the shard.  A searcher is immutable with
+    respect to its shard and may be reused across iterations and
+    algorithms.  It never reads a fragment-ion index: a search served
+    from a store runs :class:`~repro.core.streaming.StreamingSearcher`.
     """
 
     def __init__(
@@ -203,7 +200,6 @@ class ShardSearcher:
         config: SearchConfig,
         scorer: Optional[Scorer] = None,
         library: Optional[SpectralLibrary] = None,
-        index: Optional[FragmentIndex] = None,
     ):
         self.shard = shard
         self.config = config
@@ -214,21 +210,10 @@ class ShardSearcher:
         self._mod_targets = {
             mod.delta_mass: ord(mod.target) for mod in self.generator.modifications
         }
-        # The handed-in index is consulted only where it can serve:
-        # MODELED runs never score, and only a scorer with a posting
-        # kernel reads one — any other is scored from the shard, which a
-        # store carries too.
-        real = config.execution is ExecutionMode.REAL
-        self.index = index if real and FragmentIndex.serves(self.scorer) else None
 
     @property
     def nbytes(self) -> int:
-        """Shard + mass-index memory, for rank RAM accounting.
-
-        Deliberately excludes the fragment-ion index: like the batched
-        scoring buffers, it is a real-execution accelerator the simulated
-        machine never holds (see :meth:`CostModel.database_bytes`).
-        """
+        """Shard + mass-index memory, for rank RAM accounting."""
         return self.shard.nbytes + self.generator.nbytes
 
     def run(
@@ -450,47 +435,12 @@ class ShardSearcher:
         ``scores`` is one member-major vector (``selections[0]``'s
         candidates, then ``selections[1]``'s, ...), each entry bitwise the
         scalar scorer's for that (member, candidate) pair; the row counts
-        are the evaluation rows scored directly and served by the index.
-
-        Candidates the index holds are served by one block call into it,
-        the rest — PTM tiers, over-length spans — by one shared overflow
-        batch over their union; a member whose selection holds no
-        indexable candidate thus goes fully direct.
+        are the evaluation rows scored directly (one per admissible PTM
+        site) and served by an index (none, on this path).
         """
-        if self.index is None:
-            batch = CandidateBatch.from_spans(self.shard, spans, self._mod_targets)
-            scores = block_scores(self.scorer, spectra, batch, selections)
-            return scores, sum(batch.selected_row_count(sel) for sel in selections), 0
-        rows_block = self.index.rows_for(spans)
-        if len(rows_block) == 0 or int(rows_block.min()) >= 0:
-            # Whole block index-served (the common case: no PTM tier and
-            # no over-length span anywhere in the block): the overflow
-            # batch would be empty and the scatter an identity copy.
-            row_sets = [rows_block[sel] for sel in selections]
-            scores = self.index.score_block(self.scorer, spectra, row_sets)
-            return scores, 0, len(scores)
-        sel_flat, member = flatten_members(selections)
-        rows_flat = rows_block[sel_flat]
-        use = rows_flat >= 0
-
-        def per_member(values: np.ndarray, mask: np.ndarray) -> List[np.ndarray]:
-            counts = np.bincount(member[mask], minlength=len(selections))
-            return np.split(values, np.cumsum(counts)[:-1])
-
-        scores = np.empty(len(sel_flat), dtype=np.float64)
-        scores[use] = self.index.score_block(
-            self.scorer, spectra, per_member(rows_flat[use], use)
-        )
-        over = sel_flat[~use]
-        over_union = np.unique(over)
-        overflow = CandidateBatch.from_spans(
-            self.shard, spans.take(over_union), self._mod_targets
-        )
-        over_local = np.searchsorted(over_union, over)
-        scores[~use] = block_scores(
-            self.scorer, spectra, overflow, per_member(over_local, ~use)
-        )
-        return scores, overflow.selected_row_count(over_local), int(use.sum())
+        batch = CandidateBatch.from_spans(self.shard, spans, self._mod_targets)
+        scores = block_scores(self.scorer, spectra, batch, selections)
+        return scores, sum(batch.selected_row_count(sel) for sel in selections), 0
 
     def count_each(self, queries: Sequence[Spectrum]) -> np.ndarray:
         """Exact per-query candidate counts (PTM tiers included).
@@ -515,24 +465,6 @@ class ShardSearcher:
         return int(self.count_each(list(queries)).sum())
 
 
-def index_compat_problems(config: SearchConfig) -> List[str]:
-    """Configuration contradictions that make a persisted index unusable.
-
-    Returns human-readable problems (empty == servable).  There is one:
-    a search that never scores has nothing to open a store for.  The
-    scorer is deliberately NOT a problem — one the postings cannot serve
-    is scored directly from the database the store carries — and neither
-    is a store built at a different fragment tolerance: probes are exact
-    at any tolerance, so results stay bitwise identical.
-    """
-    if config.execution is not ExecutionMode.REAL:
-        return [
-            "modeled execution counts candidates without scoring, so a "
-            "persisted index cannot serve it"
-        ]
-    return []
-
-
 def search_serial(
     database: ProteinDatabase,
     queries: Sequence[Spectrum],
@@ -548,59 +480,72 @@ def search_serial(
     our Algorithm A at p = 1 is equivalent to the uni-worker processor
     run of MSPolygraph").
 
-    Without ``index_store`` every candidate is scored directly.
-    ``index_store`` (a :class:`repro.store.StoredIndex`) serves the
-    search from a persisted whole-database index: the store is
-    fingerprint-validated against ``database``, its arrays are
-    memory-mapped read-only (a posting-served scorer probes them, any
-    other is scored from the mapped database buffers), hits are bitwise
-    identical to the direct search, and virtual time additionally
-    charges ``CostModel.index_load_time``.  It is mapped whole, so a
-    ``memory_budget_mb`` is refused with
-    :class:`~repro.errors.ConfigError`.
-
-    A :class:`repro.store.PartitionedIndex` instead *streams* the
-    search: partitions are decoded one (plus one prefetched) at a time
-    (:class:`~repro.core.streaming.StreamingSearcher`), peak memory
-    stays ~two partitions regardless of N, hits remain bitwise
-    identical, and virtual time charges decode plus only the I/O not
-    masked by compute (``CostModel.partition_exposed_io``).
+    Without ``index_store`` every candidate is scored directly.  With one
+    (a :class:`repro.store.StoredIndex` or
+    :class:`repro.store.PartitionedIndex`) the search is one sweep over
+    the store's mass-sorted rows
+    (:class:`~repro.core.streaming.StreamingSearcher`): the store is
+    fingerprint-validated against ``database``, hits are bitwise
+    identical to the direct search, and virtual time charges
+    ``CostModel.index_load_time`` for what the store maps whole (a
+    resident store, which refuses a ``memory_budget_mb`` with
+    :class:`~repro.errors.ConfigError`) and decode plus only the I/O not
+    masked by compute (``CostModel.partition_exposed_io``) for what it
+    streams (a partitioned store, partitions decoded one plus one
+    prefetched at a time, peak memory ~two partitions regardless of N).
+    Neither loads nor scans the database.
     """
     from repro.core.results import SearchReport  # deferred: results imports Hit types
-    from repro.store.partitioned import PartitionedIndex
 
-    if isinstance(index_store, PartitionedIndex):
-        return _search_serial_streamed(
-            database, queries, config, library, index_store, memory_budget_mb
-        )
-    loaded = None
-    if index_store is not None:
-        from repro.errors import IndexCompatError
-
-        problems = index_compat_problems(config)
-        if problems:
-            raise IndexCompatError(
-                "this search cannot be served from the persisted index: "
-                + "; ".join(problems)
-            )
-        index_store.validate_against(database)
-        loaded = index_store.load_shard(memory_budget_mb=memory_budget_mb)
-        searcher = ShardSearcher(
-            loaded.shard, config, library=library, index=loaded.index
-        )
-    else:
+    if index_store is None:
         searcher = ShardSearcher(database, config, library=library)
+    else:
+        from repro.core.streaming import StreamingSearcher
+
+        searcher = StreamingSearcher(
+            index_store,
+            config,
+            library=library,
+            database=database,
+            memory_budget_mb=memory_budget_mb,
+        )
     hitlists: Dict[int, TopHitList] = {}
     stats = searcher.run(queries, hitlists)
-    if loaded is not None:
-        stats.index_load_time += loaded.seconds
     cost = config.cost
-    index_time = cost.index_load_time(loaded.nbytes) if loaded is not None else 0.0
+    eval_time = cost.search_evaluation_time(stats, searcher.scorer)
+    store_extras = {}
+    if index_store is None:
+        data_time = cost.load_time(database.nbytes, len(queries)) + cost.scan_time(
+            database.nbytes
+        )
+        footprint = cost.shard_bytes(database)
+    else:
+        loaded, ss = searcher.loaded, searcher.stream_stats
+        decode_time = cost.partition_decode_time(ss.bytes_decoded)
+        io_time = cost.partition_io_time(ss.bytes_read, ss.partitions)
+        exposed_io = cost.partition_exposed_io(io_time, eval_time + decode_time)
+        data_time = (
+            cost.load_time(0, len(queries))  # queries only: the database is not scanned
+            + (cost.index_load_time(loaded.nbytes) if loaded is not None else 0.0)
+            + decode_time
+            + exposed_io
+        )
+        footprint = searcher.nbytes  # what it maps, or the double buffer: not N
+        store_extras["index_provenance"] = index_store.provenance()
+        if loaded is not None:
+            stats.index_load_time += loaded.seconds
+            store_extras["index_mmap_bytes"] = loaded.nbytes
+        else:
+            store_extras["stream"] = dict(
+                ss.to_dict(),
+                score_seconds=searcher.score_seconds,
+                partition_io_time=io_time,
+                partition_decode_time=decode_time,
+                partition_exposed_io=exposed_io,
+            )
     virtual = (
-        cost.load_time(database.nbytes, len(queries))
-        + cost.scan_time(database.nbytes)
-        + index_time
-        + cost.search_evaluation_time(stats, searcher.scorer)
+        data_time
+        + eval_time
         + cost.query_processing_overhead(stats, len(queries))
         + cost.report_time(sum(min(len(h), config.tau) for h in hitlists.values()))
     )
@@ -616,91 +561,7 @@ def search_serial(
         "sweep_queries": stats.sweep_queries,
         "sweep_cohorts": stats.sweep_cohorts,
         "modeled_candidates_per_second": cost.candidates_per_second(searcher.scorer),
-    }
-    if index_store is not None:
-        extras["index_provenance"] = index_store.provenance()
-        extras["index_mmap_bytes"] = loaded.nbytes
-    return SearchReport(
-        algorithm="serial",
-        num_ranks=1,
-        hits=hits,
-        candidates_evaluated=stats.candidates_evaluated,
-        virtual_time=virtual,
-        peak_memory={0: cost.shard_bytes(database) + sum(q.nbytes for q in queries)},
-        extras=extras,
-    )
-
-
-def _search_serial_streamed(
-    database: ProteinDatabase,
-    queries: Sequence[Spectrum],
-    config: SearchConfig,
-    library: Optional[SpectralLibrary],
-    store,
-    memory_budget_mb: Optional[float] = None,
-) -> "SearchReport":
-    """Serial search streamed from a partitioned store.
-
-    The out-of-core leg of :func:`search_serial`: fingerprint-validated,
-    double-buffered partition pass, bitwise-identical hits.  Virtual
-    time replaces the whole-database scan + index load terms with
-    partition decode plus the *exposed* (unmasked) fraction of blob
-    I/O, mirroring how the paper charges one-sided communication only
-    where computation fails to hide it.
-    """
-    from repro.core.results import SearchReport
-    from repro.core.streaming import StreamingSearcher, streaming_compat_problems
-    from repro.errors import IndexCompatError
-
-    problems = streaming_compat_problems(config)
-    if problems:
-        raise IndexCompatError(
-            "this search cannot be streamed from the partitioned index: "
-            + "; ".join(problems)
-        )
-    store.validate_against(database)
-    searcher = StreamingSearcher(
-        store,
-        config,
-        library=library,
-        database=database,
-        memory_budget_mb=memory_budget_mb,
-    )
-    hitlists: Dict[int, TopHitList] = {}
-    stats = searcher.run(queries, hitlists)
-    ss = searcher.stream_stats
-    cost = config.cost
-    eval_time = cost.search_evaluation_time(stats, searcher.scorer)
-    decode_time = cost.partition_decode_time(ss.bytes_decoded)
-    io_time = cost.partition_io_time(ss.bytes_read, ss.partitions)
-    exposed_io = cost.partition_exposed_io(io_time, eval_time + decode_time)
-    virtual = (
-        cost.load_time(0, len(queries))  # queries only: the DB stays on disk
-        + decode_time
-        + exposed_io
-        + eval_time
-        + cost.query_processing_overhead(stats, len(queries))
-        + cost.report_time(sum(min(len(h), config.tau) for h in hitlists.values()))
-    )
-    hits = HitTable(pack_hit_columns(hitlists, hitlists))
-    extras = {
-        "batches": stats.batches,
-        "rows_scored": stats.rows_scored,
-        "index_rows": stats.index_rows,
-        "index_probe_fraction": stats.index_rows / stats.rows_scored
-        if stats.rows_scored
-        else 0.0,
-        "sweep_queries": stats.sweep_queries,
-        "sweep_cohorts": stats.sweep_cohorts,
-        "modeled_candidates_per_second": cost.candidates_per_second(searcher.scorer),
-        "index_provenance": store.provenance(),
-        "stream": dict(
-            ss.to_dict(),
-            score_seconds=searcher.score_seconds,
-            partition_io_time=io_time,
-            partition_decode_time=decode_time,
-            partition_exposed_io=exposed_io,
-        ),
+        **store_extras,
     }
     return SearchReport(
         algorithm="serial",
@@ -708,7 +569,6 @@ def _search_serial_streamed(
         hits=hits,
         candidates_evaluated=stats.candidates_evaluated,
         virtual_time=virtual,
-        # resident footprint is the double buffer + query batch, not N
-        peak_memory={0: searcher.nbytes + sum(q.nbytes for q in queries)},
+        peak_memory={0: footprint + sum(q.nbytes for q in queries)},
         extras=extras,
     )

@@ -21,10 +21,11 @@ final for its queries — the parent has nothing to merge.
 
 * no store (direct scoring): the database buffers are shared
   copy-on-write under fork and shipped once per worker under spawn;
-* a resident store: each worker maps the store's database and index
-  sections once;
-* a partitioned store: each worker streams it, a block's pass opening
-  only the partitions its mass range meets.
+* a store: each worker opens one
+  :class:`~repro.core.streaming.StreamingSearcher` over it — a resident
+  store's database and index sections mapped once, a partitioned one
+  streamed, a block's pass opening only the partitions its mass range
+  meets.
 
 ``query_blocks`` is a floor: the grid is widened until it has at least
 one task per worker (:func:`~repro.core.partition.effective_query_blocks`).
@@ -76,7 +77,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import effective_query_blocks, partition_queries_by_mass
 from repro.core.results import SearchReport, merge_rank_hits, select_queries
-from repro.core.search import ShardSearcher, ShardStats, index_compat_problems
+from repro.core.search import ShardSearcher, ShardStats
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.injector import FaultInjector
 from repro.faults.supervisor import RetryPolicy
@@ -162,12 +163,12 @@ def _cached_searcher() -> Tuple[Any, float]:
 
     ``load_s`` is the wall-clock seconds spent opening a store on *this*
     call — zero on a cache hit and without a store — so callers charge
-    the mapping once per process, not once per task.  With an
-    ``index_path`` in the context (mmap-once transport) the database and
-    its fragment index come out of the persisted store as read-only
-    memory maps, or a partitioned store is streamed: nothing but the
-    path string ever crossed the process boundary, and clean pages are
-    shared between workers by the OS page cache.
+    the opening once per process, not once per task.  With an
+    ``index_path`` in the context (mmap-once transport) the store's
+    sections come out as read-only memory maps and its rows are mapped
+    or streamed: nothing but the path string ever crossed the process
+    boundary, and clean pages are shared between workers by the OS page
+    cache.
     """
     searcher = _PROCESS_CACHE.get("searcher")
     if searcher is not None:
@@ -179,25 +180,16 @@ def _cached_searcher() -> Tuple[Any, float]:
         database = ProteinDatabase.from_buffers(*_TASK_CONTEXT["database"])
         searcher = ShardSearcher(database, config)
     else:
+        from repro.core.streaming import StreamingSearcher
         from repro.store import open_any_index
-        from repro.store.partitioned import PartitionedIndex
 
         t0 = time.perf_counter()
-        store = open_any_index(index_path)
-        if isinstance(store, PartitionedIndex):
-            from repro.core.streaming import StreamingSearcher
-
-            # the directory and the database buffers map once per
-            # process; partition blobs stream through the double buffer
-            # at search time
-            searcher = StreamingSearcher(
-                store, config, memory_budget_mb=_TASK_CONTEXT["memory_budget_mb"]
-            )
-            load_s = time.perf_counter() - t0
-        else:
-            loaded = store.load_shard()
-            searcher = ShardSearcher(loaded.shard, config, index=loaded.index)
-            load_s = loaded.seconds
+        searcher = StreamingSearcher(
+            open_any_index(index_path),
+            config,
+            memory_budget_mb=_TASK_CONTEXT["memory_budget_mb"],
+        )
+        load_s = time.perf_counter() - t0
     _PROCESS_CACHE["searcher"] = searcher
     return searcher, load_s
 
@@ -377,12 +369,13 @@ def run_multiprocess_search(
     against ``database`` up front) and workers open it themselves — only
     the path string crosses the process boundary, so ``bytes_shipped``
     drops to the packed queries plus task ids, and hits remain bitwise
-    identical to the direct path.  A resident store is memory-mapped
-    whole (a ``memory_budget_mb`` is refused with
-    :class:`~repro.errors.ConfigError`); a *partitioned* store is
-    streamed, a task opening only the partitions its block's mass range
-    meets through a :class:`~repro.core.streaming.StreamingSearcher`
-    (double-buffered prefetch, optional per-worker ``memory_budget_mb``).
+    identical to the direct path.  Every worker searches the store
+    through a :class:`~repro.core.streaming.StreamingSearcher`: a
+    resident store is memory-mapped whole (a ``memory_budget_mb`` is
+    refused with :class:`~repro.errors.ConfigError`); a *partitioned*
+    store is streamed, a task opening only the partitions its block's
+    mass range meets (double-buffered prefetch, optional per-worker
+    ``memory_budget_mb``).
     """
     config = config or SearchConfig()
     if num_workers is None:
@@ -390,27 +383,21 @@ def run_multiprocess_search(
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     policy = retry_policy or RetryPolicy(max_retries=max_retries)
-    store = None
-    streamed = False
+    store = loaded = None
     if index_path is not None:
-        from repro.core.streaming import streaming_compat_problems
-        from repro.errors import IndexCompatError
+        from repro.core.streaming import StreamingSearcher
         from repro.store import open_any_index
-        from repro.store.partitioned import PartitionedIndex
 
-        store = open_any_index(index_path)
-        streamed = isinstance(store, PartitionedIndex)
-        problems = (streaming_compat_problems if streamed else index_compat_problems)(config)
-        if problems:
-            raise IndexCompatError(
-                "this search cannot be served from the persisted index: "
-                + "; ".join(problems)
-            )
-        store.validate_against(database)
-        if not streamed:
-            # mapped once here so a refused budget or a torn buffer fails
-            # typed before any work; in a worker it would be retried
-            store.load_shard(memory_budget_mb=memory_budget_mb)
+        # opened once here so a refused config or budget, a foreign
+        # database or a torn buffer fails typed before any work; in a
+        # worker it would be retried
+        searcher = StreamingSearcher(
+            open_any_index(index_path),
+            config,
+            database=database,
+            memory_budget_mb=memory_budget_mb,
+        )
+        store, loaded = searcher.store, searcher.loaded
     nblocks = effective_query_blocks(query_blocks, num_workers, len(queries))
     blocks = partition_queries_by_mass(queries, nblocks)
     block_wires = [[_pack_spectrum(q) for q in block] for block in blocks]
@@ -424,7 +411,7 @@ def run_multiprocess_search(
     if store is not None:
         context["index_path"] = str(index_path)
         context["memory_budget_mb"] = memory_budget_mb
-        database_bytes = store.blob_bytes if streamed else store.database_bytes
+        database_bytes = store.database_bytes if loaded is not None else store.blob_bytes
         ship_bytes = len(str(index_path).encode())
     else:
         context["database"] = database.to_buffers()
@@ -558,15 +545,14 @@ def run_multiprocess_search(
         "failed_tasks": supervisor.failed_tasks,
         "degraded": bool(supervisor.failed_tasks),
     }
-    if streamed:
+    if store is not None:
         extras["index_path"] = str(index_path)
-        extras["num_partitions"] = int(store.num_partitions)
-        extras["index_stream_bytes"] = int(store.blob_bytes)
-        extras["index_decoded_bytes"] = int(store.decoded_bytes)
-        extras["index_provenance"] = store.provenance()
-    elif store is not None:
-        extras["index_path"] = str(index_path)
-        extras["index_mmap_bytes"] = int(store.nbytes)
+        if loaded is not None:
+            extras["index_mmap_bytes"] = int(loaded.nbytes)
+        else:
+            extras["num_partitions"] = int(store.num_partitions)
+            extras["index_stream_bytes"] = int(store.blob_bytes)
+            extras["index_decoded_bytes"] = int(store.decoded_bytes)
         extras["index_provenance"] = store.provenance()
     return SearchReport(
         algorithm="multiprocess",

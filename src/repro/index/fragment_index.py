@@ -1,12 +1,12 @@
-"""Shard-resident fragment-ion index.
+"""Resident fragment-ion index over a database's mass-sorted row table.
 
 The scoring hot path regenerates theoretical fragment arrays for every
-(query, candidate) pair, even though a shard's candidate spans — and
+(query, candidate) pair, even though a database's candidate spans — and
 therefore their fragment m/z values — never change.  Following the
 HiCOPS observation that a precomputed fragment-ion index amortized over
 all queries is the decisive optimization for large-scale MS search, this
-module enumerates a shard's candidate spans *once*, generates every
-fragment m/z with the existing batched kernels, and stores one
+module lays the database's spans out *once* as a row table, generates
+every fragment m/z with the existing batched kernels, and stores one
 structure: **CSR-style posting lists** — all fragments sorted by
 ``(m/z bin, candidate row)``, with a direct bin -> offset table, so
 "which candidates explain this observed peak" is a vectorized bisection
@@ -22,23 +22,28 @@ probe returns).  Scorers that need a candidate's whole model spectrum
 the database: regenerating a row costs no more than fetching a cached
 one, and caching them doubled the index.
 
-Rows are *precursor-major*: spans are sorted by unmodified span mass, so
-a query's candidate set occupies one contiguous row range and posting
-probes never touch candidates outside the query's mass window.
+Rows are *precursor-major*: the row table is every prefix and suffix
+span of the database sorted by mass
+(:func:`~repro.candidates.mass_index.mass_sorted_spans`, the rows a
+partitioned store's partitions hold), so a query's candidate set is one
+contiguous row range and posting probes never touch candidates outside
+the query's mass window.  A posting's ``*_row`` is a position in that
+table: one row id means one mass-sorted span.
 
 Builder/view split
 ------------------
 Construction and consumption are separate types:
 
-* :class:`IndexBuilder` is pure construction: it turns a shard into a
-  :class:`BuiltIndex` — an :class:`~repro.index.layout.IndexLayout`
-  descriptor plus a dict of named, contiguous flat arrays.  Nothing in the built state is an
-  object graph, which is what makes zero-copy persistence possible (see
+* :class:`IndexBuilder` is pure construction: it turns a database into
+  a :class:`BuiltIndex` — an :class:`~repro.index.layout.IndexLayout`
+  descriptor plus a dict of named, contiguous flat arrays (the four row
+  columns and the postings).  Nothing in the built state is an object
+  graph, which is what makes zero-copy persistence possible (see
   :mod:`repro.store`).
 * :class:`FragmentIndex` is a *read-only view* wired over such arrays.
   It is agnostic to their backing: the heap arrays a fresh build
-  produces (``IndexBuilder(...).build(shard).view()``) and the
-  ``np.memmap`` arrays ``repro.store.open_index`` returns serve
+  produces (``IndexBuilder(...).build(db).view()``) and the
+  ``np.memmap`` arrays ``StoredIndex.load_shard`` maps serve
   bit-for-bit identical scores.
 
 Exactness contract
@@ -52,13 +57,13 @@ property tests in ``tests/property/test_prop_index.py`` and
 ``tests/property/test_prop_persist.py`` enforce it for heap- and
 memmap-backed views alike.
 
-Coverage is bounded: only unmodified spans with
-``2 <= length <= max_length`` are indexed (indexing *all* prefixes and
-suffixes is O(sum of squared sequence lengths) memory).  Spans outside
-that envelope — PTM tiers, very long spans — report row ``-1`` from
-:meth:`FragmentIndex.rows_for` and flow through the direct batch path;
-the searcher merges the two score streams in span order, so hits are
-identical with or without an index by construction.
+Coverage is bounded: only rows with ``2 <= length <= max_length`` (the
+*envelope*) post fragments (posting *all* prefixes and suffixes is
+O(sum of squared sequence lengths) memory).  Every row is in the table
+all the same; :meth:`FragmentIndex.holds` says which rows the postings
+cover, and the store searcher scores the others directly and merges the
+two score streams in row order, so hits are identical with or without
+an index by construction.
 """
 
 from __future__ import annotations
@@ -68,15 +73,20 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.candidates.mass_index import CandidateSpans, MassIndex
+from repro.candidates.mass_index import CandidateSpans, mass_sorted_spans
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
-from repro.index.layout import ArraySpec, IndexLayout
+from repro.index.layout import ROW_ARRAYS, ArraySpec, IndexLayout
 from repro.spectra.binning import _ragged_arange, row_segment_sums
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
 #: series codes stored in the b/y posting list
 _SERIES_CODE = {"b": 0, "y": 1}
+
+
+def _in_envelope(lengths: np.ndarray, max_length: int) -> np.ndarray:
+    """Which spans of these lengths an index of ``max_length`` posts."""
+    return (lengths >= 2) & (lengths <= max_length)
 
 
 def _bisect_segments(
@@ -164,26 +174,26 @@ def _build_postings(
 
 @dataclass
 class BuiltIndex:
-    """One shard's freshly built index state: layout + named flat arrays.
+    """A database's freshly built index state: layout + named flat arrays.
 
-    ``arrays`` are the index alone; the shard they index rides beside
-    them (a store writes it to its ``database/`` section).  ``view()``
-    wires a read-only :class:`FragmentIndex` over both.
+    ``arrays`` are the row table and the postings; the database whose
+    spans the rows name rides beside them (a store writes it to its
+    ``database/`` section).  ``view()`` wires a read-only
+    :class:`FragmentIndex` over the arrays.
     """
 
     layout: IndexLayout
     arrays: Dict[str, np.ndarray]
-    shard: ProteinDatabase
 
     def view(self) -> "FragmentIndex":
-        return FragmentIndex(self.shard, self.layout, self.arrays)
+        return FragmentIndex(self.layout, self.arrays)
 
 
 class IndexBuilder:
-    """Pure construction: a shard in, flat arrays out.
+    """Pure construction: a database in, flat arrays out.
 
     Holds only build parameters; :meth:`build` has no side effects on
-    the builder, so one builder can be reused across shards.
+    the builder, so one builder can be reused across databases.
     """
 
     def __init__(
@@ -207,41 +217,23 @@ class IndexBuilder:
         # remain exact (they scan however many bins the window covers).
         self.bin_width = max(2.0 * self.fragment_tolerance, 0.25)
 
-    def build(
-        self, shard: ProteinDatabase, mass_index: Optional[MassIndex] = None
-    ) -> BuiltIndex:
-        """Enumerate, fragment, and sort one shard into flat arrays."""
-        index = mass_index if mass_index is not None else MassIndex(shard)
-
-        spans = index.candidates_in_window(0.0, np.inf)
-        lengths = spans.lengths
-        keep = (lengths >= 2) & (lengths <= self.max_length)
-        if not np.all(keep):
-            spans = spans.take(keep)
+    def build(self, db: ProteinDatabase) -> BuiltIndex:
+        """Lay ``db`` out as its mass-sorted row table and post the
+        fragments of every row inside the envelope."""
         # Precursor-major row order: a query window maps to one contiguous
         # row range, which the posting-probe row restriction relies on.
-        spans = spans.take(np.argsort(spans.mass, kind="stable"))
-        num_rows = len(spans)
-
-        # Span -> row maps keyed on flat residue position: a prefix span
-        # is identified by the position it ends at, a suffix span by the
-        # position it starts at (full-length spans are enumerated once,
-        # as prefixes, matching CandidateGenerator's span sets).
-        n_flat = len(shard.residues)
-        prefix_row = np.full(n_flat, -1, dtype=np.int64)
-        suffix_row = np.full(n_flat, -1, dtype=np.int64)
-        off = shard.offsets[spans.seq_index]
-        rows = np.arange(num_rows, dtype=np.int64)
-        is_prefix = spans.start == 0
-        pre = np.nonzero(is_prefix)[0]
-        suf = np.nonzero(~is_prefix)[0]
-        prefix_row[off[pre] + spans.stop[pre] - 1] = rows[pre]
-        suffix_row[off[suf] + spans.start[suf]] = rows[suf]
-
-        arrays, num_fragments = self._posting_arrays(shard, spans)
-        arrays.update({"prefix_row": prefix_row, "suffix_row": suffix_row})
+        spans = mass_sorted_spans(db)
+        columns = (spans.seq_index, spans.start, spans.stop, spans.mass)
+        arrays = {
+            name: np.ascontiguousarray(col, dtype=dtype)
+            for (name, dtype), col in zip(ROW_ARRAYS.items(), columns)
+        }
+        postings, num_fragments = self._posting_arrays(
+            db, spans, np.nonzero(_in_envelope(spans.lengths, self.max_length))[0]
+        )
+        arrays.update(postings)
         layout = IndexLayout(
-            num_rows=num_rows,
+            num_rows=len(spans),
             max_length=self.max_length,
             bin_width=self.bin_width,
             num_fragments=num_fragments,
@@ -252,25 +244,27 @@ class IndexBuilder:
                 for name, a in arrays.items()
             },
         )
-        return BuiltIndex(layout=layout, arrays=arrays, shard=shard)
+        return BuiltIndex(layout=layout, arrays=arrays)
 
     def _posting_arrays(
-        self, shard: ProteinDatabase, spans: CandidateSpans
+        self, db: ProteinDatabase, spans: CandidateSpans, held: np.ndarray
     ) -> Tuple[Dict[str, np.ndarray], int]:
-        """Both posting lists for a row-ordered span set: per-length
-        fragment matrices generated with the same batched kernels the
-        direct scoring path runs per block, sorted into posting lists
-        keyed on row ids.  The matrices themselves are not kept.
+        """Both posting lists for the rows ``held`` of a row table:
+        per-length fragment matrices generated with the same batched
+        kernels the direct scoring path runs per block, sorted into
+        posting lists keyed on row ids.  The matrices themselves are not
+        kept.
         """
         num_rows = len(spans)
-        lengths = spans.lengths
+        lengths = spans.lengths[held]
         table = mass_table(self.monoisotopic)
-        abs_start = shard.offsets[spans.seq_index] + spans.start
+        abs_start = db.offsets[spans.seq_index[held]] + spans.start[held]
         ladder_parts = []
         series_parts = []
         for length in np.unique(lengths).tolist():
-            rows = np.nonzero(lengths == length)[0]
-            mass_rows = table[shard.residues[abs_start[rows][:, None] + np.arange(length)]]
+            of_length = np.nonzero(lengths == length)[0]
+            rows = held[of_length]
+            mass_rows = table[db.residues[abs_start[of_length][:, None] + np.arange(length)]]
             ladder_parts.append((by_ion_ladder_rows(mass_rows), rows, None))
             for series in (IonSeries.B, IonSeries.Y):
                 series_parts.append(
@@ -297,28 +291,25 @@ class IndexBuilder:
 
 
 class FragmentIndex:
-    """Read-only view over one shard's flat index arrays.
+    """Read-only view over a database's flat index arrays.
 
-    Never builds: the constructor wires a view over existing arrays and
-    the shard they index, heap (``IndexBuilder(...).build(shard).view()``)
-    or memmap (a ``repro.store`` directory).
+    Never builds: the constructor wires a view over existing arrays,
+    heap (``IndexBuilder(...).build(db).view()``) or memmap (a
+    ``repro.store`` directory).  ``rows`` is the row table as
+    :class:`~repro.candidates.mass_index.CandidateSpans` of the database
+    it was built from.
     """
 
-    def __init__(
-        self,
-        shard: ProteinDatabase,
-        layout: IndexLayout,
-        arrays: Dict[str, np.ndarray],
-    ):
-        self.shard = shard
+    def __init__(self, layout: IndexLayout, arrays: Dict[str, np.ndarray]):
         self.layout = layout
         self.arrays = arrays
         self.num_rows = layout.num_rows
         self.max_length = layout.max_length
         self.bin_width = layout.bin_width
         self.num_fragments = layout.num_fragments
-        self._prefix_row = arrays["prefix_row"]
-        self._suffix_row = arrays["suffix_row"]
+        self.rows = CandidateSpans(
+            *(arrays[name] for name in ROW_ARRAYS), np.zeros(layout.num_rows)
+        )
         self._ladder_postings = _PostingList(
             arrays["ladder_mz"],
             arrays["ladder_row"],
@@ -334,27 +325,15 @@ class FragmentIndex:
 
     @property
     def nbytes(self) -> int:
-        """Index memory footprint (row maps + posting lists); the shard
-        is charged separately by whoever holds it."""
+        """Index memory footprint (row table + posting lists); the
+        database is charged separately by whoever holds it."""
         return int(self.layout.nbytes)
 
-    # -- span -> row mapping ---------------------------------------------
-
-    def rows_for(self, spans: CandidateSpans) -> np.ndarray:
-        """Index row of each span, or ``-1`` where the index holds no row.
-
-        PTM-tier spans (``mod_delta != 0``) and spans with length outside
-        ``[2, max_length]`` are not indexed; callers route them through
-        the direct batch path.
-        """
-        n = len(spans)
-        if n == 0 or self.num_rows == 0:
-            return np.full(n, -1, dtype=np.int64)
-        off = self.shard.offsets[spans.seq_index]
-        is_prefix = spans.start == 0
-        pos = np.where(is_prefix, off + spans.stop - 1, off + spans.start)
-        found = np.where(is_prefix, self._prefix_row[pos], self._suffix_row[pos])
-        return np.where(spans.mod_delta == 0.0, found, -1)
+    def holds(self, rows: np.ndarray) -> np.ndarray:
+        """Which of the table's ``rows`` the postings cover: those inside
+        the ``[2, max_length]`` length envelope.  The others are scored
+        directly."""
+        return _in_envelope(self.rows.stop[rows] - self.rows.start[rows], self.max_length)
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
 

@@ -1,8 +1,10 @@
 """Descriptor of the fragment index's flat-array state.
 
 A built :class:`~repro.index.fragment_index.FragmentIndex` is nothing
-but a set of named, contiguous numpy arrays: the two posting lists with
-their bin-start tables, and the row maps that address them.
+but a set of named, contiguous numpy arrays: the mass-sorted row table
+(:data:`ROW_ARRAYS`, the columns a partitioned store's partitions hold
+too) and the two posting lists, with their bin-start tables, whose
+``*_row`` values are positions in that table.
 :class:`IndexLayout` is the single source of truth for that set: which
 arrays exist, their dtypes and shapes, plus the scalar build parameters
 needed to interpret them (``bin_width``, ``max_length``, ...).  The
@@ -25,6 +27,17 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import IndexStoreError
 
+#: the row table's columns -> dtype: the
+#: :class:`~repro.candidates.mass_index.CandidateSpans` fields
+#: (``seq_index``, ``start``, ``stop``, ``mass``) of every span of the
+#: database, mass-sorted (:func:`~repro.candidates.mass_index.mass_sorted_spans`)
+ROW_ARRAYS = {
+    "row_seq": "int64",
+    "row_start": "int64",
+    "row_stop": "int64",
+    "row_mass": "float64",
+}
+
 #: the two posting lists, each sorted by (m/z bin, candidate row): the
 #: b+y ladder list (shared-peak counting) and the series-tagged b / y
 #: list (per-series matched intensity).  ``*_bin_start[b]`` is where bin
@@ -39,9 +52,9 @@ POSTING_ARRAYS = (
     "series_bin_start",
 )
 
-#: every array a layout must describe, in canonical order: the
-#: flat-position span -> row maps, the postings
-ARRAY_NAMES = ("prefix_row", "suffix_row") + POSTING_ARRAYS
+#: every array a layout must describe, in canonical order: the row
+#: table, the postings
+ARRAY_NAMES = tuple(ROW_ARRAYS) + POSTING_ARRAYS
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class IndexLayout:
 
     Everything a reader needs to wire a working
     :class:`~repro.index.fragment_index.FragmentIndex` view over raw
-    buffers (plus the database they index), and everything a writer
+    buffers, and everything a writer
     needs to validate that a directory of buffers is complete and
     untruncated.
     """

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import threading
 import time
 from collections import deque
@@ -58,8 +59,10 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
+from repro.core.streaming import StreamingSearcher, index_compat_problems
 from repro.errors import (
     ConfigError,
+    IndexCompatError,
     ReproError,
     ServiceOverloadedError,
     ServiceUnavailableError,
@@ -118,11 +121,13 @@ class SearchService:
     :class:`~repro.store.partitioned.PartitionedIndex`, or a path to
     either) or ``database`` — then :meth:`start`,
     :meth:`submit`/:meth:`search` from any number of threads, and
-    :meth:`stop` to drain.  With a partitioned store the scorer owns a
-    :class:`~repro.core.streaming.StreamingSearcher`: resident memory
-    stays at directory + double buffer regardless of store size, and
-    ``memory_budget_mb`` bounds the stream; a resident store is mapped
-    whole and refuses a budget (:meth:`start` raises
+    :meth:`stop` to drain.  With a store the scorer owns a
+    :class:`~repro.core.streaming.StreamingSearcher` over its rows, and a
+    configuration no store can serve is refused here with
+    :class:`~repro.errors.IndexCompatError`.  A partitioned store keeps
+    resident memory at directory + double buffer regardless of store
+    size, and ``memory_budget_mb`` bounds the stream; a resident store
+    is mapped whole and refuses a budget (:meth:`start` raises
     :class:`~repro.errors.ConfigError`).
     """
 
@@ -143,22 +148,15 @@ class SearchService:
         self.config = config
         self.service_config = service_config or ServiceConfig()
         self._database = database
-        self._store: Union[StoredIndex, PartitionedIndex, None] = None
+        self._store: Union[StoredIndex, PartitionedIndex, None] = (
+            open_any_index(store) if isinstance(store, (str, os.PathLike)) else store
+        )
         self._memory_budget_mb = memory_budget_mb
         if store is not None:
-            self._store = (
-                store
-                if isinstance(store, (StoredIndex, PartitionedIndex))
-                else open_any_index(store)
-            )
-        if isinstance(self._store, PartitionedIndex):
-            from repro.core.streaming import streaming_compat_problems
-            from repro.errors import IndexCompatError
-
-            problems = streaming_compat_problems(config)
+            problems = index_compat_problems(config)
             if problems:
                 raise IndexCompatError(
-                    "this service cannot stream the partitioned index: "
+                    "this service cannot be served from the index store: "
                     + "; ".join(problems)
                 )
         self._injector: Optional[ServiceFaultInjector] = None
@@ -397,15 +395,10 @@ class SearchService:
 
     def _make_searcher(self):
         """The scorer's one whole-database searcher."""
-        if isinstance(self._store, PartitionedIndex):
-            from repro.core.streaming import StreamingSearcher
-
+        if self._store is not None:
             return StreamingSearcher(
                 self._store, self.config, memory_budget_mb=self._memory_budget_mb
             )
-        if self._store is not None:
-            loaded = self._store.load_shard(memory_budget_mb=self._memory_budget_mb)
-            return ShardSearcher(loaded.shard, self.config, index=loaded.index)
         assert self._database is not None
         return ShardSearcher(self._database, self.config)
 

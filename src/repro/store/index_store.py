@@ -10,20 +10,23 @@ section beside the format's own section::
             residues.npy    # the source database's flat buffers,
             offsets.npy     # mmap-able: every scored span and every
             ids.npy         # emitted hit reads them
-        index/              # resident store (schema repro.index_store/3)
-            prefix_row.npy  # the flat-position span -> row maps
-            suffix_row.npy
-            ladder_mz.npy   # the two posting lists
-            ...
+        index/              # resident store (schema repro.index_store/4)
+            row_seq.npy     # the mass-sorted row table: every span of
+            row_start.npy   # the database, the four columns a partition
+            row_stop.npy    # of a partitioned store holds, stored raw
+            row_mass.npy
+            ladder_mz.npy   # the two posting lists, whose *_row values
+            ...             # are positions in the row table
         partitions/         # or a partitioned store (repro.store.partitioned)
 
 A *resident* store (this module) is the database section plus one
-whole-database fragment index: the two posting lists and the row maps
-that address them, one standard ``.npy`` file per
+whole-database fragment index: the row table and the two posting lists
+that address it, one standard ``.npy`` file per
 :class:`~repro.index.layout.IndexLayout` array.  Loading maps every
 buffer read-only with ``np.load(..., mmap_mode="r")`` — zero copy, the
 ``.npy`` header doubling as an on-disk dtype/shape check against the
-manifest.
+manifest.  The rows are the ones a partitioned store of the same
+database decodes, stored raw: a search sweeps them as one row block.
 
 ``header.json`` is a store's single source of truth: the schema version
 (the one version a reader checks; any other is refused with the rebuild
@@ -70,8 +73,9 @@ from repro.index.layout import ARRAY_NAMES, ArraySpec, IndexLayout
 from repro.obs.metrics import get_metrics
 
 #: schema identifier for the resident store directory format; readers
-#: reject other versions rather than guessing at semantics
-STORE_SCHEMA = "repro.index_store/3"
+#: reject other versions rather than guessing at semantics (/4: the
+#: index holds the row table its postings address, not per-residue maps)
+STORE_SCHEMA = "repro.index_store/4"
 
 HEADER_NAME = "header.json"
 DATABASE_DIR = "database"
@@ -375,9 +379,10 @@ def _read_store(
 @dataclass
 class LoadedShard:
     """A resident store opened for search: the database, its wired index
-    view, and what the load cost (for ShardStats / CostModel accounting)."""
+    view (row table and postings), and what the load cost (for
+    ShardStats / CostModel accounting)."""
 
-    shard: ProteinDatabase
+    database: ProteinDatabase
     index: FragmentIndex
     seconds: float  # wall time spent opening + wiring
     nbytes: int  # bytes mapped (database and index sections)
@@ -386,7 +391,8 @@ class LoadedShard:
 @dataclass
 class StoredIndex(StoreHandle):
     """Handle to an opened resident store: the database section plus one
-    whole-database fragment index, mapped together by :meth:`load_shard`."""
+    whole-database row table and fragment index, mapped together by
+    :meth:`load_shard`."""
 
     SCHEMA = STORE_SCHEMA
     SOURCE = "loaded"
@@ -402,10 +408,10 @@ class StoredIndex(StoreHandle):
         self, *, mmap: bool = True, memory_budget_mb: Optional[float] = None
     ) -> LoadedShard:
         """Open the database and index sections and wire a read-only
-        :class:`FragmentIndex` over them.
+        :class:`FragmentIndex` over the index's row table and postings.
 
         With ``mmap=True`` (the default) every array is an
-        ``np.memmap`` view — the OS pages postings in on demand and
+        ``np.memmap`` view — the OS pages rows and postings in on demand and
         shares clean pages across processes.  With ``mmap=False``
         buffers are read onto the heap (still marked non-writable).
         Either way the arrays are dtype/shape-checked against the
@@ -426,7 +432,7 @@ class StoredIndex(StoreHandle):
         metrics = get_metrics()
         start = time.perf_counter()
         with metrics.span("index.load", category="store", mmap=mmap):
-            shard = self.load_database(mmap)
+            database = self.load_database(mmap)
             arrays = {
                 name: load_buffer(
                     self.path / INDEX_DIR / f"{name}.npy",
@@ -442,11 +448,11 @@ class StoredIndex(StoreHandle):
                     f"index store at {self.path} does not match its manifest: "
                     + "; ".join(problems)
                 )
-            index = FragmentIndex(shard, self.layout, arrays)
+            index = FragmentIndex(self.layout, arrays)
         seconds = time.perf_counter() - start
         metrics.count("index.mmap_bytes", self.nbytes)
         metrics.observe("index.load_time", seconds)
-        return LoadedShard(shard=shard, index=index, seconds=seconds, nbytes=self.nbytes)
+        return LoadedShard(database=database, index=index, seconds=seconds, nbytes=self.nbytes)
 
     def describe(self) -> Dict[str, Any]:
         return dict(

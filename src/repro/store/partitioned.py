@@ -32,11 +32,12 @@ dtype/shape manifest of the four decoded columns.  The directory is a
 few hundred bytes per partition — the only part of the store a
 streaming search keeps resident for the whole pass.
 
-A partition is a contiguous slice of *every* prefix/suffix span of the
-database, sorted by unmodified mass (the stable order
-``MassIndex(db).candidates_in_window(0, inf)`` sorts to): four columns
-:data:`ROW_ARRAYS` — sequence index, start, stop, mass — each an
-independently compressed section (:mod:`repro.store.codec`).  There is
+A partition is a contiguous slice of the database's mass-sorted row
+table (:func:`~repro.candidates.mass_index.mass_sorted_spans`: every
+prefix/suffix span, the rows a resident store maps raw): four columns
+:data:`~repro.index.layout.ROW_ARRAYS` — sequence index, start, stop,
+mass — each an independently compressed section
+(:mod:`repro.store.codec`).  There is
 no length envelope and so no overflow file: a protein's long prefixes
 and suffixes are ordinary rows of high-mass partitions that a pass
 whose queries are lighter never opens.  Union over partitions is the
@@ -70,10 +71,10 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.candidates.mass_index import CandidateSpans, MassIndex
+from repro.candidates.mass_index import CandidateSpans, mass_sorted_spans
 from repro.chem.protein import ProteinDatabase
 from repro.errors import IndexStoreError
-from repro.index.layout import ArraySpec
+from repro.index.layout import ROW_ARRAYS, ArraySpec
 from repro.obs.metrics import get_metrics
 from repro.store.codec import codec_for, decode_array, encode_array
 from repro.store.index_store import (
@@ -91,16 +92,6 @@ from repro.store.index_store import (
 PARTITIONED_SCHEMA = "repro.index_store_partitioned/4"
 
 PARTITIONS_DIR = "partitions"
-
-#: a partition's columns -> dtype, in blob order: the
-#: :class:`~repro.candidates.mass_index.CandidateSpans` fields of its
-#: rows (``seq_index``, ``start``, ``stop``, ``mass``)
-ROW_ARRAYS = {
-    "row_seq": "int64",
-    "row_start": "int64",
-    "row_stop": "int64",
-    "row_mass": "float64",
-}
 
 #: decoded bytes of one row: what ``partition_mb`` is measured in
 _ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in ROW_ARRAYS.values())
@@ -396,10 +387,7 @@ def save_partitioned_index(
         raise IndexStoreError(
             f"partition_mb must be > 0, got {partition_mb}"
         )
-    # the stable argsort of the mass index's own enumeration order:
-    # equal-mass spans keep the order a direct search lists them in
-    spans = MassIndex(db).candidates_in_window(0.0, np.inf)
-    spans = spans.take(np.argsort(spans.mass, kind="stable"))
+    spans = mass_sorted_spans(db)
     columns = dict(
         zip(ROW_ARRAYS, (spans.seq_index, spans.start, spans.stop, spans.mass))
     )

@@ -3,23 +3,40 @@
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
+from repro.core.streaming import StreamingSearcher
 from repro.index import IndexBuilder
+from repro.store import LoadedShard
 from repro.workloads.queries import QueryWorkload
 from repro.workloads.synthetic import generate_database
 
 
-def built_index(shard, config):
-    """A fragment-index view over ``shard`` to hand a ``ShardSearcher``.
+def loaded_index(db, config, max_length=48):
+    """What ``StoredIndex.load_shard`` returns for a resident store of
+    ``db``, built on the heap: the database and a view over its row table
+    and postings.
 
     Searches never build one; the index-flavour identity suites build it
-    here, the way a store would, and pass it in as ``index=``.
+    here, the way ``save_index`` would, without a directory.
     """
-    return IndexBuilder(fragment_tolerance=config.fragment_tolerance).build(shard).view()
+    built = IndexBuilder(
+        fragment_tolerance=config.fragment_tolerance, max_length=max_length
+    ).build(db)
+    return LoadedShard(
+        database=db, index=built.view(), seconds=0.0, nbytes=db.nbytes + built.layout.nbytes
+    )
+
+
+def store_searcher(db, config, max_length=48, **kwargs):
+    """The store searcher over a heap-built resident store of ``db``: a
+    stand-in store whose ``load_shard`` returns :func:`loaded_index`."""
+    loaded = loaded_index(db, config, max_length)
+    return StreamingSearcher(SimpleNamespace(load_shard=lambda **_: loaded), config, **kwargs)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ The mmap-once transport contract: an engine pointed at a
 direct path — under both fork and spawn start methods — while shipping
 only a path string to workers instead of the database buffers.  A store
 holds one whole database, an empty one included, and a resident store
-refuses a memory budget wherever one meets it.  The CLI
+refuses a memory budget and variable modifications wherever one meets
+it.  The CLI
 half covers the build → inspect → search workflow end to end, and that
 every misuse (missing store, stale fingerprint, simulated engine,
 corrupt header) exits with a one-line typed error, never a traceback.
@@ -23,8 +24,9 @@ from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
 from repro.core.driver import run_search
 from repro.core.search import ShardSearcher, search_serial
+from repro.core.streaming import StreamingSearcher
 from repro.engines.multiproc import run_multiprocess_search
-from repro.errors import ConfigError, IndexStoreError
+from repro.errors import ConfigError, IndexCompatError, IndexStoreError
 from repro.scoring import SCORER_NAMES
 from repro.service import SearchService, ServiceConfig
 from repro.spectra.library import SpectralLibrary
@@ -139,12 +141,12 @@ _POSTING_SERVED = {"shared_peaks", "hyperscore"}
 
 
 class TestEveryScorerOverEveryStore:
-    """A store serves every scorer: a resident one by posting probes
-    where the scorer has a posting kernel and by direct scoring of the
-    spans it carries where it has not, a partitioned one by direct
-    scoring of its rows.  Serial and multiproc, resident and partitioned
-    (under a two-partition budget), hits are bitwise the scalar
-    reference's."""
+    """A store serves every scorer: a resident one by posting probes on
+    its rows inside the index envelope where the scorer has a posting
+    kernel and by direct scoring of its other rows, a partitioned one by
+    direct scoring of its rows.  Serial, multiproc and the service,
+    resident and partitioned (under a two-partition budget), hits are
+    bitwise the scalar reference's."""
 
     @pytest.fixture(scope="class")
     def stores(self, tiny_db, tmp_path_factory):
@@ -218,6 +220,18 @@ class TestEveryScorerOverEveryStore:
         served = report.extras["index_probe_fraction"] > 0
         assert served == (flavour == "resident" and config.scorer in _POSTING_SERVED)
 
+    @pytest.mark.parametrize("case", list(SCORER_NAMES), indirect=True)
+    @pytest.mark.parametrize("flavour", ["resident", "partitioned"])
+    def test_service_over_each_store(self, tiny_queries, stores, case, flavour):
+        config, _lib, reference = case
+        resident, partitioned, budget_mb = stores
+        kwargs = {"store": resident}
+        if flavour == "partitioned":
+            kwargs = {"store": partitioned, "memory_budget_mb": budget_mb}
+        with SearchService(config, ServiceConfig(workers=1), **kwargs) as service:
+            response = service.search(tiny_queries).raise_for_status()
+        assert response.hits == {q: h.sorted_hits() for q, h in reference.items()}
+
     @pytest.mark.parametrize("start_method", _START_METHODS)
     @pytest.mark.parametrize("case", list(SCORER_NAMES), indirect=True)
     def test_resident_store_over_each_start_method_is_the_serial_direct_search(
@@ -230,9 +244,8 @@ class TestEveryScorerOverEveryStore:
         resident = stores[0]
         direct = {}
         ShardSearcher(tiny_db, config).run(tiny_queries, direct)
-        loaded = resident.load_shard()
         from_store = {}
-        ShardSearcher(loaded.shard, config, index=loaded.index).run(tiny_queries, from_store)
+        StreamingSearcher(resident, config).run(tiny_queries, from_store)
         assert_same_hitlists(direct, from_store)
         report = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=2, config=config,
@@ -240,28 +253,26 @@ class TestEveryScorerOverEveryStore:
         )
         assert_report_matches(direct, report)
 
-    def test_ptm_cutoff_and_length_floor_with_a_direct_scorer(
-        self, tiny_db, tiny_queries, stores
-    ):
-        """xcorr over a resident store: the unmodified rows share the one
-        direct batch with the PTM tiers, and the length floor and score
-        cutoff account for every candidate as the reference does."""
+    @pytest.mark.parametrize("entry", ["serial", "multiproc", "service"])
+    def test_modifications_refused(self, tiny_db, tiny_queries, stores, entry):
+        """A store's rows are the unmodified spans; PTM tiers are
+        enumerated from the database.  A resident store refuses a search
+        with variable modifications at every entry point, typed and
+        before any work, as a partitioned store does."""
         config = _cfg(
-            scorer="xcorr",
-            modifications=(
-                STANDARD_MODIFICATIONS["oxidation"],
-                STANDARD_MODIFICATIONS["phosphorylation_s"],
-            ),
-            score_cutoff=0.05,
-            min_candidate_length=4,
+            scorer="xcorr", modifications=(STANDARD_MODIFICATIONS["oxidation"],)
         )
-        report = search_serial(tiny_db, tiny_queries, config, index_store=stores[0])
-        reference = reference_search(tiny_db, config, tiny_queries)
-        assert_report_matches(reference, report)
-        assert report.extras["index_rows"] == 0
-        assert report.extras["rows_scored"] > report.candidates_evaluated // 2
-        kept = sum(len(h) for h in report.hits.values())
-        assert 0 < kept < report.candidates_evaluated  # the cutoff bit
+        resident = stores[0]
+        with pytest.raises(IndexCompatError, match="variable modifications"):
+            if entry == "serial":
+                search_serial(tiny_db, tiny_queries, config, index_store=resident)
+            elif entry == "multiproc":
+                run_multiprocess_search(
+                    tiny_db, tiny_queries, num_workers=2, config=config,
+                    index_path=str(resident.path),
+                )
+            else:
+                SearchService(config, ServiceConfig(workers=1), store=resident)
 
 
 def _search_each_way(database, queries, config, store, **kwargs):

@@ -3,22 +3,19 @@
 The fragment-ion index's exactness contract (see
 ``repro.index.fragment_index``): every score served from precomputed
 posting lists equals the scalar oracle (``score_batch_fallback``) bit
-for bit — across the posting-served scorers, PTM-mixed span sets, empty
-candidate windows, and empty or degenerate spectra.  The searcher-level
-test additionally covers the merge of index-served and direct-overflow
-score streams back into span order, and that a scorer the postings
-cannot serve ignores a handed-in index.
+for bit — across the posting-served scorers, row sets in and out of the
+length envelope, empty candidate windows, and empty or degenerate
+spectra.  The searcher-level test additionally covers the store
+searcher's merge of index-served and directly scored rows back into row
+order, and that a scorer the postings cannot serve scores every row
+directly.
 """
-
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.candidates.batch import CandidateBatch
-from repro.candidates.mass_index import MassIndex
-from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
@@ -29,6 +26,7 @@ from repro.chem.amino_acids import mass_table
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
+from tests.conftest import store_searcher
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
@@ -37,11 +35,6 @@ databases = st.lists(sequences, min_size=1, max_size=8).map(
 
 #: every scorer ``FragmentIndex.score_block`` serves
 _SCORERS = [SharedPeakScorer, HyperScorer]
-
-_MODS = [
-    STANDARD_MODIFICATIONS["oxidation"],
-    STANDARD_MODIFICATIONS["phosphorylation_s"],
-]
 
 
 @st.composite
@@ -56,89 +49,90 @@ def spectra(draw):
 
 @st.composite
 def index_cases(draw):
-    """A database, its fragment index, and a PTM-mixed span set.
+    """A database, its fragment index, and a window of its row table.
 
-    The mass window may be empty (lo > every span mass) and
-    ``max_length`` small enough to force overflow rows, so both the
-    all-indexed and the mixed index/direct regimes are drawn.
+    The mass window may be empty (lo > every row mass) and
+    ``max_length`` small enough to leave rows outside the envelope, so
+    both the all-indexed and the mixed index/direct regimes are drawn.
     """
     db = draw(databases)
     max_length = draw(st.sampled_from([2, 6, 48]))
     index = IndexBuilder(fragment_tolerance=0.5, max_length=max_length).build(db).view()
     lo = draw(st.floats(min_value=0.0, max_value=4000.0, allow_nan=False))
     width = draw(st.floats(min_value=0.0, max_value=4000.0, allow_nan=False))
-    spans = MassIndex(db).candidates_in_window(lo, lo + width)
-    n = len(spans)
-    deltas = np.zeros(n)
-    choices = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
-    for i, c in enumerate(choices):
-        if c:
-            deltas[i] = _MODS[c - 1].delta_mass
-    spans = replace(spans, mod_delta=deltas)
-    return db, index, spans
+    mass = index.rows.mass
+    rows = np.arange(
+        np.searchsorted(mass, lo, side="left"),
+        np.searchsorted(mass, lo + width, side="right"),
+    )
+    return db, index, rows
 
 
 @given(index_cases(), spectra(), st.sampled_from(_SCORERS))
 @settings(max_examples=60, deadline=None)
 def test_score_index_bitwise_equals_batch_scores(case, spectrum, scorer_cls):
-    db, index, spans = case
+    db, index, rows = case
     scorer = scorer_cls()
-    rows = index.rows_for(spans)
-    use = rows >= 0
-    if not use.any():
+    held = rows[index.holds(rows)]
+    if not len(held):
         return
-    indexed = spans.take(use)
-    got = index.score_block(scorer, SpectrumBatch([spectrum]), [rows[use]])
-    batch = CandidateBatch.from_spans(db, indexed, {})
+    got = index.score_block(scorer, SpectrumBatch([spectrum]), [held])
+    batch = CandidateBatch.from_spans(db, index.rows.take(held), {})
     ref = score_batch_fallback(scorer, spectrum, batch)
-    assert got.shape == ref.shape == (len(indexed),)
+    assert got.shape == ref.shape == (len(held),)
     assert got.tobytes() == ref.tobytes()
 
 
 @given(index_cases())
 @settings(max_examples=60, deadline=None)
-def test_rows_for_covers_exactly_the_indexable_spans(case):
-    """rows >= 0 iff unmodified and 2 <= length <= max_length; rows map
-    back to spans with identical residues."""
-    db, index, spans = case
-    rows = index.rows_for(spans)
-    lengths = spans.lengths
-    expect = (spans.mod_delta == 0.0) & (lengths >= 2) & (lengths <= index.max_length)
-    assert np.array_equal(rows >= 0, expect)
-    hit = np.nonzero(rows >= 0)[0]
-    # distinct spans never collide on an index row
-    assert len(np.unique(rows[hit])) == len(hit)
-    # a row posts exactly its span's 2(L-1) ladder fragments
-    posted = np.bincount(index.arrays["ladder_row"], minlength=index.num_rows)
-    assert np.array_equal(posted[rows[hit]], 2 * (lengths[hit] - 1))
+def test_posting_rows_address_exactly_the_envelope_rows(case):
+    """Every posting row id is a position in the row table and addresses
+    a row inside the envelope; each such row posts exactly its span's
+    2(L-1) fragments, and no row outside the envelope posts any."""
+    _db, index, _rows = case
+    lengths = index.rows.lengths
+    held = (lengths >= 2) & (lengths <= index.max_length)
+    assert np.array_equal(index.holds(np.arange(index.num_rows)), held)
+    for name in ("ladder_row", "series_row"):
+        posting_rows = np.asarray(index.arrays[name])
+        assert posting_rows.dtype == np.int64
+        assert len(posting_rows) == 0 or 0 <= posting_rows.min() <= posting_rows.max() < index.num_rows
+        assert held[posting_rows].all()
+        posted = np.bincount(posting_rows, minlength=index.num_rows)
+        assert np.array_equal(posted, np.where(held, 2 * (lengths - 1), 0))
 
 
-@given(index_cases(), spectra(), st.sampled_from(["shared_peaks", "hyperscore", "xcorr", "likelihood"]))
+@given(
+    databases,
+    spectra(),
+    st.sampled_from([2, 6, 48]),
+    st.sampled_from(["shared_peaks", "hyperscore", "xcorr", "likelihood"]),
+)
 @settings(max_examples=40, deadline=None)
-def test_searcher_score_spans_identical_with_index_on_and_off(case, spectrum, scorer_name):
-    """The searcher's merged index+overflow stream equals the direct
-    path and the scalar oracle bitwise, spans in original
-    (PTM-tier-mixed) order."""
-    db, _index, spans = case
-    if len(spans) == 0:
-        return
-    cfg = SearchConfig(scorer=scorer_name, delta=0.0, modifications=tuple(_MODS))
-    # an index too short for most spans: the overflow merge is exercised
-    short = IndexBuilder(fragment_tolerance=cfg.fragment_tolerance, max_length=6)
-    s_on = ShardSearcher(db, cfg, index=short.build(db).view())
-    s_off = ShardSearcher(db, cfg)
+def test_searcher_score_spans_identical_with_index_on_and_off(
+    db, spectrum, max_length, scorer_name
+):
+    """The store searcher's merged index+direct stream equals the direct
+    path and the scalar oracle bitwise, rows in row order, whatever
+    share of them the envelope holds."""
+    cfg = SearchConfig(scorer=scorer_name, delta=4000.0)
+    on = store_searcher(db, cfg, max_length=max_length)
     posting_served = scorer_name in ("shared_peaks", "hyperscore")
-    assert (s_on.index is not None) == posting_served and s_off.index is None
-    cohort, everything = SpectrumBatch([spectrum]), [np.arange(len(spans))]
-    got, direct_rows, index_rows = s_on.score_spans_block(cohort, spans, everything)
-    ref, ref_rows, ref_index_rows = s_off.score_spans_block(cohort, spans, everything)
-    assert ref_index_rows == 0
+    assert (on.index is not None) == posting_served
+    rows = on.loaded.index.rows
+    everything = [np.arange(len(rows))]
+    if not len(rows):
+        return
+    score, _columns = on._row_scoring(rows)
+    cohort = SpectrumBatch([spectrum])
+    got, direct_rows, index_rows = score(cohort, everything)
+    assert direct_rows + index_rows == len(rows)
     assert posting_served or index_rows == 0
-    assert direct_rows + index_rows == ref_rows >= len(spans)
+    off = ShardSearcher(db, cfg)
+    ref, _ref_rows, _ = off.score_spans_block(cohort, rows, everything)
     assert got.tobytes() == ref.tobytes()
-    targets = {mod.delta_mass: ord(mod.target) for mod in _MODS}
     scalar = score_batch_fallback(
-        s_off.scorer, spectrum, CandidateBatch.from_spans(db, spans, targets)
+        off.scorer, spectrum, CandidateBatch.from_spans(db, rows, {})
     )
     assert got.tobytes() == scalar.tobytes()
 

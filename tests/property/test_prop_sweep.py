@@ -6,8 +6,9 @@ overlapping windows coalesced into cohorts, cohort members scored
 against shared candidate blocks.  Every observable — hits, per-query
 evaluated counts, the candidate total — must be *identical* to the
 scalar reference search (``tests/reference.py``) across PTM mixes, score
-cutoffs, candidate-length floors, index on/off, cohort caps and query
-permutations.  The scalar path is the oracle; any drift here is a bug in
+cutoffs, candidate-length floors, cohort caps and query permutations —
+and so must the store searcher's sweep over a heap-built row table and
+index (no PTM mix: a store serves unmodified searches only).  The scalar path is the oracle; any drift here is a bug in
 the sweep, never an acceptable approximation.
 """
 
@@ -23,7 +24,7 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
 from repro.spectra.spectrum import Spectrum
-from tests.conftest import built_index
+from tests.conftest import store_searcher
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
@@ -56,16 +57,14 @@ query_lists = st.lists(spectra(), min_size=0, max_size=10).map(
 )
 
 
-def _assert_identical(searcher, queries):
-    reference = reference_search(searcher.shard, searcher.config, queries)
+def _assert_identical(searcher, db, queries):
+    reference = reference_search(db, searcher.config, queries)
     sweep = {}
     stats = searcher.run(queries, sweep)
     assert_same_hitlists(reference, sweep)
     assert stats.candidates_evaluated == candidates_evaluated(reference)
     assert stats.queries_processed == len(queries)
     assert stats.sweep_queries == len(queries)
-    if searcher.index is None:
-        assert stats.index_rows == 0
     return stats
 
 
@@ -89,13 +88,14 @@ def test_sweep_bitwise_equal_to_per_query(
         delta=delta,
         tau=10,
         scorer=scorer,
-        modifications=tuple(mods),
+        modifications=() if indexed else tuple(mods),
         score_cutoff=cutoff,
         min_candidate_length=min_len,
         sweep_cohort=cohort,
     )
-    searcher = ShardSearcher(db, cfg, index=built_index(db, cfg) if indexed else None)
-    stats = _assert_identical(searcher, queries)
+    searcher = store_searcher(db, cfg) if indexed else ShardSearcher(db, cfg)
+    stats = _assert_identical(searcher, db, queries)
+    assert indexed or stats.index_rows == 0
     # the work counters do not depend on the index or the cap
     plain = ShardSearcher(db, replace(cfg, sweep_cohort=1))
     st_plain = plain.run(queries, {})
@@ -108,7 +108,7 @@ def test_sweep_bitwise_equal_to_per_query(
 def test_sweep_invariant_under_query_permutation(db, queries, rnd):
     """Sweep output per qid is independent of the caller's query order."""
     cfg = SearchConfig(delta=3.0, tau=10, scorer="shared_peaks")
-    searcher = ShardSearcher(db, cfg, index=built_index(db, cfg))
+    searcher = store_searcher(db, cfg)
     reference = reference_search(db, cfg, queries)
     shuffled = list(queries)
     rnd.shuffle(shuffled)

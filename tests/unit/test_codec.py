@@ -112,7 +112,7 @@ class TestCodecFor:
 
     def test_every_stored_section_has_its_codec(self):
         """The codec of each column a partition blob stores."""
-        from repro.store.partitioned import ROW_ARRAYS
+        from repro.index.layout import ROW_ARRAYS
 
         got = {
             name: codec_for(np.zeros(3, dtype=dtype))

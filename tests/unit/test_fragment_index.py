@@ -1,16 +1,16 @@
-"""Unit tests for the shard-resident fragment-ion index."""
+"""Unit tests for the resident fragment-ion index over the row table."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import ExecutionMode, SearchConfig
-from repro.core.search import ShardSearcher
+from repro.errors import IndexCompatError
 from repro.index import FragmentIndex, IndexBuilder
-from repro.index.layout import ARRAY_NAMES
+from repro.index.layout import ARRAY_NAMES, POSTING_ARRAYS, ROW_ARRAYS
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.theoretical import by_ion_ladder
 from repro.workloads.synthetic import generate_database
-from tests.conftest import built_index
+from tests.conftest import store_searcher
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +29,15 @@ class TestConstruction:
         from repro.candidates.mass_index import MassIndex
 
         index = IndexBuilder(max_length=12).build(db).view()
+        # the table holds every span of the database, the envelope or not
         spans = MassIndex(db).candidates_in_window(0.0, np.inf)
-        held = index.rows_for(spans) >= 0
-        assert index.num_rows == int(held.sum()) > 0
-        assert np.array_equal(held, (spans.lengths >= 2) & (spans.lengths <= 12))
-        # every held span posts its 2(L-1) fragments in both lists
-        assert index.num_fragments == int(4 * (spans.lengths[held] - 1).sum())
+        assert index.num_rows == len(index.rows) == len(spans) > 0
+        lengths = index.rows.lengths
+        held = index.holds(np.arange(index.num_rows))
+        assert np.array_equal(held, (lengths >= 2) & (lengths <= 12))
+        assert 0 < int(held.sum()) < index.num_rows
+        # every held row posts its 2(L-1) fragments in both lists
+        assert index.num_fragments == int(4 * (lengths[held] - 1).sum())
         assert index.nbytes > 0
 
     def test_bin_width_floor(self, db):
@@ -45,78 +48,78 @@ class TestConstruction:
 
     def test_shared_peak_counts_match_ladder(self, db):
         """A spectrum made of one row's exact ladder matches every peak."""
-        from repro.candidates.mass_index import MassIndex
-
         index = IndexBuilder(fragment_tolerance=0.5).build(db).view()
         seq = db.sequence(0)[:8]
         ladder = by_ion_ladder(seq)
-        spans = MassIndex(db).candidates_in_window(0.0, 1e9)
-        rows = index.rows_for(spans)
-        target = (spans.seq_index == 0) & (spans.start == 0) & (spans.stop == 8)
+        rows = index.rows
+        target = (rows.seq_index == 0) & (rows.start == 0) & (rows.stop == 8)
         (pos,) = np.nonzero(target)
-        assert len(pos) == 1 and rows[pos[0]] >= 0
+        assert len(pos) == 1 and index.holds(pos).all()
         from repro.spectra.spectrum import Spectrum
         from repro.spectra.spectrum_batch import SpectrumBatch
 
         cohort = SpectrumBatch(
             [Spectrum.from_peaks(ladder, np.ones(len(ladder)), precursor_mz=500.0, charge=1)]
         )
-        counts = index.shared_peak_counts_block(
-            cohort, 0.5, [rows[pos[0] : pos[0] + 1]]
-        )
+        counts = index.shared_peak_counts_block(cohort, 0.5, [pos])
         assert counts[0] == len(ladder)
 
 
 class TestLayoutIsPostingsOnly:
-    """The index is its two posting lists plus the row metadata that
-    addresses them: a per-fragment or per-row column beyond those cannot
-    come back unnoticed."""
-
-    POSTINGS = {
-        "ladder_mz", "ladder_row", "ladder_bin_start",
-        "series_mz", "series_row", "series_tag", "series_bin_start",
-    }
+    """The index is its row table plus the two posting lists that address
+    it: a per-fragment or per-row column beyond those cannot come back
+    unnoticed."""
 
     def test_resident_array_names(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
-        # the index alone: the database it indexes rides beside it
-        expect = self.POSTINGS | {"prefix_row", "suffix_row"}
+        # the index alone: the database its rows name rides beside it
+        expect = set(ROW_ARRAYS) | set(POSTING_ARRAYS)
         assert set(built.arrays) == set(built.layout.arrays) == set(ARRAY_NAMES) == expect
+        assert len(expect) == 11
 
     def test_partition_array_names(self, tiny_db, tmp_path):
         from repro.store import save_partitioned_index
 
-        # a partitioned store holds rows and no posting array at all
+        # a partitioned store holds the same rows and no posting array at all
         store = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5)
-        expect = {"row_seq", "row_start", "row_stop", "row_mass"}
         for entry in store.partitions:
-            assert set(entry.arrays) == {s.name for s in entry.sections} == expect
+            assert set(entry.arrays) == {s.name for s in entry.sections} == set(ROW_ARRAYS)
 
     def test_bytes_per_fragment_bound(self, tiny_db):
-        """16 B per ladder posting, 17 B per series posting, two int64
-        maps over the residues, and the bin-start tables — nothing else."""
-        built = IndexBuilder().build(tiny_db)
-        layout = built.layout
+        """The postings: 16 B per ladder posting, 17 B per series
+        posting, and the bin-start tables — nothing else."""
+        layout = IndexBuilder().build(tiny_db).layout
         tables = (
             layout.arrays["ladder_bin_start"].nbytes
             + layout.arrays["series_bin_start"].nbytes
         )
-        assert layout.nbytes <= (
-            18 * layout.num_fragments + 16 * len(tiny_db.residues) + tables
+        postings = sum(layout.arrays[name].nbytes for name in POSTING_ARRAYS)
+        assert postings <= 18 * layout.num_fragments + tables
+
+    def test_bytes_per_row_bound(self, tiny_db):
+        """The row table: four 8-byte columns, 32 B a row."""
+        layout = IndexBuilder().build(tiny_db).layout
+        rows = sum(layout.arrays[name].nbytes for name in ROW_ARRAYS)
+        assert 0 < rows <= 32 * layout.num_rows
+        assert layout.nbytes == rows + sum(
+            layout.arrays[name].nbytes for name in POSTING_ARRAYS
         )
 
 
 class TestSearcherGating:
     def test_modeled_execution_never_builds(self, db):
+        """A store serves only searches that score: the store searcher
+        refuses MODELED execution before it maps anything."""
         cfg = SearchConfig(execution=ExecutionMode.MODELED)
-        assert ShardSearcher(db, cfg, index=built_index(db, cfg)).index is None
+        with pytest.raises(IndexCompatError, match="modeled execution"):
+            store_searcher(db, cfg)
 
     def test_index_served_means_a_block_level_index_kernel(self, db, tiny_queries):
-        """One predicate (``FragmentIndex.serves``) gates the handed-in
-        index and the dispatch: a scorer without ``score_index_block`` —
-        xcorr, the likelihood models with or without a library,
-        hypergeometric, a user's scalar-only scorer — searches direct
-        instead of failing inside the pass."""
+        """One predicate (``FragmentIndex.serves``) gates the postings: a
+        scorer without ``score_index_block`` — xcorr, the likelihood
+        models with or without a library, hypergeometric, a user's
+        scalar-only scorer — scores the store's rows directly instead of
+        failing inside the pass."""
         from repro.scoring import SCORER_NAMES, SharedPeakScorer, make_scorer
 
         class ScalarOnly:
@@ -141,21 +144,13 @@ class TestSearcherGating:
         lib.add("PEPTIDEK", np.array([100.0, 200.0]), np.array([1.0, 2.0]))
         assert not FragmentIndex.serves(make_scorer("likelihood", library=lib))
         assert not FragmentIndex.serves(ScalarOnly())
-        index = built_index(db, cfg)
-        searcher = ShardSearcher(db, cfg, scorer=ScalarOnly(), index=index)
+        searcher = store_searcher(db, cfg, scorer=ScalarOnly())
         assert searcher.index is None
+        served = store_searcher(db, cfg)
+        assert served.index is not None
         got, ref = {}, {}
-        searcher.run(tiny_queries, got)
-        ShardSearcher(db, cfg, index=index).run(tiny_queries, ref)
+        assert searcher.run(tiny_queries, got).index_rows == 0
+        assert served.run(tiny_queries, ref).index_rows > 0
         assert {q: h.sorted_hits() for q, h in got.items()} == {
             q: h.sorted_hits() for q, h in ref.items()
         }
-
-    def test_nbytes_excludes_index(self, db):
-        """The simulated machine's memory model covers shard + scorer
-        state only; the index is a host-side acceleration structure."""
-        cfg = SearchConfig(scorer="hyperscore")
-        with_index = ShardSearcher(db, cfg, index=built_index(db, cfg))
-        without = ShardSearcher(db, cfg)
-        assert with_index.index is not None and without.index is None
-        assert with_index.nbytes == without.nbytes

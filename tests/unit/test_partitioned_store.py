@@ -15,12 +15,11 @@ import pytest
 
 from repro.candidates.mass_index import MassIndex
 from repro.errors import IndexStoreError
-from repro.index.layout import ArraySpec
+from repro.index.layout import ROW_ARRAYS, ArraySpec
 from repro.store import HEADER_NAME, open_any_index, save_index, save_partitioned_index
 from repro.store.index_store import StoredIndex
 from repro.store.partitioned import (
     PARTITIONED_SCHEMA,
-    ROW_ARRAYS,
     PartitionedIndex,
     StreamingIndexReader,
     open_partitioned_index,

@@ -164,8 +164,11 @@ def test_index_switch_spec_keys_are_typed_errors(knob):
 
 
 def test_no_search_builds_an_index(tiny_db, tiny_queries):
-    """An index is handed in (``index=``, a store) or absent: the default
-    searcher has none and no default run records an ``index.build`` span."""
+    """An index comes from a store or not at all: the direct searcher
+    takes none (a store is searched by ``StreamingSearcher``) and no
+    default run records an ``index.build`` span."""
+    import inspect
+
     from repro.core.config import SearchConfig
     from repro.core.search import ShardSearcher, search_serial
     from repro.engines.multiproc import run_multiprocess_search
@@ -173,7 +176,8 @@ def test_no_search_builds_an_index(tiny_db, tiny_queries):
     from repro.service import SearchService, ServiceConfig
 
     config = SearchConfig(tau=5)
-    assert ShardSearcher(tiny_db, SearchConfig()).index is None
+    assert "index" not in inspect.signature(ShardSearcher.__init__).parameters
+    assert not hasattr(ShardSearcher(tiny_db, SearchConfig()), "index")
     registry = MetricsRegistry(enabled=True)
     with use_registry(registry):
         serial = search_serial(tiny_db, tiny_queries, config)

@@ -8,7 +8,7 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_database
 from repro.core.search import ShardSearcher, search_serial
 from repro.scoring.hits import TopHitList, merge_hit_lists
-from tests.conftest import built_index
+from tests.conftest import store_searcher
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
 
@@ -84,14 +84,13 @@ class TestShardSearcher:
     def test_run_equals_scalar_reference(self, tiny_db, tiny_queries, cfg, indexed):
         """Hits, per-query ``evaluated`` and the candidate total are the
         scalar reference's, two shards folding into one set of hit lists,
-        index-served (handed a view per shard) or direct."""
+        store-served (a heap-built row table and index per shard) or
+        direct."""
         shards = partition_database(tiny_db, 2)
         reference, hitlists, candidates = {}, {}, 0
         for shard in shards:
             reference_search(shard, cfg, tiny_queries, reference)
-            searcher = ShardSearcher(
-                shard, cfg, index=built_index(shard, cfg) if indexed else None
-            )
+            searcher = store_searcher(shard, cfg) if indexed else ShardSearcher(shard, cfg)
             candidates += searcher.run(tiny_queries, hitlists).candidates_evaluated
         assert_same_hitlists(reference, hitlists)
         assert candidates == candidates_evaluated(reference)

@@ -14,9 +14,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.candidates.mass_index import mass_sorted_spans
 from repro.errors import IndexStoreError, ReproError
 from repro.index import FragmentIndex, IndexBuilder, IndexLayout
-from repro.index.layout import ARRAY_NAMES, ArraySpec
+from repro.index.layout import ARRAY_NAMES, ROW_ARRAYS, ArraySpec
 from repro.store import (
     HEADER_NAME,
     STORE_SCHEMA,
@@ -29,8 +30,9 @@ from repro.store import (
 )
 from repro.store.index_store import DATABASE_ARRAYS
 
-#: one file of each section, the targets of every damage case below
-DAMAGE_TARGETS = (("index", "ladder_mz"), ("database", "offsets"))
+#: a posting list and a row column of the index, and a database buffer:
+#: the targets of every damage case below
+DAMAGE_TARGETS = (("index", "ladder_mz"), ("index", "row_mass"), ("database", "offsets"))
 
 
 @pytest.fixture()
@@ -39,8 +41,8 @@ def store_path(tiny_db, tmp_path):
 
 
 def _each_damaged(store_path, damage):
-    """Apply ``damage(path)`` to one index/ and one database/ file in
-    turn, restoring each afterwards; yields after each damage."""
+    """Apply ``damage(path)`` to each of :data:`DAMAGE_TARGETS` in turn,
+    restoring each afterwards; yields after each damage."""
     for section, name in DAMAGE_TARGETS:
         buf = store_path / section / f"{name}.npy"
         original = buf.read_bytes()
@@ -90,17 +92,37 @@ class TestRoundTrip:
         for name in ARRAY_NAMES:
             arr = np.asarray(loaded.index.arrays[name])
             assert not arr.flags.writeable, name
-        for arr in loaded.shard.to_buffers():
+        for arr in loaded.database.to_buffers():
             assert not np.asarray(arr).flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             loaded.index.arrays["ladder_mz"][...] = 0.0
 
     def test_loaded_shard_reconstructs_database(self, tiny_db, store_path):
         loaded = open_index(store_path).load_shard()
-        assert loaded.index.shard is loaded.shard
-        for got, want in zip(loaded.shard.to_buffers(), tiny_db.to_buffers()):
+        for got, want in zip(loaded.database.to_buffers(), tiny_db.to_buffers()):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        # the mapped rows are the loaded database's own mass-sorted spans
+        table = mass_sorted_spans(loaded.database)
+        rows = loaded.index.rows
+        for got, want in zip(
+            (rows.seq_index, rows.start, rows.stop, rows.mass),
+            (table.seq_index, table.start, table.stop, table.mass),
+        ):
+            assert np.asarray(got).tobytes() == want.tobytes()
+
+    def test_resident_rows_are_the_partitioned_rows(self, tiny_db, store_path, tmp_path):
+        """One row set: a resident store's four row columns are the
+        concatenation of a partitioned store's decoded partitions, bit for
+        bit, so a row id means the same span in either format."""
+        loaded = open_index(store_path).load_shard()
+        partitioned = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.25)
+        assert partitioned.num_partitions > 1
+        parts = [partitioned.decode_partition(i) for i in range(partitioned.num_partitions)]
+        for name, field in zip(ROW_ARRAYS, ("seq_index", "start", "stop", "mass")):
+            joined = np.concatenate([getattr(part, field) for part in parts])
+            assert str(joined.dtype) == ROW_ARRAYS[name]
+            assert np.asarray(loaded.index.arrays[name]).tobytes() == joined.tobytes(), name
 
     def test_load_accounting(self, store_path):
         store = open_index(store_path)
@@ -149,7 +171,7 @@ class TestConcurrentOpen:
                 store = open_index(store_path)
                 for k in range(50):
                     loaded = store.load_shard()
-                    assert np.array_equal(loaded.shard.residues, want.shard.residues)
+                    assert np.array_equal(loaded.database.residues, want.database.residues)
                     for name in ARRAY_NAMES:
                         assert np.array_equal(loaded.index.arrays[name], want.index.arrays[name])
                     if k % 10 == 0:
@@ -245,6 +267,7 @@ class TestRejection:
         [
             "repro.index_store/1",
             "repro.index_store/2",
+            "repro.index_store/3",
             "repro.index_store_partitioned/1",
             "repro.index_store_partitioned/2",
             "repro.index_store_partitioned/3",
@@ -254,9 +277,10 @@ class TestRejection:
         self, tiny_db, tmp_path, old
     ):
         """A store of an earlier schema (matrix cache, key columns, one
-        directory per shard; the partitioned store's posting lists and
-        overflow blob, a schema-salted fingerprint) is never read: every
-        way of opening it names the command that rebuilds it."""
+        directory per shard, per-residue row maps; the partitioned store's
+        posting lists and overflow blob, a schema-salted fingerprint) is
+        never read: every way of opening it names the command that
+        rebuilds it."""
         if "partition" in old:
             path = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5).path
             openers = (open_partitioned_index, open_any_index)
@@ -308,10 +332,10 @@ class TestLayout:
     def test_view_from_arrays_scores_like_builder_view(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
         direct = built.view()
-        rewired = FragmentIndex(built.shard, built.layout, built.arrays)
-        assert rewired.num_rows == direct.num_rows
+        rewired = FragmentIndex(built.layout, built.arrays)
+        assert rewired.num_rows == direct.num_rows == len(rewired.rows)
         assert rewired.arrays is direct.arrays
-        assert rewired.shard == direct.shard
+        assert rewired.rows.mass is direct.rows.mass is built.arrays["row_mass"]
 
 
 class TestTornWrites:
