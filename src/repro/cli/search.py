@@ -167,8 +167,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
         write_tsv(report, args.output, database=db)
         print(f"wrote identifications to {args.output}")
+    # a multiproc report's virtual_time is the wall clock it ran for
+    clock = "wall" if args.algorithm == "multiproc" else "simulated"
     print(
-        f"{report.algorithm} p={report.num_ranks}: simulated time "
+        f"{report.algorithm} p={report.num_ranks}: {clock} time "
         f"{report.virtual_time:.2f}s, {report.candidates_evaluated} candidate "
         f"evaluations ({report.candidates_per_second:.0f}/s)"
     )

@@ -190,7 +190,8 @@ class ShardSearcher:
     then evaluates candidates for any number of queries, every one
     scored directly from the shard.  A searcher is immutable with
     respect to its shard and may be reused across iterations and
-    algorithms.  It never reads a fragment-ion index: a search served
+    algorithms; it pickles as its shard, config and scorer, never its
+    mass index.  It never reads a fragment-ion index: a search served
     from a store runs :class:`~repro.core.streaming.StreamingSearcher`.
     """
 
@@ -210,6 +211,11 @@ class ShardSearcher:
         self._mod_targets = {
             mod.delta_mass: ord(mod.target) for mod in self.generator.modifications
         }
+
+    def __reduce__(self):
+        # the mass index never crosses a pipe: the receiving process
+        # rebuilds it from the shard, as construction does here
+        return (type(self), (self.shard, self.config, self.scorer))
 
     @property
     def nbytes(self) -> int:

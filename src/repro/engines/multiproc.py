@@ -19,8 +19,11 @@ searcher, and a task is one query block, so each query pays its window
 join, spectrum batch and top-tau exactly once and a task's result is
 final for its queries — the parent has nothing to merge.
 
-* no store (direct scoring): the database buffers are shared
-  copy-on-write under fork and shipped once per worker under spawn;
+* no store (direct scoring): the parent builds one
+  :class:`~repro.core.search.ShardSearcher` on the caller's database,
+  which caches its mass index as a serial search does; fork workers
+  share that searcher copy-on-write, spawn workers unpickle its
+  database once each and rebuild the index;
 * a store: each worker opens one
   :class:`~repro.core.streaming.StreamingSearcher` over it — a resident
   store's database and index sections mapped once, a partitioned one
@@ -31,7 +34,7 @@ final for its queries — the parent has nothing to merge.
 one task per worker (:func:`~repro.core.partition.effective_query_blocks`).
 An empty database dispatches no task.
 
-Transport is zero-copy by reference: the database buffers (or the store
+Transport is zero-copy by reference: the direct searcher (or the store
 path) and the packed query blocks are installed in a module-level *task
 context* exactly once — inherited copy-on-write under fork, shipped once
 per worker through the pool initializer under spawn — and each task is
@@ -39,9 +42,11 @@ just a ``(task_id, attempt, block_id)`` id tuple.  Per-task
 serialization therefore drops from O(database + queries) to O(1),
 retries resubmit three integers instead of re-pickling buffers, and the
 report's ``bytes_shipped`` extras quantify the saving against the
-replicated per-task baseline.  Workers keep a per-process searcher (and
-a cache of unpacked query blocks keyed by block id), so the mass index
-is built, and a store mapped, once per process, not once per task.
+replicated per-task baseline.  The mass index is built once per
+database object, in the parent (and once per spawned worker), never
+once per task or per fork worker; over a store each worker keeps one
+searcher, so the store is mapped once per process.  Workers also cache
+unpacked query blocks keyed by block id.
 Results come back as flat NumPy columns
 (:class:`~repro.scoring.hits.HitColumns`) — eight buffers per task
 instead of one pickled ``Hit`` per retained hit — and stay columns in
@@ -91,7 +96,6 @@ from repro.scoring.hits import (
 from repro.spectra.spectrum import Spectrum
 
 _SpectrumWire = Tuple[np.ndarray, np.ndarray, float, int, int]
-_DatabaseWire = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: a task on the wire: (task_id, attempt, block_id) — ids only
 _TaskWire = Tuple[int, int, int]
 
@@ -116,10 +120,6 @@ def _spectrum_wire_nbytes(wire: _SpectrumWire) -> int:
     return int(mz.nbytes + intensity.nbytes + 24)
 
 
-def _database_wire_nbytes(wire: _DatabaseWire) -> int:
-    return int(sum(np.asarray(part).nbytes for part in wire))
-
-
 # -- zero-copy task context ----------------------------------------------
 #
 # The context holds everything a task references by id.  Under fork it is
@@ -128,8 +128,8 @@ def _database_wire_nbytes(wire: _DatabaseWire) -> int:
 # either way, per-task payloads never carry buffers again.
 
 _TASK_CONTEXT: Optional[Dict[str, Any]] = None
-#: per-process state: {"searcher": the whole-database searcher,
-#: "queries": {block_id: [Spectrum]}}
+#: per-process state: {"searcher": the store searcher this process
+#: opened, "queries": {block_id: [Spectrum]}}
 _PROCESS_CACHE: Dict[str, Any] = {}
 
 
@@ -142,7 +142,7 @@ def _install_context(context: Optional[Dict[str, Any]]) -> None:
 def _worker_init(context: Optional[Dict[str, Any]] = None) -> None:
     """Pool initializer.  ``context is None`` means fork: the module
     global was inherited from the parent; only the cache (also inherited)
-    must be reset so each process rebuilds its own searchers."""
+    must be reset so each process opens its own store."""
     if context is not None:
         _install_context(context)
     else:
@@ -161,37 +161,31 @@ def _cached_queries(block_id: int) -> List[Spectrum]:
 def _cached_searcher() -> Tuple[Any, float]:
     """This process's whole-database searcher; returns ``(searcher, load_s)``.
 
-    ``load_s`` is the wall-clock seconds spent opening a store on *this*
-    call — zero on a cache hit and without a store — so callers charge
-    the opening once per process, not once per task.  With an
-    ``index_path`` in the context (mmap-once transport) the store's
-    sections come out as read-only memory maps and its rows are mapped
-    or streamed: nothing but the path string ever crossed the process
-    boundary, and clean pages are shared between workers by the OS page
-    cache.
+    Without a store the searcher is the parent's, from the context: fork
+    workers and the inline path search it as is, and a spawn worker
+    rebuilt its mass index once, unpickling it in the pool initializer.
+    With an ``index_path`` in the context (mmap-once transport) each
+    process opens the store once: ``load_s`` is the wall-clock seconds
+    spent opening it on *this* call — zero on a cache hit and without a
+    store — so callers charge the opening once per process, not once per
+    task.  The store's sections come out as read-only memory maps and its
+    rows are mapped or streamed: nothing but the path string ever crossed
+    the process boundary, and clean pages are shared between workers by
+    the OS page cache.
     """
-    searcher = _PROCESS_CACHE.get("searcher")
+    searcher = _TASK_CONTEXT.get("searcher", _PROCESS_CACHE.get("searcher"))
     if searcher is not None:
         return searcher, 0.0
-    config = _TASK_CONTEXT["config"]
-    index_path = _TASK_CONTEXT.get("index_path")
-    load_s = 0.0
-    if index_path is None:
-        database = ProteinDatabase.from_buffers(*_TASK_CONTEXT["database"])
-        searcher = ShardSearcher(database, config)
-    else:
-        from repro.core.streaming import StreamingSearcher
-        from repro.store import open_any_index
+    from repro.core.streaming import StreamingSearcher
+    from repro.store import open_any_index
 
-        t0 = time.perf_counter()
-        searcher = StreamingSearcher(
-            open_any_index(index_path),
-            config,
-            memory_budget_mb=_TASK_CONTEXT["memory_budget_mb"],
-        )
-        load_s = time.perf_counter() - t0
-    _PROCESS_CACHE["searcher"] = searcher
-    return searcher, load_s
+    t0 = time.perf_counter()
+    searcher = _PROCESS_CACHE["searcher"] = StreamingSearcher(
+        open_any_index(_TASK_CONTEXT["index_path"]),
+        _TASK_CONTEXT["config"],
+        memory_budget_mb=_TASK_CONTEXT["memory_budget_mb"],
+    )
+    return searcher, time.perf_counter() - t0
 
 
 def _worker(
@@ -352,9 +346,10 @@ def run_multiprocess_search(
     ``query_blocks`` of them at least, more if the grid would otherwise
     have fewer tasks than workers — and every block is an independent
     task scored against the whole database, so a task's top-tau is final
-    for its queries.  The database buffers and packed queries travel to
-    workers once, through the task context (see module docstring); task
-    payloads are id tuples.
+    for its queries.  The direct searcher — built here, on ``database``,
+    whose mass index it caches for later searches — and the packed
+    queries travel to workers once, through the task context (see module
+    docstring); task payloads are id tuples.
 
     ``start_method`` pins the multiprocessing context ("fork" or
     "spawn"); the default picks fork where available.  Supervision knobs
@@ -401,6 +396,7 @@ def run_multiprocess_search(
     nblocks = effective_query_blocks(query_blocks, num_workers, len(queries))
     blocks = partition_queries_by_mass(queries, nblocks)
     block_wires = [[_pack_spectrum(q) for q in block] for block in blocks]
+    method = start_method or ("spawn" if os.name == "nt" else "fork")
     obs = get_metrics()
     context: Dict[str, Any] = {
         "query_blocks": block_wires,
@@ -414,20 +410,22 @@ def run_multiprocess_search(
         database_bytes = store.database_bytes if loaded is not None else store.blob_bytes
         ship_bytes = len(str(index_path).encode())
     else:
-        context["database"] = database.to_buffers()
-        database_bytes = ship_bytes = _database_wire_nbytes(context["database"])
+        database_bytes = ship_bytes = database.nbytes  # its to_buffers() arrays
     # one task per query block; an empty database has nothing to search
     tasks = {block_id: block_id for block_id in range(nblocks)} if len(database) else {}
     num_tasks = len(tasks)
 
     # Transport accounting: what actually crosses a process boundary
-    # (context once + id tuples per task) vs. the replicated baseline
-    # that re-ships the database and each task's queries.  With a store,
-    # the database contribution collapses to the path string; the mapped
-    # bytes are reported separately as index_mmap_bytes (they travel
-    # through the page cache, not a process boundary).
+    # (context + id tuples per task) vs. the replicated baseline that
+    # re-ships the database and each task's queries.  Fork workers
+    # inherit one copy of the context; the pool initializer pickles one
+    # to every spawned worker.  With a store, the database contribution
+    # collapses to the path string; the mapped bytes are reported
+    # separately as index_mmap_bytes (they travel through the page
+    # cache, not a process boundary).
     block_bytes = [sum(_spectrum_wire_nbytes(w) for w in wires) for wires in block_wires]
-    context_bytes = ship_bytes + sum(block_bytes)
+    copies = num_workers if num_workers > 1 and method != "fork" else 1
+    context_bytes = copies * (ship_bytes + sum(block_bytes))
     bytes_tasks = _TASK_WIRE_BYTES * num_tasks
     bytes_replicated = sum(database_bytes + block_bytes[bid] for bid in tasks.values())
 
@@ -454,6 +452,11 @@ def run_multiprocess_search(
             )
 
     start = time.perf_counter()
+    if store is None:
+        # built once, on the caller's database, which caches its mass
+        # index as search_serial's searcher does: fork workers and the
+        # inline path search it as is, spawn workers rebuild it unpickled
+        context["searcher"] = ShardSearcher(database, config)
     _install_context(context)
     try:
         with obs.span(
@@ -466,7 +469,6 @@ def run_multiprocess_search(
                 supervisor = _Supervisor(None, tasks, policy, task_timeout)
                 supervisor.run_inline()
             else:
-                method = start_method or ("spawn" if os.name == "nt" else "fork")
                 ctx = mp.get_context(method)
                 # fork inherits the context copy-on-write; spawn ships it once
                 # per worker through the initializer.

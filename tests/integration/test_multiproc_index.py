@@ -101,6 +101,21 @@ class TestZeroCopyTransport:
         assert ex["bytes_shipped"] == ex["bytes_shipped_setup"] + ex["bytes_shipped_tasks"]
         assert ex["bytes_shipped"] < ex["bytes_shipped_replicated"]
 
+    @pytest.mark.skipif(
+        set(_START_METHODS) != {"fork", "spawn"}, reason="needs fork and spawn"
+    )
+    def test_spawn_counts_one_context_per_worker(self, tiny_db, tiny_queries):
+        """Fork workers inherit one copy of the context; the pool
+        initializer pickles one to every spawned worker."""
+        setup = {
+            method: run_multiprocess_search(
+                tiny_db, tiny_queries, num_workers=2, config=_cfg(),
+                start_method=method,
+            ).extras["bytes_shipped_setup"]
+            for method in ("fork", "spawn")
+        }
+        assert setup["spawn"] == 2 * setup["fork"] > 0
+
     def test_inline_path_reports_bytes_too(self, tiny_db, tiny_queries):
         rep = run_multiprocess_search(
             tiny_db, tiny_queries, num_workers=1, config=_cfg(), query_blocks=4

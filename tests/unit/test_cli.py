@@ -169,6 +169,19 @@ class TestCommands:
         assert "algorithm_a p=2" in out
         assert "query" in out
 
+    @pytest.mark.parametrize(
+        "engine,line",
+        [
+            (["-a", "multiproc", "-p", "2"], "multiprocess p=2: wall time "),
+            (["-a", "serial"], "serial p=1: simulated time "),
+            (["-a", "algorithm_a", "-p", "2"], "algorithm_a p=2: simulated time "),
+        ],
+    )
+    def test_search_names_its_clock(self, engine, line, capsys):
+        """A multiproc report's time is the wall clock; the others' is modeled."""
+        assert main(["search", "-n", "40", "-m", "3", "--show", "0", *engine]) == 0
+        assert line in capsys.readouterr().out
+
     def test_report_command(self, capsys, tmp_path):
         out_dir = tmp_path / "bench_out"
         out_dir.mkdir()
