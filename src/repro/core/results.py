@@ -25,7 +25,7 @@ from repro.scoring.hits import (
     HitColumns,
     HitTable,
     as_hit_columns,
-    hits_from_payload,
+    best_first_order,
     pack_hit_columns,
 )
 from repro.simmpi.trace import TraceSummary
@@ -122,10 +122,21 @@ class SearchReport:
         extras = dict(payload.get("extras", {}))
         if payload.get("trace_totals"):
             extras["trace_totals"] = payload["trace_totals"]
+        hits = payload["hits"]
+        rows = [row for query_hits in hits.values() for row in query_hits]
+        empty = pack_hit_columns({}, ())
+        columns = HitColumns(
+            np.array([int(qid) for qid in hits], dtype=np.int64),
+            np.array([len(query_hits) for query_hits in hits.values()], dtype=np.int64),
+            *(
+                np.array([row[name] for row in rows], dtype=column.dtype)
+                for name, column in zip(_HIT_FIELDS, empty[2:])
+            ),
+        )
         return cls(
             algorithm=payload["algorithm"],
             num_ranks=payload["num_ranks"],
-            hits=hits_from_payload(payload["hits"]),
+            hits=HitTable(columns),
             candidates_evaluated=payload["candidates_evaluated"],
             virtual_time=payload["virtual_time"],
             peak_memory={int(r): b for r, b in payload.get("peak_memory", {}).items()},
@@ -226,18 +237,19 @@ def merge_rank_hits(
     """Merge per-rank hits — columns, tables or dicts — into one table.
 
     Query sets are disjoint across ranks in Algorithms A/B (queries stay
-    put) and across the tasks of a direct multiproc run, so the merge is
-    one concatenation per column, queries in arrival order.  The
-    master-worker baseline can reassign a query after a worker failure
-    and a multi-shard store sends every query once per shard, so merging
-    tolerates overlap: when some query id arrives more than once, lists
-    are folded through a fresh top-tau filter, a (protein, span,
-    mod_delta) that arrives twice counting once.
+    put) and across the tasks of a multiproc run, so the merge is one
+    concatenation per column, queries in arrival order.  The
+    master-worker baseline can reassign a query after a worker failure,
+    and a checkpoint folds each finished task into what it holds, so
+    merging tolerates overlap: when some query id arrives more than once,
+    or with more than ``tau`` hits, lists are folded through a fresh
+    top-tau filter, a (protein, span, mod_delta) that arrives twice
+    counting once.
     """
     parts = [as_hit_columns(hits) for hits in per_rank_hits]
     parts.append(pack_hit_columns({}, ()))  # concatenate needs one part; pins the dtypes
     merged = HitColumns(*(np.concatenate(column) for column in zip(*parts)))
-    if len(np.unique(merged.query_ids)) < len(merged.query_ids):
+    if len(np.unique(merged.query_ids)) < len(merged.query_ids) or np.any(merged.counts > tau):
         merged = _fold_repeated_queries(merged, tau)
     return HitTable(merged)
 
@@ -251,7 +263,7 @@ def _fold_repeated_queries(merged: HitColumns, tau: int) -> HitColumns:
     group_rank = np.empty(len(arrival), dtype=np.int64)
     group_rank[arrival] = np.arange(len(arrival))
     group = np.repeat(group_rank[segment_group], merged.counts)
-    scores, protein_ids, starts, stops, _masses, mod_deltas = merged[2:]
+    protein_ids, starts, stops, _masses, mod_deltas = merged[3:]
     # the first arrival of every (query, protein, span, mod_delta): lexsort
     # is stable and rows are in arrival order
     structure = (mod_deltas, stops, starts, protein_ids, group)
@@ -262,9 +274,8 @@ def _fold_repeated_queries(merged: HitColumns, tau: int) -> HitColumns:
         key = key[by_structure]
         repeat[1:] &= key[1:] == key[:-1]
     keep = by_structure[~repeat]
-    # best first within a query (Hit.sort_key order), cut at tau
-    best_first = (mod_deltas, stops, starts, protein_ids, -scores, group)
-    keep = keep[np.lexsort(tuple(key[keep] for key in best_first))]
+    # best first within a query, cut at tau
+    keep = keep[best_first_order([column[keep] for column in merged[2:]], group[keep])]
     counts = np.bincount(group[keep], minlength=len(arrival))
     take = np.minimum(counts, tau)
     rows = keep[_ragged_arange(np.cumsum(counts) - counts, take)]

@@ -27,7 +27,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.scoring.base import Scorer, block_scores
-from repro.scoring.hits import HitTable, TopHitList, pack_hit_columns
+from repro.scoring.hits import HitTable, TopHitList, best_first_order, pack_hit_columns
 from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
@@ -149,7 +149,7 @@ def score_and_offer_block(
         mem = mem[passing]
         counts = np.bincount(mem, minlength=num_members)
     # Emit the whole block in one pass: a member-major lexsort whose
-    # within-member key order is exactly Hit.sort_key, so each member's
+    # within-member order is best_first_order's, so each member's
     # segment head is the same top-tau that add_batch would select (see
     # TopHitList.add_top_sorted).  A member that already retained rows —
     # from an earlier shard or partition — has them taken out of its list
@@ -170,8 +170,7 @@ def score_and_offer_block(
         )
         mem = np.concatenate((mem, np.repeat(carried, prior_counts)))
         counts[carried] += prior_counts
-    t_sc, t_pr, t_st, t_sp, _t_ms, t_md = table
-    by_member = np.lexsort((t_md, t_sp, t_st, t_pr, -t_sc, mem))
+    by_member = best_first_order(table, mem)
     seg = np.concatenate(([0], np.cumsum(counts)))
     take = np.minimum(counts, cfg.tau)
     top = by_member[_ragged_arange(seg[:-1], take)]

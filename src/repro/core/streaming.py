@@ -124,7 +124,6 @@ class StreamingSearcher:
         *,
         database: Optional[ProteinDatabase] = None,
         memory_budget_mb: Optional[float] = None,
-        prefetch: bool = True,
     ):
         self.store = store
         self.config = config
@@ -154,7 +153,6 @@ class StreamingSearcher:
             else None
         )
         self.memory_budget_mb = memory_budget_mb
-        self.prefetch = prefetch
         self.stream_stats = StreamStats()
         self.score_seconds = 0.0
 
@@ -249,12 +247,7 @@ class StreamingSearcher:
             for pid, entry in enumerate(self.store.partitions)
             if highs[-1] >= entry.mass_lo and lows[0] <= entry.mass_hi
         ]
-        reader = StreamingIndexReader(
-            self.store,
-            visit,
-            memory_budget_mb=self.memory_budget_mb,
-            prefetch=self.prefetch,
-        )
+        reader = StreamingIndexReader(self.store, visit, memory_budget_mb=self.memory_budget_mb)
         try:
             for part in reader:
                 sweep(part.spans)

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.candidates.batch import CandidateBatch
 from repro.candidates.tryptic import TrypticIndex
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_queries
 from repro.core.results import SearchReport, merge_rank_hits
 from repro.obs.naming import simmpi_extras
-from repro.scoring.hits import Hit, TopHitList, pack_hit_columns
+from repro.scoring.base import batch_scores
+from repro.scoring.hits import TopHitList, pack_hit_columns
 from repro.scoring.hyperscore import HyperScorer
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig, SimCluster
@@ -41,7 +43,12 @@ def _search_tryptic(
     hitlists: Dict[int, TopHitList],
     parent_tolerance: float,
 ) -> int:
-    """Score tryptic candidates for each query; returns evaluations."""
+    """Score tryptic candidates for each query; returns evaluations.
+
+    A query's candidates are scored one by one through the scalar
+    ``score`` (:func:`~repro.scoring.base.batch_scores`) and offered to
+    its list as one batch.
+    """
     database = index.database
     evaluated = 0
     modeled = config.execution is ExecutionMode.MODELED
@@ -56,21 +63,15 @@ def _search_tryptic(
             continue
         spans = index.candidates_in_window(lo, hi)
         evaluated += len(spans)
-        for k in range(len(spans)):
-            seq_idx = int(spans.seq_index[k])
-            start, stop = int(spans.start[k]), int(spans.stop[k])
-            candidate = database.sequence(seq_idx)[start:stop]
-            score = scorer.score(spectrum, candidate)
-            hitlist.add(
-                Hit(
-                    query_id=spectrum.query_id,
-                    score=score,
-                    protein_id=int(database.ids[seq_idx]),
-                    start=start,
-                    stop=stop,
-                    mass=float(spans.mass[k]),
-                )
-            )
+        hitlist.add_batch(
+            spectrum.query_id,
+            batch_scores(scorer, spectrum, CandidateBatch.from_spans(database, spans)),
+            database.ids[spans.seq_index],
+            spans.start,
+            spans.stop,
+            spans.mass,
+            spans.mod_delta,
+        )
     return evaluated
 
 

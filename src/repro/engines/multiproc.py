@@ -50,9 +50,9 @@ unpacked query blocks keyed by block id.
 Results come back as flat NumPy columns
 (:class:`~repro.scoring.hits.HitColumns`) — eight buffers per task
 instead of one pickled ``Hit`` per retained hit — and stay columns in
-the parent: the report's hits are the tasks' columns concatenated in the
-caller's query order (a :class:`~repro.scoring.hits.HitTable`), and
-unpacked into ``Hit`` lists only for a checkpoint.
+the parent: the report's hits are the tasks' columns, and a resumed
+checkpoint's, concatenated in the caller's query order (a
+:class:`~repro.scoring.hits.HitTable`), with or without a checkpoint.
 
 Supervision: tasks are dispatched with ``apply_async`` under a
 supervisor loop rather than ``pool.map``.  A task that raises (or, with
@@ -63,14 +63,14 @@ surviving results plus a ``failed_tasks`` manifest in the report
 (graceful degradation) instead of aborting.  Because every task is an
 independent query block and scoring is deterministic, a retried task
 reproduces exactly what the first attempt would have produced.
-``checkpoint_path`` persists merged top-tau state after completed tasks
-so a killed run can be resumed (``resume=True``) without rescoring
-finished work.
+``checkpoint_path`` persists merged top-tau columns as each task
+completes, so a killed run can be resumed (``resume=True``) without
+rescoring finished work.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import multiprocessing as mp
 import os
 import time
@@ -87,12 +87,7 @@ from repro.faults.checkpoint import CheckpointManager
 from repro.faults.injector import FaultInjector
 from repro.faults.supervisor import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
-from repro.scoring.hits import (
-    HitColumns,
-    TopHitList,
-    pack_hit_columns,
-    unpack_hit_columns,
-)
+from repro.scoring.hits import HitColumns, TopHitList, pack_hit_columns
 from repro.spectra.spectrum import Spectrum
 
 _SpectrumWire = Tuple[np.ndarray, np.ndarray, float, int, int]
@@ -104,6 +99,9 @@ _POLL_S = 0.005
 
 #: conservative pickled size of one _TaskWire (three small ints + framing)
 _TASK_WIRE_BYTES = 32
+
+#: the ShardStats counters a checkpoint carries across a resume
+_CHECKPOINTED = ("candidates_evaluated", "batches", "rows_scored", "index_rows")
 
 
 def _pack_spectrum(s: Spectrum) -> _SpectrumWire:
@@ -231,9 +229,8 @@ def _worker(
 class _Supervisor:
     """Drives tasks through a pool with retries, backoff and timeouts.
 
-    The backlog is a min-heap keyed by ready time, so claiming the next
-    runnable task is O(log n) instead of the O(n^2) list scan-and-remove
-    a large task count would otherwise pay per poll.
+    The backlog is a list of ``(ready time, task id)`` kept sorted
+    (``bisect.insort``), so the next runnable task is always its head.
     """
 
     def __init__(
@@ -242,11 +239,13 @@ class _Supervisor:
         tasks: Dict[int, int],
         policy: RetryPolicy,
         task_timeout: Optional[float],
+        checkpoint: Optional[CheckpointManager] = None,
     ):
         self._pool = pool
         self._tasks = tasks  # task_id -> block_id
         self._policy = policy
         self._timeout = task_timeout
+        self._checkpoint = checkpoint
         self._attempts: Dict[int, int] = {t: 0 for t in tasks}  # failed attempts so far
         self.retries = 0
         self.timeouts = 0
@@ -255,6 +254,15 @@ class _Supervisor:
         self.results: Dict[
             int, Tuple[HitColumns, ShardStats, Optional[Dict[str, Any]]]
         ] = {}
+
+    def _done(self, result: Tuple[int, HitColumns, ShardStats, Any]) -> None:
+        """Keep a finished task's result, and checkpoint it right away."""
+        task_id, columns, stats, snap = result
+        self.results[task_id] = (columns, stats, snap)
+        if self._checkpoint is not None:
+            self._checkpoint.record(
+                task_id, columns, {name: getattr(stats, name) for name in _CHECKPOINTED}
+            )
 
     def _payload(self, task_id: int) -> _TaskWire:
         attempt = self._attempts[task_id]  # 0-based: prior failed tries
@@ -265,7 +273,7 @@ class _Supervisor:
         failed = self._attempts[task_id]
         if self._policy.allows_retry(failed):
             self.retries += 1
-            heapq.heappush(backlog, (time.monotonic() + self._policy.delay(failed), task_id))
+            bisect.insort(backlog, (time.monotonic() + self._policy.delay(failed), task_id))
         else:
             self.failed_tasks.append(
                 {"task_id": task_id, "attempts": failed, "error": error}
@@ -275,27 +283,25 @@ class _Supervisor:
         """Single-process path: retries and quarantine, but no timeout
         enforcement (a hung task would hang the caller too)."""
         backlog: List[Tuple[float, int]] = [(0.0, t) for t in sorted(self._tasks)]
-        heapq.heapify(backlog)
         while backlog:
-            ready_at, task_id = heapq.heappop(backlog)
+            ready_at, task_id = backlog.pop(0)
             delay = ready_at - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             try:
-                tid, columns, stats, snap = _worker(self._payload(task_id))
+                result = _worker(self._payload(task_id))
             except Exception as exc:
                 self._record_failure(task_id, repr(exc), backlog)
             else:
-                self.results[tid] = (columns, stats, snap)
+                self._done(result)
 
     def run_pooled(self) -> None:
         backlog: List[Tuple[float, int]] = [(0.0, t) for t in sorted(self._tasks)]
-        heapq.heapify(backlog)
         in_flight: Dict[int, Tuple[Any, float]] = {}  # task_id -> (async, deadline)
         while backlog or in_flight:
             now = time.monotonic()
             while backlog and backlog[0][0] <= now:
-                _ready_at, task_id = heapq.heappop(backlog)
+                _ready_at, task_id = backlog.pop(0)
                 handle = self._pool.apply_async(_worker, (self._payload(task_id),))
                 deadline = now + self._timeout if self._timeout else float("inf")
                 in_flight[task_id] = (handle, deadline)
@@ -304,11 +310,11 @@ class _Supervisor:
                 if handle.ready():
                     del in_flight[task_id]
                     try:
-                        tid, columns, stats, snap = handle.get()
+                        result = handle.get()
                     except Exception as exc:
                         self._record_failure(task_id, repr(exc), backlog)
                     else:
-                        self.results[tid] = (columns, stats, snap)
+                        self._done(result)
                 elif now > deadline:
                     # the worker is hung; abandon the handle (the pool
                     # process is reclaimed at pool teardown) and treat it
@@ -431,6 +437,9 @@ def run_multiprocess_search(
 
     manager: Optional[CheckpointManager] = None
     tasks_resumed = 0
+    # what a resumed checkpoint already holds: its hit columns and counters
+    hit_parts: List[HitColumns] = []
+    stats = ShardStats()
     if checkpoint_path is not None:
         fingerprint = {
             "num_queries": len(queries),
@@ -446,6 +455,8 @@ def run_multiprocess_search(
             tasks_resumed = len(manager.completed_tasks)
             for done in manager.completed_tasks:
                 tasks.pop(done, None)
+            hit_parts.append(manager.merged_hits().columns)
+            stats = ShardStats(**{k: manager.counters.get(k, 0) for k in _CHECKPOINTED})
         else:
             manager = CheckpointManager(
                 checkpoint_path, fingerprint, config.tau, checkpoint_interval
@@ -466,7 +477,7 @@ def run_multiprocess_search(
             tasks=num_tasks,
         ):
             if num_workers == 1:
-                supervisor = _Supervisor(None, tasks, policy, task_timeout)
+                supervisor = _Supervisor(None, tasks, policy, task_timeout, manager)
                 supervisor.run_inline()
             else:
                 ctx = mp.get_context(method)
@@ -476,7 +487,7 @@ def run_multiprocess_search(
                 with ctx.Pool(
                     processes=num_workers, initializer=_worker_init, initargs=initargs
                 ) as pool:
-                    supervisor = _Supervisor(pool, tasks, policy, task_timeout)
+                    supervisor = _Supervisor(pool, tasks, policy, task_timeout, manager)
                     supervisor.run_pooled()
     finally:
         _install_context(None)
@@ -485,56 +496,33 @@ def run_multiprocess_search(
     obs.count("multiproc.timeouts", supervisor.timeouts)
     obs.count("multiproc.quarantined", len(supervisor.failed_tasks))
 
-    stats = ShardStats()
-    task_columns: List[HitColumns] = []
     for task_id in sorted(supervisor.results):
         columns, worker_stats, worker_snap = supervisor.results[task_id]
-        task_columns.append(columns)
+        hit_parts.append(columns)
         obs.merge_snapshot(worker_snap)
         stats.merge(worker_stats)
-        if manager is not None:
-            manager.record(
-                task_id,
-                unpack_hit_columns(columns),
-                {
-                    "candidates_evaluated": worker_stats.candidates_evaluated,
-                    "batches": worker_stats.batches,
-                    "rows_scored": worker_stats.rows_scored,
-                    "index_rows": worker_stats.index_rows,
-                },
-            )
-    # caller's query order, whatever order the blocks ran in; a query
+    if manager is not None:
+        manager.flush()
+    # the columns stay columns: concatenated (each query id arrives from
+    # exactly one task, resumed or run, so nothing folds) and laid out in
+    # the caller's query order, whatever order the blocks ran in; a query
     # with no candidates anywhere (or only quarantined tasks) reports []
     query_ids = dict.fromkeys(q.query_id for q in queries)
-    if manager is not None:
-        # a checkpoint keeps Hit lists: the state a resumed run restores
-        manager.flush()
-        merged = manager.merged_hits()
-        hits = {qid: merged.get(qid, []) for qid in query_ids}
-        candidates = manager.counters.get("candidates_evaluated", 0)
-        batches = manager.counters.get("batches", 0)
-        rows_scored = manager.counters.get("rows_scored", 0)
-        index_rows = manager.counters.get("index_rows", 0)
-    else:
-        # the workers' columns stay columns: concatenated (each query id
-        # arrives from exactly one task, so nothing folds)
-        hits = select_queries(merge_rank_hits(task_columns, config.tau), query_ids)
-        candidates = stats.candidates_evaluated
-        batches = stats.batches
-        rows_scored = stats.rows_scored
-        index_rows = stats.index_rows
+    hits = select_queries(merge_rank_hits(hit_parts, config.tau), query_ids)
     wall = time.perf_counter() - start
     extras = {
         "query_blocks": nblocks,
         "wall_time": wall,
-        "batches": batches,
-        "rows_scored": rows_scored,
-        "index_rows": index_rows,
+        "batches": stats.batches,
+        "rows_scored": stats.rows_scored,
+        "index_rows": stats.index_rows,
         "index_load_time": stats.index_load_time,
-        "index_probe_fraction": index_rows / rows_scored if rows_scored else 0.0,
+        "index_probe_fraction": (
+            stats.index_rows / stats.rows_scored if stats.rows_scored else 0.0
+        ),
         "sweep_queries": stats.sweep_queries,
         "sweep_cohorts": stats.sweep_cohorts,
-        "candidates_per_second": candidates / wall if wall > 0 else 0.0,
+        "candidates_per_second": stats.candidates_evaluated / wall if wall > 0 else 0.0,
         "bytes_shipped": context_bytes + bytes_tasks,
         "bytes_shipped_setup": context_bytes,
         "bytes_shipped_tasks": bytes_tasks,
@@ -560,7 +548,7 @@ def run_multiprocess_search(
         algorithm="multiprocess",
         num_ranks=num_workers,
         hits=hits,
-        candidates_evaluated=candidates,
+        candidates_evaluated=stats.candidates_evaluated,
         virtual_time=wall,
         extras=extras,
     )

@@ -3,21 +3,22 @@
 A checkpoint persists exactly what a restarted run needs to avoid
 rescoring finished work:
 
-* the set of completed ``(shard, query-block)`` task ids;
-* the merged per-query top-tau hits those tasks produced (bounded —
-  tau hits per query — so checkpoints stay small regardless of how many
-  candidates were evaluated);
+* the set of completed query-block task ids;
+* the merged per-query top-tau hits those tasks produced, as
+  :class:`~repro.scoring.hits.HitColumns` (bounded — tau hits per query
+  — so checkpoints stay small regardless of how many candidates were
+  evaluated);
 * cumulative work counters, so resumed reports stay truthful.
 
-Because candidate sets over shards *partition* the database's candidate
-set and :class:`~repro.scoring.hits.TopHitList` is deterministic, merging
-checkpointed hits with freshly-computed hits from the remaining tasks
-reproduces the uninterrupted run's output exactly — the same argument
-that makes the paper's parallel == serial validation hold.
+Because every task's hits are final for its queries and the top-tau
+order is deterministic, merging checkpointed hits with freshly-computed
+hits from the remaining tasks reproduces the uninterrupted run's output
+exactly — the same argument that makes the paper's parallel == serial
+validation hold.
 
 Writes are atomic (temp file + ``os.replace``), so a run killed mid-save
 leaves the previous checkpoint intact.  A fingerprint of the run's shape
-(shard count, query count, search parameters) guards against resuming
+(query blocks, query count, search parameters) guards against resuming
 into a different run.  A crash *between* the temp write and the rename
 leaves an orphan ``.checkpoint-*`` sibling behind; constructing or
 resuming a manager sweeps such orphans away — they are half-written
@@ -30,19 +31,29 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Mapping, Optional, Set, Union
+
+import numpy as np
 
 from repro.errors import CheckpointError
 from repro.obs.metrics import get_metrics
-from repro.scoring.hits import Hit, TopHitList, hits_from_payload, hits_to_payload
+from repro.scoring.hits import Hit, HitColumns, HitTable, as_hit_columns, pack_hit_columns
 
-_FORMAT_VERSION = 1
+#: 2: hits are one JSON list per ``HitColumns`` field (1 held per-Hit dicts)
+_FORMAT_VERSION = 2
 
 #: prefix of the atomic-write scratch files (`tempfile.mkstemp` below);
 #: anything carrying it is an interrupted flush, safe to delete
 _TMP_PREFIX = ".checkpoint-"
 
 _PathLike = Union[str, os.PathLike]
+
+
+def _merge(parts, tau: int) -> HitTable:
+    # deferred: core.results imports simmpi, which imports this package
+    from repro.core.results import merge_rank_hits
+
+    return merge_rank_hits(parts, tau)
 
 
 def clean_orphan_tmp_files(path: _PathLike) -> List[str]:
@@ -79,16 +90,18 @@ class SearchCheckpoint:
 
     fingerprint: Dict[str, object]
     completed_tasks: Set[int] = field(default_factory=set)
-    hits: Dict[int, List[Hit]] = field(default_factory=dict)
+    #: columns, a table over them or a dict of lists; loads as a HitTable
+    hits: Mapping[int, List[Hit]] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> str:
+        columns = as_hit_columns(self.hits)
         payload = {
             "version": _FORMAT_VERSION,
             "fingerprint": self.fingerprint,
             "completed_tasks": sorted(self.completed_tasks),
             "counters": dict(self.counters),
-            "hits": hits_to_payload(self.hits),
+            "hits": {name: column.tolist() for name, column in zip(HitColumns._fields, columns)},
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -105,10 +118,19 @@ class SearchCheckpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {version!r} (expected {_FORMAT_VERSION})"
             )
+        try:
+            columns = HitColumns(
+                *(
+                    np.array(payload["hits"][name], dtype=column.dtype)
+                    for name, column in zip(HitColumns._fields, pack_hit_columns({}, ()))
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint hits are not hit columns: {exc!r}") from exc
         return cls(
             fingerprint=dict(payload["fingerprint"]),
             completed_tasks=set(int(t) for t in payload.get("completed_tasks", [])),
-            hits=hits_from_payload(payload.get("hits", {})),
+            hits=HitTable(columns),
             counters={k: int(v) for k, v in payload.get("counters", {}).items()},
         )
 
@@ -126,9 +148,10 @@ class CheckpointManager:
 
     ``interval`` controls write amplification: the checkpoint file is
     rewritten after every ``interval`` completed tasks (and on
-    :meth:`flush`).  Hits are folded into per-query
-    :class:`~repro.scoring.hits.TopHitList`s as tasks complete, keeping
-    the retained state bounded at tau hits per query.
+    :meth:`flush`).  Each task's hit columns are folded into the held
+    ones as it completes
+    (:func:`~repro.core.results.merge_rank_hits`), keeping the retained
+    state bounded at tau hits per query.
     """
 
     def __init__(
@@ -146,7 +169,7 @@ class CheckpointManager:
         self.interval = interval
         self.completed_tasks: Set[int] = set()
         self.counters: Dict[str, int] = {}
-        self._merged: Dict[int, TopHitList] = {}
+        self._merged = HitTable(pack_hit_columns({}, ()))
         self._since_save = 0
         clean_orphan_tmp_files(path)
 
@@ -163,7 +186,7 @@ class CheckpointManager:
         """Load ``path`` and seed a manager with its state.
 
         Raises :class:`CheckpointError` if the file's fingerprint does
-        not match this run (different shard count, parameters, or query
+        not match this run (different query blocks, parameters, or query
         workload) — resuming would silently corrupt results otherwise.
         """
         state = SearchCheckpoint.load(path)
@@ -180,12 +203,7 @@ class CheckpointManager:
         manager = cls(path, fingerprint, tau, interval)
         manager.completed_tasks = set(state.completed_tasks)
         manager.counters = dict(state.counters)
-        for qid, hits in state.hits.items():
-            hl = TopHitList(tau)
-            for h in hits:
-                hl.add(h)
-            hl.evaluated = 0  # merging back is not re-evaluating
-            manager._merged[qid] = hl
+        manager._merged = _merge([state.hits], tau)
         return manager
 
     # -- recording --------------------------------------------------------
@@ -193,19 +211,14 @@ class CheckpointManager:
     def record(
         self,
         task_id: int,
-        hits: Dict[int, List[Hit]],
+        columns: Union[HitColumns, Mapping[int, List[Hit]]],
         counters: Optional[Dict[str, int]] = None,
     ) -> None:
         """Fold one completed task's hits in; save if the interval is due."""
         if task_id in self.completed_tasks:
             return
         self.completed_tasks.add(task_id)
-        for qid, hit_list in hits.items():
-            hl = self._merged.get(qid)
-            if hl is None:
-                hl = self._merged[qid] = TopHitList(self.tau)
-            for h in hit_list:
-                hl.add(h)
+        self._merged = _merge([self._merged, columns], self.tau)
         if counters:
             for key, value in counters.items():
                 self.counters[key] = self.counters.get(key, 0) + int(value)
@@ -213,9 +226,9 @@ class CheckpointManager:
         if self._since_save >= self.interval:
             self.flush()
 
-    def merged_hits(self) -> Dict[int, List[Hit]]:
-        """Current merged per-query top-tau hits (deterministic order)."""
-        return {qid: hl.sorted_hits() for qid, hl in self._merged.items()}
+    def merged_hits(self) -> HitTable:
+        """Current merged per-query top-tau hits, best first."""
+        return self._merged
 
     def flush(self) -> None:
         """Atomically persist the current state."""

@@ -1,7 +1,7 @@
 """Statistical scoring models and hit bookkeeping."""
 
-from repro.scoring.base import Scorer, batch_scores, score_batch_fallback
-from repro.scoring.hits import Hit, TopHitList, merge_hit_lists
+from repro.scoring.base import Scorer, batch_scores
+from repro.scoring.hits import Hit, TopHitList
 from repro.scoring.shared_peaks import SharedPeakScorer
 from repro.scoring.likelihood import LikelihoodRatioScorer
 from repro.scoring.hypergeometric import HypergeometricScorer
@@ -20,10 +20,8 @@ from repro.scoring.statistics import (
 __all__ = [
     "Scorer",
     "batch_scores",
-    "score_batch_fallback",
     "Hit",
     "TopHitList",
-    "merge_hit_lists",
     "SharedPeakScorer",
     "LikelihoodRatioScorer",
     "HyperScorer",

@@ -60,7 +60,7 @@ class Scorer(Protocol):
         ...
 
 
-def score_batch_fallback(
+def batch_scores(
     scorer: Scorer, spectrum: Spectrum, batch: CandidateBatch
 ) -> np.ndarray:
     """Per-candidate oracle: score a batch through the scalar interface.
@@ -69,6 +69,8 @@ def score_batch_fallback(
     bitwise, and the production route of the one scorer without a pair
     kernel: the library-backed likelihood model.
     """
+    if len(batch) == 0:
+        return np.empty(0, dtype=np.float64)
     row_scores = np.empty(batch.num_rows, dtype=np.float64)
     for r in range(batch.num_rows):
         residues = batch.row_residues(r)
@@ -80,15 +82,6 @@ def score_batch_fallback(
         else:
             row_scores[r] = scorer.score(spectrum, residues)
     return batch.reduce_rows(row_scores)
-
-
-def batch_scores(
-    scorer: Scorer, spectrum: Spectrum, batch: CandidateBatch
-) -> np.ndarray:
-    """Score a batch against one spectrum through the scalar oracle."""
-    if len(batch) == 0:
-        return np.empty(0, dtype=np.float64)
-    return score_batch_fallback(scorer, spectrum, batch)
 
 
 # -- multi-spectrum (cohort) scoring ------------------------------------

@@ -10,16 +10,16 @@ evaluation order — the property the paper's validation experiment
 
 Retained hits have one stored form, NumPy columns: a running list parks
 a sorted row range of the table its block emitted, a report holds one
-:class:`HitColumns` for all its queries behind a :class:`HitTable`, and
-the writers format from those arrays.  :class:`Hit` objects are built
-where someone asks for them by name — ``sorted_hits()``, indexing
-``report.hits`` — and by the scalar ``add()`` route (merging, checkpoint
-resume, recovery), which keeps a heap of them.
+:class:`HitColumns` for all its queries behind a :class:`HitTable`, a
+checkpoint holds one too, and the writers format from those arrays.
+:class:`Hit` objects are built only where someone asks for them by name:
+``sorted_hits()``, indexing ``report.hits``.  The order every one of
+these keeps is :meth:`Hit.sort_key`, applied to columns by
+:func:`best_first_order`.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import ItemsView, Mapping, ValuesView
 from typing import (
     Dict,
@@ -124,10 +124,17 @@ def _columns_of(hits: Sequence[Hit]) -> _Columns:
     )
 
 
-def _best_first(columns: _Columns) -> np.ndarray:
-    """Row order of ``columns`` under :meth:`Hit.sort_key` (stable)."""
-    scores, protein_ids, starts, stops, _masses, mod_deltas = columns
-    return np.lexsort((mod_deltas, stops, starts, protein_ids, -scores))
+def best_first_order(
+    columns: Sequence[np.ndarray], group: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Row order of six hit columns under :meth:`Hit.sort_key` (stable).
+
+    The key is ``Hit.sort_key`` itself, evaluated on a ``Hit`` whose
+    fields are whole columns, so the order is written in one place.
+    With ``group`` the rows sort by group first, best first within each.
+    """
+    key = Hit.sort_key(tuple.__new__(Hit, (None, *columns)))[::-1]
+    return np.lexsort(key if group is None else (*key, group))
 
 
 def _build_hits(query_id: int, columns: Sequence[np.ndarray], lo: int, hi: int) -> List[Hit]:
@@ -150,60 +157,24 @@ def _build_hits(query_id: int, columns: Sequence[np.ndarray], lo: int, hi: int) 
 class TopHitList:
     """Bounded container keeping the tau best hits for one query.
 
-    The list has one of two stored forms.  What the sweep and
-    :meth:`add_batch` leave behind is a *parked slice*: rows ``[lo, hi)``
-    of six NumPy columns, best first, held by reference — no ``Hit``
-    exists until :meth:`sorted_hits` is asked for one.  A scalar
-    :meth:`add` (and so :meth:`merge`) turns the slice into a bounded
-    min-heap, O(log tau) per offer; the next columnar offer folds the
-    heap back into a slice.  Ties at the cutoff are resolved by
-    :meth:`Hit.sort_key` in either form, never by insertion order.
+    Its one stored form is a *parked slice*: rows ``[lo, hi)`` of six
+    NumPy columns, best first, held by reference — no ``Hit`` exists
+    until :meth:`sorted_hits` is asked for one.  Whatever batches are
+    offered, in whatever order, the slice holds the top tau of all of
+    them under :meth:`Hit.sort_key` — ``sorted(offered,
+    key=Hit.sort_key)[:tau]`` — so ties at the cutoff are resolved by
+    the structural tie-break, never by offer order.
     """
 
-    __slots__ = ("tau", "_heap", "_pending", "evaluated")
+    __slots__ = ("tau", "_pending", "evaluated")
 
     def __init__(self, tau: int):
         if tau < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
         self.tau = tau
-        # scalar form: (inverted sort key, Hit) entries of a *min*-heap
-        # whose root is the currently-worst retained hit
-        self._heap: List[Tuple[Tuple, Hit]] = []
-        # columnar form: (query_id, columns, lo, hi), rows best first.
-        # Invariant: _pending implies empty _heap.
+        # (query_id, columns, lo, hi), rows best first; None while empty
         self._pending: Optional[Tuple[int, _Columns, int, int]] = None
         self.evaluated = 0  #: total candidates offered (for candidates/sec metrics)
-
-    @staticmethod
-    def _heap_key(hit: Hit) -> Tuple:
-        # Min-heap must evict the *worst* hit, so the root must be the
-        # worst => key orders "worse" < "better".  Worse = lower score,
-        # then *larger* structural tie-break fields (sort_key ascending
-        # means better, so negate its ordering elementwise).
-        k = hit.sort_key()
-        return (-k[0], -k[1], -k[2], -k[3], -k[4])
-
-    def _materialize(self) -> None:
-        """Turn the parked slice into heap entries (scalar offers only)."""
-        if self._pending is None:
-            return
-        hits = _build_hits(*self._pending)
-        self._pending = None
-        self._heap = [(self._heap_key(hit), hit) for hit in hits]
-        heapq.heapify(self._heap)
-
-    def add(self, hit: Hit) -> bool:
-        """Offer a hit; returns True if retained in the top tau."""
-        self.evaluated += 1
-        self._materialize()
-        key = self._heap_key(hit)
-        if len(self._heap) < self.tau:
-            heapq.heappush(self._heap, (key, hit))
-            return True
-        if key > self._heap[0][0]:
-            heapq.heapreplace(self._heap, (key, hit))
-            return True
-        return False
 
     def add_batch(
         self,
@@ -217,19 +188,17 @@ class TopHitList:
     ) -> int:
         """Offer a whole array of scored candidates; returns the number retained.
 
-        The retained set is *provably identical* to offering the
-        candidates one at a time through :meth:`add`, but only the
-        at-most-tau that can still matter are kept at all:
+        Only the at-most-tau candidates that can still matter are kept
+        at all, and the list still ends as the top tau of everything
+        offered to it:
 
         * candidates scoring strictly below the currently-worst retained
           hit (with a full list) can never enter — ties are kept, because
           the structural tie-break may still admit them;
         * of the survivors, only the batch's top tau under the *full*
-          total order (:meth:`Hit.sort_key`, computed by one vectorized
-          lexsort) are offered: any other survivor is outranked by tau
-          batch-mates, each of which either stays retained or is evicted
-          by something better still — so it can never end in the top tau
-          no matter the offer order or prior contents.
+          total order (:func:`best_first_order`, one vectorized lexsort) are
+          offered: any other survivor is outranked by tau batch-mates,
+          so it can never end in the top tau whatever the list held.
 
         The per-query route of the scalar reference (``tests/reference.py``).
         """
@@ -244,7 +213,7 @@ class TopHitList:
         )
         truncated = len(idx) > self.tau
         if truncated:
-            order = _best_first(columns)[: self.tau]
+            order = best_first_order(columns)[: self.tau]
             columns = tuple(col[order] for col in columns)
         return self.add_top_sorted(
             query_id, columns, 0, len(columns[0]), n, best_first=truncated
@@ -284,7 +253,7 @@ class TopHitList:
         if len(self) or not best_first:
             prior = self.take_columns()
             columns = tuple(np.concatenate((p, col[lo:hi])) for p, col in zip(prior, columns))
-            order = _best_first(columns)[: self.tau]
+            order = best_first_order(columns)[: self.tau]
             columns = tuple(col[order] for col in columns)
             lo, hi = 0, len(order)
             retained = int(np.count_nonzero(order >= len(prior[0])))
@@ -293,45 +262,26 @@ class TopHitList:
 
     def _worst_score(self) -> float:
         """Score of the worst retained hit (the list must not be empty)."""
-        if self._pending is not None:
-            _qid, columns, _lo, hi = self._pending
-            return columns[0][hi - 1]
-        return self._heap[0][1].score
-
-    def would_retain(self, score: float) -> bool:
-        """Cheap pre-check: could any hit with this score enter the list?
-
-        Used to skip building Hit objects for hopeless candidates; ties
-        must still go through :meth:`add` for deterministic resolution,
-        so this returns True on equality.
-        """
-        return len(self) < self.tau or bool(score >= self._worst_score())
+        _qid, columns, _lo, hi = self._pending
+        return columns[0][hi - 1]
 
     def __len__(self) -> int:
-        if self._pending is not None:
-            return self._pending[3] - self._pending[2]
-        return len(self._heap)
+        return 0 if self._pending is None else self._pending[3] - self._pending[2]
 
     def sorted_hits(self) -> List[Hit]:
         """Retained hits, best first, deterministic order."""
-        if self._pending is not None:
-            # a parked slice is already in output order (same total order
-            # as sort_key)
-            return _build_hits(*self._pending)
-        return sorted((h for _k, h in self._heap), key=Hit.sort_key)
+        return [] if self._pending is None else _build_hits(*self._pending)
 
     def columns(self) -> _Columns:
         """:meth:`sorted_hits` as parallel arrays, without the Hit objects.
 
         Returns ``(scores, protein_ids, starts, stops, masses,
-        mod_deltas)``, best first.  A parked slice — what the sweep
-        leaves behind for every query — is handed out as six views;
-        only a heap goes through its sorted hits.
+        mod_deltas)``, best first: six views of the parked slice.
         """
-        if self._pending is not None:
-            _qid, columns, lo, hi = self._pending
-            return tuple(col[lo:hi] for col in columns)
-        return _columns_of(self.sorted_hits())
+        if self._pending is None:
+            return _EMPTY_COLUMNS
+        _qid, columns, lo, hi = self._pending
+        return tuple(col[lo:hi] for col in columns)
 
     def take_columns(self) -> _Columns:
         """:meth:`columns`, and forget the rows (``evaluated`` stays).
@@ -341,17 +291,7 @@ class TopHitList:
         """
         columns = self.columns()
         self._pending = None
-        self._heap = []
         return columns
-
-    def merge(self, other: "TopHitList") -> None:
-        """Fold another list's hits into this one (keeps max of tau)."""
-        if other.tau != self.tau:
-            raise ValueError(f"tau mismatch: {self.tau} vs {other.tau}")
-        evaluated = self.evaluated + other.evaluated
-        for hit in other.sorted_hits():
-            self.add(hit)
-        self.evaluated = evaluated  # merging is not re-evaluating
 
 
 class HitColumns(NamedTuple):
@@ -478,65 +418,3 @@ def as_hit_columns(hits: Union[HitColumns, Mapping[int, Sequence[Hit]]]) -> HitC
         *_columns_of([hit for hs in hits.values() for hit in hs]),
     )
 
-
-def unpack_hit_columns(columns: HitColumns) -> Dict[int, List[Hit]]:
-    """Inverse of :func:`pack_hit_columns`: per-query hits, best first."""
-    return dict(HitTable(columns))
-
-
-def hit_to_payload(hit: Hit) -> dict:
-    """JSON-representable form of one hit (query id carried by the caller).
-
-    The flat schema is shared by :meth:`repro.core.results.SearchReport.to_json`
-    and the checkpoint format (docs/fault_tolerance.md), so checkpointed
-    hits round-trip bit-for-bit: floats pass through ``json`` unchanged
-    (``repr``-based, exact for binary64).
-    """
-    return {
-        "score": hit.score,
-        "protein_id": hit.protein_id,
-        "start": hit.start,
-        "stop": hit.stop,
-        "mass": hit.mass,
-        "mod_delta": hit.mod_delta,
-    }
-
-
-def hit_from_payload(query_id: int, payload: dict) -> Hit:
-    """Inverse of :func:`hit_to_payload`."""
-    return Hit(
-        query_id=query_id,
-        score=payload["score"],
-        protein_id=payload["protein_id"],
-        start=payload["start"],
-        stop=payload["stop"],
-        mass=payload["mass"],
-        mod_delta=payload.get("mod_delta", 0.0),
-    )
-
-
-def hits_to_payload(hits: "dict[int, List[Hit]]") -> dict:
-    """Serialize a per-query hit mapping (keys become strings for JSON)."""
-    return {str(qid): [hit_to_payload(h) for h in hs] for qid, hs in hits.items()}
-
-
-def hits_from_payload(payload: dict) -> "dict[int, List[Hit]]":
-    """Inverse of :func:`hits_to_payload`."""
-    return {
-        int(qid): [hit_from_payload(int(qid), h) for h in hs]
-        for qid, hs in payload.items()
-    }
-
-
-def merge_hit_lists(lists: Iterable[Sequence[Hit]], tau: int) -> List[Hit]:
-    """Merge per-shard hit lists for one query into the global top tau.
-
-    Deterministic regardless of input order; used when the same query was
-    scored against different database shards (every parallel algorithm)
-    and by the query-transport design alternative the paper discusses.
-    """
-    merged = TopHitList(tau)
-    for hits in lists:
-        for hit in hits:
-            merged.add(hit)
-    return merged.sorted_hits()

@@ -47,7 +47,7 @@ Failure semantics (all typed, never a hang):
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import os
 import threading
@@ -460,7 +460,7 @@ class SearchService:
                     return None
                 now = time.monotonic()
                 if self._retries and self._retries[0][0] <= now:
-                    return heapq.heappop(self._retries)[2]
+                    return self._retries.pop(0)[2]
                 taken = self._take_requests_locked(now) if self._pending else []
                 if taken:
                     return _Batch(next(self._next_batch_seq), taken)
@@ -625,7 +625,7 @@ class SearchService:
             and self._state != "stopped"
         ):
             ready = time.monotonic() + policy.delay(batch.failures)
-            heapq.heappush(self._retries, (ready, batch.seq, batch))
+            bisect.insort(self._retries, (ready, batch.seq, batch))
             self._count_locked("batch_retries")
             return
         self._count_locked("batches_failed")

@@ -544,7 +544,6 @@ class StreamingIndexReader:
         partition_ids: Optional[Sequence[int]] = None,
         *,
         memory_budget_mb: Optional[float] = None,
-        prefetch: bool = True,
     ):
         self.store = store
         self.ids = (
@@ -568,13 +567,12 @@ class StreamingIndexReader:
                     f"partition of {worst} B; rebuild the store with a "
                     f"smaller --partition-mb or raise the budget"
                 )
-        self._prefetch = prefetch and len(self.ids) > 0
         self._queue: "queue.Queue" = queue.Queue(maxsize=1)
         self._held = threading.Semaphore(2)  # current + prefetched
         self._resident = 0
         self._resident_lock = threading.Condition()
         self._thread: Optional[threading.Thread] = None
-        if self._prefetch:
+        if self.ids:
             self._thread = threading.Thread(
                 target=self._prefetch_loop, name="stream-prefetch", daemon=True
             )
@@ -614,23 +612,10 @@ class StreamingIndexReader:
         self._queue.put((None, None, None, 0.0))
 
     def __iter__(self) -> Iterator[StreamedPartition]:
+        if not self.ids:
+            return
         metrics = get_metrics()
         prev: Optional[int] = None
-        if not self._prefetch:
-            for pid in self.ids:
-                if prev is not None:
-                    self._release(prev)
-                self._reserve(pid)
-                t0 = time.perf_counter()
-                blob = self.store.read_partition_blob(pid)
-                read_seconds = time.perf_counter() - t0
-                self.stats.prefetch_stalls += 1  # serial reads always wait on I/O
-                self.stats.stall_seconds += read_seconds
-                yield self._decode(pid, blob, read_seconds, metrics)
-                prev = pid
-            if prev is not None:
-                self._release(prev)
-            return
         while True:
             # the *previous* partition's arrays are dead once the caller
             # asks for the next one; release its budget before blocking

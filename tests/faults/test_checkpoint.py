@@ -1,6 +1,7 @@
 """Checkpoint/resume: persistence format, manager semantics, kill-resume."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -27,6 +28,14 @@ def hit_keys(report):
 
 FINGERPRINT = {"query_blocks": 4, "num_queries": 2, "tau": 3, "delta": 3.0, "scorer": "hyperscore"}
 
+_START_METHODS = [
+    m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
+]
+
+
+class _Killed(Exception):
+    """Stands in for the parent process dying mid-run."""
+
 
 class TestSearchCheckpoint:
     def test_json_round_trip(self):
@@ -49,9 +58,14 @@ class TestSearchCheckpoint:
             SearchCheckpoint.from_json("{oops")
         with pytest.raises(CheckpointError, match="fingerprint"):
             SearchCheckpoint.from_json("{}")
-        with pytest.raises(CheckpointError, match="version"):
+        for version in (99, 1):  # 1 held per-Hit dicts, not hit columns
+            with pytest.raises(CheckpointError, match="version"):
+                SearchCheckpoint.from_json(
+                    json.dumps({"version": version, "fingerprint": {}, "hits": {}})
+                )
+        with pytest.raises(CheckpointError, match="hit columns"):
             SearchCheckpoint.from_json(
-                json.dumps({"version": 99, "fingerprint": {}})
+                json.dumps({"version": 2, "fingerprint": {}, "hits": {"scores": []}})
             )
         with pytest.raises(CheckpointError, match="cannot read"):
             SearchCheckpoint.load(tmp_path / "missing.json")
@@ -151,6 +165,40 @@ class TestKillResume:
         assert not resumed.extras["degraded"]
         assert hit_keys(resumed) == hit_keys(serial)
         assert resumed.candidates_evaluated == serial.candidates_evaluated
+
+    @pytest.mark.parametrize("start_method", _START_METHODS)
+    def test_killed_run_resumes_bitwise(
+        self, tmp_path, tiny_db, tiny_queries, start_method, monkeypatch
+    ):
+        """The parent dies right after its second checkpoint write, tasks
+        still running; the resumed run runs only the rest and returns the
+        uninterrupted run's hit columns and candidate count, bit for bit."""
+        kwargs = dict(
+            num_workers=2, query_blocks=4, config=SearchConfig(tau=10),
+            start_method=start_method,
+        )
+        whole = run_multiprocess_search(tiny_db, tiny_queries, **kwargs)
+        path = tmp_path / "run.ckpt"
+        record = CheckpointManager.record
+
+        def record_then_die(manager, *args, **kw):
+            record(manager, *args, **kw)
+            if len(manager.completed_tasks) == 2:
+                raise _Killed
+
+        monkeypatch.setattr(CheckpointManager, "record", record_then_die)
+        with pytest.raises(_Killed):
+            run_multiprocess_search(tiny_db, tiny_queries, checkpoint_path=str(path), **kwargs)
+        monkeypatch.undo()
+        assert len(SearchCheckpoint.load(path).completed_tasks) == 2
+
+        resumed = run_multiprocess_search(
+            tiny_db, tiny_queries, checkpoint_path=str(path), resume=True, **kwargs
+        )
+        assert (resumed.extras["tasks_resumed"], resumed.extras["tasks_completed"]) == (2, 2)
+        for got, want in zip(resumed.hits.columns, whole.hits.columns):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert resumed.candidates_evaluated == whole.candidates_evaluated
 
     def test_resume_with_changed_workload_refused(self, tmp_path, tiny_db, tiny_queries):
         config = SearchConfig(tau=10)

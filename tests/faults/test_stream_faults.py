@@ -82,20 +82,6 @@ class TestMidStreamBlobFaults:
         yielded = self._stream_until_error(store, "missing")
         assert yielded == list(range(victim))
 
-    def test_serial_reader_reports_the_same_typed_error(self, damaged_copy):
-        # prefetch off: the same faults must look identical without the
-        # background thread in the path
-        store = open_any_index(damaged_copy)
-        victim = store.num_partitions // 2
-        blob = _blob_path(damaged_copy, store, victim)
-        blob.write_bytes(blob.read_bytes()[:-7])
-        yielded = []
-        with pytest.raises(IndexStoreError, match="truncated"):
-            with StreamingIndexReader(store, prefetch=False) as reader:
-                for part in reader:
-                    yielded.append(part.pid)
-        assert yielded == list(range(victim))
-
     def test_streamed_search_surfaces_blob_fault_typed(
         self, tiny_db, tiny_queries, damaged_copy
     ):

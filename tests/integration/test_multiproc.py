@@ -164,17 +164,14 @@ class TestQueryMajorDecomposition:
     def test_the_parent_keeps_columns_as_columns(
         self, tiny_db, queries, paths, start_method, monkeypatch
     ):
-        """Every query id arrives from exactly one task and is never
-        unpacked: on every path (one whole-database searcher each) the
-        parent concatenates the tasks' columns and folds nothing.  The
-        hits are the scalar oracle's."""
+        """Every query id arrives from exactly one task: on every path
+        (one whole-database searcher each) the parent concatenates the
+        tasks' columns and folds nothing.  The hits are the scalar
+        oracle's."""
         folds = []
         fold = results._fold_repeated_queries
         monkeypatch.setattr(
             results, "_fold_repeated_queries", lambda *a: folds.append(1) or fold(*a)
-        )
-        monkeypatch.setattr(
-            multiproc, "unpack_hit_columns", lambda c: pytest.fail("unpacked without a checkpoint")
         )
         oracle = reference_search(tiny_db, SearchConfig(tau=10), queries)
         for path in ("direct", "resident_store", "partitioned_store"):
@@ -188,19 +185,24 @@ class TestQueryMajorDecomposition:
             assert isinstance(rep.hits, HitTable)
             assert_report_matches(oracle, rep)
 
-    def test_a_checkpointed_run_unpacks_and_reports_the_same_hits(
+    def test_a_checkpointed_run_assembles_hits(
         self, tiny_db, queries, serial, tmp_path, monkeypatch
     ):
-        unpacked = []
-        unpack = multiproc.unpack_hit_columns
+        """With a checkpoint the report's hits are still the tasks'
+        columns concatenated, not the checkpoint's fold of them."""
+        merged = []
+        merge = multiproc.merge_rank_hits
         monkeypatch.setattr(
-            multiproc, "unpack_hit_columns", lambda c: unpacked.append(1) or unpack(c)
+            multiproc,
+            "merge_rank_hits",
+            lambda parts, tau: merged.append(len(parts)) or merge(parts, tau),
         )
         rep = run_multiprocess_search(
             tiny_db, queries, num_workers=1, config=SearchConfig(tau=10),
             query_blocks=3, checkpoint_path=str(tmp_path / "run.ckpt"),
         )
-        assert len(unpacked) == rep.extras["tasks_total"] == 3
+        assert merged == [rep.extras["tasks_total"]] == [3]
+        assert isinstance(rep.hits, HitTable)
         assert reports_equal(serial, rep, score_rtol=0)
         assert list(rep.hits) == [q.query_id for q in queries]
 

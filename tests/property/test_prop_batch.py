@@ -5,9 +5,8 @@ spectrum (whole cohorts of every scorer are checked in
 ``test_prop_block.py``).  It is not *approximately* the per-candidate
 loop but *exactly* it, bit for bit — including PTM-expanded candidates,
 length-1 spans (empty fragment ladders), and empty or degenerate
-spectra.  The oracle itself (``batch_scores`` / ``score_batch_fallback``)
-is checked against raw ``score`` / ``score_modified`` calls for every
-scorer.
+spectra.  The oracle itself (``batch_scores``) is checked against raw
+``score`` / ``score_modified`` calls for every scorer.
 """
 
 from dataclasses import replace
@@ -28,12 +27,12 @@ from repro.scoring import (
     SharedPeakScorer,
     XCorrScorer,
     batch_scores,
-    score_batch_fallback,
 )
 from repro.scoring.base import block_scores
 from repro.scoring.hits import Hit, TopHitList
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
+from tests.reference import offer_hits, top_tau
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
@@ -100,7 +99,7 @@ def test_score_batch_bitwise_equals_scalar_loop(case, spectrum):
     got = block_scores(
         scorer, SpectrumBatch([spectrum]), batch, [np.arange(len(batch))]
     )
-    ref = score_batch_fallback(scorer, spectrum, batch)
+    ref = batch_scores(scorer, spectrum, batch)
     assert got.shape == ref.shape == (len(spans),)
     assert got.tobytes() == ref.tobytes()
 
@@ -145,12 +144,13 @@ def test_score_batch_matches_direct_scalar_calls(case, spectrum, scorer_cls):
 )
 @settings(max_examples=80, deadline=None)
 def test_add_batch_equals_sequential_adds(rows, tau, preload):
-    """Bulk top-tau offering retains exactly the scalar heap's hits."""
-    def seed_hits(hl):
-        for j in range(preload):
-            hl.add(Hit(query_id=1, score=float(j % 3), protein_id=100 + j,
-                       start=j, stop=j + 4, mass=500.0, mod_delta=0.0))
-
+    """Bulk top-tau offering onto a full list retains exactly the top tau
+    of everything offered (``Hit.sort_key``)."""
+    seeded = [
+        Hit(query_id=1, score=float(j % 3), protein_id=100 + j,
+            start=j, stop=j + 4, mass=500.0, mod_delta=0.0)
+        for j in range(preload)
+    ]
     scores = np.array([r[0] for r in rows], dtype=np.float64)
     proteins = np.array([r[1] for r in rows], dtype=np.int64)
     # make every candidate structurally unique (hit keys are a total order)
@@ -160,16 +160,15 @@ def test_add_batch_equals_sequential_adds(rows, tau, preload):
     deltas = np.zeros(len(rows))
 
     batched = TopHitList(tau)
-    seed_hits(batched)
+    offer_hits(batched, 1, seeded)
     batched.add_batch(1, scores, proteins, starts, stops, masses, deltas)
 
-    scalar = TopHitList(tau)
-    seed_hits(scalar)
-    for i in range(len(rows)):
-        scalar.add(Hit(query_id=1, score=float(scores[i]), protein_id=int(proteins[i]),
-                       start=int(starts[i]), stop=int(stops[i]), mass=600.0, mod_delta=0.0))
-
-    assert batched.evaluated == scalar.evaluated
+    offered = seeded + [
+        Hit(query_id=1, score=float(scores[i]), protein_id=int(proteins[i]),
+            start=int(starts[i]), stop=int(stops[i]), mass=600.0, mod_delta=0.0)
+        for i in range(len(rows))
+    ]
+    assert batched.evaluated == len(offered)
     assert [h.sort_key() for h in batched.sorted_hits()] == [
-        h.sort_key() for h in scalar.sorted_hits()
+        h.sort_key() for h in top_tau(offered, tau)
     ]

@@ -1,12 +1,12 @@
-"""The columnar hit path against the scalar one.
+"""The columnar hit path against the definition of a top-tau list.
 
 ``score_and_offer_block`` selects a whole block's top tau in one sort and
 parks each member a slice of the result; a member that already retained
-rows has them folded into that same sort.  Sequential
-:meth:`TopHitList.add` — one ``Hit`` at a time through the heap — is the
-oracle: identical ``sorted_hits()`` and identical ``evaluated`` per
-query, whatever the order of blocks, with ties, repeated candidates,
-filtered rows and scalar offers in between.
+rows has them folded into that same sort.  The oracle is the definition,
+per query: ``sorted(every hit offered, key=Hit.sort_key)[:tau]`` and
+``evaluated`` = every candidate offered — whatever the order of blocks,
+with ties, repeated candidates, filtered rows and ``add_batch`` offers
+in between.
 """
 
 from types import SimpleNamespace
@@ -16,14 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.search import ShardStats, score_and_offer_block
-from repro.scoring.hits import (
-    Hit,
-    HitTable,
-    TopHitList,
-    pack_hit_columns,
-    unpack_hit_columns,
-)
+from repro.scoring.hits import Hit, HitTable, TopHitList, pack_hit_columns
 from repro.spectra.spectrum import Spectrum
+from tests.reference import offer_hits, top_tau
 
 # few distinct values per field: ties at the cutoff and candidates that
 # arrive twice (same protein, span and mod_delta) are the common case
@@ -69,33 +64,32 @@ def _offer_block(cfg, hitlists, batches):
     assert stats.candidates_evaluated == len(rows)
 
 
-def _offer_scalar(cfg, hitlist, qid, rows):
-    """The oracle: what the block emit must equal, one ``add`` at a time."""
-    for row in rows:
-        score, length = row[0], row[3]
-        if length < cfg.min_candidate_length or (
-            cfg.score_cutoff is not None and score < cfg.score_cutoff
-        ):
-            hitlist.evaluated += 1  # skipped, but offered
-        else:
-            hitlist.add(_hit(qid, row))
+def _kept(cfg, qid, rows):
+    """The hits of ``rows`` the block emit may retain: long enough, not cut."""
+    return [
+        _hit(qid, row)
+        for row in rows
+        if row[3] >= cfg.min_candidate_length
+        and (cfg.score_cutoff is None or row[0] >= cfg.score_cutoff)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     tau=st.integers(1, 8),
     per_query=st.lists(st.lists(_BATCH, min_size=1, max_size=4), min_size=1, max_size=4),
-    scalar_between=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _ROW), max_size=3),
+    one_hit_offers=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _ROW), max_size=3),
     cutoff=st.sampled_from([None, 1.0]),
     min_length=st.sampled_from([1, 3]),
     data=st.data(),
 )
 def test_block_emit_with_fold_equals_sequential_add(
-    tau, per_query, scalar_between, cutoff, min_length, data
+    tau, per_query, one_hit_offers, cutoff, min_length, data
 ):
     cfg = SimpleNamespace(tau=tau, score_cutoff=cutoff, min_candidate_length=min_length)
     emitted = {qid: TopHitList(tau) for qid in range(len(per_query))}
-    oracle = {qid: TopHitList(tau) for qid in range(len(per_query))}
+    offered = {qid: [] for qid in emitted}  # what each list may keep
+    evaluated = dict.fromkeys(emitted, 0)
     # round r offers every query's r-th batch as one block, members in a
     # drawn order; a query's batches themselves come in a drawn order
     per_query = [data.draw(st.permutations(batches)) for batches in per_query]
@@ -104,19 +98,21 @@ def test_block_emit_with_fold_equals_sequential_add(
         members = data.draw(st.permutations(members))
         _offer_block(cfg, emitted, {qid: per_query[qid][r] for qid in members})
         for qid in members:
-            _offer_scalar(cfg, oracle[qid], qid, per_query[qid][r])
-        # a scalar add() between two block offers: slice -> heap -> slice
-        for after, qid, row in scalar_between:
+            offered[qid] += _kept(cfg, qid, per_query[qid][r])
+            evaluated[qid] += len(per_query[qid][r])  # skipped rows were offered too
+        # a one-hit add_batch between two block offers folds into the slice
+        for after, qid, row in one_hit_offers:
             if after == r and qid in emitted:
-                emitted[qid].add(_hit(qid, row))
-                oracle[qid].add(_hit(qid, row))
+                offer_hits(emitted[qid], qid, [_hit(qid, row)])
+                offered[qid].append(_hit(qid, row))
+                evaluated[qid] += 1
+    oracle = {qid: top_tau(hits, tau) for qid, hits in offered.items()}
     for qid in oracle:
-        assert emitted[qid].sorted_hits() == oracle[qid].sorted_hits()
-        assert emitted[qid].evaluated == oracle[qid].evaluated
+        assert emitted[qid].sorted_hits() == oracle[qid]
+        assert emitted[qid].evaluated == evaluated[qid]
         assert len(emitted[qid]) == len(oracle[qid]) <= tau
     # ... and the packed table says the same, field for field
-    table = HitTable(pack_hit_columns(emitted, emitted))
-    assert table == {qid: hl.sorted_hits() for qid, hl in oracle.items()}
+    assert HitTable(pack_hit_columns(emitted, emitted)) == oracle
 
 
 @settings(max_examples=100, deadline=None)
@@ -126,11 +122,10 @@ def test_block_emit_with_fold_equals_sequential_add(
 )
 def test_add_batch_equals_sequential_add(tau, batches):
     """The reference route (``tests/reference.py``): per query, any number of batches."""
-    batched, oracle = TopHitList(tau), TopHitList(tau)
+    batched, offered = TopHitList(tau), []
     for rows in batches:
         hits = [_hit(7, row) for row in rows]
-        for hit in hits:
-            oracle.add(hit)
+        offered += hits
         cols = list(zip(*(h[1:] for h in hits))) if hits else [()] * 6
         batched.add_batch(
             7,
@@ -141,8 +136,8 @@ def test_add_batch_equals_sequential_add(tau, batches):
             np.array(cols[4], dtype=np.float64),
             np.array(cols[5], dtype=np.float64),
         )
-    assert batched.sorted_hits() == oracle.sorted_hits()
-    assert batched.evaluated == oracle.evaluated
+    assert batched.sorted_hits() == top_tau(offered, tau)
+    assert batched.evaluated == len(offered)
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,11 +149,11 @@ def test_table_is_the_dict_it_replaces(tau, lists):
     hitlists = {}
     for qid, rows in lists.items():
         hitlists[qid] = TopHitList(tau)
-        for row in rows:
-            hitlists[qid].add(_hit(qid, row))
+        offer_hits(hitlists[qid], qid, [_hit(qid, row) for row in rows])
     columns = pack_hit_columns(hitlists, hitlists)
-    table, plain = HitTable(columns), unpack_hit_columns(columns)
-    assert dict(table) == plain == {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+    table = HitTable(columns)
+    plain = {qid: hl.sorted_hits() for qid, hl in hitlists.items()}
+    assert dict(table) == plain
     assert table == plain and plain == table
     assert list(table) == list(plain) and len(table) == len(plain)
     assert [(q, h) for q, h in table.items()] == list(plain.items())

@@ -2,7 +2,7 @@
 
 The fragment-ion index's exactness contract (see
 ``repro.index.fragment_index``): every score served from precomputed
-posting lists equals the scalar oracle (``score_batch_fallback``) bit
+posting lists equals the scalar oracle (``batch_scores``) bit
 for bit — across the posting-served scorers, row sets in and out of the
 length envelope, empty candidate windows, and empty or degenerate
 spectra.  The searcher-level test additionally covers the store
@@ -21,7 +21,7 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
 from repro.index import IndexBuilder
-from repro.scoring import HyperScorer, SharedPeakScorer, score_batch_fallback
+from repro.scoring import HyperScorer, SharedPeakScorer, batch_scores
 from repro.chem.amino_acids import mass_table
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
@@ -78,7 +78,7 @@ def test_score_index_bitwise_equals_batch_scores(case, spectrum, scorer_cls):
         return
     got = index.score_block(scorer, SpectrumBatch([spectrum]), [held])
     batch = CandidateBatch.from_spans(db, index.rows.take(held), {})
-    ref = score_batch_fallback(scorer, spectrum, batch)
+    ref = batch_scores(scorer, spectrum, batch)
     assert got.shape == ref.shape == (len(held),)
     assert got.tobytes() == ref.tobytes()
 
@@ -131,7 +131,7 @@ def test_searcher_score_spans_identical_with_index_on_and_off(
     off = ShardSearcher(db, cfg)
     ref, _ref_rows, _ = off.score_spans_block(cohort, rows, everything)
     assert got.tobytes() == ref.tobytes()
-    scalar = score_batch_fallback(
+    scalar = batch_scores(
         off.scorer, spectrum, CandidateBatch.from_spans(db, rows, {})
     )
     assert got.tobytes() == scalar.tobytes()

@@ -10,6 +10,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
 from repro.core.partition import partition_bounds, partition_database
 from repro.scoring.hits import Hit, TopHitList
+from tests.reference import offer_hits, top_tau
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=40)
 databases = st.lists(sequences, min_size=1, max_size=12).map(
@@ -95,15 +96,16 @@ hits = st.builds(
 @given(st.lists(hits, max_size=60), st.integers(min_value=1, max_value=10), st.randoms())
 @settings(max_examples=80)
 def test_tophitlist_order_independent(hit_list, tau, rnd):
-    """Any insertion order yields the identical top-tau list."""
+    """Any insertion order, cut into any batches, yields the identical
+    top-tau list."""
     a = TopHitList(tau)
-    for h in hit_list:
-        a.add(h)
+    offer_hits(a, 0, hit_list)
     shuffled = list(hit_list)
     rnd.shuffle(shuffled)
     b = TopHitList(tau)
-    for h in shuffled:
-        b.add(h)
+    cuts = sorted(rnd.sample(range(len(shuffled) + 1), min(4, len(shuffled) + 1)))
+    for lo, hi in zip([0] + cuts, cuts + [len(shuffled)]):
+        offer_hits(b, 0, shuffled[lo:hi])
     assert a.sorted_hits() == b.sorted_hits()
 
 
@@ -112,6 +114,5 @@ def test_tophitlist_order_independent(hit_list, tau, rnd):
 def test_tophitlist_is_true_top_tau(hit_list, tau):
     hl = TopHitList(tau)
     for h in hit_list:
-        hl.add(h)
-    expected = sorted(hit_list, key=Hit.sort_key)[:tau]
-    assert hl.sorted_hits() == expected
+        offer_hits(hl, 0, [h])
+    assert hl.sorted_hits() == top_tau(hit_list, tau)

@@ -8,8 +8,8 @@ direct :class:`~repro.core.search.ShardSearcher` and the scalar reference
 search (``tests/reference.py``) retain: score bits, per-query
 ``evaluated`` counts and all.  Hypothesis drives arbitrary small
 databases and query sets through every registered scorer, block caps
-1/2/64, prefetch on/off, and partitions of one to three rows, so every
-pass crosses many partition boundaries.  Each database repeats one
+1/2/64, read-ahead allowed or starved by the budget, and partitions of
+one to three rows, so every pass crosses many partition boundaries.  Each database repeats one
 sequence often enough that a run of equal-mass rows cannot fit two
 partitions, and each workload holds a query on that run: every example
 has equal-mass rows on both sides of a cut and a window that spans at
@@ -120,19 +120,16 @@ def test_streamed_search_reports_equal_resident(
 @given(workloads(), st.sampled_from([1, 64]))
 @settings(max_examples=15, deadline=None)
 def test_prefetch_off_and_memory_budget_do_not_change_hits(workload, cap):
-    """Serial decode (no prefetch thread) and a tight memory budget are
-    pure transport knobs: same hits either way."""
+    """A budget below two partitions turns read-ahead off (every visit
+    waits on its own read), one of two allows it: same hits either way."""
     db, queries, rows = workload
     config = SearchConfig(tau=5, sweep_cohort=cap)
     direct = search_serial(db, queries, config)
     with tempfile.TemporaryDirectory() as tmp:
         store = _store(db, rows, tmp)
-        for kwargs in (
-            {"prefetch": False},
-            {"memory_budget_mb": 2.0 * store.max_partition_bytes / (1 << 20)},
-            {"memory_budget_mb": 1.5 * store.max_partition_bytes / (1 << 20)},
-        ):
-            searcher = StreamingSearcher(store, config, database=db, **kwargs)
+        for partitions in (2.0, 1.5):
+            budget = partitions * store.max_partition_bytes / (1 << 20)
+            searcher = StreamingSearcher(store, config, database=db, memory_budget_mb=budget)
             hitlists = {}
             searcher.run(queries, hitlists)
             for q in queries:

@@ -4,7 +4,7 @@ One query at a time, one candidate at a time: the paper's serial loop
 written out with the scorers' scalar ``score`` / ``score_modified``.  It
 enumerates candidates with :meth:`CandidateGenerator.candidates` (not the
 sweep's window join), scores through
-:func:`~repro.scoring.base.score_batch_fallback` (not a pair kernel, a
+:func:`~repro.scoring.base.batch_scores` (not a pair kernel, a
 posting probe or a cached matrix) and offers through
 :meth:`TopHitList.add_batch` (not the block emit), so it shares no
 vectorised scoring, filtering or emit code with
@@ -14,14 +14,14 @@ the scalar likelihood model is about ten times slower than its kernel.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.candidates.batch import CandidateBatch
 from repro.candidates.generator import CandidateGenerator
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
-from repro.scoring.base import score_batch_fallback
-from repro.scoring.hits import TopHitList
+from repro.scoring.base import batch_scores
+from repro.scoring.hits import Hit, TopHitList, as_hit_columns
 from repro.spectra.spectrum import Spectrum
 
 
@@ -54,9 +54,9 @@ def reference_search(
         spans = spans.take(long_enough)
         if len(spans) == 0:
             continue
-        # best site per PTM candidate: reduce_rows inside the fallback
+        # best site per PTM candidate: reduce_rows inside batch_scores
         batch = CandidateBatch.from_spans(shard, spans, mod_targets)
-        scores = score_batch_fallback(scorer, spectrum, batch)
+        scores = batch_scores(scorer, spectrum, batch)
         if config.score_cutoff is not None:
             passing = scores >= config.score_cutoff
             hitlist.evaluated += len(scores) - int(passing.sum())
@@ -95,3 +95,14 @@ def assert_report_matches(reference: Dict[int, TopHitList], report) -> None:
     for qid, hitlist in reference.items():
         assert hitlist.sorted_hits() == report.hits[qid]
     assert report.candidates_evaluated == candidates_evaluated(reference)
+
+
+def top_tau(hits: Iterable[Hit], tau: int) -> List[Hit]:
+    """What a running list of everything in ``hits`` must hold: the
+    best tau under :meth:`Hit.sort_key`, best first."""
+    return sorted(hits, key=Hit.sort_key)[:tau]
+
+
+def offer_hits(hitlist: TopHitList, query_id: int, hits: Sequence[Hit]) -> int:
+    """Offer ``hits`` to ``hitlist`` as one ``add_batch``."""
+    return hitlist.add_batch(query_id, *as_hit_columns({query_id: hits})[2:])

@@ -5,16 +5,16 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.results import merge_rank_hits
 from repro.scoring import hits as hits_module
 from repro.scoring.hits import (
     Hit,
     HitTable,
     TopHitList,
     as_hit_columns,
-    merge_hit_lists,
     pack_hit_columns,
-    unpack_hit_columns,
 )
+from tests.reference import offer_hits, top_tau
 
 
 def make_hit(score, pid=0, start=0, stop=10, qid=0):
@@ -35,86 +35,68 @@ class TestHit:
         assert make_hit(1.0, start=3, stop=9).length == 6
 
 
+def offer_each(hl, hits):
+    """Offer ``hits`` one at a time, one ``add_batch`` each."""
+    return [offer_hits(hl, hit.query_id, [hit]) for hit in hits]
+
+
 class TestTopHitList:
     def test_keeps_best_tau(self):
         hl = TopHitList(3)
-        for s in [5.0, 1.0, 3.0, 4.0, 2.0]:
-            hl.add(make_hit(s, pid=int(s)))
+        offer_each(hl, [make_hit(s, pid=int(s)) for s in [5.0, 1.0, 3.0, 4.0, 2.0]])
         assert [h.score for h in hl.sorted_hits()] == [5.0, 4.0, 3.0]
 
     def test_add_returns_retained_flag(self):
         hl = TopHitList(1)
-        assert hl.add(make_hit(1.0, pid=1))
-        assert hl.add(make_hit(2.0, pid=2))
-        assert not hl.add(make_hit(0.5, pid=3))
+        hits = [make_hit(1.0, pid=1), make_hit(2.0, pid=2), make_hit(0.5, pid=3)]
+        assert offer_each(hl, hits) == [1, 1, 0]
 
     def test_evaluated_counts_all_offers(self):
         hl = TopHitList(1)
-        for s in range(5):
-            hl.add(make_hit(float(s), pid=s))
+        offer_each(hl, [make_hit(float(s), pid=s) for s in range(3)])
+        offer_hits(hl, 0, [make_hit(float(s), pid=s) for s in range(3, 5)])
         assert hl.evaluated == 5
         assert len(hl) == 1
 
     def test_order_independence(self):
-        """The paper's validation property: same hits in, same tau out."""
+        """The paper's validation property: same hits in, same tau out,
+        however they are cut into batches."""
         hits = [make_hit(float(s % 7), pid=s) for s in range(50)]
-        a = TopHitList(10)
-        b = TopHitList(10)
-        for h in hits:
-            a.add(h)
-        for h in reversed(hits):
-            b.add(h)
-        assert a.sorted_hits() == b.sorted_hits()
+        a, b, c = TopHitList(10), TopHitList(10), TopHitList(10)
+        offer_each(a, hits)
+        offer_each(b, reversed(hits))
+        for k in range(0, 50, 7):
+            offer_hits(c, 0, hits[k : k + 7])
+        assert a.sorted_hits() == b.sorted_hits() == c.sorted_hits() == top_tau(hits, 10)
 
     def test_tie_at_cutoff_resolved_deterministically(self):
         # four same-score hits fighting for three slots
         hits = [make_hit(1.0, pid=p) for p in (3, 1, 2, 0)]
         a, b = TopHitList(3), TopHitList(3)
-        for h in hits:
-            a.add(h)
-        for h in sorted(hits, key=Hit.sort_key):
-            b.add(h)
+        offer_each(a, hits)
+        offer_each(b, sorted(hits, key=Hit.sort_key))
         assert a.sorted_hits() == b.sorted_hits()
         assert [h.protein_id for h in a.sorted_hits()] == [0, 1, 2]
-
-    def test_would_retain(self):
-        hl = TopHitList(2)
-        hl.add(make_hit(5.0, pid=0))
-        hl.add(make_hit(3.0, pid=1))
-        assert hl.would_retain(4.0)
-        assert hl.would_retain(3.0)  # tie must be admitted for resolution
-        assert not hl.would_retain(2.9)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
             TopHitList(0)
 
-    def test_merge(self):
-        a, b = TopHitList(3), TopHitList(3)
-        for s in (1.0, 2.0, 3.0):
-            a.add(make_hit(s, pid=int(s)))
-        for s in (4.0, 5.0):
-            b.add(make_hit(s, pid=int(s)))
-        a.merge(b)
-        assert [h.score for h in a.sorted_hits()] == [5.0, 4.0, 3.0]
-        assert a.evaluated == 5
-
-    def test_merge_tau_mismatch(self):
-        with pytest.raises(ValueError):
-            TopHitList(2).merge(TopHitList(3))
-
 
 class TestMergeHitLists:
+    """Per-shard lists of one query fold to the global top tau
+    (``merge_rank_hits``)."""
+
     def test_global_top_from_shards(self):
-        shard1 = [make_hit(5.0, pid=1), make_hit(1.0, pid=2)]
-        shard2 = [make_hit(4.0, pid=3), make_hit(3.0, pid=4)]
-        merged = merge_hit_lists([shard1, shard2], tau=3)
-        assert [h.score for h in merged] == [5.0, 4.0, 3.0]
+        shard1 = {0: [make_hit(5.0, pid=1), make_hit(1.0, pid=2)]}
+        shard2 = {0: [make_hit(4.0, pid=3), make_hit(3.0, pid=4)]}
+        merged = merge_rank_hits([shard1, shard2], tau=3)
+        assert [h.score for h in merged[0]] == [5.0, 4.0, 3.0]
 
     def test_input_order_irrelevant(self):
-        shard1 = [make_hit(float(i), pid=i) for i in range(5)]
-        shard2 = [make_hit(float(i) + 0.5, pid=10 + i) for i in range(5)]
-        assert merge_hit_lists([shard1, shard2], 4) == merge_hit_lists([shard2, shard1], 4)
+        shard1 = {0: [make_hit(float(i), pid=i) for i in range(5)]}
+        shard2 = {0: [make_hit(float(i) + 0.5, pid=10 + i) for i in range(5)]}
+        assert merge_rank_hits([shard1, shard2], 4) == merge_rank_hits([shard2, shard1], 4)
 
 
 def _offer(hl, qid, scores, pids):
@@ -140,13 +122,12 @@ class TestHitColumns:
         _offer(parked_sorted, 1, tied, [9, 4, 2, 8, 6, 1])
         parked_unsorted = TopHitList(10)  # fits whole: offered unsorted, sorted as it parks
         _offer(parked_unsorted, 2, tied, [9, 4, 2, 8, 6, 1])
-        heap = TopHitList(3)
-        for s, pid in zip(tied, [9, 4, 2, 8, 6, 1]):
-            heap.add(make_hit(s, pid=pid, qid=3))
+        one_by_one = TopHitList(3)
+        offer_each(one_by_one, [make_hit(s, p, qid=3) for s, p in zip(tied, [9, 4, 2, 8, 6, 1])])
         multi = TopHitList(3)  # second batch is folded into the parked slice
         _offer(multi, 4, tied, [9, 4, 2, 8, 6, 1])
         _offer(multi, 4, [1.0, 3.0], [0, 5])
-        return {1: parked_sorted, 2: parked_unsorted, 3: heap, 4: multi, 5: TopHitList(3)}
+        return {1: parked_sorted, 2: parked_unsorted, 3: one_by_one, 4: multi, 5: TopHitList(3)}
 
     def test_columns_match_sorted_hits(self):
         for qid, hl in self._lists().items():
@@ -161,11 +142,11 @@ class TestHitColumns:
 
     def test_lists_park_array_ranges_never_lists(self):
         for qid, hl in self._lists().items():
-            if qid in (3, 5):  # scalar adds only / nothing offered: no slice
+            if qid == 5:  # nothing offered: no slice
                 assert hl._pending is None
                 continue
             parked_qid, columns, lo, hi = hl._pending
-            assert parked_qid == qid and hi - lo == len(hl) and not hl._heap
+            assert parked_qid == qid and hi - lo == len(hl)
             assert all(isinstance(c, np.ndarray) for c in columns) and len(columns) == 6
 
     def test_truncated_batch_is_parked_as_sorted(self, monkeypatch):
@@ -173,9 +154,11 @@ class TestHitColumns:
         batch to tau: a truncated batch was lexsorted to be cut, and is
         parked as it is — not sorted a second time, no ``Hit`` on the way."""
         sorts = []
-        best_first = hits_module._best_first
+        best_first = hits_module.best_first_order
         monkeypatch.setattr(
-            hits_module, "_best_first", lambda cols: sorts.append(len(cols[0])) or best_first(cols)
+            hits_module,
+            "best_first_order",
+            lambda cols: sorts.append(len(cols[0])) or best_first(cols),
         )
         monkeypatch.setattr(hits_module, "_build_hits", lambda *a: pytest.fail("built a Hit"))
         tau = 4
@@ -202,19 +185,16 @@ class TestHitColumns:
         assert hl.evaluated == 10 and len(hl) == 2
         assert all(np.shares_memory(got, col) for got, col in zip(hl.columns(), table))
         assert [h.protein_id for h in hl.sorted_hits()] == [2, 3]
-        assert hl.would_retain(0.0) and TopHitList(2).would_retain(-1.0)
 
-    def test_slice_to_heap_to_slice(self):
-        """A scalar ``add`` turns the slice into a heap; the next columnar
-        offer folds the heap back into a slice; ``take_columns`` empties it."""
+    def test_offers_fold_into_the_slice_and_take_columns_empties_it(self):
+        """Every offer folds into the parked slice; a full list drops a
+        batch row below its worst before sorting; ``take_columns``
+        empties it."""
         hl = TopHitList(3)
         _offer(hl, 1, [5.0, 4.0, 3.0, 2.0], [1, 2, 3, 4])
-        assert hl._pending is not None and not hl._heap
-        assert hl.add(make_hit(4.5, pid=9, qid=1)) and not hl.add(make_hit(1.0, pid=8, qid=1))
-        assert hl._pending is None and len(hl._heap) == 3
-        assert not hl.would_retain(3.9) and hl.would_retain(4.0)
+        assert _offer(hl, 1, [4.5, 1.0], [9, 8]) == 1
         assert _offer(hl, 1, [4.0, 6.0], [0, 7]) == 1  # 6.0 enters, the 4.0s fall off
-        assert hl._pending is not None and not hl._heap
+        assert hl._pending is not None
         assert [(h.score, h.protein_id) for h in hl.sorted_hits()] == [(6.0, 7), (5.0, 1), (4.5, 9)]
         assert hl.evaluated == 8
         taken = hl.take_columns()
@@ -224,7 +204,7 @@ class TestHitColumns:
     def test_tie_at_cutoff_survives_the_columns(self):
         lists = self._lists()
         for qid in (1, 3):
-            assert [h.protein_id for h in unpack_hit_columns(
+            assert [h.protein_id for h in HitTable(
                 pack_hit_columns(lists, [qid])
             )[qid]] == [9, 2, 4]
         assert [h.protein_id for h in lists[4].sorted_hits()] == [5, 9, 0]
@@ -235,7 +215,7 @@ class TestHitColumns:
         columns = pickle.loads(pickle.dumps(pack_hit_columns(lists, order)))
         assert columns.query_ids.tolist() == order
         assert columns.counts.tolist() == [3, 0, 3, 3, 6]
-        hits = unpack_hit_columns(columns)
+        hits = dict(HitTable(columns))
         assert list(hits) == order
         for qid, hl in lists.items():
             assert hits[qid] == hl.sorted_hits()
@@ -249,13 +229,13 @@ class TestHitColumns:
         columns = pack_hit_columns({}, [])
         assert len(columns.scores) == 0
         assert [c.dtype.kind for c in columns] == list("iifiiiff")
-        assert unpack_hit_columns(columns) == {}
+        assert dict(HitTable(columns)) == {}
 
     def test_table_over_the_columns_is_the_unpacked_dict(self):
         lists = self._lists()
         columns = pack_hit_columns(lists, [4, 5, 1, 3, 2])
         table = HitTable(columns)
-        assert dict(table) == unpack_hit_columns(columns) == table
+        assert dict(table) == dict(HitTable(columns)) == table
         assert table[5] == [] and 5 in table and len(table) == 5
         assert as_hit_columns(table) is columns and as_hit_columns(columns) is columns
         repacked = as_hit_columns(dict(table))  # a plain dict is packed on demand

@@ -210,15 +210,6 @@ class TestStreamingReader:
             == pstore.num_partitions + 1  # +1 for the end-of-stream marker
         )
 
-    def test_serial_pass_stalls_for_exactly_its_reads(self, pstore):
-        # every serial read is waited on, once: k partitions stall for the
-        # sum of their k reads, not a running total re-added per visit
-        assert pstore.num_partitions >= 3
-        with StreamingIndexReader(pstore, prefetch=False) as reader:
-            assert len(list(reader)) == pstore.num_partitions
-        assert reader.stats.prefetch_stalls == pstore.num_partitions
-        assert reader.stats.stall_seconds == pytest.approx(reader.stats.io_seconds)
-
     def test_partition_range_streams_a_slice(self, pstore):
         ids = list(range(1, min(4, pstore.num_partitions)))
         with StreamingIndexReader(pstore, partition_ids=ids) as reader:

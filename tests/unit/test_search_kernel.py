@@ -6,8 +6,9 @@ import pytest
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_database
+from repro.core.results import merge_rank_hits
 from repro.core.search import ShardSearcher, search_serial
-from repro.scoring.hits import TopHitList, merge_hit_lists
+from repro.scoring.hits import TopHitList, pack_hit_columns
 from tests.conftest import store_searcher
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
@@ -117,11 +118,11 @@ class TestShardSearcher:
             h = {}
             ShardSearcher(shard, config).run(tiny_queries, h)
             shard_hitlists.append(h)
+        merged = merge_rank_hits(
+            [pack_hit_columns(h, h) for h in shard_hitlists], config.tau
+        )
         for q in tiny_queries:
-            merged = merge_hit_lists(
-                [h[q.query_id].sorted_hits() for h in shard_hitlists], config.tau
-            )
-            assert merged == whole_hits[q.query_id].sorted_hits()
+            assert merged[q.query_id] == whole_hits[q.query_id].sorted_hits()
 
 
 class TestSearchSerial:

@@ -6,6 +6,11 @@ import pytest
 from repro.candidates.tryptic import TrypticIndex
 from repro.chem.peptide import peptide_mass
 from repro.chem.protein import ProteinDatabase
+from repro.core.config import SearchConfig
+from repro.core.xbang import run_xbang
+from repro.scoring.hits import Hit
+from repro.scoring.hyperscore import HyperScorer
+from tests.reference import top_tau
 
 
 @pytest.fixture()
@@ -90,3 +95,38 @@ class TestProteaseParameter:
 
     def test_default_is_trypsin(self, db):
         assert TrypticIndex(db).protease.name == "trypsin"
+
+
+class TestXbangHits:
+    def test_real_run_is_the_top_tau_of_every_tryptic_candidate(
+        self, tiny_db, tiny_queries
+    ):
+        """Two ranks, REAL scoring: each query holds the best tau of every
+        tryptic candidate in its window, each scored by the scalar
+        ``HyperScorer.score``, and every candidate is counted."""
+        config = SearchConfig(tau=4)
+        report = run_xbang(tiny_db, tiny_queries, 2, config)
+        index = TrypticIndex(
+            tiny_db, missed_cleavages=1, min_length=config.min_candidate_length
+        )
+        scorer = HyperScorer(config.fragment_tolerance)
+        total = 0
+        for spectrum in tiny_queries:
+            mass = spectrum.parent_mass
+            spans = index.candidates_in_window(mass - 0.5, mass + 0.5)
+            total += len(spans)
+            hits = [
+                Hit(
+                    spectrum.query_id,
+                    scorer.score(spectrum, tiny_db.sequence(int(s))[int(a) : int(b)]),
+                    int(tiny_db.ids[s]),
+                    int(a),
+                    int(b),
+                    float(m),
+                )
+                for s, a, b, m in zip(spans.seq_index, spans.start, spans.stop, spans.mass)
+            ]
+            got = report.hits[spectrum.query_id]
+            assert [tuple(h) for h in got] == [tuple(h) for h in top_tau(hits, config.tau)]
+        assert report.candidates_evaluated == total > 0
+        assert any(len(report.hits[q.query_id]) == config.tau for q in tiny_queries)
