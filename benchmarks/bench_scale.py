@@ -8,25 +8,26 @@ the same query workload two ways in *separate fresh processes*:
 
 * **resident** — ``search_serial`` with no store: the whole database
   in RAM, every candidate scored directly (the baseline);
-* **streamed** — ``search_serial`` over the partitioned store
-  (``repro.index_store_partitioned/4``) under a memory budget of four
-  partitions: double-buffered prefetch, each partition's rows scored
-  directly, ~two partitions resident regardless of N.
+* **streamed** — ``search_serial`` over a partitioned store
+  (``save_partitioned_index``: the raw row table and a partition
+  directory) under a memory budget of four partitions: double-buffered
+  prefetch, each partition's rows read and scored directly, ~two
+  partitions resident regardless of N.
 
 Both run ``hyperscore``.  Per size it verifies the two variants' hits
 are bitwise identical (sha256 over exact float hex — any drift fails the
 run before any number is reported), then records queries/s, each
 child's own peak RSS, and the stream telemetry (prefetch hits/stalls,
-decode/stall seconds).  The headline numbers:
+stall and score seconds).  The headline numbers:
 
 * ``partition_residency_bytes`` — what a streamed pass holds beside the
   mmapped database (``StreamingSearcher.nbytes - database.nbytes``: two
-  partitions, blob + decoded rows).  Out-of-core means it does not grow
-  with N: within 10 % of constant across the sizes, and under the budget.
+  partitions of rows).  Out-of-core means it does not grow with N:
+  within 10 % of constant across the sizes, and under the budget.
 * ``streamed_over_direct`` — direct q/s over streamed q/s: what reading
   the rows from disk costs over holding the mass index in memory.
-* ``stall_fraction`` — prefetch stall seconds over decode + score
-  seconds.  Overlap quality: < 0.25 means I/O is essentially masked by
+* ``stall_fraction`` — prefetch stall seconds over score seconds.
+  Overlap quality: < 0.25 means I/O is essentially masked by
   compute, the disk analogue of the paper's MPI_Get masking.
 
 Run ``python benchmarks/bench_scale.py`` to (re)generate
@@ -147,16 +148,13 @@ def measure_scale(sizes, num_queries=48, tau=25, partition_mb=1.0):
             streamed = _run_child(n, num_queries, tau, store_path, budget_mb)
             identical = resident["hits_sha256"] == streamed["hits_sha256"]
             stream = streamed["stream"] or {}
-            compute_s = stream.get("decode_seconds", 0.0) + stream.get(
-                "score_seconds", 0.0
-            )
+            compute_s = stream.get("score_seconds", 0.0)
             searcher = StreamingSearcher(store, SearchConfig(), database=db)
             points.append(
                 {
                     "num_proteins": n,
                     "database_bytes": int(db.nbytes),
-                    "store_decoded_bytes": int(store.decoded_bytes),
-                    "store_compressed_bytes": int(store.blob_bytes),
+                    "store_row_bytes": int(store.row_bytes),
                     "num_partitions": store.num_partitions,
                     "store_build_s": build_s,
                     "identical": identical,
@@ -174,7 +172,6 @@ def measure_scale(sizes, num_queries=48, tau=25, partition_mb=1.0):
                         "prefetch_hits": stream.get("prefetch_hits", 0),
                         "prefetch_stalls": stream.get("prefetch_stalls", 0),
                         "stall_seconds": stream.get("stall_seconds", 0.0),
-                        "decode_seconds": stream.get("decode_seconds", 0.0),
                         "score_seconds": stream.get("score_seconds", 0.0),
                     },
                     "stall_fraction": (

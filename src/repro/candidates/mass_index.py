@@ -119,7 +119,7 @@ def _flat_span_masses(shard: ProteinDatabase) -> Tuple[np.ndarray, np.ndarray, n
 def mass_sorted_spans(shard: ProteinDatabase) -> CandidateSpans:
     """Every distinct prefix and suffix span of ``shard``, sorted by mass.
 
-    The row table both store formats hold: a full-length span is listed
+    The row table every store holds: a full-length span is listed
     once, as a prefix, and the sort is stable over prefixes (in flat
     position order) followed by suffixes (likewise), so equal-mass spans
     keep the order ``candidates_in_window`` lists them in.  Masses are

@@ -22,17 +22,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
-    """Build a persistent fragment-index store (build once, load many).
+    """Build a persistent index store (build once, load many).
 
-    With ``--partition-mb`` the store is the *partitioned* out-of-core
-    format instead: the database's mass-sorted spans in mass-contiguous
-    compressed partitions, streamed and scored directly at search time
-    (``search --stream`` / ``--index-path``).  It holds no fragment
+    By default the store holds the database's mass-sorted row table and
+    the fragment index's posting lists over it.  With ``--partition-mb``
+    it holds the same row table and a partition directory instead:
+    mass-contiguous row ranges, streamed and scored directly at search
+    time (``search --stream`` / ``--index-path``).  It holds no fragment
     index, so the index-shape options do not apply to it.
     """
+    from repro.store import save_index, save_partitioned_index
+
     if args.partition_mb is not None:
         from repro.errors import ConfigError
-        from repro.store import save_partitioned_index
 
         for flag, value in (
             ("--fragment-tolerance", args.fragment_tolerance),
@@ -43,42 +45,28 @@ def cmd_index_build(args: argparse.Namespace) -> int:
                     f"{flag} shapes a fragment index; a partitioned store "
                     f"(--partition-mb) holds every span and no index"
                 )
-        db = load_database(args)
+    db = load_database(args)
+    if args.partition_mb is not None:
         store = save_partitioned_index(
+            db, args.output, partition_mb=args.partition_mb, overwrite=args.overwrite
+        )
+        what = (
+            f"{store.num_rows} row(s) in {store.num_partitions} partition(s), "
+            f"{format_si(store.max_partition_bytes)}B double-buffer unit"
+        )
+    else:
+        store = save_index(
             db,
             args.output,
-            partition_mb=args.partition_mb,
+            fragment_tolerance=args.fragment_tolerance or 0.5,
+            max_length=args.max_length or 48,
             overwrite=args.overwrite,
         )
-        info = store.describe()
-        print(
-            f"built partitioned store for {len(db)} sequences "
-            f"({format_si(db.total_residues)} residues): "
-            f"{info['num_rows']} row(s) in "
-            f"{info['num_partitions']} partition(s), "
-            f"{format_si(info['blob_bytes'])}B compressed "
-            f"({format_si(info['decoded_bytes'])}B decoded, "
-            f"{format_si(info['max_partition_bytes'])}B double-buffer unit) "
-            f"at {args.output}"
-        )
-        print(f"fingerprint {store.fingerprint}")
-        return 0
-    from repro.store import save_index
-
-    db = load_database(args)
-    store = save_index(
-        db,
-        args.output,
-        fragment_tolerance=args.fragment_tolerance or 0.5,
-        max_length=args.max_length or 48,
-        overwrite=args.overwrite,
-    )
-    info = store.describe()
+        what = f"{store.layout.num_fragments} fragment(s)"
     print(
-        f"built index for {len(db)} sequences "
-        f"({format_si(db.total_residues)} residues): "
-        f"{info['num_fragments']} fragment(s), "
-        f"{format_si(info['total_bytes'])}B at {args.output}"
+        f"built index store for {len(db)} sequences "
+        f"({format_si(db.total_residues)} residues): {what}, "
+        f"{format_si(store.nbytes)}B at {args.output}"
     )
     print(f"fingerprint {store.fingerprint}")
     return 0
@@ -87,58 +75,40 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 def cmd_index_inspect(args: argparse.Namespace) -> int:
     """Print a persisted index's header: schema, fingerprint, manifests.
 
-    Dispatches on the on-disk schema: resident stores report their
-    database and index sections and their row table (every span of the
-    database, the postings on those inside the envelope), partitioned
-    stores list per-partition mass ranges, row counts and
-    compressed/decoded sizes.
+    Every store reports its database and index sections and its row
+    table (every span of the database); then either the postings (on
+    the rows inside the envelope) or, for a partitioned store, each
+    partition's row range, mass range and size.
     """
     from repro.store import open_any_index
-    from repro.store.partitioned import PartitionedIndex
 
-    store = open_any_index(args.path)
-    info = store.describe()
-    if isinstance(store, PartitionedIndex):
-        build = info["build"]
-        print(f"partitioned index store {info['path']}")
-        print(f"  schema       {info['schema']}")
-        print(f"  fingerprint  {info['fingerprint']}")
-        print(f"  build        partition_mb={build['partition_mb']}")
-        print(
-            f"  bytes        compressed={format_si(info['blob_bytes'])}B "
-            f"decoded={format_si(info['decoded_bytes'])}B "
-            f"double_buffer_unit={format_si(info['max_partition_bytes'])}B"
-        )
-        print(
-            f"  rows         {info['num_rows']} in {info['num_partitions']} "
-            f"partition(s)"
-        )
-        for p in info["partitions"]:
-            print(
-                f"  {p['name']}  m/z [{p['mass_lo']:.3f}, {p['mass_hi']:.3f}] "
-                f"rows={p['num_rows']} "
-                f"compressed={format_si(p['blob_bytes'])}B "
-                f"decoded={format_si(p['decoded_bytes'])}B"
-            )
-        return 0
-    build = info["build"]
+    info = open_any_index(args.path).describe()
+    build = " ".join(f"{key}={value}" for key, value in info["build"].items())
     print(f"index store {info['path']}")
     print(f"  schema       {info['schema']}")
     print(f"  fingerprint  {info['fingerprint']}")
-    print(
-        f"  build        fragment_tolerance={build['fragment_tolerance']} "
-        f"max_length={build['max_length']} "
-        f"monoisotopic={build['monoisotopic']}"
-    )
+    print(f"  build        {build}")
     print(
         f"  bytes        total={format_si(info['total_bytes'])}B "
         f"database/={format_si(info['database_bytes'])}B "
         f"index/={format_si(info['index_bytes'])}B"
     )
+    if "partitions" not in info:
+        print(
+            f"  rows         {info['num_rows']} ({info['num_fragments']} fragments "
+            f"posted for the rows of length 2-{info['build']['max_length']})"
+        )
+        return 0
     print(
-        f"  rows         {info['num_rows']} ({info['num_fragments']} fragments "
-        f"posted for the rows of length 2-{build['max_length']})"
+        f"  rows         {info['num_rows']} in {len(info['partitions'])} partition(s), "
+        f"double_buffer_unit={format_si(info['max_partition_bytes'])}B"
     )
+    for i, p in enumerate(info["partitions"]):
+        print(
+            f"  partition {i:5d}  rows [{p['lo']}, {p['hi']})  "
+            f"m/z [{p['mass_lo']:.3f}, {p['mass_hi']:.3f}]  "
+            f"sha256 {p['sha256'][:12]}"
+        )
     return 0
 
 
@@ -169,9 +139,9 @@ def register(sub) -> None:
     )
     p_ib.add_argument(
         "--partition-mb", type=positive_float, default=None,
-        help="build the *partitioned* out-of-core format instead: the "
-        "database's mass-sorted spans in compressed partitions of this "
-        "decoded size (MiB), streamed with prefetch at search time",
+        help="record a partition directory instead of posting lists: the "
+        "database's mass-sorted spans are streamed at search time in "
+        "partitions of this many MiB of rows",
     )
     p_ib.add_argument(
         "--overwrite", action="store_true",

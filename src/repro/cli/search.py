@@ -95,9 +95,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.stream and index_path:
             from repro.errors import IndexCompatError
             from repro.store import open_any_index
-            from repro.store.partitioned import PartitionedIndex
 
-            if not isinstance(open_any_index(index_path), PartitionedIndex):
+            if not open_any_index(index_path).partitioned:
                 raise IndexCompatError(
                     f"--stream needs a partitioned store "
                     f"(`repro index build --partition-mb ...`); "
@@ -178,8 +177,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if stream:
         print(
             f"  streamed {stream['partitions']} partition(s): "
-            f"{format_si(stream['bytes_read'])}B read -> "
-            f"{format_si(stream['bytes_decoded'])}B decoded, "
+            f"{format_si(stream['bytes_read'])}B of rows read, "
             f"{stream['prefetch_hits']} prefetch hit(s) / "
             f"{stream['prefetch_stalls']} stall(s), "
             f"exposed I/O {stream['partition_exposed_io']:.3f}s"
@@ -320,14 +318,13 @@ def register(sub) -> None:
     )
     p_search.add_argument(
         "--partition-mb", type=positive_float, default=32.0,
-        help="decoded partition size (MiB) for the temporary store that "
+        help="partition size (MiB of rows) for the temporary store that "
         "--stream builds when no --index-path is given",
     )
     p_search.add_argument(
         "--memory-budget-mb", type=positive_float, default=None,
-        help="bound each streaming reader's resident partition bytes "
-        "(compressed + decoded); the prefetch thread blocks rather than "
-        "exceed it",
+        help="bound each streaming reader's resident partition bytes (the "
+        "rows it holds); the prefetch thread blocks rather than exceed it",
     )
     p_search.add_argument(
         "--report-out", default=None,

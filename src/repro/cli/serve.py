@@ -148,7 +148,7 @@ def register(sub) -> None:
     p_serve.add_argument(
         "--memory-budget-mb", type=positive_float, default=None,
         help="partitioned stores: bound the scorer's resident partition "
-        "bytes (compressed + decoded); a resident store refuses it",
+        "bytes (the rows it holds); a resident store refuses it",
     )
     p_serve.add_argument(
         "--queue-limit", type=positive_int, default=64,

@@ -35,10 +35,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.index_path:
         from repro.errors import IndexCompatError
         from repro.store import open_any_index
-        from repro.store.partitioned import PartitionedIndex
 
         store = open_any_index(args.index_path)
-        if not isinstance(store, PartitionedIndex):
+        if not store.partitioned:
             raise IndexCompatError(
                 f"repro tune streams only from partitioned stores "
                 f"(`repro index build --partition-mb ...`); "

@@ -95,16 +95,11 @@ class CostModel:
             ``ShardStats.sweep_cohorts``.  Amortized over every member of
             the block — up to ``sweep_cohort`` of them whether or not
             their windows overlap — which is the pass's whole point.
-        partition_read_per_byte: seconds per *compressed* byte of
-            reading a streamed partition blob from disk
+        partition_read_per_byte: seconds per byte of reading a
+            streamed partition's rows from disk
             (``repro.store.partitioned``).  Disk transport obeys the
             same bandwidth/overlap calculus as the paper's MPI_Get, so
             this is the term the prefetch thread masks with scoring.
-        partition_decode_per_byte: seconds per *decoded* byte of
-            turning a blob back into index arrays (zlib inflate, varint
-            decode, derived-array reconstruction).  Charged on the
-            compute side of the overlap split — decode runs on the
-            consuming thread, interleaved with scoring.
         partition_open_overhead: per-partition constant of one streamed
             visit (directory lookup, file open, checksum), charged per
             partition actually read.
@@ -135,9 +130,6 @@ class CostModel:
     # conservative against the measured host but no longer wrong by two
     # orders of magnitude.
     partition_read_per_byte: float = 1e-9
-    # BENCH_scale.json n=500..2000: decode_seconds / decoded bytes lands
-    # at ~1.2e-9 s/B — within 2x of this default, so it stays.
-    partition_decode_per_byte: float = 2e-9
     partition_open_overhead: float = 5e-4
 
     def rho(self, scorer: Scorer) -> float:
@@ -160,35 +152,27 @@ class CostModel:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         return self.index_load_per_byte * nbytes + self.index_open_overhead
 
-    def partition_io_time(self, blob_bytes: int, num_partitions: int = 0) -> float:
-        """Virtual cost of reading streamed partition blobs from disk.
+    def partition_io_time(self, row_bytes: int, num_partitions: int = 0) -> float:
+        """Virtual cost of reading streamed partitions' rows from disk.
 
         The *maskable* side of the out-of-core overlap: the prefetch
-        thread runs these reads while the consumer decodes and scores,
-        so only the exposed remainder (see :meth:`partition_exposed_io`)
-        reaches virtual time.
+        thread runs these reads while the consumer scores, so only the
+        exposed remainder (see :meth:`partition_exposed_io`) reaches
+        virtual time.
         """
-        if blob_bytes < 0:
-            raise ValueError(f"blob_bytes must be >= 0, got {blob_bytes}")
+        if row_bytes < 0:
+            raise ValueError(f"row_bytes must be >= 0, got {row_bytes}")
         if num_partitions < 0:
             raise ValueError(
                 f"num_partitions must be >= 0, got {num_partitions}"
             )
         return (
-            self.partition_read_per_byte * blob_bytes
+            self.partition_read_per_byte * row_bytes
             + self.partition_open_overhead * num_partitions
         )
 
-    def partition_decode_time(self, decoded_bytes: int) -> float:
-        """Virtual cost of decoding streamed blobs back into arrays."""
-        if decoded_bytes < 0:
-            raise ValueError(
-                f"decoded_bytes must be >= 0, got {decoded_bytes}"
-            )
-        return self.partition_decode_per_byte * decoded_bytes
-
     def partition_exposed_io(self, io_time: float, compute_time: float) -> float:
-        """I/O seconds *not* masked by concurrent decode + scoring.
+        """I/O seconds *not* masked by concurrent scoring.
 
         The paper's one-sided-communication overlap argument applied to
         disk: with double-buffered prefetch, read time hides behind

@@ -486,19 +486,18 @@ def search_serial(
     run of MSPolygraph").
 
     Without ``index_store`` every candidate is scored directly.  With one
-    (a :class:`repro.store.StoredIndex` or
-    :class:`repro.store.PartitionedIndex`) the search is one sweep over
-    the store's mass-sorted rows
+    (a :class:`repro.store.StoredIndex`) the search is one sweep over the
+    store's mass-sorted rows
     (:class:`~repro.core.streaming.StreamingSearcher`): the store is
     fingerprint-validated against ``database``, hits are bitwise
     identical to the direct search, and virtual time charges
-    ``CostModel.index_load_time`` for what the store maps whole (a
-    resident store, which refuses a ``memory_budget_mb`` with
-    :class:`~repro.errors.ConfigError`) and decode plus only the I/O not
-    masked by compute (``CostModel.partition_exposed_io``) for what it
-    streams (a partitioned store, partitions decoded one plus one
-    prefetched at a time, peak memory ~two partitions regardless of N).
-    Neither loads nor scans the database.
+    ``CostModel.index_load_time`` for what the store maps whole (a store
+    with postings, which refuses a ``memory_budget_mb`` with
+    :class:`~repro.errors.ConfigError`) and only the I/O not masked by
+    compute (``CostModel.partition_exposed_io``) for what it streams (a
+    partitioned store, partitions read one plus one ahead at a time,
+    peak memory ~two partitions regardless of N).  Neither loads nor
+    scans the database.
     """
     from repro.core.results import SearchReport  # deferred: results imports Hit types
 
@@ -526,13 +525,11 @@ def search_serial(
         footprint = cost.shard_bytes(database)
     else:
         loaded, ss = searcher.loaded, searcher.stream_stats
-        decode_time = cost.partition_decode_time(ss.bytes_decoded)
         io_time = cost.partition_io_time(ss.bytes_read, ss.partitions)
-        exposed_io = cost.partition_exposed_io(io_time, eval_time + decode_time)
+        exposed_io = cost.partition_exposed_io(io_time, eval_time)
         data_time = (
             cost.load_time(0, len(queries))  # queries only: the database is not scanned
             + (cost.index_load_time(loaded.nbytes) if loaded is not None else 0.0)
-            + decode_time
             + exposed_io
         )
         footprint = searcher.nbytes  # what it maps, or the double buffer: not N
@@ -545,7 +542,6 @@ def search_serial(
                 ss.to_dict(),
                 score_seconds=searcher.score_seconds,
                 partition_io_time=io_time,
-                partition_decode_time=decode_time,
                 partition_exposed_io=exposed_io,
             )
     virtual = (

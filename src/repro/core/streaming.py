@@ -3,16 +3,16 @@
 :class:`StreamingSearcher` searches every index store, with the same
 ``run(queries, hitlists) -> ShardStats`` contract as
 :class:`~repro.core.search.ShardSearcher` (so the serial engine, the
-multiproc workers, and the service scorer drive it unchanged).  Both
-store formats hold the same rows — every prefix/suffix span of the
-database, sorted by mass — and the searcher sweeps them as row blocks:
+multiproc workers, and the service scorer drive it unchanged).  Every
+store holds the same row table — every prefix/suffix span of the
+database, sorted by mass — and the searcher sweeps it as row blocks:
 
 * a *partitioned* store's rows are its mass-contiguous partitions,
   iterated through a :class:`~repro.store.partitioned.StreamingIndexReader`
-  — one partition decoded and scored while the next is prefetched.  This
-  is the paper's database transport (shards visit resident queries,
-  ``O(N/p)`` held at a time) applied to one node's disk;
-* a *resident* store's rows are its memory-mapped row table
+  — one partition scored while the next is read ahead.  This is the
+  paper's database transport (shards visit resident queries, ``O(N/p)``
+  held at a time) applied to one node's disk;
+* a store with postings has its row table memory-mapped
   (:meth:`~repro.store.index_store.StoredIndex.load_shard`), swept as
   one block.  Under a scorer with a posting kernel
   (:meth:`~repro.index.fragment_index.FragmentIndex.serves`), the rows
@@ -65,11 +65,7 @@ from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import flatten_members
-from repro.store.partitioned import (
-    PartitionedIndex,
-    StreamingIndexReader,
-    StreamStats,
-)
+from repro.store.partitioned import StreamingIndexReader, StreamStats
 
 
 def index_compat_problems(config: SearchConfig) -> List[str]:
@@ -105,10 +101,10 @@ class StreamingSearcher:
     Drop-in for :class:`~repro.core.search.ShardSearcher` at the engine
     seam: ``run(queries, hitlists)`` returns merged
     :class:`~repro.core.search.ShardStats`.  ``store`` is a
-    :class:`~repro.store.partitioned.PartitionedIndex`, whose pass opens
-    only the partitions its queries' mass windows meet, in mass order,
-    or a resident :class:`~repro.store.index_store.StoredIndex`, mapped
-    once here (a ``memory_budget_mb`` is refused by its ``load_shard``).
+    :class:`~repro.store.index_store.StoredIndex`: a partitioned one's
+    pass reads only the partitions its queries' mass windows meet, in
+    mass order; one with postings is mapped once here (a
+    ``memory_budget_mb`` is refused by its ``load_shard``).
 
     With ``database`` given the store is validated against it and its
     rows are scored from it; otherwise from the store's own mapped
@@ -137,9 +133,7 @@ class StreamingSearcher:
         if database is not None:
             store.validate_against(database)
         self.loaded = (
-            None
-            if isinstance(store, PartitionedIndex)
-            else store.load_shard(memory_budget_mb=memory_budget_mb)
+            None if store.partitioned else store.load_shard(memory_budget_mb=memory_budget_mb)
         )
         if database is None:
             database = (
@@ -160,10 +154,9 @@ class StreamingSearcher:
     def nbytes(self) -> int:
         """Resident bytes this searcher needs.
 
-        A resident store: everything it maps.  A partitioned one: the
-        out-of-core claim in one number — independent of total store
-        size, two partitions (blob + decoded rows) plus the database
-        buffers.
+        A store with postings: everything it maps.  A partitioned one:
+        the out-of-core claim in one number — independent of total store
+        size, two partitions of rows plus the database buffers.
         """
         if self.loaded is not None:
             return int(self.loaded.nbytes)

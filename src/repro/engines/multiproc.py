@@ -413,7 +413,7 @@ def run_multiprocess_search(
     if store is not None:
         context["index_path"] = str(index_path)
         context["memory_budget_mb"] = memory_budget_mb
-        database_bytes = store.database_bytes if loaded is not None else store.blob_bytes
+        database_bytes = store.database_bytes if loaded is not None else store.row_bytes
         ship_bytes = len(str(index_path).encode())
     else:
         database_bytes = ship_bytes = database.nbytes  # its to_buffers() arrays
@@ -541,8 +541,7 @@ def run_multiprocess_search(
             extras["index_mmap_bytes"] = int(loaded.nbytes)
         else:
             extras["num_partitions"] = int(store.num_partitions)
-            extras["index_stream_bytes"] = int(store.blob_bytes)
-            extras["index_decoded_bytes"] = int(store.decoded_bytes)
+            extras["index_stream_bytes"] = int(store.row_bytes)
         extras["index_provenance"] = store.provenance()
     return SearchReport(
         algorithm="multiprocess",

@@ -217,12 +217,14 @@ class IndexBuilder:
         # remain exact (they scan however many bins the window covers).
         self.bin_width = max(2.0 * self.fragment_tolerance, 0.25)
 
-    def build(self, db: ProteinDatabase) -> BuiltIndex:
+    def build(self, db: ProteinDatabase, spans: Optional[CandidateSpans] = None) -> BuiltIndex:
         """Lay ``db`` out as its mass-sorted row table and post the
-        fragments of every row inside the envelope."""
+        fragments of every row inside the envelope.  ``spans`` is that
+        table when the caller already holds it (a store writes it first)."""
         # Precursor-major row order: a query window maps to one contiguous
         # row range, which the posting-probe row restriction relies on.
-        spans = mass_sorted_spans(db)
+        if spans is None:
+            spans = mass_sorted_spans(db)
         columns = (spans.seq_index, spans.start, spans.stop, spans.mass)
         arrays = {
             name: np.ascontiguousarray(col, dtype=dtype)

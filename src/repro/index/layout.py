@@ -2,14 +2,14 @@
 
 A built :class:`~repro.index.fragment_index.FragmentIndex` is nothing
 but a set of named, contiguous numpy arrays: the mass-sorted row table
-(:data:`ROW_ARRAYS`, the columns a partitioned store's partitions hold
-too) and the two posting lists, with their bin-start tables, whose
+(:data:`ROW_ARRAYS`, the columns every store holds) and the two
+posting lists, with their bin-start tables, whose
 ``*_row`` values are positions in that table.
 :class:`IndexLayout` is the single source of truth for that set: which
 arrays exist, their dtypes and shapes, plus the scalar build parameters
 needed to interpret them (``bin_width``, ``max_length``, ...).  The
 database the rows point into is not part of it: a store keeps the
-database in its own ``database/`` section, shared by both store formats.
+database in its own ``database/`` section.
 
 The layout is what makes persistence possible: ``repro.store`` writes
 one buffer per manifest entry next to a JSON copy of the layout, and

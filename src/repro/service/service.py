@@ -75,8 +75,7 @@ from repro.scoring.hits import TopHitList
 from repro.service.config import ServiceConfig
 from repro.service.request import RequestHandle, SearchResponse
 from repro.spectra.spectrum import Spectrum
-from repro.store.index_store import StoredIndex
-from repro.store.partitioned import PartitionedIndex, open_any_index
+from repro.store.index_store import StoredIndex, open_any_index
 
 #: buckets for the batch-size histogram (queries per executed batch)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -117,9 +116,8 @@ class SearchService:
     """A resident, supervised, coalescing search server.
 
     Construct with exactly one source — ``store`` (a
-    :class:`~repro.store.index_store.StoredIndex`, a
-    :class:`~repro.store.partitioned.PartitionedIndex`, or a path to
-    either) or ``database`` — then :meth:`start`,
+    :class:`~repro.store.index_store.StoredIndex` or a path to one) or
+    ``database`` — then :meth:`start`,
     :meth:`submit`/:meth:`search` from any number of threads, and
     :meth:`stop` to drain.  With a store the scorer owns a
     :class:`~repro.core.streaming.StreamingSearcher` over its rows, and a
@@ -137,7 +135,7 @@ class SearchService:
         service_config: Optional[ServiceConfig] = None,
         *,
         database: Optional[ProteinDatabase] = None,
-        store: Union[StoredIndex, PartitionedIndex, str, None] = None,
+        store: Union[StoredIndex, str, None] = None,
         fault_plan: Optional[FaultPlan] = None,
         memory_budget_mb: Optional[float] = None,
     ):
@@ -148,7 +146,7 @@ class SearchService:
         self.config = config
         self.service_config = service_config or ServiceConfig()
         self._database = database
-        self._store: Union[StoredIndex, PartitionedIndex, None] = (
+        self._store: Optional[StoredIndex] = (
             open_any_index(store) if isinstance(store, (str, os.PathLike)) else store
         )
         self._memory_budget_mb = memory_budget_mb

@@ -1,38 +1,42 @@
-"""Store directories: what both formats share, and the resident store.
+"""Store directories: one format, written by two builders.
 
-Every store is a directory holding ``header.json`` and a ``database/``
-section beside the format's own section::
+Every store is a directory holding ``header.json``, a ``database/``
+section and an ``index/`` section holding the database's mass-sorted
+row table raw::
 
     <store_dir>/
-        header.json         # schema, fingerprint, build config,
-                            # database manifest, the format's manifests
+        header.json         # schema, fingerprint, build config, database
+                            # and row manifests, the postings' layout or
+                            # the partition directory
         database/
             residues.npy    # the source database's flat buffers,
             offsets.npy     # mmap-able: every scored span and every
             ids.npy         # emitted hit reads them
-        index/              # resident store (schema repro.index_store/4)
+        index/
             row_seq.npy     # the mass-sorted row table: every span of
-            row_start.npy   # the database, the four columns a partition
-            row_stop.npy    # of a partitioned store holds, stored raw
+            row_start.npy   # the database, one row each
+            row_stop.npy
             row_mass.npy
-            ladder_mz.npy   # the two posting lists, whose *_row values
-            ...             # are positions in the row table
-        partitions/         # or a partitioned store (repro.store.partitioned)
+            ladder_mz.npy   # save_index only: the two posting lists,
+            ...             # whose *_row values are positions in the table
 
-A *resident* store (this module) is the database section plus one
-whole-database fragment index: the row table and the two posting lists
-that address it, one standard ``.npy`` file per
-:class:`~repro.index.layout.IndexLayout` array.  Loading maps every
-buffer read-only with ``np.load(..., mmap_mode="r")`` — zero copy, the
-``.npy`` header doubling as an on-disk dtype/shape check against the
-manifest.  The rows are the ones a partitioned store of the same
-database decodes, stored raw: a search sweeps them as one row block.
+A store built by :func:`save_index` also holds the seven posting arrays
+(:data:`~repro.index.layout.POSTING_ARRAYS`) and is mapped whole by
+:meth:`StoredIndex.load_shard`: ``np.load(..., mmap_mode="r")`` per
+:class:`~repro.index.layout.IndexLayout` array — zero copy, the ``.npy``
+header doubling as an on-disk dtype/shape check against the manifest.
+A store built by :func:`~repro.store.partitioned.save_partitioned_index`
+holds no postings; its header records a *partition directory* instead:
+mass-contiguous row ranges ``[lo, hi)`` of the same table, each with its
+mass range and one SHA-256 over that range's bytes in the four row
+columns.  A streamed pass reads a partition with positioned reads
+(:meth:`StoredIndex.read_partition`) and never maps a row column.
 
 ``header.json`` is a store's single source of truth: the schema version
 (the one version a reader checks; any other is refused with the rebuild
 command), the content *fingerprint* (SHA-256 over the source database's
 flat buffers plus the canonical build-config JSON), the build
-parameters, and a full dtype/shape manifest of every mapped array.
+parameters, and a full dtype/shape manifest of every stored array.
 
 The fingerprint contract: a store built from database *D* with build
 config *C* is valid only for searches over exactly *D*.
@@ -42,12 +46,13 @@ database and rejects mismatches with
 never silently served, because the build-once/load-many contract is that
 a loaded store scores bitwise identically to the direct search.
 
-Writes are atomic-ish *and durable*: :func:`_write_store` assembles the
-directory under a temporary sibling name — every buffer and the header
-fsync'd, then the directories themselves — before renaming it into place
-and fsyncing the parent directory.  Readers never observe a half-written
-store, and a power cut after a save returns cannot leave torn buffers
-behind the final name.  Should torn or truncated buffers appear anyway
+Writes are atomic *and durable*: :func:`_write_store` assembles the
+directory under a temporary sibling of its own — every buffer and the
+header fsync'd, then the directories themselves — before renaming it
+into place and fsyncing the parent directory.  Readers never observe a
+half-written store, a power cut after a save returns cannot leave torn
+buffers behind the final name, and of two saves racing to one path
+exactly one publishes.  Should torn or truncated buffers appear anyway
 (a copy interrupted mid-flight, bit rot), loading raises a typed
 :class:`~repro.errors.IndexStoreError` — never a raw numpy or OS error.
 """
@@ -58,24 +63,26 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
+from repro.candidates.mass_index import CandidateSpans, mass_sorted_spans
 from repro.chem.protein import ProteinDatabase
 from repro.errors import ConfigError, IndexStoreError
 from repro.index.fragment_index import FragmentIndex, IndexBuilder
-from repro.index.layout import ARRAY_NAMES, ArraySpec, IndexLayout
+from repro.index.layout import ARRAY_NAMES, POSTING_ARRAYS, ROW_ARRAYS, ArraySpec, IndexLayout
 from repro.obs.metrics import get_metrics
 
-#: schema identifier for the resident store directory format; readers
-#: reject other versions rather than guessing at semantics (/4: the
-#: index holds the row table its postings address, not per-residue maps)
-STORE_SCHEMA = "repro.index_store/4"
+#: schema identifier of the store directory format; readers reject other
+#: versions rather than guessing at semantics (/5: one format for both
+#: builders; a partition is a checksummed row range of the row table)
+STORE_SCHEMA = "repro.index_store/5"
 
 HEADER_NAME = "header.json"
 DATABASE_DIR = "database"
@@ -83,6 +90,9 @@ INDEX_DIR = "index"
 
 #: the database section's buffers, in ``ProteinDatabase.to_buffers`` order
 DATABASE_ARRAYS = ("residues", "offsets", "ids")
+
+#: bytes of one row of the row table: what ``partition_mb`` is measured in
+ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in ROW_ARRAYS.values())
 
 
 def _fsync_dir(path: Path) -> None:
@@ -121,12 +131,27 @@ def compute_fingerprint(db: ProteinDatabase, build: Dict[str, Any]) -> str:
     return h.hexdigest()
 
 
+def rows_digest(chunks: Iterable[Any]) -> str:
+    """SHA-256 over one row range's bytes in the four row columns, in
+    :data:`~repro.index.layout.ROW_ARRAYS` order: what a partition
+    directory entry records and a streamed read checks."""
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def row_columns(spans: CandidateSpans) -> Dict[str, np.ndarray]:
+    """The row table's four columns of mass-sorted ``spans``, by name."""
+    return dict(zip(ROW_ARRAYS, (spans.seq_index, spans.start, spans.stop, spans.mass)))
+
+
 #: ``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, and
 #: CPython 3.11's AST recursion counter is not thread-safe: two threads
 #: (service workers) opening store buffers at once can die with
 #: ``SystemError: AST constructor recursion depth mismatch``.  Every
-#: ``np.load`` of either store format runs under this lock — a header
-#: parse plus an ``mmap``, microseconds; decode and scoring stay outside.
+#: ``.npy`` header parse of a store runs under this lock — microseconds;
+#: reads and scoring stay outside.
 NPY_LOAD_LOCK = threading.Lock()
 
 
@@ -166,28 +191,28 @@ def _write_store(
     path: Union[str, Path],
     db: ProteinDatabase,
     build: Dict[str, Any],
-    schema: str,
-    write_section: Callable[[Path], Dict[str, Any]],
+    write_index: Callable[[Path, CandidateSpans], Dict[str, Any]],
     *,
     overwrite: bool = False,
 ) -> None:
-    """Assemble a store directory of either format, atomically and durably.
+    """Assemble a store directory, atomically and durably.
 
-    Writes the ``database/`` section, then ``write_section(tmp)`` — the
-    format's own section, returning the header entries that describe
-    it — then ``header.json``, all under a temporary sibling: every file
-    fsync'd, then every directory, then the rename into place and the
-    parent directory.  A failure anywhere removes the sibling.
+    Writes the ``database/`` section, then ``index/``: the row table —
+    the save's one :func:`~repro.candidates.mass_index.mass_sorted_spans`
+    call — and whatever ``write_index(index_dir, rows)`` adds beside it,
+    returning the header entries that describe it (the postings' layout,
+    or the partition directory).  Then ``header.json``.  All of it under
+    a temporary sibling unique to this call: every file fsync'd, then
+    every directory, then the rename into place and the parent
+    directory.  A failure anywhere removes the sibling.
     """
     path = Path(path)
     if path.exists() and not overwrite:
         raise IndexStoreError(
             f"index store path {path} already exists (pass overwrite to replace it)"
         )
-    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{path.name}.tmp-", dir=path.parent))
     try:
         db_dir = tmp / DATABASE_DIR
         db_dir.mkdir()
@@ -196,64 +221,104 @@ def _write_store(
             for name, arr in zip(DATABASE_ARRAYS, db.to_buffers())
         }
         _fsync_dir(db_dir)
+        index_dir = tmp / INDEX_DIR
+        index_dir.mkdir()
+        rows = mass_sorted_spans(db)
         header = {
-            "schema": schema,
+            "schema": STORE_SCHEMA,
             "fingerprint": compute_fingerprint(db, build),
             "created": time.time(),
             "build": build,
             "database": database,
-            **write_section(tmp),
+            "rows": {
+                name: _save_buffer(index_dir, name, col)
+                for name, col in row_columns(rows).items()
+            },
+            **write_index(index_dir, rows),
         }
+        _fsync_dir(index_dir)
         with open(tmp / HEADER_NAME, "w") as fh:
             json.dump(header, fh, indent=1)
             fh.flush()
             os.fsync(fh.fileno())
         _fsync_dir(tmp)
-        if path.exists():  # overwrite: drop the stale store just before rename
-            shutil.rmtree(path)
-        os.replace(tmp, path)
+        _publish(tmp, path, overwrite)
         _fsync_dir(path.parent)  # persist the rename itself
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
 
 
-def _read_header(path: Path) -> Dict[str, Any]:
-    """``header.json`` of a store directory of either format, as a dict.
+def _publish(tmp: Path, path: Path, overwrite: bool) -> None:
+    """Rename the finished ``tmp`` directory to ``path``.
 
-    Raises :class:`IndexStoreError` for a missing directory or an
-    unreadable or malformed header.
+    With ``overwrite`` the old store goes just before the rename.
+    Without it, whatever appeared at ``path`` while this save was
+    writing — another save's store, most likely — is left intact and the
+    save fails typed.
     """
-    header_path = path / HEADER_NAME
-    if not path.is_dir() or not header_path.is_file():
-        raise IndexStoreError(
-            f"no index store at {path} (expected a directory containing "
-            f"{HEADER_NAME}; build one with `repro index build`)"
-        )
-    try:
-        with open(header_path) as fh:
-            header = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexStoreError(f"index store header {header_path} is unreadable: {exc}") from None
-    if not isinstance(header, dict):
-        raise IndexStoreError(f"index store header {header_path} is not a JSON object")
-    return header
+    if overwrite:
+        shutil.rmtree(path, ignore_errors=True)
+    if not path.exists():
+        try:
+            os.replace(tmp, path)
+            return
+        except OSError:
+            if not path.exists():
+                raise
+    raise IndexStoreError(
+        f"index store path {path} was created by another writer while this "
+        f"save ran; it is left as it is and this save is discarded"
+    )
+
+
+@dataclass(frozen=True)
+class PartitionEntry:
+    """Partition directory entry: rows ``[lo, hi)`` of the row table,
+    their mass range, and the SHA-256 of their bytes in the four row
+    columns (:func:`rows_digest`)."""
+
+    lo: int
+    hi: int
+    mass_lo: float
+    mass_hi: float
+    sha256: str
+
+    @property
+    def num_rows(self) -> int:
+        return self.hi - self.lo
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the partition's rows: what a pass holds to score it."""
+        return self.num_rows * ROW_BYTES
 
 
 @dataclass
-class StoreHandle:
-    """An opened, header-validated store directory of either format.
+class LoadedShard:
+    """A store opened for search: the database, its wired index view
+    (row table and postings), and what the load cost (for
+    ShardStats / CostModel accounting)."""
 
-    Holds what both headers carry — schema, fingerprint, build config,
-    creation time and the ``database/`` manifest — and what both handles
-    do with it.  Subclasses name their format: ``SCHEMA``, the command
-    that rebuilds it, and the provenance ``SOURCE`` of a run served
-    from it.
+    database: ProteinDatabase
+    index: FragmentIndex
+    seconds: float  # wall time spent opening + wiring
+    nbytes: int  # bytes mapped (database and index sections)
+
+
+@dataclass
+class StoredIndex:
+    """Handle to an opened store directory.
+
+    Opening reads ``header.json`` alone: schema, fingerprint, build
+    config, the ``database/`` and row-table manifests, and either the
+    postings' ``layout`` (a store built by :func:`save_index`, mapped
+    whole by :meth:`load_shard`) or the ``partitions`` directory (a store
+    built by :func:`~repro.store.partitioned.save_partitioned_index`,
+    read partition by partition with :meth:`read_partition`; its
+    ``layout`` is ``None``).  The handle is what stays resident for a
+    whole streamed pass.
     """
-
-    SCHEMA = ""
-    REBUILD = "repro index build"
-    SOURCE = ""
 
     path: Path
     schema: str
@@ -261,11 +326,66 @@ class StoreHandle:
     build: Dict[str, Any]
     created: float
     database_arrays: Dict[str, ArraySpec]
+    rows: Dict[str, ArraySpec]
+    layout: Optional[IndexLayout] = None
+    partitions: List[PartitionEntry] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        num_rows = self.num_rows
+        expect = {name: ArraySpec(dtype, (num_rows,)) for name, dtype in ROW_ARRAYS.items()}
+        if self.rows != expect:
+            raise IndexStoreError(
+                f"index store at {self.path} does not describe the "
+                f"{len(ROW_ARRAYS)} row columns of one table: {self.rows!r}"
+            )
+        edges = [0] + [p.hi for p in self.partitions]
+        tiled = all(p.lo == lo < p.hi for p, lo in zip(self.partitions, edges))
+        if not tiled or (self.partitioned and edges[-1] != num_rows):
+            raise IndexStoreError(
+                f"partition directory of the index store at {self.path} does "
+                f"not tile its {num_rows} rows"
+            )
+
+    @property
+    def partitioned(self) -> bool:
+        """Whether a search streams this store partition by partition
+        (no postings) rather than mapping it whole."""
+        return self.layout is None
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.rows["row_mass"].shape[0])
+
+    @property
+    def num_partitions(self) -> int:
+        return len(self.partitions)
 
     @property
     def database_bytes(self) -> int:
         """Bytes of the ``database/`` section's buffers."""
         return sum(spec.nbytes for spec in self.database_arrays.values())
+
+    @property
+    def row_bytes(self) -> int:
+        """Bytes of the row table."""
+        return sum(spec.nbytes for spec in self.rows.values())
+
+    @property
+    def index_bytes(self) -> int:
+        """Bytes of the ``index/`` section: the row table, and the
+        postings if the store has them."""
+        return self.row_bytes if self.layout is None else self.layout.nbytes
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the database and index sections."""
+        return self.database_bytes + self.index_bytes
+
+    @property
+    def max_partition_bytes(self) -> int:
+        """Rows of the largest partition: the unit the streaming memory
+        budget reasons in (a double-buffered pass holds two)."""
+        return max((p.nbytes for p in self.partitions), default=0)
 
     def validate_against(self, db: ProteinDatabase) -> None:
         """Reject the store if it was not built from exactly ``db``.
@@ -277,11 +397,12 @@ class StoreHandle:
         """
         expect = compute_fingerprint(db, self.build)
         if expect != self.fingerprint:
+            rebuild = "repro index build" + (" --partition-mb ..." if self.partitioned else "")
             raise IndexStoreError(
                 f"index store at {self.path} was built from a different "
                 f"database or configuration (store fingerprint "
                 f"{self.fingerprint[:12]}..., database fingerprint "
-                f"{expect[:12]}...); rebuild with `{self.REBUILD}`"
+                f"{expect[:12]}...); rebuild with `{rebuild}`"
             )
 
     def load_database(self, mmap: bool = True) -> ProteinDatabase:
@@ -307,108 +428,12 @@ class StoreHandle:
             bufs.append(arr)
         return ProteinDatabase.from_buffers(*bufs)
 
-    def provenance(self) -> Dict[str, Any]:
-        """Index-provenance record for RunReport extras."""
-        return {
-            "source": self.SOURCE,
-            "fingerprint": self.fingerprint,
-            "schema": self.schema,
-            "build": dict(self.build),
-        }
-
-    def describe(self) -> Dict[str, Any]:
-        """Inspection summary (what ``repro index inspect`` prints)."""
-        return {
-            "path": str(self.path),
-            "schema": self.schema,
-            "fingerprint": self.fingerprint,
-            "created": self.created,
-            "build": dict(self.build),
-            "database_bytes": self.database_bytes,
-        }
-
-
-def _read_store(
-    path: Union[str, Path],
-    handle: type,
-    own_fields: Callable[[Dict[str, Any]], Dict[str, Any]],
-) -> Any:
-    """Open a store directory as ``handle`` (its ``SCHEMA`` is the one
-    version accepted); ``own_fields(header)`` parses the format's section.
-
-    Cheap: reads only ``header.json``.  Raises :class:`IndexStoreError`
-    for a missing directory, an unreadable or malformed header, or any
-    other schema — an earlier version names the rebuild command.
-    """
-    path = Path(path)
-    header_path = path / HEADER_NAME
-    header = _read_header(path)
-    schema = header.get("schema")
-    family = handle.SCHEMA.rsplit("/", 1)[0] + "/"
-    if not isinstance(schema, str) or not schema.startswith(family):
-        raise IndexStoreError(f"unrecognized index store schema {schema!r} in {header_path}")
-    if schema != handle.SCHEMA:
-        raise IndexStoreError(
-            f"unsupported index store schema {schema!r} in {header_path} "
-            f"(this build reads {handle.SCHEMA}); rebuild the store with "
-            f"`{handle.REBUILD}`"
-        )
-    try:
-        fingerprint = header["fingerprint"]
-        build = header["build"]
-        if not isinstance(fingerprint, str) or not isinstance(build, dict):
-            raise TypeError("fingerprint/build have wrong types")
-        return handle(
-            path=path,
-            schema=schema,
-            fingerprint=fingerprint,
-            build=build,
-            created=float(header.get("created", 0.0)),
-            database_arrays={
-                name: ArraySpec.from_dict(header["database"][name], name)
-                for name in DATABASE_ARRAYS
-            },
-            **own_fields(header),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        if isinstance(exc, IndexStoreError):
-            raise
-        raise IndexStoreError(f"malformed index store header {header_path}: {exc!r}") from None
-
-
-@dataclass
-class LoadedShard:
-    """A resident store opened for search: the database, its wired index
-    view (row table and postings), and what the load cost (for
-    ShardStats / CostModel accounting)."""
-
-    database: ProteinDatabase
-    index: FragmentIndex
-    seconds: float  # wall time spent opening + wiring
-    nbytes: int  # bytes mapped (database and index sections)
-
-
-@dataclass
-class StoredIndex(StoreHandle):
-    """Handle to an opened resident store: the database section plus one
-    whole-database row table and fragment index, mapped together by
-    :meth:`load_shard`."""
-
-    SCHEMA = STORE_SCHEMA
-    SOURCE = "loaded"
-
-    layout: IndexLayout
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes a load maps: the database and index sections."""
-        return self.database_bytes + self.layout.nbytes
-
     def load_shard(
         self, *, mmap: bool = True, memory_budget_mb: Optional[float] = None
     ) -> LoadedShard:
-        """Open the database and index sections and wire a read-only
-        :class:`FragmentIndex` over the index's row table and postings.
+        """Open the database and index sections of a store with postings
+        and wire a read-only :class:`FragmentIndex` over its row table
+        and postings.
 
         With ``mmap=True`` (the default) every array is an
         ``np.memmap`` view — the OS pages rows and postings in on demand and
@@ -418,7 +443,7 @@ class StoredIndex(StoreHandle):
         manifest; truncated or swapped buffers raise
         :class:`IndexStoreError` instead of serving wrong postings.
 
-        A resident store is mapped whole, so it cannot honour
+        Such a store is mapped whole, so it cannot honour
         ``memory_budget_mb``: any budget raises
         :class:`~repro.errors.ConfigError` before a buffer is touched.
         """
@@ -454,14 +479,107 @@ class StoredIndex(StoreHandle):
         metrics.observe("index.load_time", seconds)
         return LoadedShard(database=database, index=index, seconds=seconds, nbytes=self.nbytes)
 
-    def describe(self) -> Dict[str, Any]:
-        return dict(
-            super().describe(),
-            total_bytes=self.nbytes,
-            index_bytes=self.layout.nbytes,
-            num_rows=self.layout.num_rows,
-            num_fragments=self.layout.num_fragments,
+    def read_partition(self, i: int) -> CandidateSpans:
+        """Partition ``i``'s rows: read-only, mass-sorted
+        :class:`~repro.candidates.mass_index.CandidateSpans` of the
+        store's database.
+
+        Four positioned reads, one per row column, never a memory map:
+        mapped pages a pass touches would count in its peak resident set
+        whatever its memory budget.  The bytes are checked against the
+        directory entry's SHA-256 before a view is made; a missing,
+        truncated or corrupt column raises
+        :class:`~repro.errors.IndexStoreError`.
+        """
+        if not 0 <= i < self.num_partitions:
+            raise IndexStoreError(
+                f"index store at {self.path} has {self.num_partitions} "
+                f"partitions; partition {i} does not exist"
+            )
+        entry = self.partitions[i]
+        chunks = [self._read_rows(name, entry.lo, entry.hi) for name in ROW_ARRAYS]
+        digest = rows_digest(chunks)
+        if digest != entry.sha256:
+            raise IndexStoreError(
+                f"partition {i} (rows [{entry.lo}, {entry.hi})) of the index "
+                f"store at {self.path} is corrupt: SHA-256 {digest[:12]}... "
+                f"does not match its directory entry {entry.sha256[:12]}..."
+            )
+        mod_delta = np.zeros(entry.num_rows)
+        mod_delta.flags.writeable = False
+        return CandidateSpans(
+            *(np.frombuffer(chunk, dtype=dtype) for chunk, dtype in zip(chunks, ROW_ARRAYS.values())),
+            mod_delta,
         )
+
+    def _read_rows(self, name: str, lo: int, hi: int) -> bytes:
+        """Rows ``[lo, hi)`` of one row column: a ``pread`` at the
+        ``.npy`` file's data offset, once its header matches the
+        manifest."""
+        buf_path = self.path / INDEX_DIR / f"{name}.npy"
+        spec = self.rows[name]
+        itemsize = np.dtype(spec.dtype).itemsize
+        try:
+            with open(buf_path, "rb") as fh:
+                with NPY_LOAD_LOCK:
+                    version = np.lib.format.read_magic(fh)
+                    read_header = (
+                        np.lib.format.read_array_header_1_0
+                        if version == (1, 0)
+                        else np.lib.format.read_array_header_2_0
+                    )
+                    shape, _fortran, dtype = read_header(fh)
+                data = os.pread(fh.fileno(), (hi - lo) * itemsize, fh.tell() + lo * itemsize)
+        except FileNotFoundError:
+            raise IndexStoreError(
+                f"index store at {self.path} is missing row column "
+                f"{INDEX_DIR}/{buf_path.name}"
+            ) from None
+        except (ValueError, OSError, EOFError) as exc:
+            raise IndexStoreError(
+                f"index store buffer {buf_path} is unreadable or truncated: {exc}"
+            ) from None
+        if str(dtype) != spec.dtype or tuple(shape) != spec.shape:
+            raise IndexStoreError(
+                f"index store at {self.path} does not match its manifest: row "
+                f"column {name!r} has dtype/shape {dtype}/{tuple(shape)}, "
+                f"manifest says {spec.dtype}/{spec.shape}"
+            )
+        if len(data) != (hi - lo) * itemsize:
+            raise IndexStoreError(
+                f"index store buffer {buf_path} is truncated: rows [{lo}, {hi}) "
+                f"end past its last byte"
+            )
+        return data
+
+    def provenance(self) -> Dict[str, Any]:
+        """Index-provenance record for RunReport extras."""
+        return {
+            "source": "streamed" if self.partitioned else "loaded",
+            "fingerprint": self.fingerprint,
+            "schema": self.schema,
+            "build": dict(self.build),
+        }
+
+    def describe(self) -> Dict[str, Any]:
+        """Inspection summary (what ``repro index inspect`` prints)."""
+        info = {
+            "path": str(self.path),
+            "schema": self.schema,
+            "fingerprint": self.fingerprint,
+            "created": self.created,
+            "build": dict(self.build),
+            "database_bytes": self.database_bytes,
+            "index_bytes": self.index_bytes,
+            "total_bytes": self.nbytes,
+            "num_rows": self.num_rows,
+        }
+        if self.partitioned:
+            info["max_partition_bytes"] = self.max_partition_bytes
+            info["partitions"] = [asdict(p) for p in self.partitions]
+        else:
+            info["num_fragments"] = self.layout.num_fragments
+        return info
 
 
 def save_index(
@@ -475,10 +593,10 @@ def save_index(
 ) -> StoredIndex:
     """Build ``db``'s fragment index and persist it under ``path``.
 
-    One :class:`IndexBuilder` pass over the whole database (an empty one
-    included), written in the directory format described in the module
-    docstring by :func:`_write_store`.  Returns the opened
-    :class:`StoredIndex`.
+    The row table of the whole database (an empty one included) and the
+    two posting lists an :class:`IndexBuilder` posts over it, written in
+    the directory format described in the module docstring by
+    :func:`_write_store`.  Returns the opened :class:`StoredIndex`.
     """
     builder = IndexBuilder(
         fragment_tolerance=fragment_tolerance,
@@ -491,26 +609,81 @@ def save_index(
         "monoisotopic": builder.monoisotopic,
     }
 
-    def write_index(tmp: Path) -> Dict[str, Any]:
+    def write_postings(index_dir: Path, rows: CandidateSpans) -> Dict[str, Any]:
         with get_metrics().span("index.build", category="store"):
-            built = builder.build(db)
-        index_dir = tmp / INDEX_DIR
-        index_dir.mkdir()
-        for name in ARRAY_NAMES:
+            built = builder.build(db, rows)
+        for name in POSTING_ARRAYS:
             _save_buffer(index_dir, name, built.arrays[name])
-        _fsync_dir(index_dir)
         return {"index": built.layout.to_dict()}
 
-    _write_store(path, db, build, STORE_SCHEMA, write_index, overwrite=overwrite)
+    _write_store(path, db, build, write_postings, overwrite=overwrite)
     return open_index(path)
 
 
 def open_index(path: Union[str, Path]) -> StoredIndex:
-    """Open and header-validate a resident store directory.
+    """Open and header-validate a store directory.
 
-    Cheap: reads only ``header.json`` (schema + manifests); no buffer
-    is touched until :meth:`StoredIndex.load_shard`.
+    Cheap: reads only ``header.json`` (schema and manifests, the
+    partition directory); no buffer is touched until
+    :meth:`StoredIndex.load_shard` or :meth:`StoredIndex.read_partition`.
+    Raises :class:`IndexStoreError` for a missing directory, an
+    unreadable or malformed header, or any other schema — an earlier
+    version of this format names the rebuild command.
     """
-    return _read_store(
-        path, StoredIndex, lambda header: {"layout": IndexLayout.from_dict(header["index"])}
-    )
+    path = Path(path)
+    header_path = path / HEADER_NAME
+    if not path.is_dir() or not header_path.is_file():
+        raise IndexStoreError(
+            f"no index store at {path} (expected a directory containing "
+            f"{HEADER_NAME}; build one with `repro index build`)"
+        )
+    try:
+        with open(header_path) as fh:
+            header = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IndexStoreError(f"index store header {header_path} is unreadable: {exc}") from None
+    if not isinstance(header, dict):
+        raise IndexStoreError(f"index store header {header_path} is not a JSON object")
+    schema = header.get("schema")
+    if schema != STORE_SCHEMA:
+        if isinstance(schema, str) and schema.startswith("repro.index_store"):
+            raise IndexStoreError(
+                f"unsupported index store schema {schema!r} in {header_path} "
+                f"(this build reads {STORE_SCHEMA}); rebuild the store with "
+                f"`repro index build` (`repro index build --partition-mb ...` "
+                f"for a partitioned one)"
+            )
+        raise IndexStoreError(f"unrecognized index store schema {schema!r} in {header_path}")
+    try:
+        fingerprint = header["fingerprint"]
+        build = header["build"]
+        if not isinstance(fingerprint, str) or not isinstance(build, dict):
+            raise TypeError("fingerprint/build have wrong types")
+        return StoredIndex(
+            path=path,
+            schema=schema,
+            fingerprint=fingerprint,
+            build=build,
+            created=float(header.get("created", 0.0)),
+            database_arrays={
+                name: ArraySpec.from_dict(header["database"][name], name)
+                for name in DATABASE_ARRAYS
+            },
+            rows={name: ArraySpec.from_dict(header["rows"][name], name) for name in ROW_ARRAYS},
+            layout=IndexLayout.from_dict(header["index"]) if "index" in header else None,
+            partitions=[
+                PartitionEntry(
+                    int(e["lo"]), int(e["hi"]), float(e["mass_lo"]),
+                    float(e["mass_hi"]), str(e["sha256"]),
+                )
+                for e in header.get("partitions", [])
+            ],
+        )
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        if isinstance(exc, IndexStoreError):
+            raise
+        raise IndexStoreError(f"malformed index store header {header_path}: {exc!r}") from None
+
+
+#: the name the engines, the CLI and the service open a store by
+open_any_index = open_index

@@ -126,8 +126,7 @@ def profile_workload(
     store_info = None
     if store is not None:
         store_info = {
-            "blob_bytes": int(store.blob_bytes),
-            "decoded_bytes": int(store.decoded_bytes),
+            "row_bytes": int(store.row_bytes),
             "num_partitions": int(store.num_partitions),
             "max_partition_bytes": int(store.max_partition_bytes),
         }

@@ -36,7 +36,8 @@ def store_searcher(db, config, max_length=48, **kwargs):
     """The store searcher over a heap-built resident store of ``db``: a
     stand-in store whose ``load_shard`` returns :func:`loaded_index`."""
     loaded = loaded_index(db, config, max_length)
-    return StreamingSearcher(SimpleNamespace(load_shard=lambda **_: loaded), config, **kwargs)
+    store = SimpleNamespace(partitioned=False, load_shard=lambda **_: loaded)
+    return StreamingSearcher(store, config, **kwargs)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Integration: streamed search through the serial path, engines, and CLI.
 
 The out-of-core contract: a search served from a partitioned store
-(``repro.index_store_partitioned/4``) — serial, multiprocess with
+(``save_partitioned_index``: the row table and a partition directory) —
+serial, multiprocess with
 workers streaming the partitions their query blocks' mass ranges meet,
 or the long-lived service — returns hits bitwise identical to the
 resident index path, while holding at most ~two partitions of rows per
@@ -24,7 +25,7 @@ from repro.core.search import search_serial
 from repro.engines.multiproc import run_multiprocess_search
 from repro.errors import IndexCompatError, IndexStoreError
 from repro.service import SearchService, ServiceConfig
-from repro.store import save_index, save_partitioned_index
+from repro.store import STORE_SCHEMA, save_index, save_partitioned_index
 
 _START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -68,7 +69,7 @@ class TestSerialStreaming:
         stream = streamed.extras["stream"]
         # only partitions overlapping the query mass windows are visited
         assert 0 < stream["partitions"] <= pstore.num_partitions
-        assert 0 < stream["bytes_decoded"] <= pstore.decoded_bytes
+        assert 0 < stream["bytes_read"] <= pstore.row_bytes
         assert streamed.extras["index_provenance"]["source"] == "streamed"
         assert (
             streamed.extras["index_provenance"]["fingerprint"]
@@ -99,16 +100,16 @@ class TestSerialStreaming:
     ):
         """Long prefixes and suffixes are ordinary rows of high-mass
         partitions; a pass reads none of them its windows cannot reach."""
-        from repro.store.partitioned import PartitionedIndex
+        from repro.store import StoredIndex
 
         opened = []
-        read = PartitionedIndex.read_partition_blob
+        read = StoredIndex.read_partition
 
         def spy(self, i):
             opened.append(i)
             return read(self, i)
 
-        monkeypatch.setattr(PartitionedIndex, "read_partition_blob", spy)
+        monkeypatch.setattr(StoredIndex, "read_partition", spy)
         cfg = _cfg()
         search_serial(tiny_db, tiny_queries, cfg, index_store=pstore)
         reach = max(q.parent_mass for q in tiny_queries) + cfg.delta
@@ -218,9 +219,9 @@ class TestCLI:
         rc = main(["index", "inspect", str(built)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro.index_store_partitioned/4" in out
-        assert "p_00000" in out
-        assert "m/z" in out
+        assert STORE_SCHEMA in out
+        assert "partition     0  rows [0, " in out
+        assert "m/z" in out and "sha256" in out
         assert "rows" in out and "double_buffer_unit" in out
         assert "postings" not in out and "overflow" not in out
 

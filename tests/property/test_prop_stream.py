@@ -1,8 +1,8 @@
 """Property tests: streamed search is bitwise-identical to direct search.
 
 The partitioned store's exactness contract (see ``repro.core.streaming``):
-a :class:`~repro.core.streaming.StreamingSearcher` pass over compressed
-mass partitions — double-buffered prefetch, per-partition window slices,
+a :class:`~repro.core.streaming.StreamingSearcher` pass over mass
+partitions of the row table — double-buffered prefetch, per-partition window slices,
 every partition's rows scored directly — retains exactly the hits the
 direct :class:`~repro.core.search.ShardSearcher` and the scalar reference
 search (``tests/reference.py``) retain: score bits, per-query
@@ -38,7 +38,7 @@ from tests.reference import assert_report_matches, assert_same_hitlists, referen
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=40)
 
-#: decoded bytes of one partition row (``partition_mb`` is measured in them)
+#: bytes of one row of the row table (``partition_mb`` is measured in them)
 _ROW_BYTES = 32
 
 

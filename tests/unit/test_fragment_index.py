@@ -82,8 +82,9 @@ class TestLayoutIsPostingsOnly:
 
         # a partitioned store holds the same rows and no posting array at all
         store = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5)
-        for entry in store.partitions:
-            assert set(entry.arrays) == {s.name for s in entry.sections} == set(ROW_ARRAYS)
+        assert store.layout is None and store.num_partitions > 0
+        assert set(store.rows) == set(ROW_ARRAYS)
+        assert sorted(p.stem for p in (store.path / "index").iterdir()) == sorted(ROW_ARRAYS)
 
     def test_bytes_per_fragment_bound(self, tiny_db):
         """The postings: 16 B per ladder posting, 17 B per series

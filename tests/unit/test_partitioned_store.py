@@ -1,30 +1,36 @@
-"""Unit tests for the partitioned store (``repro.store.partitioned``).
+"""Unit tests for partitioned stores (``repro.store.partitioned``).
 
-Format contract: save → open round-trips the partition directory
-exactly, every partition decodes to its four row columns — a slice of
-the database's whole mass-sorted span set, no length envelope —
-fingerprint validation rejects a different database, and the streaming
-reader's memory budget refuses — typed, up front — a budget that cannot
-hold even one partition.
+Format contract: a partitioned store is the one store format — header,
+``database/``, the raw row table in ``index/`` — with a partition
+directory instead of posting lists.  Save → open round-trips the
+directory exactly; the partitions tile the row table, each read back as
+exactly its row range of the database's whole mass-sorted span set (no
+length envelope); fingerprint validation rejects a different database;
+and the streaming reader's memory budget refuses — typed, up front — a
+budget that cannot hold even one partition, reads without mapping a row
+column, and stops its prefetch thread wherever its consumer stopped.
 """
 
 import json
+import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.candidates.mass_index import MassIndex
 from repro.errors import IndexStoreError
-from repro.index.layout import ROW_ARRAYS, ArraySpec
-from repro.store import HEADER_NAME, open_any_index, save_index, save_partitioned_index
-from repro.store.index_store import StoredIndex
-from repro.store.partitioned import (
-    PARTITIONED_SCHEMA,
-    PartitionedIndex,
-    StreamingIndexReader,
-    open_partitioned_index,
-    partition_boundaries,
+from repro.index.layout import ROW_ARRAYS
+from repro.store import (
+    HEADER_NAME,
+    STORE_SCHEMA,
+    StoredIndex,
+    open_any_index,
+    open_index,
+    save_index,
+    save_partitioned_index,
 )
+from repro.store.partitioned import StreamingIndexReader, partition_boundaries
 from repro.workloads.synthetic import generate_database
 
 
@@ -35,24 +41,36 @@ def pstore(tiny_db, tmp_path_factory):
     return save_partitioned_index(tiny_db, path, partition_mb=1.0 / 16.0)
 
 
+def _prefetch_threads():
+    return [t for t in threading.enumerate() if t.name == "stream-prefetch" and t.is_alive()]
+
+
 class TestRoundTrip:
     def test_save_then_open_preserves_directory(self, pstore):
-        reopened = open_partitioned_index(pstore.path)
-        assert reopened.schema == PARTITIONED_SCHEMA
+        reopened = open_index(pstore.path)
+        assert reopened.schema == STORE_SCHEMA
+        assert reopened.partitioned and reopened.layout is None
         assert reopened.fingerprint == pstore.fingerprint
         assert reopened.num_partitions == pstore.num_partitions
         assert reopened.num_rows == pstore.num_rows
-        assert reopened.blob_bytes == pstore.blob_bytes
-        assert reopened.decoded_bytes == pstore.decoded_bytes
-        assert [p.to_dict() for p in reopened.partitions] == [
-            p.to_dict() for p in pstore.partitions
+        assert reopened.row_bytes == pstore.row_bytes == 32 * pstore.num_rows
+        assert reopened.partitions == pstore.partitions
+
+    def test_directory_is_a_database_and_a_row_table(self, pstore):
+        """The one store format without postings: ``header.json``,
+        ``database/`` and ``index/`` holding the four row columns."""
+        assert sorted(p.name for p in pstore.path.iterdir()) == [
+            "database", HEADER_NAME, "index"
         ]
+        assert sorted(p.name for p in (pstore.path / "index").iterdir()) == sorted(
+            f"{name}.npy" for name in ROW_ARRAYS
+        )
 
     def test_partitions_cover_all_indexable_spans(self, tiny_db, pstore):
         """The union of all partitions is every span of the database
         once: no envelope, lengths 1 and > 48 included."""
         assert pstore.num_partitions > 3  # tiny partitions => real streaming
-        parts = [pstore.decode_partition(i) for i in range(pstore.num_partitions)]
+        parts = [pstore.read_partition(i) for i in range(pstore.num_partitions)]
         rows = np.stack(
             [
                 np.concatenate([getattr(p, col) for p in parts])
@@ -70,34 +88,33 @@ class TestRoundTrip:
         assert lengths.min() == 1 and lengths.max() > 48
 
     def test_every_partition_decodes_to_its_manifest(self, pstore):
-        total_rows = 0
+        """The directory (the partitions' manifest) tiles the row table
+        with mass-contiguous ranges, and a partition reads back as
+        exactly its range: there is nothing to decode."""
+        lo = 0
         prev_hi = -np.inf
         for i, entry in enumerate(pstore.partitions):
-            spans = pstore.decode_partition(i)
+            spans = pstore.read_partition(i)
+            assert entry.lo == lo and entry.hi > entry.lo
             assert len(spans) == entry.num_rows
-            assert entry.decoded_bytes == 32 * entry.num_rows
-            assert [s.name for s in entry.sections] == list(ROW_ARRAYS)
-            total_rows += entry.num_rows
+            assert entry.nbytes == 32 * entry.num_rows
             # mass-contiguous: ranges are non-decreasing across partitions
             assert entry.mass_lo >= prev_hi
             assert entry.mass_hi >= entry.mass_lo
             assert (spans.mass[0], spans.mass[-1]) == (entry.mass_lo, entry.mass_hi)
             prev_hi = entry.mass_hi
-        assert total_rows == pstore.num_rows
+            lo = entry.hi
+        assert lo == pstore.num_rows
 
     def test_partitions_decode_to_the_builders_arrays(self, tiny_db, pstore):
         """What the store builder wrote is what comes back: a partition
-        decodes to exactly its four row columns, read-only, bitwise the
-        next slice of the stably mass-sorted span set."""
+        is exactly its four row columns, read-only, bitwise the next
+        slice of the stably mass-sorted span set."""
         spans = MassIndex(tiny_db).candidates_in_window(0.0, np.inf)
         spans = spans.take(np.argsort(spans.mass, kind="stable"))
         lo = 0
         for i, entry in enumerate(pstore.partitions):
-            assert entry.arrays == {
-                name: ArraySpec(dtype, (entry.num_rows,))
-                for name, dtype in ROW_ARRAYS.items()
-            }
-            got = pstore.decode_partition(i)
+            got = pstore.read_partition(i)
             want = spans.take(np.arange(lo, lo + entry.num_rows))
             for col in ("seq_index", "start", "stop", "mass", "mod_delta"):
                 a, b = getattr(got, col), getattr(want, col)
@@ -114,29 +131,28 @@ class TestRoundTrip:
             np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
 
     def test_database_section_is_the_resident_stores(self, tiny_db, pstore, tmp_path):
-        """Both formats write the same ``database/`` section, byte for
-        byte, and describe it with the same manifest."""
+        """Both builders write the same ``database/`` section and the
+        same row table, byte for byte, and describe them with the same
+        manifests."""
         resident = save_index(tiny_db, tmp_path / "ridx")
         assert resident.database_arrays == pstore.database_arrays
-        for name in ("residues", "offsets", "ids"):
-            a = (pstore.path / "database" / f"{name}.npy").read_bytes()
-            assert a == (resident.path / "database" / f"{name}.npy").read_bytes(), name
+        assert resident.rows == pstore.rows
+        assert resident.schema == pstore.schema == STORE_SCHEMA
+        for section, names in (("database", ("residues", "offsets", "ids")), ("index", ROW_ARRAYS)):
+            for name in names:
+                a = (pstore.path / section / f"{name}.npy").read_bytes()
+                assert a == (resident.path / section / f"{name}.npy").read_bytes(), name
 
     def test_describe_reports_per_partition_stats(self, pstore):
         desc = pstore.describe()
         for key in (
-            "path", "schema", "fingerprint", "build", "num_partitions",
-            "num_rows", "blob_bytes", "decoded_bytes", "max_partition_bytes",
-            "partitions",
+            "path", "schema", "fingerprint", "build", "num_rows", "database_bytes",
+            "index_bytes", "total_bytes", "max_partition_bytes", "partitions",
         ):
             assert key in desc
-        assert len(desc["partitions"]) == pstore.num_partitions
-        first = desc["partitions"][0]
-        for key in (
-            "name", "mass_lo", "mass_hi", "num_rows",
-            "blob_bytes", "decoded_bytes",
-        ):
-            assert key in first
+        assert "num_fragments" not in desc
+        assert desc["index_bytes"] == pstore.row_bytes
+        assert desc["partitions"] == [asdict(p) for p in pstore.partitions]
         assert desc["build"] == {"partition_mb": 1.0 / 16.0}
 
 
@@ -146,7 +162,7 @@ class TestValidation:
 
     def test_validate_against_other_database_raises_typed(self, pstore):
         other = generate_database(61, seed=11)
-        with pytest.raises(IndexStoreError, match="different database"):
+        with pytest.raises(IndexStoreError, match="different database.*--partition-mb"):
             pstore.validate_against(other)
 
     def test_existing_path_refused_without_overwrite(self, tiny_db, pstore):
@@ -158,36 +174,61 @@ class TestValidation:
             save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.0)
 
     def test_schema_2_store_is_refused_with_the_rebuild_command(self, pstore, tmp_path):
-        """A store built before the posting lists left (`/2`) is never
+        """A store of the old partitioned schema family is never
         half-read: typed refusal naming the command that rebuilds it."""
         import shutil
 
         path = tmp_path / "old"
         shutil.copytree(pstore.path, path)
         header = json.loads((path / HEADER_NAME).read_text())
-        header["schema"] = "repro.index_store_partitioned/2"
+        for old in ("repro.index_store_partitioned/2", "repro.index_store_partitioned/4"):
+            header["schema"] = old
+            (path / HEADER_NAME).write_text(json.dumps(header))
+            for opener in (open_index, open_any_index):
+                with pytest.raises(
+                    IndexStoreError, match=r"partitioned/.*repro index build --partition-mb"
+                ):
+                    opener(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda parts: parts.pop(1),  # a gap
+            lambda parts: parts.pop(),  # the tail missing
+            lambda parts: parts[0].update(hi=parts[0]["lo"]),  # an empty range
+        ],
+        ids=["gap", "short", "empty"],
+    )
+    def test_directory_that_does_not_tile_the_rows_is_refused(self, pstore, tmp_path, damage):
+        import shutil
+
+        path = tmp_path / "torn"
+        shutil.copytree(pstore.path, path)
+        header = json.loads((path / HEADER_NAME).read_text())
+        damage(header["partitions"])
         (path / HEADER_NAME).write_text(json.dumps(header))
-        for opener in (open_partitioned_index, open_any_index):
-            with pytest.raises(
-                IndexStoreError, match=r"partitioned/2.*repro index build --partition-mb"
-            ):
-                opener(path)
+        with pytest.raises(IndexStoreError, match="does not tile"):
+            open_index(path)
 
     def test_out_of_range_partition_raises_typed(self, pstore):
         with pytest.raises(IndexStoreError, match="does not exist"):
-            pstore.decode_partition(pstore.num_partitions)
+            pstore.read_partition(pstore.num_partitions)
 
 
 class TestOpenAnyIndex:
+    """One schema, one handle: ``open_any_index`` dispatches nothing and
+    the handle says which builder wrote the store."""
+
     def test_dispatches_partitioned_schema(self, pstore):
         store = open_any_index(pstore.path)
-        assert isinstance(store, PartitionedIndex)
+        assert isinstance(store, StoredIndex) and store.partitioned
         assert store.fingerprint == pstore.fingerprint
 
     def test_dispatches_resident_schema(self, tiny_db, tmp_path):
         resident = save_index(tiny_db, tmp_path / "ridx")
         store = open_any_index(resident.path)
-        assert isinstance(store, StoredIndex)
+        assert isinstance(store, StoredIndex) and not store.partitioned
+        assert store.partitions == []
         assert store.fingerprint == resident.fingerprint
 
     def test_missing_path_raises_typed(self, tmp_path):
@@ -201,10 +242,7 @@ class TestStreamingReader:
             pids = [part.pid for part in reader]
         assert pids == list(range(pstore.num_partitions))
         assert reader.stats.partitions == pstore.num_partitions
-        assert reader.stats.bytes_decoded == pstore.decoded_bytes
-        assert reader.stats.bytes_read == sum(
-            p.blob_bytes for p in pstore.partitions
-        )
+        assert reader.stats.bytes_read == pstore.row_bytes
         assert (
             reader.stats.prefetch_hits + reader.stats.prefetch_stalls
             == pstore.num_partitions + 1  # +1 for the end-of-stream marker
@@ -227,6 +265,44 @@ class TestStreamingReader:
         with StreamingIndexReader(pstore, memory_budget_mb=budget_mb) as reader:
             pids = [part.pid for part in reader]
         assert pids == list(range(pstore.num_partitions))
+
+    @pytest.mark.parametrize("budget", [None, 1.5], ids=["no-budget", "one-partition-budget"])
+    def test_close_after_an_early_exit_stops_the_prefetch_thread(
+        self, pstore, budget, short_switch_interval
+    ):
+        """A consumer that leaves part-way, with partitions left to read,
+        must not strand the prefetch thread on a permit, on the budget or
+        on a read in flight."""
+        assert pstore.num_partitions >= 5
+        budget_mb = None if budget is None else pstore.max_partition_bytes / (1 << 20) * budget
+        for leave_after in (0, 1, 3):
+            reader = StreamingIndexReader(pstore, memory_budget_mb=budget_mb)
+            for k, _part in enumerate(reader):
+                if k == leave_after:
+                    break
+            done = threading.Thread(target=reader.close, daemon=True)
+            done.start()
+            done.join(timeout=60)
+            assert not done.is_alive(), "close() hung on the prefetch thread"
+            assert _prefetch_threads() == []
+
+    def test_a_pass_never_maps_the_row_columns(self, pstore):
+        """Partitions are read, not mapped: a touched mapped page would
+        count in the pass's peak RSS whatever its memory budget."""
+        maps = "/proc/self/maps"
+        try:
+            open(maps).close()
+        except OSError:
+            pytest.skip("no /proc/self/maps on this platform")
+        row_files = [str(pstore.path / "index" / f"{name}.npy") for name in ROW_ARRAYS]
+        seen = []
+        with StreamingIndexReader(pstore) as reader:
+            for part in reader:
+                assert len(part.spans)
+                with open(maps) as fh:
+                    seen.append([line for line in fh if any(f in line for f in row_files)])
+        assert len(seen) == pstore.num_partitions
+        assert all(mapped == [] for mapped in seen)
 
 
 class TestBoundaries:

@@ -1,8 +1,9 @@
-"""Unit tests for ``repro.store``: the persistent fragment-index format.
+"""Unit tests for ``repro.store``: the persistent store format.
 
 Round-trip (save → open → load, heap and mmap), the fingerprint
 contract, schema-version rejection, truncated/missing/swapped-buffer
-detection, read-only enforcement, and overwrite semantics.  A store
+detection, read-only enforcement, and overwrite and concurrent-save
+semantics.  A store
 must either serve arrays bitwise identical to a fresh build or refuse
 with a typed :class:`~repro.errors.IndexStoreError` — never silently
 serve wrong postings.
@@ -24,7 +25,6 @@ from repro.store import (
     compute_fingerprint,
     open_any_index,
     open_index,
-    open_partitioned_index,
     save_index,
     save_partitioned_index,
 )
@@ -113,12 +113,12 @@ class TestRoundTrip:
 
     def test_resident_rows_are_the_partitioned_rows(self, tiny_db, store_path, tmp_path):
         """One row set: a resident store's four row columns are the
-        concatenation of a partitioned store's decoded partitions, bit for
-        bit, so a row id means the same span in either format."""
+        concatenation of a partitioned store's partitions, bit for bit,
+        so a row id means the same span whichever builder wrote it."""
         loaded = open_index(store_path).load_shard()
         partitioned = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.25)
         assert partitioned.num_partitions > 1
-        parts = [partitioned.decode_partition(i) for i in range(partitioned.num_partitions)]
+        parts = [partitioned.read_partition(i) for i in range(partitioned.num_partitions)]
         for name, field in zip(ROW_ARRAYS, ("seq_index", "start", "stop", "mass")):
             joined = np.concatenate([getattr(part, field) for part in parts])
             assert str(joined.dtype) == ROW_ARRAYS[name]
@@ -145,8 +145,8 @@ class TestConcurrentOpen:
     """``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, and
     CPython 3.11's AST recursion counter is not thread-safe: two service
     workers opening a store at once died with ``SystemError: AST
-    constructor recursion depth mismatch``.  Every ``np.load`` of either
-    store format runs under ``NPY_LOAD_LOCK``."""
+    constructor recursion depth mismatch``.  Every ``np.load`` of a store
+    runs under ``NPY_LOAD_LOCK``."""
 
     def test_every_load_holds_the_lock(
         self, tiny_db, store_path, tmp_path, monkeypatch, short_switch_interval
@@ -175,7 +175,7 @@ class TestConcurrentOpen:
                     for name in ARRAY_NAMES:
                         assert np.array_equal(loaded.index.arrays[name], want.index.arrays[name])
                     if k % 10 == 0:
-                        db = open_partitioned_index(partitioned.path).load_database()
+                        db = open_index(partitioned.path).load_database()
                         assert np.array_equal(db.residues, want_db.residues)
                         assert np.array_equal(db.offsets, want_db.offsets)
             except BaseException as exc:  # surfaced below, in the main thread
@@ -268,9 +268,11 @@ class TestRejection:
             "repro.index_store/1",
             "repro.index_store/2",
             "repro.index_store/3",
+            "repro.index_store/4",
             "repro.index_store_partitioned/1",
             "repro.index_store_partitioned/2",
             "repro.index_store_partitioned/3",
+            "repro.index_store_partitioned/4",
         ],
     )
     def test_previous_schema_is_refused_with_the_rebuild_command(
@@ -278,17 +280,15 @@ class TestRejection:
     ):
         """A store of an earlier schema (matrix cache, key columns, one
         directory per shard, per-residue row maps; the partitioned store's
-        posting lists and overflow blob, a schema-salted fingerprint) is
-        never read: every way of opening it names the command that
-        rebuilds it."""
+        posting lists and overflow blob, a schema-salted fingerprint, its
+        compressed partition blobs) is never read: every way of opening
+        it names the command that rebuilds it."""
         if "partition" in old:
             path = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.5).path
-            openers = (open_partitioned_index, open_any_index)
         else:
             path = save_index(tiny_db, tmp_path / "r").path
-            openers = (open_index, open_any_index)
         self._edit_header(path, lambda h: h.update(schema=old))
-        for opener in openers:
+        for opener in (open_index, open_any_index):
             with pytest.raises(IndexStoreError, match="repro index build"):
                 opener(path)
 
@@ -306,6 +306,62 @@ class TestOverwrite:
         store = save_index(tiny_db, store_path, max_length=32, overwrite=True)
         assert store.build["max_length"] == 32
         assert open_index(store_path).layout.max_length == 32
+
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["postings", "partitions"])
+    def test_two_threads_saving_one_path_give_one_store_and_one_typed_error(
+        self, tiny_db, tmp_path, partitioned
+    ):
+        """Each save writes under a temporary directory of its own; the
+        one that publishes second finds the path taken and fails typed,
+        leaving the first one's store intact."""
+        target = tmp_path / "idx"
+        barrier = threading.Barrier(2)
+        outcomes = []
+
+        def save():
+            barrier.wait()
+            try:
+                if partitioned:
+                    outcomes.append(save_partitioned_index(tiny_db, target, partition_mb=0.25))
+                else:
+                    outcomes.append(save_index(tiny_db, target))
+            except BaseException as exc:  # collected for the main thread
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=save) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        stores = [o for o in outcomes if not isinstance(o, BaseException)]
+        errors = [o for o in outcomes if isinstance(o, BaseException)]
+        assert len(stores) == 1 and len(errors) == 1, outcomes
+        assert isinstance(errors[0], IndexStoreError)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]  # no debris
+        store = open_index(target)
+        assert store.fingerprint == stores[0].fingerprint
+        store.validate_against(tiny_db)
+
+    def test_path_created_mid_write_survives_a_save_without_overwrite(
+        self, tiny_db, tmp_path, monkeypatch
+    ):
+        """Whatever appears at the path while a save is writing is not
+        the save's to replace: it stays, and the save fails typed."""
+        import repro.store.index_store as index_store
+
+        target = tmp_path / "idx"
+        spans = index_store.mass_sorted_spans
+
+        def squatted(db):
+            target.mkdir()
+            (target / "keep.txt").write_text("someone else's")
+            return spans(db)
+
+        monkeypatch.setattr(index_store, "mass_sorted_spans", squatted)
+        with pytest.raises(IndexStoreError, match="another writer"):
+            save_index(tiny_db, target)
+        assert [p.name for p in target.iterdir()] == ["keep.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]
 
 
 class TestLayout:
@@ -387,12 +443,14 @@ class TestTornWrites:
         assert list(tmp_path.iterdir()) == []
 
     def test_save_after_interrupted_save_succeeds(self, tiny_db, tmp_path):
-        """Stale tmp siblings from a hard kill do not block the next save."""
+        """Stale tmp siblings from a hard kill do not block the next save,
+        which writes under a temporary directory of its own and leaves
+        them alone (one could belong to a save still running)."""
         target = tmp_path / "idx"
         stale = tmp_path / f".{target.name}.tmp-{__import__('os').getpid()}"
         stale.mkdir()
         (stale / "junk.npy").write_bytes(b"half-written")
         store = save_index(tiny_db, target)
-        assert not stale.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "idx"]
         store.validate_against(tiny_db)
         open_index(target).load_shard()

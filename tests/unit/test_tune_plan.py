@@ -42,8 +42,7 @@ def make_profile(**overrides):
         total_candidates=6_000,
         relative_cost=10.0,
         store={
-            "blob_bytes": 9_000_000,
-            "decoded_bytes": 35_000_000,
+            "row_bytes": 35_000_000,
             "num_partitions": 17,
             "max_partition_bytes": 2_200_000,
         },
@@ -87,8 +86,7 @@ class TestProfileWorkload:
         for scorer in ("hyperscore", "likelihood"):
             streamed = profile_workload(db, queries, SearchConfig(scorer=scorer), store=store)
             assert streamed.store == {
-                "blob_bytes": store.blob_bytes,
-                "decoded_bytes": 32 * store.num_rows,
+                "row_bytes": 32 * store.num_rows,
                 "num_partitions": store.num_partitions,
                 "max_partition_bytes": store.max_partition_bytes,
             }
