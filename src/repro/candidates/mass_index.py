@@ -257,28 +257,6 @@ class MassIndex:
 
     # -- window enumeration (used by real execution) ---------------------
 
-    def prefixes_in_window(self, lo: float, hi: float) -> CandidateSpans:
-        i0 = np.searchsorted(self._prefix_sorted, lo, side="left")
-        i1 = np.searchsorted(self._prefix_sorted, hi, side="right")
-        pos = self._prefix_order[i0:i1]
-        seq = self.seq_of_pos[pos]
-        start = np.zeros(len(pos), dtype=np.int64)
-        stop = pos - self._offsets[seq] + 1
-        return CandidateSpans(
-            seq, start, stop, self._prefix_sorted[i0:i1].copy(), np.zeros(len(pos))
-        )
-
-    def suffixes_in_window(self, lo: float, hi: float) -> CandidateSpans:
-        i0 = np.searchsorted(self._suffix_sorted, lo, side="left")
-        i1 = np.searchsorted(self._suffix_sorted, hi, side="right")
-        pos = self._suffix_order[i0:i1]
-        seq = self.seq_of_pos[pos]
-        start = pos - self._offsets[seq]
-        stop = self._offsets[seq + 1] - self._offsets[seq]
-        return CandidateSpans(
-            seq, start, stop, self._suffix_sorted[i0:i1].copy(), np.zeros(len(pos))
-        )
-
     def candidates_in_window(self, lo: float, hi: float) -> CandidateSpans:
         """All candidates (prefixes then suffixes) with mass in ``[lo, hi]``.
 

@@ -57,7 +57,7 @@ def _algorithm_a_nomask(db, queries, num_ranks, config, cluster_config, library)
 
 def _algorithm_b(db, queries, num_ranks, config, cluster_config, library):
     return run_algorithm_b(
-        db, queries, num_ranks, config, mask=True, cluster_config=cluster_config, library=library
+        db, queries, num_ranks, config, cluster_config=cluster_config, library=library
     )
 
 

@@ -1,0 +1,267 @@
+"""The rank program Algorithms A and B share: database rotation.
+
+In the paper's database-transport model the queries stay put and the
+database moves: each rank scores its query block against one shard
+after another, prefetching the next with a one-sided Get while it
+scores the current one (Figure 2, A2).  Algorithm B (Figure 3) runs the
+same loop over its sender group with a per-shard query cutoff.  Each
+algorithm keeps its preamble, its order, which queries a shard serves
+and its report step, and calls :func:`rotate` (the loop),
+:func:`adopt_orphans` (the commit protocol) and :func:`run_rotation`
+(the cluster run and the :class:`~repro.core.results.SearchReport`).
+
+Memory: each rank keeps three O(N/p) buffers — its resident shard (the
+window peers Get from), ``Drecv`` (the prefetch's landing buffer) and
+``Dcomp`` (the shard being scored) — the paper's O((N + m)/p) bound.
+
+Commit protocol.  A dead rank's shard is salvaged mid-rotation from the
+ring successor that holds its latest copy; its query block's results
+are lost.  After the rotation the survivors rendezvous, and the
+scheduler stamps each with the same ordered failure snapshot
+(``SimComm.sync_failures``, ULFM's agreement step).  A dead rank's
+block is adopted by the first surviving rank after it in ring order
+(:func:`responsible_rank`), which reloads it and rescans it against
+every shard, unpruned: survivors cannot know how far the dead rank got,
+and duplicate scorings collapse in the deterministic merge.  Rounds
+repeat until two consecutive snapshots agree, so an adopter that dies
+hands its work on, and every survivor runs the same number of
+rendezvous.  The merged output of a crashed run is *identical* to the
+fault-free run's.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.core.config import SearchConfig
+from repro.core.results import SearchReport, merge_rank_hits
+from repro.core.search import ShardSearcher, ShardStats
+from repro.errors import RankFailedError
+from repro.obs.naming import simmpi_extras
+from repro.scoring.hits import TopHitList
+from repro.simmpi.comm import SimComm
+from repro.simmpi.scheduler import ClusterConfig, SimCluster
+from repro.spectra.spectrum import Spectrum
+
+
+def _pass_time(config: SearchConfig, searcher: ShardSearcher, stats: ShardStats) -> float:
+    """Modeled time of one shard pass, before its per-query overhead."""
+    cost = config.cost
+    return (
+        cost.iteration_overhead
+        + cost.scan_time(searcher.shard.nbytes)
+        + cost.search_evaluation_time(stats, searcher.scorer)
+    )
+
+
+def _salvage(comm: SimComm, window: str, owner: int) -> ShardSearcher:
+    """The dead ``owner``'s shard, re-fetched from its surviving holder."""
+    searcher = comm.salvage_window(owner, window)
+    comm.recovery_fetch(owner, searcher.shard.nbytes, detail=f"salvage D{owner}")
+    return searcher
+
+
+def rotate(
+    comm: SimComm,
+    window: str,
+    resident: ShardSearcher,
+    order: Sequence[int],
+    sizes: Sequence[float],
+    queries_for: Callable[[int], Sequence[Spectrum]],
+    config: SearchConfig,
+    phase: str,
+    mask: bool = True,
+    agree_rounds: bool = False,
+):
+    """Score the shards of ``order`` in turn; returns ``(hitlists, totals)``.
+
+    A generator, driven with ``yield from`` inside a rank program after
+    every rank has exposed its shard (``resident``) under ``window``.
+    Step ``s`` scores the queries ``queries_for(order[s])`` against
+    shard ``order[s]`` while the Get of ``order[s + 1]`` is in flight;
+    with ``mask=False`` (the paper's unmasked ablation) the rank waits
+    for that Get *before* scoring.  When the order does not start at
+    this rank the first shard is fetched synchronously.  A shard whose
+    owner died is salvaged from its surviving holder and charged as
+    recovery.  ``sizes[t]`` is rank ``t``'s shard footprint, which sizes
+    the landing buffer before each transfer.
+
+    Under software RMA every step ends in a rendezvous.  When ranks'
+    orders differ in length (``agree_rounds``), they first agree on the
+    longest, and ranks with shorter orders idle through the tail rounds
+    — they are done, peers are not.
+    """
+    cost = config.cost
+    hitlists: Dict[int, TopHitList] = {}
+    totals = ShardStats()
+    current = resident
+    if order:
+        if order[0] != comm.rank:
+            # nothing to mask the first transfer behind
+            comm.alloc("Drecv", int(sizes[order[0]]))
+            try:
+                first = comm.iget(order[0], window)
+            except RankFailedError:
+                current = _salvage(comm, window, order[0])
+            else:
+                current = comm.wait(first)
+        comm.alloc("Dcomp", cost.shard_bytes(current.shard))
+    software_rma = comm.network.software_rma and comm.size > 1
+    rounds = len(order)
+    if software_rma and agree_rounds:
+        rounds = int((yield comm.allreduce_op(rounds, "max", nbytes=8)))
+    for s in range(rounds):
+        if s < len(order):
+            target = order[s]
+            request = lost = None
+            if s + 1 < len(order):
+                try:
+                    request = comm.iget(order[s + 1], window)
+                except RankFailedError:
+                    lost = order[s + 1]  # salvaged after this step's scoring
+                comm.alloc("Drecv", int(sizes[order[s + 1]]))
+                if not mask and request is not None:
+                    comm.wait(request)
+            queries = queries_for(target)
+            stats = current.run(queries, hitlists)
+            totals.merge(stats)
+            overhead = cost.query_processing_overhead(stats, len(queries))
+            comm.compute(
+                _pass_time(config, current, stats)
+                + (0.0 if stats.sweep_queries else overhead),
+                detail=f"{phase} score D{target}",
+            )
+            if stats.sweep_queries:
+                # sweep bookkeeping is traced separately from compute
+                comm.sweep_setup(overhead, detail=f"{phase} sweep D{target}")
+            if request is not None or lost is not None:
+                current = comm.wait(request) if lost is None else _salvage(comm, window, lost)
+                comm.alloc("Dcomp", cost.shard_bytes(current.shard))
+        if software_rma:
+            # ethernet one-sided progress: a step's transfers complete
+            # only once every target engages the MPI library, so each
+            # step rendezvouses and compute skew becomes residual
+            # communication (traced as wait).
+            yield comm.rendezvous_op()
+    return hitlists, totals
+
+
+def responsible_rank(failed: int, failures: Sequence[int], num_ranks: int) -> int:
+    """The survivor that adopts ``failed``'s query block.
+
+    Deterministic given the failure snapshot: the first rank after
+    ``failed`` in ring order that is not itself in ``failures``.
+    """
+    dead = set(failures)
+    for step in range(1, num_ranks + 1):
+        candidate = (failed + step) % num_ranks
+        if candidate not in dead:
+            return candidate
+    raise RankFailedError(failed, "no surviving rank left to adopt work")
+
+
+def adopt_orphans(
+    comm: SimComm,
+    window: str,
+    resident: ShardSearcher,
+    query_blocks: Sequence[List[Spectrum]],
+    hitlists: Dict[int, TopHitList],
+    totals: ShardStats,
+    config: SearchConfig,
+):
+    """Commit rounds and the rescan of dead ranks' query blocks.
+
+    A generator, driven with ``yield from`` after the rotation; a no-op
+    unless the machine runs under a fault plan.  Each dead rank this
+    rank is responsible for (per the current snapshot) has its block
+    reloaded and rescanned against every shard, charged as recovery.
+    """
+    if not comm.fault_tolerant or comm.size == 1:
+        return
+    cost = config.cost
+
+    def adopt(failed: int) -> None:
+        block = query_blocks[failed]
+        if not block:
+            return
+        block_bytes = sum(q.nbytes for q in block)
+        comm.alloc("Qadopt", block_bytes)
+        comm.recovery_compute(
+            cost.load_time(block_bytes, len(block)), detail=f"reload Q{failed}"
+        )
+        for j in range(comm.size):
+            remote = resident if j == comm.rank else comm.salvage_window(j, window)
+            if j != comm.rank:
+                comm.alloc("Drecv", cost.shard_bytes(remote.shard))
+                comm.recovery_fetch(
+                    j, remote.shard.nbytes, detail=f"refetch D{j} for Q{failed}"
+                )
+            stats = remote.run(block, hitlists)
+            comm.recovery_compute(
+                _pass_time(config, remote, stats)
+                + cost.query_processing_overhead(stats, len(block)),
+                detail=f"rescore Q{failed} x D{j}",
+            )
+            totals.merge(stats)
+        for q in block:
+            hitlists.setdefault(q.query_id, TopHitList(config.tau))
+        adopted_reported = sum(min(len(hitlists[q.query_id]), config.tau) for q in block)
+        comm.recovery_compute(
+            cost.report_time(adopted_reported), detail=f"report Q{failed}"
+        )
+        comm.free("Drecv")
+        comm.free("Qadopt")
+
+    previous = None
+    adopted: set = set()
+    while True:
+        yield comm.rendezvous_op()
+        snapshot = comm.sync_failures
+        if previous is not None and snapshot == previous:
+            return
+        previous = snapshot
+        for failed in snapshot:
+            if failed not in adopted and responsible_rank(failed, snapshot, comm.size) == comm.rank:
+                adopt(failed)
+                adopted.add(failed)
+
+
+def run_rotation(
+    algorithm: str,
+    program: Callable,
+    args: Tuple,
+    num_ranks: int,
+    config: SearchConfig,
+    cluster_config: Optional[ClusterConfig],
+) -> SearchReport:
+    """Run ``program(comm, *args)`` on every rank and build the report.
+
+    Each rank returns ``(hits, totals, timings)``: its hit columns, its
+    :class:`ShardStats` and a dict of phase durations (Algorithm B's
+    ``sorting_time``), reported as the slowest surviving rank's value.
+    """
+    cluster_config = cluster_config or ClusterConfig(num_ranks=num_ranks)
+    if cluster_config.num_ranks != num_ranks:
+        raise ValueError("cluster_config.num_ranks must match num_ranks")
+    cluster = SimCluster(cluster_config)
+    outcomes, summary = cluster.run(program, {r: args for r in range(num_ranks)})
+
+    totals = ShardStats()
+    for o in outcomes:
+        totals.merge(o.value[1])
+    timings = {k: max(o.value[2][k] for o in outcomes) for k in outcomes[0].value[2]}
+    return SearchReport(
+        algorithm=algorithm,
+        num_ranks=num_ranks,
+        hits=merge_rank_hits([o.value[0] for o in outcomes], config.tau),
+        candidates_evaluated=totals.candidates_evaluated,
+        virtual_time=summary.makespan,
+        trace=summary,
+        peak_memory={r: cluster.memory[r].peak for r in range(num_ranks)},
+        extras=simmpi_extras(
+            summary,
+            totals=totals,
+            fault_tolerant=cluster_config.fault_plan is not None,
+            **timings,
+        ),
+    )

@@ -177,9 +177,6 @@ class SimComm:
         """
         self._cluster.expose_window(self.rank, name, payload, nbytes)
 
-    def unexpose(self, name: str) -> None:
-        self._cluster.unexpose_window(self.rank, name)
-
     def iget(self, target: int, window: str) -> SimRequest:
         """Post a non-blocking one-sided Get of ``target``'s window.
 
@@ -190,10 +187,6 @@ class SimComm:
         if not 0 <= target < self.size:
             raise CommunicationError(f"iget target {target} out of range 0..{self.size - 1}")
         return self._cluster.issue_get(self.rank, target, window, self.clock)
-
-    def get_local(self, window: str) -> Any:
-        """Read own window without network cost (target == origin)."""
-        return self._cluster.read_window(self.rank, window)
 
     def wait(self, request: SimRequest) -> Any:
         """Block until a Get lands; records residual communication."""

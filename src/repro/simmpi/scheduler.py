@@ -213,18 +213,6 @@ class SimCluster:
             raise CommunicationError(f"rank {rank} window {name!r} already exposed")
         self._windows[key] = (payload, int(nbytes))
 
-    def unexpose_window(self, rank: int, name: str) -> None:
-        if self._windows.pop((rank, name), None) is None:
-            raise CommunicationError(f"rank {rank} window {name!r} not exposed")
-
-    def read_window(self, rank: int, name: str) -> Any:
-        if rank in self._dead:
-            raise RankFailedError(rank, f"window {name!r}@{rank}: rank has failed")
-        try:
-            return self._windows[(rank, name)][0]
-        except KeyError:
-            raise CommunicationError(f"rank {rank} window {name!r} not exposed") from None
-
     def salvage_window(self, rank: int, name: str) -> Any:
         """Read a window payload regardless of owner liveness.
 

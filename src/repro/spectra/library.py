@@ -15,7 +15,6 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.chem.amino_acids import decode_sequence
-from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import theoretical_spectrum
 
 
@@ -48,9 +47,6 @@ class SpectralLibrary:
         mz.flags.writeable = False
         intensity.flags.writeable = False
         self._entries[sequence] = (mz, intensity)
-
-    def add_spectrum(self, sequence: str, spectrum: Spectrum) -> None:
-        self.add(sequence, spectrum.mz, spectrum.intensity)
 
     @classmethod
     def from_peptides(cls, encoded_peptides: Iterable[np.ndarray]) -> "SpectralLibrary":

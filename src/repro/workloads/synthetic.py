@@ -141,16 +141,6 @@ SCALE_TIERS = {
 }
 
 
-def scale_tier_sizes(tier: str) -> list:
-    """Database sizes (ascending) for a named Table I scale tier."""
-    try:
-        return list(SCALE_TIERS[tier])
-    except KeyError:
-        raise KeyError(
-            f"unknown scale tier {tier!r}; expected {sorted(SCALE_TIERS)}"
-        ) from None
-
-
 def tier_database(n: int) -> ProteinDatabase:
     """The first ``n`` sequences of the Table I microbial stand-in.
 

@@ -124,3 +124,36 @@ class TestEndToEnd:
         for algorithm in ("algorithm_a", "algorithm_b", "master_worker"):
             rep = run_search(db, [spectrum], algorithm, 4, cfg)
             assert reports_equal(ref, rep), algorithm
+
+
+class TestSenderGroupReach:
+    """Algorithm B's sender groups and per-shard cutoffs reach as far as
+    a variable modification shifts a span: a shard's heaviest parent,
+    oxidised, can match a query above that parent's own mass."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return generate_database(40, seed=85)
+
+    @pytest.fixture(scope="class")
+    def heaviest_oxidised(self, db):
+        idx = int(np.argmax(db.parent_masses()))
+        seq = db.sequence(idx)
+        site = int(np.nonzero(seq == ord("M"))[0][0])
+        return idx, len(seq), modified_spectrum(seq, site, OXIDATION.delta_mass)
+
+    @pytest.mark.parametrize(
+        "algorithm, p",
+        [("serial", 1), ("algorithm_a", 2), ("algorithm_a", 4),
+         ("algorithm_b", 2), ("algorithm_b", 4), ("master_worker", 4)],
+    )
+    def test_full_length_modified_peptide_found(self, db, heaviest_oxidised, algorithm, p):
+        idx, length, spectrum = heaviest_oxidised
+        cfg = SearchConfig(tau=5, delta=1.0, modifications=(OXIDATION,))
+        report = run_search(db, [spectrum], algorithm, p, cfg)
+        top = report.top_hit(0)
+        assert top is not None, algorithm
+        assert top.protein_id == int(db.ids[idx])
+        assert (top.start, top.stop) == (0, length)
+        assert top.mod_delta == pytest.approx(OXIDATION.delta_mass)
+        assert report.candidates_evaluated == search_serial(db, [spectrum], cfg).candidates_evaluated

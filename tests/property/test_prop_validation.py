@@ -6,10 +6,13 @@ algorithms — the strongest statement of the determinism/equivalence
 design this library makes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.peptide import peptide_mz
 from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
@@ -36,6 +39,8 @@ query_masses = st.lists(
 )
 
 FAST = SearchConfig(tau=5, scorer="shared_peaks", delta=25.0)
+OXIDATION = STANDARD_MODIFICATIONS["oxidation"]
+PHOSPHO_S = STANDARD_MODIFICATIONS["phosphorylation_s"]
 
 
 @given(databases, query_masses, st.integers(min_value=1, max_value=6))
@@ -47,12 +52,24 @@ def test_algorithm_a_equals_serial(db, masses, p):
     assert reports_equal(reference, report)
 
 
-@given(databases, query_masses, st.integers(min_value=1, max_value=6))
+@given(
+    databases,
+    query_masses,
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([(), (OXIDATION,), (PHOSPHO_S, OXIDATION)]),
+)
 @settings(max_examples=20, deadline=None)
-def test_algorithm_b_equals_serial(db, masses, p):
+def test_algorithm_b_equals_serial(db, masses, p, modifications):
+    """With or without variable modifications.  With them, one more
+    query sits where only a modified span of the heaviest sequence
+    reaches it: above every parent mass plus the tolerance."""
+    config = replace(FAST, modifications=modifications)
+    if modifications:
+        heaviest = float(db.parent_masses().max())
+        masses = masses + [heaviest + modifications[0].delta_mass + 0.5 * FAST.delta + 1.0]
     queries = [make_query(m, i) for i, m in enumerate(masses)]
-    reference = search_serial(db, queries, FAST)
-    report = run_search(db, queries, "algorithm_b", p, FAST)
+    reference = search_serial(db, queries, config)
+    report = run_search(db, queries, "algorithm_b", p, config)
     assert reports_equal(reference, report)
 
 
