@@ -210,11 +210,11 @@ class CandidateBatch:
         if self.num_rows:
             lengths = self.spans.lengths
             row_length = lengths[self.row_candidate]
-            row_start = self.offsets[self.row_candidate]
+            row_first = self.offsets[self.row_candidate]
             for length in np.unique(row_length):
                 length = int(length)
                 rows = np.nonzero(row_length == length)[0]
-                mat = self.residues[row_start[rows][:, None] + np.arange(length)]
+                mat = self.residues[row_first[rows][:, None] + np.arange(length)]
                 groups.append(
                     LengthGroup(
                         length, rows, mat, self.row_site[rows], self.row_delta[rows]
@@ -308,9 +308,9 @@ class CandidateBatch:
         res_lengths = self.offsets[candidates + 1] - res_starts
         residues = self.residues[_ragged_arange(res_starts, res_lengths)]
         offsets = np.concatenate(([0], np.cumsum(res_lengths)))
-        row_starts = self.row_offsets[candidates]
-        row_counts = self.row_offsets[candidates + 1] - row_starts
-        rows = _ragged_arange(row_starts, row_counts)
+        first_rows = self.row_offsets[candidates]
+        row_counts = self.row_offsets[candidates + 1] - first_rows
+        rows = _ragged_arange(first_rows, row_counts)
         row_offsets = np.concatenate(([0], np.cumsum(row_counts)))
         return CandidateBatch(
             spans,

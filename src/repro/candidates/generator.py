@@ -8,15 +8,17 @@ factor that "further exacerbates" candidate explosion (Section I).
 PTM model: for each configured variable modification, a span containing
 at least one target residue may additionally be matched at
 ``mass + delta_mass`` (single occurrence).  That adds one extra window
-search per modification and multiplies candidate counts accordingly —
-the qualitative behaviour Figure 1b's discussion relies on — without the
-full combinatorial enumeration real engines implement.
+search per modification — the same row table, the window shifted by
+``delta_mass``, then this presence filter — and multiplies candidate
+counts accordingly, the qualitative behaviour Figure 1b's discussion
+relies on, without the full combinatorial enumeration real engines
+implement.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +26,10 @@ from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.amino_acids import Modification
 from repro.chem.protein import ProteinDatabase
 from repro.spectra.spectrum import Spectrum
+
+#: one PTM tier: the modification and the cumulative count of its target
+#: residue over the shard's flat buffer (length ``N + 1``)
+ModTier = Tuple[Modification, np.ndarray]
 
 
 def mass_window(spectrum: Spectrum, delta: float) -> Tuple[float, float]:
@@ -39,6 +45,32 @@ def mass_window(spectrum: Spectrum, delta: float) -> Tuple[float, float]:
     return m - delta, m + delta
 
 
+def modification_tiers(
+    shard: ProteinDatabase, modifications: Sequence[Modification]
+) -> List[ModTier]:
+    """The PTM tiers of ``modifications`` over ``shard`` (fixed ones are
+    not tiers), in configuration order."""
+    return [
+        (mod, np.concatenate(([0], np.cumsum(shard.residues == ord(mod.target)))))
+        for mod in modifications
+        if not mod.fixed
+    ]
+
+
+def mod_targets(tiers: Sequence[ModTier]) -> Dict[float, int]:
+    """Each tier's delta -> its target residue code: how a scoring batch
+    expands a modified candidate into one row per site."""
+    return {mod.delta_mass: ord(mod.target) for mod, _csum in tiers}
+
+
+def contains_target(
+    spans: CandidateSpans, offsets: np.ndarray, target_csum: np.ndarray
+) -> np.ndarray:
+    """Which ``spans`` hold at least one of a tier's target residues."""
+    first = offsets[spans.seq_index]
+    return (target_csum[first + spans.stop] - target_csum[first + spans.start]) > 0
+
+
 class CandidateGenerator:
     """Enumerates (and counts) candidates for queries against one shard."""
 
@@ -50,44 +82,18 @@ class CandidateGenerator:
     ):
         self.shard = shard
         self.delta = delta
-        self.modifications = tuple(m for m in modifications if not m.fixed)
+        self.tiers = modification_tiers(shard, modifications)
+        self.modifications = tuple(mod for mod, _csum in self.tiers)
         self.index = MassIndex.for_shard(shard)
-        # Per-sequence presence cumsums for each variable-mod target, so
-        # "span contains >= 1 target residue" is O(1) per candidate, plus
-        # a window counter per mod so PTM tiers are counted in O(log N)
-        # without enumerating spans.
-        self._target_csums = {}
-        self._mod_counters = {}
-        for mod in self.modifications:
-            is_target = (shard.residues == ord(mod.target)).astype(np.int64)
-            csum = np.concatenate(([0], np.cumsum(is_target)))
-            self._target_csums[mod.name] = csum
-            self._mod_counters[mod.name] = self.index.presence_counter(csum)
+        # per tier, the running count of table rows holding a target
+        # residue: a tier's window count is two lookups (built on first count)
+        self._tier_rows: Optional[List[np.ndarray]] = None
 
     @property
     def nbytes(self) -> int:
         """Index memory, charged to the owning rank by the simulator."""
-        total = self.index.nbytes
-        for csum in self._target_csums.values():
-            total += csum.nbytes
-        for counter in self._mod_counters.values():
-            total += counter.nbytes
-        return total
-
-    def presence_mask(self, spans: CandidateSpans, mod: Modification) -> np.ndarray:
-        """Boolean mask: spans containing >= 1 of ``mod``'s target residue."""
-        offsets = self.shard.offsets
-        abs_start = offsets[spans.seq_index] + spans.start
-        abs_stop = offsets[spans.seq_index] + spans.stop
-        csum = self._target_csums[mod.name]
-        return (csum[abs_stop] - csum[abs_start]) > 0
-
-    def _filter_modified(self, spans: CandidateSpans, mod: Modification) -> CandidateSpans:
-        """Keep spans containing >= 1 target residue; stamp the mod delta."""
-        if len(spans) == 0:
-            return spans
-        kept = spans.take(self.presence_mask(spans, mod))
-        return replace(kept, mod_delta=np.full(len(kept), mod.delta_mass))
+        total = self.index.nbytes + sum(csum.nbytes for _mod, csum in self.tiers)
+        return total + sum(c.nbytes for c in self._tier_rows or ())
 
     def candidates(self, spectrum: Spectrum) -> CandidateSpans:
         """All candidates for one query, unmodified first, then per-PTM.
@@ -97,36 +103,29 @@ class CandidateGenerator:
         """
         lo, hi = mass_window(spectrum, self.delta)
         parts = [self.index.candidates_in_window(lo, hi)]
-        for mod in self.modifications:
-            shifted = self.index.candidates_in_window(lo - mod.delta_mass, hi - mod.delta_mass)
-            parts.append(self._filter_modified(shifted, mod))
+        for mod, target_csum in self.tiers:
+            spans = self.index.candidates_in_window(lo - mod.delta_mass, hi - mod.delta_mass)
+            spans = spans.take(contains_target(spans, self.shard.offsets, target_csum))
+            parts.append(replace(spans, mod_delta=np.full(len(spans), mod.delta_mass)))
         return CandidateSpans.concat(parts)
 
-    def count(self, spectrum: Spectrum) -> int:
-        """Candidate count for one query without materialising spans.
-
-        Exact for every tier: the unmodified tier is two binary searches,
-        and each PTM tier is counted through its per-mod target-presence
-        cumsums (:class:`~repro.candidates.mass_index.PresenceCounter`),
-        so no spans are ever enumerated.
-        """
-        lo, hi = mass_window(spectrum, self.delta)
-        total = self.index.count_in_window(lo, hi)
-        for mod in self.modifications:
-            total += self._mod_counters[mod.name].count_in_window(
-                lo - mod.delta_mass, hi - mod.delta_mass
-            )
-        return total
-
-    def count_unmodified_many(self, parent_masses: np.ndarray) -> np.ndarray:
-        """Vectorized unmodified candidate counts for many parent masses."""
+    def count_many(self, parent_masses: np.ndarray) -> np.ndarray:
+        """Exact candidate counts, PTM tiers included, without decoding a
+        row per query: two binary searches per tier."""
         parent_masses = np.asarray(parent_masses, dtype=np.float64)
-        return self.index.count_many(parent_masses - self.delta, parent_masses + self.delta)
-
-    def extract(self, spans: CandidateSpans, i: int) -> np.ndarray:
-        """Encoded residues of candidate ``i`` (zero-copy view into the shard)."""
-        seq = self.shard.sequence(int(spans.seq_index[i]))
-        return seq[int(spans.start[i]) : int(spans.stop[i])]
+        lows = parent_masses - self.delta
+        highs = parent_masses + self.delta
+        counts = self.index.count_many(lows, highs)
+        if self.tiers and self._tier_rows is None:
+            every = self.index.spans(np.arange(len(self.index)))
+            self._tier_rows = [
+                np.concatenate(([0], np.cumsum(contains_target(every, self.shard.offsets, csum))))
+                for _mod, csum in self.tiers
+            ]
+        for (mod, _csum), tier_rows in zip(self.tiers, self._tier_rows or ()):
+            lo, hi = self.index.windows_many(lows - mod.delta_mass, highs - mod.delta_mass)
+            counts += tier_rows[np.maximum(hi, lo)] - tier_rows[lo]
+        return counts
 
 
 def count_candidates(
@@ -135,16 +134,6 @@ def count_candidates(
     delta: float = 3.0,
     modifications: Sequence[Modification] = (),
 ) -> np.ndarray:
-    """Candidate counts per query against a whole database (convenience).
-
-    With no variable modifications configured the counts are computed in
-    one vectorized :meth:`CandidateGenerator.count_unmodified_many` call
-    (two batched binary searches) instead of a per-spectrum Python loop.
-    """
-    gen = CandidateGenerator(database, delta, modifications)
-    if not gen.modifications:
-        if not spectra:
-            return np.empty(0, dtype=np.int64)
-        masses = np.array([s.parent_mass for s in spectra], dtype=np.float64)
-        return gen.count_unmodified_many(masses).astype(np.int64)
-    return np.array([gen.count(s) for s in spectra], dtype=np.int64)
+    """Candidate counts per query against a whole database (convenience)."""
+    masses = np.array([s.parent_mass for s in spectra], dtype=np.float64)
+    return CandidateGenerator(database, delta, modifications).count_many(masses)

@@ -3,26 +3,32 @@
 Every algorithm in this library — serial reference, master-worker
 baseline, Algorithms A and B, the X!!Tandem-like prefilter engine — runs
 queries against database shards through :class:`ShardSearcher`, the
-direct path.  A search served from an index store runs
-:class:`~repro.core.streaming.StreamingSearcher` over the store's rows
-instead, through the same block filter, scoring call and top-tau emit
-(:func:`score_and_offer_block`).  Keeping one kernel guarantees the
-paper's validation property by construction: whatever order shards and
-queries are processed in, the same (query, candidate) pairs receive the
-same scores, and the deterministic top-tau list makes the final output
-order-independent.
+direct path; a search served from an index store runs
+:class:`~repro.core.streaming.StreamingSearcher`.  Both are one call of
+:func:`sweep_table` per row table: the same runs, blocks, PTM tiers,
+block filter, scoring call and top-tau emit.  Keeping one kernel
+guarantees the paper's validation property by construction: whatever
+order shards and queries are processed in, the same (query, candidate)
+pairs receive the same scores, and the deterministic top-tau list makes
+the final output order-independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.candidates.generator import CandidateGenerator
-from repro.candidates.mass_index import CandidateSpans, plan_sweep
+from repro.candidates.generator import (
+    CandidateGenerator,
+    ModTier,
+    contains_target,
+    mod_targets,
+)
+from repro.candidates.mass_index import CandidateSpans, MassIndex, plan_sweep
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.obs.metrics import NULL_SPAN, get_metrics
@@ -38,19 +44,13 @@ from repro.spectra.spectrum_batch import SpectrumBatch
 class ShardStats:
     """Work counters from searching one shard (feeds the cost model).
 
-    ``rows_scored`` counts scorer evaluation rows, which exceeds
-    ``candidates_evaluated`` when variable PTMs expand candidates into
-    one row per admissible site; ``batches`` counts vectorized scoring
-    calls (one per non-empty block).  ``index_rows`` counts the subset
-    of rows served by posting probes of a fragment-ion index (0 for a
-    scorer the postings cannot serve, store or no store),
-    and ``index_load_time`` accumulates real (wall-clock) seconds spent
-    opening persisted index stores (``repro.store``) — engines add it
-    when they load one.  ``sweep_queries``/``sweep_cohorts``
-    count the queries a REAL pass scored and the scoring blocks they were
-    packed into (up to ``sweep_cohort`` members each, overlapping windows
-    or not); both stay 0 in MODELED execution, which counts candidates
-    without scoring them.
+    ``rows_scored`` counts scorer evaluation rows (one per admissible PTM
+    site), ``batches`` scoring calls (one per non-empty block),
+    ``index_rows`` the rows served by posting probes, ``index_load_time``
+    the wall seconds engines spent opening stores.  ``sweep_queries`` /
+    ``sweep_cohorts`` count the queries a REAL pass scored and the
+    scoring blocks they were packed into; both stay 0 in MODELED
+    execution, which counts candidates without scoring them.
     """
 
     candidates_evaluated: int = 0
@@ -63,18 +63,30 @@ class ShardStats:
     sweep_cohorts: int = 0
 
     def merge(self, other: "ShardStats") -> None:
-        self.candidates_evaluated += other.candidates_evaluated
-        self.queries_processed += other.queries_processed
-        self.batches += other.batches
-        self.rows_scored += other.rows_scored
-        self.index_rows += other.index_rows
-        self.index_load_time += other.index_load_time
-        self.sweep_queries += other.sweep_queries
-        self.sweep_cohorts += other.sweep_cohorts
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def record_shard_pass(obs, stats: ShardStats) -> None:
-    """Work counters of one finished shard pass, resident or streamed."""
+def traced_pass(
+    name: str,
+    search: Callable[[List[Spectrum], Dict[int, TopHitList]], ShardStats],
+    queries: Iterable[Spectrum],
+    hitlists: Dict[int, TopHitList],
+) -> ShardStats:
+    """Run one shard pass, ``search(queries, hitlists)``.
+
+    Telemetry rides here and only here: one ``name`` span per pass plus
+    work counters, recorded into the process-default
+    :class:`~repro.obs.metrics.MetricsRegistry` — a single attribute
+    check when disabled (the default), and never an input to scoring, so
+    hits are bitwise identical either way.
+    """
+    queries = list(queries)
+    obs = get_metrics()
+    if not obs.enabled:
+        return search(queries, hitlists)
+    with obs.span(name, category="search"):
+        stats = search(queries, hitlists)
     obs.count("search.queries", stats.queries_processed)
     obs.count("search.candidates", stats.candidates_evaluated)
     obs.count("search.batches", stats.batches)
@@ -89,6 +101,18 @@ def record_shard_pass(obs, stats: ShardStats) -> None:
             stats.candidates_evaluated / stats.queries_processed,
             buckets=(10.0, 100.0, 1_000.0, 10_000.0, 100_000.0),
         )
+    return stats
+
+
+def open_pass(
+    queries: Sequence[Spectrum], hitlists: Dict[int, TopHitList], tau: int
+) -> ShardStats:
+    """A pass's work counters, its queries counted and each given a hit
+    list (created with ``tau`` where missing)."""
+    for spectrum in queries:
+        if spectrum.query_id not in hitlists:
+            hitlists[spectrum.query_id] = TopHitList(tau)
+    return ShardStats(queries_processed=len(queries))
 
 
 def score_and_offer_block(
@@ -181,17 +205,176 @@ def score_and_offer_block(
             lists[k].add_top_sorted(members[k].query_id, table, bounds[k], bounds[k + 1], n)
 
 
+def mass_order(
+    queries: Sequence[Spectrum], delta: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, lows, highs)``: the queries sorted by precursor mass
+    (stable) and their windows ``[m - delta, m + delta]`` in that order,
+    both non-decreasing (a traced pass's ``sweep.plan`` span)."""
+    obs = get_metrics()
+    with (
+        obs.span("sweep.plan", category="search", queries=len(queries))
+        if obs.enabled
+        else NULL_SPAN
+    ):
+        masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
+        order = np.argsort(masses, kind="stable")
+        return order, masses[order] - delta, masses[order] + delta
+
+
+#: ``score(spectra, spans, rows, kept) -> (scores, direct_rows, index_rows)``:
+#: how a source scores a block — its decoded ``spans``, their row ids
+#: ``rows``, and per member the block positions it kept
+BlockScorer = Callable[
+    [SpectrumBatch, CandidateSpans, np.ndarray, List[np.ndarray]], Tuple[np.ndarray, int, int]
+]
+
+
+def sweep_table(
+    table: MassIndex,
+    queries: Sequence[Spectrum],
+    order: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    tiers: Sequence[ModTier],
+    score: BlockScorer,
+    ids: np.ndarray,
+    cfg: SearchConfig,
+    hitlists: Dict[int, TopHitList],
+    stats: ShardStats,
+) -> None:
+    """The one sweep: mass-ordered queries against a mass-sorted row table
+    (the shard's :class:`MassIndex`, a store's mapped table, a partition).
+
+    ``order`` lists the members (positions in ``queries``) by mass,
+    ``lows`` / ``highs`` their windows, ``ids`` the protein ids by
+    sequence index.  :func:`~repro.candidates.mass_index.plan_sweep`
+    splits the members into *runs* of overlapping windows and packs runs
+    into scoring *blocks* of up to ``sweep_cohort`` members sharing one
+    candidate batch, scoring call and top-tau emit.  Per tier (the window
+    shifted by a PTM's ``delta_mass``) a member's candidates are one row
+    range and a run's union is one too, decoded once a block; a PTM tier
+    keeps the rows holding a target residue.  Every candidate set, score,
+    filter and offer is bitwise the scalar reference search's
+    (``tests/reference.py``); a cohort of one is the per-query search.
+    """
+    plan = plan_sweep(lows, highs, cfg.sweep_cohort)
+    windows = [table.windows_many(lows, highs)] + [
+        table.windows_many(lows - mod.delta_mass, highs - mod.delta_mass) for mod, _csum in tiers
+    ]
+    stats.sweep_cohorts += plan.num_blocks
+    obs = get_metrics()
+    traced = obs.enabled  # the only telemetry test an untraced pass pays
+    for a, b, r0, r1 in plan.blocks():
+        members = [queries[m] for m in order[a:b]]
+        spans, rows, sel, mem = _block_rows(
+            table, windows, tiers, plan.run_bounds[r0 : r1 + 1] - a, a, b
+        )
+        with (
+            obs.span("sweep.block", category="search", members=b - a, runs=r1 - r0, rows=len(sel))
+            if traced
+            else NULL_SPAN
+        ):
+            score_and_offer_block(
+                cfg, stats, hitlists, members, sel, mem, spans.lengths[sel],
+                lambda spectra, kept: score(spectra, spans, rows, kept),
+                lambda s: (
+                    ids[spans.seq_index[s]], spans.start[s], spans.stop[s],
+                    spans.mass[s], spans.mod_delta[s],
+                ),
+            )
+
+
+def _block_rows(
+    table: MassIndex,
+    windows: Sequence[Tuple[np.ndarray, np.ndarray]],
+    tiers: Sequence[ModTier],
+    run_bounds: np.ndarray,
+    a: int,
+    b: int,
+) -> Tuple[CandidateSpans, np.ndarray, np.ndarray, np.ndarray]:
+    """One block's decoded rows and member-major selections.
+
+    ``windows`` are the pass-wide row ranges per tier, the block's
+    members at ``[a, b)`` of them, ``run_bounds`` its run edges in
+    block-local member positions.  Returns ``(spans, rows, sel, mem)``:
+    the block's spans (tier-major, then run-major) and their row ids;
+    ``sel`` indexes them and lists, member by member (``mem``,
+    non-decreasing), each member's candidates tier by tier.
+    """
+    run_first = run_bounds[:-1]
+    run_last = run_bounds[1:] - 1
+    run_of = np.repeat(np.arange(len(run_first)), np.diff(run_bounds))
+    parts: List[Tuple[CandidateSpans, np.ndarray]] = []
+    starts: List[np.ndarray] = []
+    stops: List[np.ndarray] = []
+    base = 0
+    for tier, (lo, hi) in zip([None, *tiers], windows):
+        lo, hi = lo[a:b], hi[a:b]
+        run_lo = lo[run_first]
+        spans, rows = table.sweep_spans(run_lo, hi[run_last])
+        if len(rows) == 0:
+            continue
+        # where each member's range starts inside this tier's rows
+        run_size = hi[run_last] - run_lo
+        first = (np.cumsum(run_size) - run_size)[run_of] + (lo - run_lo[run_of])
+        last = first + (hi - lo)
+        if tier is not None:
+            mod, target_csum = tier
+            keep = contains_target(spans, table.offsets, target_csum)
+            kept = np.concatenate(([0], np.cumsum(keep)))
+            spans = replace(spans.take(keep), mod_delta=np.full(int(kept[-1]), mod.delta_mass))
+            rows = rows[keep]
+            first, last = kept[first], kept[last]
+            if len(rows) == 0:
+                continue
+        starts.append(base + first)
+        stops.append(base + last)
+        parts.append((spans, rows))
+        base += len(rows)
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return CandidateSpans.empty(), empty, empty, empty
+    # (member, tier) ranges, raveled member-major
+    first = np.stack(starts, axis=1).ravel()
+    sizes = np.stack(stops, axis=1).ravel() - first
+    per_member = sizes.reshape(b - a, -1).sum(axis=1)
+    return (
+        CandidateSpans.concat([spans for spans, _rows in parts]),
+        np.concatenate([rows for _spans, rows in parts]),
+        _ragged_arange(first, sizes),
+        np.repeat(np.arange(b - a, dtype=np.int64), per_member),
+    )
+
+
+def score_directly(
+    scorer: Scorer,
+    database: ProteinDatabase,
+    mod_targets: Dict[float, int],
+    spectra: SpectrumBatch,
+    spans: CandidateSpans,
+    _rows: np.ndarray,
+    selections: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, int, int]:
+    """Score a block's spans from the database — a :data:`BlockScorer`
+    once bound to a scorer, a database and ``mod_targets`` (each PTM
+    tier's delta -> target residue code).  Returns ``(scores,
+    direct_rows, 0)``: one member-major score vector, each entry bitwise
+    the scalar scorer's, and the evaluation rows (one per PTM site)."""
+    batch = CandidateBatch.from_spans(database, spans, mod_targets)
+    scores = block_scores(scorer, spectra, batch, selections)
+    return scores, sum(batch.selected_row_count(sel) for sel in selections), 0
+
+
 class ShardSearcher:
     """Searches queries against one database shard: the direct path.
 
-    Construction builds the shard's mass index (the real-execution
-    analogue of the paper's on-the-fly candidate generation); ``run``
-    then evaluates candidates for any number of queries, every one
-    scored directly from the shard.  A searcher is immutable with
-    respect to its shard and may be reused across iterations and
-    algorithms; it pickles as its shard, config and scorer, never its
-    mass index.  It never reads a fragment-ion index: a search served
-    from a store runs :class:`~repro.core.streaming.StreamingSearcher`.
+    Construction builds (or reuses) the shard's row table, the
+    real-execution analogue of the paper's on-the-fly candidate
+    generation; ``run`` sweeps it for any number of queries, every
+    candidate scored directly from the shard.  A searcher is immutable
+    and reusable; it pickles as its shard, config and scorer, never its
+    table.
     """
 
     def __init__(
@@ -205,20 +388,15 @@ class ShardSearcher:
         self.config = config
         self.scorer = scorer if scorer is not None else config.make_scorer(library)
         self.generator = CandidateGenerator(shard, config.delta, config.modifications)
-        # PTM-aware scoring: map each variable mod's delta to its target
-        # residue code so modified candidates can be scored per site.
-        self._mod_targets = {
-            mod.delta_mass: ord(mod.target) for mod in self.generator.modifications
-        }
 
     def __reduce__(self):
-        # the mass index never crosses a pipe: the receiving process
+        # the row table never crosses a pipe: the receiving process
         # rebuilds it from the shard, as construction does here
         return (type(self), (self.shard, self.config, self.scorer))
 
     @property
     def nbytes(self) -> int:
-        """Shard + mass-index memory, for rank RAM accounting."""
+        """Shard + row-table memory, for rank RAM accounting."""
         return self.shard.nbytes + self.generator.nbytes
 
     def run(
@@ -226,248 +404,41 @@ class ShardSearcher:
     ) -> ShardStats:
         """Search ``queries`` against the shard; fold hits into ``hitlists``.
 
-        The single entry point engines call.  Missing hit lists are
-        created with the config's tau.  In MODELED execution, candidates
-        are counted (exactly) but not scored and no hits are recorded.
-
-        Telemetry rides here and only here: one span per shard pass plus
-        work counters, recorded into the process-default
-        :class:`~repro.obs.metrics.MetricsRegistry` — a single attribute
-        check when disabled (the default), and never an input to
-        scoring, so hits are bitwise identical either way.
+        The single entry point engines call (a :func:`traced_pass`).
+        Missing hit lists are created with the config's tau.  In MODELED
+        execution, candidates are counted (exactly) but not scored and no
+        hits are recorded.
         """
-        queries = list(queries)
-        obs = get_metrics()
-        if not obs.enabled:
-            return self._search(queries, hitlists)
-        with obs.span("search.shard", category="search"):
-            stats = self._search(queries, hitlists)
-        record_shard_pass(obs, stats)
-        return stats
-
-    def _count_modeled(
-        self,
-        queries: Sequence[Spectrum],
-        hitlists: Dict[int, TopHitList],
-        stats: ShardStats,
-    ) -> None:
-        """MODELED execution: exact vectorized counts, no scoring."""
-        cfg = self.config
-        counts = self.count_each(queries)
-        for spectrum, count in zip(queries, counts):
-            stats.queries_processed += 1
-            hitlist = hitlists.get(spectrum.query_id)
-            if hitlist is None:
-                hitlist = hitlists[spectrum.query_id] = TopHitList(cfg.tau)
-            stats.candidates_evaluated += int(count)
-            hitlist.evaluated += int(count)
+        return traced_pass("search.shard", self._search, queries, hitlists)
 
     def _search(
         self, queries: List[Spectrum], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
-        """Candidate-major search: one window sweep per shard, one kernel
-        call per packed block.
-
-        Queries are sorted by precursor mass and their windows swept
-        against the shard's sorted mass arrays in one vectorized pass
-        (:meth:`MassIndex.windows_many`, once per modification tier).
-        :func:`~repro.candidates.mass_index.plan_sweep` then splits them
-        into *runs* of overlapping windows, each enumerated once as a
-        union candidate block, and packs consecutive runs into scoring
-        *blocks* of up to ``sweep_cohort`` members that share one
-        candidate batch, one multi-spectrum scoring call and one top-tau
-        emit.  Every per-query candidate set, score, filter, and hit-list
-        offer is bitwise identical to the scalar reference search
-        (``tests/reference.py``) — each member's candidates are contiguous
-        sub-slices of its run's rows in exactly the
-        ``generator.candidates(query)`` enumeration order, and the block
-        kernels reproduce the scalar scorers bit for bit.  A cohort of
-        one is the per-query search.
-        """
-        stats = ShardStats()
+        """One :func:`sweep_table` over the shard's row table, or in
+        MODELED execution exact counts and no scoring."""
         cfg = self.config
-        for spectrum in queries:
-            if spectrum.query_id not in hitlists:
-                hitlists[spectrum.query_id] = TopHitList(cfg.tau)
+        stats = open_pass(queries, hitlists, cfg.tau)
         if cfg.execution is ExecutionMode.MODELED:
-            self._count_modeled(queries, hitlists, stats)
+            for spectrum, count in zip(queries, self.count_each(queries).tolist()):
+                stats.candidates_evaluated += count
+                hitlists[spectrum.query_id].evaluated += count
             return stats
-        stats.queries_processed += len(queries)
         stats.sweep_queries += len(queries)
-        if not queries:
-            return stats
-        obs = get_metrics()
-        traced = obs.enabled  # the only telemetry test an untraced pass pays
-        plan_span = (
-            obs.span("sweep.plan", category="search", queries=len(queries))
-            if traced
-            else NULL_SPAN
-        )
-        with plan_span:
-            masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
-            order = np.argsort(masses, kind="stable")
-            lows = masses[order] - self.generator.delta
-            highs = masses[order] + self.generator.delta
-            plan = plan_sweep(lows, highs, cfg.sweep_cohort)
-            index = self.generator.index
-            tiers = [(None, index.windows_many(lows, highs))] + [
-                (mod, index.windows_many(lows - mod.delta_mass, highs - mod.delta_mass))
-                for mod in self.generator.modifications
-            ]
-        stats.sweep_cohorts += plan.num_blocks
-        for a, b, r0, r1 in plan.blocks():
-            members = [queries[m] for m in order[a:b]]
-            run_bounds = plan.run_bounds[r0 : r1 + 1] - a
-            if not traced:
-                self._sweep_block(members, run_bounds, tiers, a, hitlists, stats)
-                continue
-            with obs.span(
-                "sweep.block", category="search", members=b - a, runs=r1 - r0
-            ) as span:
-                span.args["rows"] = self._sweep_block(
-                    members, run_bounds, tiers, a, hitlists, stats
-                )
+        if queries:
+            gen = self.generator
+            score = partial(score_directly, self.scorer, self.shard, mod_targets(gen.tiers))
+            sweep_table(
+                gen.index, queries, *mass_order(queries, gen.delta), gen.tiers,
+                score, self.shard.ids, cfg, hitlists, stats,
+            )
         return stats
 
-    def _sweep_block(
-        self,
-        members: List[Spectrum],
-        run_bounds: np.ndarray,
-        tiers: Sequence[tuple],
-        first: int,
-        hitlists: Dict[int, TopHitList],
-        stats: ShardStats,
-    ) -> int:
-        """Enumerate, score and emit one block; returns its candidate count."""
-        spans, sel, mem = self._block_candidates(run_bounds, tiers, first, len(members))
-        shard_ids = self.shard.ids
-        score_and_offer_block(
-            self.config,
-            stats,
-            hitlists,
-            members,
-            sel,
-            mem,
-            spans.lengths[sel],
-            lambda spectra, kept: self.score_spans_block(spectra, spans, kept),
-            lambda s: (
-                shard_ids[spans.seq_index[s]],
-                spans.start[s],
-                spans.stop[s],
-                spans.mass[s],
-                spans.mod_delta[s],
-            ),
-        )
-        return len(sel)
-
-    def _block_candidates(
-        self, run_bounds: np.ndarray, tiers: Sequence[tuple], first: int, num_members: int
-    ) -> Tuple[CandidateSpans, np.ndarray, np.ndarray]:
-        """Candidate block + member-major flat selections for one block.
-
-        ``run_bounds`` are the block's run edges in block-local member
-        positions and ``tiers`` the pass-wide ``(mod, windows_many
-        bounds)`` per modification tier, the block's members sitting at
-        ``[first, first + num_members)`` of them.  Each tier enumerates
-        every run's union window once (:meth:`MassIndex.sweep_spans` over
-        arrays of run bounds: no row between two runs is materialized)
-        and each member's candidates are recovered as sub-slices of its
-        own run's rows.  Returns ``(spans, sel, mem)``: ``sel`` indexes
-        ``spans`` and lists, member by member (``mem``, non-decreasing),
-        the candidates in exactly the order ``generator.candidates(query)``
-        produces: tier-major, prefixes ascending, then deduplicated
-        suffixes ascending — PTM tiers keep that property because the
-        presence filter is a stable subset of the enumerated rows, making
-        each member's filtered range a contiguous run of the kept block.
-        """
-        gen = self.generator
-        window = slice(first, first + num_members)
-        run_first = run_bounds[:-1]
-        run_last = run_bounds[1:] - 1
-        run_of = np.repeat(np.arange(len(run_first)), np.diff(run_bounds))
-        tier_parts: List[CandidateSpans] = []
-        starts: List[np.ndarray] = []
-        stops: List[np.ndarray] = []
-        base = 0
-        for mod, bounds in tiers:
-            p0, p1, s0, s1 = (edge[window] for edge in bounds)
-            run_p0, run_s0 = p0[run_first], s0[run_first]
-            run_pn = np.maximum(p1[run_last] - run_p0, 0)
-            run_sn = np.maximum(s1[run_last] - run_s0, 0)
-            block, num_pre = gen.index.sweep_spans(
-                run_p0, run_p0 + run_pn, run_s0, run_s0 + run_sn
-            )
-            if len(block) == 0:
-                continue
-            # where each run's prefixes and suffixes start inside `block`
-            run_pre = np.cumsum(run_pn) - run_pn
-            run_suf = num_pre + np.cumsum(run_sn) - run_sn
-            pa = run_pre[run_of] + (p0 - run_p0[run_of])
-            pb = np.maximum(pa + (p1 - p0), pa)
-            sa = run_suf[run_of] + (s0 - run_s0[run_of])
-            sb = np.maximum(sa + (s1 - s0), sa)
-            if mod is not None:
-                keep = gen.presence_mask(block, mod)
-                kcum = np.concatenate(([0], np.cumsum(keep)))
-                block = block.take(np.nonzero(keep)[0])
-                if len(block) == 0:
-                    continue
-                block = replace(block, mod_delta=np.full(len(block), mod.delta_mass))
-                pa, pb, sa, sb = kcum[pa], kcum[pb], kcum[sa], kcum[sb]
-            starts += [base + pa, base + sa]
-            stops += [base + pb, base + sb]
-            tier_parts.append(block)
-            base += len(block)
-        if not tier_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return CandidateSpans.empty(), empty, empty
-        # (member, tier, prefix-then-suffix) ranges, raveled member-major
-        starts_flat = np.stack(starts, axis=1).ravel()
-        sizes = np.stack(stops, axis=1).ravel() - starts_flat
-        sel = _ragged_arange(starts_flat, sizes)
-        per_member = sizes.reshape(num_members, -1).sum(axis=1)
-        mem = np.repeat(np.arange(num_members, dtype=np.int64), per_member)
-        return CandidateSpans.concat(tier_parts), sel, mem
-
-    def score_spans_block(
-        self,
-        spectra: SpectrumBatch,
-        spans: CandidateSpans,
-        selections: Sequence[np.ndarray],
-    ) -> Tuple[np.ndarray, int, int]:
-        """Score a block's shared spans: ``(scores, direct_rows, index_rows)``.
-
-        ``scores`` is one member-major vector (``selections[0]``'s
-        candidates, then ``selections[1]``'s, ...), each entry bitwise the
-        scalar scorer's for that (member, candidate) pair; the row counts
-        are the evaluation rows scored directly (one per admissible PTM
-        site) and served by an index (none, on this path).
-        """
-        batch = CandidateBatch.from_spans(self.shard, spans, self._mod_targets)
-        scores = block_scores(self.scorer, spectra, batch, selections)
-        return scores, sum(batch.selected_row_count(sel) for sel in selections), 0
-
     def count_each(self, queries: Sequence[Spectrum]) -> np.ndarray:
-        """Exact per-query candidate counts (PTM tiers included).
-
-        The shared counting kernel for modeled execution: the no-PTM path
-        is one vectorized window count over the whole batch — no
-        per-query array allocations.
-        """
-        if not queries:
-            return np.empty(0, dtype=np.int64)
-        if self.config.modifications:
-            return np.array([self.generator.count(q) for q in queries], dtype=np.int64)
+        """Exact per-query candidate counts (PTM tiers included): the
+        counting kernel of modeled execution, a few binary searches per
+        tier for the whole batch."""
         masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
-        return self.generator.count_unmodified_many(masses).astype(np.int64)
-
-    def count_for(self, spectrum: Spectrum) -> int:
-        """Exact candidate count for one query (PTM tiers included)."""
-        return int(self.count_each([spectrum])[0])
-
-    def count_batch(self, queries: Sequence[Spectrum]) -> int:
-        """Vectorized total candidate count for a query batch."""
-        return int(self.count_each(list(queries)).sum())
+        return self.generator.count_many(masses)
 
 
 def search_serial(

@@ -1,98 +1,74 @@
-"""Store-served search: one sweep over an index store's mass-sorted rows.
+"""Store-served search: the direct search's sweep over a store's rows.
 
 :class:`StreamingSearcher` searches every index store, with the same
 ``run(queries, hitlists) -> ShardStats`` contract as
 :class:`~repro.core.search.ShardSearcher` (so the serial engine, the
-multiproc workers, and the service scorer drive it unchanged).  Every
-store holds the same row table — every prefix/suffix span of the
-database, sorted by mass — and the searcher sweeps it as row blocks:
+multiproc workers and the service scorer drive it unchanged).  Every
+store holds the direct search's row table, and the searcher runs the
+direct search's :func:`~repro.core.search.sweep_table` over it:
 
-* a *partitioned* store's rows are its mass-contiguous partitions,
-  iterated through a :class:`~repro.store.partitioned.StreamingIndexReader`
-  — one partition scored while the next is read ahead.  This is the
-  paper's database transport (shards visit resident queries, ``O(N/p)``
-  held at a time) applied to one node's disk;
-* a store with postings has its row table memory-mapped
-  (:meth:`~repro.store.index_store.StoredIndex.load_shard`), swept as
-  one block.  Under a scorer with a posting kernel
-  (:meth:`~repro.index.fragment_index.FragmentIndex.serves`), the rows
-  inside the index envelope are scored by posting probes and the rest
-  directly; every other scorer scores every row directly.
+* a store with postings has its table memory-mapped
+  (:meth:`~repro.store.index_store.StoredIndex.load_shard`) and swept
+  whole; under a scorer with a posting kernel
+  (:meth:`~repro.index.fragment_index.FragmentIndex.serves`) its
+  unmodified rows inside the index envelope are scored by posting probes,
+  every other row directly;
+* a *partitioned* store's mass-contiguous partitions are swept one by
+  one as a :class:`~repro.store.partitioned.StreamingIndexReader` reads
+  the next one ahead — the paper's database transport (shards visit
+  resident queries, ``O(N/p)`` held at a time) on one node's disk.
 
-Bitwise identity with the direct search is structural:
-
-* The rows tile the mass-sorted span set of the whole database; a
-  query's candidate set inside a row block is the same inclusive
-  ``[m - delta, m + delta]`` mass window the
-  :class:`~repro.candidates.mass_index.MassIndex` enumeration selects,
-  recovered by two ``searchsorted`` calls on the block's mass column.
-  Unioned over blocks, every query sees exactly the direct candidate set.
-* Scores come from the very same kernels: a block's union of directly
-  scored rows is one :class:`~repro.candidates.batch.CandidateBatch`
-  scored with ``block_scores``, and posting probes are bitwise those
-  kernels' scores.
-* :class:`~repro.scoring.hits.TopHitList` is order-independent, so
-  folding blocks in mass order instead of one whole-database batch
-  cannot change the retained hits; per-query ``evaluated`` totals match
-  because shorts, cutoff failures, and offers are counted per block
-  and sum to the direct per-query counts.
-
-A store serves a strict subset of configurations — REAL execution and no
-variable modifications (PTM tiers are generated from the database, not
-the store's rows) — see :func:`index_compat_problems`.  Violations raise
-a typed :class:`~repro.errors.IndexCompatError` up front, never silently
-degraded results.
+Bitwise identity with the direct search is structural: the rows tile
+the database's candidate set, a query's candidates in a row block are
+its (PTM-shifted) windows' rows, posting probes are bitwise the direct
+kernels' scores, and :class:`~repro.scoring.hits.TopHitList` is
+order-independent, so folding partitions in mass order changes neither
+the hits nor the per-query ``evaluated`` totals.  A store serves REAL
+execution only (:func:`check_store_servable`).
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.candidates.batch import CandidateBatch
-from repro.candidates.mass_index import CandidateSpans, SweepPlan
+from repro.candidates.generator import mod_targets, modification_tiers
+from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
-from repro.core.search import ShardStats, record_shard_pass, score_and_offer_block
+from repro.core.search import (
+    ShardStats,
+    mass_order,
+    open_pass,
+    score_directly,
+    sweep_table,
+    traced_pass,
+)
 from repro.errors import IndexCompatError
 from repro.index import FragmentIndex
-from repro.obs.metrics import NULL_SPAN, get_metrics
-from repro.scoring.base import Scorer, block_scores
+from repro.scoring.base import Scorer
 from repro.scoring.hits import TopHitList
-from repro.spectra.binning import _ragged_arange
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import flatten_members
+from repro.spectra.spectrum_batch import SpectrumBatch, flatten_members
 from repro.store.partitioned import StreamingIndexReader, StreamStats
 
 
-def index_compat_problems(config: SearchConfig) -> List[str]:
-    """Configuration contradictions that make an index store unusable.
-
-    Returns human-readable problems (empty == servable).  A search that
-    never scores has nothing to open a store for, and variable
-    modifications need PTM candidate tiers enumerated from the database
-    residues, which a store's rows are not.  The scorer is deliberately
-    NOT a problem — one the postings cannot serve is scored directly
-    from the rows — and neither is a store built at a different fragment
-    tolerance: probes are exact at any tolerance, so results stay
-    bitwise identical.
-    """
-    problems = []
+def check_store_servable(config: SearchConfig, what: str = "search") -> None:
+    """Refuse, typed and up front, what no store serves: a search that
+    never scores (MODELED execution) has nothing to open one for.  The
+    scorer, variable modifications and the build's fragment tolerance
+    are never reasons: rows the postings cannot serve are scored directly
+    from the rows, and probes are exact at any tolerance."""
     if config.execution is not ExecutionMode.REAL:
-        problems.append(
-            "modeled execution counts candidates without scoring, so a "
-            "persisted index cannot serve it"
+        raise IndexCompatError(
+            f"this {what} cannot be served from the index store: modeled "
+            f"execution counts candidates without scoring, so a persisted "
+            f"index cannot serve it"
         )
-    if config.modifications:
-        problems.append(
-            "variable modifications require database-resident candidate "
-            "generation; a store (resident or streamed) serves unmodified "
-            "searches only"
-        )
-    return problems
 
 
 class StreamingSearcher:
@@ -124,12 +100,7 @@ class StreamingSearcher:
         self.store = store
         self.config = config
         self.scorer = scorer if scorer is not None else config.make_scorer(library)
-        problems = index_compat_problems(config)
-        if problems:
-            raise IndexCompatError(
-                "this search cannot be served from the index store: "
-                + "; ".join(problems)
-            )
+        check_store_servable(config)
         if database is not None:
             store.validate_against(database)
         self.loaded = (
@@ -140,6 +111,7 @@ class StreamingSearcher:
                 self.loaded.database if self.loaded is not None else store.load_database()
             )
         self.database = database
+        self.tiers = modification_tiers(database, config.modifications)
         # the postings serve only a scorer with a posting kernel
         self.index = (
             self.loaded.index
@@ -167,68 +139,37 @@ class StreamingSearcher:
     def run(
         self, queries: Iterable[Spectrum], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
-        """One pass: every row block visited at most once.
-
-        Telemetry mirrors :meth:`ShardSearcher.run` (same counter names
-        plus the ``stream.*`` family the reader emits), and is never an
-        input to scoring.
-        """
-        obs = get_metrics()
-        if not obs.enabled:
-            return self._search(list(queries), hitlists)
-        with obs.span("search.stream", category="search"):
-            stats = self._search(list(queries), hitlists)
-        record_shard_pass(obs, stats)
-        return stats
+        """One pass (a :func:`~repro.core.search.traced_pass`): every row
+        block visited at most once.  Telemetry adds the ``stream.*``
+        family the reader emits."""
+        return traced_pass("search.stream", self._search, queries, hitlists)
 
     def _search(
         self, queries: List[Spectrum], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
-        stats = ShardStats()
+        """:func:`~repro.core.search.sweep_table` over the mapped table, or
+        over each partition the queries' windows (any tier's) meet: the
+        members of a partition are the contiguous slice of mass-ordered
+        queries whose windows reach its mass range."""
         cfg = self.config
-        for spectrum in queries:
-            if spectrum.query_id not in hitlists:
-                hitlists[spectrum.query_id] = TopHitList(cfg.tau)
-        stats.queries_processed += len(queries)
+        stats = open_pass(queries, hitlists, cfg.tau)
         if not queries:
             return stats
         stats.sweep_queries += len(queries)
-        # a traced pass hands its registry down to the block loops; an
-        # untraced one pays this one attribute test
-        obs = get_metrics()
-        if not obs.enabled:
-            obs = None
-        # mass-sorted query order: each row block is visited once, by a
-        # contiguous slice of queries whose windows intersect its range
-        with (
-            obs.span("sweep.plan", category="search", queries=len(queries))
-            if obs is not None
-            else NULL_SPAN
-        ):
-            masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
-            order = np.argsort(masses, kind="stable")
-            lows = masses[order] - cfg.delta
-            highs = masses[order] + cfg.delta
+        order, lows, highs = mass_order(queries, cfg.delta)
+        shifts = [0.0] + [mod.delta_mass for mod, _csum in self.tiers]
 
-        def sweep(rows: CandidateSpans) -> None:
-            if len(rows) == 0:
+        def sweep(table: MassIndex) -> None:
+            if len(table) == 0:
                 return
-            # windows sorted (shared delta): members form one slice
-            a = int(np.searchsorted(highs, rows.mass[0], side="left"))
-            b = int(np.searchsorted(lows, rows.mass[-1], side="right"))
+            a = min(int(np.searchsorted(highs - d, table.mass[0], side="left")) for d in shifts)
+            b = max(int(np.searchsorted(lows - d, table.mass[-1], side="right")) for d in shifts)
             if b <= a:
                 return
             t0 = time.perf_counter()
-            self._offer_ranges(
-                queries,
-                order[a:b],
-                np.searchsorted(rows.mass, lows[a:b], side="left"),
-                np.searchsorted(rows.mass, highs[a:b], side="right"),
-                rows.lengths,
-                *self._row_scoring(rows),
-                hitlists,
-                stats,
-                obs,
+            sweep_table(
+                table, queries, order[a:b], lows[a:b], highs[a:b], self.tiers,
+                self._score, self.database.ids, cfg, hitlists, stats,
             )
             self.score_seconds += time.perf_counter() - t0
 
@@ -238,115 +179,52 @@ class StreamingSearcher:
         visit = [
             pid
             for pid, entry in enumerate(self.store.partitions)
-            if highs[-1] >= entry.mass_lo and lows[0] <= entry.mass_hi
+            if any(highs[-1] - d >= entry.mass_lo and lows[0] - d <= entry.mass_hi for d in shifts)
         ]
         reader = StreamingIndexReader(self.store, visit, memory_budget_mb=self.memory_budget_mb)
         try:
             for part in reader:
-                sweep(part.spans)
+                sweep(MassIndex.view(part.mass, part.key, self.database.offsets))
         finally:
             reader.close()
             self.stream_stats.merge(reader.stats)
         return stats
 
-    def _row_scoring(self, rows: CandidateSpans):
-        """The ``(score, columns)`` pair for a row block of the store.
-
-        What :func:`~repro.core.search.score_and_offer_block` needs to
-        score and emit rows of ``rows``.  A block's directly scored rows
-        are materialized as one shared
-        :class:`~repro.candidates.batch.CandidateBatch` against the
-        database and scored with ``block_scores``; under a posting-served
-        scorer, the rows the index holds are probed instead and the two
-        score streams merged back in row order.  Protein ids come from
-        the database buffers.
-        """
-        db = self.database
-        scorer = self.scorer
-        index = self.index
-
-        def direct(spectra, kept):
-            union = np.unique(np.concatenate(kept))
-            batch = CandidateBatch.from_spans(db, rows.take(union), {})
-            local = [np.searchsorted(union, sel) for sel in kept]
-            return block_scores(scorer, spectra, batch, local)
-
-        def score(spectra, kept):
-            if index is None:
-                scores = direct(spectra, kept)
-                return scores, len(scores), 0
-            flat, member = flatten_members(kept)
-            held = index.holds(flat)
-            if held.all():  # the common case: no row outside the envelope
-                scores = index.score_block(scorer, spectra, kept)
-                return scores, 0, len(scores)
-
-            def per_member(mask: np.ndarray) -> List[np.ndarray]:
-                counts = np.bincount(member[mask], minlength=len(kept))
-                return np.split(flat[mask], np.cumsum(counts)[:-1])
-
-            scores = np.empty(len(flat), dtype=np.float64)
-            scores[held] = index.score_block(scorer, spectra, per_member(held))
-            scores[~held] = direct(spectra, per_member(~held))
-            num_held = int(held.sum())
-            return scores, len(flat) - num_held, num_held
-
-        def columns(sel):
-            return (
-                db.ids[rows.seq_index[sel]],
-                rows.start[sel],
-                rows.stop[sel],
-                rows.mass[sel],
-                rows.mod_delta[sel],
-            )
-
-        return score, columns
-
-    def _offer_ranges(
+    def _score(
         self,
-        queries: List[Spectrum],
-        members: np.ndarray,
-        r_lo: np.ndarray,
-        r_hi: np.ndarray,
-        lengths: np.ndarray,
-        score,
-        columns,
-        hitlists: Dict[int, TopHitList],
-        stats: ShardStats,
-        obs,
-    ) -> None:
-        """Block-packed scoring of members that each own a row range.
+        spectra: SpectrumBatch,
+        spans: CandidateSpans,
+        rows: np.ndarray,
+        kept: List[np.ndarray],
+    ):
+        """Score one block (a :data:`~repro.core.search.BlockScorer`):
+        directly from the database, but under a posting-served scorer its
+        unmodified rows inside the index envelope by posting probes, the
+        two score streams merged back in member-major order."""
+        direct = partial(
+            score_directly, self.scorer, self.database, mod_targets(self.tiers), spectra
+        )
+        if self.index is None:
+            return direct(spans, rows, kept)
+        flat, member = flatten_members(kept)
+        served = (self.index.holds(rows) & (spans.mod_delta == 0))[flat]
+        if served.all():  # the common case: no row outside the envelope
+            scores = self.index.score_block(self.scorer, spectra, [rows[sel] for sel in kept])
+            return scores, 0, len(scores)
 
-        The direct sweep's blocks (:class:`SweepPlan`, filters, scoring
-        call and top-tau emit shared through
-        :func:`~repro.core.search.score_and_offer_block`) without its
-        runs: member ``j`` owns rows ``[r_lo[j], r_hi[j])`` of a row
-        block, no union block is enumerated, so every member is a run of
-        its own and a block is simply the next ``sweep_cohort`` members.
-        ``obs`` is the metrics registry of a traced pass, else ``None``.
-        """
-        plan = SweepPlan.pack(np.arange(len(members) + 1), self.config.sweep_cohort)
-        stats.sweep_cohorts += plan.num_blocks
-        for a, b, _r0, _r1 in plan.blocks():
-            sizes = r_hi[a:b] - r_lo[a:b]
-            rows = _ragged_arange(r_lo[a:b], sizes)
-            span = (
-                obs.span(
-                    "sweep.block", category="search",
-                    members=b - a, runs=b - a, rows=len(rows),
-                )
-                if obs is not None
-                else NULL_SPAN
-            )
-            with span:
-                score_and_offer_block(
-                    self.config,
-                    stats,
-                    hitlists,
-                    [queries[int(q)] for q in members[a:b]],
-                    rows,
-                    np.repeat(np.arange(b - a, dtype=np.int64), sizes),
-                    lengths[rows],
-                    score,
-                    columns,
-                )
+        def per_member(mask: np.ndarray) -> List[np.ndarray]:
+            counts = np.bincount(member[mask], minlength=len(kept))
+            return np.split(flat[mask], np.cumsum(counts)[:-1])
+
+        scores = np.empty(len(flat), dtype=np.float64)
+        scores[served] = self.index.score_block(
+            self.scorer, spectra, [rows[sel] for sel in per_member(served)]
+        )
+        # the directly scored block positions, renumbered among themselves
+        unserved = np.zeros(len(rows), dtype=bool)
+        unserved[flat[~served]] = True
+        local = np.cumsum(unserved) - 1
+        scores[~served], direct_rows, _ = direct(
+            spans.take(unserved), rows[unserved], [local[sel] for sel in per_member(~served)]
+        )
+        return scores, direct_rows, int(served.sum())

@@ -109,6 +109,11 @@ class IndexStoreError(ReproError, ValueError):
     """
 
 
+class RowKeyOverflowError(ReproError, OverflowError):
+    """A database of 2^31 residues or more: the row table's int32 keys
+    cannot address it.  Raised before anything is allocated."""
+
+
 class ServiceError(ReproError, RuntimeError):
     """Base class for long-lived search-service failures.
 
@@ -179,8 +184,7 @@ class IndexCompatError(ConfigError):
 
     Raised when ``--index-path`` is combined with options that
     contradict it (a simulated engine, modeled execution, a shard
-    layout the store does not hold, variable modifications over a
-    streamed store).  Subclasses
+    layout the store does not hold).  Subclasses
     :class:`ConfigError` because it is a configuration contradiction,
     not a corrupt store.
     """

@@ -24,11 +24,13 @@ one, and caching them doubled the index.
 
 Rows are *precursor-major*: the row table is every prefix and suffix
 span of the database sorted by mass
-(:func:`~repro.candidates.mass_index.mass_sorted_spans`, the rows a
-partitioned store's partitions hold), so a query's candidate set is one
-contiguous row range and posting probes never touch candidates outside
-the query's mass window.  A posting's ``*_row`` is a position in that
-table: one row id means one mass-sorted span.
+(:class:`~repro.candidates.mass_index.MassIndex`, the table every store
+holds and a partitioned store's partitions cut), so a query's candidate
+set is one contiguous row range and posting probes never touch
+candidates outside the query's mass window.  A posting's ``*_row`` is a
+row id, a position in that table: one row id means one mass-sorted
+span, whose ``row_key`` names it (decoded against the database offsets
+like every other row: :meth:`~repro.candidates.mass_index.MassIndex.spans`).
 
 Builder/view split
 ------------------
@@ -36,7 +38,7 @@ Construction and consumption are separate types:
 
 * :class:`IndexBuilder` is pure construction: it turns a database into
   a :class:`BuiltIndex` — an :class:`~repro.index.layout.IndexLayout`
-  descriptor plus a dict of named, contiguous flat arrays (the four row
+  descriptor plus a dict of named, contiguous flat arrays (the two row
   columns and the postings).  Nothing in the built state is an object
   graph, which is what makes zero-copy persistence possible (see
   :mod:`repro.store`).
@@ -73,10 +75,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.candidates.mass_index import CandidateSpans, mass_sorted_spans
+from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
-from repro.index.layout import ROW_ARRAYS, ArraySpec, IndexLayout
+from repro.index.layout import (
+    POSTING_OFFSET_DTYPE,
+    ROW_ARRAYS,
+    ROW_ID_DTYPE,
+    ArraySpec,
+    IndexLayout,
+)
 from repro.spectra.binning import _ragged_arange, row_segment_sums
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
@@ -128,7 +136,7 @@ class _PostingList:
     """
 
     mz: np.ndarray  # float64 fragment m/z
-    row: np.ndarray  # int64 candidate row, aligned to mz
+    row: np.ndarray  # row id (int64) of the candidate, aligned to mz
     series: Optional[np.ndarray]  # uint8 series code, or None (ladder list)
     #: direct bin → posting-offset table: postings of bin ``b`` occupy
     #: ``[bin_start[b], bin_start[b + 1])``, ``row`` ascending within.
@@ -148,8 +156,8 @@ def _build_postings(
     """
     parts = [(m, r, s) for m, r, s in parts if m.size]
     if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty(0), empty, None, np.zeros(1, dtype=np.int64)
+        empty = np.empty(0, dtype=ROW_ID_DTYPE)
+        return np.empty(0), empty, None, np.zeros(1, dtype=POSTING_OFFSET_DTYPE)
     mz = np.concatenate([m.ravel() for m, _r, _s in parts])
     row = np.concatenate([np.repeat(r, m.shape[1]) for m, r, _s in parts])
     tagged = parts[0][2] is not None
@@ -166,9 +174,9 @@ def _build_postings(
     bin_start = np.searchsorted(bins_sorted, np.arange(num_bins + 1))
     return (
         mz[order],
-        row[order],
+        row[order].astype(ROW_ID_DTYPE, copy=False),
         series[order] if series is not None else None,
-        bin_start,
+        bin_start.astype(POSTING_OFFSET_DTYPE, copy=False),
     )
 
 
@@ -178,15 +186,17 @@ class BuiltIndex:
 
     ``arrays`` are the row table and the postings; the database whose
     spans the rows name rides beside them (a store writes it to its
-    ``database/`` section).  ``view()`` wires a read-only
+    ``database/`` section), and ``offsets`` are its offsets, which the
+    row keys decode against.  ``view()`` wires a read-only
     :class:`FragmentIndex` over the arrays.
     """
 
     layout: IndexLayout
     arrays: Dict[str, np.ndarray]
+    offsets: np.ndarray
 
     def view(self) -> "FragmentIndex":
-        return FragmentIndex(self.layout, self.arrays)
+        return FragmentIndex(self.layout, self.arrays, self.offsets)
 
 
 class IndexBuilder:
@@ -217,25 +227,25 @@ class IndexBuilder:
         # remain exact (they scan however many bins the window covers).
         self.bin_width = max(2.0 * self.fragment_tolerance, 0.25)
 
-    def build(self, db: ProteinDatabase, spans: Optional[CandidateSpans] = None) -> BuiltIndex:
+    def build(self, db: ProteinDatabase, table: Optional[MassIndex] = None) -> BuiltIndex:
         """Lay ``db`` out as its mass-sorted row table and post the
-        fragments of every row inside the envelope.  ``spans`` is that
+        fragments of every row inside the envelope.  ``table`` is that
         table when the caller already holds it (a store writes it first)."""
         # Precursor-major row order: a query window maps to one contiguous
         # row range, which the posting-probe row restriction relies on.
-        if spans is None:
-            spans = mass_sorted_spans(db)
-        columns = (spans.seq_index, spans.start, spans.stop, spans.mass)
+        if table is None:
+            table = MassIndex(db)
         arrays = {
             name: np.ascontiguousarray(col, dtype=dtype)
-            for (name, dtype), col in zip(ROW_ARRAYS.items(), columns)
+            for (name, dtype), col in zip(ROW_ARRAYS.items(), (table.mass, table.key))
         }
+        spans = table.spans(np.arange(len(table)))
         postings, num_fragments = self._posting_arrays(
             db, spans, np.nonzero(_in_envelope(spans.lengths, self.max_length))[0]
         )
         arrays.update(postings)
         layout = IndexLayout(
-            num_rows=len(spans),
+            num_rows=len(table),
             max_length=self.max_length,
             bin_width=self.bin_width,
             num_fragments=num_fragments,
@@ -246,13 +256,13 @@ class IndexBuilder:
                 for name, a in arrays.items()
             },
         )
-        return BuiltIndex(layout=layout, arrays=arrays)
+        return BuiltIndex(layout=layout, arrays=arrays, offsets=db.offsets)
 
     def _posting_arrays(
         self, db: ProteinDatabase, spans: CandidateSpans, held: np.ndarray
     ) -> Tuple[Dict[str, np.ndarray], int]:
-        """Both posting lists for the rows ``held`` of a row table:
-        per-length fragment matrices generated with the same batched
+        """Both posting lists for the rows ``held`` of a row table
+        (``spans``, decoded whole): per-length fragment matrices generated with the same batched
         kernels the direct scoring path runs per block, sorted into
         posting lists keyed on row ids.  The matrices themselves are not
         kept.
@@ -297,21 +307,20 @@ class FragmentIndex:
 
     Never builds: the constructor wires a view over existing arrays,
     heap (``IndexBuilder(...).build(db).view()``) or memmap (a
-    ``repro.store`` directory).  ``rows`` is the row table as
-    :class:`~repro.candidates.mass_index.CandidateSpans` of the database
-    it was built from.
+    ``repro.store`` directory).  ``rows`` is the row table, a
+    :class:`~repro.candidates.mass_index.MassIndex` over the ``row_mass``
+    and ``row_key`` arrays, decoded against ``offsets``: those of the
+    database it was built from.
     """
 
-    def __init__(self, layout: IndexLayout, arrays: Dict[str, np.ndarray]):
+    def __init__(self, layout: IndexLayout, arrays: Dict[str, np.ndarray], offsets: np.ndarray):
         self.layout = layout
         self.arrays = arrays
         self.num_rows = layout.num_rows
         self.max_length = layout.max_length
         self.bin_width = layout.bin_width
         self.num_fragments = layout.num_fragments
-        self.rows = CandidateSpans(
-            *(arrays[name] for name in ROW_ARRAYS), np.zeros(layout.num_rows)
-        )
+        self.rows = MassIndex.view(arrays["row_mass"], arrays["row_key"], offsets)
         self._ladder_postings = _PostingList(
             arrays["ladder_mz"],
             arrays["ladder_row"],
@@ -335,7 +344,7 @@ class FragmentIndex:
         """Which of the table's ``rows`` the postings cover: those inside
         the ``[2, max_length]`` length envelope.  The others are scored
         directly."""
-        return _in_envelope(self.rows.stop[rows] - self.rows.start[rows], self.max_length)
+        return _in_envelope(self.rows.spans(rows).lengths, self.max_length)
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
 

@@ -25,23 +25,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.errors import IndexStoreError
+from repro.errors import IndexStoreError, RowKeyOverflowError
 
-#: the row table's columns -> dtype: the
-#: :class:`~repro.candidates.mass_index.CandidateSpans` fields
-#: (``seq_index``, ``start``, ``stop``, ``mass``) of every span of the
-#: database, mass-sorted (:func:`~repro.candidates.mass_index.mass_sorted_spans`)
+#: one dtype per addressing concept: a *row key* names a span by its flat
+#: residue position (``k`` the prefix ending at ``k``, ``~k`` the suffix
+#: starting there), a *row id* is a position in the row table (a
+#: posting's ``*_row``), a *posting offset* counts postings
+#: (``*_bin_start``, ~15 per residue per list, so 64 bits)
+ROW_KEY_DTYPE = "int32"
+ROW_ID_DTYPE = "int64"
+POSTING_OFFSET_DTYPE = "int64"
+MAX_KEYED_RESIDUES = 2**31  # flat positions up to 2^31 - 1
+
+#: the row table's columns -> dtype: every prefix/suffix span of the
+#: database, sorted by mass (:class:`~repro.candidates.mass_index.MassIndex`)
 ROW_ARRAYS = {
-    "row_seq": "int64",
-    "row_start": "int64",
-    "row_stop": "int64",
     "row_mass": "float64",
+    "row_key": ROW_KEY_DTYPE,
 }
+
+
+def check_row_keys(num_residues: int) -> None:
+    """Refuse a database whose flat positions do not fit a row key."""
+    if num_residues >= MAX_KEYED_RESIDUES:
+        raise RowKeyOverflowError(
+            f"a database of {num_residues} residues does not fit the row "
+            f"table: its int32 row keys address fewer than 2^31 "
+            f"({MAX_KEYED_RESIDUES}) residues; split it into shards below "
+            f"the 2^31-residue limit"
+        )
+
 
 #: the two posting lists, each sorted by (m/z bin, candidate row): the
 #: b+y ladder list (shared-peak counting) and the series-tagged b / y
-#: list (per-series matched intensity).  ``*_bin_start[b]`` is where bin
-#: ``b``'s run starts; inside a run ``*_row`` ascends.
+#: list (per-series matched intensity).  ``*_bin_start[b]`` (posting
+#: offsets) is where bin ``b``'s run starts; inside a run ``*_row`` (row
+#: ids) ascends.
 POSTING_ARRAYS = (
     "ladder_mz",
     "ladder_row",

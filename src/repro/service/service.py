@@ -59,10 +59,9 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
-from repro.core.streaming import StreamingSearcher, index_compat_problems
+from repro.core.streaming import StreamingSearcher, check_store_servable
 from repro.errors import (
     ConfigError,
-    IndexCompatError,
     ReproError,
     ServiceOverloadedError,
     ServiceUnavailableError,
@@ -151,12 +150,7 @@ class SearchService:
         )
         self._memory_budget_mb = memory_budget_mb
         if store is not None:
-            problems = index_compat_problems(config)
-            if problems:
-                raise IndexCompatError(
-                    "this service cannot be served from the index store: "
-                    + "; ".join(problems)
-                )
+            check_store_servable(config, "service")
         self._injector: Optional[ServiceFaultInjector] = None
         if fault_plan is not None and fault_plan.service is not None:
             self._injector = ServiceFaultInjector(fault_plan.service)

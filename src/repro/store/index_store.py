@@ -13,10 +13,8 @@ row table raw::
             offsets.npy     # mmap-able: every scored span and every
             ids.npy         # emitted hit reads them
         index/
-            row_seq.npy     # the mass-sorted row table: every span of
-            row_start.npy   # the database, one row each
-            row_stop.npy
-            row_mass.npy
+            row_mass.npy    # the mass-sorted row table: every span of
+            row_key.npy     # the database, one 12-byte row each
             ladder_mz.npy   # save_index only: the two posting lists,
             ...             # whose *_row values are positions in the table
 
@@ -28,7 +26,7 @@ header doubling as an on-disk dtype/shape check against the manifest.
 A store built by :func:`~repro.store.partitioned.save_partitioned_index`
 holds no postings; its header records a *partition directory* instead:
 mass-contiguous row ranges ``[lo, hi)`` of the same table, each with its
-mass range and one SHA-256 over that range's bytes in the four row
+mass range and one SHA-256 over that range's bytes in the two row
 columns.  A streamed pass reads a partition with positioned reads
 (:meth:`StoredIndex.read_partition`) and never maps a row column.
 
@@ -68,11 +66,11 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.candidates.mass_index import CandidateSpans, mass_sorted_spans
+from repro.candidates.mass_index import MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.errors import ConfigError, IndexStoreError
 from repro.index.fragment_index import FragmentIndex, IndexBuilder
@@ -80,9 +78,9 @@ from repro.index.layout import ARRAY_NAMES, POSTING_ARRAYS, ROW_ARRAYS, ArraySpe
 from repro.obs.metrics import get_metrics
 
 #: schema identifier of the store directory format; readers reject other
-#: versions rather than guessing at semantics (/5: one format for both
-#: builders; a partition is a checksummed row range of the row table)
-STORE_SCHEMA = "repro.index_store/5"
+#: versions rather than guessing at semantics (/6: the row table is two
+#: columns, mass and an int32 span key, 12 bytes a row)
+STORE_SCHEMA = "repro.index_store/6"
 
 HEADER_NAME = "header.json"
 DATABASE_DIR = "database"
@@ -132,7 +130,7 @@ def compute_fingerprint(db: ProteinDatabase, build: Dict[str, Any]) -> str:
 
 
 def rows_digest(chunks: Iterable[Any]) -> str:
-    """SHA-256 over one row range's bytes in the four row columns, in
+    """SHA-256 over one row range's bytes in the two row columns, in
     :data:`~repro.index.layout.ROW_ARRAYS` order: what a partition
     directory entry records and a streamed read checks."""
     h = hashlib.sha256()
@@ -141,9 +139,9 @@ def rows_digest(chunks: Iterable[Any]) -> str:
     return h.hexdigest()
 
 
-def row_columns(spans: CandidateSpans) -> Dict[str, np.ndarray]:
-    """The row table's four columns of mass-sorted ``spans``, by name."""
-    return dict(zip(ROW_ARRAYS, (spans.seq_index, spans.start, spans.stop, spans.mass)))
+def row_columns(table: MassIndex) -> Dict[str, np.ndarray]:
+    """The row table's two columns, by name."""
+    return dict(zip(ROW_ARRAYS, (table.mass, table.key)))
 
 
 #: ``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, and
@@ -191,15 +189,15 @@ def _write_store(
     path: Union[str, Path],
     db: ProteinDatabase,
     build: Dict[str, Any],
-    write_index: Callable[[Path, CandidateSpans], Dict[str, Any]],
+    write_index: Callable[[Path, MassIndex], Dict[str, Any]],
     *,
     overwrite: bool = False,
 ) -> None:
     """Assemble a store directory, atomically and durably.
 
     Writes the ``database/`` section, then ``index/``: the row table —
-    the save's one :func:`~repro.candidates.mass_index.mass_sorted_spans`
-    call — and whatever ``write_index(index_dir, rows)`` adds beside it,
+    the save's one :class:`~repro.candidates.mass_index.MassIndex` build
+    — and whatever ``write_index(index_dir, rows)`` adds beside it,
     returning the header entries that describe it (the postings' layout,
     or the partition directory).  Then ``header.json``.  All of it under
     a temporary sibling unique to this call: every file fsync'd, then
@@ -223,7 +221,7 @@ def _write_store(
         _fsync_dir(db_dir)
         index_dir = tmp / INDEX_DIR
         index_dir.mkdir()
-        rows = mass_sorted_spans(db)
+        rows = MassIndex(db)
         header = {
             "schema": STORE_SCHEMA,
             "fingerprint": compute_fingerprint(db, build),
@@ -275,7 +273,7 @@ def _publish(tmp: Path, path: Path, overwrite: bool) -> None:
 @dataclass(frozen=True)
 class PartitionEntry:
     """Partition directory entry: rows ``[lo, hi)`` of the row table,
-    their mass range, and the SHA-256 of their bytes in the four row
+    their mass range, and the SHA-256 of their bytes in the two row
     columns (:func:`rows_digest`)."""
 
     lo: int
@@ -473,18 +471,18 @@ class StoredIndex:
                     f"index store at {self.path} does not match its manifest: "
                     + "; ".join(problems)
                 )
-            index = FragmentIndex(self.layout, arrays)
+            index = FragmentIndex(self.layout, arrays, database.offsets)
         seconds = time.perf_counter() - start
         metrics.count("index.mmap_bytes", self.nbytes)
         metrics.observe("index.load_time", seconds)
         return LoadedShard(database=database, index=index, seconds=seconds, nbytes=self.nbytes)
 
-    def read_partition(self, i: int) -> CandidateSpans:
-        """Partition ``i``'s rows: read-only, mass-sorted
-        :class:`~repro.candidates.mass_index.CandidateSpans` of the
-        store's database.
+    def read_partition(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Partition ``i``'s rows: its read-only ``(mass, key)`` columns,
+        mass-sorted (:class:`~repro.candidates.mass_index.MassIndex`
+        decodes the keys against the store's database).
 
-        Four positioned reads, one per row column, never a memory map:
+        Two positioned reads, one per row column, never a memory map:
         mapped pages a pass touches would count in its peak resident set
         whatever its memory budget.  The bytes are checked against the
         directory entry's SHA-256 before a view is made; a missing,
@@ -505,12 +503,7 @@ class StoredIndex:
                 f"store at {self.path} is corrupt: SHA-256 {digest[:12]}... "
                 f"does not match its directory entry {entry.sha256[:12]}..."
             )
-        mod_delta = np.zeros(entry.num_rows)
-        mod_delta.flags.writeable = False
-        return CandidateSpans(
-            *(np.frombuffer(chunk, dtype=dtype) for chunk, dtype in zip(chunks, ROW_ARRAYS.values())),
-            mod_delta,
-        )
+        return tuple(np.frombuffer(c, dtype=t) for c, t in zip(chunks, ROW_ARRAYS.values()))
 
     def _read_rows(self, name: str, lo: int, hi: int) -> bytes:
         """Rows ``[lo, hi)`` of one row column: a ``pread`` at the
@@ -609,7 +602,7 @@ def save_index(
         "monoisotopic": builder.monoisotopic,
     }
 
-    def write_postings(index_dir: Path, rows: CandidateSpans) -> Dict[str, Any]:
+    def write_postings(index_dir: Path, rows: MassIndex) -> Dict[str, Any]:
         with get_metrics().span("index.build", category="store"):
             built = builder.build(db, rows)
         for name in POSTING_ARRAYS:

@@ -3,9 +3,9 @@
 A store built by :func:`~repro.store.index_store.save_index` is mapped
 whole, so peak memory grows with database size N.  A store built here
 makes N memory-bound no longer: it holds the same raw row table
-(:func:`~repro.candidates.mass_index.mass_sorted_spans`, every
-prefix/suffix span of the database — already the product of Algorithm
-B's counting sort) and, instead of posting lists, a *partition
+(:class:`~repro.candidates.mass_index.MassIndex`, every prefix/suffix
+span of the database — already the product of Algorithm B's counting
+sort) and, instead of posting lists, a *partition
 directory* in its header: mass-contiguous row ranges small enough to
 hold one (plus one read ahead) at a time.  A pass scores a partition's
 rows directly, the way a search without a store scores its candidates:
@@ -14,9 +14,9 @@ fragments, and neither does this store.
 
 Each directory entry is a row range ``[lo, hi)``, its span-mass range
 ``[mass_lo, mass_hi]`` and one SHA-256 over the range's bytes in the
-four row columns — a few hundred bytes per partition, the only part of
-the store a streaming search keeps resident for the whole pass.  There
-is nothing to decode: a partition is four positioned reads
+two row columns — a few hundred bytes per partition, the only part of
+the store a streaming search keeps resident for the whole pass.  A
+partition is two positioned reads
 (:meth:`~repro.store.index_store.StoredIndex.read_partition`).  There is
 no length envelope either: a protein's long prefixes and suffixes are
 ordinary rows of high-mass partitions that a pass whose queries are
@@ -46,7 +46,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.candidates.mass_index import CandidateSpans
+import numpy as np
+
+from repro.candidates.mass_index import MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.errors import IndexStoreError
 from repro.obs.metrics import get_metrics
@@ -86,7 +88,7 @@ def save_partitioned_index(
     if partition_mb <= 0:
         raise IndexStoreError(f"partition_mb must be > 0, got {partition_mb}")
 
-    def write_directory(index_dir: Path, rows: CandidateSpans) -> Dict[str, Any]:
+    def write_directory(index_dir: Path, rows: MassIndex) -> Dict[str, Any]:
         columns = row_columns(rows).values()
         return {
             "partitions": [
@@ -126,11 +128,13 @@ class StreamStats:
 
 @dataclass
 class StreamedPartition:
-    """One partition yielded by :class:`StreamingIndexReader`."""
+    """One partition yielded by :class:`StreamingIndexReader`: its
+    directory entry and its rows' ``mass`` and ``key`` columns."""
 
     pid: int
     entry: PartitionEntry
-    spans: CandidateSpans
+    mass: np.ndarray
+    key: np.ndarray
 
 
 class StreamingIndexReader:
@@ -230,11 +234,11 @@ class StreamingIndexReader:
                 return
             t0 = time.perf_counter()
             try:
-                spans = self.store.read_partition(pid)
+                columns = self.store.read_partition(pid)
             except BaseException as exc:  # re-raised on the consumer side
                 self._queue.put((pid, None, exc, 0.0))
                 return
-            self._queue.put((pid, spans, None, time.perf_counter() - t0))
+            self._queue.put((pid, columns, None, time.perf_counter() - t0))
         self._queue.put((None, None, None, 0.0))
 
     def __iter__(self) -> Iterator[StreamedPartition]:
@@ -260,7 +264,7 @@ class StreamingIndexReader:
             else:
                 self.stats.prefetch_hits += 1
                 item = self._queue.get()
-            pid, spans, error, io_seconds = item
+            pid, columns, error, io_seconds = item
             if pid is None:
                 return
             if error is not None:
@@ -272,7 +276,7 @@ class StreamingIndexReader:
             metrics.count("stream.partitions")
             metrics.count("stream.bytes_read", entry.nbytes)
             prev = pid
-            yield StreamedPartition(pid=pid, entry=entry, spans=spans)
+            yield StreamedPartition(pid, entry, *columns)
 
     def close(self) -> None:
         """Stop and join the prefetch thread (idempotent).

@@ -60,11 +60,7 @@ def candidate_count_by_source(
     masses = np.array([q.parent_mass for q in queries])
     for source, n_proteins in class_sizes.items():
         database = generate_database(n_proteins, seed=seed)
-        generator = CandidateGenerator(database, delta, modifications)
-        if modifications:
-            counts = np.array([generator.count(q) for q in queries], dtype=np.int64)
-        else:
-            counts = generator.count_unmodified_many(masses)
+        counts = CandidateGenerator(database, delta, modifications).count_many(masses)
         rows.append(
             CandidateCountRow(
                 source=source,

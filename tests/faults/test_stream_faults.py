@@ -104,12 +104,12 @@ class TestMidStreamBlobFaults:
         victim = store.num_partitions // 2
         one_partition_mb = store.max_partition_bytes / (1 << 20) * 1.5
         yielded = []
-        with pytest.raises(IndexStoreError, match="missing row column index/row_stop.npy"):
+        with pytest.raises(IndexStoreError, match="missing row column index/row_key.npy"):
             with StreamingIndexReader(store, memory_budget_mb=one_partition_mb) as reader:
                 for part in reader:
                     yielded.append(part.pid)
                     if part.pid == victim - 1:
-                        _row_file(damaged_copy, "row_stop").unlink()
+                        _row_file(damaged_copy, "row_key").unlink()
         assert yielded == list(range(victim))
 
     def test_streamed_search_surfaces_blob_fault_typed(
@@ -118,9 +118,9 @@ class TestMidStreamBlobFaults:
         # end to end: the search path, not just the reader, propagates
         # the typed error instead of returning partial hits
         store = open_any_index(damaged_copy)
-        path = _row_file(damaged_copy, "row_seq")
+        path = _row_file(damaged_copy, "row_key")
         raw = path.read_bytes()
-        path.write_bytes(raw[: _file_offset(store, raw, 0) + 5])  # every range cut
+        path.write_bytes(raw[: _file_offset(store, raw, 0, itemsize=4) + 3])  # every range cut
         with pytest.raises(IndexStoreError, match="truncated"):
             search_serial(
                 tiny_db, tiny_queries, SearchConfig(tau=10), index_store=store
@@ -134,22 +134,23 @@ class TestScorerFailureMidStream:
         self, tmp_path, monkeypatch
     ):
         """Hundreds of partitions, the scorer raising on the second one
-        visited: the error reaches the caller promptly and the prefetch
-        thread — which still had partitions to read ahead — is joined."""
+        visited (one scoring block each): the error reaches the caller
+        promptly and the prefetch thread — which still had partitions to
+        read ahead — is joined."""
         db = generate_database(60, seed=11)
         queries = generate_queries(40, seed=3)
         store = save_partitioned_index(db, tmp_path / "pidx", partition_mb=0.003)
         assert store.num_partitions > 100
         calls = []
-        row_scoring = StreamingSearcher._row_scoring
+        score = StreamingSearcher._score
 
-        def failing(self, rows):
+        def failing(self, spectra, spans, rows, kept):
             calls.append(len(rows))
             if len(calls) == 2:
                 raise RuntimeError("scorer failed on the second partition")
-            return row_scoring(self, rows)
+            return score(self, spectra, spans, rows, kept)
 
-        monkeypatch.setattr(StreamingSearcher, "_row_scoring", failing)
+        monkeypatch.setattr(StreamingSearcher, "_score", failing)
         outcome = []
 
         def run():

@@ -4,9 +4,9 @@ The mmap-once transport contract: an engine pointed at a
 ``repro index build`` directory returns hits bitwise identical to the
 direct path — under both fork and spawn start methods — while shipping
 only a path string to workers instead of the database buffers.  A store
-holds one whole database, an empty one included, and a resident store
-refuses a memory budget and variable modifications wherever one meets
-it.  The CLI
+holds one whole database, an empty one included, serves variable
+modifications like the direct search, and a resident store refuses a
+memory budget wherever one meets it.  The CLI
 half covers the build → inspect → search workflow end to end, and that
 every misuse (missing store, stale fingerprint, simulated engine,
 corrupt header) exits with a one-line typed error, never a traceback.
@@ -26,7 +26,7 @@ from repro.core.driver import run_search
 from repro.core.search import ShardSearcher, search_serial
 from repro.core.streaming import StreamingSearcher
 from repro.engines.multiproc import run_multiprocess_search
-from repro.errors import ConfigError, IndexCompatError, IndexStoreError
+from repro.errors import ConfigError, IndexStoreError
 from repro.scoring import SCORER_NAMES
 from repro.service import SearchService, ServiceConfig
 from repro.spectra.library import SpectralLibrary
@@ -254,25 +254,46 @@ class TestEveryScorerOverEveryStore:
         assert_report_matches(direct, report)
 
     @pytest.mark.parametrize("entry", ["serial", "multiproc", "service"])
-    def test_modifications_refused(self, tiny_db, tiny_queries, stores, entry):
-        """A store's rows are the unmodified spans; PTM tiers are
-        enumerated from the database.  A resident store refuses a search
-        with variable modifications at every entry point, typed and
-        before any work, as a partitioned store does."""
-        config = _cfg(
-            scorer="xcorr", modifications=(STANDARD_MODIFICATIONS["oxidation"],)
+    def test_modifications_match_direct(self, tiny_db, tiny_queries, stores, entry):
+        """A PTM tier is the store's rows under a window shifted by the
+        modification's mass, kept where the database's residues hold its
+        target.  Every entry point serves a search with variable
+        modifications from either store with the direct search's hits —
+        under a posting-served scorer too, whose modified rows are
+        scored directly."""
+        mods = (
+            STANDARD_MODIFICATIONS["oxidation"],
+            STANDARD_MODIFICATIONS["phosphorylation_s"],
         )
-        resident = stores[0]
-        with pytest.raises(IndexCompatError, match="variable modifications"):
-            if entry == "serial":
-                search_serial(tiny_db, tiny_queries, config, index_store=resident)
-            elif entry == "multiproc":
-                run_multiprocess_search(
-                    tiny_db, tiny_queries, num_workers=2, config=config,
-                    index_path=str(resident.path),
-                )
-            else:
-                SearchService(config, ServiceConfig(workers=1), store=resident)
+        resident, partitioned, budget_mb = stores
+        for scorer in ("hyperscore", "xcorr"):
+            config = _cfg(scorer=scorer, modifications=mods)
+            direct = search_serial(tiny_db, tiny_queries, config)
+            assert any(h.mod_delta for hits in direct.hits.values() for h in hits)
+            for store, kwargs in (
+                (resident, {}),
+                (partitioned, {"memory_budget_mb": budget_mb}),
+            ):
+                if entry == "serial":
+                    report = search_serial(
+                        tiny_db, tiny_queries, config, index_store=store, **kwargs
+                    )
+                elif entry == "multiproc":
+                    report = run_multiprocess_search(
+                        tiny_db, tiny_queries, num_workers=2, config=config,
+                        index_path=str(store.path), **kwargs,
+                    )
+                else:
+                    with SearchService(
+                        config, ServiceConfig(workers=1), store=store, **kwargs
+                    ) as service:
+                        response = service.search(tiny_queries).raise_for_status()
+                    assert response.hits == dict(direct.hits.items())
+                    continue
+                assert reports_equal(direct, report)
+                assert report.candidates_evaluated == direct.candidates_evaluated
+                if store is resident and scorer == "hyperscore":
+                    assert 0 < report.extras["index_probe_fraction"] < 1
 
 
 def _search_each_way(database, queries, config, store, **kwargs):

@@ -17,9 +17,8 @@ import multiprocessing
 
 import pytest
 
-from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.cli import main
-from repro.core.config import SearchConfig
+from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
 from repro.engines.multiproc import run_multiprocess_search
@@ -163,10 +162,10 @@ class TestMultiprocStreaming:
     def test_streaming_incompatible_config_refused(
         self, tiny_db, tiny_queries, pstore
     ):
-        with pytest.raises(IndexCompatError):
+        with pytest.raises(IndexCompatError, match="modeled execution"):
             run_multiprocess_search(
                 tiny_db, tiny_queries, num_workers=2,
-                config=_cfg(modifications=(STANDARD_MODIFICATIONS["oxidation"],)),
+                config=_cfg(execution=ExecutionMode.MODELED),
                 index_path=str(pstore.path),
             )
 
@@ -193,9 +192,9 @@ class TestServiceStreaming:
                 assert [h.sort_key() for h in hits] == reference[qid], qid
 
     def test_service_refuses_unstreamable_config(self, pstore):
-        with pytest.raises(IndexCompatError, match="stream"):
+        with pytest.raises(IndexCompatError, match="modeled execution"):
             SearchService(
-                _cfg(modifications=(STANDARD_MODIFICATIONS["oxidation"],)),
+                _cfg(execution=ExecutionMode.MODELED),
                 ServiceConfig(workers=1),
                 store=str(pstore.path),
             )

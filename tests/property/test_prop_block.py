@@ -141,6 +141,6 @@ def test_resident_index_cohort_kernels_equal_the_fallback(case, scorer_name):
     index = IndexBuilder(fragment_tolerance=0.5).build(db).view()
     # the table's rows inside the envelope: the spans the postings serve
     rows = np.nonzero(index.holds(np.arange(index.num_rows)))[0]
-    spans = index.rows.take(rows)
+    spans = index.rows.spans(rows)
     assert len(spans) == len(_indexable(db))
     _check_index(index, rows, db, spans, spectra, selections, scorer_name)

@@ -19,7 +19,7 @@ from repro.candidates.batch import CandidateBatch
 from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
-from repro.core.search import ShardSearcher
+from repro.core.search import ShardSearcher, score_directly
 from repro.index import IndexBuilder
 from repro.scoring import HyperScorer, SharedPeakScorer, batch_scores
 from repro.chem.amino_acids import mass_table
@@ -77,7 +77,7 @@ def test_score_index_bitwise_equals_batch_scores(case, spectrum, scorer_cls):
     if not len(held):
         return
     got = index.score_block(scorer, SpectrumBatch([spectrum]), [held])
-    batch = CandidateBatch.from_spans(db, index.rows.take(held), {})
+    batch = CandidateBatch.from_spans(db, index.rows.spans(held), {})
     ref = batch_scores(scorer, spectrum, batch)
     assert got.shape == ref.shape == (len(held),)
     assert got.tobytes() == ref.tobytes()
@@ -90,7 +90,7 @@ def test_posting_rows_address_exactly_the_envelope_rows(case):
     a row inside the envelope; each such row posts exactly its span's
     2(L-1) fragments, and no row outside the envelope posts any."""
     _db, index, _rows = case
-    lengths = index.rows.lengths
+    lengths = index.rows.spans(np.arange(index.num_rows)).lengths
     held = (lengths >= 2) & (lengths <= index.max_length)
     assert np.array_equal(index.holds(np.arange(index.num_rows)), held)
     for name in ("ladder_row", "series_row"):
@@ -119,20 +119,21 @@ def test_searcher_score_spans_identical_with_index_on_and_off(
     on = store_searcher(db, cfg, max_length=max_length)
     posting_served = scorer_name in ("shared_peaks", "hyperscore")
     assert (on.index is not None) == posting_served
-    rows = on.loaded.index.rows
-    everything = [np.arange(len(rows))]
-    if not len(rows):
+    table = on.loaded.index.rows
+    if not len(table):
         return
-    score, _columns = on._row_scoring(rows)
+    rows = np.arange(len(table))
+    spans = table.spans(rows)
+    everything = [rows]  # one block of the whole table: positions are row ids
     cohort = SpectrumBatch([spectrum])
-    got, direct_rows, index_rows = score(cohort, everything)
+    got, direct_rows, index_rows = on._score(cohort, spans, rows, everything)
     assert direct_rows + index_rows == len(rows)
     assert posting_served or index_rows == 0
     off = ShardSearcher(db, cfg)
-    ref, _ref_rows, _ = off.score_spans_block(cohort, rows, everything)
+    ref, _ref_rows, _ = score_directly(off.scorer, db, {}, cohort, spans, rows, everything)
     assert got.tobytes() == ref.tobytes()
     scalar = batch_scores(
-        off.scorer, spectrum, CandidateBatch.from_spans(db, rows, {})
+        off.scorer, spectrum, CandidateBatch.from_spans(db, spans, {})
     )
     assert got.tobytes() == scalar.tobytes()
 

@@ -63,10 +63,7 @@ def _query(mass: float, seed: int, query_id: int) -> Spectrum:
 
 def _sites(db: ProteinDatabase):
     """Candidate masses >= 1 Da apart, and midpoints of >= 1 Da mass gaps."""
-    index = MassIndex.for_shard(db)
-    masses = np.unique(
-        np.concatenate((index._prefix_sorted, index._suffix_dedup_sorted))
-    )
+    masses = np.unique(MassIndex.for_shard(db).mass)
     occupied = [float(masses[0])]
     for m in masses[1:].tolist():
         if m - occupied[-1] >= 1.0:
@@ -150,8 +147,7 @@ def test_packed_sweep_equals_per_query_search(
         delta=delta,
         tau=5,
         scorer=scorer,
-        # a store serves unmodified searches only
-        modifications=() if indexed else tuple(mods),
+        modifications=tuple(mods),
         score_cutoff=cutoff,
         min_candidate_length=min_len,
         sweep_cohort=cap,
@@ -190,12 +186,13 @@ def test_packed_sweep_equals_per_query_search(
     st.sampled_from(_CAPS),
     st.sampled_from(_SCORERS),
     st.booleans(),
+    st.sampled_from([(), _MODS[:1], _MODS]),
     st.one_of(st.none(), st.floats(min_value=-5.0, max_value=5.0)),
     st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=30, deadline=None)
 def test_packed_streamed_sweep_equals_per_query_search(
-    layout, cap, scorer, two_passes, cutoff, min_len
+    layout, cap, scorer, two_passes, mods, cutoff, min_len
 ):
     """Blocks of a partition's members, the queries in one pass or in
     two (as two query blocks of the multiproc grid would run them)."""
@@ -205,6 +202,7 @@ def test_packed_streamed_sweep_equals_per_query_search(
         delta=delta,
         tau=5,
         scorer=scorer,
+        modifications=tuple(mods),
         score_cutoff=cutoff,
         min_candidate_length=min_len,
         sweep_cohort=cap,
@@ -214,7 +212,7 @@ def test_packed_streamed_sweep_equals_per_query_search(
     with tempfile.TemporaryDirectory() as tmp:
         # four-row partitions: a query's window crosses partition edges
         store = save_partitioned_index(
-            db, Path(tmp) / "pidx", partition_mb=4 * 32 / (1 << 20)
+            db, Path(tmp) / "pidx", partition_mb=4 * 12 / (1 << 20)
         )
         searcher = StreamingSearcher(store, cfg, database=db)
         half = len(queries) // 2 if two_passes else 0

@@ -5,17 +5,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.candidates.mass_index import MassIndex
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.peptide import peptide_mass
 from repro.chem.protein import ProteinDatabase
-from repro.constants import AMINO_ACIDS
+from repro.constants import AMINO_ACIDS, PROTON_MASS
+from repro.core.config import SearchConfig
 from repro.core.partition import partition_bounds, partition_database
+from repro.core.search import ShardSearcher
 from repro.scoring.hits import Hit, TopHitList
-from tests.reference import offer_hits, top_tau
+from repro.spectra.spectrum import Spectrum
+from tests.reference import offer_hits, reference_candidates, top_tau
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=40)
 databases = st.lists(sequences, min_size=1, max_size=12).map(
     ProteinDatabase.from_sequences
 )
+
+
+_MODS = (
+    STANDARD_MODIFICATIONS["oxidation"],
+    STANDARD_MODIFICATIONS["phosphorylation_s"],
+)
+
+
+@given(
+    databases,
+    st.lists(st.floats(min_value=50.0, max_value=3000.0), min_size=0, max_size=8),
+    st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+    st.sampled_from([(), _MODS[:1], _MODS]),
+)
+@settings(max_examples=80, deadline=None)
+def test_reference_counts_equal_count_each(db, masses, delta, mods):
+    """The oracle's definition-level enumeration and the engines' exact
+    counting kernel (two binary searches per tier over the row table,
+    a running presence count for a PTM tier) agree query by query."""
+    queries = [
+        Spectrum.from_peaks(
+            np.empty(0), np.empty(0), precursor_mz=m + PROTON_MASS, charge=1, query_id=i
+        )
+        for i, m in enumerate(masses)
+    ]
+    cfg = SearchConfig(delta=delta, modifications=mods)
+    counts = ShardSearcher(db, cfg).count_each(queries)
+    assert counts.tolist() == [len(reference_candidates(db, cfg, q)) for q in queries]
 
 
 @given(databases, st.integers(min_value=1, max_value=10))

@@ -39,7 +39,7 @@ from tests.reference import assert_report_matches, assert_same_hitlists, referen
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=40)
 
 #: bytes of one row of the row table (``partition_mb`` is measured in them)
-_ROW_BYTES = 32
+_ROW_BYTES = 12
 
 
 @st.composite

@@ -8,8 +8,8 @@ evaluated counts, the candidate total — must be *identical* to the
 scalar reference search (``tests/reference.py``) across PTM mixes, score
 cutoffs, candidate-length floors, cohort caps and query permutations —
 and so must the store searcher's sweep over a heap-built row table and
-index (no PTM mix: a store serves unmodified searches only).  The scalar path is the oracle; any drift here is a bug in
-the sweep, never an acceptable approximation.
+index, PTM mixes included.  The scalar path is the oracle; any drift
+here is a bug in the sweep, never an acceptable approximation.
 """
 
 from dataclasses import replace
@@ -88,7 +88,7 @@ def test_sweep_bitwise_equal_to_per_query(
         delta=delta,
         tau=10,
         scorer=scorer,
-        modifications=() if indexed else tuple(mods),
+        modifications=tuple(mods),
         score_cutoff=cutoff,
         min_candidate_length=min_len,
         sweep_cohort=cohort,

@@ -2,8 +2,9 @@
 
 One query at a time, one candidate at a time: the paper's serial loop
 written out with the scorers' scalar ``score`` / ``score_modified``.  It
-enumerates candidates with :meth:`CandidateGenerator.candidates` (not the
-sweep's window join), scores through
+enumerates candidates from their definition (:func:`reference_candidates`:
+every prefix and proper suffix of every sequence, not the row table the
+engines sweep), scores through
 :func:`~repro.scoring.base.batch_scores` (not a pair kernel, a
 posting probe or a cached matrix) and offers through
 :meth:`TopHitList.add_batch` (not the block emit), so it shares no
@@ -16,13 +17,64 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.candidates.batch import CandidateBatch
-from repro.candidates.generator import CandidateGenerator
+from repro.candidates.mass_index import CandidateSpans
+from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
+from repro.constants import WATER_MASS
 from repro.core.config import SearchConfig
 from repro.scoring.base import batch_scores
 from repro.scoring.hits import Hit, TopHitList, as_hit_columns
 from repro.spectra.spectrum import Spectrum
+
+
+def reference_candidates(
+    shard: ProteinDatabase, config: SearchConfig, spectrum: Spectrum
+) -> CandidateSpans:
+    """A query's candidates, enumerated from the definition.
+
+    Every prefix and every proper suffix (a full-length span counts
+    once, as a prefix) of each sequence, weighed with the documented
+    formula — ``csum[stop] - csum[start] + WATER_MASS`` over the running
+    residue-mass sum ``csum`` of the shard's flat buffer — and kept when
+    the mass lies in ``[m - delta, m + delta]``.  Each variable
+    modification adds a tier: the window shifted down by its
+    ``delta_mass``, spans holding at least one of its target residue.
+    """
+    csum = np.concatenate(([0.0], np.cumsum(mass_table()[shard.residues])))
+    m = spectrum.parent_mass
+    lo, hi = m - config.delta, m + config.delta
+    tiers = [(0.0, None)] + [
+        (mod.delta_mass, ord(mod.target)) for mod in config.modifications if not mod.fixed
+    ]
+    parts = []
+    for shift, target in tiers:
+        for i in range(len(shard)):
+            first, end = int(shard.offsets[i]), int(shard.offsets[i + 1])
+            if end == first:
+                continue
+            k = np.arange(first, end)
+            prefix = csum[k + 1] - csum[first] + WATER_MASS  # residues [first, k]
+            suffix = csum[end] - csum[k] + WATER_MASS  # residues [k, end)
+            start = np.concatenate((np.zeros(len(k), dtype=np.int64), k[1:] - first))
+            stop = np.concatenate((k - first + 1, np.full(len(k) - 1, end - first)))
+            mass = np.concatenate((prefix, suffix[1:]))
+            keep = (mass >= lo - shift) & (mass <= hi - shift)
+            if target is not None:  # holds a target residue: a count over the span
+                flagged = np.concatenate(([0], np.cumsum(shard.residues[first:end] == target)))
+                keep &= flagged[stop] - flagged[start] > 0
+            parts.append(
+                CandidateSpans(
+                    np.full(int(keep.sum()), i, dtype=np.int64),
+                    start[keep],
+                    stop[keep],
+                    mass[keep],
+                    np.full(int(keep.sum()), shift),
+                )
+            )
+    return CandidateSpans.concat(parts)
 
 
 def reference_search(
@@ -44,11 +96,12 @@ def reference_search(
     """
     hitlists = {} if hitlists is None else hitlists
     scorer = config.make_scorer(library)
-    generator = CandidateGenerator(shard, config.delta, config.modifications)
-    mod_targets = {mod.delta_mass: ord(mod.target) for mod in generator.modifications}
+    mod_targets = {
+        mod.delta_mass: ord(mod.target) for mod in config.modifications if not mod.fixed
+    }
     for spectrum in queries:
         hitlist = hitlists.setdefault(spectrum.query_id, TopHitList(config.tau))
-        spans = generator.candidates(spectrum)
+        spans = reference_candidates(shard, config, spectrum)
         long_enough = spans.lengths >= config.min_candidate_length
         hitlist.evaluated += len(spans) - int(long_enough.sum())
         spans = spans.take(long_enough)

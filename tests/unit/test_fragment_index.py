@@ -32,7 +32,7 @@ class TestConstruction:
         # the table holds every span of the database, the envelope or not
         spans = MassIndex(db).candidates_in_window(0.0, np.inf)
         assert index.num_rows == len(index.rows) == len(spans) > 0
-        lengths = index.rows.lengths
+        lengths = index.rows.spans(np.arange(index.num_rows)).lengths
         held = index.holds(np.arange(index.num_rows))
         assert np.array_equal(held, (lengths >= 2) & (lengths <= 12))
         assert 0 < int(held.sum()) < index.num_rows
@@ -51,7 +51,7 @@ class TestConstruction:
         index = IndexBuilder(fragment_tolerance=0.5).build(db).view()
         seq = db.sequence(0)[:8]
         ladder = by_ion_ladder(seq)
-        rows = index.rows
+        rows = index.rows.spans(np.arange(index.num_rows))
         target = (rows.seq_index == 0) & (rows.start == 0) & (rows.stop == 8)
         (pos,) = np.nonzero(target)
         assert len(pos) == 1 and index.holds(pos).all()
@@ -75,7 +75,7 @@ class TestLayoutIsPostingsOnly:
         # the index alone: the database its rows name rides beside it
         expect = set(ROW_ARRAYS) | set(POSTING_ARRAYS)
         assert set(built.arrays) == set(built.layout.arrays) == set(ARRAY_NAMES) == expect
-        assert len(expect) == 11
+        assert len(expect) == 9
 
     def test_partition_array_names(self, tiny_db, tmp_path):
         from repro.store import save_partitioned_index
@@ -98,10 +98,10 @@ class TestLayoutIsPostingsOnly:
         assert postings <= 18 * layout.num_fragments + tables
 
     def test_bytes_per_row_bound(self, tiny_db):
-        """The row table: four 8-byte columns, 32 B a row."""
+        """The row table: a float64 mass and an int32 key, 12 B a row."""
         layout = IndexBuilder().build(tiny_db).layout
         rows = sum(layout.arrays[name].nbytes for name in ROW_ARRAYS)
-        assert 0 < rows <= 32 * layout.num_rows
+        assert 0 < rows == 12 * layout.num_rows
         assert layout.nbytes == rows + sum(
             layout.arrays[name].nbytes for name in POSTING_ARRAYS
         )

@@ -57,30 +57,34 @@ class TestUnmodified:
         gen = CandidateGenerator(db, delta=50.0)
         for mass in (300.0, 500.0, 800.0):
             spec = spectrum_for_mass(mass)
-            assert gen.count(spec) == len(gen.candidates(spec))
+            assert gen.count_many([spec.parent_mass])[0] == len(gen.candidates(spec))
 
     def test_count_unmodified_many(self, db):
         gen = CandidateGenerator(db, delta=25.0)
         masses = np.array([300.0, 500.0, 800.0])
-        counts = gen.count_unmodified_many(masses)
+        counts = gen.count_many(masses)
         for k, mass in enumerate(masses):
-            assert counts[k] == gen.count(spectrum_for_mass(mass))
+            assert counts[k] == len(gen.candidates(spectrum_for_mass(mass)))
 
     def test_wider_delta_never_fewer_candidates(self, db):
         narrow = CandidateGenerator(db, delta=1.0)
         wide = CandidateGenerator(db, delta=10.0)
         for mass in (400.0, 700.0, 1000.0):
             spec = spectrum_for_mass(mass)
-            assert wide.count(spec) >= narrow.count(spec)
+            assert wide.count_many([spec.parent_mass]) >= narrow.count_many([spec.parent_mass])
 
     def test_extract_returns_span_residues(self, db):
+        """A candidate's residues, as the scoring batch gathers them from
+        its decoded span, are its sequence's slice."""
+        from repro.candidates.batch import CandidateBatch
+
         gen = CandidateGenerator(db, delta=1e9)
-        spec = spectrum_for_mass(500.0)
-        spans = gen.candidates(spec)
-        k = 0
-        seq = db.sequence(int(spans.seq_index[k]))
-        expected = seq[int(spans.start[k]) : int(spans.stop[k])]
-        assert np.array_equal(gen.extract(spans, k), expected)
+        spans = gen.candidates(spectrum_for_mass(500.0))
+        batch = CandidateBatch.from_spans(db, spans)
+        for k in range(len(spans)):
+            seq = db.sequence(int(spans.seq_index[k]))
+            expected = seq[int(spans.start[k]) : int(spans.stop[k])]
+            assert np.array_equal(batch.row_residues(k), expected)
 
 
 class TestModified:
@@ -116,8 +120,8 @@ class TestModified:
                 STANDARD_MODIFICATIONS["phosphorylation_s"],
             ],
         )
-        total_plain = sum(plain.count(spectrum_for_mass(m)) for m in (400.0, 600.0, 900.0))
-        total_mod = sum(with_mods.count(spectrum_for_mass(m)) for m in (400.0, 600.0, 900.0))
+        total_plain = plain.count_many([400.0, 600.0, 900.0]).sum()
+        total_mod = with_mods.count_many([400.0, 600.0, 900.0]).sum()
         assert total_mod >= total_plain
 
     def test_fixed_modifications_ignored_by_generator(self, db):

@@ -1,4 +1,4 @@
-"""Unit tests for the prefix/suffix mass index."""
+"""Unit tests for the mass-sorted row table (``MassIndex``)."""
 
 import numpy as np
 import pytest
@@ -99,9 +99,10 @@ class TestSweepEnumeration:
     def test_windows_many_matches_scalar_enumeration(self, index):
         lows = np.array([w[0] for w in self.WINDOWS])
         highs = np.array([w[1] for w in self.WINDOWS])
-        p0, p1, s0, s1 = index.windows_many(lows, highs)
+        r0, r1 = index.windows_many(lows, highs)
         for k, (lo, hi) in enumerate(self.WINDOWS):
-            spans, _ = index.sweep_spans(p0[k], p1[k], s0[k], s1[k])
+            spans, rows = index.sweep_spans(r0[k], r1[k])
+            assert np.array_equal(rows, np.arange(r0[k], max(r0[k], r1[k])))
             ref = index.candidates_in_window(lo, hi)
             assert len(spans) == len(ref)
             assert np.array_equal(spans.seq_index, ref.seq_index)
@@ -111,20 +112,21 @@ class TestSweepEnumeration:
 
     def test_sweep_spans_dedups_suffixes(self, db, index):
         # union block over the whole mass range must carry no duplicates
-        p0, p1, s0, s1 = index.windows_many(np.array([0.0]), np.array([1e9]))
-        spans, num_prefixes = index.sweep_spans(p0[0], p1[0], s0[0], s1[0])
+        r0, r1 = index.windows_many(np.array([0.0]), np.array([1e9]))
+        spans, rows = index.sweep_spans(r0[0], r1[0])
         keys = {
             (int(spans.seq_index[k]), int(spans.start[k]), int(spans.stop[k]))
             for k in range(len(spans))
         }
         assert len(keys) == len(spans) == 2 * db.total_residues - len(db)
-        assert np.all(spans.start[:num_prefixes] == 0)
+        # a prefix key (k >= 0) starts its sequence; no suffix key does
+        assert np.array_equal(spans.start == 0, index.key[rows] >= 0)
 
     def test_empty_window_fast_path(self, index):
         assert len(index.candidates_in_window(5.0, 6.0)) == 0
-        p0, p1, s0, s1 = index.windows_many(np.array([5.0]), np.array([6.0]))
-        spans, num_prefixes = index.sweep_spans(p0[0], p1[0], s0[0], s1[0])
-        assert len(spans) == 0 and num_prefixes == 0
+        r0, r1 = index.windows_many(np.array([5.0]), np.array([6.0]))
+        spans, rows = index.sweep_spans(r0[0], r1[0])
+        assert len(spans) == 0 and len(rows) == 0
 
     def test_inverted_window_yields_empty(self, index):
         assert len(index.candidates_in_window(500.0, 300.0)) == 0
@@ -218,15 +220,13 @@ class TestSweepPlan:
 
     def test_sweep_spans_over_run_arrays_skips_the_gaps(self, index):
         lows = np.array([250.0, 500.0, 900.0])
-        p0, p1, s0, s1 = index.windows_many(lows, lows + 40.0)
-        block, num_prefixes = index.sweep_spans(p0, p1, s0, s1)
-        runs = [index.sweep_spans(*bounds) for bounds in zip(p0, p1, s0, s1)]
-        assert len(block) == sum(len(spans) for spans, _n in runs) > 0
-        assert num_prefixes == sum(n for _spans, n in runs)
-        expected = CandidateSpans.concat(
-            [spans.take(np.arange(n)) for spans, n in runs]
-            + [spans.take(np.arange(n, len(spans))) for spans, n in runs]
-        )
+        r0, r1 = index.windows_many(lows, lows + 40.0)
+        block, rows = index.sweep_spans(r0, r1)
+        runs = [index.sweep_spans(*bounds) for bounds in zip(r0, r1)]
+        assert len(block) == sum(len(spans) for spans, _rows in runs) > 0
+        assert np.array_equal(rows, np.concatenate([r for _spans, r in runs]))
+        assert len(rows) < r1[-1] - r0[0]  # the rows between two runs are skipped
+        expected = CandidateSpans.concat([spans for spans, _rows in runs])
         for field in ("seq_index", "start", "stop", "mass", "mod_delta"):
             assert np.array_equal(getattr(block, field), getattr(expected, field))
 
@@ -311,3 +311,84 @@ class TestSharedPerDatabase:
             assert len(got) == racers and len({id(index) for index in got}) == 1
             assert len(builds) == 1
             assert got[0] is database._mass_index
+
+
+class TestRowKeys:
+    """A row key is an int32 flat position: one dtype per addressing
+    concept, and a database that would overflow it is refused, typed,
+    before anything is allocated."""
+
+    def test_a_database_of_2_31_residues_is_refused_before_allocating(self):
+        from types import SimpleNamespace
+
+        from repro.errors import RowKeyOverflowError
+
+        # offsets that claim 2^31 residues over buffers that do not exist:
+        # anything the build touched before the check would fail untyped
+        stub = SimpleNamespace(offsets=np.array([0, 2**31], dtype=np.int64))
+        with pytest.raises(RowKeyOverflowError, match=r"2\^31-residue limit"):
+            MassIndex(stub)
+
+    def test_the_last_addressable_residue_is_accepted(self):
+        from repro.index.layout import check_row_keys
+
+        check_row_keys(2**31 - 1)
+
+    def test_keys_decode_to_their_spans(self, db, index):
+        rows = np.arange(len(index))
+        spans = index.spans(rows)
+        for row in rows.tolist():
+            key = int(index.key[row])
+            pos = key if key >= 0 else ~key
+            seq = int(np.searchsorted(db.offsets, pos, side="right") - 1)
+            local = pos - int(db.offsets[seq])
+            want = (seq, 0, local + 1) if key >= 0 else (seq, local, len(db.sequence(seq)))
+            assert (spans.seq_index[row], spans.start[row], spans.stop[row]) == want
+
+    def test_every_array_a_pass_touches_keeps_its_dtype(self, monkeypatch, tmp_path):
+        """Direct, resident and streamed passes, with PTM tiers: the table
+        columns stay float64 / int32 and every row id, span column and
+        posting array a block touches stays int64 — a silent ``intp`` or
+        int32 upcast anywhere fails here."""
+        from repro.chem.amino_acids import STANDARD_MODIFICATIONS
+        from repro.core.config import SearchConfig
+        from repro.core.search import search_serial
+        from repro.index import FragmentIndex
+        from repro.store import save_index, save_partitioned_index
+        from repro.workloads import generate_database, generate_queries
+
+        database = generate_database(30, seed=4)
+        queries = generate_queries(12, seed=4)
+        cfg = SearchConfig(
+            tau=5, scorer="hyperscore", modifications=(STANDARD_MODIFICATIONS["oxidation"],)
+        )
+        seen = []
+        sweep_spans, score_block = MassIndex.sweep_spans, FragmentIndex.score_block
+
+        def checked_sweep(table, lo, hi):
+            spans, rows = sweep_spans(table, lo, hi)
+            assert (table.mass.dtype, table.key.dtype) == (np.float64, np.int32)
+            assert np.asarray(table.offsets).dtype == np.int64
+            assert rows.dtype == np.int64 and np.asarray(lo).dtype == np.int64
+            for column in (spans.seq_index, spans.start, spans.stop):
+                assert column.dtype == np.int64
+            assert spans.mass.dtype == spans.mod_delta.dtype == np.float64
+            seen.append(len(rows))
+            return spans, rows
+
+        def checked_probe(index, scorer, spectra, row_sets):
+            assert all(rows.dtype == np.int64 for rows in row_sets)
+            for name in ("ladder_row", "series_row", "ladder_bin_start", "series_bin_start"):
+                assert np.asarray(index.arrays[name]).dtype == np.int64, name
+            return score_block(index, scorer, spectra, row_sets)
+
+        monkeypatch.setattr(MassIndex, "sweep_spans", checked_sweep)
+        monkeypatch.setattr(FragmentIndex, "score_block", checked_probe)
+        direct = search_serial(database, queries, cfg)
+        for store in (
+            save_index(database, tmp_path / "r"),
+            save_partitioned_index(database, tmp_path / "p", partition_mb=0.05),
+        ):
+            report = search_serial(database, queries, cfg, index_store=store)
+            assert report.hits == direct.hits
+        assert len(seen) > 3 and sum(seen) > 0

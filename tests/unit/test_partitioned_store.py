@@ -53,12 +53,12 @@ class TestRoundTrip:
         assert reopened.fingerprint == pstore.fingerprint
         assert reopened.num_partitions == pstore.num_partitions
         assert reopened.num_rows == pstore.num_rows
-        assert reopened.row_bytes == pstore.row_bytes == 32 * pstore.num_rows
+        assert reopened.row_bytes == pstore.row_bytes == 12 * pstore.num_rows
         assert reopened.partitions == pstore.partitions
 
     def test_directory_is_a_database_and_a_row_table(self, pstore):
         """The one store format without postings: ``header.json``,
-        ``database/`` and ``index/`` holding the four row columns."""
+        ``database/`` and ``index/`` holding the two row columns."""
         assert sorted(p.name for p in pstore.path.iterdir()) == [
             "database", HEADER_NAME, "index"
         ]
@@ -71,13 +71,11 @@ class TestRoundTrip:
         once: no envelope, lengths 1 and > 48 included."""
         assert pstore.num_partitions > 3  # tiny partitions => real streaming
         parts = [pstore.read_partition(i) for i in range(pstore.num_partitions)]
-        rows = np.stack(
-            [
-                np.concatenate([getattr(p, col) for p in parts])
-                for col in ("seq_index", "start", "stop")
-            ],
-            axis=1,
+        table = MassIndex.view(
+            *(np.concatenate([p[col] for p in parts]) for col in (0, 1)), tiny_db.offsets
         )
+        spans = table.spans(np.arange(len(table)))
+        rows = np.stack([spans.seq_index, spans.start, spans.stop], axis=1)
         want = MassIndex(tiny_db).candidates_in_window(0.0, np.inf)
         assert len(rows) == pstore.num_rows == len(want)
         assert len(np.unique(rows, axis=0)) == len(rows)  # each span once
@@ -94,35 +92,33 @@ class TestRoundTrip:
         lo = 0
         prev_hi = -np.inf
         for i, entry in enumerate(pstore.partitions):
-            spans = pstore.read_partition(i)
+            mass, _key = pstore.read_partition(i)
             assert entry.lo == lo and entry.hi > entry.lo
-            assert len(spans) == entry.num_rows
-            assert entry.nbytes == 32 * entry.num_rows
+            assert len(mass) == entry.num_rows
+            assert entry.nbytes == 12 * entry.num_rows
             # mass-contiguous: ranges are non-decreasing across partitions
             assert entry.mass_lo >= prev_hi
             assert entry.mass_hi >= entry.mass_lo
-            assert (spans.mass[0], spans.mass[-1]) == (entry.mass_lo, entry.mass_hi)
+            assert (mass[0], mass[-1]) == (entry.mass_lo, entry.mass_hi)
             prev_hi = entry.mass_hi
             lo = entry.hi
         assert lo == pstore.num_rows
 
     def test_partitions_decode_to_the_builders_arrays(self, tiny_db, pstore):
         """What the store builder wrote is what comes back: a partition
-        is exactly its four row columns, read-only, bitwise the next
-        slice of the stably mass-sorted span set."""
-        spans = MassIndex(tiny_db).candidates_in_window(0.0, np.inf)
-        spans = spans.take(np.argsort(spans.mass, kind="stable"))
+        is exactly its two row columns, read-only, bitwise the next
+        slice of the database's row table."""
+        table = MassIndex(tiny_db)
         lo = 0
         for i, entry in enumerate(pstore.partitions):
             got = pstore.read_partition(i)
-            want = spans.take(np.arange(lo, lo + entry.num_rows))
-            for col in ("seq_index", "start", "stop", "mass", "mod_delta"):
-                a, b = getattr(got, col), getattr(want, col)
-                assert a.dtype == b.dtype, col
-                assert a.tobytes() == b.tobytes(), col
-                assert not a.flags.writeable, col
+            want = (table.mass[lo : entry.hi], table.key[lo : entry.hi])
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
             lo += entry.num_rows
-        assert lo == len(spans)
+        assert lo == len(table)
 
     def test_database_buffers_round_trip(self, tiny_db, pstore):
         db = pstore.load_database()
@@ -298,7 +294,7 @@ class TestStreamingReader:
         seen = []
         with StreamingIndexReader(pstore) as reader:
             for part in reader:
-                assert len(part.spans)
+                assert len(part.mass) == len(part.key) > 0
                 with open(maps) as fh:
                     seen.append([line for line in fh if any(f in line for f in row_files)])
         assert len(seen) == pstore.num_partitions
@@ -310,8 +306,8 @@ class TestBoundaries:
         assert partition_boundaries(0, 1 << 20) == []
 
     def test_slices_are_contiguous_and_exhaustive(self):
-        slices = partition_boundaries(5000, 64 << 10)  # 2048 rows of 32 B
-        assert slices == [(0, 2048), (2048, 4096), (4096, 5000)]
+        slices = partition_boundaries(12000, 64 << 10)  # 5461 rows of 12 B
+        assert slices == [(0, 5461), (5461, 10922), (10922, 12000)]
 
     def test_tiny_budget_still_makes_progress(self):
         slices = partition_boundaries(10, 1)  # 1 byte: 1 row per slice

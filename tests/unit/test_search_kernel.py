@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_database
@@ -12,13 +13,15 @@ from repro.scoring.hits import TopHitList, pack_hit_columns
 from tests.conftest import store_searcher
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
+_MODS = (STANDARD_MODIFICATIONS["oxidation"], STANDARD_MODIFICATIONS["phosphorylation_s"])
+
 
 class TestShardSearcher:
     def test_search_counts_match_generator(self, tiny_db, tiny_queries, config):
         searcher = ShardSearcher(tiny_db, config)
         hitlists = {}
         stats = searcher.run(tiny_queries, hitlists)
-        expected = sum(searcher.count_for(q) for q in tiny_queries)
+        expected = int(searcher.count_each(tiny_queries).sum())
         assert stats.candidates_evaluated == expected
         assert stats.queries_processed == len(tiny_queries)
 
@@ -79,8 +82,9 @@ class TestShardSearcher:
             (SearchConfig(tau=3, scorer="hyperscore", sweep_cohort=2), False),
             (SearchConfig(tau=100, delta=10.0, min_candidate_length=12, scorer="xcorr"), True),
             (SearchConfig(tau=10, score_cutoff=4.0, scorer="shared_peaks", sweep_cohort=1), True),
+            (SearchConfig(tau=10, scorer="hyperscore", modifications=_MODS), True),
         ],
-        ids=["default", "direct-cap2", "length-floor", "cutoff-cap1"],
+        ids=["default", "direct-cap2", "length-floor", "cutoff-cap1", "ptm-store"],
     )
     def test_run_equals_scalar_reference(self, tiny_db, tiny_queries, cfg, indexed):
         """Hits, per-query ``evaluated`` and the candidate total are the
@@ -98,17 +102,18 @@ class TestShardSearcher:
 
     def test_count_batch_matches_per_query(self, tiny_db, tiny_queries, config):
         searcher = ShardSearcher(tiny_db, config)
-        assert searcher.count_batch(tiny_queries) == sum(
-            searcher.count_for(q) for q in tiny_queries
-        )
+        assert searcher.count_each(tiny_queries).tolist() == [
+            int(searcher.count_each([q])[0]) for q in tiny_queries
+        ]
 
     def test_shard_decomposition_is_exhaustive(self, tiny_db, tiny_queries, config):
         """Candidates over shards partition the whole database's candidates
         — the correctness foundation of every parallel algorithm here."""
         whole = ShardSearcher(tiny_db, config)
         shards = [ShardSearcher(s, config) for s in partition_database(tiny_db, 5)]
-        for q in tiny_queries:
-            assert whole.count_for(q) == sum(s.count_for(q) for s in shards)
+        assert np.array_equal(
+            whole.count_each(tiny_queries), sum(s.count_each(tiny_queries) for s in shards)
+        )
 
     def test_per_shard_merge_equals_whole(self, tiny_db, tiny_queries, config):
         whole_hits = {}

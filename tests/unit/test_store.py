@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.candidates.mass_index import mass_sorted_spans
+from repro.candidates.mass_index import MassIndex
 from repro.errors import IndexStoreError, ReproError
 from repro.index import FragmentIndex, IndexBuilder, IndexLayout
 from repro.index.layout import ARRAY_NAMES, ROW_ARRAYS, ArraySpec
@@ -102,25 +102,22 @@ class TestRoundTrip:
         for got, want in zip(loaded.database.to_buffers(), tiny_db.to_buffers()):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        # the mapped rows are the loaded database's own mass-sorted spans
-        table = mass_sorted_spans(loaded.database)
+        # the mapped rows are the loaded database's own row table
+        table = MassIndex(loaded.database)
         rows = loaded.index.rows
-        for got, want in zip(
-            (rows.seq_index, rows.start, rows.stop, rows.mass),
-            (table.seq_index, table.start, table.stop, table.mass),
-        ):
+        for got, want in zip((rows.mass, rows.key), (table.mass, table.key)):
             assert np.asarray(got).tobytes() == want.tobytes()
 
     def test_resident_rows_are_the_partitioned_rows(self, tiny_db, store_path, tmp_path):
-        """One row set: a resident store's four row columns are the
+        """One row set: a resident store's two row columns are the
         concatenation of a partitioned store's partitions, bit for bit,
         so a row id means the same span whichever builder wrote it."""
         loaded = open_index(store_path).load_shard()
         partitioned = save_partitioned_index(tiny_db, tmp_path / "p", partition_mb=0.25)
         assert partitioned.num_partitions > 1
         parts = [partitioned.read_partition(i) for i in range(partitioned.num_partitions)]
-        for name, field in zip(ROW_ARRAYS, ("seq_index", "start", "stop", "mass")):
-            joined = np.concatenate([getattr(part, field) for part in parts])
+        for column, name in enumerate(ROW_ARRAYS):
+            joined = np.concatenate([part[column] for part in parts])
             assert str(joined.dtype) == ROW_ARRAYS[name]
             assert np.asarray(loaded.index.arrays[name]).tobytes() == joined.tobytes(), name
 
@@ -269,6 +266,7 @@ class TestRejection:
             "repro.index_store/2",
             "repro.index_store/3",
             "repro.index_store/4",
+            "repro.index_store/5",
             "repro.index_store_partitioned/1",
             "repro.index_store_partitioned/2",
             "repro.index_store_partitioned/3",
@@ -279,7 +277,7 @@ class TestRejection:
         self, tiny_db, tmp_path, old
     ):
         """A store of an earlier schema (matrix cache, key columns, one
-        directory per shard, per-residue row maps; the partitioned store's
+        directory per shard, per-residue row maps, four-column rows; the partitioned store's
         posting lists and overflow blob, a schema-salted fingerprint, its
         compressed partition blobs) is never read: every way of opening
         it names the command that rebuilds it."""
@@ -350,14 +348,14 @@ class TestOverwrite:
         import repro.store.index_store as index_store
 
         target = tmp_path / "idx"
-        spans = index_store.mass_sorted_spans
+        build = index_store.MassIndex
 
         def squatted(db):
             target.mkdir()
             (target / "keep.txt").write_text("someone else's")
-            return spans(db)
+            return build(db)
 
-        monkeypatch.setattr(index_store, "mass_sorted_spans", squatted)
+        monkeypatch.setattr(index_store, "MassIndex", squatted)
         with pytest.raises(IndexStoreError, match="another writer"):
             save_index(tiny_db, target)
         assert [p.name for p in target.iterdir()] == ["keep.txt"]
@@ -388,7 +386,7 @@ class TestLayout:
     def test_view_from_arrays_scores_like_builder_view(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
         direct = built.view()
-        rewired = FragmentIndex(built.layout, built.arrays)
+        rewired = FragmentIndex(built.layout, built.arrays, built.offsets)
         assert rewired.num_rows == direct.num_rows == len(rewired.rows)
         assert rewired.arrays is direct.arrays
         assert rewired.rows.mass is direct.rows.mass is built.arrays["row_mass"]

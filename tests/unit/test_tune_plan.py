@@ -86,7 +86,7 @@ class TestProfileWorkload:
         for scorer in ("hyperscore", "likelihood"):
             streamed = profile_workload(db, queries, SearchConfig(scorer=scorer), store=store)
             assert streamed.store == {
-                "row_bytes": 32 * store.num_rows,
+                "row_bytes": 12 * store.num_rows,
                 "num_partitions": store.num_partitions,
                 "max_partition_bytes": store.max_partition_bytes,
             }
