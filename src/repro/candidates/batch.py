@@ -35,7 +35,7 @@ import numpy as np
 from repro.candidates.mass_index import CandidateSpans
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
-from repro.spectra.binning import _ragged_arange
+from repro.spectra.binning import _ragged_arange, group_by_key
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ class CandidateBatch:
         "row_delta",
         "row_offsets",
         "_expanded",
-        "_groups",
-        "_gpos",
+        "_grouped",
     )
 
     def __init__(
@@ -116,8 +115,7 @@ class CandidateBatch:
         self.row_delta = row_delta
         self.row_offsets = row_offsets
         self._expanded = len(row_candidate) != len(spans)
-        self._groups: Optional[List[LengthGroup]] = None
-        self._gpos: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._grouped: Optional[Tuple[List[LengthGroup], np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         """Number of candidates (not evaluation rows)."""
@@ -204,24 +202,32 @@ class CandidateBatch:
         so row-wise numpy reductions over them match the scalar
         per-candidate operations bit for bit.
         """
-        if self._groups is not None:
-            return self._groups
+        return self._group_rows()[0]
+
+    def _group_rows(self) -> Tuple[List[LengthGroup], np.ndarray, np.ndarray]:
+        """``(groups, row_group, row_local)``, cached: the rows bucketed by
+        length with one stable sort (ascending rows within a group)."""
+        if self._grouped is not None:
+            return self._grouped
+        n = self.num_rows
+        row_length = self.spans.lengths[self.row_candidate]
+        order, runs = group_by_key(row_length, int(row_length.max()) + 1 if n else 0)
+        row_first = self.offsets[self.row_candidate]
         groups: List[LengthGroup] = []
-        if self.num_rows:
-            lengths = self.spans.lengths
-            row_length = lengths[self.row_candidate]
-            row_first = self.offsets[self.row_candidate]
-            for length in np.unique(row_length):
-                length = int(length)
-                rows = np.nonzero(row_length == length)[0]
-                mat = self.residues[row_first[rows][:, None] + np.arange(length)]
-                groups.append(
-                    LengthGroup(
-                        length, rows, mat, self.row_site[rows], self.row_delta[rows]
-                    )
-                )
-        self._groups = groups
-        return groups
+        for length, a, b in runs:
+            rows = order[a:b]
+            mat = self.residues[row_first[rows][:, None] + np.arange(length)]
+            groups.append(
+                LengthGroup(length, rows, mat, self.row_site[rows], self.row_delta[rows])
+            )
+        bounds = np.array([a for _, a, _ in runs] + [n], dtype=np.int64)
+        sizes = np.diff(bounds)
+        row_group = np.empty(n, dtype=np.int64)
+        row_group[order] = np.repeat(np.arange(len(runs), dtype=np.int64), sizes)
+        row_local = np.empty(n, dtype=np.int64)
+        row_local[order] = np.arange(n, dtype=np.int64) - np.repeat(bounds[:-1], sizes)
+        self._grouped = (groups, row_group, row_local)
+        return self._grouped
 
     def reduce_rows(self, row_scores: np.ndarray) -> np.ndarray:
         """Fold per-row scores into per-candidate scores.
@@ -284,15 +290,7 @@ class CandidateBatch:
         per-group matrices: row ``r`` lives at
         ``length_groups()[row_group[r]]`` row ``row_local[r]``.
         """
-        if self._gpos is not None:
-            return self._gpos
-        row_group = np.full(self.num_rows, -1, dtype=np.int64)
-        row_local = np.full(self.num_rows, -1, dtype=np.int64)
-        for g, group in enumerate(self.length_groups()):
-            row_group[group.rows] = g
-            row_local[group.rows] = np.arange(len(group.rows), dtype=np.int64)
-        self._gpos = (row_group, row_local)
-        return self._gpos
+        return self._group_rows()[1:]
 
     def take(self, candidates: np.ndarray) -> "CandidateBatch":
         """Sub-batch of the selected candidates (per-query extraction).

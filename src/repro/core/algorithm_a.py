@@ -30,7 +30,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import partition_database, partition_queries
 from repro.core.results import SearchReport
-from repro.core.rotation import adopt_orphans, rotate, run_rotation
+from repro.core.rotation import adopt_orphans, rotate, run_cluster
 from repro.core.search import ShardSearcher
 from repro.scoring.hits import pack_hit_columns
 from repro.simmpi.comm import SimComm
@@ -99,7 +99,7 @@ def run_algorithm_a(
         ShardSearcher(s, config, library=library)
         for s in partition_database(database, num_ranks)
     ]
-    return run_rotation(
+    return run_cluster(
         "algorithm_a" if mask else "algorithm_a_nomask",
         _rank_program,
         (searchers, partition_queries(queries, num_ranks), config, mask),

@@ -37,7 +37,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import partition_database, partition_queries
 from repro.core.results import SearchReport
-from repro.core.rotation import adopt_orphans, rotate, run_rotation
+from repro.core.rotation import adopt_orphans, rotate, run_cluster
 from repro.core.search import ShardSearcher
 from repro.core.sort import parallel_counting_sort
 from repro.scoring.hits import TopHitList, pack_hit_columns
@@ -136,7 +136,7 @@ def run_algorithm_b(
 ) -> SearchReport:
     """Run Algorithm B on the simulated machine and merge rank outputs."""
     config = config or SearchConfig()
-    return run_rotation(
+    return run_cluster(
         "algorithm_b",
         _rank_program,
         (

@@ -24,11 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
-from repro.core.search import ShardSearcher
-from repro.obs.naming import simmpi_extras
+from repro.core.rotation import run_cluster, score_pass
+from repro.core.search import ShardSearcher, ShardStats, search_serial
 from repro.scoring.hits import HitColumns, TopHitList, pack_hit_columns
 from repro.simmpi.comm import SimComm
-from repro.simmpi.scheduler import ClusterConfig, SimCluster
+from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 
@@ -68,7 +68,7 @@ def _master_program(comm: SimComm, queries: Sequence[Spectrum], config: SearchCo
         comm.send(worker, None, 8, tag=_QUERY_TAG)  # poison pill
     merged = merge_rank_hits(all_hits, config.tau)
     comm.compute(cost.report_time(len(merged.columns.scores)), detail="S4 output")
-    return merged, 0
+    return merged, ShardStats(), {}
 
 
 def _worker_program(comm: SimComm, searcher: ShardSearcher, config: SearchConfig):
@@ -77,23 +77,14 @@ def _worker_program(comm: SimComm, searcher: ShardSearcher, config: SearchConfig
     db_mem = cost.shard_bytes(searcher.shard)
     comm.alloc("D", db_mem)
     comm.compute(cost.load_time(db_mem, 0), detail="S1 load database")
-    candidates = 0
+    totals = ShardStats()
     while True:
         _src, batch = yield comm.recv_op(source=0)
         if batch is None:
-            return None, candidates
+            return None, totals, {}
         hitlists: Dict[int, TopHitList] = {}
-        stats = searcher.run(batch, hitlists)  # S3: real work, local only
-        candidates += stats.candidates_evaluated
-        overhead = cost.query_processing_overhead(stats, len(batch))
-        comm.compute(
-            cost.scan_time(searcher.shard.nbytes)
-            + cost.search_evaluation_time(stats, searcher.scorer)
-            + (0.0 if stats.sweep_queries else overhead),
-            detail="S3 batch",
-        )
-        if stats.sweep_queries:
-            comm.sweep_setup(overhead, detail="S3 sweep")
+        # S3: real work, local only; a batch is no rotation step
+        totals.merge(score_pass(comm, searcher, batch, hitlists, config, "S3", rotation_step=False))
         hits = pack_hit_columns(hitlists, hitlists)
         comm.send(0, hits, _HIT_BYTES * max(len(hits.scores), 1))
 
@@ -117,36 +108,28 @@ def run_master_worker(
     config = config or SearchConfig()
     if num_ranks < 1:
         raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")
-    cluster_config = cluster_config or ClusterConfig(num_ranks=num_ranks)
-    searcher = ShardSearcher(database, config, library=library)
-
     if num_ranks == 1:
-        from repro.core.search import search_serial
-
         report = search_serial(database, queries, config, library=library)
         report.algorithm = "master_worker"
         return report
 
-    cluster = SimCluster(cluster_config)
-    args: Dict[int, Tuple] = {0: (queries, config, batch_size)}
-    for r in range(1, num_ranks):
-        args[r] = (searcher, config)
+    searcher = ShardSearcher(database, config, library=library)
+    args: Dict[int, Tuple] = {r: (searcher, config) for r in range(1, num_ranks)}
+    args[0] = (queries, config, batch_size)
 
     def program(comm: SimComm, *rank_args):
         if comm.rank == 0:
             return (yield from _master_program(comm, *rank_args))
         return (yield from _worker_program(comm, *rank_args))
 
-    outcomes, summary = cluster.run(program, args)
-    merged = outcomes[0].value[0]
-    candidates = sum(o.value[1] for o in outcomes)
-    return SearchReport(
-        algorithm="master_worker",
-        num_ranks=num_ranks,
-        hits=merged,
-        candidates_evaluated=candidates,
-        virtual_time=summary.makespan,
-        trace=summary,
-        peak_memory={r: cluster.memory[r].peak for r in range(num_ranks)},
-        extras=simmpi_extras(summary, batch_size=batch_size, workers=num_ranks - 1),
+    return run_cluster(
+        "master_worker",
+        program,
+        args,
+        num_ranks,
+        config,
+        cluster_config,
+        rank_totals=False,
+        batch_size=batch_size,
+        workers=num_ranks - 1,
     )

@@ -7,8 +7,10 @@ scores the current one (Figure 2, A2).  Algorithm B (Figure 3) runs the
 same loop over its sender group with a per-shard query cutoff.  Each
 algorithm keeps its preamble, its order, which queries a shard serves
 and its report step, and calls :func:`rotate` (the loop),
-:func:`adopt_orphans` (the commit protocol) and :func:`run_rotation`
+:func:`adopt_orphans` (the commit protocol) and :func:`run_cluster`
 (the cluster run and the :class:`~repro.core.results.SearchReport`).
+The replicated-database baselines share :func:`run_cluster`, and
+master-worker charges its batches with :func:`score_pass`.
 
 Memory: each rank keeps three O(N/p) buffers — its resident shard (the
 window peers Get from), ``Drecv`` (the prefetch's landing buffer) and
@@ -31,7 +33,7 @@ fault-free run's.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
@@ -44,14 +46,44 @@ from repro.simmpi.scheduler import ClusterConfig, SimCluster
 from repro.spectra.spectrum import Spectrum
 
 
-def _pass_time(config: SearchConfig, searcher: ShardSearcher, stats: ShardStats) -> float:
-    """Modeled time of one shard pass, before its per-query overhead."""
+def _pass_time(
+    config: SearchConfig, searcher: ShardSearcher, stats: ShardStats, rotation_step: bool = True
+) -> float:
+    """Modeled time of one shard pass, before its per-query overhead; a
+    rotation step also pays the per-iteration overhead."""
     cost = config.cost
     return (
-        cost.iteration_overhead
+        (cost.iteration_overhead if rotation_step else 0.0)
         + cost.scan_time(searcher.shard.nbytes)
         + cost.search_evaluation_time(stats, searcher.scorer)
     )
+
+
+def score_pass(
+    comm: SimComm,
+    searcher: ShardSearcher,
+    queries: Sequence[Spectrum],
+    hitlists: Dict[int, TopHitList],
+    config: SearchConfig,
+    label: str,
+    rotation_step: bool = True,
+) -> ShardStats:
+    """Run one shard pass for real and charge it; returns its stats.
+
+    The pass time is compute (``"{label} score"``).  The per-query
+    overhead joins it under MODELED execution; once a REAL pass swept,
+    it is traced apart as sweep setup (``"{label} sweep"``).
+    """
+    stats = searcher.run(queries, hitlists)
+    overhead = config.cost.query_processing_overhead(stats, len(queries))
+    comm.compute(
+        _pass_time(config, searcher, stats, rotation_step)
+        + (0.0 if stats.sweep_queries else overhead),
+        detail=f"{label} score",
+    )
+    if stats.sweep_queries:
+        comm.sweep_setup(overhead, detail=f"{label} sweep")
+    return stats
 
 
 def _salvage(comm: SimComm, window: str, owner: int) -> ShardSearcher:
@@ -122,18 +154,9 @@ def rotate(
                 comm.alloc("Drecv", int(sizes[order[s + 1]]))
                 if not mask and request is not None:
                     comm.wait(request)
-            queries = queries_for(target)
-            stats = current.run(queries, hitlists)
-            totals.merge(stats)
-            overhead = cost.query_processing_overhead(stats, len(queries))
-            comm.compute(
-                _pass_time(config, current, stats)
-                + (0.0 if stats.sweep_queries else overhead),
-                detail=f"{phase} score D{target}",
+            totals.merge(
+                score_pass(comm, current, queries_for(target), hitlists, config, f"{phase} D{target}")
             )
-            if stats.sweep_queries:
-                # sweep bookkeeping is traced separately from compute
-                comm.sweep_setup(overhead, detail=f"{phase} sweep D{target}")
             if request is not None or lost is not None:
                 current = comm.wait(request) if lost is None else _salvage(comm, window, lost)
                 comm.alloc("Dcomp", cost.shard_bytes(current.shard))
@@ -226,25 +249,32 @@ def adopt_orphans(
                 adopted.add(failed)
 
 
-def run_rotation(
+def run_cluster(
     algorithm: str,
     program: Callable,
-    args: Tuple,
+    args: Union[Tuple, Dict[int, Tuple]],
     num_ranks: int,
     config: SearchConfig,
     cluster_config: Optional[ClusterConfig],
+    rank_totals: bool = True,
+    **engine_extras,
 ) -> SearchReport:
     """Run ``program(comm, *args)`` on every rank and build the report.
 
-    Each rank returns ``(hits, totals, timings)``: its hit columns, its
-    :class:`ShardStats` and a dict of phase durations (Algorithm B's
+    ``args`` is one tuple for every rank, or a tuple per rank.  Each rank
+    returns ``(hits, totals, timings)``: its hit columns (or ``None``),
+    its :class:`ShardStats` and a dict of phase durations (Algorithm B's
     ``sorting_time``), reported as the slowest surviving rank's value.
+    ``engine_extras`` join the extras, which leave out the totals' index,
+    sweep and fault accounting unless ``rank_totals``.
     """
     cluster_config = cluster_config or ClusterConfig(num_ranks=num_ranks)
     if cluster_config.num_ranks != num_ranks:
         raise ValueError("cluster_config.num_ranks must match num_ranks")
+    if not isinstance(args, dict):
+        args = {r: args for r in range(num_ranks)}
     cluster = SimCluster(cluster_config)
-    outcomes, summary = cluster.run(program, {r: args for r in range(num_ranks)})
+    outcomes, summary = cluster.run(program, args)
 
     totals = ShardStats()
     for o in outcomes:
@@ -253,15 +283,16 @@ def run_rotation(
     return SearchReport(
         algorithm=algorithm,
         num_ranks=num_ranks,
-        hits=merge_rank_hits([o.value[0] for o in outcomes], config.tau),
+        hits=merge_rank_hits([o.value[0] for o in outcomes if o.value[0] is not None], config.tau),
         candidates_evaluated=totals.candidates_evaluated,
         virtual_time=summary.makespan,
         trace=summary,
         peak_memory={r: cluster.memory[r].peak for r in range(num_ranks)},
         extras=simmpi_extras(
             summary,
-            totals=totals,
-            fault_tolerant=cluster_config.fault_plan is not None,
+            totals=totals if rank_totals else None,
+            fault_tolerant=rank_totals and cluster_config.fault_plan is not None,
             **timings,
+            **engine_extras,
         ),
     )

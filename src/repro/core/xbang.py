@@ -25,13 +25,14 @@ from repro.candidates.tryptic import TrypticIndex
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_queries
-from repro.core.results import SearchReport, merge_rank_hits
-from repro.obs.naming import simmpi_extras
+from repro.core.results import SearchReport
+from repro.core.rotation import run_cluster
+from repro.core.search import ShardStats
 from repro.scoring.base import batch_scores
 from repro.scoring.hits import TopHitList, pack_hit_columns
 from repro.scoring.hyperscore import HyperScorer
 from repro.simmpi.comm import SimComm
-from repro.simmpi.scheduler import ClusterConfig, SimCluster
+from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.spectrum import Spectrum
 
 
@@ -98,8 +99,7 @@ def _rank_program(
     )
     reported = sum(min(len(h), config.tau) for h in hitlists.values())
     comm.compute(cost.report_time(reported), detail="report")
-    hits = pack_hit_columns(hitlists, hitlists)
-    return hits, evaluated
+    return pack_hit_columns(hitlists, hitlists), ShardStats(candidates_evaluated=evaluated), {}
 
 
 def run_xbang(
@@ -121,7 +121,6 @@ def run_xbang(
     tolerance follow ``config`` so quality comparisons stay aligned.
     """
     config = config or SearchConfig()
-    cluster_config = cluster_config or ClusterConfig(num_ranks=num_ranks)
     scorer = HyperScorer(config.fragment_tolerance)
     index = TrypticIndex(
         database,
@@ -129,24 +128,14 @@ def run_xbang(
         min_length=config.min_candidate_length,
     )
     query_blocks = partition_queries(queries, num_ranks)
-
-    cluster = SimCluster(cluster_config)
-    args = {r: (index, query_blocks[r], config, scorer, parent_tolerance) for r in range(num_ranks)}
-    outcomes, summary = cluster.run(_rank_program, args)
-
-    hits = merge_rank_hits([o.value[0] for o in outcomes], config.tau)
-    evaluated = sum(o.value[1] for o in outcomes)
-    return SearchReport(
-        algorithm="xbang",
-        num_ranks=num_ranks,
-        hits=hits,
-        candidates_evaluated=evaluated,
-        virtual_time=summary.makespan,
-        trace=summary,
-        peak_memory={r: cluster.memory[r].peak for r in range(num_ranks)},
-        extras=simmpi_extras(
-            summary,
-            tryptic_peptides=len(index),
-            parent_tolerance=parent_tolerance,
-        ),
+    return run_cluster(
+        "xbang",
+        _rank_program,
+        {r: (index, query_blocks[r], config, scorer, parent_tolerance) for r in range(num_ranks)},
+        num_ranks,
+        config,
+        cluster_config,
+        rank_totals=False,
+        tryptic_peptides=len(index),
+        parent_tolerance=parent_tolerance,
     )

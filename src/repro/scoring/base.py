@@ -94,19 +94,20 @@ def batch_scores(
 # Pair-kernel contract.  A scorer's ``pair_kernel(spectra)`` binds a
 # cohort and returns ``kernel(member, *matrices) -> row scores``, called
 # once per (cohort, length group): ``matrices`` are that group's dense
-# per-length matrices (ladders, fragment m/z rows, model spectra — each a
-# *row-wise* product of the group's residue matrix, so the rows prepared
-# once for the cohort are the rows the scalar model builds one by one),
-# gathered to one row per (member, evaluation row) pair, and ``member`` —
-# non-decreasing — names the spectrum each row is scored against.  Per
-# member the kernel only runs the binary searches against that member's
-# own peaks (or, for xcorr, applies its bin limit and its offset into the
-# concatenated preprocessed vectors; for the likelihood model, its
-# ``p0``); every other step is row-wise — it reads one row's operands and
-# reduces along the last axis only — and runs once over all rows.  A
-# row's operands and reduction order are therefore the scalar scorer's
-# for that (member, candidate) pair, so every score is bitwise identical
-# to it.
+# per-length matrices (ladders, fragment m/z rows, model m/z rows with
+# their series — each a *row-wise* product of the group's residue matrix,
+# so the rows prepared once for the cohort are the rows the scalar model
+# builds one by one), gathered to one row per (member, evaluation row)
+# pair, and ``member`` — non-decreasing — names the spectrum each row is
+# scored against.  Per member the kernel only runs the binary searches
+# against that member's own peaks (or, for xcorr, applies its bin limit
+# and its offset into the concatenated preprocessed vectors; for the
+# likelihood model, gathers from its four-entry table of per-fragment
+# terms, built once per cohort from the scalar's operands); every other
+# step is row-wise — it reads one row's operands and reduces along the
+# last axis only — and runs once over all rows.  A row's operands and
+# reduction order are therefore the scalar scorer's for that (member,
+# candidate) pair, so every score is bitwise identical to it.
 
 
 def score_block_pairs(

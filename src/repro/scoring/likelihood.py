@@ -41,7 +41,12 @@ from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import match_peaks, match_peaks_pairs
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import theoretical_spectrum, theoretical_spectrum_rows
+from repro.spectra.theoretical import (
+    SERIES_WEIGHT,
+    IonSeries,
+    by_model_rows,
+    theoretical_spectrum,
+)
 
 
 class LikelihoodRatioScorer:
@@ -97,7 +102,10 @@ class LikelihoodRatioScorer:
     ) -> float:
         if len(model_mz) == 0 or spectrum.num_peaks == 0:
             return -math.inf
+        return float(self._fragment_llrs(spectrum, model_mz, model_int).sum())
 
+    def _fragment_llrs(self, spectrum: Spectrum, model_mz, model_int) -> np.ndarray:
+        """Bernoulli log-likelihood ratio of each model fragment position."""
         p0 = self._chance_match_probability(spectrum)
         # Per-fragment detection probability under H1, scaled by model
         # intensity (max-normalised): dominant ions are expected, weak
@@ -108,43 +116,40 @@ class LikelihoodRatioScorer:
         # Which model fragments are matched by an observed peak?
         matched = match_peaks(model_mz, np.ascontiguousarray(spectrum.mz), self.fragment_tolerance)
 
-        # Bernoulli log-likelihood ratio per fragment position.
         llr_matched = np.log(p1 / p0)
         llr_unmatched = np.log((1.0 - p1) / (1.0 - p0))
-        return float(np.where(matched, llr_matched, llr_unmatched).sum())
+        return np.where(matched, llr_matched, llr_unmatched)
 
-    def _llr_rows(self, matched: np.ndarray, p0, model_int: np.ndarray) -> np.ndarray:
-        """Row sums of the per-fragment Bernoulli log-likelihood ratios.
+    def llr_table(self, spectra) -> np.ndarray:
+        """Per-fragment log-likelihood ratios of a cohort: ``(members, 4)``.
 
-        ``p0`` is one spectrum's chance-match probability, or — from the
-        cohort kernel — a column holding each row's own member's.
+        Columns: unmatched b, unmatched y, matched b, matched y.  The model
+        intensity is a per-series constant, so ``p1`` takes one value per
+        series and a fragment's term is one of these four, computed from
+        :meth:`_fragment_llrs`'s operands and ufuncs.  A member without
+        peaks gets ``-inf``: its rows sum to the scalar early return.
         """
-        rel = model_int / model_int.max(axis=1, keepdims=True)
-        p1 = np.clip(self.p_detect * rel, 1e-6, 0.999)
-        llr_matched = np.log(p1 / p0)
-        llr_unmatched = np.log((1.0 - p1) / (1.0 - p0))
-        return np.where(matched, llr_matched, llr_unmatched).sum(axis=1)
+        weights = np.array([SERIES_WEIGHT[IonSeries.B], SERIES_WEIGHT[IonSeries.Y]])
+        p1 = np.clip(self.p_detect * (weights / weights.max()), 1e-6, 0.999)
+        p0 = np.array([[self._chance_match_probability(s)] for s in spectra.spectra])
+        table = np.concatenate((np.log((1.0 - p1) / (1.0 - p0)), np.log(p1 / p0)), axis=1)
+        table[np.diff(spectra.offsets) == 0] = -math.inf
+        return table
 
     def pair_kernel(self, spectra):
-        """Bind a cohort: ``kernel(member, model_mz, model_int)`` -> row scores.
+        """Bind a cohort: ``kernel(member, model_mz, y_rows)`` -> row scores.
 
-        Each row is scored under its own member's ``p0``; rows of a
-        member without peaks are set to ``-inf`` like the scalar early
-        return.
+        Each fragment gathers its member's :meth:`llr_table` entry for
+        its series and match; the row sum runs in m/z order, as the
+        scalar sum does.
         """
-        p0 = np.array([self._chance_match_probability(s) for s in spectra.spectra])
-        single = len(p0) == 1  # a cohort of one: the plain scalar p0
-        no_peaks = np.diff(spectra.offsets) == 0
-        any_without = bool(no_peaks.any())
+        table = self.llr_table(spectra).ravel()
 
-        def kernel(member, model_mz, model_int):
-            matched = match_peaks_pairs(spectra, member, model_mz, self.fragment_tolerance)
-            scores = self._llr_rows(
-                matched, p0[0] if single else p0[member][:, None], model_int
-            )
-            if any_without:
-                scores[no_peaks[member]] = -math.inf
-            return scores
+        def kernel(member, model_mz, y_rows):
+            code = 2 * match_peaks_pairs(spectra, member, model_mz, self.fragment_tolerance)
+            code += y_rows
+            code += 4 * member[:, None]
+            return table[code].sum(axis=1)
 
         return kernel
 
@@ -163,7 +168,7 @@ class LikelihoodRatioScorer:
         def prepare(group):
             if group.length < 2:
                 return None  # empty model spectrum, score stays -inf
-            return theoretical_spectrum_rows(group.mass_rows())
+            return by_model_rows(group.mass_rows())
 
         return score_block_pairs(
             batch, selections, -math.inf, prepare, self.pair_kernel(spectra)

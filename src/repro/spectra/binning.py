@@ -80,24 +80,6 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + ramp
 
 
-def match_peaks_many(
-    query_rows: np.ndarray, ladder_mz: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Batched :func:`match_peaks`: boolean matrix over ``query_rows``.
-
-    ``query_rows`` is ``(n, F)`` (rows need not be sorted); ``ladder_mz``
-    is one sorted reference array.  Entry ``[r, j]`` equals the scalar
-    ``match_peaks(query_rows[r], ladder_mz, tolerance)[j]``.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    if len(ladder_mz) == 0:
-        return np.zeros(query_rows.shape, dtype=bool)
-    lo = np.searchsorted(ladder_mz, query_rows - tolerance, side="left")
-    hi = np.searchsorted(ladder_mz, query_rows + tolerance, side="right")
-    return hi > lo
-
-
 def _fresh_intervals(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per fragment, the part ``(starts, lens)`` of its matched-peak interval
     ``[lo, hi)`` that no earlier fragment of its row already covered.
@@ -206,11 +188,18 @@ def _searchsorted_runs(
 def match_peaks_pairs(
     batch, member: np.ndarray, query_rows: np.ndarray, tolerance: float
 ) -> np.ndarray:
-    """Cohort :func:`match_peaks_many`: row ``r`` against member ``member[r]``."""
-    runs = sorted_runs(member)
-    lo = _searchsorted_runs(batch.mz, batch.offsets, runs, query_rows - tolerance, "left")
-    hi = _searchsorted_runs(batch.mz, batch.offsets, runs, query_rows + tolerance, "right")
-    return hi > lo
+    """Cohort :func:`match_peaks` over fragment rows: entry ``[r, j]`` is
+    whether ``query_rows[r, j]`` lies within ``tolerance`` of a peak of
+    member ``member[r]`` (rows need not be sorted).
+
+    One search per member: the scalar ``hi > lo`` holds exactly when the
+    member's first peak at or above ``f - tol`` (its ``+inf`` pad when
+    there is none) is at most ``f + tol``.
+    """
+    mz, offsets = batch.padded_mz()
+    first = _searchsorted_runs(mz, offsets, sorted_runs(member), query_rows - tolerance, "left")
+    first += offsets[member][:, None]
+    return mz[first] <= query_rows + tolerance
 
 
 def _fresh_intervals_pairs(

@@ -32,7 +32,7 @@ class SpectrumBatch:
             ``[offsets[k], offsets[k + 1])``.
     """
 
-    __slots__ = ("spectra", "mz", "intensity", "offsets")
+    __slots__ = ("spectra", "mz", "intensity", "offsets", "_padded")
 
     def __init__(self, spectra: Sequence[Spectrum]):
         self.spectra: List[Spectrum] = list(spectra)
@@ -48,6 +48,7 @@ class SpectrumBatch:
         else:
             self.mz = np.empty(0, dtype=np.float64)
             self.intensity = np.empty(0, dtype=np.float64)
+        self._padded = None
 
     def __len__(self) -> int:
         return len(self.spectra)
@@ -56,6 +57,14 @@ class SpectrumBatch:
     def num_peaks(self) -> int:
         """Total peak count across all members."""
         return len(self.mz)
+
+    def padded_mz(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(mz, offsets)`` with ``+inf`` after each member's peaks (cached):
+        member ``k`` owns ``mz[offsets[k]:offsets[k + 1]]``, its pad last."""
+        if self._padded is None:
+            mz = np.insert(self.mz, self.offsets[1:], np.inf)
+            self._padded = (mz, self.offsets + np.arange(len(self.offsets)))
+        return self._padded
 
 
 def flatten_members(per_member: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

@@ -82,7 +82,7 @@ def fragment_mz(
 
 #: Relative intensity assigned to each series in the model spectrum.  The
 #: y series dominates observed CID spectra; b is strong; a is weak.
-_SERIES_WEIGHT = {IonSeries.B: 0.8, IonSeries.Y: 1.0, IonSeries.A: 0.25}
+SERIES_WEIGHT = {IonSeries.B: 0.8, IonSeries.Y: 1.0, IonSeries.A: 0.25}
 
 
 def theoretical_spectrum(
@@ -105,7 +105,7 @@ def theoretical_spectrum(
     mz_parts = []
     int_parts = []
     for s in series:
-        w = _SERIES_WEIGHT[s]
+        w = SERIES_WEIGHT[s]
         for z in charges:
             frag = fragment_mz(encoded, s, z, monoisotopic, mod_site, mod_delta)
             mz_parts.append(frag)
@@ -146,35 +146,28 @@ def fragment_mz_rows(
     return (neutral + charge * PROTON_MASS) / charge
 
 
-def theoretical_spectrum_rows(
-    mass_rows: np.ndarray,
-    series: Sequence[IonSeries] = (IonSeries.B, IonSeries.Y),
-    charges: Iterable[int] = (1,),
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`theoretical_spectrum`: ``(mz_rows, intensity_rows)``.
+def by_model_rows(mass_rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched default :func:`theoretical_spectrum` (b and y ions, charge 1).
 
-    Both outputs are ``(n, F)`` with each row sorted by m/z via the same
-    stable key the scalar kernel uses, so row ``r`` reproduces the scalar
-    model spectrum of candidate ``r`` bit for bit.
+    ``mass_rows`` is ``(n, L)`` with ``L >= 2`` and PTM deltas applied.
+    Returns ``(mz_rows, y_rows)``, both ``(n, 2 * (L - 1))``: each row's
+    fragment m/z sorted by the scalar kernel's stable key, and whether
+    each sorted fragment is a y ion — the model intensity is a
+    per-series constant, so the series is all a scorer needs of it.  One
+    ``cumsum`` runs over the stacked b prefixes and y suffixes, each the
+    sequential fold :func:`fragment_mz` performs (its ``/ 1`` is exact),
+    so row ``r`` is candidate ``r``'s scalar model spectrum bit for bit.
     """
-    mz_parts = []
-    int_parts = []
-    for s in series:
-        w = _SERIES_WEIGHT[s]
-        for z in charges:
-            frag = fragment_mz_rows(mass_rows, s, z)
-            mz_parts.append(frag)
-            int_parts.append(np.full(frag.shape, w / z))
-    if not mz_parts:
-        n = mass_rows.shape[0]
-        return np.empty((n, 0)), np.empty((n, 0))
-    mz = np.concatenate(mz_parts, axis=1)
-    intensity = np.concatenate(int_parts, axis=1)
-    order = np.argsort(mz, axis=1, kind="stable")
-    return (
-        np.take_along_axis(mz, order, axis=1),
-        np.take_along_axis(intensity, order, axis=1),
-    )
+    n, length = mass_rows.shape
+    width = 2 * (length - 1)
+    ions = np.concatenate((mass_rows[:, :-1], mass_rows[:, :0:-1]), axis=1)
+    ions = ions.reshape(n, 2, length - 1).cumsum(axis=2)
+    ions[:, 1] += WATER_MASS
+    ions += PROTON_MASS
+    order = np.argsort(ions.reshape(n, width), axis=1, kind="stable")
+    y_rows = order >= length - 1
+    order += np.arange(0, n * width, width)[:, None]
+    return ions.ravel()[order], y_rows
 
 
 def modified_by_ion_ladder(

@@ -9,10 +9,13 @@ cohort drawn here holds, besides its random members, a member without
 peaks and a member whose selection is empty; members draw their selections
 independently from one candidate block, so candidates are shared; the span
 set always includes length-1 spans and (on the direct path) PTM rows expanded per
-site.  Cohorts of one are drawn too.
+site.  Cohorts of one are drawn too, and so are the scorers' parameters —
+the fragment tolerance (the index's too) and the likelihood model's
+``p_detect``, clamps included — since the kernels bind them per cohort.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
 from repro.index.fragment_index import IndexBuilder
 from repro.scoring.base import block_scores, score_block_fallback
+from repro.scoring.likelihood import LikelihoodRatioScorer
 from repro.scoring.registry import SCORER_NAMES, make_scorer
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
@@ -59,6 +63,21 @@ def _spectrum(rng, db, noise_peaks):
         precursor_mz=float(rng.uniform(300.0, 1500.0)),
         charge=int(rng.integers(1, 4)),
     )
+
+
+tolerances = st.floats(min_value=0.01, max_value=5.0)
+# p_detect * 0.8 below the 1e-6 clamp and p_detect above the 0.999 one are drawn too
+detect_probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def scorer_factories(draw, names):
+    """``make``: ``make()`` builds a fresh scorer from drawn parameters."""
+    name = draw(st.sampled_from(names))
+    tol = draw(tolerances)
+    if name == "likelihood":
+        return partial(LikelihoodRatioScorer, tol, draw(detect_probabilities))
+    return partial(make_scorer, name, tol)
 
 
 @st.composite
@@ -101,19 +120,19 @@ def _ptm_spans(db):
     return type(spans).concat(tiers)
 
 
-@given(cohorts(lambda db: len(_ptm_spans(db))), st.sampled_from(SCORER_NAMES))
+@given(cohorts(lambda db: len(_ptm_spans(db))), scorer_factories(SCORER_NAMES))
 @settings(max_examples=60, deadline=None)
-def test_direct_pair_kernels_equal_the_fallback(case, scorer_name):
+def test_direct_pair_kernels_equal_the_fallback(case, make):
     db, spectra, selections = case
     spans = _ptm_spans(db)
     assert int(spans.lengths.min()) == 1  # the length-1 group is present
     batch = CandidateBatch.from_spans(db, spans, _MOD_TARGETS)
     assert batch.num_rows > len(batch)  # PTM rows expanded
-    scorer = make_scorer(scorer_name)
-    assert hasattr(scorer, "pair_kernel")  # a kernel, not the oracle itself
+    kernel_scorer = make()
+    assert hasattr(kernel_scorer, "pair_kernel")  # a kernel, not the oracle itself
     cohort = SpectrumBatch(spectra)
-    got = block_scores(scorer, cohort, batch, selections)
-    want = score_block_fallback(make_scorer(scorer_name), cohort, batch, selections)
+    got = block_scores(kernel_scorer, cohort, batch, selections)
+    want = score_block_fallback(make(), cohort, batch, selections)
     assert got.shape == (sum(len(s) for s in selections),)
     assert got.tobytes() == want.tobytes()
 
@@ -124,23 +143,23 @@ def _indexable(db, max_length=48):
     return spans.take((lengths >= 2) & (lengths <= max_length))
 
 
-def _check_index(index, rows_of_span, db, spans, spectra, selections, scorer_name):
+def _check_index(index, rows_of_span, db, spans, spectra, selections, make):
     cohort = SpectrumBatch(spectra)
     row_sets = [rows_of_span[sel] for sel in selections]
-    got = index.score_block(make_scorer(scorer_name), cohort, row_sets)
+    got = index.score_block(make(), cohort, row_sets)
     batch = CandidateBatch.from_spans(db, spans, {})
-    want = score_block_fallback(make_scorer(scorer_name), cohort, batch, selections)
+    want = score_block_fallback(make(), cohort, batch, selections)
     assert got.shape == (sum(len(s) for s in selections),)
     assert got.tobytes() == want.tobytes()
 
 
-@given(cohorts(lambda db: len(_indexable(db))), st.sampled_from(_POSTING_SCORERS))
+@given(cohorts(lambda db: len(_indexable(db))), scorer_factories(_POSTING_SCORERS))
 @settings(max_examples=60, deadline=None)
-def test_resident_index_cohort_kernels_equal_the_fallback(case, scorer_name):
+def test_resident_index_cohort_kernels_equal_the_fallback(case, make):
     db, spectra, selections = case
-    index = IndexBuilder(fragment_tolerance=0.5).build(db).view()
+    index = IndexBuilder(fragment_tolerance=make().fragment_tolerance).build(db).view()
     # the table's rows inside the envelope: the spans the postings serve
     rows = np.nonzero(index.holds(np.arange(index.num_rows)))[0]
     spans = index.rows.spans(rows)
     assert len(spans) == len(_indexable(db))
-    _check_index(index, rows, db, spans, spectra, selections, scorer_name)
+    _check_index(index, rows, db, spans, spectra, selections, make)

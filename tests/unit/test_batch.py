@@ -11,7 +11,7 @@ from repro.spectra.binning import (
     count_matches,
     count_matches_pairs,
     match_peaks,
-    match_peaks_many,
+    match_peaks_pairs,
     matched_intensity,
     matched_intensity_pairs,
     row_segment_sums,
@@ -22,10 +22,10 @@ from repro.spectra.theoretical import (
     IonSeries,
     by_ion_ladder,
     by_ion_ladder_rows,
+    by_model_rows,
     fragment_mz,
     fragment_mz_rows,
     theoretical_spectrum,
-    theoretical_spectrum_rows,
 )
 from repro.chem.amino_acids import mass_table
 
@@ -152,12 +152,13 @@ class TestBatchedKernels:
             for i, row in enumerate(self.rows):
                 assert frags[i].tobytes() == fragment_mz(row, series).tobytes()
 
-    def test_theoretical_rows_match_scalar(self):
-        mz, intensity = theoretical_spectrum_rows(self.masses)
+    def test_by_model_rows_match_scalar(self):
+        mz, y_rows = by_model_rows(self.masses)
         for i, row in enumerate(self.rows):
             ref_mz, ref_int = theoretical_spectrum(row)
             assert mz[i].tobytes() == ref_mz.tobytes()
-            assert intensity[i].tobytes() == ref_int.tobytes()
+            # the y series is the one with the y weight (1.0; b is 0.8)
+            assert np.array_equal(y_rows[i], ref_int == 1.0)
 
     def test_short_rows_yield_empty_fragments(self):
         short = self.masses[:, :1]
@@ -178,9 +179,9 @@ class TestBatchedKernels:
             assert counts[i] == ref_n
             assert sums[i].tobytes() == np.float64(ref_sum).tobytes()
 
-    def test_match_peaks_many_match_scalar(self):
+    def test_match_peaks_pairs_match_scalar(self):
         ladders = by_ion_ladder_rows(self.masses)
-        mask = match_peaks_many(ladders, self.obs_mz, 0.5)
+        mask = match_peaks_pairs(self.cohort, self.member, ladders, 0.5)
         for i in range(len(ladders)):
             assert np.array_equal(mask[i], match_peaks(ladders[i], self.obs_mz, 0.5))
 

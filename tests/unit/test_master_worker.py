@@ -1,0 +1,37 @@
+"""Unit tests for the master-worker baseline's entry point."""
+
+import pickle
+
+from repro.candidates.mass_index import MassIndex
+from repro.core import master_worker
+from repro.core.config import SearchConfig
+from repro.core.master_worker import run_master_worker
+from repro.core.results import reports_equal
+from repro.core.search import search_serial
+
+_CONFIG = SearchConfig(scorer="likelihood", tau=5)
+
+
+def test_one_rank_builds_one_searcher_and_one_index(tiny_db, tiny_queries, monkeypatch):
+    """At p = 1 the run is the serial search: the whole-database searcher
+    of the p > 1 path is never built, and the mass index is built once."""
+    database = pickle.loads(pickle.dumps(tiny_db))  # an equal database, nothing cached
+    assert database._mass_index is None
+    index_builds, searchers = [], []
+    build = MassIndex.__init__
+
+    def counted_build(self, shard):
+        index_builds.append(shard)
+        build(self, shard)
+
+    class CountedSearcher(master_worker.ShardSearcher):
+        def __init__(self, *args, **kwargs):
+            searchers.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(MassIndex, "__init__", counted_build)
+    monkeypatch.setattr(master_worker, "ShardSearcher", CountedSearcher)
+    report = run_master_worker(database, tiny_queries, 1, _CONFIG)
+    assert report.algorithm == "master_worker"
+    assert (len(index_builds), searchers) == (1, [])
+    assert reports_equal(search_serial(tiny_db, tiny_queries, _CONFIG), report, score_rtol=0)

@@ -5,17 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from repro.candidates.batch import CandidateBatch
+from repro.candidates.mass_index import MassIndex
 from repro.chem.amino_acids import encode_sequence
+from repro.chem.protein import ProteinDatabase
 from repro.errors import ConfigError
+from repro.scoring.base import block_scores, score_block_fallback
 from repro.scoring.hypergeometric import HypergeometricScorer
 from repro.scoring.hyperscore import HyperScorer
 from repro.scoring.likelihood import LikelihoodRatioScorer
 from repro.scoring.registry import SCORER_NAMES, make_scorer
 from repro.scoring.shared_peaks import SharedPeakScorer
 from repro.scoring.xcorr import XCorrScorer
+from repro.spectra.binning import match_peaks
 from repro.spectra.experimental import SimulatorConfig, SpectrumSimulator
 from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
+from repro.spectra.theoretical import theoretical_spectrum
 
 TRUE_PEPTIDE = encode_sequence("MKTAYIAKQR")
 WRONG_PEPTIDE = encode_sequence("WWWWHHHHFF")
@@ -96,6 +103,65 @@ class TestLikelihood:
     def test_relative_cost_reflects_accuracy_cost(self):
         # the paper's quality argument: the accurate model is expensive
         assert LikelihoodRatioScorer().relative_cost > HyperScorer().relative_cost
+
+
+class TestLikelihoodTable:
+    """The per-member table the likelihood pair kernel gathers from holds
+    the scalar model's per-fragment terms, bit for bit."""
+
+    TOL = 0.5
+
+    @staticmethod
+    def _spectrum(peaks):
+        mz = np.sort(np.asarray(peaks, dtype=np.float64))
+        return Spectrum.from_peaks(mz, np.ones(len(mz)), precursor_mz=600.0, charge=2)
+
+    def _cohort(self):
+        """Members with peaks exactly at a b or y fragment of TRUE_PEPTIDE
+        plus or minus the tolerance: p0 at its lower clamp (one peak),
+        unclamped, at its upper clamp (dense peaks), and a member without
+        peaks."""
+        model_mz, model_int = theoretical_spectrum(TRUE_PEPTIDE)
+        b, y, tol = model_mz[model_int < 1.0], model_mz[model_int == 1.0], self.TOL
+        return SpectrumBatch(
+            [
+                self._spectrum([y[2] + tol]),
+                self._spectrum([b[1] - tol, y[3] + tol, b[6] + tol, y[7] - tol]),
+                self._spectrum(b[4] - tol + 0.25 * np.arange(30)),
+                self._spectrum([]),
+            ]
+        )
+
+    @pytest.mark.parametrize("p_detect", [0.7, 1e-7, 0.9999])  # p1 unclamped, low, high
+    def test_entries_are_the_scalar_terms(self, p_detect):
+        scorer = LikelihoodRatioScorer(self.TOL, p_detect)
+        cohort = self._cohort()
+        probs = [scorer._chance_match_probability(s) for s in cohort.spectra[:3]]
+        assert probs[0] == 1e-9 and 1e-9 < probs[1] < 0.999 and probs[2] == 0.999
+        table = scorer.llr_table(cohort)
+        assert np.all(table[3] == -math.inf)  # the member without peaks
+        used = set()
+        for k, spectrum in enumerate(cohort.spectra[:3]):
+            for peptide in (TRUE_PEPTIDE, WRONG_PEPTIDE):
+                model_mz, model_int = theoretical_spectrum(peptide)
+                code = 2 * match_peaks(model_mz, spectrum.mz, self.TOL) + (model_int == 1.0)
+                used.update(code.tolist())
+                terms = scorer._fragment_llrs(spectrum, model_mz, model_int)
+                assert table[k, code].tobytes() == terms.tobytes()
+        assert used == {0, 1, 2, 3}  # unmatched b, y; matched b, y
+
+    @pytest.mark.parametrize("p_detect", [0.7, 1e-7, 0.9999])
+    def test_block_scores_equal_the_scalar_scores(self, p_detect):
+        db = ProteinDatabase.from_sequences(["MKTAYIAKQR", "WWWWHHHHFF"])
+        batch = CandidateBatch.from_spans(db, MassIndex(db).candidates_in_window(0.0, np.inf))
+        cohort = self._cohort()
+        selections = [np.arange(len(batch))] * len(cohort)
+        got = block_scores(LikelihoodRatioScorer(self.TOL, p_detect), cohort, batch, selections)
+        want = score_block_fallback(
+            LikelihoodRatioScorer(self.TOL, p_detect), cohort, batch, selections
+        )
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[-len(batch):] == -math.inf)  # the member without peaks
 
 
 class TestHyperscore:
