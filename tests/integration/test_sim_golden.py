@@ -7,8 +7,10 @@ bit.  The matrix runs Algorithm A (masked and unmasked), Algorithm B and
 master-worker at p in {1, 2, 3, 5, 8} under a REAL, a MODELED and a PTM
 configuration, on the default software-RMA network, a hardware-RMA one
 and one 100x slower; on a heterogeneous machine; A, A-nomask and B at
-p = 5 and 8 under a set of fault plans; and B over peptide-length
-sequences, where some ranks start outside their own sender group.
+p = 5 and 8 under a set of fault plans; B over peptide-length
+sequences, where some ranks start outside their own sender group; and
+the X!!Tandem-like engine at p in {1, 2, 5, 8} under the REAL and the
+MODELED configuration on the default network.
 
 Per run it records the ``repr`` of ``virtual_time``, the
 ``TraceSummary`` totals, each rank's category totals, a SHA-256 (its
@@ -57,6 +59,7 @@ ALGORITHMS = ("algorithm_a", "algorithm_a_nomask", "algorithm_b", "master_worker
 RANKS = (1, 2, 3, 5, 8)
 FAULT_ALGORITHMS = ("algorithm_a", "algorithm_a_nomask", "algorithm_b")
 FAULT_RANKS = (5, 8)
+XBANG_RANKS = (1, 2, 5, 8)
 
 OXIDATION = STANDARD_MODIFICATIONS["oxidation"]
 CONFIGS: Dict[str, SearchConfig] = {
@@ -100,6 +103,7 @@ def run_ids() -> List[str]:
     ids += [f"algorithm_b/p{p}/short/{n}" for p in (2, 3, 5) for n in ("software_rma", "hardware_rma")]
     ids += [f"{a}/p{p}/real/heterogeneous" for a in ALGORITHMS for p in RANKS if p > 1]
     ids += [f"{a}/p{p}/real/{f}" for a in FAULT_ALGORITHMS for p in FAULT_RANKS for f in FAULTS]
+    ids += [f"xbang/p{p}/{c}/software_rma" for p in XBANG_RANKS for c in ("real", "modeled")]
     return ids
 
 
