@@ -1,7 +1,7 @@
 """Batch-at-a-time candidate representation for vectorized scoring.
 
 The object-at-a-time hot path — one ``theoretical_spectrum`` call, one
-``match_peaks`` call, one heap push per candidate — leaves almost all of
+peak-matching call, one heap push per candidate — leaves almost all of
 numpy's throughput on the table.  :class:`CandidateBatch` restructures a
 query's :class:`~repro.candidates.mass_index.CandidateSpans` so scorers
 can process *arrays of candidates*:

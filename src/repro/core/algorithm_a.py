@@ -35,7 +35,6 @@ from repro.core.search import ShardSearcher
 from repro.scoring.hits import pack_hit_columns
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 
 #: window name ranks expose their resident shard under
@@ -91,14 +90,10 @@ def run_algorithm_a(
     config: Optional[SearchConfig] = None,
     mask: bool = True,
     cluster_config: Optional[ClusterConfig] = None,
-    library: Optional[SpectralLibrary] = None,
 ) -> SearchReport:
     """Run Algorithm A on the simulated machine and merge rank outputs."""
     config = config or SearchConfig()
-    searchers = [
-        ShardSearcher(s, config, library=library)
-        for s in partition_database(database, num_ranks)
-    ]
+    searchers = [ShardSearcher(s, config) for s in partition_database(database, num_ranks)]
     return run_cluster(
         "algorithm_a" if mask else "algorithm_a_nomask",
         _rank_program,

@@ -43,7 +43,6 @@ from repro.core.sort import parallel_counting_sort
 from repro.scoring.hits import TopHitList, pack_hit_columns
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 
 _WINDOW = "Dsi"
@@ -54,7 +53,6 @@ def _rank_program(
     shards: Sequence[ProteinDatabase],
     query_blocks: Sequence[List[Spectrum]],
     config: SearchConfig,
-    library: Optional[SpectralLibrary],
 ):
     p, i = comm.size, comm.rank
     cost = config.cost
@@ -73,7 +71,7 @@ def _rank_program(
     comm.free("Di")
     comm.alloc("Dsi", cost.shard_bytes(sorted_shard))
 
-    searcher = ShardSearcher(sorted_shard, config, library=library)
+    searcher = ShardSearcher(sorted_shard, config)
     comm.expose(_WINDOW, searcher, sorted_shard.nbytes)
     # Exchange sorted-shard footprints so Drecv buffers can be sized
     # before each transfer (the paper's tuple bookkeeping step).
@@ -132,7 +130,6 @@ def run_algorithm_b(
     num_ranks: int,
     config: Optional[SearchConfig] = None,
     cluster_config: Optional[ClusterConfig] = None,
-    library: Optional[SpectralLibrary] = None,
 ) -> SearchReport:
     """Run Algorithm B on the simulated machine and merge rank outputs."""
     config = config or SearchConfig()
@@ -143,7 +140,6 @@ def run_algorithm_b(
             partition_database(database, num_ranks),
             partition_queries(queries, num_ranks),
             config,
-            library,
         ),
         num_ranks,
         config,

@@ -10,7 +10,6 @@ from repro.chem.amino_acids import Modification
 from repro.core.costmodel import CostModel
 from repro.errors import ConfigError
 from repro.scoring.registry import SCORER_NAMES, make_scorer
-from repro.spectra.library import SpectralLibrary
 
 
 class ExecutionMode(str, enum.Enum):
@@ -88,5 +87,5 @@ class SearchConfig:
         if not isinstance(self.execution, ExecutionMode):
             object.__setattr__(self, "execution", ExecutionMode(self.execution))
 
-    def make_scorer(self, library: Optional[SpectralLibrary] = None):
-        return make_scorer(self.scorer, self.fragment_tolerance, library)
+    def make_scorer(self):
+        return make_scorer(self.scorer, self.fragment_tolerance)

@@ -23,51 +23,40 @@ from repro.core.xbang import run_xbang
 from repro.errors import ConfigError, IndexCompatError
 from repro.faults.plan import FaultPlan
 from repro.simmpi.scheduler import ClusterConfig
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 
 
 def _serial(
-    db, queries, num_ranks, config, cluster_config, library,
-    index_store=None, memory_budget_mb=None,
+    db, queries, num_ranks, config, cluster_config, index_store=None, memory_budget_mb=None
 ):
     if num_ranks != 1:
         raise ConfigError(f"serial engine requires num_ranks == 1, got {num_ranks}")
     return search_serial(
-        db,
-        queries,
-        config,
-        library=library,
-        index_store=index_store,
-        memory_budget_mb=memory_budget_mb,
+        db, queries, config, index_store=index_store, memory_budget_mb=memory_budget_mb
     )
 
 
-def _algorithm_a(db, queries, num_ranks, config, cluster_config, library):
+def _algorithm_a(db, queries, num_ranks, config, cluster_config):
     return run_algorithm_a(
-        db, queries, num_ranks, config, mask=True, cluster_config=cluster_config, library=library
+        db, queries, num_ranks, config, mask=True, cluster_config=cluster_config
     )
 
 
-def _algorithm_a_nomask(db, queries, num_ranks, config, cluster_config, library):
+def _algorithm_a_nomask(db, queries, num_ranks, config, cluster_config):
     return run_algorithm_a(
-        db, queries, num_ranks, config, mask=False, cluster_config=cluster_config, library=library
+        db, queries, num_ranks, config, mask=False, cluster_config=cluster_config
     )
 
 
-def _algorithm_b(db, queries, num_ranks, config, cluster_config, library):
-    return run_algorithm_b(
-        db, queries, num_ranks, config, cluster_config=cluster_config, library=library
-    )
+def _algorithm_b(db, queries, num_ranks, config, cluster_config):
+    return run_algorithm_b(db, queries, num_ranks, config, cluster_config=cluster_config)
 
 
-def _master_worker(db, queries, num_ranks, config, cluster_config, library):
-    return run_master_worker(
-        db, queries, num_ranks, config, cluster_config=cluster_config, library=library
-    )
+def _master_worker(db, queries, num_ranks, config, cluster_config):
+    return run_master_worker(db, queries, num_ranks, config, cluster_config=cluster_config)
 
 
-def _xbang(db, queries, num_ranks, config, cluster_config, library):
+def _xbang(db, queries, num_ranks, config, cluster_config):
     return run_xbang(db, queries, num_ranks, config, cluster_config=cluster_config)
 
 
@@ -112,7 +101,6 @@ def run_search(
     num_ranks: int = 1,
     config: Optional[SearchConfig] = None,
     cluster_config: Optional[ClusterConfig] = None,
-    library: Optional[SpectralLibrary] = None,
     *,
     index_path: Optional[str] = None,
     memory_budget_mb: Optional[float] = None,
@@ -137,7 +125,6 @@ def run_search(
         config: search parameters (delta, tau, scorer, execution mode).
         cluster_config: simulated machine (RAM cap, network constants);
             only the simulated engines read it.
-        library: optional spectral library for the likelihood scorer.
         index_path: serve the search from a persisted index directory
             (``repro.store``); real engines only.  A partitioned store
             streams out-of-core.
@@ -207,13 +194,11 @@ def run_search(
         )
     if algorithm == "serial":
         return _serial(
-            database, queries, num_ranks, config, cluster_config, library,
+            database, queries, num_ranks, config, cluster_config,
             index_store=store, memory_budget_mb=memory_budget_mb,
         )
     if fault_plan is not None:
         cluster_config = dataclasses.replace(
             cluster_config or ClusterConfig(num_ranks=num_ranks), fault_plan=fault_plan
         )
-    return ALGORITHMS[algorithm](
-        database, queries, num_ranks, config, cluster_config, library
-    )
+    return ALGORITHMS[algorithm](database, queries, num_ranks, config, cluster_config)

@@ -29,7 +29,6 @@ from repro.core.search import ShardSearcher, ShardStats, search_serial
 from repro.scoring.hits import HitColumns, TopHitList, pack_hit_columns
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 
 _HIT_BYTES = 48  # transported size of one reported hit record
@@ -96,7 +95,6 @@ def run_master_worker(
     config: Optional[SearchConfig] = None,
     batch_size: int = 16,
     cluster_config: Optional[ClusterConfig] = None,
-    library: Optional[SpectralLibrary] = None,
 ) -> SearchReport:
     """Run the replicated-database master-worker baseline.
 
@@ -109,11 +107,11 @@ def run_master_worker(
     if num_ranks < 1:
         raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")
     if num_ranks == 1:
-        report = search_serial(database, queries, config, library=library)
+        report = search_serial(database, queries, config)
         report.algorithm = "master_worker"
         return report
 
-    searcher = ShardSearcher(database, config, library=library)
+    searcher = ShardSearcher(database, config)
     args: Dict[int, Tuple] = {r: (searcher, config) for r in range(1, num_ranks)}
     args[0] = (queries, config, batch_size)
 

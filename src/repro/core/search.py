@@ -35,7 +35,6 @@ from repro.obs.metrics import NULL_SPAN, get_metrics
 from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hits import HitTable, TopHitList, best_first_order, pack_hit_columns
 from repro.spectra.binning import _ragged_arange
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 
@@ -382,11 +381,10 @@ class ShardSearcher:
         shard: ProteinDatabase,
         config: SearchConfig,
         scorer: Optional[Scorer] = None,
-        library: Optional[SpectralLibrary] = None,
     ):
         self.shard = shard
         self.config = config
-        self.scorer = scorer if scorer is not None else config.make_scorer(library)
+        self.scorer = scorer if scorer is not None else config.make_scorer()
         self.generator = CandidateGenerator(shard, config.delta, config.modifications)
 
     def __reduce__(self):
@@ -445,7 +443,6 @@ def search_serial(
     database: ProteinDatabase,
     queries: Sequence[Spectrum],
     config: SearchConfig,
-    library: Optional[SpectralLibrary] = None,
     index_store=None,
     memory_budget_mb: Optional[float] = None,
 ) -> "SearchReport":
@@ -473,14 +470,13 @@ def search_serial(
     from repro.core.results import SearchReport  # deferred: results imports Hit types
 
     if index_store is None:
-        searcher = ShardSearcher(database, config, library=library)
+        searcher = ShardSearcher(database, config)
     else:
         from repro.core.streaming import StreamingSearcher
 
         searcher = StreamingSearcher(
             index_store,
             config,
-            library=library,
             database=database,
             memory_budget_mb=memory_budget_mb,
         )

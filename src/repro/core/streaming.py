@@ -51,7 +51,6 @@ from repro.errors import IndexCompatError
 from repro.index import FragmentIndex
 from repro.scoring.base import Scorer
 from repro.scoring.hits import TopHitList
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch, flatten_members
 from repro.store.partitioned import StreamingIndexReader, StreamStats
@@ -92,14 +91,13 @@ class StreamingSearcher:
         store,
         config: SearchConfig,
         scorer: Optional[Scorer] = None,
-        library: Optional[SpectralLibrary] = None,
         *,
         database: Optional[ProteinDatabase] = None,
         memory_budget_mb: Optional[float] = None,
     ):
         self.store = store
         self.config = config
-        self.scorer = scorer if scorer is not None else config.make_scorer(library)
+        self.scorer = scorer if scorer is not None else config.make_scorer()
         check_store_servable(config)
         if database is not None:
             store.validate_against(database)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.candidates.batch import CandidateBatch
 from repro.candidates.tryptic import TrypticIndex
 from repro.chem.protein import ProteinDatabase
@@ -28,12 +30,13 @@ from repro.core.partition import partition_queries
 from repro.core.results import SearchReport
 from repro.core.rotation import run_cluster
 from repro.core.search import ShardStats
-from repro.scoring.base import batch_scores
+from repro.scoring.base import block_scores
 from repro.scoring.hits import TopHitList, pack_hit_columns
 from repro.scoring.hyperscore import HyperScorer
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
 
 
 def _search_tryptic(
@@ -46,9 +49,9 @@ def _search_tryptic(
 ) -> int:
     """Score tryptic candidates for each query; returns evaluations.
 
-    A query's candidates are scored one by one through the scalar
-    ``score`` (:func:`~repro.scoring.base.batch_scores`) and offered to
-    its list as one batch.
+    A query's candidates are scored as one block against a cohort of
+    one (:func:`~repro.scoring.base.block_scores`) and offered to its
+    list as one batch.
     """
     database = index.database
     evaluated = 0
@@ -64,9 +67,10 @@ def _search_tryptic(
             continue
         spans = index.candidates_in_window(lo, hi)
         evaluated += len(spans)
+        batch = CandidateBatch.from_spans(database, spans)
         hitlist.add_batch(
             spectrum.query_id,
-            batch_scores(scorer, spectrum, CandidateBatch.from_spans(database, spans)),
+            block_scores(scorer, SpectrumBatch([spectrum]), batch, [np.arange(len(batch))]),
             database.ids[spans.seq_index],
             spans.start,
             spans.stop,

@@ -1,6 +1,6 @@
 """Statistical scoring models and hit bookkeeping."""
 
-from repro.scoring.base import Scorer, batch_scores
+from repro.scoring.base import Scorer
 from repro.scoring.hits import Hit, TopHitList
 from repro.scoring.shared_peaks import SharedPeakScorer
 from repro.scoring.likelihood import LikelihoodRatioScorer
@@ -19,7 +19,6 @@ from repro.scoring.statistics import (
 
 __all__ = [
     "Scorer",
-    "batch_scores",
     "Hit",
     "TopHitList",
     "SharedPeakScorer",

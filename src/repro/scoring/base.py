@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.candidates.batch import CandidateBatch, LengthGroup
 from repro.spectra.binning import group_by_key
-from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch, flatten_members
 
 
@@ -32,56 +31,32 @@ class Scorer(Protocol):
             time model multiplies this into the calibrated per-candidate
             cost ``rho``, so switching to a heavier model slows simulated
             runs exactly as the paper argues it slows real ones.
+
+    Scores must be deterministic and side-effect free: the paper's
+    validation experiment requires parallel runs to reproduce the serial
+    engine's output exactly, whatever the order in which candidates are
+    evaluated.  Each scorer's scalar definition — one (spectrum,
+    candidate) pair at a time, a variable PTM at one site shifting every
+    fragment that contains it — lives in ``tests/reference.py``, the
+    oracle its kernel is checked against bit for bit.
     """
 
     name: str
     relative_cost: float
 
-    def score(self, spectrum: Spectrum, candidate: np.ndarray) -> float:
-        """Score an encoded candidate peptide against a spectrum.
-
-        Must be deterministic and side-effect free: the paper's
-        validation experiment requires parallel runs to reproduce the
-        serial engine's output exactly, whatever the order in which
-        candidates are evaluated.
-        """
+    def pair_kernel(self, spectra: SpectrumBatch) -> Callable[..., np.ndarray]:
+        """Bind a cohort; see the pair-kernel contract below."""
         ...
 
-    def score_modified(
-        self, spectrum: Spectrum, candidate: np.ndarray, site: int, delta_mass: float
-    ) -> float:
-        """Score a candidate carrying a variable PTM at ``site``.
-
-        The fragment model must shift every ion containing the modified
-        residue by ``delta_mass``.  The search kernel evaluates every
-        admissible site and keeps the best, so this too must be
-        deterministic.
-        """
+    def score_block(
+        self,
+        spectra: SpectrumBatch,
+        batch: CandidateBatch,
+        selections: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """Score each member's selected candidates (member-major), usually
+        through :func:`score_block_pairs` with the scorer's pair kernel."""
         ...
-
-
-def batch_scores(
-    scorer: Scorer, spectrum: Spectrum, batch: CandidateBatch
-) -> np.ndarray:
-    """Per-candidate oracle: score a batch through the scalar interface.
-
-    This is the reference implementation every block kernel must match
-    bitwise, and the production route of the one scorer without a pair
-    kernel: the library-backed likelihood model.
-    """
-    if len(batch) == 0:
-        return np.empty(0, dtype=np.float64)
-    row_scores = np.empty(batch.num_rows, dtype=np.float64)
-    for r in range(batch.num_rows):
-        residues = batch.row_residues(r)
-        site = int(batch.row_site[r])
-        if site >= 0:
-            row_scores[r] = scorer.score_modified(
-                spectrum, residues, site, float(batch.row_delta[r])
-            )
-        else:
-            row_scores[r] = scorer.score(spectrum, residues)
-    return batch.reduce_rows(row_scores)
 
 
 # -- multi-spectrum (cohort) scoring ------------------------------------
@@ -150,36 +125,13 @@ def score_block_pairs(
     return batch.reduce_selected(row_scores, cands)
 
 
-def score_block_fallback(
-    scorer: Scorer,
-    spectra: SpectrumBatch,
-    batch: CandidateBatch,
-    selections: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Block oracle: score each query's sub-batch through ``batch_scores``.
-
-    The scalar loop: the reference every ``score_block`` pair kernel
-    must match bitwise, and what a scorer without one (library-backed
-    likelihood) runs in production.
-    """
-    parts = [
-        batch_scores(scorer, spectra.spectra[k], batch.take(np.asarray(sel, dtype=np.int64)))
-        for k, sel in enumerate(selections)
-    ]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-
-
 def block_scores(
     scorer: Scorer,
     spectra: SpectrumBatch,
     batch: CandidateBatch,
     selections: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Dispatch to a scorer's ``score_block`` pair kernel, else the
-    scalar oracle."""
+    """Score a cohort's selections of one candidate block (member-major)."""
     if len(batch) == 0:
         return np.empty(0, dtype=np.float64)
-    impl = getattr(scorer, "score_block", None)
-    if impl is not None:
-        return impl(spectra, batch, selections)
-    return score_block_fallback(scorer, spectra, batch, selections)
+    return scorer.score_block(spectra, batch, selections)

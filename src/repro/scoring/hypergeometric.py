@@ -25,9 +25,9 @@ import numpy as np
 from scipy import stats
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import count_matches, match_peaks_pairs, sorted_runs
+from repro.spectra.binning import match_peaks_pairs, sorted_runs
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
+from repro.spectra.theoretical import by_ion_ladder_rows
 
 
 class HypergeometricScorer:
@@ -43,28 +43,6 @@ class HypergeometricScorer:
             raise ValueError(f"mz_range must be > 0, got {mz_range}")
         self.fragment_tolerance = fragment_tolerance
         self.mz_range = mz_range
-
-    def _score_ladder(self, spectrum: Spectrum, ladder: np.ndarray) -> float:
-        if spectrum.num_peaks == 0 or len(ladder) == 0:
-            return -math.inf
-        total_bins, occupied = self._bins(spectrum)
-        draws = min(len(ladder), total_bins)
-        matched = count_matches(ladder, np.ascontiguousarray(spectrum.mz), self.fragment_tolerance)
-        matched = min(matched, draws, occupied)
-        # P(X >= matched) with X ~ Hypergeom(M=total_bins, n=occupied, N=draws)
-        tail = stats.hypergeom.sf(matched - 1, total_bins, occupied, draws)
-        tail = max(float(tail), 1e-300)
-        return -math.log10(tail)
-
-    def score(self, spectrum: Spectrum, candidate: np.ndarray) -> float:
-        return self._score_ladder(spectrum, by_ion_ladder(candidate))
-
-    def score_modified(
-        self, spectrum: Spectrum, candidate: np.ndarray, site: int, delta_mass: float
-    ) -> float:
-        return self._score_ladder(
-            spectrum, modified_by_ion_ladder(candidate, site, delta_mass)
-        )
 
     def _bins(self, spectrum: Spectrum):
         """``(total_bins, occupied)`` of a spectrum's observed m/z axis."""

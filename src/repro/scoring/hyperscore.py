@@ -17,16 +17,15 @@ import math
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import matched_intensity, matched_intensity_pairs
-from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import IonSeries, fragment_mz, fragment_mz_rows
+from repro.spectra.binning import matched_intensity_pairs
+from repro.spectra.theoretical import IonSeries, fragment_mz_rows
 
 #: log(10), the hyperscore's reporting base.
 _LOG10 = math.log(10.0)
 
 #: lgamma(k + 1) lookup, grown on demand.  ``math.lgamma`` of an integer
-#: argument is deterministic, so table entries equal the scalar path's
-#: per-candidate calls exactly.
+#: argument is deterministic, so table entries equal the scalar
+#: definition's per-candidate calls exactly.
 _LGAMMA_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(128)])
 
 
@@ -49,43 +48,13 @@ class HyperScorer:
             raise ValueError(f"fragment_tolerance must be > 0, got {fragment_tolerance}")
         self.fragment_tolerance = fragment_tolerance
 
-    def score(self, spectrum: Spectrum, candidate: np.ndarray) -> float:
-        return self._score(spectrum, candidate, -1, 0.0)
-
-    def score_modified(
-        self, spectrum: Spectrum, candidate: np.ndarray, site: int, delta_mass: float
-    ) -> float:
-        return self._score(spectrum, candidate, site, delta_mass)
-
-    def _score(
-        self, spectrum: Spectrum, candidate: np.ndarray, site: int, delta: float
-    ) -> float:
-        if spectrum.num_peaks == 0:
-            return -math.inf
-        mz = np.ascontiguousarray(spectrum.mz)
-        intensity = np.ascontiguousarray(spectrum.intensity)
-        nb, b_int = matched_intensity(
-            mz, intensity,
-            fragment_mz(candidate, IonSeries.B, mod_site=site, mod_delta=delta),
-            self.fragment_tolerance,
-        )
-        ny, y_int = matched_intensity(
-            mz, intensity,
-            fragment_mz(candidate, IonSeries.Y, mod_site=site, mod_delta=delta),
-            self.fragment_tolerance,
-        )
-        dot = b_int + y_int
-        if dot <= 0.0 or (nb == 0 and ny == 0):
-            return -math.inf
-        # np.log rather than math.log: the two differ in the last bit for
-        # some inputs, and the batched path must reproduce this score
-        # exactly.
-        ln = float(np.log(dot)) + math.lgamma(nb + 1) + math.lgamma(ny + 1)
-        return ln / _LOG10
-
     @staticmethod
     def _finalize(nb, b_int, ny, y_int):
-        """Counts and sums -> log10 hyperscore, row by row the scalar arithmetic."""
+        """Counts and sums -> log10 hyperscore, row by row the scalar arithmetic.
+
+        ``np.log`` rather than ``math.log``: the two differ in the last bit
+        for some inputs, and the scalar definition uses ``np.log``.
+        """
         out = np.full(len(nb), -math.inf)
         dot = b_int + y_int
         valid = np.nonzero((dot > 0.0) & ((nb > 0) | (ny > 0)))[0]

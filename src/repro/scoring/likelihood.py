@@ -23,30 +23,29 @@ log P(obs | H0)`` accumulated over fragment positions, so it is additive,
 well-calibrated for ranking, and positive only when the candidate
 explains the spectrum better than chance.
 
-Cost: it touches every fragment of the model spectrum, computes the
-library lookup / theoretical model, and does intensity-weighted work —
-the library's calibrated ``relative_cost`` makes it roughly an order of
-magnitude costlier than the shared-peak count, which is how the paper's
-X!!Tandem-vs-MSPolygraph speed/quality trade-off shows up here.
+The model spectrum is the on-the-fly, sequence-averaged b/y model
+(:func:`~repro.spectra.theoretical.theoretical_spectrum`): its intensity
+is a per-series constant, so a fragment's term is one of four values per
+query — unmatched or matched, b or y — and the pair kernel gathers them
+from one table per cohort (:meth:`LikelihoodRatioScorer.llr_table`).
+
+Cost: it touches every fragment of the model spectrum and does
+intensity-weighted work — its calibrated ``relative_cost`` makes it
+roughly an order of magnitude costlier than the shared-peak count, which
+is how the paper's X!!Tandem-vs-MSPolygraph speed/quality trade-off
+shows up here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import match_peaks, match_peaks_pairs
-from repro.spectra.library import SpectralLibrary
+from repro.spectra.binning import match_peaks_pairs
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import (
-    SERIES_WEIGHT,
-    IonSeries,
-    by_model_rows,
-    theoretical_spectrum,
-)
+from repro.spectra.theoretical import SERIES_WEIGHT, IonSeries, by_model_rows
 
 
 class LikelihoodRatioScorer:
@@ -55,19 +54,13 @@ class LikelihoodRatioScorer:
     name = "likelihood"
     relative_cost = 8.0
 
-    def __init__(
-        self,
-        fragment_tolerance: float = 0.5,
-        p_detect: float = 0.7,
-        library: Optional[SpectralLibrary] = None,
-    ):
+    def __init__(self, fragment_tolerance: float = 0.5, p_detect: float = 0.7):
         if fragment_tolerance <= 0:
             raise ValueError(f"fragment_tolerance must be > 0, got {fragment_tolerance}")
         if not 0.0 < p_detect < 1.0:
             raise ValueError(f"p_detect must be in (0, 1), got {p_detect}")
         self.fragment_tolerance = fragment_tolerance
         self.p_detect = p_detect
-        self.library = library
 
     def _chance_match_probability(self, spectrum: Spectrum) -> float:
         """Probability a random tolerance window contains >= 1 observed peak."""
@@ -80,54 +73,17 @@ class LikelihoodRatioScorer:
         p0 = 2.0 * self.fragment_tolerance * density
         return float(min(max(p0, 1e-9), 0.999))
 
-    def score(self, spectrum: Spectrum, candidate: np.ndarray) -> float:
-        if self.library is not None:
-            model_mz, model_int = self.library.model_spectrum(candidate)
-        else:
-            model_mz, model_int = theoretical_spectrum(candidate)
-        return self._score_model(spectrum, model_mz, model_int)
-
-    def score_modified(
-        self, spectrum: Spectrum, candidate: np.ndarray, site: int, delta_mass: float
-    ) -> float:
-        # spectral libraries hold unmodified references; modified
-        # candidates always use the shifted on-the-fly model
-        model_mz, model_int = theoretical_spectrum(
-            candidate, mod_site=site, mod_delta=delta_mass
-        )
-        return self._score_model(spectrum, model_mz, model_int)
-
-    def _score_model(
-        self, spectrum: Spectrum, model_mz, model_int
-    ) -> float:
-        if len(model_mz) == 0 or spectrum.num_peaks == 0:
-            return -math.inf
-        return float(self._fragment_llrs(spectrum, model_mz, model_int).sum())
-
-    def _fragment_llrs(self, spectrum: Spectrum, model_mz, model_int) -> np.ndarray:
-        """Bernoulli log-likelihood ratio of each model fragment position."""
-        p0 = self._chance_match_probability(spectrum)
-        # Per-fragment detection probability under H1, scaled by model
-        # intensity (max-normalised): dominant ions are expected, weak
-        # ions are optional.
-        rel = model_int / model_int.max()
-        p1 = np.clip(self.p_detect * rel, 1e-6, 0.999)
-
-        # Which model fragments are matched by an observed peak?
-        matched = match_peaks(model_mz, np.ascontiguousarray(spectrum.mz), self.fragment_tolerance)
-
-        llr_matched = np.log(p1 / p0)
-        llr_unmatched = np.log((1.0 - p1) / (1.0 - p0))
-        return np.where(matched, llr_matched, llr_unmatched)
-
     def llr_table(self, spectra) -> np.ndarray:
         """Per-fragment log-likelihood ratios of a cohort: ``(members, 4)``.
 
         Columns: unmatched b, unmatched y, matched b, matched y.  The model
         intensity is a per-series constant, so ``p1`` takes one value per
-        series and a fragment's term is one of these four, computed from
-        :meth:`_fragment_llrs`'s operands and ufuncs.  A member without
-        peaks gets ``-inf``: its rows sum to the scalar early return.
+        series and a fragment's term is one of these four: the Bernoulli
+        log-likelihood ratio ``log(p1 / p0)`` if an observed peak lies
+        within the tolerance, ``log((1 - p1) / (1 - p0))`` otherwise, with
+        ``p1 = clip(p_detect * weight / max weight, 1e-6, 0.999)`` — dominant
+        ions are expected, weak ions optional.  A member without peaks gets
+        ``-inf``, the score of a spectrum nothing can match.
         """
         weights = np.array([SERIES_WEIGHT[IonSeries.B], SERIES_WEIGHT[IonSeries.Y]])
         p1 = np.clip(self.p_detect * (weights / weights.max()), 1e-6, 0.999)
@@ -141,7 +97,7 @@ class LikelihoodRatioScorer:
 
         Each fragment gathers its member's :meth:`llr_table` entry for
         its series and match; the row sum runs in m/z order, as the
-        scalar sum does.
+        scalar definition's sum does.
         """
         table = self.llr_table(spectra).ravel()
 
@@ -154,16 +110,8 @@ class LikelihoodRatioScorer:
         return kernel
 
     def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: model spectra generated once per length group.
-
-        Library-backed scoring needs per-candidate lookups, so it routes
-        through the block fallback — the one production user of the
-        scalar oracle; every other scorer and mode has a pair kernel.
-        """
-        from repro.scoring.base import score_block_fallback, score_block_pairs
-
-        if self.library is not None:
-            return score_block_fallback(self, spectra, batch, selections)
+        """Cohort scoring: model spectra generated once per length group."""
+        from repro.scoring.base import score_block_pairs
 
         def prepare(group):
             if group.length < 2:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ConfigError
 from repro.scoring.base import Scorer
 from repro.scoring.hypergeometric import HypergeometricScorer
@@ -11,25 +9,16 @@ from repro.scoring.hyperscore import HyperScorer
 from repro.scoring.likelihood import LikelihoodRatioScorer
 from repro.scoring.shared_peaks import SharedPeakScorer
 from repro.scoring.xcorr import XCorrScorer
-from repro.spectra.library import SpectralLibrary
 
 SCORER_NAMES = ("shared_peaks", "likelihood", "hyperscore", "xcorr", "hypergeometric")
 
 
-def make_scorer(
-    name: str,
-    fragment_tolerance: float = 0.5,
-    library: Optional[SpectralLibrary] = None,
-) -> Scorer:
-    """Instantiate a scorer by name.
-
-    ``library`` is honoured only by the likelihood scorer (MSPolygraph's
-    spectral-library path); other scorers ignore it.
-    """
+def make_scorer(name: str, fragment_tolerance: float = 0.5) -> Scorer:
+    """Instantiate a scorer by name."""
     if name == "shared_peaks":
         return SharedPeakScorer(fragment_tolerance)
     if name == "likelihood":
-        return LikelihoodRatioScorer(fragment_tolerance, library=library)
+        return LikelihoodRatioScorer(fragment_tolerance)
     if name == "hyperscore":
         return HyperScorer(fragment_tolerance)
     if name == "xcorr":

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import count_matches, count_matches_pairs
-from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
+from repro.spectra.binning import count_matches_pairs
+from repro.spectra.theoretical import by_ion_ladder_rows
 
 
 class SharedPeakScorer:
@@ -26,16 +25,6 @@ class SharedPeakScorer:
         if fragment_tolerance <= 0:
             raise ValueError(f"fragment_tolerance must be > 0, got {fragment_tolerance}")
         self.fragment_tolerance = fragment_tolerance
-
-    def score(self, spectrum: Spectrum, candidate: np.ndarray) -> float:
-        ladder = by_ion_ladder(candidate)
-        return float(count_matches(spectrum.mz, ladder, self.fragment_tolerance))
-
-    def score_modified(
-        self, spectrum: Spectrum, candidate: np.ndarray, site: int, delta_mass: float
-    ) -> float:
-        ladder = modified_by_ion_ladder(candidate, site, delta_mass)
-        return float(count_matches(spectrum.mz, ladder, self.fragment_tolerance))
 
     def pair_kernel(self, spectra):
         """Bind a cohort: ``kernel(member, ladders)`` -> per-row counts."""

@@ -23,7 +23,7 @@ import numpy as np
 from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import bin_spectrum, row_segment_sums
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import by_ion_ladder, by_ion_ladder_rows, modified_by_ion_ladder
+from repro.spectra.theoretical import by_ion_ladder_rows
 
 
 class XCorrScorer:
@@ -63,29 +63,6 @@ class XCorrScorer:
             self._cache.clear()
         self._cache[key] = (spectrum, processed)
         return processed
-
-    def score(self, spectrum: Spectrum, candidate: np.ndarray) -> float:
-        return self._score_ladder(spectrum, by_ion_ladder(candidate))
-
-    def score_modified(
-        self, spectrum: Spectrum, candidate: np.ndarray, site: int, delta_mass: float
-    ) -> float:
-        return self._score_ladder(
-            spectrum, modified_by_ion_ladder(candidate, site, delta_mass)
-        )
-
-    def _score_ladder(self, spectrum: Spectrum, ladder: np.ndarray) -> float:
-        if spectrum.num_peaks == 0:
-            return float("-inf")
-        processed = self._preprocessed(spectrum)
-        if len(ladder) == 0:
-            return float("-inf")
-        bins = (ladder / self.bin_width).astype(np.int64)
-        bins = np.unique(bins[(bins >= 0) & (bins < len(processed))])
-        if len(bins) == 0:
-            return float("-inf")
-        # Xcorr is conventionally scaled by 1e-4 of the raw correlation.
-        return float(processed[bins].sum()) * 1e-2
 
     def _ladder_matrix_scores(
         self,

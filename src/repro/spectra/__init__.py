@@ -3,9 +3,8 @@
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import theoretical_spectrum, fragment_mz, IonSeries
 from repro.spectra.experimental import SpectrumSimulator, SimulatorConfig
-from repro.spectra.binning import bin_spectrum, match_peaks, count_matches
+from repro.spectra.binning import bin_spectrum
 from repro.spectra.isotopes import envelope_probabilities, expand_with_isotopes
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.mgf import iter_mgf, read_mgf, write_mgf
 from repro.spectra.preprocess import (
     DEFAULT_PIPELINE,
@@ -25,9 +24,6 @@ __all__ = [
     "SpectrumSimulator",
     "SimulatorConfig",
     "bin_spectrum",
-    "match_peaks",
-    "count_matches",
-    "SpectralLibrary",
     "envelope_probabilities",
     "iter_mgf",
     "read_mgf",

@@ -2,9 +2,10 @@
 
 Scorers need to answer, many thousands of times per query: *which peaks
 of the experimental spectrum are explained by the candidate's fragment
-ladder, within a fragment-mass tolerance?*  With both arrays sorted by
-m/z this is a pair of vectorized ``searchsorted`` calls — no Python loop
-per peak.
+ladder, within a fragment-mass tolerance?*  Peak ``p`` matches fragment
+``f`` iff ``p - tol <= f <= p + tol``; with both arrays sorted by m/z
+this is vectorized ``searchsorted`` calls — no Python loop per peak or
+per candidate.
 """
 
 from __future__ import annotations
@@ -35,39 +36,14 @@ def bin_spectrum(
     return out
 
 
-def match_peaks(
-    observed_mz: np.ndarray, ladder_mz: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Boolean mask over ``observed_mz``: which peaks lie within
-    ``tolerance`` of *some* ladder fragment.
-
-    Both inputs must be sorted ascending.  Complexity is
-    ``O((P + F) log F)`` for P peaks and F fragments, fully vectorized.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    if len(ladder_mz) == 0:
-        return np.zeros(len(observed_mz), dtype=bool)
-    lo = np.searchsorted(ladder_mz, observed_mz - tolerance, side="left")
-    hi = np.searchsorted(ladder_mz, observed_mz + tolerance, side="right")
-    return hi > lo
-
-
-def count_matches(
-    observed_mz: np.ndarray, ladder_mz: np.ndarray, tolerance: float
-) -> int:
-    """Number of observed peaks explained by the ladder (shared peak count)."""
-    return int(match_peaks(observed_mz, ladder_mz, tolerance).sum())
-
-
 # -- batched matchers ------------------------------------------------------
 #
-# The block kernels ask the same questions for *matrices* of fragment
+# The block kernels ask the matching question for *matrices* of fragment
 # ladders — one row per candidate.  All batched kernels below and the
-# cohort matchers after them evaluate exactly the scalar ``match_peaks``
-# predicate (peak ``p`` matches fragment ``f`` iff
-# ``p - tol <= f <= p + tol`` with the same rounded endpoint values), so
-# their outputs agree with per-candidate loops bit for bit.
+# cohort matchers after them evaluate exactly the scalar predicate (peak
+# ``p`` matches fragment ``f`` iff ``p - tol <= f <= p + tol`` with the
+# same rounded endpoint values), so their outputs agree with
+# per-candidate loops bit for bit.
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -114,17 +90,6 @@ def row_segment_sums(
         seg = flat_idx[row_offsets[rows][:, None] + np.arange(k)]
         out[rows] = values[seg].sum(axis=1)
     return out
-
-
-def matched_intensity(
-    observed_mz: np.ndarray,
-    observed_intensity: np.ndarray,
-    ladder_mz: np.ndarray,
-    tolerance: float,
-) -> Tuple[int, float]:
-    """Shared peak count and the summed intensity of the matched peaks."""
-    mask = match_peaks(observed_mz, ladder_mz, tolerance)
-    return int(mask.sum()), float(observed_intensity[mask].sum())
 
 
 # -- cohort (pair) matchers ------------------------------------------------
@@ -188,11 +153,12 @@ def _searchsorted_runs(
 def match_peaks_pairs(
     batch, member: np.ndarray, query_rows: np.ndarray, tolerance: float
 ) -> np.ndarray:
-    """Cohort :func:`match_peaks` over fragment rows: entry ``[r, j]`` is
+    """Cohort peak matching over fragment rows: entry ``[r, j]`` is
     whether ``query_rows[r, j]`` lies within ``tolerance`` of a peak of
     member ``member[r]`` (rows need not be sorted).
 
-    One search per member: the scalar ``hi > lo`` holds exactly when the
+    One search per member: the scalar matcher's ``hi > lo`` (two
+    ``searchsorted`` calls over the fragments) holds exactly when the
     member's first peak at or above ``f - tol`` (its ``+inf`` pad when
     there is none) is at most ``f + tol``.
     """
@@ -223,7 +189,7 @@ def _fresh_intervals_pairs(
 def count_matches_pairs(
     batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
 ) -> np.ndarray:
-    """Batched :func:`count_matches`: row ``r`` against member ``member[r]``.
+    """Shared peak counts: row ``r`` against member ``member[r]``.
 
     The count is the size of the *union* of the per-fragment
     matched-peak intervals, so peaks matched by several fragments count
@@ -239,13 +205,13 @@ def count_matches_pairs(
 def matched_intensity_pairs(
     batch, member: np.ndarray, frag_rows: np.ndarray, tolerance: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`matched_intensity`: ``(counts, intensity_sums)``.
+    """Shared peak counts and matched intensities: ``(counts, intensity_sums)``.
 
     One :func:`row_segment_sums` over the batch's flat intensities serves
     every member: each row's member-local matched peaks are shifted by
     its member's offset into the batch, so it gathers exactly the values
-    (ascending, the order a scalar boolean mask enumerates them) that
-    ``matched_intensity`` sums for that row and member.
+    (ascending, the order a scalar boolean mask enumerates them) that a
+    per-candidate matched-intensity sum adds for that row and member.
     """
     n, f = frag_rows.shape
     if n == 0 or f == 0:

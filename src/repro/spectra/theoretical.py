@@ -99,8 +99,8 @@ def theoretical_spectrum(
     simple sequence-averaged model in the spirit of MSPolygraph's
     "on-the-fly generation of sequence averaged model spectra" when no
     spectral library entry exists.  ``mod_site``/``mod_delta`` shift the
-    fragments containing a variable PTM (see
-    :func:`modified_by_ion_ladder`).
+    fragments containing a variable PTM: every b ion that contains the
+    site and every y ion that contains it.
     """
     mz_parts = []
     int_parts = []
@@ -170,43 +170,17 @@ def by_model_rows(mass_rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ions.ravel()[order], y_rows
 
 
-def modified_by_ion_ladder(
-    encoded: np.ndarray,
-    site: int,
-    delta_mass: float,
-    monoisotopic: bool = True,
-) -> np.ndarray:
-    """Sorted singly-charged b+y ladder with a mass shift at one residue.
-
-    A variable PTM of ``delta_mass`` at position ``site`` shifts every b
-    ion that *contains* the site (b_i for i > site) and every y ion that
-    contains it (y_j for j >= L - site), leaving the rest untouched —
-    exactly how a modified peptide's spectrum differs from the
-    unmodified one.  Used by PTM-aware scoring to evaluate each possible
-    modification site.
-    """
-    if site < 0:
-        raise IndexError(f"site must be >= 0, got {site}")
-    residue = _residue_masses_with_mod(encoded, monoisotopic, site, delta_mass)
-    if len(residue) < 2:
-        return np.empty(0, dtype=np.float64)
-    csum = residue.cumsum()
-    total = csum[-1]
-    b = csum[:-1] + PROTON_MASS
-    y = (total - csum[:-1]) + WATER_MASS + PROTON_MASS
-    ladder = np.concatenate((b, y))
-    ladder.sort()
-    return ladder
-
-
 def by_ion_ladder_rows(mass_rows: np.ndarray) -> np.ndarray:
-    """Batched :func:`by_ion_ladder` over per-candidate residue-mass rows.
+    """Sorted singly-charged b+y ladders (the default fragment model) of
+    per-candidate residue-mass rows.
 
-    ``mass_rows`` is ``(n, L)`` with PTM deltas already applied, so this
-    also covers :func:`modified_by_ion_ladder` (both scalar kernels share
-    the same arithmetic once the site delta is folded into the residue
-    masses).  Returns the ``(n, 2 * (L - 1))`` sorted ladder matrix; row
-    ``r`` is bitwise identical to the scalar ladder of candidate ``r``.
+    ``mass_rows`` is ``(n, L)`` with PTM deltas already applied — a
+    variable PTM at one residue shifts every b and y ion containing it,
+    which folding the delta into that residue's mass does.  Per row: one
+    cumulative sum ``csum``, ``b = csum[:-1] + proton``,
+    ``y = (csum[-1] - csum[:-1]) + water + proton``, one sort.  Returns
+    the ``(n, 2 * (L - 1))`` ladder matrix; row ``r`` is bitwise
+    identical to the scalar ladder of candidate ``r``.
     """
     n, length = mass_rows.shape
     if length < 2:
@@ -217,24 +191,4 @@ def by_ion_ladder_rows(mass_rows: np.ndarray) -> np.ndarray:
     y = (total - csum[:, :-1]) + WATER_MASS + PROTON_MASS
     ladder = np.concatenate((b, y), axis=1)
     ladder.sort(axis=1)
-    return ladder
-
-
-def by_ion_ladder(encoded: np.ndarray, monoisotopic: bool = True) -> np.ndarray:
-    """Sorted m/z of the singly-charged b+y ladder (the default model).
-
-    This is the scorer hot path: one cumulative sum, two adds, one sort.
-    Returns an array of length ``2 * (L - 1)``.
-    """
-    residue = mass_table(monoisotopic)[encoded]
-    if len(residue) < 2:
-        return np.empty(0, dtype=np.float64)
-    csum = residue.cumsum()
-    total = csum[-1]
-    b = csum[:-1] + PROTON_MASS
-    # y_i = total - prefix_{L-i} + water + proton; computing from the same
-    # cumulative sum avoids a second pass over the residues.
-    y = (total - csum[:-1]) + WATER_MASS + PROTON_MASS
-    ladder = np.concatenate((b, y))
-    ladder.sort()
     return ladder

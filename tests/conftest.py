@@ -103,12 +103,6 @@ def tiny_queries(tiny_db):
 
 
 @pytest.fixture(scope="session")
-def tiny_targets(tiny_db):
-    spectra, targets = QueryWorkload(num_queries=12, seed=5, source=tiny_db).build()
-    return targets
-
-
-@pytest.fixture(scope="session")
 def foreign_queries():
     """10 spectra from an unrelated source (mostly miss the databases)."""
     return QueryWorkload(num_queries=10, seed=99).build()[0]

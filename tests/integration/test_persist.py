@@ -15,10 +15,9 @@ corrupt header) exits with a one-line typed error, never a traceback.
 import json
 import multiprocessing
 
-import numpy as np
 import pytest
 
-from repro.chem.amino_acids import STANDARD_MODIFICATIONS, decode_sequence
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.cli import main
 from repro.core.config import SearchConfig
 from repro.core.results import reports_equal
@@ -29,8 +28,6 @@ from repro.engines.multiproc import run_multiprocess_search
 from repro.errors import ConfigError, IndexStoreError
 from repro.scoring import SCORER_NAMES
 from repro.service import SearchService, ServiceConfig
-from repro.spectra.library import SpectralLibrary
-from repro.spectra.theoretical import theoretical_spectrum
 from repro.store import (
     HEADER_NAME,
     STORE_SCHEMA,
@@ -134,9 +131,6 @@ class TestMmapTransport:
             )
 
 
-#: the five registered scorers, plus the likelihood model behind a
-#: spectral library that knows the queries' true peptides
-_SCORER_CASES = [*SCORER_NAMES, "likelihood+library"]
 _POSTING_SERVED = {"shared_peaks", "hyperscore"}
 
 
@@ -160,36 +154,18 @@ class TestEveryScorerOverEveryStore:
         return resident, partitioned, two_partitions_mb
 
     @pytest.fixture(scope="class")
-    def library(self, tiny_targets):
-        # reference spectra that differ from the on-the-fly model, so a
-        # lookup that is skipped or served from elsewhere changes scores
-        lib = SpectralLibrary()
-        for peptide in tiny_targets:
-            mz, intensity = theoretical_spectrum(peptide)
-            lib.add(decode_sequence(peptide), mz, intensity[::-1] + np.arange(len(mz)) % 3)
-        return lib
+    def case(self, request, tiny_db, tiny_queries):
+        config = _cfg(scorer=request.param)
+        return config, reference_search(tiny_db, config, tiny_queries)
 
-    @pytest.fixture(scope="class")
-    def case(self, request, tiny_db, tiny_queries, library):
-        name, _, backed = request.param.partition("+")
-        config = _cfg(scorer=name)
-        lib = library if backed else None
-        reference = reference_search(tiny_db, config, tiny_queries, library=lib)
-        if backed:  # the library must matter, or this case is the plain one
-            plain = reference_search(tiny_db, config, tiny_queries)
-            assert any(
-                plain[q].sorted_hits() != reference[q].sorted_hits() for q in plain
-            )
-        return config, lib, reference
-
-    @pytest.mark.parametrize("case", _SCORER_CASES, indirect=True)
+    @pytest.mark.parametrize("case", list(SCORER_NAMES), indirect=True)
     def test_serial_over_both_stores(self, tiny_db, tiny_queries, stores, case):
-        config, lib, reference = case
+        config, reference = case
         resident, partitioned, budget_mb = stores
         reports = [
-            search_serial(tiny_db, tiny_queries, config, lib, index_store=resident),
+            search_serial(tiny_db, tiny_queries, config, index_store=resident),
             search_serial(
-                tiny_db, tiny_queries, config, lib,
+                tiny_db, tiny_queries, config,
                 index_store=partitioned, memory_budget_mb=budget_mb,
             ),
         ]
@@ -207,7 +183,7 @@ class TestEveryScorerOverEveryStore:
     ):
         if "fork" not in _START_METHODS:
             pytest.skip("fork start method unavailable")
-        config, _lib, reference = case
+        config, reference = case
         resident, partitioned, budget_mb = stores
         kwargs = {"index_path": str(resident.path)}
         if flavour == "partitioned":
@@ -223,7 +199,7 @@ class TestEveryScorerOverEveryStore:
     @pytest.mark.parametrize("case", list(SCORER_NAMES), indirect=True)
     @pytest.mark.parametrize("flavour", ["resident", "partitioned"])
     def test_service_over_each_store(self, tiny_queries, stores, case, flavour):
-        config, _lib, reference = case
+        config, reference = case
         resident, partitioned, budget_mb = stores
         kwargs = {"store": resident}
         if flavour == "partitioned":
@@ -240,7 +216,7 @@ class TestEveryScorerOverEveryStore:
         """The one-shard resident store, in process and over worker
         processes, against the serial direct search: bitwise hits, and
         per-query ``evaluated`` counts where a run keeps them."""
-        config, _lib, _reference = case
+        config, _reference = case
         resident = stores[0]
         direct = {}
         ShardSearcher(tiny_db, config).run(tiny_queries, direct)

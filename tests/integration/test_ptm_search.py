@@ -19,8 +19,8 @@ from repro.core.driver import run_search
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import by_ion_ladder, modified_by_ion_ladder
 from repro.workloads.synthetic import generate_database
+from tests.reference import by_ion_ladder, modified_by_ion_ladder, score, score_modified
 
 OXIDATION = STANDARD_MODIFICATIONS["oxidation"]  # M +15.995
 
@@ -68,8 +68,8 @@ class TestScorersPtmAware:
         site = 2
         spectrum = modified_spectrum(enc, site, OXIDATION.delta_mass)
         scorer = make_scorer(scorer_name)
-        modified_score = scorer.score_modified(spectrum, enc, site, OXIDATION.delta_mass)
-        plain_score = scorer.score(spectrum, enc)
+        modified_score = score_modified(scorer, spectrum, enc, site, OXIDATION.delta_mass)
+        plain_score = score(scorer, spectrum, enc)
         assert modified_score > plain_score
 
 

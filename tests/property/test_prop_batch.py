@@ -5,8 +5,9 @@ spectrum (whole cohorts of every scorer are checked in
 ``test_prop_block.py``).  It is not *approximately* the per-candidate
 loop but *exactly* it, bit for bit — including PTM-expanded candidates,
 length-1 spans (empty fragment ladders), and empty or degenerate
-spectra.  The oracle itself (``batch_scores``) is checked against raw
-``score`` / ``score_modified`` calls for every scorer.
+spectra.  The oracle itself (``tests/reference.py``'s ``batch_scores``)
+is checked against raw scalar ``score`` / ``score_modified`` calls for
+every scorer.
 """
 
 from dataclasses import replace
@@ -26,13 +27,12 @@ from repro.scoring import (
     LikelihoodRatioScorer,
     SharedPeakScorer,
     XCorrScorer,
-    batch_scores,
 )
 from repro.scoring.base import block_scores
 from repro.scoring.hits import Hit, TopHitList
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
-from tests.reference import offer_hits, top_tau
+from tests.reference import batch_scores, offer_hits, score, score_modified, top_tau
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
@@ -121,11 +121,11 @@ def test_score_batch_matches_direct_scalar_calls(case, spectrum, scorer_cls):
         sites = np.nonzero(candidate == target)[0] if target is not None else []
         if delta != 0.0 and len(sites):
             expected = max(
-                scorer.score_modified(spectrum, candidate, int(s), delta)
+                score_modified(scorer, spectrum, candidate, int(s), delta)
                 for s in sites
             )
         else:
-            expected = scorer.score(spectrum, candidate)
+            expected = score(scorer, spectrum, candidate)
         assert np.float64(got[i]).tobytes() == np.float64(expected).tobytes()
 
 

@@ -3,8 +3,9 @@
 ``block_scores`` on the direct path (every registered scorer) and
 ``FragmentIndex.score_block`` on a resident index (the two posting-served
 ones) each return one member-major score vector for a whole cohort.
-``score_block_fallback`` — the scalar ``score``/``score_modified`` loop
-over each member's own sub-batch — is the oracle.  Every
+``scalar_block_scores`` (``tests/reference.py``) — the scalar
+``score``/``score_modified`` loop over each member's own sub-batch — is
+the oracle.  Every
 cohort drawn here holds, besides its random members, a member without
 peaks and a member whose selection is empty; members draw their selections
 independently from one candidate block, so candidates are shared; the span
@@ -27,12 +28,12 @@ from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
 from repro.index.fragment_index import IndexBuilder
-from repro.scoring.base import block_scores, score_block_fallback
+from repro.scoring.base import block_scores
 from repro.scoring.likelihood import LikelihoodRatioScorer
 from repro.scoring.registry import SCORER_NAMES, make_scorer
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
-from repro.spectra.theoretical import by_ion_ladder
+from tests.reference import by_ion_ladder, scalar_block_scores
 
 #: the scorers ``FragmentIndex.score_block`` serves
 _POSTING_SCORERS = ["shared_peaks", "hyperscore"]
@@ -128,11 +129,9 @@ def test_direct_pair_kernels_equal_the_fallback(case, make):
     assert int(spans.lengths.min()) == 1  # the length-1 group is present
     batch = CandidateBatch.from_spans(db, spans, _MOD_TARGETS)
     assert batch.num_rows > len(batch)  # PTM rows expanded
-    kernel_scorer = make()
-    assert hasattr(kernel_scorer, "pair_kernel")  # a kernel, not the oracle itself
     cohort = SpectrumBatch(spectra)
-    got = block_scores(kernel_scorer, cohort, batch, selections)
-    want = score_block_fallback(make(), cohort, batch, selections)
+    got = block_scores(make(), cohort, batch, selections)
+    want = scalar_block_scores(make(), cohort, batch, selections)
     assert got.shape == (sum(len(s) for s in selections),)
     assert got.tobytes() == want.tobytes()
 
@@ -148,7 +147,7 @@ def _check_index(index, rows_of_span, db, spans, spectra, selections, make):
     row_sets = [rows_of_span[sel] for sel in selections]
     got = index.score_block(make(), cohort, row_sets)
     batch = CandidateBatch.from_spans(db, spans, {})
-    want = score_block_fallback(make(), cohort, batch, selections)
+    want = scalar_block_scores(make(), cohort, batch, selections)
     assert got.shape == (sum(len(s) for s in selections),)
     assert got.tobytes() == want.tobytes()
 

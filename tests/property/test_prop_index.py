@@ -2,10 +2,10 @@
 
 The fragment-ion index's exactness contract (see
 ``repro.index.fragment_index``): every score served from precomputed
-posting lists equals the scalar oracle (``batch_scores``) bit
-for bit — across the posting-served scorers, row sets in and out of the
-length envelope, empty candidate windows, and empty or degenerate
-spectra.  The searcher-level test additionally covers the store
+posting lists equals the scalar oracle (``tests/reference.py``'s
+``batch_scores``) bit for bit — across the posting-served scorers, row
+sets in and out of the length envelope, empty candidate windows, and
+empty or degenerate spectra.  The searcher-level test additionally covers the store
 searcher's merge of index-served and directly scored rows back into row
 order, and that a scorer the postings cannot serve scores every row
 directly.
@@ -21,12 +21,13 @@ from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher, score_directly
 from repro.index import IndexBuilder
-from repro.scoring import HyperScorer, SharedPeakScorer, batch_scores
+from repro.scoring import HyperScorer, SharedPeakScorer
 from repro.chem.amino_acids import mass_table
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 from tests.conftest import store_searcher
+from tests.reference import batch_scores
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(

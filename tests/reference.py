@@ -1,33 +1,288 @@
-"""The scalar reference search every engine path is compared against.
+"""The scalar reference every engine path and scoring kernel is compared against.
 
-One query at a time, one candidate at a time: the paper's serial loop
-written out with the scorers' scalar ``score`` / ``score_modified``.  It
-enumerates candidates from their definition (:func:`reference_candidates`:
-every prefix and proper suffix of every sequence, not the row table the
-engines sweep), scores through
-:func:`~repro.scoring.base.batch_scores` (not a pair kernel, a
-posting probe or a cached matrix) and offers through
-:meth:`TopHitList.add_batch` (not the block emit), so it shares no
-vectorised scoring, filtering or emit code with
+The scorers' scalar definitions: :func:`score` / :func:`score_modified`
+score one (spectrum, candidate) pair with a registered scorer's
+parameters, one fragment ladder or model spectrum at a time
+(:func:`by_ion_ladder`, :func:`modified_by_ion_ladder`,
+:func:`match_peaks`, ...).  Each scorer's pair kernel, and the posting
+kernels of the index-served ones, must equal them bit for bit
+(:func:`batch_scores` over one spectrum, :func:`scalar_block_scores`
+over a cohort).
+
+And the paper's serial loop, one query at a time, one candidate at a
+time (:func:`reference_search`).  It enumerates candidates from their
+definition (:func:`reference_candidates`: every prefix and proper suffix
+of every sequence, not the row table the engines sweep), scores through
+:func:`batch_scores` (not a pair kernel, a posting probe or a cached
+matrix) and offers through :meth:`TopHitList.add_batch` (not the block
+emit), so it shares no vectorised scoring, filtering or emit code with
 ``ShardSearcher.run`` / ``StreamingSearcher.run``.  Keep inputs small:
 the scalar likelihood model is about ten times slower than its kernel.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import stats
 
 from repro.candidates.batch import CandidateBatch
 from repro.candidates.mass_index import CandidateSpans
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
-from repro.constants import WATER_MASS
+from repro.constants import PROTON_MASS, WATER_MASS
 from repro.core.config import SearchConfig
-from repro.scoring.base import batch_scores
+from repro.scoring.base import Scorer
 from repro.scoring.hits import Hit, TopHitList, as_hit_columns
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
+from repro.spectra.theoretical import (
+    IonSeries,
+    _residue_masses_with_mod,
+    fragment_mz,
+    theoretical_spectrum,
+)
+
+
+# -- scalar fragment ladders and peak matching ------------------------------
+
+
+def by_ion_ladder(encoded: np.ndarray, monoisotopic: bool = True) -> np.ndarray:
+    """Sorted m/z of the singly-charged b+y ladder (the default model).
+
+    One cumulative sum, two adds, one sort.  Returns an array of length
+    ``2 * (L - 1)``.
+    """
+    residue = mass_table(monoisotopic)[encoded]
+    if len(residue) < 2:
+        return np.empty(0, dtype=np.float64)
+    csum = residue.cumsum()
+    total = csum[-1]
+    b = csum[:-1] + PROTON_MASS
+    # y_i = total - prefix_{L-i} + water + proton; computing from the same
+    # cumulative sum avoids a second pass over the residues.
+    y = (total - csum[:-1]) + WATER_MASS + PROTON_MASS
+    ladder = np.concatenate((b, y))
+    ladder.sort()
+    return ladder
+
+
+def modified_by_ion_ladder(
+    encoded: np.ndarray,
+    site: int,
+    delta_mass: float,
+    monoisotopic: bool = True,
+) -> np.ndarray:
+    """Sorted singly-charged b+y ladder with a mass shift at one residue.
+
+    A variable PTM of ``delta_mass`` at position ``site`` shifts every b
+    ion that *contains* the site (b_i for i > site) and every y ion that
+    contains it (y_j for j >= L - site), leaving the rest untouched —
+    exactly how a modified peptide's spectrum differs from the
+    unmodified one.
+    """
+    if site < 0:
+        raise IndexError(f"site must be >= 0, got {site}")
+    residue = _residue_masses_with_mod(encoded, monoisotopic, site, delta_mass)
+    if len(residue) < 2:
+        return np.empty(0, dtype=np.float64)
+    csum = residue.cumsum()
+    total = csum[-1]
+    b = csum[:-1] + PROTON_MASS
+    y = (total - csum[:-1]) + WATER_MASS + PROTON_MASS
+    ladder = np.concatenate((b, y))
+    ladder.sort()
+    return ladder
+
+
+def match_peaks(
+    observed_mz: np.ndarray, ladder_mz: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """Boolean mask over ``observed_mz``: which peaks lie within
+    ``tolerance`` of *some* ladder fragment.
+
+    Both inputs must be sorted ascending.
+    """
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if len(ladder_mz) == 0:
+        return np.zeros(len(observed_mz), dtype=bool)
+    lo = np.searchsorted(ladder_mz, observed_mz - tolerance, side="left")
+    hi = np.searchsorted(ladder_mz, observed_mz + tolerance, side="right")
+    return hi > lo
+
+
+def count_matches(
+    observed_mz: np.ndarray, ladder_mz: np.ndarray, tolerance: float
+) -> int:
+    """Number of observed peaks explained by the ladder (shared peak count)."""
+    return int(match_peaks(observed_mz, ladder_mz, tolerance).sum())
+
+
+def matched_intensity(
+    observed_mz: np.ndarray,
+    observed_intensity: np.ndarray,
+    ladder_mz: np.ndarray,
+    tolerance: float,
+) -> Tuple[int, float]:
+    """Shared peak count and the summed intensity of the matched peaks."""
+    mask = match_peaks(observed_mz, ladder_mz, tolerance)
+    return int(mask.sum()), float(observed_intensity[mask].sum())
+
+
+# -- the scalar scorers -------------------------------------------------------
+#
+# One definition per registered scorer, keyed by its ``name``: a function
+# of the scorer (its parameters, and the per-spectrum helpers its kernel
+# shares — xcorr's ``_preprocessed``, likelihood's
+# ``_chance_match_probability``, hypergeometric's ``_bins``), the
+# spectrum, the candidate and a PTM ``site`` (-1: unmodified) with its
+# ``delta``.
+
+
+def _ladder(candidate: np.ndarray, site: int, delta: float) -> np.ndarray:
+    if site < 0:
+        return by_ion_ladder(candidate)
+    return modified_by_ion_ladder(candidate, site, delta)
+
+
+def _shared_peaks(scorer, spectrum: Spectrum, candidate, site, delta) -> float:
+    ladder = _ladder(candidate, site, delta)
+    return float(count_matches(spectrum.mz, ladder, scorer.fragment_tolerance))
+
+
+def _hyperscore(scorer, spectrum: Spectrum, candidate, site, delta) -> float:
+    if spectrum.num_peaks == 0:
+        return -math.inf
+    mz = np.ascontiguousarray(spectrum.mz)
+    intensity = np.ascontiguousarray(spectrum.intensity)
+    nb, b_int = matched_intensity(
+        mz, intensity,
+        fragment_mz(candidate, IonSeries.B, mod_site=site, mod_delta=delta),
+        scorer.fragment_tolerance,
+    )
+    ny, y_int = matched_intensity(
+        mz, intensity,
+        fragment_mz(candidate, IonSeries.Y, mod_site=site, mod_delta=delta),
+        scorer.fragment_tolerance,
+    )
+    dot = b_int + y_int
+    if dot <= 0.0 or (nb == 0 and ny == 0):
+        return -math.inf
+    # np.log rather than math.log: the two differ in the last bit for
+    # some inputs
+    ln = float(np.log(dot)) + math.lgamma(nb + 1) + math.lgamma(ny + 1)
+    return ln / math.log(10.0)
+
+
+def _xcorr(scorer, spectrum: Spectrum, candidate, site, delta) -> float:
+    ladder = _ladder(candidate, site, delta)
+    if spectrum.num_peaks == 0:
+        return -math.inf
+    processed = scorer._preprocessed(spectrum)
+    if len(ladder) == 0:
+        return -math.inf
+    bins = (ladder / scorer.bin_width).astype(np.int64)
+    bins = np.unique(bins[(bins >= 0) & (bins < len(processed))])
+    if len(bins) == 0:
+        return -math.inf
+    # Xcorr is conventionally scaled by 1e-4 of the raw correlation.
+    return float(processed[bins].sum()) * 1e-2
+
+
+def fragment_llrs(scorer, spectrum: Spectrum, model_mz, model_int) -> np.ndarray:
+    """Bernoulli log-likelihood ratio of each model fragment position."""
+    p0 = scorer._chance_match_probability(spectrum)
+    # Per-fragment detection probability under H1, scaled by model
+    # intensity (max-normalised): dominant ions are expected, weak
+    # ions are optional.
+    rel = model_int / model_int.max()
+    p1 = np.clip(scorer.p_detect * rel, 1e-6, 0.999)
+    matched = match_peaks(model_mz, np.ascontiguousarray(spectrum.mz), scorer.fragment_tolerance)
+    llr_matched = np.log(p1 / p0)
+    llr_unmatched = np.log((1.0 - p1) / (1.0 - p0))
+    return np.where(matched, llr_matched, llr_unmatched)
+
+
+def _likelihood(scorer, spectrum: Spectrum, candidate, site, delta) -> float:
+    model_mz, model_int = theoretical_spectrum(candidate, mod_site=site, mod_delta=delta)
+    if len(model_mz) == 0 or spectrum.num_peaks == 0:
+        return -math.inf
+    return float(fragment_llrs(scorer, spectrum, model_mz, model_int).sum())
+
+
+def _hypergeometric(scorer, spectrum: Spectrum, candidate, site, delta) -> float:
+    ladder = _ladder(candidate, site, delta)
+    if spectrum.num_peaks == 0 or len(ladder) == 0:
+        return -math.inf
+    total_bins, occupied = scorer._bins(spectrum)
+    draws = min(len(ladder), total_bins)
+    matched = count_matches(ladder, np.ascontiguousarray(spectrum.mz), scorer.fragment_tolerance)
+    matched = min(matched, draws, occupied)
+    # P(X >= matched) with X ~ Hypergeom(M=total_bins, n=occupied, N=draws)
+    tail = stats.hypergeom.sf(matched - 1, total_bins, occupied, draws)
+    tail = max(float(tail), 1e-300)
+    return -math.log10(tail)
+
+
+_SCALAR = {
+    "shared_peaks": _shared_peaks,
+    "hyperscore": _hyperscore,
+    "xcorr": _xcorr,
+    "likelihood": _likelihood,
+    "hypergeometric": _hypergeometric,
+}
+
+
+def score(scorer: Scorer, spectrum: Spectrum, candidate: np.ndarray) -> float:
+    """``scorer``'s scalar score of an encoded, unmodified candidate."""
+    return _SCALAR[scorer.name](scorer, spectrum, candidate, -1, 0.0)
+
+
+def score_modified(
+    scorer: Scorer, spectrum: Spectrum, candidate: np.ndarray, site: int, delta_mass: float
+) -> float:
+    """``scorer``'s scalar score of a candidate carrying a variable PTM of
+    ``delta_mass`` at ``site``: every fragment containing it shifts."""
+    return _SCALAR[scorer.name](scorer, spectrum, candidate, site, delta_mass)
+
+
+def batch_scores(scorer: Scorer, spectrum: Spectrum, batch: CandidateBatch) -> np.ndarray:
+    """Score a batch one evaluation row at a time; a PTM candidate keeps
+    its best site (``CandidateBatch.reduce_rows``)."""
+    if len(batch) == 0:
+        return np.empty(0, dtype=np.float64)
+    row_scores = np.empty(batch.num_rows, dtype=np.float64)
+    for r in range(batch.num_rows):
+        residues = batch.row_residues(r)
+        site = int(batch.row_site[r])
+        if site >= 0:
+            row_scores[r] = score_modified(
+                scorer, spectrum, residues, site, float(batch.row_delta[r])
+            )
+        else:
+            row_scores[r] = score(scorer, spectrum, residues)
+    return batch.reduce_rows(row_scores)
+
+
+def scalar_block_scores(
+    scorer: Scorer,
+    spectra: SpectrumBatch,
+    batch: CandidateBatch,
+    selections: Sequence[np.ndarray],
+) -> np.ndarray:
+    """What ``block_scores`` must return: each member's sub-batch through
+    :func:`batch_scores`, member-major."""
+    parts = [
+        batch_scores(scorer, spectra.spectra[k], batch.take(np.asarray(sel, dtype=np.int64)))
+        for k, sel in enumerate(selections)
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+
+
+# -- the reference search ----------------------------------------------------
 
 
 def reference_candidates(
@@ -82,7 +337,6 @@ def reference_search(
     config: SearchConfig,
     queries: Iterable[Spectrum],
     hitlists: Optional[Dict[int, TopHitList]] = None,
-    library=None,
 ) -> Dict[int, TopHitList]:
     """Search ``queries`` against ``shard`` the slow, obvious way.
 
@@ -92,10 +346,10 @@ def reference_search(
     offered alike — so ``sum(h.evaluated)`` is the
     ``candidates_evaluated`` an engine must report.  ``sweep_cohort``
     is ignored and no fragment index is consulted: neither may change a
-    result.  ``library`` backs the likelihood model's lookups.
+    result.
     """
     hitlists = {} if hitlists is None else hitlists
-    scorer = config.make_scorer(library)
+    scorer = config.make_scorer()
     mod_targets = {
         mod.delta_mass: ord(mod.target) for mod in config.modifications if not mod.fixed
     }

@@ -8,11 +8,8 @@ from repro.candidates.generator import CandidateGenerator
 from repro.chem.amino_acids import STANDARD_MODIFICATIONS, encode_sequence
 from repro.chem.protein import ProteinDatabase
 from repro.spectra.binning import (
-    count_matches,
     count_matches_pairs,
-    match_peaks,
     match_peaks_pairs,
-    matched_intensity,
     matched_intensity_pairs,
     row_segment_sums,
 )
@@ -20,7 +17,6 @@ from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.spectra.theoretical import (
     IonSeries,
-    by_ion_ladder,
     by_ion_ladder_rows,
     by_model_rows,
     fragment_mz,
@@ -28,6 +24,7 @@ from repro.spectra.theoretical import (
     theoretical_spectrum,
 )
 from repro.chem.amino_acids import mass_table
+from tests.reference import by_ion_ladder, count_matches, match_peaks, matched_intensity
 
 MODS = [STANDARD_MODIFICATIONS["oxidation"], STANDARD_MODIFICATIONS["phosphorylation_s"]]
 MOD_TARGETS = {m.delta_mass: ord(m.target) for m in MODS}

@@ -1,9 +1,11 @@
-"""Unit tests for repro.spectra.binning."""
+"""Unit tests for repro.spectra.binning and the scalar peak matchers
+the batched ones are checked against (``tests/reference.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.spectra.binning import bin_spectrum, count_matches, match_peaks, matched_intensity
+from repro.spectra.binning import bin_spectrum
+from tests.reference import count_matches, match_peaks, matched_intensity
 
 
 class TestBinSpectrum:

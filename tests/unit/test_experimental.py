@@ -6,7 +6,7 @@ import pytest
 from repro.chem.amino_acids import encode_sequence
 from repro.chem.peptide import peptide_mass, peptide_mz
 from repro.spectra.experimental import SimulatorConfig, SpectrumSimulator
-from repro.spectra.theoretical import by_ion_ladder
+from tests.reference import by_ion_ladder
 
 PEPTIDE = encode_sequence("MKTAYIAKQR")
 

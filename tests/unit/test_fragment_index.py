@@ -7,10 +7,9 @@ from repro.core.config import ExecutionMode, SearchConfig
 from repro.errors import IndexCompatError
 from repro.index import FragmentIndex, IndexBuilder
 from repro.index.layout import ARRAY_NAMES, POSTING_ARRAYS, ROW_ARRAYS
-from repro.spectra.library import SpectralLibrary
-from repro.spectra.theoretical import by_ion_ladder
 from repro.workloads.synthetic import generate_database
 from tests.conftest import store_searcher
+from tests.reference import by_ion_ladder
 
 
 @pytest.fixture(scope="module")
@@ -118,21 +117,20 @@ class TestSearcherGating:
     def test_index_served_means_a_block_level_index_kernel(self, db, tiny_queries):
         """One predicate (``FragmentIndex.serves``) gates the postings: a
         scorer without ``score_index_block`` — xcorr, the likelihood
-        models with or without a library, hypergeometric, a user's
-        scalar-only scorer — scores the store's rows directly instead of
-        failing inside the pass."""
+        model, hypergeometric, a user's pair-kernel-only scorer — scores
+        the store's rows directly instead of failing inside the pass."""
         from repro.scoring import SCORER_NAMES, SharedPeakScorer, make_scorer
 
-        class ScalarOnly:
+        class KernelOnly:
             name = "shared_peaks"
             relative_cost = 1.0
             _inner = SharedPeakScorer()
 
-            def score(self, spectrum, candidate):
-                return self._inner.score(spectrum, candidate)
+            def pair_kernel(self, spectra):
+                return self._inner.pair_kernel(spectra)
 
-            def score_modified(self, spectrum, candidate, site, delta_mass):
-                return self._inner.score_modified(spectrum, candidate, site, delta_mass)
+            def score_block(self, spectra, batch, selections):
+                return self._inner.score_block(spectra, batch, selections)
 
             def score_index(self, spectrum, index, rows):  # not a block kernel
                 raise AssertionError("no engine path calls a per-query index kernel")
@@ -141,11 +139,8 @@ class TestSearcherGating:
         assert {n for n in SCORER_NAMES if FragmentIndex.serves(make_scorer(n))} == {
             "shared_peaks", "hyperscore",
         }
-        lib = SpectralLibrary()
-        lib.add("PEPTIDEK", np.array([100.0, 200.0]), np.array([1.0, 2.0]))
-        assert not FragmentIndex.serves(make_scorer("likelihood", library=lib))
-        assert not FragmentIndex.serves(ScalarOnly())
-        searcher = store_searcher(db, cfg, scorer=ScalarOnly())
+        assert not FragmentIndex.serves(KernelOnly())
+        searcher = store_searcher(db, cfg, scorer=KernelOnly())
         assert searcher.index is None
         served = store_searcher(db, cfg)
         assert served.index is not None

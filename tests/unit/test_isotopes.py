@@ -11,6 +11,7 @@ from repro.spectra.isotopes import (
     expand_with_isotopes,
 )
 from repro.spectra.preprocess import deisotope
+from tests.reference import score
 
 PEPTIDE = encode_sequence("MKTAYIAKQRQISFVK")
 
@@ -82,5 +83,4 @@ class TestSimulatorIntegration:
         iso = SimulatorConfig(noise_peaks=3.0, peak_dropout=0.2, isotope_envelope=True)
         spectrum = SpectrumSimulator(iso, seed=9).simulate(PEPTIDE, query_id=0)
         cleaned = deisotope(tolerance=0.02)(spectrum)
-        scorer = LikelihoodRatioScorer()
-        assert scorer.score(cleaned, PEPTIDE) > 0
+        assert score(LikelihoodRatioScorer(), cleaned, PEPTIDE) > 0

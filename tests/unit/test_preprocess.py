@@ -13,6 +13,7 @@ from repro.spectra.preprocess import (
     sqrt_transform,
 )
 from repro.spectra.spectrum import Spectrum
+from tests.reference import score
 
 
 def make(mz, intensity, precursor=1500.0, charge=1):
@@ -124,4 +125,4 @@ class TestSqrtAndPipeline:
         raw = SpectrumSimulator(noisy_cfg, seed=5).simulate(pep, query_id=0)
         clean = preprocess(raw, (remove_low_intensity(0.02),))
         scorer = LikelihoodRatioScorer()
-        assert scorer.score(clean, pep) >= scorer.score(raw, pep) - 5.0
+        assert score(scorer, clean, pep) >= score(scorer, raw, pep) - 5.0

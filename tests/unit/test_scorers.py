@@ -1,4 +1,8 @@
-"""Unit tests for all scoring models and the registry."""
+"""Unit tests for all scoring models and the registry.
+
+Score values come from each scorer's scalar definition
+(``tests/reference.py``), which every kernel equals bit for bit.
+"""
 
 import math
 
@@ -10,19 +14,24 @@ from repro.candidates.mass_index import MassIndex
 from repro.chem.amino_acids import encode_sequence
 from repro.chem.protein import ProteinDatabase
 from repro.errors import ConfigError
-from repro.scoring.base import block_scores, score_block_fallback
+from repro.scoring.base import Scorer, block_scores
 from repro.scoring.hypergeometric import HypergeometricScorer
 from repro.scoring.hyperscore import HyperScorer
 from repro.scoring.likelihood import LikelihoodRatioScorer
 from repro.scoring.registry import SCORER_NAMES, make_scorer
 from repro.scoring.shared_peaks import SharedPeakScorer
 from repro.scoring.xcorr import XCorrScorer
-from repro.spectra.binning import match_peaks
 from repro.spectra.experimental import SimulatorConfig, SpectrumSimulator
-from repro.spectra.library import SpectralLibrary
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.spectra.theoretical import theoretical_spectrum
+from tests.reference import (
+    by_ion_ladder,
+    fragment_llrs,
+    match_peaks,
+    scalar_block_scores,
+    score,
+)
 
 TRUE_PEPTIDE = encode_sequence("MKTAYIAKQR")
 WRONG_PEPTIDE = encode_sequence("WWWWHHHHFF")
@@ -45,13 +54,13 @@ def clean_spectrum():
 @pytest.mark.parametrize("scorer", ALL_SCORERS, ids=lambda s: s.name)
 class TestAllScorers:
     def test_true_beats_wrong(self, scorer, clean_spectrum):
-        true_score = scorer.score(clean_spectrum, TRUE_PEPTIDE)
-        wrong_score = scorer.score(clean_spectrum, WRONG_PEPTIDE)
+        true_score = score(scorer, clean_spectrum, TRUE_PEPTIDE)
+        wrong_score = score(scorer, clean_spectrum, WRONG_PEPTIDE)
         assert true_score > wrong_score
 
     def test_deterministic(self, scorer, clean_spectrum):
-        a = scorer.score(clean_spectrum, TRUE_PEPTIDE)
-        b = scorer.score(clean_spectrum, TRUE_PEPTIDE)
+        a = score(scorer, clean_spectrum, TRUE_PEPTIDE)
+        b = score(scorer, clean_spectrum, TRUE_PEPTIDE)
         assert a == b
 
     def test_has_protocol_attributes(self, scorer, clean_spectrum):
@@ -60,18 +69,15 @@ class TestAllScorers:
 
     def test_handles_empty_spectrum(self, scorer, clean_spectrum):
         empty = Spectrum(np.array([]), np.array([]), 1000.0)
-        score = scorer.score(empty, TRUE_PEPTIDE)
-        assert score == -math.inf or score <= 0.0
+        value = score(scorer, empty, TRUE_PEPTIDE)
+        assert value == -math.inf or value <= 0.0
 
 
 class TestSharedPeaks:
     def test_counts_matched_peaks(self):
-        from repro.spectra.theoretical import by_ion_ladder
-
         ladder = by_ion_ladder(TRUE_PEPTIDE)
         spec = Spectrum(ladder, np.ones(len(ladder)), 1200.0)
-        scorer = SharedPeakScorer(0.1)
-        assert scorer.score(spec, TRUE_PEPTIDE) == len(ladder)
+        assert score(SharedPeakScorer(0.1), spec, TRUE_PEPTIDE) == len(ladder)
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
@@ -87,18 +93,10 @@ class TestLikelihood:
 
     def test_true_candidate_scores_positive(self, clean_spectrum):
         # a good match should be more likely than the random-peptide null
-        assert LikelihoodRatioScorer().score(clean_spectrum, TRUE_PEPTIDE) > 0
+        assert score(LikelihoodRatioScorer(), clean_spectrum, TRUE_PEPTIDE) > 0
 
     def test_random_candidate_scores_negative(self, clean_spectrum):
-        assert LikelihoodRatioScorer().score(clean_spectrum, WRONG_PEPTIDE) < 0
-
-    def test_library_entry_changes_model(self, clean_spectrum):
-        lib = SpectralLibrary()
-        # a deliberately wrong library entry should depress the score
-        lib.add("MKTAYIAKQR", np.array([50.0, 60.0]), np.array([1.0, 1.0]))
-        with_lib = LikelihoodRatioScorer(library=lib).score(clean_spectrum, TRUE_PEPTIDE)
-        without = LikelihoodRatioScorer().score(clean_spectrum, TRUE_PEPTIDE)
-        assert with_lib != without
+        assert score(LikelihoodRatioScorer(), clean_spectrum, WRONG_PEPTIDE) < 0
 
     def test_relative_cost_reflects_accuracy_cost(self):
         # the paper's quality argument: the accurate model is expensive
@@ -146,7 +144,7 @@ class TestLikelihoodTable:
                 model_mz, model_int = theoretical_spectrum(peptide)
                 code = 2 * match_peaks(model_mz, spectrum.mz, self.TOL) + (model_int == 1.0)
                 used.update(code.tolist())
-                terms = scorer._fragment_llrs(spectrum, model_mz, model_int)
+                terms = fragment_llrs(scorer, spectrum, model_mz, model_int)
                 assert table[k, code].tobytes() == terms.tobytes()
         assert used == {0, 1, 2, 3}  # unmatched b, y; matched b, y
 
@@ -157,7 +155,7 @@ class TestLikelihoodTable:
         cohort = self._cohort()
         selections = [np.arange(len(batch))] * len(cohort)
         got = block_scores(LikelihoodRatioScorer(self.TOL, p_detect), cohort, batch, selections)
-        want = score_block_fallback(
+        want = scalar_block_scores(
             LikelihoodRatioScorer(self.TOL, p_detect), cohort, batch, selections
         )
         assert got.tobytes() == want.tobytes()
@@ -167,12 +165,12 @@ class TestLikelihoodTable:
 class TestHyperscore:
     def test_no_matches_is_neg_inf(self):
         spec = Spectrum(np.array([5000.0]), np.array([1.0]), 6000.0)
-        assert HyperScorer().score(spec, TRUE_PEPTIDE) == -math.inf
+        assert score(HyperScorer(), spec, TRUE_PEPTIDE) == -math.inf
 
     def test_more_matches_higher_score(self, clean_spectrum):
         # removing peaks from the spectrum must not raise the score
-        full = HyperScorer().score(clean_spectrum, TRUE_PEPTIDE)
-        half = HyperScorer().score(clean_spectrum.top_peaks(4), TRUE_PEPTIDE)
+        full = score(HyperScorer(), clean_spectrum, TRUE_PEPTIDE)
+        half = score(HyperScorer(), clean_spectrum.top_peaks(4), TRUE_PEPTIDE)
         assert full >= half
 
     def test_invalid_tolerance(self):
@@ -183,9 +181,9 @@ class TestHyperscore:
 class TestXCorr:
     def test_preprocessing_cached(self, clean_spectrum):
         scorer = XCorrScorer()
-        scorer.score(clean_spectrum, TRUE_PEPTIDE)
+        score(scorer, clean_spectrum, TRUE_PEPTIDE)
         cached = scorer._cache[id(clean_spectrum)]
-        scorer.score(clean_spectrum, WRONG_PEPTIDE)
+        score(scorer, clean_spectrum, WRONG_PEPTIDE)
         assert scorer._cache[id(clean_spectrum)] is cached
 
     def test_cache_survives_id_reuse(self):
@@ -219,14 +217,32 @@ class TestRegistry:
         scorer = make_scorer(name)
         assert scorer.name == name
 
+    @pytest.mark.parametrize("name", SCORER_NAMES)
+    def test_one_scoring_implementation(self, name):
+        """Every registered scorer is a kernel scorer: the four-member
+        protocol, and no scalar ``score`` / ``score_modified`` of its own
+        (the scalar definitions live in ``tests/reference.py``)."""
+        scorer = make_scorer(name)
+        assert isinstance(scorer, Scorer)
+        assert not hasattr(scorer, "score")
+        assert not hasattr(scorer, "score_modified")
+
+    def test_protocol_is_the_kernel_interface(self):
+        """The protocol's members are exactly the four of a kernel scorer."""
+        members = {
+            "name": "k",
+            "relative_cost": 1.0,
+            "pair_kernel": lambda self, spectra: None,
+            "score_block": lambda self, spectra, batch, selections: None,
+        }
+        assert isinstance(type("Kernel", (), members)(), Scorer)
+        for missing in members:
+            rest = {k: v for k, v in members.items() if k != missing}
+            assert not isinstance(type("Partial", (), rest)(), Scorer)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             make_scorer("nope")
-
-    def test_library_reaches_likelihood(self):
-        lib = SpectralLibrary()
-        scorer = make_scorer("likelihood", library=lib)
-        assert scorer.library is lib
 
 
 class TestHypergeometric:
@@ -238,8 +254,8 @@ class TestHypergeometric:
 
     def test_probability_interpretation(self, clean_spectrum):
         """A strong true match has a tiny tail probability (large -log10)."""
-        score = HypergeometricScorer().score(clean_spectrum, TRUE_PEPTIDE)
-        assert score > 3.0  # P < 1e-3 that a random candidate matches so well
+        value = score(HypergeometricScorer(), clean_spectrum, TRUE_PEPTIDE)
+        assert value > 3.0  # P < 1e-3 that a random candidate matches so well
 
     def test_registry_constructs_it(self):
         from repro.scoring.registry import make_scorer

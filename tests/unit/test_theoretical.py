@@ -6,12 +6,8 @@ import pytest
 from repro.chem.amino_acids import encode_sequence
 from repro.chem.peptide import peptide_mass
 from repro.constants import MONOISOTOPIC_MASS, PROTON_MASS, WATER_MASS
-from repro.spectra.theoretical import (
-    IonSeries,
-    by_ion_ladder,
-    fragment_mz,
-    theoretical_spectrum,
-)
+from repro.spectra.theoretical import IonSeries, fragment_mz, theoretical_spectrum
+from tests.reference import by_ion_ladder
 
 
 class TestFragmentMz:

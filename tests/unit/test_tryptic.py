@@ -10,7 +10,7 @@ from repro.core.config import SearchConfig
 from repro.core.xbang import run_xbang
 from repro.scoring.hits import Hit
 from repro.scoring.hyperscore import HyperScorer
-from tests.reference import top_tau
+from tests.reference import score, top_tau
 
 
 @pytest.fixture()
@@ -103,7 +103,7 @@ class TestXbangHits:
     ):
         """Two ranks, REAL scoring: each query holds the best tau of every
         tryptic candidate in its window, each scored by the scalar
-        ``HyperScorer.score``, and every candidate is counted."""
+        hyperscore (``tests/reference.py``), and every candidate is counted."""
         config = SearchConfig(tau=4)
         report = run_xbang(tiny_db, tiny_queries, 2, config)
         index = TrypticIndex(
@@ -118,7 +118,7 @@ class TestXbangHits:
             hits = [
                 Hit(
                     spectrum.query_id,
-                    scorer.score(spectrum, tiny_db.sequence(int(s))[int(a) : int(b)]),
+                    score(scorer, spectrum, tiny_db.sequence(int(s))[int(a) : int(b)]),
                     int(tiny_db.ids[s]),
                     int(a),
                     int(b),
