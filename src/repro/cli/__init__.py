@@ -14,14 +14,12 @@ shared option helpers live in :mod:`repro.cli.options`.  Commands:
   report.json`` writes the schema-versioned
   :class:`~repro.obs.report.RunReport` (trace, fault stats, extras and a
   metrics snapshot in one document); see docs/observability.md.
+  ``--autotune`` picks serial or multiproc, direct or streamed, by
+  :func:`repro.core.driver.choose_plan`'s two comparisons (nothing
+  timed); explicitly typed flags always win.
 * ``trace``    — export one run's timeline as Chrome trace-event JSON
   (open in chrome://tracing or Perfetto), or as an ascii utilization
   table and gantt.
-* ``tune``     — time every feasible configuration on two query samples
-  of this workload, run the fastest, and report its predicted-vs-measured
-  makespan plus overlap lower bounds (docs/autotuning.md).
-  ``search --autotune`` applies the same pick to a search; explicitly
-  typed flags always win.
 * ``experiments`` — run/resume/report a declarative scenario grid
   (``scenarios/*.yaml``): every cell a checkpointed RunReport, one
   aggregate with speedup/efficiency tables and identity checks
@@ -43,7 +41,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.cli import data, experiments, search, serve, tune
+from repro.cli import data, experiments, search, serve
 from repro.errors import ReproError
 
 
@@ -53,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scalable parallel peptide identification (ICPP 2009 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for group in (data, search, tune, experiments, serve):
+    for group in (data, search, experiments, serve):
         group.register(sub)
     return parser
 

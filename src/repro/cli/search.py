@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 import tempfile
@@ -26,51 +27,53 @@ from repro.workloads.queries import generate_queries
 _ENGINES = sorted(ALGORITHMS) + ["multiproc"]
 
 
-def _apply_autotune(args: argparse.Namespace, explicit: set, db, queries):
-    """Let the autotuner pick engine/knobs; explicitly typed flags win.
+def _apply_autotune(args: argparse.Namespace, explicit: set, plan, index_path, store):
+    """Adopt the rule's pick; explicitly typed flags win.
 
     Mutates ``args`` in place for every knob the user did not type,
-    warns (stderr) for each explicit flag that contradicts the
-    autotuned choice, and returns the RunReport ``tuning`` section.
+    warns (stderr) for each explicit flag that contradicts the rule's
+    pick, and returns the RunReport ``tuning`` section of the plan that
+    runs, with the overriding flags.
     """
-    from repro.tune import autotune
-
-    result = autotune(
-        db,
-        queries,
-        make_config(args),
-        cache_path=args.tune_cache,
-        run=False,
-        lower_bounds=False,
-    )
-    plan = result.chosen
     knobs = [
-        ("algorithm", {"--algorithm", "-a"},
-         "multiproc" if plan.engine == "multiproc" else "serial"),
-        ("ranks", {"--ranks", "-p"},
-         plan.num_workers if plan.engine == "multiproc" else 1),
-        ("sweep_cohort", {"--sweep-cohort"}, plan.sweep_cohort),
-        ("query_blocks", {"--query-blocks"}, plan.query_blocks),
-        ("start_method", {"--start-method"}, plan.start_method),
+        ("algorithm", ("--algorithm", "-a"), plan.algorithm),
+        ("ranks", ("--ranks", "-p"), plan.num_workers),
+        ("query_blocks", ("--query-blocks",), plan.query_blocks),
+        ("start_method", ("--start-method",), plan.start_method),
     ]
+    overrides = []
     for attr, options, value in knobs:
-        typed = options & explicit
-        if typed:
-            if getattr(args, attr) != value:
-                print(
-                    f"warning: explicit {sorted(typed)[0]} overrides the "
-                    f"autotuned choice ({value!r}); the timed makespan "
-                    f"no longer applies",
-                    file=sys.stderr,
-                )
-        else:
+        if not explicit.intersection(options):
             setattr(args, attr, value)
-    print(
-        f"autotune: chose {plan.label} (timed: {result.predicted_s:.3f}s, "
-        f"fastest of {len(result.trials)} feasible configuration(s), "
-        f"trial {result.trial_info['source']})"
+        elif getattr(args, attr) != value:
+            overrides.append(options[0])
+    # a store is only ever named explicitly: --stream / --index-path
+    # serve the search from it whatever the rule says
+    source = "direct"
+    if index_path is not None:
+        source = "streamed" if store.partitioned else "resident"
+        if source != plan.source:
+            overrides.append("--stream" if args.stream else "--index-path")
+    for option in overrides:
+        print(
+            f"warning: explicit {option} overrides the autotuned choice "
+            f"({plan.label})",
+            file=sys.stderr,
+        )
+    ran = dataclasses.replace(
+        plan,
+        algorithm=args.algorithm,
+        num_workers=args.ranks,
+        query_blocks=args.query_blocks,
+        start_method=args.start_method,
+        source=source,
     )
-    return result.tuning
+    inputs = plan.inputs
+    print(
+        f"autotune: chose {plan.label} ({inputs['candidates']} candidates "
+        f"vs crossover {inputs['crossover']}, {inputs['cpus']} cpu(s))"
+    )
+    return ran.tuning_section(overrides)
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -80,23 +83,22 @@ def cmd_search(args: argparse.Namespace) -> int:
     queries = generate_queries(args.queries, seed=args.query_seed)
     explicit = explicit_cli_options(getattr(args, "_cli_argv", []))
     tuning_section = None
-    if args.autotune:
-        tuning_section = _apply_autotune(args, explicit, db, queries)
-    if args.algorithm == "serial" and not {"--ranks", "-p"} & explicit:
-        args.ranks = 1  # the only count the serial engine takes
     config = make_config(args)
     fault_plan = FaultPlan.from_file(args.fault_plan) if args.fault_plan else None
     index_path = args.index_path
+    store = None
     registry = None
     # the stack owns the throwaway store of --stream and the metrics
     # registry of --report-out: a typed error anywhere below still
     # removes the one and switches the other off
     with contextlib.ExitStack() as stack:
-        if args.stream and index_path:
-            from repro.errors import IndexCompatError
+        if index_path and (args.stream or args.autotune):
             from repro.store import open_any_index
 
-            if not open_any_index(index_path).partitioned:
+            store = open_any_index(index_path)
+            if args.stream and not store.partitioned:
+                from repro.errors import IndexCompatError
+
                 raise IndexCompatError(
                     f"--stream needs a partitioned store "
                     f"(`repro index build --partition-mb ...`); "
@@ -112,7 +114,16 @@ def cmd_search(args: argparse.Namespace) -> int:
                 stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-pstore-")),
                 "index",
             )
-            save_partitioned_index(db, index_path, partition_mb=args.partition_mb)
+            store = save_partitioned_index(db, index_path, partition_mb=args.partition_mb)
+        if args.autotune:
+            from repro.core.driver import choose_plan
+
+            plan = choose_plan(
+                db, queries, config, store=store, memory_budget_mb=args.memory_budget_mb
+            )
+            tuning_section = _apply_autotune(args, explicit, plan, index_path, store)
+        if args.algorithm == "serial" and not {"--ranks", "-p"} & explicit:
+            args.ranks = 1  # the only count the serial engine takes
         if args.report_out:
             # collect runtime telemetry for the RunReport; search results
             # are bitwise identical with or without it
@@ -343,13 +354,9 @@ def register(sub) -> None:
     )
     p_search.add_argument(
         "--autotune", action="store_true",
-        help="pick engine/knobs by timing the feasible plans on query "
-        "samples (docs/autotuning.md); flags you type explicitly always win",
-    )
-    p_search.add_argument(
-        "--tune-cache", default=None,
-        help="autotune trial cache path (default: no cache, the plans "
-        "are timed on every run)",
+        help="pick serial or multiproc, direct or streamed, from the "
+        "workload's candidate count, the host's cores and the memory "
+        "budget (docs/search_pipeline.md); flags you type explicitly win",
     )
     p_search.set_defaults(func=cmd_search)
 

@@ -17,8 +17,10 @@ paper's expensive-statistics argument.
 
 The defaults stay paper-scaled so that tables regenerate in the paper's
 units out of the box; nothing refits them per host.  Choosing a
-configuration for the real engines is :mod:`repro.tune`'s job, and it
-times the candidates rather than predicting them from these terms.
+configuration for the real engines is
+:func:`repro.core.driver.choose_plan`'s job, and it compares the
+workload's exact candidate count to one measured crossover rather than
+predicting makespans from these terms.
 """
 
 from __future__ import annotations

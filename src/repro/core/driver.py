@@ -1,16 +1,21 @@
-"""run_search: the single entry point over every engine.
+"""run_search: the single entry point over every engine, and the rule
+that picks a real engine for a workload.
 
 One function decides which engine runs for a given (algorithm, index
 store, fault plan) and which typed error a combination that cannot run
-gets.  The CLI (``search``, ``trace``), the experiments runner and the
-tuner's verification run all come through here; none of them calls an
-engine directly.
+gets.  The CLI (``search``, ``trace``) and the experiments runner come
+through here; neither calls an engine directly.  :func:`choose_plan` is
+what ``search --autotune`` and the ``autotune`` experiments engine run
+first: two comparisons on the workload's shape, nothing timed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Sequence
+import multiprocessing
+import os
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.chem.protein import ProteinDatabase
 from repro.core.algorithm_a import run_algorithm_a
@@ -18,7 +23,7 @@ from repro.core.algorithm_b import run_algorithm_b
 from repro.core.config import SearchConfig
 from repro.core.master_worker import run_master_worker
 from repro.core.results import SearchReport
-from repro.core.search import search_serial
+from repro.core.search import ShardSearcher, search_serial
 from repro.core.xbang import run_xbang
 from repro.errors import ConfigError, IndexCompatError
 from repro.faults.plan import FaultPlan
@@ -202,3 +207,118 @@ def run_search(
             cluster_config or ClusterConfig(num_ranks=num_ranks), fault_plan=fault_plan
         )
     return ALGORITHMS[algorithm](database, queries, num_ranks, config, cluster_config)
+
+
+#: schema tag of the RunReport ``tuning`` section (optional section, so
+#: the report schema itself does not bump — same pattern as ``service``)
+TUNING_SCHEMA = "repro.tuning/4"
+
+#: exact candidate total above which two worker processes beat one
+#: serial pass.  Measured on a 2-vCPU x86-64 host, median of 5
+#: interleaved runs, multiproc (2 workers, 4 query blocks, fork) time
+#: over serial time, direct, likelihood / hyperscore / shared_peaks /
+#: xcorr: 500 x 300 (16.2 K candidates) 1.30 / 1.05 / 1.24 / 1.19;
+#: 800 x 400 (34.7 K) 1.15 / 1.02 / 1.01 / 0.87; 800 x 700 (60.6 K)
+#: 0.92 / 0.81 / 0.97 / 0.83; 1200 x 800 (104 K) 0.80 / 0.69 / 0.82 /
+#: 0.92; 2000 x 2000 (430 K) 0.69 / 0.66 / 0.79 / 0.68; 4000 x 4000
+#: (1.73 M) 0.65 / 0.58 likelihood / hyperscore
+MULTIPROC_CROSSOVER_CANDIDATES = 50_000
+
+#: multiproc query blocks: 4 vs 1 measured 0.154 vs 0.160 s direct at
+#: 800 x 400, 0.723 vs 0.798 s at 2000 x 2000 (best of 3, 2 vCPUs)
+MULTIPROC_QUERY_BLOCKS = 4
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A way of running a search on the real engines, and why it was picked."""
+
+    algorithm: str = "serial"  #: "serial" or "multiproc"
+    num_workers: int = 1
+    query_blocks: int = 1
+    #: multiproc only: fork where the platform has it (spawn measured
+    #: 1.68-2.05 s where its fork twin took 0.15-0.35 s)
+    start_method: Optional[str] = None
+    #: "direct" or "streamed" from a partitioned store ("resident" only
+    #: where a caller's explicit store overrides the pick)
+    source: str = "direct"
+    #: what :func:`choose_plan` compared (candidates, crossover, cpus, ...)
+    inputs: Dict[str, Any] = field(default_factory=dict, compare=False)
+
+    @property
+    def label(self) -> str:
+        parts = [self.algorithm]
+        if self.algorithm == "multiproc":
+            parts += [f"w={self.num_workers}", f"blocks={self.query_blocks}"]
+            parts += [self.start_method] if self.start_method else []
+        return ":".join(parts + [self.source])
+
+    def tuning_section(self, overrides: Sequence[str] = ()) -> Dict[str, Any]:
+        """The RunReport ``tuning`` section (schema ``repro.tuning/4``):
+        the rule's inputs, the plan that ran, and the explicit flags that
+        overrode the rule's pick."""
+        choice = {
+            k: v for k, v in dataclasses.asdict(self).items() if k != "inputs"
+        }
+        return {
+            "schema": TUNING_SCHEMA,
+            "inputs": dict(self.inputs),
+            "choice": {**choice, "label": self.label},
+            "overrides": list(overrides),
+        }
+
+
+def choose_plan(
+    database: ProteinDatabase,
+    queries: Sequence[Spectrum],
+    config: Optional[SearchConfig] = None,
+    *,
+    store=None,
+    memory_budget_mb: Optional[float] = None,
+) -> Plan:
+    """Pick the real engine for a workload from two comparisons.
+
+    1. **Stream or not.**  Streamed only when a partitioned ``store`` is
+       at hand *and* ``memory_budget_mb`` is below the resident footprint
+       (database + query bytes).  A budget under the footprint with
+       nothing to stream from raises :class:`ConfigError`.
+    2. **Serial or multiproc.**  Multiproc at ``min(cpus, 2)`` workers
+       when the host has two cores and the workload's exact candidate
+       total exceeds :data:`MULTIPROC_CROSSOVER_CANDIDATES`; serial
+       otherwise.
+    """
+    config = config if config is not None else SearchConfig()
+    queries = list(queries)
+    cpus = os.cpu_count() or 1
+    resident = int(database.nbytes) + sum(int(q.nbytes) for q in queries)
+    streamable = store is not None and store.partitioned
+    over_budget = (
+        memory_budget_mb is not None and resident > memory_budget_mb * 1024 * 1024
+    )
+    if over_budget and not streamable:
+        raise ConfigError(
+            f"the resident footprint ({resident} B) exceeds --memory-budget-mb "
+            f"{memory_budget_mb:g} and there is no partitioned store to stream "
+            f"from; add --stream, or point --index-path at a partitioned store"
+        )
+    candidates = int(ShardSearcher(database, config).count_each(queries).sum())
+    inputs = {
+        "candidates": candidates,
+        "crossover": MULTIPROC_CROSSOVER_CANDIDATES,
+        "cpus": cpus,
+        "memory_budget_mb": memory_budget_mb,
+        "resident_bytes": resident,
+        "store": streamable,
+    }
+    source = "streamed" if over_budget else "direct"
+    if cpus >= 2 and candidates > MULTIPROC_CROSSOVER_CANDIDATES:
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        return Plan(
+            "multiproc",
+            min(cpus, 2),
+            MULTIPROC_QUERY_BLOCKS,
+            "fork" if fork else "spawn",
+            source,
+            inputs,
+        )
+    return Plan(source=source, inputs=inputs)

@@ -14,7 +14,7 @@ holding:
   must agree on ``hits_digest`` — the determinism contract the fault
   grids exist to exercise);
 * the analytic lower-bound cross-check: the measured scaling next to
-  the ``repro.tune.lower_bounds`` overlap projection for the same
+  the :mod:`repro.experiments.lower_bounds` overlap projection for the same
   workload, plus the paper's headline residual-to-compute statistic.
 
 Everything here is a pure function of (spec, on-disk cell reports):
@@ -271,9 +271,7 @@ def _lower_bounds_payload(
     if section is None:
         return None
     from repro.experiments.runner import build_config, build_workload  # lazy: no cycle
-    from repro.tune.lower_bounds import overlap_projection
-    from repro.tune.plan import profile_workload
-
+    from repro.experiments.lower_bounds import overlap_projection, profile_workload
     from repro.experiments.spec import BASE_DEFAULTS
 
     params = dict(BASE_DEFAULTS)

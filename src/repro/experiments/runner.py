@@ -209,45 +209,51 @@ def execute_cell(
     trace_events: Optional[List[Dict[str, Any]]] = None
     tuning = None
     try:
+        from repro.core.driver import choose_plan, run_search
+        from repro.simmpi.scheduler import ClusterConfig
+
+        index_path = None
+        if params.get("index.mode", "none") != "none":
+            index_path = prebuild_store(params, os.path.join(out_dir, "stores"))
+        speeds = params.get("engine.rank_speeds")
+        budget = params.get("index.memory_budget_mb")
+        budget = float(budget) if budget is not None else None
+        # a floor, like --query-blocks: multiproc widens the grid to a
+        # task per worker, so an injected crash at task id < ranks
+        # always lands
+        query_blocks = int(params.get("engine.query_blocks", 1))
+        start_method = params.get("engine.start_method")
         if algorithm == "autotune":
-            from repro.tune import autotune
+            from repro.store import open_any_index
 
-            result = autotune(db, queries, config, run=True, lower_bounds=False)
-            report = result.report
-            tuning = result.tuning
-        else:
-            from repro.core.driver import run_search
-            from repro.simmpi.scheduler import ClusterConfig
+            store = open_any_index(index_path) if index_path else None
+            chosen = choose_plan(db, queries, config, store=store, memory_budget_mb=budget)
+            tuning = chosen.tuning_section()
+            algorithm, ranks = chosen.algorithm, chosen.num_workers
+            query_blocks, start_method = chosen.query_blocks, chosen.start_method
+            if chosen.source == "direct":
+                index_path = budget = None
+        report = run_search(
+            db,
+            queries,
+            algorithm,
+            ranks,
+            config,
+            cluster_config=ClusterConfig(
+                num_ranks=ranks,
+                record_events=trace,
+                rank_speeds=tuple(float(s) for s in speeds) if speeds else None,
+            ),
+            index_path=index_path,
+            memory_budget_mb=budget,
+            fault_plan=plan,
+            query_blocks=query_blocks,
+            start_method=start_method,
+        )
+        if trace and report.trace is not None:
+            from repro.obs.chrome_trace import events_from_summary
 
-            index_path = None
-            if params.get("index.mode", "none") != "none":
-                index_path = prebuild_store(params, os.path.join(out_dir, "stores"))
-            speeds = params.get("engine.rank_speeds")
-            budget = params.get("index.memory_budget_mb")
-            report = run_search(
-                db,
-                queries,
-                algorithm,
-                ranks,
-                config,
-                cluster_config=ClusterConfig(
-                    num_ranks=ranks,
-                    record_events=trace,
-                    rank_speeds=tuple(float(s) for s in speeds) if speeds else None,
-                ),
-                index_path=index_path,
-                memory_budget_mb=float(budget) if budget is not None else None,
-                fault_plan=plan,
-                # a floor, like --query-blocks: multiproc widens the grid to a
-                # task per worker, so an injected crash at task id < ranks
-                # always lands
-                query_blocks=int(params.get("engine.query_blocks", 1)),
-                start_method=params.get("engine.start_method"),
-            )
-            if trace and report.trace is not None:
-                from repro.obs.chrome_trace import events_from_summary
-
-                trace_events = events_from_summary(report.trace)
+            trace_events = events_from_summary(report.trace)
     finally:
         enable_metrics(False)
 

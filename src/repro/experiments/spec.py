@@ -105,8 +105,8 @@ BASE_DEFAULTS: Dict[str, Any] = {
 }
 
 #: engines a cell may name: every simulated algorithm, the real
-#: process-parallel engine, and the empirical autotuner ("run whatever
-#: the tuner picks" — the cold-vs-warm scenarios' third arm)
+#: process-parallel engine, and "autotune" ("run whatever
+#: ``core.driver.choose_plan`` picks" — the serving scenario's last arm)
 _EXTRA_ENGINES = ("multiproc", "autotune")
 
 _INDEX_MODES = ("none", "resident", "partitioned")

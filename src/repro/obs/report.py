@@ -132,9 +132,9 @@ class RunReport:
     #: batch runs, so the schema version needs no bump — readers treat a
     #: missing key as "not a service run"
     service: Optional[Dict[str, Any]] = None
-    #: autotuner section (timed trial per plan, chosen plan, predicted vs.
-    #: measured makespan, lower-bound projection); None unless the
-    #: run was tuned — optional like ``service``, so no schema bump
+    #: autotune section (the rule's inputs, the plan that ran, the flags
+    #: that overrode it); None unless the run was autotuned — optional
+    #: like ``service``, so no schema bump
     tuning: Optional[Dict[str, Any]] = None
     schema: str = SCHEMA
 
@@ -158,8 +158,8 @@ class RunReport:
 
         ``service`` attaches a :meth:`SearchService.service_report`
         payload for runs served by the long-lived service; ``tuning``
-        attaches the autotuner's :data:`repro.tune.tuner.TUNING_SCHEMA`
-        section for autotuned runs."""
+        attaches :meth:`repro.core.driver.Plan.tuning_section` for
+        autotuned runs."""
         extras = dict(report.extras)
         peak = report.max_peak_memory
         hit_counts = as_hit_columns(report.hits).counts  # counted, never built

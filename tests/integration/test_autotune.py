@@ -1,12 +1,10 @@
-"""End-to-end autotuner tests: grid, trial, pick, run, report, CLI wiring.
+"""End-to-end autotune tests: the rule's pick, its run, its report, CLI wiring.
 
-The trial is real here (every feasible plan is timed on this host), so
-the workloads are small; a module-scoped cache file lets the tests that
-are not about the trial reuse the first one's rates.  What is pinned:
-the full autotune path — profiling, the grid, the timed pick, the
-verification run, the RunReport ``tuning`` section — returns the serial
-reference's hits whichever plan wins, and the CLI flag precedence rules
-hold.
+:func:`repro.core.driver.choose_plan` times nothing, so these run the
+plan it picks — and every plan it could have picked — through
+``run_search`` and pin that each returns the serial reference's hits,
+that the RunReport ``tuning`` section records the plan that ran, and
+that the CLI's explicit-flag precedence holds.
 """
 
 import json
@@ -14,12 +12,13 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import driver
 from repro.core.config import SearchConfig
+from repro.core.driver import TUNING_SCHEMA, Plan, choose_plan, run_search
 from repro.core.search import search_serial
 from repro.experiments.runner import _hits_digest
 from repro.obs.report import RunReport
-from repro.store import save_index, save_partitioned_index
-from repro.tune.tuner import TUNING_SCHEMA, autotune, run_plan
+from repro.store import save_partitioned_index
 from repro.workloads.queries import generate_queries
 from repro.workloads.synthetic import generate_database
 
@@ -29,18 +28,20 @@ def workload():
     return generate_database(120, seed=202), generate_queries(40, seed=17)
 
 
-@pytest.fixture(scope="module")
-def cache_path(tmp_path_factory):
-    """Filled by the first test that tunes the module's no-store workload."""
-    return str(tmp_path_factory.mktemp("tune") / "trials.json")
-
-
-@pytest.fixture(scope="module")
-def cli_cache(tmp_path_factory):
-    """A trial cache for the CLI's ``-n 80 -m 12`` workload, timed once."""
-    path = str(tmp_path_factory.mktemp("tune-cli") / "trials.json")
-    assert main(["tune", "--plan-only", "--tune-cache", path, "-n", "80", "-m", "12"]) == 0
-    return path
+def run_plan(plan, db, queries, config, store=None, memory_budget_mb=None):
+    """What the experiments runner does with an ``autotune`` cell's plan."""
+    streamed = plan.source == "streamed"
+    return run_search(
+        db,
+        queries,
+        plan.algorithm,
+        plan.num_workers,
+        config,
+        query_blocks=plan.query_blocks,
+        start_method=plan.start_method,
+        index_path=str(store.path) if streamed else None,
+        memory_budget_mb=memory_budget_mb if streamed else None,
+    )
 
 
 CLI_WORKLOAD = ["-n", "80", "-m", "12"]
@@ -48,100 +49,63 @@ CLI_WORKLOAD = ["-n", "80", "-m", "12"]
 
 class TestAutotuneEndToEnd:
     def test_full_pass_with_store(self, tmp_path, workload):
+        """A store with no budget runs direct; a budget under the
+        resident footprint streams from it; both record their inputs."""
         db, queries = workload
         config = SearchConfig()
-        store = save_partitioned_index(
-            db,
-            str(tmp_path / "pstore"),
-            partition_mb=1.0,
+        # partitions small enough for a budget under database + queries
+        store = save_partitioned_index(db, str(tmp_path / "pstore"), partition_mb=0.01)
+        resident = db.nbytes + sum(q.nbytes for q in queries)
+
+        direct = choose_plan(db, queries, config, store=store)
+        assert direct.source == "direct"
+        budget = resident / 2 / (1024 * 1024)
+        streamed = choose_plan(db, queries, config, store=store, memory_budget_mb=budget)
+        assert streamed.source == "streamed"
+        assert streamed.inputs == {**direct.inputs, "memory_budget_mb": budget}
+
+        report = run_plan(streamed, db, queries, config, store, budget)
+        assert report.extras["index_provenance"]["source"] == "streamed"
+        assert _hits_digest(report.hits) == _hits_digest(
+            search_serial(db, queries, config).hits
         )
-        cache = str(tmp_path / "trials.json")
-        result = autotune(db, queries, config, cache_path=cache, store=store)
-        assert result.trial_info["source"] == "measured"
-        assert result.trial_info["samples"] == [8, 40]
-        assert result.trial_info["trial_wall_s"] > 0
-        assert result.chosen == result.trials[0].plan
-        assert result.predicted_s == min(t.predicted_s for t in result.trials)
-        assert {t.plan.stream for t in result.trials} == {False, True}
-        for trial in result.trials:
-            assert trial.fixed_s >= 0 and trial.seconds_per_candidate >= 0
-
-        ver = result.verification
-        assert set(ver) == {"measured_makespan_s", "predicted_makespan_s", "rel_error"}
-        assert ver["measured_makespan_s"] > 0
-        assert ver["predicted_makespan_s"] == result.predicted_s
-        assert ver["rel_error"] == pytest.approx(
-            (result.predicted_s - ver["measured_makespan_s"]) / ver["measured_makespan_s"]
-        )
-
-        points = result.lower_bounds["points"]
-        assert set(points) == {"128", "512", "1024"}
-        for point in points.values():
-            assert 0.0 <= point["overlap_efficiency"] <= 1.0
-            assert point["residual_to_compute"] >= 0.0
-            assert point["floor_makespan_s"] == pytest.approx(
-                max(point["comm_floor_s"], point["compute_floor_s"])
-            )
-
-        section = result.tuning
-        assert section["schema"] == TUNING_SCHEMA == "repro.tuning/3"
-        assert section["trial"]["source"] == "measured"
-        assert [p["plan"] for p in section["trial"]["plans"]] == [
-            t.plan.label for t in result.trials
-        ]
-        assert section["chosen_label"] == result.chosen.label
-        assert section["grid"]["feasible"] == len(result.trials)
-        assert section["grid"]["pruned"] == len(result.pruned)
-        assert {k["knob"] for k in section["grid"]["pinned"]} == {
-            "sweep_cohort", "query_blocks", "start_method"
-        }
-        assert all(k["measured"] for k in section["grid"]["pinned"])
-        assert section["workload"] == {
-            "queries": len(queries), "candidates": result.profile.total_candidates,
+        section = streamed.tuning_section()
+        assert section["schema"] == TUNING_SCHEMA == "repro.tuning/4"
+        assert section["inputs"] == {
+            "candidates": report.candidates_evaluated,
+            "crossover": driver.MULTIPROC_CROSSOVER_CANDIDATES,
+            "cpus": direct.inputs["cpus"],
+            "memory_budget_mb": budget,
+            "resident_bytes": resident,
+            "store": True,
         }
         json.dumps(section)  # the section must be JSON-serializable
 
-        # the same call again: nothing is timed, the pick is the same
-        again = autotune(db, queries, config, cache_path=cache, store=store, run=False)
-        assert again.trial_info["source"] == "cache"
-        assert again.chosen == result.chosen
-        assert again.predicted_s == pytest.approx(result.predicted_s)
-
-    def test_plan_only_skips_run(self, cache_path, workload):
-        db, queries = workload
-        result = autotune(
-            db, queries, cache_path=cache_path, run=False, lower_bounds=False
-        )
-        assert result.report is None
-        assert result.verification is None
-        assert result.lower_bounds is None
-        assert "verification" not in result.tuning
-        assert "lower_bounds" not in result.tuning
-
     @pytest.mark.parametrize("scorer", ["likelihood", "hyperscore"])
     def test_autotuned_hits_equal_the_serial_reference(self, tmp_path, workload, scorer):
-        """Whatever the trial picks — and every plan it could have picked —
+        """Whatever the rule picks — and every plan it could have picked —
         returns the serial reference's hits, bit for bit."""
         db, queries = workload
         config = SearchConfig(scorer=scorer)
         reference = _hits_digest(search_serial(db, queries, config).hits)
-        store = save_partitioned_index(
-            db,
-            str(tmp_path / "pstore"),
-            partition_mb=1.0,
-        )
-        result = autotune(db, queries, config, store=store, lower_bounds=False)
-        assert _hits_digest(result.report.hits) == reference
-        for trial in result.trials[1:]:
-            report, _ = run_plan(trial.plan, db, queries, config, store=store)
-            assert _hits_digest(report.hits) == reference, trial.plan.label
+        store = save_partitioned_index(db, str(tmp_path / "pstore"), partition_mb=1.0)
+        picked = choose_plan(db, queries, config, store=store)
+        multiproc = Plan("multiproc", 2, driver.MULTIPROC_QUERY_BLOCKS, picked.start_method)
+        for plan in (picked, Plan(), multiproc):
+            for source in ("direct", "streamed"):
+                ran = Plan(plan.algorithm, plan.num_workers, plan.query_blocks,
+                           plan.start_method, source)
+                report = run_plan(ran, db, queries, config, store, memory_budget_mb=1.0)
+                assert _hits_digest(report.hits) == reference, ran.label
 
 
 class TestTuningReportSection:
-    def test_round_trip(self, cache_path, workload):
+    def test_round_trip(self, workload):
         db, queries = workload
-        result = autotune(db, queries, cache_path=cache_path)
-        report = RunReport.from_search_report(result.report, tuning=result.tuning)
+        plan = choose_plan(db, queries)
+        report = RunReport.from_search_report(
+            run_plan(plan, db, queries, SearchConfig()), tuning=plan.tuning_section()
+        )
         assert not RunReport.validate(report.to_dict())
         loaded = RunReport.from_dict(json.loads(report.to_json()))
         assert loaded.tuning == report.tuning
@@ -168,112 +132,64 @@ class TestTuningReportSection:
 
 
 class TestCliFlagCombinations:
-    """Satellite: the flag-precedence and misuse rules, end to end."""
+    """The flag-precedence rules, end to end."""
 
-    def test_autotune_adopts_choice(self, cli_cache, tmp_path, capsys):
+    def test_autotune_adopts_choice(self, tmp_path, capsys):
         serial_tsv, tuned_tsv = str(tmp_path / "serial.tsv"), str(tmp_path / "tuned.tsv")
         assert main(["search", "-a", "serial", *CLI_WORKLOAD, "-o", serial_tsv]) == 0
         capsys.readouterr()
+        report_path = str(tmp_path / "report.json")
         rc = main(
-            ["search", "--autotune", "--tune-cache", cli_cache, *CLI_WORKLOAD,
-             "-o", tuned_tsv]
+            ["search", "--autotune", *CLI_WORKLOAD, "-o", tuned_tsv,
+             "--report-out", report_path]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "autotune: chose" in out
-        assert "timed:" in out and "trial cache" in out
+        captured = capsys.readouterr()
+        assert "autotune: chose serial:direct" in captured.out
+        assert "candidates vs crossover" in captured.out
+        assert "overrides" not in captured.err
         with open(serial_tsv, "rb") as a, open(tuned_tsv, "rb") as b:
             assert a.read() == b.read()
+        tuning = RunReport.load(report_path).tuning
+        assert tuning["choice"]["label"] == "serial:direct"
+        assert tuning["overrides"] == []
 
-    def test_explicit_flag_wins_with_warning(self, cli_cache, capsys):
-        # the tuner only ever picks a real engine (serial/multiproc), so
+    def test_explicit_flag_wins_with_warning(self, tmp_path, capsys):
+        # the rule only ever picks a real engine (serial/multiproc), so
         # an explicit simulated engine always contradicts it
+        report_path = str(tmp_path / "report.json")
         rc = main(
-            ["search", "--autotune", "--tune-cache", cli_cache,
-             "-a", "algorithm_a", *CLI_WORKLOAD]
+            ["search", "--autotune", "-a", "algorithm_a", *CLI_WORKLOAD,
+             "--report-out", report_path]
         )
         assert rc == 0
         captured = capsys.readouterr()
         assert "autotune: chose" in captured.out
         assert "overrides the autotuned choice" in captured.err
         assert "algorithm_a" in captured.out  # explicit engine actually ran
+        tuning = RunReport.load(report_path).tuning
+        assert tuning["choice"]["algorithm"] == "algorithm_a"
+        assert tuning["overrides"] == ["--algorithm"]
 
-    def test_memory_budget_without_stream_is_typed_error(self, capsys):
+    def test_autotune_records_the_streamed_run(self, tmp_path, capsys):
+        """``--stream`` is handed to the rule and the section names the
+        plan that ran: streamed, as the run's provenance says."""
+        report_path = str(tmp_path / "report.json")
         rc = main(
-            ["search", "-a", "serial", "-n", "60", "-m", "4",
-             "--memory-budget-mb", "64"]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "--memory-budget-mb" in err
-        assert "--stream" in err
-
-    def test_stream_rejects_resident_store(self, tmp_path, capsys):
-        db = generate_database(60, seed=202)
-        path = str(tmp_path / "resident")
-        save_index(db, path)
-        rc = main(
-            ["search", "-a", "serial", "-n", "60", "-m", "4",
-             "--stream", "--index-path", path]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--stream needs a partitioned store" in err
-
-    def test_memory_budget_rejects_resident_store(self, tmp_path, capsys):
-        db = generate_database(60, seed=202)
-        path = str(tmp_path / "resident")
-        save_index(db, path)
-        rc = main(
-            ["search", "-a", "serial", "-n", "60", "-m", "4",
-             "--memory-budget-mb", "64", "--index-path", path]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "resident-format store" in err
-
-    def test_tune_rejects_resident_store(self, tmp_path, capsys):
-        db = generate_database(60, seed=202)
-        path = str(tmp_path / "resident")
-        save_index(db, path)
-        rc = main(["tune", "-n", "60", "-m", "4", "--index-path", path])
-        assert rc == 2
-        assert "streams only from partitioned stores" in capsys.readouterr().err
-
-    def test_tune_plan_only(self, cli_cache, capsys):
-        rc = main(["tune", "--plan-only", "--tune-cache", cli_cache, *CLI_WORKLOAD])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "source: cache" in out and "nothing timed" in out
-        assert "grid:" in out
-        assert "verification:" not in out
-        # --retune times again over the valid cache
-        rc = main(
-            ["tune", "--plan-only", "--retune", "--tune-cache", cli_cache, *CLI_WORKLOAD]
+            ["search", "--autotune", "--stream", "--memory-budget-mb", "2",
+             "--partition-mb", "0.5", "-n", "200", "-m", "40", "--show", "0",
+             "--report-out", report_path]
         )
         assert rc == 0
-        assert "source: measured" in capsys.readouterr().out
+        report = RunReport.load(report_path)
+        assert report.extras["index_provenance"]["source"] == "streamed"
+        assert report.tuning["choice"]["source"] == "streamed"
+        assert report.tuning["choice"]["label"].endswith(":streamed")
+        assert report.tuning["inputs"]["store"] is True
+        assert report.tuning["inputs"]["memory_budget_mb"] == 2.0
 
-    def test_tune_report_out_requires_run(self, cli_cache, tmp_path, capsys):
-        rc = main(
-            ["tune", "--plan-only", "--tune-cache", cli_cache, *CLI_WORKLOAD,
-             "--report-out", str(tmp_path / "report.json")]
-        )
+    def test_budget_under_footprint_without_store_is_typed_error(self, capsys):
+        rc = main(["search", "--autotune", *CLI_WORKLOAD, "--memory-budget-mb", "0.01"])
         assert rc == 2
-        assert "drop --plan-only" in capsys.readouterr().err
-
-    def test_tune_writes_report_with_section(self, cli_cache, tmp_path, capsys):
-        out_path = str(tmp_path / "report.json")
-        rc = main(
-            ["tune", "--tune-cache", cli_cache, *CLI_WORKLOAD, "--report-out", out_path]
-        )
-        assert rc == 0
-        assert "verification: measured" in capsys.readouterr().out
-        report = RunReport.load(out_path)
-        assert report.tuning is not None
-        assert report.tuning["schema"] == TUNING_SCHEMA
-        assert report.tuning["trial"]["source"] == "cache"
-        assert set(report.tuning["verification"]) == {
-            "measured_makespan_s", "predicted_makespan_s", "rel_error"
-        }
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no partitioned store" in err

@@ -113,6 +113,43 @@ class TestTypedErrors:
         # removed by the `with` block, not by TemporaryDirectory's finalizer
         assert not [w for w in recwarn if issubclass(w.category, ResourceWarning)]
 
+    def test_memory_budget_without_stream_is_typed_error(self, capsys):
+        rc = main(
+            ["search", "-a", "serial", "-n", "60", "-m", "4",
+             "--memory-budget-mb", "64"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--memory-budget-mb" in err
+        assert "--stream" in err
+
+    def test_stream_rejects_resident_store(self, tmp_path, capsys):
+        from repro.store import save_index
+        from repro.workloads.synthetic import generate_database
+
+        path = str(tmp_path / "resident")
+        save_index(generate_database(60, seed=202), path)
+        rc = main(
+            ["search", "-a", "serial", "-n", "60", "-m", "4",
+             "--stream", "--index-path", path]
+        )
+        assert rc == 2
+        assert "--stream needs a partitioned store" in capsys.readouterr().err
+
+    def test_memory_budget_rejects_resident_store(self, tmp_path, capsys):
+        from repro.store import save_index
+        from repro.workloads.synthetic import generate_database
+
+        path = str(tmp_path / "resident")
+        save_index(generate_database(60, seed=202), path)
+        rc = main(
+            ["search", "-a", "serial", "-n", "60", "-m", "4",
+             "--memory-budget-mb", "64", "--index-path", path]
+        )
+        assert rc == 2
+        assert "resident-format store" in capsys.readouterr().err
+
 
 class TestFaultToleranceFlags:
     def test_multiproc_with_fault_plan_retries_and_completes(self, tmp_path, capsys):

@@ -83,12 +83,11 @@ def test_cli_command_set():
         "search",
         "serve",
         "trace",
-        "tune",
     ]
 
 
 @pytest.mark.parametrize(
-    "command", ["scaling", "validate", "compare", "timeline", "advise", "calibrate"]
+    "command", ["scaling", "validate", "compare", "timeline", "advise", "calibrate", "tune"]
 )
 def test_retired_commands_exit_2(command, capsys):
     from repro.cli import main

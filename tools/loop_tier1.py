@@ -12,7 +12,7 @@ Usage::
 
     python tools/loop_tier1.py                      # 20 runs -> tools/tier1_loop.txt
     python tools/loop_tier1.py --runs 3 --out /tmp/loop.txt
-    python tools/loop_tier1.py -- tests/unit -k tune   # extra pytest arguments
+    python tools/loop_tier1.py -- tests/unit -k plan   # extra pytest arguments
 
 Exit status is 0 when every run was green, 1 otherwise.
 """
