@@ -11,9 +11,9 @@ conclusions on a small grid, reporting which conclusions survive where:
 * C4 — Algorithm B's sorting overhead grows with p;
 * C5 — Algorithm B loses to A at large p.
 
-`benchmarks/bench_sensitivity.py` regenerates the table; the integration
-test asserts every conclusion holds across the whole default sweep —
-i.e. the reproduction's claims do not depend on the calibration.
+``tests/integration/test_sensitivity.py`` asserts every conclusion holds
+across the whole default sweep — i.e. the reproduction's claims do not
+depend on the calibration.
 """
 
 from __future__ import annotations

@@ -23,10 +23,11 @@ shared option helpers live in :mod:`repro.cli.options`.  Commands:
 * ``experiments`` — run/resume/report a declarative scenario grid
   (``scenarios/*.yaml``): every cell a checkpointed RunReport, one
   aggregate with speedup/efficiency tables and identity checks
-  (docs/experiments.md).  ``scenarios/paper_tables.yaml`` reproduces the
-  paper's tables, ``scenarios/validation.yaml`` its validation
-  experiment (every engine's hits equal the serial engine's).
-* ``report``   — assemble ``benchmarks/output/*.txt`` into
+  (docs/experiments.md).  ``scenarios/paper_tables.yaml`` reproduces
+  Tables II-III and Figure 4, ``scenarios/algorithms.yaml`` Table IV and
+  the masking ablation, ``scenarios/validation.yaml`` the validation
+  experiment (every engine's hits equal the serial engine's);
+  ``report --update`` splices the tables into EXPERIMENTS.md and
   REPRODUCTION_REPORT.md.
 * ``serve``    — start the long-lived search service and replay a
   deterministic multi-client request storm against it (admission

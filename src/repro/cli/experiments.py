@@ -1,4 +1,4 @@
-"""``repro experiments`` and ``repro report``: scenario grids and the reproduction report."""
+"""``repro experiments``: run, resume and report declarative scenario grids."""
 
 from __future__ import annotations
 
@@ -8,62 +8,6 @@ import os
 import sys
 
 from repro.cli.options import positive_int
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """Assemble benchmarks/output/*.txt into one reproduction report."""
-    from pathlib import Path
-
-    out_dir = Path(args.output_dir)
-    if not out_dir.is_dir():
-        print(
-            f"{out_dir} not found - run `pytest benchmarks/ --benchmark-only` first"
-        )
-        return 1
-    order = [
-        "table1", "table2", "fig4", "table3", "table4", "fig1a", "fig1b",
-        "masking", "memory", "validation", "xbang", "models",
-        "sensitivity",
-    ]
-    def section(name: str, path) -> str:
-        body = path.read_text().rstrip()
-        return f"## {name}\n\n```\n{body}\n```\n"
-
-    sections = []
-    for name in order:
-        path = out_dir / f"{name}.txt"
-        if path.exists():
-            sections.append(section(name, path))
-    for path in sorted(out_dir.glob("*.txt")):
-        if path.stem not in order:
-            sections.append(section(path.stem, path))
-    report = (
-        "# Reproduction report\n\n"
-        "Regenerated tables/figures for Kulkarni et al., ICPP Workshops 2009.\n"
-        "See EXPERIMENTS.md for the paper-vs-measured discussion.\n\n"
-        + "\n".join(sections)
-    )
-    target = Path(args.output)
-    if target.exists():
-        # generated experiment-grid blocks survive a bench-report rebuild:
-        # they are owned by `repro experiments report --update`, not by us
-        report = _preserve_experiment_blocks(target.read_text(), report)
-    target.write_text(report)
-    print(f"wrote {target} ({len(sections)} sections)")
-    return 0
-
-
-def _preserve_experiment_blocks(old: str, new: str) -> str:
-    """Carry ``<!-- experiments:NAME begin/end -->`` blocks from old to new."""
-    import re
-
-    from repro.experiments import extract_markdown, splice_markdown
-
-    for name in re.findall(r"<!-- experiments:([\w.+-]+) begin -->", old):
-        content = extract_markdown(old, name)
-        if content is not None:
-            new = splice_markdown(new, name, content)
-    return new
 
 
 def _experiments_out_dir(args: argparse.Namespace, spec) -> str:
@@ -150,11 +94,6 @@ def cmd_experiments_report(args: argparse.Namespace) -> int:
 
 
 def register(sub) -> None:
-    p_rep = sub.add_parser("report", help="assemble bench outputs into one report")
-    p_rep.add_argument("--output-dir", default="benchmarks/output")
-    p_rep.add_argument("--output", default="REPRODUCTION_REPORT.md")
-    p_rep.set_defaults(func=cmd_report)
-
     p_exp = sub.add_parser(
         "experiments",
         help="run/resume/report a declarative scenario grid (docs/experiments.md)",

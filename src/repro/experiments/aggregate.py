@@ -87,6 +87,7 @@ def _cell_row(entry: Dict[str, Any]) -> Dict[str, Any]:
             "results": dict(report.results),
             "faults": dict(report.faults),
             "hits_digest": report.extras.get("hits_digest"),
+            "sorting_time": report.extras.get("sorting_time"),
             "residual_to_compute": (
                 report.trace.get("mean_residual_to_compute") if report.trace else None
             ),
@@ -298,7 +299,9 @@ def _lower_bounds_payload(
             continue
         p = row["num_ranks"]
         point = projection["points"].get(str(p))
-        floor = point["floor_makespan_s"] if point else None
+        if point is None:
+            continue  # no floor projected at this rank count
+        floor = point["floor_makespan_s"]
         measured.append(
             {
                 "cell": row["id"],
@@ -306,9 +309,7 @@ def _lower_bounds_payload(
                 "makespan_s": row["virtual_time"],
                 "residual_to_compute": row["residual_to_compute"],
                 "floor_makespan_s": floor,
-                "makespan_to_floor": (
-                    row["virtual_time"] / floor if floor else None
-                ),
+                "makespan_to_floor": row["virtual_time"] / floor,
             }
         )
     mean, std = mean_and_std(residuals)
@@ -410,6 +411,8 @@ def _fmt_value(value: Any, kind: str) -> str:
         return str(int(value))
     if kind == "candidates_per_second":
         return f"{value:.0f}"
+    if kind == "sorting_time":
+        return f"{value:.3f}"
     return f"{value:.2f}"
 
 
@@ -448,11 +451,14 @@ def _table_blocks(table: Dict[str, Any]) -> List[Tuple[str, List[str], List[List
     return blocks
 
 
-def _lower_bounds_blocks(lb: Dict[str, Any]) -> List[str]:
-    lines = [
-        f"lower bounds: {lb['model']}",
-        f"  workload: n={lb['database_size']} m={lb['queries']}",
-    ]
+def _lower_bounds_blocks(
+    lb: Dict[str, Any]
+) -> Tuple[str, List[Tuple[str, List[str], List[List[str]]]], str]:
+    """(heading, [(title, headers, rows)], residual summary) for both renderers."""
+    heading = (
+        f"Lower-bound cross-check ({lb['model']}; "
+        f"n={lb['database_size']}, m={lb['queries']})"
+    )
     headers = ["p", "Floor makespan (s)", "Overlap eff.", "Residual/compute"]
     body = [
         [
@@ -463,7 +469,7 @@ def _lower_bounds_blocks(lb: Dict[str, Any]) -> List[str]:
         ]
         for p, pt in sorted(lb["points"].items(), key=lambda kv: int(kv[0]))
     ]
-    lines.append(render_table(headers, body, title="analytic floors"))
+    blocks = [("analytic floors", headers, body)]
     if lb["measured"]:
         headers = ["cell", "p", "Makespan (s)", "Floor (s)", "x floor", "Residual/compute"]
         body = [
@@ -471,20 +477,20 @@ def _lower_bounds_blocks(lb: Dict[str, Any]) -> List[str]:
                 m["cell"],
                 str(m["ranks"]),
                 f"{m['makespan_s']:.2f}",
-                "-" if m["floor_makespan_s"] is None else f"{m['floor_makespan_s']:.2f}",
-                "-" if m["makespan_to_floor"] is None else f"{m['makespan_to_floor']:.2f}",
+                f"{m['floor_makespan_s']:.2f}",
+                f"{m['makespan_to_floor']:.2f}",
                 f"{m['residual_to_compute']:.2f}",
             ]
             for m in lb["measured"]
         ]
-        lines.append(render_table(headers, body, title="measured vs. floor"))
+        blocks.append(("measured vs. floor", headers, body))
     r = lb["residual_to_compute"]
-    lines.append(
-        f"residual-to-compute: {r['mean']:.2f} +/- {r['std']:.2f} over "
-        f"{r['cells']} traced cell(s); paper measured "
-        f"{r['paper'][0]:.2f} +/- {r['paper'][1]:.2f}"
+    summary = (
+        f"Measured residual-to-compute {r['mean']:.2f} ± {r['std']:.2f} "
+        f"across {r['cells']} traced cells (paper: "
+        f"{r['paper'][0]:.2f} ± {r['paper'][1]:.2f})."
     )
-    return lines
+    return heading, blocks, summary
 
 
 def _cells_block(aggregate: Dict[str, Any]) -> Tuple[List[str], List[List[str]]]:
@@ -551,8 +557,11 @@ def format_ascii(aggregate: Dict[str, Any]) -> str:
                     f"disagree ({len(group['values'])} distinct values)"
                 )
     if aggregate["lower_bounds"]:
-        lines.append("")
-        lines.extend(_lower_bounds_blocks(aggregate["lower_bounds"]))
+        heading, blocks, summary = _lower_bounds_blocks(aggregate["lower_bounds"])
+        lines.extend(["", heading])
+        for title, headers, body in blocks:
+            lines.append(render_table(headers, body, title=title))
+        lines.append(summary)
     return "\n".join(lines)
 
 
@@ -599,32 +608,14 @@ def format_markdown(aggregate: Dict[str, Any]) -> str:
         )
     if aggregate["checks"]:
         lines.append("")
-    lb = aggregate["lower_bounds"]
-    if lb:
-        lines.append(
-            f"**Lower-bound cross-check** ({lb['model']}; "
-            f"n={lb['database_size']}, m={lb['queries']})"
-        )
-        lines.append("")
-        headers = ["p", "Floor makespan (s)", "Overlap eff.", "Residual/compute"]
-        body = [
-            [
-                str(p),
-                f"{pt['floor_makespan_s']:.2f}",
-                f"{pt['overlap_efficiency']:.2f}",
-                f"{pt['residual_to_compute']:.2f}",
-            ]
-            for p, pt in sorted(lb["points"].items(), key=lambda kv: int(kv[0]))
-        ]
-        lines.extend(_md_table(headers, body))
-        lines.append("")
-        r = lb["residual_to_compute"]
-        lines.append(
-            f"Measured residual-to-compute {r['mean']:.2f} ± {r['std']:.2f} "
-            f"across {r['cells']} traced cells (paper: "
-            f"{r['paper'][0]:.2f} ± {r['paper'][1]:.2f})."
-        )
-        lines.append("")
+    if aggregate["lower_bounds"]:
+        heading, blocks, summary = _lower_bounds_blocks(aggregate["lower_bounds"])
+        lines.extend([f"**{heading}**", ""])
+        for title, headers, body in blocks:
+            lines.extend([f"*{title}*", ""])
+            lines.extend(_md_table(headers, body))
+            lines.append("")
+        lines.extend([summary, ""])
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -112,7 +112,12 @@ _EXTRA_ENGINES = ("multiproc", "autotune")
 _INDEX_MODES = ("none", "resident", "partitioned")
 
 #: metrics a table's ``value`` may select from a cell summary
-TABLE_VALUES = ("virtual_time", "candidates_evaluated", "candidates_per_second")
+TABLE_VALUES = (
+    "virtual_time",
+    "candidates_evaluated",
+    "candidates_per_second",
+    "sorting_time",
+)
 
 _ID_SAFE = re.compile(r"[^A-Za-z0-9_.+-]+")
 

@@ -14,7 +14,7 @@ as ``-log10 P`` so larger is better, like every other scorer here.
 
 Including it lets the library reproduce the *model comparison* that
 justified MSPolygraph's likelihood approach (see
-``benchmarks/bench_models.py``).
+``tests/integration/test_quality.py::TestModelComparison``).
 """
 
 from __future__ import annotations

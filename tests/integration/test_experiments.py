@@ -273,6 +273,53 @@ class TestMarkdownEmitter:
         assert "hand-written intro" in replaced
 
 
+class TestAlgorithmTables:
+    """Table IV's shape in miniature: B's sorting time as a table value,
+    and every engine's cells measured against the floor in markdown."""
+
+    @pytest.fixture()
+    def aggregate(self, tmp_path):
+        payload = tiny_payload(
+            defaults={
+                "workload": {"queries": 25, "database_size": 200},
+                "config": {"execution": "modeled"},
+            },
+            axes={
+                "engine.algorithm": ["algorithm_a", "algorithm_b"],
+                "engine.ranks": [2, 4],
+            },
+            tables=[
+                {
+                    "name": "sorting",
+                    "rows": "engine.algorithm",
+                    "cols": "engine.ranks",
+                    "value": "sorting_time",
+                }
+            ],
+            lower_bounds={"ranks": [4]},
+        )
+        spec = ExperimentSpec.from_file(write_spec(tmp_path, payload))
+        return run_experiment(spec, str(tmp_path / "run"))
+
+    def test_sorting_time_is_b_only(self, aggregate):
+        grid = {e["row"]: e["values"] for e in aggregate["tables"][0]["grid"]}
+        assert grid["algorithm_a"] == [None, None]
+        assert all(t > 0 for t in grid["algorithm_b"])
+        md = format_markdown(aggregate)
+        assert f"| algorithm_b | {grid['algorithm_b'][0]:.3f} |" in md
+        assert "| algorithm_a | - | - |" in md
+
+    def test_markdown_charts_every_engine_against_the_floor(self, aggregate):
+        measured = aggregate["lower_bounds"]["measured"]
+        assert sorted(m["cell"] for m in measured) == [
+            "algorithm-algorithm_a__ranks-4", "algorithm-algorithm_b__ranks-4"
+        ]
+        md = format_markdown(aggregate)
+        assert "measured vs. floor" in md
+        for m in measured:
+            assert m["cell"] in md
+
+
 class TestCLI:
     def test_run_report_out_and_update(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, tiny_payload())
@@ -338,6 +385,22 @@ class TestCheckedInScenarios:
         assert ranks == {1, 2, 4, 8, 16, 32, 64, 128}
         assert spec.cells()[0].params["workload.queries"] == 1210
         assert any(t.scaling for t in spec.tables)
+
+    def test_algorithms_covers_table4(self):
+        spec = ExperimentSpec.from_file(
+            os.path.join(SCENARIOS_DIR, "algorithms.yaml")
+        )
+        cells = {
+            (c.params["engine.algorithm"], c.params["engine.ranks"])
+            for c in spec.cells()
+        }
+        assert cells == {
+            (a, p)
+            for a in ("algorithm_a", "algorithm_a_nomask", "algorithm_b")
+            for p in (1, 2, 4, 8, 16, 32, 64)
+        }
+        assert [t.value for t in spec.tables] == ["virtual_time", "sorting_time"]
+        assert spec.lower_bounds["ranks"] == [8, 16, 32, 64]
 
     def test_validation_scenario_passes_then_catches_a_perturbed_cell(self, tmp_path):
         """What `repro validate` was: rc 0 when every engine reproduces the

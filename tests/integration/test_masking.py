@@ -60,6 +60,25 @@ class TestMasking:
         assert masked.extras["masking_effectiveness"] > 0.9
         assert unmasked.extras["masking_effectiveness"] < 0.1
 
+    def test_saving_grows_as_the_network_slows(self, db, queries):
+        """Masking saves little on gigabit, where transfers are tiny next
+        to scoring, and a substantial share on a 100x slower wire."""
+
+        def saving(byte_cost_factor):
+            net = NetworkModel(byte_cost=NetworkModel().byte_cost * byte_cost_factor)
+            masked, unmasked = (
+                run_algorithm_a(
+                    db, queries, 8, MODELED, mask=mask,
+                    cluster_config=ClusterConfig(num_ranks=8, network=net),
+                )
+                for mask in (True, False)
+            )
+            return 1.0 - masked.virtual_time / unmasked.virtual_time
+
+        gigabit, slow = saving(1), saving(100)
+        assert slow > gigabit
+        assert slow > 0.15
+
     def test_masked_output_identical_to_unmasked(self, db):
         real = SearchConfig(tau=5)
         queries = generate_queries(8, seed=42)

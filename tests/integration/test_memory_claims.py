@@ -7,6 +7,8 @@
 * Algorithms A and B hold O((N + m)/p): peak per-rank memory *falls* as
   p grows, and a database that OOMs the baseline fits the distributed
   algorithms.
+* Extrapolated to 1 GB/rank, Algorithm A admits ~420K sequences per
+  added rank and the replicated wall sits at ~1.27 M sequences.
 """
 
 import pytest
@@ -45,6 +47,32 @@ def queries():
 
 def cluster(p):
     return ClusterConfig(num_ranks=p, ram_per_rank=CAP)
+
+
+@pytest.fixture(scope="module")
+def max_fitting(queries):
+    """Largest database (sequences, by binary search) that ``algorithm``
+    fits on ``p`` ranks of ``CAP`` bytes each, memoized per module."""
+    found = {}
+
+    def search(algorithm, p):
+        if (algorithm, p) not in found:
+            lo, hi = 100, 6000
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                db = generate_database(mid, seed=32)
+                try:
+                    run_search(
+                        db, queries, algorithm, p, MODELED,
+                        cluster_config=cluster(p),
+                    )
+                    lo = mid
+                except OutOfMemoryError:
+                    hi = mid - 1
+            found[algorithm, p] = lo
+        return found[algorithm, p]
+
+    return search
 
 
 class TestReplicatedBaselineWall:
@@ -108,26 +136,27 @@ class TestDistributedAlgorithmsScale:
         query_budget = sum(q.nbytes for q in queries)
         assert rep.max_peak_memory <= 3 * max_shard + query_budget
 
-    def test_scaling_sequences_per_rank(self, queries):
+    def test_scaling_sequences_per_rank(self, max_fitting):
         """Adding a rank admits ~420K more sequences at the paper's scale;
         here (tiny cap) the same linearity must hold: the largest DB that
         fits at 2p ranks is ~2x the largest that fits at p."""
-
-        def max_fitting(p):
-            lo, hi = 100, 6000
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                db = generate_database(mid, seed=32)
-                try:
-                    run_search(
-                        db, queries, "algorithm_a", p, MODELED,
-                        cluster_config=cluster(p),
-                    )
-                    lo = mid
-                except OutOfMemoryError:
-                    hi = mid - 1
-            return lo
-
-        at4 = max_fitting(4)
-        at8 = max_fitting(8)
+        at4 = max_fitting("algorithm_a", 4)
+        at8 = max_fitting("algorithm_a", 8)
         assert at8 / at4 == pytest.approx(2.0, rel=0.25)
+
+
+class TestExtrapolationToOneGigabyte:
+    """The small-cap searches, scaled by ``2**30 / CAP``, land on the
+    paper's 1 GB/rank numbers: one metadata constant plus the O(N/p)
+    three-buffer structure carry the extrapolation."""
+
+    def test_replicated_wall_is_flat_in_p(self, max_fitting):
+        assert max_fitting("master_worker", 8) <= max_fitting("master_worker", 4) * 1.1
+
+    def test_algorithm_a_admits_420k_sequences_per_added_rank(self, max_fitting):
+        per_rank = (max_fitting("algorithm_a", 8) - max_fitting("algorithm_a", 4)) / 4
+        assert per_rank * (1 << 30) / CAP == pytest.approx(420_000, rel=0.25)
+
+    def test_replicated_wall_is_1_27m_sequences(self, max_fitting):
+        wall = max_fitting("master_worker", 8) * (1 << 30) / CAP
+        assert wall == pytest.approx(1_270_000, rel=0.25)

@@ -72,6 +72,42 @@ class TestTableIIIShape:
         assert rates[32] / rates[16] == pytest.approx(2.0, rel=0.35)
 
 
+class TestPaperGridRows:
+    """Cells of ``scenarios/paper_tables.yaml`` (1,210 queries, seed 202):
+    the shapes of its 16K and 1K rows behind Table II, Table III and
+    Figure 4."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        queries = generate_queries(1210, seed=17)
+        cells = {}
+        for n, ranks in ((16_000, (1, 8, 16, 64, 128)), (1_000, (64, 128))):
+            db = generate_database(n, seed=202)
+            for p in ranks:
+                cells[n, p] = run_search(db, queries, "algorithm_a", p, MODELED)
+        return cells
+
+    def test_large_row_keeps_gaining_through_p64(self, grid):
+        t = {p: grid[16_000, p].virtual_time for p in (1, 8, 64)}
+        assert t[64] < t[8] < t[1]
+
+    def test_small_row_stops_scaling(self, grid):
+        assert grid[1_000, 128].virtual_time > 0.6 * grid[1_000, 64].virtual_time
+
+    def test_figure4_speedup_and_efficiency(self, grid):
+        t1 = grid[16_000, 1].virtual_time
+        s = {p: t1 / grid[16_000, p].virtual_time for p in (8, 16, 64)}
+        assert s[16] / s[8] == pytest.approx(2.0, rel=0.35)
+        assert s[64] > 4 * s[8] * 0.55
+        assert 0.3 < s[64] / 64 <= 1.05
+
+    def test_table3_rate(self, grid):
+        rate = {p: grid[16_000, p].candidates_per_second for p in (8, 128)}
+        # same order of magnitude as the paper's 41,429/s at p = 8
+        assert 10_000 < rate[8] < 400_000
+        assert rate[128] > 6 * rate[8]
+
+
 class TestTableIVShapes:
     def test_sorting_time_grows_with_p(self, queries):
         sort_times = {}
@@ -96,6 +132,15 @@ class TestTableIVShapes:
         a = run_time(1500, p, "algorithm_a", queries=queries).virtual_time
         b = run_time(1500, p, "algorithm_b", queries=queries).virtual_time
         assert b < a * 1.5
+
+
+    def test_b_advantage_is_bounded(self, queries):
+        """With human-complexity queries every sender group spans nearly
+        all ranks, so B's query phase cannot beat A's by much."""
+        p = 8
+        a = run_time(1500, p, "algorithm_a", queries=queries).virtual_time
+        b = run_time(1500, p, "algorithm_b", queries=queries).virtual_time
+        assert b > 0.5 * a
 
 
 class TestXbangSpeed:

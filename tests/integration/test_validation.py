@@ -26,6 +26,12 @@ def reference(small_db, tiny_queries):
 PARALLEL = ("algorithm_a", "algorithm_a_nomask", "algorithm_b", "master_worker")
 
 
+def test_reference_is_not_vacuous(reference):
+    """Equality with an empty reference would prove nothing."""
+    assert reference.candidates_evaluated > 0
+    assert any(reference.hits.values())
+
+
 @pytest.mark.parametrize("algorithm", PARALLEL)
 @pytest.mark.parametrize("p", [1, 2, 3, 8])
 def test_parallel_reproduces_serial(small_db, tiny_queries, reference, algorithm, p):

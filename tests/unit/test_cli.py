@@ -219,22 +219,6 @@ class TestCommands:
         assert main(["search", "-n", "40", "-m", "3", "--show", "0", *engine]) == 0
         assert line in capsys.readouterr().out
 
-    def test_report_command(self, capsys, tmp_path):
-        out_dir = tmp_path / "bench_out"
-        out_dir.mkdir()
-        (out_dir / "table2.txt").write_text("Table II content\n")
-        (out_dir / "custom.txt").write_text("extra\n")
-        target = tmp_path / "REPORT.md"
-        rc = main(["report", "--output-dir", str(out_dir), "--output", str(target)])
-        assert rc == 0
-        text = target.read_text()
-        assert "Table II content" in text
-        assert "## custom" in text
-
-    def test_report_missing_dir(self, tmp_path, capsys):
-        rc = main(["report", "--output-dir", str(tmp_path / "nope"), "--output", str(tmp_path / "r.md")])
-        assert rc == 1
-
 
 class TestObservabilityCommands:
     def test_search_report_out_writes_valid_run_report(self, capsys, tmp_path):

@@ -79,7 +79,6 @@ def test_cli_command_set():
         "experiments",
         "generate",
         "index",
-        "report",
         "search",
         "serve",
         "trace",
@@ -87,7 +86,8 @@ def test_cli_command_set():
 
 
 @pytest.mark.parametrize(
-    "command", ["scaling", "validate", "compare", "timeline", "advise", "calibrate", "tune"]
+    "command",
+    ["scaling", "validate", "compare", "timeline", "advise", "calibrate", "tune", "report"],
 )
 def test_retired_commands_exit_2(command, capsys):
     from repro.cli import main

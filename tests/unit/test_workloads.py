@@ -144,6 +144,14 @@ class TestDatasets:
         assert HUMAN.mean_length == pytest.approx(301.66)
         assert MICROBIAL.mean_length == pytest.approx(314.44)
 
+    def test_built_databases_match_table1_lengths(self):
+        """Table I at 2 % of the human count (and 4x that many microbial
+        sequences): average lengths within 5 % of the paper's."""
+        human = HUMAN.build(n=HUMAN.size_at_scale(0.02))
+        microbial = MICROBIAL.build(n=4 * len(human))
+        assert human.total_residues / len(human) == pytest.approx(301.66, rel=0.05)
+        assert microbial.total_residues / len(microbial) == pytest.approx(314.44, rel=0.05)
+
     def test_human_and_microbial_differ(self):
         assert load_dataset("human", n=20) != load_dataset("microbial", n=20)
 
@@ -165,6 +173,11 @@ class TestGrowth:
         pts = genbank_growth_series(1990, 2006)
         assert doubling_time_years(pts) == pytest.approx(1.5, rel=0.01)
 
+    def test_four_orders_of_magnitude_over_the_figure(self):
+        """Figure 1a spans 1988-2008: more than 10^4-fold growth."""
+        pts = genbank_growth_series(1988, 2008)
+        assert pts[-1].base_pairs / pts[0].base_pairs > 1e4
+
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             genbank_growth_series(2008, 1988)
@@ -178,19 +191,25 @@ class TestCandidateCounts:
         )
         means = [r.mean_candidates for r in rows]
         assert means[0] < means[1] < means[2], means
+        # Figure 1b's explosion: a community scope dwarfs a protein family
+        assert means[2] / max(means[0], 1.0) > 50, means
 
     def test_ptms_increase_counts(self):
         from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 
-        queries = generate_queries(5, seed=17)
-        sizes = {"genome": 200}
-        plain = candidate_count_by_source(queries, class_sizes=sizes)[0]
+        queries = generate_queries(15, seed=16)
+        sizes = {"family": 30, "genome": 300, "community": 3000}
+        plain = candidate_count_by_source(queries, class_sizes=sizes)
         modded = candidate_count_by_source(
             queries,
-            modifications=(STANDARD_MODIFICATIONS["oxidation"],),
+            modifications=(
+                STANDARD_MODIFICATIONS["oxidation"],
+                STANDARD_MODIFICATIONS["phosphorylation_s"],
+            ),
             class_sizes=sizes,
-        )[0]
-        assert modded.mean_candidates >= plain.mean_candidates
+        )
+        for p, m in zip(plain, modded):
+            assert m.mean_candidates >= p.mean_candidates, p.source
 
 
 class TestChargeStates:
