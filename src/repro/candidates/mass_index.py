@@ -29,7 +29,7 @@ from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.constants import WATER_MASS
 from repro.index.layout import ROW_ID_DTYPE, ROW_KEY_DTYPE, check_row_keys
-from repro.spectra.binning import _ragged_arange
+from repro.spectra.binning import _ragged_arange, stable_sort
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,13 @@ class MassIndex:
         return index
 
     def __init__(self, shard: ProteinDatabase):
-        """Build the table: one stable mass sort of the prefixes (in flat
-        position order) then the proper suffixes; equal masses keep that order."""
+        """Build the table: the prefixes (in flat position order) then the
+        proper suffixes, sorted by mass; equal masses keep that order
+        (:func:`~repro.spectra.binning.stable_sort`: one SIMD sort, then
+        the ~1% of rows in equal-mass runs put back in place)."""
         check_row_keys(int(shard.offsets[-1]))
         mass, key = _unsorted_rows(shard)  # the build's temporaries die with its frame
-        order = np.argsort(mass, kind="stable")
-        self.mass = mass[order]
+        self.mass, order = stable_sort(mass)
         del mass
         self.key = key[order]
         self.offsets = shard.offsets

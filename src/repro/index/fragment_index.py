@@ -85,7 +85,7 @@ from repro.index.layout import (
     ArraySpec,
     IndexLayout,
 )
-from repro.spectra.binning import _ragged_arange, row_segment_sums
+from repro.spectra.binning import _ragged_arange, group_by_key, row_segment_sums, stable_sort
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 
 #: series codes stored in the b/y posting list
@@ -151,8 +151,11 @@ def _build_postings(
     """Flatten (matrix, rows, series) parts into sorted posting arrays.
 
     Returns ``(mz, row, series, bin_start)``; ``series`` is None for the
-    untagged ladder list.  The sort runs on the combined
-    ``bin * (num_rows + 1) + row`` key.
+    untagged ladder list.  One stable sort of the combined
+    ``bin * (num_rows + 1) + row`` key orders them
+    (:func:`~repro.spectra.binning.stable_sort`, a SIMD sort of unique
+    composite keys, not timsort); bins and rows decode from the sorted
+    keys, and ``bin_start`` is the running count of postings per bin.
     """
     parts = [(m, r, s) for m, r, s in parts if m.size]
     if not parts:
@@ -166,17 +169,22 @@ def _build_postings(
         if tagged
         else None
     )
-    bins = (mz / bin_width).astype(np.int64)
-    key = bins * (num_rows + 1) + row
-    order = np.argsort(key, kind="stable")
-    bins_sorted = bins[order]
-    num_bins = int(bins_sorted[-1]) + 1
-    bin_start = np.searchsorted(bins_sorted, np.arange(num_bins + 1))
+    stride = num_rows + 1
+    key = (mz / bin_width).astype(np.int64)
+    key *= stride
+    key += row
+    del row
+    key, order = stable_sort(key)
+    bins = key // stride
+    key -= bins * stride  # what remains of a key is its row
+    row = key
+    bin_start = np.zeros(int(bins[-1]) + 2, dtype=POSTING_OFFSET_DTYPE)
+    np.cumsum(np.bincount(bins), out=bin_start[1:])
     return (
         mz[order],
-        row[order].astype(ROW_ID_DTYPE, copy=False),
+        row.astype(ROW_ID_DTYPE, copy=False),
         series[order] if series is not None else None,
-        bin_start.astype(POSTING_OFFSET_DTYPE, copy=False),
+        bin_start,
     )
 
 
@@ -273,8 +281,9 @@ class IndexBuilder:
         abs_start = db.offsets[spans.seq_index[held]] + spans.start[held]
         ladder_parts = []
         series_parts = []
-        for length in np.unique(lengths).tolist():
-            of_length = np.nonzero(lengths == length)[0]
+        by_length, runs = group_by_key(lengths, self.max_length + 1)
+        for length, a, b in runs:
+            of_length = by_length[a:b]
             rows = held[of_length]
             mass_rows = table[db.residues[abs_start[of_length][:, None] + np.arange(length)]]
             ladder_parts.append((by_ion_ladder_rows(mass_rows), rows, None))
