@@ -12,17 +12,23 @@ can process *arrays of candidates*:
 * variable-PTM candidates are expanded into one *evaluation row* per
   admissible modification site (the scalar kernel's "score every site,
   keep the best" rule), so scoring is a flat row problem;
-* rows are grouped by candidate length, because rows of equal length
-  pack into dense 2-D matrices on which numpy's row-wise kernels
-  (``cumsum``, ``sort``, ``sum`` along the last axis) are *bitwise
-  identical* to the per-candidate 1-D operations — the property that
-  keeps batched output exactly equal to the scalar oracle, which the
-  paper's validation experiment demands.
+* rows are bucketed into *length bands*: runs of adjacent candidate
+  lengths holding at most :data:`BAND_ROWS` rows together, each packed
+  into one dense 2-D matrix padded to the band's widest row, so a block
+  with many short length groups costs one scoring call per band, not
+  one per length.  A length with more rows than that stands alone,
+  unpadded.  numpy's row-wise kernels (``cumsum``, ``sort``, ``sum``
+  along the last axis) over such matrices are *bitwise identical* to
+  the per-candidate 1-D operations — trailing pads leave every prefix
+  of a sequential ``cumsum`` unchanged, pad fragments are ``+inf`` and
+  sort last, and sums run over each row's own width — the property
+  that keeps batched output exactly equal to the scalar oracle, which
+  the paper's validation experiment demands.
 
-Scorers consume the batch through :meth:`length_groups` (dense per-length
-row matrices) and fold per-row scores back to per-candidate scores with
-:meth:`reduce_rows` (max over modification sites, exactly the scalar
-``max`` over the same site order).
+Scorers consume the batch through :meth:`length_groups` (one
+:class:`LengthGroup` per band) and fold per-row scores back to
+per-candidate scores with :meth:`reduce_rows` (max over modification
+sites, exactly the scalar ``max`` over the same site order).
 """
 
 from __future__ import annotations
@@ -38,16 +44,35 @@ from repro.chem.protein import ProteinDatabase
 from repro.spectra.binning import _ragged_arange, group_by_key
 
 
+#: Rows a length band may hold when it spans several lengths; a length
+#: with more rows stands alone, unpadded.  Block scoring time relative to
+#: one length a band (cap 0), summed per-block best of 5-10 on 2 vCPUs,
+#: at caps 128 / 256 / 512 / 1024: simmpi_ring's blocks (likelihood,
+#: p = 8) 0.78 / 0.73 / 0.71 / 0.73; 4-query hyperscore blocks (the
+#: service's) 0.87 / 0.80 / 0.73 / 0.70; 64-query likelihood blocks at
+#: 2000 proteins x 1000 queries 1.01 / 1.02 / 1.01 / 1.04 (at 1024 a
+#: length of ~600-800 rows joins its stragglers and is padded whole).
+BAND_ROWS = 512
+
+#: Residue code of a pad position; it weighs 0.0 in :meth:`LengthGroup.mass_rows`.
+_PAD_CODE = 0
+
+
 @dataclass(frozen=True)
 class LengthGroup:
-    """All evaluation rows of one candidate length, as dense matrices.
+    """All evaluation rows of one length band, as dense matrices.
 
     Attributes:
-        length: candidate length L shared by every row in the group.
-        rows: indices into the batch's row arrays (ascending).
-        residue_rows: ``(len(rows), L)`` uint8 residue-code matrix.
+        length: the band's widest candidate length L.
+        rows: indices into the batch's row arrays, by length, then
+            ascending.
+        residue_rows: ``(len(rows), L)`` uint8 residue-code matrix; a
+            shorter row's residues come first, then pad codes.
         sites: per-row modification site (-1 = unmodified model).
         deltas: per-row modification delta mass (0.0 where site is -1).
+        row_lengths: per-row candidate lengths (ascending) when the band
+            spans several lengths; ``None`` when every row is ``length``
+            long, so no row is padded.
     """
 
     length: int
@@ -55,14 +80,21 @@ class LengthGroup:
     residue_rows: np.ndarray
     sites: np.ndarray
     deltas: np.ndarray
+    row_lengths: Optional[np.ndarray] = None
 
     def mass_rows(self, monoisotopic: bool = True) -> np.ndarray:
-        """Per-row residue masses with each row's PTM delta applied.
+        """Per-row residue masses with each row's PTM delta applied, pads 0.0.
 
-        Row ``r``'s values are bitwise identical to the scalar
-        ``_residue_masses_with_mod(residues, monoisotopic, site, delta)``.
+        Row ``r``'s first ``row_lengths[r]`` values are bitwise identical
+        to the scalar ``_residue_masses_with_mod(residues, monoisotopic,
+        site, delta)``; trailing zeros leave every prefix of a sequential
+        ``cumsum`` over the row unchanged.
         """
-        masses = mass_table(monoisotopic)[self.residue_rows]
+        table = mass_table(monoisotopic)
+        if self.row_lengths is not None:
+            table = table.copy()
+            table[_PAD_CODE] = 0.0
+        masses = table[self.residue_rows]
         sited = np.nonzero(self.sites >= 0)[0]
         if len(sited):
             masses[sited, self.sites[sited]] += self.deltas[sited]
@@ -196,34 +228,51 @@ class CandidateBatch:
         return self.residues[int(self.offsets[cand]) : int(self.offsets[cand + 1])]
 
     def length_groups(self) -> List[LengthGroup]:
-        """Evaluation rows bucketed by candidate length (cached).
+        """Evaluation rows bucketed into length bands (cached).
 
-        Each group's matrices are freshly-gathered C-contiguous arrays,
-        so row-wise numpy reductions over them match the scalar
-        per-candidate operations bit for bit.
+        Walking the lengths in ascending order, the next length joins the
+        current band while the band then holds at most :data:`BAND_ROWS`
+        rows; otherwise it opens a new one.  Each band's matrices are
+        freshly-gathered C-contiguous arrays, so row-wise numpy
+        reductions over them match the scalar per-candidate operations
+        bit for bit.
         """
         return self._group_rows()[0]
 
     def _group_rows(self) -> Tuple[List[LengthGroup], np.ndarray, np.ndarray]:
         """``(groups, row_group, row_local)``, cached: the rows bucketed by
-        length with one stable sort (ascending rows within a group)."""
+        length with one stable sort, then cut into bands."""
         if self._grouped is not None:
             return self._grouped
         n = self.num_rows
         row_length = self.spans.lengths[self.row_candidate]
         order, runs = group_by_key(row_length, int(row_length.max()) + 1 if n else 0)
+        bands: List[Tuple[int, int, int, int]] = []  # (first, widest, a, b)
+        for length, a, b in runs:
+            if bands and b - bands[-1][2] <= BAND_ROWS:
+                bands[-1] = (bands[-1][0], length, bands[-1][2], b)
+            else:
+                bands.append((length, length, a, b))
         row_first = self.offsets[self.row_candidate]
         groups: List[LengthGroup] = []
-        for length, a, b in runs:
+        for first, widest, a, b in bands:
             rows = order[a:b]
-            mat = self.residues[row_first[rows][:, None] + np.arange(length)]
+            if first == widest:
+                lengths = None
+                mat = self.residues[row_first[rows][:, None] + np.arange(widest)]
+            else:
+                lengths = row_length[rows]
+                mat = np.full((b - a, widest), _PAD_CODE, dtype=self.residues.dtype)
+                mat[np.arange(widest) < lengths[:, None]] = self.residues[
+                    _ragged_arange(row_first[rows], lengths)
+                ]
             groups.append(
-                LengthGroup(length, rows, mat, self.row_site[rows], self.row_delta[rows])
+                LengthGroup(widest, rows, mat, self.row_site[rows], self.row_delta[rows], lengths)
             )
-        bounds = np.array([a for _, a, _ in runs] + [n], dtype=np.int64)
+        bounds = np.array([a for _, _, a, _ in bands] + [n], dtype=np.int64)
         sizes = np.diff(bounds)
         row_group = np.empty(n, dtype=np.int64)
-        row_group[order] = np.repeat(np.arange(len(runs), dtype=np.int64), sizes)
+        row_group[order] = np.repeat(np.arange(len(bands), dtype=np.int64), sizes)
         row_local = np.empty(n, dtype=np.int64)
         row_local[order] = np.arange(n, dtype=np.int64) - np.repeat(bounds[:-1], sizes)
         self._grouped = (groups, row_group, row_local)
@@ -284,10 +333,10 @@ class CandidateBatch:
         return np.maximum.reduceat(row_scores, starts)
 
     def group_positions(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (length-group index, position within group), cached.
+        """Per-row (band index, position within band), cached.
 
         Lets block scorers route an arbitrary row selection to the cached
-        per-group matrices: row ``r`` lives at
+        per-band matrices: row ``r`` lives at
         ``length_groups()[row_group[r]]`` row ``row_local[r]``.
         """
         return self._group_rows()[1:]

@@ -11,7 +11,7 @@ attribute a per-candidate compute cost ``rho`` that differs by scorer.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Callable, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -67,48 +67,56 @@ class Scorer(Protocol):
 # ``selections[0]``'s candidates, then ``selections[1]``'s, and so on.
 #
 # Pair-kernel contract.  A scorer's ``pair_kernel(spectra)`` binds a
-# cohort and returns ``kernel(member, *matrices) -> row scores``, called
-# once per (cohort, length group): ``matrices`` are that group's dense
-# per-length matrices (ladders, fragment m/z rows, model m/z rows with
-# their series — each a *row-wise* product of the group's residue matrix,
-# so the rows prepared once for the cohort are the rows the scalar model
-# builds one by one), gathered to one row per (member, evaluation row)
-# pair, and ``member`` — non-decreasing — names the spectrum each row is
-# scored against.  Per member the kernel only runs the binary searches
-# against that member's own peaks (or, for xcorr, applies its bin limit
-# and its offset into the concatenated preprocessed vectors; for the
-# likelihood model, gathers from its four-entry table of per-fragment
-# terms, built once per cohort from the scalar's operands); every other
-# step is row-wise — it reads one row's operands and reduces along the
-# last axis only — and runs once over all rows.  A row's operands and
-# reduction order are therefore the scalar scorer's for that (member,
-# candidate) pair, so every score is bitwise identical to it.
+# cohort and returns ``kernel(member, lengths, *matrices) -> row scores``,
+# called once per (cohort, length band): ``matrices`` are that band's
+# dense matrices (ladders, fragment m/z rows, model m/z rows with their
+# series — each a *row-wise* product of the band's residue matrix, so the
+# rows prepared once for the cohort are the rows the scalar model builds
+# one by one), gathered to one row per (member, evaluation row) pair, and
+# ``member`` — non-decreasing — names the spectrum each row is scored
+# against.  ``lengths`` is ``None`` for a band of one candidate length,
+# whose rows have no padding; for a band of several it holds each row's
+# candidate length (at least 2), and a row's fragments past its own
+# ``2 * (length - 1)`` are ``+inf`` pads that no step may count: a kernel
+# sums over each row's own width (``row_prefix_sums``), and a pad matches
+# no peak interval, lands in no xcorr bin and adds no draw.  Per member
+# the kernel only runs the binary searches against that member's own
+# peaks (or, for xcorr, applies its bin limit and its offset into the
+# concatenated preprocessed vectors; for the likelihood model, gathers
+# from its four-entry table of per-fragment terms, built once per cohort
+# from the scalar's operands); every other step is row-wise — it reads
+# one row's operands and reduces along the last axis only — and runs
+# once over all rows.  A row's operands and reduction order are
+# therefore the scalar scorer's for that (member, candidate) pair, so
+# every score is bitwise identical to it.
 
 
 def score_block_pairs(
     batch: CandidateBatch,
     selections: Sequence[np.ndarray],
     default: float,
-    prepare: Callable[[LengthGroup], Optional[Tuple[np.ndarray, ...]]],
+    prepare: Callable[[LengthGroup], Tuple[np.ndarray, ...]],
     kernel: Callable[..., np.ndarray],
 ) -> np.ndarray:
     """Shared driver for per-scorer ``score_block`` implementations.
 
     ``selections[k]`` lists the candidate indices (into ``batch``) that
-    query ``k`` owns.  ``prepare`` runs ONCE per length group for the
-    whole cohort and returns the group's dense matrices (``None`` marks
-    the group unscoreable, leaving its rows at ``default`` — e.g. length
-    < 2); ``kernel`` is the scorer's bound pair kernel (see above) and
-    runs once per group on the rows every member selected from it.
+    query ``k`` owns.  ``prepare`` runs ONCE per length band for the
+    whole cohort and returns the band's dense matrices; ``kernel`` is
+    the scorer's bound pair kernel (see above) and runs once per band on
+    the rows every member selected from it.  A row of fewer than two
+    residues has no fragment and keeps ``default``, every scorer's
+    score of an empty ladder or model spectrum; it never reaches the
+    kernel.
     """
     cands, cand_member = flatten_members(selections)
     rows = batch.rows_of(cands)
     member = cand_member
     if batch.num_rows != len(batch):  # PTM tiers: a candidate owns a row per site
         member = np.repeat(cand_member, batch.selected_row_counts(cands))
-    # Bring each length group's rows together with one stable sort: inside
-    # a group rows keep their (member-major) order, so every slice of
-    # ``member`` below is still non-decreasing.
+    # Bring each band's rows together with one stable sort: inside a band
+    # rows keep their (member-major) order, so every slice of ``member``
+    # below is still non-decreasing.
     row_group, row_local = batch.group_positions()
     groups = batch.length_groups()
     order, runs = group_by_key(row_group[rows], len(groups))
@@ -116,10 +124,18 @@ def score_block_pairs(
     local = row_local[rows[order]]
     scores = np.full(len(rows), default, dtype=np.float64)
     for g, a, b in runs:
-        matrices = prepare(groups[g])
-        if matrices is not None:
-            picked = local[a:b]
-            scores[a:b] = kernel(member[a:b], *[m[picked] for m in matrices])
+        group = groups[g]
+        if group.length < 2:
+            continue
+        at, picked, lengths = slice(a, b), local[a:b], group.row_lengths
+        if lengths is not None:
+            lengths = lengths[picked]
+            if group.row_lengths[0] < 2:  # lengths ascend: only a first band holds short rows
+                at = a + np.flatnonzero(lengths >= 2)
+                if len(at) == 0:
+                    continue
+                picked, lengths = local[at], lengths[at - a]
+        scores[at] = kernel(member[at], lengths, *[m[picked] for m in prepare(group)])
     row_scores = np.empty_like(scores)
     row_scores[order] = scores
     return batch.reduce_selected(row_scores, cands)

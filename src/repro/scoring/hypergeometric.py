@@ -25,7 +25,7 @@ import numpy as np
 from scipy import stats
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import match_peaks_pairs, sorted_runs
+from repro.spectra.binning import match_peaks_pairs, row_prefix_sums, sorted_runs
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import by_ion_ladder_rows
 
@@ -51,44 +51,49 @@ class HypergeometricScorer:
         return total_bins, min(spectrum.num_peaks, total_bins)
 
     def pair_kernel(self, spectra):
-        """Bind a cohort: ``kernel(member, ladders)`` -> row scores.
+        """Bind a cohort: ``kernel(member, lengths, ladders)`` -> row scores.
 
-        Matched-fragment counts come from one cohort-wide match; the scipy
-        tail probability is then evaluated once per member and *distinct*
-        matched count — a length group's rows share ``draws`` and matched
-        counts repeat heavily, so the expensive ``hypergeom.sf`` call
-        count collapses from O(rows) to O(distinct counts).  Rows of a
-        member without peaks stay ``-inf`` like the scalar early return.
+        Matched-fragment counts come from one cohort-wide match over each
+        row's own ``2 * (length - 1)`` fragments (a ``+inf`` pad
+        "matches" the member's ``+inf`` peak pad, so it is not counted),
+        and a row draws as many fragments as it has.  The scipy tail
+        probability is then evaluated once per member and *distinct*
+        (draws, matched count) pair — a band's rows share a few widths
+        and matched counts repeat heavily, so the expensive
+        ``hypergeom.sf`` call count collapses from O(rows) to O(distinct
+        pairs).  Rows of a member without peaks stay ``-inf`` like the
+        scalar early return.
         """
         bins = [self._bins(s) if s.num_peaks else None for s in spectra.spectra]
 
-        def kernel(member, ladders):
+        def kernel(member, lengths, ladders):
             scores = np.full(len(member), -math.inf)
-            matched = match_peaks_pairs(
-                spectra, member, ladders, self.fragment_tolerance
-            ).sum(axis=1)
+            widths = None if lengths is None else 2 * lengths - 2
+            matched = row_prefix_sums(
+                match_peaks_pairs(spectra, member, ladders, self.fragment_tolerance), widths
+            )
             for k, a, b in sorted_runs(member):
                 if bins[k] is None:
                     continue
                 total_bins, occupied = bins[k]
-                draws = min(ladders.shape[1], total_bins)
-                capped = np.minimum(matched[a:b], min(draws, occupied))
-                for m in np.unique(capped):
-                    tail = stats.hypergeom.sf(int(m) - 1, total_bins, occupied, draws)
+                draws = np.minimum(ladders.shape[1] if widths is None else widths[a:b], total_bins)
+                capped = np.minimum(matched[a:b], np.minimum(draws, occupied))
+                pair = draws * (occupied + 1) + capped  # capped <= occupied
+                for p in np.unique(pair):
+                    d, m = divmod(int(p), occupied + 1)
+                    tail = stats.hypergeom.sf(m - 1, total_bins, occupied, d)
                     tail = max(float(tail), 1e-300)
-                    scores[a:b][capped == m] = -math.log10(tail)
+                    scores[a:b][pair == p] = -math.log10(tail)
             return scores
 
         return kernel
 
     def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: ladders built once, one pair-kernel call per length."""
+        """Cohort scoring: ladders built once, one pair-kernel call per length band."""
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            if group.length < 2:
-                return None  # empty ladder, score stays -inf
-            return (by_ion_ladder_rows(group.mass_rows()),)
+            return (by_ion_ladder_rows(group.mass_rows(), group.row_lengths),)
 
         return score_block_pairs(
             batch, selections, -math.inf, prepare, self.pair_kernel(spectra)

@@ -66,13 +66,15 @@ class HyperScorer:
         return out
 
     def pair_kernel(self, spectra):
-        """Bind a cohort: ``kernel(member, b_rows, y_rows)`` -> per-row scores.
+        """Bind a cohort: ``kernel(member, lengths, b_rows, y_rows)`` -> per-row scores.
 
         A member without peaks matches nothing, so its rows come out of
-        ``_finalize`` at ``-inf`` like the scalar early return.
+        ``_finalize`` at ``-inf`` like the scalar early return.  A
+        ``+inf`` pad fragment of a padded row matches no peak interval,
+        so the row's lengths are not needed.
         """
 
-        def kernel(member, b_rows, y_rows):
+        def kernel(member, _lengths, b_rows, y_rows):
             nb, b_int = matched_intensity_pairs(
                 spectra, member, b_rows, self.fragment_tolerance
             )
@@ -84,14 +86,15 @@ class HyperScorer:
         return kernel
 
     def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: fragment matrices built once per length group."""
+        """Cohort scoring: fragment matrices built once per length band,
+        one pair-kernel call per band."""
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            masses = group.mass_rows()
+            masses, lengths = group.mass_rows(), group.row_lengths
             return (
-                fragment_mz_rows(masses, IonSeries.B),
-                fragment_mz_rows(masses, IonSeries.Y),
+                fragment_mz_rows(masses, IonSeries.B, lengths=lengths),
+                fragment_mz_rows(masses, IonSeries.Y, lengths=lengths),
             )
 
         return score_block_pairs(

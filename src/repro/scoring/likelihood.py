@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from repro.candidates.batch import CandidateBatch
-from repro.spectra.binning import match_peaks_pairs
+from repro.spectra.binning import match_peaks_pairs, row_prefix_sums
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import SERIES_WEIGHT, IonSeries, by_model_rows
 
@@ -93,30 +93,31 @@ class LikelihoodRatioScorer:
         return table
 
     def pair_kernel(self, spectra):
-        """Bind a cohort: ``kernel(member, model_mz, y_rows)`` -> row scores.
+        """Bind a cohort: ``kernel(member, lengths, model_mz, y_rows)`` -> row scores.
 
         Each fragment gathers its member's :meth:`llr_table` entry for
-        its series and match; the row sum runs in m/z order, as the
-        scalar definition's sum does.
+        its series and match; the row sum runs in m/z order over the
+        row's own ``2 * (length - 1)`` fragments, as the scalar
+        definition's sum does (a ``+inf`` pad "matches" the member's
+        ``+inf`` peak pad, so it must not be summed).
         """
         table = self.llr_table(spectra).ravel()
 
-        def kernel(member, model_mz, y_rows):
+        def kernel(member, lengths, model_mz, y_rows):
             code = 2 * match_peaks_pairs(spectra, member, model_mz, self.fragment_tolerance)
             code += y_rows
             code += 4 * member[:, None]
-            return table[code].sum(axis=1)
+            return row_prefix_sums(table[code], None if lengths is None else 2 * lengths - 2)
 
         return kernel
 
     def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: model spectra generated once per length group."""
+        """Cohort scoring: model spectra generated once per length band,
+        one pair-kernel call per band."""
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            if group.length < 2:
-                return None  # empty model spectrum, score stays -inf
-            return by_model_rows(group.mass_rows())
+            return by_model_rows(group.mass_rows(), group.row_lengths)
 
         return score_block_pairs(
             batch, selections, -math.inf, prepare, self.pair_kernel(spectra)

@@ -27,21 +27,23 @@ class SharedPeakScorer:
         self.fragment_tolerance = fragment_tolerance
 
     def pair_kernel(self, spectra):
-        """Bind a cohort: ``kernel(member, ladders)`` -> per-row counts."""
+        """Bind a cohort: ``kernel(member, lengths, ladders)`` -> per-row counts.
 
-        def kernel(member, ladders):
+        A ``+inf`` pad fragment of a padded row matches no peak interval,
+        so the row's lengths are not needed.
+        """
+
+        def kernel(member, _lengths, ladders):
             return count_matches_pairs(spectra, member, ladders, self.fragment_tolerance)
 
         return kernel
 
     def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: ladders built once, one pair-kernel call per length."""
+        """Cohort scoring: ladders built once, one pair-kernel call per length band."""
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            if group.length < 2:
-                return None  # empty ladder matches nothing, score stays 0.0
-            return (by_ion_ladder_rows(group.mass_rows()),)
+            return (by_ion_ladder_rows(group.mass_rows(), group.row_lengths),)
 
         return score_block_pairs(
             batch, selections, 0.0, prepare, self.pair_kernel(spectra)

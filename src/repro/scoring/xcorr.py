@@ -70,6 +70,7 @@ class XCorrScorer:
         ladders: np.ndarray,
         limit: Optional[np.ndarray] = None,
         base: Optional[np.ndarray] = None,
+        padded: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row Xcorr sums and unique-bin counts for a ladder matrix.
 
@@ -77,10 +78,14 @@ class XCorrScorer:
         concatenated as ``processed`` with, per row, its member's bin
         ``limit`` (a column) and ``base`` offset into the concatenation;
         a row then keeps the same bins and sums the same values in the
-        same order as against its member's vector alone.
+        same order as against its member's vector alone.  ``padded`` rows
+        end in ``+inf`` pad fragments, which keep no bin.
         """
         sentinel = np.iinfo(np.int64).max
-        bins = (ladders / self.bin_width).astype(np.int64)
+        bins = ladders / self.bin_width
+        if padded:  # a +inf pad has no bin: cast it as -1, out of range
+            bins[np.isinf(bins)] = -1.0
+        bins = bins.astype(np.int64)
         if limit is None:
             limit = len(processed)
         bins[(bins < 0) | (bins >= limit)] = sentinel
@@ -98,7 +103,7 @@ class XCorrScorer:
         return sums, counts
 
     def pair_kernel(self, spectra):
-        """Bind a cohort: ``kernel(member, ladders)`` -> per-row scores.
+        """Bind a cohort: ``kernel(member, lengths, ladders)`` -> per-row scores.
 
         The members' preprocessed vectors are concatenated once per
         cohort.  A member without peaks gets bin limit 0: every bin of
@@ -117,13 +122,14 @@ class XCorrScorer:
             bases = np.concatenate(([0], np.cumsum(limits)[:-1]))
             processed = np.concatenate(vectors)
 
-        def kernel(member, ladders):
+        def kernel(member, lengths, ladders):
             out = np.full(len(member), -np.inf)
+            padded = lengths is not None
             if single:
-                sums, counts = self._ladder_matrix_scores(processed, ladders)
+                sums, counts = self._ladder_matrix_scores(processed, ladders, padded=padded)
             else:
                 sums, counts = self._ladder_matrix_scores(
-                    processed, ladders, limits[member][:, None], bases[member]
+                    processed, ladders, limits[member][:, None], bases[member], padded
                 )
             scored = np.nonzero(counts > 0)[0]
             out[scored] = sums[scored] * 1e-2
@@ -132,13 +138,11 @@ class XCorrScorer:
         return kernel
 
     def score_block(self, spectra, batch: CandidateBatch, selections):
-        """Cohort scoring: ladders built once, one pair-kernel call per length."""
+        """Cohort scoring: ladders built once, one pair-kernel call per length band."""
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            if group.length < 2:
-                return None  # empty ladder, score stays -inf
-            return (by_ion_ladder_rows(group.mass_rows()),)
+            return (by_ion_ladder_rows(group.mass_rows(), group.row_lengths),)
 
         return score_block_pairs(
             batch, selections, -np.inf, prepare, self.pair_kernel(spectra)

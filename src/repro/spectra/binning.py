@@ -10,7 +10,7 @@ per candidate.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,11 +61,13 @@ def _fresh_intervals(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.nda
     ``[lo, hi)`` that no earlier fragment of its row already covered.
 
     Rows sorted ascending => ``hi`` is non-decreasing along each row, so
-    the peaks newly covered by fragment j are ``[max(lo_j, hi_{j-1}), hi_j)``.
+    the peaks newly covered by fragment j are ``[max(lo_j, hi_{j-1}), hi_j)``
+    (``lo_0`` itself for the first: positions are never negative).  Works
+    in place: ``lo`` becomes ``starts`` and ``hi`` becomes ``lens``.
     """
-    prev = np.concatenate([np.zeros((len(hi), 1), dtype=hi.dtype), hi[:, :-1]], axis=1)
-    starts = np.maximum(lo, prev)
-    return starts, np.maximum(hi - starts, 0)
+    np.maximum(lo[:, 1:], hi[:, :-1], out=lo[:, 1:])
+    hi -= lo
+    return lo, np.maximum(hi, 0, out=hi)
 
 
 def row_segment_sums(
@@ -73,22 +75,43 @@ def row_segment_sums(
 ) -> np.ndarray:
     """Per-row sums of ``values[flat_idx[segment]]``, bitwise-stable.
 
-    Rows are grouped by segment length and each group is gathered into a
-    fresh C-contiguous matrix before a row-wise ``sum``, so every row's
-    result is bitwise identical to summing its gathered values as a 1-D
-    array — the scalar kernels' operation order.  Empty segments sum to
-    ``0.0``.
+    Rows are grouped by segment length (one :func:`group_by_key`, each
+    length's rows ascending) and each group is gathered into a fresh
+    C-contiguous matrix before a row-wise ``sum``, so every row's result
+    is bitwise identical to summing its gathered values as a 1-D array —
+    the scalar kernels' operation order.  Empty segments sum to ``0.0``.
     """
     n = len(row_offsets) - 1
     out = np.zeros(n, dtype=np.float64)
     counts = np.diff(row_offsets)
-    for k in np.unique(counts):
-        k = int(k)
+    order, runs = group_by_key(counts, int(counts.max()) + 1 if n else 0)
+    for k, a, b in runs:
         if k == 0:
             continue
-        rows = np.nonzero(counts == k)[0]
+        rows = order[a:b]
         seg = flat_idx[row_offsets[rows][:, None] + np.arange(k)]
         out[rows] = values[seg].sum(axis=1)
+    return out
+
+
+def row_prefix_sums(matrix: np.ndarray, widths: Optional[np.ndarray]) -> np.ndarray:
+    """Per-row sums of ``matrix[r, :widths[r]]`` (the whole row when
+    ``widths`` is ``None``), bitwise-stable.
+
+    Rows are grouped by width and each width's rows gathered into a
+    fresh C-contiguous matrix before a row-wise ``sum``, so every row's
+    result is bitwise its own 1-D sum over exactly its width: what is
+    past it (a padded row's tail) is never read.  Rows of width 0 sum
+    to zero.
+    """
+    if widths is None:
+        return matrix.sum(axis=1)
+    out = np.zeros(len(matrix), dtype=np.float64 if matrix.dtype.kind == "f" else np.int64)
+    order, runs = group_by_key(widths, matrix.shape[1] + 1)
+    for w, a, b in runs:
+        if w > 0:
+            rows = order[a:b]
+            out[rows] = matrix[rows, :w].sum(axis=1)
     return out
 
 

@@ -14,7 +14,7 @@ residues via prefix-mass cumulative sums.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,19 +118,38 @@ def theoretical_spectrum(
     return mz[order], intensity[order]
 
 
+def _fragment_pads(lengths: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` mask of the fragment positions past each row's
+    ``lengths[r] - 1`` fragments of one series."""
+    return np.arange(width) >= (lengths - 1)[:, None]
+
+
+def _suffix_rows(mass_rows: np.ndarray, lengths: Optional[np.ndarray]) -> np.ndarray:
+    """Each row's residues ``L - 1`` down to ``1`` — the order the y
+    series folds them in — left-aligned; never a pad before them."""
+    if lengths is None:
+        return mass_rows[:, :0:-1]
+    back = np.maximum(lengths[:, None] - 1 - np.arange(mass_rows.shape[1] - 1), 0)
+    return np.take_along_axis(mass_rows, back, axis=1)
+
+
 def fragment_mz_rows(
     mass_rows: np.ndarray,
     series: IonSeries,
     charge: int = 1,
+    lengths: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Batched :func:`fragment_mz` over per-candidate residue-mass rows.
 
     ``mass_rows`` is ``(n, L)`` — one row of residue masses per candidate,
     with any PTM delta already applied (see
-    :meth:`repro.candidates.batch.LengthGroup.mass_rows`).  Returns the
-    ``(n, L - 1)`` fragment m/z matrix.  Row ``r`` is bitwise identical to
-    the scalar ``fragment_mz`` of the same candidate: the per-row
-    ``cumsum`` is the same sequential fold the 1-D kernel performs.
+    :meth:`repro.candidates.batch.LengthGroup.mass_rows`); a row of
+    ``lengths[r] < L`` residues is padded with ``0.0`` after them.
+    Returns the ``(n, L - 1)`` fragment m/z matrix, ``+inf`` past a
+    row's ``lengths[r] - 1`` fragments.  Row ``r``'s fragments are
+    bitwise identical to the scalar ``fragment_mz`` of the same
+    candidate: the per-row ``cumsum`` is the same sequential fold the
+    1-D kernel performs.
     """
     if charge < 1:
         raise ValueError(f"charge must be >= 1, got {charge}")
@@ -138,49 +157,64 @@ def fragment_mz_rows(
     if length < 2:
         return np.empty((n, 0), dtype=np.float64)
     if series is IonSeries.Y:
-        neutral = mass_rows[:, ::-1][:, :-1].cumsum(axis=1) + WATER_MASS
+        neutral = _suffix_rows(mass_rows, lengths).cumsum(axis=1) + WATER_MASS
     else:
         neutral = mass_rows[:, :-1].cumsum(axis=1)
         if series is IonSeries.A:
             neutral = neutral - _CO_MASS
-    return (neutral + charge * PROTON_MASS) / charge
+    mz = (neutral + charge * PROTON_MASS) / charge
+    if lengths is not None:
+        mz[_fragment_pads(lengths, length - 1)] = np.inf
+    return mz
 
 
-def by_model_rows(mass_rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def by_model_rows(
+    mass_rows: np.ndarray, lengths: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Batched default :func:`theoretical_spectrum` (b and y ions, charge 1).
 
-    ``mass_rows`` is ``(n, L)`` with ``L >= 2`` and PTM deltas applied.
-    Returns ``(mz_rows, y_rows)``, both ``(n, 2 * (L - 1))``: each row's
+    ``mass_rows`` is ``(n, L)`` with ``L >= 2`` and PTM deltas applied; a
+    row of ``lengths[r] < L`` residues is padded with ``0.0``.  Returns
+    ``(mz_rows, y_rows)``, both ``(n, 2 * (L - 1))``: each row's
     fragment m/z sorted by the scalar kernel's stable key, and whether
     each sorted fragment is a y ion — the model intensity is a
     per-series constant, so the series is all a scorer needs of it.  One
     ``cumsum`` runs over the stacked b prefixes and y suffixes, each the
     sequential fold :func:`fragment_mz` performs (its ``/ 1`` is exact),
-    so row ``r`` is candidate ``r``'s scalar model spectrum bit for bit.
+    so row ``r``'s first ``2 * (lengths[r] - 1)`` entries are candidate
+    ``r``'s scalar model spectrum bit for bit: its pad fragments are
+    ``+inf`` and the stable sort puts them last.
     """
     n, length = mass_rows.shape
     width = 2 * (length - 1)
-    ions = np.concatenate((mass_rows[:, :-1], mass_rows[:, :0:-1]), axis=1)
+    ions = np.concatenate((mass_rows[:, :-1], _suffix_rows(mass_rows, lengths)), axis=1)
     ions = ions.reshape(n, 2, length - 1).cumsum(axis=2)
     ions[:, 1] += WATER_MASS
     ions += PROTON_MASS
+    if lengths is not None:
+        pads = _fragment_pads(lengths, length - 1)
+        ions[:, 0][pads] = np.inf
+        ions[:, 1][pads] = np.inf
     order = np.argsort(ions.reshape(n, width), axis=1, kind="stable")
     y_rows = order >= length - 1
     order += np.arange(0, n * width, width)[:, None]
     return ions.ravel()[order], y_rows
 
 
-def by_ion_ladder_rows(mass_rows: np.ndarray) -> np.ndarray:
+def by_ion_ladder_rows(mass_rows: np.ndarray, lengths: Optional[np.ndarray] = None) -> np.ndarray:
     """Sorted singly-charged b+y ladders (the default fragment model) of
     per-candidate residue-mass rows.
 
     ``mass_rows`` is ``(n, L)`` with PTM deltas already applied — a
     variable PTM at one residue shifts every b and y ion containing it,
-    which folding the delta into that residue's mass does.  Per row: one
-    cumulative sum ``csum``, ``b = csum[:-1] + proton``,
-    ``y = (csum[-1] - csum[:-1]) + water + proton``, one sort.  Returns
-    the ``(n, 2 * (L - 1))`` ladder matrix; row ``r`` is bitwise
-    identical to the scalar ladder of candidate ``r``.
+    which folding the delta into that residue's mass does.  A row of
+    ``lengths[r] < L`` residues is padded with ``0.0``, so its running
+    sum ends on its own total.  Per row: one cumulative sum ``csum``,
+    ``b = csum[:-1] + proton``, ``y = (csum[-1] - csum[:-1]) + water +
+    proton``, one sort.  Returns the ``(n, 2 * (L - 1))`` ladder matrix;
+    row ``r``'s first ``2 * (lengths[r] - 1)`` entries are bitwise the
+    scalar ladder of candidate ``r``, its pad fragments ``+inf`` after
+    them.
     """
     n, length = mass_rows.shape
     if length < 2:
@@ -189,6 +223,10 @@ def by_ion_ladder_rows(mass_rows: np.ndarray) -> np.ndarray:
     total = csum[:, -1:]
     b = csum[:, :-1] + PROTON_MASS
     y = (total - csum[:, :-1]) + WATER_MASS + PROTON_MASS
+    if lengths is not None:
+        pads = _fragment_pads(lengths, length - 1)
+        b[pads] = np.inf
+        y[pads] = np.inf
     ladder = np.concatenate((b, y), axis=1)
     ladder.sort(axis=1)
     return ladder

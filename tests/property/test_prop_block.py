@@ -13,15 +13,23 @@ set always includes length-1 spans and (on the direct path) PTM rows expanded pe
 site.  Cohorts of one are drawn too, and so are the scorers' parameters —
 the fragment tolerance (the index's too) and the likelihood model's
 ``p_detect``, clamps included — since the kernels bind them per cohort.
+The direct path also draws the length-band cap (``BAND_ROWS``): 0, one
+length a band; small, bands of several lengths beside single-length
+ones; unbounded, one padded band a block.
 """
 
+import math
+import warnings
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.candidates import batch as batch_module
 from repro.candidates.batch import CandidateBatch
 from repro.candidates.mass_index import MassIndex
 from repro.chem.amino_acids import STANDARD_MODIFICATIONS
@@ -121,19 +129,62 @@ def _ptm_spans(db):
     return type(spans).concat(tiers)
 
 
-@given(cohorts(lambda db: len(_ptm_spans(db))), scorer_factories(SCORER_NAMES))
+#: band caps: one length a band, a few rows a band, one band a block
+_CAPS = [0, 6, 10**9]
+
+
+@given(
+    cohorts(lambda db: len(_ptm_spans(db))),
+    scorer_factories(SCORER_NAMES),
+    st.sampled_from(_CAPS),
+)
 @settings(max_examples=60, deadline=None)
-def test_direct_pair_kernels_equal_the_fallback(case, make):
+def test_direct_pair_kernels_equal_the_fallback(case, make, cap):
     db, spectra, selections = case
     spans = _ptm_spans(db)
     assert int(spans.lengths.min()) == 1  # the length-1 group is present
-    batch = CandidateBatch.from_spans(db, spans, _MOD_TARGETS)
+    with mock.patch.object(batch_module, "BAND_ROWS", cap):
+        batch = CandidateBatch.from_spans(db, spans, _MOD_TARGETS)
+        batch.length_groups()  # the bands are cut (and cached) under the cap
     assert batch.num_rows > len(batch)  # PTM rows expanded
     cohort = SpectrumBatch(spectra)
     got = block_scores(make(), cohort, batch, selections)
     want = scalar_block_scores(make(), cohort, batch, selections)
     assert got.shape == (sum(len(s) for s in selections),)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", SCORER_NAMES)
+def test_padded_band_edges_equal_the_fallback(name):
+    """One band a block (cap unbounded), every scorer: length-1 and
+    length-2 rows share the band with long rows and keep the scorer's
+    default; PTM sites sit at residue 0 and at residue L - 1 of padded
+    rows; a member without peaks scores every row.  Scoring raises no
+    warning (an ``inf`` pad cast to a bin index would)."""
+    db = ProteinDatabase.from_sequences(["M", "GS", "MSAMPLEKSM", "SKTAYIAKQRSMW", "GMSMSK"])
+    spans = _ptm_spans(db)
+    with mock.patch.object(batch_module, "BAND_ROWS", 10**9):
+        batch = CandidateBatch.from_spans(db, spans, _MOD_TARGETS)
+        (band,) = batch.length_groups()
+    lengths = band.row_lengths
+    padded = lengths < band.length
+    assert {1, 2} <= set(lengths.tolist())
+    assert np.any(padded & (band.sites == 0))
+    assert np.any(padded & (band.sites == lengths - 1))
+    rng = np.random.default_rng(5)
+    spectra = [_spectrum(rng, db, 20), _spectrum(rng, db, 0), _spectrum(rng, db, 8)]
+    every = np.arange(len(spans), dtype=np.int64)
+    selections = [every, every, rng.permutation(every)[: len(every) // 2]]
+    cohort = SpectrumBatch(spectra)
+    want = scalar_block_scores(make_scorer(name), cohort, batch, selections)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block_scores(make_scorer(name), cohort, batch, selections)
+    assert got.tobytes() == want.tobytes()
+    default = 0.0 if name == "shared_peaks" else -math.inf
+    short = spans.lengths < 2
+    assert np.all(got[: len(every)][short] == default)
+    assert np.all(got[len(every) : 2 * len(every)] == default)  # the member without peaks
 
 
 def _indexable(db, max_length=48):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.candidates import batch as batch_module
 from repro.candidates.batch import CandidateBatch
 from repro.candidates.generator import CandidateGenerator
 from repro.chem.amino_acids import STANDARD_MODIFICATIONS, encode_sequence
@@ -92,17 +93,50 @@ class TestCandidateBatch:
         assert batch.num_rows == len(spans)
         assert np.all(batch.row_site == -1)
 
-    def test_length_groups_partition_rows(self, db):
+    def test_length_groups_partition_rows(self, db, monkeypatch):
+        """Band invariants at a cap of 0 (one length a band), a small one
+        and an unbounded one (one band a batch)."""
         n = len(all_spans(db))
         deltas = np.where(np.arange(n) % 3 == 0, MODS[0].delta_mass, 0.0)
         spans = all_spans(db, deltas)
-        batch = CandidateBatch.from_spans(db, spans, MOD_TARGETS)
-        seen = np.concatenate([g.rows for g in batch.length_groups()])
-        assert sorted(seen.tolist()) == list(range(batch.num_rows))
-        for g in batch.length_groups():
-            assert g.residue_rows.shape == (len(g.rows), g.length)
-            for j, r in enumerate(g.rows):
-                assert np.array_equal(g.residue_rows[j], batch.row_residues(int(r)))
+        for cap in [0, 5, 10**9]:
+            monkeypatch.setattr(batch_module, "BAND_ROWS", cap)
+            batch = CandidateBatch.from_spans(db, spans, MOD_TARGETS)
+            bands = batch.length_groups()
+            row_length = spans.lengths[batch.row_candidate]
+            # every row is in exactly one band
+            seen = np.concatenate([g.rows for g in bands])
+            assert sorted(seen.tolist()) == list(range(batch.num_rows))
+            lengths = [row_length[g.rows] for g in bands]
+            for g, lens in zip(bands, lengths):
+                assert g.length == lens.max()
+                assert np.all(np.diff(lens) >= 0)  # by length ...
+                for length in np.unique(lens):  # ... then ascending
+                    assert np.all(np.diff(g.rows[lens == length]) > 0)
+                if g.row_lengths is None:  # a single-length band carries no padding
+                    assert np.all(lens == g.length)
+                    assert g.residue_rows.shape == (len(g.rows), g.length)
+                    for j, r in enumerate(g.rows):
+                        assert np.array_equal(g.residue_rows[j], batch.row_residues(int(r)))
+                else:  # only a single-length band exceeds the cap
+                    assert lens.min() < g.length and len(g.rows) <= cap
+                    assert np.array_equal(g.row_lengths, lens)
+                    assert g.residue_rows.shape == (len(g.rows), g.length)
+                    for j, r in enumerate(g.rows):
+                        assert np.array_equal(g.residue_rows[j, : lens[j]], batch.row_residues(int(r)))
+                        assert np.all(g.residue_rows[j, lens[j] :] == 0)
+            # bands ascend and are disjoint in length, and a band closes only
+            # when its next length would take it past the cap
+            for g, lens, next_lens in zip(bands, lengths, lengths[1:]):
+                assert lens.max() < next_lens.min()
+                assert len(g.rows) + int((next_lens == next_lens.min()).sum()) > cap
+            if cap == 0:  # the per-length grouping: one band per length
+                assert all(g.row_lengths is None for g in bands)
+                assert len(bands) == len(np.unique(row_length))
+            if cap == 5:  # both kinds of band
+                assert {g.row_lengths is None for g in bands} == {True, False}
+            if cap == 10**9:
+                assert len(bands) == 1
 
     def test_mass_rows_apply_site_delta(self):
         db = ProteinDatabase.from_sequences(["MAM"])
@@ -156,6 +190,26 @@ class TestBatchedKernels:
             assert mz[i].tobytes() == ref_mz.tobytes()
             # the y series is the one with the y weight (1.0; b is 0.8)
             assert np.array_equal(y_rows[i], ref_int == 1.0)
+
+    def test_padded_rows_match_scalar(self):
+        """Rows of 1-9 residues padded to 9 with 0.0: each row's fragments
+        are its scalar ones bit for bit, then ``+inf`` pads."""
+        lengths = np.arange(len(self.rows)) % 9 + 1
+        masses = np.where(np.arange(9) < lengths[:, None], self.masses, 0.0)
+        ladders = by_ion_ladder_rows(masses, lengths)
+        model, y_rows = by_model_rows(masses, lengths)
+        frags = {s: fragment_mz_rows(masses, s, lengths=lengths) for s in IonSeries}
+        for i, (row, length) in enumerate(zip(self.rows, lengths)):
+            row, width = row[:length], 2 * (length - 1)
+            assert ladders[i, :width].tobytes() == by_ion_ladder(row).tobytes()
+            assert np.all(ladders[i, width:] == np.inf)
+            ref_mz, ref_int = theoretical_spectrum(row)
+            assert model[i, :width].tobytes() == ref_mz.tobytes()
+            assert np.array_equal(y_rows[i, :width], ref_int == 1.0)
+            assert np.all(model[i, width:] == np.inf)
+            for series, got in frags.items():
+                assert got[i, : length - 1].tobytes() == fragment_mz(row, series).tobytes()
+                assert np.all(got[i, length - 1 :] == np.inf)
 
     def test_short_rows_yield_empty_fragments(self):
         short = self.masses[:, :1]
