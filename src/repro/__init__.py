@@ -22,7 +22,7 @@ See README.md for the architecture overview, DESIGN.md for the paper ->
 module map, and EXPERIMENTS.md for the reproduced tables and figures.
 """
 
-from repro.chem import Peptide, ProteinDatabase, ProteinRecord, read_fasta, write_fasta
+from repro.chem import ProteinDatabase, ProteinRecord, read_fasta, write_fasta
 from repro.core import (
     ALGORITHMS,
     CostModel,
@@ -54,7 +54,6 @@ from repro.workloads import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Peptide",
     "ProteinDatabase",
     "ProteinRecord",
     "read_fasta",

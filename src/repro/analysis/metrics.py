@@ -1,4 +1,4 @@
-"""Scaling metrics: speedup, efficiency, and the paper's chaining rule.
+"""Scaling metrics: speedup and the paper's chaining rule.
 
 Figure 4's caption defines a specific convention we reproduce exactly:
 "The speedups for all input sizes greater or equal to 400K were
@@ -10,8 +10,7 @@ p = 8 under the 1 GB cap, so no 1-processor baseline exists for them.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 
 def speedup(t1: float, tp: float) -> float:
@@ -19,13 +18,6 @@ def speedup(t1: float, tp: float) -> float:
     if t1 <= 0 or tp <= 0:
         raise ValueError("run-times must be positive")
     return t1 / tp
-
-
-def efficiency(t1: float, tp: float, p: int) -> float:
-    """Parallel efficiency E(p) = S(p) / p."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return speedup(t1, tp) / p
 
 
 def chained_speedup(t_anchor: float, tp: float, anchor_speedup: float) -> float:
@@ -40,65 +32,6 @@ def chained_speedup(t_anchor: float, tp: float, anchor_speedup: float) -> float:
     if anchor_speedup <= 0:
         raise ValueError("anchor_speedup must be positive")
     return (t_anchor / tp) * anchor_speedup
-
-
-@dataclass(frozen=True)
-class ScalingPoint:
-    """One (database size, processor count) measurement."""
-
-    database_size: int
-    num_ranks: int
-    run_time: float
-    speedup: float
-    efficiency: float
-    candidates_per_second: float = 0.0
-    residual_to_compute: float = 0.0
-
-
-def scaling_table(
-    run_times: Dict[int, Dict[int, float]],
-    anchor_rank: int = 8,
-    candidates_per_run: Optional[Dict[int, Dict[int, float]]] = None,
-) -> List[ScalingPoint]:
-    """Derive Figure 4's speedup/efficiency points from a run-time grid.
-
-    ``run_times[n][p]`` is the run-time for database size ``n`` at ``p``
-    ranks.  Sizes with a ``p = 1`` entry use real speedup; sizes without
-    one use the chained rule with ``anchor_rank``, where the anchor
-    speedup is the mean real speedup at ``anchor_rank`` over the sizes
-    that do have a 1-rank baseline (the paper's 4.51).
-    """
-    anchored = [
-        speedup(times[1], times[anchor_rank])
-        for times in run_times.values()
-        if 1 in times and anchor_rank in times
-    ]
-    anchor_speedup = sum(anchored) / len(anchored) if anchored else float(anchor_rank)
-
-    points: List[ScalingPoint] = []
-    for n in sorted(run_times):
-        times = run_times[n]
-        for p in sorted(times):
-            if 1 in times:
-                s = speedup(times[1], times[p])
-            elif anchor_rank in times:
-                s = chained_speedup(times[anchor_rank], times[p], anchor_speedup)
-            else:
-                continue
-            cps = 0.0
-            if candidates_per_run and p in candidates_per_run.get(n, {}):
-                cps = candidates_per_run[n][p] / times[p]
-            points.append(
-                ScalingPoint(
-                    database_size=n,
-                    num_ranks=p,
-                    run_time=times[p],
-                    speedup=s,
-                    efficiency=s / p,
-                    candidates_per_second=cps,
-                )
-            )
-    return points
 
 
 def mean_and_std(values: Sequence[float]) -> tuple:

@@ -10,7 +10,7 @@ rules).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -79,16 +79,3 @@ def recovery(
         mean_rank=float(np.mean(ranks)) if ranks else float("nan"),
     )
 
-
-def compare_engines(
-    database: ProteinDatabase,
-    reports: Dict[str, SearchReport],
-    spectra: Sequence[Spectrum],
-    targets: Sequence[np.ndarray],
-    k: int = 10,
-) -> Dict[str, RecoveryResult]:
-    """Recovery results for several engines over the same workload."""
-    return {
-        name: recovery(database, report, spectra, targets, k)
-        for name, report in reports.items()
-    }

@@ -2,11 +2,7 @@
 
 from repro.candidates.mass_index import MassIndex, CandidateSpans
 from repro.candidates.batch import CandidateBatch, LengthGroup
-from repro.candidates.generator import (
-    CandidateGenerator,
-    count_candidates,
-    mass_window,
-)
+from repro.candidates.generator import CandidateGenerator, mass_window
 from repro.candidates.tryptic import TrypticIndex
 
 __all__ = [
@@ -15,7 +11,6 @@ __all__ = [
     "CandidateBatch",
     "LengthGroup",
     "CandidateGenerator",
-    "count_candidates",
     "mass_window",
     "TrypticIndex",
 ]

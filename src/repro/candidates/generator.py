@@ -126,14 +126,3 @@ class CandidateGenerator:
             lo, hi = self.index.windows_many(lows - mod.delta_mass, highs - mod.delta_mass)
             counts += tier_rows[np.maximum(hi, lo)] - tier_rows[lo]
         return counts
-
-
-def count_candidates(
-    database: ProteinDatabase,
-    spectra: Sequence[Spectrum],
-    delta: float = 3.0,
-    modifications: Sequence[Modification] = (),
-) -> np.ndarray:
-    """Candidate counts per query against a whole database (convenience)."""
-    masses = np.array([s.parent_mass for s in spectra], dtype=np.float64)
-    return CandidateGenerator(database, delta, modifications).count_many(masses)

@@ -5,21 +5,14 @@ from repro.chem.amino_acids import (
     encode_sequence,
     decode_sequence,
     mass_table,
-    residue_masses,
     is_valid_sequence,
     Modification,
     STANDARD_MODIFICATIONS,
 )
-from repro.chem.peptide import (
-    Peptide,
-    peptide_mass,
-    peptide_mz,
-    prefix_masses,
-    suffix_masses,
-)
+from repro.chem.peptide import peptide_mass, peptide_mz
 from repro.chem.protein import ProteinRecord, ProteinDatabase
-from repro.chem.digest import tryptic_peptides, cleavage_sites, digest_database
-from repro.chem.fasta import read_fasta, write_fasta, parse_fasta
+from repro.chem.digest import cleavage_sites
+from repro.chem.fasta import read_fasta, write_fasta
 from repro.chem.decoy import reverse_decoy, shuffle_decoy, with_decoys, is_decoy_id
 from repro.chem.enzymes import Protease, PROTEASES, get_protease
 
@@ -28,23 +21,16 @@ __all__ = [
     "encode_sequence",
     "decode_sequence",
     "mass_table",
-    "residue_masses",
     "is_valid_sequence",
     "Modification",
     "STANDARD_MODIFICATIONS",
-    "Peptide",
     "peptide_mass",
     "peptide_mz",
-    "prefix_masses",
-    "suffix_masses",
     "ProteinRecord",
     "ProteinDatabase",
-    "tryptic_peptides",
     "cleavage_sites",
-    "digest_database",
     "read_fasta",
     "write_fasta",
-    "parse_fasta",
     "reverse_decoy",
     "shuffle_decoy",
     "with_decoys",

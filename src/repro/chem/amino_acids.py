@@ -10,7 +10,7 @@ loops over characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -76,11 +76,6 @@ def decode_sequence(encoded: np.ndarray) -> str:
     return encoded.tobytes().decode("ascii")
 
 
-def residue_masses(encoded: np.ndarray, monoisotopic: bool = True) -> np.ndarray:
-    """Vectorized per-residue masses for an encoded sequence."""
-    return mass_table(monoisotopic)[encoded]
-
-
 @dataclass(frozen=True)
 class Modification:
     """A post-translational modification (PTM).
@@ -118,28 +113,3 @@ STANDARD_MODIFICATIONS: Dict[str, Modification] = {
     "acetylation": Modification("acetylation", "K", 42.010565, fixed=False),
     "deamidation_n": Modification("deamidation_n", "N", 0.984016, fixed=False),
 }
-
-
-def modification_mass_table(
-    modifications: Iterable[Modification], monoisotopic: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Build lookup tables applying *fixed* and *variable* modifications.
-
-    Returns ``(fixed_table, variable_delta_table)`` where ``fixed_table``
-    is a 256-entry residue-mass table with all fixed modifications folded
-    in, and ``variable_delta_table`` is a 256-entry table of the variable
-    mass delta available at each residue code (0 where none applies).
-    Multiple variable modifications on the same residue are not supported
-    and raise :class:`ValueError`.
-    """
-    fixed_table = np.array(mass_table(monoisotopic))
-    variable = np.zeros(256)
-    for mod in modifications:
-        code = ord(mod.target)
-        if mod.fixed:
-            fixed_table[code] += mod.delta_mass
-        else:
-            if variable[code] != 0.0:
-                raise ValueError(f"multiple variable modifications target {mod.target!r}")
-            variable[code] = mod.delta_mass
-    return fixed_table, variable

@@ -1,21 +1,16 @@
-"""Proteolytic digestion: derive peptides from protein sequences.
+"""Tryptic cleavage sites.
 
 Database-search pipelines "use empirical rules to determine which
 peptides should be present in the proteins" (paper Section I.A).  The
 standard rule is *tryptic* digestion: trypsin cleaves C-terminal to
 lysine (K) or arginine (R), except when the next residue is proline (P).
-Allowing up to ``missed_cleavages`` skipped sites models incomplete
-digestion, which real experiments always exhibit.
+Every protease, trypsin included, digests through
+:class:`repro.chem.enzymes.Protease`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
-
 import numpy as np
-
-from repro.chem.protein import ProteinDatabase
 
 
 def cleavage_sites(encoded: np.ndarray) -> np.ndarray:
@@ -32,63 +27,3 @@ def cleavage_sites(encoded: np.ndarray) -> np.ndarray:
     not_before_p[:-1] = encoded[1:] != ord("P")
     not_before_p[-1] = False  # the final residue's "site" is the sequence end
     return np.nonzero(is_kr & not_before_p)[0].astype(np.int64)
-
-
-def tryptic_peptides(
-    encoded: np.ndarray,
-    missed_cleavages: int = 0,
-    min_length: int = 1,
-    max_length: int = 10**9,
-) -> Iterator[Tuple[int, int]]:
-    """Yield ``(start, stop)`` half-open spans of tryptic peptides.
-
-    Spans are emitted in order of start position, then length.  With
-    ``missed_cleavages=k``, every run of up to ``k + 1`` consecutive
-    fragments is emitted as one peptide.
-    """
-    if missed_cleavages < 0:
-        raise ValueError(f"missed_cleavages must be >= 0, got {missed_cleavages}")
-    sites = cleavage_sites(encoded)
-    # Fragment boundaries: start-of-sequence, each site + 1, end-of-sequence.
-    bounds = np.concatenate(([0], sites + 1, [len(encoded)]))
-    if bounds[-2] == bounds[-1]:  # sequence ends exactly at a cleavage site
-        bounds = bounds[:-1]
-    nfrag = len(bounds) - 1
-    for first in range(nfrag):
-        for last in range(first, min(first + missed_cleavages + 1, nfrag)):
-            start, stop = int(bounds[first]), int(bounds[last + 1])
-            if min_length <= stop - start <= max_length:
-                yield (start, stop)
-
-
-@dataclass(frozen=True)
-class DigestedPeptide:
-    """A peptide produced by digesting a database sequence."""
-
-    protein_index: int  #: index of the parent sequence within the database
-    protein_id: int  #: global id of the parent sequence
-    start: int  #: span start within the parent (inclusive)
-    stop: int  #: span stop within the parent (exclusive)
-
-
-def digest_database(
-    database: ProteinDatabase,
-    missed_cleavages: int = 0,
-    min_length: int = 6,
-    max_length: int = 50,
-) -> List[DigestedPeptide]:
-    """Digest every sequence of a database into tryptic peptide spans.
-
-    This is the conventional "peptide-centric" path; the paper's search
-    itself enumerates prefix/suffix candidates directly (Section II.A)
-    and does not require a pre-digest, but downstream users of a peptide
-    identification library expect a digestion primitive, and the
-    X!!Tandem-like baseline uses it for its prefilter index.
-    """
-    out: List[DigestedPeptide] = []
-    for i in range(len(database)):
-        seq = database.sequence(i)
-        pid = int(database.ids[i])
-        for start, stop in tryptic_peptides(seq, missed_cleavages, min_length, max_length):
-            out.append(DigestedPeptide(i, pid, start, stop))
-    return out

@@ -1,10 +1,9 @@
 """Generalized proteolytic enzymes.
 
-:mod:`repro.chem.digest` hard-codes trypsin (the overwhelmingly common
-choice, and the one the tryptic prefilter baseline assumes).  Real
-studies also use other proteases — multi-enzyme digests increase
-sequence coverage — so the library exposes the standard set behind one
-:class:`Protease` rule type: cleave C-terminal to ``residues``, blocked
+Trypsin is the overwhelmingly common choice, and the one the tryptic
+prefilter baseline assumes.  Real studies also use other proteases —
+multi-enzyme digests increase sequence coverage — so the library exposes
+the standard set behind one :class:`Protease` rule type: cleave C-terminal to ``residues``, blocked
 when the next residue is in ``blocked_by``.
 """
 
@@ -57,7 +56,9 @@ class Protease:
         min_length: int = 1,
         max_length: int = 10**9,
     ) -> Iterator[Tuple[int, int]]:
-        """Yield (start, stop) spans, like :func:`repro.chem.digest.tryptic_peptides`."""
+        """Yield ``(start, stop)`` half-open peptide spans, in order of start,
+        then length; with ``missed_cleavages=k`` every run of up to
+        ``k + 1`` consecutive fragments is one peptide."""
         if missed_cleavages < 0:
             raise ValueError(f"missed_cleavages must be >= 0, got {missed_cleavages}")
         sites = self.cleavage_sites(encoded)

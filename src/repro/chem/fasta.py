@@ -1,16 +1,7 @@
-"""Minimal FASTA reader/writer.
-
-The paper's loader reads "the database sequence file in parallel such
-that processor P_i receives roughly the i-th N/p byte chunk of the file"
-(Algorithm A, step A1).  :func:`read_fasta_chunk` implements exactly that
-access pattern — seek to a byte offset, then repair to the next record
-boundary — so the byte-balanced parallel loading path can be exercised
-against real files, not only in-memory databases.
-"""
+"""Minimal FASTA reader/writer."""
 
 from __future__ import annotations
 
-import io
 import os
 from typing import Iterable, Iterator, List, TextIO, Union
 
@@ -18,11 +9,6 @@ from repro.chem.protein import ProteinDatabase, ProteinRecord
 from repro.errors import FastaError
 
 _PathOrHandle = Union[str, os.PathLike, TextIO]
-
-
-def parse_fasta(text: str) -> List[ProteinRecord]:
-    """Parse FASTA-formatted text into records."""
-    return list(_iter_records(io.StringIO(text)))
 
 
 def read_fasta(path: _PathOrHandle) -> ProteinDatabase:
@@ -47,47 +33,6 @@ def write_fasta(path: _PathOrHandle, database: ProteinDatabase, width: int = 60)
     finally:
         if own:
             fh.close()
-
-
-def read_fasta_chunk(path: Union[str, os.PathLike], start: int, stop: int) -> List[ProteinRecord]:
-    """Read the records whose header line starts in byte range ``[start, stop)``.
-
-    This reproduces the paper's parallel loading rule: every record
-    belongs to exactly one chunk (the one containing its ``>`` header),
-    and a reader that lands mid-record skips forward to the next header.
-    Reading all chunks of a partition therefore yields every record
-    exactly once, with no overlap — the boundary-repair property the
-    paper notes as "care is taken to ensure sequences at the boundaries
-    are fully read".
-    """
-    if start < 0 or stop < start:
-        raise FastaError(f"invalid byte range [{start}, {stop})")
-    records: List[ProteinRecord] = []
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        if start > 0:
-            # We may have landed mid-line; the partial line belongs to the
-            # previous chunk's reader, so discard through the next newline.
-            fh.readline()
-        # Skip sequence lines until the first header at or after start.
-        pos = fh.tell()
-        line = fh.readline()
-        while line and not line.startswith(b">"):
-            pos = fh.tell()
-            line = fh.readline()
-        while line:
-            if pos >= stop:
-                break  # this header belongs to the next chunk
-            header = line[1:].strip().decode("ascii")
-            seq_parts: List[bytes] = []
-            pos = fh.tell()
-            line = fh.readline()
-            while line and not line.startswith(b">"):
-                seq_parts.append(line.strip())
-                pos = fh.tell()
-                line = fh.readline()
-            records.append(ProteinRecord(header, b"".join(seq_parts).decode("ascii")))
-    return records
 
 
 def _iter_records(fh: Iterable[str]) -> Iterator[ProteinRecord]:

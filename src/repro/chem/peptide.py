@@ -1,4 +1,4 @@
-"""Peptide value type and mass arithmetic.
+"""Peptide mass arithmetic.
 
 Core definitions (paper Section II.A):
 
@@ -7,20 +7,13 @@ Core definitions (paper Section II.A):
 * its *m/z* at charge ``z`` is ``(mass + z * proton) / z``;
 * a prefix/suffix of a database peptide is a *candidate* for query ``q``
   when its m/z lies within ``m(q) +/- delta``.
-
-Prefix/suffix mass arrays are the workhorse of candidate generation: for
-an encoded sequence of length ``L`` we compute all ``L`` prefix masses in
-one vectorized cumulative sum, then candidates in a mass window fall out
-of two binary searches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.chem.amino_acids import decode_sequence, encode_sequence, mass_table
+from repro.chem.amino_acids import mass_table
 from repro.constants import PROTON_MASS, WATER_MASS
 
 
@@ -41,76 +34,3 @@ def mz_to_mass(mz: float, charge: int = 1) -> float:
     if charge < 1:
         raise ValueError(f"charge must be >= 1, got {charge}")
     return mz * charge - charge * PROTON_MASS
-
-
-def prefix_masses(encoded: np.ndarray, monoisotopic: bool = True) -> np.ndarray:
-    """Neutral masses of all non-empty prefixes of ``encoded``.
-
-    ``prefix_masses(s)[i]`` is the neutral peptide mass of ``s[: i + 1]``
-    (residue sum + water).  Length equals ``len(encoded)``; the last entry
-    is the full peptide mass.
-    """
-    return np.cumsum(mass_table(monoisotopic)[encoded]) + WATER_MASS
-
-
-def suffix_masses(encoded: np.ndarray, monoisotopic: bool = True) -> np.ndarray:
-    """Neutral masses of all non-empty suffixes of ``encoded``.
-
-    ``suffix_masses(s)[i]`` is the neutral mass of ``s[i:]``; entry 0 is
-    the full peptide mass.
-    """
-    residue = mass_table(monoisotopic)[encoded]
-    # reversed cumulative sum without copying twice
-    return residue[::-1].cumsum()[::-1] + WATER_MASS
-
-
-@dataclass(frozen=True)
-class Peptide:
-    """An immutable peptide sequence with cached mass.
-
-    This is the user-facing convenience type; hot paths operate on raw
-    encoded arrays and never construct ``Peptide`` objects per candidate.
-    """
-
-    sequence: str
-    monoisotopic: bool = True
-    _encoded: np.ndarray = field(init=False, repr=False, compare=False)
-    _mass: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        encoded = encode_sequence(self.sequence)
-        if len(encoded) == 0:
-            raise ValueError("peptide sequence must be non-empty")
-        object.__setattr__(self, "_encoded", encoded)
-        object.__setattr__(self, "_mass", peptide_mass(encoded, self.monoisotopic))
-
-    @classmethod
-    def from_encoded(cls, encoded: np.ndarray, monoisotopic: bool = True) -> "Peptide":
-        return cls(decode_sequence(encoded), monoisotopic=monoisotopic)
-
-    @property
-    def encoded(self) -> np.ndarray:
-        view = self._encoded.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def mass(self) -> float:
-        """Neutral mass in Da."""
-        return self._mass
-
-    def mz(self, charge: int = 1) -> float:
-        return peptide_mz(self._mass, charge)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
-
-    def prefix(self, length: int) -> "Peptide":
-        if not 1 <= length <= len(self):
-            raise ValueError(f"prefix length {length} out of range 1..{len(self)}")
-        return Peptide(self.sequence[:length], self.monoisotopic)
-
-    def suffix(self, length: int) -> "Peptide":
-        if not 1 <= length <= len(self):
-            raise ValueError(f"suffix length {length} out of range 1..{len(self)}")
-        return Peptide(self.sequence[-length:], self.monoisotopic)

@@ -10,7 +10,6 @@ from repro.core.master_worker import run_master_worker
 from repro.core.algorithm_a import run_algorithm_a
 from repro.core.algorithm_b import run_algorithm_b
 from repro.core.xbang import run_xbang
-from repro.core.inference import ProteinGroup, infer_proteins, protein_recovery
 from repro.core.driver import run_search, ALGORITHMS
 
 __all__ = [
@@ -33,7 +32,4 @@ __all__ = [
     "run_xbang",
     "run_search",
     "ALGORITHMS",
-    "ProteinGroup",
-    "infer_proteins",
-    "protein_recovery",
 ]

@@ -14,7 +14,6 @@ scenarios live under scenarios/.
 from repro.experiments.aggregate import (
     AGGREGATE_SCHEMA,
     build_aggregate,
-    extract_markdown,
     format_ascii,
     format_markdown,
     splice_markdown,
@@ -43,7 +42,6 @@ __all__ = [
     "aggregate_run",
     "build_aggregate",
     "execute_cell",
-    "extract_markdown",
     "format_ascii",
     "format_markdown",
     "run_experiment",

@@ -649,13 +649,3 @@ def splice_markdown(document: str, name: str, content: str) -> str:
         return block + "\n"
     return document[:start] + block + document[stop + len(end):]
 
-
-def extract_markdown(document: str, name: str) -> Optional[str]:
-    """The content currently between the ``experiments:name`` markers."""
-    begin, end = _markers(name)
-    start = document.find(begin)
-    stop = document.find(end)
-    if start == -1 or stop == -1 or stop < start:
-        return None
-    inner = document[start + len(begin):stop]
-    return inner.strip("\n")

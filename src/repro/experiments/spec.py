@@ -240,17 +240,6 @@ class CellSpec:
     cell_id: str
     params: Dict[str, Any]  # flat dotted key -> value
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.params.get(key, default)
-
-    def group(self, name: str) -> Dict[str, Any]:
-        """The ``name.*`` params with the prefix stripped."""
-        prefix = name + "."
-        return {
-            k[len(prefix):]: v for k, v in self.params.items() if k.startswith(prefix)
-        }
-
-
 class ExperimentSpec:
     """A parsed, validated scenario — see the module docstring."""
 

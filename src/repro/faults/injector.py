@@ -72,17 +72,6 @@ class FaultInjector:
                     f"injected crash: task {task_id} attempt {attempt}"
                 )
 
-    @classmethod
-    def crash_once(cls, *task_ids: int) -> "FaultInjector":
-        """Convenience: each listed task crashes on attempt 0 only."""
-        return cls(tuple(TaskFault(t, "crash", attempts=1) for t in task_ids))
-
-    @classmethod
-    def poison(cls, *task_ids: int) -> "FaultInjector":
-        """Convenience: each listed task crashes on every attempt."""
-        return cls(tuple(TaskFault(t, "crash", attempts=ALWAYS) for t in task_ids))
-
-
 @dataclass
 class ServiceFaultInjector:
     """Deterministic service-phase fault decisions for the scorer thread.

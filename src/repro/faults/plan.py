@@ -207,12 +207,6 @@ class ServiceFaults:
             if storm.interval < 0:
                 raise FaultPlanError(f"storm interval must be >= 0, got {storm.interval}")
 
-    @property
-    def is_trivial(self) -> bool:
-        """True when no execution-phase fault is planned (a storm alone
-        is load, not a fault)."""
-        return not (self.worker_crashes or self.slow_workers or self.store_outages)
-
     @classmethod
     def from_payload(cls, payload: dict) -> "ServiceFaults":
         storm = payload.get("storm")
@@ -313,15 +307,6 @@ class FaultPlan:
             if d.rank == rank and now >= d.start:
                 factor *= d.factor
         return factor
-
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            not self.crashes
-            and not self.stragglers
-            and not self.nic_degradations
-            and (self.transient is None or self.transient.probability == 0.0)
-        )
 
     # -- construction ------------------------------------------------------
 

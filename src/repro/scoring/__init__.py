@@ -8,7 +8,6 @@ from repro.scoring.hypergeometric import HypergeometricScorer
 from repro.scoring.hyperscore import HyperScorer
 from repro.scoring.xcorr import XCorrScorer
 from repro.scoring.registry import make_scorer, SCORER_NAMES
-from repro.scoring.evalue import SurvivalFit, expect_value, fit_survival
 from repro.scoring.statistics import (
     ScoredIdentification,
     accepted_at_fdr,
@@ -33,7 +32,4 @@ __all__ = [
     "fdr_curve",
     "score_threshold_at_fdr",
     "top_hits_with_labels",
-    "SurvivalFit",
-    "expect_value",
-    "fit_survival",
 ]

@@ -58,12 +58,11 @@ class CollectiveOp:
     """
 
     rank: int
-    kind: str  # "barrier" | "allreduce" | "alltoallv" | "bcast" | "gather"
+    kind: str  # "barrier" | "rendezvous" | "allreduce" | "alltoallv"
     instance: int
     payload: Any
     nbytes: int
     op: Optional[str] = None  # reduce operator for allreduce
-    root: int = 0  # for bcast/gather
 
 
 _REDUCE_OPS: Dict[str, Callable[[Any, Any], Any]] = {
@@ -268,18 +267,6 @@ class SimComm:
             )
         total = sum(int(n) for _p, n in payloads)
         return self._next_collective("alltoallv", list(payloads), total)
-
-    def bcast_op(self, value: Any = None, root: int = 0, nbytes: Optional[int] = None) -> CollectiveOp:
-        if nbytes is None:
-            nbytes = _payload_nbytes(value) if self.rank == root else 0
-        return self._next_collective("bcast", value, nbytes, root=root)
-
-    def gather_op(self, value: Any, root: int = 0, nbytes: Optional[int] = None) -> CollectiveOp:
-        """Gather to root; resumes with the list of values at root, None elsewhere."""
-        if nbytes is None:
-            nbytes = _payload_nbytes(value)
-        return self._next_collective("gather", value, nbytes, root=root)
-
 
 def _payload_nbytes(value: Any) -> int:
     if value is None:

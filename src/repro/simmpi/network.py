@@ -94,12 +94,5 @@ class NetworkModel:
             return 0.0
         return (p - 1) * self.latency + self.byte_cost * max(max_send, max_recv)
 
-    def bcast_time(self, p: int, nbytes: int) -> float:
-        """Binomial-tree broadcast."""
-        if p <= 1:
-            return 0.0
-        return math.ceil(math.log2(p)) * (self.latency + self.byte_cost * nbytes)
-
-
 #: A zero-cost network, useful in unit tests that assert pure semantics.
 ZERO_NETWORK = NetworkModel(latency=0.0, byte_cost=0.0)

@@ -36,7 +36,3 @@ class SimRequest:
     completion_time: float
     payload: Any = field(default=None, repr=False)
     completed: bool = False
-
-    def test(self, now: float) -> bool:
-        """mpi4py-style Request.test: has the transfer landed by ``now``?"""
-        return now >= self.completion_time

@@ -512,24 +512,6 @@ class SimCluster:
                 [ops[r].payload for r in expected], ops[expected[0]].op or "sum"
             )
             results = {r: reduced for r in expected}
-        elif pending.kind == "bcast":
-            root = ops[expected[0]].root
-            if root not in ops:
-                raise DeadlockError(
-                    f"bcast root {root} failed; broadcast cannot complete"
-                )
-            end = arrival_max + net.bcast_time(n, ops[root].nbytes)
-            results = {r: ops[root].payload for r in expected}
-        elif pending.kind == "gather":
-            root = ops[expected[0]].root
-            if root not in ops:
-                raise DeadlockError(
-                    f"gather root {root} failed; gather cannot complete"
-                )
-            nbytes = max(o.nbytes for o in ops.values())
-            end = arrival_max + net.bcast_time(n, nbytes)  # symmetric tree cost
-            gathered = [ops[r].payload for r in expected]
-            results = {r: (gathered if r == root else None) for r in expected}
         elif pending.kind == "alltoallv":
             if n != p:
                 raise DeadlockError(

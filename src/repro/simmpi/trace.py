@@ -73,11 +73,6 @@ class RankTrace:
             self.events.append((category, start, duration, detail))
 
     @property
-    def residual_communication(self) -> float:
-        """The paper's residual communication: unmasked wait time."""
-        return self.wait
-
-    @property
     def residual_to_compute_ratio(self) -> float:
         return self.wait / self.compute if self.compute > 0 else 0.0
 

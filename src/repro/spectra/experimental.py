@@ -50,10 +50,6 @@ class SimulatorConfig:
         min_peaks: spectra that end up with fewer observed peaks are
             regenerated with reduced dropout, mirroring instrument
             quality filters that discard near-empty scans.
-        isotope_envelope: add +1/+2 isotope satellites to observed
-            fragment peaks (averagine model,
-            :mod:`repro.spectra.isotopes`) — enable to exercise the
-            deisotoping preprocessing path end to end.
     """
 
     peak_dropout: float = 0.3
@@ -62,7 +58,6 @@ class SimulatorConfig:
     intensity_sd: float = 0.5
     precursor_jitter_sd: float = 0.005
     min_peaks: int = 5
-    isotope_envelope: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.peak_dropout < 1.0:
@@ -107,10 +102,6 @@ class SpectrumSimulator:
             dropout *= 0.5
         obs_mz = mz[observed] + rng.normal(0.0, cfg.mz_jitter_sd, int(observed.sum()))
         obs_int = intensity[observed] * rng.lognormal(0.0, cfg.intensity_sd, len(obs_mz))
-        if cfg.isotope_envelope and len(obs_mz):
-            from repro.spectra.isotopes import expand_with_isotopes
-
-            obs_mz, obs_int = expand_with_isotopes(obs_mz, obs_int, charge=1)
 
         n_noise = int(rng.poisson(cfg.noise_peaks))
         if n_noise and len(mz):

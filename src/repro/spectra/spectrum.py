@@ -65,10 +65,6 @@ class Spectrum:
         return mz_to_mass(self.precursor_mz, self.charge)
 
     @property
-    def total_intensity(self) -> float:
-        return float(self.intensity.sum())
-
-    @property
     def nbytes(self) -> int:
         """Transportable size, used by the simulated machine's accounting."""
         return int(self.mz.nbytes + self.intensity.nbytes) + 24  # + scalars
@@ -99,21 +95,3 @@ class Spectrum:
             np.add.at(summed, group, intensity)
             mz, intensity = mz[keep], summed
         return cls(mz, intensity, precursor_mz, charge, query_id)
-
-    def normalized(self) -> "Spectrum":
-        """Spectrum with intensities scaled so the maximum is 1 (no-op if empty)."""
-        peak = self.intensity.max() if len(self.intensity) else 0.0
-        if peak <= 0:
-            return self
-        return Spectrum(
-            self.mz, self.intensity / peak, self.precursor_mz, self.charge, self.query_id
-        )
-
-    def top_peaks(self, k: int) -> "Spectrum":
-        """Spectrum retaining only the ``k`` most intense peaks (still m/z-sorted)."""
-        if k >= self.num_peaks:
-            return self
-        idx = np.sort(np.argpartition(self.intensity, -k)[-k:])
-        return Spectrum(
-            self.mz[idx], self.intensity[idx], self.precursor_mz, self.charge, self.query_id
-        )

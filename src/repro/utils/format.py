@@ -10,17 +10,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 
-def format_seconds(seconds: float) -> str:
-    """Render a duration with sensible units: ``'14322.90s'``, ``'3.2ms'``, ``'85us'``."""
-    if seconds != seconds:  # NaN
-        return "nan"
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.1f}ms"
-    return f"{seconds * 1e6:.0f}us"
-
-
 def format_si(value: float) -> str:
     """Render a count with K/M/G suffixes: ``format_si(2_655_064) == '2.66M'``."""
     for threshold, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "K")):

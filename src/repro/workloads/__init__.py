@@ -7,13 +7,6 @@ from repro.workloads.datasets import (
     HUMAN,
     MICROBIAL,
     load_dataset,
-    microbial_subset_sizes,
-)
-from repro.workloads.community import (
-    Community,
-    CommunitySpec,
-    build_community,
-    community_queries,
 )
 from repro.workloads.growth import genbank_growth_series
 from repro.workloads.candidate_counts import candidate_count_by_source, SOURCE_CLASSES
@@ -27,11 +20,6 @@ __all__ = [
     "HUMAN",
     "MICROBIAL",
     "load_dataset",
-    "microbial_subset_sizes",
-    "Community",
-    "CommunitySpec",
-    "build_community",
-    "community_queries",
     "genbank_growth_series",
     "candidate_count_by_source",
     "SOURCE_CLASSES",

@@ -21,7 +21,6 @@ record it in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.chem.protein import ProteinDatabase
 from repro.constants import (
@@ -80,15 +79,3 @@ def load_dataset(name: str, scale: float = 1.0, n: int = -1) -> ProteinDatabase:
     except KeyError:
         raise KeyError(f"unknown dataset {name!r}; expected {sorted(_DATASETS)}") from None
     return spec.build(scale=scale, n=n)
-
-
-def microbial_subset_sizes(max_size: int = PAPER_MICROBIAL_SEQUENCES) -> List[int]:
-    """The paper's Table II size grid: 1K, 2K, 4K, ..., capped at max_size.
-
-    The paper extracted "arbitrary subsets of sizes 1K, 2K, 4K, ... up to
-    2.65 million", with named rows 100K, 200K, 400K, 800K, 1M, 2M, 2.6M
-    after the doubling prefix.
-    """
-    grid = [1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 100_000, 200_000,
-            400_000, 800_000, 1_000_000, 2_000_000, 2_600_000]
-    return [g for g in grid if g <= max_size]

@@ -10,7 +10,7 @@ from repro.core.driver import run_search
 from repro.engines.multiproc import run_multiprocess_search
 from repro.errors import CheckpointError
 from repro.faults.checkpoint import CheckpointManager, SearchCheckpoint
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import ALWAYS, FaultInjector, TaskFault
 from repro.faults.supervisor import RetryPolicy
 from repro.scoring.hits import Hit
 
@@ -142,7 +142,7 @@ class TestKillResume:
             config=config,
             retry_policy=RetryPolicy(max_retries=0, backoff_base=0.001),
             checkpoint_path=str(path),
-            fault_injector=FaultInjector.poison(3),
+            fault_injector=FaultInjector((TaskFault(3, "crash", attempts=ALWAYS),)),
         )
         assert crashed.extras["degraded"]
         done_first = crashed.extras["tasks_completed"]

@@ -52,12 +52,6 @@ class TestValidation:
         with pytest.raises(FaultPlanError, match="at least one must survive"):
             plan.validate_for(2)
 
-    def test_trivial_plan_detection(self):
-        assert FaultPlan().is_trivial
-        assert FaultPlan(transient=TransientFaults(probability=0.0)).is_trivial
-        assert not FaultPlan(crashes=(RankCrash(0, 1.0),)).is_trivial
-
-
 class TestQueries:
     def test_crash_time_lookup(self):
         plan = FaultPlan(crashes=(RankCrash(2, 3.5),))

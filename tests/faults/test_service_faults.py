@@ -117,15 +117,10 @@ class TestPlanVocabulary:
         path.write_text(plan.to_json())
         loaded = FaultPlan.from_file(path)
         assert loaded == plan
-        assert not loaded.service.is_trivial
 
     def test_plan_without_service_section_round_trips_to_none(self):
         plan = FaultPlan.from_json(FaultPlan().to_json())
         assert plan.service is None
-
-    def test_storm_alone_is_trivial(self):
-        faults = ServiceFaults(storm=RequestStorm())
-        assert faults.is_trivial
 
     @pytest.mark.parametrize(
         "kwargs",

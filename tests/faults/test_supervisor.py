@@ -88,7 +88,7 @@ class TestSupervisedRuns:
             num_workers=2,
             config=SearchConfig(tau=10),
             retry_policy=fast_policy,
-            fault_injector=FaultInjector.crash_once(0),
+            fault_injector=FaultInjector((TaskFault(0, "crash", attempts=1),)),
         )
         assert hit_keys(report) == hit_keys(serial)
         assert report.candidates_evaluated == serial.candidates_evaluated
@@ -106,7 +106,7 @@ class TestSupervisedRuns:
             num_workers=2,
             config=SearchConfig(tau=10),
             retry_policy=fast_policy,
-            fault_injector=FaultInjector.poison(1),
+            fault_injector=FaultInjector((TaskFault(1, "crash", attempts=ALWAYS),)),
         )
         assert report.extras["degraded"]
         manifest = report.extras["failed_tasks"]
@@ -144,7 +144,7 @@ class TestSupervisedRuns:
             num_workers=1,
             config=SearchConfig(tau=10),
             retry_policy=fast_policy,
-            fault_injector=FaultInjector.crash_once(0),
+            fault_injector=FaultInjector((TaskFault(0, "crash", attempts=1),)),
         )
         assert hit_keys(report) == hit_keys(serial)
         assert report.extras["recovery_retries"] == 1

@@ -25,7 +25,6 @@ from repro.errors import ExperimentSpecError
 from repro.experiments import (
     ExperimentSpec,
     aggregate_run,
-    extract_markdown,
     format_markdown,
     run_experiment,
     splice_markdown,
@@ -35,6 +34,13 @@ from repro.experiments import (
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 REPO_ROOT = os.path.dirname(SRC_DIR)
 SCENARIOS_DIR = os.path.join(REPO_ROOT, "scenarios")
+
+
+def between_markers(document, name):
+    """The content a splice left between the ``experiments:name`` markers."""
+    begin = document.index(f"<!-- experiments:{name} begin -->\n")
+    end = document.index(f"\n<!-- experiments:{name} end -->")
+    return document[begin + len(f"<!-- experiments:{name} begin -->\n"):end]
 
 
 def tiny_payload(**overrides):
@@ -264,12 +270,12 @@ class TestMarkdownEmitter:
         spliced = splice_markdown(doc, "itest", md)
         assert "hand-written intro" in spliced
         # round trip is modulo trailing whitespace (splice canonicalizes)
-        assert extract_markdown(spliced, "itest") == md.rstrip()
+        assert between_markers(spliced, "itest") == md.rstrip()
         # idempotent: splicing the same content changes nothing
         assert splice_markdown(spliced, "itest", md) == spliced
         # replacement: new content swaps in, prose survives
         replaced = splice_markdown(spliced, "itest", "NEW")
-        assert extract_markdown(replaced, "itest") == "NEW"
+        assert between_markers(replaced, "itest") == "NEW"
         assert "hand-written intro" in replaced
 
 

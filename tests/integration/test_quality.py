@@ -13,6 +13,7 @@ cut, and pays for it per candidate.
 import numpy as np
 import pytest
 
+from repro.analysis.quality import recovery
 from repro.chem.decoy import with_decoys
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
@@ -36,37 +37,23 @@ def workload(db):
     return QueryWorkload(num_queries=40, seed=61, source=db).build()
 
 
-def recovery_rate(db, report, spectra, targets, top_k=1):
-    """Fraction of queries whose true peptide appears in the top-k hits."""
-    index_of = {int(pid): i for i, pid in enumerate(db.ids)}
-    found = 0
-    for spec, target in zip(spectra, targets):
-        hits = report.hits.get(spec.query_id, [])[:top_k]
-        for hit in hits:
-            seq = db.sequence(index_of[hit.protein_id])
-            if np.array_equal(seq[hit.start : hit.stop], target):
-                found += 1
-                break
-    return found / len(spectra)
-
-
 class TestAccurateEngineQuality:
     def test_likelihood_recovers_most_targets(self, db, workload):
         spectra, targets = workload
         report = search_serial(db, spectra, SearchConfig(tau=10))
-        assert recovery_rate(db, report, spectra, targets, top_k=1) >= 0.7
+        assert recovery(db, report, spectra, targets).recall_at_1 >= 0.7
 
     def test_targets_nearly_always_in_top_tau(self, db, workload):
         spectra, targets = workload
         report = search_serial(db, spectra, SearchConfig(tau=10))
-        assert recovery_rate(db, report, spectra, targets, top_k=10) >= 0.85
+        assert recovery(db, report, spectra, targets, k=10).recall_at_k >= 0.85
 
     def test_likelihood_beats_shared_peaks_at_rank1(self, db, workload):
         spectra, targets = workload
         accurate = search_serial(db, spectra, SearchConfig(tau=10, scorer="likelihood"))
         cheap = search_serial(db, spectra, SearchConfig(tau=10, scorer="shared_peaks"))
-        acc_rate = recovery_rate(db, accurate, spectra, targets)
-        cheap_rate = recovery_rate(db, cheap, spectra, targets)
+        acc_rate = recovery(db, accurate, spectra, targets).recall_at_1
+        cheap_rate = recovery(db, cheap, spectra, targets).recall_at_1
         assert acc_rate >= cheap_rate
 
 
@@ -77,8 +64,8 @@ class TestXbangQuality:
         spectra, targets = workload
         accurate = run_search(db, spectra, "algorithm_a", 4, SearchConfig(tau=10))
         fast = run_search(db, spectra, "xbang", 4, SearchConfig(tau=10))
-        acc_rate = recovery_rate(db, accurate, spectra, targets, top_k=10)
-        fast_rate = recovery_rate(db, fast, spectra, targets, top_k=10)
+        acc_rate = recovery(db, accurate, spectra, targets, k=10).recall_at_k
+        fast_rate = recovery(db, fast, spectra, targets, k=10).recall_at_k
         assert fast_rate < acc_rate, (
             f"fast engine should miss targets (fast {fast_rate}, accurate {acc_rate})"
         )
@@ -86,7 +73,7 @@ class TestXbangQuality:
     def test_xbang_still_finds_clean_tryptic_targets(self, db, workload):
         spectra, targets = workload
         fast = run_search(db, spectra, "xbang", 4, SearchConfig(tau=10))
-        assert recovery_rate(db, fast, spectra, targets, top_k=10) > 0.2
+        assert recovery(db, fast, spectra, targets, k=10).recall_at_k > 0.2
 
 
 class TestDecoyDiscrimination:

@@ -5,18 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chem.amino_acids import decode_sequence, encode_sequence
-from repro.chem.digest import cleavage_sites, tryptic_peptides
-from repro.chem.peptide import (
-    mz_to_mass,
-    peptide_mass,
-    peptide_mz,
-    prefix_masses,
-    suffix_masses,
-)
+from repro.chem.digest import cleavage_sites
+from repro.chem.enzymes import PROTEASES
+from repro.chem.peptide import mz_to_mass, peptide_mass, peptide_mz
 from repro.constants import AMINO_ACIDS, WATER_MASS
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=60)
 nonempty = sequences.filter(lambda s: len(s) >= 2)
+TRYPSIN = PROTEASES["trypsin"]
 
 
 @given(sequences)
@@ -45,28 +41,11 @@ def test_mz_roundtrip(seq, charge):
     assert abs(mz_to_mass(peptide_mz(mass, charge), charge) - mass) < 1e-9
 
 
-@given(sequences)
-def test_prefix_suffix_symmetry(seq):
-    """suffix masses of seq == prefix masses of reversed seq."""
-    enc = encode_sequence(seq)
-    rev = encode_sequence(seq[::-1])
-    assert np.allclose(suffix_masses(enc), prefix_masses(rev)[::-1])
-
-
-@given(sequences)
-def test_prefix_masses_monotone_and_bounded(seq):
-    enc = encode_sequence(seq)
-    pm = prefix_masses(enc)
-    assert np.all(np.diff(pm) > 0)
-    assert abs(pm[-1] - peptide_mass(enc)) < 1e-9
-    assert np.all(pm > WATER_MASS)
-
-
 @given(nonempty, st.integers(min_value=0, max_value=3))
 @settings(max_examples=60)
 def test_digest_spans_valid_and_within_bounds(seq, missed):
     enc = encode_sequence(seq)
-    spans = list(tryptic_peptides(enc, missed_cleavages=missed))
+    spans = list(TRYPSIN.peptides(enc, missed_cleavages=missed))
     for start, stop in spans:
         assert 0 <= start < stop <= len(seq)
 
@@ -74,7 +53,7 @@ def test_digest_spans_valid_and_within_bounds(seq, missed):
 @given(nonempty)
 def test_zero_missed_digest_is_a_partition(seq):
     enc = encode_sequence(seq)
-    spans = list(tryptic_peptides(enc, 0))
+    spans = list(TRYPSIN.peptides(enc, 0))
     covered = "".join(seq[a:b] for a, b in spans)
     assert covered == seq
     # fragments are non-overlapping and ordered
@@ -85,8 +64,8 @@ def test_zero_missed_digest_is_a_partition(seq):
 @given(nonempty, st.integers(min_value=0, max_value=2))
 def test_higher_missed_cleavage_is_superset(seq, missed):
     enc = encode_sequence(seq)
-    lower = set(tryptic_peptides(enc, missed))
-    higher = set(tryptic_peptides(enc, missed + 1))
+    lower = set(TRYPSIN.peptides(enc, missed))
+    higher = set(TRYPSIN.peptides(enc, missed + 1))
     assert lower <= higher
 
 

@@ -11,8 +11,6 @@ from repro.chem.amino_acids import (
     encode_sequence,
     is_valid_sequence,
     mass_table,
-    modification_mass_table,
-    residue_masses,
 )
 from repro.constants import AMINO_ACIDS, MONOISOTOPIC_MASS
 from repro.errors import InvalidSequenceError
@@ -80,13 +78,6 @@ class TestMassTable:
         table = mass_table()
         assert table[ord("L")] == table[ord("I")]
 
-    def test_residue_masses_vectorized(self):
-        enc = encode_sequence("GAG")
-        masses = residue_masses(enc)
-        assert masses[0] == masses[2] == pytest.approx(MONOISOTOPIC_MASS["G"])
-        assert masses[1] == pytest.approx(MONOISOTOPIC_MASS["A"])
-
-
 class TestIsValidSequence:
     def test_requires_uint8(self):
         with pytest.raises(TypeError):
@@ -104,26 +95,6 @@ class TestModifications:
     def test_invalid_target_raises(self):
         with pytest.raises(InvalidSequenceError):
             Modification("bogus", "X", 1.0)
-
-    def test_fixed_modification_folds_into_table(self):
-        mod = STANDARD_MODIFICATIONS["carbamidomethyl"]
-        fixed, variable = modification_mass_table([mod])
-        assert fixed[ord("C")] == pytest.approx(
-            MONOISOTOPIC_MASS["C"] + mod.delta_mass
-        )
-        assert variable[ord("C")] == 0.0
-
-    def test_variable_modification_fills_delta_table(self):
-        mod = STANDARD_MODIFICATIONS["oxidation"]
-        fixed, variable = modification_mass_table([mod])
-        assert fixed[ord("M")] == pytest.approx(MONOISOTOPIC_MASS["M"])
-        assert variable[ord("M")] == pytest.approx(mod.delta_mass)
-
-    def test_conflicting_variable_mods_rejected(self):
-        a = Modification("a", "S", 1.0)
-        b = Modification("b", "S", 2.0)
-        with pytest.raises(ValueError, match="multiple variable"):
-            modification_mass_table([a, b])
 
     def test_residue_codes_cover_alphabet(self):
         assert len(RESIDUE_CODES) == 20

@@ -1,11 +1,12 @@
-"""Unit tests for repro.chem.digest (tryptic digestion)."""
+"""Unit tests for tryptic digestion: cleavage sites and trypsin's peptide spans."""
 
-import numpy as np
 import pytest
 
 from repro.chem.amino_acids import encode_sequence
-from repro.chem.digest import cleavage_sites, digest_database, tryptic_peptides
-from repro.chem.protein import ProteinDatabase
+from repro.chem.digest import cleavage_sites
+from repro.chem.enzymes import PROTEASES
+
+TRYPSIN = PROTEASES["trypsin"]
 
 
 def spans_to_strs(seq, spans):
@@ -33,57 +34,41 @@ class TestCleavageSites:
 class TestTrypticPeptides:
     def test_simple_digest(self):
         seq = "AAKBBRCC".replace("B", "G")  # AAK | GGR | CC
-        spans = list(tryptic_peptides(encode_sequence(seq)))
+        spans = list(TRYPSIN.peptides(encode_sequence(seq)))
         assert spans_to_strs(seq, spans) == ["AAK", "GGR", "CC"]
 
     def test_missed_cleavages(self):
         seq = "AAKGGRCC"
-        spans = list(tryptic_peptides(encode_sequence(seq), missed_cleavages=1))
+        spans = list(TRYPSIN.peptides(encode_sequence(seq), missed_cleavages=1))
         assert spans_to_strs(seq, spans) == ["AAK", "AAKGGR", "GGR", "GGRCC", "CC"]
 
     def test_two_missed_cleavages_include_full_sequence(self):
         seq = "AAKGGRCC"
-        spans = set(spans_to_strs(seq, tryptic_peptides(encode_sequence(seq), 2)))
+        spans = set(spans_to_strs(seq, TRYPSIN.peptides(encode_sequence(seq), 2)))
         assert seq in spans
 
     def test_length_filters(self):
         seq = "AAKGGRCC"
-        spans = list(tryptic_peptides(encode_sequence(seq), 1, min_length=4))
+        spans = list(TRYPSIN.peptides(encode_sequence(seq), 1, min_length=4))
         assert spans_to_strs(seq, spans) == ["AAKGGR", "GGRCC"]
 
     def test_no_sites_yields_whole_sequence(self):
         seq = "AAAAA"
-        spans = list(tryptic_peptides(encode_sequence(seq)))
+        spans = list(TRYPSIN.peptides(encode_sequence(seq)))
         assert spans_to_strs(seq, spans) == [seq]
 
     def test_trailing_k_produces_no_empty_fragment(self):
         seq = "AAKGGK"
-        spans = list(tryptic_peptides(encode_sequence(seq)))
+        spans = list(TRYPSIN.peptides(encode_sequence(seq)))
         assert spans_to_strs(seq, spans) == ["AAK", "GGK"]
         assert all(b > a for a, b in spans)
 
     def test_negative_missed_cleavages_rejected(self):
         with pytest.raises(ValueError):
-            list(tryptic_peptides(encode_sequence("AAK"), -1))
+            list(TRYPSIN.peptides(encode_sequence("AAK"), -1))
 
     def test_spans_cover_sequence_exactly_at_zero_missed(self):
         seq = "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLSGAEK"
-        spans = list(tryptic_peptides(encode_sequence(seq), 0))
+        spans = list(TRYPSIN.peptides(encode_sequence(seq), 0))
         covered = "".join(seq[a:b] for a, b in spans)
         assert covered == seq
-
-
-class TestDigestDatabase:
-    def test_digest_records_protein_identity(self):
-        db = ProteinDatabase.from_sequences(["AAKGGGGGGR", "CCCCCCK"])
-        peptides = digest_database(db, missed_cleavages=0, min_length=3, max_length=50)
-        assert {p.protein_id for p in peptides} == {0, 1}
-        for p in peptides:
-            assert 3 <= p.stop - p.start <= 50
-
-    def test_digest_respects_global_ids(self):
-        db = ProteinDatabase.from_sequences(["AAKGGGGGGR", "CCCCCCK"])
-        sub = db.subset(np.array([1]))
-        peptides = digest_database(sub, min_length=3)
-        assert all(p.protein_id == 1 for p in peptides)
-        assert all(p.protein_index == 0 for p in peptides)

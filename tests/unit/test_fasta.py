@@ -1,13 +1,16 @@
-"""Unit tests for repro.chem.fasta, including the byte-chunk loading path."""
+"""Unit tests for repro.chem.fasta."""
 
 import io
 
 import pytest
 
-from repro.chem.fasta import parse_fasta, read_fasta, read_fasta_chunk, write_fasta
+from repro.chem.fasta import read_fasta, write_fasta
 from repro.chem.protein import ProteinDatabase, ProteinRecord
 from repro.errors import FastaError, ReproError
-from repro.workloads.synthetic import generate_database
+
+
+def parse_fasta(text):
+    return list(read_fasta(io.StringIO(text)))
 
 
 class TestParse:
@@ -34,12 +37,6 @@ class TestParse:
             parse_fasta("PEPTIDE\n>a\nKR\n")
         assert issubclass(FastaError, ValueError)
         assert issubclass(FastaError, ReproError)
-
-    def test_chunk_range_error_is_typed(self, tmp_path):
-        path = tmp_path / "x.fasta"
-        path.write_text(">a\nAA\n")
-        with pytest.raises(FastaError, match="invalid byte range"):
-            read_fasta_chunk(path, 5, 2)
 
     def test_header_whitespace_stripped(self):
         assert parse_fasta(">  spaced  \nAA\n")[0].name == "spaced"
@@ -69,47 +66,3 @@ class TestRoundtrip:
         write_fasta(buf, db)
         buf.seek(0)
         assert read_fasta(buf).sequence_str(0) == "PEPTIDE"
-
-
-class TestChunkedReading:
-    """The paper's A1 loading rule: byte chunks with boundary repair."""
-
-    def _chunks_cover_exactly(self, path, p):
-        size = path.stat().st_size
-        bounds = [size * i // p for i in range(p + 1)]
-        names = []
-        for i in range(p):
-            for rec in read_fasta_chunk(path, bounds[i], bounds[i + 1]):
-                names.append(rec.name)
-        return names
-
-    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
-    def test_every_record_read_exactly_once(self, tmp_path, p):
-        db = generate_database(40, seed=3)
-        path = tmp_path / "db.fasta"
-        write_fasta(path, db)
-        names = self._chunks_cover_exactly(path, p)
-        assert sorted(names) == sorted(db.name(i) for i in range(len(db)))
-        assert len(names) == len(set(names)), "a boundary record was duplicated"
-
-    def test_chunk_content_matches_whole_file(self, tmp_path):
-        db = generate_database(10, seed=4)
-        path = tmp_path / "db.fasta"
-        write_fasta(path, db)
-        size = path.stat().st_size
-        recs = read_fasta_chunk(path, 0, size)
-        whole = list(read_fasta(path))
-        assert recs == whole
-
-    def test_invalid_range_rejected(self, tmp_path):
-        path = tmp_path / "x.fasta"
-        path.write_text(">a\nAA\n")
-        with pytest.raises(ValueError):
-            read_fasta_chunk(path, 5, 2)
-
-    def test_chunk_landing_mid_record_skips_it(self, tmp_path):
-        path = tmp_path / "two.fasta"
-        path.write_text(">first\nAAAA\n>second\nCCCC\n")
-        # start inside "first"'s sequence: only "second" belongs to us
-        recs = read_fasta_chunk(path, 8, path.stat().st_size)
-        assert [r.name for r in recs] == ["second"]

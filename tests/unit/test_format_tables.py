@@ -1,20 +1,12 @@
-"""Unit tests for formatting helpers and table renderers."""
+"""Unit tests for formatting helpers and seeded RNG construction."""
 
 import pytest
 
-from repro.analysis.metrics import ScalingPoint
-from repro.analysis.tables import format_runtime_table, format_scaling_rows
-from repro.utils.format import format_seconds, format_si, render_table
+from repro.utils.format import format_si, render_table
 from repro.utils.rng import derive_seed, make_rng
 
 
 class TestFormat:
-    def test_format_seconds(self):
-        assert format_seconds(14322.9) == "14322.90s"
-        assert format_seconds(0.0032) == "3.2ms"
-        assert format_seconds(85e-6) == "85us"
-        assert format_seconds(float("nan")) == "nan"
-
     def test_format_si(self):
         assert format_si(2_655_064) == "2.66M"
         assert format_si(1_000) == "1.00K"
@@ -51,20 +43,3 @@ class TestRng:
         a = make_rng(7, "stream").random(5)
         b = make_rng(7, "stream").random(5)
         assert (a == b).all()
-
-
-class TestTableRenderers:
-    def test_runtime_table_with_missing_cells(self):
-        run_times = {1000: {1: 36.14, 8: 9.54}, 400_000: {8: 2894.21}}
-        out = format_runtime_table(run_times, [1, 8], title="Table II")
-        assert "Table II" in out
-        assert "36.14" in out
-        assert "-" in out  # the missing 400K @ p=1 cell
-
-    def test_scaling_rows(self):
-        pts = [
-            ScalingPoint(16_000, 8, 121.4, 4.86, 0.6077),
-        ]
-        out = format_scaling_rows(pts)
-        assert "16.00K" in out
-        assert "60.8" in out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.candidates.generator import CandidateGenerator, count_candidates, mass_window
+from repro.candidates.generator import CandidateGenerator, mass_window
 from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.peptide import peptide_mass, peptide_mz
 from repro.chem.protein import ProteinDatabase
@@ -128,11 +128,3 @@ class TestModified:
         fixed = STANDARD_MODIFICATIONS["carbamidomethyl"]
         gen = CandidateGenerator(db, delta=5.0, modifications=[fixed])
         assert gen.modifications == ()
-
-
-class TestConvenience:
-    def test_count_candidates_function(self, db):
-        specs = [spectrum_for_mass(m, qid=i) for i, m in enumerate((400.0, 800.0))]
-        counts = count_candidates(db, specs, delta=20.0)
-        assert counts.shape == (2,)
-        assert counts.dtype == np.int64

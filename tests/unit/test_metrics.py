@@ -2,27 +2,16 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    chained_speedup,
-    efficiency,
-    mean_and_std,
-    scaling_table,
-    speedup,
-)
+from repro.analysis.metrics import chained_speedup, mean_and_std, speedup
 
 
 class TestBasics:
     def test_speedup(self):
         assert speedup(100.0, 25.0) == 4.0
 
-    def test_efficiency(self):
-        assert efficiency(100.0, 25.0, 8) == 0.5
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             speedup(0.0, 1.0)
-        with pytest.raises(ValueError):
-            efficiency(1.0, 1.0, 0)
 
     def test_chained_speedup_matches_paper_rule(self):
         """S(p) = (T(8)/T(p)) * 4.51 for sizes with no 1-rank run."""
@@ -31,45 +20,6 @@ class TestBasics:
     def test_chained_invalid(self):
         with pytest.raises(ValueError):
             chained_speedup(1.0, 1.0, 0.0)
-
-
-class TestScalingTable:
-    def test_real_speedup_when_t1_present(self):
-        run_times = {1000: {1: 100.0, 2: 50.0, 4: 30.0}}
-        pts = scaling_table(run_times)
-        by_p = {p.num_ranks: p for p in pts}
-        assert by_p[2].speedup == 2.0
-        assert by_p[4].efficiency == pytest.approx(100.0 / 30.0 / 4)
-
-    def test_anchor_rule_for_large_sizes(self):
-        run_times = {
-            1000: {1: 100.0, 8: 25.0},        # anchor speedup 4.0
-            400_000: {8: 800.0, 16: 400.0},   # no 1-rank run
-        }
-        pts = scaling_table(run_times, anchor_rank=8)
-        big = {p.num_ranks: p for p in pts if p.database_size == 400_000}
-        assert big[8].speedup == pytest.approx(4.0)
-        assert big[16].speedup == pytest.approx(8.0)
-
-    def test_anchor_is_mean_over_small_sizes(self):
-        run_times = {
-            1: {1: 100.0, 8: 25.0},   # speedup 4
-            2: {1: 100.0, 8: 20.0},   # speedup 5
-            400_000: {8: 100.0, 16: 50.0},
-        }
-        pts = scaling_table(run_times, anchor_rank=8)
-        big = [p for p in pts if p.database_size == 400_000 and p.num_ranks == 16]
-        assert big[0].speedup == pytest.approx(2.0 * 4.5)
-
-    def test_sizes_without_baseline_or_anchor_skipped(self):
-        pts = scaling_table({7: {16: 10.0}})
-        assert pts == []
-
-    def test_candidates_per_second_passthrough(self):
-        run_times = {10: {1: 10.0}}
-        cands = {10: {1: 500.0}}
-        pts = scaling_table(run_times, candidates_per_run=cands)
-        assert pts[0].candidates_per_second == 50.0
 
 
 class TestMeanStd:

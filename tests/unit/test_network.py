@@ -43,11 +43,6 @@ class TestNetworkModel:
         net = NetworkModel(latency=0.0, byte_cost=1e-6)
         assert net.alltoallv_time(4, 1000, 5000) == pytest.approx(5e-3)
 
-    def test_bcast(self):
-        net = NetworkModel(latency=1e-3, byte_cost=0.0)
-        assert net.bcast_time(8, 100) == pytest.approx(3e-3)
-        assert net.bcast_time(1, 100) == 0.0
-
     def test_zero_network(self):
         assert ZERO_NETWORK.transfer_time(10**9) == 0.0
         assert ZERO_NETWORK.allreduce_time(128, 10**9) == 0.0

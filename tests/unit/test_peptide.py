@@ -1,17 +1,9 @@
 """Unit tests for repro.chem.peptide."""
 
-import numpy as np
 import pytest
 
 from repro.chem.amino_acids import encode_sequence
-from repro.chem.peptide import (
-    Peptide,
-    mz_to_mass,
-    peptide_mass,
-    peptide_mz,
-    prefix_masses,
-    suffix_masses,
-)
+from repro.chem.peptide import mz_to_mass, peptide_mass, peptide_mz
 from repro.constants import MONOISOTOPIC_MASS, PROTON_MASS, WATER_MASS
 
 
@@ -52,72 +44,3 @@ class TestMz:
             peptide_mz(100.0, 0)
         with pytest.raises(ValueError):
             mz_to_mass(100.0, -1)
-
-
-class TestPrefixSuffixMasses:
-    def test_lengths(self):
-        enc = encode_sequence("PEPTIDE")
-        assert len(prefix_masses(enc)) == 7
-        assert len(suffix_masses(enc)) == 7
-
-    def test_last_prefix_is_full_mass(self):
-        enc = encode_sequence("PEPTIDE")
-        assert prefix_masses(enc)[-1] == pytest.approx(peptide_mass(enc))
-
-    def test_first_suffix_is_full_mass(self):
-        enc = encode_sequence("PEPTIDE")
-        assert suffix_masses(enc)[0] == pytest.approx(peptide_mass(enc))
-
-    def test_each_prefix_matches_direct_computation(self):
-        enc = encode_sequence("MKTAYIAK")
-        pm = prefix_masses(enc)
-        for i in range(len(enc)):
-            assert pm[i] == pytest.approx(peptide_mass(enc[: i + 1]))
-
-    def test_each_suffix_matches_direct_computation(self):
-        enc = encode_sequence("MKTAYIAK")
-        sm = suffix_masses(enc)
-        for i in range(len(enc)):
-            assert sm[i] == pytest.approx(peptide_mass(enc[i:]))
-
-    def test_prefixes_strictly_increasing(self):
-        enc = encode_sequence("ACDEFGHIK")
-        assert np.all(np.diff(prefix_masses(enc)) > 0)
-
-    def test_suffixes_strictly_decreasing(self):
-        enc = encode_sequence("ACDEFGHIK")
-        assert np.all(np.diff(suffix_masses(enc)) < 0)
-
-
-class TestPeptideType:
-    def test_basic_properties(self):
-        p = Peptide("PEPTIDEK")
-        assert len(p) == 8
-        assert p.mass == pytest.approx(peptide_mass(encode_sequence("PEPTIDEK")))
-        assert p.mz(1) == pytest.approx(p.mass + PROTON_MASS)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Peptide("")
-
-    def test_prefix_suffix_helpers(self):
-        p = Peptide("PEPTIDEK")
-        assert p.prefix(3).sequence == "PEP"
-        assert p.suffix(4).sequence == "IDEK"
-        with pytest.raises(ValueError):
-            p.prefix(0)
-        with pytest.raises(ValueError):
-            p.suffix(9)
-
-    def test_from_encoded_roundtrip(self):
-        enc = encode_sequence("MKTAYIAK")
-        assert Peptide.from_encoded(enc).sequence == "MKTAYIAK"
-
-    def test_encoded_view_read_only(self):
-        p = Peptide("AAA")
-        with pytest.raises(ValueError):
-            p.encoded[0] = 1
-
-    def test_equality_by_sequence(self):
-        assert Peptide("PEK") == Peptide("PEK")
-        assert Peptide("PEK") != Peptide("KEP")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.quality import RecoveryResult, compare_engines, recovery
+from repro.analysis.quality import recovery
 from repro.chem.amino_acids import encode_sequence
 from repro.chem.protein import ProteinDatabase
 from repro.core.results import SearchReport
@@ -73,15 +73,3 @@ class TestRecovery:
         result = recovery(db, report_with({}), [], [])
         assert result.total == 0
         assert result.recall_at_1 == 0.0
-
-
-class TestCompareEngines:
-    def test_per_engine_results(self, db):
-        target = encode_sequence("MKTAY")
-        good = report_with({0: [Hit(0, 9.0, 0, 0, 5, 1.0)]})
-        bad = report_with({0: [Hit(0, 9.0, 1, 0, 5, 1.0)]})
-        results = compare_engines(
-            db, {"good": good, "bad": bad}, [spectrum(0)], [target]
-        )
-        assert results["good"].recall_at_1 == 1.0
-        assert results["bad"].recall_at_1 == 0.0

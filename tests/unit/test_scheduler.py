@@ -143,26 +143,6 @@ class TestAlltoallv:
             run(3, program)
 
 
-class TestBcastGather:
-    def test_bcast_from_root(self):
-        def program(comm):
-            value = "hello" if comm.rank == 0 else None
-            got = yield comm.bcast_op(value, root=0)
-            return got
-
-        _c, outcomes, _s = run(3, program)
-        assert all(o.value == "hello" for o in outcomes)
-
-    def test_gather_to_root(self):
-        def program(comm):
-            got = yield comm.gather_op(comm.rank * 2, root=1)
-            return got
-
-        _c, outcomes, _s = run(3, program)
-        assert outcomes[1].value == [0, 2, 4]
-        assert outcomes[0].value is None
-
-
 class TestSendRecv:
     def test_basic_roundtrip(self):
         def program(comm):

@@ -19,7 +19,6 @@ class TestInvariants:
     def test_valid_construction(self):
         s = make([100.0, 200.0, 300.0])
         assert s.num_peaks == 3
-        assert s.total_intensity == 3.0
 
     def test_unsorted_mz_rejected(self):
         with pytest.raises(SpectrumError):
@@ -88,28 +87,3 @@ class TestFromPeaks:
     def test_empty(self):
         s = Spectrum.from_peaks(np.array([]), np.array([]), 1000.0)
         assert s.num_peaks == 0
-
-
-class TestTransforms:
-    def test_normalized_max_is_one(self):
-        s = make([100.0, 200.0], intensity=[2.0, 8.0]).normalized()
-        assert s.intensity.max() == pytest.approx(1.0)
-        assert s.intensity[0] == pytest.approx(0.25)
-
-    def test_normalized_empty_noop(self):
-        s = make([])
-        assert s.normalized() is s
-
-    def test_top_peaks_keeps_most_intense(self):
-        s = make([100.0, 200.0, 300.0, 400.0], intensity=[1.0, 9.0, 3.0, 7.0])
-        top = s.top_peaks(2)
-        assert list(top.mz) == [200.0, 400.0]
-
-    def test_top_peaks_noop_when_k_large(self):
-        s = make([100.0, 200.0])
-        assert s.top_peaks(5) is s
-
-    def test_top_peaks_preserves_sort_order(self):
-        s = make([100.0, 200.0, 300.0], intensity=[3.0, 1.0, 2.0])
-        top = s.top_peaks(2)
-        assert np.all(np.diff(top.mz) > 0)

@@ -17,11 +17,6 @@ class TestRankTrace:
         assert t.collective == 0.5
         assert t.comm_issued == 0.25
 
-    def test_residual_communication_is_wait(self):
-        t = RankTrace(0)
-        t.add("wait", 0.0, 3.0)
-        assert t.residual_communication == 3.0
-
     def test_residual_to_compute_ratio(self):
         t = RankTrace(0)
         t.add("compute", 0.0, 10.0)

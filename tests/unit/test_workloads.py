@@ -6,7 +6,7 @@ import pytest
 from repro.chem.amino_acids import is_valid_sequence
 from repro.constants import NATURAL_FREQUENCY
 from repro.workloads.candidate_counts import candidate_count_by_source
-from repro.workloads.datasets import HUMAN, MICROBIAL, load_dataset, microbial_subset_sizes
+from repro.workloads.datasets import HUMAN, MICROBIAL, load_dataset
 from repro.workloads.growth import doubling_time_years, genbank_growth_series
 from repro.workloads.queries import QueryWorkload, generate_queries
 from repro.workloads.synthetic import SyntheticProteinGenerator, generate_database
@@ -154,12 +154,6 @@ class TestDatasets:
 
     def test_human_and_microbial_differ(self):
         assert load_dataset("human", n=20) != load_dataset("microbial", n=20)
-
-    def test_subset_sizes_grid(self):
-        sizes = microbial_subset_sizes()
-        assert sizes[0] == 1_000
-        assert sizes[-1] == 2_600_000
-        assert microbial_subset_sizes(10_000) == [1_000, 2_000, 4_000, 8_000]
 
 
 class TestGrowth:
