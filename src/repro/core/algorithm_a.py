@@ -69,7 +69,7 @@ def _rank_program(
         my_searcher,
         order=[(i + s) % p for s in range(p)],
         sizes=[cost.shard_bytes(s.shard) for s in searchers],
-        queries_for=lambda t: my_queries,
+        queries=my_queries,
         config=config,
         phase="A2",
         mask=mask,

@@ -98,20 +98,18 @@ def _rank_program(
     start = next((k for k, t in enumerate(sender_group) if t >= i), 0)
     order = sender_group[start:] + sender_group[:start]
 
-    def served(t: int) -> List[Spectrum]:
-        cutoff = int(np.searchsorted(q_masses, max_masses[t] + reach, side="right"))
-        return queries_sorted[:cutoff]
-
     hitlists, totals = yield from rotate(
         comm,
         _WINDOW,
         searcher,
         order=order,
         sizes=sorted_bytes,
-        queries_for=served,
+        queries=queries_sorted,
         config=config,
         phase="B3",
         agree_rounds=True,  # sender groups differ per rank
+        # each shard serves the mass-order prefix of queries it can reach
+        mass_limit=lambda t: max_masses[t] + reach,
     )
     # every query id appears in the output even if no shard served it
     for q in my_queries:

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
-from repro.core.search import ShardSearcher, ShardStats
+from repro.core.search import QueryBlock, ShardSearcher, ShardStats
 from repro.errors import RankFailedError
 from repro.obs.naming import simmpi_extras
 from repro.scoring.hits import TopHitList
@@ -62,7 +62,7 @@ def _pass_time(
 def score_pass(
     comm: SimComm,
     searcher: ShardSearcher,
-    queries: Sequence[Spectrum],
+    queries: Union[QueryBlock, Sequence[Spectrum]],
     hitlists: Dict[int, TopHitList],
     config: SearchConfig,
     label: str,
@@ -70,9 +70,11 @@ def score_pass(
 ) -> ShardStats:
     """Run one shard pass for real and charge it; returns its stats.
 
-    The pass time is compute (``"{label} score"``).  The per-query
-    overhead joins it under MODELED execution; once a REAL pass swept,
-    it is traced apart as sweep setup (``"{label} sweep"``).
+    ``queries`` is the rank's prepared :class:`QueryBlock` (or a slice of
+    it), or a plain list, which the searcher prepares.  The pass time is
+    compute (``"{label} score"``).  The per-query overhead joins it
+    under MODELED execution; once a REAL pass swept, it is traced apart
+    as sweep setup (``"{label} sweep"``).
     """
     stats = searcher.run(queries, hitlists)
     overhead = config.cost.query_processing_overhead(stats, len(queries))
@@ -99,18 +101,24 @@ def rotate(
     resident: ShardSearcher,
     order: Sequence[int],
     sizes: Sequence[float],
-    queries_for: Callable[[int], Sequence[Spectrum]],
+    queries: Sequence[Spectrum],
     config: SearchConfig,
     phase: str,
     mask: bool = True,
     agree_rounds: bool = False,
+    mass_limit: Optional[Callable[[int], float]] = None,
 ):
     """Score the shards of ``order`` in turn; returns ``(hitlists, totals)``.
 
     A generator, driven with ``yield from`` inside a rank program after
     every rank has exposed its shard (``resident``) under ``window``.
-    Step ``s`` scores the queries ``queries_for(order[s])`` against
-    shard ``order[s]`` while the Get of ``order[s + 1]`` is in flight;
+    The rank's ``queries`` stay put while the shards move, so they are
+    prepared once, as one :class:`QueryBlock`, before the first step:
+    mass order, windows, sweep plan, packed peaks and scorer bindings
+    serve every pass.  Step ``s`` scores them against shard ``order[s]``
+    — with ``mass_limit``, only those no heavier than
+    ``mass_limit(order[s])``, a mass-order prefix of the same block —
+    while the Get of ``order[s + 1]`` is in flight;
     with ``mask=False`` (the paper's unmasked ablation) the rank waits
     for that Get *before* scoring.  When the order does not start at
     this rank the first shard is fetched synchronously.  A shard whose
@@ -126,6 +134,7 @@ def rotate(
     cost = config.cost
     hitlists: Dict[int, TopHitList] = {}
     totals = ShardStats()
+    block = QueryBlock.prepare(queries, config).pack()
     current = resident
     if order:
         if order[0] != comm.rank:
@@ -154,8 +163,9 @@ def rotate(
                 comm.alloc("Drecv", int(sizes[order[s + 1]]))
                 if not mask and request is not None:
                     comm.wait(request)
+            served = block if mass_limit is None else block.lighter_than(mass_limit(target))
             totals.merge(
-                score_pass(comm, current, queries_for(target), hitlists, config, f"{phase} D{target}")
+                score_pass(comm, current, served, hitlists, config, f"{phase} D{target}")
             )
             if request is not None or lost is not None:
                 current = comm.wait(request) if lost is None else _salvage(comm, window, lost)
@@ -197,7 +207,8 @@ def adopt_orphans(
     A generator, driven with ``yield from`` after the rotation; a no-op
     unless the machine runs under a fault plan.  Each dead rank this
     rank is responsible for (per the current snapshot) has its block
-    reloaded and rescanned against every shard, charged as recovery.
+    reloaded, prepared once (:class:`QueryBlock`) and rescanned against
+    every shard, charged as recovery.
     """
     if not comm.fault_tolerant or comm.size == 1:
         return
@@ -212,6 +223,7 @@ def adopt_orphans(
         comm.recovery_compute(
             cost.load_time(block_bytes, len(block)), detail=f"reload Q{failed}"
         )
+        prepared = QueryBlock.prepare(block, config).pack()
         for j in range(comm.size):
             remote = resident if j == comm.rank else comm.salvage_window(j, window)
             if j != comm.rank:
@@ -219,7 +231,7 @@ def adopt_orphans(
                 comm.recovery_fetch(
                     j, remote.shard.nbytes, detail=f"refetch D{j} for Q{failed}"
                 )
-            stats = remote.run(block, hitlists)
+            stats = remote.run(prepared, hitlists)
             comm.recovery_compute(
                 _pass_time(config, remote, stats)
                 + cost.query_processing_overhead(stats, len(block)),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.candidates.generator import (
     contains_target,
     mod_targets,
 )
-from repro.candidates.mass_index import CandidateSpans, MassIndex, plan_sweep
+from repro.candidates.mass_index import CandidateSpans, MassIndex, SweepPlan, plan_sweep
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.obs.metrics import NULL_SPAN, get_metrics
@@ -68,7 +68,7 @@ class ShardStats:
 
 def traced_pass(
     name: str,
-    search: Callable[[List[Spectrum], Dict[int, TopHitList]], ShardStats],
+    search: Callable[[Iterable[Spectrum], Dict[int, TopHitList]], ShardStats],
     queries: Iterable[Spectrum],
     hitlists: Dict[int, TopHitList],
 ) -> ShardStats:
@@ -80,7 +80,6 @@ def traced_pass(
     check when disabled (the default), and never an input to scoring, so
     hits are bitwise identical either way.
     """
-    queries = list(queries)
     obs = get_metrics()
     if not obs.enabled:
         return search(queries, hitlists)
@@ -118,7 +117,7 @@ def score_and_offer_block(
     cfg: SearchConfig,
     stats: ShardStats,
     hitlists: Dict[int, TopHitList],
-    members: Sequence[Spectrum],
+    spectra: SpectrumBatch,
     sel: np.ndarray,
     mem: np.ndarray,
     lengths: np.ndarray,
@@ -127,20 +126,22 @@ def score_and_offer_block(
 ) -> None:
     """Filter, score and emit one sweep block (resident or streamed).
 
-    ``sel`` lists the block's candidates member-major — whatever ids the
-    caller's ``score`` and ``columns`` understand: positions in a span
-    block, or rows of a store's row block — ``mem`` (non-decreasing) the member
-    owning each and ``lengths`` its residue count.  ``score(spectra,
-    kept)`` returns ``(member-major scores, direct_rows, index_rows)`` for
-    the per-member lists of candidates that passed the length floor;
-    ``columns(sel)`` returns their ``(protein id, start, stop, mass,
-    mod_delta)`` columns.  This is the one place the length floor, the
-    ``evaluated`` accounting (a skipped candidate was still offered), the
-    score cutoff and the top-tau emit are written.
+    ``spectra`` are the block's members.  ``sel`` lists the block's
+    candidates member-major — whatever ids the caller's ``score`` and
+    ``columns`` understand: positions in a span block, or rows of a
+    store's row block — ``mem`` (non-decreasing) the member owning each
+    and ``lengths`` its residue count.  ``score(spectra, kept)`` returns
+    ``(member-major scores, direct_rows, index_rows)`` for the per-member
+    lists of candidates that passed the length floor; ``columns(sel)``
+    returns their ``(protein id, start, stop, mass, mod_delta)`` columns.
+    This is the one place the length floor, the ``evaluated`` accounting
+    (a skipped candidate was still offered), the score cutoff and the
+    top-tau emit are written.
     """
     stats.candidates_evaluated += len(sel)
     if len(sel) == 0:
         return
+    members = spectra.spectra
     num_members = len(members)
     lists = [hitlists[q.query_id] for q in members]
 
@@ -158,9 +159,7 @@ def score_and_offer_block(
         if len(sel) == 0:
             return
     counts = np.bincount(mem, minlength=num_members)
-    scores, direct_rows, index_rows = score(
-        SpectrumBatch(members), np.split(sel, np.cumsum(counts)[:-1])
-    )
+    scores, direct_rows, index_rows = score(spectra, np.split(sel, np.cumsum(counts)[:-1]))
     stats.batches += 1
     stats.rows_scored += direct_rows + index_rows
     stats.index_rows += index_rows
@@ -174,51 +173,132 @@ def score_and_offer_block(
     # Emit the whole block in one pass: a member-major lexsort whose
     # within-member order is best_first_order's, so each member's
     # segment head is the same top-tau that add_batch would select (see
-    # TopHitList.add_top_sorted).  A member that already retained rows —
-    # from an earlier shard or partition — has them taken out of its list
-    # and sorted in with the block's own: they are its top tau of
-    # everything seen so far, so the head of the joint segment is its top
-    # tau of everything seen now.  Members are emitted in block
+    # TopHitList.add_top_sorted).  Each list parks its head by reference
+    # beside what earlier blocks (of other shards or partitions) gave it,
+    # and folds them only when it must.  Members are emitted in block
     # (mass-sorted) order — each query belongs to exactly one block per
     # pass and TopHitList is order-independent, so emission order cannot
     # affect results.
     table = (scores, *columns(sel))
-    offered = counts.tolist()
-    carried = [k for k, n in enumerate(offered) if n and len(lists[k])]
-    if carried:
-        prior = [lists[k].take_columns() for k in carried]
-        prior_counts = [len(cols[0]) for cols in prior]
-        table = tuple(
-            np.concatenate((col, *earlier)) for col, *earlier in zip(table, *prior)
-        )
-        mem = np.concatenate((mem, np.repeat(carried, prior_counts)))
-        counts[carried] += prior_counts
     by_member = best_first_order(table, mem)
     seg = np.concatenate(([0], np.cumsum(counts)))
     take = np.minimum(counts, cfg.tau)
     top = by_member[_ragged_arange(seg[:-1], take)]
     table = tuple(col[top] for col in table)
     bounds = np.concatenate(([0], np.cumsum(take))).tolist()
-    for k, n in enumerate(offered):
+    for k, n in enumerate(counts.tolist()):
         if n:
             lists[k].add_top_sorted(members[k].query_id, table, bounds[k], bounds[k + 1], n)
 
 
-def mass_order(
-    queries: Sequence[Spectrum], delta: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, lows, highs)``: the queries sorted by precursor mass
-    (stable) and their windows ``[m - delta, m + delta]`` in that order,
-    both non-decreasing (a traced pass's ``sweep.plan`` span)."""
-    obs = get_metrics()
-    with (
-        obs.span("sweep.plan", category="search", queries=len(queries))
-        if obs.enabled
-        else NULL_SPAN
-    ):
-        masses = np.array([q.parent_mass for q in queries], dtype=np.float64)
-        order = np.argsort(masses, kind="stable")
-        return order, masses[order] - delta, masses[order] + delta
+class QueryBlock:
+    """A rank's queries, prepared once for every shard pass over them.
+
+    In the paper's database-transport model the queries stay put while
+    the shards rotate, so their side of a pass is built once: the mass
+    order (stable) and windows ``[m - delta, m + delta]`` (a traced
+    build's ``sweep.plan`` span) and the :class:`SweepPlan`.  A block
+    that will be swept more than once is :meth:`pack`-ed: one
+    mass-ordered :class:`~repro.spectra.spectrum_batch.SpectrumBatch`
+    over every member, whose padded peaks and scorer bindings are made on
+    first use, and a scoring block's members — a range ``[a, b)`` of the
+    mass order — are a zero-copy :meth:`spectra` slice of it.  An
+    unpacked block (one pass) packs each scoring block on its own, so it
+    holds one scoring block's bindings at a time.
+
+    :meth:`slice` is a contiguous range of the mass order as a block of
+    its own (Algorithm B's per-shard prefix, a streamed partition's
+    members): its plan is :func:`plan_sweep` of its own windows, its
+    batch a slice of the same one.  ``queries`` lists the members in the
+    caller's order for a whole block, in mass order for a slice.
+    """
+
+    def __init__(self, queries: Iterable[Spectrum], delta: float, max_cohort: int):
+        self.queries: List[Spectrum] = list(queries)
+        self.delta = delta
+        self.max_cohort = max_cohort
+        obs = get_metrics()
+        with (
+            obs.span("sweep.plan", category="search", queries=len(self.queries))
+            if obs.enabled
+            else NULL_SPAN
+        ):
+            masses = np.array([q.parent_mass for q in self.queries], dtype=np.float64)
+            self.order = np.argsort(masses, kind="stable")
+            #: parent masses in mass order, and the windows
+            self.masses = masses[self.order]
+            self.lows = self.masses - delta
+            self.highs = self.masses + delta
+        self._root = self
+        self._start = 0  # where this block's members start in the root's mass order
+        self._plan: Optional[SweepPlan] = None
+        self._batch: Optional[SpectrumBatch] = None  # the root's, in mass order
+        self._slices: Dict[Tuple[int, int], "QueryBlock"] = {}
+
+    @classmethod
+    def prepare(
+        cls, queries: Union["QueryBlock", Iterable[Spectrum]], cfg: SearchConfig
+    ) -> "QueryBlock":
+        """``queries`` prepared for ``cfg``'s windows and cohort cap: a
+        block prepared for them is returned as it is."""
+        if isinstance(queries, QueryBlock):
+            if (queries.delta, queries.max_cohort) == (cfg.delta, cfg.sweep_cohort):
+                return queries
+            queries = queries.queries
+        return cls(queries, cfg.delta, cfg.sweep_cohort)
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    @property
+    def plan(self) -> SweepPlan:
+        """:func:`plan_sweep` of the windows (made once)."""
+        if self._plan is None:
+            self._plan = plan_sweep(self.lows, self.highs, self.max_cohort)
+        return self._plan
+
+    def pack(self) -> "QueryBlock":
+        """Pack every member into one batch (made once; returns the block).
+
+        For a block swept against several tables, its slices among them:
+        the packed peaks and each scorer's binding then serve every pass.
+        """
+        root = self._root
+        if root._batch is None:
+            root._batch = SpectrumBatch([root.queries[m] for m in root.order.tolist()])
+        return self
+
+    def spectra(self, a: int, b: int) -> SpectrumBatch:
+        """Members ``[a, b)`` of the mass order: a slice of the packed
+        batch, or a batch of their own if the block is not packed."""
+        root = self._root
+        a, b = self._start + a, self._start + b
+        if root._batch is None:
+            return SpectrumBatch([root.queries[m] for m in root.order[a:b].tolist()])
+        return root._batch.slice(a, b)
+
+    def slice(self, a: int, b: int) -> "QueryBlock":
+        """Members ``[a, b)`` of the mass order as a block (made once)."""
+        root = self._root
+        a, b = self._start + a, self._start + b
+        if (a, b) == (0, len(root)):
+            return root
+        part = root._slices.get((a, b))
+        if part is None:
+            part = QueryBlock.__new__(QueryBlock)
+            part.queries = [root.queries[m] for m in root.order[a:b].tolist()]
+            part.delta, part.max_cohort = root.delta, root.max_cohort
+            part.order = np.arange(b - a)
+            part.masses, part.lows, part.highs = root.masses[a:b], root.lows[a:b], root.highs[a:b]
+            part._root, part._start = root, a
+            part._plan = part._batch = None
+            part._slices = {}
+            root._slices[(a, b)] = part
+        return part
+
+    def lighter_than(self, mass: float) -> "QueryBlock":
+        """The prefix of members whose parent mass is at most ``mass``."""
+        return self.slice(0, int(np.searchsorted(self.masses, mass, side="right")))
 
 
 #: ``score(spectra, spans, rows, kept) -> (scores, direct_rows, index_rows)``:
@@ -231,10 +311,7 @@ BlockScorer = Callable[
 
 def sweep_table(
     table: MassIndex,
-    queries: Sequence[Spectrum],
-    order: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
+    queries: QueryBlock,
     tiers: Sequence[ModTier],
     score: BlockScorer,
     ids: np.ndarray,
@@ -242,22 +319,24 @@ def sweep_table(
     hitlists: Dict[int, TopHitList],
     stats: ShardStats,
 ) -> None:
-    """The one sweep: mass-ordered queries against a mass-sorted row table
+    """The one sweep: prepared queries against a mass-sorted row table
     (the shard's :class:`MassIndex`, a store's mapped table, a partition).
 
-    ``order`` lists the members (positions in ``queries``) by mass,
-    ``lows`` / ``highs`` their windows, ``ids`` the protein ids by
-    sequence index.  :func:`~repro.candidates.mass_index.plan_sweep`
-    splits the members into *runs* of overlapping windows and packs runs
-    into scoring *blocks* of up to ``sweep_cohort`` members sharing one
-    candidate batch, scoring call and top-tau emit.  Per tier (the window
-    shifted by a PTM's ``delta_mass``) a member's candidates are one row
-    range and a run's union is one too, decoded once a block; a PTM tier
-    keeps the rows holding a target residue.  Every candidate set, score,
-    filter and offer is bitwise the scalar reference search's
+    ``queries`` carries the members in mass order with their windows and
+    its :class:`SweepPlan`, prepared once however many tables it sweeps;
+    ``ids`` are the protein ids by sequence index.  The plan
+    (:func:`~repro.candidates.mass_index.plan_sweep`) splits the members
+    into *runs* of overlapping windows and packs runs into scoring
+    *blocks* of up to ``sweep_cohort`` members sharing one candidate
+    batch, scoring call and top-tau emit; a block's spectra are a slice
+    of the prepared batch.  Per tier (the window shifted by a PTM's
+    ``delta_mass``) a member's candidates are one row range and a run's
+    union is one too, decoded once a block; a PTM tier keeps the rows
+    holding a target residue.  Every candidate set, score, filter and
+    offer is bitwise the scalar reference search's
     (``tests/reference.py``); a cohort of one is the per-query search.
     """
-    plan = plan_sweep(lows, highs, cfg.sweep_cohort)
+    lows, highs, plan = queries.lows, queries.highs, queries.plan
     windows = [table.windows_many(lows, highs)] + [
         table.windows_many(lows - mod.delta_mass, highs - mod.delta_mass) for mod, _csum in tiers
     ]
@@ -265,7 +344,6 @@ def sweep_table(
     obs = get_metrics()
     traced = obs.enabled  # the only telemetry test an untraced pass pays
     for a, b, r0, r1 in plan.blocks():
-        members = [queries[m] for m in order[a:b]]
         spans, rows, sel, mem = _block_rows(
             table, windows, tiers, plan.run_bounds[r0 : r1 + 1] - a, a, b
         )
@@ -275,7 +353,7 @@ def sweep_table(
             else NULL_SPAN
         ):
             score_and_offer_block(
-                cfg, stats, hitlists, members, sel, mem, spans.lengths[sel],
+                cfg, stats, hitlists, queries.spectra(a, b), sel, mem, spans.lengths[sel],
                 lambda spectra, kept: score(spectra, spans, rows, kept),
                 lambda s: (
                     ids[spans.seq_index[s]], spans.start[s], spans.stop[s],
@@ -398,26 +476,29 @@ class ShardSearcher:
         return self.shard.nbytes + self.generator.nbytes
 
     def run(
-        self, queries: Iterable[Spectrum], hitlists: Dict[int, TopHitList]
+        self, queries: Union[QueryBlock, Iterable[Spectrum]], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
         """Search ``queries`` against the shard; fold hits into ``hitlists``.
 
         The single entry point engines call (a :func:`traced_pass`).
-        Missing hit lists are created with the config's tau.  In MODELED
+        ``queries`` is a :class:`QueryBlock` a rank prepared once for all
+        its passes, or any iterable of spectra, prepared here.  Missing
+        hit lists are created with the config's tau.  In MODELED
         execution, candidates are counted (exactly) but not scored and no
         hits are recorded.
         """
         return traced_pass("search.shard", self._search, queries, hitlists)
 
     def _search(
-        self, queries: List[Spectrum], hitlists: Dict[int, TopHitList]
+        self, queries: Union[QueryBlock, Iterable[Spectrum]], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
         """One :func:`sweep_table` over the shard's row table, or in
         MODELED execution exact counts and no scoring."""
         cfg = self.config
-        stats = open_pass(queries, hitlists, cfg.tau)
+        queries = QueryBlock.prepare(queries, cfg)
+        stats = open_pass(queries.queries, hitlists, cfg.tau)
         if cfg.execution is ExecutionMode.MODELED:
-            for spectrum, count in zip(queries, self.count_each(queries).tolist()):
+            for spectrum, count in zip(queries.queries, self.count_each(queries.queries).tolist()):
                 stats.candidates_evaluated += count
                 hitlists[spectrum.query_id].evaluated += count
             return stats
@@ -426,8 +507,7 @@ class ShardSearcher:
             gen = self.generator
             score = partial(score_directly, self.scorer, self.shard, mod_targets(gen.tiers))
             sweep_table(
-                gen.index, queries, *mass_order(queries, gen.delta), gen.tiers,
-                score, self.shard.ids, cfg, hitlists, stats,
+                gen.index, queries, gen.tiers, score, self.shard.ids, cfg, hitlists, stats
             )
         return stats
 

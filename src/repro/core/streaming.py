@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from repro.candidates.mass_index import CandidateSpans, MassIndex
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.search import (
+    QueryBlock,
     ShardStats,
-    mass_order,
     open_pass,
     score_directly,
     sweep_table,
@@ -135,26 +135,29 @@ class StreamingSearcher:
     # -- the pass ----------------------------------------------------------
 
     def run(
-        self, queries: Iterable[Spectrum], hitlists: Dict[int, TopHitList]
+        self, queries: Union[QueryBlock, Iterable[Spectrum]], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
         """One pass (a :func:`~repro.core.search.traced_pass`): every row
-        block visited at most once.  Telemetry adds the ``stream.*``
-        family the reader emits."""
+        block visited at most once.  ``queries`` is a prepared
+        :class:`~repro.core.search.QueryBlock` or any iterable of spectra,
+        prepared here.  Telemetry adds the ``stream.*`` family the reader
+        emits."""
         return traced_pass("search.stream", self._search, queries, hitlists)
 
     def _search(
-        self, queries: List[Spectrum], hitlists: Dict[int, TopHitList]
+        self, queries: Union[QueryBlock, Iterable[Spectrum]], hitlists: Dict[int, TopHitList]
     ) -> ShardStats:
         """:func:`~repro.core.search.sweep_table` over the mapped table, or
         over each partition the queries' windows (any tier's) meet: the
         members of a partition are the contiguous slice of mass-ordered
         queries whose windows reach its mass range."""
         cfg = self.config
-        stats = open_pass(queries, hitlists, cfg.tau)
+        queries = QueryBlock.prepare(queries, cfg)
+        stats = open_pass(queries.queries, hitlists, cfg.tau)
         if not queries:
             return stats
         stats.sweep_queries += len(queries)
-        order, lows, highs = mass_order(queries, cfg.delta)
+        lows, highs = queries.lows, queries.highs
         shifts = [0.0] + [mod.delta_mass for mod, _csum in self.tiers]
 
         def sweep(table: MassIndex) -> None:
@@ -166,8 +169,8 @@ class StreamingSearcher:
                 return
             t0 = time.perf_counter()
             sweep_table(
-                table, queries, order[a:b], lows[a:b], highs[a:b], self.tiers,
-                self._score, self.database.ids, cfg, hitlists, stats,
+                table, queries.slice(a, b), self.tiers, self._score, self.database.ids,
+                cfg, hitlists, stats,
             )
             self.score_seconds += time.perf_counter() - t0
 

@@ -83,12 +83,19 @@ class Scorer(Protocol):
 # the kernel only runs the binary searches against that member's own
 # peaks (or, for xcorr, applies its bin limit and its offset into the
 # concatenated preprocessed vectors; for the likelihood model, gathers
-# from its four-entry table of per-fragment terms, built once per cohort
+# from its four-entry table of per-fragment terms, built once per batch
 # from the scalar's operands); every other step is row-wise — it reads
 # one row's operands and reduces along the last axis only — and runs
 # once over all rows.  A row's operands and reduction order are
 # therefore the scalar scorer's for that (member, candidate) pair, so
 # every score is bitwise identical to it.
+#
+# Per-member state (likelihood's table, xcorr's vectors, hypergeometric's
+# bins) is a *binding*: the scorer's ``bind(spectra)``, one entry per
+# member along the first axis, which a kernel reads through
+# ``spectra.bound(scorer)``.  A batch makes it once per
+# ``scorer.binding_key``, and a slice of a batch slices its parent's, so
+# a rank's queries are bound once however many blocks and passes read them.
 
 
 def score_block_pairs(

@@ -9,7 +9,7 @@ evaluation order — the property the paper's validation experiment
 (parallel output == serial output) rests on.
 
 Retained hits have one stored form, NumPy columns: a running list parks
-a sorted row range of the table its block emitted, a report holds one
+sorted row ranges of the tables its blocks emitted, a report holds one
 :class:`HitColumns` for all its queries behind a :class:`HitTable`, a
 checkpoint holds one too, and the writers format from those arrays.
 :class:`Hit` objects are built only where someone asks for them by name:
@@ -157,23 +157,32 @@ def _build_hits(query_id: int, columns: Sequence[np.ndarray], lo: int, hi: int) 
 class TopHitList:
     """Bounded container keeping the tau best hits for one query.
 
-    Its one stored form is a *parked slice*: rows ``[lo, hi)`` of six
-    NumPy columns, best first, held by reference — no ``Hit`` exists
-    until :meth:`sorted_hits` is asked for one.  Whatever batches are
-    offered, in whatever order, the slice holds the top tau of all of
-    them under :meth:`Hit.sort_key` — ``sorted(offered,
-    key=Hit.sort_key)[:tau]`` — so ties at the cutoff are resolved by
-    the structural tie-break, never by offer order.
+    Its stored form is *parked slices*: row ranges ``[lo, hi)`` of six
+    NumPy columns, each best first, held by reference — no ``Hit``
+    exists until :meth:`sorted_hits` is asked for one.  The first is the
+    folded head; a block emit parks each later block's top tau behind it
+    as one more segment, unsorted against the rest.  The segments are
+    folded — one :func:`best_first_order` over all of them, cut to tau —
+    only when they would hold more than ``2 * tau`` rows, or when the
+    list is read (:meth:`columns`, :meth:`sorted_hits`, the cut of
+    :meth:`add_batch`).  Whatever batches are offered, in whatever order,
+    a read sees the top tau of all of them under :meth:`Hit.sort_key` —
+    ``sorted(offered, key=Hit.sort_key)[:tau]`` — so ties at the cutoff
+    are resolved by the structural tie-break, never by offer order.
     """
 
-    __slots__ = ("tau", "_pending", "evaluated")
+    __slots__ = ("tau", "_pending", "_parked", "_rows", "evaluated")
 
     def __init__(self, tau: int):
         if tau < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
         self.tau = tau
-        # (query_id, columns, lo, hi), rows best first; None while empty
+        # the folded head (query_id, columns, lo, hi), rows best first;
+        # None while empty
         self._pending: Optional[Tuple[int, _Columns, int, int]] = None
+        # segments (columns, lo, hi) parked behind the head since its fold
+        self._parked: List[Tuple[_Columns, int, int]] = []
+        self._rows = 0  # rows of the head and the parked segments
         self.evaluated = 0  #: total candidates offered (for candidates/sec metrics)
 
     def add_batch(
@@ -200,6 +209,7 @@ class TopHitList:
           offered: any other survivor is outranked by tau batch-mates,
           so it can never end in the top tau whatever the list held.
 
+        The survivors are folded in at once (the count needs the fold).
         The per-query route of the scalar reference (``tests/reference.py``).
         """
         n = len(scores)
@@ -211,13 +221,14 @@ class TopHitList:
         columns = tuple(
             col[idx] for col in (scores, protein_ids, starts, stops, masses, mod_deltas)
         )
-        truncated = len(idx) > self.tau
-        if truncated:
-            order = best_first_order(columns)[: self.tau]
-            columns = tuple(col[order] for col in columns)
-        return self.add_top_sorted(
-            query_id, columns, 0, len(columns[0]), n, best_first=truncated
-        )
+        self.evaluated += n
+        if len(idx) > self.tau:
+            top = best_first_order(columns)[: self.tau]
+            columns = tuple(col[top] for col in columns)
+            if self._pending is None:  # sorted to be cut: parked as it is
+                self._park(query_id, columns, 0, self.tau)
+                return self.tau
+        return self._fold(query_id, (columns, 0, len(columns[0])))
 
     def add_top_sorted(
         self,
@@ -226,72 +237,90 @@ class TopHitList:
         lo: int,
         hi: int,
         offered: int,
-        best_first: bool = True,
     ) -> int:
         """Offer a batch represented by its pre-selected top tau.
 
         Rows ``[lo, hi)`` of ``columns`` — ``(scores, protein_ids,
         starts, stops, masses, mod_deltas)`` arrays — hold the batch's
-        top ``min(tau, n)`` candidates under the full total order
-        (:meth:`Hit.sort_key`) — exactly the selection :meth:`add_batch`
-        computes internally, so the outcome is identical to offering the
-        whole batch (see the eviction argument there).  ``offered`` is
-        the full batch size, counted into ``evaluated``; ``best_first``
-        says the rows are already sorted best-first (they are whenever a
-        top-tau truncation actually happened).  Returns how many of the
-        rows were retained.
+        top ``min(tau, n)`` candidates best first under the full total
+        order (:meth:`Hit.sort_key`) — exactly the selection
+        :meth:`add_batch` computes internally, so the outcome is
+        identical to offering the whole batch (see the eviction argument
+        there).  ``offered`` is the full batch size, counted into
+        ``evaluated``.  Returns how many rows were parked.
 
-        On an empty list the range is parked by reference: no copy, no
-        ``Hit``.  The candidate-major sweep always offers to an empty
-        list — it selects a whole block's top tau in one vectorized pass
-        and folds a member's earlier rows (:meth:`take_columns`) into
-        that same sort.  Any other caller's rows are folded here, one
-        small sort per call, and the result parked again.
+        The range is parked by reference, no copy and no ``Hit``: as the
+        head of an empty list, else as one more segment behind it —
+        folded with the rest first if the list would then hold more than
+        ``2 * tau`` rows.  The candidate-major sweep offers every member
+        of a scoring block this way, the block's top tau selected in one
+        vectorized pass.
         """
         self.evaluated += offered
-        retained = hi - lo
-        if len(self) or not best_first:
-            prior = self.take_columns()
-            columns = tuple(np.concatenate((p, col[lo:hi])) for p, col in zip(prior, columns))
-            order = best_first_order(columns)[: self.tau]
-            columns = tuple(col[order] for col in columns)
-            lo, hi = 0, len(order)
-            retained = int(np.count_nonzero(order >= len(prior[0])))
+        if self._pending is None:
+            self._park(query_id, columns, lo, hi)
+        elif hi > lo:
+            if self._rows + hi - lo > 2 * self.tau:
+                self._fold(query_id, (columns, lo, hi))
+            else:
+                self._parked.append((columns, lo, hi))
+                self._rows += hi - lo
+        return hi - lo
+
+    def _park(self, query_id: int, columns: _Columns, lo: int, hi: int) -> None:
         self._pending = (query_id, columns, lo, hi)
-        return retained
+        self._rows = hi - lo
+
+    def _fold(self, query_id: int, extra: Optional[Tuple[_Columns, int, int]] = None) -> int:
+        """Fold the head, the parked segments and ``extra`` into one head,
+        best first and cut to tau; returns how many of ``extra``'s rows
+        it kept.  A head alone is already folded."""
+        head = [] if self._pending is None else [self._pending[1:]]
+        segments = head + self._parked + ([] if extra is None else [extra])
+        if extra is None and len(segments) < 2:
+            return 0
+        joined = tuple(
+            np.concatenate([columns[i][lo:hi] for columns, lo, hi in segments]) for i in range(6)
+        )
+        order = best_first_order(joined)[: self.tau]
+        self._parked = []
+        self._park(query_id, tuple(col[order] for col in joined), 0, len(order))
+        if extra is None:
+            return 0
+        _columns, lo, hi = extra
+        return int(np.count_nonzero(order >= len(joined[0]) - (hi - lo)))
+
+    def _folded(self) -> Optional[Tuple[int, _Columns, int, int]]:
+        """The head, once every parked segment is folded into it."""
+        if self._parked:
+            self._fold(self._pending[0])
+        return self._pending
 
     def _worst_score(self) -> float:
         """Score of the worst retained hit (the list must not be empty)."""
-        _qid, columns, _lo, hi = self._pending
+        _qid, columns, _lo, hi = self._folded()
         return columns[0][hi - 1]
 
     def __len__(self) -> int:
-        return 0 if self._pending is None else self._pending[3] - self._pending[2]
+        # no fold needed: a fold keeps min(rows, tau) of the rows
+        return min(self._rows, self.tau)
 
     def sorted_hits(self) -> List[Hit]:
         """Retained hits, best first, deterministic order."""
-        return [] if self._pending is None else _build_hits(*self._pending)
+        head = self._folded()
+        return [] if head is None else _build_hits(*head)
 
     def columns(self) -> _Columns:
         """:meth:`sorted_hits` as parallel arrays, without the Hit objects.
 
         Returns ``(scores, protein_ids, starts, stops, masses,
-        mod_deltas)``, best first: six views of the parked slice.
+        mod_deltas)``, best first: six views of the folded head.
         """
-        if self._pending is None:
+        head = self._folded()
+        if head is None:
             return _EMPTY_COLUMNS
-        _qid, columns, lo, hi = self._pending
+        _qid, columns, lo, hi = head
         return tuple(col[lo:hi] for col in columns)
-
-    def take_columns(self) -> _Columns:
-        """:meth:`columns`, and forget the rows (``evaluated`` stays).
-
-        For a caller that folds the retained rows into a sort of its own
-        and offers the outcome back through :meth:`add_top_sorted`.
-        """
-        columns = self.columns()
-        self._pending = None
-        return columns
 
 
 class HitColumns(NamedTuple):

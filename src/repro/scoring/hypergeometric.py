@@ -50,6 +50,22 @@ class HypergeometricScorer:
         total_bins = max(int(span / (2.0 * self.fragment_tolerance)), 1)
         return total_bins, min(spectrum.num_peaks, total_bins)
 
+    @property
+    def binding_key(self):
+        """What :meth:`bind` depends on besides the spectra."""
+        return (self.name, self.fragment_tolerance, self.mz_range)
+
+    def bind(self, spectra) -> np.ndarray:
+        """:meth:`_bins` of every member, ``(members, 2)`` int64: the
+        per-member binding a batch keeps
+        (:meth:`~repro.spectra.spectrum_batch.SpectrumBatch.bound`).  A
+        member without peaks gets ``(0, 0)``."""
+        table = np.zeros((len(spectra), 2), dtype=np.int64)
+        for k, s in enumerate(spectra.spectra):
+            if s.num_peaks:
+                table[k] = self._bins(s)
+        return table
+
     def pair_kernel(self, spectra):
         """Bind a cohort: ``kernel(member, lengths, ladders)`` -> row scores.
 
@@ -64,7 +80,7 @@ class HypergeometricScorer:
         pairs).  Rows of a member without peaks stay ``-inf`` like the
         scalar early return.
         """
-        bins = [self._bins(s) if s.num_peaks else None for s in spectra.spectra]
+        bins = spectra.bound(self).tolist()
 
         def kernel(member, lengths, ladders):
             scores = np.full(len(member), -math.inf)
@@ -73,9 +89,9 @@ class HypergeometricScorer:
                 match_peaks_pairs(spectra, member, ladders, self.fragment_tolerance), widths
             )
             for k, a, b in sorted_runs(member):
-                if bins[k] is None:
-                    continue
                 total_bins, occupied = bins[k]
+                if total_bins == 0:  # no peaks
+                    continue
                 draws = np.minimum(ladders.shape[1] if widths is None else widths[a:b], total_bins)
                 capped = np.minimum(matched[a:b], np.minimum(draws, occupied))
                 pair = draws * (occupied + 1) + capped  # capped <= occupied

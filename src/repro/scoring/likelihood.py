@@ -63,7 +63,9 @@ class LikelihoodRatioScorer:
         self.p_detect = p_detect
 
     def _chance_match_probability(self, spectrum: Spectrum) -> float:
-        """Probability a random tolerance window contains >= 1 observed peak."""
+        """Probability a random tolerance window contains >= 1 observed peak
+        (the scalar definition; :meth:`llr_table` evaluates it for a whole
+        batch at once)."""
         if spectrum.num_peaks == 0:
             return 1e-9
         span = float(spectrum.mz[-1] - spectrum.mz[0])
@@ -82,26 +84,47 @@ class LikelihoodRatioScorer:
         log-likelihood ratio ``log(p1 / p0)`` if an observed peak lies
         within the tolerance, ``log((1 - p1) / (1 - p0))`` otherwise, with
         ``p1 = clip(p_detect * weight / max weight, 1e-6, 0.999)`` — dominant
-        ions are expected, weak ions optional.  A member without peaks gets
-        ``-inf``, the score of a spectrum nothing can match.
+        ions are expected, weak ions optional.  ``p0`` is
+        :meth:`_chance_match_probability` of every member in one array
+        expression, its operations in the scalar's order.  A member without
+        peaks gets ``-inf``, the score of a spectrum nothing can match.
         """
         weights = np.array([SERIES_WEIGHT[IonSeries.B], SERIES_WEIGHT[IonSeries.Y]])
         p1 = np.clip(self.p_detect * (weights / weights.max()), 1e-6, 0.999)
-        p0 = np.array([[self._chance_match_probability(s)] for s in spectra.spectra])
+        counts = np.diff(spectra.offsets)
+        mz, padded = spectra.padded_mz()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # last minus first peak of each member; a member without peaks
+            # reads pads or its neighbours' peaks and is overwritten below
+            span = mz[padded[1:] - 2] - mz[padded[:-1]]
+            p0 = np.clip(2.0 * self.fragment_tolerance * (counts / span), 1e-9, 0.999)
+        p0[(counts == 0) | ~(span > 0)] = 1e-9
+        p0 = p0[:, None]
         table = np.concatenate((np.log((1.0 - p1) / (1.0 - p0)), np.log(p1 / p0)), axis=1)
-        table[np.diff(spectra.offsets) == 0] = -math.inf
+        table[counts == 0] = -math.inf
         return table
+
+    @property
+    def binding_key(self):
+        """What :meth:`bind` depends on besides the spectra."""
+        return (self.name, self.fragment_tolerance, self.p_detect)
+
+    def bind(self, spectra) -> np.ndarray:
+        """The per-member binding a batch keeps
+        (:meth:`~repro.spectra.spectrum_batch.SpectrumBatch.bound`): the
+        :meth:`llr_table`."""
+        return self.llr_table(spectra)
 
     def pair_kernel(self, spectra):
         """Bind a cohort: ``kernel(member, lengths, model_mz, y_rows)`` -> row scores.
 
-        Each fragment gathers its member's :meth:`llr_table` entry for
-        its series and match; the row sum runs in m/z order over the
-        row's own ``2 * (length - 1)`` fragments, as the scalar
-        definition's sum does (a ``+inf`` pad "matches" the member's
+        Each fragment gathers its member's :meth:`llr_table` entry (made
+        once per batch: :meth:`bind`) for its series and match; the row
+        sum runs in m/z order over the row's own ``2 * (length - 1)``
+        fragments, as the scalar definition's sum does (a ``+inf`` pad "matches" the member's
         ``+inf`` peak pad, so it must not be summed).
         """
-        table = self.llr_table(spectra).ravel()
+        table = spectra.bound(self).ravel()
 
         def kernel(member, lengths, model_mz, y_rows):
             code = 2 * match_peaks_pairs(spectra, member, model_mz, self.fragment_tolerance)

@@ -26,6 +26,20 @@ from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import by_ion_ladder_rows
 
 
+class PreprocessedVectors:
+    """Preprocessed vectors of a batch's members laid end to end: member
+    ``k``'s is ``processed[bases[k] : bases[k] + limits[k]]``.  A slice of
+    members (``vectors[a:b]``) keeps ``processed`` and slices the rest."""
+
+    __slots__ = ("processed", "limits", "bases")
+
+    def __init__(self, processed: np.ndarray, limits: np.ndarray, bases: np.ndarray):
+        self.processed, self.limits, self.bases = processed, limits, bases
+
+    def __getitem__(self, members: slice) -> "PreprocessedVectors":
+        return PreprocessedVectors(self.processed, self.limits[members], self.bases[members])
+
+
 class XCorrScorer:
     """Fast Xcorr over unit-width m/z bins."""
 
@@ -102,25 +116,38 @@ class XCorrScorer:
         sums = row_segment_sums(processed, flat_bins, row_offsets)
         return sums, counts
 
-    def pair_kernel(self, spectra):
-        """Bind a cohort: ``kernel(member, lengths, ladders)`` -> per-row scores.
+    @property
+    def binding_key(self):
+        """What :meth:`bind` depends on besides the spectra."""
+        return (self.name, self.bin_width, self.offset_range)
 
-        The members' preprocessed vectors are concatenated once per
-        cohort.  A member without peaks gets bin limit 0: every bin of
-        its rows is out of range, which leaves them at ``-inf`` like the
-        scalar early return.
-        """
+    def bind(self, spectra) -> PreprocessedVectors:
+        """The members' preprocessed vectors, end to end: the per-member
+        binding a batch keeps
+        (:meth:`~repro.spectra.spectrum_batch.SpectrumBatch.bound`).  A
+        member without peaks gets an empty vector."""
         vectors = [
             self._preprocessed(s) if s.num_peaks else np.empty(0)
             for s in spectra.spectra
         ]
-        single = len(vectors) == 1  # a cohort of one: the plain per-spectrum call
-        if single:
-            processed = vectors[0]
-        else:
-            limits = np.fromiter((len(v) for v in vectors), dtype=np.int64, count=len(vectors))
-            bases = np.concatenate(([0], np.cumsum(limits)[:-1]))
-            processed = np.concatenate(vectors)
+        limits = np.fromiter((len(v) for v in vectors), dtype=np.int64, count=len(vectors))
+        bases = np.concatenate(([0], np.cumsum(limits)[:-1]))
+        return PreprocessedVectors(np.concatenate(vectors), limits, bases)
+
+    def pair_kernel(self, spectra):
+        """Bind a cohort: ``kernel(member, lengths, ladders)`` -> per-row scores.
+
+        The members' preprocessed vectors are concatenated once per batch
+        (:meth:`bind`).  A member without peaks gets bin limit 0: every
+        bin of its rows is out of range, which leaves them at ``-inf``
+        like the scalar early return.
+        """
+        bound = spectra.bound(self)
+        limits, bases = bound.limits, bound.bases
+        single = len(limits) == 1  # a cohort of one: the plain per-spectrum call
+        processed = bound.processed
+        if single:  # its own vector, a view
+            processed = processed[bases[0] : bases[0] + limits[0]]
 
         def kernel(member, lengths, ladders):
             out = np.full(len(member), -np.inf)

@@ -32,8 +32,12 @@ def test_reference_is_not_vacuous(reference):
     assert any(reference.hits.values())
 
 
-@pytest.mark.parametrize("algorithm", PARALLEL)
-@pytest.mark.parametrize("p", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "p, algorithm",
+    [(p, algorithm) for p in (1, 2, 3, 8) for algorithm in PARALLEL]
+    # the paper's largest p: a rank's block, prepared once, meets 64 shards
+    + [(64, "algorithm_a"), (64, "algorithm_b")],
+)
 def test_parallel_reproduces_serial(small_db, tiny_queries, reference, algorithm, p):
     report = run_search(small_db, tiny_queries, algorithm, p, SearchConfig(tau=10))
     assert reports_equal(reference, report), f"{algorithm} at p={p} diverged from serial"

@@ -1,12 +1,12 @@
 """The columnar hit path against the definition of a top-tau list.
 
 ``score_and_offer_block`` selects a whole block's top tau in one sort and
-parks each member a slice of the result; a member that already retained
-rows has them folded into that same sort.  The oracle is the definition,
-per query: ``sorted(every hit offered, key=Hit.sort_key)[:tau]`` and
-``evaluated`` = every candidate offered — whatever the order of blocks,
-with ties, repeated candidates, filtered rows and ``add_batch`` offers
-in between.
+parks each member a slice of the result beside the segments earlier
+blocks gave it; a list folds its segments only past ``2 * tau`` rows or
+when read.  The oracle is the definition, per query: ``sorted(every hit
+offered, key=Hit.sort_key)[:tau]`` and ``evaluated`` = every candidate
+offered — whatever the order of blocks, with ties, repeated candidates,
+filtered rows, ``add_batch`` offers and reads in between.
 """
 
 from types import SimpleNamespace
@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.search import ShardStats, score_and_offer_block
-from repro.scoring.hits import Hit, HitTable, TopHitList, pack_hit_columns
+from repro.scoring.hits import Hit, HitTable, TopHitList, best_first_order, pack_hit_columns
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
 from tests.reference import offer_hits, top_tau
 
 # few distinct values per field: ties at the cutoff and candidates that
@@ -54,7 +55,7 @@ def _offer_block(cfg, hitlists, batches):
         cfg,
         stats,
         hitlists,
-        [_spectrum(qid) for qid in qids],
+        SpectrumBatch([_spectrum(qid) for qid in qids]),
         np.arange(len(rows), dtype=np.int64),
         np.repeat(np.arange(len(qids), dtype=np.int64), [len(batches[q]) for q in qids]),
         length,
@@ -100,7 +101,7 @@ def test_block_emit_with_fold_equals_sequential_add(
         for qid in members:
             offered[qid] += _kept(cfg, qid, per_query[qid][r])
             evaluated[qid] += len(per_query[qid][r])  # skipped rows were offered too
-        # a one-hit add_batch between two block offers folds into the slice
+        # a one-hit add_batch between two block offers folds the segments
         for after, qid, row in one_hit_offers:
             if after == r and qid in emitted:
                 offer_hits(emitted[qid], qid, [_hit(qid, row)])
@@ -159,3 +160,69 @@ def test_table_is_the_dict_it_replaces(tau, lists):
     assert [(q, h) for q, h in table.items()] == list(plain.items())
     assert all(qid in table for qid in plain) and -1 not in table
     assert table.get(-1) is None and table.get(-1, []) == []
+
+
+def _columns(hits):
+    """The six hit columns of ``hits``, in their order."""
+    cols = list(zip(*(h[1:] for h in hits))) if hits else [()] * 6
+    return tuple(
+        np.array(col, dtype=dtype)
+        for col, dtype in zip(cols, (np.float64, np.int64, np.int64, np.int64, np.float64, np.float64))
+    )
+
+
+def _parked_rows(hl):
+    """Rows a list holds in its head and parked segments, counted from them."""
+    head = 0 if hl._pending is None else hl._pending[3] - hl._pending[2]
+    return head + sum(hi - lo for _cols, lo, hi in hl._parked)
+
+
+_READS = {
+    "len": len,
+    "columns": TopHitList.columns,
+    "sorted_hits": TopHitList.sorted_hits,
+    "pack": lambda hl: pack_hit_columns({0: hl}, [0]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tau=st.integers(1, 6),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["add_top_sorted", "add_batch"]),
+            _BATCH,
+            st.integers(0, 3),  # junk rows before the parked range
+            st.lists(st.sampled_from(sorted(_READS)), max_size=2),  # reads after
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_lazy_fold_equals_sequential_add(tau, ops):
+    """Block offers park segments, ``add_batch`` folds at once, reads fold
+    on demand — in any interleaving the list is the top tau of all it was
+    offered, ``evaluated`` counts every offer, and no list ever holds more
+    than ``2 * tau`` rows of its own."""
+    hl, offered, evaluated = TopHitList(tau), [], 0
+    for how, rows, junk, reads in ops:
+        hits = [_hit(9, row) for row in rows]
+        if how == "add_batch":
+            hl.add_batch(9, *_columns(hits))
+        else:
+            # the batch's top tau, best first, inside a larger table
+            top = [hits[i] for i in best_first_order(_columns(hits))[:tau]] if hits else []
+            table = _columns([_hit(9, (9.0, 0, 0, 1, 0.0))] * junk + top + hits)
+            hl.add_top_sorted(9, table, junk, junk + len(top), offered=len(hits))
+        offered += hits
+        evaluated += len(hits)
+        assert _parked_rows(hl) == hl._rows <= 2 * tau
+        want = top_tau(offered, tau)
+        for read in reads:
+            _READS[read](hl)
+            assert _parked_rows(hl) <= 2 * tau
+        assert len(hl) == len(want)
+    assert hl.sorted_hits() == top_tau(offered, tau)
+    assert hl.evaluated == evaluated
+    packed = HitTable(pack_hit_columns({9: hl}, [9]))
+    assert packed[9] == top_tau(offered, tau)

@@ -22,8 +22,10 @@ from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.protein import ProteinDatabase
 from repro.constants import AMINO_ACIDS
 from repro.core.config import SearchConfig
-from repro.core.search import ShardSearcher
+from repro.core.partition import partition_database
+from repro.core.search import QueryBlock, ShardSearcher
 from repro.spectra.spectrum import Spectrum
+from repro.spectra.spectrum_batch import SpectrumBatch
 from tests.conftest import store_searcher
 from tests.reference import assert_same_hitlists, candidates_evaluated, reference_search
 
@@ -115,3 +117,81 @@ def test_sweep_invariant_under_query_permutation(db, queries, rnd):
     permuted = {}
     searcher.run(shuffled, permuted)
     assert_same_hitlists(reference, permuted)
+
+
+def _batches_equal(got: SpectrumBatch, want: SpectrumBatch) -> None:
+    assert [s.query_id for s in got.spectra] == [s.query_id for s in want.spectra]
+    for a, b in zip(
+        (got.mz, got.intensity, got.offsets, *got.padded_mz()),
+        (want.mz, want.intensity, want.offsets, *want.padded_mz()),
+    ):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _bindings_equal(scorer, got: SpectrumBatch, want: SpectrumBatch) -> None:
+    """A slice's binding is the one a fresh batch of its members makes."""
+    if not hasattr(scorer, "bind"):
+        return
+    sliced, fresh = got.bound(scorer), scorer.bind(want)
+    if hasattr(fresh, "processed"):  # xcorr: same vectors, where the slice puts them
+        assert sliced.limits.tolist() == fresh.limits.tolist()
+        for k in range(len(fresh.limits)):
+            got, want = (
+                v.processed[v.bases[k] : v.bases[k] + v.limits[k]] for v in (sliced, fresh)
+            )
+            assert got.tobytes() == want.tobytes()
+    else:
+        assert sliced.tobytes() == fresh.tobytes()
+
+
+@given(
+    databases,
+    query_lists,
+    st.sampled_from([(), _MODS[:1], _MODS]),
+    st.sampled_from([1, 2, 8, 64]),
+    st.sampled_from(["shared_peaks", "hyperscore", "xcorr", "likelihood", "hypergeometric"]),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_prepared_block_equals_fresh_passes(db, queries, mods, cohort, scorer, p, data):
+    """One block prepared for a rotation (packed, or not as a single pass
+    leaves it), swept against several shards in a drawn order, whole and
+    as B-style mass-order prefixes and arbitrary ``[a, b)`` slices: every
+    pass's hits and ``ShardStats`` are those of a pass given a fresh list,
+    the hits the scalar reference's, and a packed block's batch and
+    binding slices what a fresh batch of the same members makes."""
+    cfg = SearchConfig(
+        delta=25.0, tau=5, scorer=scorer, modifications=tuple(mods), sweep_cohort=cohort
+    )
+    shards = partition_database(db, p)
+    searchers = [ShardSearcher(shard, cfg) for shard in shards]
+    prepared = QueryBlock.prepare(queries, cfg)
+    if data.draw(st.booleans(), label="packed"):  # as a rotation prepares it
+        prepared.pack()
+    assert QueryBlock.prepare(prepared, cfg) is prepared
+    n = len(queries)
+    by_mass = [queries[m] for m in prepared.order.tolist()]
+    kept, fresh, reference = {}, {}, {}
+    for t in data.draw(st.permutations(range(p))):
+        how = data.draw(st.sampled_from(["whole", "prefix", "slice"]))
+        a = data.draw(st.integers(0, n)) if how == "slice" else 0
+        b = data.draw(st.integers(a, n)) if how != "whole" else n
+        if how == "prefix" and b:  # the prefix a mass limit selects
+            part = prepared.lighter_than(float(prepared.masses[b - 1]))
+            b = len(part)
+        else:
+            part = prepared if how == "whole" else prepared.slice(a, b)
+        # a block lists its members in the caller's order, a slice in mass order
+        members = list(queries) if part is prepared else by_mass[a:b]
+        assert [q.query_id for q in part.queries] == [q.query_id for q in members]
+        got = searchers[t].run(part, kept)
+        want = ShardSearcher(shards[t], cfg).run(members, fresh)
+        assert got == want
+        reference_search(shards[t], cfg, members, reference)
+        assert_same_hitlists(fresh, kept)
+        assert_same_hitlists(reference, kept)
+        if b > a:  # the slice's batch holds its members in mass order
+            batch = part.spectra(0, b - a)
+            _batches_equal(batch, SpectrumBatch(by_mass[a:b]))
+            _bindings_equal(searchers[t].scorer, batch, SpectrumBatch(by_mass[a:b]))

@@ -186,20 +186,46 @@ class TestHitColumns:
         assert all(np.shares_memory(got, col) for got, col in zip(hl.columns(), table))
         assert [h.protein_id for h in hl.sorted_hits()] == [2, 3]
 
-    def test_offers_fold_into_the_slice_and_take_columns_empties_it(self):
-        """Every offer folds into the parked slice; a full list drops a
-        batch row below its worst before sorting; ``take_columns``
-        empties it."""
+    def test_offers_fold_into_the_slice(self):
+        """Every ``add_batch`` folds into the parked slice at once; a full
+        list drops a batch row below its worst before sorting."""
         hl = TopHitList(3)
         _offer(hl, 1, [5.0, 4.0, 3.0, 2.0], [1, 2, 3, 4])
         assert _offer(hl, 1, [4.5, 1.0], [9, 8]) == 1
         assert _offer(hl, 1, [4.0, 6.0], [0, 7]) == 1  # 6.0 enters, the 4.0s fall off
-        assert hl._pending is not None
+        assert hl._pending is not None and hl._parked == []
         assert [(h.score, h.protein_id) for h in hl.sorted_hits()] == [(6.0, 7), (5.0, 1), (4.5, 9)]
         assert hl.evaluated == 8
-        taken = hl.take_columns()
-        assert taken[0].tolist() == [6.0, 5.0, 4.5] and len(hl) == 0 and hl.evaluated == 8
-        assert hl.sorted_hits() == [] and hl.take_columns()[0].tolist() == []
+
+    def test_block_offers_park_segments_until_two_tau(self):
+        """``add_top_sorted`` parks each later block's rows as a segment by
+        reference; the offer that would take the list past ``2 * tau``
+        rows folds it, and a read folds what is parked."""
+        tau = 2
+
+        def block(scores, pids):
+            n = len(scores)
+            return (
+                np.asarray(scores, dtype=np.float64),
+                np.asarray(pids, dtype=np.int64),
+                np.zeros(n, dtype=np.int64),
+                np.full(n, 5, dtype=np.int64),
+                np.full(n, 600.0),
+                np.zeros(n),
+            )
+
+        hl = TopHitList(tau)
+        first, second = block([3.0, 1.0], [1, 2]), block([2.0, 0.5], [3, 4])
+        hl.add_top_sorted(1, first, 0, 2, offered=4)
+        hl.add_top_sorted(1, second, 0, 2, offered=2)
+        assert len(hl._parked) == 1 and len(hl) == tau and hl._rows == 2 * tau
+        assert all(np.shares_memory(a, b) for a, b in zip(hl._pending[1], first))
+        hl.add_top_sorted(1, block([2.5], [5]), 0, 1, offered=1)  # 5 rows > 2 * tau: fold
+        assert hl._parked == [] and hl._rows == tau
+        assert hl.columns()[1].tolist() == [1, 5] and hl.evaluated == 7
+        hl.add_top_sorted(1, block([9.0], [6]), 0, 1, offered=1)  # parked
+        assert len(hl._parked) == 1
+        assert [h.protein_id for h in hl.sorted_hits()] == [6, 1] and hl._parked == []
 
     def test_tie_at_cutoff_survives_the_columns(self):
         lists = self._lists()

@@ -116,30 +116,36 @@ class TestLikelihoodTable:
 
     def _cohort(self):
         """Members with peaks exactly at a b or y fragment of TRUE_PEPTIDE
-        plus or minus the tolerance: p0 at its lower clamp (one peak),
-        unclamped, at its upper clamp (dense peaks), and a member without
-        peaks."""
+        plus or minus the tolerance: p0 at its lower clamp (one peak; three
+        peaks at one m/z), unclamped, at its upper clamp (dense peaks), and
+        members without peaks first and last."""
         model_mz, model_int = theoretical_spectrum(TRUE_PEPTIDE)
         b, y, tol = model_mz[model_int < 1.0], model_mz[model_int == 1.0], self.TOL
         return SpectrumBatch(
             [
+                self._spectrum([]),
                 self._spectrum([y[2] + tol]),
                 self._spectrum([b[1] - tol, y[3] + tol, b[6] + tol, y[7] - tol]),
                 self._spectrum(b[4] - tol + 0.25 * np.arange(30)),
+                self._spectrum([y[5] - tol] * 3),
                 self._spectrum([]),
             ]
         )
 
     @pytest.mark.parametrize("p_detect", [0.7, 1e-7, 0.9999])  # p1 unclamped, low, high
     def test_entries_are_the_scalar_terms(self, p_detect):
+        """The table's ``p0`` is one array expression over the batch; every
+        entry is still the scalar ``_chance_match_probability``'s term."""
         scorer = LikelihoodRatioScorer(self.TOL, p_detect)
         cohort = self._cohort()
-        probs = [scorer._chance_match_probability(s) for s in cohort.spectra[:3]]
-        assert probs[0] == 1e-9 and 1e-9 < probs[1] < 0.999 and probs[2] == 0.999
+        probs = [scorer._chance_match_probability(s) for s in cohort.spectra]
+        assert probs[0] == probs[-1] == 1e-9  # no peaks
+        assert probs[1] == probs[4] == 1e-9  # one peak; all peaks at one m/z
+        assert 1e-9 < probs[2] < 0.999 and probs[3] == 0.999
         table = scorer.llr_table(cohort)
-        assert np.all(table[3] == -math.inf)  # the member without peaks
+        assert np.all(table[[0, -1]] == -math.inf)  # the members without peaks
         used = set()
-        for k, spectrum in enumerate(cohort.spectra[:3]):
+        for k, spectrum in enumerate(cohort.spectra[1:-1], start=1):
             for peptide in (TRUE_PEPTIDE, WRONG_PEPTIDE):
                 model_mz, model_int = theoretical_spectrum(peptide)
                 code = 2 * match_peaks(model_mz, spectrum.mz, self.TOL) + (model_int == 1.0)
@@ -147,6 +153,9 @@ class TestLikelihoodTable:
                 terms = fragment_llrs(scorer, spectrum, model_mz, model_int)
                 assert table[k, code].tobytes() == terms.tobytes()
         assert used == {0, 1, 2, 3}  # unmatched b, y; matched b, y
+        # a slice of the batch binds the same rows
+        part = cohort.slice(1, 4)
+        assert scorer.llr_table(part).tobytes() == table[1:4].tobytes()
 
     @pytest.mark.parametrize("p_detect", [0.7, 1e-7, 0.9999])
     def test_block_scores_equal_the_scalar_scores(self, p_detect):
