@@ -15,6 +15,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -30,6 +31,7 @@ from repro.scoring.hits import (
 )
 from repro.simmpi.trace import TraceSummary
 from repro.spectra.binning import _ragged_arange
+from repro.utils.text_columns import fixed_column, int_column, join_rows, slice_column
 
 
 #: JSON keys of one hit, in the order ``HitColumns`` keeps its six columns
@@ -144,42 +146,55 @@ class SearchReport:
         )
 
 
-#: rows formatted per write: bounds the transient Python lists of a report
-#: of any size (8192 rows x 9 columns is well under a megabyte of objects)
-_TSV_CHUNK_ROWS = 8192
+#: transient bytes one chunk of ``write_tsv`` may allocate: its slice of
+#: the index arrays, the text blocks of its columns, the joined rows and
+#: their bytes
+_TSV_CHUNK_BYTES = 4 << 20
+#: what a row of a chunk allocates while it is formatted: ~400 B measured
+#: with tracemalloc for search reports (rows of ~60 characters and a
+#: peptide of ~12 residues), rounded up
+_TSV_ROW_BYTES = 512
+#: rows formatted per write (8192)
+_TSV_CHUNK_ROWS = _TSV_CHUNK_BYTES // _TSV_ROW_BYTES
 
 
-def _peptide_lookup(database) -> Callable[[np.ndarray, np.ndarray, np.ndarray], List[str]]:
-    """``(protein ids, starts, stops) -> peptide texts`` out of ``database``.
+_Spans = Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    The residue buffer is decoded once; a hit's peptide is a slice of it
-    found by offset arithmetic, bounds clamped to the protein as ``str``
-    slicing clamps them.  ``?`` for an id the database lacks; the last of
-    a repeated id wins, as a dict of proteins would have it.
+
+def _peptide_spans(database) -> Tuple[np.ndarray, _Spans]:
+    """``(text, spans)``: ``spans(protein ids, starts, stops)`` gives each
+    hit's peptide as a ``(start, length)`` slice of ``text``.
+
+    A peptide is found by offset arithmetic, bounds clamped to the
+    protein as ``str`` slicing clamps them; ``?`` for an id the database
+    lacks; the last of a repeated id wins, as a dict of proteins would
+    have it.  ``text`` is the residue buffer copied once, with the ``?``
+    and a protein's length of padding after it, so every slice can be
+    read as a row of one sliding-window view.
     """
-    text = database.residues.tobytes().decode("ascii")
+    residues = np.asarray(database.residues, dtype=np.uint8)
+    offsets = np.asarray(database.offsets, dtype=np.int64)
+    unknown = len(residues)
+    longest = int(np.diff(offsets).max(initial=0))
+    text = np.concatenate((residues, np.frombuffer(b"?", np.uint8), np.zeros(longest, np.uint8)))
     by_id = np.argsort(database.ids, kind="stable")
     known_ids = database.ids[by_id]
-    offsets = np.asarray(database.offsets, dtype=np.int64)
 
     def clamp(position: np.ndarray, length: np.ndarray) -> np.ndarray:
-        return np.clip(np.where(position < 0, position + length, position), 0, length)
+        return np.minimum(np.maximum(position + (position < 0) * length, 0), length)
 
-    def peptides(pid: np.ndarray, start: np.ndarray, stop: np.ndarray) -> List[str]:
+    def spans(pid: np.ndarray, start: np.ndarray, stop: np.ndarray):
         if len(known_ids) == 0:
-            return ["?"] * len(pid)
+            return np.full(len(pid), unknown), np.ones(len(pid), dtype=np.int64)
         at = np.maximum(np.searchsorted(known_ids, pid, side="right") - 1, 0)
-        known = (known_ids[at] == pid).tolist()
+        known = known_ids[at] == pid
         base = offsets[by_id[at]]
         length = offsets[by_id[at] + 1] - base
         lo = clamp(start, length)
         hi = np.maximum(clamp(stop, length), lo)
-        return [
-            text[a:b] if ok else "?"
-            for a, b, ok in zip((base + lo).tolist(), (base + hi).tolist(), known)
-        ]
+        return np.where(known, base + lo, unknown), np.where(known, hi - lo, 1)
 
-    return peptides
+    return text, spans
 
 
 def write_tsv(report: SearchReport, path, database=None) -> None:
@@ -191,9 +206,15 @@ def write_tsv(report: SearchReport, path, database=None) -> None:
     peptide-identification pipelines consume downstream.
 
     Rows are formatted straight from the report's hit columns, queries
-    in ascending id order, a bounded chunk of rows at a time: no ``Hit``
-    is built, and nothing transient grows with the hit count but three
-    index arrays.
+    in ascending id order, by array work (:mod:`repro.utils.text_columns`):
+    every byte is what ``%d`` / ``%.6f`` / ``%.4f`` write, and no ``Hit``
+    is built.  A chunk of ``_TSV_CHUNK_ROWS`` rows is formatted at a
+    time, within ``_TSV_CHUNK_BYTES`` of transient arrays; a chunk whose
+    peptide block (rows x longest peptide) would take more than a
+    quarter of that is written in halves.  Beside a chunk, nothing
+    transient grows with the hit count but three index arrays, and the
+    residue buffer is copied once.  A file object target is written
+    ``str``, a path bytes.
     """
     columns = as_hit_columns(report.hits)
     by_query = np.argsort(columns.query_ids, kind="stable")
@@ -203,32 +224,43 @@ def write_tsv(report: SearchReport, path, database=None) -> None:
     query_id = np.repeat(columns.query_ids[by_query], counts)
     rank = _ragged_arange(np.ones(len(counts), dtype=np.int64), counts)
     header = "query_id\trank\tscore\tprotein\tstart\tstop\tmass\tmod_delta"
-    row_format = "%d\t%d\t%.6f\t%d\t%d\t%d\t%.4f\t%.4f"
     if database is not None:
         header += "\tpeptide"
-        row_format += "\t%s"
-        peptides = _peptide_lookup(database)
-    format_row = (row_format + "\n").__mod__
-    target = nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="ascii")
-    with target as fh:
-        fh.write(header + "\n")
-        for c in range(0, len(rows), _TSV_CHUNK_ROWS):
-            chunk = slice(c, c + _TSV_CHUNK_ROWS)
-            r = rows[chunk]
+        text, peptide_spans = _peptide_spans(database)
+
+    to_file = not hasattr(path, "write")
+    with open(path, "wb") if to_file else nullcontext(path) as fh:
+        fh.write(header.encode("ascii") + b"\n" if to_file else header + "\n")
+        # row ranges still to write, the next one last
+        pending = [
+            (c, min(c + _TSV_CHUNK_ROWS, len(rows)))
+            for c in reversed(range(0, len(rows), _TSV_CHUNK_ROWS))
+        ]
+        while pending:
+            a, b = pending.pop()
+            r = rows[a:b]
             pid, start, stop = columns.protein_ids[r], columns.starts[r], columns.stops[r]
-            fields = [
-                query_id[chunk].tolist(),
-                rank[chunk].tolist(),
-                columns.scores[r].tolist(),
-                pid.tolist(),
-                start.tolist(),
-                stop.tolist(),
-                columns.masses[r].tolist(),
-                columns.mod_deltas[r].tolist(),
-            ]
+            fields = []
             if database is not None:
-                fields.append(peptides(pid, start, stop))
-            fh.write("".join(map(format_row, zip(*fields))))
+                starts, lengths = peptide_spans(pid, start, stop)
+                if b - a > 1 and (b - a) * int(lengths.max()) > _TSV_CHUNK_BYTES // 4:
+                    pending += [((a + b) // 2, b), (a, (a + b) // 2)]
+                    continue
+                fields.append(slice_column(text, starts, lengths))
+            chunk = join_rows(
+                [
+                    int_column(query_id[a:b]),
+                    int_column(rank[a:b]),
+                    fixed_column(columns.scores[r], 6),
+                    int_column(pid),
+                    int_column(start),
+                    int_column(stop),
+                    fixed_column(columns.masses[r], 4),
+                    fixed_column(columns.mod_deltas[r], 4),
+                    *fields,
+                ]
+            )
+            fh.write(chunk if to_file else chunk.decode("ascii"))
 
 
 def merge_rank_hits(

@@ -35,7 +35,8 @@ one task per worker (:func:`~repro.core.partition.effective_query_blocks`).
 An empty database dispatches no task.
 
 Transport is zero-copy by reference: the direct searcher (or the store
-path) and the packed query blocks are installed in a module-level *task
+path) and the mass-sorted query blocks — lists of the caller's
+``Spectrum`` objects — are installed in a module-level *task
 context* exactly once — inherited copy-on-write under fork, shipped once
 per worker through the pool initializer under spawn — and each task is
 just a ``(task_id, attempt, block_id)`` id tuple.  Per-task
@@ -45,8 +46,10 @@ report's ``bytes_shipped`` extras quantify the saving against the
 replicated per-task baseline.  The mass index is built once per
 database object, in the parent (and once per spawned worker), never
 once per task or per fork worker; over a store each worker keeps one
-searcher, so the store is mapped once per process.  Workers also cache
-unpacked query blocks keyed by block id.
+searcher, so the store is mapped once per process.  A task searches
+its block's spectra as they are: fork inherits them, spawn unpickles
+them once per worker without revalidating them (``Spectrum`` restores
+its read-only peaks on unpickling).
 Results come back as flat NumPy columns
 (:class:`~repro.scoring.hits.HitColumns`) — eight buffers per task
 instead of one pickled ``Hit`` per retained hit — and stay columns in
@@ -76,8 +79,6 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import effective_query_blocks, partition_queries_by_mass
@@ -90,7 +91,6 @@ from repro.obs.metrics import MetricsRegistry, get_metrics, use_registry
 from repro.scoring.hits import HitColumns, TopHitList, pack_hit_columns
 from repro.spectra.spectrum import Spectrum
 
-_SpectrumWire = Tuple[np.ndarray, np.ndarray, float, int, int]
 #: a task on the wire: (task_id, attempt, block_id) — ids only
 _TaskWire = Tuple[int, int, int]
 
@@ -104,20 +104,6 @@ _TASK_WIRE_BYTES = 32
 _CHECKPOINTED = ("candidates_evaluated", "batches", "rows_scored", "index_rows")
 
 
-def _pack_spectrum(s: Spectrum) -> _SpectrumWire:
-    return (np.asarray(s.mz), np.asarray(s.intensity), s.precursor_mz, s.charge, s.query_id)
-
-
-def _unpack_spectrum(wire: _SpectrumWire) -> Spectrum:
-    mz, intensity, precursor, charge, qid = wire
-    return Spectrum(mz, intensity, precursor, charge, qid)
-
-
-def _spectrum_wire_nbytes(wire: _SpectrumWire) -> int:
-    mz, intensity, _precursor, _charge, _qid = wire
-    return int(mz.nbytes + intensity.nbytes + 24)
-
-
 # -- zero-copy task context ----------------------------------------------
 #
 # The context holds everything a task references by id.  Under fork it is
@@ -126,8 +112,7 @@ def _spectrum_wire_nbytes(wire: _SpectrumWire) -> int:
 # either way, per-task payloads never carry buffers again.
 
 _TASK_CONTEXT: Optional[Dict[str, Any]] = None
-#: per-process state: {"searcher": the store searcher this process
-#: opened, "queries": {block_id: [Spectrum]}}
+#: per-process state: {"searcher": the store searcher this process opened}
 _PROCESS_CACHE: Dict[str, Any] = {}
 
 
@@ -145,15 +130,6 @@ def _worker_init(context: Optional[Dict[str, Any]] = None) -> None:
         _install_context(context)
     else:
         _PROCESS_CACHE.clear()
-
-
-def _cached_queries(block_id: int) -> List[Spectrum]:
-    cache = _PROCESS_CACHE.setdefault("queries", {})
-    queries = cache.get(block_id)
-    if queries is None:
-        wires = _TASK_CONTEXT["query_blocks"][block_id]
-        queries = cache[block_id] = [_unpack_spectrum(w) for w in wires]
-    return queries
 
 
 def _cached_searcher() -> Tuple[Any, float]:
@@ -204,7 +180,7 @@ def _worker(
         if injector is not None:
             injector.fire(task_id, attempt)
         searcher, loaded = _cached_searcher()
-        queries = _cached_queries(block_id)
+        queries = _TASK_CONTEXT["query_blocks"][block_id]
         hitlists: Dict[int, TopHitList] = {}
         stats = searcher.run(queries, hitlists)
         stats.index_load_time += loaded
@@ -369,7 +345,7 @@ def run_multiprocess_search(
     path must name a ``repro.store`` directory (fingerprint-validated
     against ``database`` up front) and workers open it themselves — only
     the path string crosses the process boundary, so ``bytes_shipped``
-    drops to the packed queries plus task ids, and hits remain bitwise
+    drops to the query blocks plus task ids, and hits remain bitwise
     identical to the direct path.  Every worker searches the store
     through a :class:`~repro.core.streaming.StreamingSearcher`: a
     resident store is memory-mapped whole (a ``memory_budget_mb`` is
@@ -401,11 +377,10 @@ def run_multiprocess_search(
         store, loaded = searcher.store, searcher.loaded
     nblocks = effective_query_blocks(query_blocks, num_workers, len(queries))
     blocks = partition_queries_by_mass(queries, nblocks)
-    block_wires = [[_pack_spectrum(q) for q in block] for block in blocks]
     method = start_method or ("spawn" if os.name == "nt" else "fork")
     obs = get_metrics()
     context: Dict[str, Any] = {
-        "query_blocks": block_wires,
+        "query_blocks": blocks,
         "config": config,
         "injector": fault_injector,
         "metrics": obs.enabled,
@@ -429,7 +404,7 @@ def run_multiprocess_search(
     # collapses to the path string; the mapped bytes are reported
     # separately as index_mmap_bytes (they travel through the page
     # cache, not a process boundary).
-    block_bytes = [sum(_spectrum_wire_nbytes(w) for w in wires) for wires in block_wires]
+    block_bytes = [sum(q.nbytes for q in block) for block in blocks]
     copies = num_workers if num_workers > 1 and method != "fork" else 1
     context_bytes = copies * (ship_bytes + sum(block_bytes))
     bytes_tasks = _TASK_WIRE_BYTES * num_tasks

@@ -35,6 +35,8 @@ from typing import (
 
 import numpy as np
 
+from repro.spectra.binning import _ragged_arange
+
 
 class Hit(NamedTuple):
     """One candidate match reported for a query.
@@ -164,8 +166,8 @@ class TopHitList:
     as one more segment, unsorted against the rest.  The segments are
     folded — one :func:`best_first_order` over all of them, cut to tau —
     only when they would hold more than ``2 * tau`` rows, or when the
-    list is read (:meth:`columns`, :meth:`sorted_hits`, the cut of
-    :meth:`add_batch`).  Whatever batches are offered, in whatever order,
+    list is read (:meth:`sorted_hits`, the cut of :meth:`add_batch`);
+    :func:`pack_hit_columns` reads them as they are.  Whatever batches are offered, in whatever order,
     a read sees the top tau of all of them under :meth:`Hit.sort_key` —
     ``sorted(offered, key=Hit.sort_key)[:tau]`` — so ties at the cutoff
     are resolved by the structural tie-break, never by offer order.
@@ -310,18 +312,6 @@ class TopHitList:
         head = self._folded()
         return [] if head is None else _build_hits(*head)
 
-    def columns(self) -> _Columns:
-        """:meth:`sorted_hits` as parallel arrays, without the Hit objects.
-
-        Returns ``(scores, protein_ids, starts, stops, masses,
-        mod_deltas)``, best first: six views of the folded head.
-        """
-        head = self._folded()
-        if head is None:
-            return _EMPTY_COLUMNS
-        _qid, columns, lo, hi = head
-        return tuple(col[lo:hi] for col in columns)
-
 
 class HitColumns(NamedTuple):
     """The top-tau lists of many queries as flat NumPy columns.
@@ -347,16 +337,62 @@ class HitColumns(NamedTuple):
 def pack_hit_columns(
     hitlists: Mapping[int, TopHitList], query_ids: Iterable[int]
 ) -> HitColumns:
-    """Flatten ``hitlists[qid].columns()`` for ``query_ids``, in that order."""
+    """The retained hits of ``hitlists[qid]`` for ``query_ids``, in that
+    order, as one :class:`HitColumns`.
+
+    One grouped step, however many lists: every list's head and parked
+    segments are gathered, grouped by the table they view, with one take
+    from those tables joined; the lists holding more than one segment are
+    then folded together — one :func:`best_first_order` over their rows,
+    grouped by list, each list cut to its tau.  A list's segments are
+    taken head first, then parked in order, which is the order
+    ``TopHitList._fold`` concatenates them in, so every list packs as
+    its :meth:`~TopHitList.sorted_hits` reads.  The lists are not changed.
+    """
     query_ids = list(query_ids)
-    per_query = [hitlists[qid].columns() for qid in query_ids]
-    counts = [len(cols[0]) for cols in per_query]
-    # one more, empty, part: concatenate needs one, and it pins the dtypes
-    per_query.append(_EMPTY_COLUMNS)
+    tables: Dict[int, int] = {}  # id(table) -> its position in `joined`
+    joined: List[_Columns] = [_EMPTY_COLUMNS]  # pins the dtypes
+    owner, table, lo, hi, taus = [], [], [], [], []
+    for i, qid in enumerate(query_ids):
+        hitlist = hitlists[qid]
+        taus.append(hitlist.tau)
+        head = hitlist._pending
+        if head is None:
+            continue
+        for columns, a, b in (head[1:], *hitlist._parked):
+            t = tables.setdefault(id(columns), len(joined))
+            if t == len(joined):
+                joined.append(columns)
+            owner.append(i)
+            table.append(t)
+            lo.append(a)
+            hi.append(b)
+    owner, table, lo, hi = (np.array(v, dtype=np.int64) for v in (owner, table, lo, hi))
+    length = hi - lo
+    table_start = np.cumsum([0] + [len(columns[0]) for columns in joined])
+    rows = _ragged_arange(table_start[table] + lo, length)
+    flat = [np.concatenate([columns[c] for columns in joined]) for c in range(6)]
+    segments = np.bincount(owner, minlength=len(query_ids))
+    counts = np.bincount(owner, weights=length, minlength=len(query_ids)).astype(np.int64)
+    folded = segments > 1
+    if folded.any():
+        row_owner = np.repeat(owner, length)
+        loose = folded[row_owner]  # rows of the lists to fold, by list
+        fold_rows = rows[loose]
+        order = best_first_order([column[fold_rows] for column in flat], row_owner[loose])
+        tau = np.array(taus, dtype=np.int64)[folded]
+        fold_counts = counts[folded]
+        counts[folded] = np.minimum(fold_counts, tau)
+        kept = fold_rows[order[_ragged_arange(np.cumsum(fold_counts) - fold_counts, counts[folded])]]
+        first = np.cumsum(counts) - counts
+        packed = np.empty(int(counts.sum()), dtype=np.int64)
+        packed[_ragged_arange(first[~folded], counts[~folded])] = rows[~loose]
+        packed[_ragged_arange(first[folded], counts[folded])] = kept
+        rows = packed
     return HitColumns(
         np.array(query_ids, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-        *(np.concatenate(column) for column in zip(*per_query)),
+        counts,
+        *(column[rows] for column in flat),
     )
 
 

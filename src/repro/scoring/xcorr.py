@@ -67,8 +67,10 @@ class XCorrScorer:
         w = self.offset_range
         csum = np.concatenate(([0.0], np.cumsum(binned)))
         n = len(binned)
-        lo = np.clip(np.arange(n) - w, 0, n)
-        hi = np.clip(np.arange(n) + w + 1, 0, n)
+        # w >= 1, so only one bound of each can bind (np.clip on ints pays
+        # a getlimits lookup a call)
+        lo = np.maximum(np.arange(n) - w, 0)
+        hi = np.minimum(np.arange(n) + w + 1, n)
         window_sum = csum[hi] - csum[lo] - binned
         window_len = (hi - lo - 1).astype(np.float64)
         mean = np.divide(window_sum, window_len, out=np.zeros(n), where=window_len > 0)

@@ -55,6 +55,13 @@ class Spectrum:
         object.__setattr__(self, "mz", mz)
         object.__setattr__(self, "intensity", intensity)
 
+    def __setstate__(self, state) -> None:
+        # unpickling restores the fields without __post_init__ (no
+        # revalidation), and with the peak arrays writeable: freeze them
+        for name in ("mz", "intensity"):
+            state[name].flags.writeable = False
+        self.__dict__.update(state)
+
     @property
     def num_peaks(self) -> int:
         return len(self.mz)

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.search import ShardStats, score_and_offer_block
-from repro.scoring.hits import Hit, HitTable, TopHitList, best_first_order, pack_hit_columns
+from repro.scoring.hits import (
+    Hit,
+    HitTable,
+    TopHitList,
+    as_hit_columns,
+    best_first_order,
+    pack_hit_columns,
+)
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from tests.reference import offer_hits, top_tau
@@ -179,7 +186,6 @@ def _parked_rows(hl):
 
 _READS = {
     "len": len,
-    "columns": TopHitList.columns,
     "sorted_hits": TopHitList.sorted_hits,
     "pack": lambda hl: pack_hit_columns({0: hl}, [0]),
 }
@@ -226,3 +232,40 @@ def test_lazy_fold_equals_sequential_add(tau, ops):
     assert hl.evaluated == evaluated
     packed = HitTable(pack_hit_columns({9: hl}, [9]))
     assert packed[9] == top_tau(offered, tau)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tau=st.integers(1, 6),
+    rounds=st.lists(st.dictionaries(st.integers(0, 5), _BATCH, max_size=4), min_size=1, max_size=5),
+    batch_offers=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), _BATCH), max_size=4),
+    order=st.permutations(range(7)),
+)
+def test_grouped_pack_equals_per_list_columns(tau, rounds, batch_offers, order):
+    """``pack_hit_columns`` gathers every list's segments from the tables
+    they view and folds the lists holding several in one grouped step:
+    after block offers (segments of shared block tables, parked by
+    reference) interleaved with ``add_batch`` folds, it packs what each
+    list's ``sorted_hits()`` reads, masses included, in the order asked
+    (query 6 is offered nothing), and leaves every list as it found it."""
+    cfg = SimpleNamespace(tau=tau, score_cutoff=None, min_candidate_length=1)
+    hitlists = {qid: TopHitList(tau) for qid in range(7)}
+    for r, batches in enumerate(rounds):
+        _offer_block(cfg, hitlists, batches)
+        for after, qid, rows in batch_offers:
+            if after == r:
+                hits = [_hit(qid, row)._replace(mass=2000.0) for row in rows]
+                hitlists[qid].add_batch(qid, *_columns(hits))
+                # the same candidates again, parked behind the fold: keys
+                # tie, masses differ, so the order of equal keys shows
+                _offer_block(cfg, hitlists, {qid: rows})
+    before = {qid: (hl._pending, list(hl._parked), hl._rows) for qid, hl in hitlists.items()}
+    packed = pack_hit_columns(hitlists, order)
+    for qid, hl in hitlists.items():
+        pending, parked, rows = before[qid]
+        assert hl._pending is pending and hl._rows == rows
+        assert [id(s) for s in hl._parked] == [id(s) for s in parked]
+    want = as_hit_columns({qid: hitlists[qid].sorted_hits() for qid in order})
+    assert packed.query_ids.tolist() == list(order)
+    for got, column in zip(packed[1:], want[1:]):
+        assert got.dtype == column.dtype and np.array_equal(got, column)

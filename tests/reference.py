@@ -413,3 +413,25 @@ def top_tau(hits: Iterable[Hit], tau: int) -> List[Hit]:
 def offer_hits(hitlist: TopHitList, query_id: int, hits: Sequence[Hit]) -> int:
     """Offer ``hits`` to ``hitlist`` as one ``add_batch``."""
     return hitlist.add_batch(query_id, *as_hit_columns({query_id: hits})[2:])
+
+
+def reference_tsv(report, database=None) -> str:
+    """What ``write_tsv`` writes, one f-string per ``Hit``: the per-hit
+    writer it replaced, kept as its oracle."""
+    header = "query_id\trank\tscore\tprotein\tstart\tstop\tmass\tmod_delta"
+    protein = None
+    if database is not None:
+        header += "\tpeptide"
+        text = database.residues.tobytes().decode("ascii")
+        bounds = database.offsets.tolist()
+        protein = {
+            pid: text[a:b] for pid, a, b in zip(database.ids.tolist(), bounds, bounds[1:])
+        }
+    lines = [header]
+    for qid in sorted(report.hits):
+        for rank, (_q, score, pid, start, stop, mass, mod) in enumerate(report.hits[qid], 1):
+            row = f"{qid}\t{rank}\t{score:.6f}\t{pid}\t{start}\t{stop}\t{mass:.4f}\t{mod:.4f}"
+            if protein is not None:
+                row += "\t" + (protein[pid][start:stop] if pid in protein else "?")
+            lines.append(row)
+    return "\n".join(lines + [""])

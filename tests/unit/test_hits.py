@@ -40,6 +40,11 @@ def offer_each(hl, hits):
     return [offer_hits(hl, hit.query_id, [hit]) for hit in hits]
 
 
+def packed(hl):
+    """The list's six hit columns, as a report packs them."""
+    return pack_hit_columns({0: hl}, [0])[2:]
+
+
 class TestTopHitList:
     def test_keeps_best_tau(self):
         hl = TopHitList(3)
@@ -114,7 +119,7 @@ def _offer(hl, qid, scores, pids):
 
 
 class TestHitColumns:
-    """``columns()`` and the packed form are ``sorted_hits()`` minus the objects."""
+    """The packed form is ``sorted_hits()`` minus the objects."""
 
     def _lists(self):
         tied = [2.0, 1.0, 1.0, 1.0, 1.0, 0.5]  # four-way tie across the cutoff
@@ -132,7 +137,7 @@ class TestHitColumns:
     def test_columns_match_sorted_hits(self):
         for qid, hl in self._lists().items():
             hits = hl.sorted_hits()
-            columns = hl.columns()
+            columns = packed(hl)
             assert [c.dtype.kind for c in columns] == list("fiiiff")
             sc, pr, st, sp, ms, md = (c.tolist() for c in columns)
             rebuilt = [Hit(qid, *row[:4], row[4], row[5]) for row in zip(sc, pr, st, sp, ms, md)]
@@ -166,9 +171,9 @@ class TestHitColumns:
         pids = [5, 3, 8, 1, 7, 2, 6, 4, 0]  # tau + 5 rows, one score: all tie-break
         assert _offer(hl, 1, [1.0] * len(pids), pids) == tau
         assert sorts == [len(pids)]  # the one sort that selected the top tau
-        assert hl.columns()[1].tolist() == [0, 1, 2, 3] and hl.evaluated == len(pids)
+        assert packed(hl)[1].tolist() == [0, 1, 2, 3] and hl.evaluated == len(pids)
         monkeypatch.undo()
-        assert [h[1:] for h in hl.sorted_hits()] == list(zip(*(c.tolist() for c in hl.columns())))
+        assert [h[1:] for h in hl.sorted_hits()] == list(zip(*(c.tolist() for c in packed(hl))))
 
     def test_parked_slice_is_a_view_of_the_offered_table(self):
         """``add_top_sorted`` on an empty list parks ``[lo, hi)`` by reference."""
@@ -183,7 +188,7 @@ class TestHitColumns:
         hl = TopHitList(5)
         assert hl.add_top_sorted(6, table, 1, 3, offered=10) == 2
         assert hl.evaluated == 10 and len(hl) == 2
-        assert all(np.shares_memory(got, col) for got, col in zip(hl.columns(), table))
+        assert all(np.shares_memory(got, col) for got, col in zip(hl._pending[1], table))
         assert [h.protein_id for h in hl.sorted_hits()] == [2, 3]
 
     def test_offers_fold_into_the_slice(self):
@@ -222,7 +227,7 @@ class TestHitColumns:
         assert all(np.shares_memory(a, b) for a, b in zip(hl._pending[1], first))
         hl.add_top_sorted(1, block([2.5], [5]), 0, 1, offered=1)  # 5 rows > 2 * tau: fold
         assert hl._parked == [] and hl._rows == tau
-        assert hl.columns()[1].tolist() == [1, 5] and hl.evaluated == 7
+        assert packed(hl)[1].tolist() == [1, 5] and hl.evaluated == 7
         hl.add_top_sorted(1, block([9.0], [6]), 0, 1, offered=1)  # parked
         assert len(hl._parked) == 1
         assert [h.protein_id for h in hl.sorted_hits()] == [6, 1] and hl._parked == []

@@ -13,6 +13,7 @@ from repro.core.results import (
     select_queries,
 )
 from repro.scoring.hits import Hit, HitColumns, HitTable, as_hit_columns
+from tests.reference import reference_tsv
 
 
 def make_hit(score, pid=0, start=0, stop=10, qid=0):
@@ -340,27 +341,6 @@ def golden_fixture():
     return db, make_report(hits)
 
 
-def reference_tsv(report, database=None) -> str:
-    """The per-hit writer ``write_tsv`` replaced: one f-string per ``Hit``."""
-    header = "query_id\trank\tscore\tprotein\tstart\tstop\tmass\tmod_delta"
-    protein = None
-    if database is not None:
-        header += "\tpeptide"
-        text = database.residues.tobytes().decode("ascii")
-        bounds = database.offsets.tolist()
-        protein = {
-            pid: text[a:b] for pid, a, b in zip(database.ids.tolist(), bounds, bounds[1:])
-        }
-    lines = [header]
-    for qid in sorted(report.hits):
-        for rank, (_q, score, pid, start, stop, mass, mod) in enumerate(report.hits[qid], 1):
-            row = f"{qid}\t{rank}\t{score:.6f}\t{pid}\t{start}\t{stop}\t{mass:.4f}\t{mod:.4f}"
-            if protein is not None:
-                row += "\t" + (protein[pid][start:stop] if pid in protein else "?")
-            lines.append(row)
-    return "\n".join(lines + [""])
-
-
 class TestTsvGolden:
     """``data/write_tsv_golden*.tsv`` were written by the per-hit
     ``database.sequence()`` writer, two writers ago; bytes must not move —
@@ -462,3 +442,47 @@ class TestTsvGolden:
         buf = io.StringIO()
         write_tsv(rep, buf, database=empty)
         assert buf.getvalue() == reference_tsv(rep, empty)
+
+
+class TestTsvChunkBudget:
+    def test_a_chunk_allocates_within_the_budget(self, tmp_path):
+        """``write_tsv`` on a 100 K-row report: the traced peak stays within
+        one chunk's ``_TSV_CHUNK_BYTES`` plus what it holds report-wide —
+        three int64 index arrays over the rows, three over the queries and
+        the padded residue buffer."""
+        import tracemalloc
+
+        from repro.chem.protein import ProteinDatabase
+        from repro.core import results
+        from repro.core.results import write_tsv
+
+        rng = np.random.default_rng(3)
+        alphabet = np.frombuffer(b"ACDEFGHIKLMNPQRSTVWY", dtype=np.uint8)
+        db = ProteinDatabase.from_sequences(
+            [alphabet[rng.integers(0, 20, 300)].tobytes().decode() for _ in range(200)]
+        )
+        queries, per_query = 2000, 50
+        rows = queries * per_query
+        starts = rng.integers(0, 280, rows)
+        columns = HitColumns(
+            np.arange(queries, dtype=np.int64),
+            np.full(queries, per_query, dtype=np.int64),
+            np.sort(rng.normal(20.0, 8.0, rows))[::-1].copy(),
+            rng.integers(0, 210, rows),  # ids past the database's: "?"
+            starts,
+            starts + rng.integers(5, 20, rows),
+            rng.uniform(500.0, 3500.0, rows),
+            rng.choice([0.0, 15.994915], rows),
+        )
+        report = make_report(HitTable(columns))
+        report_wide = 3 * 8 * rows + 3 * 8 * queries + len(db.residues) + 301
+        for database in (db, None):
+            write_tsv(report, tmp_path / "warm.tsv", database)
+            tracemalloc.start()
+            try:
+                write_tsv(report, tmp_path / "hits.tsv", database)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rows >= 100_000 > results._TSV_CHUNK_ROWS
+            assert peak <= results._TSV_CHUNK_BYTES + report_wide, (peak, report_wide)

@@ -55,6 +55,22 @@ class TestInvariants:
         with pytest.raises(ValueError):
             s.intensity[0] = 1.0
 
+    def test_unpickled_arrays_frozen_without_revalidating(self, monkeypatch):
+        """The multiproc engine ships spectra pickled (spawn): they come
+        back equal and read-only, and ``__post_init__`` does not run again."""
+        import pickle
+
+        s = make([100.0, 200.0], intensity=[3.0, 0.5], precursor=512.25, charge=2, qid=7)
+        payload = pickle.dumps(s)
+        monkeypatch.setattr(Spectrum, "__post_init__", lambda self: pytest.fail("revalidated"))
+        back = pickle.loads(payload)
+        assert (back.precursor_mz, back.charge, back.query_id) == (512.25, 2, 7)
+        assert back.mz.tolist() == [100.0, 200.0] and back.intensity.tolist() == [3.0, 0.5]
+        with pytest.raises(ValueError):
+            back.mz[0] = 1.0
+        with pytest.raises(ValueError):
+            back.intensity[0] = 1.0
+
     def test_empty_spectrum_allowed(self):
         s = make([])
         assert s.num_peaks == 0
