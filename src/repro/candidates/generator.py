@@ -18,7 +18,7 @@ implement.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,24 @@ def mass_window(spectrum: Spectrum, delta: float) -> Tuple[float, float]:
         raise ValueError(f"delta must be >= 0, got {delta}")
     m = spectrum.parent_mass
     return m - delta, m + delta
+
+
+def heaviest_parent_mass(queries: Iterable[Spectrum]) -> float:
+    """The heaviest parent mass among ``queries`` (``-inf`` for none): what
+    a searcher that knows its queries builds its row table for."""
+    return max((q.parent_mass for q in queries), default=-np.inf)
+
+
+def table_reach(
+    max_parent_mass: float, delta: float, modifications: Sequence[Modification]
+) -> float:
+    """The heaviest mass any window of a query of at most
+    ``max_parent_mass`` asks about: its window's top, raised by the most
+    negative shift among the PTM tiers' ``modifications``.  Computed as
+    the windows are (``m + delta``, then ``- delta_mass``), so the
+    heaviest window equals it bitwise."""
+    lightest = min([0.0] + [mod.delta_mass for mod in modifications])
+    return (max_parent_mass + delta) - lightest
 
 
 def modification_tiers(
@@ -72,19 +90,30 @@ def contains_target(
 
 
 class CandidateGenerator:
-    """Enumerates (and counts) candidates for queries against one shard."""
+    """Enumerates (and counts) candidates for queries against one shard.
+
+    ``max_parent_mass`` bounds the queries it will be asked about: the
+    shard's row table is built up to their heaviest window
+    (:func:`table_reach`), and a heavier query is refused with
+    :class:`~repro.errors.ConfigError`.  The default, ``inf``, builds
+    the full table (queries not known in advance).
+    """
 
     def __init__(
         self,
         shard: ProteinDatabase,
         delta: float = 3.0,
         modifications: Sequence[Modification] = (),
+        max_parent_mass: float = np.inf,
     ):
         self.shard = shard
         self.delta = delta
         self.tiers = modification_tiers(shard, modifications)
         self.modifications = tuple(mod for mod, _csum in self.tiers)
-        self.index = MassIndex.for_shard(shard)
+        self.max_parent_mass = max_parent_mass
+        self.index = MassIndex.for_shard(
+            shard, table_reach(max_parent_mass, delta, self.modifications)
+        )
         # per tier, the running count of table rows holding a target
         # residue: a tier's window count is two lookups (built on first count)
         self._tier_rows: Optional[List[np.ndarray]] = None

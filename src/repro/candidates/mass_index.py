@@ -14,7 +14,10 @@ full-length span is listed once, as a prefix.  Keys decode to
 (:meth:`MassIndex.spans`) for the rows a caller selects and no others.
 Every index store holds exactly this table (``row_mass``, ``row_key``).
 It is a constant multiple of the shard's size, so it keeps the paper's
-O(N/p) per-rank space bound.
+O(N/p) per-rank space bound.  A direct search that knows its queries
+builds only the table's first rows, those up to its heaviest window
+(the table's *reach*): only spans near either end of a sequence are
+that light.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.constants import WATER_MASS
+from repro.errors import ConfigError
 from repro.index.layout import ROW_ID_DTYPE, ROW_KEY_DTYPE, check_row_keys
 from repro.spectra.binning import _ragged_arange, stable_sort
 
@@ -88,21 +92,52 @@ class CandidateSpans:
         )
 
 
-def _unsorted_rows(shard: ProteinDatabase) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row's ``(mass, key)``: the prefixes, then the proper suffixes."""
-    offsets, lengths = shard.offsets, shard.lengths
+def _unsorted_rows(
+    shard: ProteinDatabase, reach: float = np.inf
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(mass, key)`` of every row of mass at most ``reach``: the
+    prefixes, then the proper suffixes, each in flat position order.
+
+    A prefix's mass rises with its length and a suffix's falls with its
+    start, so a sequence's rows in reach are its shortest prefixes and
+    suffixes: one ``searchsorted`` on the running residue-mass sum per
+    sequence end finds them.  That search may round either way, so each
+    end takes one row more than it finds (every residue weighs at least
+    57 Da: rounding never misplaces two) and the rows are then kept by
+    their exact masses — the expressions of the full table, so the kept
+    masses are bitwise its masses.
+    """
+    first, end = shard.offsets[:-1], shard.offsets[1:]
     csum = np.concatenate(([0.0], np.cumsum(mass_table()[shard.residues])))
-    first = np.repeat(offsets[:-1], lengths)  # owning sequence's first residue
-    # prefix ending at k (inclusive): residues [first, k]
-    prefix_mass = csum[1:] - csum[first] + WATER_MASS
-    # suffix starting at k: residues [k, next sequence's first)
-    suffix_mass = csum[np.repeat(offsets[1:], lengths)] - csum[:-1] + WATER_MASS
-    pos = np.arange(len(first), dtype=ROW_KEY_DTYPE)
-    proper = pos != first  # a suffix from a sequence's first residue is its prefix
-    return (
-        np.concatenate((prefix_mass, suffix_mass[proper])),
-        np.concatenate((pos, ~pos[proper])),
-    )
+    bound = reach - WATER_MASS
+    # prefix ending at k (inclusive): residues [first, k], csum[k + 1] -
+    # csum[first]; counting from first, not first + 1, is the extra row
+    found = np.searchsorted(csum, csum[first] + bound, side="right") - first
+    num_prefixes = np.clip(found, 0, end - first)
+    # suffix starting at k: residues [k, end), csum[end] - csum[k], from
+    # one row before the first found; a suffix from a sequence's first
+    # residue is its prefix
+    found = np.searchsorted(csum, csum[end] - bound, side="left") - 1
+    suffix_first = np.clip(found, first + 1, end)
+    num_suffixes = end - suffix_first
+    # the outputs are allocated before the position temporaries: built
+    # in a service's scorer thread, the table then leaves less of its
+    # build resident in that thread's malloc arena
+    p = int(num_prefixes.sum())
+    mass = np.empty(p + int(num_suffixes.sum()))
+    key = np.empty(len(mass), dtype=ROW_KEY_DTYPE)
+    pos = _ragged_arange(first, num_prefixes)
+    np.subtract(csum[1:][pos], np.repeat(csum[first], num_prefixes), out=mass[:p])
+    key[:p] = pos
+    pos = _ragged_arange(suffix_first, num_suffixes)
+    np.subtract(np.repeat(csum[end], num_suffixes), csum[pos], out=mass[p:])
+    key[p:] = np.invert(pos, out=pos)
+    del pos, csum
+    mass += WATER_MASS
+    if reach < np.inf:
+        keep = mass <= reach
+        mass, key = mass[keep], key[keep]
+    return mass, key
 
 
 #: serialises the first build over a shard (one module lock: nothing to
@@ -111,39 +146,52 @@ _BUILD_LOCK = threading.Lock()
 
 
 class MassIndex:
-    """A shard's mass-sorted row table: ``mass`` and ``key`` columns,
-    decoded against the shard's ``offsets``."""
+    """A shard's mass-sorted row table up to a *reach*: ``mass`` and
+    ``key`` columns, decoded against the shard's ``offsets``.
+
+    The table of reach ``R`` holds the rows of mass at most ``R``: it is
+    the first rows of the shard's full table (reach ``inf``), bitwise, so
+    a row id names the same span in both.  A window above the reach is
+    refused, never served truncated.
+    """
 
     @classmethod
-    def for_shard(cls, shard: ProteinDatabase) -> "MassIndex":
-        """The shard's row table, built on first use and kept on the shard.
+    def for_shard(cls, shard: ProteinDatabase, reach: float = np.inf) -> "MassIndex":
+        """The shard's row table up to at least ``reach``, built on first
+        use and kept on the shard.
 
-        The table depends on the shard alone, so every searcher over one
-        database object shares one.  Databases derived from it (``subset``,
+        The table depends on the shard and the reach alone, so every
+        searcher over one database object shares the widest table built
+        on it so far; a wider reach builds a wider one, which replaces
+        it.  Databases derived from the shard (``subset``,
         ``slice_range``, unpickled copies) start without one.  The table
         holds the shard's offsets, not the shard, so the cache forms no
         cycle.  Threads racing on a fresh shard get one object from one
         build.
         """
         index = shard._mass_index
-        if index is None:
+        if index is None or index.reach < reach:
             with _BUILD_LOCK:
                 index = shard._mass_index
-                if index is None:
-                    index = shard._mass_index = cls(shard)
+                if index is None or index.reach < reach:
+                    index = shard._mass_index = cls(shard, reach)
         return index
 
-    def __init__(self, shard: ProteinDatabase):
-        """Build the table: the prefixes (in flat position order) then the
-        proper suffixes, sorted by mass; equal masses keep that order
+    def __init__(self, shard: ProteinDatabase, reach: float = np.inf):
+        """Build the table of the rows of mass at most ``reach``: the
+        prefixes (in flat position order) then the proper suffixes,
+        sorted by mass; equal masses keep that order
         (:func:`~repro.spectra.binning.stable_sort`: one SIMD sort, then
         the ~1% of rows in equal-mass runs put back in place)."""
         check_row_keys(int(shard.offsets[-1]))
-        mass, key = _unsorted_rows(shard)  # the build's temporaries die with its frame
+        if np.isnan(reach):
+            raise ConfigError("a row table's reach must be a mass or +-inf, not NaN")
+        mass, key = _unsorted_rows(shard, reach)  # the build's temporaries die with its frame
         self.mass, order = stable_sort(mass)
         del mass
         self.key = key[order]
         self.offsets = shard.offsets
+        self.reach = float(reach)
 
     @classmethod
     def view(cls, mass: np.ndarray, key: np.ndarray, offsets: np.ndarray) -> "MassIndex":
@@ -151,6 +199,7 @@ class MassIndex:
         rows), decoded against ``offsets``; nothing is copied."""
         index = cls.__new__(cls)
         index.mass, index.key, index.offsets = mass, key, offsets
+        index.reach = np.inf
         return index
 
     def __len__(self) -> int:
@@ -179,9 +228,20 @@ class MassIndex:
 
     # -- windows ---------------------------------------------------------
 
+    def _check_reach(self, highs) -> None:
+        """Refuse windows reaching above the table's reach."""
+        if self.reach < np.inf and np.max(highs, initial=-np.inf) > self.reach:
+            raise ConfigError(
+                f"a window up to {float(np.max(highs))!r} Da lies above this row "
+                f"table's reach ({self.reach!r} Da), whose heavier rows are not "
+                f"built: build the searcher for its heaviest query"
+            )
+
     def windows_many(self, lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per query, the row range ``[lo, hi)`` whose masses lie in
-        ``[low, high]``: two vectorized binary searches."""
+        ``[low, high]``: two vectorized binary searches.  A window above
+        the reach raises :class:`~repro.errors.ConfigError`."""
+        self._check_reach(highs)
         return (
             np.searchsorted(self.mass, lows, side="left"),
             np.searchsorted(self.mass, highs, side="right"),
@@ -213,8 +273,10 @@ class MassIndex:
     def candidates_in_window(self, lo: float, hi: float) -> CandidateSpans:
         """All candidates with mass in ``[lo, hi]``, ascending by mass.
 
-        Empty windows return without decoding any row.
+        Empty windows return without decoding any row; a window above
+        the reach raises :class:`~repro.errors.ConfigError`.
         """
+        self._check_reach(hi)
         r0 = int(np.searchsorted(self.mass, lo, side="left"))
         r1 = int(np.searchsorted(self.mass, hi, side="right"))
         if r1 <= r0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.candidates.generator import heaviest_parent_mass
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import partition_database, partition_queries
@@ -93,7 +94,11 @@ def run_algorithm_a(
 ) -> SearchReport:
     """Run Algorithm A on the simulated machine and merge rank outputs."""
     config = config or SearchConfig()
-    searchers = [ShardSearcher(s, config) for s in partition_database(database, num_ranks)]
+    heaviest = heaviest_parent_mass(queries)
+    searchers = [
+        ShardSearcher(s, config, max_parent_mass=heaviest)
+        for s in partition_database(database, num_ranks)
+    ]
     return run_cluster(
         "algorithm_a" if mask else "algorithm_a_nomask",
         _rank_program,

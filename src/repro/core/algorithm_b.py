@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.candidates.generator import heaviest_parent_mass
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import partition_database, partition_queries
@@ -71,7 +72,9 @@ def _rank_program(
     comm.free("Di")
     comm.alloc("Dsi", cost.shard_bytes(sorted_shard))
 
-    searcher = ShardSearcher(sorted_shard, config)
+    # any rank's queries may reach this shard: its rows go up to the heaviest
+    heaviest = max(heaviest_parent_mass(block) for block in query_blocks)
+    searcher = ShardSearcher(sorted_shard, config, max_parent_mass=heaviest)
     comm.expose(_WINDOW, searcher, sorted_shard.nbytes)
     # Exchange sorted-shard footprints so Drecv buffers can be sized
     # before each transfer (the paper's tuple bookkeeping step).

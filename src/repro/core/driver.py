@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
+from repro.candidates.generator import heaviest_parent_mass
 from repro.chem.protein import ProteinDatabase
 from repro.core.algorithm_a import run_algorithm_a
 from repro.core.algorithm_b import run_algorithm_b
@@ -301,7 +302,8 @@ def choose_plan(
             f"{memory_budget_mb:g} and there is no partitioned store to stream "
             f"from; add --stream, or point --index-path at a partitioned store"
         )
-    candidates = int(ShardSearcher(database, config).count_each(queries).sum())
+    searcher = ShardSearcher(database, config, max_parent_mass=heaviest_parent_mass(queries))
+    candidates = int(searcher.count_each(queries).sum())
     inputs = {
         "candidates": candidates,
         "crossover": MULTIPROC_CROSSOVER_CANDIDATES,

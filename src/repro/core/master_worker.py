@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.candidates.generator import heaviest_parent_mass
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
@@ -111,7 +112,7 @@ def run_master_worker(
         report.algorithm = "master_worker"
         return report
 
-    searcher = ShardSearcher(database, config)
+    searcher = ShardSearcher(database, config, max_parent_mass=heaviest_parent_mass(queries))
     args: Dict[int, Tuple] = {r: (searcher, config) for r in range(1, num_ranks)}
     args[0] = (queries, config, batch_size)
 

@@ -170,26 +170,40 @@ def _peptide_spans(database) -> Tuple[np.ndarray, _Spans]:
     lacks; the last of a repeated id wins, as a dict of proteins would
     have it.  ``text`` is the residue buffer copied once, with the ``?``
     and a protein's length of padding after it, so every slice can be
-    read as a row of one sliding-window view.
+    read as a row of one sliding-window view.  Ids ``0..n-1`` in order
+    (generated and FASTA databases) index the proteins directly; other
+    ids are looked up in their sorted order.
     """
     residues = np.asarray(database.residues, dtype=np.uint8)
     offsets = np.asarray(database.offsets, dtype=np.int64)
     unknown = len(residues)
     longest = int(np.diff(offsets).max(initial=0))
     text = np.concatenate((residues, np.frombuffer(b"?", np.uint8), np.zeros(longest, np.uint8)))
-    by_id = np.argsort(database.ids, kind="stable")
-    known_ids = database.ids[by_id]
+    ids = np.asarray(database.ids)
+    num_proteins = len(ids)
+    if np.array_equal(ids, np.arange(num_proteins)):
+
+        def locate(pid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            known = (pid >= 0) & (pid < num_proteins)
+            return np.where(known, pid, 0), known
+
+    else:
+        by_id = np.argsort(ids, kind="stable")
+        known_ids = ids[by_id]
+
+        def locate(pid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            at = np.maximum(np.searchsorted(known_ids, pid, side="right") - 1, 0)
+            return by_id[at], known_ids[at] == pid
 
     def clamp(position: np.ndarray, length: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(position + (position < 0) * length, 0), length)
 
     def spans(pid: np.ndarray, start: np.ndarray, stop: np.ndarray):
-        if len(known_ids) == 0:
+        if num_proteins == 0:
             return np.full(len(pid), unknown), np.ones(len(pid), dtype=np.int64)
-        at = np.maximum(np.searchsorted(known_ids, pid, side="right") - 1, 0)
-        known = known_ids[at] == pid
-        base = offsets[by_id[at]]
-        length = offsets[by_id[at] + 1] - base
+        seq, known = locate(pid)
+        base = offsets[seq]
+        length = offsets[seq + 1] - base
         lo = clamp(start, length)
         hi = np.maximum(clamp(stop, length), lo)
         return np.where(known, base + lo, unknown), np.where(known, hi - lo, 1)

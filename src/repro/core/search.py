@@ -26,6 +26,7 @@ from repro.candidates.generator import (
     CandidateGenerator,
     ModTier,
     contains_target,
+    heaviest_parent_mass,
     mod_targets,
 )
 from repro.candidates.mass_index import CandidateSpans, MassIndex, SweepPlan, plan_sweep
@@ -449,9 +450,13 @@ class ShardSearcher:
     Construction builds (or reuses) the shard's row table, the
     real-execution analogue of the paper's on-the-fly candidate
     generation; ``run`` sweeps it for any number of queries, every
-    candidate scored directly from the shard.  A searcher is immutable
-    and reusable; it pickles as its shard, config and scorer, never its
-    table.
+    candidate scored directly from the shard.  A caller that knows its
+    queries passes their heaviest parent mass
+    (:func:`~repro.candidates.generator.heaviest_parent_mass`): the table
+    then holds only the rows their windows can reach, and a heavier
+    query is refused with :class:`~repro.errors.ConfigError`.  A
+    searcher is immutable and reusable; it pickles as its shard, config,
+    scorer and that mass, never its table.
     """
 
     def __init__(
@@ -459,16 +464,22 @@ class ShardSearcher:
         shard: ProteinDatabase,
         config: SearchConfig,
         scorer: Optional[Scorer] = None,
+        max_parent_mass: float = np.inf,
     ):
         self.shard = shard
         self.config = config
         self.scorer = scorer if scorer is not None else config.make_scorer()
-        self.generator = CandidateGenerator(shard, config.delta, config.modifications)
+        self.generator = CandidateGenerator(
+            shard, config.delta, config.modifications, max_parent_mass
+        )
 
     def __reduce__(self):
         # the row table never crosses a pipe: the receiving process
         # rebuilds it from the shard, as construction does here
-        return (type(self), (self.shard, self.config, self.scorer))
+        return (
+            type(self),
+            (self.shard, self.config, self.scorer, self.generator.max_parent_mass),
+        )
 
     @property
     def nbytes(self) -> int:
@@ -550,7 +561,7 @@ def search_serial(
     from repro.core.results import SearchReport  # deferred: results imports Hit types
 
     if index_store is None:
-        searcher = ShardSearcher(database, config)
+        searcher = ShardSearcher(database, config, max_parent_mass=heaviest_parent_mass(queries))
     else:
         from repro.core.streaming import StreamingSearcher
 

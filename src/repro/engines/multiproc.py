@@ -79,6 +79,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.candidates.generator import heaviest_parent_mass
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import effective_query_blocks, partition_queries_by_mass
@@ -442,7 +443,9 @@ def run_multiprocess_search(
         # built once, on the caller's database, which caches its mass
         # index as search_serial's searcher does: fork workers and the
         # inline path search it as is, spawn workers rebuild it unpickled
-        context["searcher"] = ShardSearcher(database, config)
+        context["searcher"] = ShardSearcher(
+            database, config, max_parent_mass=heaviest_parent_mass(queries)
+        )
     _install_context(context)
     try:
         with obs.span(

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.candidates.generator import heaviest_parent_mass
 from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModel
 from repro.core.search import ShardSearcher
@@ -62,7 +63,9 @@ class WorkloadProfile:
 
 def profile_workload(database, queries: Sequence, config: SearchConfig) -> WorkloadProfile:
     """Count the workload's candidates (vectorized, nothing timed)."""
-    counts = ShardSearcher(database, config).count_each(list(queries))
+    queries = list(queries)
+    searcher = ShardSearcher(database, config, max_parent_mass=heaviest_parent_mass(queries))
+    counts = searcher.count_each(queries)
     return WorkloadProfile(
         num_queries=len(queries),
         db_sequences=len(database),

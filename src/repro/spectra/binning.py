@@ -255,10 +255,31 @@ def _fresh_intervals_pairs(
     predicate ``p - tol <= f <= p + tol``: a half-open index interval,
     since a member's peaks are sorted ascending.  Rows of ``frag_rows``
     must be sorted ascending too.
+
+    One binary search per fragment finds ``lo``, the first peak with
+    ``f <= p + tol``.  Every peak before it has ``p - tol <= p + tol <
+    f``, so ``hi`` — past the last peak with ``p - tol <= f`` — is at or
+    after ``lo``, and the peaks in between are the ones stepped over from
+    ``lo`` while ``p - tol <= f``: a few steps over all fragments at once
+    instead of a second search.  Each member's pad slot holds NaN, which
+    compares false with every fragment, ``+inf`` pads included, so no
+    step leaves its member.
     """
     runs = sorted_runs(member)
     lo = _searchsorted_runs(batch.mz + tolerance, batch.offsets, runs, frag_rows, "left")
-    hi = _searchsorted_runs(batch.mz - tolerance, batch.offsets, runs, frag_rows, "right")
+    padded, offsets = batch.padded_mz()
+    low_edge = padded - tolerance
+    low_edge[offsets[1:] - 1] = np.nan
+    at = (lo + offsets[member][:, None]).ravel()  # each fragment's peak lo, padded
+    frags = frag_rows.ravel()
+    hi = lo.copy()
+    flat_hi = hi.reshape(-1)
+    live = np.flatnonzero(low_edge[at] <= frags)  # fragments whose next peak matches
+    step = 0
+    while len(live):
+        step += 1
+        flat_hi[live] += 1
+        live = live[low_edge[at[live] + step] <= frags[live]]
     return _fresh_intervals(lo, hi)
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.candidates.generator import CandidateGenerator
+from repro.candidates.generator import CandidateGenerator, heaviest_parent_mass
 from repro.chem.amino_acids import Modification
 from repro.spectra.spectrum import Spectrum
 from repro.workloads.synthetic import generate_database
@@ -58,9 +58,11 @@ def candidate_count_by_source(
     """Measure per-query candidate counts at each source-class scope."""
     rows: List[CandidateCountRow] = []
     masses = np.array([q.parent_mass for q in queries])
+    heaviest = heaviest_parent_mass(queries)
     for source, n_proteins in class_sizes.items():
         database = generate_database(n_proteins, seed=seed)
-        counts = CandidateGenerator(database, delta, modifications).count_many(masses)
+        generator = CandidateGenerator(database, delta, modifications, heaviest)
+        counts = generator.count_many(masses)
         rows.append(
             CandidateCountRow(
                 source=source,

@@ -42,13 +42,13 @@ def test_fork_workers_inherit_the_parents_index(tiny_db, tiny_queries, monkeypat
     builds, worker_builds = fork.Value("i", 0), fork.Value("i", 0)
     parent, init = os.getpid(), MassIndex.__init__
 
-    def counting_init(self, shard):
+    def counting_init(self, shard, reach=float("inf")):
         with builds.get_lock():
             builds.value += 1
         if os.getpid() != parent:
             with worker_builds.get_lock():
                 worker_builds.value += 1
-        init(self, shard)
+        init(self, shard, reach)
 
     monkeypatch.setattr(MassIndex, "__init__", counting_init)
     for _ in range(2):

@@ -288,9 +288,9 @@ class TestSharedPerDatabase:
 
         builds, build = [], MassIndex.__init__
 
-        def counted_build(self, shard):
+        def counted_build(self, shard, reach=np.inf):
             builds.append(shard)  # list.append is atomic
-            build(self, shard)
+            build(self, shard, reach)
 
         monkeypatch.setattr(MassIndex, "__init__", counted_build)
         racers = 8

@@ -20,9 +20,9 @@ def test_one_rank_builds_one_searcher_and_one_index(tiny_db, tiny_queries, monke
     index_builds, searchers = [], []
     build = MassIndex.__init__
 
-    def counted_build(self, shard):
+    def counted_build(self, shard, reach=float("inf")):
         index_builds.append(shard)
-        build(self, shard)
+        build(self, shard, reach)
 
     class CountedSearcher(master_worker.ShardSearcher):
         def __init__(self, *args, **kwargs):
