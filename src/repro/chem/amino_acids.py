@@ -87,7 +87,8 @@ class Modification:
     Attributes:
         name: human-readable name, e.g. ``"oxidation"``.
         target: one-letter residue code the modification applies to.
-        delta_mass: mass shift in Da added to the unmodified residue.
+        delta_mass: mass shift in Da added to the unmodified residue; it
+            must leave the residue's mass positive.
         fixed: if True the modification always applies (e.g.
             carbamidomethylation of C); if False it may or may not be
             present and candidate generation must consider both forms.
@@ -101,6 +102,13 @@ class Modification:
     def __post_init__(self) -> None:
         if len(self.target) != 1 or self.target not in AMINO_ACIDS:
             raise InvalidSequenceError(f"modification target {self.target!r} is not a residue")
+        # fragment models rely on positive residue masses (theoretical.by_model_rows)
+        lightest = min(MONOISOTOPIC_MASS[self.target], AVERAGE_MASS[self.target])
+        if not lightest + self.delta_mass > 0:
+            raise InvalidSequenceError(
+                f"modification {self.name!r} leaves {self.target} with mass "
+                f"{lightest + self.delta_mass} <= 0"
+            )
 
 
 #: Common modifications, keyed by name.

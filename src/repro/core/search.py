@@ -174,12 +174,19 @@ def score_and_offer_block(
     # Emit the whole block in one pass: a member-major lexsort whose
     # within-member order is best_first_order's, so each member's
     # segment head is the same top-tau that add_batch would select (see
-    # TopHitList.add_top_sorted).  Each list parks its head by reference
-    # beside what earlier blocks (of other shards or partitions) gave it,
-    # and folds them only when it must.  Members are emitted in block
-    # (mass-sorted) order — each query belongs to exactly one block per
-    # pass and TopHitList is order-independent, so emission order cannot
-    # affect results.
+    # TopHitList.add_top_sorted).  Only the rows that can still be in a
+    # member's top tau are sorted (_top_tau_rows); each list is still
+    # offered its member's whole count.  Each list parks its head by
+    # reference beside what earlier blocks (of other shards or
+    # partitions) gave it, and folds them only when it must.  Members
+    # are emitted in block (mass-sorted) order — each query belongs to
+    # exactly one block per pass and TopHitList is order-independent, so
+    # emission order cannot affect results.
+    offered = counts
+    if counts.max() > cfg.tau and not np.isnan(scores).any():
+        keep = _top_tau_rows(scores, mem, counts, cfg.tau)
+        sel, scores, mem = sel[keep], scores[keep], mem[keep]
+        counts = np.bincount(mem, minlength=num_members)
     table = (scores, *columns(sel))
     by_member = best_first_order(table, mem)
     seg = np.concatenate(([0], np.cumsum(counts)))
@@ -187,9 +194,35 @@ def score_and_offer_block(
     top = by_member[_ragged_arange(seg[:-1], take)]
     table = tuple(col[top] for col in table)
     bounds = np.concatenate(([0], np.cumsum(take))).tolist()
-    for k, n in enumerate(counts.tolist()):
+    for k, n in enumerate(offered.tolist()):
         if n:
             lists[k].add_top_sorted(members[k].query_id, table, bounds[k], bounds[k + 1], n)
+
+
+def _top_tau_rows(
+    scores: np.ndarray, mem: np.ndarray, counts: np.ndarray, tau: int
+) -> np.ndarray:
+    """Mask of the rows scoring at least their member's tau-th best score.
+
+    ``mem`` is non-decreasing and ``counts`` its per-member row counts;
+    no score is NaN.  The scores are laid out as a members x widest-count
+    matrix padded with ``-inf`` (a transient of ``8 * len(counts) *
+    counts.max()`` bytes: ~0.13 MB for a 64-member block whose widest
+    member has ~250 rows) and one :func:`np.partition` per row finds
+    each member's tau-th largest score; a member with at most ``tau``
+    rows keeps them all.  A member's top tau under
+    :meth:`~repro.scoring.hits.Hit.sort_key` all score at least that
+    threshold, and ties at it are kept, so a stable sort of the kept rows
+    begins with exactly the first ``tau`` rows of the full sort, in the
+    same order.
+    """
+    width = int(counts.max())
+    first = np.cumsum(counts) - counts
+    grid = np.full((len(counts), width), -np.inf)
+    grid[mem, np.arange(len(mem)) - first[mem]] = scores
+    threshold = np.partition(grid, width - tau, axis=1)[:, width - tau]
+    threshold[counts <= tau] = -np.inf
+    return scores >= threshold[mem]
 
 
 class QueryBlock:

@@ -468,20 +468,22 @@ class FragmentIndex:
         # One selection table per member over its own row range, laid end
         # to end: a block packs members whose windows need not overlap, so
         # a dense (member x union range) table would grow with the gaps
-        # between them.
+        # between them.  Each member's range is a min/max reduction over
+        # its segment of the concatenated row sets, and the table is
+        # filled with one scatter, member by member in row-set order.
+        all_rows = np.concatenate(row_sets).astype(np.int64, copy=False)
+        first = np.cumsum(sizes) - sizes
+        held = sizes > 0
         member_lo = np.zeros(len(row_sets), dtype=np.int64)
         member_hi = np.zeros(len(row_sets), dtype=np.int64)
-        for k, rows in enumerate(row_sets):
-            if len(rows):
-                member_lo[k] = int(rows.min())
-                member_hi[k] = int(rows.max()) + 1
+        member_lo[held] = np.minimum.reduceat(all_rows, first[held])
+        member_hi[held] = np.maximum.reduceat(all_rows, first[held]) + 1
         sel_base = np.concatenate(([0], np.cumsum(member_hi - member_lo)))
         sel = np.full(int(sel_base[-1]), -1, dtype=np.int64)
-        for k, rows in enumerate(row_sets):
-            if len(rows):
-                sel[sel_base[k] + (rows - member_lo[k])] = np.arange(
-                    len(rows), dtype=np.int64
-                )
+        owner = np.repeat(np.arange(len(row_sets), dtype=np.int64), sizes)
+        sel[all_rows + (sel_base[:-1] - member_lo)[owner]] = np.arange(
+            len(all_rows), dtype=np.int64
+        ) - first[owner]
 
         # each peak probes only its own member's row range: the cohort
         # union would multiply raw matches by the cohort size, all of

@@ -94,8 +94,9 @@ class XCorrScorer:
         concatenated as ``processed`` with, per row, its member's bin
         ``limit`` (a column) and ``base`` offset into the concatenation;
         a row then keeps the same bins and sums the same values in the
-        same order as against its member's vector alone.  ``padded`` rows
-        end in ``+inf`` pad fragments, which keep no bin.
+        same order as against its member's vector alone.  ``ladders`` rows
+        are ascending (:func:`~repro.spectra.theoretical.by_ion_ladder_rows`);
+        ``padded`` rows end in ``+inf`` pad fragments, which keep no bin.
         """
         sentinel = np.iinfo(np.int64).max
         bins = ladders / self.bin_width
@@ -105,7 +106,9 @@ class XCorrScorer:
         if limit is None:
             limit = len(processed)
         bins[(bins < 0) | (bins >= limit)] = sentinel
-        bins.sort(axis=1)
+        # Rows are already sorted: ladders are ascending positive m/z, so
+        # their truncated bins are non-decreasing, and a pad or a bin past
+        # the limit (the sentinel) can only sit at a row's end.
         # First occurrence of each value per row == np.unique per row.
         keep = np.ones(bins.shape, dtype=bool)
         keep[:, 1:] = bins[:, 1:] != bins[:, :-1]

@@ -47,13 +47,19 @@ def bin_spectrum(
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + l)`` for each (start, length) pair."""
-    total = int(lengths.sum())
+    """Concatenation of ``arange(s, s + l)`` for each (start, length) pair.
+
+    Position ``p`` of run ``r`` (head ``h``) holds ``p + (s - h)``: one
+    ``arange`` of the output's length plus one ``repeat`` of the per-run
+    offsets, added in place.  Empty runs repeat zero times.
+    """
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    prev = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(prev, lengths)
-    return np.repeat(starts, lengths) + ramp
+    out = np.arange(total, dtype=np.int64)
+    out += np.repeat(starts - (ends - lengths), lengths)
+    return out
 
 
 def _fresh_intervals(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -89,10 +89,17 @@ class Spectrum:
 
         Duplicate m/z values have their intensities summed (two unresolved
         fragments landing in the same measurement), which restores the
-        strict-ordering invariant.
+        strict-ordering invariant.  Peaks already strictly ascending (an
+        MGF file's, as a rule) are taken as they are: copied, the
+        intensities as ``0.0 + x`` like a merged sum, so the arrays are
+        bitwise those of the sort-and-merge path.
         """
         mz = np.asarray(mz, dtype=np.float64)
         intensity = np.asarray(intensity, dtype=np.float64)
+        if mz.shape != intensity.shape:  # the merge would silently cut a longer intensity
+            raise SpectrumError("mz and intensity must be 1-D arrays of equal length")
+        if np.all(mz[1:] > mz[:-1]):  # NaN fails this
+            return cls(mz.copy(), intensity + 0.0, precursor_mz, charge, query_id)
         order = np.argsort(mz, kind="stable")
         mz, intensity = mz[order], intensity[order]
         if len(mz):

@@ -183,7 +183,14 @@ def by_model_rows(
     sequential fold :func:`fragment_mz` performs (its ``/ 1`` is exact),
     so row ``r``'s first ``2 * (lengths[r] - 1)`` entries are candidate
     ``r``'s scalar model spectrum bit for bit: its pad fragments are
-    ``+inf`` and the stable sort puts them last.
+    ``+inf`` and sort last.
+
+    The sort is one value sort of packed keys: each ion's float64 bits
+    shifted left by one, bit 0 set for a y ion.  Every ion is positive
+    (no residue mass is <= 0, :class:`~repro.chem.amino_acids.Modification`
+    included) or a ``+inf`` pad, so its sign bit is 0, the shift loses
+    nothing and the bit patterns order as the values do; a tie ``b == y``
+    puts b first, as a stable argsort of ``[b | y]`` does.
     """
     n, length = mass_rows.shape
     width = 2 * (length - 1)
@@ -195,10 +202,12 @@ def by_model_rows(
         pads = _fragment_pads(lengths, length - 1)
         ions[:, 0][pads] = np.inf
         ions[:, 1][pads] = np.inf
-    order = np.argsort(ions.reshape(n, width), axis=1, kind="stable")
-    y_rows = order >= length - 1
-    order += np.arange(0, n * width, width)[:, None]
-    return ions.ravel()[order], y_rows
+    key = ions.reshape(n, width).view(np.uint64) << np.uint64(1)
+    key[:, length - 1 :] |= np.uint64(1)
+    key.sort(axis=1)
+    y_rows = (key & np.uint64(1)).astype(bool)
+    key >>= np.uint64(1)
+    return key.view(np.float64), y_rows
 
 
 def by_ion_ladder_rows(mass_rows: np.ndarray, lengths: Optional[np.ndarray] = None) -> np.ndarray:
