@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,6 +225,21 @@ class MassIndex:
             self.mass[rows],
             np.zeros(len(key)),
         )
+
+    def lengths(self, rows, residue_seq: Optional[np.ndarray] = None) -> np.ndarray:
+        """The span lengths of ``rows`` (row ids or a slice): what
+        :meth:`spans` decodes, without the other four columns.
+        ``residue_seq``, each flat residue's sequence index, replaces the
+        search of the offsets with a lookup, for a caller decoding
+        every row of a table."""
+        key = self.key[rows]
+        suffix = key < 0
+        pos = np.where(suffix, ~key, key)
+        if residue_seq is None:
+            seq = np.searchsorted(self.offsets, pos, side="right") - 1
+        else:
+            seq = residue_seq[pos]
+        return np.where(suffix, self.offsets[seq + 1] - pos, pos + 1 - self.offsets[seq])
 
     # -- windows ---------------------------------------------------------
 

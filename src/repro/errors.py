@@ -110,8 +110,10 @@ class IndexStoreError(ReproError, ValueError):
 
 
 class RowKeyOverflowError(ReproError, OverflowError):
-    """A database of 2^31 residues or more: the row table's int32 keys
-    cannot address it.  Raised before anything is allocated."""
+    """A database of 2^31 residues or more, whose row table's int32 keys
+    cannot address it, or a row table of 2^31 rows or more, whose
+    postings' int32 row ids cannot.  Raised before anything is
+    allocated."""
 
 
 class ServiceError(ReproError, RuntimeError):

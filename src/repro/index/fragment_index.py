@@ -75,15 +75,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.candidates.mass_index import CandidateSpans, MassIndex
+from repro.candidates.mass_index import MassIndex
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.index.layout import (
     POSTING_OFFSET_DTYPE,
+    POSTING_ROW_DTYPE,
     ROW_ARRAYS,
-    ROW_ID_DTYPE,
     ArraySpec,
     IndexLayout,
+    check_row_ids,
 )
 from repro.spectra.binning import _ragged_arange, group_by_key, row_segment_sums, stable_sort
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
@@ -136,7 +137,7 @@ class _PostingList:
     """
 
     mz: np.ndarray  # float64 fragment m/z
-    row: np.ndarray  # row id (int64) of the candidate, aligned to mz
+    row: np.ndarray  # row id (int32) of the candidate, aligned to mz
     series: Optional[np.ndarray]  # uint8 series code, or None (ladder list)
     #: direct bin → posting-offset table: postings of bin ``b`` occupy
     #: ``[bin_start[b], bin_start[b + 1])``, ``row`` ascending within.
@@ -145,46 +146,56 @@ class _PostingList:
     bin_start: np.ndarray
 
 
-def _build_postings(
-    parts, bin_width: float, num_rows: int
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Flatten (matrix, rows, series) parts into sorted posting arrays.
+#: fragments a posting build handles at once.  Each list's fragments —
+#: the envelope rows in ascending row id, each row's in the order its
+#: kernel generates them — are walked in runs of this many, and each run
+#: is sorted and placed on its own (:meth:`IndexBuilder._postings`); a
+#: run's transients, ~70 B a fragment, are what the build holds beyond
+#: the list's generated m/z and the arrays it writes.
+BUILD_CHUNK_FRAGMENTS = 1 << 17
 
-    Returns ``(mz, row, series, bin_start)``; ``series`` is None for the
-    untagged ladder list.  One stable sort of the combined
-    ``bin * (num_rows + 1) + row`` key orders them
-    (:func:`~repro.spectra.binning.stable_sort`, a SIMD sort of unique
-    composite keys, not timsort); bins and rows decode from the sorted
-    keys, and ``bin_start`` is the running count of postings per bin.
-    """
-    parts = [(m, r, s) for m, r, s in parts if m.size]
-    if not parts:
-        empty = np.empty(0, dtype=ROW_ID_DTYPE)
-        return np.empty(0), empty, None, np.zeros(1, dtype=POSTING_OFFSET_DTYPE)
-    mz = np.concatenate([m.ravel() for m, _r, _s in parts])
-    row = np.concatenate([np.repeat(r, m.shape[1]) for m, r, _s in parts])
-    tagged = parts[0][2] is not None
-    series = (
-        np.concatenate([np.full(m.size, s, dtype=np.uint8) for m, _r, s in parts])
-        if tagged
-        else None
-    )
-    stride = num_rows + 1
-    key = (mz / bin_width).astype(np.int64)
-    key *= stride
-    key += row
-    del row
-    key, order = stable_sort(key)
-    bins = key // stride
-    key -= bins * stride  # what remains of a key is its row
-    row = key
-    bin_start = np.zeros(int(bins[-1]) + 2, dtype=POSTING_OFFSET_DTYPE)
-    np.cumsum(np.bincount(bins), out=bin_start[1:])
-    return (
-        mz[order],
-        row.astype(ROW_ID_DTYPE, copy=False),
-        series[order] if series is not None else None,
-        bin_start,
+
+@dataclass(frozen=True)
+class _Envelope:
+    """The rows a build posts: their row ids (ascending), span lengths,
+    each span's first flat residue, and ``ends``, the running count of
+    their fragments — every list posts ``2 (L - 1)`` a row, row ``i``'s
+    at ``[ends[i] - 2 (L_i - 1), ends[i])`` of the list's walk."""
+
+    rows: np.ndarray
+    lengths: np.ndarray
+    first: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, table: MassIndex, max_length: int) -> "_Envelope":
+        """Decode ``table``'s lengths a run of rows at a time, through a
+        residue -> sequence lookup, and the spans of the envelope rows
+        alone."""
+        sizes = np.diff(table.offsets)
+        residue_seq = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        held = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, len(table), BUILD_CHUNK_FRAGMENTS):
+            lengths = table.lengths(slice(lo, lo + BUILD_CHUNK_FRAGMENTS), residue_seq)
+            held.append(np.flatnonzero(_in_envelope(lengths, max_length)) + lo)
+        del residue_seq
+        rows = np.concatenate(held)
+        spans = table.spans(rows)
+        lengths = spans.lengths
+        first = table.offsets[spans.seq_index] + spans.start
+        return cls(rows, lengths, first, np.cumsum(2 * (lengths - 1)))
+
+    @property
+    def num_fragments(self) -> int:
+        """Fragments each list posts."""
+        return int(self.ends[-1]) if len(self.ends) else 0
+
+
+def _series_fragments(mass_rows: np.ndarray) -> np.ndarray:
+    """Rows' series postings: each row's b ions, then its y ions."""
+    return np.concatenate(
+        (fragment_mz_rows(mass_rows, IonSeries.B), fragment_mz_rows(mass_rows, IonSeries.Y)),
+        axis=1,
     )
 
 
@@ -243,20 +254,23 @@ class IndexBuilder:
         # row range, which the posting-probe row restriction relies on.
         if table is None:
             table = MassIndex(db)
+        check_row_ids(len(table))
         arrays = {
             name: np.ascontiguousarray(col, dtype=dtype)
             for (name, dtype), col in zip(ROW_ARRAYS.items(), (table.mass, table.key))
         }
-        spans = table.spans(np.arange(len(table)))
-        postings, num_fragments = self._posting_arrays(
-            db, spans, np.nonzero(_in_envelope(spans.lengths, self.max_length))[0]
+        envelope = _Envelope.of(table, self.max_length)
+        arrays["ladder_mz"], arrays["ladder_row"], _untagged, arrays["ladder_bin_start"] = (
+            self._postings(db, envelope, by_ion_ladder_rows, tagged=False)
         )
-        arrays.update(postings)
+        arrays["series_mz"], arrays["series_row"], arrays["series_tag"], arrays["series_bin_start"] = (
+            self._postings(db, envelope, _series_fragments, tagged=True)
+        )
         layout = IndexLayout(
             num_rows=len(table),
             max_length=self.max_length,
             bin_width=self.bin_width,
-            num_fragments=num_fragments,
+            num_fragments=2 * envelope.num_fragments,
             fragment_tolerance=self.fragment_tolerance,
             monoisotopic=self.monoisotopic,
             arrays={
@@ -266,49 +280,93 @@ class IndexBuilder:
         )
         return BuiltIndex(layout=layout, arrays=arrays, offsets=db.offsets)
 
-    def _posting_arrays(
-        self, db: ProteinDatabase, spans: CandidateSpans, held: np.ndarray
-    ) -> Tuple[Dict[str, np.ndarray], int]:
-        """Both posting lists for the rows ``held`` of a row table
-        (``spans``, decoded whole): per-length fragment matrices generated with the same batched
-        kernels the direct scoring path runs per block, sorted into
-        posting lists keyed on row ids.  The matrices themselves are not
-        kept.
-        """
-        num_rows = len(spans)
-        lengths = spans.lengths[held]
-        table = mass_table(self.monoisotopic)
-        abs_start = db.offsets[spans.seq_index[held]] + spans.start[held]
-        ladder_parts = []
-        series_parts = []
-        by_length, runs = group_by_key(lengths, self.max_length + 1)
+    def _run(self, db: ProteinDatabase, envelope: _Envelope, lo: int, hi: int, kernel):
+        """Fragments ``[lo, hi)`` of a list's walk: ``(i0, i1, groups)``
+        with ``[i0, i1)`` the envelope rows they come from and, per length
+        group of those rows, ``(local, mz, head, stop)``: ``mz`` the
+        kernel's ``(rows, 2 (L - 1))`` matrix of the group, ``local`` its
+        rows' positions from ``i0`` and ``mz.ravel()[head:stop]`` their
+        fragments in the run (a run may cut its first and its last row;
+        each is the first or the last of its group)."""
+        ends = envelope.ends
+        i0 = int(np.searchsorted(ends, lo, side="right"))
+        i1 = int(np.searchsorted(ends, hi, side="left")) + 1
+        head = lo - int(ends[i0]) + 2 * (int(envelope.lengths[i0]) - 1)
+        tail = int(ends[i1 - 1]) - hi
+        residue_mass = mass_table(self.monoisotopic)
+        order, runs = group_by_key(envelope.lengths[i0:i1], self.max_length + 1)
+        groups = []
         for length, a, b in runs:
-            of_length = by_length[a:b]
-            rows = held[of_length]
-            mass_rows = table[db.residues[abs_start[of_length][:, None] + np.arange(length)]]
-            ladder_parts.append((by_ion_ladder_rows(mass_rows), rows, None))
-            for series in (IonSeries.B, IonSeries.Y):
-                series_parts.append(
-                    (fragment_mz_rows(mass_rows, series), rows, _SERIES_CODE[series.value])
-                )
-        lad_mz, lad_row, _untagged, lad_bin_start = _build_postings(
-            ladder_parts, self.bin_width, num_rows
-        )
-        ser_mz, ser_row, ser_tag, ser_bin_start = _build_postings(
-            series_parts, self.bin_width, num_rows
-        )
-        if ser_tag is None:  # empty shard: keep the tag column materialized
-            ser_tag = np.empty(0, dtype=np.uint8)
-        arrays: Dict[str, np.ndarray] = {
-            "ladder_mz": lad_mz,
-            "ladder_row": lad_row,
-            "ladder_bin_start": lad_bin_start,
-            "series_mz": ser_mz,
-            "series_row": ser_row,
-            "series_tag": ser_tag,
-            "series_bin_start": ser_bin_start,
-        }
-        return arrays, len(lad_mz) + len(ser_mz)
+            local = order[a:b]
+            first = envelope.first[i0 + local]
+            mz = kernel(residue_mass[db.residues[first[:, None] + np.arange(length)]])
+            stop = mz.size - (tail if local[-1] == i1 - i0 - 1 else 0)
+            groups.append((local, mz, head if local[0] == 0 else 0, stop))
+        return i0, i1, groups
+
+    def _postings(self, db: ProteinDatabase, envelope: _Envelope, kernel, tagged: bool):
+        """One posting list, ``(mz, row, tag, bin_start)`` (``tag`` None
+        untagged), in the order one stable sort of every fragment by
+        ``(bin, row)`` gives.
+
+        The list's walk is generated a run at a time and each bin
+        counted: that is ``bin_start``.  Then each run is sorted on its
+        own, by ``bin * stride + row`` (times two plus the series code
+        when tagged: a row's b ions precede its y ions), and scattered to
+        ``bin_start[b]`` + the bin's postings in earlier runs + its rank
+        in the run.  A bin's postings come out run by run, rows ascending
+        within each, and every row of a run precedes (or, cut, goes on
+        into) the next run's: the global order.
+        """
+        total = envelope.num_fragments
+        chunk = BUILD_CHUNK_FRAGMENTS
+        walk = []
+        counts = np.zeros(0, dtype=POSTING_OFFSET_DTYPE)
+        for lo in range(0, total, chunk):
+            walk.append(self._run(db, envelope, lo, min(lo + chunk, total), kernel))
+            for _local, mz, head, stop in walk[-1][2]:
+                run = np.bincount((mz.ravel()[head:stop] / self.bin_width).astype(np.int64))
+                if len(run) > len(counts):
+                    counts = np.concatenate((counts, np.zeros(len(run) - len(counts), counts.dtype)))
+                counts[: len(run)] += run
+        bin_start = np.zeros(len(counts) + 1, dtype=POSTING_OFFSET_DTYPE)
+        np.cumsum(counts, out=bin_start[1:])
+        out_mz = np.empty(total)
+        out_row = np.empty(total, dtype=POSTING_ROW_DTYPE)
+        out_tag = np.empty(total, dtype=np.uint8) if tagged else None
+        row_ids = envelope.rows.astype(POSTING_ROW_DTYPE)
+        placed = bin_start[:-1].copy()  # where each bin's next posting goes
+        for k in range(len(walk)):
+            i0, i1, groups = walk[k]
+            walk[k] = None  # a run's m/z goes once it is placed
+            stride = i1 - i0
+            keys, mzs = [], []
+            for local, mz, head, stop in groups:
+                key = (mz / self.bin_width).astype(np.int64)
+                key *= stride
+                key += local[:, None]
+                if tagged:  # the series code in the low bit
+                    key <<= 1
+                    key[:, key.shape[1] // 2 :] |= _SERIES_CODE["y"]
+                keys.append(key.ravel()[head:stop])
+                mzs.append(mz.ravel()[head:stop])
+            del groups
+            key, order = stable_sort(np.concatenate(keys))
+            del keys
+            if tagged:
+                tag = (key & 1).astype(np.uint8)
+                key >>= 1
+            bins = key // stride
+            key -= bins * stride  # what remains of a key is its row's position from i0
+            run = np.bincount(bins, minlength=len(placed))
+            pos = (placed - (np.cumsum(run) - run))[bins]
+            pos += np.arange(len(pos))
+            out_mz[pos] = np.concatenate(mzs)[order]
+            out_row[pos] = row_ids[key + i0]
+            if tagged:
+                out_tag[pos] = tag
+            placed += run
+        return out_mz, out_row, out_tag, bin_start
 
 
 class FragmentIndex:
@@ -353,7 +411,7 @@ class FragmentIndex:
         """Which of the table's ``rows`` the postings cover: those inside
         the ``[2, max_length]`` length envelope.  The others are scored
         directly."""
-        return _in_envelope(self.rows.spans(rows).lengths, self.max_length)
+        return _in_envelope(self.rows.lengths(rows), self.max_length)
 
     # -- posting probes (shared_peaks / hyperscore) ----------------------
 

@@ -29,13 +29,16 @@ from repro.errors import IndexStoreError, RowKeyOverflowError
 
 #: one dtype per addressing concept: a *row key* names a span by its flat
 #: residue position (``k`` the prefix ending at ``k``, ``~k`` the suffix
-#: starting there), a *row id* is a position in the row table (a
-#: posting's ``*_row``), a *posting offset* counts postings
-#: (``*_bin_start``, ~15 per residue per list, so 64 bits)
+#: starting there), a *row id* is a position in the row table — int64 in
+#: memory (a sweep's rows, a block's row sets), int32 as a posting's
+#: ``*_row`` — and a *posting offset* counts postings (``*_bin_start``,
+#: ~15 per residue per list, so 64 bits)
 ROW_KEY_DTYPE = "int32"
 ROW_ID_DTYPE = "int64"
+POSTING_ROW_DTYPE = "int32"
 POSTING_OFFSET_DTYPE = "int64"
 MAX_KEYED_RESIDUES = 2**31  # flat positions up to 2^31 - 1
+MAX_POSTED_ROWS = 2**31  # posting row ids up to 2^31 - 1
 
 #: the row table's columns -> dtype: every prefix/suffix span of the
 #: database, sorted by mass (:class:`~repro.candidates.mass_index.MassIndex`)
@@ -53,6 +56,16 @@ def check_row_keys(num_residues: int) -> None:
             f"table: its int32 row keys address fewer than 2^31 "
             f"({MAX_KEYED_RESIDUES}) residues; split it into shards below "
             f"the 2^31-residue limit"
+        )
+
+
+def check_row_ids(num_rows: int) -> None:
+    """Refuse a row table whose row ids do not fit a posting's ``*_row``."""
+    if num_rows >= MAX_POSTED_ROWS:
+        raise RowKeyOverflowError(
+            f"a row table of {num_rows} rows does not fit the posting lists: "
+            f"their int32 row ids address fewer than 2^31 ({MAX_POSTED_ROWS}) "
+            f"rows; split the database into shards below the 2^31-row limit"
         )
 
 

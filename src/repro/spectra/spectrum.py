@@ -22,9 +22,10 @@ class Spectrum:
     """An MS/MS spectrum: sorted peak m/z values, intensities, parent info.
 
     Attributes:
-        mz: peak m/z values, strictly increasing, > 0 (``float64``).
-        intensity: peak intensities, >= 0, same length as ``mz``.
-        precursor_mz: observed m/z of the intact parent peptide, m(q).
+        mz: peak m/z values, finite, strictly increasing, > 0 (``float64``).
+        intensity: peak intensities, finite, >= 0, same length as ``mz``.
+        precursor_mz: observed m/z of the intact parent peptide, m(q):
+            finite, > 0.
         charge: assumed parent charge state (>= 1).
         query_id: stable identifier of this query within a workload; the
             parallel algorithms carry it through redistribution so results
@@ -42,12 +43,19 @@ class Spectrum:
         intensity = np.ascontiguousarray(self.intensity, dtype=np.float64)
         if mz.ndim != 1 or intensity.ndim != 1 or len(mz) != len(intensity):
             raise SpectrumError("mz and intensity must be 1-D arrays of equal length")
-        if len(mz) and (np.any(mz <= 0) or np.any(np.diff(mz) <= 0)):
-            raise SpectrumError("peak m/z values must be positive and strictly increasing")
-        if np.any(intensity < 0):
-            raise SpectrumError("peak intensities must be non-negative")
-        if self.precursor_mz <= 0:
-            raise SpectrumError(f"precursor m/z must be positive, got {self.precursor_mz}")
+        # written so that NaN, which fails every comparison, fails them
+        if len(mz) and not (
+            mz[0] > 0 and np.all(mz[1:] > mz[:-1]) and np.isfinite(mz[-1])
+        ):
+            raise SpectrumError(
+                "peak m/z values must be finite, positive and strictly increasing"
+            )
+        if not np.all((intensity >= 0) & (intensity < np.inf)):
+            raise SpectrumError("peak intensities must be finite and non-negative")
+        if not 0 < self.precursor_mz < np.inf:
+            raise SpectrumError(
+                f"precursor m/z must be finite and positive, got {self.precursor_mz}"
+            )
         if self.charge < 1:
             raise SpectrumError(f"charge must be >= 1, got {self.charge}")
         mz.flags.writeable = False
@@ -98,7 +106,9 @@ class Spectrum:
         intensity = np.asarray(intensity, dtype=np.float64)
         if mz.shape != intensity.shape:  # the merge would silently cut a longer intensity
             raise SpectrumError("mz and intensity must be 1-D arrays of equal length")
-        if np.all(mz[1:] > mz[:-1]):  # NaN fails this
+        if not np.all(np.isfinite(mz)):  # the merge would fold a NaN peak into its neighbour
+            raise SpectrumError("peak m/z values must be finite")
+        if np.all(mz[1:] > mz[:-1]):
             return cls(mz.copy(), intensity + 0.0, precursor_mz, charge, query_id)
         order = np.argsort(mz, kind="stable")
         mz, intensity = mz[order], intensity[order]

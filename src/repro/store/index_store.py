@@ -79,8 +79,9 @@ from repro.obs.metrics import get_metrics
 
 #: schema identifier of the store directory format; readers reject other
 #: versions rather than guessing at semantics (/6: the row table is two
-#: columns, mass and an int32 span key, 12 bytes a row)
-STORE_SCHEMA = "repro.index_store/6"
+#: columns, mass and an int32 span key, 12 bytes a row; /7: a posting's
+#: row id is int32, 12 bytes a ladder posting and 13 a series posting)
+STORE_SCHEMA = "repro.index_store/7"
 
 HEADER_NAME = "header.json"
 DATABASE_DIR = "database"

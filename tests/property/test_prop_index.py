@@ -96,7 +96,7 @@ def test_posting_rows_address_exactly_the_envelope_rows(case):
     assert np.array_equal(index.holds(np.arange(index.num_rows)), held)
     for name in ("ladder_row", "series_row"):
         posting_rows = np.asarray(index.arrays[name])
-        assert posting_rows.dtype == np.int64
+        assert posting_rows.dtype == np.int32  # layout.POSTING_ROW_DTYPE
         assert len(posting_rows) == 0 or 0 <= posting_rows.min() <= posting_rows.max() < index.num_rows
         assert held[posting_rows].all()
         posted = np.bincount(posting_rows, minlength=index.num_rows)

@@ -3,7 +3,10 @@ argsort gives: every built array, and every store file and partition
 written from them, is byte-identical to a reference built here with
 ``np.argsort(kind="stable")`` (timsort) — on a database whose duplicated
 and repeated sequences make equal-mass rows and same-``(bin, row)``
-posting ties, where an unstable order would show."""
+posting ties, where an unstable order would show.  The posting build
+sorts its fragments a run at a time; runs of 1, 7 and 64 fragments put
+run edges inside bins and inside tied ``(bin, row)`` runs, and the
+result is the reference all the same."""
 
 import io
 
@@ -14,7 +17,8 @@ from repro.candidates.mass_index import MassIndex, _unsorted_rows
 from repro.chem.amino_acids import mass_table
 from repro.chem.protein import ProteinDatabase
 from repro.index import IndexBuilder
-from repro.index.layout import ARRAY_NAMES, ROW_ARRAYS
+from repro.index import fragment_index
+from repro.index.layout import ARRAY_NAMES, POSTING_ROW_DTYPE, ROW_ARRAYS
 from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
 from repro.store import save_index, save_partitioned_index
 from repro.store.index_store import rows_digest
@@ -34,7 +38,8 @@ def db():
 def reference_arrays(db, builder):
     """The timsort build: one stable mass argsort of the unsorted rows, then
     per length group the fragment matrices, and per posting list one stable
-    argsort of ``bin * (num_rows + 1) + row``, every column gathered."""
+    argsort of ``bin * (num_rows + 1) + row``, every column gathered and
+    the rows cast to the posting dtype."""
     mass, key = _unsorted_rows(db)
     order = np.argsort(mass, kind="stable")
     arrays = dict(zip(ROW_ARRAYS, (mass[order], key[order])))
@@ -59,7 +64,7 @@ def reference_arrays(db, builder):
         bins = (mz / builder.bin_width).astype(np.int64)
         order = np.argsort(bins * (num_rows + 1) + row, kind="stable")
         arrays[f"{name}_mz"] = mz[order]
-        arrays[f"{name}_row"] = row[order]
+        arrays[f"{name}_row"] = row[order].astype(POSTING_ROW_DTYPE)
         arrays[f"{name}_bin_start"] = np.searchsorted(bins[order], np.arange(bins.max() + 2))
         if name == "series":
             arrays["series_tag"] = tag[order]
@@ -139,3 +144,42 @@ class TestStoresEqualTheTimsortReference:
             assert entry.sha256 == rows_digest(col[lo:hi] for col in columns)
             for got, want in zip(store.read_partition(i), columns):
                 assert_identical(got, want[lo:hi])
+
+
+@pytest.fixture(scope="module")
+def small_db():
+    """Few enough fragments to build a run of one fragment at a time:
+    one protein twice and two repetitive sequences."""
+    base = generate_database(2, seed=5)
+    return ProteinDatabase.from_sequences(
+        [base.sequence_str(0)[:30]] * 2 + ["G" * 12, "PEPPEPPEPPEP"]
+    )
+
+
+class TestRunEdgesKeepTheOrder:
+    @pytest.fixture(scope="class")
+    def small_reference(self, small_db):
+        return reference_arrays(small_db, IndexBuilder())
+
+    def test_the_small_database_has_ties(self, small_reference):
+        bin_start = small_reference["ladder_bin_start"]
+        bins = np.repeat(np.arange(len(bin_start) - 1), np.diff(bin_start))
+        row = small_reference["ladder_row"]
+        same_bin = bins[1:] == bins[:-1]
+        assert (row[1:] != row[:-1])[same_bin].any()  # a bin of several rows
+        assert (row[1:] == row[:-1])[same_bin].any()  # and (bin, row) ties
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_every_built_array(self, small_db, small_reference, chunk, monkeypatch):
+        monkeypatch.setattr(fragment_index, "BUILD_CHUNK_FRAGMENTS", chunk)
+        arrays = IndexBuilder().build(small_db).arrays
+        for name in ARRAY_NAMES:
+            assert_identical(arrays[name], small_reference[name])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_resident_store_files(self, small_db, small_reference, chunk, monkeypatch, tmp_path):
+        monkeypatch.setattr(fragment_index, "BUILD_CHUNK_FRAGMENTS", chunk)
+        save_index(small_db, tmp_path / "resident")
+        for name in ARRAY_NAMES:
+            written = (tmp_path / "resident" / "index" / f"{name}.npy").read_bytes()
+            assert written == npy_bytes(small_reference[name]), name

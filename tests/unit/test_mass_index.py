@@ -334,6 +334,25 @@ class TestRowKeys:
 
         check_row_keys(2**31 - 1)
 
+    def test_a_row_table_of_2_31_rows_is_refused(self):
+        from repro.errors import RowKeyOverflowError
+        from repro.index.layout import check_row_ids
+
+        with pytest.raises(RowKeyOverflowError, match=r"2\^31-row limit"):
+            check_row_ids(2**31)
+        check_row_ids(2**31 - 1)  # the last row an int32 posting row addresses
+
+    def test_the_posting_build_checks_the_row_count_before_allocating(self, db):
+        from repro.errors import RowKeyOverflowError
+        from repro.index import IndexBuilder
+
+        class HugeTable:  # a length and nothing else: any other use fails untyped
+            def __len__(self):
+                return 2**31
+
+        with pytest.raises(RowKeyOverflowError, match="int32 row ids"):
+            IndexBuilder().build(db, HugeTable())
+
     def test_keys_decode_to_their_spans(self, db, index):
         rows = np.arange(len(index))
         spans = index.spans(rows)
@@ -347,9 +366,10 @@ class TestRowKeys:
 
     def test_every_array_a_pass_touches_keeps_its_dtype(self, monkeypatch, tmp_path):
         """Direct, resident and streamed passes, with PTM tiers: the table
-        columns stay float64 / int32 and every row id, span column and
-        posting array a block touches stays int64 — a silent ``intp`` or
-        int32 upcast anywhere fails here."""
+        columns stay float64 / int32, the posting rows int32, and every
+        row id, span column and posting offset a block touches stays
+        int64 — a silent ``intp``, int32 or int64 cast anywhere fails
+        here."""
         from repro.chem.amino_acids import STANDARD_MODIFICATIONS
         from repro.core.config import SearchConfig
         from repro.core.search import search_serial
@@ -378,7 +398,9 @@ class TestRowKeys:
 
         def checked_probe(index, scorer, spectra, row_sets):
             assert all(rows.dtype == np.int64 for rows in row_sets)
-            for name in ("ladder_row", "series_row", "ladder_bin_start", "series_bin_start"):
+            for name in ("ladder_row", "series_row"):
+                assert np.asarray(index.arrays[name]).dtype == np.int32, name
+            for name in ("ladder_bin_start", "series_bin_start"):
                 assert np.asarray(index.arrays[name]).dtype == np.int64, name
             return score_block(index, scorer, spectra, row_sets)
 

@@ -103,3 +103,46 @@ class TestFromPeaks:
     def test_empty(self):
         s = Spectrum.from_peaks(np.array([]), np.array([]), 1000.0)
         assert s.num_peaks == 0
+
+
+class TestNonFinite:
+    """NaN fails every comparison, so each invariant is checked in a form
+    NaN cannot pass; infinities are refused beside it."""
+
+    @pytest.mark.parametrize(
+        "mz",
+        [[np.nan], [100.0, np.nan], [np.nan, 100.0], [100.0, np.nan, 300.0], [100.0, np.inf]],
+    )
+    def test_non_finite_mz_rejected(self, mz):
+        with pytest.raises(SpectrumError, match="finite"):
+            make(mz)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_intensity_rejected(self, value):
+        with pytest.raises(SpectrumError, match="finite"):
+            make([100.0, 200.0], intensity=[1.0, value])
+
+    @pytest.mark.parametrize("precursor", [np.nan, np.inf])
+    def test_non_finite_precursor_rejected(self, precursor):
+        with pytest.raises(SpectrumError, match="finite"):
+            make([100.0], precursor=precursor)
+
+    @pytest.mark.parametrize("mz", [[100.0, np.nan], [np.nan, 100.0], [300.0, np.inf, 100.0]])
+    def test_from_peaks_refuses_before_the_merge(self, mz):
+        # the sort-and-merge path would fold the NaN peak into 100.0
+        with pytest.raises(SpectrumError, match="finite"):
+            Spectrum.from_peaks(np.array(mz), np.ones(len(mz)), 500.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_from_peaks_refuses_a_non_finite_intensity(self, value):
+        with pytest.raises(SpectrumError, match="finite"):
+            Spectrum.from_peaks(np.array([200.0, 100.0]), np.array([value, 1.0]), 500.0)
+
+    def test_an_mgf_peak_reading_nan_is_refused(self):
+        import io
+
+        from repro.spectra.mgf import read_mgf
+
+        text = "BEGIN IONS\nPEPMASS=500\n100.0 1\nnan 1\nEND IONS\n"
+        with pytest.raises(SpectrumError, match="finite"):
+            read_mgf(io.StringIO(text))

@@ -267,6 +267,7 @@ class TestRejection:
             "repro.index_store/3",
             "repro.index_store/4",
             "repro.index_store/5",
+            "repro.index_store/6",
             "repro.index_store_partitioned/1",
             "repro.index_store_partitioned/2",
             "repro.index_store_partitioned/3",
@@ -277,7 +278,8 @@ class TestRejection:
         self, tiny_db, tmp_path, old
     ):
         """A store of an earlier schema (matrix cache, key columns, one
-        directory per shard, per-residue row maps, four-column rows; the partitioned store's
+        directory per shard, per-residue row maps, four-column rows,
+        int64 posting rows; the partitioned store's
         posting lists and overflow blob, a schema-salted fingerprint, its
         compressed partition blobs) is never read: every way of opening
         it names the command that rebuilds it."""
@@ -375,7 +377,7 @@ class TestLayout:
     def test_check_arrays_reports_mismatches(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
         arrays = dict(built.arrays)
-        arrays["ladder_row"] = arrays["ladder_row"].astype(np.int32)
+        arrays["ladder_row"] = arrays["ladder_row"].astype(np.int64)
         problems = built.layout.check_arrays(arrays)
         assert any("ladder_row" in p and "dtype" in p for p in problems)
 
