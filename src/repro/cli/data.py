@@ -25,7 +25,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     """Build a persistent index store (build once, load many).
 
     By default the store holds the database's mass-sorted row table and
-    the fragment index's posting lists over it.  With ``--partition-mb``
+    the fragment index's posting list over it.  With ``--partition-mb``
     it holds the same row table and a partition directory instead:
     mass-contiguous row ranges, streamed and scored directly at search
     time (``search --stream`` / ``--index-path``).  It holds no fragment
@@ -62,7 +62,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
             max_length=args.max_length or 48,
             overwrite=args.overwrite,
         )
-        what = f"{store.layout.num_fragments} fragment(s)"
+        what = f"{store.layout.num_fragments} fragment(s), each b and y ion posted once"
     print(
         f"built index store for {len(db)} sequences "
         f"({format_si(db.total_residues)} residues): {what}, "
@@ -95,8 +95,9 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
     )
     if "partitions" not in info:
         print(
-            f"  rows         {info['num_rows']} ({info['num_fragments']} fragments "
-            f"posted for the rows of length 2-{info['build']['max_length']})"
+            f"  rows         {info['num_rows']} ({info['num_fragments']} fragments, "
+            f"each b and y ion of the rows of length 2-{info['build']['max_length']} "
+            f"posted once)"
         )
         return 0
     print(
@@ -139,7 +140,7 @@ def register(sub) -> None:
     )
     p_ib.add_argument(
         "--partition-mb", type=positive_float, default=None,
-        help="record a partition directory instead of posting lists: the "
+        help="record a partition directory instead of a posting list: the "
         "database's mass-sorted spans are streamed at search time in "
         "partitions of this many MiB of rows",
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 from typing import List, Optional
 
@@ -26,8 +27,8 @@ def positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a value > 0, got {value}")
+    if not 0 < value < math.inf:  # NaN and inf are no sizes, timeouts or tolerances
+        raise argparse.ArgumentTypeError(f"expected a finite value > 0, got {value}")
     return value
 
 

@@ -72,14 +72,14 @@ class SearchConfig:
     sweep_cohort: int = 64
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
+        if not self.delta >= 0:  # NaN included
             raise ConfigError(f"delta must be >= 0, got {self.delta}")
         if self.tau < 1:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if self.scorer not in SCORER_NAMES:
             raise ConfigError(f"unknown scorer {self.scorer!r}; expected {SCORER_NAMES}")
-        if self.fragment_tolerance <= 0:
-            raise ConfigError("fragment_tolerance must be > 0")
+        if not self.fragment_tolerance > 0:  # NaN included
+            raise ConfigError(f"fragment_tolerance must be > 0, got {self.fragment_tolerance}")
         if self.min_candidate_length < 1:
             raise ConfigError("min_candidate_length must be >= 1")
         if self.sweep_cohort < 1:

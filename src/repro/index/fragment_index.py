@@ -7,12 +7,12 @@ HiCOPS observation that a precomputed fragment-ion index amortized over
 all queries is the decisive optimization for large-scale MS search, this
 module lays the database's spans out *once* as a row table, generates
 every fragment m/z with the existing batched kernels, and stores one
-structure: **CSR-style posting lists** — all fragments sorted by
+structure: **a CSR-style posting list** — all fragments sorted by
 ``(m/z bin, candidate row)``, with a direct bin -> offset table, so
 "which candidates explain this observed peak" is a vectorized bisection
-restricted to the query's candidate-row range.  There are two lists: the
-b+y ladder (shared-peak counting) and the series-tagged b / y fragments
-(per-series matched intensity).
+restricted to the query's candidate-row range.  There is one list: every
+b and y ion of a row, each tagged with its series.  Shared-peak counting
+ignores the tag; the hyperscore's per-series intensities read it.
 
 That is all the index is.  A scorer is index-served iff it defines
 ``score_index_block`` (shared_peaks, hyperscore: their scores are
@@ -87,9 +87,9 @@ from repro.index.layout import (
     check_row_ids,
 )
 from repro.spectra.binning import _ragged_arange, group_by_key, row_segment_sums, stable_sort
-from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
+from repro.spectra.theoretical import by_ion_rows
 
-#: series codes stored in the b/y posting list
+#: series codes stored in the posting list
 _SERIES_CODE = {"b": 0, "y": 1}
 
 
@@ -138,7 +138,7 @@ class _PostingList:
 
     mz: np.ndarray  # float64 fragment m/z
     row: np.ndarray  # row id (int32) of the candidate, aligned to mz
-    series: Optional[np.ndarray]  # uint8 series code, or None (ladder list)
+    series: np.ndarray  # uint8 series code (_SERIES_CODE), aligned to mz
     #: direct bin → posting-offset table: postings of bin ``b`` occupy
     #: ``[bin_start[b], bin_start[b + 1])``, ``row`` ascending within.
     #: Cohort-scale probes bisect only each bin's own row run
@@ -146,12 +146,12 @@ class _PostingList:
     bin_start: np.ndarray
 
 
-#: fragments a posting build handles at once.  Each list's fragments —
-#: the envelope rows in ascending row id, each row's in the order its
-#: kernel generates them — are walked in runs of this many, and each run
-#: is sorted and placed on its own (:meth:`IndexBuilder._postings`); a
-#: run's transients, ~70 B a fragment, are what the build holds beyond
-#: the list's generated m/z and the arrays it writes.
+#: fragments a posting build handles at once.  The list's fragments —
+#: the envelope rows in ascending row id, each row's b ions then its y
+#: ions — are walked in runs of this many, each run generated, counted,
+#: then generated again, sorted and placed on its own
+#: (:meth:`IndexBuilder._postings`); a run's transients, ~70 B a
+#: fragment, are what the build holds beyond the arrays it writes.
 BUILD_CHUNK_FRAGMENTS = 1 << 17
 
 
@@ -159,7 +159,7 @@ BUILD_CHUNK_FRAGMENTS = 1 << 17
 class _Envelope:
     """The rows a build posts: their row ids (ascending), span lengths,
     each span's first flat residue, and ``ends``, the running count of
-    their fragments — every list posts ``2 (L - 1)`` a row, row ``i``'s
+    their fragments — the list posts ``2 (L - 1)`` a row, row ``i``'s
     at ``[ends[i] - 2 (L_i - 1), ends[i])`` of the list's walk."""
 
     rows: np.ndarray
@@ -187,16 +187,8 @@ class _Envelope:
 
     @property
     def num_fragments(self) -> int:
-        """Fragments each list posts."""
+        """Fragments the list posts."""
         return int(self.ends[-1]) if len(self.ends) else 0
-
-
-def _series_fragments(mass_rows: np.ndarray) -> np.ndarray:
-    """Rows' series postings: each row's b ions, then its y ions."""
-    return np.concatenate(
-        (fragment_mz_rows(mass_rows, IonSeries.B), fragment_mz_rows(mass_rows, IonSeries.Y)),
-        axis=1,
-    )
 
 
 @dataclass
@@ -232,7 +224,7 @@ class IndexBuilder:
         max_length: int = 48,
         monoisotopic: bool = True,
     ):
-        if fragment_tolerance <= 0:
+        if not fragment_tolerance > 0:  # NaN included
             raise ValueError(
                 f"fragment_tolerance must be > 0, got {fragment_tolerance}"
             )
@@ -260,17 +252,14 @@ class IndexBuilder:
             for (name, dtype), col in zip(ROW_ARRAYS.items(), (table.mass, table.key))
         }
         envelope = _Envelope.of(table, self.max_length)
-        arrays["ladder_mz"], arrays["ladder_row"], _untagged, arrays["ladder_bin_start"] = (
-            self._postings(db, envelope, by_ion_ladder_rows, tagged=False)
-        )
         arrays["series_mz"], arrays["series_row"], arrays["series_tag"], arrays["series_bin_start"] = (
-            self._postings(db, envelope, _series_fragments, tagged=True)
+            self._postings(db, envelope)
         )
         layout = IndexLayout(
             num_rows=len(table),
             max_length=self.max_length,
             bin_width=self.bin_width,
-            num_fragments=2 * envelope.num_fragments,
+            num_fragments=envelope.num_fragments,
             fragment_tolerance=self.fragment_tolerance,
             monoisotopic=self.monoisotopic,
             arrays={
@@ -280,11 +269,12 @@ class IndexBuilder:
         )
         return BuiltIndex(layout=layout, arrays=arrays, offsets=db.offsets)
 
-    def _run(self, db: ProteinDatabase, envelope: _Envelope, lo: int, hi: int, kernel):
-        """Fragments ``[lo, hi)`` of a list's walk: ``(i0, i1, groups)``
+    def _run(self, db: ProteinDatabase, envelope: _Envelope, lo: int, hi: int):
+        """Fragments ``[lo, hi)`` of the list's walk: ``(i0, i1, groups)``
         with ``[i0, i1)`` the envelope rows they come from and, per length
         group of those rows, ``(local, mz, head, stop)``: ``mz`` the
-        kernel's ``(rows, 2 (L - 1))`` matrix of the group, ``local`` its
+        ``(rows, 2 (L - 1))`` matrix of the group's b ions then y ions
+        (:func:`~repro.spectra.theoretical.by_ion_rows`), ``local`` its
         rows' positions from ``i0`` and ``mz.ravel()[head:stop]`` their
         fragments in the run (a run may cut its first and its last row;
         each is the first or the last of its group)."""
@@ -299,32 +289,34 @@ class IndexBuilder:
         for length, a, b in runs:
             local = order[a:b]
             first = envelope.first[i0 + local]
-            mz = kernel(residue_mass[db.residues[first[:, None] + np.arange(length)]])
+            mz = by_ion_rows(residue_mass[db.residues[first[:, None] + np.arange(length)]])
+            mz = mz.reshape(len(local), 2 * (length - 1))
             stop = mz.size - (tail if local[-1] == i1 - i0 - 1 else 0)
             groups.append((local, mz, head if local[0] == 0 else 0, stop))
         return i0, i1, groups
 
-    def _postings(self, db: ProteinDatabase, envelope: _Envelope, kernel, tagged: bool):
-        """One posting list, ``(mz, row, tag, bin_start)`` (``tag`` None
-        untagged), in the order one stable sort of every fragment by
-        ``(bin, row)`` gives.
+    def _postings(self, db: ProteinDatabase, envelope: _Envelope):
+        """The posting list, ``(mz, row, tag, bin_start)``, in the order
+        one stable sort of the walk by ``(bin, row)`` gives.
 
         The list's walk is generated a run at a time and each bin
-        counted: that is ``bin_start``.  Then each run is sorted on its
-        own, by ``bin * stride + row`` (times two plus the series code
-        when tagged: a row's b ions precede its y ions), and scattered to
-        ``bin_start[b]`` + the bin's postings in earlier runs + its rank
-        in the run.  A bin's postings come out run by run, rows ascending
-        within each, and every row of a run precedes (or, cut, goes on
-        into) the next run's: the global order.
+        counted: that is ``bin_start``.  Then each run is generated
+        again — bitwise the run counted — and sorted on its own, by
+        ``(bin * stride + row) * 2 + tag`` (a row's b ions precede its y
+        ions), and scattered to ``bin_start[b]`` + the bin's postings in
+        earlier runs + its rank in the run.  A bin's postings come out
+        run by run, rows ascending within each, and every row of a run
+        precedes (or, cut, goes on into) the next run's: the global
+        order.  No run's m/z outlives its own pass.
         """
         total = envelope.num_fragments
-        chunk = BUILD_CHUNK_FRAGMENTS
-        walk = []
+        runs = [
+            (lo, min(lo + BUILD_CHUNK_FRAGMENTS, total))
+            for lo in range(0, total, BUILD_CHUNK_FRAGMENTS)
+        ]
         counts = np.zeros(0, dtype=POSTING_OFFSET_DTYPE)
-        for lo in range(0, total, chunk):
-            walk.append(self._run(db, envelope, lo, min(lo + chunk, total), kernel))
-            for _local, mz, head, stop in walk[-1][2]:
+        for lo, hi in runs:
+            for _local, mz, head, stop in self._run(db, envelope, lo, hi)[2]:
                 run = np.bincount((mz.ravel()[head:stop] / self.bin_width).astype(np.int64))
                 if len(run) > len(counts):
                     counts = np.concatenate((counts, np.zeros(len(run) - len(counts), counts.dtype)))
@@ -333,29 +325,26 @@ class IndexBuilder:
         np.cumsum(counts, out=bin_start[1:])
         out_mz = np.empty(total)
         out_row = np.empty(total, dtype=POSTING_ROW_DTYPE)
-        out_tag = np.empty(total, dtype=np.uint8) if tagged else None
+        out_tag = np.empty(total, dtype=np.uint8)
         row_ids = envelope.rows.astype(POSTING_ROW_DTYPE)
         placed = bin_start[:-1].copy()  # where each bin's next posting goes
-        for k in range(len(walk)):
-            i0, i1, groups = walk[k]
-            walk[k] = None  # a run's m/z goes once it is placed
+        for lo, hi in runs:
+            i0, i1, groups = self._run(db, envelope, lo, hi)
             stride = i1 - i0
             keys, mzs = [], []
             for local, mz, head, stop in groups:
                 key = (mz / self.bin_width).astype(np.int64)
                 key *= stride
                 key += local[:, None]
-                if tagged:  # the series code in the low bit
-                    key <<= 1
-                    key[:, key.shape[1] // 2 :] |= _SERIES_CODE["y"]
+                key <<= 1  # the series code in the low bit
+                key[:, key.shape[1] // 2 :] |= _SERIES_CODE["y"]
                 keys.append(key.ravel()[head:stop])
                 mzs.append(mz.ravel()[head:stop])
             del groups
             key, order = stable_sort(np.concatenate(keys))
             del keys
-            if tagged:
-                tag = (key & 1).astype(np.uint8)
-                key >>= 1
+            tag = (key & 1).astype(np.uint8)
+            key >>= 1
             bins = key // stride
             key -= bins * stride  # what remains of a key is its row's position from i0
             run = np.bincount(bins, minlength=len(placed))
@@ -363,8 +352,7 @@ class IndexBuilder:
             pos += np.arange(len(pos))
             out_mz[pos] = np.concatenate(mzs)[order]
             out_row[pos] = row_ids[key + i0]
-            if tagged:
-                out_tag[pos] = tag
+            out_tag[pos] = tag
             placed += run
         return out_mz, out_row, out_tag, bin_start
 
@@ -388,13 +376,7 @@ class FragmentIndex:
         self.bin_width = layout.bin_width
         self.num_fragments = layout.num_fragments
         self.rows = MassIndex.view(arrays["row_mass"], arrays["row_key"], offsets)
-        self._ladder_postings = _PostingList(
-            arrays["ladder_mz"],
-            arrays["ladder_row"],
-            None,
-            arrays["ladder_bin_start"],
-        )
-        self._series_postings = _PostingList(
+        self._postings = _PostingList(
             arrays["series_mz"],
             arrays["series_row"],
             arrays["series_tag"],
@@ -403,7 +385,7 @@ class FragmentIndex:
 
     @property
     def nbytes(self) -> int:
-        """Index memory footprint (row table + posting lists); the
+        """Index memory footprint (row table + posting list); the
         database is charged separately by whoever holds it."""
         return int(self.layout.nbytes)
 
@@ -417,12 +399,11 @@ class FragmentIndex:
 
     def _probe_range(
         self,
-        postings: _PostingList,
         peaks_mz: np.ndarray,
         tolerance: float,
         row_lo: np.ndarray,
         row_hi: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact fragment matches, each peak against its own row range.
 
         The binning/bisection core of the flat cohort probe.  Returns
@@ -438,11 +419,11 @@ class FragmentIndex:
         its range are still produced and are removed by the caller's
         selection tables.
         """
-        none_series = postings.series is not None
+        postings = self._postings
         empty = (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.uint8) if none_series else None,
+            np.empty(0, dtype=np.uint8),
         )
         pmin = peaks_mz - tolerance
         pmax = peaks_mz + tolerance
@@ -482,15 +463,11 @@ class FragmentIndex:
         keep = (mz >= pmin[owner]) & (mz <= pmax[owner])
         flat = flat[keep]
         owner = owner[keep]
-        return (
-            postings.row[flat],
-            owner,
-            postings.series[flat] if none_series else None,
-        )
+        return postings.row[flat], owner, postings.series[flat]
 
     # -- cohort (block) probes -------------------------------------------
     #
-    # The candidate-major sweep probes the posting lists once per query
+    # The candidate-major sweep probes the posting list once per query
     # cohort: all member peaks in one flat pass, results then split per
     # member.  Each member's (row, peak) match set is the one a probe of
     # that member alone produces — the probe predicate is per-(peak,
@@ -499,12 +476,8 @@ class FragmentIndex:
     # values) intensity sums do not depend on who shares the cohort.
 
     def _probe_flat(
-        self,
-        postings: _PostingList,
-        batch,
-        tolerance: float,
-        row_sets,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        self, batch, tolerance: float, row_sets
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All exact matches of a cohort's peaks against its row sets.
 
         ``batch`` is a :class:`~repro.spectra.spectrum_batch.SpectrumBatch`
@@ -513,15 +486,14 @@ class FragmentIndex:
         posting: ``out_pos`` indexes into ``row_sets[member]`` and
         ``peak_flat`` into the batch's flat peak arrays.
         """
-        none_series = postings.series is not None
         empty = (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.uint8) if none_series else None,
+            np.empty(0, dtype=np.uint8),
         )
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
-        if sizes.sum() == 0 or batch.num_peaks == 0 or len(postings.mz) == 0:
+        if sizes.sum() == 0 or batch.num_peaks == 0 or len(self._postings.mz) == 0:
             return empty
         # One selection table per member over its own row range, laid end
         # to end: a block packs members whose windows need not overlap, so
@@ -548,7 +520,6 @@ class FragmentIndex:
         # them discarded by the sel filter below
         npk = np.diff(batch.offsets)
         row_g, peak_flat, series = self._probe_range(
-            postings,
             batch.mz,
             tolerance,
             np.repeat(member_lo, npk),
@@ -560,12 +531,7 @@ class FragmentIndex:
         # the probe kept each peak inside its member's row range
         out_pos = sel[sel_base[member] + (row_g - member_lo[member])]
         hit = out_pos >= 0
-        return (
-            member[hit],
-            out_pos[hit],
-            peak_flat[hit],
-            series[hit] if none_series else None,
-        )
+        return member[hit], out_pos[hit], peak_flat[hit], series[hit]
 
     def _split_pairs(
         self, member, out_pos, peak_flat, batch, sizes
@@ -596,18 +562,19 @@ class FragmentIndex:
     def shared_peak_counts_block(self, batch, tolerance: float, row_sets) -> np.ndarray:
         """Distinct observed peaks matched by each row's b+y ladder.
 
-        One flat probe for the cohort; returns one member-major count
-        vector (``row_sets[0]``'s rows, then ``row_sets[1]``'s, ...).
-        Equals :func:`~repro.spectra.binning.count_matches_pairs` over
+        One flat probe for the cohort, series tags ignored; returns one
+        member-major count vector (``row_sets[0]``'s rows, then
+        ``row_sets[1]``'s, ...).  A row's postings are its ladder's
+        fragments bit for bit (the ladder is its sorted b and y ions,
+        :func:`~repro.spectra.theoretical.by_ion_ladders`), so this
+        equals :func:`~repro.spectra.binning.count_matches_pairs` over
         the same candidates' ladder rows: both count the union of
         per-fragment matched-peak sets under the same predicate.
         """
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         row_base = np.concatenate(([0], np.cumsum(sizes)))
         total_rows = int(row_base[-1])
-        member, out_pos, peak_flat, _series = self._probe_flat(
-            self._ladder_postings, batch, tolerance, row_sets
-        )
+        member, out_pos, peak_flat, _series = self._probe_flat(batch, tolerance, row_sets)
         if len(member) == 0:
             return np.zeros(total_rows, dtype=np.int64)
         pair_member, pair_row, _pk, _base, _npk = self._split_pairs(
@@ -626,9 +593,7 @@ class FragmentIndex:
         sizes = np.fromiter((len(r) for r in row_sets), dtype=np.int64, count=len(row_sets))
         row_base = np.concatenate(([0], np.cumsum(sizes)))
         total_rows = int(row_base[-1])
-        member, out_pos, peak_flat, tags = self._probe_flat(
-            self._series_postings, batch, tolerance, row_sets
-        )
+        member, out_pos, peak_flat, tags = self._probe_flat(batch, tolerance, row_sets)
         out = []
         for code in (_SERIES_CODE["b"], _SERIES_CODE["y"]):
             wanted = tags == code if len(member) else np.empty(0, dtype=bool)

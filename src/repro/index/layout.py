@@ -2,9 +2,9 @@
 
 A built :class:`~repro.index.fragment_index.FragmentIndex` is nothing
 but a set of named, contiguous numpy arrays: the mass-sorted row table
-(:data:`ROW_ARRAYS`, the columns every store holds) and the two
-posting lists, with their bin-start tables, whose
-``*_row`` values are positions in that table.
+(:data:`ROW_ARRAYS`, the columns every store holds) and the posting
+list, with its bin-start table, whose ``series_row`` values are
+positions in that table.
 :class:`IndexLayout` is the single source of truth for that set: which
 arrays exist, their dtypes and shapes, plus the scalar build parameters
 needed to interpret them (``bin_width``, ``max_length``, ...).  The
@@ -31,8 +31,8 @@ from repro.errors import IndexStoreError, RowKeyOverflowError
 #: residue position (``k`` the prefix ending at ``k``, ``~k`` the suffix
 #: starting there), a *row id* is a position in the row table — int64 in
 #: memory (a sweep's rows, a block's row sets), int32 as a posting's
-#: ``*_row`` — and a *posting offset* counts postings (``*_bin_start``,
-#: ~15 per residue per list, so 64 bits)
+#: ``series_row`` — and a *posting offset* counts postings
+#: (``series_bin_start``, ~15 per residue, so 64 bits)
 ROW_KEY_DTYPE = "int32"
 ROW_ID_DTYPE = "int64"
 POSTING_ROW_DTYPE = "int32"
@@ -60,24 +60,22 @@ def check_row_keys(num_residues: int) -> None:
 
 
 def check_row_ids(num_rows: int) -> None:
-    """Refuse a row table whose row ids do not fit a posting's ``*_row``."""
+    """Refuse a row table whose row ids do not fit a posting's ``series_row``."""
     if num_rows >= MAX_POSTED_ROWS:
         raise RowKeyOverflowError(
-            f"a row table of {num_rows} rows does not fit the posting lists: "
-            f"their int32 row ids address fewer than 2^31 ({MAX_POSTED_ROWS}) "
+            f"a row table of {num_rows} rows does not fit the posting list: "
+            f"its int32 row ids address fewer than 2^31 ({MAX_POSTED_ROWS}) "
             f"rows; split the database into shards below the 2^31-row limit"
         )
 
 
-#: the two posting lists, each sorted by (m/z bin, candidate row): the
-#: b+y ladder list (shared-peak counting) and the series-tagged b / y
-#: list (per-series matched intensity).  ``*_bin_start[b]`` (posting
-#: offsets) is where bin ``b``'s run starts; inside a run ``*_row`` (row
-#: ids) ascends.
+#: the one posting list, sorted by (m/z bin, candidate row): every b and
+#: y ion of each row in the envelope, each tagged with its series — the
+#: shared-peak count ignores the tag, the hyperscore's per-series
+#: intensities read it.  ``series_bin_start[b]`` (posting offsets) is
+#: where bin ``b``'s run starts; inside a run ``series_row`` (row ids)
+#: ascends.
 POSTING_ARRAYS = (
-    "ladder_mz",
-    "ladder_row",
-    "ladder_bin_start",
     "series_mz",
     "series_row",
     "series_tag",

@@ -27,7 +27,7 @@ from scipy import stats
 from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import match_peaks_pairs, row_prefix_sums, sorted_runs
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import by_ion_ladder_rows
+from repro.spectra.theoretical import by_ion_ladders
 
 
 class HypergeometricScorer:
@@ -109,7 +109,7 @@ class HypergeometricScorer:
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            return (by_ion_ladder_rows(group.mass_rows(), group.row_lengths),)
+            return (by_ion_ladders(group.mass_rows(), group.row_lengths),)
 
         return score_block_pairs(
             batch, selections, -math.inf, prepare, self.pair_kernel(spectra)

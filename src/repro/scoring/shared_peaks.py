@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import count_matches_pairs
-from repro.spectra.theoretical import by_ion_ladder_rows
+from repro.spectra.theoretical import by_ion_ladders
 
 
 class SharedPeakScorer:
@@ -43,7 +43,7 @@ class SharedPeakScorer:
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            return (by_ion_ladder_rows(group.mass_rows(), group.row_lengths),)
+            return (by_ion_ladders(group.mass_rows(), group.row_lengths),)
 
         return score_block_pairs(
             batch, selections, 0.0, prepare, self.pair_kernel(spectra)

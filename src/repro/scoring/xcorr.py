@@ -23,7 +23,7 @@ import numpy as np
 from repro.candidates.batch import CandidateBatch
 from repro.spectra.binning import bin_spectrum, row_segment_sums
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.theoretical import by_ion_ladder_rows
+from repro.spectra.theoretical import by_ion_ladders
 
 
 class PreprocessedVectors:
@@ -95,7 +95,7 @@ class XCorrScorer:
         ``limit`` (a column) and ``base`` offset into the concatenation;
         a row then keeps the same bins and sums the same values in the
         same order as against its member's vector alone.  ``ladders`` rows
-        are ascending (:func:`~repro.spectra.theoretical.by_ion_ladder_rows`);
+        are ascending (:func:`~repro.spectra.theoretical.by_ion_ladders`);
         ``padded`` rows end in ``+inf`` pad fragments, which keep no bin.
         """
         sentinel = np.iinfo(np.int64).max
@@ -174,7 +174,7 @@ class XCorrScorer:
         from repro.scoring.base import score_block_pairs
 
         def prepare(group):
-            return (by_ion_ladder_rows(group.mass_rows(), group.row_lengths),)
+            return (by_ion_ladders(group.mass_rows(), group.row_lengths),)
 
         return score_block_pairs(
             batch, selections, -np.inf, prepare, self.pair_kernel(spectra)

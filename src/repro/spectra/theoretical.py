@@ -14,6 +14,7 @@ residues via prefix-mass cumulative sums.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,6 +169,47 @@ def fragment_mz_rows(
     return mz
 
 
+@lru_cache(maxsize=None)
+def _proton_or_pad(width: int) -> np.ndarray:
+    """``(width + 1, 2, width)``, read-only: what :func:`by_ion_rows` adds
+    to the b and y ions of a row of ``k + 1`` residues, at ``[k]`` — the
+    proton on each of its ``k`` ions, ``+inf`` on its pad slots (the b
+    slots past them, the y slots before them)."""
+    slot = np.arange(width)
+    ions = np.arange(width + 1)[:, None]
+    pads = np.stack((slot >= ions, slot[::-1] >= ions), axis=1)
+    table = np.where(pads, np.inf, PROTON_MASS)
+    table.flags.writeable = False
+    return table
+
+
+def by_ion_rows(mass_rows: np.ndarray, lengths: Optional[np.ndarray] = None) -> np.ndarray:
+    """The default fragment model's ions of per-candidate residue-mass
+    rows, unsorted: ``(n, 2, L - 1)``, each row's b ions then its y ions.
+
+    The one b/y arithmetic every batched model shares: ``b_i`` folds the
+    first ``i`` residues, ``y_i`` the last ``i`` from the C-terminus,
+    each a sequential ``cumsum`` exactly as :func:`fragment_mz` performs
+    it, then ``+ water`` (y) and ``+ proton`` (its ``/ 1`` is exact).  The
+    y fold runs over the reversed view ``mass_rows[:, :0:-1]``: a row of
+    ``lengths[r] < L`` residues, padded with ``0.0``, meets its pads
+    first, and ``0.0 + x == x``, so its y ions are its own suffix fold,
+    right-aligned.  Pad slots (trailing b, leading y) add ``+inf`` where
+    an ion adds the proton, so they are ``+inf``.
+    """
+    n, length = mass_rows.shape
+    width = max(length - 1, 0)
+    ions = np.empty((n, 2, width))
+    np.cumsum(mass_rows[:, :-1], axis=1, out=ions[:, 0])
+    np.cumsum(mass_rows[:, :0:-1], axis=1, out=ions[:, 1])
+    ions[:, 1] += WATER_MASS
+    if lengths is None:
+        ions += PROTON_MASS
+    else:
+        ions += _proton_or_pad(width).take(lengths - 1, axis=0)
+    return ions
+
+
 def by_model_rows(
     mass_rows: np.ndarray, lengths: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,12 +220,11 @@ def by_model_rows(
     ``(mz_rows, y_rows)``, both ``(n, 2 * (L - 1))``: each row's
     fragment m/z sorted by the scalar kernel's stable key, and whether
     each sorted fragment is a y ion — the model intensity is a
-    per-series constant, so the series is all a scorer needs of it.  One
-    ``cumsum`` runs over the stacked b prefixes and y suffixes, each the
-    sequential fold :func:`fragment_mz` performs (its ``/ 1`` is exact),
-    so row ``r``'s first ``2 * (lengths[r] - 1)`` entries are candidate
-    ``r``'s scalar model spectrum bit for bit: its pad fragments are
-    ``+inf`` and sort last.
+    per-series constant, so the series is all a scorer needs of it.  The
+    ions are :func:`by_ion_rows`, the scalar kernel's fold, so row ``r``'s
+    first ``2 * (lengths[r] - 1)`` entries are candidate ``r``'s scalar
+    model spectrum bit for bit: its pad fragments are ``+inf`` and sort
+    last.
 
     The sort is one value sort of packed keys: each ion's float64 bits
     shifted left by one, bit 0 set for a y ion.  Every ion is positive
@@ -193,16 +234,8 @@ def by_model_rows(
     puts b first, as a stable argsort of ``[b | y]`` does.
     """
     n, length = mass_rows.shape
-    width = 2 * (length - 1)
-    ions = np.concatenate((mass_rows[:, :-1], _suffix_rows(mass_rows, lengths)), axis=1)
-    ions = ions.reshape(n, 2, length - 1).cumsum(axis=2)
-    ions[:, 1] += WATER_MASS
-    ions += PROTON_MASS
-    if lengths is not None:
-        pads = _fragment_pads(lengths, length - 1)
-        ions[:, 0][pads] = np.inf
-        ions[:, 1][pads] = np.inf
-    key = ions.reshape(n, width).view(np.uint64) << np.uint64(1)
+    key = by_ion_rows(mass_rows, lengths).reshape(n, 2 * (length - 1)).view(np.uint64)
+    key <<= np.uint64(1)
     key[:, length - 1 :] |= np.uint64(1)
     key.sort(axis=1)
     y_rows = (key & np.uint64(1)).astype(bool)
@@ -210,32 +243,20 @@ def by_model_rows(
     return key.view(np.float64), y_rows
 
 
-def by_ion_ladder_rows(mass_rows: np.ndarray, lengths: Optional[np.ndarray] = None) -> np.ndarray:
+def by_ion_ladders(mass_rows: np.ndarray, lengths: Optional[np.ndarray] = None) -> np.ndarray:
     """Sorted singly-charged b+y ladders (the default fragment model) of
-    per-candidate residue-mass rows.
+    per-candidate residue-mass rows: ``by_model_rows(mass_rows,
+    lengths)[0]`` bit for bit, without the series.
 
     ``mass_rows`` is ``(n, L)`` with PTM deltas already applied — a
     variable PTM at one residue shifts every b and y ion containing it,
     which folding the delta into that residue's mass does.  A row of
-    ``lengths[r] < L`` residues is padded with ``0.0``, so its running
-    sum ends on its own total.  Per row: one cumulative sum ``csum``,
-    ``b = csum[:-1] + proton``, ``y = (csum[-1] - csum[:-1]) + water +
-    proton``, one sort.  Returns the ``(n, 2 * (L - 1))`` ladder matrix;
-    row ``r``'s first ``2 * (lengths[r] - 1)`` entries are bitwise the
-    scalar ladder of candidate ``r``, its pad fragments ``+inf`` after
-    them.
+    ``lengths[r] < L`` residues is padded with ``0.0``.  Returns the
+    ``(n, 2 * (L - 1))`` ladder matrix; row ``r``'s first
+    ``2 * (lengths[r] - 1)`` entries are bitwise the scalar ladder of
+    candidate ``r``, its pad fragments ``+inf`` after them.
     """
     n, length = mass_rows.shape
-    if length < 2:
-        return np.empty((n, 0), dtype=np.float64)
-    csum = mass_rows.cumsum(axis=1)
-    total = csum[:, -1:]
-    b = csum[:, :-1] + PROTON_MASS
-    y = (total - csum[:, :-1]) + WATER_MASS + PROTON_MASS
-    if lengths is not None:
-        pads = _fragment_pads(lengths, length - 1)
-        b[pads] = np.inf
-        y[pads] = np.inf
-    ladder = np.concatenate((b, y), axis=1)
+    ladder = by_ion_rows(mass_rows, lengths).reshape(n, 2 * max(length - 1, 0))
     ladder.sort(axis=1)
     return ladder

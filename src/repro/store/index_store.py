@@ -15,10 +15,10 @@ row table raw::
         index/
             row_mass.npy    # the mass-sorted row table: every span of
             row_key.npy     # the database, one 12-byte row each
-            ladder_mz.npy   # save_index only: the two posting lists,
-            ...             # whose *_row values are positions in the table
+            series_mz.npy   # save_index only: the posting list, whose
+            ...             # series_row values are positions in the table
 
-A store built by :func:`save_index` also holds the seven posting arrays
+A store built by :func:`save_index` also holds the four posting arrays
 (:data:`~repro.index.layout.POSTING_ARRAYS`) and is mapped whole by
 :meth:`StoredIndex.load_shard`: ``np.load(..., mmap_mode="r")`` per
 :class:`~repro.index.layout.IndexLayout` array — zero copy, the ``.npy``
@@ -80,8 +80,9 @@ from repro.obs.metrics import get_metrics
 #: schema identifier of the store directory format; readers reject other
 #: versions rather than guessing at semantics (/6: the row table is two
 #: columns, mass and an int32 span key, 12 bytes a row; /7: a posting's
-#: row id is int32, 12 bytes a ladder posting and 13 a series posting)
-STORE_SCHEMA = "repro.index_store/7"
+#: row id is int32; /8: one posting list, each b and y ion posted once,
+#: 13 bytes a posting)
+STORE_SCHEMA = "repro.index_store/8"
 
 HEADER_NAME = "header.json"
 DATABASE_DIR = "database"
@@ -588,7 +589,7 @@ def save_index(
     """Build ``db``'s fragment index and persist it under ``path``.
 
     The row table of the whole database (an empty one included) and the
-    two posting lists an :class:`IndexBuilder` posts over it, written in
+    posting list an :class:`IndexBuilder` posts over it, written in
     the directory format described in the module docstring by
     :func:`_write_store`.  Returns the opened :class:`StoredIndex`.
     """

@@ -22,12 +22,12 @@ from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher, score_directly
 from repro.index import IndexBuilder
 from repro.scoring import HyperScorer, SharedPeakScorer
-from repro.chem.amino_acids import mass_table
+from repro.chem.amino_acids import STANDARD_MODIFICATIONS, mass_table
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
-from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
+from repro.spectra.theoretical import IonSeries, by_ion_ladders, by_model_rows, fragment_mz_rows
 from tests.conftest import store_searcher
-from tests.reference import batch_scores
+from tests.reference import batch_scores, by_ion_ladder, modified_by_ion_ladder
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30)
 databases = st.lists(sequences, min_size=1, max_size=8).map(
@@ -94,13 +94,13 @@ def test_posting_rows_address_exactly_the_envelope_rows(case):
     lengths = index.rows.spans(np.arange(index.num_rows)).lengths
     held = (lengths >= 2) & (lengths <= index.max_length)
     assert np.array_equal(index.holds(np.arange(index.num_rows)), held)
-    for name in ("ladder_row", "series_row"):
-        posting_rows = np.asarray(index.arrays[name])
-        assert posting_rows.dtype == np.int32  # layout.POSTING_ROW_DTYPE
-        assert len(posting_rows) == 0 or 0 <= posting_rows.min() <= posting_rows.max() < index.num_rows
-        assert held[posting_rows].all()
-        posted = np.bincount(posting_rows, minlength=index.num_rows)
-        assert np.array_equal(posted, np.where(held, 2 * (lengths - 1), 0))
+    posting_rows = np.asarray(index.arrays["series_row"])
+    assert posting_rows.dtype == np.int32  # layout.POSTING_ROW_DTYPE
+    assert len(posting_rows) == 0 or 0 <= posting_rows.min() <= posting_rows.max() < index.num_rows
+    assert held[posting_rows].all()
+    posted = np.bincount(posting_rows, minlength=index.num_rows)
+    assert np.array_equal(posted, np.where(held, 2 * (lengths - 1), 0))
+    assert index.num_fragments == int(posted.sum())  # each fragment counted once
 
 
 @given(
@@ -139,45 +139,48 @@ def test_searcher_score_spans_identical_with_index_on_and_off(
     assert got.tobytes() == scalar.tobytes()
 
 
-def _residue_mass_rows(seed, n, length):
-    table = mass_table(True)
-    codes = np.nonzero(table > 0)[0]
-    return table[np.random.default_rng(seed).choice(codes, size=(n, length))]
-
-
 @given(
     st.integers(min_value=0, max_value=2**31),
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=2, max_value=40),
+    st.booleans(),
+    st.sampled_from([0.0, *(m.delta_mass for m in STANDARD_MODIFICATIONS.values())]),
 )
-@settings(max_examples=60, deadline=None)
-def test_tagged_series_are_the_ladder_only_in_their_b_half(seed, n, length):
-    """Why one posting list cannot serve both kernels as stored (ROADMAP
-    4(i)): the b ions of ``fragment_mz_rows`` are the ladder's b ions bit
-    for bit, but its y ions fold the residues from the C-terminus
-    (reversed ``cumsum`` + W + P) where ``by_ion_ladder_rows`` subtracts a
-    prefix from the total (``(total - prefix) + W + P``) — the same
-    number to ~1e-11 Da, not the same bits, and not required to be."""
-    rows = _residue_mass_rows(seed, n, length)
-    ladder = by_ion_ladder_rows(rows)
-    b = fragment_mz_rows(rows, IonSeries.B)
-    y = fragment_mz_rows(rows, IonSeries.Y)
-    for r in range(n):
-        assert np.isin(b[r], ladder[r]).all()  # bitwise: every b ion is posted as is
-    both = np.sort(np.concatenate((b, y), axis=1), axis=1)
-    assert both.shape == ladder.shape
-    assert np.abs(both - ladder).max() <= 1e-9
-
-
-def test_y_series_bits_differ_from_the_ladder_on_a_fixed_sample():
-    """The witness: on 2000 seeded 20-residue rows the sorted series
-    concatenation is *not* the ladder (a third or more of the entries
-    differ in the last bits).  If this ever starts passing as equal, the
-    two kernels share their y arithmetic and ROADMAP 4(i) reopens."""
-    rows = _residue_mass_rows(0, 2000, 20)
-    both = np.concatenate(
-        (fragment_mz_rows(rows, IonSeries.B), fragment_mz_rows(rows, IonSeries.Y)), axis=1
+@settings(max_examples=80, deadline=None)
+def test_ladder_model_series_and_scalar_oracle_are_one_arithmetic(
+    seed, n, length, padded, delta
+):
+    """One b/y arithmetic: on unpadded, padded and PTM-shifted rows the
+    ladder rows, ``by_model_rows``' m/z, the sorted ``[b | y]`` of
+    ``fragment_mz_rows`` and the scalar oracle are the same bits.  It is
+    why the index posts each b and y ion once: the tagged list serves
+    the shared-peak count (the ladder) and the hyperscore (the series)
+    alike."""
+    rng = np.random.default_rng(seed)
+    table = mass_table(True)
+    codes = rng.choice(np.nonzero(table > 0)[0], size=(n, length)).astype(np.uint8)
+    lengths = rng.integers(1, length + 1, n) if padded else np.full(n, length)
+    sites = rng.integers(0, lengths)
+    rows = table[codes]
+    rows[np.arange(n), sites] += delta
+    rows[np.arange(length) >= lengths[:, None]] = 0.0
+    pads = lengths if padded else None
+    ladder = by_ion_ladders(rows, pads)
+    assert ladder.tobytes() == by_model_rows(rows, pads)[0].tobytes()
+    series = np.concatenate(
+        (
+            fragment_mz_rows(rows, IonSeries.B, lengths=pads),
+            fragment_mz_rows(rows, IonSeries.Y, lengths=pads),
+        ),
+        axis=1,
     )
-    both.sort(axis=1)
-    differing = (both != by_ion_ladder_rows(rows)).mean()
-    assert 0.2 < differing < 0.6
+    series.sort(axis=1)
+    assert ladder.tobytes() == series.tobytes()
+    for r in range(n):
+        encoded, width = codes[r, : lengths[r]], 2 * (lengths[r] - 1)
+        if delta:
+            scalar = modified_by_ion_ladder(encoded, int(sites[r]), delta)
+        else:
+            scalar = by_ion_ladder(encoded)
+        assert ladder[r, :width].tobytes() == scalar.tobytes()
+        assert (ladder[r, width:] == np.inf).all()

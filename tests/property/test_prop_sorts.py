@@ -34,7 +34,7 @@ from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import (
     _fragment_pads,
     _suffix_rows,
-    by_ion_ladder_rows,
+    by_ion_ladders,
     by_model_rows,
 )
 
@@ -232,7 +232,7 @@ def test_xcorr_without_the_row_sort_scores_the_same(band, seed, bin_width):
     rows, lengths = band
     rng = np.random.default_rng(seed)
     scorer = XCorrScorer(bin_width=bin_width)
-    ladders = by_ion_ladder_rows(rows, lengths)
+    ladders = by_ion_ladders(rows, lengths)
     padded = lengths is not None
     # one member's vector, shorter than some ladders reach
     processed = rng.normal(size=int(rng.integers(0, 400)))

@@ -49,24 +49,23 @@ from repro.spectra.theoretical import (
 # -- scalar fragment ladders and peak matching ------------------------------
 
 
-def by_ion_ladder(encoded: np.ndarray, monoisotopic: bool = True) -> np.ndarray:
-    """Sorted m/z of the singly-charged b+y ladder (the default model).
-
-    One cumulative sum, two adds, one sort.  Returns an array of length
-    ``2 * (L - 1)``.
-    """
-    residue = mass_table(monoisotopic)[encoded]
+def _sorted_by_ions(residue: np.ndarray) -> np.ndarray:
+    """Sorted b+y m/z of per-residue masses: b folds the prefix, y the
+    suffix from the C-terminus, as :func:`fragment_mz` does."""
     if len(residue) < 2:
         return np.empty(0, dtype=np.float64)
-    csum = residue.cumsum()
-    total = csum[-1]
-    b = csum[:-1] + PROTON_MASS
-    # y_i = total - prefix_{L-i} + water + proton; computing from the same
-    # cumulative sum avoids a second pass over the residues.
-    y = (total - csum[:-1]) + WATER_MASS + PROTON_MASS
+    b = residue[:-1].cumsum() + PROTON_MASS
+    y = residue[::-1][:-1].cumsum() + WATER_MASS + PROTON_MASS
     ladder = np.concatenate((b, y))
     ladder.sort()
     return ladder
+
+
+def by_ion_ladder(encoded: np.ndarray, monoisotopic: bool = True) -> np.ndarray:
+    """Sorted m/z of the singly-charged b+y ladder (the default model):
+    ``theoretical_spectrum(encoded)[0]`` bit for bit.  Returns an array
+    of length ``2 * (L - 1)``."""
+    return _sorted_by_ions(mass_table(monoisotopic)[encoded])
 
 
 def modified_by_ion_ladder(
@@ -81,24 +80,16 @@ def modified_by_ion_ladder(
     ion that *contains* the site (b_i for i > site) and every y ion that
     contains it (y_j for j >= L - site), leaving the rest untouched —
     exactly how a modified peptide's spectrum differs from the
-    unmodified one.
+    unmodified one.  ``theoretical_spectrum(encoded, mod_site=site,
+    mod_delta=delta_mass)[0]`` bit for bit.
     """
     if site < 0:
         raise IndexError(f"site must be >= 0, got {site}")
-    residue = _residue_masses_with_mod(encoded, monoisotopic, site, delta_mass)
-    if len(residue) < 2:
-        return np.empty(0, dtype=np.float64)
-    csum = residue.cumsum()
-    total = csum[-1]
-    b = csum[:-1] + PROTON_MASS
-    y = (total - csum[:-1]) + WATER_MASS + PROTON_MASS
-    ladder = np.concatenate((b, y))
-    ladder.sort()
-    return ladder
+    return _sorted_by_ions(_residue_masses_with_mod(encoded, monoisotopic, site, delta_mass))
 
 
 def match_peaks(
-    observed_mz: np.ndarray, ladder_mz: np.ndarray, tolerance: float
+    observed_mz: np.ndarray, ladder: np.ndarray, tolerance: float
 ) -> np.ndarray:
     """Boolean mask over ``observed_mz``: which peaks lie within
     ``tolerance`` of *some* ladder fragment.
@@ -107,28 +98,28 @@ def match_peaks(
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    if len(ladder_mz) == 0:
+    if len(ladder) == 0:
         return np.zeros(len(observed_mz), dtype=bool)
-    lo = np.searchsorted(ladder_mz, observed_mz - tolerance, side="left")
-    hi = np.searchsorted(ladder_mz, observed_mz + tolerance, side="right")
+    lo = np.searchsorted(ladder, observed_mz - tolerance, side="left")
+    hi = np.searchsorted(ladder, observed_mz + tolerance, side="right")
     return hi > lo
 
 
 def count_matches(
-    observed_mz: np.ndarray, ladder_mz: np.ndarray, tolerance: float
+    observed_mz: np.ndarray, ladder: np.ndarray, tolerance: float
 ) -> int:
     """Number of observed peaks explained by the ladder (shared peak count)."""
-    return int(match_peaks(observed_mz, ladder_mz, tolerance).sum())
+    return int(match_peaks(observed_mz, ladder, tolerance).sum())
 
 
 def matched_intensity(
     observed_mz: np.ndarray,
     observed_intensity: np.ndarray,
-    ladder_mz: np.ndarray,
+    ladder: np.ndarray,
     tolerance: float,
 ) -> Tuple[int, float]:
     """Shared peak count and the summed intensity of the matched peaks."""
-    mask = match_peaks(observed_mz, ladder_mz, tolerance)
+    mask = match_peaks(observed_mz, ladder, tolerance)
     return int(mask.sum()), float(observed_intensity[mask].sum())
 
 

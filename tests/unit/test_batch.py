@@ -18,7 +18,7 @@ from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.spectra.theoretical import (
     IonSeries,
-    by_ion_ladder_rows,
+    by_ion_ladders,
     by_model_rows,
     fragment_mz,
     fragment_mz_rows,
@@ -173,7 +173,7 @@ class TestBatchedKernels:
         )
 
     def test_ladder_rows_match_scalar(self):
-        ladders = by_ion_ladder_rows(self.masses)
+        ladders = by_ion_ladders(self.masses)
         for i, row in enumerate(self.rows):
             assert ladders[i].tobytes() == by_ion_ladder(row).tobytes()
 
@@ -196,7 +196,7 @@ class TestBatchedKernels:
         are its scalar ones bit for bit, then ``+inf`` pads."""
         lengths = np.arange(len(self.rows)) % 9 + 1
         masses = np.where(np.arange(9) < lengths[:, None], self.masses, 0.0)
-        ladders = by_ion_ladder_rows(masses, lengths)
+        ladders = by_ion_ladders(masses, lengths)
         model, y_rows = by_model_rows(masses, lengths)
         frags = {s: fragment_mz_rows(masses, s, lengths=lengths) for s in IonSeries}
         for i, (row, length) in enumerate(zip(self.rows, lengths)):
@@ -213,17 +213,17 @@ class TestBatchedKernels:
 
     def test_short_rows_yield_empty_fragments(self):
         short = self.masses[:, :1]
-        assert by_ion_ladder_rows(short).shape == (25, 0)
+        assert by_ion_ladders(short).shape == (25, 0)
         assert fragment_mz_rows(short, IonSeries.B).shape == (25, 0)
 
     def test_count_matches_rows_match_scalar(self):
-        ladders = by_ion_ladder_rows(self.masses)
+        ladders = by_ion_ladders(self.masses)
         counts = count_matches_pairs(self.cohort, self.member, ladders, 0.5)
         for i in range(len(ladders)):
             assert counts[i] == count_matches(self.obs_mz, ladders[i], 0.5)
 
     def test_matched_intensity_rows_match_scalar(self):
-        ladders = by_ion_ladder_rows(self.masses)
+        ladders = by_ion_ladders(self.masses)
         counts, sums = matched_intensity_pairs(self.cohort, self.member, ladders, 0.5)
         for i in range(len(ladders)):
             ref_n, ref_sum = matched_intensity(self.obs_mz, self.obs_int, ladders[i], 0.5)
@@ -231,13 +231,13 @@ class TestBatchedKernels:
             assert sums[i].tobytes() == np.float64(ref_sum).tobytes()
 
     def test_match_peaks_pairs_match_scalar(self):
-        ladders = by_ion_ladder_rows(self.masses)
+        ladders = by_ion_ladders(self.masses)
         mask = match_peaks_pairs(self.cohort, self.member, ladders, 0.5)
         for i in range(len(ladders)):
             assert np.array_equal(mask[i], match_peaks(ladders[i], self.obs_mz, 0.5))
 
     def test_empty_observed_spectrum(self):
-        ladders = by_ion_ladder_rows(self.masses)
+        ladders = by_ion_ladders(self.masses)
         empty = self._cohort(np.empty(0), np.empty(0))
         assert np.all(count_matches_pairs(empty, self.member, ladders, 0.5) == 0)
         counts, sums = matched_intensity_pairs(empty, self.member, ladders, 0.5)

@@ -19,7 +19,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.index import IndexBuilder
 from repro.index import fragment_index
 from repro.index.layout import ARRAY_NAMES, POSTING_ROW_DTYPE, ROW_ARRAYS
-from repro.spectra.theoretical import IonSeries, by_ion_ladder_rows, fragment_mz_rows
+from repro.spectra.theoretical import IonSeries, fragment_mz_rows
 from repro.store import save_index, save_partitioned_index
 from repro.store.index_store import rows_digest
 from repro.workloads.synthetic import generate_database
@@ -37,9 +37,9 @@ def db():
 
 def reference_arrays(db, builder):
     """The timsort build: one stable mass argsort of the unsorted rows, then
-    per length group the fragment matrices, and per posting list one stable
-    argsort of ``bin * (num_rows + 1) + row``, every column gathered and
-    the rows cast to the posting dtype."""
+    per length group the b and the y fragment matrices, and one stable
+    argsort of ``bin * (num_rows + 1) + row`` over the posting list, every
+    column gathered and the rows cast to the posting dtype."""
     mass, key = _unsorted_rows(db)
     order = np.argsort(mass, kind="stable")
     arrays = dict(zip(ROW_ARRAYS, (mass[order], key[order])))
@@ -49,25 +49,22 @@ def reference_arrays(db, builder):
     )
     held = np.flatnonzero((spans.lengths >= 2) & (spans.lengths <= builder.max_length))
     residue_mass = mass_table(builder.monoisotopic)
-    parts = {"ladder": [], "series": []}
+    parts = []
     for length in np.unique(spans.lengths[held]).tolist():
         rows = held[spans.lengths[held] == length]
         first = db.offsets[spans.seq_index[rows]] + spans.start[rows]
         mass_rows = residue_mass[db.residues[first[:, None] + np.arange(length)]]
-        parts["ladder"].append((by_ion_ladder_rows(mass_rows), rows, 0))
         for code, series in enumerate((IonSeries.B, IonSeries.Y)):
-            parts["series"].append((fragment_mz_rows(mass_rows, series), rows, code))
-    for name, lists in parts.items():
-        mz = np.concatenate([m.ravel() for m, _r, _c in lists])
-        row = np.concatenate([np.repeat(r, m.shape[1]) for m, r, _c in lists])
-        tag = np.concatenate([np.full(m.size, c, dtype=np.uint8) for m, _r, c in lists])
-        bins = (mz / builder.bin_width).astype(np.int64)
-        order = np.argsort(bins * (num_rows + 1) + row, kind="stable")
-        arrays[f"{name}_mz"] = mz[order]
-        arrays[f"{name}_row"] = row[order].astype(POSTING_ROW_DTYPE)
-        arrays[f"{name}_bin_start"] = np.searchsorted(bins[order], np.arange(bins.max() + 2))
-        if name == "series":
-            arrays["series_tag"] = tag[order]
+            parts.append((fragment_mz_rows(mass_rows, series), rows, code))
+    mz = np.concatenate([m.ravel() for m, _r, _c in parts])
+    row = np.concatenate([np.repeat(r, m.shape[1]) for m, r, _c in parts])
+    tag = np.concatenate([np.full(m.size, c, dtype=np.uint8) for m, _r, c in parts])
+    bins = (mz / builder.bin_width).astype(np.int64)
+    order = np.argsort(bins * (num_rows + 1) + row, kind="stable")
+    arrays["series_mz"] = mz[order]
+    arrays["series_row"] = row[order].astype(POSTING_ROW_DTYPE)
+    arrays["series_tag"] = tag[order]
+    arrays["series_bin_start"] = np.searchsorted(bins[order], np.arange(bins.max() + 2))
     return arrays
 
 
@@ -93,16 +90,15 @@ class TestTheDatabaseHasTies:
         tied = mass[1:] == mass[:-1]
         assert tied.sum() > 100 and (key[1:] != key[:-1])[tied].all()
 
-    @pytest.mark.parametrize("name", ["ladder", "series"])
-    def test_same_bin_and_row_postings(self, reference, name):
-        bin_start = reference[f"{name}_bin_start"]
+    def test_same_bin_and_row_postings(self, reference):
+        bin_start = reference["series_bin_start"]
         bins = np.repeat(np.arange(len(bin_start) - 1), np.diff(bin_start))
-        row, mz = reference[f"{name}_row"], reference[f"{name}_mz"]
+        row, mz = reference["series_row"], reference["series_mz"]
         tied = (bins[1:] == bins[:-1]) & (row[1:] == row[:-1])
         assert (mz[1:] != mz[:-1])[tied].any()
-        if name == "series":  # a b and a y fragment of one row share a bin
-            tag = reference["series_tag"]
-            assert (tag[1:] != tag[:-1])[tied].any()
+        # a b and a y fragment of one row share a bin
+        tag = reference["series_tag"]
+        assert (tag[1:] != tag[:-1])[tied].any()
 
 
 class TestBuildsEqualTheTimsortReference:
@@ -162,9 +158,9 @@ class TestRunEdgesKeepTheOrder:
         return reference_arrays(small_db, IndexBuilder())
 
     def test_the_small_database_has_ties(self, small_reference):
-        bin_start = small_reference["ladder_bin_start"]
+        bin_start = small_reference["series_bin_start"]
         bins = np.repeat(np.arange(len(bin_start) - 1), np.diff(bin_start))
-        row = small_reference["ladder_row"]
+        row = small_reference["series_row"]
         same_bin = bins[1:] == bins[:-1]
         assert (row[1:] != row[:-1])[same_bin].any()  # a bin of several rows
         assert (row[1:] == row[:-1])[same_bin].any()  # and (bin, row) ties

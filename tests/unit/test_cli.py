@@ -58,6 +58,27 @@ class TestValidation:
         assert exc.value.code == 2
         assert "expected a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "infinity"])
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["search", "--memory-budget-mb"],
+            ["search", "--delta"],
+            ["search", "--task-timeout"],
+            ["search", "--partition-mb"],
+            ["index", "build", "out", "--fragment-tolerance"],
+            ["serve", "--admission-timeout"],
+        ],
+    )
+    def test_non_finite_values_rejected(self, option, value, capsys):
+        """A NaN budget compares false with every size, so it would switch
+        the budget check off; every positive float option refuses it and
+        an infinite one alike."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*option, value])
+        assert exc.value.code == 2
+        assert "expected a finite value > 0" in capsys.readouterr().err
+
     def test_removed_sweep_flags_rejected(self, capsys):
         """The sweep is the only engine path: there is no flag to pick it."""
         for argv in (["search", "--use-sweep"], ["search", "--no-sweep"], ["serve", "--no-sweep"]):

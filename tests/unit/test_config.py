@@ -35,6 +35,13 @@ class TestSearchConfig:
         with pytest.raises(ConfigError):
             SearchConfig(fragment_tolerance=0.0)
 
+    @pytest.mark.parametrize("field", ["delta", "fragment_tolerance"])
+    def test_nan_tolerance_is_refused(self, field):
+        """NaN compares false with every bound, so ``x < 0`` let it through
+        to a raw numpy error mid-search."""
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            SearchConfig(**{field: float("nan")})
+
     def test_invalid_min_candidate_length(self):
         with pytest.raises(ConfigError):
             SearchConfig(min_candidate_length=0)

@@ -24,6 +24,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IndexBuilder(max_length=1)
 
+    def test_rejects_nan_tolerance(self, db):
+        """Refused at construction, not as a raw ``np.bincount`` error from
+        the build."""
+        with pytest.raises(ValueError, match="fragment_tolerance must be > 0, got nan"):
+            IndexBuilder(fragment_tolerance=float("nan"))
+
     def test_counts_and_sizes_are_consistent(self, db):
         from repro.candidates.mass_index import MassIndex
 
@@ -35,8 +41,8 @@ class TestConstruction:
         held = index.holds(np.arange(index.num_rows))
         assert np.array_equal(held, (lengths >= 2) & (lengths <= 12))
         assert 0 < int(held.sum()) < index.num_rows
-        # every held row posts its 2(L-1) fragments in both lists
-        assert index.num_fragments == int(4 * (lengths[held] - 1).sum())
+        # every held row posts its 2(L-1) b and y ions once
+        assert index.num_fragments == int(2 * (lengths[held] - 1).sum())
         assert index.nbytes > 0
 
     def test_bin_width_floor(self, db):
@@ -65,16 +71,16 @@ class TestConstruction:
 
 
 class TestLayoutIsPostingsOnly:
-    """The index is its row table plus the two posting lists that address
-    it: a per-fragment or per-row column beyond those cannot come back
-    unnoticed."""
+    """The index is its row table plus the one posting list that
+    addresses it: a per-fragment or per-row column beyond those, or a
+    second list, cannot come back unnoticed."""
 
     def test_resident_array_names(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
         # the index alone: the database its rows name rides beside it
         expect = set(ROW_ARRAYS) | set(POSTING_ARRAYS)
         assert set(built.arrays) == set(built.layout.arrays) == set(ARRAY_NAMES) == expect
-        assert len(expect) == 9
+        assert len(expect) == 6
 
     def test_partition_array_names(self, tiny_db, tmp_path):
         from repro.store import save_partitioned_index
@@ -86,16 +92,13 @@ class TestLayoutIsPostingsOnly:
         assert sorted(p.stem for p in (store.path / "index").iterdir()) == sorted(ROW_ARRAYS)
 
     def test_bytes_per_fragment_bound(self, tiny_db):
-        """The postings: 12 B per ladder posting, 13 B per series
-        posting (an int32 row id each), and the bin-start tables —
-        nothing else."""
+        """The postings: 13 B per posted fragment (its m/z, an int32 row
+        id and its series tag), and one bin-start table — nothing
+        else."""
         layout = IndexBuilder().build(tiny_db).layout
-        tables = (
-            layout.arrays["ladder_bin_start"].nbytes
-            + layout.arrays["series_bin_start"].nbytes
-        )
+        table = layout.arrays["series_bin_start"].nbytes
         postings = sum(layout.arrays[name].nbytes for name in POSTING_ARRAYS)
-        assert postings <= 13 * layout.num_fragments + tables
+        assert postings <= 13 * layout.num_fragments + table
 
     def test_bytes_per_row_bound(self, tiny_db):
         """The row table: a float64 mass and an int32 key, 12 B a row."""
@@ -110,12 +113,12 @@ class TestLayoutIsPostingsOnly:
 class TestBuildMemory:
     def test_the_build_holds_little_more_than_it_writes(self):
         """``IndexBuilder.build`` over a table it is handed, at 250 seeded
-        proteins (2 x 1 128 000 postings): the traced peak stays within
-        1.75x the posting arrays it returns.  Beside them the build holds
-        one list's generated m/z (8 B a fragment of that list, the
-        postings being 25 B a fragment of both) and one run's transients
-        (``BUILD_CHUNK_FRAGMENTS`` fragments): 1.62x.  A build that sorts
-        a whole list at once peaks at 2.4x."""
+        proteins (1 128 000 postings): the traced peak stays within 1.75x
+        the posting arrays it returns.  Beside them the build holds the
+        envelope and one run's transients (``BUILD_CHUNK_FRAGMENTS``
+        fragments), each run generated once to count its bins and again
+        to place them.  A build that keeps every run's m/z between the
+        two passes peaks at ~2.2x."""
         import tracemalloc
 
         from repro.candidates.mass_index import MassIndex
@@ -129,7 +132,7 @@ class TestBuildMemory:
         finally:
             tracemalloc.stop()
         postings = sum(built.arrays[name].nbytes for name in POSTING_ARRAYS)
-        assert built.layout.num_fragments == 2 * 1_128_000
+        assert built.layout.num_fragments == 1_128_000
         assert peak <= 1.75 * postings, (peak, postings)
 
 

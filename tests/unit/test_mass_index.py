@@ -398,10 +398,8 @@ class TestRowKeys:
 
         def checked_probe(index, scorer, spectra, row_sets):
             assert all(rows.dtype == np.int64 for rows in row_sets)
-            for name in ("ladder_row", "series_row"):
-                assert np.asarray(index.arrays[name]).dtype == np.int32, name
-            for name in ("ladder_bin_start", "series_bin_start"):
-                assert np.asarray(index.arrays[name]).dtype == np.int64, name
+            assert np.asarray(index.arrays["series_row"]).dtype == np.int32
+            assert np.asarray(index.arrays["series_bin_start"]).dtype == np.int64
             return score_block(index, scorer, spectra, row_sets)
 
         monkeypatch.setattr(MassIndex, "sweep_spans", checked_sweep)

@@ -32,7 +32,7 @@ from repro.store.index_store import DATABASE_ARRAYS
 
 #: a posting list and a row column of the index, and a database buffer:
 #: the targets of every damage case below
-DAMAGE_TARGETS = (("index", "ladder_mz"), ("index", "row_mass"), ("database", "offsets"))
+DAMAGE_TARGETS = (("index", "series_mz"), ("index", "row_mass"), ("database", "offsets"))
 
 
 @pytest.fixture()
@@ -95,7 +95,7 @@ class TestRoundTrip:
         for arr in loaded.database.to_buffers():
             assert not np.asarray(arr).flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
-            loaded.index.arrays["ladder_mz"][...] = 0.0
+            loaded.index.arrays["series_mz"][...] = 0.0
 
     def test_loaded_shard_reconstructs_database(self, tiny_db, store_path):
         loaded = open_index(store_path).load_shard()
@@ -229,7 +229,7 @@ class TestRejection:
             open_index(store_path)
 
     def test_missing_layout_array(self, store_path):
-        self._edit_header(store_path, lambda h: h["index"]["arrays"].pop("ladder_mz"))
+        self._edit_header(store_path, lambda h: h["index"]["arrays"].pop("series_mz"))
         with pytest.raises(IndexStoreError, match="missing arrays"):
             open_index(store_path)
 
@@ -268,6 +268,7 @@ class TestRejection:
             "repro.index_store/4",
             "repro.index_store/5",
             "repro.index_store/6",
+            "repro.index_store/7",
             "repro.index_store_partitioned/1",
             "repro.index_store_partitioned/2",
             "repro.index_store_partitioned/3",
@@ -279,7 +280,8 @@ class TestRejection:
     ):
         """A store of an earlier schema (matrix cache, key columns, one
         directory per shard, per-residue row maps, four-column rows,
-        int64 posting rows; the partitioned store's
+        int64 posting rows, a ladder list beside the series list; the
+        partitioned store's
         posting lists and overflow blob, a schema-salted fingerprint, its
         compressed partition blobs) is never read: every way of opening
         it names the command that rebuilds it."""
@@ -377,9 +379,9 @@ class TestLayout:
     def test_check_arrays_reports_mismatches(self, tiny_db):
         built = IndexBuilder().build(tiny_db)
         arrays = dict(built.arrays)
-        arrays["ladder_row"] = arrays["ladder_row"].astype(np.int64)
+        arrays["series_row"] = arrays["series_row"].astype(np.int64)
         problems = built.layout.check_arrays(arrays)
-        assert any("ladder_row" in p and "dtype" in p for p in problems)
+        assert any("series_row" in p and "dtype" in p for p in problems)
 
     def test_malformed_array_spec_rejected(self):
         with pytest.raises(IndexStoreError, match="malformed array spec"):
