@@ -15,6 +15,7 @@ the final output order-independent.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -263,11 +264,19 @@ class QueryBlock:
             self.masses = masses[self.order]
             self.lows = self.masses - delta
             self.highs = self.masses + delta
-        self._root = self
+        self._root: Optional[QueryBlock] = None  # a slice's whole block
         self._start = 0  # where this block's members start in the root's mass order
         self._plan: Optional[SweepPlan] = None
         self._batch: Optional[SpectrumBatch] = None  # the root's, in mass order
-        self._slices: Dict[Tuple[int, int], "QueryBlock"] = {}
+        # held weakly: a slice holds its root, so the block is never cyclic
+        # garbage — its batch, bindings and peak locators go with the last
+        # reference to it, not at some later collection
+        self._slices: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    @property
+    def _whole(self) -> "QueryBlock":
+        """The block this one is a slice of (itself when it is no slice)."""
+        return self if self._root is None else self._root
 
     @classmethod
     def prepare(
@@ -297,7 +306,7 @@ class QueryBlock:
         For a block swept against several tables, its slices among them:
         the packed peaks and each scorer's binding then serve every pass.
         """
-        root = self._root
+        root = self._whole
         if root._batch is None:
             root._batch = SpectrumBatch([root.queries[m] for m in root.order.tolist()])
         return self
@@ -305,15 +314,16 @@ class QueryBlock:
     def spectra(self, a: int, b: int) -> SpectrumBatch:
         """Members ``[a, b)`` of the mass order: a slice of the packed
         batch, or a batch of their own if the block is not packed."""
-        root = self._root
+        root = self._whole
         a, b = self._start + a, self._start + b
         if root._batch is None:
             return SpectrumBatch([root.queries[m] for m in root.order[a:b].tolist()])
         return root._batch.slice(a, b)
 
     def slice(self, a: int, b: int) -> "QueryBlock":
-        """Members ``[a, b)`` of the mass order as a block (made once)."""
-        root = self._root
+        """Members ``[a, b)`` of the mass order as a block (made once while
+        it is held)."""
+        root = self._whole
         a, b = self._start + a, self._start + b
         if (a, b) == (0, len(root)):
             return root
@@ -326,7 +336,6 @@ class QueryBlock:
             part.masses, part.lows, part.highs = root.masses[a:b], root.lows[a:b], root.highs[a:b]
             part._root, part._start = root, a
             part._plan = part._batch = None
-            part._slices = {}
             root._slices[(a, b)] = part
         return part
 

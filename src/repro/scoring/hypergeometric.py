@@ -37,7 +37,7 @@ class HypergeometricScorer:
     relative_cost = 4.0
 
     def __init__(self, fragment_tolerance: float = 0.5, mz_range: float = 2000.0):
-        if fragment_tolerance <= 0:
+        if not fragment_tolerance > 0:  # NaN included
             raise ValueError(f"fragment_tolerance must be > 0, got {fragment_tolerance}")
         if mz_range <= 0:
             raise ValueError(f"mz_range must be > 0, got {mz_range}")

@@ -44,7 +44,7 @@ class HyperScorer:
     relative_cost = 1.5
 
     def __init__(self, fragment_tolerance: float = 0.5):
-        if fragment_tolerance <= 0:
+        if not fragment_tolerance > 0:  # NaN included
             raise ValueError(f"fragment_tolerance must be > 0, got {fragment_tolerance}")
         self.fragment_tolerance = fragment_tolerance
 

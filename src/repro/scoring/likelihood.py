@@ -55,7 +55,7 @@ class LikelihoodRatioScorer:
     relative_cost = 8.0
 
     def __init__(self, fragment_tolerance: float = 0.5, p_detect: float = 0.7):
-        if fragment_tolerance <= 0:
+        if not fragment_tolerance > 0:  # NaN included
             raise ValueError(f"fragment_tolerance must be > 0, got {fragment_tolerance}")
         if not 0.0 < p_detect < 1.0:
             raise ValueError(f"p_detect must be in (0, 1), got {p_detect}")

@@ -14,7 +14,11 @@ SCORER_NAMES = ("shared_peaks", "likelihood", "hyperscore", "xcorr", "hypergeome
 
 
 def make_scorer(name: str, fragment_tolerance: float = 0.5) -> Scorer:
-    """Instantiate a scorer by name."""
+    """Instantiate a scorer by name.  The tolerance is checked here too,
+    since xcorr (which bins instead) takes none: NaN or ``<= 0`` is a
+    ``ValueError`` under every name."""
+    if not fragment_tolerance > 0:  # NaN included
+        raise ValueError(f"fragment_tolerance must be > 0, got {fragment_tolerance}")
     if name == "shared_peaks":
         return SharedPeakScorer(fragment_tolerance)
     if name == "likelihood":

@@ -4,8 +4,8 @@ Scorers need to answer, many thousands of times per query: *which peaks
 of the experimental spectrum are explained by the candidate's fragment
 ladder, within a fragment-mass tolerance?*  Peak ``p`` matches fragment
 ``f`` iff ``p - tol <= f <= p + tol``; with both arrays sorted by m/z
-this is vectorized ``searchsorted`` calls — no Python loop per peak or
-per candidate.
+this is one lookup of each fragment in a bin -> first-peak table plus a
+few vectorized steps — no Python loop per peak, candidate or member.
 """
 
 from __future__ import annotations
@@ -127,10 +127,11 @@ def row_prefix_sums(matrix: np.ndarray, widths: Optional[np.ndarray]) -> np.ndar
 # *different* member spectra of one
 # :class:`~repro.spectra.spectrum_batch.SpectrumBatch`: ``member[r]`` names
 # the spectrum row ``r`` is matched against and is non-decreasing, so each
-# member's rows are one contiguous run.  Only the binary searches run per
-# member (each against that member's own slice of the batch's flat peak
-# arrays — the same floats the scalar matcher searches); everything
-# after them is row-wise and runs once for all rows.
+# member's rows are one contiguous run.  Peaks are found through the
+# batch's :class:`~repro.spectra.spectrum_batch.PeakLocator` (each member's
+# own padded peaks — the same floats the scalar matcher searches, its
+# ``searchsorted`` result bitwise), so every step is row-wise and runs
+# once for all rows.
 
 
 def sorted_runs(values: np.ndarray) -> List[Tuple[int, int, int]]:
@@ -211,27 +212,6 @@ def stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ordered, order
 
 
-def _searchsorted_runs(
-    keys: np.ndarray,
-    offsets: np.ndarray,
-    runs: List[Tuple[int, int, int]],
-    rows: np.ndarray,
-    side: str,
-) -> np.ndarray:
-    """``np.searchsorted`` of each run's rows in its member's slice of ``keys``.
-
-    Positions are member-local.  With a single run the one search's
-    result is returned as is.
-    """
-    if len(runs) == 1:
-        k = runs[0][0]
-        return keys[offsets[k] : offsets[k + 1]].searchsorted(rows, side)
-    out = np.empty(rows.shape, dtype=np.int64)
-    for k, a, b in runs:
-        out[a:b] = keys[offsets[k] : offsets[k + 1]].searchsorted(rows[a:b], side)
-    return out
-
-
 def match_peaks_pairs(
     batch, member: np.ndarray, query_rows: np.ndarray, tolerance: float
 ) -> np.ndarray:
@@ -239,15 +219,15 @@ def match_peaks_pairs(
     whether ``query_rows[r, j]`` lies within ``tolerance`` of a peak of
     member ``member[r]`` (rows need not be sorted).
 
-    One search per member: the scalar matcher's ``hi > lo`` (two
+    One lookup per fragment: the scalar matcher's ``hi > lo`` (two
     ``searchsorted`` calls over the fragments) holds exactly when the
     member's first peak at or above ``f - tol`` (its ``+inf`` pad when
-    there is none) is at most ``f + tol``.
+    there is none), found by the batch's unshifted
+    :class:`~repro.spectra.spectrum_batch.PeakLocator`, is at most
+    ``f + tol``.
     """
-    mz, offsets = batch.padded_mz()
-    first = _searchsorted_runs(mz, offsets, sorted_runs(member), query_rows - tolerance, "left")
-    first += offsets[member][:, None]
-    return mz[first] <= query_rows + tolerance
+    _first, found = batch.locator(0.0).locate(member, query_rows - tolerance)
+    return found <= query_rows + tolerance
 
 
 def _fresh_intervals_pairs(
@@ -262,22 +242,21 @@ def _fresh_intervals_pairs(
     since a member's peaks are sorted ascending.  Rows of ``frag_rows``
     must be sorted ascending too.
 
-    One binary search per fragment finds ``lo``, the first peak with
-    ``f <= p + tol``.  Every peak before it has ``p - tol <= p + tol <
-    f``, so ``hi`` — past the last peak with ``p - tol <= f`` — is at or
-    after ``lo``, and the peaks in between are the ones stepped over from
-    ``lo`` while ``p - tol <= f``: a few steps over all fragments at once
-    instead of a second search.  Each member's pad slot holds NaN, which
-    compares false with every fragment, ``+inf`` pads included, so no
-    step leaves its member.
+    One lookup per fragment in the batch's locator of ``mz + tol`` finds
+    ``lo``, the first peak with ``f <= p + tol``.  Every peak before it
+    has ``p - tol <= p + tol < f``, so ``hi`` — past the last peak with
+    ``p - tol <= f`` — is at or after ``lo``, and the peaks in between
+    are the ones stepped over from ``lo`` while ``p - tol <= f``: a few
+    steps over all fragments at once instead of a second search.  Each
+    member's pad slot holds NaN, which compares false with every
+    fragment, ``+inf`` pads included, so no step leaves its member.
     """
-    runs = sorted_runs(member)
-    lo = _searchsorted_runs(batch.mz + tolerance, batch.offsets, runs, frag_rows, "left")
+    at = batch.locator(tolerance).locate(member, frag_rows)[0]  # each fragment's lo, padded
     padded, offsets = batch.padded_mz()
     low_edge = padded - tolerance
     low_edge[offsets[1:] - 1] = np.nan
-    at = (lo + offsets[member][:, None]).ravel()  # each fragment's peak lo, padded
-    frags = frag_rows.ravel()
+    lo = at - offsets[member][:, None]
+    at, frags = at.reshape(-1), frag_rows.ravel()
     hi = lo.copy()
     flat_hi = hi.reshape(-1)
     live = np.flatnonzero(low_edge[at] <= frags)  # fragments whose next peak matches

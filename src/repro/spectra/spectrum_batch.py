@@ -13,10 +13,16 @@ produces results bitwise identical to the per-query path.  For the same
 reason a contiguous range of members, :meth:`SpectrumBatch.slice`, is a
 batch of its own made of views: a rank packs its queries once and every
 scoring block of every shard pass reads a slice of that one batch.
+
+A batch also keeps, per key shift, a :class:`PeakLocator`: a bin ->
+first-peak table over its padded peaks that answers the cohort
+matchers' "first peak at or above ``x``" by one gather and a few steps
+instead of a binary search per member.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +41,9 @@ class SpectrumBatch:
             ``[offsets[k], offsets[k + 1])``.
     """
 
-    __slots__ = ("spectra", "mz", "intensity", "offsets", "_padded", "_bound", "_source")
+    __slots__ = (
+        "spectra", "mz", "intensity", "offsets", "_padded", "_bound", "_locators", "_source"
+    )
 
     def __init__(self, spectra: Sequence[Spectrum]):
         self.spectra: List[Spectrum] = list(spectra)
@@ -53,11 +61,13 @@ class SpectrumBatch:
             self.intensity = np.empty(0, dtype=np.float64)
         self._padded = None
         self._bound: Dict[Hashable, Any] = {}
+        self._locators: Dict[float, PeakLocator] = {}
         self._source = None  # (parent, a, b) of a slice
 
     def slice(self, a: int, b: int) -> "SpectrumBatch":
         """Members ``[a, b)`` as a batch of their own: views of this batch's
-        flat arrays (and of its padded peaks and bindings, once made)."""
+        flat arrays (and of its padded peaks, bindings and locators, once
+        made)."""
         part = SpectrumBatch.__new__(SpectrumBatch)
         lo, hi = self.offsets[a], self.offsets[b]
         part.spectra = self.spectra[a:b]
@@ -66,6 +76,7 @@ class SpectrumBatch:
         part.offsets = self.offsets[a : b + 1] - lo
         part._padded = None
         part._bound = {}
+        part._locators = {}
         part._source = (self, a, b)
         return part
 
@@ -106,6 +117,107 @@ class SpectrumBatch:
                 binding = parent.bound(scorer)[a:b]
             self._bound[key] = binding
         return binding
+
+    def locator(self, shift: float) -> "PeakLocator":
+        """The :class:`PeakLocator` of the keys ``padded_mz() + shift``,
+        made once per shift.  A slice reads its parent's table (a view and
+        an offset), never a copy of it."""
+        loc = self._locators.get(shift)
+        if loc is None:
+            if self._source is None:
+                loc = PeakLocator(*self.padded_mz(), shift)
+            else:
+                parent, a, b = self._source
+                lo, hi = parent.padded_mz()[1][[a, b]]
+                loc = parent.locator(shift).slice(a, b, int(lo), int(hi))
+            self._locators[shift] = loc
+        return loc
+
+
+BINS_PER_PEAK = 16
+"""Table bins per peak of an average member, to within a factor of
+``sqrt(2)`` (the bin width is a power of two): few enough that a table
+costs ``4 * BINS_PER_PEAK`` bytes a peak, many enough that a needle's own
+bin rarely holds a peak below it."""
+
+
+class PeakLocator:
+    """Per member, the first padded peak key at or above a needle.
+
+    ``keys`` are a batch's padded peaks plus a shift (its ``+inf`` pads
+    stay ``+inf``); ``bin(x) = clip(floor(x * inv_width), 0, nb)``.
+    ``table[m * (nb + 1) + k]`` is the position of member ``m``'s first key
+    with ``bin(key) >= k``, counted from the first key of the batch the
+    table was built for; ``base`` is where this batch's keys start there
+    (0 unless it is a slice).
+
+    :meth:`locate` gathers the table entry of each needle's bin and steps
+    forward while the key is below the needle.  That is exact: ``bin`` is
+    monotone (a product by a positive constant, clipped and floored, never
+    reverses an order; with ``inv_width`` a power of two it is not even
+    rounded), so every key of a lower bin than the needle's is below it,
+    and no step passes a member's ``+inf`` pad.
+    """
+
+    __slots__ = ("keys", "table", "inv_width", "nb", "base")
+
+    def __init__(self, padded: np.ndarray, offsets: np.ndarray, shift: float):
+        """Build over a whole batch's padded peaks: one ``repeat`` of the
+        key positions by how many bins each key's (member, bin) code
+        opens, so no table-sized temporary is made."""
+        if len(padded) > np.iinfo(np.int32).max:
+            raise ValueError(f"{len(padded)} padded peaks do not fit int32 positions")
+        self.keys = padded if shift == 0 else padded + shift
+        counts = np.diff(offsets)  # peaks + 1 a member
+        members = len(counts)
+        peaks = len(padded) - members
+        top = float(np.max(self.keys, initial=0.0, where=np.isfinite(self.keys)))
+        target = BINS_PER_PEAK * peaks / max(members, 1)
+        exponent = round(math.log2(target / top)) if target > 0 and top > 0 else 0
+        self.inv_width = math.ldexp(1.0, max(-60, min(60, exponent)))
+        self.nb = max(1, math.ceil(top * self.inv_width))
+        self.base = 0
+        codes = self.bins(self.keys)  # pads: nb
+        codes += np.repeat(np.arange(members, dtype=np.intp) * (self.nb + 1), counts)
+        # codes are non-decreasing; entry j is the first position whose code is >= j
+        self.table = np.repeat(
+            np.arange(len(codes), dtype=np.int32), np.diff(codes, prepend=-1)
+        )
+
+    def slice(self, a: int, b: int, lo: int, hi: int) -> "PeakLocator":
+        """Members ``[a, b)``, whose padded keys are ``keys[lo:hi]``: views."""
+        part = PeakLocator.__new__(PeakLocator)
+        stride = self.nb + 1
+        part.keys = self.keys[lo:hi]
+        part.table = self.table[a * stride : b * stride]
+        part.inv_width, part.nb = self.inv_width, self.nb
+        part.base = self.base + lo
+        return part
+
+    def bins(self, x: np.ndarray) -> np.ndarray:
+        """``clip(floor(x * inv_width), 0, nb)`` as ``intp`` (the cast
+        truncates, which is the floor once clipped at 0)."""
+        at = x * self.inv_width
+        np.clip(at, 0, self.nb, out=at)
+        return at.astype(np.intp)
+
+    def locate(self, member: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, found)`` for a ``(rows, width)`` needle matrix: the
+        position in ``keys`` of member ``member[r]``'s first key ``>= x[r,
+        j]`` — bitwise ``np.searchsorted`` of the row in that member's padded
+        keys plus the member's padded offset — and that key.  Needles must
+        not be NaN."""
+        pos = self.bins(x)
+        pos += (member * (self.nb + 1))[:, None]
+        np.subtract(self.table.take(pos), self.base, out=pos)
+        flat, needles = pos.reshape(-1), x.reshape(-1)
+        found = self.keys.take(flat)
+        live = np.flatnonzero(found < needles)
+        while len(live):
+            flat[live] += 1
+            found[live] = step = self.keys.take(flat[live])
+            live = live[step < needles[live]]
+        return pos, found.reshape(x.shape)
 
 
 def flatten_members(per_member: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

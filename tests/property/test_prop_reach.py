@@ -12,6 +12,7 @@ full-table searcher does.
 """
 
 import pickle
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -27,12 +28,7 @@ from repro.core.config import SearchConfig
 from repro.core.search import ShardSearcher
 from repro.errors import ConfigError
 from repro.scoring.hits import pack_hit_columns
-from repro.spectra.binning import (
-    _fresh_intervals,
-    _fresh_intervals_pairs,
-    _searchsorted_runs,
-    sorted_runs,
-)
+from repro.spectra.binning import _fresh_intervals, _fresh_intervals_pairs, sorted_runs
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.spectrum_batch import SpectrumBatch
 from repro.workloads import generate_database, generate_queries
@@ -197,6 +193,27 @@ def test_the_heaviest_tier_window_sits_exactly_at_the_reach():
 
 
 # -- the one-search peak-interval kernel ------------------------------
+
+
+def _searchsorted_runs(
+    keys: np.ndarray,
+    offsets: np.ndarray,
+    runs: List[Tuple[int, int, int]],
+    rows: np.ndarray,
+    side: str,
+) -> np.ndarray:
+    """``np.searchsorted`` of each run's rows in its member's slice of ``keys``.
+
+    Positions are member-local.  With a single run the one search's
+    result is returned as is.
+    """
+    if len(runs) == 1:
+        k = runs[0][0]
+        return keys[offsets[k] : offsets[k + 1]].searchsorted(rows, side)
+    out = np.empty(rows.shape, dtype=np.int64)
+    for k, a, b in runs:
+        out[a:b] = keys[offsets[k] : offsets[k + 1]].searchsorted(rows[a:b], side)
+    return out
 
 
 def two_search_intervals(batch, member, frag_rows, tolerance):

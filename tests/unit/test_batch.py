@@ -1,5 +1,7 @@
 """Unit tests for the batch candidate structure and batched kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from repro.candidates.generator import CandidateGenerator
 from repro.chem.amino_acids import STANDARD_MODIFICATIONS, encode_sequence
 from repro.chem.protein import ProteinDatabase
 from repro.spectra.binning import (
+    _fresh_intervals_pairs,
     count_matches_pairs,
     match_peaks_pairs,
     matched_intensity_pairs,
     row_segment_sums,
 )
 from repro.spectra.spectrum import Spectrum
-from repro.spectra.spectrum_batch import SpectrumBatch
+from repro.spectra.spectrum_batch import PeakLocator, SpectrumBatch
 from repro.spectra.theoretical import (
     IonSeries,
     by_ion_ladders,
@@ -251,3 +254,75 @@ class TestBatchedKernels:
         assert out[0] == values[[0, 1, 2]].sum()
         assert out[1] == 0.0
         assert out[2] == values[[0, 3]].sum()
+
+
+def _traced(make):
+    """``(result, held, peak)``: the bytes ``make()`` left allocated and
+    its high-water mark above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+class TestPeakLocatorMemory:
+    """What a batch's peak locators cost.  A table has about
+    ``BINS_PER_PEAK`` (16) int32 entries a peak of an average member,
+    ``sqrt(2)`` more at most (the bin width is a power of two), plus two a
+    member: ~64 and at most ~91 bytes a peak.  The shifted keys add 8."""
+
+    BYTES_PER_PEAK = 100  # held, table and shifted keys, members of >= 20 peaks
+    BUILD_BYTES_PER_PEAK = 32  # transient, above what is held: codes and their diff
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.default_rng(5)
+        spectra = []
+        for i in range(200):
+            mz = np.unique(rng.uniform(100.0, 2000.0, rng.integers(20, 120)))
+            spectra.append(Spectrum.from_peaks(mz, np.ones(len(mz)), 500.0, 1, i))
+        batch = SpectrumBatch(spectra)
+        batch.padded_mz()  # the matchers' own cache, not the locator's
+        return batch
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_bytes_per_peak(self, batch, shift):
+        fresh = SpectrumBatch(batch.spectra)
+        fresh.padded_mz()
+        locator, held, peak = _traced(lambda: fresh.locator(shift))
+        peaks = batch.num_peaks
+        assert locator.table.dtype == np.int32
+        assert locator.table.nbytes <= 4 * (np.sqrt(2) * 16 * peaks + 2 * len(batch))
+        assert held <= self.BYTES_PER_PEAK * peaks
+        assert peak - held <= self.BUILD_BYTES_PER_PEAK * peaks
+
+    def test_positions_past_int32_are_refused_before_any_allocation(self):
+        padded = np.broadcast_to(np.inf, (2**31,))  # a view of one float
+        with pytest.raises(ValueError, match="int32"):
+            PeakLocator(padded, np.array([0, 2**31]), 0.0)
+
+    def test_a_slice_copies_no_table(self, batch):
+        batch.locator(0.0), batch.locator(0.5)
+        part = batch.slice(10, 150)
+        part.padded_mz()
+        _, held, _ = _traced(lambda: (part.locator(0.0), part.locator(0.5)))
+        assert held < 2048  # two locators of views, ~0.4 KB each
+
+    def test_a_lookup_holds_no_more_than_a_binary_search(self, batch):
+        """Per needle, the transients of the two matchers stay those of
+        their ``searchsorted`` forms at this shape (25.2 and 34.6 bytes,
+        measured): the lookup's bins, positions and keys replace the
+        search's positions and the per-call ``mz + tol``."""
+        batch.locator(0.0), batch.locator(0.5)
+        rng = np.random.default_rng(6)
+        member = np.sort(rng.integers(0, len(batch), 3000))
+        rows = np.sort(rng.uniform(50.0, 2100.0, (3000, 24)), axis=1)
+        _, _, peak = _traced(lambda: match_peaks_pairs(batch, member, rows, 0.5))
+        assert peak <= 26 * rows.size
+        _, _, peak = _traced(lambda: _fresh_intervals_pairs(batch, member, rows, 0.5))
+        assert peak <= 36 * rows.size

@@ -261,6 +261,13 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             make_scorer("nope")
 
+    @pytest.mark.parametrize("name", SCORER_NAMES)
+    def test_nan_tolerance_rejected(self, name):
+        """A NaN tolerance fails every ``<=`` test, so a scorer that let it
+        through would score every candidate as unmatched."""
+        with pytest.raises(ValueError):
+            make_scorer(name, float("nan"))
+
 
 class TestHypergeometric:
     def test_invalid_params(self):
