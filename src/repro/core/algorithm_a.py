@@ -31,9 +31,8 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import partition_database, partition_queries
 from repro.core.results import SearchReport
-from repro.core.rotation import adopt_orphans, rotate, run_cluster
+from repro.core.rotation import PassLedger, adopt_orphans, rotate, run_cluster
 from repro.core.search import ShardSearcher
-from repro.scoring.hits import pack_hit_columns
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.spectrum import Spectrum
@@ -44,6 +43,7 @@ _WINDOW = "Di"
 
 def _rank_program(
     comm: SimComm,
+    ledger: PassLedger,
     searchers: Sequence[ShardSearcher],
     query_blocks: Sequence[List[Spectrum]],
     config: SearchConfig,
@@ -66,6 +66,7 @@ def _rank_program(
     # A2: p iterations of score-current / prefetch-next around the ring.
     hitlists, totals = yield from rotate(
         comm,
+        ledger,
         _WINDOW,
         my_searcher,
         order=[(i + s) % p for s in range(p)],
@@ -77,11 +78,13 @@ def _rank_program(
     )
 
     # A3: report the running top-tau lists.
-    reported = sum(min(len(h), config.tau) for h in hitlists.values())
+    reported = ledger.reported(hitlists.values(), config.tau)
     comm.compute(cost.report_time(reported), detail="A3 report")
 
-    yield from adopt_orphans(comm, _WINDOW, my_searcher, query_blocks, hitlists, totals, config)
-    return pack_hit_columns(hitlists, hitlists), totals, {}
+    yield from adopt_orphans(
+        comm, ledger, _WINDOW, my_searcher, query_blocks, hitlists, totals, config
+    )
+    return ledger.columns(hitlists), totals, {}
 
 
 def run_algorithm_a(

@@ -38,10 +38,10 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.partition import partition_database, partition_queries
 from repro.core.results import SearchReport
-from repro.core.rotation import adopt_orphans, rotate, run_cluster
+from repro.core.rotation import PassLedger, adopt_orphans, rotate, run_cluster
 from repro.core.search import ShardSearcher
 from repro.core.sort import parallel_counting_sort
-from repro.scoring.hits import TopHitList, pack_hit_columns
+from repro.scoring.hits import TopHitList
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.spectrum import Spectrum
@@ -51,6 +51,7 @@ _WINDOW = "Dsi"
 
 def _rank_program(
     comm: SimComm,
+    ledger: PassLedger,
     shards: Sequence[ProteinDatabase],
     query_blocks: Sequence[List[Spectrum]],
     config: SearchConfig,
@@ -103,6 +104,7 @@ def _rank_program(
 
     hitlists, totals = yield from rotate(
         comm,
+        ledger,
         _WINDOW,
         searcher,
         order=order,
@@ -118,11 +120,13 @@ def _rank_program(
     for q in my_queries:
         hitlists.setdefault(q.query_id, TopHitList(config.tau))
 
-    reported = sum(min(len(h), config.tau) for h in hitlists.values())
+    reported = ledger.reported(hitlists.values(), config.tau)
     comm.compute(cost.report_time(reported), detail="B3 report")
 
-    yield from adopt_orphans(comm, _WINDOW, searcher, query_blocks, hitlists, totals, config)
-    return pack_hit_columns(hitlists, hitlists), totals, {"sorting_time": sorting_time}
+    yield from adopt_orphans(
+        comm, ledger, _WINDOW, searcher, query_blocks, hitlists, totals, config
+    )
+    return ledger.columns(hitlists), totals, {"sorting_time": sorting_time}
 
 
 def run_algorithm_b(

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.candidates.generator import heaviest_parent_mass
 from repro.chem.protein import ProteinDatabase
 from repro.core.config import SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
-from repro.core.rotation import run_cluster, score_pass
+from repro.core.rotation import PassLedger, run_cluster, score_pass
 from repro.core.search import ShardSearcher, ShardStats, search_serial
-from repro.scoring.hits import HitColumns, TopHitList, pack_hit_columns
+from repro.errors import ConfigError
+from repro.scoring.hits import HitColumns, TopHitList
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.spectrum import Spectrum
@@ -36,7 +39,13 @@ _HIT_BYTES = 48  # transported size of one reported hit record
 _QUERY_TAG = 0
 
 
-def _master_program(comm: SimComm, queries: Sequence[Spectrum], config: SearchConfig, batch_size: int):
+def _master_program(
+    comm: SimComm,
+    _ledger: PassLedger,
+    queries: Sequence[Spectrum],
+    config: SearchConfig,
+    batch_size: int,
+):
     cost = config.cost
     comm.alloc("Q", sum(q.nbytes for q in queries))
     comm.compute(cost.query_load_cost * len(queries), detail="S1 load queries")
@@ -71,7 +80,9 @@ def _master_program(comm: SimComm, queries: Sequence[Spectrum], config: SearchCo
     return merged, ShardStats(), {}
 
 
-def _worker_program(comm: SimComm, searcher: ShardSearcher, config: SearchConfig):
+def _worker_program(
+    comm: SimComm, ledger: PassLedger, searcher: ShardSearcher, config: SearchConfig
+):
     cost = config.cost
     # S1: load the ENTIRE database — the O(N) step that breaks at scale.
     db_mem = cost.shard_bytes(searcher.shard)
@@ -83,9 +94,12 @@ def _worker_program(comm: SimComm, searcher: ShardSearcher, config: SearchConfig
         if batch is None:
             return None, totals, {}
         hitlists: Dict[int, TopHitList] = {}
-        # S3: real work, local only; a batch is no rotation step
-        totals.merge(score_pass(comm, searcher, batch, hitlists, config, "S3", rotation_step=False))
-        hits = pack_hit_columns(hitlists, hitlists)
+        # S3: real work, local only; a batch is no rotation step, and it
+        # is scored (the ledger flushed) before its reply
+        totals.merge(
+            score_pass(comm, ledger, searcher, batch, hitlists, config, "S3", rotation_step=False)
+        )
+        hits = ledger.columns(hitlists)
         comm.send(0, hits, _HIT_BYTES * max(len(hits.scores), 1))
 
 
@@ -102,8 +116,13 @@ def run_master_worker(
     ``num_ranks`` counts the master, so workers = num_ranks - 1; at
     ``num_ranks == 1`` the single rank degenerates to a serial search
     (master and worker roles fused), as MSPolygraph's uni-processor runs
-    do.
+    do.  ``batch_size`` is a whole number of queries, at least 1
+    (:class:`~repro.errors.ConfigError` otherwise).
     """
+    whole = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
+    if not whole or batch_size < 1:
+        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    batch_size = int(batch_size)
     config = config or SearchConfig()
     if num_ranks < 1:
         raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")

@@ -12,6 +12,18 @@ and its report step, and calls :func:`rotate` (the loop),
 The replicated-database baselines share :func:`run_cluster`, and
 master-worker charges its batches with :func:`score_pass`.
 
+Charge now, score later.  A pass's virtual time depends only on its
+counters, which follow from the served block's plan and exact counts,
+so :func:`score_pass` charges a pass when the algorithm makes it and
+records it in the run's :class:`PassLedger`.  Before any hit list is
+read — A3 and B3's reports, an adopted block's report, the packed
+output, a master-worker reply — the ledger scores every pending pass of
+every rank as one sweep per delivered shard object.  Under software RMA
+every rank records its last pass before any rank leaves the final
+rendezvous, so a fault-free A or B run flushes once; master-worker
+flushes once per batch.  Virtual times, traces and hits are those of
+scoring each pass when it was made.
+
 Memory: each rank keeps three O(N/p) buffers — its resident shard (the
 window peers Get from), ``Drecv`` (the prefetch's landing buffer) and
 ``Dcomp`` (the shard being scored) — the paper's O((N + m)/p) bound.
@@ -33,14 +45,15 @@ fault-free run's.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config import SearchConfig
+from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
-from repro.core.search import QueryBlock, ShardSearcher, ShardStats
+from repro.core.search import QueryBlock, ShardSearcher, ShardStats, open_pass
 from repro.errors import RankFailedError
+from repro.obs.metrics import get_metrics
 from repro.obs.naming import simmpi_extras
-from repro.scoring.hits import TopHitList
+from repro.scoring.hits import HitColumns, TopHitList, pack_hit_columns
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig, SimCluster
 from repro.spectra.spectrum import Spectrum
@@ -59,8 +72,96 @@ def _pass_time(
     )
 
 
+#: a recorded pass: the served block and the rank's hit lists
+_Record = Tuple[QueryBlock, Dict[int, TopHitList]]
+
+
+class PassLedger:
+    """The shard passes of one cluster run, charged when made, scored later.
+
+    A REAL pass's virtual time depends only on its counters, and those
+    follow from the served block's plan and exact counts
+    (:meth:`~repro.core.search.ShardSearcher.pass_stats`), so a rank
+    charges a pass without scoring it: :meth:`record` keeps the
+    delivered searcher, the served :class:`QueryBlock` and the rank's hit
+    lists.  Before any hit list is read (:meth:`reported`,
+    :meth:`columns`), :meth:`flush` scores every pending pass of every
+    rank: one ``ShardSearcher.run`` per delivered shard object, over the
+    union of the queries recorded against it, each block folding into
+    its owner's lists.  A shard's records split into more than one sweep
+    only where a query id would repeat in one (a dead rank's pass and
+    its adopter's rescan of the same block).  ``TopHitList`` is
+    order-independent and every cohort shape is bitwise the reference,
+    so the hits are those of scoring each pass when it was made.
+    """
+
+    def __init__(self) -> None:
+        #: per delivered searcher (by identity): it and its pending
+        #: ``(block, hitlists)`` records, in the order they were made
+        self._pending: Dict[int, Tuple[ShardSearcher, List[_Record]]] = {}
+        self.passes = 0  #: passes recorded (charged)
+        self.sweeps = 0  #: ``ShardSearcher.run`` calls the flushes made
+
+    def record(
+        self, searcher: ShardSearcher, queries: QueryBlock, hitlists: Dict[int, TopHitList]
+    ) -> ShardStats:
+        """Record one pass of ``queries`` over ``searcher``, giving each
+        query a hit list in ``hitlists``; returns the pass's stats."""
+        self.passes += 1
+        open_pass(queries.queries, hitlists, searcher.config.tau)
+        if queries:
+            self._pending.setdefault(id(searcher), (searcher, []))[1].append((queries, hitlists))
+        return searcher.pass_stats(queries)
+
+    def flush(self) -> None:
+        """Score every pending pass (a ``rotation.flush`` span when traced)."""
+        if not self._pending:
+            return
+        pending, self._pending = list(self._pending.values()), {}
+        unions: Dict[Tuple[int, ...], QueryBlock] = {}  # by member identities
+        with get_metrics().span("rotation.flush", category="search", shards=len(pending)):
+            for searcher, records in pending:
+                for blocks, lists in _sweeps(records):
+                    block = blocks[0]
+                    if len(blocks) > 1:
+                        spectra = [q for b in blocks for q in b.queries]
+                        key = tuple(sorted(map(id, spectra)))
+                        if key not in unions:
+                            unions[key] = QueryBlock.prepare(spectra, searcher.config)
+                        block = unions[key]
+                    # packed: its batch and bindings serve every shard it meets
+                    searcher.run(block.pack(), lists)
+                    self.sweeps += 1
+
+    def reported(self, hitlists: Iterable[TopHitList], tau: int) -> int:
+        """Hits ``hitlists`` report (each at most ``tau``), after a flush."""
+        self.flush()
+        return sum(min(len(h), tau) for h in hitlists)
+
+    def columns(self, hitlists: Dict[int, TopHitList]) -> HitColumns:
+        """``hitlists`` packed as columns, after a flush."""
+        self.flush()
+        return pack_hit_columns(hitlists, hitlists)
+
+
+def _sweeps(records: Sequence[_Record]) -> Iterator[Tuple[List[QueryBlock], Dict[int, TopHitList]]]:
+    """One shard's records as sweeps: ``(blocks, lists)``, consecutive
+    records cut before one holding a query id already in the sweep;
+    ``lists`` maps each query id to its record's list."""
+    blocks: List[QueryBlock] = []
+    lists: Dict[int, TopHitList] = {}
+    for block, hitlists in records:
+        if any(q.query_id in lists for q in block.queries):
+            yield blocks, lists
+            blocks, lists = [], {}
+        blocks.append(block)
+        lists.update((q.query_id, hitlists[q.query_id]) for q in block.queries)
+    yield blocks, lists
+
+
 def score_pass(
     comm: SimComm,
+    ledger: PassLedger,
     searcher: ShardSearcher,
     queries: Union[QueryBlock, Sequence[Spectrum]],
     hitlists: Dict[int, TopHitList],
@@ -68,16 +169,19 @@ def score_pass(
     label: str,
     rotation_step: bool = True,
 ) -> ShardStats:
-    """Run one shard pass for real and charge it; returns its stats.
+    """Charge one shard pass and record it in ``ledger``; returns its stats.
 
     ``queries`` is the rank's prepared :class:`QueryBlock` (or a slice of
-    it), or a plain list, which the searcher prepares.  The pass time is
-    compute (``"{label} score"``).  The per-query overhead joins it
-    under MODELED execution; once a REAL pass swept, it is traced apart
-    as sweep setup (``"{label} sweep"``).
+    it), or a plain list, prepared here.  The pass is not scored here:
+    its stats come from the block's plan and exact counts, bitwise what
+    scoring it counts, and the ledger scores it at its next flush.  The
+    pass time is compute (``"{label} score"``).  The per-query overhead
+    joins it under MODELED execution; a REAL pass's is traced apart as
+    sweep setup (``"{label} sweep"``).
     """
-    stats = searcher.run(queries, hitlists)
-    overhead = config.cost.query_processing_overhead(stats, len(queries))
+    block = QueryBlock.prepare(queries, config)
+    stats = ledger.record(searcher, block, hitlists)
+    overhead = config.cost.query_processing_overhead(stats, len(block))
     comm.compute(
         _pass_time(config, searcher, stats, rotation_step)
         + (0.0 if stats.sweep_queries else overhead),
@@ -97,6 +201,7 @@ def _salvage(comm: SimComm, window: str, owner: int) -> ShardSearcher:
 
 def rotate(
     comm: SimComm,
+    ledger: PassLedger,
     window: str,
     resident: ShardSearcher,
     order: Sequence[int],
@@ -114,9 +219,9 @@ def rotate(
     every rank has exposed its shard (``resident``) under ``window``.
     The rank's ``queries`` stay put while the shards move, so they are
     prepared once, as one :class:`QueryBlock`, before the first step:
-    mass order, windows, sweep plan, packed peaks and scorer bindings
-    serve every pass.  Step ``s`` scores them against shard ``order[s]``
-    — with ``mass_limit``, only those no heavier than
+    its mass order, windows and sweep plan serve every pass.  Step ``s``
+    charges and records (:func:`score_pass`) their pass over shard
+    ``order[s]`` — with ``mass_limit``, only those no heavier than
     ``mass_limit(order[s])``, a mass-order prefix of the same block —
     while the Get of ``order[s + 1]`` is in flight;
     with ``mask=False`` (the paper's unmasked ablation) the rank waits
@@ -134,7 +239,7 @@ def rotate(
     cost = config.cost
     hitlists: Dict[int, TopHitList] = {}
     totals = ShardStats()
-    block = QueryBlock.prepare(queries, config).pack()
+    block = QueryBlock.prepare(queries, config)
     current = resident
     if order:
         if order[0] != comm.rank:
@@ -165,7 +270,7 @@ def rotate(
                     comm.wait(request)
             served = block if mass_limit is None else block.lighter_than(mass_limit(target))
             totals.merge(
-                score_pass(comm, current, served, hitlists, config, f"{phase} D{target}")
+                score_pass(comm, ledger, current, served, hitlists, config, f"{phase} D{target}")
             )
             if request is not None or lost is not None:
                 current = comm.wait(request) if lost is None else _salvage(comm, window, lost)
@@ -195,6 +300,7 @@ def responsible_rank(failed: int, failures: Sequence[int], num_ranks: int) -> in
 
 def adopt_orphans(
     comm: SimComm,
+    ledger: PassLedger,
     window: str,
     resident: ShardSearcher,
     query_blocks: Sequence[List[Spectrum]],
@@ -208,7 +314,8 @@ def adopt_orphans(
     unless the machine runs under a fault plan.  Each dead rank this
     rank is responsible for (per the current snapshot) has its block
     reloaded, prepared once (:class:`QueryBlock`) and rescanned against
-    every shard, charged as recovery.
+    every shard: each pass recorded in ``ledger`` and charged as
+    recovery, all of them scored before the block's report.
     """
     if not comm.fault_tolerant or comm.size == 1:
         return
@@ -223,7 +330,7 @@ def adopt_orphans(
         comm.recovery_compute(
             cost.load_time(block_bytes, len(block)), detail=f"reload Q{failed}"
         )
-        prepared = QueryBlock.prepare(block, config).pack()
+        prepared = QueryBlock.prepare(block, config)
         for j in range(comm.size):
             remote = resident if j == comm.rank else comm.salvage_window(j, window)
             if j != comm.rank:
@@ -231,16 +338,14 @@ def adopt_orphans(
                 comm.recovery_fetch(
                     j, remote.shard.nbytes, detail=f"refetch D{j} for Q{failed}"
                 )
-            stats = remote.run(prepared, hitlists)
+            stats = ledger.record(remote, prepared, hitlists)
             comm.recovery_compute(
                 _pass_time(config, remote, stats)
                 + cost.query_processing_overhead(stats, len(block)),
                 detail=f"rescore Q{failed} x D{j}",
             )
             totals.merge(stats)
-        for q in block:
-            hitlists.setdefault(q.query_id, TopHitList(config.tau))
-        adopted_reported = sum(min(len(hitlists[q.query_id]), config.tau) for q in block)
+        adopted_reported = ledger.reported((hitlists[q.query_id] for q in block), config.tau)
         comm.recovery_compute(
             cost.report_time(adopted_reported), detail=f"report Q{failed}"
         )
@@ -271,22 +376,27 @@ def run_cluster(
     rank_totals: bool = True,
     **engine_extras,
 ) -> SearchReport:
-    """Run ``program(comm, *args)`` on every rank and build the report.
+    """Run ``program(comm, ledger, *args)`` on every rank and build the report.
 
-    ``args`` is one tuple for every rank, or a tuple per rank.  Each rank
-    returns ``(hits, totals, timings)``: its hit columns (or ``None``),
-    its :class:`ShardStats` and a dict of phase durations (Algorithm B's
+    ``ledger`` is the run's one :class:`PassLedger`.  ``args`` is one
+    tuple for every rank, or a tuple per rank.  Each rank returns
+    ``(hits, totals, timings)``: its hit columns (or ``None``), its
+    :class:`ShardStats` and a dict of phase durations (Algorithm B's
     ``sorting_time``), reported as the slowest surviving rank's value.
-    ``engine_extras`` join the extras, which leave out the totals' index,
-    sweep and fault accounting unless ``rank_totals``.
+    ``engine_extras`` join the extras, which leave out the totals' sweep
+    and fault accounting unless ``rank_totals``; a REAL run's add the
+    ledger's ``shard_passes`` and ``flush_sweeps``.
     """
     cluster_config = cluster_config or ClusterConfig(num_ranks=num_ranks)
     if cluster_config.num_ranks != num_ranks:
         raise ValueError("cluster_config.num_ranks must match num_ranks")
     if not isinstance(args, dict):
         args = {r: args for r in range(num_ranks)}
+    ledger = PassLedger()
     cluster = SimCluster(cluster_config)
-    outcomes, summary = cluster.run(program, args)
+    outcomes, summary = cluster.run(program, {r: (ledger, *a) for r, a in args.items()})
+    if config.execution is ExecutionMode.REAL:
+        engine_extras.update(shard_passes=ledger.passes, flush_sweeps=ledger.sweeps)
 
     totals = ShardStats()
     for o in outcomes:

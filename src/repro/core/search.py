@@ -52,6 +52,11 @@ class ShardStats:
     ``sweep_cohorts`` count the queries a REAL pass scored and the
     scoring blocks they were packed into; both stay 0 in MODELED
     execution, which counts candidates without scoring them.
+
+    A simulated engine charges each pass from
+    :meth:`ShardSearcher.pass_stats`, made before the pass is scored, so
+    its ``batches``, ``rows_scored`` and ``index_rows`` stay 0 and its
+    reports carry neither ``batches`` nor ``rows_scored``.
     """
 
     candidates_evaluated: int = 0
@@ -562,6 +567,24 @@ class ShardSearcher:
             sweep_table(
                 gen.index, queries, gen.tiers, score, self.shard.ids, cfg, hitlists, stats
             )
+        return stats
+
+    def pass_stats(self, queries: QueryBlock) -> ShardStats:
+        """The counters :meth:`run` returns for ``queries``, without
+        scoring them: ``candidates_evaluated`` from the exact counts
+        (:meth:`count_each`), ``queries_processed`` and, in REAL
+        execution, ``sweep_queries`` from the block's size and
+        ``sweep_cohorts`` from its plan (none for an empty block).  The
+        counters only scoring knows (``batches``, ``rows_scored``,
+        ``index_rows``) stay 0; the cost model charges none of them on
+        the direct path."""
+        stats = ShardStats(
+            candidates_evaluated=int(self.generator.count_many(queries.masses).sum()),
+            queries_processed=len(queries),
+        )
+        if self.config.execution is ExecutionMode.REAL and queries:
+            stats.sweep_queries = len(queries)
+            stats.sweep_cohorts = queries.plan.num_blocks
         return stats
 
     def count_each(self, queries: Sequence[Spectrum]) -> np.ndarray:

@@ -28,7 +28,7 @@ from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.partition import partition_queries
 from repro.core.results import SearchReport
-from repro.core.rotation import run_cluster
+from repro.core.rotation import PassLedger, run_cluster
 from repro.core.search import ShardStats
 from repro.scoring.base import block_scores
 from repro.scoring.hits import TopHitList, pack_hit_columns
@@ -82,6 +82,7 @@ def _search_tryptic(
 
 def _rank_program(
     comm: SimComm,
+    _ledger: PassLedger,  # unused: each rank scores its queries in place
     index: TrypticIndex,
     my_queries: List[Spectrum],
     config: SearchConfig,

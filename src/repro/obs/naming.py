@@ -8,8 +8,8 @@ the multiproc supervisor; hung-task deadline expiries are
 ``recovery_timeouts``.  Engines emit these names directly.
 
 :func:`simmpi_extras` is the shared builder for every simulated-cluster
-engine, so the standard block (overlap ratios, index and sweep
-accounting, fault stats) is constructed in exactly one place.
+engine, so the standard block (overlap ratios, sweep accounting, fault
+stats) is constructed in exactly one place.
 
 The full name contract — extras keys, metric names, trace categories —
 is documented in ``docs/observability.md``.
@@ -32,26 +32,24 @@ def simmpi_extras(
     """The standard extras block for simulated-cluster engines.
 
     Always present: the paper's two overlap metrics.  With ``totals``
-    (real per-shard work counters): index accounting, and — when
-    queries were actually scored (REAL execution) — sweep accounting.  With
-    ``fault_tolerant`` (a fault plan was supplied): the fault/recovery
-    block.  ``engine_specific`` keys (e.g. Algorithm B's
-    ``sorting_time``) are folded in last and win.
+    (the ranks' summed pass counters) of a run whose queries were
+    actually scored (REAL execution): sweep accounting.  A simulated
+    run charges each pass before scoring it, so its totals hold no
+    ``rows_scored`` or ``batches`` and no index accounting (the engines
+    take no store).  With ``fault_tolerant`` (a fault plan was
+    supplied): the fault/recovery block.  ``engine_specific`` keys (e.g.
+    Algorithm B's ``sorting_time``) are folded in last and win.
     """
     extras: Dict[str, Any] = {
         "residual_to_compute": summary.mean_residual_to_compute,
         "masking_effectiveness": summary.masking_effectiveness,
     }
-    if totals is not None:
-        extras["index_probe_fraction"] = (
-            totals.index_rows / totals.rows_scored if totals.rows_scored else 0.0
+    if totals is not None and totals.sweep_queries:
+        extras.update(
+            sweep_queries=totals.sweep_queries,
+            sweep_cohorts=totals.sweep_cohorts,
+            sweep_setup_time=summary.total_sweep,
         )
-        if totals.sweep_queries:
-            extras.update(
-                sweep_queries=totals.sweep_queries,
-                sweep_cohorts=totals.sweep_cohorts,
-                sweep_setup_time=summary.total_sweep,
-            )
     if fault_tolerant:
         extras.update(
             failed_ranks=list(summary.failed_ranks),

@@ -2,12 +2,16 @@
 
 import pickle
 
+import numpy as np
+import pytest
+
 from repro.candidates.mass_index import MassIndex
 from repro.core import master_worker
 from repro.core.config import SearchConfig
 from repro.core.master_worker import run_master_worker
 from repro.core.results import reports_equal
 from repro.core.search import search_serial
+from repro.errors import ConfigError
 
 _CONFIG = SearchConfig(scorer="likelihood", tau=5)
 
@@ -34,4 +38,29 @@ def test_one_rank_builds_one_searcher_and_one_index(tiny_db, tiny_queries, monke
     report = run_master_worker(database, tiny_queries, 1, _CONFIG)
     assert report.algorithm == "master_worker"
     assert (len(index_builds), searchers) == (1, [])
+    assert reports_equal(search_serial(tiny_db, tiny_queries, _CONFIG), report, score_rtol=0)
+
+
+def test_negative_batch_size_is_refused(tiny_db, tiny_queries):
+    """It made no batches, so the workers were sent their poison pills at
+    once and the run returned 0 hits and 0 candidates."""
+    with pytest.raises(ConfigError, match="batch_size"):
+        run_master_worker(tiny_db, tiny_queries, 3, _CONFIG, batch_size=-1)
+
+
+def test_zero_batch_size_is_refused(tiny_db, tiny_queries):
+    """It raised an untyped ValueError from ``range``."""
+    with pytest.raises(ConfigError, match="batch_size"):
+        run_master_worker(tiny_db, tiny_queries, 3, _CONFIG, batch_size=0)
+
+
+@pytest.mark.parametrize("batch_size", [2.0, 2.5, "4", True, None])
+def test_non_integer_batch_size_is_refused(tiny_db, tiny_queries, batch_size):
+    with pytest.raises(ConfigError, match="batch_size"):
+        run_master_worker(tiny_db, tiny_queries, 3, _CONFIG, batch_size=batch_size)
+
+
+def test_numpy_integer_batch_size_is_a_batch_size(tiny_db, tiny_queries):
+    report = run_master_worker(tiny_db, tiny_queries, 3, _CONFIG, batch_size=np.int64(5))
+    assert report.extras["batch_size"] == 5 and type(report.extras["batch_size"]) is int
     assert reports_equal(search_serial(tiny_db, tiny_queries, _CONFIG), report, score_rtol=0)

@@ -418,13 +418,15 @@ class TestRankLifetime:
         from repro.workloads import generate_database, generate_queries
 
         refs, watching = watched
-        watching.fail_after = 15  # five shard passes in, other ranks mid-flight
+        # a p = 4 run scores its passes in one flush of four sweeps: fail in
+        # the third, the other ranks suspended mid-flight
+        watching.fail_after = 6
         database = generate_database(40, seed=3)
         queries = generate_queries(24, seed=3)
         with no_cycle_collector():
             with pytest.raises(RankFailedError, match="injected"):
                 run_search(database, queries, algorithm, 4, SearchConfig(tau=5))
-            assert len(refs) > 15 and [ref() for ref in refs] == [None] * len(refs)
+            assert len(refs) > 6 and [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestDeterminism:
