@@ -194,6 +194,34 @@ class MassIndex:
         self.reach = float(reach)
 
     @classmethod
+    def end_to_end(cls, parts: Sequence["MassIndex"], shard: ProteinDatabase) -> "MassIndex":
+        """The table of ``shard``, the shards of ``parts`` (their tables,
+        in order) laid end to end (:meth:`ProteinDatabase.concat`),
+        merged from theirs and kept on it, up to the shortest reach among
+        them.
+
+        Its masses are the parts' masses, bitwise: a mass is a difference
+        of running sums over the flat buffer, and rebuilding it from
+        ``shard``'s longer running sum could round the last bit otherwise
+        (and move a row across a window edge).  Keys shift by the residues
+        laid before their part.
+        """
+        residues = [int(part.offsets[-1]) for part in parts]
+        if sum(residues) != int(shard.offsets[-1]):
+            raise ValueError("the tables' shards do not lay end to end into this shard")
+        check_row_keys(sum(residues))
+        reach = min((part.reach for part in parts), default=np.inf)
+        rows = [int(np.searchsorted(part.mass, reach, side="right")) for part in parts]
+        mass, order = stable_sort(np.concatenate([p.mass[:n] for p, n in zip(parts, rows)]))
+        key = np.concatenate([p.key[:n] for p, n in zip(parts, rows)])[order].astype(np.int64)
+        base = np.repeat(np.cumsum([0] + residues[:-1]), rows)[order]
+        key += np.where(key < 0, -base, base)
+        index = cls.view(mass, key.astype(ROW_KEY_DTYPE), shard.offsets)
+        index.reach = float(reach)
+        shard._mass_index = index
+        return index
+
+    @classmethod
     def view(cls, mass: np.ndarray, key: np.ndarray, offsets: np.ndarray) -> "MassIndex":
         """A table over existing columns (a store's mapped or streamed
         rows), decoded against ``offsets``; nothing is copied."""

@@ -55,7 +55,10 @@ def _rank_program(
     shards: Sequence[ProteinDatabase],
     query_blocks: Sequence[List[Spectrum]],
     config: SearchConfig,
+    heaviest: float,
 ):
+    """The per-rank generator; ``heaviest`` is the heaviest parent mass
+    of every rank's queries."""
     p, i = comm.size, comm.rank
     cost = config.cost
     my_queries = query_blocks[i]
@@ -74,7 +77,6 @@ def _rank_program(
     comm.alloc("Dsi", cost.shard_bytes(sorted_shard))
 
     # any rank's queries may reach this shard: its rows go up to the heaviest
-    heaviest = max(heaviest_parent_mass(block) for block in query_blocks)
     searcher = ShardSearcher(sorted_shard, config, max_parent_mass=heaviest)
     comm.expose(_WINDOW, searcher, sorted_shard.nbytes)
     # Exchange sorted-shard footprints so Drecv buffers can be sized
@@ -145,6 +147,7 @@ def run_algorithm_b(
             partition_database(database, num_ranks),
             partition_queries(queries, num_ranks),
             config,
+            heaviest_parent_mass(queries),
         ),
         num_ranks,
         config,

@@ -18,11 +18,12 @@ so :func:`score_pass` charges a pass when the algorithm makes it and
 records it in the run's :class:`PassLedger`.  Before any hit list is
 read — A3 and B3's reports, an adopted block's report, the packed
 output, a master-worker reply — the ledger scores every pending pass of
-every rank as one sweep per delivered shard object.  Under software RMA
-every rank records its last pass before any rank leaves the final
-rendezvous, so a fault-free A or B run flushes once; master-worker
-flushes once per batch.  Virtual times, traces and hits are those of
-scoring each pass when it was made.
+every rank: one sweep per query set, over every delivered shard that
+query set met laid end to end.  Under software RMA every rank records
+its last pass before any rank leaves the final rendezvous, so a
+fault-free A run flushes once, in one sweep of the whole database;
+master-worker flushes once per batch.  Virtual times, traces and hits
+are those of scoring each pass when it was made.
 
 Memory: each rank keeps three O(N/p) buffers — its resident shard (the
 window peers Get from), ``Drecv`` (the prefetch's landing buffer) and
@@ -47,6 +48,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.candidates.mass_index import MassIndex
+from repro.chem.protein import ProteinDatabase
 from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
 from repro.core.search import QueryBlock, ShardSearcher, ShardStats, open_pass
@@ -72,25 +75,33 @@ def _pass_time(
     )
 
 
+#: a rank's hit lists, by query id
+_Lists = Dict[int, TopHitList]
 #: a recorded pass: the served block and the rank's hit lists
-_Record = Tuple[QueryBlock, Dict[int, TopHitList]]
+_Record = Tuple[QueryBlock, _Lists]
 
 
 class PassLedger:
     """The shard passes of one cluster run, charged when made, scored later.
 
-    A REAL pass's virtual time depends only on its counters, and those
-    follow from the served block's plan and exact counts
+    A pass's virtual time depends only on its counters, and those follow
+    from the served block's plan and exact counts
     (:meth:`~repro.core.search.ShardSearcher.pass_stats`), so a rank
-    charges a pass without scoring it: :meth:`record` keeps the
+    charges a pass without scoring it.  Under MODELED execution
+    :meth:`record` adds each query's exact count to its list's
+    ``evaluated`` and keeps nothing.  Under REAL execution it keeps the
     delivered searcher, the served :class:`QueryBlock` and the rank's hit
-    lists.  Before any hit list is read (:meth:`reported`,
-    :meth:`columns`), :meth:`flush` scores every pending pass of every
-    rank: one ``ShardSearcher.run`` per delivered shard object, over the
-    union of the queries recorded against it, each block folding into
-    its owner's lists.  A shard's records split into more than one sweep
-    only where a query id would repeat in one (a dead rank's pass and
-    its adopter's rescan of the same block).  ``TopHitList`` is
+    lists, and before any hit list is read (:meth:`reported`,
+    :meth:`columns`) :meth:`flush` scores every pending pass of every
+    rank.  It cuts each shard's records into sweeps — a union of blocks
+    folding into one query-id -> hit-list map, cut where a query id
+    would repeat (a dead rank's pass and its adopter's rescan of the
+    same block) — and makes one ``ShardSearcher.run`` per distinct map:
+    over the one shard it came from, or over every shard whose sweep has
+    that map laid end to end (:func:`_end_to_end`).  Maps that differ
+    never merge, a subset included: that would score (query, shard)
+    pairs no pass recorded.  A fault-free A run, and a B run whose sender
+    groups degenerate, so flush in one sweep.  ``TopHitList`` is
     order-independent and every cohort shape is bitwise the reference,
     so the hits are those of scoring each pass when it was made.
     """
@@ -109,29 +120,37 @@ class PassLedger:
         query a hit list in ``hitlists``; returns the pass's stats."""
         self.passes += 1
         open_pass(queries.queries, hitlists, searcher.config.tau)
-        if queries:
+        counts = searcher.generator.count_many(queries.masses)
+        if searcher.config.execution is ExecutionMode.MODELED:
+            # counted, never scored: nothing left for a flush
+            members = queries.queries
+            for m, n in zip(queries.order.tolist(), counts.tolist()):
+                hitlists[members[m].query_id].evaluated += n
+        elif queries:
             self._pending.setdefault(id(searcher), (searcher, []))[1].append((queries, hitlists))
-        return searcher.pass_stats(queries)
+        return searcher.pass_stats(queries, counts)
 
     def flush(self) -> None:
         """Score every pending pass (a ``rotation.flush`` span when traced)."""
         if not self._pending:
             return
         pending, self._pending = list(self._pending.values()), {}
-        unions: Dict[Tuple[int, ...], QueryBlock] = {}  # by member identities
+        # per map (``TopHitList`` hashes by identity): the shards whose
+        # sweep has it, and that sweep's blocks and lists
+        groups: Dict[frozenset, Tuple[List[ShardSearcher], List[QueryBlock], _Lists]] = {}
+        for searcher, records in pending:
+            for blocks, lists in _sweeps(records):
+                groups.setdefault(frozenset(lists.items()), ([], blocks, lists))[0].append(searcher)
         with get_metrics().span("rotation.flush", category="search", shards=len(pending)):
-            for searcher, records in pending:
-                for blocks, lists in _sweeps(records):
-                    block = blocks[0]
-                    if len(blocks) > 1:
-                        spectra = [q for b in blocks for q in b.queries]
-                        key = tuple(sorted(map(id, spectra)))
-                        if key not in unions:
-                            unions[key] = QueryBlock.prepare(spectra, searcher.config)
-                        block = unions[key]
-                    # packed: its batch and bindings serve every shard it meets
-                    searcher.run(block.pack(), lists)
-                    self.sweeps += 1
+            for searchers, blocks, lists in groups.values():
+                searcher = searchers[0] if len(searchers) == 1 else _end_to_end(searchers)
+                block = blocks[0]
+                if len(blocks) > 1:
+                    spectra = [q for b in blocks for q in b.queries]
+                    block = QueryBlock.prepare(spectra, searcher.config)
+                # packed: its batch and bindings serve every sweep it meets
+                searcher.run(block.pack(), lists)
+                self.sweeps += 1
 
     def reported(self, hitlists: Iterable[TopHitList], tau: int) -> int:
         """Hits ``hitlists`` report (each at most ``tau``), after a flush."""
@@ -144,19 +163,43 @@ class PassLedger:
         return pack_hit_columns(hitlists, hitlists)
 
 
-def _sweeps(records: Sequence[_Record]) -> Iterator[Tuple[List[QueryBlock], Dict[int, TopHitList]]]:
+def _sweeps(records: Sequence[_Record]) -> Iterator[Tuple[List[QueryBlock], _Lists]]:
     """One shard's records as sweeps: ``(blocks, lists)``, consecutive
     records cut before one holding a query id already in the sweep;
     ``lists`` maps each query id to its record's list."""
     blocks: List[QueryBlock] = []
-    lists: Dict[int, TopHitList] = {}
+    lists: _Lists = {}
     for block, hitlists in records:
-        if any(q.query_id in lists for q in block.queries):
+        ids = [q.query_id for q in block.queries]
+        if not lists.keys().isdisjoint(ids):
             yield blocks, lists
             blocks, lists = [], {}
         blocks.append(block)
-        lists.update((q.query_id, hitlists[q.query_id]) for q in block.queries)
+        lists.update(zip(ids, map(hitlists.__getitem__, ids)))
     yield blocks, lists
+
+
+def _end_to_end(searchers: Sequence[ShardSearcher]) -> ShardSearcher:
+    """One searcher over ``searchers``' shards laid end to end: the first
+    one's config and scorer, and their row tables merged
+    (:meth:`MassIndex.end_to_end`), so every row keeps the mass it has
+    in its own shard's pass."""
+    first = searchers[0]
+    database = ProteinDatabase.concat([s.shard for s in searchers])
+    table = MassIndex.end_to_end([s.generator.index for s in searchers], database)
+    # every recorded query is within each shard's reach, so within the
+    # lightest: the table above is the one the searcher's generator takes
+    searcher = ShardSearcher(
+        database,
+        first.config,
+        first.scorer,
+        min(s.generator.max_parent_mass for s in searchers),
+    )
+    if searcher.generator.index is not table:
+        # a table rebuilt over the longer running sum could differ in a
+        # mass's last bit from the pass it stands for
+        raise RuntimeError("the merged searcher did not take the merged row table")
+    return searcher
 
 
 def score_pass(

@@ -569,19 +569,17 @@ class ShardSearcher:
             )
         return stats
 
-    def pass_stats(self, queries: QueryBlock) -> ShardStats:
+    def pass_stats(self, queries: QueryBlock, counts: np.ndarray) -> ShardStats:
         """The counters :meth:`run` returns for ``queries``, without
-        scoring them: ``candidates_evaluated`` from the exact counts
-        (:meth:`count_each`), ``queries_processed`` and, in REAL
+        scoring them: ``candidates_evaluated`` from ``counts``, the exact
+        per-member counts in mass order (``generator.count_many`` over
+        ``queries.masses``), ``queries_processed`` and, in REAL
         execution, ``sweep_queries`` from the block's size and
         ``sweep_cohorts`` from its plan (none for an empty block).  The
         counters only scoring knows (``batches``, ``rows_scored``,
         ``index_rows``) stay 0; the cost model charges none of them on
         the direct path."""
-        stats = ShardStats(
-            candidates_evaluated=int(self.generator.count_many(queries.masses).sum()),
-            queries_processed=len(queries),
-        )
+        stats = ShardStats(candidates_evaluated=int(counts.sum()), queries_processed=len(queries))
         if self.config.execution is ExecutionMode.REAL and queries:
             stats.sweep_queries = len(queries)
             stats.sweep_cohorts = queries.plan.num_blocks

@@ -161,6 +161,8 @@ class SimCluster:
         self._gens: List[Generator] = []
         self._state: List[str] = []
         self._inject: List[Any] = []
+        #: ranks done or failed: the live ones are the rest
+        self._finished = 0
 
     # ------------------------------------------------------------------
     # machine services called by SimComm
@@ -358,9 +360,7 @@ class SimCluster:
                         cands.append((max(self._comms[r].clock, msg.arrival), r, "recv"))
             return cands
 
-        while True:
-            if all(s in (_DONE, _FAILED) for s in state):
-                break
+        while self._finished < p:
             cands = runnable_candidates()
             if not cands:
                 blocked = {
@@ -387,6 +387,7 @@ class SimCluster:
                 op = gens[rank].send(inject[rank])
             except StopIteration as stop:
                 state[rank] = _DONE
+                self._finished += 1
                 outcomes[rank] = RankOutcome(rank, stop.value, comm.clock)
                 continue
             except Exception as exc:
@@ -430,6 +431,7 @@ class SimCluster:
         """Fail-stop ``rank``: close it, then let any collective it was
         expected in complete over the survivors."""
         self._state[rank] = _FAILED
+        self._finished += 1
         self._dead.add(rank)
         planned = self._crash_times.get(rank, self._comms[rank].clock)
         self.failure_log.append(RankFailure(rank, planned))
@@ -469,8 +471,8 @@ class SimCluster:
         if rank in pending.arrivals:
             raise CommunicationError(f"rank {rank} re-entered collective {op.instance}")
         pending.arrivals[rank] = (self._comms[rank].clock, op)
-        done_ranks = [r for r in range(self.config.num_ranks) if self._state[r] == _DONE]
-        if done_ranks:
+        if self._finished > len(self._dead):
+            done_ranks = [r for r in range(self.config.num_ranks) if self._state[r] == _DONE]
             raise DeadlockError(
                 f"collective {op.kind!r} cannot complete: ranks {done_ranks} already finished"
             )
@@ -491,12 +493,15 @@ class SimCluster:
         if pending is None:
             return
         p = self.config.num_ranks
-        expected = [r for r in range(p) if self._state[r] not in (_DONE, _FAILED)]
-        if not expected:
+        live = p - self._finished
+        if not live:
             del self._collectives[instance]
             return
-        if any(r not in pending.arrivals for r in expected):
+        # arrivals hold live ranks only (a dead one is popped, a finished
+        # one never enters): all of them have arrived once the counts meet
+        if len(pending.arrivals) < live:
             return
+        expected = sorted(pending.arrivals)
         net = self.config.network
         n = len(expected)
         arrival_max = max(pending.arrivals[r][0] for r in expected)

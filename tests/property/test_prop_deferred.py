@@ -2,25 +2,37 @@
 
 A simulated engine charges each shard pass from its plan and exact
 counts (``ShardSearcher.pass_stats``) and records it in the run's
-``rotation.PassLedger``, which scores the recorded passes later, one
-sweep per delivered shard object.  The oracle is the eager pass every
-engine ran before: ``eager_score_pass`` below scores a pass when it is
-made and charges the stats scoring returned, and ``EagerLedger`` does the
-same for an adopter's rescans.  Against it:
+``rotation.PassLedger``.  Under MODELED execution the ledger counts each
+query's candidates into its list's ``evaluated`` and keeps nothing;
+under REAL execution it scores the recorded passes later: each shard's
+records cut into sweeps where a query id would repeat, and one sweep
+per query-id -> hit-list map, over every shard whose sweep has that map
+laid end to end.  The oracle is the eager pass every engine ran before:
+``eager_score_pass`` below scores a pass when it is made and charges
+the stats scoring returned, and ``EagerLedger`` does the same for an
+adopter's rescans.  Against it:
 
 - plan-derived stats equal scored stats field by field (PTM tiers,
   Algorithm B's ``lighter_than`` slices, empty blocks, more ranks than
   sequences, both execution modes);
 - deferred A, A-nomask, B and master-worker runs equal eager ones in
-  hits, ``virtual_time``, per-rank trace totals and events and
-  ``candidates_evaluated``, on the default network, on hardware RMA with
-  skewed rank speeds (several flushes) and under a crash that forces a
-  salvage and an adoption;
+  hits, ``virtual_time``, per-rank trace totals and events,
+  ``candidates_evaluated`` and the sum of every hit list's
+  ``evaluated``, in both execution modes, on the default network, on
+  hardware RMA with skewed rank speeds (several flushes), under PTM
+  tiers, under a crash that forces a salvage and an adoption, and for a
+  B run whose shards serve different query prefixes (several sweeps in
+  one flush); each REAL run makes exactly the sweeps the merge rule
+  predicts from its records (``predicted_sweeps``);
 - a flush whose pending records hold one query id twice against one
   shard (a dead rank's pass and its adopter's rescan) splits the sweep,
-  so each record's lists get exactly what an eager pass gives them.
+  so each record's lists get exactly what an eager pass gives them;
+- sweeps with equal maps merge into one sweep over their shards laid
+  end to end, and neither a subset map nor the same ids mapped to other
+  lists joins them.
 """
 
+import random
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from unittest import mock
@@ -31,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.candidates.generator import heaviest_parent_mass
+from repro.candidates.mass_index import MassIndex
 from repro.chem.amino_acids import STANDARD_MODIFICATIONS
 from repro.chem.peptide import peptide_mz
 from repro.chem.protein import ProteinDatabase
@@ -42,7 +55,7 @@ from repro.core.partition import partition_database
 from repro.core.results import reports_equal
 from repro.core.search import QueryBlock, ShardSearcher
 from repro.faults import FaultPlan, RankCrash
-from repro.scoring.hits import pack_hit_columns
+from repro.scoring.hits import TopHitList, pack_hit_columns
 from repro.simmpi.network import NetworkModel
 from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.spectrum import Spectrum
@@ -95,6 +108,11 @@ def eager():
 
 def assert_bitwise(deferred, eager_report):
     assert reports_equal(eager_report, deferred)  # scores compared bitwise
+    # every column, masses too: a row's mass is a difference of running
+    # sums, which a longer running sum could round otherwise
+    a, b = deferred.hits.columns, eager_report.hits.columns
+    for name, x, y in zip(a._fields, a, b):
+        assert np.array_equal(x, y), name
     assert deferred.candidates_evaluated == eager_report.candidates_evaluated
     assert repr(deferred.virtual_time) == repr(eager_report.virtual_time)
     assert deferred.peak_memory == eager_report.peak_memory
@@ -111,12 +129,83 @@ def assert_bitwise(deferred, eager_report):
     assert keep(deferred.extras) == keep(eager_report.extras)
 
 
+def predicted_sweeps(records):
+    """The sweeps the merge rule makes of one flush's ``(searcher, block,
+    lists)`` records, in record order: each shard's records cut before
+    one repeating a query id of the sweep, one sweep per distinct
+    query-id -> hit-list map."""
+    per_shard = {}
+    for searcher, block, lists in records:
+        per_shard.setdefault(id(searcher), []).append((block, lists))
+    maps = set()
+    for shard_records in per_shard.values():
+        sweep = {}
+        for block, lists in shard_records:
+            ids = {q.query_id for q in block.queries}
+            if ids & sweep.keys():
+                maps.add(frozenset((k, id(v)) for k, v in sweep.items()))
+                sweep = {}
+            sweep.update((k, lists[k]) for k in ids)
+        maps.add(frozenset((k, id(v)) for k, v in sweep.items()))
+    return len(maps)
+
+
+@contextmanager
+def watched_ledger(flushes):
+    """Append to ``flushes`` the sweeps the rule predicts for each
+    non-empty flush of the deferred ledgers made inside."""
+    record, flush = rotation.PassLedger.record, rotation.PassLedger.flush
+    pending = []
+
+    def spied_record(self, searcher, queries, hitlists):
+        stats = record(self, searcher, queries, hitlists)
+        if queries and searcher.config.execution is ExecutionMode.REAL:
+            pending.append((searcher, queries, hitlists))
+        return stats
+
+    def spied_flush(self):
+        if pending:
+            flushes.append(predicted_sweeps(pending))
+            pending.clear()
+        flush(self)
+
+    with mock.patch.object(rotation.PassLedger, "record", spied_record), mock.patch.object(
+        rotation.PassLedger, "flush", spied_flush
+    ):
+        yield
+
+
+@contextmanager
+def hit_lists_made(made):
+    """Append to ``made`` every ``TopHitList`` constructed inside."""
+    init = TopHitList.__init__
+
+    def spied(self, tau):
+        init(self, tau)
+        made.append(self)
+
+    with mock.patch.object(TopHitList, "__init__", spied):
+        yield
+
+
 def both(db, queries, algorithm, p, config, cluster_factory=lambda p: None):
-    """The deferred and the eager report of one run (fresh cluster configs)."""
-    deferred = run_search(db, queries, algorithm, p, config, cluster_factory(p))
-    with eager():
+    """The deferred and the eager report of one run (fresh cluster
+    configs), checked bitwise — the sum of every hit list's
+    ``evaluated`` too — and the sweeps each deferred flush made checked
+    against the rule; returns ``(deferred, flushes)``, the predicted
+    sweeps per non-empty flush."""
+    flushes, made, oracle_made = [], [], []
+    with watched_ledger(flushes), hit_lists_made(made):
+        deferred = run_search(db, queries, algorithm, p, config, cluster_factory(p))
+    with eager(), hit_lists_made(oracle_made):
         oracle = run_search(db, queries, algorithm, p, config, cluster_factory(p))
-    return deferred, oracle
+    assert_bitwise(deferred, oracle)
+    assert sum(h.evaluated for h in made) == sum(h.evaluated for h in oracle_made)
+    if "flush_sweeps" in deferred.extras:
+        assert deferred.extras["flush_sweeps"] == sum(flushes)
+    else:
+        assert flushes == []  # MODELED, or a serial search: no flush scored anything
+    return deferred, flushes
 
 
 # -- plan-derived stats ------------------------------------------------------
@@ -155,7 +244,7 @@ def test_plan_stats_equal_scored_stats(db, masses, p, mods, mode, cutoff, cohort
     for shard in partition_database(db, p):
         searcher = ShardSearcher(shard, config, max_parent_mass=heaviest_parent_mass(queries))
         for served in (block, block.lighter_than(limit)):
-            planned = searcher.pass_stats(served)
+            planned = searcher.pass_stats(served, searcher.generator.count_many(served.masses))
             scored = searcher.run(served, {})
             for f in fields(planned):
                 expected = 0 if f.name in SCORED_ONLY else getattr(scored, f.name)
@@ -168,24 +257,34 @@ def test_plan_stats_equal_scored_stats(db, masses, p, mods, mode, cutoff, cohort
 @pytest.mark.parametrize("p", [1, 2, 3, 8])
 @pytest.mark.parametrize("algorithm", ENGINES)
 def test_deferred_run_is_the_eager_run(tiny_db, tiny_queries, algorithm, p):
-    """Software RMA: a fault-free A or B run flushes once, one sweep per
-    shard object; master-worker flushes once per batch."""
-    deferred, oracle = both(tiny_db, tiny_queries, algorithm, p, FAST)
-    assert_bitwise(deferred, oracle)
+    """Software RMA: a fault-free A or B run flushes once; A's query-id
+    maps are equal on every shard, so it sweeps once over the shards laid
+    end to end; master-worker flushes once per batch, one sweep each."""
+    deferred, flushes = both(tiny_db, tiny_queries, algorithm, p, FAST)
     if p == 1 and algorithm == "master_worker":
         return  # the serial search
     passes, sweeps = deferred.extras["shard_passes"], deferred.extras["flush_sweeps"]
     if algorithm == "master_worker":
-        assert passes == sweeps == -(-len(tiny_queries) // 16)
+        assert passes == sweeps == len(flushes) == -(-len(tiny_queries) // 16)
     else:
-        assert passes <= p * p and sweeps <= p
-        assert passes == p * p or algorithm == "algorithm_b"
+        assert len(flushes) == 1 and sweeps <= p
+        assert (passes, sweeps) == (p * p, 1) or algorithm == "algorithm_b"
+
+
+@pytest.mark.parametrize("p", [2, 3, 8])
+@pytest.mark.parametrize("algorithm", ENGINES)
+def test_modeled_run_is_the_eager_run(tiny_db, tiny_queries, algorithm, p):
+    """MODELED: each pass counts its candidates into ``evaluated`` when
+    recorded (``both`` compares the totals) and no flush sweeps."""
+    config = replace(FAST, execution=ExecutionMode.MODELED)
+    deferred, flushes = both(tiny_db, tiny_queries, algorithm, p, config)
+    assert flushes == [] and "flush_sweeps" not in deferred.extras
 
 
 @pytest.mark.parametrize("algorithm", ["algorithm_a", "algorithm_b"])
 def test_ptm_runs_are_the_eager_runs(tiny_db, tiny_queries, algorithm):
     config = replace(FAST, modifications=(OXIDATION,), scorer="hyperscore", delta=3.0)
-    assert_bitwise(*both(tiny_db, tiny_queries, algorithm, 3, config))
+    both(tiny_db, tiny_queries, algorithm, 3, config)
 
 
 @pytest.mark.parametrize("algorithm", ENGINES)
@@ -202,11 +301,24 @@ def test_hardware_rma_with_skewed_ranks_flushes_often(tiny_db, tiny_queries, alg
             record_events=True,
         )
 
-    deferred, oracle = both(tiny_db, tiny_queries, algorithm, p, FAST, cluster)
-    assert_bitwise(deferred, oracle)
-    if algorithm != "master_worker":
-        # one flush would make one sweep per shard object
-        assert deferred.extras["flush_sweeps"] > p
+    _deferred, flushes = both(tiny_db, tiny_queries, algorithm, p, FAST, cluster)
+    if algorithm != "master_worker":  # one batch here: one flush
+        assert len(flushes) > 1
+
+
+def test_light_shards_keep_b_sweeps_apart():
+    """Peptide-length sequences: after B's sort the light shards serve
+    only a mass-order prefix of a rank's queries, so their maps differ
+    and one flush holds several sweeps, while the heavy shards, which
+    serve every query, share one."""
+    rng = random.Random(7)
+    db = ProteinDatabase.from_sequences(
+        ["".join(rng.choice(AMINO_ACIDS) for _ in range(rng.randint(6, 24))) for _ in range(40)]
+    )
+    queries = [make_query(700.0 + 45.0 * k, k) for k in range(36)]
+    p = 6
+    deferred, flushes = both(db, queries, "algorithm_b", p, FAST)
+    assert len(flushes) == 1 and 1 < flushes[0] < p
 
 
 @pytest.mark.parametrize("algorithm", ["algorithm_a", "algorithm_a_nomask", "algorithm_b"])
@@ -231,8 +343,7 @@ def test_crash_salvage_and_adoption(tiny_db, tiny_queries, algorithm):
         return record(self, searcher, queries, hitlists)
 
     with mock.patch.object(rotation.PassLedger, "record", spied):
-        deferred, oracle = both(tiny_db, tiny_queries, algorithm, p, FAST, cluster)
-    assert_bitwise(deferred, oracle)
+        deferred, _flushes = both(tiny_db, tiny_queries, algorithm, p, FAST, cluster)
     assert deferred.extras["failed_ranks"] == [2]
     events = [e for tr in deferred.trace.per_rank.values() for e in tr.events]
     assert any(detail.startswith("salvage D2") for _c, _s, _d, detail in events)
@@ -240,7 +351,44 @@ def test_crash_salvage_and_adoption(tiny_db, tiny_queries, algorithm):
     assert len(met) > len(set(met))  # a query id met one shard twice
 
 
-# -- one flush, one query id twice against one shard ------------------------
+# -- the ledger on its own ------------------------------------------------
+
+
+def assert_lists_equal(got, want):
+    assert sorted(got) == sorted(want)
+    a, b = pack_hit_columns(got, sorted(got)), pack_hit_columns(want, sorted(want))
+    for name, x, y in zip(a._fields, a, b):
+        assert np.array_equal(x, y), name
+    assert [got[q].evaluated for q in sorted(got)] == [want[q].evaluated for q in sorted(want)]
+
+
+def deferred_and_eager(searchers, passes, owners):
+    """Record ``passes`` — ``(searcher index, served block, owner index)``
+    — in a fresh ledger and score them eagerly too; returns the ledger
+    after one flush, the shard sizes its sweeps ran over, and per owner
+    the deferred and the eager lists."""
+    ledger = rotation.PassLedger()
+    deferred = [{} for _ in range(owners)]
+    oracle = [{} for _ in range(owners)]
+    for s, served, owner in passes:
+        ledger.record(searchers[s], served, deferred[owner])
+        searchers[s].run(served, oracle[owner])
+    swept = []
+    run = ShardSearcher.run
+
+    def spied(searcher, queries, hitlists):
+        swept.append(searcher)
+        return run(searcher, queries, hitlists)
+
+    with mock.patch.object(ShardSearcher, "run", spied):
+        ledger.flush()
+    modeled = searchers[0].config.execution is ExecutionMode.MODELED
+    records = [(searchers[s], b, deferred[o]) for s, b, o in passes]
+    predicted = 0 if modeled else predicted_sweeps(records)
+    assert ledger.sweeps == len(swept) == predicted
+    for got, want in zip(deferred, oracle):
+        assert_lists_equal(got, want)
+    return ledger, swept
 
 
 @pytest.mark.parametrize("scorer", ["shared_peaks", "likelihood"])
@@ -255,22 +403,67 @@ def test_a_repeated_query_id_splits_the_sweep(tiny_db, tiny_queries, scorer):
     half = block.lighter_than(float(np.median(block.masses)))
     # (searcher, served block, owner dict index) in record order
     passes = [(0, block, 0), (1, half, 0), (0, block, 1), (1, block, 1), (0, half, 2)]
-    ledger = rotation.PassLedger()
-    deferred = [{}, {}, {}]
-    oracle = [{}, {}, {}]
-    for s, served, owner in passes:
-        ledger.record(searchers[s], served, deferred[owner])
-        searchers[s].run(served, oracle[owner])
-    ledger.flush()
     # shard 0: block | block | half, each repeating ids of the one before;
-    # shard 1: half | block
-    assert ledger.sweeps == 5
-    for got, want in zip(deferred, oracle):
-        assert sorted(got) == sorted(want)
-        a, b = pack_hit_columns(got, sorted(got)), pack_hit_columns(want, sorted(want))
-        for name, x, y in zip(a._fields, a, b):
-            assert np.array_equal(x, y), name
-        assert [got[q].evaluated for q in sorted(got)] == [want[q].evaluated for q in sorted(want)]
+    # shard 1: half | block.  The two `block -> owner 1` sweeps share one
+    # map and merge; shard 1's `half -> owner 0` is a subset of shard 0's
+    # `block -> owner 0` and does not: 4 sweeps
+    ledger, swept = deferred_and_eager(searchers, passes, 3)
+    assert ledger.sweeps == 4
+    assert sorted(len(s.shard) for s in swept) == sorted(
+        [len(shards[0]), len(shards[0]), len(shards[1]), len(tiny_db)]
+    )
+
+
+@pytest.mark.parametrize("scorer", ["shared_peaks", "likelihood"])
+def test_only_equal_maps_merge(tiny_db, tiny_queries, scorer):
+    """Shards 0 and 1 serve ``block`` into the same lists: one sweep over
+    both laid end to end.  Shard 2 serves it into other lists (the same
+    ids) and shard 3 a subset of it into the same lists: each sweeps its
+    own searcher."""
+    config = replace(FAST, scorer=scorer, delta=3.0)
+    shards = partition_database(tiny_db, 4)
+    searchers = [ShardSearcher(s, config) for s in shards]
+    block = QueryBlock.prepare(list(tiny_queries), config)
+    half = block.lighter_than(float(np.median(block.masses)))
+    passes = [(0, block, 0), (2, block, 1), (1, block, 0), (3, half, 0)]
+    ledger, swept = deferred_and_eager(searchers, passes, 2)
+    assert ledger.sweeps == 3
+    merged, own = swept[0], swept[1:]
+    assert len(merged.shard) == len(shards[0]) + len(shards[1])
+    assert merged.shard.ids.tolist() == shards[0].ids.tolist() + shards[1].ids.tolist()
+    assert own == [searchers[2], searchers[3]]
+
+
+def test_a_merged_searcher_takes_the_merged_table(tiny_db, monkeypatch):
+    """A searcher over shards laid end to end scores over the table
+    merged from theirs; one that would build its own over the longer
+    buffer is refused."""
+    config = replace(FAST, delta=3.0)
+    searchers = [ShardSearcher(s, config) for s in partition_database(tiny_db, 2)]
+    merged = rotation._end_to_end(searchers)
+    parts = [s.generator.index.mass for s in searchers]
+    assert np.array_equal(np.sort(merged.generator.index.mass), np.sort(np.concatenate(parts)))
+    merge = MassIndex.end_to_end
+
+    def forgotten(cls, parts, shard):
+        table = merge(parts, shard)
+        shard._mass_index = None  # not kept: the searcher builds its own
+        return table
+
+    monkeypatch.setattr(MassIndex, "end_to_end", classmethod(forgotten))
+    with pytest.raises(RuntimeError, match="merged row table"):
+        rotation._end_to_end(searchers)
+
+
+def test_a_modeled_pass_is_counted_when_recorded(tiny_db, tiny_queries):
+    config = replace(FAST, delta=3.0, execution=ExecutionMode.MODELED)
+    searchers = [ShardSearcher(s, config) for s in partition_database(tiny_db, 2)]
+    block = QueryBlock.prepare(list(tiny_queries), config)
+    half = block.lighter_than(float(np.median(block.masses)))
+    passes = [(0, block, 0), (1, half, 0), (1, block, 1)]
+    ledger, swept = deferred_and_eager(searchers, passes, 2)
+    assert ledger.sweeps == 0 and swept == []
+    assert ledger.passes == 3
 
 
 def test_distinct_queries_share_one_sweep(tiny_db, tiny_queries):

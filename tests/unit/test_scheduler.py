@@ -373,23 +373,41 @@ class TestRankLifetime:
 
     @pytest.fixture()
     def watched(self, monkeypatch):
-        """Weak references to every searcher a rank program runs, and to
-        its shard buffer and mass index, taken inside the rank program."""
+        """Weak references to every searcher a rank program records a pass
+        against (its resident shard's, each one a Get delivers) and every
+        searcher a flush runs (one of those, or one built over their
+        shards laid end to end), each with its shard buffer and mass
+        index, taken inside the run."""
+        from repro.core.rotation import PassLedger
         from repro.core.search import ShardSearcher
 
         refs = []
-        run_shard = ShardSearcher.run
+        record, run_shard = PassLedger.record, ShardSearcher.run
+
+        def watch(searcher, into):
+            if all(ref() is not searcher for ref in into):
+                into.append(weakref.ref(searcher))
+                refs.extend(
+                    weakref.ref(obj)
+                    for obj in (searcher, searcher.shard.residues, searcher.generator.index)
+                )
+
+        def recording(ledger, searcher, queries, hitlists):
+            watch(searcher, watching.recorded)
+            return record(ledger, searcher, queries, hitlists)
 
         def watching(searcher, queries, hitlists):
-            refs.extend(
-                weakref.ref(obj)
-                for obj in (searcher, searcher.shard.residues, searcher.generator.index)
-            )
-            if watching.fail_after is not None and len(refs) > watching.fail_after:
+            watching.sequences.append(len(searcher.shard))
+            watch(searcher, watching.swept)
+            if watching.fail_after is not None and len(watching.sequences) > watching.fail_after:
                 raise RankFailedError(1, "injected mid-run")
             return run_shard(searcher, queries, hitlists)
 
-        watching.fail_after = None
+        watching.fail_after = None  # runs let through before one fails
+        watching.recorded = []  # the searchers passes were recorded against
+        watching.swept = []  # the searchers a flush ran
+        watching.sequences = []  # the shard size of each run, in sequences
+        monkeypatch.setattr(PassLedger, "record", recording)
         monkeypatch.setattr(ShardSearcher, "run", watching)
         return refs, watching
 
@@ -399,12 +417,16 @@ class TestRankLifetime:
         from repro.core.driver import run_search
         from repro.workloads import generate_database, generate_queries
 
-        refs, _watching = watched
+        refs, watching = watched
         database = generate_database(40, seed=3)
         queries = generate_queries(24, seed=3)
         with no_cycle_collector():
             report = run_search(database, queries, algorithm, 4, SearchConfig(tau=5))
-            assert refs and report.candidates_evaluated > 0
+            assert report.candidates_evaluated > 0
+            # A and B: each rank's own searcher, and the one merged sweep
+            # over the four shards; master-worker: the caller's database
+            ranks = 1 if algorithm == "master_worker" else 4
+            assert len(watching.recorded) == ranks and watching.swept
             # the master-worker baseline searches the caller's own database:
             # its buffer and cached mass index live as long as `database`
             own = {id(database.residues), id(database._mass_index)}
@@ -418,15 +440,19 @@ class TestRankLifetime:
         from repro.workloads import generate_database, generate_queries
 
         refs, watching = watched
-        # a p = 4 run scores its passes in one flush of four sweeps: fail in
-        # the third, the other ranks suspended mid-flight
-        watching.fail_after = 6
+        # a p = 4 run scores its passes in one flush of one sweep over the
+        # four shards laid end to end: fail inside it, the other ranks
+        # suspended mid-flight.  Every rank's searcher, shard buffer and
+        # row table go, and the merged searcher's too
+        watching.fail_after = 0
         database = generate_database(40, seed=3)
         queries = generate_queries(24, seed=3)
         with no_cycle_collector():
             with pytest.raises(RankFailedError, match="injected"):
                 run_search(database, queries, algorithm, 4, SearchConfig(tau=5))
-            assert len(refs) > 6 and [ref() for ref in refs] == [None] * len(refs)
+            assert watching.sequences == [len(database)]
+            assert len(watching.recorded) == 4 and len(watching.swept) == 1
+            assert len(refs) == 3 * 5 and [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestDeterminism:
