@@ -35,11 +35,10 @@ def _experiments_finish(args: argparse.Namespace, spec, out_dir: str, aggregate)
                 document = fh.read()
         except FileNotFoundError:
             document = ""
-        section = getattr(args, "section", None) or spec.name
-        document = splice_markdown(document, section, format_markdown(aggregate))
+        document = splice_markdown(document, spec.name, format_markdown(aggregate))
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(document)
-        print(f"updated {target} (section experiments:{section})")
+        print(f"updated {target} (section experiments:{spec.name})")
     bad_checks = [c["name"] for c in aggregate["checks"] if not c["ok"]]
     if aggregate["failed"]:
         print(
@@ -118,10 +117,6 @@ def register(sub) -> None:
             "--update", action="append", default=None, metavar="FILE",
             help="splice the markdown rendering into FILE between "
             "'<!-- experiments:NAME begin/end -->' markers (repeatable)",
-        )
-        p.add_argument(
-            "--section", default=None,
-            help="marker name for --update (default: the scenario name)",
         )
 
     p_exp_run = exp_sub.add_parser(

@@ -95,8 +95,6 @@ def explicit_cli_options(argv: List[str]) -> set:
     """
     seen = set()
     for token in argv:
-        if token == "--":
-            break
         if token.startswith("--"):
             seen.add(token.split("=", 1)[0])
         elif token.startswith("-") and len(token) > 1 and not token[1].isdigit():

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -32,10 +30,6 @@ from repro.scoring.hits import (
 from repro.simmpi.trace import TraceSummary
 from repro.spectra.binning import _ragged_arange
 from repro.utils.text_columns import fixed_column, int_column, join_rows, slice_column
-
-
-#: JSON keys of one hit, in the order ``HitColumns`` keeps its six columns
-_HIT_FIELDS = ("score", "protein_id", "start", "stop", "mass", "mod_delta")
 
 
 @dataclass
@@ -81,69 +75,6 @@ class SearchReport:
     def top_hit(self, query_id: int) -> Optional[Hit]:
         hits = self.hits.get(query_id)
         return hits[0] if hits else None
-
-    # -- persistence -----------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the report (hits, timings, memory) to JSON.
-
-        Traces are summarized (totals only) rather than serialized in
-        full; ``extras`` must be JSON-representable (ours are).
-        """
-        columns = as_hit_columns(self.hits)
-        rows = zip(*(column.tolist() for column in columns[2:]))
-        payload = {
-            "algorithm": self.algorithm,
-            "num_ranks": self.num_ranks,
-            "candidates_evaluated": self.candidates_evaluated,
-            "virtual_time": self.virtual_time,
-            "peak_memory": {str(r): int(b) for r, b in self.peak_memory.items()},
-            "extras": self.extras,
-            "trace_totals": (
-                {
-                    "makespan": self.trace.makespan,
-                    "total_compute": self.trace.total_compute,
-                    "total_wait": self.trace.total_wait,
-                    "total_collective": self.trace.total_collective,
-                    "total_comm_issued": self.trace.total_comm_issued,
-                }
-                if self.trace is not None
-                else None
-            ),
-            "hits": {
-                str(qid): [dict(zip(_HIT_FIELDS, row)) for row in islice(rows, count)]
-                for qid, count in zip(columns.query_ids.tolist(), columns.counts.tolist())
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SearchReport":
-        """Inverse of :meth:`to_json` (trace totals land in extras)."""
-        payload = json.loads(text)
-        extras = dict(payload.get("extras", {}))
-        if payload.get("trace_totals"):
-            extras["trace_totals"] = payload["trace_totals"]
-        hits = payload["hits"]
-        rows = [row for query_hits in hits.values() for row in query_hits]
-        empty = pack_hit_columns({}, ())
-        columns = HitColumns(
-            np.array([int(qid) for qid in hits], dtype=np.int64),
-            np.array([len(query_hits) for query_hits in hits.values()], dtype=np.int64),
-            *(
-                np.array([row[name] for row in rows], dtype=column.dtype)
-                for name, column in zip(_HIT_FIELDS, empty[2:])
-            ),
-        )
-        return cls(
-            algorithm=payload["algorithm"],
-            num_ranks=payload["num_ranks"],
-            hits=HitTable(columns),
-            candidates_evaluated=payload["candidates_evaluated"],
-            virtual_time=payload["virtual_time"],
-            peak_memory={int(r): b for r, b in payload.get("peak_memory", {}).items()},
-            extras=extras,
-        )
 
 
 #: transient bytes one chunk of ``write_tsv`` may allocate: its slice of

@@ -18,7 +18,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +71,18 @@ class ShardStats:
     def merge(self, other: "ShardStats") -> None:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def report_extras(self) -> Dict[str, Any]:
+        """The pass counters a serial or multiproc report carries in its extras."""
+        return {
+            "batches": self.batches,
+            "rows_scored": self.rows_scored,
+            "index_rows": self.index_rows,
+            "index_load_time": self.index_load_time,
+            "index_probe_fraction": self.index_rows / self.rows_scored if self.rows_scored else 0.0,
+            "sweep_queries": self.sweep_queries,
+            "sweep_cohorts": self.sweep_cohorts,
+        }
 
 
 def traced_pass(
@@ -673,15 +685,7 @@ def search_serial(
     )
     hits = HitTable(pack_hit_columns(hitlists, hitlists))
     extras = {
-        "batches": stats.batches,
-        "rows_scored": stats.rows_scored,
-        "index_rows": stats.index_rows,
-        "index_load_time": stats.index_load_time,
-        "index_probe_fraction": stats.index_rows / stats.rows_scored
-        if stats.rows_scored
-        else 0.0,
-        "sweep_queries": stats.sweep_queries,
-        "sweep_cohorts": stats.sweep_cohorts,
+        **stats.report_extras(),
         "modeled_candidates_per_second": cost.candidates_per_second(searcher.scorer),
         **store_extras,
     }

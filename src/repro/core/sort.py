@@ -100,11 +100,7 @@ def parallel_counting_sort(
 
     parts = yield comm.alltoallv_op(payloads)
     merged = ProteinDatabase.concat(list(parts))
-    if len(merged):
-        order = np.argsort(merged.parent_mz_keys(), kind="stable")
-        sorted_shard = merged.subset(order)
-    else:
-        sorted_shard = merged
+    sorted_shard = merged.subset(np.argsort(merged.parent_mz_keys(), kind="stable"))
     comm.compute(cost.local_sort_time(len(merged), 0), detail="B2 local sort")
 
     # Publish each rank's true maximum parent mass so query processing can

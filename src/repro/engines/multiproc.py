@@ -317,7 +317,6 @@ def run_multiprocess_search(
     task_timeout: Optional[float] = None,
     retry_policy: Optional[RetryPolicy] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_interval: int = 1,
     resume: bool = False,
     fault_injector: Optional[FaultInjector] = None,
     index_path: Optional[str] = None,
@@ -425,18 +424,14 @@ def run_multiprocess_search(
             "query_blocks": nblocks,
         }
         if resume and os.path.exists(checkpoint_path):
-            manager = CheckpointManager.resume(
-                checkpoint_path, fingerprint, config.tau, checkpoint_interval
-            )
+            manager = CheckpointManager.resume(checkpoint_path, fingerprint, config.tau)
             tasks_resumed = len(manager.completed_tasks)
             for done in manager.completed_tasks:
                 tasks.pop(done, None)
             hit_parts.append(manager.merged_hits().columns)
             stats = ShardStats(**{k: manager.counters.get(k, 0) for k in _CHECKPOINTED})
         else:
-            manager = CheckpointManager(
-                checkpoint_path, fingerprint, config.tau, checkpoint_interval
-            )
+            manager = CheckpointManager(checkpoint_path, fingerprint, config.tau)
 
     start = time.perf_counter()
     if store is None:
@@ -491,15 +486,7 @@ def run_multiprocess_search(
     extras = {
         "query_blocks": nblocks,
         "wall_time": wall,
-        "batches": stats.batches,
-        "rows_scored": stats.rows_scored,
-        "index_rows": stats.index_rows,
-        "index_load_time": stats.index_load_time,
-        "index_probe_fraction": (
-            stats.index_rows / stats.rows_scored if stats.rows_scored else 0.0
-        ),
-        "sweep_queries": stats.sweep_queries,
-        "sweep_cohorts": stats.sweep_cohorts,
+        **stats.report_extras(),
         "candidates_per_second": stats.candidates_evaluated / wall if wall > 0 else 0.0,
         "bytes_shipped": context_bytes + bytes_tasks,
         "bytes_shipped_setup": context_bytes,

@@ -109,14 +109,10 @@ def build_workload(params: Dict[str, Any]):
         "num_queries": int(params.get("workload.queries", 100)),
         "seed": int(params.get("workload.query_seed", 17)),
     }
-    for knob in ("source_size", "min_length", "max_length"):
+    for knob in ("min_length", "max_length"):
         key = f"workload.{knob}"
         if key in params:
             workload_kwargs[knob] = int(params[key])
-    if "workload.decoy_fraction" in params:
-        workload_kwargs["decoy_fraction"] = float(params["workload.decoy_fraction"])
-    if "workload.charges" in params:
-        workload_kwargs["charges"] = tuple(int(z) for z in params["workload.charges"])
     spectra, _targets = QueryWorkload(**workload_kwargs).build()
     return db, spectra
 
@@ -147,7 +143,6 @@ def store_key(params: Dict[str, Any]) -> str:
             "workload.seed",
             "index.mode",
             "index.partition_mb",
-            "config.fragment_tolerance",
         )
         if k in params
     }
@@ -176,10 +171,7 @@ def prebuild_store(params: Dict[str, Any], stores_dir: str) -> str:
     else:
         from repro.store import save_index
 
-        build_kwargs: Dict[str, Any] = {}
-        if "config.fragment_tolerance" in params:
-            build_kwargs["fragment_tolerance"] = float(params["config.fragment_tolerance"])
-        save_index(db, path, **build_kwargs)
+        save_index(db, path)
     return path
 
 
@@ -222,7 +214,7 @@ def execute_cell(
         # task per worker, so an injected crash at task id < ranks
         # always lands
         query_blocks = int(params.get("engine.query_blocks", 1))
-        start_method = params.get("engine.start_method")
+        start_method = None
         if algorithm == "autotune":
             from repro.store import open_any_index
 
@@ -376,9 +368,7 @@ def run_experiment(
     failures: Dict[int, str] = {}
 
     def record_done(cell: CellSpec, summary: Dict[str, Any]) -> None:
-        manager.record(
-            cell.index, {}, counters={_COUNTER_CELLS: 1}
-        )  # flushes atomically (interval=1)
+        manager.record(cell.index, {}, counters={_COUNTER_CELLS: 1})  # flushes atomically
         completed[cell.index] = summary["report_path"]
         say(
             f"cell {len(completed) + len(failures)}/{len(cells)} "

@@ -73,21 +73,16 @@ GROUP_FIELDS: Dict[str, Tuple[str, ...]] = {
         "queries",
         "seed",
         "query_seed",
-        "source_size",
-        "decoy_fraction",
         "min_length",
         "max_length",
-        "charges",
     ),
-    "engine": ("algorithm", "ranks", "query_blocks", "start_method", "rank_speeds"),
+    "engine": ("algorithm", "ranks", "query_blocks", "rank_speeds"),
     "config": (
         "scorer",
         "delta",
         "tau",
         "execution",
         "sweep_cohort",
-        "fragment_tolerance",
-        "min_candidate_length",
     ),
     "faults": ("plan",),
     "index": ("mode", "partition_mb", "memory_budget_mb"),

@@ -144,10 +144,9 @@ class SearchCheckpoint:
 
 
 class CheckpointManager:
-    """Accumulates completed tasks and persists them periodically.
+    """Accumulates completed tasks and persists them as they complete.
 
-    ``interval`` controls write amplification: the checkpoint file is
-    rewritten after every ``interval`` completed tasks (and on
+    The checkpoint file is rewritten after every completed task (and on
     :meth:`flush`).  Each task's hit columns are folded into the held
     ones as it completes
     (:func:`~repro.core.results.merge_rank_hits`), keeping the retained
@@ -159,18 +158,13 @@ class CheckpointManager:
         path: _PathLike,
         fingerprint: Dict[str, object],
         tau: int,
-        interval: int = 1,
     ):
-        if interval < 1:
-            raise CheckpointError(f"checkpoint interval must be >= 1, got {interval}")
         self.path = path
         self.fingerprint = fingerprint
         self.tau = tau
-        self.interval = interval
         self.completed_tasks: Set[int] = set()
         self.counters: Dict[str, int] = {}
         self._merged = HitTable(pack_hit_columns({}, ()))
-        self._since_save = 0
         clean_orphan_tmp_files(path)
 
     # -- resuming ---------------------------------------------------------
@@ -181,7 +175,6 @@ class CheckpointManager:
         path: _PathLike,
         fingerprint: Dict[str, object],
         tau: int,
-        interval: int = 1,
     ) -> "CheckpointManager":
         """Load ``path`` and seed a manager with its state.
 
@@ -200,7 +193,7 @@ class CheckpointManager:
                 f"checkpoint {path!s} belongs to a different run; "
                 f"mismatched fields (checkpoint, current): {mismatched}"
             )
-        manager = cls(path, fingerprint, tau, interval)
+        manager = cls(path, fingerprint, tau)
         manager.completed_tasks = set(state.completed_tasks)
         manager.counters = dict(state.counters)
         manager._merged = _merge([state.hits], tau)
@@ -214,7 +207,7 @@ class CheckpointManager:
         columns: Union[HitColumns, Mapping[int, List[Hit]]],
         counters: Optional[Dict[str, int]] = None,
     ) -> None:
-        """Fold one completed task's hits in; save if the interval is due."""
+        """Fold one completed task's hits in and save."""
         if task_id in self.completed_tasks:
             return
         self.completed_tasks.add(task_id)
@@ -222,9 +215,7 @@ class CheckpointManager:
         if counters:
             for key, value in counters.items():
                 self.counters[key] = self.counters.get(key, 0) + int(value)
-        self._since_save += 1
-        if self._since_save >= self.interval:
-            self.flush()
+        self.flush()
 
     def merged_hits(self) -> HitTable:
         """Current merged per-query top-tau hits, best first."""
@@ -260,4 +251,3 @@ class CheckpointManager:
             except OSError:
                 pass
             raise
-        self._since_save = 0

@@ -106,15 +106,6 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError, match="different run"):
             CheckpointManager.resume(path, other, tau=3)
 
-    def test_interval_defers_writes(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        manager = CheckpointManager(path, dict(FINGERPRINT), tau=3, interval=3)
-        manager.record(0, {})
-        manager.record(1, {})
-        assert not path.exists()
-        manager.record(2, {})
-        assert path.exists()
-
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         manager = CheckpointManager(tmp_path / "c.json", dict(FINGERPRINT), tau=3)
         manager.flush()

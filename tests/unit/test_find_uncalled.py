@@ -1,9 +1,13 @@
-"""tools/find_uncalled.py: the call-event audit over a throwaway package.
+"""tools/find_uncalled.py: the line-event audit over a throwaway package.
 
 The package holds one function its program calls, one nothing calls,
 one only a spawned child process calls and one only a thread calls; the
-audit must report exactly the uncalled one.  A stale allowlist — an
-entry naming nothing, or one without a reason — fails it.
+audit must report exactly the uncalled one.  One called function has an
+arm that runs, a dead arm and a ``raise`` guard: the audit must list
+the dead arm alone, count the arms that run only in the child or on
+the thread as run, and see the dead arm run by a later command.  A
+stale allowlist — an entry naming nothing, or one without a reason —
+fails it.
 """
 
 import importlib.util
@@ -39,21 +43,37 @@ def called():
     return 1
 
 
-def uncalled():
-    return 2
+def uncalled(flag=True):
+    if flag:
+        return 2
+    return 0
 
 
-def in_child():
-    return 3
+def in_child(flag=True):
+    if flag:
+        return 3
+    return 0
 
 
-def on_thread():
-    return 4
+def on_thread(flag=True):
+    if flag:
+        return 4
+    return 0
+
+
+def branchy(flag):
+    if flag:
+        return 5
+    elif flag is None:
+        raise ValueError("a guard arm")
+    else:
+        return 6
 
 
 class Runner:
     def main(self):
         called()
+        branchy(True)
         child = multiprocessing.get_context("spawn").Process(target=in_child)
         child.start()
         child.join()
@@ -88,7 +108,24 @@ def test_reports_exactly_the_uncalled_function(package, tmp_path):
     result = tool.audit(src, [("program", PROGRAM)], allowlist(tmp_path, ""), work)
     assert [d.name for d in result.uncalled] == ["throwaway.mod.uncalled"]
     assert result.problems == []
-    assert result.called == result.total - 1 == 4
+    assert result.called == result.total - 1 == 5
+
+
+def test_reports_exactly_the_dead_arm(package, tmp_path):
+    src, work = package
+    result = tool.audit(src, [("program", PROGRAM)], allowlist(tmp_path, ""), work)
+    [arm] = result.arms
+    assert (arm.owner, arm.kind, arm.lines) == ("throwaway.mod.branchy", "else", 1)
+    assert 0 < result.lines_run < result.lines_total
+
+
+def test_a_later_path_runs_the_arm_an_earlier_one_left(package, tmp_path):
+    # the second command starts from the first one's records: only the
+    # dead arm is still traced there, and it runs
+    src, work = package
+    later = ("later", [sys.executable, "-c", "from throwaway.mod import branchy; branchy(False)"])
+    result = tool.audit(src, [("program", PROGRAM), later], allowlist(tmp_path, ""), work)
+    assert result.arms == [] and result.called == 5
 
 
 def test_allowlisted_function_is_not_reported(package, tmp_path):

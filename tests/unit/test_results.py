@@ -191,7 +191,6 @@ class TestTableBackedReport:
         report = search_serial(tiny_db, tiny_queries, config)
         write_tsv(report, tmp_path / "x.tsv", database=tiny_db)
         run_report = RunReport.from_search_report(report)
-        report.to_json()
         assert report.hits._indexed == {}
         assert run_report.results["hits_reported"] == len(report.hits.columns.scores) > 0
         assert run_report.results["queries_with_hits"] == sum(1 for h in report.hits.values() if h)
@@ -223,10 +222,8 @@ class TestTableBackedReport:
     def test_json_round_trip_equals_the_dict_backed_one(self):
         plain = make_report(self.HITS)
         tabled = as_table(plain)
-        assert tabled.to_json() == plain.to_json()
-        back = SearchReport.from_json(tabled.to_json())
-        assert back.hits == self.HITS
-        assert [h.mass for h in back.hits[9]] == [812.25]
+        assert tabled.hits == plain.hits == self.HITS
+        assert [h.mass for h in tabled.hits[9]] == [812.25]
 
     def test_every_engine_reports_a_table(self, tiny_db, tiny_queries, config):
         from repro.core.driver import ALGORITHMS, run_search
@@ -239,38 +236,6 @@ class TestTableBackedReport:
             assert reports_equal(serial, report), algorithm
         assert isinstance(run_search(tiny_db, tiny_queries, "xbang", 3, config).hits, HitTable)
         assert isinstance(run_search(tiny_db, tiny_queries, "multiproc", 1, config).hits, HitTable)
-
-
-class TestSerialization:
-    def test_roundtrip_preserves_hits_and_metrics(self):
-        hits = {0: [make_hit(5.0, pid=3, start=2, stop=12)], 1: []}
-        rep = make_report(hits, algorithm="algorithm_a", vt=12.5, cand=777)
-        rep.peak_memory = {0: 1000, 1: 2000}
-        rep.extras = {"residual_to_compute": 0.2}
-        back = SearchReport.from_json(rep.to_json())
-        assert back.algorithm == "algorithm_a"
-        assert back.virtual_time == 12.5
-        assert back.candidates_evaluated == 777
-        assert back.peak_memory == {0: 1000, 1: 2000}
-        assert back.extras["residual_to_compute"] == 0.2
-        assert reports_equal(rep, back)
-
-    def test_trace_totals_preserved_in_extras(self):
-        from repro.simmpi.trace import RankTrace, TraceSummary
-
-        t = RankTrace(0)
-        t.add("compute", 0.0, 3.0)
-        rep = make_report({})
-        rep.trace = TraceSummary.from_traces({0: t}, makespan=3.0)
-        back = SearchReport.from_json(rep.to_json())
-        assert back.extras["trace_totals"]["total_compute"] == 3.0
-
-    def test_real_report_roundtrip(self, tiny_db, tiny_queries, config):
-        from repro.core.search import search_serial
-
-        rep = search_serial(tiny_db, tiny_queries, config)
-        back = SearchReport.from_json(rep.to_json())
-        assert reports_equal(rep, back)
 
 
 class TestTsvOutput:
