@@ -114,15 +114,19 @@ class CandidateGenerator:
         self.index = MassIndex.for_shard(
             shard, table_reach(max_parent_mass, delta, self.modifications)
         )
-        # per tier, the running count of table rows holding a target
-        # residue: a tier's window count is two lookups (built on first count)
-        self._tier_rows: Optional[List[np.ndarray]] = None
+        # per length floor, running counts over the table: of the rows at
+        # least that long (None at a floor every row passes) and, per tier,
+        # of those holding its target residue — a window's count is two
+        # lookups (built on first count)
+        self._running: Dict[int, Tuple[Optional[np.ndarray], List[np.ndarray]]] = {}
 
     @property
     def nbytes(self) -> int:
         """Index memory, charged to the owning rank by the simulator."""
         total = self.index.nbytes + sum(csum.nbytes for _mod, csum in self.tiers)
-        return total + sum(c.nbytes for c in self._tier_rows or ())
+        for rows, tier_rows in self._running.values():
+            total += sum(c.nbytes for c in tier_rows) + (0 if rows is None else rows.nbytes)
+        return total
 
     def candidates(self, spectrum: Spectrum) -> CandidateSpans:
         """All candidates for one query, unmodified first, then per-PTM.
@@ -138,20 +142,47 @@ class CandidateGenerator:
             parts.append(replace(spans, mod_delta=np.full(len(spans), mod.delta_mass)))
         return CandidateSpans.concat(parts)
 
-    def count_many(self, parent_masses: np.ndarray) -> np.ndarray:
+    def count_many(self, parent_masses: np.ndarray, min_length: int = 1) -> np.ndarray:
         """Exact candidate counts, PTM tiers included, without decoding a
-        row per query: two binary searches per tier."""
+        row per query: two binary searches per tier.  With ``min_length``
+        only candidates of at least that many residues count: what a pass
+        keeps past ``SearchConfig.min_candidate_length``."""
         parent_masses = np.asarray(parent_masses, dtype=np.float64)
         lows = parent_masses - self.delta
         highs = parent_masses + self.delta
-        counts = self.index.count_many(lows, highs)
-        if self.tiers and self._tier_rows is None:
-            every = self.index.spans(np.arange(len(self.index)))
-            self._tier_rows = [
-                np.concatenate(([0], np.cumsum(contains_target(every, self.shard.offsets, csum))))
-                for _mod, csum in self.tiers
-            ]
-        for (mod, _csum), tier_rows in zip(self.tiers, self._tier_rows or ()):
+        rows, tier_rows = self._running_counts(min_length)
+        if rows is None:
+            counts = self.index.count_many(lows, highs)
+        else:
+            lo, hi = self.index.windows_many(lows, highs)
+            counts = rows[np.maximum(hi, lo)] - rows[lo]
+        for (mod, _csum), running in zip(self.tiers, tier_rows):
             lo, hi = self.index.windows_many(lows - mod.delta_mass, highs - mod.delta_mass)
-            counts += tier_rows[np.maximum(hi, lo)] - tier_rows[lo]
+            counts += running[np.maximum(hi, lo)] - running[lo]
         return counts
+
+    def _running_counts(self, min_length: int) -> Tuple[Optional[np.ndarray], List[np.ndarray]]:
+        """The running counts :meth:`count_many` looks windows up in, for
+        a length floor of ``min_length`` (built on first use)."""
+        cached = self._running.get(min_length)
+        if cached is None:
+            if min_length <= 1 and not self.tiers:
+                cached = (None, [])  # every row is at least one residue long
+            else:
+                every = self.index.spans(np.arange(len(self.index)))
+                long_enough = every.lengths >= min_length
+                offsets = self.shard.offsets
+                cached = (
+                    None if min_length <= 1 else _running_count(long_enough),
+                    [
+                        _running_count(long_enough & contains_target(every, offsets, csum))
+                        for _mod, csum in self.tiers
+                    ],
+                )
+            self._running[min_length] = cached
+        return cached
+
+
+def _running_count(mask: np.ndarray) -> np.ndarray:
+    """How many of ``mask``'s first ``i`` entries are set, for every ``i``."""
+    return np.concatenate(([0], np.cumsum(mask)))

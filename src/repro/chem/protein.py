@@ -25,6 +25,7 @@ import numpy as np
 from repro.chem.amino_acids import decode_sequence, encode_sequence, mass_table
 from repro.constants import WATER_MASS
 from repro.errors import InvalidSequenceError
+from repro.spectra.binning import _ragged_arange
 
 
 @dataclass(frozen=True)
@@ -222,13 +223,8 @@ class ProteinDatabase:
             return ProteinDatabase.empty()
         lengths = self.lengths[indices]
         new_offsets = np.concatenate(([0], np.cumsum(lengths)))
-        new_residues = np.empty(int(new_offsets[-1]), dtype=np.uint8)
-        starts = self.offsets[:-1]
-        for out_pos, idx in enumerate(indices):
-            s = starts[idx]
-            new_residues[new_offsets[out_pos] : new_offsets[out_pos + 1]] = self.residues[
-                s : s + lengths[out_pos]
-            ]
+        # one gather of every picked sequence's residues, in order
+        new_residues = self.residues[_ragged_arange(self.offsets[:-1][indices], lengths)]
         names = [self._names[i] for i in indices] if self._names is not None else None
         masses = (
             self._parent_masses[indices] if self._parent_masses is not None else None

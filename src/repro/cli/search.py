@@ -26,6 +26,10 @@ from repro.workloads.queries import generate_queries
 
 _ENGINES = sorted(ALGORITHMS) + ["multiproc"]
 
+#: ``repro search``'s exit status when multiproc quarantined tasks: the
+#: outputs are written, and hold only the tasks that completed
+EXIT_PARTIAL = 3
+
 
 def _apply_autotune(args: argparse.Namespace, explicit: set, plan, index_path, store):
     """Adopt the rule's pick; explicitly typed flags win.
@@ -205,7 +209,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"[{top.start},{top.stop}) mass {top.mass:.3f} score {top.score:.3f}"
         )
         shown += 1
-    return 0
+    return EXIT_PARTIAL if report.extras.get("degraded") else 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -284,7 +288,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def register(sub) -> None:
-    p_search = sub.add_parser("search", help="run one search and print top hits")
+    p_search = sub.add_parser(
+        "search",
+        help="run one search and print top hits",
+        epilog=f"exit status: 0 on success; 2 on a usage or typed error; "
+        f"{EXIT_PARTIAL} when multiproc quarantined tasks after retries "
+        f"(the hits, TSV and report are written, but partial)",
+    )
     add_db_options(p_search, "search")
     add_search_args(p_search)
     p_search.add_argument("--algorithm", "-a", choices=_ENGINES, default="algorithm_a")

@@ -25,12 +25,12 @@ import numpy as np
 
 from repro.candidates.generator import heaviest_parent_mass
 from repro.chem.protein import ProteinDatabase
-from repro.core.config import SearchConfig
+from repro.core.config import ExecutionMode, SearchConfig
 from repro.core.results import SearchReport, merge_rank_hits
 from repro.core.rotation import PassLedger, run_cluster, score_pass
-from repro.core.search import ShardSearcher, ShardStats, search_serial
+from repro.core.search import QueryBlock, ShardSearcher, ShardStats, search_serial
 from repro.errors import ConfigError
-from repro.scoring.hits import HitColumns, TopHitList
+from repro.scoring.hits import TopHitList
 from repro.simmpi.comm import SimComm
 from repro.simmpi.scheduler import ClusterConfig
 from repro.spectra.spectrum import Spectrum
@@ -41,7 +41,7 @@ _QUERY_TAG = 0
 
 def _master_program(
     comm: SimComm,
-    _ledger: PassLedger,
+    ledger: PassLedger,
     queries: Sequence[Spectrum],
     config: SearchConfig,
     batch_size: int,
@@ -55,7 +55,7 @@ def _master_program(
     ]
     next_batch = 0
     outstanding = 0
-    all_hits: List[HitColumns] = []
+    replies: List[Dict[int, TopHitList]] = []
     # S2: seed every worker with one batch.
     for worker in range(1, comm.size):
         if next_batch < len(batches):
@@ -65,8 +65,8 @@ def _master_program(
             outstanding += 1
     # S4: refill on demand until drained.
     while outstanding:
-        src, hits = yield comm.recv_op()
-        all_hits.append(hits)
+        src, hitlists = yield comm.recv_op()
+        replies.append(hitlists)
         outstanding -= 1
         if next_batch < len(batches):
             batch = batches[next_batch]
@@ -75,7 +75,9 @@ def _master_program(
             outstanding += 1
     for worker in range(1, comm.size):
         comm.send(worker, None, 8, tag=_QUERY_TAG)  # poison pill
-    merged = merge_rank_hits(all_hits, config.tau)
+    # the first reply read flushes the ledger: every batch's pass scored
+    # in one sweep of the whole database
+    merged = merge_rank_hits([ledger.columns(hitlists) for hitlists in replies], config.tau)
     comm.compute(cost.report_time(len(merged.columns.scores)), detail="S4 output")
     return merged, ShardStats(), {}
 
@@ -94,13 +96,38 @@ def _worker_program(
         if batch is None:
             return None, totals, {}
         hitlists: Dict[int, TopHitList] = {}
-        # S3: real work, local only; a batch is no rotation step, and it
-        # is scored (the ledger flushed) before its reply
+        block = QueryBlock.prepare(batch, config)
+        # S3: real work, local only; a batch is no rotation step.  It is
+        # charged now and its lists travel unscored: the master reads them
+        # after the ledger's flush
         totals.merge(
-            score_pass(comm, ledger, searcher, batch, hitlists, config, "S3", rotation_step=False)
+            score_pass(comm, ledger, searcher, block, hitlists, config, "S3", rotation_step=False)
         )
-        hits = ledger.columns(hitlists)
-        comm.send(0, hits, _HIT_BYTES * max(len(hits.scores), 1))
+        reported = _reply_hits(ledger, searcher, block, hitlists, config)
+        comm.send(0, hitlists, _HIT_BYTES * max(reported, 1))
+
+
+def _reply_hits(
+    ledger: PassLedger,
+    searcher: ShardSearcher,
+    block: QueryBlock,
+    hitlists: Dict[int, TopHitList],
+    config: SearchConfig,
+) -> int:
+    """The hits a batch's reply carries: per hit list ``min(kept, tau)``,
+    ``kept`` its queries' candidates past the length floor, counted
+    exactly without scoring (queries sharing an id share a list).  A
+    score cutoff decides what is kept from the scores, so under one the
+    ledger flushes (scores the batch) first; a MODELED pass scores
+    nothing and its empty lists carry none."""
+    if config.execution is ExecutionMode.MODELED or config.score_cutoff is not None:
+        return ledger.reported(hitlists.values(), config.tau)
+    kept = searcher.generator.count_many(block.masses, config.min_candidate_length)
+    per_list: Dict[int, int] = {}
+    for m, n in zip(block.order.tolist(), kept.tolist()):  # masses are in mass order
+        qid = block.queries[m].query_id
+        per_list[qid] = per_list.get(qid, 0) + n
+    return sum(min(n, config.tau) for n in per_list.values())
 
 
 def run_master_worker(

@@ -202,7 +202,9 @@ def stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if keys.dtype.kind == "f" and np.isnan(ordered[-1]):  # the NaNs are the last run
         tied = np.concatenate((tied, np.arange(np.searchsorted(ordered, np.nan), n - 1)))
     if len(tied):
-        at = np.union1d(tied, tied + 1)  # every place in a run of equal keys
+        mark = np.zeros(n, dtype=bool)
+        mark[tied] = mark[tied + 1] = True
+        at = np.flatnonzero(mark)  # every place in a run of equal keys
         opens = tied[np.diff(tied, prepend=-2) != 1]  # each run's first place
         # (run, position) is unique too: an unstable sort restores index order
         fix = np.searchsorted(opens, at, side="right") * n + order[at]

@@ -187,6 +187,34 @@ class TestFaultToleranceFlags:
         assert rc == 0
         assert "multiprocess p=2" in capsys.readouterr().out
 
+    def test_quarantined_tasks_write_partial_results_and_exit_partial(self, tmp_path, capsys):
+        """With no retries the crash quarantines a task: the TSV and the
+        report are still written, and the exit status says the results
+        are partial (it was 0)."""
+        from repro.cli.search import EXIT_PARTIAL
+        from repro.faults.plan import FaultPlan, RankCrash
+        from repro.obs.report import RunReport
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(FaultPlan(crashes=(RankCrash(0, 1.0),)).to_json())
+        tsv, report = tmp_path / "hits.tsv", tmp_path / "report.json"
+        rc = main(
+            [
+                "search", "-n", "40", "-m", "3", "-p", "2", "-a", "multiproc",
+                "--fault-plan", str(plan), "--max-retries", "0",
+                "-o", str(tsv), "--report-out", str(report),
+            ]
+        )
+        assert rc == EXIT_PARTIAL == 3
+        assert "quarantined after retries; results are partial" in capsys.readouterr().err
+        assert tsv.read_text().count("\n") >= 1
+        assert RunReport.load(str(report)).extras["degraded"]
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert f"{EXIT_PARTIAL} when multiproc quarantined tasks" in " ".join(
+            capsys.readouterr().out.split()
+        )
+
     def test_multiproc_checkpoint_then_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "run.ckpt"
         base = ["search", "-n", "40", "-m", "3", "-p", "1", "-a", "multiproc",

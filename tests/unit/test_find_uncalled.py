@@ -170,6 +170,25 @@ def test_failing_command_is_an_error(package, tmp_path):
         tool.audit(src, [failing], allowlist(tmp_path, ""), work)
 
 
+def test_a_declared_exit_status_is_the_only_one_accepted(package, tmp_path, monkeypatch):
+    """A path run for a non-zero status passes on it, and fails on any
+    other, 0 included."""
+    src, work = package
+    monkeypatch.setattr(tool, "EXPECTED_EXIT", {"exits 3": 3, "exits 0": 3})
+    exits = lambda code: [sys.executable, "-c", f"raise SystemExit({code})"]  # noqa: E731
+    tool.audit(src, [("exits 3", exits(3))], allowlist(tmp_path, ""), work)
+    with pytest.raises(RuntimeError, match="exits 0 exited 0, not 3"):
+        tool.audit(src, [("exits 0", exits(0))], allowlist(tmp_path, ""), work)
+
+
+def test_the_quarantine_path_is_run_for_the_partial_exit_status():
+    from repro.cli.search import EXIT_PARTIAL
+
+    labels = {label for label, _argv in tool.product_paths()}
+    assert tool.EXPECTED_EXIT == {"search spawn quarantine": EXIT_PARTIAL}
+    assert set(tool.EXPECTED_EXIT) <= labels
+
+
 def test_checked_in_allowlist_names_existing_functions_with_reasons():
     entries, problems = tool.read_allowlist(tool.ALLOWLIST)
     defs, containers = tool.definitions(tool.SRC)

@@ -182,6 +182,12 @@ _SCENARIO_OPTIONS = {
 _SEARCH_KNOBS = ("--query-seed", "5", "--delta", "2.5", "--tau", "20", "--sweep-cohort", "16")
 
 
+#: the exit status a product path is run for, where it is not 0: with
+#: ``--max-retries 0`` the plan's crash quarantines a task, and ``repro
+#: search`` writes the partial results and exits ``EXIT_PARTIAL`` (3)
+EXPECTED_EXIT = {"search spawn quarantine": 3}
+
+
 def product_paths() -> List[Tuple[str, List[str]]]:
     """``(label, argv)`` of every product path; each runs with the work
     directory :func:`_prepare_work` filled as its current directory."""
@@ -437,8 +443,11 @@ def record_run(commands: Sequence[Tuple[str, List[str]]], src: str, work: str,
                               stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         if verbose:
             print(f"  {time.perf_counter() - t0:6.1f}s  {label}", flush=True)
-        if done.returncode != 0:
-            raise RuntimeError(f"{label} exited {done.returncode}:\n{done.stdout[-4000:]}")
+        expected = EXPECTED_EXIT.get(label, 0)
+        if done.returncode != expected:
+            raise RuntimeError(
+                f"{label} exited {done.returncode}, not {expected}:\n{done.stdout[-4000:]}"
+            )
         take_records()
     return run
 
