@@ -82,7 +82,7 @@ class Scorer(Protocol):
 # no peak interval, lands in no xcorr bin and adds no draw.  Per member
 # the kernel only runs the binary searches against that member's own
 # peaks (or, for xcorr, applies its bin limit and its offset into the
-# concatenated preprocessed vectors; for the likelihood model, gathers
+# bound preprocessed vectors; for the likelihood model, gathers
 # from its four-entry table of per-fragment terms, built once per batch
 # from the scalar's operands); every other step is row-wise — it reads
 # one row's operands and reduces along the last axis only — and runs

@@ -3,7 +3,6 @@
 from repro.spectra.spectrum import Spectrum
 from repro.spectra.theoretical import theoretical_spectrum, fragment_mz, IonSeries
 from repro.spectra.experimental import SpectrumSimulator, SimulatorConfig
-from repro.spectra.binning import bin_spectrum
 from repro.spectra.mgf import iter_mgf, read_mgf, write_mgf
 
 __all__ = [
@@ -13,7 +12,6 @@ __all__ = [
     "IonSeries",
     "SpectrumSimulator",
     "SimulatorConfig",
-    "bin_spectrum",
     "iter_mgf",
     "read_mgf",
     "write_mgf",

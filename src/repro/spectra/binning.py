@@ -15,27 +15,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 
-def bin_spectrum(
-    mz: np.ndarray, intensity: np.ndarray, bin_width: float, mz_max: float
-) -> np.ndarray:
-    """Accumulate peaks into fixed-width m/z bins.
-
-    Returns a dense vector of length ``ceil(mz_max / bin_width)`` whose
-    entry ``k`` sums the intensity of peaks with
-    ``k * bin_width <= mz < (k + 1) * bin_width``.  Peaks at or beyond
-    ``mz_max`` are dropped.  Dense binned vectors feed the Xcorr scorer's
-    correlation and are the representation X!Tandem-style tools use.
-    """
-    if bin_width <= 0 or mz_max <= 0:
-        raise ValueError("bin_width and mz_max must be positive")
-    nbins = int(np.ceil(mz_max / bin_width))
-    out = np.zeros(nbins)
-    idx = (mz / bin_width).astype(np.int64)
-    keep = (idx >= 0) & (idx < nbins)
-    np.add.at(out, idx[keep], intensity[keep])
-    return out
-
-
 # -- batched matchers ------------------------------------------------------
 #
 # The block kernels ask the matching question for *matrices* of fragment

@@ -26,7 +26,8 @@ class Spectrum:
         intensity: peak intensities, finite, >= 0, same length as ``mz``.
         precursor_mz: observed m/z of the intact parent peptide, m(q):
             finite, > 0.
-        charge: assumed parent charge state (>= 1).
+        charge: assumed parent charge state, an integer >= 1 (``int`` or
+            a NumPy integer).
         query_id: stable identifier of this query within a workload; the
             parallel algorithms carry it through redistribution so results
             can be merged and compared against the serial engine.
@@ -56,8 +57,9 @@ class Spectrum:
             raise SpectrumError(
                 f"precursor m/z must be finite and positive, got {self.precursor_mz}"
             )
-        if self.charge < 1:
-            raise SpectrumError(f"charge must be >= 1, got {self.charge}")
+        charge = self.charge  # an int: a NaN, infinite or fractional one is refused
+        if isinstance(charge, bool) or not isinstance(charge, (int, np.integer)) or charge < 1:
+            raise SpectrumError(f"charge must be an integer >= 1, got {charge!r}")
         mz.flags.writeable = False
         intensity.flags.writeable = False
         object.__setattr__(self, "mz", mz)

@@ -3,8 +3,7 @@
 MSPolygraph scores a query against "a model spectrum for the candidate"
 (paper Section II.A).  Collision-induced dissociation predominantly
 breaks the peptide backbone, producing *b ions* (N-terminal prefixes)
-and *y ions* (C-terminal suffixes); we model those two series plus the
-optional *a* series (b minus CO) that X!Tandem also considers.
+and *y ions* (C-terminal suffixes); we model those two series.
 
 The hot path — generating fragment m/z arrays for hundreds of thousands
 of candidates per query — is fully vectorized over the candidate's
@@ -22,14 +21,10 @@ import numpy as np
 from repro.chem.amino_acids import mass_table
 from repro.constants import PROTON_MASS, WATER_MASS
 
-#: Mass of carbon monoxide, subtracted from b ions to form a ions (Da).
-_CO_MASS: float = 27.994915
-
 
 class IonSeries(str, Enum):
     """Backbone fragment ion series."""
 
-    A = "a"
     B = "b"
     Y = "y"
 
@@ -64,7 +59,6 @@ def fragment_mz(
     (the full-length "fragment" is the precursor, not a product ion).
 
     * b_i = (sum of first i residue masses) + proton  (singly charged)
-    * a_i = b_i - CO
     * y_i = (sum of last i residue masses) + water + proton
     """
     if charge < 1:
@@ -76,14 +70,12 @@ def fragment_mz(
         neutral = residue[::-1][:-1].cumsum() + WATER_MASS
     else:
         neutral = residue[:-1].cumsum()
-        if series is IonSeries.A:
-            neutral = neutral - _CO_MASS
     return (neutral + charge * PROTON_MASS) / charge
 
 
 #: Relative intensity assigned to each series in the model spectrum.  The
-#: y series dominates observed CID spectra; b is strong; a is weak.
-SERIES_WEIGHT = {IonSeries.B: 0.8, IonSeries.Y: 1.0, IonSeries.A: 0.25}
+#: y series dominates observed CID spectra; b is strong.
+SERIES_WEIGHT = {IonSeries.B: 0.8, IonSeries.Y: 1.0}
 
 
 def theoretical_spectrum(
@@ -161,8 +153,6 @@ def fragment_mz_rows(
         neutral = _suffix_rows(mass_rows, lengths).cumsum(axis=1) + WATER_MASS
     else:
         neutral = mass_rows[:, :-1].cumsum(axis=1)
-        if series is IonSeries.A:
-            neutral = neutral - _CO_MASS
     mz = (neutral + charge * PROTON_MASS) / charge
     if lengths is not None:
         mz[_fragment_pads(lengths, length - 1)] = np.inf

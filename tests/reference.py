@@ -123,11 +123,50 @@ def matched_intensity(
     return int(mask.sum()), float(observed_intensity[mask].sum())
 
 
+def bin_spectrum(
+    mz: np.ndarray, intensity: np.ndarray, bin_width: float, mz_max: float
+) -> np.ndarray:
+    """Accumulate peaks into fixed-width m/z bins.
+
+    Returns a dense vector of length ``ceil(mz_max / bin_width)`` whose
+    entry ``k`` sums the intensity of peaks with
+    ``k * bin_width <= mz < (k + 1) * bin_width``.  Peaks at or beyond
+    ``mz_max`` are dropped.
+    """
+    if bin_width <= 0 or mz_max <= 0:
+        raise ValueError("bin_width and mz_max must be positive")
+    nbins = int(np.ceil(mz_max / bin_width))
+    out = np.zeros(nbins)
+    idx = (mz / bin_width).astype(np.int64)
+    keep = (idx >= 0) & (idx < nbins)
+    np.add.at(out, idx[keep], intensity[keep])
+    return out
+
+
+def xcorr_preprocessed(scorer, spectrum: Spectrum) -> np.ndarray:
+    """Xcorr's preprocessed vector of one spectrum with peaks: the binned
+    ``sqrt(intensity)`` ``y`` minus the mean of ``y`` over the
+    ``offset_range`` bins either side of each bin (itself excluded), from
+    a cumulative sum.  :meth:`XCorrScorer.bind` must give each member
+    this vector bit for bit."""
+    mz_max = float(max(spectrum.precursor_mz * spectrum.charge, spectrum.mz[-1])) + 2.0
+    binned = bin_spectrum(spectrum.mz, np.sqrt(spectrum.intensity), scorer.bin_width, mz_max)
+    w = scorer.offset_range
+    csum = np.concatenate(([0.0], np.cumsum(binned)))
+    n = len(binned)
+    lo = np.maximum(np.arange(n) - w, 0)
+    hi = np.minimum(np.arange(n) + w + 1, n)
+    window_sum = csum[hi] - csum[lo] - binned
+    window_len = (hi - lo - 1).astype(np.float64)
+    mean = np.divide(window_sum, window_len, out=np.zeros(n), where=window_len > 0)
+    return binned - mean
+
+
 # -- the scalar scorers -------------------------------------------------------
 #
 # One definition per registered scorer, keyed by its ``name``: a function
 # of the scorer (its parameters, and the per-spectrum helpers its kernel
-# shares — xcorr's ``_preprocessed``, likelihood's
+# shares — xcorr's :func:`xcorr_preprocessed`, likelihood's
 # ``_chance_match_probability``, hypergeometric's ``_bins``), the
 # spectrum, the candidate and a PTM ``site`` (-1: unmodified) with its
 # ``delta``.
@@ -172,7 +211,7 @@ def _xcorr(scorer, spectrum: Spectrum, candidate, site, delta) -> float:
     ladder = _ladder(candidate, site, delta)
     if spectrum.num_peaks == 0:
         return -math.inf
-    processed = scorer._preprocessed(spectrum)
+    processed = xcorr_preprocessed(scorer, spectrum)
     if len(ladder) == 0:
         return -math.inf
     bins = (ladder / scorer.bin_width).astype(np.int64)

@@ -196,36 +196,21 @@ class TestHyperscore:
 
 
 class TestXCorr:
-    def test_preprocessing_cached(self, clean_spectrum):
-        scorer = XCorrScorer()
-        score(scorer, clean_spectrum, TRUE_PEPTIDE)
-        cached = scorer._cache[id(clean_spectrum)]
-        score(scorer, clean_spectrum, WRONG_PEPTIDE)
-        assert scorer._cache[id(clean_spectrum)] is cached
-
-    def test_cache_survives_id_reuse(self):
-        """A freed spectrum's ``id`` goes to the next allocation; with equal
-        peak counts the cache used to hand back the dead spectrum's vector."""
-        rng = np.random.default_rng(5)
-        scorer = XCorrScorer()
-
-        def fresh():
-            mz = np.sort(rng.uniform(100.0, 900.0, 20))
-            return Spectrum(mz, rng.uniform(0.1, 1.0, 20), precursor_mz=950.0)
-
-        for _ in range(200):
-            first = fresh()
-            scorer._preprocessed(first)
-            del first  # its id is free for the next Spectrum
-            second = fresh()
-            expected = XCorrScorer()._preprocessed(second)
-            assert np.array_equal(scorer._preprocessed(second), expected)
-
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            XCorrScorer(bin_width=0.0)
-        with pytest.raises(ValueError):
-            XCorrScorer(offset_range=0)
+        """Refused at construction, typed: a NaN width used to reach bind as
+        an untyped NaN-to-integer error, an infinite one to score every
+        candidate ``-inf``, a fractional range to raise ``IndexError``."""
+        for bin_width in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="bin_width"):
+                XCorrScorer(bin_width=bin_width)
+        for offset_range in (0, -3, 2.5, 75.0, np.nan, True, False, "75", None):
+            with pytest.raises(ValueError, match="offset_range"):
+                XCorrScorer(offset_range=offset_range)
+
+    @pytest.mark.parametrize("offset_range", [1, 75, np.int64(3), np.int32(150)])
+    def test_integer_offset_range_accepted(self, offset_range):
+        scorer = XCorrScorer(offset_range=offset_range)
+        assert scorer.offset_range == offset_range and type(scorer.offset_range) is int
 
 
 class TestRegistry:

@@ -48,6 +48,16 @@ class TestInvariants:
         with pytest.raises(SpectrumError):
             make([100.0], charge=0)
 
+    @pytest.mark.parametrize("charge", [np.nan, np.inf, -np.inf, 1.5, 2.0, np.float64(2.0), True, "2"])
+    def test_non_integral_charge_rejected(self, charge):
+        with pytest.raises(SpectrumError, match="integer"):
+            make([100.0], charge=charge)
+
+    @pytest.mark.parametrize("charge", [1, 3, np.int64(2), np.int32(4), np.uint8(1)])
+    def test_integer_charge_accepted(self, charge):
+        s = make([100.0], charge=charge)
+        assert s.charge == charge and s.parent_mass == mz_to_mass(1000.0, int(charge))
+
     def test_arrays_frozen(self):
         s = make([100.0, 200.0])
         with pytest.raises(ValueError):
